@@ -39,7 +39,7 @@ def insert_nodes(n_partitions: int, n_nodes: int = N_PENDING) -> IMADGCommitTabl
             anchor=None,
             tenant=0,
         )
-        assert table.insert(node, owner)
+        assert not table.insert_batch([node], owner)
     return table
 
 
@@ -54,7 +54,7 @@ def contention_misses(n_partitions: int, attempts: int = 512) -> int:
         node = CommitTableNode(
             xid=TransactionId(1, i), commit_scn=i, anchor=None, tenant=0
         )
-        if not table.insert(node, object()):
+        if table.insert_batch([node], object()):
             misses += 1
     return misses
 

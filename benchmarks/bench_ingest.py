@@ -1,28 +1,25 @@
-"""Ingest gauntlet: columnar change-vector batches vs the record oracle.
+"""Ingest gauntlet: apply-side throughput of the columnar redo path.
 
-The vectorized ingest path (DESIGN.md section 15) ships redo as columnar
-``CVBatch`` structures and keeps them columnar through distribution,
-mining, commit-table insertion, chop and flush.  This bench measures the
-speedup of that machinery directly, with an **in-run ablation**: the same
-captured redo stream is pushed through freshly built apply-side
-components twice -- once as ``CVBatch`` shipments (``ingest="batched"``,
-the default) and once record-at-a-time (``ingest="records"``, the
-correctness oracle) -- and the apply-side CV throughput is compared.
+Redo ships as columnar ``CVBatch`` structures and stays columnar through
+distribution, mining, commit-table insertion, chop and flush (DESIGN.md
+section 15) -- the only ingest path there is.  This bench pushes one
+captured redo stream through freshly built apply-side components and
+reports apply-side CVs/s stage by stage.  It is a layer report, not a
+gate: the end-to-end watch on this layer is ``bench_e2e``'s
+``ingest_firehose`` workload.
 
 Two things are deliberately excluded from the timed region:
 
-* the lifecycle tracer (disarmed after build): per-CV stamping costs the
-  same in both modes and would only dilute the ratio being measured;
-* the physical rowstore apply: it is byte-identical work in both modes
-  (version-chain walks that never vectorize) and is not part of the
-  batched redo machinery this PR changes.
+* the lifecycle tracer (disarmed after build): per-CV stamping would
+  dilute the machinery being measured;
+* the physical rowstore apply (version-chain walks that never vectorize):
+  not part of the batched redo machinery.
 
-A second test drives two *live* deployments (tracer armed) through the
-same DML history and asserts the published QuerySCN sequences are
-value-identical -- batching must change how much an advancement costs,
-never when it happens, so end-to-end visibility lag is unchanged by
-construction (compare ``BENCH_apply_lag.json``, regenerated by
-bench_fig11 with batched ingest as the default).
+A second test drives the same DML history through two *live* deployments
+(tracer armed) built from the same seed and asserts the published
+QuerySCN sequences are value-identical: the pipeline is deterministic
+from its seed, so simulated visibility lag is a property of the history,
+not of the run (compare ``BENCH_apply_lag.json`` from bench_fig11).
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ from conftest import save_json, save_report
 #: shipper's steady-state batch is smaller; large shipments are what a
 #: catch-up after a standby outage looks like).
 SHIPMENT_RECORDS = 2048
-#: The gate: apply-side CVs/s, batched over records, same stream.
-REQUIRED_SPEEDUP = 3.0
 BEST_OF = 3
 
 N_ROWS = 4_000
@@ -60,11 +55,11 @@ UPDATES_PER_TXN = 100
 
 @pytest.fixture(scope="module")
 def firehose():
-    """One DML firehose captured on a live (batched-ingest) deployment.
+    """One DML firehose captured on a live deployment.
 
     The deployment itself drains the stream end-to-end -- its metrics
     registry must show the batch histograms afterwards -- and its redo
-    log is then replayed through fresh components by the ablation.
+    log is then replayed through fresh components by the gauntlet.
     """
     config = SystemConfig(
         imcs=IMCSConfig(
@@ -73,15 +68,14 @@ def firehose():
             repopulate_invalid_fraction=0.02,
             repopulate_min_interval=0.1,
         ),
-        apply=ApplyConfig(n_workers=4, ingest="batched"),
+        apply=ApplyConfig(n_workers=4),
         seed=7,
     )
     registry = obs.MetricsRegistry()
     with obs.collecting(registry):
         deployment = Deployment.build(config=config)
         # Disarm the per-CV lifecycle stamps (counters/histograms stay):
-        # both ablation modes would pay the same tracer tax, diluting the
-        # machinery ratio this bench exists to measure.
+        # the tracer tax would dilute the machinery this bench measures.
         registry.tracer = None
         deployment.create_table(
             TableDef(
@@ -116,7 +110,7 @@ def firehose():
     return deployment, registry, records
 
 
-def drain_once(deployment, records, batched: bool) -> dict[str, float]:
+def drain_once(deployment, records) -> dict[str, float]:
     """Push the captured stream through fresh apply-side components,
     timing each stage: transpose, distribute, mine, chop, flush."""
     owner = object()
@@ -132,28 +126,20 @@ def drain_once(deployment, records, batched: bool) -> dict[str, float]:
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if batched:
-        items = [
-            CVBatch.from_records(records[i:i + SHIPMENT_RECORDS])
-            for i in range(0, len(records), SHIPMENT_RECORDS)
-        ]
-    else:
-        items = records
+    batches = [
+        CVBatch.from_records(records[i:i + SHIPMENT_RECORDS])
+        for i in range(0, len(records), SHIPMENT_RECORDS)
+    ]
     times["transpose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    distributor.distribute(items)
+    distributor.distribute(batches)
     times["distribute"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if batched:
-        for worker, queue in enumerate(distributor.queues):
-            for chunk in queue:
-                assert miner.sniff_chunk(chunk, worker, owner), "latch miss"
-    else:
-        for worker, queue in enumerate(distributor.queues):
-            for scn, cv in queue:
-                assert miner.sniff(cv, scn, worker, owner), "latch miss"
+    for worker, queue in enumerate(distributor.queues):
+        for chunk in queue:
+            assert miner.sniff_chunk(chunk, worker, owner), "latch miss"
     times["mine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -176,24 +162,22 @@ def test_ingest_gauntlet(firehose, benchmark):
     total_cvs = sum(len(r.cvs) for r in records)
     assert total_cvs > 20_000, "firehose too small to be meaningful"
 
-    results = {}
-    for label, batched in (("records", False), ("batched", True)):
-        best = None
-        for __ in range(BEST_OF):
-            times = drain_once(deployment, records, batched)
-            total = sum(times.values())
-            if best is None or total < best[0]:
-                best = (total, times)
-        total, times = best
-        results[label] = {
+    best = None
+    for __ in range(BEST_OF):
+        times = drain_once(deployment, records)
+        total = sum(times.values())
+        if best is None or total < best[0]:
+            best = (total, times)
+    total, times = best
+    results = {
+        "batched": {
             "stage_ms": {k: round(v * 1e3, 3) for k, v in times.items()},
             "total_ms": round(total * 1e3, 3),
             "cvs_per_s": round(total_cvs / total),
         }
+    }
 
-    speedup = results["batched"]["cvs_per_s"] / results["records"]["cvs_per_s"]
-
-    # the live deployment really ran the columnar path end-to-end
+    # the live deployment's batch-size distributions
     snapshot = registry.snapshot()
     apply_hist = snapshot.get("adg.apply.batch_cvs")
     mine_hist = snapshot.get("dbim.mine.batch_cvs")
@@ -211,41 +195,27 @@ def test_ingest_gauntlet(firehose, benchmark):
         "total_records": len(records),
         "best_of": BEST_OF,
         "results": results,
-        "speedup": round(speedup, 3),
-        "required_speedup": REQUIRED_SPEEDUP,
         "live_batch_histograms": {
             "adg.apply.batch_cvs": apply_hist,
             "dbim.mine.batch_cvs": mine_hist,
         },
     })
 
-    lines = [
-        "Ingest gauntlet: apply-side CVs/s, batched vs record oracle",
+    r = results["batched"]
+    stages = "  ".join(f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items())
+    save_report("ingest_gauntlet", "\n".join([
+        "Ingest gauntlet: apply-side CVs/s of the columnar redo path",
         f"  stream: {len(records)} records / {total_cvs} CVs, "
         f"shipments of {SHIPMENT_RECORDS} records, best of {BEST_OF}",
-    ]
-    for label in ("records", "batched"):
-        r = results[label]
-        stages = "  ".join(
-            f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items()
-        )
-        lines.append(
-            f"  {label:8s} {r['cvs_per_s']:>9,} cvs/s  "
-            f"({r['total_ms']:.1f}ms: {stages})"
-        )
-    lines.append(f"  speedup: {speedup:.2f}x (gate: >= {REQUIRED_SPEEDUP}x)")
-    save_report("ingest_gauntlet", "\n".join(lines))
-
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"batched ingest only {speedup:.2f}x over the record oracle "
-        f"(gate {REQUIRED_SPEEDUP}x): {results}"
-    )
+        f"  batched  {r['cvs_per_s']:>9,} cvs/s  "
+        f"({r['total_ms']:.1f}ms: {stages})",
+    ]))
 
     # wall-clock: transposing one shipment into columnar form
     benchmark(lambda: CVBatch.from_records(records[:SHIPMENT_RECORDS]))
 
 
-def _live_run(ingest: str):
+def _live_run():
     """A small live deployment (tracer armed) driven through a fixed DML
     history; returns (query_scn_history, visibility_lag_summary)."""
     config = SystemConfig(
@@ -255,7 +225,7 @@ def _live_run(ingest: str):
             repopulate_invalid_fraction=0.05,
             repopulate_min_interval=0.05,
         ),
-        apply=ApplyConfig(n_workers=3, ingest=ingest),
+        apply=ApplyConfig(n_workers=3),
         seed=11,
     )
     registry = obs.MetricsRegistry()
@@ -296,17 +266,15 @@ def _live_run(ingest: str):
     return history, visibility
 
 
-def test_ingest_visibility_lag_unchanged():
-    """Batching must not move *when* visibility advances: the QuerySCN
-    history of a live batched run is value-identical to the record
-    oracle's, so simulated visibility lag is unchanged by construction."""
-    history_batched, vis_batched = _live_run("batched")
-    history_records, vis_records = _live_run("records")
-    assert history_batched == history_records, (
-        "published QuerySCN sequences diverged between ingest modes"
+def test_ingest_queryscn_history_deterministic():
+    """Same seed, same history: two live runs publish value-identical
+    QuerySCN sequences (and therefore identical simulated visibility
+    lag) -- batching changes how much an advancement costs, never when
+    it happens."""
+    history_a, vis_a = _live_run()
+    history_b, vis_b = _live_run()
+    assert history_a == history_b, (
+        "published QuerySCN sequences diverged between same-seed runs"
     )
-    assert vis_batched is not None and vis_batched["count"] > 0
-    assert vis_records is not None and vis_records["count"] > 0
-    # identical histories => identical simulated lag distributions
-    assert vis_batched["count"] == vis_records["count"]
-    assert vis_batched["p95"] <= vis_records["p95"] * 1.05 + 1e-9
+    assert vis_a is not None and vis_a["count"] > 0
+    assert vis_a == vis_b

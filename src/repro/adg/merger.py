@@ -19,7 +19,6 @@ from typing import Optional
 from repro import obs
 from repro.common.scn import SCN
 from repro.redo.batch import CVBatch
-from repro.redo.records import RedoRecord
 from repro.redo.shipping import RedoReceiver
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
@@ -45,11 +44,10 @@ class LogMerger(Actor):
         self.batch = batch
         self.node = node
         self.name = name
-        self._heap: list[tuple[SCN, int, object]] = []
+        self._heap: list[tuple[SCN, int, CVBatch]] = []
         self._seq = 0
-        #: SCN-ordered items (RedoRecords or CVBatch slices) ready for
-        #: the apply distributor; both expose ``.scn``.
-        self.merged: deque = deque()
+        #: SCN-ordered CVBatch slices ready for the apply distributor.
+        self.merged: deque[CVBatch] = deque()
         self.merged_through_scn: SCN = 0
         self._obs = obs.current()
         self._records_merged = obs.counter("adg.merger.records_merged")
@@ -60,65 +58,57 @@ class LogMerger(Actor):
         return min(scns) if scns else 0
 
     def merge_available(self) -> int:
-        """Pull queued items into the heap, release those at or below the
-        watermark in SCN order.  Returns the number of records released.
+        """Pull queued batches into the heap, release redo at or below
+        the watermark in SCN order.  Returns the number of records
+        released.
 
-        A columnar :class:`CVBatch` is released as the longest *record
-        run* that respects global SCN order: bounded by the watermark and
-        by the first SCN of the next heap item (another thread's redo may
-        interleave), with the remainder pushed back.  A whole batch from
-        the only active thread releases in one heap operation.
+        A batch is released as the longest *record run* that respects
+        global SCN order: bounded by the watermark and by the first SCN
+        of the next heap item (another thread's redo may interleave),
+        with the remainder pushed back.  A whole batch from the only
+        active thread releases in one heap operation.
         """
         for thread in self.receiver.threads:
             queue = self.receiver.queue(thread)
             while queue:
-                item = queue.popleft()
+                batch = queue.popleft()
                 self._seq += 1
-                heapq.heappush(self._heap, (item.scn, self._seq, item))
+                heapq.heappush(self._heap, (batch.scn, self._seq, batch))
         watermark = self._watermark()
         released = 0
         tracer = obs.tracer_of(self._obs)
         while self._heap and self._heap[0][0] <= watermark:
-            scn, __, item = heapq.heappop(self._heap)
-            if isinstance(item, CVBatch):
-                limit = watermark
-                if self._heap and self._heap[0][0] < limit:
-                    # records past the next item's first SCN must wait
-                    # behind it; equal SCNs may interleave either way
-                    limit = self._heap[0][0]
-                run, rest = item.split_at_scn(limit)
-                if rest is not None:
-                    self._seq += 1
-                    heapq.heappush(
-                        self._heap, (rest.scn, self._seq, rest)
-                    )
-                self.merged.append(run)
-                self.merged_through_scn = max(
-                    self.merged_through_scn, run.last_scn
-                )
-                released += run.n_records
-                if tracer is not None:
-                    for view in run.record_views():
-                        tracer.record_merged(view)
-                continue
-            self.merged.append(item)
-            self.merged_through_scn = max(self.merged_through_scn, scn)
-            released += 1
+            __, __, batch = heapq.heappop(self._heap)
+            limit = watermark
+            if self._heap and self._heap[0][0] < limit:
+                # records past the next item's first SCN must wait
+                # behind it; equal SCNs may interleave either way
+                limit = self._heap[0][0]
+            run, rest = batch.split_at_scn(limit)
+            if rest is not None:
+                self._seq += 1
+                heapq.heappush(self._heap, (rest.scn, self._seq, rest))
+            self.merged.append(run)
+            self.merged_through_scn = max(
+                self.merged_through_scn, run.last_scn
+            )
+            released += run.n_records
             if tracer is not None:
-                tracer.record_merged(item)
+                for view in run.record_views():
+                    tracer.record_merged(view)
         if released:
             self._records_merged.inc(released)
         return released
 
-    def take_merged(self, n: int) -> list:
-        """Consume merged items worth up to ``n`` records (distributor
-        side); items are RedoRecords or CVBatch slices."""
+    def take_merged(self, n: int) -> list[CVBatch]:
+        """Consume merged batches worth up to ``n`` records (distributor
+        side)."""
         out = []
         taken = 0
         while self.merged and taken < n:
-            item = self.merged.popleft()
-            out.append(item)
-            taken += item.n_records if isinstance(item, CVBatch) else 1
+            batch = self.merged.popleft()
+            out.append(batch)
+            taken += batch.n_records
         return out
 
     @property

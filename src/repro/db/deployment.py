@@ -98,7 +98,6 @@ class Deployment:
                     standby.receiver,
                     latency=config.ship_latency,
                     node=primary.instances[log.thread - 1].node,
-                    columnar=config.apply.ingest == "batched",
                 )
             )
         primary.attach_actors(sched, heartbeats=heartbeats)

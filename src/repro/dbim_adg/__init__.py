@@ -24,7 +24,7 @@ across ``mining.py`` (missing-begin detection, commit-record flag) and
 ``flush.py`` (tenant-wide coarse invalidation).
 """
 
-from repro.dbim_adg.journal import AnchorNode, IMADGJournal, InvalidationRecord
+from repro.dbim_adg.journal import AnchorNode, IMADGJournal, RecordChunk
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLEntry, DDLInformationTable
 from repro.dbim_adg.mining import MiningComponent
@@ -38,7 +38,7 @@ from repro.dbim_adg.flush import (
 __all__ = [
     "AnchorNode",
     "IMADGJournal",
-    "InvalidationRecord",
+    "RecordChunk",
     "CommitTableNode",
     "IMADGCommitTable",
     "DDLEntry",

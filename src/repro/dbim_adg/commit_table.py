@@ -62,30 +62,12 @@ class IMADGCommitTable:
     def _partition_index(self, xid: TransactionId) -> int:
         return hash(xid) % len(self._partitions)
 
-    def insert(self, node: CommitTableNode, owner: object) -> bool:
-        """Insert sorted by commitSCN.  False on a partition-latch miss."""
-        index = self._partition_index(node.xid)
-        latch = self.latches.latch_for(index)
-        if not latch.try_acquire(owner):
-            return False
-        try:
-            partition = self._partitions[index]
-            position = bisect.bisect_right(
-                partition, node.commit_scn, key=lambda n: n.commit_scn
-            )
-            partition.insert(position, node)
-            self._inserts.inc()
-            return True
-        finally:
-            latch.release(owner)
-
     def insert_batch(
         self, nodes: list[CommitTableNode], owner: object
     ) -> list[CommitTableNode]:
-        """Insert many nodes: one latch acquisition and one sorted merge
-        per touched partition, instead of N bisect-inserts each taking
-        the latch.  Returns the nodes *not* inserted (their partition's
-        latch was missed); the caller retries just those.
+        """Insert nodes sorted by commitSCN, one latch acquisition per
+        touched partition.  Returns the nodes *not* inserted (their
+        partition's latch was missed); the caller retries just those.
         """
         by_partition: dict[int, list[CommitTableNode]] = {}
         for node in nodes:
@@ -109,10 +91,18 @@ class IMADGCommitTable:
                     # the common case: new commits land past the tail
                     partition.extend(group)
                 else:
-                    # ties resolve existing-before-new, like bisect_right
-                    partition[:] = heapq.merge(
-                        partition, group, key=lambda n: n.commit_scn
-                    )
+                    # ties resolve existing-before-new (bisect_right);
+                    # a chunk's few commits into a long partition cost
+                    # O(k log n), where a merge would walk all of it
+                    for node in group:
+                        partition.insert(
+                            bisect.bisect_right(
+                                partition,
+                                node.commit_scn,
+                                key=lambda n: n.commit_scn,
+                            ),
+                            node,
+                        )
                 inserted += len(group)
             finally:
                 latch.release(owner)

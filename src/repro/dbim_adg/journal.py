@@ -21,38 +21,24 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.common.ids import DBA, ObjectId, TenantId, TransactionId, WorkerId
+from repro.common.ids import TenantId, TransactionId, WorkerId
 from repro.common.latch import BucketLatchSet
 from repro.common.scn import SCN
 
 
-@dataclass(frozen=True, slots=True)
-class InvalidationRecord:
-    """One mined tuple (paper, Fig. 6): which rows of which block of which
-    object a transaction modified, plus the tenant for multi-tenancy.
-
-    ``slots`` empty means the whole block is affected (e.g. truncate).
-    ``scn`` is the SCN of the sniffed change vector.
-    """
-
-    object_id: ObjectId
-    dba: DBA
-    slots: tuple[int, ...]
-    tenant: TenantId
-    scn: SCN
-
-
 @dataclass(slots=True)
 class RecordChunk:
-    """One bulk-mined slice of a transaction's invalidation data:
-    row-aligned arrays appended latch-free into a worker's buffer area
-    (the columnar counterpart of a run of :class:`InvalidationRecord`).
-    A ``slots`` entry < 0 means the whole block is affected."""
+    """One bulk-mined slice of a transaction's invalidation data
+    (paper, Fig. 6: which rows of which block of which object the
+    transaction modified, plus the tenant for multi-tenancy): row-aligned
+    arrays appended latch-free into a worker's buffer area.  ``scns`` are
+    the SCNs of the sniffed change vectors; a ``slots`` entry < 0 means
+    the whole block is affected."""
 
     object_ids: np.ndarray
     dbas: np.ndarray
@@ -62,18 +48,6 @@ class RecordChunk:
 
     def __len__(self) -> int:
         return int(self.dbas.size)
-
-    def records(self) -> Iterator[InvalidationRecord]:
-        tenant = self.tenant
-        for i in range(self.dbas.size):
-            slot = int(self.slots[i])
-            yield InvalidationRecord(
-                object_id=int(self.object_ids[i]),
-                dba=int(self.dbas[i]),
-                slots=(slot,) if slot >= 0 else (),
-                tenant=tenant,
-                scn=int(self.scns[i]),
-            )
 
 
 @dataclass(slots=True)
@@ -87,11 +61,8 @@ class AnchorNode:
     #: (paper, III-E).
     has_begin: bool = False
     prepared: bool = False
-    #: Per-worker buffer areas -- appends need no synchronisation.
-    worker_records: dict[WorkerId, list[InvalidationRecord]] = field(
-        default_factory=dict
-    )
-    #: Per-worker *columnar* buffer areas (bulk-mined RecordChunks).
+    #: Per-worker buffer areas of bulk-mined RecordChunks -- appends need
+    #: no synchronisation.
     worker_chunks: dict[WorkerId, list[RecordChunk]] = field(
         default_factory=dict
     )
@@ -103,58 +74,12 @@ class AnchorNode:
     #: redo-tail replay floor: everything an instant restart must re-mine
     #: for this transaction lies at or beyond it.
     first_scn: SCN = 0
-    #: Adaptive record granularity (None = keep every physical record).
-    #: Once one worker buffers this many slot-level records for a block,
-    #: they collapse into a single whole-block command-style marker.
-    collapse_threshold: int | None = None
-    #: Per-(worker, object, dba) slot-record counts; dbas collapsed to a
-    #: whole-block marker map to -1 (further slot records are dropped).
-    _dba_counts: dict[tuple, int] = field(default_factory=dict)
-    records_collapsed: int = 0
 
     def note_scn(self, scn: SCN) -> None:
         if self.first_scn == 0 or scn < self.first_scn:
             self.first_scn = scn
             if self.floor_sink is not None:
                 self.floor_sink(scn, self.xid)
-
-    def add(self, worker_id: WorkerId, record: InvalidationRecord) -> None:
-        self.note_scn(record.scn)
-        records = self.worker_records.setdefault(worker_id, [])
-        threshold = self.collapse_threshold
-        if threshold is None or not record.slots:
-            records.append(record)
-            return
-        key = (worker_id, record.object_id, record.dba)
-        count = self._dba_counts.get(key, 0)
-        if count < 0:
-            # already collapsed to a whole-block marker: invalidation is
-            # monotone, so the slot record is subsumed
-            self.records_collapsed += 1
-            return
-        count += 1
-        if count < threshold:
-            self._dba_counts[key] = count
-            records.append(record)
-            return
-        # hot block: replace its buffered slot records with one
-        # command-style whole-block marker (slots=() means "all")
-        self._dba_counts[key] = -1
-        kept = [
-            r for r in records
-            if not (r.object_id == record.object_id and r.dba == record.dba)
-        ]
-        self.records_collapsed += len(records) - len(kept) + 1
-        kept.append(
-            InvalidationRecord(
-                object_id=record.object_id,
-                dba=record.dba,
-                slots=(),
-                tenant=record.tenant,
-                scn=record.scn,
-            )
-        )
-        self.worker_records[worker_id] = kept
 
     def add_batch(
         self,
@@ -166,42 +91,21 @@ class AnchorNode:
         tenant: TenantId,
     ) -> None:
         """Append one bulk-mined slice into this worker's buffer area
-        (latch-free, like :meth:`add`; arrays are row-aligned and in SCN
-        order).  Anchors with adaptive collapse fall back to per-record
-        adds so the collapse counters stay exact."""
+        (latch-free; arrays are row-aligned and in SCN order)."""
         if dbas.size == 0:
-            return
-        if self.collapse_threshold is not None:
-            for i in range(dbas.size):
-                slot = int(slots[i])
-                self.add(
-                    worker_id,
-                    InvalidationRecord(
-                        object_id=int(object_ids[i]),
-                        dba=int(dbas[i]),
-                        slots=(slot,) if slot >= 0 else (),
-                        tenant=tenant,
-                        scn=int(scns[i]),
-                    ),
-                )
             return
         self.note_scn(int(scns.min()))
         self.worker_chunks.setdefault(worker_id, []).append(
             RecordChunk(object_ids, dbas, slots, scns, tenant)
         )
 
-    def all_records(self) -> Iterator[InvalidationRecord]:
-        for records in self.worker_records.values():
-            yield from records
-        for chunks in self.worker_chunks.values():
-            for chunk in chunks:
-                yield from chunk.records()
+    def chunks(self) -> list[RecordChunk]:
+        """Every worker's buffered chunks (the flush gathers over these)."""
+        return [c for cs in self.worker_chunks.values() for c in cs]
 
     @property
     def n_records(self) -> int:
-        return sum(len(r) for r in self.worker_records.values()) + sum(
-            len(c) for chunks in self.worker_chunks.values() for c in chunks
-        )
+        return sum(len(c) for c in self.chunks())
 
 
 class IMADGJournal:
@@ -211,20 +115,13 @@ class IMADGJournal:
 
     latch_breaks = obs.view("_latch_breaks")
 
-    def __init__(
-        self,
-        n_buckets: int = 64,
-        collapse_threshold: int | None = None,
-    ) -> None:
+    def __init__(self, n_buckets: int = 64) -> None:
         if n_buckets < 1:
             raise ValueError("journal needs at least one bucket")
         self._buckets: list[dict[TransactionId, AnchorNode]] = [
             {} for __ in range(n_buckets)
         ]
         self.latches = BucketLatchSet(n_buckets, name="im-adg-journal")
-        #: Adaptive record granularity, inherited by every anchor (see
-        #: :class:`AnchorNode`); None keeps all records physical.
-        self.collapse_threshold = collapse_threshold
         #: Lazy-deletion min-heap of (first_scn, xid) floor candidates;
         #: fed by every anchor's ``floor_sink``, consumed (and pruned of
         #: stale entries) by :meth:`min_first_scn`.
@@ -251,10 +148,7 @@ class IMADGJournal:
         try:
             anchor = self._buckets[index].get(xid)
             if anchor is None:
-                anchor = AnchorNode(
-                    xid=xid, tenant=tenant,
-                    collapse_threshold=self.collapse_threshold,
-                )
+                anchor = AnchorNode(xid=xid, tenant=tenant)
                 anchor.floor_sink = self._note_floor
                 self._buckets[index][xid] = anchor
                 self._anchors_created.inc()

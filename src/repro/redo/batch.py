@@ -17,19 +17,23 @@ and keeping the original objects preserves ``id(cv)`` identity, which the
 instant-restart tail replay uses to exclude still-queued CVs.
 
 Record boundaries are kept (``record_starts`` / ``record_scns``) so a
-batch can be *split* wherever record-at-a-time semantics demand it:
-duplicate-prefix discard at the receiver, watermark cuts at the merger.
-Chaos drop/delay decisions are taken per shipment with the same event
-context as record mode, so fault granularity is unchanged.
+batch can be *split* on a record boundary: duplicate-prefix discard at
+the receiver, watermark cuts at the merger.  Chaos drop/delay decisions
+are taken per shipment.
+
+A batch is the *only* unit of flow from shipper to flush: a single record
+is a batch of width 1 through the same code (FAL gap fills, MIRA apply
+instances and the instant-restart tail replay included).
 
 :class:`CVChunk` is the per-worker view of one distributed batch: an
-index array into the batch plus apply/mine progress cursors, replacing
-the per-CV ``(scn, cv)`` tuples in worker queues.
+index array into the batch plus apply/mine progress cursors -- the item
+type of every recovery-worker queue.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 from typing import Iterator, Optional
 
 import numpy as np
@@ -49,8 +53,7 @@ from repro.redo.records import (
 OP_CODE: dict[CVOp, int] = {op: i for i, op in enumerate(CVOp)}
 OPS_BY_CODE: tuple[CVOp, ...] = tuple(CVOp)
 
-#: Data ops the miner bulk-ingests (everything :meth:`_sniff_data`
-#: covers); UNDO/HEARTBEAT carry nothing minable.
+#: Data ops the miner bulk-ingests; UNDO/HEARTBEAT carry nothing minable.
 BULK_DATA_CODES = frozenset(
     OP_CODE[op]
     for op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.TRUNCATE)
@@ -88,6 +91,7 @@ _GET_OP = operator.attrgetter("op")
 _GET_XID = operator.attrgetter("xid")
 _GET_TENANT = operator.attrgetter("tenant")
 _GET_PAYLOAD = operator.attrgetter("payload")
+_GET_THREAD = operator.attrgetter("thread")
 
 
 def encode_xid(xid: TransactionId) -> int:
@@ -223,6 +227,13 @@ class CVBatch:
             record_scns,
         )
 
+    @classmethod
+    def thread_runs(cls, records: list[RedoRecord]) -> Iterator["CVBatch"]:
+        """One batch per contiguous same-thread run of ``records`` (a
+        fetched redo range may interleave threads; a batch may not)."""
+        for __, run in groupby(records, key=_GET_THREAD):
+            yield cls.from_records(list(run))
+
     # ------------------------------------------------------------------
     @property
     def n_cvs(self) -> int:
@@ -237,8 +248,7 @@ class CVBatch:
 
     @property
     def scn(self) -> SCN:
-        """First record's SCN (heap/merged-deque ordering key, mirroring
-        ``RedoRecord.scn``)."""
+        """First record's SCN (heap/merged-deque ordering key)."""
         return int(self.record_scns[0])
 
     @property
@@ -305,11 +315,10 @@ class CVChunk:
 
     ``indices`` selects this worker's CVs (in SCN order) out of the
     batch; ``pos`` is the apply cursor and ``mined_pos`` the mining
-    cursor.  The whole chunk is mined before any of it is applied (the
-    chunk-scale analogue of the per-CV sniff-then-apply discipline);
-    ``mined_xids`` and ``pending_commits`` carry partial bulk-mine
-    progress across latch-miss retries, mirroring the worker's
-    ``_head_sniffed`` flag at batch scale.
+    cursor.  The whole chunk is mined before any of it is applied
+    (sniff-then-apply at chunk scale); ``mined_xids`` and
+    ``pending_commits`` carry partial bulk-mine progress across
+    latch-miss retries, so nothing is mined twice.
     """
 
     __slots__ = (

@@ -31,8 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.common.config import RestartConfig
 from repro.common.scn import SCN
+from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.records import RedoRecord
 from repro.restart.checkpoint import CheckpointStore, rebuild_imcu
 
@@ -112,8 +115,9 @@ def replay_tail(
 ) -> None:
     """Re-mine the already-applied redo tail into the fresh journal.
 
-    The tail is ``[floor, max worker applied SCN]``; CVs still queued for
-    apply are excluded by identity (their mining happens at apply time,
+    The tail is ``[floor, max worker applied SCN]``, mined through the
+    same ``sniff_chunk`` pass as live apply; CVs still queued for apply
+    are excluded by identity (their mining happens at apply time,
     exactly once).  Mining runs with the miner in ``tail_mode`` so
     missing-begin commits -- whose invalidations the checkpointed masks
     provably cover -- are skipped instead of coarse-invalidating.
@@ -129,22 +133,25 @@ def replay_tail(
     miner = standby.miner
     miner.tail_mode = True
     try:
-        for record in fetch(floor, tail_end):
-            for cv in record.cvs:
-                if id(cv) in queued:
-                    report.cvs_skipped_queued += 1
-                    continue
-                # fresh journal, no concurrent actors: a sniff can only
-                # miss on a same-step recursive latch edge, which cannot
-                # occur here -- but stay defensive and bound the retries.
-                for __ in range(3):
-                    if miner.sniff(cv, record.scn, 0, _TAIL_OWNER):
-                        break
-                else:
-                    raise AssertionError(
-                        "tail replay latch miss on an idle journal"
-                    )
-                report.cvs_remined += 1
+        for batch in CVBatch.thread_runs(fetch(floor, tail_end)):
+            unqueued = [
+                i for i, cv in enumerate(batch.cvs) if id(cv) not in queued
+            ]
+            report.cvs_skipped_queued += batch.n_cvs - len(unqueued)
+            if not unqueued:
+                continue
+            chunk = CVChunk(batch, np.array(unqueued, dtype=np.int64))
+            # fresh journal, no concurrent actors: a sniff can only
+            # miss on a same-step recursive latch edge, which cannot
+            # occur here -- but stay defensive and bound the retries.
+            for __ in range(3):
+                if miner.sniff_chunk(chunk, 0, _TAIL_OWNER):
+                    break
+            else:
+                raise AssertionError(
+                    "tail replay latch miss on an idle journal"
+                )
+            report.cvs_remined += chunk.n_cvs
     finally:
         miner.tail_mode = False
 

@@ -9,6 +9,7 @@ from repro.redo import (
     RedoReceiver,
     RedoRecord,
 )
+from tests.helpers import batch_of, record_scns as scns
 
 X = TransactionId(1, 1)
 
@@ -27,41 +28,42 @@ def make(threads=(1,)):
 
 def test_single_thread_merges_everything():
     receiver, merger = make()
-    receiver.deliver([rec(10), rec(11), rec(12)])
+    receiver.deliver(batch_of([rec(10), rec(11), rec(12)]))
     assert merger.merge_available() == 3
-    assert [r.scn for r in merger.take_merged(10)] == [10, 11, 12]
+    assert scns(merger.take_merged(10)) == [10, 11, 12]
     assert merger.merged_through_scn == 12
 
 
 def test_watermark_holds_back_fast_thread():
     """Records above the slowest thread's delivered SCN must wait."""
     receiver, merger = make(threads=(1, 2))
-    receiver.deliver([rec(10, 1), rec(20, 1)])
+    receiver.deliver(batch_of([rec(10, 1), rec(20, 1)]))
     # thread 2 has delivered nothing: nothing can be released
     assert merger.merge_available() == 0
-    receiver.deliver([rec(15, 2)])
+    receiver.deliver(batch_of([rec(15, 2)]))
     # watermark = min(20, 15) = 15 -> scn 10 and 15 release, 20 waits
     assert merger.merge_available() == 2
-    assert [r.scn for r in merger.take_merged(10)] == [10, 15]
-    receiver.deliver([rec(25, 2)])
+    assert scns(merger.take_merged(10)) == [10, 15]
+    receiver.deliver(batch_of([rec(25, 2)]))
     assert merger.merge_available() == 1
-    assert [r.scn for r in merger.take_merged(10)] == [20]
+    assert scns(merger.take_merged(10)) == [20]
 
 
 def test_interleaved_threads_come_out_scn_sorted():
     receiver, merger = make(threads=(1, 2))
-    receiver.deliver([rec(10, 1), rec(30, 1), rec(50, 1)])
-    receiver.deliver([rec(20, 2), rec(40, 2), rec(60, 2)])
+    receiver.deliver(batch_of([rec(10, 1), rec(30, 1), rec(50, 1)]))
+    receiver.deliver(batch_of([rec(20, 2), rec(40, 2), rec(60, 2)]))
     merger.merge_available()
-    scns = [r.scn for r in merger.take_merged(100)]
-    assert scns == [10, 20, 30, 40, 50]  # 60 held back by thread 1 at 50
+    # 60 held back by thread 1 at 50
+    assert scns(merger.take_merged(100)) == [10, 20, 30, 40, 50]
 
 
 def test_take_merged_respects_batch():
     receiver, merger = make()
-    receiver.deliver([rec(s) for s in range(10, 20)])
+    for s in range(10, 20):
+        receiver.deliver(batch_of([rec(s)]))  # ten width-1 shipments
     merger.merge_available()
-    assert len(merger.take_merged(3)) == 3
+    assert scns(merger.take_merged(3)) == [10, 11, 12]
     assert merger.pending_merged == 7
 
 
@@ -71,6 +73,6 @@ def test_step_as_actor_charges_cost():
     receiver, merger = make()
     sched = Scheduler()
     sched.add_actor(merger)
-    receiver.deliver([rec(10)])
+    receiver.deliver(batch_of([rec(10)]))
     sched.run_until(0.1)
     assert merger.pending_merged == 1

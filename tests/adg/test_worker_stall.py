@@ -4,6 +4,7 @@ from repro.adg import ApplyDistributor, ApplyStall, RecoveryWorker
 from repro.common import TransactionId
 from repro.redo import ChangeVector, CVOp, InsertPayload, RedoRecord
 from repro.sim import Scheduler
+from tests.helpers import batch_of
 
 X = TransactionId(1, 1)
 
@@ -32,7 +33,7 @@ def test_stalled_cv_retries_until_applied():
     distributor = ApplyDistributor(1)
     applier = StallingApplier(stalls=3)
     worker = RecoveryWorker(0, distributor, applier)
-    distributor.distribute([rec(10), rec(11)])
+    distributor.distribute([batch_of([rec(10), rec(11)])])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.1)
@@ -46,12 +47,13 @@ def test_stalled_cv_is_sniffed_exactly_once():
     applier = StallingApplier(stalls=4)
     sniffed = []
 
-    def sniffer(cv, scn, worker_id, owner):
-        sniffed.append(scn)
+    def sniffer(chunk, worker_id, owner):
+        sniffed.extend(chunk.batch.scns[chunk.indices].tolist())
+        chunk.mined_pos = chunk.n_cvs
         return True
 
-    worker = RecoveryWorker(0, distributor, applier, sniffer=sniffer)
-    distributor.distribute([rec(10)])
+    worker = RecoveryWorker(0, distributor, applier, batch_sniffer=sniffer)
+    distributor.distribute([batch_of([rec(10)])])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.1)
@@ -63,7 +65,7 @@ def test_stall_blocks_consistency_progress():
     distributor = ApplyDistributor(1)
     applier = StallingApplier(stalls=10**9)  # never succeeds
     worker = RecoveryWorker(0, distributor, applier)
-    distributor.distribute([rec(10)])
+    distributor.distribute([batch_of([rec(10)])])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.05)

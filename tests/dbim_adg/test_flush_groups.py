@@ -19,8 +19,9 @@ from repro.dbim_adg import (
     InvalidationFlushComponent,
 )
 from repro.dbim_adg.commit_table import CommitTableNode
-from repro.dbim_adg.journal import AnchorNode, InvalidationRecord
+from repro.dbim_adg.journal import AnchorNode
 from repro.imcs import InMemoryColumnStore
+from tests.helpers import MinedRecord, add_records
 
 XID = TransactionId(1, 7)
 
@@ -39,15 +40,14 @@ def make_flush(group_block_limit=64):
 
 def node_with_records(records, commit_scn=100):
     anchor = AnchorNode(xid=XID, tenant=0, has_begin=True)
-    for i, record in enumerate(records):
-        anchor.add(worker_id=0, record=record)
+    add_records(anchor, 0, records)
     return CommitTableNode(
         xid=XID, commit_scn=commit_scn, anchor=anchor, tenant=0
     )
 
 
 def rec(dba, slots, object_id=900, scn=50):
-    return InvalidationRecord(
+    return MinedRecord(
         object_id=object_id, dba=dba, slots=tuple(slots), tenant=0, scn=scn
     )
 
@@ -201,7 +201,7 @@ class TestChopStableOrder:
                 node = CommitTableNode(
                     xid=xid, commit_scn=500, anchor=None, tenant=0
                 )
-                assert table.insert(node, owner)
+                assert not table.insert_batch([node], owner)
                 inserted.append(node)
         chopped = table.chop(500)
         assert len(chopped) == 8
@@ -218,7 +218,7 @@ class TestChopStableOrder:
             node = CommitTableNode(
                 xid=xid, commit_scn=scn, anchor=None, tenant=0
             )
-            assert table.insert(node, owner)
+            assert not table.insert_batch([node], owner)
             nodes.append(node)
         chopped = table.chop(200)
         scns = [n.commit_scn for n in chopped]

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.common import TransactionId
-from repro.dbim_adg import (
-    CommitTableNode,
-    IMADGCommitTable,
-    IMADGJournal,
-    InvalidationRecord,
-)
+from repro.dbim_adg import CommitTableNode, IMADGCommitTable, IMADGJournal
+from tests.helpers import MinedRecord, add_records, records_of
 
 
 def xid(n):
@@ -16,7 +12,12 @@ def xid(n):
 
 
 def record(obj=9, dba=5, slots=(0,), scn=10):
-    return InvalidationRecord(obj, dba, slots, tenant=0, scn=scn)
+    return MinedRecord(obj, dba, slots, tenant=0, scn=scn)
+
+
+def insert(table, node, owner):
+    """One node as a width-1 batch; False on a partition-latch miss."""
+    return not table.insert_batch([node], owner)
 
 
 class TestJournal:
@@ -32,12 +33,12 @@ class TestJournal:
     def test_per_worker_areas_accumulate_without_latch(self):
         journal = IMADGJournal(8)
         anchor = journal.get_or_create(xid(1), 0, object())
-        anchor.add(0, record(scn=10))
-        anchor.add(1, record(scn=11))
-        anchor.add(0, record(scn=12))
+        add_records(anchor, 0, [record(scn=10)])
+        add_records(anchor, 1, [record(scn=11)])
+        add_records(anchor, 0, [record(scn=12)])
         assert anchor.n_records == 3
-        assert len(anchor.worker_records) == 2
-        assert {r.scn for r in anchor.all_records()} == {10, 11, 12}
+        assert len(anchor.worker_chunks) == 2
+        assert {r.scn for r in records_of(anchor)} == {10, 11, 12}
 
     def test_latch_miss_returns_none(self):
         journal = IMADGJournal(1)  # single bucket: guaranteed collision
@@ -64,7 +65,7 @@ class TestJournal:
         owner = object()
         for i in range(10):
             anchor = journal.get_or_create(xid(i), 0, owner)
-            anchor.add(0, record())
+            add_records(anchor, 0, [record()])
         journal.clear()
         assert journal.anchor_count == 0
         assert journal.record_count == 0
@@ -87,7 +88,7 @@ class TestCommitTable:
         table = IMADGCommitTable(n_partitions=1)
         owner = object()
         for scn in (30, 10, 20):
-            assert table.insert(self.node(scn, scn), owner)
+            assert insert(table, self.node(scn, scn), owner)
         chopped = table.chop(100)
         assert [n.commit_scn for n in chopped] == [10, 20, 30]
 
@@ -95,7 +96,7 @@ class TestCommitTable:
         table = IMADGCommitTable(n_partitions=4)
         owner = object()
         for scn in range(10, 20):
-            table.insert(self.node(scn, scn), owner)
+            insert(table, self.node(scn, scn), owner)
         chopped = table.chop(14)
         assert sorted(n.commit_scn for n in chopped) == [10, 11, 12, 13, 14]
         assert len(table) == 5
@@ -105,7 +106,7 @@ class TestCommitTable:
         table = IMADGCommitTable(n_partitions=4)
         owner = object()
         for scn in (55, 12, 78, 31, 44, 9):
-            table.insert(self.node(scn, scn), owner)
+            insert(table, self.node(scn, scn), owner)
         chopped = table.chop(1000)
         scns = [n.commit_scn for n in chopped]
         assert scns == sorted(scns)
@@ -114,9 +115,9 @@ class TestCommitTable:
         table = IMADGCommitTable(n_partitions=1)
         blocker = object()
         assert table.latches.latch_for(0).try_acquire(blocker)
-        assert not table.insert(self.node(1, 10), object())
+        assert not insert(table, self.node(1, 10), object())
         table.latches.latch_for(0).release(blocker)
-        assert table.insert(self.node(1, 10), object())
+        assert insert(table, self.node(1, 10), object())
 
     def test_empty_chop(self):
         table = IMADGCommitTable()
@@ -135,9 +136,9 @@ class TestCommitTable:
         many.latches.latch_for(0).try_acquire(holder)
         single_misses = many_misses = 0
         for i in range(64):
-            if not single.insert(self.node(i, i), object()):
+            if not insert(single, self.node(i, i), object()):
                 single_misses += 1
-            if not many.insert(self.node(i, i), object()):
+            if not insert(many, self.node(i, i), object()):
                 many_misses += 1
         assert single_misses == 64
         assert many_misses < 16
@@ -152,7 +153,7 @@ class TestInsertBatch:
     def test_tail_extend_fast_path(self):
         table = IMADGCommitTable(n_partitions=1)
         owner = object()
-        table.insert(self.node(0, 5), owner)
+        insert(table, self.node(0, 5), owner)
         leftover = table.insert_batch(
             [self.node(1, 20), self.node(2, 10)], owner
         )
@@ -161,21 +162,21 @@ class TestInsertBatch:
 
     def test_merge_matches_bisect_right_on_ties(self):
         """Batch insertion with tied commitSCNs must order existing
-        nodes before new ones -- exactly what repeated bisect_right
-        single inserts produce."""
+        nodes before new ones -- exactly what one width-1 batch per node
+        produces."""
         batched = IMADGCommitTable(n_partitions=1)
         serial = IMADGCommitTable(n_partitions=1)
         owner = object()
         first = [(1, 10), (2, 20), (3, 20)]
         second = [(4, 20), (5, 5), (6, 20)]
         for n, scn in first:
-            batched.insert(self.node(n, scn), owner)
-            serial.insert(self.node(n, scn), owner)
+            insert(batched, self.node(n, scn), owner)
+            insert(serial, self.node(n, scn), owner)
         assert batched.insert_batch(
             [self.node(n, scn) for n, scn in second], owner
         ) == []
         for n, scn in second:
-            serial.insert(self.node(n, scn), owner)
+            insert(serial, self.node(n, scn), owner)
         assert [(n.xid, n.commit_scn) for n in batched.chop(100)] == [
             (n.xid, n.commit_scn) for n in serial.chop(100)
         ]
@@ -207,7 +208,7 @@ class TestChopStableOrder:
                 anchor=None, tenant=0,
             )
             nodes.append(node)
-            assert table.insert(node, owner)
+            assert insert(table, node, owner)
         # the old implementation: concatenate partitions in index order,
         # then one stable sort by commitSCN
         expected = []
@@ -226,7 +227,8 @@ class TestChopStableOrder:
         table = IMADGCommitTable(n_partitions=3)
         owner = object()
         for i, scn in enumerate((9, 44, 12, 44, 31, 78, 44, 9)):
-            table.insert(
+            insert(
+                table,
                 CommitTableNode(
                     xid=xid(i), commit_scn=scn, anchor=None, tenant=0
                 ),

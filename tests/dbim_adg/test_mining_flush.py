@@ -24,6 +24,7 @@ from repro.redo import (
     txn_table_dba,
 )
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
+from tests.helpers import records_of, sniff_one
 
 
 def make_table():
@@ -102,7 +103,7 @@ def update_cv(object_id, dba, slot, xid=X1):
 class TestMining:
     def test_begin_creates_anchor_with_flag(self):
         journal, *_rest, miner, __ = make_stack()
-        assert miner.sniff(begin_cv(), 10, 0, object())
+        assert sniff_one(miner, begin_cv(), 10, 0, object())
         acquired, anchor = journal.get(X1, object())
         assert anchor is not None and anchor.has_begin
 
@@ -110,19 +111,19 @@ class TestMining:
         table = make_table()
         journal, ct, dt, store, miner, flush = make_stack(table)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
-        assert miner.sniff(update_cv(oid, dba=1, slot=2), 11, worker_id=3,
-                           owner=object())
+        sniff_one(miner, begin_cv(), 10, 0, object())
+        assert sniff_one(miner, update_cv(oid, dba=1, slot=2), 11,
+                         worker_id=3, owner=object())
         __, anchor = journal.get(X1, object())
-        records = list(anchor.all_records())
+        records = records_of(anchor)
         assert len(records) == 1
         assert records[0].dba == 1 and records[0].slots == (2,)
-        assert 3 in anchor.worker_records
+        assert 3 in anchor.worker_chunks
 
     def test_data_cv_on_disabled_object_ignored(self):
         journal, *__rest, miner, __ = make_stack()  # nothing enabled
-        miner.sniff(begin_cv(), 10, 0, object())
-        miner.sniff(update_cv(4242, dba=1, slot=2), 11, 0, object())
+        sniff_one(miner, begin_cv(), 10, 0, object())
+        sniff_one(miner, update_cv(4242, dba=1, slot=2), 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
         assert miner.data_records_mined == 0
@@ -130,8 +131,8 @@ class TestMining:
     def test_commit_creates_commit_table_node(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        miner.sniff(begin_cv(), 10, 0, object())
-        assert miner.sniff(commit_cv(50), 50, 0, object())
+        sniff_one(miner, begin_cv(), 10, 0, object())
+        assert sniff_one(miner, commit_cv(50), 50, 0, object())
         chopped = ct.chop(50)
         assert len(chopped) == 1
         assert chopped[0].commit_scn == 50
@@ -141,7 +142,7 @@ class TestMining:
     def test_commit_without_begin_and_flag_true_is_coarse(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=True), 50, 0, object())
+        assert sniff_one(miner, commit_cv(50, flag=True), 50, 0, object())
         chopped = ct.chop(50)
         assert chopped[0].coarse
         assert miner.coarse_nodes_created == 1
@@ -149,7 +150,7 @@ class TestMining:
     def test_commit_without_begin_and_flag_false_is_skipped(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=False), 50, 0, object())
+        assert sniff_one(miner, commit_cv(50, flag=False), 50, 0, object())
         assert ct.chop(50) == []
         assert miner.coarse_nodes_created == 0
 
@@ -158,17 +159,17 @@ class TestMining:
         worst (paper, III-E)."""
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=None), 50, 0, object())
+        assert sniff_one(miner, commit_cv(50, flag=None), 50, 0, object())
         assert ct.chop(50)[0].coarse
 
     def test_abort_discards_journal_entries(self):
         table = make_table()
         journal, *__rest, miner, __ = make_stack(table)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
-        miner.sniff(update_cv(oid, 1, 2), 11, 0, object())
+        sniff_one(miner, begin_cv(), 10, 0, object())
+        sniff_one(miner, update_cv(oid, 1, 2), 11, 0, object())
         abort = ChangeVector(CVOp.TXN_ABORT, txn_table_dba(1), 0, 0, X1)
-        assert miner.sniff(abort, 12, 0, object())
+        assert sniff_one(miner, abort, 12, 0, object())
         assert journal.anchor_count == 0
 
     def test_undo_cvs_not_mined(self):
@@ -177,9 +178,9 @@ class TestMining:
         from repro.redo import UndoPayload
 
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
+        sniff_one(miner, begin_cv(), 10, 0, object())
         undo = ChangeVector(CVOp.UNDO, 1, oid, 0, X1, UndoPayload(2))
-        assert miner.sniff(undo, 11, 0, object())
+        assert sniff_one(miner, undo, 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
 
@@ -188,7 +189,7 @@ class TestMining:
         journal, ct, ddl_table, *__rest, miner, flush = make_stack(table)
         payload = DDLMarkerPayload("drop_column", (1,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(1), 1, 0, X1, payload)
-        assert miner.sniff(cv, 30, 0, object())
+        assert sniff_one(miner, cv, 30, 0, object())
         assert len(ddl_table) == 1
 
     def test_latch_miss_propagates_false(self):
@@ -197,8 +198,16 @@ class TestMining:
         blocker = object()
         bucket = journal._bucket_index(X1)
         journal.latches.latch_for(bucket).try_acquire(blocker)
-        assert not miner.sniff(begin_cv(), 10, 0, object())
+        assert not sniff_one(miner, begin_cv(), 10, 0, object())
         assert miner.latch_misses == 1
+
+    def test_clear_resets_tail_commits_skipped(self):
+        *__rest, miner, __ = make_stack(make_table())
+        miner.tail_mode = True
+        assert sniff_one(miner, commit_cv(50), 50)  # no begin: skipped
+        assert miner.tail_commits_skipped == 1
+        miner.clear()
+        assert miner.tail_commits_skipped == 0
 
 
 class TestFlush:
@@ -209,10 +218,10 @@ class TestFlush:
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
 
-        miner.sniff(begin_cv(), 300, 0, object())
+        sniff_one(miner, begin_cv(), 300, 0, object())
         target = rowids[3]
-        miner.sniff(update_cv(oid, target.dba, target.slot), 301, 0, object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff_one(miner, update_cv(oid, target.dba, target.slot), 301)
+        sniff_one(miner, commit_cv(310), 310, 0, object())
 
         flush.begin_advance(320)
         while not flush.is_advance_complete():
@@ -230,8 +239,8 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff_one(miner, begin_cv(), 300, 0, object())
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
         # no commit mined
         flush.begin_advance(400)
@@ -246,10 +255,10 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff_one(miner, begin_cv(), 300, 0, object())
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(commit_cv(500), 500, 0, object())
+        sniff_one(miner, commit_cv(500), 500, 0, object())
         flush.begin_advance(400)  # target below commitSCN
         assert flush.is_advance_complete()
         smu = store.unit_covering(oid, rowids[0].dba)
@@ -262,7 +271,7 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(commit_cv(310, flag=True), 310, 0, object())  # no begin
+        sniff_one(miner, commit_cv(310, flag=True), 310, 0, object())  # no begin
         flush.begin_advance(320)
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
@@ -275,13 +284,13 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
+        sniff_one(miner, begin_cv(), 300, 0, object())
         # two updates to the same block from different workers
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1,
+        sniff_one(miner, update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1,
                     object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff_one(miner, commit_cv(310), 310, 0, object())
         flush.begin_advance(320)
         flush.coordinator_flush(8)
         assert flush.groups_created == 1  # one object, few blocks
@@ -292,10 +301,10 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff_one(miner, begin_cv(), 300, 0, object())
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff_one(miner, commit_cv(310), 310, 0, object())
         flush.cooperative = False
         flush.begin_advance(320)
         assert flush.worker_flush(0, 8) == 0  # ablation: workers opt out
@@ -316,7 +325,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 350, 0, object())
+        sniff_one(miner, cv, 350, 0, object())
         flush.begin_advance(360)
         assert store.segment(oid).live_units() == []
         assert applied == [payload]
@@ -331,7 +340,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 500, 0, object())
+        sniff_one(miner, cv, 500, 0, object())
         flush.begin_advance(360)
         assert store.segment(oid).live_units()  # still there
         assert len(dt) == 1
@@ -350,7 +359,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 350, 0, object())
+        sniff_one(miner, cv, 350, 0, object())
         flush.begin_advance(360)
         # dropped at begin_advance time: a reader at the published SCN can
         # never see a stale unit for the DDL-affected object
@@ -361,7 +370,7 @@ class TestFlush:
         late = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n2"})
         late_cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0,
                                X1, late)
-        miner.sniff(late_cv, 500, 0, object())
+        sniff_one(miner, late_cv, 500, 0, object())
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
         flush.finish_advance(360)

@@ -1,0 +1,114 @@
+"""Record-shaped conveniences over the batch-only ingest API.
+
+Production code has one unit of flow from shipper to flush -- the
+:class:`~repro.redo.batch.CVBatch` (and its per-worker
+:class:`~repro.redo.batch.CVChunk`); a single record is a batch of width 1.
+Component tests still want to say "deliver these records", "mine this one
+CV", "what did the miner buffer for this transaction" -- these helpers say
+it through the real batch API, so there is no second production path to
+say it through.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
+
+from repro.dbim_adg.journal import AnchorNode
+from repro.dbim_adg.mining import MiningComponent
+from repro.redo.batch import CVBatch, CVChunk
+from repro.redo.records import ChangeVector, RedoRecord
+
+
+class MinedRecord(NamedTuple):
+    """One mined tuple (paper, Fig. 6) as tests like to read it.
+    ``slots`` empty means the whole block."""
+
+    object_id: int
+    dba: int
+    slots: tuple[int, ...]
+    tenant: int
+    scn: int
+
+
+def batch_of(records: Iterable[RedoRecord]) -> CVBatch:
+    """The records of one redo thread as a shipment."""
+    return CVBatch.from_records(list(records))
+
+
+def record_scns(batches: Iterable[CVBatch]) -> list[int]:
+    """The SCN of every record in a run of batches (a receiver queue, the
+    merger's output), in order."""
+    return [scn for batch in batches for scn in batch.record_scns.tolist()]
+
+
+def chunk_of(records: Iterable[RedoRecord]) -> CVChunk:
+    """A whole batch as one worker's chunk (no distribution)."""
+    batch = batch_of(records)
+    return CVChunk(batch, np.arange(batch.n_cvs, dtype=np.int64))
+
+
+def queued_scn_cvs(queue: Iterable[CVChunk]) -> list[tuple[int, ChangeVector]]:
+    """The unapplied ``(scn, cv)`` pairs on one worker's queue, in order."""
+    return [
+        (int(chunk.batch.scns[i]), chunk.batch.cvs[i])
+        for chunk in queue
+        for i in chunk.indices[chunk.pos:]
+    ]
+
+
+def sniff_one(
+    miner: MiningComponent,
+    cv: ChangeVector,
+    scn: int,
+    worker_id: int = 0,
+    owner: object = None,
+) -> bool:
+    """Mine one CV as a width-1 chunk.  False = latch miss (nothing was
+    mined; calling again retries from scratch)."""
+    chunk = chunk_of([RedoRecord(scn, cv.xid.instance, (cv,))])
+    return miner.sniff_chunk(chunk, worker_id, owner or object())
+
+
+def records_of(
+    anchor: AnchorNode, worker_id: Optional[int] = None
+) -> list[MinedRecord]:
+    """Everything buffered on an anchor, worker area by worker area (or
+    one worker's area), in append order."""
+    areas = (
+        anchor.worker_chunks.values()
+        if worker_id is None
+        else [anchor.worker_chunks.get(worker_id, [])]
+    )
+    out = []
+    for chunks in areas:
+        for chunk in chunks:
+            for i in range(len(chunk)):
+                slot = int(chunk.slots[i])
+                out.append(
+                    MinedRecord(
+                        int(chunk.object_ids[i]),
+                        int(chunk.dbas[i]),
+                        (slot,) if slot >= 0 else (),
+                        chunk.tenant,
+                        int(chunk.scns[i]),
+                    )
+                )
+    return out
+
+
+def add_records(
+    anchor: AnchorNode, worker_id: int, records: Iterable[MinedRecord]
+) -> None:
+    """Buffer records into one worker's area as a single mined slice; a
+    multi-slot record becomes one row per slot, ``()`` a whole-block row."""
+    rows = [
+        (r.object_id, r.dba, slot, r.scn)
+        for r in records
+        for slot in (r.slots or (-1,))
+    ]
+    object_ids, dbas, slots, scns = (
+        np.array(column, dtype=np.int64) for column in zip(*rows)
+    )
+    anchor.add_batch(worker_id, object_ids, dbas, slots, scns, anchor.tenant)

@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 
 from repro.adg.merger import LogMerger
 from repro.common import TransactionId
-from repro.dbim_adg import (
-    CommitTableNode,
-    IMADGCommitTable,
-    IMADGJournal,
-    InvalidationRecord,
-)
+from repro.dbim_adg import CommitTableNode, IMADGCommitTable, IMADGJournal
 from repro.redo import (
     ChangeVector,
     CVOp,
@@ -33,6 +28,7 @@ from repro.redo import (
     RedoReceiver,
     RedoRecord,
 )
+from tests.helpers import MinedRecord, add_records, batch_of, record_scns
 
 
 @settings(max_examples=150, deadline=None)
@@ -51,7 +47,7 @@ def test_commit_table_chop_matches_sorted_model(inserts, threshold, n_partitions
         node = CommitTableNode(
             xid=TransactionId(1, seq), commit_scn=scn, anchor=None, tenant=0
         )
-        assert table.insert(node, owner)
+        assert not table.insert_batch([node], owner)
         model.append(scn)
     chopped = table.chop(threshold)
     expected_below = sorted(s for s in model if s <= threshold)
@@ -89,9 +85,8 @@ def test_journal_exactly_once_delivery(ops):
             if xid in finished:
                 continue  # the stream never writes after commit/abort
             anchor = journal.get_or_create(xid, 0, owner)
-            anchor.add(
-                worker,
-                InvalidationRecord(9, 5, (0,), 0, scn=1),
+            add_records(
+                anchor, worker, [MinedRecord(9, 5, (0,), 0, scn=1)]
             )
             model[xid] = model.get(xid, 0) + 1
         elif kind == "abort":
@@ -151,11 +146,12 @@ def test_merger_never_releases_above_watermark(per_thread, take_points):
             take = stream[positions[i] : positions[i] + chunk]
             positions[i] += len(take)
             if take:
-                receiver.deliver([record(s, threads[i]) for s in take])
+                receiver.deliver(
+                    batch_of([record(s, threads[i]) for s in take])
+                )
         merger.merge_available()
-        batch = merger.take_merged(10_000)
         watermark = min(receiver.received_scn.values())
-        for rec in batch:
-            assert rec.scn <= watermark
-            released.append(rec.scn)
+        for scn in record_scns(merger.take_merged(10_000)):
+            assert scn <= watermark
+            released.append(scn)
     assert released == sorted(released)

@@ -111,16 +111,6 @@ class TestCVBatch:
 
 
 class TestDistributeBatch:
-    def test_routing_matches_scalar_worker_for(self):
-        """The vectorized routing must be bit-identical to the per-CV
-        ``hash(cv.dba) % n`` path -- including dba == -1, where CPython's
-        ``hash(-1) == -2`` quirk matters."""
-        dist = ApplyDistributor(n_workers=4)
-        dbas = [5, -1, -2, 0, 101, -100007, -200101, txn_table_dba(3)]
-        scalar = [dist.worker_for(cv(dba=d)) for d in dbas]
-        vector = dist._workers_for_dbas(np.array(dbas, dtype=np.int64))
-        assert list(vector) == scalar
-
     def test_batch_lands_as_chunks_in_scn_order(self):
         dist = ApplyDistributor(n_workers=2)
         batch = make_batch()
@@ -132,13 +122,14 @@ class TestDistributeBatch:
         for chunk in chunks:
             scns = batch.scns[chunk.indices]
             assert list(scns) == sorted(scns)
-            expected = dist._workers_for_dbas(batch.dbas[chunk.indices])
-            assert len(set(expected)) == 1
+            # one worker per dba, reserved negative DBAs included
+            assert len(set(batch.dbas[chunk.indices] % 2)) == 1
         assert dist.pending() == batch.n_cvs
 
-    def test_mixed_records_and_batches(self):
+    def test_width_one_and_wide_batches_share_the_queues(self):
         dist = ApplyDistributor(n_workers=2)
-        dist.distribute([rec(5, [cv(dba=5)]), make_batch()])
+        single = CVBatch.from_records([rec(5, [cv(dba=5)])])
+        dist.distribute([single, make_batch()])
         assert dist.pending() == 5
         queued = list(dist.queued_cvs())
         assert len(queued) == 5
@@ -154,10 +145,8 @@ class TestDistributeBatch:
         dist.distribute([follow_up])
         homes = set()
         for w, q in enumerate(dist.queues):
-            for item in q:
-                if isinstance(item, CVChunk) and any(
-                    int(d) == 5 for d in item.batch.dbas[item.indices]
-                ):
+            for chunk in q:
+                if any(int(d) == 5 for d in chunk.batch.dbas[chunk.indices]):
                     homes.add(w)
         assert len(homes) == 1  # every dba-5 CV routed to its owner
 

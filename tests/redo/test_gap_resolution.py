@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import TransactionId
 from repro.db import Deployment, InMemoryService
+from repro.dbim_adg.flush import InvalidationListener
 from repro.imcs import Predicate
 from repro.redo import (
     ChangeVector,
@@ -14,9 +15,11 @@ from repro.redo import (
     RedoReceiver,
     RedoRecord,
 )
+from repro.redo.batch import CVBatch
 from repro.sim import Scheduler
 
 from tests.db.conftest import load, simple_table_def, small_config
+from tests.helpers import batch_of, record_scns
 
 X = TransactionId(1, 1)
 
@@ -30,9 +33,10 @@ class TestReceiverGapHandling:
     def test_gap_without_fal_raises(self):
         receiver = RedoReceiver()
         receiver.register_thread(1)
-        receiver.deliver([rec(10)], position=0)
+        receiver.deliver(batch_of([rec(10)]), position=0)
         with pytest.raises(RuntimeError, match="archive gap"):
-            receiver.deliver([rec(30)], position=5)  # positions 1-4 lost
+            # positions 1-4 lost
+            receiver.deliver(batch_of([rec(30)]), position=5)
 
     def test_gap_resolved_through_fal(self):
         log = RedoLog(1)
@@ -44,29 +48,29 @@ class TestReceiverGapHandling:
 
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([log.record_at(0)], position=0)
+        receiver.deliver(batch_of([log.record_at(0)]), position=0)
         # skip positions 1..6, deliver 7..9
         receiver.deliver(
-            [log.record_at(i) for i in range(7, 10)], position=7
+            batch_of([log.record_at(i) for i in range(7, 10)]), position=7
         )
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 6
-        scns = sorted(r.scn for r in receiver.queue(1))
+        scns = sorted(record_scns(receiver.queue(1)))
         assert scns == list(range(10, 20))
 
     def test_contiguous_delivery_no_fal_needed(self):
         receiver = RedoReceiver()  # no FAL configured
         receiver.register_thread(1)
-        receiver.deliver([rec(10), rec(11)], position=0)
-        receiver.deliver([rec(12)], position=2)
+        receiver.deliver(batch_of([rec(10), rec(11)]), position=0)
+        receiver.deliver(batch_of([rec(12)]), position=2)
         assert receiver.gaps_resolved == 0
 
     def test_short_fal_answer_rejected(self):
         receiver = RedoReceiver(fal_fetch=lambda t, lo, hi: [])
         receiver.register_thread(1)
-        receiver.deliver([rec(10)], position=0)
+        receiver.deliver(batch_of([rec(10)]), position=0)
         with pytest.raises(RuntimeError, match="FAL returned"):
-            receiver.deliver([rec(30)], position=5)
+            receiver.deliver(batch_of([rec(30)]), position=5)
 
 
 class TestReceiverGapEdges:
@@ -86,24 +90,24 @@ class TestReceiverGapEdges:
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([log.record_at(3)], position=3)
+        receiver.deliver(batch_of([log.record_at(3)]), position=3)
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 3
         assert receiver.expected_position(1) == 4
-        scns = sorted(r.scn for r in receiver.queue(1))
+        scns = sorted(record_scns(receiver.queue(1)))
         assert scns == [10, 11, 12, 13]
 
     def test_back_to_back_gaps_same_thread(self):
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([log.record_at(0)], position=0)
-        receiver.deliver([log.record_at(5)], position=5)   # gap [1, 5)
-        receiver.deliver([log.record_at(9)], position=9)   # gap [6, 9)
+        receiver.deliver(batch_of([log.record_at(0)]), position=0)
+        receiver.deliver(batch_of([log.record_at(5)]), position=5)  # [1, 5)
+        receiver.deliver(batch_of([log.record_at(9)]), position=9)  # [6, 9)
         assert receiver.gaps_resolved == 2
         assert receiver.gap_records_fetched == 7
         assert receiver.expected_position(1) == 10
-        scns = sorted(r.scn for r in receiver.queue(1))
+        scns = sorted(record_scns(receiver.queue(1)))
         assert scns == list(range(10, 20))
 
     def test_short_nonempty_fal_answer_rejected(self):
@@ -113,9 +117,9 @@ class TestReceiverGapEdges:
         short = lambda thread, lo, hi: fal(thread, lo, hi)[:-1]
         receiver = RedoReceiver(fal_fetch=short)
         receiver.register_thread(1)
-        receiver.deliver([log.record_at(0)], position=0)
+        receiver.deliver(batch_of([log.record_at(0)]), position=0)
         with pytest.raises(RuntimeError, match="FAL returned 3"):
-            receiver.deliver([log.record_at(5)], position=5)
+            receiver.deliver(batch_of([log.record_at(5)]), position=5)
 
     def test_empty_tracked_shipment_advances_gap_tracking(self):
         """A zero-record shipment whose position is beyond the watermark
@@ -124,7 +128,7 @@ class TestReceiverGapEdges:
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([], position=4, thread=1)
+        receiver.deliver(batch_of([]), position=4, thread=1)
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 4
         assert receiver.expected_position(1) == 4
@@ -134,7 +138,7 @@ class TestReceiverGapEdges:
         receiver = RedoReceiver()
         receiver.register_thread(1)
         with pytest.raises(ValueError, match="explicit thread"):
-            receiver.deliver([], position=4)
+            receiver.deliver(batch_of([]), position=4)
 
     def test_fal_answer_from_unregistered_thread_lands(self):
         """Regression: a FAL source may answer with redo from a thread
@@ -148,12 +152,12 @@ class TestReceiverGapEdges:
 
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([rec(10)], position=0)
-        receiver.deliver([rec(30)], position=5)  # gap [1, 5)
+        receiver.deliver(batch_of([rec(10)]), position=0)
+        receiver.deliver(batch_of([rec(30)]), position=5)  # gap [1, 5)
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 4
         assert 2 in receiver.threads
-        assert sorted(r.scn for r in receiver.queue(2)) == [101, 102, 103, 104]
+        assert sorted(record_scns(receiver.queue(2))) == [101, 102, 103, 104]
         assert receiver.received_scn[2] == 104
         # gap accounting still charges the thread whose gap triggered it
         assert receiver.records_landed[1] == 1 + 4 + 1
@@ -166,22 +170,26 @@ class TestReceiverGapEdges:
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
         batch = [log.record_at(i) for i in range(3)]
-        receiver.deliver(batch, position=0)
-        receiver.deliver(batch, position=0)  # exact duplicate
+        receiver.deliver(batch_of(batch), position=0)
+        receiver.deliver(batch_of(batch), position=0)  # exact duplicate
         assert receiver.duplicates_discarded == 3
-        assert len(receiver.queue(1)) == 3
+        assert len(record_scns(receiver.queue(1))) == 3
         assert receiver.expected_position(1) == 3
 
     def test_partially_overlapping_redelivery_keeps_the_new_suffix(self):
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver([log.record_at(i) for i in range(3)], position=0)
+        receiver.deliver(
+            batch_of([log.record_at(i) for i in range(3)]), position=0
+        )
         # positions 1..4: 1 and 2 already landed, 3 and 4 are new
-        receiver.deliver([log.record_at(i) for i in range(1, 5)], position=1)
+        receiver.deliver(
+            batch_of([log.record_at(i) for i in range(1, 5)]), position=1
+        )
         assert receiver.duplicates_discarded == 2
         assert receiver.expected_position(1) == 5
-        scns = sorted(r.scn for r in receiver.queue(1))
+        scns = sorted(record_scns(receiver.queue(1)))
         assert scns == list(range(10, 15))
 
 
@@ -216,3 +224,66 @@ class TestEndToEndGap:
             )
         )
         assert sorted(deployment.standby.query("T").rows) == expected
+
+    def test_gap_fill_and_live_shipment_feed_one_transaction(self):
+        """Under DBIM-on-ADG a FAL-healed gap reaches the distributor as
+        a ``CVBatch`` like any shipment, and a transaction whose changes
+        arrive half through the gap fill and half through a live shipment
+        flushes the union of its slots."""
+        deployment = Deployment.build(config=small_config())
+        deployment.create_table(simple_table_def())
+        rowids, __ = load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.BOTH)
+        deployment.catch_up()
+        standby = deployment.standby
+
+        distributed = []  # every batch handed to the distributor
+        distribute = standby.distributor.distribute
+
+        def spy(batches):
+            distributed.extend(batches)
+            return distribute(batches)
+
+        standby.distributor.distribute = spy
+
+        class Capture(InvalidationListener):
+            groups = []
+
+            def on_group_flushed(self, group):
+                self.groups.append(group)
+
+        standby.flush.add_invalidation_listener(Capture())
+
+        shipper = next(
+            a for a in deployment.sched.actors if isinstance(a, LogShipper)
+        )
+        primary = deployment.primary
+        log = primary.redo_logs[0]
+        txn = primary.begin()
+        for rowid in rowids[:10]:
+            primary.update(txn, "T", rowid, {"n1": -6.0})
+        lo = shipper.shipped_through
+        shipper.drop_next(10**6)  # begin + first ten updates lost
+        hi = shipper.shipped_through
+        for rowid in rowids[10:20]:
+            primary.update(txn, "T", rowid, {"n1": -6.0})
+        commit_scn = primary.commit(txn)
+        deployment.catch_up()
+
+        assert standby.receiver.gaps_resolved == 1
+        assert hi - lo >= 10  # (a heartbeat may ride along)
+        assert standby.receiver.gap_records_fetched == hi - lo
+        assert all(isinstance(batch, CVBatch) for batch in distributed)
+        gap_scns = {log.record_at(i).scn for i in range(lo, hi)}
+        assert gap_scns <= set(record_scns(distributed))
+
+        flushed = {
+            (dba, slot)
+            for group in Capture.groups
+            if group.commit_scn == commit_scn
+            for dba, slots in group.blocks.items()
+            for slot in slots
+        }
+        assert flushed == {(r.dba, r.slot) for r in rowids[:20]}
+        result = standby.query("T", [Predicate.eq("n1", -6.0)])
+        assert len(result.rows) == 20
