@@ -46,6 +46,22 @@ class IMCSConfig:
     # (re)population that folds edge rows back into the columnar format.
     populate_cost_per_row: float = 2e-6
 
+    def __post_init__(self) -> None:
+        pool = self.pool_size_bytes
+        for name, ok in (
+            ("imcu_target_rows", self.imcu_target_rows >= 1),
+            ("pool_size_bytes", pool is None or pool >= 0),
+            ("repopulate_invalid_fraction",
+             0 < self.repopulate_invalid_fraction <= 1),
+            ("population_workers", self.population_workers >= 1),
+            ("repopulate_min_interval", self.repopulate_min_interval >= 0),
+            ("populate_cost_per_row", self.populate_cost_per_row >= 0),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"IMCSConfig.{name} out of range: {getattr(self, name)!r}"
+                )
+
 
 #: Known values of :attr:`ApplyConfig.routing`.
 ROUTING_POLICIES = ("hash", "dependency")

@@ -24,12 +24,18 @@ backend ships the numpy arrays through ``multiprocessing.shared_memory``
 and rebuilds identical CU objects in worker processes, and benchmarks use
 the same constructors to assemble large synthetic IMCUs without a per-row
 encode loop.
+
+Encoding is *block-wise* (:func:`encode_rows` over a :func:`row_matrix`);
+the per-column constructors are width-1 calls of the same code, and the
+cell-at-a-time loops they replaced are the reference model in
+``tests/naive_imcu.py``.
 """
 
 from __future__ import annotations
 
 import bisect
-
+import itertools
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,25 +126,10 @@ class NumericCU(ColumnCU):
     """NUMBER column: contiguous float64 vector + null bitmap."""
 
     def __init__(self, values: Sequence[Optional[float]]) -> None:
-        self.n_rows = len(values)
-        self._nulls = np.fromiter(
-            (v is None for v in values), dtype=bool, count=self.n_rows
-        )
-        self._data = np.fromiter(
-            (0.0 if v is None else float(v) for v in values),
-            dtype=np.float64,
-            count=self.n_rows,
-        )
-        # the float64 vector cannot distinguish an original int 20 from a
-        # float 20.0, so int-ness is recorded at encode time -- decoded
-        # tuples must compare (and sort, and repr) equal to the row-store
-        # originals
-        self._is_int = np.fromiter(
-            (isinstance(v, int) for v in values),
-            dtype=bool,
-            count=self.n_rows,
-        )
-        self._finish_init()
+        cells = np.empty((len(values), 1), dtype=object)  # width-1 block
+        cells[:, 0] = values
+        data, nulls, is_int = _numeric_arrays(cells)
+        self._install(data[:, 0], nulls[:, 0], is_int[:, 0])
 
     @classmethod
     def from_arrays(
@@ -149,22 +140,22 @@ class NumericCU(ColumnCU):
     ) -> "NumericCU":
         """Build directly from encoded buffers (no per-row Python)."""
         cu = cls.__new__(cls)
-        cu._data = np.ascontiguousarray(data, dtype=np.float64)
-        cu.n_rows = int(cu._data.shape[0])
-        cu._nulls = (
-            np.zeros(cu.n_rows, dtype=bool)
+        cu._install(data, nulls, is_int)
+        return cu
+
+    def _install(self, data, nulls, is_int) -> None:
+        self._data = np.ascontiguousarray(data, dtype=np.float64)
+        self.n_rows = int(self._data.shape[0])
+        self._nulls = (
+            np.zeros(self.n_rows, dtype=bool)
             if nulls is None
             else np.ascontiguousarray(nulls, dtype=bool)
         )
-        cu._is_int = (
-            np.zeros(cu.n_rows, dtype=bool)
+        self._is_int = (
+            np.zeros(self.n_rows, dtype=bool)
             if is_int is None
             else np.ascontiguousarray(is_int, dtype=bool)
         )
-        cu._finish_init()
-        return cu
-
-    def _finish_init(self) -> None:
         present = self._data[~self._nulls]
         self._min = float(present.min()) if present.size else None
         self._max = float(present.max()) if present.size else None
@@ -238,8 +229,80 @@ class NumericCU(ColumnCU):
         )
 
 
+def _numeric_arrays(
+    cells: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, nulls, is_int)`` of an ``(n, k)`` object block of NUMBER
+    cells, each column-major so that ``[:, j]`` is a contiguous view."""
+    # The cast turns None into nan *without raising*: NULLs are found from
+    # the cells, never from it (a stored float("nan") is a value).
+    data = cells.astype(np.float64, order="F")
+    nulls = np.zeros(cells.shape, dtype=bool, order="F")
+    # float64 cannot tell an original int 20 from a float 20.0, so int-ness
+    # is recorded per cell -- decoded tuples must compare (and sort, and
+    # repr) equal to the row-store originals.  A column's type set picks
+    # the all-False / all-non-NULL fast paths; a mix keeps a per-cell mask.
+    is_int = np.zeros(cells.shape, dtype=bool, order="F")
+    for j, column in enumerate(cells.T.tolist()):
+        kinds = set(map(type, column))
+        if type(None) in kinds:
+            kinds.discard(type(None))
+            nulls[:, j] = np.equal(cells[:, j], None)
+        if kinds == {int}:
+            np.logical_not(nulls[:, j], out=is_int[:, j])
+        elif not kinds <= {float}:
+            is_int[:, j] = np.fromiter(
+                map(isinstance, column, itertools.repeat(int)),
+                dtype=bool,
+                count=len(column),
+            )
+    data[nulls] = 0.0
+    return data, nulls, is_int
+
+
 def _dictionary_bytes(dictionary: list[str]) -> int:
     return sum(len(v) for v in dictionary) + 8 * len(dictionary)
+
+
+def _intern(cells: Sequence) -> tuple[np.ndarray, dict]:
+    """One interning pass over a column: ``first[i]`` is the position of
+    the first cell equal to ``cells[i]``, and ``table`` maps each distinct
+    value (None included) to that position, in first-occurrence order."""
+    table: dict = {}
+    first = np.fromiter(
+        map(table.setdefault, cells, itertools.count()),
+        dtype=np.intp,
+        count=len(cells),
+    )
+    return first, table
+
+
+def _codes_of(
+    first: np.ndarray, table: dict, values: Sequence, codes, dtype
+) -> np.ndarray:
+    """Code vector from an interning pass, given ``codes[i]`` for each of
+    the distinct non-NULL ``values``: a permutation over first-occurrence
+    positions, every other position (None's) left at ``NULL_CODE``."""
+    remap = np.full(first.size, NULL_CODE, dtype=dtype)
+    remap[
+        np.fromiter(map(table.__getitem__, values), np.intp, len(values))
+    ] = codes
+    return remap[first]
+
+
+def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
+    """int32 codes into the sorted dictionary of a VARCHAR2 column."""
+    first, table = _intern(cells)
+    table.pop(None, None)
+    dictionary = sorted(table)
+    codes = np.arange(len(dictionary), dtype=np.int32)
+    return _codes_of(first, table, dictionary, codes, np.int32), dictionary
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """Offsets at which a new run of equal codes begins."""
+    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    return np.concatenate((np.zeros(min(codes.size, 1), np.int64), change))
 
 
 def _decode_table(dictionary: Sequence[str]) -> np.ndarray:
@@ -284,15 +347,8 @@ class DictionaryCU(ColumnCU):
     """VARCHAR2 column: int32 codes into a sorted dictionary."""
 
     def __init__(self, values: Sequence[Optional[str]]) -> None:
+        self._codes, self._dictionary = _sorted_codes(values)
         self.n_rows = len(values)
-        distinct = sorted({v for v in values if v is not None})
-        self._dictionary: list[str] = distinct
-        code_of = {v: i for i, v in enumerate(distinct)}
-        self._codes = np.fromiter(
-            (NULL_CODE if v is None else code_of[v] for v in values),
-            dtype=np.int32,
-            count=self.n_rows,
-        )
         self._decode_cache: Optional[np.ndarray] = None
 
     @classmethod
@@ -372,7 +428,7 @@ class DictionaryCU(ColumnCU):
     def max_value(self):
         return self._dictionary[-1] if self._dictionary else None
 
-    @property
+    @cached_property
     def memory_bytes(self) -> int:
         return int(self._codes.nbytes) + _dictionary_bytes(self._dictionary)
 
@@ -389,16 +445,10 @@ class RunLengthCU(ColumnCU):
     """
 
     def __init__(self, base: DictionaryCU) -> None:
-        codes = base._codes
-        n_rows = base.n_rows
-        if n_rows:
-            change = np.flatnonzero(np.diff(codes)) + 1
-            starts = np.concatenate(([0], change)).astype(np.int64)
-            run_codes = codes[starts].astype(np.int32)
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-            run_codes = np.zeros(0, dtype=np.int32)
-        self._install_runs(starts, run_codes, n_rows, base._dictionary)
+        starts = _run_starts(base._codes)
+        self._install_runs(
+            starts, base._codes[starts], base.n_rows, base._dictionary
+        )
 
     @classmethod
     def from_runs(
@@ -516,7 +566,7 @@ class RunLengthCU(ColumnCU):
     def max_value(self):
         return self._dictionary[-1] if self._dictionary else None
 
-    @property
+    @cached_property
     def memory_bytes(self) -> int:
         run_bytes = int(
             self._run_starts.nbytes
@@ -547,6 +597,19 @@ def _range_mask_over_codes(
     return mask
 
 
+def _dictionary_or_rle(codes: np.ndarray, dictionary: list[str]) -> ColumnCU:
+    """Dictionary encoding, upgraded to RLE when the average run length
+    makes it profitable -- decided on the code vector's run count, before
+    any run buffer is built."""
+    n_runs = np.count_nonzero(codes[1:] != codes[:-1]) + 1
+    if codes.size and codes.size / n_runs >= RLE_MIN_AVG_RUN:
+        starts = _run_starts(codes)
+        return RunLengthCU.from_runs(
+            starts, codes[starts], codes.size, dictionary
+        )
+    return DictionaryCU.from_codes(codes, dictionary)
+
+
 def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
     """Pick an encoding for one column of one IMCU.
 
@@ -556,12 +619,47 @@ def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
     """
     if is_numeric:
         return NumericCU(values)
-    base = DictionaryCU(values)
-    if base.n_rows:
-        rle = RunLengthCU(base)
-        if base.n_rows / max(rle.n_runs, 1) >= RLE_MIN_AVG_RUN:
-            return rle
-    return base
+    return _dictionary_or_rle(*_sorted_codes(values))
+
+
+def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
+    """Row tuples as one ``(n_rows, arity)`` object matrix -- allocated,
+    then assigned: ``np.array(rows, dtype=object)`` guesses the shape, and
+    guesses wrong for zero rows."""
+    matrix = np.empty((len(rows), arity), dtype=object)
+    if rows:
+        matrix[:] = rows
+    return matrix
+
+
+def encode_rows(
+    matrix: np.ndarray,
+    specs: Sequence[tuple[int, bool, Optional["GlobalDictionary"]]],
+) -> list[ColumnCU]:
+    """Encode columns of a :func:`row_matrix`, block-wise.  ``specs`` is,
+    per output column, ``(matrix column, is NUMBER, join-group dictionary
+    or None)``.  All NUMBER columns are cast together; string columns are
+    interned one by one in ``specs`` order -- the order shared
+    dictionaries see new values in."""
+    cus: list = [None] * len(specs)
+    numeric = [
+        k for k, (__, is_numeric, shared) in enumerate(specs)
+        if is_numeric and shared is None
+    ]
+    if numeric:
+        blocks = _numeric_arrays(matrix[:, [specs[k][0] for k in numeric]])
+        for j, k in enumerate(numeric):
+            cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
+    for k, (index, __, shared) in enumerate(specs):
+        if cus[k] is None:
+            cells = matrix[:, index].tolist()
+            cus[k] = (
+                SharedDictionaryCU(cells, shared)
+                if shared is not None
+                else _dictionary_or_rle(*_sorted_codes(cells))
+            )
+    return cus
+
 
 # ----------------------------------------------------------------------
 # join-group support (see repro.imcs.join_groups)
@@ -617,17 +715,17 @@ class SharedDictionaryCU(ColumnCU):
     def __init__(self, values: Sequence[Optional[str]], dictionary: GlobalDictionary) -> None:
         self.n_rows = len(values)
         self.dictionary = dictionary
-        self._codes = np.fromiter(
-            (
-                NULL_CODE if v is None else dictionary.encode(v)
-                for v in values
-            ),
-            dtype=np.int64,
-            count=self.n_rows,
+        first, table = _intern(values)
+        table.pop(None, None)
+        # distinct values in first-occurrence order: the global dictionary
+        # assigns codes exactly as a row-order encode would
+        present = list(table)
+        codes = np.fromiter(
+            map(dictionary.encode, present), np.int64, len(present)
         )
-        present = [v for v in values if v is not None]
-        self._min = min(present) if present else None
-        self._max = max(present) if present else None
+        self._codes = _codes_of(first, table, present, codes, np.int64)
+        self._min = min(present, default=None)
+        self._max = max(present, default=None)
         self._decode_cache: Optional[np.ndarray] = None
         self._decode_len = -1
 

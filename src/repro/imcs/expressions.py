@@ -20,7 +20,7 @@ object's existing IMCUs so repopulation can materialise it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.rowstore.values import Schema
 
@@ -69,20 +69,6 @@ class ExpressionSet:
 
     def __iter__(self):
         return iter(self._expressions.values())
-
-
-def materialise_columns(
-    expressions: Sequence[Expression],
-    rows: list[tuple],
-    schema: Schema,
-) -> dict[str, list]:
-    """Evaluate each expression over all rows (population-time path)."""
-    out: dict[str, list] = {}
-    for expression in expressions:
-        out[expression.name] = [
-            expression.evaluate(values, schema) for values in rows
-        ]
-    return out
 
 
 class RowResolver:

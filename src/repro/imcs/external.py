@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.common.errors import InvalidStateError
 from repro.common.ids import ObjectId, TenantId
-from repro.imcs.compression import ColumnCU, encode_column
+from repro.imcs.compression import ColumnCU, encode_rows, row_matrix
 from repro.imcs.scan import (
     IMCS_COST_PER_ROW,
     Predicate,
@@ -93,17 +93,18 @@ class ExternalTable:
         units: list[ExternalIMCU] = []
         buffer: list[tuple] = []
         n_rows = 0
+        schema = self.schema
+        names = [column.name for column in schema.columns]
+        specs = [
+            (i, column.ctype is ColumnType.NUMBER, None)
+            for i, column in enumerate(schema.columns)
+        ]
 
         def flush() -> None:
             if not buffer:
                 return
-            columns = {}
-            for i, column in enumerate(self.schema.columns):
-                columns[column.name] = encode_column(
-                    [row[i] for row in buffer],
-                    column.ctype is ColumnType.NUMBER,
-                )
-            units.append(ExternalIMCU(columns, len(buffer)))
+            cus = encode_rows(row_matrix(buffer, schema.arity), specs)
+            units.append(ExternalIMCU(dict(zip(names, cus)), len(buffer)))
             buffer.clear()
 
         for row in self.source():

@@ -9,8 +9,10 @@ repopulation (building a replacement IMCU at a newer snapshot).
 
 Besides the column CUs, an IMCU keeps:
 
-* ``rowids`` -- the physical address of each captured row, for rowid
-  projection and for mapping invalidation records to row positions;
+* ``row_dbas`` / ``row_slots`` -- the physical address of each captured
+  row as two int64 arrays, for mapping invalidation records to row
+  positions (``rowids`` materialises them as objects on demand, for rowid
+  projection and checkpoints);
 * ``captured_slots`` -- per covered block, how many slots existed at the
   snapshot; rows appended later live only in the row store until
   repopulation widens the IMCU ("edge" rows, the effect that limits the
@@ -20,6 +22,7 @@ Besides the column CUs, an IMCU keeps:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,11 +32,12 @@ from repro.common.scn import SCN
 from repro.imcs.compression import (
     ColumnCU,
     GlobalDictionary,
-    SharedDictionaryCU,
     encode_column,
+    encode_rows,
+    row_matrix,
 )
 from repro.imcs.expressions import Expression
-from repro.rowstore.cr import TransactionView, visible_version
+from repro.rowstore.cr import TransactionView, settled_rows
 from repro.rowstore.segment import Segment
 from repro.rowstore.values import ColumnType, Schema
 
@@ -55,39 +59,37 @@ class IMCU:
         captured_slots: dict[DBA, int],
         columns: dict[str, ColumnCU],
         n_rows: Optional[int] = None,
+        addresses: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.imcu_id = IMCU._next_id
         IMCU._next_id += 1
         self.object_id = object_id
         self.tenant = tenant
         self.snapshot_scn = snapshot_scn
-        # rowids=None builds a synthetic IMCU (benchmark fixtures) with no
-        # per-row physical addresses; n_rows must then be given explicitly.
-        if rowids is None:
-            if n_rows is None:
+        # ``addresses`` = the captured rows' (dba, slot) int64 arrays; a
+        # caller holding only the rowid list (checkpoint rebuild) has them
+        # derived here, once.  Neither builds a synthetic IMCU (benchmark
+        # fixtures) with no row addresses; n_rows must then be explicit.
+        if addresses is None:
+            if rowids is None and n_rows is None:
                 raise ValueError("rowids=None requires explicit n_rows")
-            rowids = []
-        self.rowids = rowids
-        self._n_rows = n_rows if n_rows is not None else len(rowids)
+            listed = rowids or ()
+            addresses = (
+                np.fromiter((r.dba for r in listed), np.int64, len(listed)),
+                np.fromiter((r.slot for r in listed), np.int64, len(listed)),
+            )
+        self.row_dbas, self.row_slots = addresses
+        self._rowids = rowids
+        self._n_rows = n_rows if n_rows is not None else len(self.row_dbas)
         self.captured_slots = captured_slots
         self._columns = columns
-        #: rowid -> position map, built on first position_of() call --
-        #: scans never need it, only invalidation mapping does.
-        self._row_position: Optional[dict[RowId, int]] = None
         # cached geometry (an IMCU is immutable once built)
         self._covered_dbas = tuple(captured_slots)
         self._column_names = frozenset(columns)
-        #: Lazily built DBA -> (positions, slots) arrays; lets block-level
-        #: invalidations expand through numpy indexing instead of a Python
-        #: scan over every rowid.
-        self._dba_positions: Optional[dict[DBA, np.ndarray]] = None
-        self._dba_slots: Optional[dict[DBA, np.ndarray]] = None
-        #: Lazily built combined (dba, slot) -> position index: one sorted
-        #: key array covering every captured row, so a whole invalidation
-        #: group resolves in a single searchsorted instead of one lookup
-        #: per block.
-        self._key_sorted: Optional[np.ndarray] = None
-        self._key_positions: Optional[np.ndarray] = None
+        #: Lazily built (dba, slot) -> position index: one sorted key array
+        #: covering every captured row, so a whole invalidation group (or
+        #: one block, or one row) resolves in a single searchsorted.
+        self._key_index: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -116,64 +118,47 @@ class IMCU:
             if inmemory_columns is not None
             else [c.name for c in schema.live_columns]
         )
-        rowids: list[RowId] = []
         captured_slots: dict[DBA, int] = {}
-        raw_columns: dict[str, list] = {name: [] for name in column_names}
-        indices = {name: schema.column_index(name) for name in column_names}
-        expressions = list(expressions or [])
-        captured_rows: list[tuple] = []  # retained for expression eval
+        rows: list[tuple] = []
+        row_dbas: list[DBA] = []
+        row_slots: list[int] = []
+        memo: dict = {}  # per-writer commitSCNs, for this build only
         store = segment._store  # segments and IMCUs share the block store
         for dba in dbas:
             block = store.get_optional(dba)
             if block is None:
                 captured_slots[dba] = 0
                 continue
-            # Capture the prefix of *settled* slots: a slot is settled when
-            # something is visible at the snapshot -- a row or a committed
-            # tombstone.  A slot whose chain is empty (apply gap) or whose
-            # only content is not yet visible (insert uncommitted at the
-            # snapshot, or committed beyond it) ends the prefix: that slot
-            # and everything after it stay row-store-only ("edge" rows)
-            # until repopulation, otherwise their rows would be lost --
-            # the SMU cannot invalidate rows the IMCU never captured.
-            captured = 0
-            for slot, chain in block.chains():
-                version = visible_version(chain, snapshot_scn, txns)
-                if version is None:
-                    break
-                captured += 1
-                if version.is_delete:
-                    continue
-                values = version.values
-                assert values is not None
-                rowids.append(RowId(dba, slot))
-                for name in column_names:
-                    raw_columns[name].append(values[indices[name]])
-                if expressions:
-                    captured_rows.append(values)
-            captured_slots[dba] = captured
-        join_dictionaries = join_dictionaries or {}
-        columns = {}
-        for name in column_names:
-            shared = join_dictionaries.get(name)
-            if shared is not None:
-                columns[name] = SharedDictionaryCU(raw_columns[name], shared)
-            else:
-                columns[name] = encode_column(
-                    raw_columns[name],
-                    schema.column(name).ctype is ColumnType.NUMBER,
-                )
-        for expression in expressions:
-            materialised = [
-                expression.evaluate(values, schema)
-                for values in captured_rows
-            ]
-            columns[expression.name] = encode_column(
-                materialised, expression.is_numeric
+            captured_slots[dba], slots, visible = settled_rows(
+                block, snapshot_scn, txns, memo
             )
+            rows += visible
+            row_dbas += [dba] * len(visible)
+            row_slots += slots
+        join_dictionaries = join_dictionaries or {}
+        specs = [
+            (
+                schema.column_index(name),
+                schema.column(name).ctype is ColumnType.NUMBER,
+                join_dictionaries.get(name),
+            )
+            for name in column_names
+        ]
+        columns = dict(zip(
+            column_names, encode_rows(row_matrix(rows, schema.arity), specs)
+        ))
+        for expression in expressions or ():
+            columns[expression.name] = encode_column(
+                [expression.evaluate(values, schema) for values in rows],
+                expression.is_numeric,
+            )
+        addresses = (
+            np.asarray(row_dbas, dtype=np.int64),
+            np.asarray(row_slots, dtype=np.int64),
+        )
         return cls(
             segment.object_id, tenant, snapshot_scn,
-            rowids, captured_slots, columns,
+            None, captured_slots, columns, addresses=addresses,
         )
 
     # ------------------------------------------------------------------
@@ -190,95 +175,65 @@ class IMCU:
     def covers_dba(self, dba: DBA) -> bool:
         return dba in self.captured_slots
 
+    @property
+    def rowids(self) -> list[RowId]:
+        """Physical address of each captured row, as objects."""
+        if self._rowids is None:
+            self._rowids = list(
+                map(RowId, self.row_dbas.tolist(), self.row_slots.tolist())
+            )
+        return self._rowids
+
     def position_of(self, rowid: RowId) -> Optional[int]:
         """Row position of a physical address, or None if not captured."""
-        if self._row_position is None:
-            self._row_position = {
-                rid: i for i, rid in enumerate(self.rowids)
-            }
-        return self._row_position.get(rowid)
+        hit = self.positions_for_block_batches([(rowid.dba, (rowid.slot,))])
+        return int(hit[0]) if hit.size else None
 
-    def _build_dba_index(self) -> None:
-        by_dba_positions: dict[DBA, list[int]] = {}
-        by_dba_slots: dict[DBA, list[int]] = {}
-        for position, rowid in enumerate(self.rowids):
-            by_dba_positions.setdefault(rowid.dba, []).append(position)
-            by_dba_slots.setdefault(rowid.dba, []).append(rowid.slot)
-        self._dba_positions = {
-            dba: np.asarray(positions, dtype=np.int64)
-            for dba, positions in by_dba_positions.items()
-        }
-        self._dba_slots = {
-            dba: np.asarray(slots, dtype=np.int64)
-            for dba, slots in by_dba_slots.items()
-        }
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted keys, their row positions)``."""
+        if self._key_index is None:
+            # slot < rows_per_block << 2**32, so dba * 2**32 + slot orders
+            # keys lexicographically by (dba, slot) even for negative dbas.
+            keys = (self.row_dbas << _KEY_SHIFT) + self.row_slots
+            order = np.argsort(keys, kind="stable")
+            self._key_index = (keys[order], order)
+        return self._key_index
 
     def positions_for_dba(self, dba: DBA) -> np.ndarray:
-        """Row positions of every captured row of ``dba`` (ascending)."""
-        if self._dba_positions is None:
-            self._build_dba_index()
-        positions = self._dba_positions.get(dba)
-        if positions is None:
-            return np.zeros(0, dtype=np.int64)
-        return positions
-
-    def positions_for_slots(self, dba: DBA, slots) -> np.ndarray:
-        """Row positions of the captured rows at ``(dba, slot)`` for each
-        slot in ``slots``; slots the IMCU never captured are dropped."""
-        if self._dba_slots is None:
-            self._build_dba_index()
-        captured = self._dba_slots.get(dba)
-        if captured is None or captured.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        wanted = np.asarray(slots, dtype=np.int64)
-        # per-block slot arrays are ascending by construction
-        idx = np.searchsorted(captured, wanted)
-        idx_clipped = np.minimum(idx, captured.size - 1)
-        hit = captured[idx_clipped] == wanted
-        return self._dba_positions[dba][idx_clipped[hit]]
-
-    def _build_key_index(self) -> None:
-        # slot < rows_per_block << 2**32, so dba * 2**32 + slot orders
-        # keys lexicographically by (dba, slot) even for negative dbas.
-        keys = np.fromiter(
-            ((rid.dba << _KEY_SHIFT) + rid.slot for rid in self.rowids),
-            np.int64,
-            len(self.rowids),
+        """Row positions of every captured row of ``dba`` (slot order)."""
+        key_sorted, positions = self._keys()
+        lo, hi = np.searchsorted(
+            key_sorted, (dba << _KEY_SHIFT, (dba + 1) << _KEY_SHIFT)
         )
-        order = np.argsort(keys, kind="stable")
-        self._key_sorted = keys[order]
-        self._key_positions = order
+        return positions[lo:hi]
 
     def positions_for_block_batches(self, batches) -> np.ndarray:
         """Row positions across a whole list of ``(dba, slots)`` pairs in
-        one searchsorted pass over the combined (dba, slot) key index.
-
-        Equivalent to concatenating :meth:`positions_for_slots` over the
-        pairs (order aside); uncaptured slots are dropped the same way.
-        """
-        if len(batches) == 1:
-            dba, slots = batches[0]
-            return self.positions_for_slots(dba, slots)
-        if self._key_sorted is None:
-            self._build_key_index()
-        key_sorted = self._key_sorted
+        one searchsorted pass over the combined (dba, slot) key index;
+        slots the IMCU never captured are dropped."""
+        key_sorted, positions = self._keys()
         if key_sorted.size == 0:
             return np.zeros(0, dtype=np.int64)
-        n_wanted = sum(len(slots) for __, slots in batches)
-        wanted = np.empty(n_wanted, dtype=np.int64)
-        at = 0
-        for dba, slots in batches:
-            end = at + len(slots)
-            np.add(
-                np.asarray(slots, dtype=np.int64),
-                dba << _KEY_SHIFT,
-                out=wanted[at:end],
-            )
-            at = end
+        parts = [
+            np.asarray(slots, dtype=np.int64) + (dba << _KEY_SHIFT)
+            for dba, slots in batches
+        ]
+        wanted = parts[0] if len(parts) == 1 else np.concatenate(parts)
         idx = np.searchsorted(key_sorted, wanted)
         idx_clipped = np.minimum(idx, key_sorted.size - 1)
         hit = key_sorted[idx_clipped] == wanted
-        return self._key_positions[idx_clipped[hit]]
+        return positions[idx_clipped[hit]]
+
+    def slots_by_dba(self, positions: np.ndarray) -> dict[DBA, list[int]]:
+        """The addresses at ``positions`` grouped DBA -> slot list, both in
+        position order."""
+        grouped: dict[DBA, list[int]] = {}
+        for dba, slot in zip(
+            self.row_dbas[positions].tolist(),
+            self.row_slots[positions].tolist(),
+        ):
+            grouped.setdefault(dba, []).append(slot)
+        return grouped
 
     @property
     def column_names(self) -> list[str]:
@@ -294,7 +249,7 @@ class IMCU:
     def column(self, name: str) -> ColumnCU:
         return self._columns[name]
 
-    @property
+    @cached_property
     def memory_bytes(self) -> int:
         payload = sum(cu.memory_bytes for cu in self._columns.values())
         rowid_bytes = 16 * self.n_rows

@@ -165,12 +165,9 @@ class SMU:
         validity mask.  Read-only for callers.
         """
         if self._by_dba_epoch != self._epoch:
-            grouped: dict[DBA, list[int]] = {}
-            rowids = self.imcu.rowids
-            for position in np.flatnonzero(~self.valid_row_mask()).tolist():
-                rowid = rowids[position]
-                grouped.setdefault(rowid.dba, []).append(rowid.slot)
-            self._by_dba_cache = grouped
+            self._by_dba_cache = self.imcu.slots_by_dba(
+                np.flatnonzero(~self.valid_row_mask())
+            )
             self._by_dba_epoch = self._epoch
         return self._by_dba_cache
 
@@ -181,9 +178,9 @@ class SMU:
         unit saw *after* the incoming unit's snapshot was captured -- see
         ``InMemoryColumnStore.register_unit``.
         """
-        mask = self.valid_row_mask()
-        rowids = self.imcu.rowids
-        return [rowids[i] for i in np.flatnonzero(~mask).tolist()]
+        at = np.flatnonzero(~self.valid_row_mask())
+        dbas, slots = self.imcu.row_dbas[at], self.imcu.row_slots[at]
+        return list(map(RowId, dbas.tolist(), slots.tolist()))
 
     @property
     def invalid_blocks(self) -> frozenset[DBA]:
@@ -199,12 +196,7 @@ class SMU:
         block invalidation must stay whole-block on the new unit: it may
         cover slots the old IMCU never captured).
         """
-        grouped: dict[DBA, list[int]] = {}
-        rowids = self.imcu.rowids
-        for position in np.flatnonzero(self._invalid_rows).tolist():
-            rowid = rowids[position]
-            grouped.setdefault(rowid.dba, []).append(rowid.slot)
-        return grouped
+        return self.imcu.slots_by_dba(np.flatnonzero(self._invalid_rows))
 
     def snapshot_validity(
         self,

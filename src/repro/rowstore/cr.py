@@ -10,7 +10,7 @@ recovered transaction table provide.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 from repro.common.errors import SnapshotTooOldError
 from repro.common.ids import TransactionId
@@ -39,14 +39,12 @@ def visible_version(
 ) -> Optional[RowVersion]:
     """Return the version of this row visible at ``snapshot_scn``.
 
-    Returns ``None`` when the row did not exist at the snapshot (never
-    inserted yet, or the visible version is a delete tombstone -- the caller
-    distinguishes via ``is_delete``; here both mean "no visible version",
-    so tombstones are mapped to ``None`` for scan convenience? No: the
-    tombstone *is* returned, so callers that need to distinguish "deleted"
-    from "beyond retention" can).  Raises :class:`SnapshotTooOldError` when
-    the walk falls off a truncated chain, i.e. the undo needed to
-    reconstruct the row has been discarded.
+    A delete tombstone *is* returned (``is_delete`` is true on it), so a
+    caller can tell "deleted at the snapshot" from "no version visible";
+    ``None`` means only the latter -- the row was not inserted yet, or its
+    writer had not committed by the snapshot.  Raises
+    :class:`SnapshotTooOldError` when the walk falls off a truncated
+    chain, i.e. the undo needed to reconstruct the row has been discarded.
     """
     for version in chain:  # newest to oldest
         if reader_xid is not None and version.xid == reader_xid:
@@ -90,10 +88,53 @@ def visible_values_batch(
     block instead of once per row.  Slots beyond ``block.used_slots`` and
     tombstones come back as ``None``, exactly like :func:`visible_values`.
     """
+    return _walk_slots(block, slots, snapshot_scn, txns, {}, False)
+
+
+def settled_rows(
+    block,
+    snapshot_scn: SCN,
+    txns: TransactionView,
+    memo: dict,
+) -> tuple[int, Sequence[int], list[tuple]]:
+    """One CR pass over a block for population: ``(captured, slots, rows)``.
+
+    ``captured`` is the length of the prefix of *settled* slots: a slot is
+    settled when something is visible at the snapshot -- a row or a
+    committed tombstone.  A slot whose chain is empty (apply gap) or whose
+    only content is not yet visible (insert uncommitted at the snapshot,
+    or committed beyond it) ends the prefix: it and everything after it
+    stay row-store-only ("edge" rows) until repopulation, otherwise their
+    rows would be lost -- the SMU cannot invalidate rows an IMCU never
+    captured.  ``slots`` / ``rows`` are the prefix's live rows.
+
+    ``memo`` (writer -> commitSCN) is shared by the blocks of one IMCU
+    build and must not outlive it: the next snapshot is a different one.
+    """
+    settled = _walk_slots(
+        block, range(block.used_slots), snapshot_scn, txns, memo, True
+    )
+    captured = len(settled)
+    if None not in settled:  # no tombstone in the prefix
+        return captured, range(captured), settled
+    slots = [slot for slot, row in enumerate(settled) if row is not None]
+    return captured, slots, [settled[slot] for slot in slots]
+
+
+def _walk_slots(
+    block,
+    slots,
+    snapshot_scn: SCN,
+    txns: TransactionView,
+    memo: dict,
+    stop_unsettled: bool,
+) -> list[Optional[tuple]]:
+    """Visible values of ``slots`` (``None`` for a tombstone or nothing
+    visible); with ``stop_unsettled`` the walk ends *before* the first
+    slot with no visible version (a visible tombstone is a version)."""
     used = block.used_slots
     get_chain = block.chain
     commit_scn_of = txns.commit_scn_of
-    memo: dict = {}
     memo_get = memo.get
     # Writers reuse one TransactionId object for every row they touch, so
     # consecutive versions usually share ``xid`` *by identity*; caching the
@@ -121,7 +162,7 @@ def visible_values_batch(
                 cached_scn = commit_scn
             if commit_scn is not None and commit_scn <= snapshot_scn:
                 # a tombstone's values are already None -- exactly the
-                # "no visible row" marker this batch returns
+                # "no visible row" marker this walk returns
                 values = version.values
                 break
         else:
@@ -130,5 +171,7 @@ def visible_values_batch(
                     f"no version visible at SCN {snapshot_scn} "
                     f"on a truncated chain"
                 )
+            if stop_unsettled:
+                break
         append(values)
     return out

@@ -1,0 +1,50 @@
+"""IMCSConfig rejects values that used to misbehave silently."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.common.config import IMCSConfig
+
+
+def rejects(field: str, value) -> None:
+    with pytest.raises(ValueError, match=field):
+        IMCSConfig(**{field: value})
+
+
+def test_defaults_and_boundary_values_are_accepted():
+    IMCSConfig()
+    IMCSConfig(
+        imcu_target_rows=1, pool_size_bytes=0, population_workers=1,
+        repopulate_invalid_fraction=1.0, repopulate_min_interval=0.0,
+        populate_cost_per_row=0.0,
+    )
+
+
+def test_imcu_target_rows_must_be_positive():
+    # 0 used to become "one block per IMCU" without a word
+    rejects("imcu_target_rows", 0)
+
+
+def test_pool_size_bytes_is_none_or_non_negative():
+    rejects("pool_size_bytes", -1)
+
+
+def test_repopulate_invalid_fraction_is_in_half_open_unit_interval():
+    # <= 0 used to repopulate every unit on every sweep
+    rejects("repopulate_invalid_fraction", 0.0)
+    rejects("repopulate_invalid_fraction", -0.25)
+    rejects("repopulate_invalid_fraction", 1.5)
+
+
+def test_population_workers_must_be_positive():
+    # 0 used to mean "never populate"
+    rejects("population_workers", 0)
+
+
+def test_repopulate_min_interval_is_non_negative():
+    rejects("repopulate_min_interval", -0.1)
+
+
+def test_populate_cost_per_row_is_non_negative():
+    rejects("populate_cost_per_row", -1e-6)

@@ -1,0 +1,163 @@
+"""Reference model for columnar population: the cell-at-a-time build.
+
+Until PR 17 this *was* production: ``IMCU.build`` walked every slot through
+``visible_version`` into per-column Python lists, and each encoder re-walked
+its list with ``np.fromiter`` over a generator.  Population now makes one
+CR pass per block, lays the rows into one matrix and encodes block-wise
+(DESIGN, "Columnar population"); the loops moved here unchanged, as the
+oracle ``tests/property/test_population_columnar.py`` compares against.
+
+Everything is built through the buffer constructors (``from_arrays`` /
+``from_codes`` / ``from_runs``) and the list-of-``RowId`` form of the
+``IMCU`` constructor, so nothing here runs the code under test.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from repro.common.ids import RowId
+from repro.imcs.compression import (
+    NULL_CODE,
+    RLE_MIN_AVG_RUN,
+    ColumnCU,
+    DictionaryCU,
+    GlobalDictionary,
+    NumericCU,
+    RunLengthCU,
+    SharedDictionaryCU,
+)
+from repro.imcs.imcu import IMCU
+from repro.rowstore.cr import visible_version
+from repro.rowstore.values import ColumnType
+
+
+def naive_numeric(values: Sequence) -> NumericCU:
+    n = len(values)
+    nulls = np.fromiter((v is None for v in values), dtype=bool, count=n)
+    data = np.fromiter(
+        (0.0 if v is None else float(v) for v in values),
+        dtype=np.float64,
+        count=n,
+    )
+    is_int = np.fromiter(
+        (isinstance(v, int) for v in values), dtype=bool, count=n
+    )
+    return NumericCU.from_arrays(data, nulls, is_int)
+
+
+def naive_dictionary(values: Sequence) -> DictionaryCU:
+    distinct = sorted({v for v in values if v is not None})
+    code_of = {v: i for i, v in enumerate(distinct)}
+    codes = np.fromiter(
+        (NULL_CODE if v is None else code_of[v] for v in values),
+        dtype=np.int32,
+        count=len(values),
+    )
+    return DictionaryCU.from_codes(codes, distinct)
+
+
+def naive_run_length(base: DictionaryCU) -> RunLengthCU:
+    codes = base._codes
+    if base.n_rows:
+        change = np.flatnonzero(np.diff(codes)) + 1
+        starts = np.concatenate(([0], change)).astype(np.int64)
+        run_codes = codes[starts].astype(np.int32)
+    else:
+        starts = np.zeros(0, dtype=np.int64)
+        run_codes = np.zeros(0, dtype=np.int32)
+    return RunLengthCU.from_runs(
+        starts, run_codes, base.n_rows, base._dictionary
+    )
+
+
+def naive_encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
+    if is_numeric:
+        return naive_numeric(values)
+    base = naive_dictionary(values)
+    if base.n_rows:
+        rle = naive_run_length(base)
+        if base.n_rows / max(rle.n_runs, 1) >= RLE_MIN_AVG_RUN:
+            return rle
+    return base
+
+
+def naive_shared(
+    values: Sequence, dictionary: GlobalDictionary
+) -> SharedDictionaryCU:
+    """Encodes value by value in row order, *growing* ``dictionary`` --
+    hand it a private copy, never the one the code under test uses."""
+    codes = np.fromiter(
+        (NULL_CODE if v is None else dictionary.encode(v) for v in values),
+        dtype=np.int64,
+        count=len(values),
+    )
+    return SharedDictionaryCU.from_codes(codes, dictionary.snapshot())
+
+
+def naive_build(
+    segment,
+    schema,
+    tenant,
+    dbas,
+    snapshot_scn,
+    txns,
+    inmemory_columns: Optional[list[str]] = None,
+    expressions=None,
+    join_dictionaries: Optional[dict[str, GlobalDictionary]] = None,
+) -> IMCU:
+    column_names = (
+        inmemory_columns
+        if inmemory_columns is not None
+        else [c.name for c in schema.live_columns]
+    )
+    rowids: list[RowId] = []
+    captured_slots: dict[int, int] = {}
+    raw_columns: dict[str, list] = {name: [] for name in column_names}
+    indices = {name: schema.column_index(name) for name in column_names}
+    expressions = list(expressions or [])
+    captured_rows: list[tuple] = []
+    store = segment._store
+    for dba in dbas:
+        block = store.get_optional(dba)
+        if block is None:
+            captured_slots[dba] = 0
+            continue
+        captured = 0
+        for slot, chain in block.chains():
+            version = visible_version(chain, snapshot_scn, txns)
+            if version is None:
+                break
+            captured += 1
+            if version.is_delete:
+                continue
+            values = version.values
+            rowids.append(RowId(dba, slot))
+            for name in column_names:
+                raw_columns[name].append(values[indices[name]])
+            captured_rows.append(values)
+        captured_slots[dba] = captured
+    join_dictionaries = join_dictionaries or {}
+    columns = {}
+    for name in column_names:
+        shared = join_dictionaries.get(name)
+        if shared is not None:
+            columns[name] = naive_shared(raw_columns[name], shared)
+        else:
+            columns[name] = naive_encode_column(
+                raw_columns[name],
+                schema.column(name).ctype is ColumnType.NUMBER,
+            )
+    for expression in expressions:
+        materialised = [
+            expression.evaluate(values, schema) for values in captured_rows
+        ]
+        columns[expression.name] = naive_encode_column(
+            materialised, expression.is_numeric
+        )
+    return IMCU(
+        segment.object_id, tenant, snapshot_scn,
+        rowids, captured_slots, columns,
+    )

@@ -1,0 +1,463 @@
+"""Property: columnar population equals the cell-at-a-time reference.
+
+``IMCU.build`` makes one CR pass per block, lays the captured tuples into
+one row matrix and encodes it block-wise; ``tests/naive_imcu.py`` is the
+scalar build it replaced.  Hypothesis drives random blocks -- NULLs, NaN,
+mixed int/float columns, ints above 2**53, tombstones, an uncommitted or
+later-committed tail (edge rows), empty chains (apply gaps), missing
+blocks, all-NULL columns, zero-row units, strings with trailing NUL /
+empty / non-BMP characters, runs straddling ``RLE_MIN_AVG_RUN``, a
+join-group column and an expression column -- and requires identical
+units: row addresses, captured slots, CU class, exported buffers byte for
+byte, storage index, pool footprint and decoded values.
+
+The named tests below are the hazards of vectorising this layer (DESIGN,
+"Columnar population"); each fails on the obvious numpy rewrite.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common import RowId, SnapshotTooOldError, TransactionId
+from repro.imcs import IMCU, SMU
+from repro.imcs import compression
+from repro.imcs.compression import (
+    RLE_MIN_AVG_RUN,
+    DictionaryCU,
+    GlobalDictionary,
+    NumericCU,
+    RunLengthCU,
+    SharedDictionaryCU,
+    encode_column,
+    encode_rows,
+    export_cu,
+    row_matrix,
+)
+from repro.imcs.expressions import Expression
+from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
+
+from tests.naive_imcu import (
+    naive_build,
+    naive_encode_column,
+    naive_shared,
+)
+
+SNAPSHOT = 12
+#: writer -> commitSCN: two visible at the snapshot, one committed beyond
+#: it, one never committed
+WRITERS = {
+    TransactionId(1, 1): 5,
+    TransactionId(1, 2): 10,
+    TransactionId(2, 1): 20,
+    TransactionId(2, 2): None,
+}
+VISIBLE = [x for x, scn in WRITERS.items() if scn is not None and scn <= SNAPSHOT]
+HIDDEN = [x for x in WRITERS if x not in VISIBLE]
+
+
+class Txns:
+    def commit_scn_of(self, xid):
+        return WRITERS.get(xid)
+
+
+SCHEMA = Schema(
+    [
+        Column("id", ColumnType.NUMBER, nullable=False),
+        Column("n1", ColumnType.NUMBER),
+        Column("n2", ColumnType.NUMBER),
+        Column("c1", ColumnType.VARCHAR2),
+        Column("c2", ColumnType.VARCHAR2),
+        Column("j", ColumnType.VARCHAR2),
+    ]
+)
+EXPRESSIONS = [
+    Expression(
+        "total", ("n1", "n2"),
+        lambda a, b: None if a is None or b is None else a + b,
+    ),
+    Expression(
+        "tag", ("c1",), lambda c: None if c is None else c[:1],
+        is_numeric=False,
+    ),
+]
+
+# -- cell strategies ----------------------------------------------------
+#: a NUMBER column's population, by type set: the encoder's fast paths key
+#: on it, so every set (with and without NULLs) must be drawn
+NUMBER_POOLS = {
+    "int": [0, 1, -7, 2**53 + 1, 2**60, -(2**62)],
+    "float": [0.0, -0.0, 1.5, 20.0, 1e300, math.inf, math.nan],
+    "mixed": [20, 20.0, 0, 0.0, 3, 2.5, 2**53 + 1, math.nan],
+    "null": [None],
+}
+STRINGS = ["", "a", "a\x00", "a\x00\x00", "ab", "b", "é", "\U0001f600", "z" * 9]
+
+
+@st.composite
+def number_columns(draw, n):
+    pool = list(NUMBER_POOLS[draw(st.sampled_from(sorted(NUMBER_POOLS)))])
+    if draw(st.booleans()):
+        pool.append(None)
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def string_columns(draw, n):
+    """Run-shaped over a small alphabet: average run lengths land on both
+    sides of ``RLE_MIN_AVG_RUN``."""
+    alphabet = draw(
+        st.lists(st.sampled_from(STRINGS + [None]), min_size=1, max_size=5)
+    )
+    longest = draw(st.integers(min_value=1, max_value=2 * int(RLE_MIN_AVG_RUN)))
+    out: list = []
+    while len(out) < n:
+        out += [draw(st.sampled_from(alphabet))] * draw(
+            st.integers(min_value=1, max_value=longest)
+        )
+    return out[:n]
+
+
+@st.composite
+def row_lists(draw, max_rows=40):
+    n = draw(st.integers(min_value=0, max_value=max_rows))
+    columns = [list(range(n))]
+    columns += [draw(number_columns(n)) for __ in range(2)]
+    columns += [draw(string_columns(n)) for __ in range(3)]
+    return list(zip(*columns))
+
+
+# -- block strategies ---------------------------------------------------
+#: what a slot's chain looks like at the snapshot
+SLOT_KINDS = (
+    "row", "row", "row", "updated", "dirty_on_top", "tombstone",
+    "uncommitted", "later", "gap",
+)
+
+
+def write_slot(block, slot, kind, rows, draw):
+    """Lay one slot's chain out; returns True when the slot is settled."""
+    visible = draw(st.sampled_from(VISIBLE))
+    hidden = draw(st.sampled_from(HIDDEN))
+    if kind == "gap":  # applied out of order: the chain exists, empty
+        block.apply_at_slot(slot + 1, next(rows), visible, 1)
+        block.undo_write(slot + 1, visible)
+        return False
+    if kind in ("uncommitted", "later"):
+        block.apply_at_slot(slot, next(rows), hidden, 3)
+        return False
+    block.apply_at_slot(slot, next(rows), visible, 1)
+    if kind == "updated":
+        block.apply_at_slot(slot, next(rows), visible, 2)
+    elif kind == "dirty_on_top":
+        block.apply_at_slot(slot, next(rows), hidden, 3)
+    elif kind == "tombstone":
+        block.apply_at_slot(slot, None, visible, 2)
+    return True
+
+
+@st.composite
+def segments(draw):
+    """A segment of up to four 6-slot blocks plus one DBA that was never
+    materialised; returns ``(segment, dbas)``."""
+    rows = iter(draw(row_lists(max_rows=60)) * 3 + [(0, 1, 2.0, "x", None, "y")] * 200)
+    store = BlockStore()
+    segment = Segment(700, store, rows_per_block=6)
+    dbas = []
+    for dba in range(1, draw(st.integers(min_value=0, max_value=4)) + 1):
+        dbas.append(dba)
+        if draw(st.integers(min_value=0, max_value=7)) == 0:
+            continue  # missing block
+        block = segment.ensure_block(dba)
+        kinds = draw(st.lists(st.sampled_from(SLOT_KINDS), max_size=5))
+        for slot, kind in enumerate(kinds):
+            write_slot(block, slot, kind, rows, draw)
+    return segment, dbas
+
+
+# -- comparison ---------------------------------------------------------
+def assert_same_cu(actual, expected):
+    assert type(actual) is type(expected)
+    kind, arrays, meta = export_cu(actual)
+    ref_kind, ref_arrays, ref_meta = export_cu(expected)
+    assert kind == ref_kind and meta == ref_meta
+    assert arrays.keys() == ref_arrays.keys()
+    for name, array in arrays.items():
+        assert array.flags.c_contiguous, name
+        assert array.dtype == ref_arrays[name].dtype, name
+        assert array.tobytes() == ref_arrays[name].tobytes(), name
+    assert repr(actual.min_value) == repr(expected.min_value)
+    assert repr(actual.max_value) == repr(expected.max_value)
+    assert actual.memory_bytes == expected.memory_bytes
+    everything = np.arange(actual.n_rows)
+    # repr, not ==: 20 vs 20.0 and nan vs nan must both be told apart
+    assert repr(actual.take(everything)) == repr(expected.take(everything))
+
+
+def assert_same_unit(actual: IMCU, expected: IMCU):
+    assert actual.rowids == expected.rowids
+    assert actual.row_dbas.tolist() == [r.dba for r in expected.rowids]
+    assert actual.row_slots.tolist() == [r.slot for r in expected.rowids]
+    assert actual.captured_slots == expected.captured_slots
+    assert actual.n_rows == expected.n_rows
+    assert actual.column_names == expected.column_names
+    for name in actual.column_names:
+        assert_same_cu(actual.column(name), expected.column(name))
+    assert actual.memory_bytes == expected.memory_bytes
+
+
+def specs_of(schema, shared=None):
+    shared = shared or {}
+    return [
+        (i, c.ctype is ColumnType.NUMBER, shared.get(c.name))
+        for i, c in enumerate(schema.columns)
+    ]
+
+
+# -- properties ---------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_equals_scalar_reference(data):
+    segment, dbas = data.draw(segments())
+    columns = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.sampled_from([c.name for c in SCHEMA.columns]),
+                unique=True,
+            ),
+        )
+    )
+    seed_values = data.draw(st.lists(st.sampled_from(STRINGS), max_size=3))
+    ours = {"j": GlobalDictionary.from_values(seed_values)}
+    theirs = {"j": GlobalDictionary.from_values(seed_values)}
+    args = (segment, SCHEMA, 0, dbas, SNAPSHOT, Txns())
+    actual = IMCU.build(
+        *args, inmemory_columns=columns, expressions=EXPRESSIONS,
+        join_dictionaries=ours,
+    )
+    expected = naive_build(
+        *args, inmemory_columns=columns, expressions=EXPRESSIONS,
+        join_dictionaries=theirs,
+    )
+    assert_same_unit(actual, expected)
+    # shared codes are assignment-ordered and stable forever
+    assert ours["j"].snapshot() == theirs["j"].snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=row_lists())
+def test_block_encode_equals_reference_and_width_one(rows):
+    cus = encode_rows(row_matrix(rows, SCHEMA.arity), specs_of(SCHEMA))
+    for (index, is_numeric, __), cu in zip(specs_of(SCHEMA), cus):
+        values = [row[index] for row in rows]
+        assert_same_cu(cu, naive_encode_column(values, is_numeric))
+        assert_same_cu(encode_column(values, is_numeric), cu)
+        if is_numeric:
+            assert_same_cu(NumericCU(values), cu)
+        elif isinstance(cu, RunLengthCU):
+            assert_same_cu(RunLengthCU(DictionaryCU(values)), cu)
+        else:
+            assert_same_cu(DictionaryCU(values), cu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=row_lists(), seed=st.lists(st.sampled_from(STRINGS), max_size=3))
+def test_shared_dictionary_codes_in_row_then_column_order(rows, seed):
+    """Two columns of one join group: the block path must grow the shared
+    dictionary exactly as a row-order encode of c1, then of c2, would."""
+    ours = GlobalDictionary.from_values(seed)
+    theirs = GlobalDictionary.from_values(seed)
+    cus = encode_rows(
+        row_matrix(rows, SCHEMA.arity),
+        specs_of(SCHEMA, {"c1": ours, "c2": ours}),
+    )
+    for name in ("c1", "c2"):
+        index = SCHEMA.column_index(name)
+        values = [row[index] for row in rows]
+        expected = naive_shared(values, theirs)
+        assert isinstance(cus[index], SharedDictionaryCU)
+        assert cus[index].codes.tobytes() == expected.codes.tobytes()
+        assert cus[index].codes.dtype == expected.codes.dtype
+        assert cus[index].min_value == expected.min_value
+        assert cus[index].max_value == expected.max_value
+    assert ours.snapshot() == theirs.snapshot()
+    # width-1 constructor == block path
+    alone = GlobalDictionary.from_values(seed)
+    index = SCHEMA.column_index("c1")
+    single = SharedDictionaryCU([row[index] for row in rows], alone)
+    assert single.codes.tobytes() == cus[index].codes.tobytes()
+
+
+# -- the hazard list, one test each --------------------------------------
+def one_block_segment(rows, xid=VISIBLE[0]):
+    segment = Segment(700, BlockStore(), rows_per_block=max(len(rows), 1))
+    block = segment.ensure_block(1)
+    for slot, values in enumerate(rows):
+        block.apply_at_slot(slot, values, xid, 1)
+    return segment
+
+
+def build(segment, dbas=(1,), txns=None, **kwargs):
+    return IMCU.build(
+        segment, SCHEMA, 0, list(dbas), SNAPSHOT, txns or Txns(), **kwargs
+    )
+
+
+def test_none_is_null_but_nan_is_a_value():
+    """``astype(float64)`` turns None into nan without raising: NULLs must
+    come from the cells, and a stored NaN must stay a non-NULL value."""
+    rows = [(0, None, math.nan, None, None, None), (1, math.nan, None, "a", None, None)]
+    unit = build(one_block_segment(rows))
+    assert unit.column("n1").null_mask().tolist() == [True, False]
+    assert unit.column("n2").null_mask().tolist() == [False, True]
+    decoded = unit.column("n1").take([0, 1])
+    assert decoded[0] is None and math.isnan(decoded[1])
+    # NULL cells hold 0.0 in the data vector, exactly like the reference
+    assert export_cu(unit.column("n1"))[1]["data"][0] == 0.0
+
+
+def test_int_float_identity_is_per_cell():
+    rows = [(0, 20, 20.0, None, None, None), (1, 20.0, 20, None, None, None),
+            (2, None, 2**53 + 1, None, None, None)]
+    unit = build(one_block_segment(rows))
+    assert repr(unit.column("n1").take([0, 1, 2])) == "[20, 20.0, None]"
+    assert repr(unit.column("n2").take([0, 1])) == "[20.0, 20]"
+    assert repr(unit.column("id").take([0, 1, 2])) == "[0, 1, 2]"
+
+
+def test_trailing_nul_strings_keep_their_own_codes():
+    """A numpy 'U' array strips trailing NULs: "a" and "a\\x00" would share
+    a dictionary code."""
+    values = ["a", "a\x00", "", "a\x00\x00", "a"]
+    rows = [(i, None, None, v, None, None) for i, v in enumerate(values)]
+    cu = build(one_block_segment(rows)).column("c1")
+    assert cu.dictionary == ["", "a", "a\x00", "a\x00\x00"]
+    assert cu.take(range(5)) == values
+
+
+def test_zero_row_unit_has_every_column():
+    """``np.array([], dtype=object)`` is shape (0,), not (0, arity)."""
+    assert row_matrix([], SCHEMA.arity).shape == (0, SCHEMA.arity)
+    for segment, dbas in (
+        (Segment(700, BlockStore(), 4), [5, 6]),  # nothing materialised
+        (one_block_segment([]), [1]),  # an empty block
+    ):
+        unit = build(segment, dbas, expressions=EXPRESSIONS)
+        assert unit.n_rows == 0 and unit.rowids == []
+        assert set(unit.captured_slots.values()) == {0}
+        assert len(unit.column_names) == SCHEMA.arity + len(EXPRESSIONS)
+        assert unit.column("c1").take([]) == []
+        assert SMU(unit).invalid_slots_by_dba() == {}
+
+
+def test_rle_chosen_from_the_code_vector_at_the_threshold():
+    at = int(RLE_MIN_AVG_RUN)
+    for run, expected in ((at, RunLengthCU), (at - 1, DictionaryCU)):
+        values = [v for v in "abc" for __ in range(run)]
+        cu = encode_column(values, False)
+        assert type(cu) is expected
+        assert_same_cu(cu, naive_encode_column(values, False))
+
+
+def test_commit_memo_lives_for_one_build_only():
+    """A writer uncommitted at one build and committed before the next
+    must be seen by the next: the memo may not outlive a build."""
+    xid = TransactionId(3, 1)
+    commits: dict = {}
+
+    class Live:
+        lookups = 0
+
+        def commit_scn_of(self, who):
+            Live.lookups += 1
+            return commits.get(who)
+
+    rows = [(i, i, None, "v", None, None) for i in range(6)]
+    segment = one_block_segment(rows[:3], xid)
+    other = segment.ensure_block(2)
+    for slot, values in enumerate(rows[3:]):
+        other.apply_at_slot(slot, values, xid, 1)
+    assert build(segment, (1, 2), Live()).n_rows == 0
+    assert Live.lookups == 1  # ...and within a build it is shared by blocks
+    commits[xid] = SNAPSHOT
+    assert build(segment, (1, 2), Live()).n_rows == 6
+
+
+def test_truncated_chain_still_raises():
+    segment = one_block_segment([(0, 1, 2, "a", "b", "c")], HIDDEN[0])
+    chain = segment._store.get(1).chain(0)
+    chain.push(chain.current)
+    chain.prune(1)
+    with pytest.raises(SnapshotTooOldError):
+        build(segment)
+
+
+def test_unsettled_slot_hides_a_truncated_one_behind_it():
+    """The walk ends at the first unsettled slot, as the scalar loop did:
+    whatever lies behind it is not read, so it cannot raise."""
+    rows = [(i, 1, 2, "a", "b", "c") for i in range(3)]
+    segment = one_block_segment(rows, HIDDEN[0])
+    chain = segment._store.get(1).chain(2)
+    chain.push(chain.current)
+    chain.prune(1)
+    unit = build(segment)
+    assert unit.n_rows == 0 and unit.captured_slots == {1: 0}
+
+
+def test_block_buffers_are_contiguous_views_with_unchanged_footprint():
+    rows = [(i, float(i), None, f"s{i % 3}", "k", None) for i in range(32)]
+    unit = build(one_block_segment(rows))
+    reference = naive_build(
+        one_block_segment(rows), SCHEMA, 0, [1], SNAPSHOT, Txns()
+    )
+    assert unit.memory_bytes == reference.memory_bytes
+    for name in unit.column_names:
+        for array in export_cu(unit.column(name))[1].values():
+            assert array.flags.c_contiguous and array.ndim == 1
+
+
+def test_memory_bytes_computed_once(monkeypatch):
+    calls = itertools.count()
+    real = compression._dictionary_bytes
+
+    def counting(dictionary):
+        next(calls)
+        return real(dictionary)
+
+    monkeypatch.setattr(compression, "_dictionary_bytes", counting)
+    rows = [(i, 1, 2, "a", "b" * (i % 2), "c") for i in range(8)]
+    unit = build(one_block_segment(rows))
+    first = unit.memory_bytes
+    after_first = next(calls)
+    assert unit.memory_bytes == first
+    assert unit.column("c1").memory_bytes == unit.column("c1").memory_bytes
+    assert next(calls) == after_first + 1  # only our own next() moved it
+
+
+def test_addresses_derived_once_from_a_rowid_list():
+    """The checkpoint path hands the constructor only ``rowids``; every
+    index answer must equal the array-built unit's."""
+    rows = [(i, 1, 2, "a", "b", "c") for i in range(5)]
+    built = build(one_block_segment(rows))
+    listed = IMCU(
+        700, 0, SNAPSHOT, list(built.rowids), dict(built.captured_slots),
+        {name: built.column(name) for name in built.column_names},
+    )
+    assert listed.row_dbas.dtype == listed.row_slots.dtype == np.int64
+    for unit in (built, listed):
+        assert unit.position_of(RowId(1, 3)) == 3
+        assert unit.position_of(RowId(1, 9)) is None
+        assert unit.position_of(RowId(2, 0)) is None
+        assert unit.positions_for_dba(1).tolist() == [0, 1, 2, 3, 4]
+        assert unit.positions_for_dba(2).tolist() == []
+        assert unit.positions_for_block_batches(
+            [(1, (4, 0, 7)), (3, (0,))]
+        ).tolist() == [4, 0]
+        assert unit.slots_by_dba(np.array([3, 1])) == {1: [3, 1]}
