@@ -260,6 +260,24 @@ def _numeric_arrays(
     return data, nulls, is_int
 
 
+def _merge_numeric(olds: Sequence[NumericCU], keep, fresh, take) -> list:
+    """Merge kernel beside :func:`_numeric_arrays`: its three blocks for
+    rows ``keep`` of the ``k`` carried CUs followed by the ``fresh``
+    blocks' rows, in ``take`` order -- every column of a buffer in one 2-D
+    gather.  ``is_int`` is per cell and travels along."""
+    n_old = olds[0].n_rows
+    source = np.concatenate((keep, np.arange(n_old, n_old + len(fresh[0]))))
+    source = source[take]
+    merged = []
+    for buffer, block in zip(("_data", "_nulls", "_is_int"), fresh):
+        old = np.concatenate([getattr(cu, buffer) for cu in olds])
+        old = np.concatenate((old.reshape(len(olds), n_old), block.T), axis=1)
+        # ``take`` (not ``[:, source]``) lays the result out row-major,
+        # and ``.T`` makes a row the contiguous column encode_rows slices
+        merged.append(old.take(source, axis=1).T)
+    return merged
+
+
 def _dictionary_bytes(dictionary: list[str]) -> int:
     return sum(len(v) for v in dictionary) + 8 * len(dictionary)
 
@@ -297,6 +315,79 @@ def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
     dictionary = sorted(table)
     codes = np.arange(len(dictionary), dtype=np.int32)
     return _codes_of(first, table, dictionary, codes, np.int32), dictionary
+
+
+def _merge_sorted_columns(
+    olds: Sequence[ColumnCU], keep, columns: Sequence[list], take
+) -> list[ColumnCU]:
+    """Merge kernel beside :func:`_sorted_codes`, for every sorted-
+    dictionary column of a unit at once: rows ``keep`` of each carried CU
+    (run-length ones gathered in the run domain) followed by its
+    ``columns`` cells, in ``take`` order, into the sorted dictionary of
+    exactly the values those rows hold.  An entry whose last user went
+    leaves it, a new value enters in sorted position, and the carried
+    codes move through one ``remap`` gather; Python runs over the
+    *distinct fresh* values only, everything per row is 2-D."""
+    count = len(olds)
+    sizes = [len(cu._dictionary) for cu in olds]
+    kept = np.array(
+        [cu._positions_to_codes(keep) for cu in olds], dtype=np.intp
+    )
+    # one padded usage table per column, NULL_CODE's slot last; flat, so a
+    # column's -1 marks the (ignored) NULL slot of the column before it
+    alive = np.zeros((count, max(sizes) + 1), dtype=bool)
+    alive.ravel()[kept + np.arange(count)[:, None] * alive.shape[1]] = True
+    steps = np.zeros(alive.shape, dtype=np.intp)
+    known_of, entering_of = [], []
+    for j, (cu, cells) in enumerate(zip(olds, columns)):
+        known, entering = {}, []  # distinct fresh values, by old code
+        for value in set(cells):
+            if value is None:
+                continue
+            code = bisect.bisect_left(cu._dictionary, value)
+            if code < sizes[j] and cu._dictionary[code] == value:
+                alive[j, code] = True
+                known[value] = code
+            else:  # it pushes every entry from ``code`` on one code up
+                entering.append(value)
+                steps[j, code] += 1
+        known_of.append(known)
+        entering_of.append(entering)
+    survivors = np.count_nonzero(alive[:, :-1], axis=1).tolist()
+    steps += alive
+    remap = steps.cumsum(axis=1)
+    remap -= 1
+    remap[:, -1] = NULL_CODE
+    dictionaries, code_maps = [], []
+    for j, (cu, code_of) in enumerate(zip(olds, known_of)):
+        dictionary = cu._dictionary
+        if entering_of[j] or survivors[j] < sizes[j]:
+            dictionary = sorted(itertools.chain(
+                entering_of[j],
+                itertools.compress(dictionary, alive[j].tolist()),
+            ))
+            kept[j] = remap[j].take(kept[j])
+            code_of = {
+                value: bisect.bisect_left(dictionary, value)
+                for value in itertools.chain(code_of, entering_of[j])
+            }
+        dictionaries.append(dictionary)
+        code_maps.append(code_of)
+    n_fresh = len(columns[0])
+    codes = np.fromiter(
+        itertools.chain.from_iterable(
+            map(code_of.get, cells, itertools.repeat(NULL_CODE))  # None
+            for code_of, cells in zip(code_maps, columns)
+        ),
+        dtype=np.intp,
+        count=count * n_fresh,
+    ).reshape(count, n_fresh)
+    codes = np.concatenate((kept, codes), axis=1).take(take, axis=1)
+    codes = codes.astype(np.int32)
+    return [
+        _dictionary_or_rle(codes[j], dictionary)
+        for j, dictionary in enumerate(dictionaries)
+    ]
 
 
 def _run_starts(codes: np.ndarray) -> np.ndarray:
@@ -380,6 +471,9 @@ class DictionaryCU(ColumnCU):
         if self._decode_cache is None:
             self._decode_cache = _decode_table(self._dictionary)
         return self._decode_cache
+
+    def _positions_to_codes(self, positions) -> np.ndarray:
+        return self._codes[positions]
 
     def get(self, i: int) -> object:
         code = self._codes[i]
@@ -635,29 +729,55 @@ def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
 def encode_rows(
     matrix: np.ndarray,
     specs: Sequence[tuple[int, bool, Optional["GlobalDictionary"]]],
+    carried: Optional[tuple[Sequence[ColumnCU], Sequence, Sequence]] = None,
 ) -> list[ColumnCU]:
     """Encode columns of a :func:`row_matrix`, block-wise.  ``specs`` is,
     per output column, ``(matrix column, is NUMBER, join-group dictionary
     or None)``.  All NUMBER columns are cast together; string columns are
     interned one by one in ``specs`` order -- the order shared
-    dictionaries see new values in."""
+    dictionaries see new values in.
+
+    ``carried = (cus, keep, take)`` makes it a merge (delta repopulation):
+    rows ``keep`` of ``cus[k]`` -- an outgoing unit's CU for ``specs[k]``,
+    a join-group one over that very dictionary -- then ``matrix``'s rows,
+    in ``take`` order.  Each kind's merge kernel sits beside its encoder
+    and yields exactly the CU that encoding the merged values would."""
+    olds, keep, take = carried or ((), None, None)
     cus: list = [None] * len(specs)
     numeric = [
         k for k, (__, is_numeric, shared) in enumerate(specs)
         if is_numeric and shared is None
     ]
+    joined = [k for k, spec in enumerate(specs) if spec[2] is not None]
+    private = sorted(set(range(len(specs))).difference(numeric, joined))
+
+    def cells(k: int) -> list:
+        return matrix[:, specs[k][0]].tolist()
+
     if numeric:
         blocks = _numeric_arrays(matrix[:, [specs[k][0] for k in numeric]])
+        if carried is not None:
+            blocks = _merge_numeric(
+                [olds[k] for k in numeric], keep, blocks, take
+            )
         for j, k in enumerate(numeric):
             cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
-    for k, (index, __, shared) in enumerate(specs):
-        if cus[k] is None:
-            cells = matrix[:, index].tolist()
-            cus[k] = (
-                SharedDictionaryCU(cells, shared)
-                if shared is not None
-                else _dictionary_or_rle(*_sorted_codes(cells))
-            )
+    if carried is None:
+        for k in private:
+            cus[k] = _dictionary_or_rle(*_sorted_codes(cells(k)))
+    elif private:
+        merged = _merge_sorted_columns(
+            [olds[k] for k in private], keep, [cells(k) for k in private], take
+        )
+        for k, cu in zip(private, merged):
+            cus[k] = cu
+    for k in joined:
+        # surviving values own their codes already, so the fresh rows
+        # alone meet the dictionary in the order a full pass would
+        codes = _shared_codes(cells(k), specs[k][2])
+        if carried is not None:
+            codes = np.concatenate((olds[k].codes[keep], codes))[take]
+        cus[k] = SharedDictionaryCU.from_codes(codes, specs[k][2])
     return cus
 
 
@@ -703,6 +823,19 @@ class GlobalDictionary:
         return len(self._values)
 
 
+def _shared_codes(cells: Sequence, dictionary: GlobalDictionary) -> np.ndarray:
+    """int64 codes of a VARCHAR2 column into a join group's dictionary."""
+    first, table = _intern(cells)
+    table.pop(None, None)
+    # distinct values in first-occurrence order: the global dictionary
+    # assigns codes exactly as a row-order encode would
+    present = list(table)
+    codes = np.fromiter(
+        map(dictionary.encode, present), np.int64, len(present)
+    )
+    return _codes_of(first, table, present, codes, np.int64)
+
+
 class SharedDictionaryCU(ColumnCU):
     """A VARCHAR2 CU encoded against a join group's global dictionary.
 
@@ -713,45 +846,35 @@ class SharedDictionaryCU(ColumnCU):
     """
 
     def __init__(self, values: Sequence[Optional[str]], dictionary: GlobalDictionary) -> None:
-        self.n_rows = len(values)
-        self.dictionary = dictionary
-        first, table = _intern(values)
-        table.pop(None, None)
-        # distinct values in first-occurrence order: the global dictionary
-        # assigns codes exactly as a row-order encode would
-        present = list(table)
-        codes = np.fromiter(
-            map(dictionary.encode, present), np.int64, len(present)
-        )
-        self._codes = _codes_of(first, table, present, codes, np.int64)
-        self._min = min(present, default=None)
-        self._max = max(present, default=None)
-        self._decode_cache: Optional[np.ndarray] = None
-        self._decode_len = -1
+        self._install(_shared_codes(values, dictionary), dictionary)
 
     @classmethod
     def from_codes(
-        cls, codes: np.ndarray, values: Sequence[str]
+        cls, codes: np.ndarray, dictionary
     ) -> "SharedDictionaryCU":
-        """Rebuild from an encoded code vector plus the global dictionary's
-        value list (shared-memory reconstruction path)."""
+        """Wrap an encoded code vector over the group's live dictionary --
+        or, given only its value list (shared-memory reconstruction path),
+        over a private copy of it."""
+        if not isinstance(dictionary, GlobalDictionary):
+            dictionary = GlobalDictionary.from_values(dictionary)
         cu = cls.__new__(cls)
-        cu._codes = np.ascontiguousarray(codes, dtype=np.int64)
-        cu.n_rows = int(cu._codes.shape[0])
-        cu.dictionary = GlobalDictionary.from_values(values)
-        cu._decode_cache = None
-        cu._decode_len = -1
-        present = cu._codes[cu._codes != NULL_CODE]
-        if present.size:
-            table = cu._dictionary_objects()
-            uniq = np.unique(present)
-            decoded = table[uniq].tolist()
-            cu._min = min(decoded)
-            cu._max = max(decoded)
-        else:
-            cu._min = None
-            cu._max = None
+        cu._install(codes, dictionary)
         return cu
+
+    def _install(
+        self, codes: np.ndarray, dictionary: GlobalDictionary
+    ) -> None:
+        self._codes = np.ascontiguousarray(codes, dtype=np.int64)
+        self.n_rows = int(self._codes.shape[0])
+        self.dictionary = dictionary
+        self._decode_cache: Optional[np.ndarray] = None
+        self._decode_len = -1
+        # assignment-ordered codes: min/max decode the distinct codes
+        # (cardinality-bounded), never the rows
+        present = np.unique(self._codes[self._codes != NULL_CODE]).tolist()
+        decoded = [dictionary._values[code] for code in present]
+        self._min = min(decoded, default=None)
+        self._max = max(decoded, default=None)
 
     def _dictionary_objects(self) -> np.ndarray:
         """Object-array over the global dictionary's values; refreshed when

@@ -10,9 +10,9 @@ repopulation (building a replacement IMCU at a newer snapshot).
 Besides the column CUs, an IMCU keeps:
 
 * ``row_dbas`` / ``row_slots`` -- the physical address of each captured
-  row as two int64 arrays, for mapping invalidation records to row
-  positions (``rowids`` materialises them as objects on demand, for rowid
-  projection and checkpoints);
+  row, in (covered block, slot) order, as two int64 arrays, for mapping
+  invalidation records to row positions (``rowids`` materialises them as
+  objects on demand, for rowid projection and checkpoints);
 * ``captured_slots`` -- per covered block, how many slots existed at the
   snapshot; rows appended later live only in the row store until
   repopulation widens the IMCU ("edge" rows, the effect that limits the
@@ -23,7 +23,7 @@ Besides the column CUs, an IMCU keeps:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.common.scn import SCN
 from repro.imcs.compression import (
     ColumnCU,
     GlobalDictionary,
-    encode_column,
     encode_rows,
     row_matrix,
 )
@@ -40,6 +39,9 @@ from repro.imcs.expressions import Expression
 from repro.rowstore.cr import TransactionView, settled_rows
 from repro.rowstore.segment import Segment
 from repro.rowstore.values import ColumnType, Schema
+
+if TYPE_CHECKING:
+    from repro.imcs.smu import SMU
 
 #: Bits reserved for the slot in the combined (dba, slot) index key.
 _KEY_SHIFT = 32
@@ -81,6 +83,9 @@ class IMCU:
         self.row_dbas, self.row_slots = addresses
         self._rowids = rowids
         self._n_rows = n_rows if n_rows is not None else len(self.row_dbas)
+        #: Rows :meth:`build` gathered from the outgoing unit's buffers
+        #: instead of reading and encoding them (delta repopulation).
+        self.rows_reused = 0
         self.captured_slots = captured_slots
         self._columns = columns
         # cached geometry (an IMCU is immutable once built)
@@ -106,36 +111,30 @@ class IMCU:
         inmemory_columns: Optional[list[str]] = None,
         expressions: Optional[Sequence[Expression]] = None,
         join_dictionaries: Optional[dict[str, GlobalDictionary]] = None,
+        base: Optional["SMU"] = None,
     ) -> "IMCU":
         """Populate an IMCU for ``dbas`` at ``snapshot_scn``.
 
         Reads every covered row through Consistent Read, so concurrent
         transactions and not-yet-committed changes are excluded exactly as
         they would be for a query at the snapshot.
+
+        ``base`` is the SMU of the unit this one replaces.  If a scan at
+        the snapshot could use that unit, so does the build: every change
+        committed at or below a snapshot is in the SMU before the snapshot
+        can be taken, so a row it still holds valid is gathered from the
+        base's encoded buffers, and only what a scan would reconcile --
+        invalid rows, the edge -- is read and encoded.  The unit is
+        bit-equal to the one built without a base.
         """
         column_names = (
             inmemory_columns
             if inmemory_columns is not None
             else [c.name for c in schema.live_columns]
         )
-        captured_slots: dict[DBA, int] = {}
-        rows: list[tuple] = []
-        row_dbas: list[DBA] = []
-        row_slots: list[int] = []
-        memo: dict = {}  # per-writer commitSCNs, for this build only
-        store = segment._store  # segments and IMCUs share the block store
-        for dba in dbas:
-            block = store.get_optional(dba)
-            if block is None:
-                captured_slots[dba] = 0
-                continue
-            captured_slots[dba], slots, visible = settled_rows(
-                block, snapshot_scn, txns, memo
-            )
-            rows += visible
-            row_dbas += [dba] * len(visible)
-            row_slots += slots
+        expressions = list(expressions or ())
         join_dictionaries = join_dictionaries or {}
+        names = column_names + [e.name for e in expressions]
         specs = [
             (
                 schema.column_index(name),
@@ -143,23 +142,109 @@ class IMCU:
                 join_dictionaries.get(name),
             )
             for name in column_names
+        ] + [
+            (schema.arity + j, expression.is_numeric, None)
+            for j, expression in enumerate(expressions)
         ]
-        columns = dict(zip(
-            column_names, encode_rows(row_matrix(rows, schema.arity), specs)
-        ))
-        for expression in expressions or ():
-            columns[expression.name] = encode_column(
-                [expression.evaluate(values, schema) for values in rows],
-                expression.is_numeric,
+        if base is not None and not (
+            base.serves(frozenset(names))
+            and base.imcu.snapshot_scn <= snapshot_scn
+            and base.imcu.covered_dbas == tuple(dbas)
+            # a checkpoint-rebuilt join-group CU decodes through a copy
+            and all(
+                getattr(base.imcu.column(name), "dictionary", None) is shared
+                for name, (__, __, shared) in zip(names, specs)
+                if shared is not None
             )
-        addresses = (
-            np.asarray(row_dbas, dtype=np.int64),
-            np.asarray(row_slots, dtype=np.int64),
+        ):
+            base = None  # what a scan could not use, a build cannot reuse
+        if base is not None:
+            base.pin()  # as a scan does
+        try:
+            return cls._build(
+                segment, schema, tenant, dbas, snapshot_scn, txns,
+                names, specs, expressions, base,
+            )
+        finally:
+            if base is not None:
+                base.unpin()
+
+    @classmethod
+    def _build(
+        cls, segment, schema, tenant, dbas, snapshot_scn, txns,
+        names, specs, expressions, base,
+    ) -> "IMCU":
+        old = base.imcu if base is not None else None
+        if old is not None:
+            stale = base.invalid_slots_by_dba()
+            holding, counts = np.unique(old.row_dbas, return_counts=True)
+            held = dict(zip(holding.tolist(), counts.tolist()))  # rows/block
+            gone: list[int] = []  # blocks none of whose base rows survive
+        captured_slots: dict[DBA, int] = {}
+        rows: list[tuple] = []
+        row_blocks: list[int] = []  # ordinal in ``dbas``
+        row_slots: list[int] = []
+        memo: dict = {}  # per-writer commitSCNs, for this build only
+        store = segment._store  # segments and IMCUs share the block store
+        for ordinal, dba in enumerate(dbas):
+            block = store.get_optional(dba)
+            read = None  # every slot
+            if old is not None:
+                had = old.captured_slots[dba]
+                if block is None or block.used_slots < had:
+                    gone.append(ordinal)  # missing, or wiped (TRUNCATE) since
+                else:
+                    # what a scan reconciles: the invalid rows, the edge
+                    read = stale.get(dba, [])
+                    if held.get(dba, 0) < had:
+                        # and a slot the base held no row for (a tombstone
+                        # at its snapshot), which no SMU bit stands for
+                        at = old.row_slots[old.positions_for_dba(dba)]
+                        read = sorted(
+                            set(range(had)).difference(at.tolist()).union(read)
+                        )
+                    read = [*read, *range(had, block.used_slots)]
+            if block is None:
+                captured_slots[dba] = 0
+                continue
+            captured_slots[dba], slots, visible = settled_rows(
+                block, snapshot_scn, txns, memo, read
+            )
+            rows += visible
+            row_blocks += [ordinal] * len(visible)
+            row_slots += slots
+        if expressions:  # their values ride behind the row's own
+            rows = [
+                values + tuple(e.evaluate(values, schema) for e in expressions)
+                for values in rows
+            ]
+        matrix = row_matrix(rows, schema.arity + len(expressions))
+        blocks = np.asarray(row_blocks, dtype=np.int64)
+        slots = np.asarray(row_slots, dtype=np.int64)
+        carried = None
+        if old is not None:
+            # an IMCU's rows lie in (covered block, slot) order: carried
+            # and fresh rows interleave by one stable sort on that key
+            old_blocks = np.repeat(
+                np.arange(len(dbas)), [held.get(dba, 0) for dba in dbas]
+            )
+            keep = base.valid_row_mask()
+            if gone:
+                keep = keep & ~np.isin(old_blocks, gone)
+            keep = np.flatnonzero(keep)
+            blocks = np.concatenate((old_blocks[keep], blocks))
+            slots = np.concatenate((old.row_slots[keep], slots))
+            take = np.argsort((blocks << _KEY_SHIFT) + slots, kind="stable")
+            blocks, slots = blocks[take], slots[take]
+            carried = ([old.column(name) for name in names], keep, take)
+        unit = cls(
+            segment.object_id, tenant, snapshot_scn, None, captured_slots,
+            dict(zip(names, encode_rows(matrix, specs, carried))),
+            addresses=(np.asarray(dbas, dtype=np.int64)[blocks], slots),
         )
-        return cls(
-            segment.object_id, tenant, snapshot_scn,
-            None, captured_slots, columns, addresses=addresses,
-        )
+        if carried is not None:
+            unit.rows_reused = int(keep.size)
+        return unit
 
     # ------------------------------------------------------------------
     # geometry

@@ -85,6 +85,9 @@ class PopulationEngine:
         self.populations = 0
         self.repopulations = 0
         self.rows_populated = 0
+        #: Of ``rows_populated``, rows a repopulation gathered from the
+        #: outgoing unit instead of reading and encoding them.
+        self.rows_reused = 0
         self.capacity_skips = 0
         self.quiesce_retries = 0
 
@@ -223,18 +226,28 @@ class PopulationEngine:
             self.quiesce_retries += 1
             return None  # quiesce period in progress; retry next step
         heapq.heappop(self._heap)
-        imcu = IMCU.build(
-            segment.partition.segment,
-            segment.table.schema,
-            segment.table.tenant,
-            task.dbas,
-            snapshot,
-            self.txns,
-            inmemory_columns=segment.inmemory_columns,
-            expressions=list(segment.expressions),
-            join_dictionaries=segment.join_dictionaries,
-        )
-        self._inflight_dbas.difference_update(task.dbas)
+        outgoing = None  # the unit a repopulation replaces
+        if task.reason == "repopulate" and task.dbas:
+            outgoing = segment.dba_to_unit.get(task.dbas[0])
+        try:
+            imcu = IMCU.build(
+                segment.partition.segment,
+                segment.table.schema,
+                segment.table.tenant,
+                task.dbas,
+                snapshot,
+                self.txns,
+                inmemory_columns=segment.inmemory_columns,
+                expressions=list(segment.expressions),
+                join_dictionaries=segment.join_dictionaries,
+                base=outgoing,
+            )
+        except Exception:  # e.g. SnapshotTooOldError: back to the sweeps
+            if outgoing is not None:
+                outgoing.repopulating = False
+            raise
+        finally:
+            self._inflight_dbas.difference_update(task.dbas)
         cost_per_row = self.config.populate_cost_per_row
         if task.reason == "populate" and not self.store.has_capacity_for(
             imcu.memory_bytes
@@ -247,6 +260,7 @@ class PopulationEngine:
         else:
             self.populations += 1
         self.rows_populated += imcu.n_rows
+        self.rows_reused += imcu.rows_reused
         return cost_per_row * max(imcu.n_rows, 1)
 
 

@@ -555,21 +555,12 @@ class ScanEngine:
         )
 
     # ------------------------------------------------------------------
-    def _unit_usable(self, smu: SMU, compiled: _CompiledScan) -> bool:
-        if smu.fully_invalid or smu.dropped:
-            return False
-        needed = compiled.needed_set
-        return (
-            needed <= smu.imcu.column_name_set
-            and smu.columns_valid(needed)
-        )
-
     def _scan_unit(
         self, table, store, smu: SMU, snapshot_scn,
         compiled: _CompiledScan, result, on_imcu_matches=None,
     ) -> None:
         imcu = smu.imcu
-        if not self._unit_usable(smu, compiled):
+        if not smu.serves(compiled.needed_set):
             result.stats.imcus_unusable += 1
             self._rowstore_scan_dbas(
                 table, store, imcu.covered_dbas, snapshot_scn, compiled,

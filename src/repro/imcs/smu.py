@@ -134,6 +134,15 @@ class SMU:
             or self._invalid_columns.isdisjoint(names)
         )
 
+    def serves(self, names: frozenset[str]) -> bool:
+        """True when the unit's data may be used for columns ``names`` --
+        by a scan, or by the build of its replacement."""
+        return (
+            not (self.fully_invalid or self.dropped)
+            and names <= self.imcu.column_name_set
+            and self.columns_valid(names)
+        )
+
     def valid_row_mask(self) -> np.ndarray:
         """Boolean mask over IMCU row positions: True = IMCU data usable.
 
@@ -170,17 +179,6 @@ class SMU:
             )
             self._by_dba_epoch = self._epoch
         return self._by_dba_cache
-
-    def invalid_rowids(self) -> list[RowId]:
-        """Rowids currently marked invalid (row- or block-level).
-
-        Repopulation swap uses this to carry invalidations the outgoing
-        unit saw *after* the incoming unit's snapshot was captured -- see
-        ``InMemoryColumnStore.register_unit``.
-        """
-        at = np.flatnonzero(~self.valid_row_mask())
-        dbas, slots = self.imcu.row_dbas[at], self.imcu.row_slots[at]
-        return list(map(RowId, dbas.tolist(), slots.tolist()))
 
     @property
     def invalid_blocks(self) -> frozenset[DBA]:

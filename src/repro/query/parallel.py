@@ -229,7 +229,7 @@ class ProcessScanBackend:
                     morsel.kind != "imcu"
                     or ctx is None
                     or ctx.on_imcu_matches is not None
-                    or not ctx.engine._unit_usable(ctx.smu, ctx.compiled)
+                    or not ctx.smu.serves(ctx.compiled.needed_set)
                 ):
                     plan.append(("parent",))
                     continue

@@ -96,6 +96,7 @@ def settled_rows(
     snapshot_scn: SCN,
     txns: TransactionView,
     memo: dict,
+    slots: Optional[Sequence[int]] = None,
 ) -> tuple[int, Sequence[int], list[tuple]]:
     """One CR pass over a block for population: ``(captured, slots, rows)``.
 
@@ -108,17 +109,23 @@ def settled_rows(
     rows would be lost -- the SMU cannot invalidate rows an IMCU never
     captured.  ``slots`` / ``rows`` are the prefix's live rows.
 
+    ``slots`` (ascending; default every used slot) narrows the pass: the
+    caller vouches that each slot it leaves out is settled, so the prefix
+    still ends at the first *walked* slot that is not -- delta
+    repopulation leaves out the rows its outgoing unit holds valid.
+
     ``memo`` (writer -> commitSCN) is shared by the blocks of one IMCU
     build and must not outlive it: the next snapshot is a different one.
     """
-    settled = _walk_slots(
-        block, range(block.used_slots), snapshot_scn, txns, memo, True
-    )
-    captured = len(settled)
-    if None not in settled:  # no tombstone in the prefix
-        return captured, range(captured), settled
-    slots = [slot for slot, row in enumerate(settled) if row is not None]
-    return captured, slots, [settled[slot] for slot in slots]
+    if slots is None:
+        slots = range(block.used_slots)
+    settled = _walk_slots(block, slots, snapshot_scn, txns, memo, True)
+    walked = len(settled)
+    captured = slots[walked] if walked < len(slots) else block.used_slots
+    if None not in settled:  # no tombstone among them
+        return captured, slots[:walked], settled
+    live = [i for i, row in enumerate(settled) if row is not None]
+    return captured, [slots[i] for i in live], [settled[i] for i in live]
 
 
 def _walk_slots(

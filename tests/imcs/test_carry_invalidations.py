@@ -12,6 +12,8 @@ unit (``fully_invalid``) still coarse-invalidates the replacement.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.imcs.imcu import IMCU
 from repro.imcs.store import InMemoryColumnStore
 
@@ -127,3 +129,106 @@ class TestCarryGranularity:
         assert by_id[0][1] == -123.0  # reconciled through the row store
         assert result.stats.imcus_used > 0
         assert new_smu.invalid_count == 1
+
+
+class TestCarryOntoDeltaBuiltUnit:
+    """The incoming unit of a swap is usually delta-built from the very
+    SMU whose newer invalidations it must inherit: the build reads the
+    rows that SMU marks invalid *at its own snapshot* (they are data, not
+    validity), and the swap still carries every bit newer than that."""
+
+    def test_newer_bits_carry_and_older_ones_are_absorbed(
+        self, wide_table, txns, clock
+    ):
+        from repro.imcs.scan import ScanEngine
+
+        store, oid, rowids = populated_store(wide_table, txns, clock)
+        old_unit = store.unit_covering(oid, rowids[0].dba)
+        # committed and invalidated below the replacement's snapshot
+        xid, __ = load_rows(wide_table, txns, clock, 0)
+        wide_table.update_row(rowids[3], {"n1": -3.0}, xid, clock.next(), txns)
+        txns.commit(xid, clock.next())
+        store.invalidate(oid, rowids[3].dba, (rowids[3].slot,), clock.current)
+        snapshot = clock.current
+        # ...and beyond it: one row, one whole block
+        xid, __ = load_rows(wide_table, txns, clock, 0)
+        wide_table.update_row(rowids[5], {"n1": -5.0}, xid, clock.next(), txns)
+        txns.commit(xid, clock.next())
+        store.invalidate(oid, rowids[5].dba, (rowids[5].slot,), clock.current)
+        other_block = next(r for r in rowids if r.dba != rowids[5].dba)
+        store.invalidate(oid, other_block.dba, (), clock.current)
+
+        incoming = IMCU.build(
+            wide_table.default_partition.segment, wide_table.schema,
+            wide_table.tenant, list(old_unit.imcu.covered_dbas),
+            snapshot, txns, base=old_unit,
+        )
+        # everything but the three rows / one block the SMU marks invalid
+        assert incoming.rows_reused == old_unit.imcu.n_rows - (
+            old_unit.invalid_count
+        )
+        assert incoming.rows_reused > 0
+        assert incoming.column("n1").take(
+            [incoming.position_of(rowids[3])]
+        ) == [-3.0]  # absorbed: read at the snapshot
+        assert incoming.column("n1").take(
+            [incoming.position_of(rowids[5])]
+        ) == [50.0]  # as of the snapshot; the newer value must reconcile
+        new_smu = store.register_unit(incoming)
+        assert not new_smu.fully_invalid
+        assert new_smu.invalid_blocks == frozenset({other_block.dba})
+        # the old row mask, verbatim: the absorbed bit rides along, which
+        # costs one row-store fetch and is always safe
+        assert rowids[3].dba == rowids[5].dba
+        assert new_smu.invalid_row_slots() == {
+            rowids[3].dba: [rowids[3].slot, rowids[5].slot]
+        }
+        result = ScanEngine(store, txns).scan(wide_table, clock.current)
+        by_id = {row[0]: row for row in result.rows}
+        assert by_id[3][1] == -3.0 and by_id[5][1] == -5.0
+        assert len(by_id) == len(rowids)
+        assert result.stats.imcus_used > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "open defect (ROADMAP item 5), found by "
+        "tests/property/test_delta_repopulation.py: the outgoing SMU drops "
+        "an invalidation for a slot its IMCU never captured, so the swap has "
+        "nothing to carry onto a replacement that captures the slot at an "
+        "older snapshot"
+    ),
+)
+def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
+    wide_table, txns, clock
+):
+    """The worklink drains over several actor steps before the QuerySCN it
+    belongs to is published, so a repopulation can run in between, at the
+    still-current QuerySCN.  Full and delta builds are alike in this."""
+    from repro.imcs.scan import ScanEngine
+
+    store, oid, rowids = populated_store(wide_table, txns, clock, n=4)
+    old_unit = store.unit_covering(oid, rowids[0].dba)
+    # inserted and committed after the unit's snapshot: an edge row
+    __, (edge,) = load_rows(wide_table, txns, clock, 1)
+    assert edge.dba == rowids[0].dba
+    assert old_unit.imcu.position_of(edge) is None
+    snapshot = clock.current  # the published QuerySCN
+    # updated; the flush for the *next* QuerySCN lands first...
+    xid, __ = load_rows(wide_table, txns, clock, 0)
+    wide_table.update_row(edge, {"n1": -1.0}, xid, clock.next(), txns)
+    txns.commit(xid, clock.next())
+    store.invalidate(oid, edge.dba, (edge.slot,), clock.current)
+    # ...then a repopulation at the current one widens the unit over it
+    for base in (None, old_unit):
+        incoming = IMCU.build(
+            wide_table.default_partition.segment, wide_table.schema,
+            wide_table.tenant, list(old_unit.imcu.covered_dbas),
+            snapshot, txns, base=base,
+        )
+        assert incoming.position_of(edge) is not None
+    store.register_unit(incoming)
+    # the next QuerySCN is published: a scan must see the update
+    result = ScanEngine(store, txns).scan(wide_table, clock.current)
+    assert sorted(row[1] for row in result.rows)[0] == -1.0
