@@ -2,11 +2,19 @@
 
 Redo ships as columnar ``CVBatch`` structures and stays columnar through
 distribution, mining, commit-table insertion, chop and flush (DESIGN.md
-section 15) -- the only ingest path there is.  This bench pushes one
-captured redo stream through freshly built apply-side components and
+section 15) -- the only ingest path there is.  This bench pushes
+captured redo streams through freshly built apply-side components and
 reports apply-side CVs/s stage by stage.  It is a layer report, not a
 gate: the end-to-end watch on this layer is ``bench_e2e``'s
 ``ingest_firehose`` workload.
+
+The same replay runs at two widths (``ARMS``): *wide* -- shipments of
+2 048 records, 100 updates per transaction, what a catch-up after a
+standby outage looks like -- and *live* -- 23 records per shipment, 1-12
+statements per transaction, the shape ``bench_e2e`` counted on every one
+of its workloads (DESIGN.md section 15, "Live widths").  Their ratio is
+the isolated-vs-live gap: fixed per-chunk and per-transaction overhead
+that only the narrow shape pays.
 
 Two things are deliberately excluded from the timed region:
 
@@ -42,22 +50,25 @@ from repro.redo.batch import CVBatch
 
 from conftest import save_json, save_report
 
-#: Records per shipment in the gauntlet -- a drain-shaped firehose (the
-#: shipper's steady-state batch is smaller; large shipments are what a
-#: catch-up after a standby outage looks like).
-SHIPMENT_RECORDS = 2048
+#: (arm, records per shipment, statements per transaction by ordinal).
+ARMS = (
+    ("wide", 2048, lambda t: 100),
+    ("live", 23, lambda t: 1 + (t * 7) % 12),
+)
 BEST_OF = 3
+#: Worklink nodes per drain call (the coordinator's default).
+FLUSH_BATCH = 32
 
 N_ROWS = 4_000
-N_UPDATE_TXNS = 200
-UPDATES_PER_TXN = 100
+#: Updates captured per arm.
+N_UPDATES = 20_000
 
 
 @pytest.fixture(scope="module")
 def firehose():
-    """One DML firehose captured on a live deployment.
+    """One DML firehose per arm captured on a live deployment.
 
-    The deployment itself drains the stream end-to-end -- its metrics
+    The deployment itself drains the streams end-to-end -- its metrics
     registry must show the batch histograms afterwards -- and its redo
     log is then replayed through fresh components by the gauntlet.
     """
@@ -89,6 +100,7 @@ def firehose():
             )
         )
         primary = deployment.primary
+        log = primary.redo_logs[0]._records
         rowids = []
         txn = primary.begin()
         for i in range(N_ROWS):
@@ -99,20 +111,27 @@ def firehose():
         deployment.catch_up()
         deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
         deployment.catch_up()
-        for t in range(N_UPDATE_TXNS):
-            txn = primary.begin()
-            for j in range(UPDATES_PER_TXN):
-                row = rowids[(t * 31 + j * 7) % len(rowids)]
-                primary.update(txn, "T", row, {"n1": float(j)})
-            primary.commit(txn)
-        deployment.catch_up()
-        records = list(primary.redo_logs[0]._records)
-    return deployment, registry, records
+        streams = {}
+        for arm, __, statements in ARMS:
+            start = 0 if not streams else len(log)
+            done = t = 0
+            while done < N_UPDATES:
+                txn = primary.begin()
+                for j in range(statements(t)):
+                    row = rowids[(t * 31 + j * 7) % len(rowids)]
+                    primary.update(txn, "T", row, {"n1": float(j)})
+                primary.commit(txn)
+                done += statements(t)
+                t += 1
+            deployment.catch_up()
+            streams[arm] = list(log[start:])
+    return deployment, registry, streams
 
 
-def drain_once(deployment, records) -> dict[str, float]:
-    """Push the captured stream through fresh apply-side components,
-    timing each stage: transpose, distribute, mine, chop, flush."""
+def drain_once(deployment, records, shipment_records) -> dict[str, float]:
+    """Push a captured stream through fresh apply-side components in
+    shipments of ``shipment_records``, timing each stage: transpose,
+    distribute, mine, chop, flush."""
     owner = object()
     journal = IMADGJournal(64)
     commit_table = IMADGCommitTable(4)
@@ -127,8 +146,8 @@ def drain_once(deployment, records) -> dict[str, float]:
 
     t0 = time.perf_counter()
     batches = [
-        CVBatch.from_records(records[i:i + SHIPMENT_RECORDS])
-        for i in range(0, len(records), SHIPMENT_RECORDS)
+        CVBatch.from_records(records[i:i + shipment_records])
+        for i in range(0, len(records), shipment_records)
     ]
     times["transpose"] = time.perf_counter() - t0
 
@@ -143,39 +162,50 @@ def drain_once(deployment, records) -> dict[str, float]:
     times["mine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    nodes = commit_table.chop(10**9)
+    flush.begin_advance(10**9)
     times["chop"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for node in nodes:
-        if node.anchor is not None:
-            for group in flush._gather_groups(node):
-                flush.router.route(group)
-        journal.remove_with_recovery(node.xid, flush)
+    while flush.coordinator_flush(FLUSH_BATCH):
+        pass
     times["flush"] = time.perf_counter() - t0
     assert journal.record_count == 0, "flush left journal residue"
     return times
 
 
 def test_ingest_gauntlet(firehose, benchmark):
-    deployment, registry, records = firehose
-    total_cvs = sum(len(r.cvs) for r in records)
-    assert total_cvs > 20_000, "firehose too small to be meaningful"
-
-    best = None
-    for __ in range(BEST_OF):
-        times = drain_once(deployment, records)
-        total = sum(times.values())
-        if best is None or total < best[0]:
-            best = (total, times)
-    total, times = best
-    results = {
-        "batched": {
+    deployment, registry, streams = firehose
+    results = {}
+    lines = []
+    for arm, shipment_records, __ in ARMS:
+        records = streams[arm]
+        total_cvs = sum(len(r.cvs) for r in records)
+        assert total_cvs > 20_000, "firehose too small to be meaningful"
+        total, times = min(
+            (
+                (sum(times.values()), times)
+                for times in (
+                    drain_once(deployment, records, shipment_records)
+                    for __ in range(BEST_OF)
+                )
+            ),
+            key=lambda run: run[0],
+        )
+        results[arm] = r = {
+            "shipment_records": shipment_records,
+            "total_records": len(records),
+            "total_cvs": total_cvs,
             "stage_ms": {k: round(v * 1e3, 3) for k, v in times.items()},
             "total_ms": round(total * 1e3, 3),
             "cvs_per_s": round(total_cvs / total),
         }
-    }
+        stages = "  ".join(f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items())
+        lines += [
+            f"  {arm:<5} {r['cvs_per_s']:>9,} cvs/s  {len(records)} records / "
+            f"{total_cvs} CVs in shipments of {shipment_records}",
+            f"        ({r['total_ms']:.1f}ms: {stages})",
+        ]
+    ratio = results["wide"]["cvs_per_s"] / results["live"]["cvs_per_s"]
 
     # the live deployment's batch-size distributions
     snapshot = registry.snapshot()
@@ -190,29 +220,24 @@ def test_ingest_gauntlet(firehose, benchmark):
 
     save_json("ingest", {
         "bench": "ingest_gauntlet",
-        "shipment_records": SHIPMENT_RECORDS,
-        "total_cvs": total_cvs,
-        "total_records": len(records),
         "best_of": BEST_OF,
+        "flush_batch": FLUSH_BATCH,
         "results": results,
+        "wide_over_live": round(ratio, 2),
         "live_batch_histograms": {
             "adg.apply.batch_cvs": apply_hist,
             "dbim.mine.batch_cvs": mine_hist,
         },
     })
-
-    r = results["batched"]
-    stages = "  ".join(f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items())
     save_report("ingest_gauntlet", "\n".join([
-        "Ingest gauntlet: apply-side CVs/s of the columnar redo path",
-        f"  stream: {len(records)} records / {total_cvs} CVs, "
-        f"shipments of {SHIPMENT_RECORDS} records, best of {BEST_OF}",
-        f"  batched  {r['cvs_per_s']:>9,} cvs/s  "
-        f"({r['total_ms']:.1f}ms: {stages})",
+        "Ingest gauntlet: apply-side CVs/s of the columnar redo path, "
+        f"best of {BEST_OF}",
+        *lines,
+        f"  wide / live = {ratio:.2f}x: the isolated-vs-live gap is width",
     ]))
 
-    # wall-clock: transposing one shipment into columnar form
-    benchmark(lambda: CVBatch.from_records(records[:SHIPMENT_RECORDS]))
+    # wall-clock: transposing one wide shipment into columnar form
+    benchmark(lambda: CVBatch.from_records(streams["wide"][:ARMS[0][1]]))
 
 
 def _live_run():

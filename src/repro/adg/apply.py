@@ -403,35 +403,26 @@ class RecoveryWorker(Actor):
                     return 0, True
             else:
                 chunk.mined_pos = len(chunk.indices)
-        indices = chunk.indices
-        scns = chunk.batch.scns
+        window = chunk.indices[chunk.pos : chunk.pos + budget]
         cvs = chunk.batch.cvs
         apply_cv = self.applier.apply_cv
         static = self._static_routing
         note_applied = self.distributor.note_applied
-        pos = chunk.pos
-        end = min(pos + budget, len(indices))
         applied = 0
         stop = False
-        last_scn = self.applied_scn
-        while pos < end:
-            i = int(indices[pos])
+        for i, scn in zip(window.tolist(), chunk.batch.scns[window].tolist()):
             cv = cvs[i]
-            scn = int(scns[i])
             try:
                 apply_cv(cv, scn)
             except ApplyStall:
                 self._apply_stalls.inc()
                 stop = True
                 break
-            pos += 1
             applied += 1
-            last_scn = scn
+            self.applied_scn = scn
             if not static:
                 note_applied(cv)
             if tracer is not None:
                 tracer.record_applied(scn)
-        chunk.pos = pos
-        if applied:
-            self.applied_scn = last_scn
+        chunk.pos += applied
         return applied, stop

@@ -10,12 +10,13 @@ The paper's protocol messages are keyed by a small set of identifiers:
 * ``InstanceId`` / ``WorkerId`` -- RAC instance and recovery-worker numbers.
 
 Plain ``int`` aliases are used where there is no structure to enforce; the
-structured ids are small frozen dataclasses so they hash and order cheaply.
+structured ids are small immutable value types so they hash and order cheaply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # A database block address.  Blocks are allocated from a database-wide
 # counter, so a bare int is sufficient and keeps hashing cheap: the parallel
@@ -46,14 +47,17 @@ class RowId:
         return f"RowId({self.dba}.{self.slot})"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TransactionId:
+class TransactionId(NamedTuple):
     """Cluster-wide unique transaction identifier.
 
     ``instance`` is the RAC instance that started the transaction and
     ``sequence`` a per-instance monotonically increasing number.  This mirrors
     Oracle's XID (undo segment, slot, sequence) closely enough for the
     journal's purposes: the IM-ADG Journal hashes on the whole id.
+
+    A named tuple rather than a dataclass: every journal, commit-table and
+    transaction-table lookup hashes one, and a tuple hashes (to the same
+    value) and compares without entering the interpreter.
     """
 
     instance: InstanceId

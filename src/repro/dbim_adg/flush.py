@@ -24,8 +24,9 @@ applied, *before* the new QuerySCN becomes visible to queries.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,124 +37,141 @@ from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
-from repro.imcs.store import InMemoryColumnStore
+from repro.imcs.imcu import row_keys
+from repro.imcs.store import InMemoryColumnStore, InvalidationGroup
 from repro.redo.records import DDLMarkerPayload
 
 
-@dataclass(slots=True)
-class InvalidationGroup:
-    """A batch of invalidations for one object, applied at one commitSCN.
+@dataclass(frozen=True, slots=True)
+class CoarseInvalidation:
+    """Every IMCU of a tenant, at one commitSCN (paper, III-E)."""
 
-    ``blocks`` maps DBA -> tuple of slots (empty tuple = whole block).
-    Groups are the unit of routing: local application or one interconnect
-    message entry on RAC.
-    """
-
-    object_id: ObjectId
     tenant: TenantId
     commit_scn: SCN
-    blocks: dict[DBA, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
 
 def gather_groups(
-    chunks: list[RecordChunk],
-    commit_scn: SCN,
+    transactions: Sequence[tuple[SCN, Sequence[RecordChunk]]],
     block_limit: Optional[int] = None,
-) -> list[InvalidationGroup]:
-    """Organise a transaction's mined records into invalidation groups
-    (paper, III-D: "chunks them up into invalidation groups based on the
-    DBA ranges for IMCUs").
+) -> list[list[InvalidationGroup]]:
+    """Organise the mined records of ``(commitSCN, chunks)`` transactions
+    -- everything one worklink drain call flushes -- into each
+    transaction's invalidation groups (paper, III-D: "chunks them up into
+    invalidation groups based on the DBA ranges for IMCUs").
 
-    One lexsort over the transaction's (object, dba, slot) triples puts
-    every block's slots in one run, so a DBA lands in exactly one group
-    with its full slot set: whole-block (slot < 0) wins, slot sets union.
-    ``block_limit`` caps *distinct DBAs* per group (RAC message sizing);
-    None means one group per object.
+    One lexsort over every (transaction, object, dba, slot) puts each
+    block's slots in one run, so a DBA lands in exactly one group of its
+    transaction with its full slot set: whole-block (slot < 0, sorted
+    first in its block) wins, slot sets union.  ``block_limit`` caps
+    *distinct DBAs* per group (RAC message sizing); None means one group
+    per transaction and object.  The groups' keys are slices of one array.
     """
-    if not chunks:
-        return []
-    tenant = chunks[0].tenant
-    if len(chunks) == 1:
-        object_ids = chunks[0].object_ids
-        dbas = chunks[0].dbas
-        slots = chunks[0].slots
-    else:
-        object_ids = np.concatenate([c.object_ids for c in chunks])
-        dbas = np.concatenate([c.dbas for c in chunks])
-        slots = np.concatenate([c.slots for c in chunks])
-    order = np.lexsort((slots, dbas, object_ids))
-    obj_s = object_ids[order]
-    dba_s = dbas[order]
-    slot_s = slots[order]
-    # Dedupe exact (object, dba, slot) triples in one vectorized shot
-    # -- after the lexsort, each run's surviving slots are unique and
-    # ascending, so no per-run ``np.unique`` is needed.
-    if obj_s.size > 1:
-        keep = np.empty(obj_s.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
-                      out=keep[1:])
-        np.logical_or(keep[1:], slot_s[1:] != slot_s[:-1],
-                      out=keep[1:])
-        obj_s = obj_s[keep]
-        dba_s = dba_s[keep]
-        slot_s = slot_s[keep]
-    new_pair = np.empty(obj_s.size, dtype=bool)
-    new_pair[0] = True
-    np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
-                  out=new_pair[1:])
-    starts = np.nonzero(new_pair)[0].tolist()
-    starts.append(obj_s.size)
-    # the per-run walk works on plain lists: for the short runs this
-    # loop sees, list slicing beats numpy scalar extraction
-    obj_l = obj_s.tolist()
-    dba_l = dba_s.tolist()
-    slot_l = slot_s.tolist()
-    out: list[InvalidationGroup] = []
-    group: Optional[InvalidationGroup] = None
-    for b in range(len(starts) - 1):
-        lo, hi = starts[b], starts[b + 1]
-        obj = obj_l[lo]
-        if (
-            group is None
-            or group.object_id != obj
-            or (block_limit is not None and group.n_blocks >= block_limit)
-        ):
-            group = InvalidationGroup(
-                object_id=obj,
-                tenant=tenant,
-                commit_scn=commit_scn,
+    out: list[list[InvalidationGroup]] = [[] for __ in transactions]
+    parts = [c.columns for __, chunks in transactions for c in chunks]
+    if not parts:
+        return out
+    columns = np.concatenate(parts, axis=1)
+    # the flush has no use for the records' own SCNs: their row becomes
+    # the most significant sort key, the transaction's ordinal
+    columns[3] = np.repeat(
+        [i for i, (__, chunks) in enumerate(transactions) for __ in chunks],
+        [part.shape[1] for part in parts],
+    )
+    keys: list[int] = []
+    whole_blocks: list[DBA] = []
+    #: per group: (transaction, object, its first key, its first whole block)
+    starts: list[tuple[int, ObjectId, int, int]] = []
+    # At the widths a drain call has -- a few to a few hundred records --
+    # one pass over the sorted records in plain Python is cheaper than
+    # the dozens of small-array numpy calls that would cut them into
+    # blocks and groups (EXPERIMENTS, "Width-robust ingest").
+    last_txn = last_object = last_dba = last_slot = whole = None
+    n_blocks = 0
+    for slot, dba, object_id, txn in zip(
+        *columns[:, np.lexsort(columns)].tolist()
+    ):
+        if dba != last_dba or object_id != last_object or txn != last_txn:
+            # a new block...
+            if (
+                object_id != last_object
+                or txn != last_txn
+                or n_blocks == block_limit
+            ):  # ...and a new group
+                starts.append((txn, object_id, len(keys), len(whole_blocks)))
+                last_txn, last_object, n_blocks = txn, object_id, 0
+            last_dba = dba
+            n_blocks += 1
+            whole = slot < 0
+            if whole:
+                whole_blocks.append(dba)
+        elif slot == last_slot:
+            continue  # the row again
+        last_slot = slot
+        if not whole:
+            keys.append(row_keys(dba, slot))
+    all_keys = np.array(keys, dtype=np.int64)
+    all_whole = np.array(whole_blocks, dtype=np.int64)
+    starts.append((0, 0, len(keys), len(whole_blocks)))
+    for (txn, object_id, key_lo, whole_lo), (__, __, key_hi, whole_hi) in zip(
+        starts, starts[1:]
+    ):
+        commit_scn, chunks = transactions[txn]
+        out[txn].append(
+            InvalidationGroup(
+                object_id,
+                chunks[0].tenant,
+                commit_scn,
+                all_keys[key_lo:key_hi],
+                all_whole[whole_lo:whole_hi],
             )
-            out.append(group)
-        if slot_l[lo] < 0:
-            # whole-block marker present (sorted first in the run)
-            block_slots: tuple[int, ...] = ()
-        else:
-            block_slots = tuple(slot_l[lo:hi])
-        group.blocks[dba_l[lo]] = block_slots
+        )
     return out
 
 
+def routing_ops(
+    nodes: Sequence[CommitTableNode],
+    chunks_of: Callable[[CommitTableNode], Sequence[RecordChunk]],
+    block_limit: Optional[int] = None,
+) -> list[list[InvalidationGroup | CoarseInvalidation]]:
+    """What each of one drain call's nodes owes the router: its
+    transaction's invalidation groups, or -- a coarse node -- one
+    :class:`CoarseInvalidation`."""
+    gathered = gather_groups(
+        [
+            (node.commit_scn, () if node.coarse else chunks_of(node))
+            for node in nodes
+        ],
+        block_limit,
+    )
+    return [
+        [CoarseInvalidation(node.tenant, node.commit_scn)]
+        if node.coarse
+        else groups
+        for node, groups in zip(nodes, gathered)
+    ]
+
+
 class LocalInvalidationRouter:
-    """Applies invalidation groups to this instance's IMCS directly."""
+    """Applies invalidations to this instance's IMCS directly."""
 
     def __init__(self, store: InMemoryColumnStore) -> None:
         self.store = store
         self.groups_routed = 0
 
-    def route(self, group: InvalidationGroup) -> None:
-        # group-at-once: one epoch bump / mask write per touched SMU
-        self.store.invalidate_many(
-            group.object_id, group.blocks, group.commit_scn
-        )
-        self.groups_routed += 1
-
-    def route_coarse(self, tenant: TenantId, scn: SCN) -> None:
-        self.store.invalidate_tenant(tenant, scn)
+    def route(
+        self, ops: Sequence[InvalidationGroup | CoarseInvalidation]
+    ) -> None:
+        """Apply one drain call's invalidations: every group at once --
+        one mask write per touched SMU -- and the coarse ones, which
+        commute with them."""
+        groups = []
+        for op in ops:
+            if isinstance(op, CoarseInvalidation):
+                self.store.invalidate_tenant(op.tenant, op.commit_scn)
+            else:
+                groups.append(op)
+        self.store.invalidate_groups(groups)
+        self.groups_routed += len(groups)
 
     def drained(self) -> bool:
         return True  # local application is synchronous
@@ -239,14 +257,13 @@ class InvalidationFlushComponent:
         self.group_block_limit = group_block_limit
         self.worklink: Optional[Worklink] = None
         # -- staged drain (DeferredDrainStrategy's shadow buffer) ---------
-        #: When True, ``_flush_one`` appends routing work to the staging
+        #: When True, ``_route`` appends routing work to the staging
         #: buffer instead of applying SMU masks, and defers journal
         #: anchor retirement; listeners are still notified at stage time
         #: (strictly pre-publication -- the result cache's contract).
         self._stage_mode = False
-        #: Ordered routing ops awaiting :meth:`apply_staged`:
-        #: ("group", group) or ("coarse", tenant, scn).
-        self._staged_ops: list[tuple] = []
+        #: Ordered routing ops awaiting :meth:`apply_staged`.
+        self._staged_ops: list[InvalidationGroup | CoarseInvalidation] = []
         #: Journal anchors awaiting post-publication retirement.
         self._pending_retire: deque = deque()
         # statistics
@@ -347,35 +364,49 @@ class InvalidationFlushComponent:
                 # worklink draining held back; the caller retries later
                 self._chaos_stalls.inc()
                 return -1
-        flushed = 0
-        while worklink.nodes and flushed < batch:
-            node = worklink.nodes.popleft()
-            self._flush_one(node)
-            flushed += 1
-        if flushed:
-            self._nodes_flushed.inc(flushed)
-        return flushed
+        # One call is one scheduler step -- nothing can observe the SMUs
+        # between two of its nodes -- so the nodes' records are gathered
+        # and their invalidations routed together.  A node leaves the
+        # worklink as its listeners are about to hear of it, so one that
+        # raises leaves the nodes after it queued.
+        nodes = list(islice(worklink.nodes, batch))
+        for node, ops in zip(nodes, self._route(nodes)):
+            worklink.nodes.popleft()
+            self._finish(node, ops)
+        self._nodes_flushed.inc(len(nodes))
+        return len(nodes)
 
-    def _flush_one(self, node: CommitTableNode) -> None:
-        staged = self._stage_mode
+    def _route(
+        self, nodes: Sequence[CommitTableNode]
+    ) -> list[list[InvalidationGroup | CoarseInvalidation]]:
+        """Gather every node's invalidations and route (or stage) them
+        all, in node order; returns them per node."""
+        per_node = routing_ops(
+            nodes,
+            lambda node: () if node.anchor is None else node.anchor.chunks(),
+            self.group_block_limit,
+        )
+        ops = [op for of_node in per_node for op in of_node]
+        if self._stage_mode:
+            self._staged_ops += ops
+            self._staged_ops_counter.inc(len(ops))
+        else:
+            self.router.route(ops)
+        return per_node
+
+    def _finish(
+        self,
+        node: CommitTableNode,
+        ops: Sequence[InvalidationGroup | CoarseInvalidation],
+    ) -> None:
+        """Account for one routed node, tell the listeners, and retire
+        its anchor."""
         if node.coarse:
-            if staged:
-                self._staged_ops.append(
-                    ("coarse", node.tenant, node.commit_scn)
-                )
-                self._staged_ops_counter.inc()
-            else:
-                self.router.route_coarse(node.tenant, node.commit_scn)
             self._coarse_flushes.inc()
             self._notify_coarse(node.tenant, node.commit_scn)
-        elif node.anchor is not None:
-            for group in self._gather_groups(node):
-                if staged:
-                    self._staged_ops.append(("group", group))
-                    self._staged_ops_counter.inc()
-                else:
-                    self.router.route(group)
-                self._groups_created.inc()
+        else:
+            self._groups_created.inc(len(ops))
+            for group in ops:
                 self._notify_group(group)
         # the anchor's job is done: release it from the journal.  The flush
         # owns the advancement critical path, so an unbounded retry here
@@ -386,7 +417,7 @@ class InvalidationFlushComponent:
         # path entirely: anchors park until the coordinator's background
         # drain after publication (keeping the journal floor is safe --
         # it only makes restart tail replay conservatively longer).
-        if staged:
+        if self._stage_mode:
             self._pending_retire.append(node.xid)
         else:
             self.journal.remove_with_recovery(node.xid, self)
@@ -412,11 +443,7 @@ class InvalidationFlushComponent:
         number applied.  Called inside the quiesce window, strictly
         before the publication that makes their commitSCNs visible."""
         ops, self._staged_ops = self._staged_ops, []
-        for op in ops:
-            if op[0] == "group":
-                self.router.route(op[1])
-            else:
-                self.router.route_coarse(op[1], op[2])
+        self.router.route(ops)
         return len(ops)
 
     @property
@@ -433,12 +460,6 @@ class InvalidationFlushComponent:
         if retired:
             self._staged_retired.inc(retired)
         return retired
-
-    def _gather_groups(self, node: CommitTableNode) -> list[InvalidationGroup]:
-        assert node.anchor is not None
-        return gather_groups(
-            node.anchor.chunks(), node.commit_scn, self.group_block_limit
-        )
 
     # ------------------------------------------------------------------
     def _process_ddl(self, target_scn: SCN) -> None:

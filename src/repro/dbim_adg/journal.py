@@ -35,19 +35,19 @@ from repro.common.scn import SCN
 class RecordChunk:
     """One bulk-mined slice of a transaction's invalidation data
     (paper, Fig. 6: which rows of which block of which object the
-    transaction modified, plus the tenant for multi-tenancy): row-aligned
-    arrays appended latch-free into a worker's buffer area.  ``scns`` are
-    the SCNs of the sniffed change vectors; a ``slots`` entry < 0 means
-    the whole block is affected."""
+    transaction modified, plus the tenant for multi-tenancy), appended
+    latch-free into a worker's buffer area.  ``columns`` is a ``(4, n)``
+    int64 matrix, one column per record in SCN order, rows ``slots``
+    (< 0 = the whole block is affected), ``dbas``, ``object_ids`` and
+    ``scns`` (of the sniffed change vectors) -- least- to most-significant
+    sort key first, the order ``np.lexsort`` reads.  It is usually a view
+    of the gather the miner made for its whole worker chunk."""
 
-    object_ids: np.ndarray
-    dbas: np.ndarray
-    slots: np.ndarray
-    scns: np.ndarray
+    columns: np.ndarray
     tenant: TenantId
 
     def __len__(self) -> int:
-        return int(self.dbas.size)
+        return self.columns.shape[1]
 
 
 @dataclass(slots=True)
@@ -81,23 +81,13 @@ class AnchorNode:
             if self.floor_sink is not None:
                 self.floor_sink(scn, self.xid)
 
-    def add_batch(
-        self,
-        worker_id: WorkerId,
-        object_ids: np.ndarray,
-        dbas: np.ndarray,
-        slots: np.ndarray,
-        scns: np.ndarray,
-        tenant: TenantId,
+    def add_chunk(
+        self, worker_id: WorkerId, chunk: RecordChunk, first_scn: SCN
     ) -> None:
-        """Append one bulk-mined slice into this worker's buffer area
-        (latch-free; arrays are row-aligned and in SCN order)."""
-        if dbas.size == 0:
-            return
-        self.note_scn(int(scns.min()))
-        self.worker_chunks.setdefault(worker_id, []).append(
-            RecordChunk(object_ids, dbas, slots, scns, tenant)
-        )
+        """Append one bulk-mined slice (``first_scn`` = its lowest SCN)
+        into this worker's buffer area (latch-free)."""
+        self.note_scn(first_scn)
+        self.worker_chunks.setdefault(worker_id, []).append(chunk)
 
     def chunks(self) -> list[RecordChunk]:
         """Every worker's buffered chunks (the flush gathers over these)."""

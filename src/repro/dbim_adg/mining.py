@@ -35,15 +35,9 @@ from repro.common.ids import TransactionId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.journal import IMADGJournal
+from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import (
-    BULK_DATA_LOOKUP,
-    OP_CODE,
-    SPECIAL_LOOKUP,
-    CVChunk,
-    decode_xid,
-)
+from repro.redo.batch import MINE_DATA, MINE_SPECIAL, CVChunk, decode_xid
 from repro.redo.records import CVOp, ChangeVector, CommitPayload
 
 
@@ -135,23 +129,22 @@ class MiningComponent:
     def sniff_chunk(
         self, chunk: CVChunk, worker_id: WorkerId, owner: object
     ) -> bool:
-        """Mine a worker's whole chunk, bulk-grouping data CVs by xid.
+        """Mine a worker's whole chunk: every data CV in one pass
+        (:meth:`_mine_data`), then the *special* positions (transaction
+        state changes and DDL markers) one at a time, in order.
 
-        The chunk is walked as alternating *data gaps* (runs of
-        non-control CVs, grouped by transaction with one stable sort and
-        appended to journal anchors as columnar RecordChunks) and
-        *special* positions (transaction state changes and DDL markers,
-        processed one at a time, in order).  Heartbeats carry no change
-        and UNDO (rollback) restores rows to their committed state --
-        which is what the IMCU already holds -- so neither is mined; an
-        aborted transaction's buffered records are discarded when its
-        abort is mined.  Commit-table inserts are deferred into one
-        :meth:`IMADGCommitTable.insert_batch` at the end of the chunk --
-        safe because the flush chop is gated behind the chunk being
-        fully *applied*, which requires it fully mined.
+        Data before specials is unobservable at any published QuerySCN:
+        an anchor is created by whichever CV of its transaction is mined
+        first (data and the begin CV hash to different workers anyway); a
+        commit's node holds a pointer to the anchor, and the chop is
+        gated behind the chunk being fully *applied*, which requires it
+        fully mined; no minable CV of a transaction follows its abort in
+        SCN order; a DDL marker only enters the SCN-keyed DDL table.
+        For the same reason commit-table inserts are deferred into one
+        :meth:`IMADGCommitTable.insert_batch` at the end of the chunk.
         Returns False on a latch miss; partial progress stays on the
-        chunk (``mined_pos`` / ``mined_xids`` / ``pending_commits``) and
-        the worker retries next step.
+        chunk (``data_mined`` / ``mined_xids`` / ``mined_pos`` /
+        ``pending_commits``) and the worker retries next step.
         """
         indices = chunk.indices
         n = len(indices)
@@ -159,69 +152,32 @@ class MiningComponent:
             chunk.stats_noted = True
             self._batch_cvs.observe(n)
         batch = chunk.batch
-        cvs = batch.cvs
-        scns = batch.scns
         tracer = obs.tracer_of(self._obs)
-        # One pass of vectorized classification for the whole call: the
-        # special positions to walk in order, and the minable-data mask
-        # (bulk data op AND IMCS-enabled object).  Nothing can change the
-        # enabled set *within* a call, so hoisting the filter out of the
-        # per-gap path is exact.
-        chunk_ops = batch.ops[indices]
-        special_positions = np.nonzero(SPECIAL_LOOKUP[chunk_ops])[0]
-        data_mask = BULK_DATA_LOOKUP[chunk_ops]
-        # A TRUNCATE's IMCU drop rides its DDL marker (processed at
-        # QuerySCN advancement); journaling the block-wipe CV would
-        # anchor it under the system xid -- which never commits, so the
-        # anchor would pin the journal floor forever.
-        data_mask &= chunk_ops != OP_CODE[CVOp.TRUNCATE]
-        if data_mask.any():
-            enabled = self.imcs.enabled_object_ids
-            if not enabled:
-                data_mask[:] = False
-            elif len(enabled) <= 8:
-                # A handful of enabled objects: a few equality passes beat
-                # np.isin's sort/unique machinery by an order of magnitude.
-                object_ids = batch.object_ids[indices]
-                enabled_mask = np.zeros(n, dtype=bool)
-                for object_id in enabled:
-                    enabled_mask |= object_ids == object_id
-                data_mask &= enabled_mask
-            else:
-                data_mask &= np.isin(
-                    batch.object_ids[indices],
-                    np.fromiter(
-                        enabled, dtype=np.int64, count=len(enabled)
-                    ),
-                    kind="sort",
-                )
-        pos = chunk.mined_pos
-        while pos < n:
-            k = int(np.searchsorted(special_positions, pos))
-            gap_end = (
-                int(special_positions[k])
-                if k < special_positions.size
-                else n
-            )
-            if gap_end > pos:
-                if not self._mine_data_gap(
-                    chunk, pos, gap_end, data_mask, worker_id, owner, tracer
-                ):
-                    return False
-                pos = gap_end
-                chunk.mined_pos = pos
-                chunk.mined_xids = None
-                continue
+        classes = batch.mine_class[indices]
+        if not chunk.data_mined:
+            start = chunk.mined_pos
+            data = indices[start:][classes[start:] == MINE_DATA]
+            if not self._mine_data(chunk, data, worker_id, owner):
+                return False
+            chunk.data_mined = True
+            chunk.mined_xids = None
+            if tracer is not None:
+                plain = indices[start:][classes[start:] != MINE_SPECIAL]
+                for scn in batch.scns[plain].tolist():
+                    tracer.record_mined(scn)
+        cvs = batch.cvs
+        for pos in (classes == MINE_SPECIAL).nonzero()[0].tolist():
+            if pos < chunk.mined_pos:
+                continue  # mined before a latch miss, or applied
             i = int(indices[pos])
-            cv = cvs[i]
-            scn = int(scns[i])
-            if not self._sniff_special(cv, scn, chunk, owner):
+            scn = int(batch.scns[i])
+            if not self._sniff_special(cvs[i], scn, chunk, owner):
                 chunk.mined_pos = pos
                 return False
-            pos += 1
-            chunk.mined_pos = pos
+            chunk.mined_pos = pos + 1
             if tracer is not None:
                 tracer.record_mined(scn)
+        chunk.mined_pos = n
         if chunk.pending_commits:
             leftover = self.commit_table.insert_batch(
                 chunk.pending_commits, owner
@@ -233,62 +189,50 @@ class MiningComponent:
             chunk.pending_commits = None
         return True
 
-    def _mine_data_gap(
+    def _mine_data(
         self,
         chunk: CVChunk,
-        lo: int,
-        hi: int,
-        data_mask: np.ndarray,
+        data: np.ndarray,
         worker_id: WorkerId,
         owner: object,
-        tracer,
     ) -> bool:
-        """Bulk-mine one run of non-control CVs: take the caller's
-        precomputed minable-data mask, group by xid with one stable sort,
-        and append each group to its journal anchor as a single columnar
-        slice.  ``mined_xids`` carries per-group progress across
-        latch-miss retries of the same gap."""
+        """Journal the data CVs at batch positions ``data`` (ascending,
+        hence SCN order): keep the CVs of IMCS-enabled objects -- nothing
+        changes the enabled set within a call -- gather what mining reads
+        of them once for the whole chunk, group by transaction with one
+        stable sort, and append each transaction's run to its anchor as a
+        slice of that gather."""
         batch = chunk.batch
-        idx = chunk.indices[lo:hi]
-        mask = data_mask[lo:hi]
-        if mask.any():
-            sel = np.nonzero(mask)[0]
-            xids = batch.xids[idx[sel]]
-            order = np.argsort(xids, kind="stable")
-            sorted_xids = xids[order]
-            starts = np.nonzero(
-                np.concatenate(([True], sorted_xids[1:] != sorted_xids[:-1]))
-            )[0]
-            ends = np.append(starts[1:], sel.size)
-            mined = chunk.mined_xids
-            if mined is None:
-                mined = chunk.mined_xids = set()
-            for g in range(starts.size):
-                code = int(sorted_xids[starts[g]])
-                if code in mined:
-                    continue
-                # back to chunk order: SCN-ascending within the group
-                grp = idx[sel[np.sort(order[starts[g] : ends[g]])]]
-                tenant = int(batch.tenants[grp[0]])
-                anchor = self.journal.get_or_create(
-                    decode_xid(code), tenant, owner
-                )
-                if anchor is None:
-                    self._latch_misses.inc()
-                    return False
-                anchor.add_batch(
-                    worker_id,
-                    batch.object_ids[grp],
-                    batch.dbas[grp],
-                    batch.slots[grp],
-                    batch.scns[grp],
-                    tenant,
-                )
-                self._data_records_mined.inc(int(grp.size))
-                mined.add(code)
-        if tracer is not None:
-            for s in batch.scns[idx]:
-                tracer.record_mined(int(s))
+        data = data[self.imcs.enabled_mask(batch.object_ids[data])]
+        n = data.size
+        if not n:
+            return True
+        columns = batch.mined_columns[:, data]
+        columns = columns[:, np.argsort(columns[4], kind="stable")]
+        xids = columns[4]
+        starts = [0, *((xids[1:] != xids[:-1]).nonzero()[0] + 1).tolist()]
+        # per run: the lowest SCN (its first, the sort being stable), the
+        # xid code and the tenant
+        first_scns, codes, tenants = columns[3:, starts].tolist()
+        records = columns[:4]
+        mined = chunk.mined_xids
+        if mined is None:
+            mined = chunk.mined_xids = set()
+        get_or_create = self.journal.get_or_create
+        for code, tenant, first_scn, lo, hi in zip(
+            codes, tenants, first_scns, starts, [*starts[1:], n]
+        ):
+            if code in mined:
+                continue  # journaled before a latch miss
+            anchor = get_or_create(decode_xid(code), tenant, owner)
+            if anchor is None:
+                self._latch_misses.inc()
+                return False
+            anchor.add_chunk(
+                worker_id, RecordChunk(records[:, lo:hi], tenant), first_scn
+            )
+            self._data_records_mined.inc(hi - lo)
+            mined.add(code)
         return True
 
     def _sniff_special(

@@ -43,8 +43,17 @@ from repro.rowstore.values import ColumnType, Schema
 if TYPE_CHECKING:
     from repro.imcs.smu import SMU
 
-#: Bits reserved for the slot in the combined (dba, slot) index key.
-_KEY_SHIFT = 32
+#: Bits reserved for the slot in a row key.
+ROW_KEY_SHIFT = 32
+
+
+def row_keys(dbas, slots):
+    """Row addresses as single integers that order like ``(dba, slot)``:
+    slot < rows_per_block << 2**32, so ``dba * 2**32 + slot`` sorts
+    lexicographically even for negative dbas.  The flush's invalidation
+    groups, the store's pending invalidations and the IMCU's position
+    index all speak this key."""
+    return (dbas << ROW_KEY_SHIFT) + slots
 
 
 class IMCU:
@@ -234,7 +243,7 @@ class IMCU:
             keep = np.flatnonzero(keep)
             blocks = np.concatenate((old_blocks[keep], blocks))
             slots = np.concatenate((old.row_slots[keep], slots))
-            take = np.argsort((blocks << _KEY_SHIFT) + slots, kind="stable")
+            take = np.argsort(row_keys(blocks, slots), kind="stable")
             blocks, slots = blocks[take], slots[take]
             carried = ([old.column(name) for name in names], keep, take)
         unit = cls(
@@ -271,15 +280,15 @@ class IMCU:
 
     def position_of(self, rowid: RowId) -> Optional[int]:
         """Row position of a physical address, or None if not captured."""
-        hit = self.positions_for_block_batches([(rowid.dba, (rowid.slot,))])
+        hit = self.positions_for_keys(
+            np.array([row_keys(rowid.dba, rowid.slot)])
+        )
         return int(hit[0]) if hit.size else None
 
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted keys, their row positions)``."""
+        """``(sorted row keys, their row positions)``."""
         if self._key_index is None:
-            # slot < rows_per_block << 2**32, so dba * 2**32 + slot orders
-            # keys lexicographically by (dba, slot) even for negative dbas.
-            keys = (self.row_dbas << _KEY_SHIFT) + self.row_slots
+            keys = row_keys(self.row_dbas, self.row_slots)
             order = np.argsort(keys, kind="stable")
             self._key_index = (keys[order], order)
         return self._key_index
@@ -288,26 +297,20 @@ class IMCU:
         """Row positions of every captured row of ``dba`` (slot order)."""
         key_sorted, positions = self._keys()
         lo, hi = np.searchsorted(
-            key_sorted, (dba << _KEY_SHIFT, (dba + 1) << _KEY_SHIFT)
+            key_sorted, (row_keys(dba, 0), row_keys(dba + 1, 0))
         )
         return positions[lo:hi]
 
-    def positions_for_block_batches(self, batches) -> np.ndarray:
-        """Row positions across a whole list of ``(dba, slots)`` pairs in
-        one searchsorted pass over the combined (dba, slot) key index;
-        slots the IMCU never captured are dropped."""
+    def positions_for_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Row positions of an array of :func:`row_keys` in one
+        searchsorted pass over the key index; rows the IMCU never
+        captured are dropped."""
         key_sorted, positions = self._keys()
         if key_sorted.size == 0:
             return np.zeros(0, dtype=np.int64)
-        parts = [
-            np.asarray(slots, dtype=np.int64) + (dba << _KEY_SHIFT)
-            for dba, slots in batches
-        ]
-        wanted = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        idx = np.searchsorted(key_sorted, wanted)
-        idx_clipped = np.minimum(idx, key_sorted.size - 1)
-        hit = key_sorted[idx_clipped] == wanted
-        return positions[idx_clipped[hit]]
+        idx = key_sorted.searchsorted(keys)
+        np.minimum(idx, key_sorted.size - 1, out=idx)
+        return positions[idx[key_sorted[idx] == keys]]
 
     def slots_by_dba(self, positions: np.ndarray) -> dict[DBA, list[int]]:
         """The addresses at ``positions`` grouped DBA -> slot list, both in

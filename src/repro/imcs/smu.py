@@ -22,7 +22,7 @@ import numpy as np
 from repro.common.errors import InvalidStateError
 from repro.common.ids import DBA, RowId
 from repro.common.scn import NULL_SCN, SCN
-from repro.imcs.imcu import IMCU
+from repro.imcs.imcu import IMCU, row_keys
 
 
 class SMU:
@@ -75,21 +75,20 @@ class SMU:
         self._epoch += 1
         return True
 
-    def invalidate_slots(
-        self, batches: list[tuple[DBA, tuple[int, ...]]], scn: SCN
-    ) -> int:
-        """Group-at-once row invalidation: mark every ``(dba, slots)``
-        batch invalid with a single epoch bump and one mask write.
+    def invalidate_keys(self, keys: np.ndarray, scn: SCN) -> int:
+        """Row invalidation at once: mark every row of ``keys`` (distinct
+        :func:`~repro.imcs.imcu.row_keys`) invalid with a single epoch
+        bump and one mask write.
 
-        This is the flush component's fast path -- draining a worklink
-        costs O(groups) epoch bumps instead of O(rows).  Uncaptured slots
-        are dropped exactly as :meth:`invalidate_row` ignores them.
-        Returns the number of rows newly invalidated.
+        This is how the store applies everything one worklink drain call
+        holds for this unit -- draining costs O(touched units) epoch
+        bumps instead of O(rows).  Uncaptured rows are dropped exactly as
+        :meth:`invalidate_row` ignores them.  ``scn`` is the highest
+        commitSCN among them.  Returns the number of rows newly
+        invalidated.
         """
         self._touch(scn)
-        positions = self.imcu.positions_for_block_batches(batches)
-        if positions.size == 0:
-            return 0
+        positions = self.imcu.positions_for_keys(keys)
         fresh = positions[~self._invalid_rows[positions]]
         if fresh.size == 0:
             return 0
@@ -185,8 +184,8 @@ class SMU:
         """Blocks invalidated wholesale (read-only view)."""
         return frozenset(self._invalid_blocks)
 
-    def invalid_row_slots(self) -> dict[DBA, list[int]]:
-        """*Row-level* invalidations only, grouped DBA -> slot list.
+    def invalid_row_keys(self) -> np.ndarray:
+        """*Row-level* invalidations only, as row keys.
 
         Unlike :meth:`invalid_slots_by_dba` this excludes block-level and
         coarse invalidation, so a repopulation swap can carry the boolean
@@ -194,7 +193,10 @@ class SMU:
         block invalidation must stay whole-block on the new unit: it may
         cover slots the old IMCU never captured).
         """
-        return self.imcu.slots_by_dba(np.flatnonzero(self._invalid_rows))
+        positions = np.flatnonzero(self._invalid_rows)
+        return row_keys(
+            self.imcu.row_dbas[positions], self.imcu.row_slots[positions]
+        )
 
     def snapshot_validity(
         self,

@@ -19,24 +19,63 @@ safe (invalidation is monotone).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.common.errors import NotInMemoryError
 from repro.common.ids import DBA, ObjectId, TenantId
-from repro.common.scn import SCN
+from repro.common.scn import NULL_SCN, SCN
 from repro.imcs.compression import GlobalDictionary
 from repro.imcs.expressions import Expression, ExpressionSet
-from repro.imcs.imcu import IMCU
+from repro.imcs.imcu import IMCU, ROW_KEY_SHIFT, row_keys
 from repro.imcs.smu import SMU
 from repro.rowstore.table import Partition, Table
 
 
 @dataclass(slots=True)
+class InvalidationGroup:
+    """A batch of invalidations for one object, applied at one commitSCN.
+
+    ``keys`` are the invalidated rows as sorted, distinct
+    :func:`~repro.imcs.imcu.row_keys`; ``whole_blocks`` the sorted DBAs
+    invalidated wholesale (none of whose rows appear in ``keys``).
+    Groups are the unit of routing -- local application or one
+    interconnect message entry on RAC -- and of listener notification.
+    """
+
+    object_id: ObjectId
+    tenant: TenantId
+    commit_scn: SCN
+    keys: np.ndarray
+    whole_blocks: np.ndarray
+
+    @property
+    def blocks(self) -> dict[DBA, tuple[int, ...]]:
+        """DBA -> tuple of slots (empty tuple = whole block), in DBA
+        order: the group as readers that walk it block by block see it."""
+        out: dict[DBA, list[int]] = {
+            dba: [] for dba in self.whole_blocks.tolist()
+        }
+        for dba, slot in zip(
+            (self.keys >> ROW_KEY_SHIFT).tolist(),
+            (self.keys & ((1 << ROW_KEY_SHIFT) - 1)).tolist(),
+        ):
+            out.setdefault(dba, []).append(slot)
+        return {dba: tuple(out[dba]) for dba in sorted(out)}
+
+
+@dataclass(slots=True)
 class _PendingInvalidation:
+    """Invalidations of one block parked for want of a unit."""
+
     dba: DBA
-    slots: tuple[int, ...]  # empty tuple = whole block
-    scn: SCN
+    #: Row keys, or None for the whole block.
+    keys: Optional[np.ndarray]
+    #: Each key's own commitSCN (the whole block's one): a unit registering
+    #: later applies only what is newer than its data.
+    scns: np.ndarray
 
 
 @dataclass(slots=True)
@@ -76,6 +115,9 @@ class InMemoryColumnStore:
     def __init__(self, pool_size_bytes: Optional[int] = None) -> None:
         self.pool_size_bytes = pool_size_bytes
         self._segments: dict[ObjectId, InMemorySegment] = {}
+        #: Sorted enabled object ids + one sentinel, for
+        #: :meth:`enabled_mask`; rebuilt after enable / disable.
+        self._enabled_ids: Optional[np.ndarray] = None
         # statistics
         self._rows_invalidated = obs.counter("imcs.rows_invalidated")
         self._coarse_invalidations = obs.counter("imcs.coarse_invalidations")
@@ -105,6 +147,7 @@ class InMemoryColumnStore:
                 priority=priority,
             )
             self._segments[partition.object_id] = segment
+        self._enabled_ids = None
         assert segment is not None
         return segment
 
@@ -136,6 +179,7 @@ class InMemoryColumnStore:
         """ALTER ... NO INMEMORY: drop units and forget the object."""
         self.drop_units(object_id)
         self._segments.pop(object_id, None)
+        self._enabled_ids = None
 
     def is_enabled(self, object_id: ObjectId) -> bool:
         return object_id in self._segments
@@ -143,6 +187,18 @@ class InMemoryColumnStore:
     @property
     def enabled_object_ids(self) -> set[ObjectId]:
         return set(self._segments)
+
+    def enabled_mask(self, object_ids: np.ndarray) -> np.ndarray:
+        """Which of ``object_ids`` are enabled -- the miner's per-chunk
+        filter: one binary search however many objects are enabled."""
+        ids = self._enabled_ids
+        if ids is None:
+            # a miss past the last id lands on the sentinel, which no
+            # object id equals
+            ids = self._enabled_ids = np.array(
+                [*sorted(self._segments), np.iinfo(np.int64).min]
+            )
+        return ids[np.searchsorted(ids[:-1], object_ids)] == object_ids
 
     def segment(self, object_id: ObjectId) -> InMemorySegment:
         try:
@@ -163,17 +219,37 @@ class InMemoryColumnStore:
         indexes its DBA coverage (replacing any older unit over the same
         range -- repopulation swap).
         """
-        segment = self.segment(imcu.object_id)
         smu = SMU(imcu)
+        # covered + at or below the snapshot: already in the IMCU's data
+        self._install(smu, pending_above=imcu.snapshot_scn)
+        return smu
+
+    def _install(self, smu: SMU, pending_above: SCN) -> None:
+        """Apply the covered pending invalidations newer than
+        ``pending_above`` to ``smu``, then index its DBA coverage."""
+        imcu = smu.imcu
+        segment = self.segment(imcu.object_id)
         still_pending = []
+        rows, rows_scn = [], NULL_SCN
         for record in segment.pending:
             if not imcu.covers_dba(record.dba):
                 still_pending.append(record)
                 continue
-            if record.scn > imcu.snapshot_scn:
-                self._apply_to_smu(smu, record.dba, record.slots, record.scn)
-            # covered + older than snapshot: already in the IMCU's data
+            newer = record.scns > pending_above
+            if not newer.any():
+                continue
+            scn = int(record.scns.max())
+            if record.keys is None:
+                smu.invalidate_block(record.dba, scn)
+                self._rows_invalidated.inc()
+            else:
+                rows.append(record.keys[newer])
+                rows_scn = max(rows_scn, scn)
         segment.pending = still_pending
+        if rows:
+            self._rows_invalidated.inc(
+                smu.invalidate_keys(np.unique(np.concatenate(rows)), rows_scn)
+            )
 
         replaced: dict[int, SMU] = {}
         for dba in imcu.covered_dbas:
@@ -188,7 +264,6 @@ class InMemoryColumnStore:
                 unit for unit in segment.units if id(unit) not in replaced
             ]
         segment.units.append(smu)
-        return smu
 
     def _carry_invalidations(self, old: SMU, smu: SMU) -> None:
         """Preserve invalidations a repopulation swap would otherwise lose.
@@ -199,7 +274,7 @@ class InMemoryColumnStore:
         tracks only a boolean mask plus the highest invalidation SCN, so
         when that SCN exceeds the new snapshot the old unit's mask is
         carried over at its exact granularity -- row-level bits as one
-        batched :meth:`SMU.invalidate_slots` call, block-level records as
+        :meth:`SMU.invalidate_keys` call, block-level records as
         whole blocks (they may cover slots the old unit never captured).
         Extra invalid rows merely fall back to the row store, while a
         missed one would serve stale data forever.
@@ -222,13 +297,10 @@ class InMemoryColumnStore:
             if smu.imcu.covers_dba(dba):
                 smu.invalidate_block(dba, scn)
                 self._rows_invalidated.inc()
-        batches = [
-            (dba, tuple(slots))
-            for dba, slots in old.invalid_row_slots().items()
-            if smu.imcu.covers_dba(dba)
-        ]
-        if batches:
-            self._rows_invalidated.inc(smu.invalidate_slots(batches, scn))
+        keys = old.invalid_row_keys()
+        keys = keys[np.isin(keys >> ROW_KEY_SHIFT, smu.imcu.covered_dbas)]
+        if keys.size:
+            self._rows_invalidated.inc(smu.invalidate_keys(keys, scn))
 
     def restore_unit(
         self,
@@ -247,33 +319,12 @@ class InMemoryColumnStore:
         population snapshot, so no parked record can be assumed already
         reflected in it.
         """
-        segment = self.segment(imcu.object_id)
         smu = SMU(imcu)
         smu.restore_validity(
             invalid_rows, invalid_blocks, fully_invalid,
             last_invalidation_scn,
         )
-        still_pending = []
-        for record in segment.pending:
-            if not imcu.covers_dba(record.dba):
-                still_pending.append(record)
-                continue
-            self._apply_to_smu(smu, record.dba, record.slots, record.scn)
-        segment.pending = still_pending
-
-        replaced: dict[int, SMU] = {}
-        for dba in imcu.covered_dbas:
-            old = segment.dba_to_unit.get(dba)
-            if old is not None:
-                replaced.setdefault(id(old), old)
-            segment.dba_to_unit[dba] = smu
-        for old in replaced.values():
-            self._carry_invalidations(old, smu)
-        if replaced:
-            segment.units = [
-                unit for unit in segment.units if id(unit) not in replaced
-            ]
-        segment.units.append(smu)
+        self._install(smu, pending_above=NULL_SCN)
         return smu
 
     def drop_units(self, object_id: ObjectId) -> int:
@@ -318,60 +369,94 @@ class InMemoryColumnStore:
         If the covering unit does not exist yet the record is parked in the
         object's pending list (see module docstring).
         """
-        segment = self._segments.get(object_id)
-        if segment is None:
-            return  # not enabled here: nothing to maintain
+        rows = row_keys(dba, np.array(slots, dtype=np.int64))
+        self.invalidate_groups([
+            InvalidationGroup(
+                object_id, 0, scn, np.unique(rows),
+                np.array(() if slots else (dba,), dtype=np.int64),
+            )
+        ])
+
+    def invalidate_groups(self, groups: Sequence[InvalidationGroup]) -> None:
+        """Apply invalidation groups -- typically everything one worklink
+        drain call gathered -- each at its own commitSCN.
+
+        Per object, every group's rows are resolved together: one sort
+        puts them in row-key order (a row named by several groups keeps
+        its highest commitSCN), and each touched SMU gets a single
+        :meth:`SMU.invalidate_keys` call -- one ``searchsorted``, one
+        epoch bump and one mask write however many transactions the drain
+        holds.  Rows and whole blocks without a covering unit park in the
+        pending list with their own commitSCN.
+        """
+        by_object: dict[ObjectId, list[InvalidationGroup]] = {}
+        for group in groups:
+            by_object.setdefault(group.object_id, []).append(group)
+        for object_id, of_object in by_object.items():
+            segment = self._segments.get(object_id)
+            if segment is None:
+                continue  # not enabled here: nothing to maintain
+            self._invalidate_rows(
+                segment,
+                np.concatenate([g.keys for g in of_object]),
+                np.repeat(
+                    [g.commit_scn for g in of_object],
+                    [g.keys.size for g in of_object],
+                ),
+            )
+            for group in of_object:
+                for dba in group.whole_blocks.tolist():
+                    self._invalidate_block(segment, dba, group.commit_scn)
+
+    def _invalidate_rows(
+        self, segment: InMemorySegment, keys: np.ndarray, scns: np.ndarray
+    ) -> None:
+        #: per touched SMU -- or, for want of one, per block: (the SMU,
+        #: its distinct keys, each one's commitSCN)
+        targets: dict[tuple[bool, int], tuple[Optional[SMU], list, list]] = {}
+        last = dba = None
+        # descending, so that a row named more than once comes with its
+        # highest commitSCN first; one pass in plain Python beats cutting
+        # a drain's few hundred keys per block and unit with numpy calls
+        order = np.lexsort((scns, keys))[::-1]
+        for key, scn in zip(keys[order].tolist(), scns[order].tolist()):
+            if key == last:
+                continue
+            last = key
+            if key >> ROW_KEY_SHIFT != dba:
+                dba = key >> ROW_KEY_SHIFT
+                smu = segment.dba_to_unit.get(dba)
+                if smu is None or smu.dropped:
+                    target = targets[True, dba] = (None, [], [])
+                else:
+                    target = targets.setdefault(
+                        (False, id(smu)), (smu, [], [])
+                    )
+            target[1].append(key)
+            target[2].append(scn)
+        for (__, dba), (smu, of_target, own) in targets.items():
+            if smu is None:
+                segment.pending.append(
+                    _PendingInvalidation(
+                        dba, np.array(of_target), np.array(own)
+                    )
+                )
+            else:
+                self._rows_invalidated.inc(
+                    smu.invalidate_keys(np.array(of_target), max(own))
+                )
+
+    def _invalidate_block(
+        self, segment: InMemorySegment, dba: DBA, scn: SCN
+    ) -> None:
         smu = segment.dba_to_unit.get(dba)
         if smu is None or smu.dropped:
-            segment.pending.append(_PendingInvalidation(dba, slots, scn))
-            return
-        self._apply_to_smu(smu, dba, slots, scn)
-
-    def invalidate_many(
-        self,
-        object_id: ObjectId,
-        blocks: dict[DBA, tuple[int, ...]],
-        scn: SCN,
-    ) -> None:
-        """Apply a whole invalidation group's blocks at one commitSCN.
-
-        Slot-level records for the same SMU are batched into a single
-        :meth:`SMU.invalidate_slots` call -- one epoch bump and one mask
-        write per SMU instead of one per row, which is what keeps the
-        cooperative-flush drain on the QuerySCN critical path O(groups).
-        Blocks without a covering unit park in the pending list exactly
-        like :meth:`invalidate`.
-        """
-        segment = self._segments.get(object_id)
-        if segment is None:
-            return  # not enabled here: nothing to maintain
-        dba_to_unit = segment.dba_to_unit
-        pending = segment.pending
-        batches: dict[int, tuple[SMU, list[tuple[DBA, tuple[int, ...]]]]] = {}
-        for dba, slots in blocks.items():
-            smu = dba_to_unit.get(dba)
-            if smu is None or smu.dropped:
-                pending.append(_PendingInvalidation(dba, slots, scn))
-            elif not slots:
-                smu.invalidate_block(dba, scn)
-                self._rows_invalidated.inc()
-            else:
-                entry = batches.get(id(smu))
-                if entry is None:
-                    batches[id(smu)] = (smu, [(dba, slots)])
-                else:
-                    entry[1].append((dba, slots))
-        for smu, batch in batches.values():
-            self._rows_invalidated.inc(smu.invalidate_slots(batch, scn))
-
-    def _apply_to_smu(
-        self, smu: SMU, dba: DBA, slots: tuple[int, ...], scn: SCN
-    ) -> None:
-        if not slots:
+            segment.pending.append(
+                _PendingInvalidation(dba, None, np.array([scn]))
+            )
+        else:
             smu.invalidate_block(dba, scn)
             self._rows_invalidated.inc()
-            return
-        self._rows_invalidated.inc(smu.invalidate_slots([(dba, slots)], scn))
 
     def invalidate_object(self, object_id: ObjectId, scn: SCN) -> None:
         segment = self._segments.get(object_id)

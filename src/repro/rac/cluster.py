@@ -16,7 +16,9 @@ instance and acknowledges the same to the master" (paper, III-F).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.common.config import SystemConfig
@@ -24,9 +26,10 @@ from repro.common.ids import DBA, InstanceId, ObjectId, TenantId
 from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.adg.queryscn import QuerySCNPublisher
-from repro.dbim_adg.flush import InvalidationGroup
+from repro.dbim_adg.flush import CoarseInvalidation, InvalidationGroup
 from repro.imcs.population import PopulationEngine, PopulationWorker
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult
+from repro.imcs.imcu import ROW_KEY_SHIFT
 from repro.imcs.store import InMemoryColumnStore, InMemorySegment
 from repro.rac.home_location import HomeLocationMap
 from repro.rac.messaging import Interconnect
@@ -158,11 +161,8 @@ class StandbySatellite:
     def _apply_staged(self) -> None:
         """Flush staged invalidation groups to this instance's SMUs."""
         for batch in self._staged:
-            for group in batch.groups:
-                self.imcs.invalidate_many(
-                    group.object_id, group.blocks, group.commit_scn
-                )
-                self._groups_received.inc()
+            self.imcs.invalidate_groups(batch.groups)
+            self._groups_received.inc(len(batch.groups))
             for tenant, scn in batch.coarse_tenants:
                 self.imcs.invalidate_tenant(tenant, scn)
         self._staged.clear()
@@ -219,27 +219,48 @@ class RemoteInvalidationRouter:
         )
 
     # -- router interface (used by InvalidationFlushComponent) -----------
-    def route(self, group: InvalidationGroup) -> None:
-        split = self.home_map.split_by_home(
-            group.object_id, list(group.blocks)
-        )
-        for instance, dbas in split.items():
-            sub_blocks = {dba: group.blocks[dba] for dba in dbas}
-            if instance == self.master_instance_id:
-                self.master_store.invalidate_many(
-                    group.object_id, sub_blocks, group.commit_scn
-                )
-                self._groups_routed_local.inc()
-            else:
-                sub = InvalidationGroup(
-                    group.object_id, group.tenant, group.commit_scn,
-                    sub_blocks,
-                )
-                self._buffer(instance).groups.append(sub)
-                self._groups_routed_remote.inc()
-                self._maybe_flush_buffer(instance)
+    def route(
+        self, ops: Sequence[InvalidationGroup | CoarseInvalidation]
+    ) -> None:
+        """Route one drain call's invalidations in order: a group's
+        blocks go to their home instances -- the master's shares all in
+        one store call at the end, the others as sub-groups on the
+        interconnect -- and a coarse one goes everywhere."""
+        local: list[InvalidationGroup] = []
+        for op in ops:
+            if isinstance(op, CoarseInvalidation):
+                self._route_coarse(op.tenant, op.commit_scn)
+                continue
+            for instance, sub in self._split_by_home(op).items():
+                if instance == self.master_instance_id:
+                    local.append(sub)
+                    self._groups_routed_local.inc()
+                else:
+                    self._buffer(instance).groups.append(sub)
+                    self._groups_routed_remote.inc()
+                    self._maybe_flush_buffer(instance)
+        self.master_store.invalidate_groups(local)
 
-    def route_coarse(self, tenant: TenantId, scn: SCN) -> None:
+    def _split_by_home(
+        self, group: InvalidationGroup
+    ) -> dict[InstanceId, InvalidationGroup]:
+        key_dbas = group.keys >> ROW_KEY_SHIFT
+        split = self.home_map.split_by_home(
+            group.object_id,
+            np.union1d(key_dbas, group.whole_blocks).tolist(),
+        )
+        return {
+            instance: InvalidationGroup(
+                group.object_id,
+                group.tenant,
+                group.commit_scn,
+                group.keys[np.isin(key_dbas, dbas)],
+                group.whole_blocks[np.isin(group.whole_blocks, dbas)],
+            )
+            for instance, dbas in split.items()
+        }
+
+    def _route_coarse(self, tenant: TenantId, scn: SCN) -> None:
         self.master_store.invalidate_tenant(tenant, scn)
         for instance in self.home_map.instances:
             if instance == self.master_instance_id:

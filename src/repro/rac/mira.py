@@ -50,7 +50,7 @@ from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.flush import InvalidationGroup, gather_groups
+from repro.dbim_adg.flush import routing_ops
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.imcs.population import PopulationEngine, PopulationWorker
@@ -277,16 +277,13 @@ class MIRACoordinator(Actor):
             cost += 5e-6
         advancement = self._advancing
         # drain a batch of worklink nodes
-        flushed = 0
-        while (
-            advancement.position < len(advancement.worklink)
-            and flushed < self.flush_batch
-        ):
-            node = advancement.worklink[advancement.position]
-            self._flush_node(node)
-            advancement.position += 1
-            flushed += 1
-            self._nodes_flushed.inc()
+        nodes = advancement.worklink[
+            advancement.position : advancement.position + self.flush_batch
+        ]
+        self._flush_nodes(nodes)
+        flushed = len(nodes)
+        advancement.position += flushed
+        self._nodes_flushed.inc(flushed)
         cost += 1e-6 * max(flushed, 1)
         if advancement.position < len(advancement.worklink):
             return cost
@@ -315,23 +312,27 @@ class MIRACoordinator(Actor):
         return cost + 2e-6
 
     # ------------------------------------------------------------------
-    def _flush_node(self, node: CommitTableNode) -> None:
+    def _flush_nodes(self, nodes: list[CommitTableNode]) -> None:
+        """Gather and route one step's nodes together (the step is
+        atomic, as a flush component's drain call is), then retire their
+        anchors everywhere."""
         cluster = self.cluster
-        if node.coarse:
-            cluster.router.route_coarse(node.tenant, node.commit_scn)
-        else:
-            groups = self._gather_groups(node)
-            for group in groups:
-                cluster.router.route(group)
-        for instance in cluster.instances:
-            # bounded retry + latch recovery: a holder observed here can
-            # only be a crashed worker (see IMADGJournal.remove_with_recovery)
-            instance.journal.remove_with_recovery(node.xid, self)
+        cluster.router.route([
+            op
+            for of_node in routing_ops(nodes, self._chunks_of)
+            for op in of_node
+        ])
         tracer = obs.tracer_of(self._obs)
-        if tracer is not None:
-            tracer.record_flushed(node.commit_scn)
+        for node in nodes:
+            for instance in cluster.instances:
+                # bounded retry + latch recovery: a holder observed here
+                # can only be a crashed worker (see
+                # IMADGJournal.remove_with_recovery)
+                instance.journal.remove_with_recovery(node.xid, self)
+            if tracer is not None:
+                tracer.record_flushed(node.commit_scn)
 
-    def _gather_groups(self, node: CommitTableNode) -> list[InvalidationGroup]:
+    def _chunks_of(self, node: CommitTableNode) -> list[RecordChunk]:
         """Collect the transaction's records from *every* instance's
         journal -- the MIRA-specific twist: data CVs were mined wherever
         they were applied."""
@@ -347,7 +348,7 @@ class MIRACoordinator(Actor):
             chunks.extend(mined)
         if gathered_remote:
             self._cross_instance_gathers.inc()
-        return gather_groups(chunks, node.commit_scn)
+        return chunks
 
     def _process_ddl(self, target: SCN) -> None:
         cluster = self.cluster
@@ -483,10 +484,7 @@ class MIRAStandbyCluster:
 
         def receive(from_instance, payload):
             if isinstance(payload, _InvalidationBatch):
-                for group in payload.groups:
-                    instance.imcs.invalidate_many(
-                        group.object_id, group.blocks, group.commit_scn
-                    )
+                instance.imcs.invalidate_groups(payload.groups)
                 for tenant, scn in payload.coarse_tenants:
                     instance.imcs.invalidate_tenant(tenant, scn)
                 self.interconnect.send(

@@ -53,32 +53,26 @@ from repro.redo.records import (
 OP_CODE: dict[CVOp, int] = {op: i for i, op in enumerate(CVOp)}
 OPS_BY_CODE: tuple[CVOp, ...] = tuple(CVOp)
 
-#: Data ops the miner bulk-ingests; UNDO/HEARTBEAT carry nothing minable.
-BULK_DATA_CODES = frozenset(
-    OP_CODE[op]
-    for op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.TRUNCATE)
-)
-#: Ops the miner must process one at a time, in order (transaction state
-#: machine + DDL information table).
-SPECIAL_CODES = frozenset(
-    OP_CODE[op]
-    for op in (
-        CVOp.TXN_BEGIN,
-        CVOp.TXN_PREPARE,
-        CVOp.TXN_COMMIT,
-        CVOp.TXN_ABORT,
-        CVOp.DDL_MARKER,
-    )
-)
-
-#: Op-code -> bool lookup arrays for vectorized op classification
-#: (index with an int8 ops array to get a boolean mask).
-BULK_DATA_LOOKUP = np.zeros(len(OPS_BY_CODE), dtype=bool)
-for _code in BULK_DATA_CODES:
-    BULK_DATA_LOOKUP[_code] = True
-SPECIAL_LOOKUP = np.zeros(len(OPS_BY_CODE), dtype=bool)
-for _code in SPECIAL_CODES:
-    SPECIAL_LOOKUP[_code] = True
+#: How the miner treats each op: ``MINE_DATA`` ops are journaled in bulk,
+#: ``MINE_SPECIAL`` ops (the transaction state machine + the DDL
+#: information table) are processed one at a time, in order; everything
+#: else carries nothing minable.  UNDO restores rows to their committed
+#: state, which is what the IMCU already holds.  A TRUNCATE's IMCU drop
+#: rides its DDL marker (processed at QuerySCN advancement); journaling
+#: the block-wipe CV would anchor it under the system xid -- which never
+#: commits, so the anchor would pin the journal floor forever.
+MINE_DATA, MINE_SPECIAL = 1, 2
+MINE_CLASS = np.zeros(len(OPS_BY_CODE), dtype=np.int8)
+for _op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE):
+    MINE_CLASS[OP_CODE[_op]] = MINE_DATA
+for _op in (
+    CVOp.TXN_BEGIN,
+    CVOp.TXN_PREPARE,
+    CVOp.TXN_COMMIT,
+    CVOp.TXN_ABORT,
+    CVOp.DDL_MARKER,
+):
+    MINE_CLASS[OP_CODE[_op]] = MINE_SPECIAL
 
 #: xid encoding: (instance << 40) | sequence fits both components of a
 #: :class:`TransactionId` into one int64 array element.
@@ -99,10 +93,7 @@ def encode_xid(xid: TransactionId) -> int:
 
 
 def decode_xid(code: int) -> TransactionId:
-    return TransactionId(
-        instance=code >> _XID_SHIFT,
-        sequence=code & ((1 << _XID_SHIFT) - 1),
-    )
+    return TransactionId(code >> _XID_SHIFT, code & ((1 << _XID_SHIFT) - 1))
 
 
 class _RecordView:
@@ -138,6 +129,8 @@ class CVBatch:
         "cvs",
         "record_starts",
         "record_scns",
+        "_mine_class",
+        "_mined_columns",
     )
 
     def __init__(
@@ -165,6 +158,8 @@ class CVBatch:
         self.cvs = cvs
         self.record_starts = record_starts
         self.record_scns = record_scns
+        self._mine_class: Optional[np.ndarray] = None
+        self._mined_columns: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -256,6 +251,36 @@ class CVBatch:
         return int(self.record_scns[-1])
 
     # ------------------------------------------------------------------
+    # A batch is immutable and shared by every worker's chunk of it (and
+    # by every fleet member), so what mining derives from it alone is
+    # derived once.
+    @property
+    def mine_class(self) -> np.ndarray:
+        """Per-CV ``MINE_CLASS`` of the op."""
+        if self._mine_class is None:
+            self._mine_class = MINE_CLASS[self.ops]
+        return self._mine_class
+
+    @property
+    def mined_columns(self) -> np.ndarray:
+        """What the miner reads of a data CV as one ``(6, n_cvs)`` matrix,
+        so a chunk's share is one gather: the four rows of a
+        :class:`~repro.dbim_adg.journal.RecordChunk` (``slots``, ``dbas``,
+        ``object_ids``, ``scns``), then ``xids`` and ``tenants``."""
+        if self._mined_columns is None:
+            self._mined_columns = np.concatenate(
+                (
+                    self.slots,
+                    self.dbas,
+                    self.object_ids,
+                    self.scns,
+                    self.xids,
+                    self.tenants,
+                )
+            ).reshape(6, -1)
+        return self._mined_columns
+
+    # ------------------------------------------------------------------
     def slice_records(self, lo: int, hi: int) -> "CVBatch":
         """The sub-batch covering records ``[lo, hi)`` (array views)."""
         starts = self.record_starts
@@ -316,9 +341,10 @@ class CVChunk:
     ``indices`` selects this worker's CVs (in SCN order) out of the
     batch; ``pos`` is the apply cursor and ``mined_pos`` the mining
     cursor.  The whole chunk is mined before any of it is applied
-    (sniff-then-apply at chunk scale); ``mined_xids`` and
-    ``pending_commits`` carry partial bulk-mine progress across
-    latch-miss retries, so nothing is mined twice.
+    (sniff-then-apply at chunk scale): first every data CV at once, then
+    the specials in order.  ``data_mined``, ``mined_xids`` and
+    ``pending_commits`` carry partial progress across latch-miss
+    retries, so nothing is mined twice.
     """
 
     __slots__ = (
@@ -326,6 +352,7 @@ class CVChunk:
         "indices",
         "pos",
         "mined_pos",
+        "data_mined",
         "mined_xids",
         "pending_commits",
         "stats_noted",
@@ -341,7 +368,10 @@ class CVChunk:
         #: True once the miner's batch-size histogram saw this chunk
         #: (kept across latch-miss retries and restarts).
         self.stats_noted = False
-        #: xid codes bulk-mined within the current data gap (partial
+        #: True once every data CV from ``mined_pos`` on is journaled;
+        #: ``mined_pos`` then walks the specials.
+        self.data_mined = False
+        #: xid codes already journaled by an unfinished data pass (partial
         #: progress on a latch-miss retry), or None.
         self.mined_xids: Optional[set[int]] = None
         #: Commit-table nodes built but not yet inserted (deferred to one
@@ -375,5 +405,6 @@ class CVChunk:
         """Instance restart: the journal was cleared, so everything not
         yet applied must be re-mined at apply time."""
         self.mined_pos = self.pos
+        self.data_mined = False
         self.mined_xids = None
         self.pending_commits = None

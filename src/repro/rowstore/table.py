@@ -200,9 +200,10 @@ class Table:
         new_values = list(old_values)
         for column, value in changes.items():
             i = self.schema.column_index(column)
+            # every other cell was validated when it was written
+            self.schema.validate_value(self.schema.columns[i], value)
             new_values[i] = value
         new_tuple = tuple(new_values)
-        self.schema.validate_row(new_tuple)
         block.write_slot(rowid.slot, new_tuple, xid, scn)
         for column, index in self.indexes.items():
             if column in changes:

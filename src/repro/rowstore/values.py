@@ -42,6 +42,12 @@ class Column:
         return self.ctype.validate(value)
 
 
+def _invalid(col: Column, value: object) -> ValueError:
+    return ValueError(
+        f"value {value!r} invalid for column {col.name} ({col.ctype.value})"
+    )
+
+
 @dataclass(slots=True)
 class Schema:
     """An ordered set of columns.
@@ -106,10 +112,12 @@ class Schema:
             if col.name in self._dropped:
                 continue
             if not col.validate(value):
-                raise ValueError(
-                    f"value {value!r} invalid for column {col.name} "
-                    f"({col.ctype.value})"
-                )
+                raise _invalid(col, value)
+
+    def validate_value(self, col: Column, value: object) -> None:
+        """Raise ``ValueError`` unless ``value`` is storable in ``col``."""
+        if not col.validate(value):
+            raise _invalid(col, value)
 
     def project(self, values: tuple, names: list[str]) -> tuple:
         """Extract the named columns from a stored row tuple."""

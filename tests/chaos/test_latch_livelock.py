@@ -1,8 +1,8 @@
 """Chaos regression for the journal-latch livelock.
 
 A recovery worker crashing while it holds an IM-ADG Journal bucket latch
-(CrashActor mid-mine) used to livelock `InvalidationFlushComponent
-._flush_one` -- and with it QuerySCN advancement -- forever.  The flush
+(CrashActor mid-mine) used to livelock the `InvalidationFlushComponent`
+drain -- and with it QuerySCN advancement -- forever.  The flush
 now spins a bounded number of times and then breaks the dead holder's
 latch (PMON-style latch recovery), so advancement completes.
 """

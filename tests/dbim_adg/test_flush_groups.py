@@ -1,5 +1,5 @@
-"""Regression tests for invalidation-group gathering (`_gather_groups`),
-the journal-latch livelock in `_flush_one`, and commit-table chop order.
+"""Regression tests for invalidation-group gathering (`gather_groups`),
+the journal-latch livelock in the flush drain, and commit-table chop order.
 
 The gathering bug: when a group reached ``group_block_limit``, a record
 for a DBA *already present* in the full group used to spawn a fresh
@@ -8,6 +8,8 @@ group instead of merging -- splitting one block's slot set across groups
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.dbim_adg import (
     InvalidationFlushComponent,
 )
 from repro.dbim_adg.commit_table import CommitTableNode
+from repro.dbim_adg.flush import Worklink, gather_groups
 from repro.dbim_adg.journal import AnchorNode
 from repro.imcs import InMemoryColumnStore
 from tests.helpers import MinedRecord, add_records
@@ -46,6 +49,20 @@ def node_with_records(records, commit_scn=100):
     )
 
 
+def gather(flush, node):
+    """One node's groups (a drain of width 1)."""
+    (groups,) = gather_groups(
+        [(node.commit_scn, node.anchor.chunks())], flush.group_block_limit
+    )
+    return groups
+
+
+def flush_one(flush, node):
+    """Drain a worklink holding just ``node``."""
+    flush.worklink = Worklink(node.commit_scn, deque([node]))
+    assert flush.coordinator_flush(1) == 1
+
+
 def rec(dba, slots, object_id=900, scn=50):
     return MinedRecord(
         object_id=object_id, dba=dba, slots=tuple(slots), tenant=0, scn=scn
@@ -71,7 +88,7 @@ class TestGatherGroups:
             rec(2, (5,)),      # group now at the limit
             rec(1, ()),        # whole-block for an already-placed DBA
         ])
-        groups = flush._gather_groups(node)
+        groups = gather(flush, node)
         assert len(groups) == 1
         assert groups[0].blocks == {1: (), 2: (5,)}
 
@@ -81,7 +98,7 @@ class TestGatherGroups:
         for round_ in range(3):
             for dba in (1, 2, 3, 4, 5):
                 records.append(rec(dba, (round_,)))
-        groups = flush._gather_groups(node_with_records(records))
+        groups = gather(flush, node_with_records(records))
         where = dba_assignments(groups)
         doubled = {k: len(v) for k, v in where.items() if len(v) > 1}
         assert not doubled, f"DBAs routed twice: {doubled}"
@@ -92,7 +109,7 @@ class TestGatherGroups:
 
     def test_limit_one_one_group_per_dba(self):
         __, flush = make_flush(group_block_limit=1)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (0,)), rec(2, (0,)), rec(1, (3,)), rec(3, ()),
             rec(2, ()),
         ]))
@@ -109,7 +126,7 @@ class TestGatherGroups:
         whole-block records for DBAs of the *first* group must still
         reach the first group."""
         __, flush = make_flush(group_block_limit=2)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (1,)), rec(2, (2,)),   # group A (full)
             rec(3, (3,)),                 # group B (split point)
             rec(1, ()),                   # must merge into A
@@ -122,7 +139,7 @@ class TestGatherGroups:
 
     def test_groups_split_per_object_independently(self):
         __, flush = make_flush(group_block_limit=2)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (0,), object_id=900),
             rec(1, (0,), object_id=901),
             rec(2, (0,), object_id=900),
@@ -141,14 +158,14 @@ class TestGatherGroups:
             [rec(1, (0,)), rec(2, (0,)), rec(1, (4,))]
         )
         journal.get_or_create(XID, 0, object())  # so removal succeeds
-        flush._flush_one(node)
+        flush_one(flush, node)
         assert flush.router.groups_routed == 2  # one per distinct DBA
 
 
 class TestFlushLatchRecovery:
     def test_flush_one_breaks_dead_holders_latch(self):
         """A crashed worker holding the journal bucket latch used to
-        livelock `_flush_one` forever; now the latch is broken after a
+        livelock the flush drain forever; now the latch is broken after a
         bounded spin and advancement proceeds."""
         journal, flush = make_flush()
         journal.get_or_create(XID, 0, object())
@@ -157,7 +174,7 @@ class TestFlushLatchRecovery:
         assert journal.latches.latch_for(bucket).try_acquire(dead_worker)
 
         node = node_with_records([rec(1, (0,))])
-        flush._flush_one(node)  # must terminate
+        flush_one(flush, node)  # must terminate
 
         assert journal.latch_breaks == 1
         assert journal.anchor_count == 0

@@ -307,17 +307,15 @@ class TestFloorHeap:
         assert journal.min_first_scn() == 99
 
     def test_batch_adds_feed_the_heap(self):
-        import numpy as np
-
         journal = IMADGJournal(8)
         anchor = journal.get_or_create(xid(1), 0, object())
-        anchor.add_batch(
+        add_records(
+            anchor,
             0,
-            np.array([9, 9], dtype=np.int64),
-            np.array([5, 6], dtype=np.int64),
-            np.array([0, 1], dtype=np.int64),
-            np.array([42, 17], dtype=np.int64),
-            tenant=0,
+            [
+                MinedRecord(9, 5, (0,), 0, 42),
+                MinedRecord(9, 6, (1,), 0, 17),
+            ],
         )
         assert anchor.first_scn == 17
         assert journal.min_first_scn() == 17

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.dbim_adg.journal import AnchorNode
+from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.records import ChangeVector, RedoRecord
@@ -84,15 +84,14 @@ def records_of(
     out = []
     for chunks in areas:
         for chunk in chunks:
-            for i in range(len(chunk)):
-                slot = int(chunk.slots[i])
+            for slot, dba, object_id, scn in chunk.columns.T.tolist():
                 out.append(
                     MinedRecord(
-                        int(chunk.object_ids[i]),
-                        int(chunk.dbas[i]),
+                        object_id,
+                        dba,
                         (slot,) if slot >= 0 else (),
                         chunk.tenant,
-                        int(chunk.scns[i]),
+                        scn,
                     )
                 )
     return out
@@ -108,7 +107,12 @@ def add_records(
         for r in records
         for slot in (r.slots or (-1,))
     ]
-    object_ids, dbas, slots, scns = (
-        np.array(column, dtype=np.int64) for column in zip(*rows)
+    object_ids, dbas, slots, scns = zip(*rows)
+    anchor.add_chunk(
+        worker_id,
+        RecordChunk(
+            np.array([slots, dbas, object_ids, scns], dtype=np.int64),
+            anchor.tenant,
+        ),
+        min(scns),
     )
-    anchor.add_batch(worker_id, object_ids, dbas, slots, scns, anchor.tenant)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.imcs.imcu import IMCU
+from repro.imcs.imcu import IMCU, row_keys
 from repro.imcs.store import InMemoryColumnStore
 
 from tests.imcs.conftest import load_rows
@@ -59,15 +59,10 @@ class TestCarryGranularity:
         # exactly the two stale rows, not the whole unit
         assert not new_smu.fully_invalid
         assert new_smu.invalid_count == 2
-        carried = {
-            (dba, slot)
-            for dba, slots in new_smu.invalid_row_slots().items()
-            for slot in slots
-        }
-        assert carried == {
-            (rowids[0].dba, rowids[0].slot),
-            (rowids[1].dba, rowids[1].slot),
-        }
+        assert new_smu.invalid_row_keys().tolist() == [
+            row_keys(rowids[0].dba, rowids[0].slot),
+            row_keys(rowids[1].dba, rowids[1].slot),
+        ]
         assert new_smu.last_invalidation_scn == snapshot + 60
 
     def test_block_level_records_carry_as_blocks(
@@ -180,9 +175,10 @@ class TestCarryOntoDeltaBuiltUnit:
         # the old row mask, verbatim: the absorbed bit rides along, which
         # costs one row-store fetch and is always safe
         assert rowids[3].dba == rowids[5].dba
-        assert new_smu.invalid_row_slots() == {
-            rowids[3].dba: [rowids[3].slot, rowids[5].slot]
-        }
+        assert new_smu.invalid_row_keys().tolist() == [
+            row_keys(rowids[3].dba, rowids[3].slot),
+            row_keys(rowids[5].dba, rowids[5].slot),
+        ]
         result = ScanEngine(store, txns).scan(wide_table, clock.current)
         by_id = {row[0]: row for row in result.rows}
         assert by_id[3][1] == -3.0 and by_id[5][1] == -5.0

@@ -22,14 +22,26 @@ cut into width-1 batches (one ``CVBatch.from_records([r])`` per record)
 must leave exactly the journal contents, commit-table order and journal
 floor that one wide batch leaves -- a single record really is a batch of
 width 1 through the same code.
+
+A third works on chunks built by hand, so that *one* worker chunk
+interleaves data CVs with begin / prepare / commit / abort / DDL marker /
+TRUNCATE / UNDO / heartbeat: the miner journals every data CV of a chunk
+before it walks the chunk's specials (DESIGN.md section 15, "Live
+widths"), and that reordering must leave what mining the same CVs one at a
+time leaves -- also when a bucket or partition latch is missed at *any*
+latched call of the chunk and the worker retries.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adg.apply import ApplyDistributor
+from repro.common import TransactionId
 from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.dbim_adg import (
@@ -39,9 +51,26 @@ from repro.dbim_adg import (
     MiningComponent,
 )
 from repro.dbim_adg.flush import InvalidationListener
+from repro.imcs import InMemoryColumnStore
+from repro.redo import (
+    ChangeVector,
+    CVOp,
+    CommitPayload,
+    DDLMarkerPayload,
+    DeletePayload,
+    InsertPayload,
+    RedoRecord,
+    TruncatePayload,
+    UndoPayload,
+    UpdatePayload,
+    ddl_marker_dba,
+    truncate_dba,
+    txn_table_dba,
+)
 from repro.redo.batch import CVBatch
+from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
-from tests.helpers import records_of
+from tests.helpers import chunk_of, records_of
 from tests.naive_miner import NaiveMiner
 
 
@@ -244,34 +273,53 @@ def test_flush_matches_naive_miner_at_every_publication(ops, seed):
 def mine_all(batches, imcs, n_workers=3):
     """Distribute the batches and mine every worker's chunks (worker by
     worker) into a fresh journal / commit table / DDL table."""
-    journal = IMADGJournal(16)
-    commit_table = IMADGCommitTable(4)
-    ddl_table = DDLInformationTable()
-    miner = MiningComponent(journal, commit_table, ddl_table, imcs)
     distributor = ApplyDistributor(n_workers)
     distributor.distribute(batches)
-    owner = object()
-    for worker_id, queue in enumerate(distributor.queues):
-        for chunk in queue:
-            assert miner.sniff_chunk(chunk, worker_id, owner)
-    anchors = {
-        xid: (
-            anchor.has_begin,
-            anchor.prepared,
-            anchor.first_scn,
-            {
-                worker: records_of(anchor, worker)
-                for worker in anchor.worker_chunks
-            },
+    return mine_chunks(distributor.queues, imcs)
+
+
+class Stack:
+    """A fresh journal / commit table / DDL table and their miner."""
+
+    def __init__(self, imcs) -> None:
+        self.journal = IMADGJournal(16)
+        self.commit_table = IMADGCommitTable(4)
+        self.ddl_table = DDLInformationTable()
+        self.miner = MiningComponent(
+            self.journal, self.commit_table, self.ddl_table, imcs
         )
-        for bucket in journal._buckets
-        for xid, anchor in bucket.items()
-    }
-    commits = [
-        (node.xid, node.commit_scn, node.coarse)
-        for node in commit_table.chop(10**18)
-    ]
-    return anchors, commits, journal.min_first_scn(), len(ddl_table)
+
+    def mined(self):
+        """Everything mining leaves behind, in comparable form."""
+        anchors = {
+            xid: (
+                anchor.has_begin,
+                anchor.prepared,
+                anchor.first_scn,
+                {
+                    worker: records_of(anchor, worker)
+                    for worker in anchor.worker_chunks
+                },
+            )
+            for bucket in self.journal._buckets
+            for xid, anchor in bucket.items()
+        }
+        floor = self.journal.min_first_scn()
+        commits = [
+            (node.xid, node.commit_scn, node.coarse, node.anchor is not None)
+            for node in self.commit_table.chop(10**18)
+        ]
+        return anchors, commits, floor, len(self.ddl_table)
+
+
+def mine_chunks(queues, imcs):
+    """Mine every worker's chunks, worker by worker."""
+    stack = Stack(imcs)
+    owner = object()
+    for worker_id, queue in enumerate(queues):
+        for chunk in queue:
+            assert stack.miner.sniff_chunk(chunk, worker_id, owner)
+    return stack.mined()
 
 
 @settings(
@@ -289,3 +337,347 @@ def test_width_one_batches_mine_like_one_wide_batch(ops, seed):
     wide = mine_all([CVBatch.from_records(records)], imcs)
     narrow = mine_all([CVBatch.from_records([r]) for r in records], imcs)
     assert narrow == wide
+
+
+# ----------------------------------------------------------------------
+# hand-built chunks: data interleaved with every kind of special
+# ----------------------------------------------------------------------
+ENABLED, NOT_ENABLED = 900, 902
+SYSTEM = TransactionId(1, 0)
+
+
+def enabled_store() -> InMemoryColumnStore:
+    store = InMemoryColumnStore()
+    store.enable(
+        Table(
+            "T",
+            Schema([Column("id", ColumnType.NUMBER, nullable=False)]),
+            BlockStore(),
+            object_id_allocator=lambda: ENABLED,
+        )
+    )
+    return store
+
+
+def control(op, xid):
+    return lambda scn: ChangeVector(op, txn_table_dba(1), 0, 0, xid)
+
+
+def commit(xid, flag):
+    return lambda scn: ChangeVector(
+        CVOp.TXN_COMMIT, txn_table_dba(1), 0, 0, xid, CommitPayload(scn, flag)
+    )
+
+
+@st.composite
+def data_cv(draw, xid):
+    object_id = draw(st.sampled_from([ENABLED, ENABLED, ENABLED, NOT_ENABLED]))
+    dba, slot = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    op, payload = draw(
+        st.sampled_from(
+            [
+                (CVOp.INSERT, InsertPayload(slot, ())),
+                (CVOp.UPDATE, UpdatePayload(slot, (), ())),
+                (CVOp.DELETE, DeletePayload(slot, ())),
+            ]
+        )
+    )
+    return lambda scn: ChangeVector(op, dba, object_id, 0, xid, payload)
+
+
+@st.composite
+def streams(draw) -> list[RedoRecord]:
+    """One redo thread: a few transactions' scripts -- [begin] data*
+    [prepare] (commit | abort undo* | still open) -- merged at random with
+    DDL markers, TRUNCATEs and heartbeats, each script in its own order
+    (so no data CV follows its transaction's commit or abort), cut into
+    records of 1-3 CVs."""
+    scripts = []
+    for sequence in range(1, draw(st.integers(1, 5)) + 1):
+        xid = TransactionId(1, sequence)
+        script = []
+        if draw(st.integers(0, 4)):  # mostly: a missing begin is III-E
+            script.append(control(CVOp.TXN_BEGIN, xid))
+        script += draw(st.lists(data_cv(xid), max_size=6))
+        ending = draw(
+            st.sampled_from(["commit", "commit", "prepared", "abort", "open"])
+        )
+        if ending == "prepared":
+            script.append(control(CVOp.TXN_PREPARE, xid))
+        if ending in ("commit", "prepared"):
+            flag = draw(st.sampled_from([True, False, None]))
+            script.append(commit(xid, flag))
+        elif ending == "abort":
+            script.append(control(CVOp.TXN_ABORT, xid))
+            script += [
+                lambda scn, xid=xid: ChangeVector(
+                    CVOp.UNDO, 1, ENABLED, 0, xid, UndoPayload(0)
+                )
+            ] * draw(st.integers(0, 2))
+        scripts.append(script)
+    for kind in draw(
+        st.lists(st.sampled_from(["ddl", "truncate", "heartbeat"]), max_size=4)
+    ):
+        if kind == "ddl":
+            payload = DDLMarkerPayload("drop_column", (ENABLED,), "T")
+            scripts.append(
+                [
+                    lambda scn, payload=payload: ChangeVector(
+                        CVOp.DDL_MARKER, ddl_marker_dba(ENABLED), ENABLED, 0,
+                        SYSTEM, payload,
+                    )
+                ]
+            )
+        elif kind == "truncate":
+            scripts.append(
+                [
+                    lambda scn: ChangeVector(
+                        CVOp.TRUNCATE, truncate_dba(ENABLED), ENABLED, 0,
+                        SYSTEM, TruncatePayload(ENABLED),
+                    )
+                ]
+            )
+        else:
+            scripts.append([control(CVOp.HEARTBEAT, SYSTEM)])
+    order = draw(
+        st.permutations(
+            [i for i, script in enumerate(scripts) for __ in script]
+        )
+    )
+    cursors = [iter(script) for script in scripts]
+    makers = [next(cursors[i]) for i in order]
+    records, scn = [], 100
+    while makers:
+        scn += 1
+        width = draw(st.integers(1, 3))
+        records.append(
+            RedoRecord(scn, 1, tuple(make(scn) for make in makers[:width]))
+        )
+        makers = makers[width:]
+    return records
+
+
+def counters(miner) -> dict:
+    return {
+        name: getattr(miner, name)
+        for name in (
+            "data_records_mined",
+            "control_records_mined",
+            "ddl_markers_mined",
+            "coarse_nodes_created",
+            "tail_commits_skipped",
+        )
+    }
+
+
+def mine_with_retries(chunks, imcs, tail_mode=False, prepare=None):
+    """Mine ``chunks`` as worker 0, retrying a chunk until it is mined."""
+    stack = Stack(imcs)
+    stack.miner.tail_mode = tail_mode
+    if prepare is not None:
+        prepare(stack)
+    owner = object()
+    for chunk in chunks:
+        while not stack.miner.sniff_chunk(chunk, 0, owner):
+            pass
+        assert chunk.fully_mined
+    return stack, stack.mined(), counters(stack.miner)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(records=streams(), tail_mode=st.booleans())
+def test_a_chunk_interleaving_data_and_specials_mines_like_width_one(
+    records, tail_mode
+):
+    """Data before specials inside one chunk is unobservable: the same
+    anchors (begin / prepared flags, first SCN, records in SCN order), the
+    same commit-table nodes (coarse or not, pointing at an anchor or not),
+    the same journal floor, DDL table and counters as one chunk per CV."""
+    if not records:
+        return
+    imcs = enabled_store()
+    __, wide, wide_counts = mine_with_retries(
+        [chunk_of(records)], imcs, tail_mode
+    )
+    __, narrow, narrow_counts = mine_with_retries(
+        [
+            chunk_of([RedoRecord(r.scn, r.thread, (cv,))])
+            for r in records
+            for cv in r.cvs
+        ],
+        imcs,
+        tail_mode,
+    )
+    assert wide == narrow
+    assert wide_counts == narrow_counts
+    # ...and TRUNCATE's block wipe is never journaled (it would anchor
+    # under the system xid, which never commits)
+    assert SYSTEM not in wide[0]
+
+
+class MissOnce:
+    """Make the ``k``-th latched call (journal ``get_or_create`` / ``get``
+    / ``remove``, commit-table ``insert_batch``) miss, once."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.calls = 0
+
+    def __call__(self, stack: Stack) -> None:
+        journal, commit_table = stack.journal, stack.commit_table
+        for name, miss in (
+            ("get_or_create", None),
+            ("get", (False, None)),
+            ("remove", None),
+        ):
+            setattr(journal, name, self.wrap(getattr(journal, name), miss))
+        real_insert = commit_table.insert_batch
+
+        def insert_batch(nodes, owner):
+            # the first node's partition latch is held; the rest go in
+            self.calls += 1
+            if self.calls - 1 == self.k:
+                return nodes[:1] + real_insert(nodes[1:], owner)
+            return real_insert(nodes, owner)
+
+        commit_table.insert_batch = insert_batch
+
+    def wrap(self, real, miss):
+        def call(*args):
+            self.calls += 1
+            return miss if self.calls - 1 == self.k else real(*args)
+
+        return call
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(records=streams())
+def test_a_latch_miss_at_any_call_of_a_chunk_mines_nothing_twice(records):
+    if not records:
+        return
+    imcs = enabled_store()
+    count = MissOnce(-1)
+    __, clean, clean_counts = mine_with_retries(
+        [chunk_of(records)], imcs, prepare=count
+    )
+    for k in range(count.calls):
+        stack, mined, counts = mine_with_retries(
+            [chunk_of(records)], imcs, prepare=MissOnce(k)
+        )
+        assert mined == clean, k
+        assert counts == clean_counts, k
+        assert stack.miner.latch_misses == 1, k
+
+
+# -- one named test per edge -------------------------------------------
+X1, X2 = TransactionId(1, 1), TransactionId(1, 2)
+
+
+def record(scn, *makers):
+    return RedoRecord(scn, 1, tuple(make(scn) for make in makers))
+
+
+def update(xid, dba, slot, object_id=ENABLED):
+    return lambda scn: ChangeVector(
+        CVOp.UPDATE, dba, object_id, 0, xid, UpdatePayload(slot, (), ())
+    )
+
+
+def test_reset_mining_clears_the_data_done_mark():
+    """Instance restart: the journal is gone, so what a chunk has not yet
+    applied is mined again -- data CVs included, applied ones excluded."""
+    imcs = enabled_store()
+    chunk = chunk_of(
+        [
+            record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
+            record(102, update(X1, 1, 1), update(X1, 2, 2)),
+        ]
+    )
+    stack = Stack(imcs)
+    assert stack.miner.sniff_chunk(chunk, 0, object())
+    assert chunk.data_mined and chunk.fully_mined
+    chunk.pos = 2  # the begin and the first update are applied
+    stack.journal.clear()
+    chunk.reset_mining()
+    assert not chunk.fully_mined and not chunk.data_mined
+    assert stack.miner.sniff_chunk(chunk, 0, object())
+    __, anchor = stack.journal.get(X1, object())
+    assert [(r.dba, r.slots, r.scn) for r in records_of(anchor)] == [
+        (1, (1,), 102),
+        (2, (2,), 102),
+    ]
+    assert not anchor.has_begin  # the begin was applied before the restart
+    assert anchor.first_scn == 102
+
+
+def test_transactions_of_one_chunk_do_not_share_records():
+    """Each anchor gets its own slice of the chunk's one gather."""
+    imcs = enabled_store()
+    chunk = chunk_of(
+        [
+            record(101, update(X2, 3, 0), update(X1, 1, 0)),
+            record(102, update(X1, 1, 1), update(X2, 3, 1)),
+            record(103, update(X1, 2, 2)),
+        ]
+    )
+    stack = Stack(imcs)
+    assert stack.miner.sniff_chunk(chunk, 0, object())
+    mined = {
+        xid: [(r.dba, r.slots, r.scn) for r in records_of(anchor)]
+        for bucket in stack.journal._buckets
+        for xid, anchor in bucket.items()
+    }
+    assert mined == {
+        X1: [(1, (0,), 101), (1, (1,), 102), (2, (2,), 103)],
+        X2: [(3, (0,), 101), (3, (1,), 102)],
+    }
+    assert stack.miner.data_records_mined == 5
+    assert stack.journal.min_first_scn() == 101
+
+
+def test_an_abort_discards_data_mined_earlier_in_the_same_call():
+    imcs = enabled_store()
+    chunk = chunk_of(
+        [
+            record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
+            record(102, update(X2, 1, 1), control(CVOp.TXN_ABORT, X1)),
+        ]
+    )
+    stack = Stack(imcs)
+    aborted = []
+    stack.miner.on_abort = lambda xid, scn: aborted.append((xid, scn))
+    assert stack.miner.sniff_chunk(chunk, 0, object())
+    assert aborted == [(X1, 102)]
+    assert stack.journal.get(X1, object()) == (True, None)
+    assert stack.journal.anchor_count == 1  # X2's
+    assert stack.journal.min_first_scn() == 102
+
+
+@pytest.mark.parametrize("miss_at", [None, 0, 1, 2, 3, 4])
+def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(miss_at):
+    imcs = enabled_store()
+    records = [
+        record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
+        record(102, control(CVOp.HEARTBEAT, SYSTEM)),
+        record(103, update(X2, 1, 1, NOT_ENABLED), update(X1, 1, 1)),
+        record(104, commit(X1, True)),
+    ]
+    seen = []
+    stack = Stack(imcs)
+    stack.miner._obs = SimpleNamespace(
+        tracer=SimpleNamespace(record_mined=seen.append)
+    )
+    if miss_at is not None:
+        MissOnce(miss_at)(stack)
+    chunk = chunk_of(records)
+    while not stack.miner.sniff_chunk(chunk, 0, object()):
+        pass
+    assert sorted(seen) == [101, 101, 102, 103, 103, 104]

@@ -41,6 +41,7 @@ from repro.imcs.compression import (
     row_matrix,
 )
 from repro.imcs.expressions import Expression
+from repro.imcs.imcu import row_keys
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
 
 from tests.naive_imcu import (
@@ -457,7 +458,7 @@ def test_addresses_derived_once_from_a_rowid_list():
         assert unit.position_of(RowId(2, 0)) is None
         assert unit.positions_for_dba(1).tolist() == [0, 1, 2, 3, 4]
         assert unit.positions_for_dba(2).tolist() == []
-        assert unit.positions_for_block_batches(
-            [(1, (4, 0, 7)), (3, (0,))]
+        assert unit.positions_for_keys(
+            row_keys(np.array([1, 1, 1, 3]), np.array([4, 0, 7, 0]))
         ).tolist() == [4, 0]
         assert unit.slots_by_dba(np.array([3, 1])) == {1: [3, 1]}

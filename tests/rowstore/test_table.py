@@ -1,6 +1,7 @@
 """Tests for heap tables: DML, reads, partitions, physical apply."""
 
 import itertools
+import re
 
 import pytest
 
@@ -50,6 +51,52 @@ class TestUpdateDelete:
         assert table.fetch_by_rowid(rowid, 12, txns) == (1, 99.0, "a")
         # pre-update snapshot still sees the old value
         assert table.fetch_by_rowid(rowid, 8, txns) == (1, 10.0, "a")
+
+    @pytest.mark.parametrize(
+        "changes, error, text",
+        [
+            (
+                {"n1": "bad"},
+                ValueError,
+                "value 'bad' invalid for column n1 (number)",
+            ),
+            (
+                {"c1": "ok", "id": None},
+                ValueError,
+                "value None invalid for column id (number)",
+            ),
+            ({"c1": 3}, ValueError, "value 3 invalid for column c1 (varchar"),
+            ({"n1": True}, ValueError, "value True invalid for column n1"),
+            ({"gone": 1.0}, KeyError, "no such column"),
+        ],
+    )
+    def test_update_validates_the_changed_cells(
+        self, table, txns, xid_factory, changes, error, text
+    ):
+        """Only the changed values are checked (the rest were when they
+        were written) -- with the full-row check's error, and before
+        anything is written."""
+        rowid = self.insert_committed(table, txns, xid_factory, (1, 10.0, "a"))
+        xid = xid_factory()
+        with pytest.raises(error, match=re.escape(text)):
+            table.update_row(rowid, changes, xid, 10, txns)
+        chain = table.default_partition.segment._store.get(rowid.dba).chain(
+            rowid.slot
+        )
+        assert chain.current.values == (1, 10.0, "a")
+        assert chain.current.xid != xid  # no version written, no row lock
+        table.update_row(rowid, {"n1": None}, xid, 11, txns)  # NULL is fine
+
+    def test_update_of_a_dropped_column_raises(self, table, txns, xid_factory):
+        rowid = self.insert_committed(table, txns, xid_factory, (1, 10.0, "a"))
+        table.schema.drop_column("n1")
+        with pytest.raises(KeyError, match="has been dropped"):
+            table.update_row(rowid, {"n1": 2.0}, xid_factory(), 10, txns)
+        # a dropped column's stored cell is not re-checked either
+        __, __, new = table.update_row(
+            rowid, {"c1": "b"}, xid_factory(), 10, txns
+        )
+        assert new == (1, 10.0, "b")
 
     def test_delete_hides_row_after_commit(self, table, txns, xid_factory):
         rowid = self.insert_committed(table, txns, xid_factory, (1, 10.0, "a"))
