@@ -6,14 +6,24 @@ time through the actual code paths: a row-at-a-time consistent-read scan
 vs the vectorised In-Memory Scan Engine, on the same table, same snapshot,
 same predicate.
 
-Two configurations are timed:
+Three configurations are timed:
 
 * **clean** -- freshly populated IMCUs, no invalidations: pure columnar
   kernels (predicate masks, batch projection, storage-index pruning).
+* **live-width invalidation** -- ~1.5% of the rows invalid at about two
+  rows per touched block: what ``bench_e2e``'s ``scan_churn`` sustains
+  between repopulations (2.1 fallback rows per block visit; ``oltap_mixed``
+  1.5), i.e. the width the reconcile tail actually runs at.
 * **heavy-invalidation** -- a mix of row-level and block-level SMU
-  invalidations over ~1/3 of the table: every scan reconciles the invalid
-  rows through the row store, exercising the cached-validity-mask,
-  block-grouped-fetch reconcile path.
+  invalidations over ~1/3 of the table (~16 fallback rows per visited
+  block): every scan reconciles the invalid rows through the row store in
+  one Consistent Read pass per unit over the SMU's cached per-block
+  grouping.  No live workload is this wide; it is the arm a change sized
+  for the live width must not trade away.
+
+The report gives the reconcile tail's cost per fallback row at both widths
+(arm time minus the clean scan, over the arm's fallback rows) and their
+ratio: per-block fixed cost shows as a ratio above 1.
 
 The paper's "orders of magnitude" claim is hardware-specific; here we
 assert a conservative >= 10x measured gap (typically 30-100x for this
@@ -38,6 +48,10 @@ from conftest import bench_oltap_config, run_scenario, save_json, save_report
 #: Fractions of the table invalidated for the heavy configuration.
 HEAVY_ROW_FRACTION = 0.25
 HEAVY_BLOCK_FRACTION = 0.10
+#: The live-width configuration: this share of the rows, this many per
+#: touched block.
+LIVE_ROW_FRACTION = 0.015
+LIVE_ROWS_PER_BLOCK = 2
 
 #: Wall-clock numbers measured at the commit *before* the vectorised
 #: kernels landed (same harness, same machine class), kept so the JSON
@@ -128,6 +142,75 @@ def test_columnar_vs_rowformat_wall_clock(scenario, benchmark):
     benchmark(columnar)
 
 
+def reconcile_width(segment) -> tuple[int, float]:
+    """``(invalid rows, rows per block visit)`` as a scan will meet them,
+    read from the SMUs' own per-block grouping."""
+    groups = [
+        slots
+        for smu in segment.live_units()
+        for slots in smu.invalid_slots_by_dba().values()
+    ]
+    rows = sum(map(len, groups))
+    return rows, rows / max(1, len(groups))
+
+
+def test_live_width_invalidation_scan(scenario, benchmark):
+    """Reconcile at the width live traffic produces: few rows, about two
+    per touched block.  The SMUs' validity is put back afterwards, so the
+    heavy arm starts from the clean table it always did."""
+    deployment, workload = scenario
+    standby = deployment.standby
+    table_name = workload.config.table_name
+    table = standby.catalog.table(table_name)
+    snapshot = standby.query_scn.value
+    predicate = Predicate.eq("n1", 1234.0)
+    object_id = table.default_partition.object_id
+    segment = standby.imcs.segment(object_id)
+
+    rng = random.Random(11)
+    units = segment.live_units()
+    before = [smu.snapshot_validity() for smu in units]
+    for smu in units:
+        imcu = smu.imcu
+        n_blocks = max(
+            1, round(imcu.n_rows * LIVE_ROW_FRACTION / LIVE_ROWS_PER_BLOCK)
+        )
+        for dba in rng.sample(list(imcu.covered_dbas), k=n_blocks):
+            positions = imcu.positions_for_dba(dba).tolist()
+            for position in rng.sample(positions, k=LIVE_ROWS_PER_BLOCK):
+                standby.imcs.invalidate(
+                    object_id, dba, (int(imcu.row_slots[position]),), snapshot
+                )
+
+    def sparse():
+        return standby.query(table_name, [predicate])
+
+    reference = [
+        values
+        for __, values in table.full_scan(snapshot, standby.txn_table)
+        if predicate.eval_row(values, table.schema)
+    ]
+    got = sparse()
+    assert sorted(r[0] for r in reference) == sorted(r[0] for r in got.rows)
+    invalid_rows, rows_per_visit = reconcile_width(segment)
+    assert got.stats.fallback_rows == invalid_rows > 0
+
+    t_sparse = wall_time(sparse)
+    _RESULTS["live_width"] = {
+        "columnar_s": t_sparse,
+        "rows_per_s": workload.config.n_rows / t_sparse,
+        "invalid_rows_marked": invalid_rows,
+        "fallback_rows_per_scan": got.stats.fallback_rows,
+        "rows_per_block_visit": rows_per_visit,
+        "table_rows": workload.config.n_rows,
+    }
+    benchmark(sparse)
+
+    for smu, validity in zip(units, before):
+        smu.restore_validity(*validity)
+    assert sparse().stats.fallback_rows == 0
+
+
 def test_heavy_invalidation_scan(scenario, benchmark):
     """Reconcile-dominated scan: ~1/3 of the table is SMU-invalid."""
     deployment, workload = scenario
@@ -175,21 +258,42 @@ def test_heavy_invalidation_scan(scenario, benchmark):
     t_heavy = wall_time(heavy, repeats=10)
     n_rows = workload.config.n_rows
     clean = _RESULTS.get("clean", {})
+    live = _RESULTS.get("live_width", {})
+    __, heavy_rows_per_visit = reconcile_width(segment)
+
+    def us_per_fallback_row(arm_s, fallback_rows):
+        """The reconcile tail alone: arm minus the clean scan."""
+        if not (clean.get("columnar_s") and fallback_rows):
+            return None
+        return (arm_s - clean["columnar_s"]) / fallback_rows * 1e6
+
+    heavy_us = us_per_fallback_row(t_heavy, got.stats.fallback_rows)
+    live_us = us_per_fallback_row(
+        live.get("columnar_s"), live.get("fallback_rows_per_scan")
+    )
+    if live:
+        live["us_per_fallback_row"] = live_us
     payload = {
         "bench": "microbench_scan",
         "table_rows": n_rows,
         "columns": 101,
         "configs": {
             "clean": clean,
+            "live_width_invalidation": live,
             "heavy_invalidation": {
                 "columnar_s": t_heavy,
                 "rows_per_s": n_rows / t_heavy,
                 "invalid_rows_marked": invalid_rows,
                 "invalid_blocks_marked": invalid_blocks,
                 "fallback_rows_per_scan": got.stats.fallback_rows,
+                "rows_per_block_visit": heavy_rows_per_visit,
+                "us_per_fallback_row": heavy_us,
                 "table_rows": n_rows,
             },
         },
+        "us_per_fallback_row_live_over_heavy": (
+            live_us / heavy_us if live_us and heavy_us else None
+        ),
         "pre_pr_baseline": PRE_PR_BASELINE,
     }
     baseline = PRE_PR_BASELINE
@@ -221,14 +325,25 @@ def test_heavy_invalidation_scan(scenario, benchmark):
     save_report(
         "microbench_scan_heavy",
         render_table(
-            ["configuration", "wall time (ms)", "rows/s"],
+            ["configuration", "wall time (ms)", "rows/s", "fallback rows",
+             "rows per block visit", "us per fallback row"],
             [
                 ["clean columnar", clean.get("columnar_s", 0.0) * 1e3,
-                 clean.get("rows_per_s", 0.0)],
-                ["heavy invalidation", t_heavy * 1e3, n_rows / t_heavy],
+                 clean.get("rows_per_s", 0.0), 0, "-", "-"],
+                ["live-width invalidation",
+                 live.get("columnar_s", 0.0) * 1e3,
+                 live.get("rows_per_s", 0.0),
+                 live.get("fallback_rows_per_scan", 0),
+                 live.get("rows_per_block_visit", 0.0), live_us or 0.0],
+                ["heavy invalidation", t_heavy * 1e3, n_rows / t_heavy,
+                 got.stats.fallback_rows, heavy_rows_per_visit,
+                 heavy_us or 0.0],
             ],
-            title=f"Scan configurations ({invalid_rows} invalid rows + "
-                  f"{invalid_blocks} invalid blocks of {n_rows} rows)",
+            title=f"Scan configurations (heavy: {invalid_rows} invalid rows "
+                  f"+ {invalid_blocks} invalid blocks of {n_rows} rows; "
+                  f"live width: {live.get('invalid_rows_marked', 0)} invalid "
+                  f"rows; us per fallback row live / heavy = "
+                  f"{(live_us / heavy_us) if live_us and heavy_us else 0.0:.2f})",
         ),
     )
 

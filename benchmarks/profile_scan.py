@@ -1,6 +1,10 @@
 """Ad-hoc profiler for the scan paths (not part of the bench suite).
 
-Run: cd benchmarks && PYTHONPATH=../src python profile_scan.py [clean|heavy]
+Run: cd benchmarks && PYTHONPATH=../src python profile_scan.py [clean|sparse|heavy]
+
+``sparse`` is ``bench_microbench_scan``'s live-width arm (~1.5% of the rows
+invalid, two per touched block: what ``bench_e2e``'s ``scan_churn``
+sustains); ``heavy`` its 25%-of-rows + 10%-of-blocks arm.
 """
 
 from __future__ import annotations
@@ -25,9 +29,20 @@ table = standby.catalog.table(table_name)
 snapshot = standby.query_scn.value
 predicate = Predicate.eq("n1", 1234.0)
 
-if MODE == "heavy":
-    object_id = table.default_partition.object_id
-    segment = standby.imcs.segment(object_id)
+object_id = table.default_partition.object_id
+segment = standby.imcs.segment(object_id)
+if MODE == "sparse":
+    rng = random.Random(11)
+    for smu in segment.live_units():
+        imcu = smu.imcu
+        for dba in rng.sample(
+            list(imcu.covered_dbas), k=max(1, round(imcu.n_rows * 0.015 / 2))
+        ):
+            for position in rng.sample(imcu.positions_for_dba(dba).tolist(), k=2):
+                standby.imcs.invalidate(
+                    object_id, dba, (int(imcu.row_slots[position]),), snapshot
+                )
+elif MODE == "heavy":
     rng = random.Random(7)
     for smu in segment.live_units():
         imcu = smu.imcu

@@ -65,16 +65,23 @@ class _Accumulator:
                 maximum if self.maximum is None else max(self.maximum, maximum)
             )
 
-    def add_value(self, value: object) -> None:
-        if value is None:
+    def add_values(self, values: list) -> None:
+        """Fold one column of reconcile rows, left to right (``total`` is
+        a float sum: the order is part of the answer)."""
+        present = [value for value in values if value is not None]
+        if not present:
             return
-        self.count += 1
-        if isinstance(value, (int, float)):
-            self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        self.count += len(present)
+        total = self.total
+        for value in present:
+            if isinstance(value, (int, float)):
+                total += value
+        self.total = total
+        low, high = min(present), max(present)
+        if self.minimum is None or low < self.minimum:
+            self.minimum = low
+        if self.maximum is None or high > self.maximum:
+            self.maximum = high
 
 
 @dataclass(slots=True)
@@ -120,10 +127,9 @@ class Aggregator:
         result.stats = scan.stats
         # scan.rows now holds only the reconcile-path rows (the hook
         # swallowed IMCU-resident matches)
-        for row in scan.rows:
-            row_count.add_value(1)
-            for i, column in enumerate(columns):
-                accumulators[column].add_value(row[i])
+        row_count.count += len(scan.rows)
+        for i, column in enumerate(columns):
+            accumulators[column].add_values([row[i] for row in scan.rows])
 
         for spec in specs:
             if spec.fn == "count":

@@ -160,6 +160,17 @@ class NumericCU(ColumnCU):
         self._min = float(present.min()) if present.size else None
         self._max = float(present.max()) if present.size else None
 
+    # What an immutable column knows about itself, asked once (or told by
+    # :func:`encode_rows`, which knows it for a whole block of columns), so
+    # that a gather of a handful of positions need not ask again.
+    @cached_property
+    def _any_null(self) -> bool:
+        return bool(self._nulls.any())
+
+    @cached_property
+    def _any_int(self) -> bool:
+        return bool(self._is_int.any())
+
     def get(self, i: int) -> object:
         if self._nulls[i]:
             return None
@@ -169,14 +180,15 @@ class NumericCU(ColumnCU):
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)
         values = self._data[positions]
+        if not (self._any_int or self._any_null):
+            return values.tolist()  # Python floats, not np.float64
         out = np.empty(values.size, dtype=object)
-        out[:] = values.tolist()  # Python floats, not np.float64
-        ints = self._is_int[positions]
-        if ints.any():
+        out[:] = values.tolist()
+        if self._any_int:
+            ints = self._is_int[positions]
             out[ints] = values[ints].astype(np.int64).tolist()
-        nulls = self._nulls[positions]
-        if nulls.any():
-            out[nulls] = None
+        if self._any_null:
+            out[self._nulls[positions]] = None
         return out.tolist()
 
     def eq_mask(self, value: object) -> np.ndarray:
@@ -202,9 +214,9 @@ class NumericCU(ColumnCU):
 
     def stats_for_positions(self, positions):
         positions = np.asarray(positions, dtype=np.int64)
-        values = self._data[positions]
-        nulls = self._nulls[positions]
-        present = values[~nulls] if nulls.any() else values
+        present = self._data[positions]
+        if self._any_null:
+            present = present[~self._nulls[positions]]
         if present.size == 0:
             return 0, 0.0, None, None
         return (
@@ -760,8 +772,12 @@ def encode_rows(
             blocks = _merge_numeric(
                 [olds[k] for k in numeric], keep, blocks, take
             )
+        # every column's (any NULL, any int) in two reductions, not two per
+        # CU on first use: a wide build makes ~50 of these
+        facts = [b.any(axis=0).tolist() for b in blocks[1:]]
         for j, k in enumerate(numeric):
-            cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
+            cu = cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
+            cu._any_null, cu._any_int = facts[0][j], facts[1][j]
     if carried is None:
         for k in private:
             cus[k] = _dictionary_or_rle(*_sorted_codes(cells(k)))

@@ -104,6 +104,7 @@ class IMCU:
         #: covering every captured row, so a whole invalidation group (or
         #: one block, or one row) resolves in a single searchsorted.
         self._key_index: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._open_blocks: Optional[tuple[tuple[DBA, int], ...]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -253,6 +254,7 @@ class IMCU:
         )
         if carried is not None:
             unit.rows_reused = int(keep.size)
+        unit.open_blocks(store)  # known from here on: no scan derives it
         return unit
 
     # ------------------------------------------------------------------
@@ -268,6 +270,32 @@ class IMCU:
 
     def covers_dba(self, dba: DBA) -> bool:
         return dba in self.captured_slots
+
+    def open_blocks(self, store) -> tuple[tuple[DBA, int], ...]:
+        """``(dba, captured)`` of the covered blocks that can hold slots
+        past the snapshot's ("edge" rows): those captured short of their
+        capacity, or missing from ``store`` (the segment's block store).
+        Capacity is fixed, a full block never grows and a wiped one only
+        shrinks, so ``captured == capacity`` rules an edge out for good
+        -- an immutable fact like the key index, derived once (at build;
+        on first use for a unit rebuilt from a checkpoint)."""
+        if self._open_blocks is None:
+            self._open_blocks = tuple(
+                (dba, captured)
+                for dba, captured in self.captured_slots.items()
+                if (block := store.get_optional(dba)) is None
+                or captured < block.capacity
+            )
+        return self._open_blocks
+
+    def edge_blocks(self, store):
+        """``(dba, block, captured)`` of every covered block that holds
+        slots past the snapshot's now: what a scan fetches from the row
+        store beside the invalid rows, and what repopulation weighs."""
+        for dba, captured in self.open_blocks(store):
+            block = store.get_optional(dba)
+            if block is not None and block.used_slots > captured:
+                yield dba, block, captured
 
     @property
     def rowids(self) -> list[RowId]:

@@ -170,12 +170,12 @@ class PopulationEngine:
             return True
         # Edge growth: captured blocks that have gained rows since the
         # snapshot force row-store fallback for the overflow rows.
-        store = segment.partition.segment._store
-        grown = 0
-        for dba, captured in smu.imcu.captured_slots.items():
-            block = store.get_optional(dba)
-            if block is not None and block.used_slots > captured:
-                grown += block.used_slots - captured
+        grown = sum(
+            block.used_slots - captured
+            for __, block, captured in smu.imcu.edge_blocks(
+                segment.partition.segment._store
+            )
+        )
         if smu.imcu.n_rows == 0:
             return grown > 0
         return grown / smu.imcu.n_rows >= self.config.repopulate_invalid_fraction

@@ -293,8 +293,8 @@ class _CompiledScan:
     """
 
     __slots__ = (
-        "resolver", "predicates", "names", "needed", "needed_set",
-        "matches", "_projector",
+        "predicates", "names", "needed", "needed_set",
+        "matches", "project", "memo",
     )
 
     def __init__(
@@ -304,9 +304,11 @@ class _CompiledScan:
         names: list[str],
         schema: Schema,
     ) -> None:
-        self.resolver = resolver
         self.predicates = predicates
         self.names = names
+        #: writer -> commitSCN: one memo for every Consistent Read call of
+        #: this scan, gone with it (``visible_values_batch`` has the rule)
+        self.memo: dict = {}
         self.needed = list(dict.fromkeys(
             [p.column for p in predicates] + list(names)
         ))
@@ -354,21 +356,15 @@ class _CompiledScan:
             self.matches = matches
         if expressions is not None and any(
             resolver.is_expression(name) for name in names
-        ):
-            self._projector = None  # expression values: resolve per row
+        ):  # expression values: resolve per row
+            self.project = lambda values: resolver.project(values, names)
         elif len(names) == 1:
             index = schema.column_index(names[0])
-            self._projector = lambda values, i=index: (values[i],)
+            self.project = lambda values, i=index: (values[i],)
         else:
-            self._projector = operator.itemgetter(
+            self.project = operator.itemgetter(
                 *[schema.column_index(name) for name in names]
             )
-
-    def project(self, values: tuple) -> tuple:
-        projector = self._projector
-        if projector is not None:
-            return projector(values)
-        return self.resolver.project(values, self.names)
 
 
 class ScanEngine:
@@ -444,18 +440,10 @@ class ScanEngine:
         morsels: list[ScanMorsel] = []
         for pname in part_names:
             partition = table.partition(pname)
-            object_id = partition.object_id
             segment = partition.segment
-            im_segment = None
-            if self.imcs is not None and self.imcs.is_enabled(object_id):
-                im_segment = self.imcs.segment(object_id)
-            expressions = (
-                im_segment.expressions
-                if im_segment is not None and len(im_segment.expressions)
-                else None
+            im_segment, compiled = self._compile(
+                table, partition.object_id, predicates, names
             )
-            resolver = RowResolver(table.schema, expressions)
-            compiled = _CompiledScan(resolver, predicates, names, table.schema)
             store = segment._store
 
             handled_dbas: set[DBA] = set()
@@ -515,11 +503,10 @@ class ScanEngine:
         return morsels
 
     # ------------------------------------------------------------------
-    def _scan_partition(
-        self, table, object_id, snapshot_scn, predicates, names, result,
-        on_imcu_matches=None,
-    ) -> None:
-        segment = table.partition_by_object_id(object_id).segment
+    def _compile(self, table, object_id, predicates, names):
+        """One partition's ``(in-memory segment or None, compiled scan)``:
+        columns resolve once per scan, every reconcile row reuses the
+        accessors, and the scan's commitSCN memo is made with them."""
         im_segment = None
         if self.imcs is not None and self.imcs.is_enabled(object_id):
             im_segment = self.imcs.segment(object_id)
@@ -529,9 +516,18 @@ class ScanEngine:
             else None
         )
         resolver = RowResolver(table.schema, expressions)
-        # Resolve predicate/projection columns once per scan; every
-        # reconcile row reuses the compiled accessors.
-        compiled = _CompiledScan(resolver, predicates, names, table.schema)
+        return im_segment, _CompiledScan(
+            resolver, predicates, names, table.schema
+        )
+
+    def _scan_partition(
+        self, table, object_id, snapshot_scn, predicates, names, result,
+        on_imcu_matches=None,
+    ) -> None:
+        segment = table.partition_by_object_id(object_id).segment
+        im_segment, compiled = self._compile(
+            table, object_id, predicates, names
+        )
         store = segment._store
 
         handled_dbas: set[DBA] = set()
@@ -607,96 +603,74 @@ class ScanEngine:
         self, table, store, smu: SMU, snapshot_scn,
         compiled: _CompiledScan, result,
     ) -> None:
-        """Row-store tail of one unit scan: invalid rows and edge rows.
+        """Row-store tail of one unit scan: its invalid rows (the SMU
+        keeps the DBA grouping cached), then its edge rows -- slots added
+        to covered blocks after the snapshot -- in one CR pass.
 
         Caller holds the SMU pin.  Shared between the serial scan and the
         process-parallel backend (which offloads only the columnar part).
         """
-        imcu = smu.imcu
-        # 3. invalid rows: reconcile through the row store, one block
-        #    at a time (the SMU keeps the DBA grouping cached)
-        for dba, slots in smu.invalid_slots_by_dba().items():
-            block = store.get_optional(dba)
-            self._fetch_block_slots(
-                table, block, dba, slots, snapshot_scn, compiled, result,
-            )
-
-        # 4. edge rows: slots added to covered blocks after the snapshot
-        for dba, captured in imcu.captured_slots.items():
-            block = store.get_optional(dba)
-            if block is None or block.used_slots <= captured:
-                continue
-            self._fetch_block_slots(
-                table, block, dba, range(captured, block.used_slots),
-                snapshot_scn, compiled, result,
-            )
-
-    # ------------------------------------------------------------------
-    def _fetch_block_slots(
-        self, table, block, dba, slots, snapshot_scn,
-        compiled: _CompiledScan, result,
-    ) -> None:
-        """Reconcile-fetch several slots of one block.
-
-        The block's chains are walked once and the buffer cache is charged
-        once per block, not once per row.
-        """
-        stats = result.stats
-        if table.buffer_cache is not None:
-            stats.cost_seconds += table.buffer_cache.touch(dba)
-        if block is None:
-            return
-        n = 0
-        rows = result.rows
-        matches = compiled.matches
-        project = compiled.project
-        for values in visible_values_batch(
-            block, slots, snapshot_scn, self.txns
-        ):
-            n += 1
-            if values is not None and matches(values):
-                rows.append(project(values))
-        stats.rowstore_rows += n
-        stats.fallback_rows += n
-        stats.cost_seconds += ROWSTORE_COST_PER_ROW * n
-
-    def _rowstore_fetch_rowids(
-        self, table, store, rowids, snapshot_scn,
-        compiled: _CompiledScan, result,
-    ) -> None:
-        """Fetch arbitrary rowids through CR, grouped by block."""
-        by_dba: dict[DBA, list[int]] = {}
-        for rowid in rowids:
-            by_dba.setdefault(rowid.dba, []).append(rowid.slot)
-        for dba, slots in by_dba.items():
-            self._fetch_block_slots(
-                table, store.get_optional(dba), dba, slots,
-                snapshot_scn, compiled, result,
-            )
+        blocks = [
+            (dba, store.get_optional(dba), slots)
+            for dba, slots in smu.invalid_slots_by_dba().items()
+        ]
+        blocks += [
+            (dba, block, range(captured, block.used_slots))
+            for dba, block, captured in smu.imcu.edge_blocks(store)
+        ]
+        self._fetch_rows(
+            table, blocks, snapshot_scn, compiled, result, fallback=True
+        )
 
     def _rowstore_scan_dbas(
         self, table, store, dbas, snapshot_scn,
         compiled: _CompiledScan, result, fallback,
     ) -> None:
-        if not dbas:
-            return
+        self._fetch_rows(
+            table,
+            [
+                (dba, block, range(block.used_slots))
+                for dba in dbas
+                if (block := store.get_optional(dba)) is not None
+            ],
+            snapshot_scn, compiled, result, fallback,
+        )
+
+    def _fetch_rows(
+        self, table, blocks, snapshot_scn,
+        compiled: _CompiledScan, result, fallback,
+    ) -> None:
+        """Every row-store row of one scan step: ``blocks`` is ``(dba,
+        block, slots)`` triples (``block`` None when the store lost it).
+
+        The buffer cache and the row cost are charged block by block, in
+        order -- ``cost_seconds`` is a float sum that feeds sim time --
+        and the chains are then walked in one Consistent Read pass under
+        the scan's one commitSCN memo.  The counters count slots asked
+        for, tombstones and slots past a wiped block's end included.
+        """
         stats = result.stats
-        rows = result.rows
+        cache = table.buffer_cache
+        cost = stats.cost_seconds
+        work = []
+        for dba, block, slots in blocks:
+            if cache is not None:
+                cost += cache.touch(dba)
+            if block is not None:
+                work.append((block, slots))
+                cost += ROWSTORE_COST_PER_ROW * len(slots)
+        stats.cost_seconds = cost
+        if not work:
+            return
+        visible = visible_values_batch(
+            work, snapshot_scn, self.txns, compiled.memo
+        )
+        stats.rowstore_rows += len(visible)
+        if fallback:
+            stats.fallback_rows += len(visible)
         matches = compiled.matches
         project = compiled.project
-        for dba in dbas:
-            block = store.get_optional(dba)
-            if block is None:
-                continue
-            if table.buffer_cache is not None:
-                stats.cost_seconds += table.buffer_cache.touch(dba)
-            n = block.used_slots
-            for values in visible_values_batch(
-                block, range(n), snapshot_scn, self.txns
-            ):
-                if values is not None and matches(values):
-                    rows.append(project(values))
-            stats.rowstore_rows += n
-            if fallback:
-                stats.fallback_rows += n
-            stats.cost_seconds += ROWSTORE_COST_PER_ROW * n
+        result.rows.extend([
+            project(values) for values in visible
+            if values is not None and matches(values)
+        ])

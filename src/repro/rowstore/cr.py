@@ -73,24 +73,6 @@ def visible_values(
     return version.values
 
 
-def visible_values_batch(
-    block,
-    slots,
-    snapshot_scn: SCN,
-    txns: TransactionView,
-) -> list[Optional[tuple]]:
-    """Consistent values for many slots of one block, walked in one pass.
-
-    The batch-oriented reconcile path: commitSCN lookups are memoised per
-    writing transaction for the duration of the batch (a block's rows are
-    typically written by few transactions), and the per-slot closure
-    overhead of calling :func:`visible_values` row-by-row is paid once per
-    block instead of once per row.  Slots beyond ``block.used_slots`` and
-    tombstones come back as ``None``, exactly like :func:`visible_values`.
-    """
-    return _walk_slots(block, slots, snapshot_scn, txns, {}, False)
-
-
 def settled_rows(
     block,
     snapshot_scn: SCN,
@@ -119,7 +101,9 @@ def settled_rows(
     """
     if slots is None:
         slots = range(block.used_slots)
-    settled = _walk_slots(block, slots, snapshot_scn, txns, memo, True)
+    settled = visible_values_batch(
+        ((block, slots),), snapshot_scn, txns, memo, stop_unsettled=True
+    )
     walked = len(settled)
     captured = slots[walked] if walked < len(slots) else block.used_slots
     if None not in settled:  # no tombstone among them
@@ -128,19 +112,31 @@ def settled_rows(
     return captured, [slots[i] for i in live], [settled[i] for i in live]
 
 
-def _walk_slots(
-    block,
-    slots,
+def visible_values_batch(
+    work,
     snapshot_scn: SCN,
     txns: TransactionView,
     memo: dict,
-    stop_unsettled: bool,
+    stop_unsettled: bool = False,
 ) -> list[Optional[tuple]]:
-    """Visible values of ``slots`` (``None`` for a tombstone or nothing
-    visible); with ``stop_unsettled`` the walk ends *before* the first
-    slot with no visible version (a visible tombstone is a version)."""
-    used = block.used_slots
-    get_chain = block.chain
+    """Consistent values for the slots of many blocks, walked in one pass.
+
+    ``work`` is ``(block, slots)`` pairs -- everything one scan step wants
+    from the row store (a unit's invalid and edge rows, a run of uncovered
+    blocks); the answer is one flat list in ``work`` order.  Slots beyond
+    ``block.used_slots``, tombstones and slots with nothing visible come
+    back as ``None``, exactly like :func:`visible_values`; with
+    ``stop_unsettled`` (population) the walk ends *before* the first slot
+    with no visible version -- a visible tombstone is a version.
+
+    ``memo`` (writer -> commitSCN) is shared by every call of one scan and
+    must not outlive it.  Within a scan it cannot go stale, even when apply
+    proceeds between the scan's morsels: a writer seen uncommitted
+    (``None``) can only commit *above* the snapshot -- every commit at or
+    below a QuerySCN is in the transaction table before that QuerySCN is
+    published, and on the primary the snapshot is the current SCN -- so
+    its versions are invisible to this scan either way.
+    """
     commit_scn_of = txns.commit_scn_of
     memo_get = memo.get
     # Writers reuse one TransactionId object for every row they touch, so
@@ -150,35 +146,40 @@ def _walk_slots(
     cached_scn: Optional[SCN] = None
     out: list[Optional[tuple]] = []
     append = out.append
-    for slot in slots:
-        if slot >= used:
-            append(None)
-            continue
-        chain = get_chain(slot)
-        values = None
-        for version in chain:  # newest to oldest
-            xid = version.xid
-            if xid is cached_xid:
-                commit_scn = cached_scn
+    for block, slots in work:
+        # the raw slot and version lists, not ``block.chain(slot)`` and
+        # ``iter(chain)``: those are two Python frames per row
+        chains = block._slots
+        used = len(chains)
+        for slot in slots:
+            if slot >= used:
+                append(None)
+                continue
+            chain = chains[slot]
+            values = None
+            for version in reversed(chain._versions):  # newest to oldest
+                xid = version.xid
+                if xid is cached_xid:
+                    commit_scn = cached_scn
+                else:
+                    commit_scn = memo_get(xid, _UNRESOLVED)
+                    if commit_scn is _UNRESOLVED:
+                        commit_scn = commit_scn_of(xid)
+                        memo[xid] = commit_scn
+                    cached_xid = xid
+                    cached_scn = commit_scn
+                if commit_scn is not None and commit_scn <= snapshot_scn:
+                    # a tombstone's values are already None -- exactly the
+                    # "no visible row" marker this walk returns
+                    values = version.values
+                    break
             else:
-                commit_scn = memo_get(xid, _UNRESOLVED)
-                if commit_scn is _UNRESOLVED:
-                    commit_scn = commit_scn_of(xid)
-                    memo[xid] = commit_scn
-                cached_xid = xid
-                cached_scn = commit_scn
-            if commit_scn is not None and commit_scn <= snapshot_scn:
-                # a tombstone's values are already None -- exactly the
-                # "no visible row" marker this walk returns
-                values = version.values
-                break
-        else:
-            if chain.truncated:
-                raise SnapshotTooOldError(
-                    f"no version visible at SCN {snapshot_scn} "
-                    f"on a truncated chain"
-                )
-            if stop_unsettled:
-                break
-        append(values)
+                if chain.truncated:
+                    raise SnapshotTooOldError(
+                        f"no version visible at SCN {snapshot_scn} "
+                        f"on a truncated chain"
+                    )
+                if stop_unsettled:
+                    return out
+            append(values)
     return out

@@ -75,6 +75,35 @@ class TestPushdown:
         assert result.values == [100, 4950.0 + 1000.0, 1000.0]
         assert result.pushed_down_rows == 99  # one row went reconcile-path
 
+    def test_reconcile_rows_fold_column_by_column_in_row_order(
+        self, populated
+    ):
+        """The reconcile tail folds per column, left to right: a float sum
+        whose value depends on the order must be the row-at-a-time one;
+        NULLs count for COUNT(*) only; min/max see every present value."""
+        deployment, rowids = populated
+        changed = [0.1, 0.2, 0.3, 1e16, -1e16, None, 0.7]
+        txn = deployment.primary.begin()
+        for rowid, value in zip(rowids, changed):
+            deployment.primary.update(txn, "T", rowid, {"n1": value})
+        deployment.primary.commit(txn)
+        deployment.catch_up()
+        result = deployment.standby.aggregate(
+            "T",
+            [AggregateSpec("count"), AggregateSpec("sum", "n1"),
+             AggregateSpec("min", "n1"), AggregateSpec("max", "n1"),
+             AggregateSpec("min", "c1"), AggregateSpec("avg", "n1")],
+        )
+        assert result.pushed_down_rows == 100 - len(changed)
+        total = float(sum(range(len(changed), 100)))  # the columnar part
+        for value in changed:
+            if value is not None:
+                total += value
+        assert total != float(sum(range(len(changed), 100))) + sum(
+            v for v in changed if v is not None
+        )  # the order shows in the last bits
+        assert result.values == [100, total, -1e16, 1e16, "v0", total / 99]
+
     def test_empty_match_gives_nulls(self, populated):
         deployment, __ = populated
         result = deployment.standby.aggregate(

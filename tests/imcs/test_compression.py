@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imcs import DictionaryCU, NumericCU, RunLengthCU, encode_column
+from repro.imcs.compression import encode_rows
 
 
 class TestNumericCU:
@@ -57,6 +58,71 @@ class TestNumericCU:
         taken = cu.take(np.array([3, 0, 1, 2]))
         assert taken == [8.0, 0.0, 7, None]
         assert [type(v) for v in taken[:3]] == [float, float, int]
+
+    #: every (any NULL) x (any int) class a column can fall in, with the
+    #: all-NULL, all-int and mixed int/float corners
+    CLASSES = {
+        "floats": [1.5, 20.0, -3.25, 0.0, 7.0],
+        "ints": [1, 20, -3, 0, 7],
+        "mixed": [1, 20.0, -3, 0.5, 7],
+        "floats+null": [1.5, None, 20.0, None, 0.0],
+        "ints+null": [None, 20, -3, None, 7],
+        "mixed+null": [1, None, 2.5, None, 7.0],
+        "all-null": [None, None, None],
+        "empty": [],
+    }
+
+    @staticmethod
+    def assert_decodes_like_get(cu, values):
+        """``take`` and ``stats_for_positions`` answer from facts recorded
+        at build (no NULL / no int anywhere: skip the gather); ``get`` asks
+        the cell.  They must agree, value and type, on any positions."""
+        n = len(values)
+        assert [cu.get(i) for i in range(n)] == values
+        for positions in (
+            list(range(n)), list(range(n))[::-1], list(range(0, n, 2)),
+            [n - 1] * 3 if n else [], [],
+        ):
+            expected = [values[i] for i in positions]
+            for asked in (positions, np.array(positions, dtype=np.int64)):
+                taken = cu.take(asked)
+                assert taken == expected
+                assert list(map(type, taken)) == list(map(type, expected))
+                present = [v for v in expected if v is not None]
+                count, total, low, high = cu.stats_for_positions(asked)
+                assert (count, low, high) == (
+                    len(present),
+                    min(present, default=None), max(present, default=None),
+                )
+                assert total == float(np.sum(np.array(present, dtype=float)))
+                assert type(total) is float
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_take_stats_and_get_agree_in_every_null_int_class(self, name):
+        values = self.CLASSES[name]
+        self.assert_decodes_like_get(NumericCU(values), values)
+
+    @pytest.mark.parametrize("old_name", CLASSES)
+    @pytest.mark.parametrize("fresh_name", CLASSES)
+    def test_a_delta_merged_column_knows_its_own_class(
+        self, old_name, fresh_name
+    ):
+        """Delta repopulation merges a carried CU with fresh cells: the
+        merged column's class is its own, whatever its parents' were (a
+        NULL-free parent may gain a NULL, an int-bearing one may lose its
+        last int with the rows that were dropped)."""
+        old, fresh = self.CLASSES[old_name], self.CLASSES[fresh_name]
+        if not old:
+            return
+        keep = np.arange(0, len(old), 2)  # drops ``mixed``'s only float
+        kept = [old[i] for i in keep.tolist()]
+        matrix = np.empty((len(fresh), 1), dtype=object)
+        matrix[:, 0] = fresh
+        take = np.arange(len(kept) + len(fresh))[::-1]
+        (merged,) = encode_rows(
+            matrix, [(0, True, None)], ([NumericCU(old)], keep, take)
+        )
+        self.assert_decodes_like_get(merged, (kept + fresh)[::-1])
 
     def test_eq_mask_non_numeric_value_is_all_false(self):
         """Satellite regression: a string literal against a NUMBER column

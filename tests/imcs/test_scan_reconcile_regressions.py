@@ -11,6 +11,12 @@ vectorised kernels.
 2. Row-store reconcile fetches never charged the buffer cache: the scan's
    simulated cost omitted the per-block I/O component entirely.  The fixed
    path charges ``buffer_cache.touch`` exactly once per distinct block.
+
+Below them, the contract of the unit-wide reconcile pass (one Consistent
+Read call per unit per scan, one commitSCN memo per scan, edge rows looked
+for in open blocks only): what it may not change about the per-block pass
+it replaced -- touches, cost, counters, row order, errors -- and what its
+two new facts (the open-block set, the memo) rest on.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 
 import pytest
 
-from repro.common import TransactionId
+from repro.common import SnapshotTooOldError, TransactionId
 from repro.common.config import IMCSConfig
 from repro.imcs import (
     InMemoryColumnStore,
@@ -27,6 +33,8 @@ from repro.imcs import (
     Predicate,
     ScanEngine,
 )
+from repro.imcs.scan import IMCS_COST_PER_ROW, ROWSTORE_COST_PER_ROW
+from repro.restart import UnitCheckpoint, rebuild_imcu
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.buffer_cache import BufferCache
 
@@ -51,6 +59,15 @@ def populate_all(store, txns, clock):
     engine.schedule_all()
     while engine.run_one_task(object()) is not None:
         pass
+
+
+def make_table(cache=None, first_oid=840):
+    oid = itertools.count(first_oid)
+    return Table(
+        "T", make_schema(), BlockStore(),
+        object_id_allocator=lambda: next(oid), rows_per_block=4,
+        buffer_cache=cache,
+    )
 
 
 class TestPartitionStoreRouting:
@@ -97,12 +114,7 @@ class TestPartitionStoreRouting:
 
 class TestReconcileBufferCacheCharging:
     def make_cached_table(self):
-        oid = itertools.count(820)
-        return Table(
-            "T", make_schema(), BlockStore(),
-            object_id_allocator=lambda: next(oid), rows_per_block=4,
-            buffer_cache=BufferCache(),
-        )
+        return make_table(BufferCache(), first_oid=820)
 
     def test_reconcile_charges_one_miss_per_distinct_block(
         self, txns, clock
@@ -158,3 +170,313 @@ class TestReconcileBufferCacheCharging:
         assert cache.misses - misses0 == n_blocks
         assert result.stats.cost_seconds >= n_blocks * cache.miss_cost
         assert len(result.rows) == 16
+
+
+# ----------------------------------------------------------------------
+# the unit-wide reconcile pass
+# ----------------------------------------------------------------------
+class RecordingCache(BufferCache):
+    """A buffer cache that remembers every touch, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.touched: list[tuple[int, float]] = []
+
+    def touch(self, dba):
+        cost = super().touch(dba)
+        self.touched.append((dba, cost))
+        return cost
+
+
+class ProbeCountingStore:
+    """The segment's block store, remembering which DBAs were asked for."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.probed: list[int] = []
+
+    def get_optional(self, dba):
+        self.probed.append(dba)
+        return self.real.get_optional(dba)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+class CountingTxns:
+    """A transaction view that counts commitSCN lookups per writer."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.lookups: list[TransactionId] = []
+
+    def commit_scn_of(self, xid):
+        self.lookups.append(xid)
+        return self.real.commit_scn_of(xid)
+
+
+def enabled_and_populated(table, txns, clock):
+    store = InMemoryColumnStore()
+    store.enable(table)
+    populate_all(store, txns, clock)  # 16 rows = 4 blocks per unit
+    return store, table.default_partition.object_id
+
+
+def update(table, txns, clock, rowid, n1, xid, commit=True):
+    table.update_row(rowid, {"n1": n1}, xid, clock.next(), txns)
+    if commit:
+        txns.commit(xid, clock.next())
+
+
+class TestOpenBlocks:
+    def test_a_full_captured_block_is_never_probed_and_never_an_edge(
+        self, txns, clock
+    ):
+        """18 rows in blocks of 4: four full blocks and a tail holding 2.
+        ``captured == capacity`` can never be exceeded, so the edge step
+        has no business looking at a full block -- not even once."""
+        table = make_table()
+        load_rows(table, txns, clock, 18)
+        segment = table.default_partition.segment
+        spy = segment._store = ProbeCountingStore(segment._store)
+        store, __ = enabled_and_populated(table, txns, clock)
+        *full, tail = segment.dbas
+        for smu in store.segment(table.default_partition.object_id).live_units():
+            assert [dba for dba, __ in smu.imcu.open_blocks(spy)] == [
+                dba for dba in smu.imcu.covered_dbas if dba == tail
+            ]
+        engine = ScanEngine(store, txns)
+        del spy.probed[:]
+        assert len(engine.scan(table, clock.current).rows) == 18
+        assert spy.probed == [tail]  # clean units: nothing else to fetch
+
+        # the tail grows: its new rows are edge rows, found at once ...
+        load_rows(table, txns, clock, 2)
+        del spy.probed[:]
+        result = engine.scan(table, clock.current)
+        assert len(result.rows) == 20 and result.stats.fallback_rows == 2
+        assert spy.probed == [tail]
+        # ... and a block allocated since is nobody's edge: row-format
+        load_rows(table, txns, clock, 1)
+        result = engine.scan(table, clock.current)
+        assert len(result.rows) == 21
+        assert result.stats.rowstore_rows - result.stats.fallback_rows == 1
+
+    def test_a_slot_that_ended_the_prefix_mid_block_keeps_the_block_open(
+        self, txns, clock
+    ):
+        """An insert uncommitted at population and a rolled-back hole both
+        stop a block's settled prefix short of ``used_slots``; the rows
+        behind them are edge rows although the block is *full*."""
+        table = make_table()
+        blocks = table.default_partition.segment._store
+        writer, straggler, undone = (
+            TransactionId(1, 92_000 + i) for i in range(3)
+        )
+        for i in range(8):
+            xid = {1: straggler, 6: undone}.get(i, writer)
+            table.insert_row((i, i * 10.0, "x"), xid, clock.next())
+        txns.commit(writer, clock.next())
+        first, second = table.default_partition.segment.dbas
+        blocks.get(second).rollback_transaction(undone)  # slot 2: a hole
+        store, oid = enabled_and_populated(table, txns, clock)
+        (smu,) = store.segment(oid).live_units()
+        assert smu.imcu.captured_slots == {first: 1, second: 2}
+        assert dict(smu.imcu.open_blocks(blocks)) == {first: 1, second: 2}
+        txns.commit(straggler, clock.next())
+        result = ScanEngine(store, txns).scan(
+            table, clock.current, columns=["id"]
+        )
+        # invalid rows (none), then edge rows in block order
+        assert result.rows == [(0,), (4,), (5,), (1,), (2,), (3,), (7,)]
+        assert result.stats.fallback_rows == 3 + 2  # the hole was asked for
+
+    def test_a_block_missing_when_the_open_set_is_derived_counts_as_open(
+        self, txns, clock
+    ):
+        """A checkpoint-rebuilt unit never saw a block: it derives its open
+        set from the store on first use.  A covered block the store does
+        not hold then (wiped and gone) may be materialised again by redo
+        apply -- short of what the unit captured it is harmless, past it
+        it is an edge, so it must stay in the set."""
+        table = make_table()
+        load_rows(table, txns, clock, 6)
+        segment = table.default_partition.segment
+        blocks = segment._store
+        store, oid = enabled_and_populated(table, txns, clock)
+        (smu,) = store.segment(oid).live_units()
+        full, tail = segment.dbas
+        assert smu.imcu.captured_slots == {full: 4, tail: 2}
+        checkpoint = UnitCheckpoint.capture(smu)
+        store.drop_units(oid)
+        blocks.get(tail).wipe(clock.next())
+        del blocks._blocks[tail]
+        rebuilt = store.restore_unit(
+            rebuild_imcu(oid, table.tenant, checkpoint),
+            checkpoint.invalid_rows, checkpoint.invalid_blocks,
+            checkpoint.fully_invalid, checkpoint.last_invalidation_scn,
+        )
+        store.invalidate(oid, tail, (), clock.current)  # the wipe, flushed
+        engine = ScanEngine(store, txns)
+        assert len(engine.scan(table, clock.current).rows) == 4
+        assert dict(rebuilt.imcu.open_blocks(blocks)) == {tail: 2}
+        xid = TransactionId(1, 92_100)
+        for slot in range(3):  # redo apply brings the block back, longer
+            table.apply_insert(
+                oid, tail, slot, (100 + slot, 1.0, "again"), xid, clock.next()
+            )
+        txns.commit(xid, clock.next())
+        result = engine.scan(table, clock.current, columns=["id"])
+        assert sorted(result.rows) == [(0,), (1,), (2,), (3,), (100,), (101,), (102,)]
+
+
+class TestOneMemoPerScan:
+    def two_units(self, txns, clock):
+        table = make_table()
+        __, rowids = load_rows(table, txns, clock, 32)
+        store, oid = enabled_and_populated(table, txns, clock)
+        assert len(store.segment(oid).live_units()) == 2
+        return table, rowids, store, oid
+
+    def test_morsels_straddling_a_commit_return_the_serial_answer(
+        self, txns, clock
+    ):
+        """A writer first seen uncommitted commits between two morsels of
+        one scan (``QueryWorker`` runs one morsel per scheduler step while
+        apply proceeds).  It can only have committed above the snapshot,
+        so the memoised ``None`` and a fresh lookup agree -- and the writer
+        is resolved once per scan, not once per morsel."""
+        table, rowids, store, oid = self.two_units(txns, clock)
+        writer = TransactionId(1, 93_000)
+        for rowid in (rowids[1], rowids[30]):  # one row in each unit
+            update(table, txns, clock, rowid, -1.0, writer, commit=False)
+            store.invalidate(oid, rowid.dba, (rowid.slot,), clock.current)
+        snapshot = clock.current
+        counting = CountingTxns(txns)
+        engine = ScanEngine(store, counting)
+        serial = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert counting.lookups.count(writer) == 1
+
+        del counting.lookups[:]
+        first, second = engine.plan_morsels(table, snapshot, columns=["id", "n1"])
+        partials = [first.run()]
+        txns.commit(writer, clock.next())  # above the snapshot, mid-scan
+        partials.append(second.run())
+        assert [row for p in partials for row in p.rows] == serial.rows
+        assert (1, 10.0) in serial.rows and (30, 300.0) in serial.rows
+        assert counting.lookups.count(writer) == 1
+
+    def test_the_memo_does_not_outlive_the_scan(self, txns, clock):
+        """The next scan runs at another snapshot: what was uncommitted
+        for the last one may be visible to it."""
+        table, rowids, store, oid = self.two_units(txns, clock)
+        writer = TransactionId(1, 93_001)
+        update(table, txns, clock, rowids[5], -5.0, writer, commit=False)
+        store.invalidate(oid, rowids[5].dba, (rowids[5].slot,), clock.current)
+        engine = ScanEngine(store, txns)
+        before = engine.scan(table, clock.current, columns=["id", "n1"])
+        assert (5, 50.0) in before.rows
+        txns.commit(writer, clock.next())
+        after = engine.scan(table, clock.current, columns=["id", "n1"])
+        assert (5, -5.0) in after.rows and (5, 50.0) not in after.rows
+
+    def test_snapshot_too_old_surfaces_and_releases_the_pin(
+        self, txns, clock
+    ):
+        table, rowids, store, oid = self.two_units(txns, clock)
+        snapshot = clock.current
+        victim = rowids[17]
+        update(table, txns, clock, victim, -17.0, TransactionId(1, 93_002))
+        store.invalidate(oid, victim.dba, (victim.slot,), clock.current)
+        block = table.default_partition.segment._store.get(victim.dba)
+        assert block.prune_undo(keep=1) == 1  # the version at ``snapshot``
+        engine = ScanEngine(store, txns)
+        with pytest.raises(SnapshotTooOldError):
+            engine.scan(table, snapshot)
+        assert not any(
+            smu.pinned for smu in store.segment(oid).live_units()
+        )
+        assert len(engine.scan(table, clock.current).rows) == 32
+
+
+class TestUnitWidePassKeepsThePerBlockContract:
+    def churned(self, txns, clock):
+        """Two units over a cached table; in the first, invalid rows in
+        three blocks, a tombstone, a wiped block invalidated whole and a
+        covered block the store has lost; in the second, one invalid row
+        and an open tail with two edge rows."""
+        cache = RecordingCache()
+        table = make_table(cache)
+        __, rowids = load_rows(table, txns, clock, 30)
+        store, oid = enabled_and_populated(table, txns, clock)
+        segment = table.default_partition.segment
+        dbas = segment.dbas
+        writer = TransactionId(1, 94_000)
+        for i in (9, 2, 3, 28):
+            table.update_row(rowids[i], {"n1": -1.0}, writer, clock.next(), txns)
+        table.delete_row(rowids[1], writer, clock.next(), txns)
+        txns.commit(writer, clock.next())
+        for i in (9, 2, 3, 28, 1):
+            store.invalidate(oid, rowids[i].dba, (rowids[i].slot,), clock.current)
+        segment._store.get(dbas[3]).wipe(clock.next())
+        store.invalidate(oid, dbas[3], (), clock.current)
+        store.invalidate(oid, rowids[5].dba, (rowids[5].slot,), clock.current)
+        del segment._store._blocks[rowids[5].dba]  # dbas[1] is gone
+        segment._dbas.remove(rowids[5].dba)
+        load_rows(table, txns, clock, 2)  # fills the tail: edge rows
+        for dba in dbas:
+            cache.invalidate(dba)  # every block cold
+        return table, store, oid, cache, dbas
+
+    def test_same_touches_same_order_and_a_bit_equal_cost(self, txns, clock):
+        table, store, oid, cache, dbas = self.churned(txns, clock)
+        first, second = store.segment(oid).live_units()
+        del cache.touched[:]
+        result = ScanEngine(store, txns).scan(table, clock.current)
+        # per unit: invalid blocks as the SMU groups them, then edge blocks
+        expected = list(first.invalid_slots_by_dba()) + list(
+            second.invalid_slots_by_dba()
+        ) + [dbas[7]]
+        assert expected == [dbas[0], dbas[1], dbas[2], dbas[3], dbas[7], dbas[7]]
+        assert [dba for dba, __ in cache.touched] == expected
+        # the cost, accumulated block by block: touch, then rows * cost
+        # (nothing for the rows of a block the store has lost)
+        cost = per_unit = 0.0
+        touches = iter(cache.touched)
+        for smu, edge in ((first, 0), (second, 2)):
+            cost += IMCS_COST_PER_ROW * smu.imcu.n_rows
+            per_unit += IMCS_COST_PER_ROW * smu.imcu.n_rows
+            slots = [
+                len(slots) if dba != dbas[1] else 0
+                for dba, slots in smu.invalid_slots_by_dba().items()
+            ] + ([edge] if edge else [])
+            paid = 0.0
+            for n in slots:
+                miss = next(touches)[1]
+                cost += miss
+                cost += ROWSTORE_COST_PER_ROW * n
+                paid += miss
+            per_unit += paid
+            per_unit += ROWSTORE_COST_PER_ROW * sum(slots)
+        assert result.stats.cost_seconds == cost  # bit for bit
+        assert per_unit != cost  # which a per-unit multiply would not be
+
+    def test_counters_count_slots_asked_for(self, txns, clock):
+        """Tombstones and slots past a wiped block's end are fallback
+        rows; the rows of a block the store has lost are not."""
+        table, store, oid, __, dbas = self.churned(txns, clock)
+        result = ScanEngine(store, txns).scan(
+            table, clock.current, columns=["id"]
+        )
+        # unit 1: 3 in dbas[0] (one a tombstone), 1 in dbas[2], 4 past the
+        # end of wiped dbas[3]; unit 2: 1 invalid + 2 edge
+        assert result.stats.fallback_rows == 3 + 1 + 4 + 1 + 2
+        assert result.stats.rowstore_rows == result.stats.fallback_rows
+        assert result.stats.imcs_rows == 30
+        # unit by unit: what the IMCU still serves, then its invalid rows
+        # in position order, then its edge rows in block order (the two
+        # rows that filled the tail were loaded as ids 0 and 1)
+        assert [row[0] for row in result.rows] == (
+            [0, 4, 6, 7, 8, 10, 11] + [2, 3, 9]
+            + [*range(16, 28), 29] + [28] + [0, 1]
+        )

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.common import RowId, SnapshotTooOldError, TransactionId
 from repro.common.config import IMCSConfig
+from repro.imcs import imcu as imcu_module
 from repro.imcs import (
     IMCU,
     SMU,
@@ -46,6 +47,7 @@ from repro.imcs.compression import (
 )
 from repro.imcs.expressions import Expression
 from repro.rowstore import BlockStore, Table
+from repro.rowstore.cr import settled_rows
 
 from tests.naive_imcu import naive_build
 from tests.property.test_population_columnar import (
@@ -495,7 +497,9 @@ def test_rolled_back_insert_hole_still_ends_the_settled_prefix():
     assert unit.captured_slots == {1: 3} and unit.rows_reused == 3
 
 
-def test_prefix_slot_the_base_held_no_row_for_is_read_not_skipped():
+def test_prefix_slot_the_base_held_no_row_for_is_read_not_skipped(
+    monkeypatch,
+):
     world = World()
     for slot, values in enumerate(plain_rows(4)):
         world.table.apply_insert(world.oid, 1, slot, values, X[0], 2)
@@ -504,25 +508,16 @@ def test_prefix_slot_the_base_held_no_row_for_is_read_not_skipped():
     world.scn = 6
     smu = world.store.register_unit(build(world, 6))
     assert smu.imcu.n_rows == 3 and smu.imcu.captured_slots == {1: 4}
-    lookups = []
-    chain = world.segment._store.get(1).chain
+    reads = []  # (dba, slots) of every CR pass the build makes
 
-    def spying(slot):
-        lookups.append(slot)
-        return chain(slot)
+    def spying(block, snapshot, txns, memo, slots=None):
+        reads.append((block.dba, slots))
+        return settled_rows(block, snapshot, txns, memo, slots)
 
-    block = world.segment._store.get(1)
-    world.segment._store._blocks[1] = Spy(block, spying)
+    monkeypatch.setattr(imcu_module, "settled_rows", spying)
     unit = build(world, world.tick(), smu)
-    world.segment._store._blocks[1] = block
-    assert lookups == [1] and unit.rows_reused == 3
+    assert reads == [(1, [1])] and unit.rows_reused == 3
     assert_same_unit(unit, build(world, world.scn))
-
-
-class Spy:
-    def __init__(self, block, chain) -> None:
-        self.used_slots = block.used_slots
-        self.chain = chain
 
 
 def test_int_and_float_identity_travels_with_the_gather():

@@ -37,7 +37,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.adg.apply import ApplyDistributor
@@ -290,7 +290,14 @@ class Stack:
         )
 
     def mined(self):
-        """Everything mining leaves behind, in comparable form."""
+        """Everything mining leaves behind, in comparable form.
+
+        Commit-table nodes compare in ``(commit_scn, xid)`` order: order
+        among *equal* commitSCNs is unobservable (``chop(up_to)`` takes
+        ties together; flushing is idempotent and monotone), and a retried
+        ``insert_batch`` may leave ties in either order.  A real primary
+        allocates an SCN per commit; ``streams()`` can put two commits in
+        one record, i.e. at one SCN."""
         anchors = {
             xid: (
                 anchor.has_begin,
@@ -305,10 +312,10 @@ class Stack:
             for xid, anchor in bucket.items()
         }
         floor = self.journal.min_first_scn()
-        commits = [
-            (node.xid, node.commit_scn, node.coarse, node.anchor is not None)
+        commits = sorted(
+            (node.commit_scn, node.xid, node.coarse, node.anchor is not None)
             for node in self.commit_table.chop(10**18)
-        ]
+        )
         return anchors, commits, floor, len(self.ddl_table)
 
 
@@ -519,6 +526,19 @@ def test_a_chunk_interleaving_data_and_specials_mines_like_width_one(
     assert SYSTEM not in wide[0]
 
 
+X1, X2, X4 = (TransactionId(1, sequence) for sequence in (1, 2, 4))
+
+
+def record(scn, *makers):
+    return RedoRecord(scn, 1, tuple(make(scn) for make in makers))
+
+
+def update(xid, dba, slot, object_id=ENABLED):
+    return lambda scn: ChangeVector(
+        CVOp.UPDATE, dba, object_id, 0, xid, UpdatePayload(slot, (), ())
+    )
+
+
 class MissOnce:
     """Make the ``k``-th latched call (journal ``get_or_create`` / ``get``
     / ``remove``, commit-table ``insert_batch``) miss, once."""
@@ -560,6 +580,14 @@ class MissOnce:
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(records=streams())
+@example(
+    # two commits at one SCN in one record; a miss at the ``insert_batch``
+    # call retries the first node after the second went in
+    records=[
+        record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
+        record(102, commit(X1, None), commit(X4, None)),
+    ]
+)
 def test_a_latch_miss_at_any_call_of_a_chunk_mines_nothing_twice(records):
     if not records:
         return
@@ -578,18 +606,6 @@ def test_a_latch_miss_at_any_call_of_a_chunk_mines_nothing_twice(records):
 
 
 # -- one named test per edge -------------------------------------------
-X1, X2 = TransactionId(1, 1), TransactionId(1, 2)
-
-
-def record(scn, *makers):
-    return RedoRecord(scn, 1, tuple(make(scn) for make in makers))
-
-
-def update(xid, dba, slot, object_id=ENABLED):
-    return lambda scn: ChangeVector(
-        CVOp.UPDATE, dba, object_id, 0, xid, UpdatePayload(slot, (), ())
-    )
-
 
 def test_reset_mining_clears_the_data_done_mark():
     """Instance restart: the journal is gone, so what a chunk has not yet

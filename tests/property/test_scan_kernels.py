@@ -11,6 +11,15 @@ Hypothesis drives committed and uncommitted updates, deletes, edge rows
 inserted after population, spurious row invalidations and whole-block
 invalidations (both safe: invalidation is monotone), plus random
 predicates and projections.
+
+A second property covers the scan's edge step.  The engine visits only a
+unit's *open* blocks -- those captured short of their capacity
+(``IMCU.open_blocks``) -- where it used to probe every covered block; the
+probe-everything walk lives here, as :func:`naive_edge_blocks`, and the
+two must name the same blocks after every step of histories that leave
+full blocks, a non-full tail, an insert uncommitted at population
+mid-block, a rolled-back hole, a wiped block and a checkpoint-rebuilt
+unit.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from repro.imcs import (
     Predicate,
     ScanEngine,
 )
+from repro.restart import UnitCheckpoint, rebuild_imcu
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.cr import visible_values
 
@@ -213,3 +223,132 @@ def test_vectorised_scan_matches_reference(data):
     assert sorted(got_early.rows, key=repr) == sorted(
         expected_early, key=repr
     )
+
+
+# ----------------------------------------------------------------------
+# the edge step: open blocks == probing every covered block
+# ----------------------------------------------------------------------
+def naive_edge_blocks(imcu, store) -> list[tuple[int, int, int]]:
+    """``(dba, captured, used now)`` of every covered block holding slots
+    past the snapshot's, found the old way: by looking at all of them."""
+    edges = []
+    for dba, captured in imcu.captured_slots.items():
+        block = store.get_optional(dba)
+        if block is not None and block.used_slots > captured:
+            edges.append((dba, captured, block.used_slots))
+    return edges
+
+
+def engine_edge_blocks(imcu, store) -> list[tuple[int, int, int]]:
+    return [
+        (dba, captured, block.used_slots)
+        for dba, block, captured in imcu.edge_blocks(store)
+    ]
+
+
+def rebuild_from_checkpoint(store, oid) -> None:
+    """Replace every unit by its checkpoint-rebuilt twin (instant restart):
+    the twin is constructed from buffers alone and never saw a block."""
+    segment = store.segment(oid)
+    checkpoints = [
+        UnitCheckpoint.capture(smu) for smu in segment.live_units()
+    ]
+    store.drop_units(oid)
+    for unit in checkpoints:
+        store.restore_unit(
+            rebuild_imcu(oid, segment.table.tenant, unit),
+            unit.invalid_rows, unit.invalid_blocks, unit.fully_invalid,
+            unit.last_invalidation_scn,
+        )
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_open_block_edges_equal_probing_every_covered_block(data):
+    table, clock = build_table()  # 4 slots per block, 2 blocks per unit
+    txns = TxnView()
+    segment = table.default_partition.segment
+    blocks = segment._store
+    sequence = itertools.count(91_000)
+    serial = itertools.count()
+
+    def insert(xid):
+        i = next(serial)
+        return table.insert_row((i, i * 10.0, f"v{i % 3}"), xid, clock.next())[1]
+
+    def insert_committed(n):
+        xid = TransactionId(1, next(sequence))
+        for __ in range(n):
+            insert(xid)
+        txns.commit(xid, clock.next())
+
+    # -- before population: full blocks, then (drawn) a slot that ends its
+    #    block's settled prefix mid-block, then a (drawn) non-full tail
+    insert_committed(data.draw(st.integers(1, 9), label="head_rows"))
+    unsettled = data.draw(
+        st.sampled_from(["none", "uncommitted", "hole"]), label="unsettled"
+    )
+    straggler = TransactionId(1, next(sequence))
+    if unsettled != "none":
+        rowid = insert(straggler)
+        if unsettled == "hole":  # a rolled-back insert leaves its slot
+            blocks.get(rowid.dba).rollback_transaction(straggler)
+    insert_committed(data.draw(st.integers(0, 9), label="tail_rows"))
+
+    store = InMemoryColumnStore()
+    store.enable(table)
+    populate_all(store, txns, clock)
+    oid = table.default_partition.object_id
+    engine = ScanEngine(store, txns)
+
+    def check():
+        units = store.segment(oid).live_units()
+        for smu in units:
+            imcu = smu.imcu
+            assert engine_edge_blocks(imcu, blocks) == naive_edge_blocks(
+                imcu, blocks
+            )
+            for dba, captured in imcu.captured_slots.items():
+                block = blocks.get_optional(dba)
+                if block is not None and captured == block.capacity:
+                    assert dba not in dict(imcu.open_blocks(blocks))
+        snapshot = clock.current
+        if all(smu.imcu.snapshot_scn <= snapshot for smu in units):
+            got = engine.scan(table, snapshot)
+            expected = reference_scan(table, txns, snapshot, [], COLUMNS)
+            assert sorted(got.rows, key=repr) == sorted(expected, key=repr)
+
+    check()
+    steps = data.draw(
+        st.lists(
+            st.sampled_from(
+                ["insert", "commit_straggler", "wipe", "checkpoint", "drop_block"]
+            ),
+            max_size=6,
+        ),
+        label="steps",
+    )
+    for step in steps:
+        if step == "insert":  # edge rows; may open a fresh (uncovered) block
+            insert_committed(data.draw(st.integers(1, 5), label="edge_rows"))
+        elif step == "commit_straggler":
+            if unsettled == "uncommitted":
+                txns.commit(straggler, clock.next())
+        elif step == "wipe":  # TRUNCATE's block-level effect, flushed
+            dba = data.draw(st.sampled_from(segment.dbas), label="wiped")
+            blocks.get(dba).wipe(clock.next())
+            store.invalidate(oid, dba, (), clock.current)
+        elif step == "checkpoint":
+            rebuild_from_checkpoint(store, oid)
+        else:  # the store loses a block a unit covers
+            dba = data.draw(st.sampled_from(segment.dbas), label="dropped")
+            if blocks.get_optional(dba) is not None and (
+                blocks.get(dba).used_slots == 0
+            ):
+                del blocks._blocks[dba]
+                segment._dbas.remove(dba)
+        check()
