@@ -6,7 +6,7 @@ paper's data sizes (§VI runs 6M rows).  Ten synthetic 1M-row IMCUs --
 built straight from numpy buffers via the ``from_arrays``/``from_codes``
 /``from_runs`` constructors -- are registered next to a real 20k-row
 part (loaded through redo apply, so the reconcile path has genuine
-row-store blocks behind it).  Five configurations are timed:
+row-store blocks behind it).  Four configurations are timed:
 
 * **clean_scan** -- ~2% selective range over 10M rows projecting all
   four columns.  Also re-run under *naive* kernels (decode-then-evaluate
@@ -19,9 +19,6 @@ row-store blocks behind it).  Five configurations are timed:
   lengths without decoding, checked against numpy ground truth.
 * **reconcile_heavy** -- a quarter of the real part SMU-invalidated;
   the scan answer must not change (monotone fallback).
-* **parallel_process** -- the same scan through
-  ``parallel_backend="process"``: identical rows, and faster than
-  serial when the host has >= 4 cores.
 
 Machine-readable numbers land in ``benchmarks/results/BENCH_scan_10m.json``.
 """
@@ -49,7 +46,6 @@ from repro.imcs.compression import (
 from repro.imcs.imcu import IMCU
 from repro.imcs.scan import Predicate
 from repro.metrics.render import render_table
-from repro.query import QueryWorkerPool
 
 from conftest import save_json, save_report
 
@@ -394,57 +390,8 @@ def test_reconcile_heavy(gauntlet):
         "fallback_rows_per_scan": after.stats.fallback_rows,
     }
 
-
-def test_parallel_process_vs_serial(gauntlet):
-    """Process backend: identical rows; faster on a multicore host."""
-    deployment, __ = gauntlet
-    standby = deployment.standby
-    table = standby.catalog.table("G")
-    snapshot = standby.query_scn.value
-    predicates = [Predicate.between("n1", 1e9, 1e9 + 20.0)]
-    columns = ["id", "n1"]
-    cores = os.cpu_count() or 1
-
-    def plan():
-        return standby.scan_engine.plan_morsels(
-            table, snapshot, predicates, columns
-        )
-
-    def serial():
-        from repro.imcs.scan import merge_partials
-        return merge_partials([m.run() for m in plan()])
-
-    serial_result = serial()
-    t_serial = wall_time(serial, repeats=2)
-
-    pool = QueryWorkerPool(
-        deployment.sched, n_workers=min(cores, 8),
-        parallel_backend="process",
-    )
-    try:
-        pool.submit(plan())  # warm-up: fork workers, publish shm, caches
-        pending = pool.submit(plan())
-        t_parallel = pool.last_wall_seconds
-        assert pending.done
-        assert pending.result.rows == serial_result.rows
-    finally:
-        pool.shutdown()
-
-    _RESULTS["parallel_process"] = {
-        "serial_s": t_serial,
-        "process_s": t_parallel,
-        "rows_per_s": TOTAL_ROWS / t_parallel,
-        "speedup": t_serial / t_parallel,
-        "cores": cores,
-        "workers": min(cores, 8),
-    }
-    if cores >= 4:
-        assert t_parallel < t_serial, (
-            f"process backend slower on {cores} cores: "
-            f"{t_parallel:.3f}s vs {t_serial:.3f}s serial"
-        )
-
     # ---- report (this test runs last in the module) ----
+    cores = os.cpu_count() or 1
     payload = {
         "bench": "scan_10m",
         "total_rows": TOTAL_ROWS,
@@ -459,10 +406,7 @@ def test_parallel_process_vs_serial(gauntlet):
     table_rows = [
         [
             name,
-            stats.get(
-                "wall_s",
-                stats.get("optimized_s", stats.get("process_s", 0.0)),
-            ) * 1e3,
+            stats.get("wall_s", stats.get("optimized_s", 0.0)) * 1e3,
             stats.get("rows_per_s", 0.0),
         ]
         for name, stats in _RESULTS.items()

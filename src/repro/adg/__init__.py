@@ -22,14 +22,6 @@ from repro.adg.queryscn import ListenerFanoutError, QuerySCNPublisher
 from repro.adg.merger import LogMerger
 from repro.adg.apply import ApplyDistributor, ApplyStall, RecoveryWorker, CVApplier
 from repro.adg.coordinator import RecoveryCoordinator, AdvanceProtocol
-from repro.adg.strategy import (
-    BatchedQuiesceStrategy,
-    ConsistencyPointStrategy,
-    DeferredDrainStrategy,
-    EagerFlushStrategy,
-    STRATEGIES,
-    create_strategy,
-)
 
 __all__ = [
     "QuerySCNPublisher",
@@ -41,10 +33,4 @@ __all__ = [
     "CVApplier",
     "RecoveryCoordinator",
     "AdvanceProtocol",
-    "ConsistencyPointStrategy",
-    "EagerFlushStrategy",
-    "DeferredDrainStrategy",
-    "BatchedQuiesceStrategy",
-    "STRATEGIES",
-    "create_strategy",
 ]

@@ -30,7 +30,6 @@ from repro.common.scn import SCN
 from repro.adg.apply import ApplyDistributor, RecoveryWorker
 from repro.adg.merger import LogMerger
 from repro.adg.queryscn import QuerySCNPublisher
-from repro.adg.strategy import ConsistencyPointStrategy, EagerFlushStrategy
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -93,16 +92,15 @@ class RecoveryCoordinator(Actor):
         flush_batch: int = 32,
         node: Optional[CpuNode] = None,
         name: str = "recovery-coordinator",
-        strategy: Optional[ConsistencyPointStrategy] = None,
     ) -> None:
         self.merger = merger
         self.distributor = distributor
         self.workers = workers
         self.query_scn = query_scn
         self.quiesce_lock = quiesce_lock
+        #: Read on every step, never cached: tests and the e2e tracer swap
+        #: or wrap it after construction.
         self.advance_protocol = advance_protocol
-        self.strategy = strategy or EagerFlushStrategy()
-        self.strategy.bind(self)
         self.interval = interval
         self.distribute_batch = distribute_batch
         self.flush_batch = flush_batch
@@ -166,36 +164,28 @@ class RecoveryCoordinator(Actor):
             routed = self.distributor.distribute(records)
             cost += COORDINATION_COST + 1e-7 * routed
 
-        strategy = self.strategy
-        if self._advancing_to is None or strategy.accepts_new_candidates:
-            if sched.now - self._last_check >= self.interval:
-                self._last_check = sched.now
-                cost += COORDINATION_COST
-                candidate = self.consistency_point()
-                if candidate > self.query_scn.value:
-                    if self._advancing_to is None:
-                        self._advancing_to = candidate
-                        self._advance_started_at = sched.now
-                        strategy.begin(candidate, sched.now)
-                    else:
-                        strategy.offer(candidate, sched.now)
-                        if candidate > self._advancing_to:
-                            self._advancing_to = candidate
+        if (
+            self._advancing_to is None
+            and sched.now - self._last_check >= self.interval
+        ):
+            self._last_check = sched.now
+            cost += COORDINATION_COST
+            candidate = self.consistency_point()
+            if candidate > self.query_scn.value:
+                self._advancing_to = candidate
+                self._advance_started_at = sched.now
+                if self.advance_protocol is not None:
+                    self.advance_protocol.begin_advance(candidate)
         if self._advancing_to is not None:
             cost += self._continue_advance(sched)
-        elif strategy.pending_background():
-            # deferred (post-publication) work, e.g. journal anchor
-            # retirement staged past the quiesce window
-            drained = strategy.background_drain(self.flush_batch)
-            cost += FLUSH_COST_PER_NODE * max(drained, 1)
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
     def _continue_advance(self, sched: Scheduler) -> float:
         cost = 0.0
-        strategy = self.strategy
-        flushed = strategy.drain(self.flush_batch)
-        if flushed is not None:
+        protocol = self.advance_protocol
+        if protocol is not None:
+            flushed = protocol.coordinator_flush(self.flush_batch)
             cost += FLUSH_COST_PER_NODE * max(flushed, 1)
             if flushed < 0:
                 # worklink exists but draining is blocked: waiting, not
@@ -205,11 +195,10 @@ class RecoveryCoordinator(Actor):
             elif self._stalled_since is not None:
                 self._stall_accum += sched.now - self._stalled_since
                 self._stalled_since = None
-            if not strategy.ready():
+            if not protocol.is_advance_complete():
                 return cost
         # Invalidation flush done: enter the quiesce period and publish.
-        target = strategy.publish_scn()
-        assert target is not None
+        target = self._advancing_to
         chaos = self._chaos
         if chaos.injectors is not None:
             decision = chaos.consult("publish", target=target)
@@ -234,14 +223,11 @@ class RecoveryCoordinator(Actor):
                 self._stalled_since = sched.now
             return cost + COORDINATION_COST
         try:
-            # strategy work that belongs inside the quiesce window, e.g.
-            # swapping staged SMU masks in, strictly pre-publication
-            applied = strategy.pre_publish(target)
-            cost += FLUSH_COST_PER_NODE * applied
             self.query_scn.publish(target, at_time=sched.now)
         finally:
             self.quiesce_lock.release_exclusive(self)
-        strategy.post_publish(target)
+        if protocol is not None:
+            protocol.finish_advance(target)
         self._advancements.inc()
         latency = sched.now - self._advance_started_at
         # time this advancement spent *blocked* (injected stall, blocked
@@ -276,7 +262,6 @@ class RecoveryCoordinator(Actor):
         # the pre-restart check timestamp must not defer the first
         # post-restart consistency-point check by a stale interval
         self._last_check = -1.0
-        self.strategy.reset()
 
     @property
     def mean_publish_latency(self) -> float:

@@ -105,24 +105,6 @@ class ApplyConfig:
 
 
 @dataclass(slots=True)
-class AdvanceConfig:
-    """QuerySCN advancement: which consistency-point strategy runs.
-
-    See :mod:`repro.adg.strategy`.  ``"eager"`` is the paper's III-D
-    protocol (drain fully, quiesce, publish); ``"deferred"`` stages SMU
-    mask writes past the drain and applies them inside the quiesce
-    window (ZigZag-style double buffering) with journal retirement after
-    publication; ``"batched"`` folds several consistency points into one
-    quiesce window (CALC-style asynchronous barrier).
-    """
-
-    strategy: str = "eager"
-    # Maximum consistency points folded into one quiesce window by the
-    # "batched" strategy (>= 1; 1 degenerates to eager).
-    barrier_width: int = 4
-
-
-@dataclass(slots=True)
 class JournalConfig:
     """IM-ADG Journal and Commit Table parameters."""
 
@@ -174,7 +156,6 @@ class SystemConfig:
     rowstore: RowStoreConfig = field(default_factory=RowStoreConfig)
     imcs: IMCSConfig = field(default_factory=IMCSConfig)
     apply: ApplyConfig = field(default_factory=ApplyConfig)
-    advance: AdvanceConfig = field(default_factory=AdvanceConfig)
     journal: JournalConfig = field(default_factory=JournalConfig)
     rac: RACConfig = field(default_factory=RACConfig)
     restart: RestartConfig = field(default_factory=RestartConfig)

@@ -49,7 +49,3 @@ class InvalidStateError(ReproError):
 
 class RedoCorruptionError(ReproError):
     """A redo stream failed validation (out-of-order SCNs, bad checksum)."""
-
-
-class CapacityError(ReproError):
-    """The in-memory pool cannot fit the requested population task."""

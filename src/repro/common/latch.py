@@ -101,14 +101,6 @@ class BucketLatchSet:
     def total_misses(self) -> int:
         return sum(latch.misses for latch in self._latches)
 
-    @property
-    def total_acquisitions(self) -> int:
-        return sum(latch.acquisitions for latch in self._latches)
-
-    @property
-    def total_breaks(self) -> int:
-        return sum(latch.breaks for latch in self._latches)
-
 
 class QuiesceLock:
     """The standby's quiesce lock (paper, section III-A).

@@ -147,15 +147,8 @@ class Deployment:
         n_workers: int = 4,
         cache_capacity: int = 256,
         enable_cache: bool = True,
-        parallel_backend: str = "sim",
     ):
-        """Attach a morsel-parallel query service to the standby.
-
-        ``parallel_backend="process"`` executes columnar morsels in real
-        OS processes over shared-memory CU buffers (see
-        :mod:`repro.query.parallel`); the default ``"sim"`` stays on the
-        deterministic virtual clock.
-        """
+        """Attach a morsel-parallel query service to the standby."""
         from repro.query.service import QueryService
 
         self.query_service = QueryService(
@@ -163,7 +156,6 @@ class Deployment:
             n_workers=n_workers,
             cache_capacity=cache_capacity,
             enable_cache=enable_cache,
-            parallel_backend=parallel_backend,
         )
         return self.query_service
 

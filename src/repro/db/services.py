@@ -71,10 +71,6 @@ class Service(enum.Enum):
     def runs_on_primary(self) -> bool:
         return self in (Service.PRIMARY_ONLY, Service.PRIMARY_AND_STANDBY)
 
-    @property
-    def runs_on_standby(self) -> bool:
-        return self in (Service.STANDBY_ONLY, Service.PRIMARY_AND_STANDBY)
-
 
 @dataclass(frozen=True, slots=True)
 class ServiceDefinition:

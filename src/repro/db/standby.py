@@ -36,7 +36,6 @@ from repro.adg.apply import (
 )
 from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
-from repro.adg.strategy import create_strategy
 from repro.adg.queryscn import QuerySCNPublisher
 from repro.common.config import SystemConfig
 from repro.common.latch import QuiesceLock
@@ -148,7 +147,6 @@ class StandbyDatabase(InMemoryFeaturesMixin):
             interval=apply_cfg.coordinator_interval,
             flush_batch=apply_cfg.coordinator_flush_batch,
             node=self.node,
-            strategy=create_strategy(self.config.advance),
         )
 
         # --- population (QuerySCN-snapshot discipline) --------------------
@@ -290,11 +288,6 @@ class StandbyDatabase(InMemoryFeaturesMixin):
             (w.applied_through() for w in self.workers),
             default=self.query_scn.value,
         )
-
-    @property
-    def received_through_scn(self) -> SCN:
-        values = self.receiver.received_scn.values()
-        return min(values) if values else 0
 
     # ------------------------------------------------------------------
     # instance restart (paper, III-E / instant restart, repro.restart)

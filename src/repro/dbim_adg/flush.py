@@ -227,10 +227,6 @@ class InvalidationFlushComponent:
     ddl_processed = obs.view("_ddl_processed")
     #: Flush calls skipped by an installed chaos fault.
     chaos_stalls = obs.view("_chaos_stalls")
-    #: Routing ops diverted to the staging buffer (deferred strategy).
-    staged_ops = obs.view("_staged_ops_counter")
-    #: Journal anchors retired post-publication (deferred strategy).
-    staged_retired = obs.view("_staged_retired")
 
     def __init__(
         self,
@@ -256,16 +252,6 @@ class InvalidationFlushComponent:
         #: Maximum blocks per invalidation group (RAC message sizing).
         self.group_block_limit = group_block_limit
         self.worklink: Optional[Worklink] = None
-        # -- staged drain (DeferredDrainStrategy's shadow buffer) ---------
-        #: When True, ``_route`` appends routing work to the staging
-        #: buffer instead of applying SMU masks, and defers journal
-        #: anchor retirement; listeners are still notified at stage time
-        #: (strictly pre-publication -- the result cache's contract).
-        self._stage_mode = False
-        #: Ordered routing ops awaiting :meth:`apply_staged`.
-        self._staged_ops: list[InvalidationGroup | CoarseInvalidation] = []
-        #: Journal anchors awaiting post-publication retirement.
-        self._pending_retire: deque = deque()
         # statistics
         self._obs = obs.current()
         self._nodes_flushed = obs.counter("dbim.flush.nodes_flushed")
@@ -276,8 +262,6 @@ class InvalidationFlushComponent:
         self._coarse_flushes = obs.counter("dbim.flush.coarse_flushes")
         self._ddl_processed = obs.counter("dbim.flush.ddl_processed")
         self._chaos_stalls = obs.counter("dbim.flush.chaos_stalls")
-        self._staged_ops_counter = obs.counter("dbim.flush.staged_ops")
-        self._staged_retired = obs.counter("dbim.flush.staged_retired")
         self._chaos = sites.declare("flush.worklink", owner=self)
         #: Observers of flushed invalidations (e.g. the query result
         #: cache).  Each listener is called *during* the flush -- i.e.
@@ -379,19 +363,14 @@ class InvalidationFlushComponent:
     def _route(
         self, nodes: Sequence[CommitTableNode]
     ) -> list[list[InvalidationGroup | CoarseInvalidation]]:
-        """Gather every node's invalidations and route (or stage) them
-        all, in node order; returns them per node."""
+        """Gather every node's invalidations and route them all, in node
+        order; returns them per node."""
         per_node = routing_ops(
             nodes,
             lambda node: () if node.anchor is None else node.anchor.chunks(),
             self.group_block_limit,
         )
-        ops = [op for of_node in per_node for op in of_node]
-        if self._stage_mode:
-            self._staged_ops += ops
-            self._staged_ops_counter.inc(len(ops))
-        else:
-            self.router.route(ops)
+        self.router.route([op for of_node in per_node for op in of_node])
         return per_node
 
     def _finish(
@@ -413,53 +392,11 @@ class InvalidationFlushComponent:
         # would livelock QuerySCN advancement if the latch holder died
         # (e.g. a recovery worker crashed mid-mine); the recovery variant
         # spins a bounded number of times and then breaks the dead
-        # holder's latch.  In staged mode retirement leaves the critical
-        # path entirely: anchors park until the coordinator's background
-        # drain after publication (keeping the journal floor is safe --
-        # it only makes restart tail replay conservatively longer).
-        if self._stage_mode:
-            self._pending_retire.append(node.xid)
-        else:
-            self.journal.remove_with_recovery(node.xid, self)
+        # holder's latch.
+        self.journal.remove_with_recovery(node.xid, self)
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             tracer.record_flushed(node.commit_scn)
-
-    # ------------------------------------------------------------------
-    # staged drain (DeferredDrainStrategy)
-    # ------------------------------------------------------------------
-    @property
-    def router_is_synchronous(self) -> bool:
-        """Staging needs synchronous SMU application inside the quiesce
-        window; an interconnect router (SIRA RAC) applies remotely and
-        asynchronously, so staged publication cannot certify it."""
-        return isinstance(self.router, LocalInvalidationRouter)
-
-    def set_staged(self, enabled: bool) -> None:
-        self._stage_mode = enabled
-
-    def apply_staged(self) -> int:
-        """Route every staged op, in original drain order; returns the
-        number applied.  Called inside the quiesce window, strictly
-        before the publication that makes their commitSCNs visible."""
-        ops, self._staged_ops = self._staged_ops, []
-        self.router.route(ops)
-        return len(ops)
-
-    @property
-    def has_pending_retire(self) -> bool:
-        return bool(self._pending_retire)
-
-    def retire_staged(self, batch: int) -> int:
-        """Retire up to ``batch`` deferred journal anchors."""
-        retired = 0
-        while self._pending_retire and retired < batch:
-            xid = self._pending_retire.popleft()
-            self.journal.remove_with_recovery(xid, self)
-            retired += 1
-        if retired:
-            self._staged_retired.inc(retired)
-        return retired
 
     # ------------------------------------------------------------------
     def _process_ddl(self, target_scn: SCN) -> None:
@@ -477,5 +414,3 @@ class InvalidationFlushComponent:
     def clear(self) -> None:
         """Instance restart: all volatile state is lost."""
         self.worklink = None
-        self._staged_ops.clear()
-        self._pending_retire.clear()

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.errors import InvalidStateError
 from repro.imcs.scan import Predicate
 from repro.query.admission import AdmissionTimeout
 from repro.sim.scheduler import Actor, Scheduler
@@ -157,7 +158,9 @@ class SessionWave(Actor):
                 min_scn=min_scn,
                 timeout=cfg.connect_timeout,
             )
-        except Exception:
+        except InvalidStateError:
+            # no qualifying standby, pool exhausted: a lost client.  Any
+            # other exception is a defect in the router and propagates.
             self.failed_connects += 1
             record.done_at = now
             record.lost = True
@@ -194,7 +197,7 @@ class SessionWave(Actor):
             handle = session.submit(
                 self.config.table_name, self._predicates()
             )
-        except Exception:
+        except InvalidStateError:
             session.close()
             record.lost = True
             record.done_at = self.fleet.sched.now

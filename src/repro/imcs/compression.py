@@ -19,11 +19,10 @@ bulk decode for projection, encoded-domain aggregation
 a memory estimate for the pool accounting.
 
 CUs are also *reconstructible from raw buffers*
-(:func:`export_cu` / :func:`cu_from_export`): the process-parallel scan
-backend ships the numpy arrays through ``multiprocessing.shared_memory``
-and rebuilds identical CU objects in worker processes, and benchmarks use
-the same constructors to assemble large synthetic IMCUs without a per-row
-encode loop.
+(:func:`export_cu` / :func:`cu_from_export`): restart checkpoints
+(``repro.restart.checkpoint``) persist the numpy arrays and reinstall
+identical CU objects, and benchmarks use the same constructors to assemble
+large synthetic IMCUs without a per-row encode loop.
 
 Encoding is *block-wise* (:func:`encode_rows` over a :func:`row_matrix`);
 the per-column constructors are width-1 calls of the same code, and the
@@ -869,8 +868,8 @@ class SharedDictionaryCU(ColumnCU):
         cls, codes: np.ndarray, dictionary
     ) -> "SharedDictionaryCU":
         """Wrap an encoded code vector over the group's live dictionary --
-        or, given only its value list (shared-memory reconstruction path),
-        over a private copy of it."""
+        or, given only its value list (:func:`cu_from_export`), over a
+        private copy of it."""
         if not isinstance(dictionary, GlobalDictionary):
             dictionary = GlobalDictionary.from_values(dictionary)
         cu = cls.__new__(cls)
@@ -976,14 +975,14 @@ class SharedDictionaryCU(ColumnCU):
 
 
 # ----------------------------------------------------------------------
-# buffer export / reconstruction (shared-memory scan workers, fast build)
+# buffer export / reconstruction (restart checkpoints, fast build)
 # ----------------------------------------------------------------------
 def export_cu(cu: ColumnCU) -> tuple[str, dict[str, np.ndarray], dict]:
     """Describe a CU as ``(kind, arrays, meta)``.
 
-    ``arrays`` maps buffer names to numpy arrays (shareable across
-    processes); ``meta`` holds the small picklable remainder (dictionary
-    value lists, row counts).  :func:`cu_from_export` inverts this.
+    ``arrays`` maps buffer names to numpy arrays; ``meta`` holds the
+    small picklable remainder (dictionary value lists, row counts).
+    :func:`cu_from_export` inverts this.
     """
     if isinstance(cu, NumericCU):
         return (

@@ -211,23 +211,6 @@ class ScanResult:
 
 
 @dataclass(slots=True)
-class UnitScanContext:
-    """Structured description of one IMCU morsel's work, for execution
-    backends that cannot run the morsel closure as-is.  The process
-    backend offloads the columnar kernel part (predicate masks + batch
-    projection over the CU buffers) to a worker process and runs the
-    row-store reconcile tail in the parent through ``engine``."""
-
-    engine: "ScanEngine"
-    table: object
-    store: object
-    smu: SMU
-    snapshot_scn: SCN
-    compiled: "_CompiledScan"
-    on_imcu_matches: object = None
-
-
-@dataclass(slots=True)
 class ScanMorsel:
     """One independently-runnable slice of a scan (morsel-driven
     parallelism): an IMCU+reconcile unit, a chunk of row-format blocks,
@@ -238,9 +221,6 @@ class ScanMorsel:
     kind: str  # "imcu" | "rowstore" | "stats"
     description: str
     run: Callable[[], ScanResult]
-    #: Present on "imcu" morsels: lets real-parallel backends split the
-    #: columnar kernels from the reconcile tail (see UnitScanContext).
-    unit_ctx: Optional[UnitScanContext] = None
 
 
 def unit_matched_positions(
@@ -248,11 +228,10 @@ def unit_matched_positions(
 ) -> np.ndarray:
     """Positions of SMU-valid rows matching every predicate.
 
-    ``unit`` is anything with ``.column(name)`` (an IMCU, or a worker-side
-    column set rebuilt from shared memory).  Predicate masks are freshly
-    allocated so the combine is in-place; ``valid`` is only ever a read
-    operand.  Serial scans and process-parallel workers share this exact
-    kernel, which is what makes parallel == serial row-for-row.
+    ``unit`` is an IMCU (anything with ``.column(name)``).  Predicate
+    masks are freshly allocated so the combine is in-place; ``valid`` is
+    only ever a read operand.  The serial scan and every morsel run this
+    one kernel, which is what makes parallel == serial row-for-row.
     """
     mask = None
     for predicate in predicates:
@@ -466,12 +445,6 @@ class ScanEngine:
                     morsels.append(ScanMorsel(
                         "imcu", f"{pname}/imcu@{smu.imcu.snapshot_scn}",
                         run_unit,
-                        unit_ctx=UnitScanContext(
-                            engine=self, table=table, store=store,
-                            smu=smu, snapshot_scn=snapshot_scn,
-                            compiled=compiled,
-                            on_imcu_matches=on_imcu_matches,
-                        ),
                     ))
             if unusable:
                 def run_stats(unusable=unusable):

@@ -458,14 +458,6 @@ class InMemoryColumnStore:
             smu.invalidate_block(dba, scn)
             self._rows_invalidated.inc()
 
-    def invalidate_object(self, object_id: ObjectId, scn: SCN) -> None:
-        segment = self._segments.get(object_id)
-        if segment is None:
-            return
-        for smu in segment.live_units():
-            smu.invalidate_fully(scn)
-        self._coarse_invalidations.inc()
-
     def invalidate_tenant(self, tenant: TenantId, scn: SCN) -> int:
         """Coarse invalidation (paper, III-E): every IMCU of a tenant."""
         touched = 0

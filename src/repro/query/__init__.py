@@ -25,7 +25,6 @@ from repro.query.admission import (
 )
 from repro.query.cache import CACHE_HIT_COST, ResultCache
 from repro.query.executor import PendingQuery, QueryWorker, QueryWorkerPool
-from repro.query.parallel import ProcessScanBackend
 from repro.query.service import QueryHandle, QueryService
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "CACHE_HIT_COST",
     "PendingQuery",
     "PoolExhaustedError",
-    "ProcessScanBackend",
     "QueryHandle",
     "QueryService",
     "QueryWorker",

@@ -16,8 +16,6 @@ finished first.
 
 from __future__ import annotations
 
-import time
-
 from collections import deque
 from typing import Callable, Optional
 
@@ -115,19 +113,9 @@ class QueryWorker(Actor):
 
 
 class QueryWorkerPool:
-    """A fixed set of query workers draining one shared morsel queue.
-
-    ``parallel_backend`` selects how morsels execute:
-
-    * ``"sim"`` (default): scheduler-actor workers on the virtual clock
-      -- deterministic, chaos-injectable, models multicore speedup in
-      simulated cost.
-    * ``"process"``: a :class:`~repro.query.parallel.ProcessScanBackend`
-      runs the columnar kernels in real OS processes over shared-memory
-      CU buffers; ``submit`` blocks until the result is merged and
-      records the real wall clock in ``last_wall_seconds``.  Rows and
-      stats are identical to the sim backend and the serial scan.
-    """
+    """A fixed set of query workers draining one shared morsel queue:
+    scheduler-actor workers on the virtual clock -- deterministic,
+    chaos-injectable, modelling multicore speedup in simulated cost."""
 
     queries_submitted = obs.view("_queries")
     morsels_dispatched = obs.view("_morsels")
@@ -138,32 +126,16 @@ class QueryWorkerPool:
         n_workers: int = 4,
         node: Optional[CpuNode] = None,
         name: str = "query",
-        parallel_backend: str = "sim",
     ) -> None:
         if n_workers < 1:
             raise ValueError("query pool needs at least one worker")
-        if parallel_backend not in ("sim", "process"):
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}"
-            )
         self.sched = sched
-        self.parallel_backend = parallel_backend
         self._queue: deque[tuple[PendingQuery, int]] = deque()
         self._queries = obs.counter("query.pool.queries")
         self._morsels = obs.counter("query.pool.morsels")
         self._queue_depth = obs.gauge("query.pool.queue_depth")
         self._query_seconds = obs.histogram("query.pool.query_seconds")
-        self._wall_seconds = obs.histogram("query.pool.wall_seconds")
         self._chaos = sites.declare("query.pool", owner=self)
-        #: Real elapsed seconds of the last process-backend submit.
-        self.last_wall_seconds: Optional[float] = None
-        self._process_backend = None
-        if parallel_backend == "process":
-            from repro.query.parallel import ProcessScanBackend
-
-            self._process_backend = ProcessScanBackend(n_workers)
-            self.workers = []
-            return
         self.workers = [
             QueryWorker(self, f"{name}-worker-{i}", node=node)
             for i in range(n_workers)
@@ -174,8 +146,6 @@ class QueryWorkerPool:
     # ------------------------------------------------------------------
     def submit(self, morsels: list[ScanMorsel]) -> PendingQuery:
         """Enqueue a planned scan; workers are woken immediately."""
-        if self._process_backend is not None:
-            return self._submit_process(morsels)
         pending = PendingQuery(morsels, self.sched.now)
         self._queries.inc()
         if morsels:
@@ -188,25 +158,7 @@ class QueryWorkerPool:
             self._query_seconds.observe(0.0)
         return pending
 
-    def _submit_process(self, morsels: list[ScanMorsel]) -> PendingQuery:
-        """Process backend: execute synchronously, merge in plan order."""
-        pending = PendingQuery(morsels, self.sched.now)
-        self._queries.inc()
-        if not morsels:
-            self._query_seconds.observe(0.0)
-            return pending
-        started = time.perf_counter()
-        partials = self._process_backend.run_morsels(morsels)
-        self.last_wall_seconds = time.perf_counter() - started
-        self._wall_seconds.observe(self.last_wall_seconds)
-        for index, partial in enumerate(partials):
-            self._morsels.inc()
-            pending._set_partial(index, partial, self.sched.now)
-        return pending
-
     def shutdown(self) -> None:
-        if self._process_backend is not None:
-            self._process_backend.close()
         for worker in self.workers:
             self.sched.remove_actor(worker)
 

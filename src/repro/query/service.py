@@ -69,7 +69,6 @@ class QueryService:
         enable_cache: bool = True,
         node=None,
         name: str = "query",
-        parallel_backend: str = "sim",
     ) -> None:
         self.standby = standby
         self.sched = sched
@@ -77,7 +76,6 @@ class QueryService:
             sched, n_workers,
             node=node if node is not None else standby.node,
             name=name,
-            parallel_backend=parallel_backend,
         )
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_capacity) if enable_cache else None

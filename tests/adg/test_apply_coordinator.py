@@ -10,6 +10,7 @@ from repro.adg import (
     RecoveryCoordinator,
     RecoveryWorker,
 )
+from repro.adg.coordinator import COORDINATION_COST, FLUSH_COST_PER_NODE
 from repro.chaos import sites
 from repro.common import InvalidStateError, QuiesceLock, TransactionId
 from repro.redo import (
@@ -19,7 +20,9 @@ from repro.redo import (
     RedoReceiver,
     RedoRecord,
 )
+from repro.db import Deployment, InMemoryService
 from repro.sim import Scheduler
+from tests.db.conftest import load, simple_table_def, small_config
 from tests.helpers import batch_of, queued_scn_cvs
 
 X = TransactionId(1, 1)
@@ -352,6 +355,9 @@ class TestCoordinator:
         assert coord._advancing_to is None
 
     def test_advance_protocol_hooks_called_in_order(self):
+        """The protocol is installed *after* construction (tests and the
+        e2e tracer swap or wrap it): the coordinator must read it on every
+        step, and drive chop -> drain -> publish -> retire in that order."""
         calls = []
 
         class Protocol:
@@ -366,14 +372,101 @@ class TestCoordinator:
                 return True
 
             def finish_advance(self, target):
-                calls.append(("finish", target))
+                calls.append(("finish", target, query_scn.value))
 
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
         coord.advance_protocol = Protocol()
         receiver.deliver(batch_of([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert query_scn.value == 10
-        kinds = [k for k, __ in calls]
-        assert kinds[0] == "begin"
-        assert "finish" in kinds
-        assert kinds.index("begin") < kinds.index("finish")
+        assert [call[0] for call in calls] == (
+            ["begin", "flush", "finish"] * (len(calls) // 3)
+        )
+        assert calls[-3:] == [
+            ("begin", 10),
+            ("flush", coord.flush_batch),
+            ("finish", 10, 10),  # post-publication
+        ]
+
+    def test_plain_adg_has_no_drain_phase_and_pays_no_flush_cost(self):
+        """Without a protocol the consistency point publishes in the very
+        step that found it, for two bookkeeping passes (check + publish);
+        with one, every step of the drain is charged per flushed node."""
+
+        class Draining:
+            remaining = 2 * 32 + 5
+
+            def begin_advance(self, target):
+                pass
+
+            def coordinator_flush(self, batch):
+                flushed = min(batch, self.remaining)
+                self.remaining -= flushed
+                return flushed
+
+            def is_advance_complete(self):
+                return self.remaining == 0
+
+            def finish_advance(self, target):
+                pass
+
+        def step_costs(protocol):
+            receiver, merger, query_scn, coord, sched, __ = build_pipeline()
+            coord.advance_protocol = protocol
+            sched.remove_actor(coord)
+            receiver.deliver(batch_of([rec(10, dba=1)]))
+            merger.merge_available()
+            coord.distributor.distribute(merger.take_merged(1000))
+            sched.run_until(0.1)  # applied: the consistency point is 10
+            costs = []
+            while query_scn.value < 10:
+                costs.append(coord.step(sched))
+            return costs
+
+        assert step_costs(None) == [2 * COORDINATION_COST]
+        assert step_costs(Draining()) == [
+            COORDINATION_COST + FLUSH_COST_PER_NODE * 32,
+            FLUSH_COST_PER_NODE * 32,
+            FLUSH_COST_PER_NODE * 5 + COORDINATION_COST,
+        ]
+
+
+def test_restart_abandons_an_in_flight_advancement():
+    """An advancement chopped but not yet published when the standby
+    bounces must not publish its pre-restart target: ``reset_advance``
+    drops it with the worklink, and the next one re-derives everything
+    the redo tail re-mines."""
+    deployment = Deployment.build(config=small_config())
+    deployment.create_table(simple_table_def())
+    rowids, __ = load(deployment, n=80)
+    deployment.enable_inmemory("T", service=InMemoryService.BOTH)
+    deployment.catch_up()
+    standby = deployment.standby
+    coord = standby.coordinator
+    holder = object()  # a population capture: drains, cannot publish
+    assert coord.quiesce_lock.try_acquire_shared(holder)
+    txn = deployment.primary.begin()
+    for rowid in rowids[:20]:
+        deployment.primary.update(txn, "T", rowid, {"n1": -1.0})
+    target = deployment.primary.commit(txn)
+    assert deployment.sched.run_until_condition(
+        lambda: coord._advancing_to is not None, max_time=10.0
+    )
+    stale = coord._advancing_to
+    assert standby.flush.worklink is not None
+    assert standby.query_scn.value < stale
+    coord.quiesce_lock.release_shared(holder)
+
+    deployment.restart_standby(cold=True)
+    assert coord._advancing_to is None
+    assert standby.flush.worklink is None
+    assert standby.query_scn.value < stale  # the stale target died
+
+    deployment.catch_up()
+    scn = standby.query_scn.value
+    assert scn >= target
+    table = deployment.primary.catalog.table("T")
+    assert sorted(standby.query("T").rows) == sorted(
+        values
+        for __, values in table.full_scan(scn, deployment.primary.txn_table)
+    )

@@ -1,10 +1,14 @@
-"""IMCSConfig rejects values that used to misbehave silently."""
+"""IMCSConfig rejects values that used to misbehave silently, and the
+settings PR 22 removed are refused rather than ignored."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.config import IMCSConfig
+from repro.common.config import IMCSConfig, SystemConfig
+from repro.db import Deployment
+from repro.query import QueryWorkerPool
+from repro.sim import Scheduler
 
 
 def rejects(field: str, value) -> None:
@@ -48,3 +52,20 @@ def test_repopulate_min_interval_is_non_negative():
 
 def test_populate_cost_per_row_is_non_negative():
     rejects("populate_cost_per_row", -1e-6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SystemConfig(advance=None),
+        lambda: QueryWorkerPool(Scheduler(), parallel_backend="sim"),
+        lambda: Deployment.build().start_query_service(
+            parallel_backend="sim"
+        ),
+    ],
+    ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service"],
+)
+def test_removed_settings_fail_loudly(call):
+    # one advancement protocol, one scan backend: nothing left to select
+    with pytest.raises(TypeError, match="advance|parallel_backend"):
+        call()

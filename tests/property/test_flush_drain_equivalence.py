@@ -12,9 +12,8 @@ replaced afterwards at such a snapshot, coarse nodes in
 between, ``group_block_limit`` from 1 up) and pushes them through the real
 journal, commit table, flush component and store under several drain
 schedules -- ``batch`` 1, 3 and everything, the coordinator alone and
-interleaved with ``worker_flush``, staged for the deferred strategy, and
-through the SIRA router.  Every schedule must leave what the model leaves:
-SMU masks, block sets, ``last_invalidation_scn``, pending invalidations
+interleaved with ``worker_flush``, and through the SIRA router.  Every
+schedule must leave what the model leaves: SMU masks, block sets, ``last_invalidation_scn``, pending invalidations
 (each with its own commitSCN), ``rows_invalidated``, ``groups_created``,
 ``groups_routed``, and the listener's event sequence; through the SIRA
 router every schedule must put the same ``_InvalidationBatch`` contents on
@@ -298,7 +297,7 @@ class World:
                 assert flush.worker_flush(0, batch) > 0
             else:
                 assert flush.coordinator_flush(batch) > 0
-        assert self.journal.anchor_count == 0 or flush.has_pending_retire
+        assert self.journal.anchor_count == 0
 
     def register_late_units(self) -> None:
         for (object_id, unit), snapshot in self.case.late_snapshots.items():
@@ -467,30 +466,6 @@ def test_every_drain_schedule_flushes_like_the_naive_model(case):
         # units registering afterwards filter what parked by its own SCN
         world.register_late_units()
         assert world.state() == registered, name
-
-
-@settings(max_examples=100, **SETTINGS)
-@given(case=cases())
-def test_staged_drain_applies_what_a_direct_drain_applies(case):
-    """The deferred strategy stages a drain's ops and applies them in the
-    quiesce window: listeners hear of every group at stage time, the SMUs
-    of none until ``apply_staged``."""
-    model, drained, __ = expected_of(case)
-    world = World(case)
-    untouched = world.state()
-    world.flush.set_staged(True)
-    world.drain(case.schedule)
-    assert world.recorder.events == model.flush.events
-    assert world.state() == untouched
-    assert world.flush.staged_ops == len(model.flush.events)
-    assert world.flush.apply_staged() == len(model.flush.events)
-    assert world.state() == drained
-    assert world.journal.anchor_count == sum(
-        not node.coarse for node in case.nodes
-    )
-    while world.flush.retire_staged(4):
-        pass
-    assert world.journal.anchor_count == 0
 
 
 @settings(max_examples=100, **SETTINGS)
