@@ -25,7 +25,6 @@ from repro.db.deployment import Deployment, InMemoryService
 from repro.db.failover import failover
 from repro.imcs.scan import Predicate
 from repro.metrics.render import render_table
-from repro.redo.shipping import LogShipper
 from repro.workload.oltap import OLTAPConfig, OLTAPWorkload
 
 from conftest import bench_system_config, save_report
@@ -43,11 +42,7 @@ def prepared_deployment():
     workload.run()
     workload.stop()
     deployment.catch_up()
-    for actor in deployment.sched.actors:
-        if isinstance(actor, LogShipper) or actor.name.startswith(
-            ("heartbeat-", "primary-popworker")
-        ):
-            deployment.sched.remove_actor(actor)
+    deployment.lose_primary()
     return deployment, config.table_name
 
 

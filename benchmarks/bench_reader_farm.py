@@ -2,10 +2,11 @@
 
 The paper's capacity-expansion deployment (Fig. 2) scales analytics by
 adding standby databases behind one primary.  This bench drives the same
-seeded client wave through a 4-member fleet twice -- once with the
-``FleetRouter``'s default lag- and load-aware policy, once with the
-blind round-robin baseline -- with one member deliberately degraded
-(slow apply *and* slow scan workers, the straggler every real farm has).
+seeded client wave through a 4-member deployment twice -- once with the
+``FleetRouter``'s lag- and load-aware routing, once with a blind
+round-robin baseline (defined here: the router has one policy) -- with
+one member deliberately degraded (slow apply *and* slow scan workers,
+the straggler every real farm has).
 
 Lag-aware routing must beat round-robin on tail connect wait: the
 straggler accumulates lag and load, the score steers sessions away, and
@@ -20,9 +21,11 @@ and routing-decision counts; uploaded as a CI artifact).
 
 from __future__ import annotations
 
+import itertools
+
 from repro import obs
-from repro.db import ColumnDef, Service, TableDef
-from repro.fleet import FleetDeployment, FleetRouter, SessionWave, WaveConfig
+from repro.db import ColumnDef, Deployment, InMemoryService, Service, TableDef
+from repro.fleet import FleetRouter, SessionWave, WaveConfig
 from repro.metrics.render import render_table
 
 from conftest import bench_system_config, save_json, save_report
@@ -48,9 +51,9 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def build_fleet() -> tuple[FleetDeployment, list]:
-    fleet = FleetDeployment.build(
-        n_standbys=N_STANDBYS, config=bench_system_config()
+def build_fleet() -> tuple[Deployment, list]:
+    fleet = Deployment.build(
+        config=bench_system_config(), n_standbys=N_STANDBYS
     )
     fleet.create_table(TableDef(
         "T",
@@ -70,12 +73,12 @@ def build_fleet() -> tuple[FleetDeployment, list]:
                 fleet.primary.insert(txn, "T", (i, float(i % 100), f"v{i % 7}"))
             )
         fleet.primary.commit(txn)
-    fleet.enable_inmemory("T")
+    fleet.enable_inmemory("T", service=InMemoryService.STANDBY)
     fleet.catch_up()
     return fleet, rowids
 
 
-def degrade(fleet: FleetDeployment) -> None:
+def degrade(fleet: Deployment) -> None:
     """Make one member the farm's straggler: apply 12x slower (real,
     growing published-QuerySCN lag) and scans ~100ms a piece instead of
     microseconds (a CPU-starved node; sessions pin it long enough that
@@ -87,13 +90,32 @@ def degrade(fleet: FleetDeployment) -> None:
         worker.speed = 25_000.0
 
 
+class RoundRobinRouter(FleetRouter):
+    """The baseline the gate compares against: cycle the members,
+    blind to lag and load (the wave uses no affinity keys)."""
+
+    def __init__(self, fleet, **kwargs) -> None:
+        super().__init__(fleet, **kwargs)
+        self._cycle = itertools.cycle(fleet.members)
+
+    def select_member(self, min_scn=0, affinity_key=None):
+        candidates = self._candidates(min_scn)
+        for member in itertools.islice(self._cycle, len(self.fleet.members)):
+            if member in candidates:
+                return member
+        return None
+
+
+ROUTERS = {"round_robin": RoundRobinRouter, "lag_aware": FleetRouter}
+
+
 def run_wave(policy: str) -> dict:
     registry = obs.MetricsRegistry()
     with obs.collecting(registry):
         fleet, rowids = build_fleet()
-        fleet.start_query_services(n_workers=2, enable_cache=False)
+        fleet.start_query_service(n_workers=2, enable_cache=False)
         degrade(fleet)
-        router = FleetRouter(fleet, policy=policy, max_sessions=24)
+        router = ROUTERS[policy](fleet, max_sessions=24)
         router.registry.create("reports", Service.PRIMARY_AND_STANDBY)
         wave = SessionWave(
             fleet, router, WaveConfig(**WAVE), rowids=rowids
@@ -142,8 +164,7 @@ def run_wave(policy: str) -> dict:
 
 
 def test_reader_farm_lag_aware_beats_round_robin():
-    results = {policy: run_wave(policy) for policy in
-               ("round_robin", "lag_aware")}
+    results = {policy: run_wave(policy) for policy in ROUTERS}
 
     rows = []
     for policy, r in results.items():

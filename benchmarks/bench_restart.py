@@ -25,7 +25,6 @@ from repro.common.config import ApplyConfig
 from repro.db.deployment import Deployment, InMemoryService
 from repro.imcs.scan import Predicate
 from repro.metrics.render import render_table
-from repro.redo.shipping import LogShipper
 from repro.workload.oltap import OLTAPConfig, OLTAPWorkload
 
 from conftest import bench_system_config, save_json, save_report
@@ -48,11 +47,7 @@ def prepared_deployment():
     workload.stop()
     deployment.catch_up()
     deployment.run(1.0)  # at least one full checkpoint round
-    for actor in deployment.sched.actors:
-        if isinstance(actor, LogShipper) or actor.name.startswith(
-            ("heartbeat-", "primary-popworker")
-        ):
-            deployment.sched.remove_actor(actor)
+    deployment.lose_primary()
     return deployment, config.table_name
 
 

@@ -11,6 +11,9 @@ standby's IMCS, and put the PRODUCTS dimension on both.  Services route
 the workloads: current-month dashboards hit the primary, full-year
 analytics hit the standby -- and the combined columnar footprint exceeds
 what either instance holds alone (the "capacity expansion" effect).
+Reads scale the same way: a second standby behind the same services is
+one argument (``n_standbys=2``), and the router spreads sessions over
+both.
 
 Run:  python examples/capacity_expansion.py
 """
@@ -21,9 +24,9 @@ from repro.db import (
     InMemoryService,
     PartitionScheme,
     Service,
-    ServiceRegistry,
     TableDef,
 )
+from repro.fleet import FleetRouter
 from repro.imcs import Predicate
 
 MONTHS = [
@@ -33,7 +36,7 @@ MONTHS = [
 
 
 def main() -> None:
-    deployment = Deployment.build()
+    deployment = Deployment.build(n_standbys=2)
     primary, standby = deployment.primary, deployment.standby
 
     print("== creating SALES (range-partitioned by month) and PRODUCTS ==")
@@ -104,32 +107,36 @@ def main() -> None:
           f"bytes (> either instance alone)")
 
     print("== services route the workloads (paper's three services) ==")
-    registry = ServiceRegistry()
-    registry.create("current_month_dashboard", Service.PRIMARY_ONLY)
-    registry.create("year_analytics", Service.STANDBY_ONLY)
-    registry.create("product_lookup", Service.PRIMARY_AND_STANDBY)
+    router = FleetRouter(deployment)
+    router.registry.create("current_month_dashboard", Service.PRIMARY_ONLY)
+    router.registry.create("year_analytics", Service.STANDBY_ONLY)
+    router.registry.create("product_lookup", Service.PRIMARY_AND_STANDBY)
 
-    def database_for(service_name):
-        return primary if registry.route(service_name).is_primary else standby
-
-    dashboard_db = database_for("current_month_dashboard")
-    analytics_db = database_for("year_analytics")
-
-    december = dashboard_db.query(
-        "SALES", [Predicate.ge("amount", 500.0)], partitions=["DEC"]
-    )
-    print(f"   December dashboard (primary IMCS): {len(december.rows)} rows, "
-          f"IMCUs used: {december.stats.imcus_used}")
+    big_sales = [Predicate.ge("amount", 500.0)]
+    with router.connect("current_month_dashboard") as dashboard:
+        december = dashboard.submit(
+            "SALES", big_sales, partitions=["DEC"]
+        ).result
+    print(f"   December dashboard ({dashboard.target.describe()} IMCS): "
+          f"{len(december.rows)} rows, IMCUs used: "
+          f"{december.stats.imcus_used}")
     assert december.stats.imcus_used >= 1
 
-    full_year = analytics_db.query("SALES", [Predicate.ge("amount", 500.0)])
-    print(f"   full-year analytics (standby IMCS): {len(full_year.rows)} rows, "
-          f"IMCUs used: {full_year.stats.imcus_used}")
-    assert full_year.stats.imcus_used >= 12
+    # two analysts: the router balances them over the two standbys
+    analysts = [router.connect("year_analytics") for __ in range(2)]
+    assert {s.target.member for s in analysts} == {"standby-1", "standby-2"}
+    for session in analysts:
+        full_year = session.submit("SALES", big_sales).result
+        print(f"   full-year analytics ({session.target.describe()} IMCS): "
+              f"{len(full_year.rows)} rows, IMCUs used: "
+              f"{full_year.stats.imcus_used}")
+        assert full_year.stats.imcus_used >= 12
+        session.close()
 
-    lookup_db = database_for("product_lookup")
-    row = lookup_db.index_fetch("PRODUCTS", "product_id", 7)
-    print(f"   product lookup via PRIMARY_AND_STANDBY service -> {row}")
+    with router.connect("product_lookup") as lookup:
+        row = lookup.execute("SELECT * FROM PRODUCTS WHERE product_id = 7")[0]
+    print(f"   product lookup via PRIMARY_AND_STANDBY service "
+          f"({lookup.target.describe()}) -> {row}")
     print("capacity expansion OK")
 
 

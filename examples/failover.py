@@ -12,7 +12,6 @@ Run:  python examples/failover.py
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.db.failover import failover
 from repro.imcs import Predicate
-from repro.redo.shipping import LogShipper
 
 
 def main() -> None:
@@ -44,11 +43,7 @@ def main() -> None:
         primary.update(txn, "TRADES", rowid, {"quantity": -1.0})
     primary.commit(txn)
     deployment.run(0.05)  # redo is shipped but maybe not yet applied
-    for actor in deployment.sched.actors:
-        if isinstance(actor, LogShipper) or actor.name.startswith(
-            ("heartbeat-", "primary-popworker")
-        ):
-            deployment.sched.remove_actor(actor)
+    deployment.lose_primary()
     print("   primary gone; standby performs terminal recovery")
 
     print("== failover ==")

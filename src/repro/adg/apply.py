@@ -278,6 +278,7 @@ class RecoveryWorker(Actor):
         node: Optional[CpuNode] = None,
         speed: float = 1.0,
         cost_per_cv: float = APPLY_COST_PER_CV,
+        name: Optional[str] = None,
     ) -> None:
         self.worker_id = worker_id
         self.distributor = distributor
@@ -294,7 +295,7 @@ class RecoveryWorker(Actor):
         self.cost_per_cv = cost_per_cv
         self.node = node
         self.speed = speed
-        self.name = f"recovery-worker-{worker_id}"
+        self.name = name or f"recovery-worker-{worker_id}"
         self._obs = obs.current()
         self._cvs_applied = obs.counter(
             "adg.worker.cvs_applied", worker=worker_id

@@ -227,11 +227,12 @@ class Partition(SiteFault):
 # direct faults
 # ----------------------------------------------------------------------
 class CrashActor(Fault):
-    """Kill scheduler actors whose name matches; optionally restart them
-    after ``restart_after`` seconds (the recoverable process-crash form)."""
+    """Kill scheduler actors whose name starts with ``prefix``; optionally
+    restart them after ``restart_after`` seconds (the recoverable
+    process-crash form)."""
 
-    def __init__(self, name_prefix: str, restart_after: Optional[float] = None) -> None:
-        self.name_prefix = name_prefix
+    def __init__(self, prefix: str, restart_after: Optional[float] = None) -> None:
+        self.prefix = prefix
         self.restart_after = restart_after
 
     def describe(self) -> str:
@@ -240,13 +241,13 @@ class CrashActor(Fault):
             if self.restart_after is not None
             else ""
         )
-        return f"CrashActor({self.name_prefix!r}{suffix})"
+        return f"CrashActor({self.prefix!r}{suffix})"
 
     def trigger(self, ctx: "ChaosContext") -> None:
         victims = [
             actor
             for actor in ctx.sched.actors
-            if actor.name.startswith(self.name_prefix)
+            if actor.name.startswith(self.prefix)
         ]
         for actor in victims:
             ctx.sched.remove_actor(actor)

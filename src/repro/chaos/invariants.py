@@ -6,7 +6,7 @@ assert inline, lifted into reusable checkers:
 * :class:`StandbyMatchesPrimaryCR` -- the golden invariant: a standby
   scan at the published QuerySCN equals a primary consistent read at the
   same SCN (paper, section III: transactional consistency at every
-  published snapshot);
+  published snapshot), held per mounted member;
 * :class:`QuerySCNMonotonic` -- published QuerySCNs never move backwards
   (they may leapfrog, never regress);
 * :class:`JournalDrained` -- after catch-up, the IM-ADG Journal buffers
@@ -52,8 +52,26 @@ class Invariant:
         return InvariantResult(self.name, passed, detail)
 
 
+def _primary_cr(deployment, table_name: str, snapshot: int) -> list:
+    """The primary's consistent read of ``table_name`` at ``snapshot``."""
+    table = deployment.primary.catalog.table(table_name)
+    return sorted(
+        values
+        for __, values in table.full_scan(
+            snapshot, deployment.primary.txn_table
+        )
+    )
+
+
+def _where(deployment, member) -> str:
+    """Report-line prefix naming ``member`` -- empty when it is the only
+    one, so a two-node report reads as it always has."""
+    return f"{member.name}: " if len(deployment.members) > 1 else ""
+
+
 class StandbyMatchesPrimaryCR(Invariant):
-    """Standby scan at QuerySCN == primary consistent read at QuerySCN."""
+    """Every mounted member's scan at its own published QuerySCN ==
+    primary consistent read at that SCN."""
 
     name = "standby_scan_equals_primary_cr"
 
@@ -62,24 +80,23 @@ class StandbyMatchesPrimaryCR(Invariant):
 
     def check(self, ctx: "ChaosContext") -> InvariantResult:
         deployment = ctx.deployment
-        snapshot = deployment.standby.query_scn.value
-        table = deployment.primary.catalog.table(self.table)
-        expected = sorted(
-            values
-            for __, values in table.full_scan(
-                snapshot, deployment.primary.txn_table
+        details = []
+        for member in deployment.mounted_members:
+            snapshot = member.published_scn
+            expected = _primary_cr(deployment, self.table, snapshot)
+            got = sorted(member.query(self.table).rows)
+            where = _where(deployment, member)
+            if got != expected:
+                return self._result(
+                    False,
+                    f"{where}divergence at QuerySCN {snapshot}: standby "
+                    f"{len(got)} rows vs primary CR {len(expected)} rows "
+                    f"({self.table})",
+                )
+            details.append(
+                f"{where}{len(got)} rows identical at QuerySCN {snapshot}"
             )
-        )
-        got = sorted(deployment.standby.query(self.table).rows)
-        if got == expected:
-            return self._result(
-                True, f"{len(got)} rows identical at QuerySCN {snapshot}"
-            )
-        return self._result(
-            False,
-            f"divergence at QuerySCN {snapshot}: standby {len(got)} rows "
-            f"vs primary CR {len(expected)} rows ({self.table})",
-        )
+        return self._result(True, "; ".join(details))
 
 
 class ClusterMatchesPrimaryCR(Invariant):
@@ -92,17 +109,11 @@ class ClusterMatchesPrimaryCR(Invariant):
 
     def check(self, ctx: "ChaosContext") -> InvariantResult:
         deployment = ctx.deployment
-        cluster = deployment.standby_cluster
+        cluster = deployment.members[0].cluster
         if cluster is None:
             return self._result(False, "no standby cluster deployed")
         snapshot = deployment.standby.query_scn.value
-        table = deployment.primary.catalog.table(self.table)
-        expected = sorted(
-            values
-            for __, values in table.full_scan(
-                snapshot, deployment.primary.txn_table
-            )
-        )
+        expected = _primary_cr(deployment, self.table, snapshot)
         got = sorted(cluster.query(self.table).rows)
         if got == expected:
             return self._result(
@@ -116,85 +127,104 @@ class ClusterMatchesPrimaryCR(Invariant):
 
 
 class QuerySCNMonotonic(Invariant):
-    """The published QuerySCN history is strictly increasing."""
+    """Every member's published QuerySCN history (lost members included)
+    is strictly increasing."""
 
     name = "queryscn_monotonic"
 
     def check(self, ctx: "ChaosContext") -> InvariantResult:
-        history = [scn for __, scn in ctx.deployment.standby.query_scn.history]
-        for earlier, later in zip(history, history[1:]):
-            if later <= earlier:
-                return self._result(
-                    False, f"QuerySCN regressed: {earlier} -> {later}"
-                )
+        deployment = ctx.deployment
+        total = 0
+        for member in deployment.members:
+            history = [scn for __, scn in member.standby.query_scn.history]
+            for earlier, later in zip(history, history[1:]):
+                if later <= earlier:
+                    return self._result(
+                        False,
+                        f"{_where(deployment, member)}QuerySCN regressed: "
+                        f"{earlier} -> {later}",
+                    )
+            total += len(history)
         return self._result(
-            True, f"{len(history)} publications, strictly increasing"
+            True, f"{total} publications, strictly increasing"
         )
 
 
 class JournalDrained(Invariant):
-    """After catch-up the journal holds anchors only for still-open
-    transactions and the commit table buffers nothing already published."""
+    """After catch-up every mounted member's journal holds anchors only
+    for still-open transactions and its commit table buffers nothing
+    already published."""
 
     name = "journal_drained_after_catchup"
 
     def check(self, ctx: "ChaosContext") -> InvariantResult:
-        standby = ctx.deployment.standby
-        open_txns = len(standby.txn_table.open_transactions())
-        anchors = standby.journal.anchor_count
-        stale = len(standby.commit_table)
-        if anchors > open_txns:
-            return self._result(
-                False,
-                f"{anchors} journal anchors but only {open_txns} open "
-                "transactions: committed work left unflushed",
+        deployment = ctx.deployment
+        details = []
+        for member in deployment.mounted_members:
+            standby = member.standby
+            where = _where(deployment, member)
+            open_txns = len(standby.txn_table.open_transactions())
+            anchors = standby.journal.anchor_count
+            stale = len(standby.commit_table)
+            if anchors > open_txns:
+                return self._result(
+                    False,
+                    f"{where}{anchors} journal anchors but only "
+                    f"{open_txns} open transactions: committed work left "
+                    "unflushed",
+                )
+            if stale:
+                return self._result(
+                    False,
+                    f"{where}{stale} commit-table nodes left below the "
+                    f"published QuerySCN {standby.query_scn.value}",
+                )
+            details.append(
+                f"{where}{anchors} anchors for {open_txns} open "
+                "transactions, commit table empty"
             )
-        if stale:
-            return self._result(
-                False,
-                f"{stale} commit-table nodes left below the published "
-                f"QuerySCN {standby.query_scn.value}",
-            )
-        return self._result(
-            True,
-            f"{anchors} anchors for {open_txns} open transactions, "
-            "commit table empty",
-        )
+        return self._result(True, "; ".join(details))
 
 
 class NoGapSkip(Invariant):
-    """Every redo position below each thread's expected-position
-    watermark was landed exactly once (shipped or FAL-fetched) -- the
-    receiver never skipped over a gap."""
+    """On every member, every redo position below each thread's
+    expected-position watermark was landed exactly once (shipped or
+    FAL-fetched) -- the receiver never skipped over a gap.  Dismounted
+    members are checked too: a receiver's accounting must hold wherever
+    its standby stopped (after a failover that is the only member)."""
 
     name = "no_gap_skip"
 
     def check(self, ctx: "ChaosContext") -> InvariantResult:
         deployment = ctx.deployment
-        receiver = deployment.standby.receiver
-        for log in deployment.primary.redo_logs:
-            thread = log.thread
-            expected = receiver.expected_position(thread)
-            landed = receiver.records_landed.get(thread, 0)
-            if expected != landed:
-                return self._result(
-                    False,
-                    f"thread {thread}: expected-position watermark "
-                    f"{expected} != {landed} records landed",
-                )
-            if expected > len(log):
-                return self._result(
-                    False,
-                    f"thread {thread}: watermark {expected} beyond the "
-                    f"log's {len(log)} records",
-                )
         threads = len(deployment.primary.redo_logs)
-        resolved = receiver.gaps_resolved
-        return self._result(
-            True,
-            f"{threads} threads contiguous, {resolved} gaps FAL-healed, "
-            f"{receiver.duplicates_discarded} duplicate records discarded",
-        )
+        details = []
+        for member in deployment.members:
+            receiver = member.standby.receiver
+            where = _where(deployment, member)
+            for log in deployment.primary.redo_logs:
+                thread = log.thread
+                expected = receiver.expected_position(thread)
+                landed = receiver.records_landed.get(thread, 0)
+                if expected != landed:
+                    return self._result(
+                        False,
+                        f"{where}thread {thread}: expected-position "
+                        f"watermark {expected} != {landed} records landed",
+                    )
+                if expected > len(log):
+                    return self._result(
+                        False,
+                        f"{where}thread {thread}: watermark {expected} "
+                        f"beyond the log's {len(log)} records",
+                    )
+            details.append(
+                f"{where}{threads} threads contiguous, "
+                f"{receiver.gaps_resolved} gaps FAL-healed, "
+                f"{receiver.duplicates_discarded} duplicate records "
+                "discarded"
+            )
+        return self._result(True, "; ".join(details))
 
 
 def standard_invariants(table: str = "T") -> list[Invariant]:

@@ -153,7 +153,7 @@ def random_plan(
             fault = F.Stall("flush.worklink", count=rng.randint(1, 20))
         elif kind == "worker_crash_restart":
             fault = F.CrashActor(
-                f"recovery-worker-{rng.randrange(n_workers)}",
+                f"standby-1-recovery-worker-{rng.randrange(n_workers)}",
                 restart_after=rng.uniform(0.05, 0.3),
             )
         elif kind == "standby_restart":

@@ -237,7 +237,9 @@ class WorkerCrashFlush(Scenario):
         return (
             FaultPlan()
             .at(0.35, F.Stall("flush.worklink", count=12))
-            .at(0.4, F.CrashActor("recovery-worker-1", restart_after=0.5))
+            .at(0.4, F.CrashActor(
+                "standby-1-recovery-worker-1", restart_after=0.5
+            ))
             .at(1.1, F.Stall("adg.apply_worker", count=30))
         )
 
@@ -441,7 +443,6 @@ class FailoverMidFlush(Scenario):
 
     def drive(self, ctx: ChaosContext) -> None:
         from repro.db.failover import failover
-        from repro.redo.shipping import LogShipper
 
         deployment = ctx.deployment
         rng = random.Random(10_100)
@@ -457,11 +458,7 @@ class FailoverMidFlush(Scenario):
             deployment.run(0.2)
         # disaster strikes: in-flight redo, worklink possibly mid-drain
         deployment.run(0.05)
-        for actor in deployment.sched.actors:
-            if isinstance(actor, LogShipper) or actor.name.startswith(
-                ("heartbeat-", "primary-popworker", "primary-undo")
-            ):
-                deployment.sched.remove_actor(actor)
+        deployment.lose_primary()
         ctx.note("note", "primary declared dead; failover begins")
         new_primary = failover(deployment.standby, deployment.sched)
         ctx.extra["new_primary"] = new_primary
@@ -485,7 +482,7 @@ class FailoverMidFlush(Scenario):
 
 # ----------------------------------------------------------------------
 class _LoseStandby(F.Fault):
-    """Dismount one fleet member (``FleetDeployment.lose_standby``)."""
+    """Dismount one standby member (``Deployment.lose_standby``)."""
 
     def __init__(self, member: str) -> None:
         self.member = member
@@ -496,65 +493,6 @@ class _LoseStandby(F.Fault):
     def trigger(self, ctx: ChaosContext) -> None:
         ctx.deployment.lose_standby(self.member)
         ctx.note("fire", f"{self.describe()} dismounted {self.member}")
-
-
-class _FleetMembersMatchPrimaryCR(Invariant):
-    """Every mounted member's scan at its own published QuerySCN equals
-    a primary consistent read at that SCN (the golden invariant, held
-    per member of the farm)."""
-
-    name = "fleet_members_match_primary_cr"
-
-    def __init__(self, table: str) -> None:
-        self.table = table
-
-    def check(self, ctx: ChaosContext) -> InvariantResult:
-        fleet = ctx.deployment
-        table = fleet.primary.catalog.table(self.table)
-        checked = 0
-        for member in fleet.mounted_members:
-            snapshot = member.published_scn
-            expected = sorted(
-                values
-                for __, values in table.full_scan(
-                    snapshot, fleet.primary.txn_table
-                )
-            )
-            got = sorted(member.standby.query(self.table).rows)
-            if got != expected:
-                return self._result(
-                    False,
-                    f"{member.name} diverges at QuerySCN {snapshot}: "
-                    f"{len(got)} vs {len(expected)} rows",
-                )
-            checked += 1
-        return self._result(
-            True, f"{checked} mounted members identical at their QuerySCNs"
-        )
-
-
-class _FleetQuerySCNMonotonic(Invariant):
-    """Every member's published QuerySCN history (lost members included)
-    is strictly increasing."""
-
-    name = "fleet_queryscn_monotonic"
-
-    def check(self, ctx: ChaosContext) -> InvariantResult:
-        total = 0
-        for member in ctx.deployment.members:
-            history = [
-                scn for __, scn in member.standby.query_scn.history
-            ]
-            for earlier, later in zip(history, history[1:]):
-                if later <= earlier:
-                    return self._result(
-                        False,
-                        f"{member.name} regressed: {earlier} -> {later}",
-                    )
-            total += len(history)
-        return self._result(
-            True, f"{total} publications across members, all increasing"
-        )
 
 
 class _NoUnmountedRouting(Invariant):
@@ -641,16 +579,18 @@ class StandbyLossMidWave(Scenario):
 
     def build(self, seed: int):
         from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
-        from repro.db import ColumnDef, Service, TableDef
-        from repro.fleet import FleetDeployment, FleetRouter
+        from repro.db import (
+            ColumnDef, Deployment, InMemoryService, Service, TableDef,
+        )
+        from repro.fleet import FleetRouter
 
         config = SystemConfig(
             imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
             apply=ApplyConfig(n_workers=4),
             seed=seed,
         )
-        fleet = FleetDeployment.build(
-            n_standbys=self.n_standbys, config=config
+        fleet = Deployment.build(
+            config=config, n_standbys=self.n_standbys
         )
         fleet.create_table(TableDef(
             self.table,
@@ -669,12 +609,10 @@ class StandbyLossMidWave(Scenario):
                 txn, self.table, (i, i * 1.0, f"v{i % 5}")
             ))
         fleet.primary.commit(txn)
-        fleet.enable_inmemory(self.table)
+        fleet.enable_inmemory(self.table, service=InMemoryService.STANDBY)
         fleet.catch_up()
-        fleet.start_query_services(n_workers=2)
-        self._router = FleetRouter(
-            fleet, policy="lag_aware", max_sessions=24
-        )
+        fleet.start_query_service(n_workers=2)
+        self._router = FleetRouter(fleet, max_sessions=24)
         self._router.registry.create(
             "reports", Service.PRIMARY_AND_STANDBY
         )
@@ -741,9 +679,7 @@ class StandbyLossMidWave(Scenario):
         self._router.expire_waiters()
 
     def invariants(self, ctx: ChaosContext) -> list[Invariant]:
-        return [
-            _FleetMembersMatchPrimaryCR(self.table),
-            _FleetQuerySCNMonotonic(),
+        return standard_invariants(self.table) + [
             _NoUnmountedRouting(),
             _RYWWaitersResolved(),
         ]

@@ -1,8 +1,9 @@
 """Database façades: the public API of the reproduction.
 
-* :class:`~repro.db.deployment.Deployment` builds a primary cluster and a
-  physical standby wired together by redo shipping, on one deterministic
-  scheduler -- the starting point for every example and benchmark.
+* :class:`~repro.db.deployment.Deployment` builds a primary cluster and
+  N >= 1 physical standbys (:class:`~repro.db.member.StandbyMember`) wired
+  together by redo shipping, on one deterministic scheduler -- the
+  starting point for every example and benchmark.
 * :class:`~repro.db.primary.PrimaryDatabase` runs transactions (DML + DDL)
   and generates redo across one or more RAC instances.
 * :class:`~repro.db.standby.StandbyDatabase` applies redo with parallel
@@ -11,16 +12,17 @@
 * :mod:`~repro.db.sql` provides the small SQL dialect used by the paper's
   evaluation queries (Table 1).
 * :mod:`~repro.db.services` implements the services-based workload routing
-  of the capacity-expansion deployment (Fig. 2).
+  of the capacity-expansion deployment (Fig. 2); sessions connect through
+  :class:`repro.fleet.FleetRouter`.
 """
 
 from repro.db.schema_def import ColumnDef, PartitionScheme, TableDef
 from repro.db.catalog import Catalog
 from repro.db.primary import PrimaryDatabase, PrimaryInstance
 from repro.db.standby import StandbyDatabase
+from repro.db.member import StandbyMember
 from repro.db.deployment import Deployment, InMemoryService
 from repro.db.services import Role, RouteTarget, Service, ServiceRegistry
-from repro.db.session import ReadOnlyError, Session, SessionPool
 from repro.db.failover import activate, failover, terminal_recovery
 from repro.db.sql import parse_query, ParsedQuery
 
@@ -32,15 +34,13 @@ __all__ = [
     "PrimaryDatabase",
     "PrimaryInstance",
     "StandbyDatabase",
+    "StandbyMember",
     "Deployment",
     "InMemoryService",
     "Role",
     "RouteTarget",
     "Service",
     "ServiceRegistry",
-    "ReadOnlyError",
-    "Session",
-    "SessionPool",
     "activate",
     "failover",
     "terminal_recovery",

@@ -1,4 +1,5 @@
-"""Deployment: a primary cluster + physical standby, wired and scheduled.
+"""Deployment: a primary cluster + N >= 1 physical standbys, wired and
+scheduled.
 
 This is the top of the public API:
 
@@ -11,21 +12,40 @@ This is the top of the public API:
     deployment.catch_up()
     result = deployment.standby.query("T", [Predicate.eq("n1", 5)])
 
-The in-memory *service* decides where partitions populate (paper, Fig. 2):
-``PRIMARY`` / ``STANDBY`` / ``BOTH``.  Whatever the choice, the primary is
-told about standby enablement so its commit records carry the section
-III-E flag.
+The paper's capacity-expansion topology (Fig. 2) is one primary, redo
+transport, and one or more standbys behind services.  ``build`` wires it
+in one deterministic scheduler:
+
+* one :class:`~repro.db.primary.PrimaryDatabase` generating redo;
+* one :class:`~repro.redo.shipping.LogShipper` per redo thread,
+  delivering every batch to all mounted members;
+* ``n_standbys`` :class:`~repro.db.member.StandbyMember` wrappers, each a
+  full independent :class:`~repro.db.standby.StandbyDatabase` pipeline
+  with its own CPU node and FAL source.  ``deployment.standby`` is
+  ``members[0].standby``.
+
+The in-memory *service* decides where partitions populate: ``PRIMARY`` /
+``STANDBY`` / ``BOTH``.  Whatever the choice, the primary is told about
+standby enablement so its commit records carry the section III-E flag.
+
+Standby loss (``lose_standby``) dismounts a member: its shipping stops,
+the actors it attached leave the scheduler, its query workers shut down,
+and registered ``on_standby_loss`` callbacks (the router) drain its
+sessions.  ``lose_primary`` is the other half of a disaster drill.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import obs
 from repro.common.config import SystemConfig
+from repro.common.errors import ObjectNotFoundError
 from repro.redo.shipping import LogShipper
+from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Scheduler
+from repro.db.member import StandbyMember
 from repro.db.primary import PrimaryDatabase
 from repro.db.schema_def import TableDef
 from repro.db.standby import StandbyDatabase
@@ -41,25 +61,24 @@ class InMemoryService(enum.Enum):
 
 
 class Deployment:
-    """A primary + standby pair sharing one deterministic scheduler."""
+    """A primary + N standby members sharing one deterministic scheduler."""
 
     def __init__(
         self,
         primary: PrimaryDatabase,
-        standby: StandbyDatabase,
+        members: list[StandbyMember],
+        shippers: list[LogShipper],
         sched: Scheduler,
         config: SystemConfig,
     ) -> None:
         self.primary = primary
-        self.standby = standby
+        self.members = members
+        self.shippers = shippers
         self.sched = sched
         self.config = config
-        #: Optional SIRA standby RAC (see add_standby_cluster).
-        self.standby_cluster = None
-        #: Optional query service layer (see start_query_service).
-        self.query_service = None
-        #: Optional CDC egress (see start_cdc).
-        self.cdc = None
+        #: Callbacks fired (synchronously) when a member dismounts; the
+        #: router registers here to drain/redistribute its sessions.
+        self.on_standby_loss: list[Callable[[StandbyMember], None]] = []
         #: The metrics registry that was collecting while the pipeline was
         #: constructed (None outside ``obs.collecting``); its ``tracer``
         #: stamps redo through the lifecycle stages.
@@ -70,10 +89,14 @@ class Deployment:
     def build(
         cls,
         config: Optional[SystemConfig] = None,
+        n_standbys: int = 1,
         dbim_on_adg: bool = True,
         heartbeats: bool = True,
     ) -> "Deployment":
-        """Construct and wire a fresh deployment."""
+        """Construct and wire a fresh deployment of ``n_standbys``
+        members (``standby-1`` .. ``standby-N``)."""
+        if n_standbys < 1:
+            raise ValueError("a deployment needs at least one standby")
         config = config or SystemConfig()
         sched = Scheduler(seed=config.seed, jitter=0.05)
         registry = obs.current()
@@ -82,81 +105,141 @@ class Deployment:
             # redo record) exists, so stage stamps start at generation
             registry.tracer = obs.RedoLifecycleTracer(sched, registry)
         primary = PrimaryDatabase(config)
-        standby = StandbyDatabase(config, dbim_enabled=dbim_on_adg)
 
         def fal_fetch(thread, lo, hi):
-            # Fetch Archive Log: the standby pulls an archive gap straight
+            # Fetch Archive Log: a standby pulls an archive gap straight
             # from the primary's (never-recycled) log files.
             log = primary.redo_logs[thread - 1]
             return [log.record_at(i) for i in range(lo, hi)]
 
-        standby.receiver.fal_fetch = fal_fetch
-        for log in primary.redo_logs:
-            sched.add_actor(
-                LogShipper(
-                    log,
-                    standby.receiver,
-                    latency=config.ship_latency,
-                    node=primary.instances[log.thread - 1].node,
-                )
+        members = []
+        for i in range(1, n_standbys + 1):
+            standby = StandbyDatabase(
+                config,
+                dbim_enabled=dbim_on_adg,
+                node=CpuNode(f"standby-{i}", n_cpus=16),
             )
+            standby.receiver.fal_fetch = fal_fetch
+            members.append(StandbyMember(standby))
+        shippers = [
+            LogShipper(
+                log,
+                {m.name: m.standby.receiver for m in members},
+                latency=config.ship_latency,
+                node=primary.instances[log.thread - 1].node,
+            )
+            for log in primary.redo_logs
+        ]
+        for shipper in shippers:
+            sched.add_actor(shipper)
         primary.attach_actors(sched, heartbeats=heartbeats)
-        standby.attach_actors(sched)
-        # undo retention: bound version-chain growth on both databases
-        from repro.rowstore.undo_retention import UndoRetentionManager
+        for member in members:
+            member.standby.attach_actors(sched)
+        primary.attach_undo_retention(sched)
+        for member in members:
+            member.standby.attach_undo_retention(sched)
+        return cls(primary, members, shippers, sched, config)
 
-        keep = config.rowstore.undo_retention_versions
-        sched.add_actor(UndoRetentionManager(
-            primary.block_store, keep, name="primary-undo-retention",
-            node=primary.instances[0].node,
-        ))
-        sched.add_actor(UndoRetentionManager(
-            standby.block_store, keep, name="standby-undo-retention",
-            node=standby.node,
-        ))
-        return cls(primary, standby, sched, config)
+    # ------------------------------------------------------------------
+    # membership
+    # ------------------------------------------------------------------
+    @property
+    def standby(self) -> StandbyDatabase:
+        """The first member's database (the only one when N = 1)."""
+        return self.members[0].standby
+
+    @property
+    def query_service(self):
+        """The first member's query service (see start_query_service)."""
+        return self.members[0].query_service
+
+    @property
+    def cdc(self):
+        """The first member's CDC egress (see start_cdc)."""
+        return self.members[0].cdc
+
+    def member(self, name: Optional[str] = None) -> StandbyMember:
+        """The member called ``name``; the first member when None."""
+        if name is None:
+            return self.members[0]
+        for member in self.members:
+            if member.name == name:
+                return member
+        raise ObjectNotFoundError(f"no such standby member: {name!r}")
+
+    @property
+    def mounted_members(self) -> list[StandbyMember]:
+        return [m for m in self.members if m.mounted]
+
+    @property
+    def standby_mounted(self) -> bool:
+        """Routing liveness probe: is any member still serving?
+        ``lose_standby`` and ``failover()`` dismount a member, which (once
+        none is left) flips PRIMARY_AND_STANDBY routing to the primary."""
+        return any(m.mounted for m in self.members)
+
+    def lose_standby(self, name: str) -> StandbyMember:
+        """Dismount a member (crash/eviction): shipping to it stops, the
+        actors it attached leave the scheduler, its query service shuts
+        down, and ``on_standby_loss`` callbacks drain its sessions."""
+        member = self.member(name)
+        if not member.mounted:
+            return member
+        for shipper in self.shippers:
+            shipper.remove_destination(name)
+        member.standby.detach_actors(self.sched)
+        if member.query_service is not None:
+            member.query_service.pool.shutdown()
+        for callback in self.on_standby_loss:
+            callback(member)
+        return member
+
+    def lose_primary(self) -> None:
+        """The primary dies: redo transport and every actor the primary
+        attached stop.  What was already shipped stays in flight, so a
+        ``failover()`` afterwards loses nothing that left the primary."""
+        for shipper in self.shippers:
+            self.sched.remove_actor(shipper)
+        self.primary.detach_actors(self.sched)
 
     def add_standby_cluster(self, n_instances: int = 2):
-        """Scale the standby out to a SIRA RAC (paper, III-F).
+        """Scale the first member out to a SIRA RAC (paper, III-F).
 
-        The existing standby becomes the apply master; ``n_instances - 1``
+        The member's standby becomes the apply master; ``n_instances - 1``
         satellites host remotely-homed IMCUs and local coordinators.
         Call before enabling objects in-memory on the standby.
         """
         from repro.rac.cluster import StandbyCluster
 
-        self.standby_cluster = StandbyCluster(
-            self.standby, self.sched, n_instances=n_instances,
+        member = self.members[0]
+        member.cluster = StandbyCluster(
+            member.standby, self.sched, n_instances=n_instances,
             config=self.config,
         )
-        self.standby_cluster.attach_actors(self.sched)
-        return self.standby_cluster
+        member.cluster.attach_actors(self.sched)
+        return member.cluster
 
     # ------------------------------------------------------------------
-    # query service + routing liveness
+    # query service
     # ------------------------------------------------------------------
-    @property
-    def standby_mounted(self) -> bool:
-        """Whether the standby is still serving: its recovery coordinator
-        is scheduled.  ``failover()`` removes it, which flips
-        PRIMARY_AND_STANDBY routing back to the (new) primary."""
-        return self.standby.coordinator in self.sched.actors
-
     def start_query_service(
         self,
         n_workers: int = 4,
         cache_capacity: int = 256,
         enable_cache: bool = True,
     ):
-        """Attach a morsel-parallel query service to the standby."""
+        """Attach a morsel-parallel query service to every mounted
+        member; returns the first member's."""
         from repro.query.service import QueryService
 
-        self.query_service = QueryService(
-            self.standby, self.sched,
-            n_workers=n_workers,
-            cache_capacity=cache_capacity,
-            enable_cache=enable_cache,
-        )
+        for member in self.mounted_members:
+            member.query_service = QueryService(
+                member.standby, self.sched,
+                n_workers=n_workers,
+                cache_capacity=cache_capacity,
+                enable_cache=enable_cache,
+                name=f"{member.name}-query",
+            )
         return self.query_service
 
     # ------------------------------------------------------------------
@@ -167,8 +250,11 @@ class Deployment:
         tables: Optional[list[str]] = None,
         backfill: bool = True,
         pump_batch: int = 64,
+        member: Optional[str] = None,
     ):
-        """Attach a CDC egress + pump to the standby.
+        """Attach a CDC egress + pump to one member (the first by
+        default; a reader farm typically dedicates one standby to CDC so
+        subscriber fan-out never competes with the query members' scans).
 
         ``tables`` must already be in-memory enabled on the standby
         (mining only journals IMCS-enabled objects, so the feed covers
@@ -177,29 +263,35 @@ class Deployment:
         """
         from repro.cdc import CDCEgress, CDCPump
 
-        egress = CDCEgress(self.standby, self.sched)
+        source = self.member(member)
+        egress = CDCEgress(source.standby, self.sched)
         for name in tables or []:
             egress.capture(name, backfill=backfill)
-        self.sched.add_actor(
-            CDCPump(egress, batch=pump_batch, node=self.standby.node)
-        )
-        self.cdc = egress
+        source.standby.attach_actor(self.sched, CDCPump(
+            egress,
+            batch=pump_batch,
+            node=source.standby.node,
+            name=f"{source.name}-cdc-pump",
+        ))
+        source.cdc = egress
         return egress
 
     # ------------------------------------------------------------------
     # instant restart (repro.restart)
     # ------------------------------------------------------------------
     def enable_restart_checkpoints(self):
-        """Arm instant restart: schedule a background checkpoint writer
-        and give the standby a redo-tail fetch over the primary's logs
-        (the same never-recycled archive the FAL path reads).
+        """Arm instant restart on every mounted member: schedule a
+        background checkpoint writer and give the standby a redo-tail
+        fetch over the primary's logs (the same never-recycled archive
+        the FAL path reads).
 
-        Returns the :class:`~repro.restart.checkpoint.CheckpointStore`.
+        Returns the first member's
+        :class:`~repro.restart.checkpoint.CheckpointStore` (each member's
+        is its ``standby.checkpoint_store``).
         """
         from repro.restart.checkpoint import CheckpointStore, CheckpointWriter
 
         restart_cfg = self.config.restart
-        store = CheckpointStore(keep_versions=restart_cfg.keep_versions)
         primary_logs = self.primary.redo_logs
 
         def redo_tail_fetch(lo_scn, hi_scn):
@@ -213,28 +305,34 @@ class Deployment:
             tail.sort(key=lambda record: record.scn)
             return tail
 
-        self.standby.enable_restart_checkpoints(store, redo_tail_fetch)
-        self.sched.add_actor(
-            CheckpointWriter(
-                self.standby,
+        for member in self.mounted_members:
+            standby = member.standby
+            store = CheckpointStore(keep_versions=restart_cfg.keep_versions)
+            standby.enable_restart_checkpoints(store, redo_tail_fetch)
+            standby.attach_actor(self.sched, CheckpointWriter(
+                standby,
                 store,
                 interval=restart_cfg.checkpoint_interval,
-                node=self.standby.node,
-            )
-        )
-        return store
+                name=f"{member.name}-checkpoint-writer",
+                node=standby.node,
+            ))
+        return self.standby.checkpoint_store
 
-    def restart_standby(self, cold: bool = False):
-        """Bounce the standby and return its restart report."""
-        self.standby.restart(cold=cold)
-        return self.standby.last_restart_report
+    def restart_standby(
+        self, cold: bool = False, member: Optional[str] = None
+    ):
+        """Bounce one member's standby (the first by default) and return
+        its restart report."""
+        standby = self.member(member).standby
+        standby.restart(cold=cold)
+        return standby.last_restart_report
 
     # ------------------------------------------------------------------
     # schema + in-memory management
     # ------------------------------------------------------------------
     def create_table(self, table_def: TableDef) -> Table:
-        """Create on the primary; the standby materialises it from the
-        create-table redo marker."""
+        """Create on the primary; every member materialises the table
+        from the same create-table redo marker (identical object ids)."""
         return self.primary.create_table(table_def)
 
     def enable_inmemory(
@@ -247,18 +345,18 @@ class Deployment:
         if service in (InMemoryService.PRIMARY, InMemoryService.BOTH):
             self.primary.enable_inmemory(table_name, partition, columns)
         if service in (InMemoryService.STANDBY, InMemoryService.BOTH):
-            # the standby's dictionary learns about new tables via redo:
+            # the standbys' dictionaries learn about new tables via redo:
             # make sure the marker has been applied first
             self.run_until_standby_has(table_name)
-            if self.standby_cluster is not None:
-                object_ids = self.standby_cluster.enable_inmemory(
+            object_ids: list[int] = []
+            for member in self.mounted_members:
+                database = member.cluster or member.standby
+                object_ids = database.enable_inmemory(
                     table_name, partition, columns
                 )
-            else:
-                object_ids = self.standby.enable_inmemory(
-                    table_name, partition, columns
-                )
-            self.primary.note_standby_enablement(object_ids)
+            # told once: members share object ids
+            if object_ids:
+                self.primary.note_standby_enablement(object_ids)
 
     # ------------------------------------------------------------------
     # simulation control
@@ -268,7 +366,10 @@ class Deployment:
 
     def run_until_standby_has(self, table_name: str, timeout: float = 60.0) -> None:
         ok = self.sched.run_until_condition(
-            lambda: table_name in self.standby.catalog, max_time=timeout
+            lambda: all(
+                table_name in m.standby.catalog for m in self.mounted_members
+            ),
+            max_time=timeout,
         )
         if not ok:
             raise TimeoutError(
@@ -276,33 +377,48 @@ class Deployment:
             )
 
     def catch_up(self, timeout: float = 600.0) -> None:
-        """Run until the standby's QuerySCN covers all primary redo
-        generated so far and population backlogs are drained."""
+        """Run until every mounted member's QuerySCN covers all primary
+        redo generated so far and population backlogs (the primary's
+        included) are drained."""
         target = self.primary.clock.current
 
-        def caught_up() -> bool:
-            if self.standby.query_scn.value < target:
+        def member_caught_up(member: StandbyMember) -> bool:
+            if member.published_scn < target:
                 return False
-            if not self.primary.population.fully_populated():
-                return False
-            if self.standby_cluster is not None:
-                return self.standby_cluster.fully_populated() and all(
+            if member.cluster is not None:
+                return member.cluster.fully_populated() and all(
                     s.query_scn.value >= target
-                    for s in self.standby_cluster.satellites
+                    for s in member.cluster.satellites
                 )
-            return self.standby.population.fully_populated()
+            return member.standby.population.fully_populated()
+
+        def caught_up() -> bool:
+            return self.primary.population.fully_populated() and all(
+                member_caught_up(m) for m in self.mounted_members
+            )
 
         if not self.sched.run_until_condition(caught_up, max_time=timeout):
+            laggards = {
+                m.name: m.published_scn
+                for m in self.mounted_members
+                if m.published_scn < target
+            }
             raise TimeoutError(
-                f"standby lagging: QuerySCN {self.standby.query_scn.value} "
-                f"< {target} after {timeout}s"
+                f"standby lagging: QuerySCN {laggards} < {target} "
+                f"after {timeout}s"
             )
 
     # ------------------------------------------------------------------
-    # lag metric (Fig. 11)
+    # lag metrics (Fig. 11, per member)
     # ------------------------------------------------------------------
+    def member_lag(self, member: StandbyMember) -> int:
+        """How far a member's published QuerySCN trails redo generation."""
+        newest = max(log.last_scn for log in self.primary.redo_logs)
+        return max(0, newest - member.published_scn)
+
     @property
     def redo_lag_scns(self) -> int:
-        """How far the published QuerySCN trails primary redo generation."""
-        newest = max(log.last_scn for log in self.primary.redo_logs)
-        return max(0, newest - self.standby.query_scn.value)
+        """Worst-case lag over the mounted members."""
+        return max(
+            (self.member_lag(m) for m in self.mounted_members), default=0
+        )

@@ -86,6 +86,7 @@ def activate(
     primary.catalog = standby.catalog
     primary.imcs_enabled_objects = set(standby.imcs.enabled_object_ids)
     primary.instances = []
+    primary._actors = []
     for i in range(1, n_instances + 1):
         node = CpuNode(f"activated-primary-{i}", n_cpus=16)
         log = RedoLog(thread=i)
@@ -137,18 +138,13 @@ def failover(
     terminal_recovery(standby, sched, timeout)
     if chaos.injectors is not None:
         chaos.consult("terminal_recovered", query_scn=standby.query_scn.value)
-    # the apply pipeline stops: the old primary is gone
-    sched.remove_actor(standby.merger)
-    sched.remove_actor(standby.coordinator)
-    for worker in standby.workers:
-        sched.remove_actor(worker)
-    # the standby's population workers stop too: the activated primary
-    # runs its own, with current-SCN snapshots instead of QuerySCN ones
-    for actor in sched.actors:
-        if actor.name.startswith("standby-popworker"):
-            sched.remove_actor(actor)
+    # the old primary is gone: the apply pipeline stops, and so do the
+    # standby's population workers -- the activated primary runs its
+    # own, with current-SCN snapshots instead of QuerySCN ones
+    standby.detach_actors(sched)
     primary = activate(standby, sched, n_instances)
     primary.attach_actors(sched, heartbeats=False)
+    primary.attach_undo_retention(sched)
     if chaos.injectors is not None:
         chaos.consult("activated", query_scn=standby.query_scn.value)
     return primary

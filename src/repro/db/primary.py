@@ -47,8 +47,9 @@ from repro.redo.records import (
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.segment import BlockStore
 from repro.rowstore.table import Table
+from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, ActorOwner, Scheduler
 from repro.txn.manager import Transaction, TransactionManager
 from repro.txn.table import TransactionTable
 from repro.db.catalog import Catalog
@@ -116,7 +117,7 @@ class PrimaryInstance:
         return f"PrimaryInstance({self.instance_id})"
 
 
-class PrimaryDatabase(InMemoryFeaturesMixin):
+class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
     """The primary cluster: transactions, redo generation, primary DBIM."""
 
     def __init__(
@@ -159,6 +160,8 @@ class PrimaryDatabase(InMemoryFeaturesMixin):
         )
         self.scan_engine = ScanEngine(self.imcs, self.txn_table)
         self._init_features()
+        #: The actors this primary scheduled (ActorOwner).
+        self._actors: list[Actor] = []
 
     def _query_snapshot(self) -> SCN:
         return self.clock.current
@@ -177,21 +180,32 @@ class PrimaryDatabase(InMemoryFeaturesMixin):
         """Register background actors (heartbeats, population workers)."""
         if heartbeats:
             for inst in self.instances:
-                sched.add_actor(
+                self.attach_actor(
+                    sched,
                     HeartbeatWriter(
                         inst.instance_id, self.clock, inst.redo_log,
                         node=inst.node,
-                    )
+                    ),
                 )
         for i in range(self.config.imcs.population_workers):
-            sched.add_actor(
+            self.attach_actor(
+                sched,
                 PopulationWorker(
                     self.population,
                     name=f"primary-popworker-{i}",
                     node=self.instances[0].node,
                     sweep=(i == 0),
-                )
+                ),
             )
+
+    def attach_undo_retention(self, sched: Scheduler) -> None:
+        """Bound version-chain growth on the primary's row store."""
+        self.attach_actor(sched, UndoRetentionManager(
+            self.block_store,
+            self.config.rowstore.undo_retention_versions,
+            name="primary-undo-retention",
+            node=self.instances[0].node,
+        ))
 
     # ------------------------------------------------------------------
     # DDL

@@ -68,7 +68,7 @@ class Service(enum.Enum):
     PRIMARY_AND_STANDBY = "primary_and_standby"
 
     @property
-    def runs_on_primary(self) -> bool:
+    def includes_primary(self) -> bool:
         return self in (Service.PRIMARY_ONLY, Service.PRIMARY_AND_STANDBY)
 
 

@@ -54,8 +54,9 @@ from repro.redo.records import ChangeVector, DDLMarkerPayload
 from repro.redo.shipping import RedoReceiver
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.segment import BlockStore
+from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Actor, ActorOwner, Scheduler
 from repro.txn.table import TransactionTable
 from repro.db.applier import PhysicalApplier
 from repro.db.catalog import Catalog
@@ -63,7 +64,7 @@ from repro.db.features import InMemoryFeaturesMixin
 from repro.db.schema_def import TableDef
 
 
-class StandbyDatabase(InMemoryFeaturesMixin):
+class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
     """One standby instance (the SIRA apply master)."""
 
     def __init__(
@@ -89,7 +90,12 @@ class StandbyDatabase(InMemoryFeaturesMixin):
         # --- media recovery pipeline -------------------------------------
         apply_cfg = self.config.apply
         self.receiver = RedoReceiver()
-        self.merger = LogMerger(self.receiver, node=self.node)
+        # actors are named after the node, so N standbys can share one
+        # scheduler without name collisions
+        prefix = self.node.name
+        self.merger = LogMerger(
+            self.receiver, node=self.node, name=f"{prefix}-log-merger"
+        )
         if apply_cfg.routing == "dependency":
             self.distributor = DependencyAwareDistributor(apply_cfg.n_workers)
         else:
@@ -134,6 +140,7 @@ class StandbyDatabase(InMemoryFeaturesMixin):
                 flush_batch=apply_cfg.cooperative_flush_batch,
                 node=self.node,
                 cost_per_cv=apply_cfg.apply_cost_per_cv,
+                name=f"{prefix}-recovery-worker-{i}",
             )
             for i in range(apply_cfg.n_workers)
         ]
@@ -147,6 +154,7 @@ class StandbyDatabase(InMemoryFeaturesMixin):
             interval=apply_cfg.coordinator_interval,
             flush_batch=apply_cfg.coordinator_flush_batch,
             node=self.node,
+            name=f"{prefix}-recovery-coordinator",
         )
 
         # --- population (QuerySCN-snapshot discipline) --------------------
@@ -158,6 +166,8 @@ class StandbyDatabase(InMemoryFeaturesMixin):
         )
         self.scan_engine = ScanEngine(self.imcs, self.txn_table)
         self._init_features()
+        #: The actors this standby scheduled (ActorOwner).
+        self._actors: list[Actor] = []
         self.restarts = 0
         self.instant_restarts = 0
         # --- instant restart (opt-in, see enable_restart_checkpoints) ----
@@ -174,25 +184,35 @@ class StandbyDatabase(InMemoryFeaturesMixin):
     # ------------------------------------------------------------------
     # wiring helpers
     # ------------------------------------------------------------------
-    def attach_actors(
-        self, sched: Scheduler, name_prefix: str = "standby"
-    ) -> None:
-        """Schedule this standby's pipeline.  ``name_prefix`` namespaces
-        the population workers' actor names so a fleet of standbys can
-        share one scheduler (failover removes them by this prefix)."""
-        sched.add_actor(self.merger)
-        sched.add_actor(self.coordinator)
-        for worker in self.workers:
-            sched.add_actor(worker)
+    def attach_actors(self, sched: Scheduler) -> None:
+        """Schedule this standby's pipeline and population workers."""
+        for actor in (self.merger, self.coordinator, *self.workers):
+            self.attach_actor(sched, actor)
         for i in range(self.config.imcs.population_workers):
-            sched.add_actor(
+            self.attach_actor(
+                sched,
                 PopulationWorker(
                     self.population,
-                    name=f"{name_prefix}-popworker-{i}",
+                    name=f"{self.node.name}-popworker-{i}",
                     node=self.node,
                     sweep=(i == 0),
-                )
+                ),
             )
+
+    def attach_undo_retention(self, sched: Scheduler) -> None:
+        """Bound version-chain growth on this standby's row store."""
+        self.attach_actor(sched, UndoRetentionManager(
+            self.block_store,
+            self.config.rowstore.undo_retention_versions,
+            name=f"{self.node.name}-undo-retention",
+            node=self.node,
+        ))
+
+    @property
+    def mounted(self) -> bool:
+        """Whether the pipeline is scheduled: ``attach_actors`` ran and
+        ``detach_actors`` (standby loss, failover) has not."""
+        return bool(self._actors)
 
     def _capture_snapshot(self, owner: object) -> Optional[SCN]:
         """Population snapshot = the current published QuerySCN, captured

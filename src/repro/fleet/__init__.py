@@ -1,38 +1,34 @@
-"""repro.fleet: a multi-standby reader farm behind one primary.
+"""repro.fleet: routed sessions over a deployment's standby members.
 
 The paper's capacity-expansion deployment (Fig. 2) scales real-time
 analytics by putting N standby databases behind one primary, all fed by
-the same redo stream.  This package is that serving layer:
+the same redo stream.  The topology itself is
+:meth:`repro.db.Deployment.build` (``n_standbys=N``); this package is the
+serving layer in front of it:
 
-* :class:`~repro.fleet.deployment.FleetDeployment` — one primary, a
-  fan-out redo shipper per thread, N independent standby pipelines
-  (:class:`~repro.fleet.member.StandbyMember`), each with its own query
-  service;
 * :class:`~repro.fleet.router.FleetRouter` — typed, lag- and load-aware
-  session routing with session affinity, read-your-writes floors and
-  standby-loss drain/failover;
+  session routing with admission control, session affinity,
+  read-your-writes floors and standby-loss drain/failover;
 * :class:`~repro.fleet.wave.SessionWave` — the simulated OLTAP client
   wave used by the reader-farm benchmark and the standby-loss chaos
   scenario.
 """
 
-from repro.fleet.deployment import FleetDeployment
-from repro.fleet.member import StandbyMember
 from repro.fleet.router import (
     FleetRouter,
     FleetSession,
     NoQualifyingStandbyError,
     PendingFleetSession,
+    ReadOnlyError,
 )
 from repro.fleet.wave import ClientRecord, SessionWave, WaveConfig
 
 __all__ = [
-    "FleetDeployment",
-    "StandbyMember",
     "FleetRouter",
     "FleetSession",
     "NoQualifyingStandbyError",
     "PendingFleetSession",
+    "ReadOnlyError",
     "ClientRecord",
     "SessionWave",
     "WaveConfig",

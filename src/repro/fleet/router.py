@@ -1,16 +1,23 @@
-"""FleetRouter: lag- and load-aware session routing over a reader farm.
+"""FleetRouter: lag- and load-aware session routing over a deployment's
+standby members.
 
-The router fronts a :class:`~repro.fleet.deployment.FleetDeployment` the
-way Oracle's Services Infrastructure fronts an ADG reader farm: clients
-connect through a service name and the router picks the database — and,
-for standby-routed services, the *member* — the session is pinned to,
-as a typed :class:`~repro.db.services.RouteTarget`.
+The router fronts a :class:`~repro.db.deployment.Deployment` the way
+Oracle's Services Infrastructure fronts an ADG reader farm ("customers
+can create three services: Standby-only, Primary-only, and
+Primary-and-Standby"): clients connect through a service name, never
+naming an instance, and the router picks the database — and, for
+standby-routed services, the *member* — the session is pinned to, as a
+typed :class:`~repro.db.services.RouteTarget`.  It is the one session
+layer: a two-node deployment is routed over its single member.
 
-Routing policy (``lag_aware``, the default) scores each qualifying
-member by ``published-QuerySCN lag + load_weight * active_sessions`` and
-picks the minimum (ties break by member name, so decisions are
-deterministic).  ``round_robin`` ignores both signals — it exists as the
-baseline the reader-farm benchmark gates against.
+Routing scores each qualifying member by ``published-QuerySCN lag +
+load_weight * active_sessions`` and picks the minimum (ties break by
+member name, so decisions are deterministic).
+
+**Admission.**  By default the router is unbounded.  With
+``max_sessions`` / ``per_service`` set, :meth:`FleetRouter.connect` is
+admit-or-raise and :meth:`FleetRouter.connect_queued` parks the request
+until a session closes (or the timeout passes).
 
 **Read-your-writes.**  A client carrying a last-seen commitSCN ``C``
 (``min_scn=C``) is only ever routed to a member whose published QuerySCN
@@ -22,7 +29,7 @@ queue with an eligibility predicate; every QuerySCN publication pumps
 the queue, so the waiter admits the moment a member catches up (or
 expires with its deadline error — never with a stale grant).
 
-**Standby loss.**  The router registers on the fleet's
+**Standby loss.**  The router registers on the deployment's
 ``on_standby_loss`` hook: when a member dismounts, its sessions are
 drained and rebound to another qualifying member, failed over to the
 primary (services that allow it), or marked lost.  The
@@ -33,14 +40,14 @@ stay zero.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from repro import obs
 from repro.common.errors import InvalidStateError
 from repro.common.scn import SCN
-from repro.fleet.deployment import FleetDeployment
-from repro.fleet.member import StandbyMember
+from repro.db.deployment import Deployment
+from repro.db.member import StandbyMember
+from repro.db.sql import parse_query
 from repro.query.admission import (
     AdmissionController,
     AdmissionTimeout,
@@ -55,7 +62,9 @@ from repro.db.services import (
     ServiceRegistry,
 )
 
-POLICIES = ("lag_aware", "round_robin")
+
+class ReadOnlyError(InvalidStateError):
+    """DML attempted through a standby-routed session (ORA-16000)."""
 
 
 class NoQualifyingStandbyError(InvalidStateError):
@@ -64,11 +73,13 @@ class NoQualifyingStandbyError(InvalidStateError):
 
 
 class FleetSession:
-    """One routed client connection against the fleet.
+    """One routed client connection, pinned to the database its service
+    chose.
 
     Standby-bound sessions submit reads through their member's query
-    service; primary-bound sessions may also run transactions, and each
-    commit raises the session's ``last_seen_scn`` (the floor a
+    service (or run SQL on it directly) and enforce the standby's
+    read-only rule; primary-bound sessions may also run transactions,
+    and each commit raises the session's ``last_seen_scn`` (the floor a
     subsequent read-your-writes connect would carry).
     """
 
@@ -147,15 +158,36 @@ class FleetSession:
         self.router._audit_result(self, handle.scn)
         return handle
 
+    def execute(self, sql: str, binds: Optional[dict[int, object]] = None):
+        """Run a SELECT through the mini SQL dialect, synchronously on
+        the routed database.  Returns a list of row tuples for
+        projections, or the aggregate value list for aggregate queries."""
+        if self.closed:
+            raise InvalidStateError("session is closed")
+        self.queries_run += 1
+        database = (
+            self.member.standby if self.member is not None
+            else self.router.fleet.primary
+        )
+        result = parse_query(sql).run(database, binds)
+        return result if isinstance(result, list) else result.rows
+
     # ------------------------------------------------------------------
     # transactions (primary-routed sessions only)
     # ------------------------------------------------------------------
     def _require_writable(self) -> None:
         if self.is_read_only:
-            raise InvalidStateError(
+            raise ReadOnlyError(
                 f"service {self.service_name!r} routed this session to "
                 f"{self.target.describe()}: the database is open read-only"
             )
+
+    def begin(self, tenant: int = 0):
+        self._require_writable()
+        if self._txn is not None and self._txn.is_active:
+            raise InvalidStateError("session already has an open transaction")
+        self._txn = self.router.fleet.primary.begin(tenant)
+        return self._txn
 
     def _active_txn(self):
         primary = self.router.fleet.primary
@@ -201,15 +233,15 @@ class FleetSession:
     # ------------------------------------------------------------------
     def _rebind(self, new_member: StandbyMember) -> None:
         if self.member is not None:
-            self.member.session_closed()
+            self.router._note_sessions(self.member, -1)
         self.member = new_member
-        new_member.session_opened()
+        self.router._note_sessions(new_member, +1)
         self.target = RouteTarget(Role.STANDBY, new_member.name)
         self.generation += 1
 
     def _rebind_primary(self) -> None:
         if self.member is not None:
-            self.member.session_closed()
+            self.router._note_sessions(self.member, -1)
         self.member = None
         self.target = PRIMARY_TARGET
         self.generation += 1
@@ -274,25 +306,19 @@ class PendingFleetSession:
 
 
 class FleetRouter:
-    """Routes service connections across a fleet of standby members."""
+    """Routes service connections across a deployment's standby members."""
 
     def __init__(
         self,
-        fleet: FleetDeployment,
-        policy: str = "lag_aware",
+        fleet: Deployment,
         max_sessions: Optional[int] = None,
         per_service: Optional[dict[str, int]] = None,
         queue_limit: Optional[int] = None,
         load_weight: float = 16.0,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown routing policy {policy!r}; choose from {POLICIES}"
-            )
         self.fleet = fleet
-        self.policy = policy
         #: How many SCNs of lag one active session is "worth" in the
-        #: lag_aware score -- the load-balancing half of the policy.
+        #: routing score -- the load-balancing half of the policy.
         self.load_weight = load_weight
         self.registry = ServiceRegistry(
             standby_available=lambda: fleet.standby_mounted
@@ -305,7 +331,6 @@ class FleetRouter:
         )
         self._sessions: list[FleetSession] = []
         self._affinity: dict[object, str] = {}
-        self._rr = itertools.count()
         #: Plain decision tallies for reports: family -> service -> count.
         self.decisions: dict[str, dict[str, int]] = {
             family: {}
@@ -321,6 +346,15 @@ class FleetRouter:
         self.ryw_violations = 0
         self.routed_unmounted = 0
         self._obs_counters: dict[tuple, object] = {}
+        #: Per-member gauges (Fig. 11 lag, and the load signal).
+        self._lag_gauges = {
+            m.name: obs.gauge("fleet.member.lag_scns", member=m.name)
+            for m in fleet.members
+        }
+        self._active_gauges = {
+            m.name: obs.gauge("fleet.member.active_sessions", member=m.name)
+            for m in fleet.members
+        }
         fleet.on_standby_loss.append(self._handle_standby_loss)
         for member in fleet.members:
             member.standby.query_scn.subscribe(
@@ -350,12 +384,17 @@ class FleetRouter:
         self, member: StandbyMember
     ) -> Callable[[SCN], None]:
         def on_publish(scn: SCN) -> None:
-            member.set_lag(self.fleet.member_lag(member))
+            self._lag_gauges[member.name].set(self.fleet.member_lag(member))
             if self.admission.queue_depth:
                 # a read-your-writes waiter may just have become eligible
                 self.admission.pump()
 
         return on_publish
+
+    def _note_sessions(self, member: StandbyMember, delta: int) -> None:
+        """A session was bound to (+1) or left (-1) ``member``."""
+        member.active_sessions = max(0, member.active_sessions + delta)
+        self._active_gauges[member.name].set(member.active_sessions)
 
     def _audit_submit(self, session: FleetSession,
                       member: StandbyMember) -> None:
@@ -392,24 +431,14 @@ class FleetRouter:
                         chosen = member
                         break
         if chosen is None:
-            if self.policy == "round_robin":
-                members = self.fleet.members
-                for __ in range(len(members)):
-                    member = members[next(self._rr) % len(members)]
-                    if member in candidates:
-                        chosen = member
-                        break
-                else:
-                    chosen = candidates[0]
-            else:
-                chosen = min(
-                    candidates,
-                    key=lambda m: (
-                        self.fleet.member_lag(m)
-                        + self.load_weight * m.active_sessions,
-                        m.name,
-                    ),
-                )
+            chosen = min(
+                candidates,
+                key=lambda m: (
+                    self.fleet.member_lag(m)
+                    + self.load_weight * m.active_sessions,
+                    m.name,
+                ),
+            )
         if affinity_key is not None:
             self._affinity[affinity_key] = chosen.name
         return chosen
@@ -461,7 +490,7 @@ class FleetRouter:
         if member is not None:
             if not member.mounted:
                 self.routed_unmounted += 1
-            member.session_opened()
+            self._note_sessions(member, +1)
         self._sessions.append(session)
         self._count("routed", service_name, target=target.describe())
         if min_scn > 0:
@@ -574,7 +603,7 @@ class FleetRouter:
                 )
             elif self.registry.get(
                 session.service_name
-            ).service.runs_on_primary:
+            ).service.includes_primary:
                 session._rebind_primary()
                 self._count("failed_over", session.service_name)
                 self._count(
@@ -594,7 +623,7 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def _session_closed(self, session: FleetSession) -> None:
         if session.member is not None:
-            session.member.session_closed()
+            self._note_sessions(session.member, -1)
         if session in self._sessions:
             self._sessions.remove(session)
         self.admission.release(session.service_name)
@@ -605,9 +634,9 @@ class FleetRouter:
 
 
 __all__ = [
-    "POLICIES",
     "FleetRouter",
     "FleetSession",
     "NoQualifyingStandbyError",
     "PendingFleetSession",
+    "ReadOnlyError",
 ]

@@ -23,7 +23,7 @@ from repro.common.errors import InvalidStateError
 from repro.imcs.scan import Predicate
 from repro.query.admission import AdmissionTimeout
 from repro.sim.scheduler import Actor, Scheduler
-from repro.fleet.deployment import FleetDeployment
+from repro.db.deployment import Deployment
 from repro.fleet.router import FleetRouter
 
 
@@ -85,7 +85,7 @@ class SessionWave(Actor):
 
     def __init__(
         self,
-        fleet: FleetDeployment,
+        fleet: Deployment,
         router: FleetRouter,
         config: Optional[WaveConfig] = None,
         rowids: Optional[list] = None,

@@ -3,12 +3,14 @@ standby).
 
 :class:`FleetLagSampler` is a scheduler actor that periodically records
 each mounted member's published-QuerySCN lag into an ``obs`` time series
-(``fleet.member.lag_series{member=...}``) and refreshes the
-``fleet.member.lag_scns`` gauges, so a metrics snapshot taken at any
-point shows where every member of the reader farm stands.
+(``fleet.member.lag_series{member=...}``), so a metrics snapshot taken
+at any point shows how every member of the reader farm has tracked the
+primary (the router's ``fleet.member.lag_scns`` gauges move only when a
+member publishes; the series also sees a member that has stopped).
 
-The fleet object is duck-typed: anything with ``members`` (each having
-``name``, ``mounted``, ``set_lag``) and ``member_lag(member)`` works.
+``fleet`` is a :class:`~repro.db.deployment.Deployment` (duck-typed:
+anything with ``members`` -- each having ``name`` and ``mounted`` -- and
+``member_lag(member)`` works).
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ class FleetLagSampler(Actor):
         for member in self.fleet.members:
             if not member.mounted:
                 continue
-            lag = self.fleet.member_lag(member)
-            member.set_lag(lag)
-            self.series[member.name].record(now, lag)
+            self.series[member.name].record(
+                now, self.fleet.member_lag(member)
+            )
         return self.interval
 
 

@@ -454,7 +454,7 @@ class MIRAStandbyCluster:
                 sched.add_actor(
                     LogShipper(
                         log,
-                        instance.receiver,
+                        {f"mira{instance.instance_id}": instance.receiver},
                         latency=self.config.ship_latency,
                         node=primary.instances[log.thread - 1].node,
                         name=f"shipper-t{log.thread}-to-mira{instance.instance_id}",

@@ -22,7 +22,7 @@ from repro.redo.records import (
     truncate_dba,
 )
 from repro.redo.log import RedoLog, LogReader
-from repro.redo.shipping import FanOutLogShipper, LogShipper, RedoReceiver
+from repro.redo.shipping import LogShipper, RedoReceiver
 
 __all__ = [
     "CVOp",
@@ -40,7 +40,6 @@ __all__ = [
     "truncate_dba",
     "RedoLog",
     "LogReader",
-    "FanOutLogShipper",
     "LogShipper",
     "RedoReceiver",
 ]

@@ -1,10 +1,10 @@
 """Redo transport: primary -> standby over a simulated network.
 
 One :class:`LogShipper` actor per primary redo thread tails that thread's
-log and sends batches of records to the standby's :class:`RedoReceiver`
+log and sends batches of records to every standby's :class:`RedoReceiver`
 with a configurable one-way latency (the paper: "the Primary communicates
-with the Standby database over a network protocol like TCP/IP").  The
-receiver buffers per-thread queues that the standby's log merger consumes.
+with the Standby database over a network protocol like TCP/IP").  Each
+receiver buffers per-thread queues that its standby's log merger consumes.
 
 **Gap resolution (FAL).**  Each shipment carries its starting position in
 the thread's log.  If the receiver sees a batch start beyond the position
@@ -177,10 +177,16 @@ class RedoReceiver:
 
 
 class LogShipper(Actor):
-    """Tails one redo thread and ships new records to a receiver.
+    """Tails one redo thread and ships every batch to its receivers.
 
-    Shipping cost is charged to the primary node (redo transport service);
-    delivery happens ``latency`` simulated seconds later.
+    One reader position is shared by all destinations, so every standby
+    sees identical batch boundaries, but delivery is per destination: the
+    chaos context carries ``dest=<name>``, so a fault can drop or delay
+    one standby's copy and only that standby FAL-heals the resulting gap.
+    Removing a destination (standby loss) simply stops shipping to it.
+
+    Shipping cost is charged to the primary node (redo transport service)
+    once per copy; delivery happens ``latency`` simulated seconds later.
     """
 
     #: Simulated CPU seconds per shipped record (marshalling overhead).
@@ -192,14 +198,15 @@ class LogShipper(Actor):
     def __init__(
         self,
         log: RedoLog,
-        receiver: RedoReceiver,
+        receivers: dict[str, RedoReceiver],
         latency: float = 0.002,
         batch: int = 256,
         node: Optional[CpuNode] = None,
         name: Optional[str] = None,
     ) -> None:
         self._reader: LogReader = log.reader()
-        self._receiver = receiver
+        self.thread = log.thread
+        self._receivers: dict[str, RedoReceiver] = {}
         self.latency = latency
         self.batch = batch
         self.node = node
@@ -209,11 +216,26 @@ class LogShipper(Actor):
             "redo.shipper.records_dropped", thread=log.thread
         )
         self._chaos = sites.declare("redo.ship", owner=self)
-        receiver.register_thread(log.thread)
+        for dest, receiver in receivers.items():
+            self.add_destination(dest, receiver)
 
     @property
     def shipped_through(self) -> int:
         return self._reader.position
+
+    @property
+    def destinations(self) -> list[str]:
+        return list(self._receivers)
+
+    def add_destination(self, name: str, receiver: RedoReceiver) -> None:
+        if name in self._receivers:
+            raise ValueError(f"duplicate shipping destination {name!r}")
+        receiver.register_thread(self.thread)
+        self._receivers[name] = receiver
+
+    def remove_destination(self, name: str) -> None:
+        """Stop shipping to a standby (loss/dismount)."""
+        self._receivers.pop(name, None)
 
     def drop_next(self, n: int) -> None:
         """Fault injection: lose the next ``n`` records in transit (the
@@ -225,125 +247,31 @@ class LogShipper(Actor):
         records = self._reader.take(self.batch)
         if not records:
             return None
-        receiver = self._receiver
-        latency = self.latency
-        # transposed once per shipment; the arrays are immutable in flight
-        payload = CVBatch.from_records(records)
-        chaos = self._chaos
-        if chaos.injectors is not None:
-            decision = chaos.consult(
-                "ship",
-                thread=records[0].thread,
-                position=position,
-                count=len(records),
-            )
-            if decision.action is sites.Action.DROP:
-                # lost in transit: the reader advanced, creating an
-                # archive gap the receiver will FAL-heal
-                self._records_dropped.inc(len(records))
-                return self.COST_PER_RECORD * len(records)
-            if decision.action is sites.Action.DELAY:
-                latency += decision.delay
-            elif decision.action is sites.Action.DUPLICATE:
-                sched.call_after(
-                    latency + self.latency,
-                    lambda: receiver.deliver(payload, position),
-                )
+        count = len(records)
+        # stamped once per record, as it leaves the log: with several
+        # copies in flight no single copy's fate can un-ship a record
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             for record in records:
                 tracer.record_shipped(record)
-        sched.call_after(
-            latency, lambda: receiver.deliver(payload, position)
-        )
-        return self.COST_PER_RECORD * len(records)
-
-
-class FanOutLogShipper(Actor):
-    """Tails one redo thread and ships every batch to N standby members.
-
-    The reader-farm transport: one reader position shared across all
-    destinations, so every member sees identical batch boundaries, but
-    delivery is per-destination -- a chaos fault can drop or delay one
-    member's copy (the chaos context carries ``dest=<member name>``)
-    and only that member FAL-heals the resulting gap.  Removing a
-    destination (standby loss) simply stops shipping to it; the others
-    are untouched.
-    """
-
-    COST_PER_RECORD = LogShipper.COST_PER_RECORD
-
-    records_dropped = obs.view("_records_dropped")
-
-    def __init__(
-        self,
-        log: RedoLog,
-        destinations: list[tuple[str, RedoReceiver]],
-        latency: float = 0.002,
-        batch: int = 256,
-        node: Optional[CpuNode] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        self._reader: LogReader = log.reader()
-        self.thread = log.thread
-        self._destinations: dict[str, RedoReceiver] = {}
-        self.latency = latency
-        self.batch = batch
-        self.node = node
-        self.name = name or f"fanout-shipper-t{log.thread}"
-        self._obs = obs.current()
-        self._records_dropped = obs.counter(
-            "redo.shipper.records_dropped", thread=log.thread, fanout=1
-        )
-        self._chaos = sites.declare("redo.ship", owner=self)
-        for dest_name, receiver in destinations:
-            self.add_destination(dest_name, receiver)
-
-    @property
-    def shipped_through(self) -> int:
-        return self._reader.position
-
-    @property
-    def destinations(self) -> list[str]:
-        return list(self._destinations)
-
-    def add_destination(self, name: str, receiver: RedoReceiver) -> None:
-        if name in self._destinations:
-            raise ValueError(f"duplicate fan-out destination {name!r}")
-        receiver.register_thread(self.thread)
-        self._destinations[name] = receiver
-
-    def remove_destination(self, name: str) -> None:
-        """Stop shipping to a member (standby loss/dismount)."""
-        self._destinations.pop(name, None)
-
-    def step(self, sched: Scheduler) -> Optional[float]:
-        position = self._reader.position
-        records = self._reader.take(self.batch)
-        if not records:
-            return None
-        tracer = obs.tracer_of(self._obs)
-        if tracer is not None:
-            for record in records:
-                tracer.record_shipped(record)
-        # one shared batch to every member (arrays are immutable in
-        # flight; per-member chaos still decides per copy)
+        # transposed once per shipment and shared by every copy; the
+        # arrays are immutable in flight
         payload = CVBatch.from_records(records)
         chaos = self._chaos
-        for dest, receiver in self._destinations.items():
+        for dest, receiver in self._receivers.items():
             latency = self.latency
             if chaos.injectors is not None:
                 decision = chaos.consult(
                     "ship",
-                    thread=records[0].thread,
+                    thread=self.thread,
                     position=position,
-                    count=len(records),
+                    count=count,
                     dest=dest,
                 )
                 if decision.action is sites.Action.DROP:
-                    # this member's copy is lost in transit; its receiver
-                    # will detect the gap and FAL-heal it
-                    self._records_dropped.inc(len(records))
+                    # this copy is lost in transit: the reader advanced,
+                    # creating an archive gap its receiver will FAL-heal
+                    self._records_dropped.inc(count)
                     continue
                 if decision.action is sites.Action.DELAY:
                     latency += decision.delay
@@ -355,6 +283,4 @@ class FanOutLogShipper(Actor):
             sched.call_after(
                 latency, lambda r=receiver: r.deliver(payload, position)
             )
-        return self.COST_PER_RECORD * len(records) * max(
-            1, len(self._destinations)
-        )
+        return self.COST_PER_RECORD * count * max(1, len(self._receivers))

@@ -66,6 +66,24 @@ class FunctionActor(Actor):
         return self._fn(sched)
 
 
+class ActorOwner:
+    """Mixin for a component that schedules actors on its own behalf and
+    must later remove exactly those -- by identity, not by name (a
+    database leaving the deployment).  Owners initialise ``_actors``."""
+
+    _actors: list[Actor]
+
+    def attach_actor(self, sched: "Scheduler", actor: Actor) -> None:
+        sched.add_actor(actor)
+        self._actors.append(actor)
+
+    def detach_actors(self, sched: "Scheduler") -> None:
+        """Remove every actor that came through :meth:`attach_actor`."""
+        for actor in self._actors:
+            sched.remove_actor(actor)
+        self._actors.clear()
+
+
 class Scheduler:
     """Dispatches actors and timed events on a shared simulated clock."""
 

@@ -69,7 +69,8 @@ class TestCapture:
         deployment, egress, __, __ = build_cdc_deployment()
         assert deployment.cdc is egress
         assert any(
-            actor.name == "cdc-pump" for actor in deployment.sched.actors
+            actor.name == "standby-1-cdc-pump"
+            for actor in deployment.sched.actors
         )
 
 

@@ -1,5 +1,6 @@
 """IMCSConfig rejects values that used to misbehave silently, and the
-settings PR 22 removed are refused rather than ignored."""
+settings and classes PRs 22 and 23 removed are refused rather than
+ignored."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.common.config import IMCSConfig, SystemConfig
 from repro.db import Deployment
+from repro.fleet import FleetRouter
 from repro.query import QueryWorkerPool
 from repro.sim import Scheduler
 
@@ -62,10 +64,36 @@ def test_populate_cost_per_row_is_non_negative():
         lambda: Deployment.build().start_query_service(
             parallel_backend="sim"
         ),
+        lambda: Deployment.build().enable_inmemory("T", on_primary=True),
+        lambda: FleetRouter(Deployment.build(), policy="round_robin"),
+        lambda: Deployment.build().standby.attach_actors(
+            Scheduler(), name_prefix="standby"
+        ),
     ],
-    ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service"],
+    ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
+         "enable_inmemory.on_primary", "FleetRouter.policy",
+         "attach_actors.name_prefix"],
 )
 def test_removed_settings_fail_loudly(call):
-    # one advancement protocol, one scan backend: nothing left to select
-    with pytest.raises(TypeError, match="advance|parallel_backend"):
+    # one advancement protocol, one scan backend, one deployment topology,
+    # one routing policy: nothing left to select
+    with pytest.raises(
+        TypeError,
+        match="advance|parallel_backend|on_primary|policy|name_prefix",
+    ):
         call()
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.fleet", "FleetDeployment"),
+        ("repro.db", "SessionPool"),
+        ("repro.redo", "FanOutLogShipper"),
+    ],
+)
+def test_removed_classes_fail_to_import(module, name):
+    # the N-member Deployment, the router and the N-receiver LogShipper
+    # replaced them; no alias is left behind
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}")

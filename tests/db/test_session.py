@@ -3,8 +3,8 @@
 import pytest
 
 from repro.db import InMemoryService, Service
-from repro.db.session import ReadOnlyError, Session, SessionPool
 from repro.db.sql import SQLSyntaxError, parse_query
+from repro.fleet import FleetRouter, ReadOnlyError
 
 from tests.db.conftest import load, simple_table_def
 
@@ -15,7 +15,7 @@ def pool(deployment):
     load(deployment)
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
     deployment.catch_up()
-    pool = SessionPool(deployment)
+    pool = FleetRouter(deployment)
     pool.registry.create("oltp", Service.PRIMARY_ONLY)
     pool.registry.create("reports", Service.STANDBY_ONLY)
     pool.registry.create("mixed", Service.PRIMARY_AND_STANDBY)

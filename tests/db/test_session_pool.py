@@ -1,4 +1,5 @@
-"""Session-pool admission control and failover-aware routing."""
+"""Router admission control and failover-aware routing over a 1-member
+deployment."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from repro.common.errors import InvalidStateError, ObjectNotFoundError
 from repro.db import InMemoryService, Service
 from repro.db.failover import failover
-from repro.db.session import SessionPool
+from repro.fleet import FleetRouter
 from repro.query import AdmissionTimeout, PoolExhaustedError
 
 from tests.db.conftest import load, simple_table_def
@@ -19,7 +20,7 @@ def bounded(deployment):
     load(deployment)
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
     deployment.catch_up()
-    pool = SessionPool(deployment, max_sessions=2, per_service={"oltp": 1})
+    pool = FleetRouter(deployment, max_sessions=2, per_service={"oltp": 1})
     pool.registry.create("oltp", Service.PRIMARY_ONLY)
     pool.registry.create("reports", Service.STANDBY_ONLY)
     pool.registry.create("mixed", Service.PRIMARY_AND_STANDBY)
@@ -64,7 +65,7 @@ class TestBoundedConnect:
 
     def test_unbounded_pool_backwards_compatible(self, bounded):
         deployment, __ = bounded
-        pool = SessionPool(deployment)
+        pool = FleetRouter(deployment)
         pool.registry.create("reports", Service.STANDBY_ONLY)
         for __ in range(10):
             pool.connect("reports")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import Service
-from repro.fleet import FleetDeployment, FleetRouter
+from repro.db import Deployment, InMemoryService, Service
+from repro.fleet import FleetRouter
 
 from tests.db.conftest import simple_table_def, small_config
 
@@ -23,12 +23,10 @@ def load_fleet(fleet, table="T", n=100, start=0):
 
 
 def build_fleet(n_standbys=3):
-    fleet = FleetDeployment.build(
-        n_standbys=n_standbys, config=small_config()
-    )
+    fleet = Deployment.build(config=small_config(), n_standbys=n_standbys)
     fleet.create_table(simple_table_def())
     rowids, __ = load_fleet(fleet)
-    fleet.enable_inmemory("T")
+    fleet.enable_inmemory("T", service=InMemoryService.STANDBY)
     fleet.catch_up()
     return fleet, rowids
 
@@ -45,7 +43,7 @@ def router(fleet):
     query services attached), which keeps routing tests deterministic.
     """
     deployment, __ = fleet
-    router = FleetRouter(deployment, policy="lag_aware")
+    router = FleetRouter(deployment)
     router.registry.create("oltp", Service.PRIMARY_ONLY)
     router.registry.create("reports", Service.STANDBY_ONLY)
     router.registry.create("mixed", Service.PRIMARY_AND_STANDBY)

@@ -1,11 +1,16 @@
-"""FleetDeployment: one primary fanning redo out to N standbys."""
+"""Deployment with N standby members: one primary shipping redo to N
+standbys."""
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
-from repro.fleet import FleetDeployment
+from repro.db import Deployment, InMemoryService
 from repro.imcs import Predicate
+from repro.redo.log import RedoLog
+from repro.redo.shipping import LogShipper, RedoReceiver
 
 from tests.db.conftest import simple_table_def, small_config
 from tests.fleet.conftest import build_fleet, load_fleet
@@ -27,14 +32,41 @@ class TestBuild:
             assert result.stats.imcus_used >= 1
 
     def test_degenerate_fleet_of_one(self):
-        fleet, __ = build_fleet(n_standbys=1)
+        """N = 1 *is* the two-node deployment: ``deployment.standby`` and
+        ``members[0].standby`` are one object, and a fixed workload
+        publishes a pinned QuerySCN history -- the value both of the
+        parent's classes (``Deployment`` and the 1-member fleet) gave."""
+        fleet = Deployment.build(config=small_config())
         assert len(fleet.members) == 1
-        result = fleet.members[0].query("T")
-        assert len(result.rows) == 100
+        assert fleet.standby is fleet.members[0].standby
+        assert fleet.members[0].name == "standby-1"
+        fleet.create_table(simple_table_def())
+        rowids, __ = load_fleet(fleet, n=400)
+        fleet.enable_inmemory("T", service=InMemoryService.STANDBY)
+        fleet.catch_up()
+        for k in range(60):
+            txn = fleet.primary.begin()
+            for j in range(5):
+                fleet.primary.update(
+                    txn, "T", rowids[(k * 7 + j * 13) % 400],
+                    {"n1": float(k * 100 + j)},
+                )
+            fleet.primary.commit(txn)
+            fleet.run(0.01)
+        fleet.catch_up()
+        assert len(fleet.members[0].query("T").rows) == 400
+        history = fleet.standby.query_scn.history
+        crc = zlib.crc32(
+            repr([(round(t, 12), scn) for t, scn in history]).encode()
+        )
+        assert (len(history), crc) == (66, 313038676)
+        assert repr(fleet.sched.now) == "0.660779531901226"
+        assert fleet.standby.imcs.rows_invalidated == 300
+        assert fleet.standby.population.repopulations == 13
 
     def test_fleet_needs_at_least_one_member(self):
         with pytest.raises(ValueError):
-            FleetDeployment.build(n_standbys=0, config=small_config())
+            Deployment.build(config=small_config(), n_standbys=0)
 
     def test_actor_names_are_namespaced_per_member(self, fleet):
         deployment, __ = fleet
@@ -76,12 +108,11 @@ class TestReplication:
         deployment.catch_up()
         assert len(victim.query("T").rows) == 115
 
-    def test_duplicate_destination_rejected(self, fleet):
-        deployment, __ = fleet
-        shipper = deployment.shippers[0]
-        member = deployment.members[0]
+    def test_duplicate_destination_rejected(self):
+        receiver = RedoReceiver()
+        shipper = LogShipper(RedoLog(thread=1), {"standby-1": receiver})
         with pytest.raises(ValueError):
-            shipper.add_destination(member.name, member.standby.receiver)
+            shipper.add_destination("standby-1", receiver)
 
 
 class TestStandbyLoss:
@@ -135,7 +166,7 @@ class TestStandbyLoss:
 class TestQueryServices:
     def test_morsel_service_per_member(self, fleet):
         deployment, __ = fleet
-        deployment.start_query_services(n_workers=2)
+        deployment.start_query_service(n_workers=2)
         handles = [
             member.query_service.submit("T", [Predicate.eq("c1", "v1")])
             for member in deployment.members
@@ -162,3 +193,28 @@ class TestQueryServices:
         before = len(sampler.series["standby-2"].points)
         deployment.run(0.05)
         assert len(sampler.series["standby-2"].points) == before
+
+
+class TestDedicatedCDCMember:
+    def test_cdc_streams_from_the_named_member(self, fleet):
+        """A reader farm dedicates one standby to CDC: the feed attaches
+        to the named member, replays to that member's rows, and dies
+        with it."""
+        from repro.cdc import ReplaySubscriber
+
+        deployment, __ = fleet
+        egress = deployment.start_cdc(tables=["T"], member="standby-3")
+        source = deployment.member("standby-3")
+        assert source.cdc is egress and deployment.cdc is None
+        replica = ReplaySubscriber()
+        egress.subscribe(replica, name="replica")
+        load_fleet(deployment, n=15, start=8000)
+        deployment.catch_up()
+        assert deployment.sched.run_until_condition(
+            lambda: egress.drained, max_time=60.0
+        )
+        assert replica.rows("T") == sorted(source.query("T").rows)
+        assert len(replica.rows("T")) == 115
+        deployment.lose_standby("standby-3")
+        names = [actor.name for actor in deployment.sched.actors]
+        assert "standby-3-cdc-pump" not in names

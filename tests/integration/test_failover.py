@@ -5,6 +5,7 @@ import pytest
 from repro.db import Deployment, InMemoryService
 from repro.db.failover import failover, terminal_recovery
 from repro.imcs import AggregateSpec, Predicate
+from repro.imcs.population import PopulationWorker
 from repro.redo.shipping import LogShipper
 
 from tests.db.conftest import load, simple_table_def, small_config
@@ -22,11 +23,7 @@ def ready():
 
 def kill_primary(deployment):
     """Simulate primary death: its actors (and the shippers) stop."""
-    for actor in deployment.sched.actors:
-        if isinstance(actor, LogShipper) or actor.name.startswith(
-            ("heartbeat-", "primary-popworker", "dml-driver")
-        ):
-            deployment.sched.remove_actor(actor)
+    deployment.lose_primary()
 
 
 class TestTerminalRecovery:
@@ -115,3 +112,46 @@ class TestFailover:
         )
         assert result.values == [100, 99.0]
         assert result.pushed_down_rows > 0
+
+
+class TestDetachByIdentity:
+    def test_lose_primary_leaves_nothing_of_the_primary_scheduled(self, ready):
+        deployment, __ = ready
+        deployment.lose_primary()
+        left = deployment.sched.actors
+        assert not any(isinstance(actor, LogShipper) for actor in left)
+        names = [actor.name for actor in left]
+        assert not [n for n in names if "heartbeat" in n or "primary" in n]
+        # the standby's own pipeline is untouched
+        assert deployment.standby_mounted
+        assert "standby-1-recovery-coordinator" in names
+
+    def test_failover_of_one_member_detaches_exactly_its_actors(self):
+        """A member that fails over takes every actor it attached with it
+        -- population workers and undo retention included -- so exactly
+        one set of population workers (the activated primary's) feeds the
+        carried-over column store, and the other member keeps serving."""
+        deployment = Deployment.build(config=small_config(), n_standbys=2)
+        deployment.create_table(simple_table_def())
+        load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        first, second = deployment.members
+        attached = list(first.standby._actors)
+        assert any(isinstance(a, PopulationWorker) for a in attached)
+
+        new_primary = failover(first.standby, deployment.sched)
+        scheduled = deployment.sched.actors
+        assert not [a for a in attached if a in scheduled]
+        assert not first.mounted and second.mounted
+        feeding = [
+            a for a in scheduled
+            if isinstance(a, PopulationWorker)
+            and a.engine.store is new_primary.imcs
+        ]
+        assert [a.engine for a in feeding] == [new_primary.population]
+        assert len(new_primary.query("T").rows) == 100
+
+        load(deployment, n=10, start=1_000)
+        deployment.catch_up()
+        assert len(second.query("T").rows) == 110

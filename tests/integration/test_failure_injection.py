@@ -132,7 +132,7 @@ class TestWorkerFaults:
             .at(ctx.sched.now, F.Stall("adg.apply_worker", count=20))
             .at(
                 ctx.sched.now + 0.05,
-                F.CrashActor("recovery-worker-1", restart_after=0.3),
+                F.CrashActor("standby-1-recovery-worker-1", restart_after=0.3),
             )
             .arm(ctx)
         )

@@ -5,7 +5,9 @@ standby IMCS scan at the published QuerySCN must return exactly what a
 row-store Consistent Read at the same SCN returns on the primary.
 Hypothesis drives randomized histories (concurrent transactions, updates,
 deletes, rollbacks) and randomized scheduler timing; the invariant is
-checked at several intermediate consistency points, not just at the end.
+checked at several intermediate consistency points, not just at the end,
+and on *every* standby member at that member's own published QuerySCN
+(one member or three: the deployment is the same class).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.imcs import Predicate
 from repro.rowstore.table import RowLockConflictError
 
 
-def build_deployment(seed: int) -> Deployment:
+def build_deployment(seed: int, n_standbys: int = 1) -> Deployment:
     config = SystemConfig(
         imcs=IMCSConfig(
             imcu_target_rows=32,
@@ -30,7 +32,7 @@ def build_deployment(seed: int) -> Deployment:
         apply=ApplyConfig(n_workers=3),
         seed=seed,
     )
-    deployment = Deployment.build(config=config)
+    deployment = Deployment.build(config=config, n_standbys=n_standbys)
     deployment.create_table(
         TableDef(
             "T",
@@ -75,13 +77,14 @@ def primary_cr_rows(deployment: Deployment, snapshot: int) -> list[tuple]:
 
 
 def check_invariant(deployment: Deployment) -> None:
-    snapshot = deployment.standby.query_scn.value
-    standby_rows = sorted(deployment.standby.query("T").rows)
-    expected = primary_cr_rows(deployment, snapshot)
-    assert standby_rows == expected, (
-        f"standby scan at QuerySCN {snapshot} diverged: "
-        f"{len(standby_rows)} rows vs {len(expected)} expected"
-    )
+    for member in deployment.members:
+        snapshot = member.published_scn
+        standby_rows = sorted(member.query("T").rows)
+        expected = primary_cr_rows(deployment, snapshot)
+        assert standby_rows == expected, (
+            f"{member.name} scan at QuerySCN {snapshot} diverged: "
+            f"{len(standby_rows)} rows vs {len(expected)} expected"
+        )
 
 
 @settings(
@@ -89,9 +92,11 @@ def check_invariant(deployment: Deployment) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(ops=OPS, seed=st.integers(0, 2**20))
-def test_standby_imcs_matches_primary_cr(ops, seed):
-    deployment = build_deployment(seed)
+@given(
+    ops=OPS, seed=st.integers(0, 2**20), n_standbys=st.sampled_from((1, 3))
+)
+def test_standby_imcs_matches_primary_cr(ops, seed, n_standbys):
+    deployment = build_deployment(seed, n_standbys)
     rng_ids = iter(range(10_000, 100_000))
     rowids: list = []
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
@@ -139,7 +144,10 @@ def test_standby_imcs_matches_primary_cr(ops, seed):
         elif kind == "run":
             deployment.run(arg / 100.0)
         elif kind == "restart":
-            deployment.standby.restart()
+            # bounce one member; which one varies with the history
+            deployment.restart_standby(
+                member=f"standby-{1 + mutated % n_standbys}"
+            )
         elif kind == "check" and mutated:
             deployment.run(0.05)
             check_invariant(deployment)

@@ -68,7 +68,7 @@ OPS = st.lists(
 def test_sira_cluster_matches_primary_cr(ops, seed):
     deployment = build(seed)
     primary = deployment.primary
-    cluster = deployment.standby_cluster
+    cluster = deployment.members[0].cluster
     deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
 
     next_id = iter(range(10_000, 100_000))

@@ -25,7 +25,7 @@ def test_records_arrive_after_latency():
     sched = Scheduler()
     log = RedoLog(1)
     receiver = RedoReceiver()
-    shipper = LogShipper(log, receiver, latency=0.1)
+    shipper = LogShipper(log, {"standby": receiver}, latency=0.1)
     sched.add_actor(shipper)
     log.append(rec(10))
     sched.run_until(0.05)
@@ -39,7 +39,9 @@ def test_batching_preserves_order():
     sched = Scheduler()
     log = RedoLog(1)
     receiver = RedoReceiver()
-    sched.add_actor(LogShipper(log, receiver, latency=0.01, batch=2))
+    sched.add_actor(
+        LogShipper(log, {"standby": receiver}, latency=0.01, batch=2)
+    )
     for scn in range(10, 20):
         log.append(rec(scn))
     sched.run_until(1.0)
@@ -51,8 +53,8 @@ def test_two_threads_land_in_separate_queues():
     sched = Scheduler()
     log1, log2 = RedoLog(1), RedoLog(2)
     receiver = RedoReceiver()
-    sched.add_actor(LogShipper(log1, receiver, latency=0.01))
-    sched.add_actor(LogShipper(log2, receiver, latency=0.01))
+    sched.add_actor(LogShipper(log1, {"standby": receiver}, latency=0.01))
+    sched.add_actor(LogShipper(log2, {"standby": receiver}, latency=0.01))
     log1.append(rec(10, 1))
     log2.append(rec(11, 2))
     sched.run_until(1.0)
@@ -65,7 +67,9 @@ def test_shipping_charges_primary_cpu():
     node = CpuNode("primary")
     log = RedoLog(1)
     receiver = RedoReceiver()
-    sched.add_actor(LogShipper(log, receiver, latency=0.01, node=node))
+    sched.add_actor(
+        LogShipper(log, {"standby": receiver}, latency=0.01, node=node)
+    )
     for scn in range(10, 110):
         log.append(rec(scn))
     sched.run_until(1.0)

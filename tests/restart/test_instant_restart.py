@@ -159,3 +159,36 @@ class TestInstantRestart:
         assert second.mode == "instant"
         rows, __ = standby_rows(deployment)
         assert len(rows) == 120
+
+    def test_any_member_restarts_warm(self):
+        """Instant restart is armed per member: bouncing the second of
+        two standbys restores it warm from *its own* checkpoints and
+        leaves the first serving, untouched."""
+        deployment = Deployment.build(config=small_config(), n_standbys=2)
+        deployment.create_table(simple_table_def())
+        rowids, __ = load(deployment, n=200)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.enable_restart_checkpoints()
+        deployment.catch_up()
+        deployment.run(1.0)  # a full checkpoint round on both members
+        first, second = deployment.members
+        assert first.standby.checkpoint_store is not (
+            second.standby.checkpoint_store
+        )
+        txn = deployment.primary.begin()
+        for rowid in rowids[:30]:
+            deployment.primary.update(txn, "T", rowid, {"n1": -2.0})
+        deployment.primary.commit(txn)
+        deployment.catch_up()
+        before = sorted(second.query("T").rows)
+
+        report = deployment.restart_standby(member="standby-2")
+        assert report.mode == "instant"
+        assert report.units_restored > 0 and report.cvs_remined > 0
+        assert second.standby.restarts == 1
+        assert first.standby.restarts == 0
+        assert sorted(second.query("T").rows) == before
+        load(deployment, n=10, start=5_000)
+        deployment.catch_up()
+        assert len(second.query("T").rows) == 210
+        assert sorted(first.query("T").rows) == sorted(second.query("T").rows)
