@@ -1,10 +1,12 @@
 """Ingest gauntlet: apply-side throughput of the columnar redo path.
 
-Redo ships as columnar ``CVBatch`` structures and stays columnar through
-distribution, mining, commit-table insertion, chop and flush (DESIGN.md
-section 15) -- the only ingest path there is.  This bench pushes
-captured redo streams through freshly built apply-side components and
-reports apply-side CVs/s stage by stage.  It is a layer report, not a
+Redo is columns from the statement on: the primary appends to a
+struct-of-arrays ``RedoLog``, a shipment is ``log.batch(lo, hi)`` and the
+``CVBatch`` stays columnar through distribution, mining, commit-table
+insertion, chop and flush (DESIGN.md section 15) -- the only ingest path
+there is.  This bench captures two ranges of a live primary's log and
+pushes them through freshly built apply-side components, reporting
+apply-side CVs/s stage by stage.  It is a layer report, not a
 gate: the end-to-end watch on this layer is ``bench_e2e``'s
 ``ingest_firehose`` workload.
 
@@ -46,7 +48,6 @@ from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.flush import InvalidationFlushComponent
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
-from repro.redo.batch import CVBatch
 
 from conftest import save_json, save_report
 
@@ -69,8 +70,9 @@ def firehose():
     """One DML firehose per arm captured on a live deployment.
 
     The deployment itself drains the streams end-to-end -- its metrics
-    registry must show the batch histograms afterwards -- and its redo
-    log is then replayed through fresh components by the gauntlet.
+    registry must show the batch histograms afterwards -- and each arm's
+    range of its redo log is then replayed through fresh components by
+    the gauntlet.
     """
     config = SystemConfig(
         imcs=IMCSConfig(
@@ -100,7 +102,7 @@ def firehose():
             )
         )
         primary = deployment.primary
-        log = primary.redo_logs[0]._records
+        log = primary.redo_logs[0]
         rowids = []
         txn = primary.begin()
         for i in range(N_ROWS):
@@ -124,14 +126,14 @@ def firehose():
                 done += statements(t)
                 t += 1
             deployment.catch_up()
-            streams[arm] = list(log[start:])
-    return deployment, registry, streams
+            streams[arm] = (start, len(log))
+    return deployment, registry, log, streams
 
 
-def drain_once(deployment, records, shipment_records) -> dict[str, float]:
-    """Push a captured stream through fresh apply-side components in
-    shipments of ``shipment_records``, timing each stage: transpose,
-    distribute, mine, chop, flush."""
+def drain_once(deployment, log, span, shipment_records) -> dict[str, float]:
+    """Push the log records at positions ``span`` through fresh apply-side
+    components in shipments of ``shipment_records``, timing each stage:
+    slice, distribute, mine, chop, flush."""
     owner = object()
     journal = IMADGJournal(64)
     commit_table = IMADGCommitTable(4)
@@ -145,11 +147,12 @@ def drain_once(deployment, records, shipment_records) -> dict[str, float]:
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
+    lo, hi = span
     batches = [
-        CVBatch.from_records(records[i:i + shipment_records])
-        for i in range(0, len(records), shipment_records)
+        log.batch(i, min(i + shipment_records, hi))
+        for i in range(lo, hi, shipment_records)
     ]
-    times["transpose"] = time.perf_counter() - t0
+    times["slice"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     distributor.distribute(batches)
@@ -174,18 +177,19 @@ def drain_once(deployment, records, shipment_records) -> dict[str, float]:
 
 
 def test_ingest_gauntlet(firehose, benchmark):
-    deployment, registry, streams = firehose
+    deployment, registry, log, streams = firehose
     results = {}
     lines = []
     for arm, shipment_records, __ in ARMS:
-        records = streams[arm]
-        total_cvs = sum(len(r.cvs) for r in records)
+        span = streams[arm]
+        n_records = span[1] - span[0]
+        total_cvs = log.batch(*span).n_cvs
         assert total_cvs > 20_000, "firehose too small to be meaningful"
         total, times = min(
             (
                 (sum(times.values()), times)
                 for times in (
-                    drain_once(deployment, records, shipment_records)
+                    drain_once(deployment, log, span, shipment_records)
                     for __ in range(BEST_OF)
                 )
             ),
@@ -193,7 +197,7 @@ def test_ingest_gauntlet(firehose, benchmark):
         )
         results[arm] = r = {
             "shipment_records": shipment_records,
-            "total_records": len(records),
+            "total_records": n_records,
             "total_cvs": total_cvs,
             "stage_ms": {k: round(v * 1e3, 3) for k, v in times.items()},
             "total_ms": round(total * 1e3, 3),
@@ -201,7 +205,7 @@ def test_ingest_gauntlet(firehose, benchmark):
         }
         stages = "  ".join(f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items())
         lines += [
-            f"  {arm:<5} {r['cvs_per_s']:>9,} cvs/s  {len(records)} records / "
+            f"  {arm:<5} {r['cvs_per_s']:>9,} cvs/s  {n_records} records / "
             f"{total_cvs} CVs in shipments of {shipment_records}",
             f"        ({r['total_ms']:.1f}ms: {stages})",
         ]
@@ -236,8 +240,9 @@ def test_ingest_gauntlet(firehose, benchmark):
         f"  wide / live = {ratio:.2f}x: the isolated-vs-live gap is width",
     ]))
 
-    # wall-clock: transposing one wide shipment into columnar form
-    benchmark(lambda: CVBatch.from_records(streams["wide"][:ARMS[0][1]]))
+    # wall-clock: slicing one wide shipment out of the log
+    wide_lo = streams["wide"][0]
+    benchmark(lambda: log.batch(wide_lo, wide_lo + ARMS[0][1]))
 
 
 def _live_run():

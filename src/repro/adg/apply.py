@@ -28,10 +28,10 @@ import numpy as np
 
 from repro import obs
 from repro.chaos import sites
-from repro.common.ids import WorkerId
+from repro.common.ids import InstanceId, WorkerId
 from repro.common.scn import NULL_SCN, SCN
-from repro.redo.batch import OP_CODE, CVBatch, CVChunk
-from repro.redo.records import ChangeVector, CVOp
+from repro.redo.batch import CVBatch, CVChunk
+from repro.redo.records import CVOp
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -49,7 +49,8 @@ class ApplyStall(Exception):
 class CVApplier(Protocol):
     """What a standby database must provide to recovery workers."""
 
-    def apply_cv(self, cv: ChangeVector, scn: SCN) -> None:
+    def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
+        """Apply the change vector at position ``i`` of ``batch``."""
         ...
 
 
@@ -113,9 +114,10 @@ class ApplyDistributor:
             self.distributed_through = batch.last_scn
         return n_cvs
 
-    def note_applied(self, cv: ChangeVector) -> None:
-        """Hook invoked by a worker after applying one CV (dependency
-        bookkeeping for subclasses; the static hash scheme needs none)."""
+    def note_applied(self, batch: CVBatch, i: int) -> None:
+        """Hook invoked by a worker after applying the CV at position
+        ``i`` of ``batch`` (dependency bookkeeping for subclasses; the
+        static hash scheme needs none)."""
 
     def _queue_load(self, worker: WorkerId) -> int:
         """Pending CVs on one worker's queue."""
@@ -124,12 +126,19 @@ class ApplyDistributor:
     def pending(self) -> int:
         return sum(self._queue_load(w) for w in range(self.n_workers))
 
-    def queued_cvs(self) -> Iterator[ChangeVector]:
-        """Every still-queued (unapplied) ChangeVector, identity-
-        preserving -- the instant-restart tail replay excludes these."""
+    def queued_positions(self) -> Iterator[tuple[InstanceId, np.ndarray]]:
+        """``(thread, log CV offsets)`` of every still-queued chunk's
+        unapplied CVs -- the instant-restart tail replay excludes these."""
         for queue in self.queues:
             for chunk in queue:
-                yield from chunk.remaining_cvs()
+                yield chunk.batch.thread, chunk.remaining_positions()
+
+
+#: Ops whose CVs follow their object's queued create-table marker onto
+#: its worker: the row changes and the segment wipe.
+_FOLLOWS_CREATION = frozenset(
+    (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.UNDO, CVOp.TRUNCATE)
+)
 
 
 class DependencyAwareDistributor(ApplyDistributor):
@@ -177,7 +186,6 @@ class DependencyAwareDistributor(ApplyDistributor):
             return 0
         dbas = batch.dbas
         ops = batch.ops
-        cvs = batch.cvs
         order = np.argsort(dbas, kind="stable")
         sorted_dbas = dbas[order]
         is_run_start = np.empty(n_cvs, dtype=bool)
@@ -190,8 +198,7 @@ class DependencyAwareDistributor(ApplyDistributor):
         per_worker: list[list[np.ndarray]] = [
             [] for __ in range(self.n_workers)
         ]
-        ddl_code = OP_CODE[CVOp.DDL_MARKER]
-        has_ddl = bool(np.any(ops == ddl_code))
+        has_ddl = bool(np.any(ops == CVOp.DDL_MARKER))
         chained = 0
         for r in run_order:
             lo, hi = int(run_starts[r]), int(run_ends[r])
@@ -201,9 +208,9 @@ class DependencyAwareDistributor(ApplyDistributor):
             entry = self._dba_owner.get(dba)
             if entry is None:
                 worker = None
-                first_cv = cvs[int(positions[0])]
-                if first_cv.is_data or first_cv.op is CVOp.TRUNCATE:
-                    obj = self._object_owner.get(first_cv.object_id)
+                first = int(positions[0])
+                if ops.item(first) in _FOLLOWS_CREATION:
+                    obj = self._object_owner.get(batch.object_ids.item(first))
                     if obj is not None:
                         worker = obj[0]
                 if worker is None:
@@ -220,8 +227,8 @@ class DependencyAwareDistributor(ApplyDistributor):
             entry[1] += count
             worker = entry[0]
             if has_ddl:
-                for p in positions[ops[positions] == ddl_code]:
-                    payload = cvs[int(p)].payload
+                for p in positions[ops[positions] == CVOp.DDL_MARKER]:
+                    payload = batch.payloads[int(p)]
                     if payload.kind == "create_table":
                         for object_id in payload.object_ids:
                             obj = self._object_owner.get(object_id)
@@ -242,14 +249,19 @@ class DependencyAwareDistributor(ApplyDistributor):
             self.distributed_through = batch.last_scn
         return n_cvs
 
-    def note_applied(self, cv: ChangeVector) -> None:
-        entry = self._dba_owner.get(cv.dba)
+    def note_applied(self, batch: CVBatch, i: int) -> None:
+        dba = batch.dbas.item(i)
+        entry = self._dba_owner.get(dba)
         if entry is not None:
             entry[1] -= 1
             if entry[1] <= 0:
-                del self._dba_owner[cv.dba]
-        if cv.op is CVOp.DDL_MARKER and cv.payload.kind == "create_table":
-            for object_id in cv.payload.object_ids:
+                del self._dba_owner[dba]
+        payload = batch.payloads[i]
+        if (
+            batch.ops.item(i) == CVOp.DDL_MARKER
+            and payload.kind == "create_table"
+        ):
+            for object_id in payload.object_ids:
                 obj = self._object_owner.get(object_id)
                 if obj is not None:
                     obj[1] -= 1
@@ -405,16 +417,15 @@ class RecoveryWorker(Actor):
             else:
                 chunk.mined_pos = len(chunk.indices)
         window = chunk.indices[chunk.pos : chunk.pos + budget]
-        cvs = chunk.batch.cvs
+        batch = chunk.batch
         apply_cv = self.applier.apply_cv
         static = self._static_routing
         note_applied = self.distributor.note_applied
         applied = 0
         stop = False
-        for i, scn in zip(window.tolist(), chunk.batch.scns[window].tolist()):
-            cv = cvs[i]
+        for i, scn in zip(window.tolist(), batch.scns[window].tolist()):
             try:
-                apply_cv(cv, scn)
+                apply_cv(batch, i, scn)
             except ApplyStall:
                 self._apply_stalls.inc()
                 stop = True
@@ -422,7 +433,7 @@ class RecoveryWorker(Actor):
             applied += 1
             self.applied_scn = scn
             if not static:
-                note_applied(cv)
+                note_applied(batch, i)
             if tracer is not None:
                 tracer.record_applied(scn)
         chunk.pos += applied

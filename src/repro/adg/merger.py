@@ -94,8 +94,8 @@ class LogMerger(Actor):
             )
             released += run.n_records
             if tracer is not None:
-                for view in run.record_views():
-                    tracer.record_merged(view)
+                for scn in run.record_scns.tolist():
+                    tracer.record_merged(scn)
         if released:
             self._records_merged.inc(released)
         return released

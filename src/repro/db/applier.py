@@ -13,17 +13,15 @@ from __future__ import annotations
 from repro.adg.apply import ApplyStall
 from repro.common.errors import ObjectNotFoundError
 from repro.common.scn import SCN
-from repro.redo.records import (
-    CVOp,
-    ChangeVector,
-    DDLMarkerPayload,
-    DeletePayload,
-    InsertPayload,
-    UndoPayload,
-    UpdatePayload,
-)
+from repro.redo.batch import CVBatch
+from repro.redo.records import CVOp
 from repro.txn.table import TransactionTable
 from repro.db.catalog import Catalog
+
+(
+    _INSERT, _UPDATE, _DELETE, _UNDO, _TXN_BEGIN, _TXN_PREPARE,
+    _TXN_COMMIT, _TXN_ABORT, _TRUNCATE, _DDL_MARKER, _HEARTBEAT,
+) = CVOp  # definition order
 
 
 class PhysicalApplier:
@@ -33,25 +31,28 @@ class PhysicalApplier:
         self.catalog = catalog
         self.txn_table = txn_table
 
-    def apply_cv(self, cv: ChangeVector, scn: SCN) -> None:
-        op = cv.op
-        if op is CVOp.HEARTBEAT:
+    def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
+        """Apply the change vector at position ``i`` of ``batch``."""
+        op = batch.ops.item(i)
+        if op == _HEARTBEAT:
             return
-        if op is CVOp.TXN_BEGIN:
-            self.txn_table.ensure_known(cv.xid)
+        if op == _TXN_BEGIN:
+            self.txn_table.ensure_known(batch.xid_objects[i])
             return
-        if op is CVOp.TXN_PREPARE:
-            self.txn_table.ensure_known(cv.xid)
-            self.txn_table.prepare(cv.xid)
+        if op == _TXN_PREPARE:
+            xid = batch.xid_objects[i]
+            self.txn_table.ensure_known(xid)
+            self.txn_table.prepare(xid)
             return
-        if op is CVOp.TXN_COMMIT:
-            self.txn_table.commit(cv.xid, cv.payload.commit_scn)
+        if op == _TXN_COMMIT:
+            # a commit record's SCN is the commitSCN
+            self.txn_table.commit(batch.xid_objects[i], scn)
             return
-        if op is CVOp.TXN_ABORT:
-            self.txn_table.abort(cv.xid)
+        if op == _TXN_ABORT:
+            self.txn_table.abort(batch.xid_objects[i])
             return
-        if op is CVOp.DDL_MARKER:
-            payload: DDLMarkerPayload = cv.payload
+        if op == _DDL_MARKER:
+            payload = batch.payloads[i]
             if payload.kind == "create_table":
                 # Dictionary changes must exist before the table's data CVs
                 # (queued on other workers) can apply; everything else about
@@ -60,33 +61,28 @@ class PhysicalApplier:
                     self.catalog.create_table(payload.detail["table_def"])
             return
         # data CVs
+        object_id = batch.object_ids.item(i)
         try:
-            table = self.catalog.table_for_object(cv.object_id)
+            table = self.catalog.table_for_object(object_id)
         except ObjectNotFoundError:
             # The create-table marker is still queued on another worker.
-            raise ApplyStall(f"object {cv.object_id} not in dictionary yet")
-        if op is CVOp.INSERT:
-            payload_i: InsertPayload = cv.payload
-            table.apply_insert(
-                cv.object_id, cv.dba, payload_i.slot, payload_i.values,
-                cv.xid, scn,
-            )
-        elif op is CVOp.UPDATE:
-            payload_u: UpdatePayload = cv.payload
+            raise ApplyStall(f"object {object_id} not in dictionary yet")
+        if op == _TRUNCATE:
+            table.apply_truncate(object_id, scn)
+            return
+        dba = batch.dbas.item(i)
+        slot = batch.slots.item(i)
+        xid = batch.xid_objects[i]
+        if op == _INSERT:
+            table.apply_insert(object_id, dba, slot, batch.rows[i], xid, scn)
+        elif op == _UPDATE:
             table.apply_update(
-                cv.object_id, cv.dba, payload_u.slot, payload_u.new_values,
-                payload_u.changed_columns, cv.xid, scn,
+                object_id, dba, slot, batch.rows[i], batch.payloads[i],
+                xid, scn,
             )
-        elif op is CVOp.DELETE:
-            payload_d: DeletePayload = cv.payload
-            table.apply_delete(
-                cv.object_id, cv.dba, payload_d.slot, payload_d.old_values,
-                cv.xid, scn,
-            )
-        elif op is CVOp.UNDO:
-            payload_un: UndoPayload = cv.payload
-            table.apply_undo(cv.object_id, cv.dba, payload_un.slot, cv.xid, scn)
-        elif op is CVOp.TRUNCATE:
-            table.apply_truncate(cv.payload.object_id, scn)
+        elif op == _DELETE:
+            table.apply_delete(object_id, dba, slot, batch.rows[i], xid, scn)
+        elif op == _UNDO:
+            table.apply_undo(object_id, dba, slot, xid, scn)
         else:
-            raise ValueError(f"unhandled CV op {op}")
+            raise ValueError(f"unhandled CV op {CVOp(op)!r}")

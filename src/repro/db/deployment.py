@@ -109,8 +109,7 @@ class Deployment:
         def fal_fetch(thread, lo, hi):
             # Fetch Archive Log: a standby pulls an archive gap straight
             # from the primary's (never-recycled) log files.
-            log = primary.redo_logs[thread - 1]
-            return [log.record_at(i) for i in range(lo, hi)]
+            return primary.redo_logs[thread - 1].batch(lo, hi)
 
         members = []
         for i in range(1, n_standbys + 1):
@@ -295,15 +294,10 @@ class Deployment:
         primary_logs = self.primary.redo_logs
 
         def redo_tail_fetch(lo_scn, hi_scn):
-            tail = []
-            for log in primary_logs:
-                for record in log.records_from(0):
-                    if record.scn > hi_scn:
-                        break
-                    if record.scn >= lo_scn:
-                        tail.append(record)
-            tail.sort(key=lambda record: record.scn)
-            return tail
+            return [
+                log.batch(*log.scn_range(lo_scn, hi_scn))
+                for log in primary_logs
+            ]
 
         for member in self.mounted_members:
             standby = member.standby

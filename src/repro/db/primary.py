@@ -36,10 +36,7 @@ from repro.imcs.store import InMemoryColumnStore
 from repro.redo.log import RedoLog
 from repro.redo.records import (
     CVOp,
-    ChangeVector,
     DDLMarkerPayload,
-    RedoRecord,
-    TruncatePayload,
     ddl_marker_dba,
     truncate_dba,
     txn_table_dba,
@@ -79,22 +76,17 @@ class HeartbeatWriter(Actor):
         self.node = node
         self.name = f"heartbeat-{instance}"
         self.idle_backoff = interval
-
+        self._cv = (
+            int(CVOp.HEARTBEAT), txn_table_dba(instance), 0, 0,
+            TransactionId(instance, 0), -1, None, None,
+        )
         self._last_write = -1.0
 
     def step(self, sched: Scheduler) -> Optional[float]:
         if sched.now - self._last_write < self.interval:
             return None  # not due yet; idle_backoff paces the retries
         self._last_write = sched.now
-        scn = self.clock.next()
-        cv = ChangeVector(
-            CVOp.HEARTBEAT,
-            txn_table_dba(self.instance),
-            object_id=0,
-            tenant=0,
-            xid=TransactionId(self.instance, 0),
-        )
-        self.log.append(RedoRecord(scn, self.instance, (cv,)))
+        self.log.append(self.instance, self.clock.next(), (self._cv,))
         return 1e-6  # negligible cost
 
 
@@ -215,17 +207,12 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
     ) -> SCN:
         scn = self.clock.next()
         first_oid = payload.object_ids[0] if payload.object_ids else 0
-        cv = ChangeVector(
-            CVOp.DDL_MARKER,
-            ddl_marker_dba(first_oid),
-            object_id=first_oid,
-            tenant=payload.detail.get("tenant", 0),
-            xid=TransactionId(instance_id, 0),
-            payload=payload,
+        cv = (
+            int(CVOp.DDL_MARKER), ddl_marker_dba(first_oid), first_oid,
+            payload.detail.get("tenant", 0), TransactionId(instance_id, 0),
+            -1, None, payload,
         )
-        self.instance(instance_id).redo_log.append(
-            RedoRecord(scn, instance_id, (cv,))
-        )
+        self.instance(instance_id).redo_log.append(instance_id, scn, (cv,))
         return scn
 
     def create_table(self, table_def: TableDef) -> Table:
@@ -273,15 +260,12 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
             part = table.partition(name)
             scn = self.clock.next()
             table.truncate_partition(name, scn)
-            cv = ChangeVector(
-                CVOp.TRUNCATE,
-                truncate_dba(part.object_id),
-                object_id=part.object_id,
-                tenant=table.tenant,
-                xid=TransactionId(1, 0),
-                payload=TruncatePayload(part.object_id),
+            cv = (
+                int(CVOp.TRUNCATE), truncate_dba(part.object_id),
+                part.object_id, table.tenant, TransactionId(1, 0),
+                -1, None, None,
             )
-            instance.redo_log.append(RedoRecord(scn, 1, (cv,)))
+            instance.redo_log.append(1, scn, (cv,))
             object_ids.append(part.object_id)
             if self.imcs.is_enabled(part.object_id):
                 self.imcs.drop_units(part.object_id)

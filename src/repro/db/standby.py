@@ -50,7 +50,8 @@ from repro.obs.restart import record_restart
 from repro.restart.replay import RestartReport, instant_restart
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.records import ChangeVector, DDLMarkerPayload
+from repro.redo.batch import CVBatch
+from repro.redo.records import DDLMarkerPayload
 from repro.redo.shipping import RedoReceiver
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.segment import BlockStore
@@ -259,8 +260,8 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
     # ------------------------------------------------------------------
     # CVApplier: physical redo apply (delegated to PhysicalApplier)
     # ------------------------------------------------------------------
-    def apply_cv(self, cv: ChangeVector, scn: SCN) -> None:
-        self._applier.apply_cv(cv, scn)
+    def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
+        self._applier.apply_cv(batch, i, scn)
 
     # ------------------------------------------------------------------
     # DDL application at QuerySCN advancement (flush's ddl_applier)

@@ -37,8 +37,19 @@ from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import MINE_DATA, MINE_SPECIAL, CVChunk, decode_xid
-from repro.redo.records import CVOp, ChangeVector, CommitPayload
+from repro.redo.batch import (
+    MINE_DATA,
+    MINE_SPECIAL,
+    CVBatch,
+    CVChunk,
+    decode_xid,
+)
+from repro.redo.records import CVOp
+
+_TXN_BEGIN, _TXN_PREPARE, _TXN_COMMIT, _TXN_ABORT = (
+    CVOp.TXN_BEGIN, CVOp.TXN_PREPARE, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
+)
+_DDL_MARKER = CVOp.DDL_MARKER
 
 
 class MiningComponent:
@@ -93,37 +104,33 @@ class MiningComponent:
 
     # ------------------------------------------------------------------
     def _sniff_control(
-        self, cv: ChangeVector, scn: SCN, owner: object
+        self, op: int, batch: CVBatch, i: int, scn: SCN, owner: object
     ) -> bool:
-        op = cv.op
-        if op is CVOp.TXN_BEGIN:
-            anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
+        xid = batch.xid_objects[i]
+        if op == _TXN_BEGIN or op == _TXN_PREPARE:
+            anchor = self.journal.get_or_create(
+                xid, batch.tenants.item(i), owner
+            )
             if anchor is None:
                 self._latch_misses.inc()
                 return False
-            anchor.has_begin = True
+            if op == _TXN_BEGIN:
+                anchor.has_begin = True
+            else:
+                anchor.prepared = True
             anchor.note_scn(scn)
             self._control_records_mined.inc()
             return True
-        if op is CVOp.TXN_PREPARE:
-            anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
-            if anchor is None:
-                self._latch_misses.inc()
-                return False
-            anchor.prepared = True
-            anchor.note_scn(scn)
-            self._control_records_mined.inc()
-            return True
-        if op is CVOp.TXN_ABORT:
-            removed = self.journal.remove(cv.xid, owner)
+        if op == _TXN_ABORT:
+            removed = self.journal.remove(xid, owner)
             if removed is None:
                 self._latch_misses.inc()
                 return False
             self._control_records_mined.inc()
             if self.on_abort is not None:
-                self.on_abort(cv.xid, scn)
+                self.on_abort(xid, scn)
             return True
-        raise ValueError(f"unhandled control op {op}")
+        raise ValueError(f"unhandled control op {CVOp(op)!r}")
 
     # ------------------------------------------------------------------
     def sniff_chunk(
@@ -165,13 +172,12 @@ class MiningComponent:
                 plain = indices[start:][classes[start:] != MINE_SPECIAL]
                 for scn in batch.scns[plain].tolist():
                     tracer.record_mined(scn)
-        cvs = batch.cvs
         for pos in (classes == MINE_SPECIAL).nonzero()[0].tolist():
             if pos < chunk.mined_pos:
                 continue  # mined before a latch miss, or applied
             i = int(indices[pos])
             scn = int(batch.scns[i])
-            if not self._sniff_special(cvs[i], scn, chunk, owner):
+            if not self._sniff_special(batch, i, scn, chunk, owner):
                 chunk.mined_pos = pos
                 return False
             chunk.mined_pos = pos + 1
@@ -236,33 +242,34 @@ class MiningComponent:
         return True
 
     def _sniff_special(
-        self, cv: ChangeVector, scn: SCN, chunk: CVChunk, owner: object
+        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
     ) -> bool:
-        """Mine one in-order special CV during a chunk walk."""
-        if cv.op is CVOp.DDL_MARKER:
-            self.ddl_table.add(scn, cv.payload)
+        """Mine the in-order special CV at batch position ``i`` during a
+        chunk walk."""
+        op = batch.ops.item(i)
+        if op == _DDL_MARKER:
+            self.ddl_table.add(scn, batch.payloads[i])
             self._ddl_markers_mined.inc()
             return True
-        if cv.op is CVOp.TXN_COMMIT:
-            return self._sniff_commit(cv, chunk, owner)
-        return self._sniff_control(cv, scn, owner)
+        if op == _TXN_COMMIT:
+            return self._sniff_commit(batch, i, scn, chunk, owner)
+        return self._sniff_control(op, batch, i, scn, owner)
 
     def _sniff_commit(
-        self, cv: ChangeVector, chunk: CVChunk, owner: object
+        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
     ) -> bool:
         """Build the transaction's commit-table node onto the chunk's
-        ``pending_commits`` (one ``insert_batch`` per chunk)."""
-        payload: CommitPayload = cv.payload
-        acquired, anchor = self.journal.get(cv.xid, owner)
+        ``pending_commits`` (one ``insert_batch`` per chunk).  The commit
+        record's SCN is the commitSCN; its payload is the III-E flag."""
+        xid = batch.xid_objects[i]
+        tenant = batch.tenants.item(i)
+        acquired, anchor = self.journal.get(xid, owner)
         if not acquired:
             self._latch_misses.inc()
             return False
         if anchor is not None and anchor.has_begin:
             node = CommitTableNode(
-                xid=cv.xid,
-                commit_scn=payload.commit_scn,
-                anchor=anchor,
-                tenant=cv.tenant,
+                xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant
             )
         else:
             # Missing 'transaction begin': mined state predates an instance
@@ -270,7 +277,7 @@ class MiningComponent:
             #   False      -> transaction touched no IMCS object; skip.
             #   True/None  -> coarse invalidation of the tenant's IMCUs
             #                 (None = no specialized redo: be pessimistic).
-            if payload.modifies_imcs is False:
+            if batch.payloads[i] is False:
                 self._control_records_mined.inc()
                 return True
             if self.tail_mode:
@@ -283,10 +290,7 @@ class MiningComponent:
                 self._control_records_mined.inc()
                 return True
             node = CommitTableNode(
-                xid=cv.xid,
-                commit_scn=payload.commit_scn,
-                anchor=anchor,
-                tenant=cv.tenant,
+                xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant,
                 coarse=True,
             )
             self._coarse_nodes_created.inc()

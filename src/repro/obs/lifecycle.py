@@ -134,31 +134,32 @@ class RedoLifecycleTracer:
     # ------------------------------------------------------------------
     # stage hooks (called by the pipeline components)
     # ------------------------------------------------------------------
-    def record_generated(self, record) -> None:
-        """A record was appended to a primary redo thread's log."""
-        series = self._generated_series.get(record.thread)
+    def record_generated(self, thread: int, scn: int, n_cvs: int) -> None:
+        """A record of ``n_cvs`` change vectors was appended to a primary
+        redo thread's log."""
+        series = self._generated_series.get(thread)
         if series is None:
             series = self.registry.series(
-                "lifecycle.scn.generated", thread=record.thread
+                "lifecycle.scn.generated", thread=thread
             )
-            self._generated_series[record.thread] = series
-        series.record(self.now, record.scn)
-        entry = self._track(record.scn, len(record.cvs))
+            self._generated_series[thread] = series
+        series.record(self.now, scn)
+        entry = self._track(scn, n_cvs)
         if entry is not None:
             self._stamp(entry, "generated", self.now)
 
-    def record_shipped(self, record) -> None:
-        entry = self._track(record.scn, len(record.cvs))
+    def record_shipped(self, scn: int, n_cvs: int) -> None:
+        entry = self._track(scn, n_cvs)
         if entry is not None:
             self._stamp(entry, "shipped", self.now)
 
-    def record_received(self, record) -> None:
-        entry = self._track(record.scn, len(record.cvs))
+    def record_received(self, scn: int, n_cvs: int) -> None:
+        entry = self._track(scn, n_cvs)
         if entry is not None:
             self._stamp(entry, "received", self.now)
 
-    def record_merged(self, record) -> None:
-        entry = self._tracked.get(record.scn)
+    def record_merged(self, scn: int) -> None:
+        entry = self._tracked.get(scn)
         if entry is not None:
             self._stamp(entry, "merged", self.now)
 

@@ -8,38 +8,21 @@ DBIM-on-ADG mining component later sniffs exactly these structures.
 
 from repro.redo.records import (
     CVOp,
-    ChangeVector,
-    RedoRecord,
-    InsertPayload,
-    UpdatePayload,
-    DeletePayload,
-    UndoPayload,
-    CommitPayload,
-    TruncatePayload,
     DDLMarkerPayload,
     txn_table_dba,
     ddl_marker_dba,
     truncate_dba,
 )
-from repro.redo.log import RedoLog, LogReader
+from repro.redo.log import RedoLog
 from repro.redo.shipping import LogShipper, RedoReceiver
 
 __all__ = [
     "CVOp",
-    "ChangeVector",
-    "RedoRecord",
-    "InsertPayload",
-    "UpdatePayload",
-    "DeletePayload",
-    "UndoPayload",
-    "CommitPayload",
-    "TruncatePayload",
     "DDLMarkerPayload",
     "txn_table_dba",
     "ddl_marker_dba",
     "truncate_dba",
     "RedoLog",
-    "LogReader",
     "LogShipper",
     "RedoReceiver",
 ]

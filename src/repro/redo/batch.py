@@ -1,20 +1,21 @@
 """Columnar change-vector batches: the vectorized ingest unit of work.
 
-The read side of this repro was vectorized twice (scan kernels, encoded-
-domain kernels) while the ingest side still walked one
-:class:`~repro.redo.records.ChangeVector` dataclass at a time from the
-wire to the column store.  :class:`CVBatch` closes that gap: a shipment's
-records are transposed **once**, at the shipper, into struct-of-arrays
-form (scn/dba/object-id/op-code/xid/tenant/slot numpy arrays) and the
-arrays travel through delivery, merge, distribution, mining and flush.
-Everything that used to be a per-CV Python attribute walk -- worker
-hashing, xid grouping, enabled-object filtering, slot extraction --
-becomes one numpy operation per batch.
+Redo is columns from the statement on (:mod:`repro.redo.log`); a
+:class:`CVBatch` is a range of one thread's log records converted to numpy
+once, at the shipper (or by a FAL gap fetch, or the instant-restart tail
+fetch), and those arrays travel through delivery, merge, distribution,
+mining and flush.  Everything that would be a per-CV Python attribute walk
+-- worker hashing, xid grouping, enabled-object filtering, slot extraction
+-- is one numpy operation per batch.
 
-The original ``ChangeVector`` objects ride along as the **payload
-side-table** (``cvs``): physical apply still needs the payload tuples,
-and keeping the original objects preserves ``id(cv)`` identity, which the
-instant-restart tail replay uses to exclude still-queued CVs.
+Three object columns ride along as plain list slices for physical apply
+and the in-order special CVs: the :class:`TransactionId` the row store
+and transaction tables key on (``xid_objects``; ``xids`` is its packed
+int64 form), the row tuple (``rows``) and the per-op payload
+(``payloads``) -- see :mod:`repro.redo.records` for what each op stores.
+A change vector has no object of its own: it is a position, and
+``(thread, cv_base + i)`` names it for the life of the log, which is what
+the instant-restart tail replay uses to exclude still-queued CVs.
 
 Record boundaries are kept (``record_starts`` / ``record_scns``) so a
 batch can be *split* on a record boundary: duplicate-prefix discard at
@@ -32,26 +33,13 @@ type of every recovery-worker queue.
 
 from __future__ import annotations
 
-import operator
-from itertools import groupby
 from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.common.ids import InstanceId, TransactionId
 from repro.common.scn import SCN
-from repro.redo.records import (
-    CVOp,
-    ChangeVector,
-    DeletePayload,
-    InsertPayload,
-    RedoRecord,
-    UpdatePayload,
-)
-
-#: Stable integer code per CVOp (CVOp definition order).
-OP_CODE: dict[CVOp, int] = {op: i for i, op in enumerate(CVOp)}
-OPS_BY_CODE: tuple[CVOp, ...] = tuple(CVOp)
+from repro.redo.records import CVOp
 
 #: How the miner treats each op: ``MINE_DATA`` ops are journaled in bulk,
 #: ``MINE_SPECIAL`` ops (the transaction state machine + the DDL
@@ -62,30 +50,21 @@ OPS_BY_CODE: tuple[CVOp, ...] = tuple(CVOp)
 #: the block-wipe CV would anchor it under the system xid -- which never
 #: commits, so the anchor would pin the journal floor forever.
 MINE_DATA, MINE_SPECIAL = 1, 2
-MINE_CLASS = np.zeros(len(OPS_BY_CODE), dtype=np.int8)
-for _op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE):
-    MINE_CLASS[OP_CODE[_op]] = MINE_DATA
-for _op in (
-    CVOp.TXN_BEGIN,
-    CVOp.TXN_PREPARE,
-    CVOp.TXN_COMMIT,
-    CVOp.TXN_ABORT,
-    CVOp.DDL_MARKER,
-):
-    MINE_CLASS[OP_CODE[_op]] = MINE_SPECIAL
+MINE_CLASS = np.zeros(len(CVOp), dtype=np.int8)
+MINE_CLASS[[CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE]] = MINE_DATA
+MINE_CLASS[
+    [
+        CVOp.TXN_BEGIN,
+        CVOp.TXN_PREPARE,
+        CVOp.TXN_COMMIT,
+        CVOp.TXN_ABORT,
+        CVOp.DDL_MARKER,
+    ]
+] = MINE_SPECIAL
 
 #: xid encoding: (instance << 40) | sequence fits both components of a
 #: :class:`TransactionId` into one int64 array element.
 _XID_SHIFT = 40
-
-#: C-level field extractors for the transpose hot loop.
-_GET_DBA = operator.attrgetter("dba")
-_GET_OBJECT = operator.attrgetter("object_id")
-_GET_OP = operator.attrgetter("op")
-_GET_XID = operator.attrgetter("xid")
-_GET_TENANT = operator.attrgetter("tenant")
-_GET_PAYLOAD = operator.attrgetter("payload")
-_GET_THREAD = operator.attrgetter("thread")
 
 
 def encode_xid(xid: TransactionId) -> int:
@@ -96,29 +75,19 @@ def decode_xid(code: int) -> TransactionId:
     return TransactionId(code >> _XID_SHIFT, code & ((1 << _XID_SHIFT) - 1))
 
 
-class _RecordView:
-    """A lightweight record facade over one batch record (tracer use)."""
-
-    __slots__ = ("scn", "thread", "cvs")
-
-    def __init__(self, scn: SCN, thread: InstanceId, cvs: list) -> None:
-        self.scn = scn
-        self.thread = thread
-        self.cvs = cvs
-
-
 class CVBatch:
     """Struct-of-arrays view of a run of redo records from one thread.
 
-    All arrays are per-CV and row-aligned with ``cvs`` (the payload
-    side-table of original ChangeVector objects).  ``record_starts`` /
-    ``record_scns`` are per-record: the CV offset where each record
-    begins, and its SCN.  Slices share the underlying arrays (numpy
-    views), so splitting at the receiver or merger is O(1) in data.
+    All arrays and the three object lists are per-CV and row-aligned;
+    ``cv_base`` is the log offset of the first CV.  ``record_starts`` /
+    ``record_scns`` are per-record: the CV offset (within the batch) where
+    each record begins, and its SCN.  Array slices are numpy views, so
+    splitting at the receiver or merger copies only the object lists.
     """
 
     __slots__ = (
         "thread",
+        "cv_base",
         "scns",
         "dbas",
         "object_ids",
@@ -126,7 +95,9 @@ class CVBatch:
         "xids",
         "tenants",
         "slots",
-        "cvs",
+        "xid_objects",
+        "rows",
+        "payloads",
         "record_starts",
         "record_scns",
         "_mine_class",
@@ -136,6 +107,7 @@ class CVBatch:
     def __init__(
         self,
         thread: InstanceId,
+        cv_base: int,
         scns: np.ndarray,
         dbas: np.ndarray,
         object_ids: np.ndarray,
@@ -143,11 +115,14 @@ class CVBatch:
         xids: np.ndarray,
         tenants: np.ndarray,
         slots: np.ndarray,
-        cvs: list[ChangeVector],
+        xid_objects: list[TransactionId],
+        rows: list,
+        payloads: list,
         record_starts: np.ndarray,
         record_scns: np.ndarray,
     ) -> None:
         self.thread = thread
+        self.cv_base = cv_base
         self.scns = scns
         self.dbas = dbas
         self.object_ids = object_ids
@@ -155,84 +130,18 @@ class CVBatch:
         self.xids = xids
         self.tenants = tenants
         self.slots = slots
-        self.cvs = cvs
+        self.xid_objects = xid_objects
+        self.rows = rows
+        self.payloads = payloads
         self.record_starts = record_starts
         self.record_scns = record_scns
         self._mine_class: Optional[np.ndarray] = None
         self._mined_columns: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_records(cls, records: list[RedoRecord]) -> "CVBatch":
-        """Transpose a contiguous run of one thread's records.
-
-        Field extraction runs as one comprehension per column feeding
-        ``np.fromiter`` -- several times faster than element-wise array
-        stores, and this is the shipper's per-shipment hot path.
-        """
-        counts = [len(r.cvs) for r in records]
-        n_cvs = sum(counts)
-        cvs: list[ChangeVector] = [cv for r in records for cv in r.cvs]
-        record_scns = np.fromiter(
-            (r.scn for r in records), np.int64, len(records)
-        )
-        record_starts = np.zeros(len(records), dtype=np.int64)
-        if len(records) > 1:
-            np.cumsum(counts[:-1], out=record_starts[1:])
-        scns = np.repeat(record_scns, counts)
-        # C-level extraction: map + attrgetter avoid per-CV interpreter
-        # frames for the plain attribute columns
-        dbas = np.fromiter(map(_GET_DBA, cvs), np.int64, n_cvs)
-        object_ids = np.fromiter(map(_GET_OBJECT, cvs), np.int64, n_cvs)
-        # int64 fromiter + downcast beats fromiter's int8 path
-        ops = np.fromiter(
-            map(OP_CODE.__getitem__, map(_GET_OP, cvs)), np.int64, n_cvs
-        ).astype(np.int8)
-        shift = _XID_SHIFT
-        xids = np.fromiter(
-            (
-                (xid.instance << shift) | xid.sequence
-                for xid in map(_GET_XID, cvs)
-            ),
-            np.int64,
-            n_cvs,
-        )
-        tenants = np.fromiter(map(_GET_TENANT, cvs), np.int64, n_cvs)
-        slotted = (InsertPayload, UpdatePayload, DeletePayload)
-        slots = np.fromiter(
-            (
-                payload.slot if isinstance(payload, slotted) else -1
-                for payload in map(_GET_PAYLOAD, cvs)
-            ),
-            np.int64,
-            n_cvs,
-        )
-        thread = records[0].thread if records else 0
-        return cls(
-            thread,
-            scns,
-            dbas,
-            object_ids,
-            ops,
-            xids,
-            tenants,
-            slots,
-            cvs,
-            record_starts,
-            record_scns,
-        )
-
-    @classmethod
-    def thread_runs(cls, records: list[RedoRecord]) -> Iterator["CVBatch"]:
-        """One batch per contiguous same-thread run of ``records`` (a
-        fetched redo range may interleave threads; a batch may not)."""
-        for __, run in groupby(records, key=_GET_THREAD):
-            yield cls.from_records(list(run))
-
-    # ------------------------------------------------------------------
     @property
     def n_cvs(self) -> int:
-        return len(self.cvs)
+        return len(self.rows)
 
     @property
     def n_records(self) -> int:
@@ -284,10 +193,11 @@ class CVBatch:
     def slice_records(self, lo: int, hi: int) -> "CVBatch":
         """The sub-batch covering records ``[lo, hi)`` (array views)."""
         starts = self.record_starts
-        cv_lo = int(starts[lo]) if lo < starts.size else len(self.cvs)
-        cv_hi = int(starts[hi]) if hi < starts.size else len(self.cvs)
+        cv_lo = int(starts[lo]) if lo < starts.size else len(self.rows)
+        cv_hi = int(starts[hi]) if hi < starts.size else len(self.rows)
         return CVBatch(
             self.thread,
+            self.cv_base + cv_lo,
             self.scns[cv_lo:cv_hi],
             self.dbas[cv_lo:cv_hi],
             self.object_ids[cv_lo:cv_hi],
@@ -295,7 +205,9 @@ class CVBatch:
             self.xids[cv_lo:cv_hi],
             self.tenants[cv_lo:cv_hi],
             self.slots[cv_lo:cv_hi],
-            self.cvs[cv_lo:cv_hi],
+            self.xid_objects[cv_lo:cv_hi],
+            self.rows[cv_lo:cv_hi],
+            self.payloads[cv_lo:cv_hi],
             starts[lo:hi] - cv_lo,
             self.record_scns[lo:hi],
         )
@@ -316,23 +228,11 @@ class CVBatch:
             self.slice_records(cut, self.record_scns.size),
         )
 
-    # ------------------------------------------------------------------
-    def record_views(self) -> Iterator[_RecordView]:
-        """Per-record facades (``.scn`` / ``.thread`` / ``.cvs``) for the
-        lifecycle tracer; only materialised when a tracer is armed."""
-        starts = self.record_starts
-        scns = self.record_scns
-        cvs = self.cvs
-        n = starts.size
-        for r_i in range(n):
-            lo = int(starts[r_i])
-            hi = int(starts[r_i + 1]) if r_i + 1 < n else len(cvs)
-            yield _RecordView(int(scns[r_i]), self.thread, cvs[lo:hi])
-
-    def iter_scn_cvs(self) -> Iterator[tuple[SCN, ChangeVector]]:
-        scns = self.scns
-        for i, cv in enumerate(self.cvs):
-            yield int(scns[i]), cv
+    def record_cv_counts(self) -> Iterator[tuple[SCN, int]]:
+        """``(scn, CV count)`` per record, for the lifecycle tracer; only
+        materialised when a tracer is armed."""
+        counts = np.diff(self.record_starts, append=len(self.rows))
+        return zip(self.record_scns.tolist(), counts.tolist())
 
 
 class CVChunk:
@@ -394,12 +294,10 @@ class CVChunk:
     def fully_mined(self) -> bool:
         return self.mined_pos >= len(self.indices) and not self.pending_commits
 
-    def remaining_cvs(self) -> Iterator[ChangeVector]:
-        """The original (unapplied) ChangeVector objects -- identity-
-        preserving, for the instant-restart queue-exclusion check."""
-        cvs = self.batch.cvs
-        for i in self.indices[self.pos :]:
-            yield cvs[i]
+    def remaining_positions(self) -> np.ndarray:
+        """Log CV offsets (within the batch's thread) of the unapplied
+        CVs, for the instant-restart queue-exclusion check."""
+        return self.indices[self.pos :] + self.batch.cv_base
 
     def reset_mining(self) -> None:
         """Instance restart: the journal was cleared, so everything not

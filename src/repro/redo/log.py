@@ -1,92 +1,128 @@
 """Per-instance redo logs.
 
 Each primary instance (RAC "thread") owns one :class:`RedoLog`; records are
-appended in nondecreasing SCN order within a thread.  Readers (the shipper,
-or a standby reading archived logs directly) hold independent cursors so
-the log itself has no notion of consumption.
+appended in nondecreasing SCN order within a thread.  The log is
+struct-of-arrays from the statement on: one column per record field (SCN,
+first-CV offset) and per CV field (see :mod:`repro.redo.records` for the
+row layout), so a statement leaves no per-CV or per-record object behind
+and everything downstream -- a shipment, a FAL gap fetch, the
+instant-restart tail -- is :meth:`RedoLog.batch` over a range of record
+positions.  The columns are plain lists: appends are amortised O(1) and a
+slice converts to numpy per shipment (an ``array.array`` cannot grow while
+numpy exports its buffer).  Readers hold their own positions, so the log
+has no notion of consumption, and it is never recycled: ``(thread, CV
+offset)`` names a change vector for the life of the primary.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from typing import Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.common.errors import RedoCorruptionError
 from repro.common.ids import InstanceId
 from repro.common.scn import NULL_SCN, SCN
-from repro.redo.records import RedoRecord
+from repro.redo.batch import CVBatch, encode_xid
 
 
 class RedoLog:
-    """Append-only redo record sequence for one redo thread."""
+    """Append-only columnar redo for one redo thread."""
 
     def __init__(self, thread: InstanceId) -> None:
         self.thread = thread
-        self._records: list[RedoRecord] = []
+        # per record
+        self._record_scns: list[SCN] = []
+        self._record_starts: list[int] = []
+        # per change vector (its record's SCN repeated: a slice is then
+        # one list-to-array conversion per column, no per-slice repeat)
+        self._scns: list[SCN] = []
+        self._ops: list[int] = []
+        self._dbas: list[int] = []
+        self._object_ids: list[int] = []
+        self._tenants: list[int] = []
+        self._xids: list = []
+        self._slots: list[int] = []
+        self._rows: list = []
+        self._payloads: list = []
         self._last_scn: SCN = NULL_SCN
         self._obs = obs.current()
 
-    def append(self, record: RedoRecord) -> None:
-        if record.thread != self.thread:
+    def append(
+        self, thread: InstanceId, scn: SCN, cvs: Sequence[tuple]
+    ) -> None:
+        """Write one redo record: ``cvs`` rows as laid out in
+        :mod:`repro.redo.records`, all generated at ``scn``."""
+        if thread != self.thread:
             raise RedoCorruptionError(
-                f"record for thread {record.thread} appended to thread "
+                f"record for thread {thread} appended to thread "
                 f"{self.thread}'s log"
             )
-        if record.scn < self._last_scn:
+        if scn < self._last_scn:
             raise RedoCorruptionError(
-                f"out-of-order SCN {record.scn} after {self._last_scn} "
+                f"out-of-order SCN {scn} after {self._last_scn} "
                 f"in thread {self.thread}"
             )
-        self._records.append(record)
-        self._last_scn = record.scn
+        if not cvs:
+            raise ValueError("a redo record needs at least one change vector")
+        ops = self._ops
+        start = len(ops)
+        self._record_starts.append(start)
+        self._record_scns.append(scn)
+        for op, dba, object_id, tenant, xid, slot, row, payload in cvs:
+            ops.append(op)
+            self._scns.append(scn)
+            self._dbas.append(dba)
+            self._object_ids.append(object_id)
+            self._tenants.append(tenant)
+            self._xids.append(xid)
+            self._slots.append(slot)
+            self._rows.append(row)
+            self._payloads.append(payload)
+        self._last_scn = scn
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
-            tracer.record_generated(record)
+            tracer.record_generated(thread, scn, len(ops) - start)
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Records generated."""
+        return len(self._record_scns)
 
     @property
     def last_scn(self) -> SCN:
         """SCN of the newest record (redo generation progress)."""
         return self._last_scn
 
-    def record_at(self, position: int) -> RedoRecord:
-        return self._records[position]
+    def scn_range(self, lo_scn: SCN, hi_scn: SCN) -> tuple[int, int]:
+        """Record positions ``[lo, hi)`` holding ``lo_scn <= scn <= hi_scn``."""
+        scns = self._record_scns
+        return bisect_left(scns, lo_scn), bisect_right(scns, hi_scn)
 
-    def records_from(self, position: int) -> Iterator[RedoRecord]:
-        for i in range(position, len(self._records)):
-            yield self._records[i]
-
-    def reader(self, start: int = 0) -> "LogReader":
-        return LogReader(self, start)
-
-
-class LogReader:
-    """A cursor over one redo log."""
-
-    def __init__(self, log: RedoLog, start: int = 0) -> None:
-        self._log = log
-        self.position = start
-
-    @property
-    def thread(self) -> InstanceId:
-        return self._log.thread
-
-    def has_next(self) -> bool:
-        return self.position < len(self._log)
-
-    def peek(self) -> RedoRecord:
-        return self._log.record_at(self.position)
-
-    def next(self) -> RedoRecord:
-        record = self._log.record_at(self.position)
-        self.position += 1
-        return record
-
-    def take(self, n: int) -> list[RedoRecord]:
-        """Read up to ``n`` records."""
-        out = []
-        while self.has_next() and len(out) < n:
-            out.append(self.next())
-        return out
+    def batch(self, lo: int, hi: int) -> CVBatch:
+        """The records at positions ``[lo, hi)`` (clipped to the log) as
+        one :class:`CVBatch`."""
+        starts = self._record_starts
+        n_cvs = len(self._ops)
+        hi = min(hi, len(starts))
+        lo = min(lo, hi)
+        cv_lo = starts[lo] if lo < len(starts) else n_cvs
+        cv_hi = starts[hi] if hi < len(starts) else n_cvs
+        xids = self._xids[cv_lo:cv_hi]
+        return CVBatch(
+            self.thread,
+            cv_lo,
+            np.array(self._scns[cv_lo:cv_hi], dtype=np.int64),
+            np.array(self._dbas[cv_lo:cv_hi], dtype=np.int64),
+            np.array(self._object_ids[cv_lo:cv_hi], dtype=np.int64),
+            np.array(self._ops[cv_lo:cv_hi], dtype=np.int8),
+            np.array([encode_xid(xid) for xid in xids], dtype=np.int64),
+            np.array(self._tenants[cv_lo:cv_hi], dtype=np.int64),
+            np.array(self._slots[cv_lo:cv_hi], dtype=np.int64),
+            xids,
+            self._rows[cv_lo:cv_hi],
+            self._payloads[cv_lo:cv_hi],
+            np.array(starts[lo:hi], dtype=np.int64) - cv_lo,
+            np.array(self._record_scns[lo:hi], dtype=np.int64),
+        )

@@ -19,16 +19,24 @@ DDL markers target reserved marker DBAs; both DBA ranges are negative so
 they can never collide with heap blocks allocated by the block store, yet
 they still hash to apply workers like any other DBA (so control CVs ride
 the normal parallel-apply paths, as in the paper).
+
+Redo has one representation, columns (:mod:`repro.redo.log`): a writer
+hands :meth:`~repro.redo.log.RedoLog.append` a record's CVs as rows
+``(op, dba, object_id, tenant, xid, slot, row, payload)``.  ``slot`` is
+the row slot of a data CV (-1 otherwise), ``row`` the full row tuple of
+an INSERT / UPDATE (new values) / DELETE (old values), and ``payload``
+whatever else apply cannot read elsewhere: an UPDATE's changed column
+names, a commit's section III-E flag (True / False, or None when
+specialized redo generation is off; its commitSCN *is* the record's SCN),
+a marker's :class:`DDLMarkerPayload`, None for every other op.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
-from repro.common.ids import DBA, InstanceId, ObjectId, TenantId, TransactionId
-from repro.common.scn import SCN
+from repro.common.ids import DBA, InstanceId, ObjectId
 
 
 def txn_table_dba(instance: InstanceId) -> DBA:
@@ -46,67 +54,27 @@ def truncate_dba(object_id: ObjectId) -> DBA:
     return -200_000 - object_id
 
 
-class CVOp(enum.Enum):
-    """Change vector operation codes."""
+class CVOp(enum.IntEnum):
+    """Change vector operation codes.
 
-    INSERT = "insert"
-    UPDATE = "update"
-    DELETE = "delete"
+    The integer value is the code the redo log's op column stores (and
+    the index into per-op lookup tables such as ``MINE_CLASS``)."""
+
+    INSERT = 0
+    UPDATE = 1
+    DELETE = 2
     #: Compensating change written by rollback (Oracle: applying undo
     #: generates redo); physically strips the aborted version at a slot.
-    UNDO = "undo"
-    TXN_BEGIN = "txn_begin"
-    TXN_PREPARE = "txn_prepare"
-    TXN_COMMIT = "txn_commit"
-    TXN_ABORT = "txn_abort"
-    TRUNCATE = "truncate"
-    DDL_MARKER = "ddl_marker"
+    UNDO = 3
+    TXN_BEGIN = 4
+    TXN_PREPARE = 5
+    TXN_COMMIT = 6
+    TXN_ABORT = 7
+    TRUNCATE = 8
+    DDL_MARKER = 9
     #: Periodic no-op redo written by idle instances so the standby's
     #: merge watermark keeps moving (see repro.adg.merger).
-    HEARTBEAT = "heartbeat"
-
-
-@dataclass(frozen=True, slots=True)
-class InsertPayload:
-    slot: int
-    values: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class UpdatePayload:
-    slot: int
-    new_values: tuple
-    changed_columns: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DeletePayload:
-    slot: int
-    old_values: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class UndoPayload:
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class CommitPayload:
-    """Commit record contents.
-
-    ``modifies_imcs`` is the section III-E flag: True when the transaction
-    touched at least one object enabled for population into an IMCS
-    (primary's or standby's).  ``None`` means specialized redo generation is
-    disabled, forcing the standby to be pessimistic.
-    """
-
-    commit_scn: SCN
-    modifies_imcs: Optional[bool] = None
-
-
-@dataclass(frozen=True, slots=True)
-class TruncatePayload:
-    object_id: ObjectId
+    HEARTBEAT = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,58 +90,3 @@ class DDLMarkerPayload:
     object_ids: tuple[ObjectId, ...]
     table_name: str
     detail: dict = field(default_factory=dict)
-
-
-Payload = Union[
-    InsertPayload,
-    UpdatePayload,
-    DeletePayload,
-    UndoPayload,
-    CommitPayload,
-    TruncatePayload,
-    DDLMarkerPayload,
-    None,
-]
-
-
-@dataclass(frozen=True, slots=True)
-class ChangeVector:
-    """One change to one block."""
-
-    op: CVOp
-    dba: DBA
-    object_id: ObjectId
-    tenant: TenantId
-    xid: TransactionId
-    payload: Payload = None
-
-    @property
-    def is_control(self) -> bool:
-        """Transaction state-change CVs (begin/prepare/commit/abort)."""
-        return self.op in (
-            CVOp.TXN_BEGIN,
-            CVOp.TXN_PREPARE,
-            CVOp.TXN_COMMIT,
-            CVOp.TXN_ABORT,
-        )
-
-    @property
-    def is_data(self) -> bool:
-        """CVs that modify rows in data blocks."""
-        return self.op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.UNDO)
-
-
-@dataclass(frozen=True, slots=True)
-class RedoRecord:
-    """An SCN-stamped group of change vectors from one redo thread."""
-
-    scn: SCN
-    thread: InstanceId
-    cvs: tuple[ChangeVector, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cvs:
-            raise ValueError("a redo record needs at least one change vector")
-
-    def __len__(self) -> int:
-        return len(self.cvs)

@@ -26,7 +26,7 @@ from repro.chaos import sites
 from repro.common.ids import InstanceId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch
-from repro.redo.log import LogReader, RedoLog
+from repro.redo.log import RedoLog
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -54,7 +54,7 @@ class RedoReceiver:
         #: Records landed (queued for merge) per thread -- with contiguous
         #: delivery this always equals the expected-position watermark.
         self.records_landed: dict[InstanceId, int] = {}
-        #: fal_fetch(thread, lo, hi) -> list[RedoRecord]: fetches the
+        #: fal_fetch(thread, lo, hi) -> CVBatch: fetches the record
         #: positions [lo, hi) from the primary's archived logs.
         self.fal_fetch = fal_fetch
         self._obs = obs.current()
@@ -138,8 +138,8 @@ class RedoReceiver:
             self.received_scn[batch.thread] = batch.last_scn
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
-            for view in batch.record_views():
-                tracer.record_received(view)
+            for scn, n_cvs in batch.record_cv_counts():
+                tracer.record_received(scn, n_cvs)
 
     def _resolve_gap(self, thread: InstanceId, lo: int, hi: int) -> None:
         if self.fal_fetch is None:
@@ -148,19 +148,19 @@ class RedoReceiver:
                 "missing and no FAL source configured"
             )
         fetched = self.fal_fetch(thread, lo, hi)
-        if len(fetched) != hi - lo:
+        if fetched.n_records != hi - lo:
             raise RuntimeError(
-                f"FAL returned {len(fetched)} records for gap of {hi - lo}"
+                f"FAL returned {fetched.n_records} records for gap of "
+                f"{hi - lo}"
             )
-        for batch in CVBatch.thread_runs(fetched):
-            if batch.thread not in self._queues:
-                # FAL answered with redo from a thread this receiver has
-                # not yet registered (a late-added primary instance whose
-                # first shipment is still in flight): land it rather than
-                # KeyError -- gap accounting below still charges the
-                # thread whose gap triggered the fetch.
-                self.register_thread(batch.thread)
-            self._land(batch)
+        if fetched.thread not in self._queues:
+            # FAL answered with redo from a thread this receiver has not
+            # yet registered (a late-added primary instance whose first
+            # shipment is still in flight): land it rather than KeyError
+            # -- gap accounting below still charges the thread whose gap
+            # triggered the fetch.
+            self.register_thread(fetched.thread)
+        self._land(fetched)
         self.records_landed[thread] += hi - lo
         self._gaps_resolved.inc()
         self._gap_records_fetched.inc(hi - lo)
@@ -204,7 +204,11 @@ class LogShipper(Actor):
         node: Optional[CpuNode] = None,
         name: Optional[str] = None,
     ) -> None:
-        self._reader: LogReader = log.reader()
+        if batch < 1:
+            raise ValueError(f"shipment size must be >= 1, got {batch}")
+        self._log = log
+        #: Next log record position to ship.
+        self._position = 0
         self.thread = log.thread
         self._receivers: dict[str, RedoReceiver] = {}
         self.latency = latency
@@ -221,7 +225,7 @@ class LogShipper(Actor):
 
     @property
     def shipped_through(self) -> int:
-        return self._reader.position
+        return self._position
 
     @property
     def destinations(self) -> list[str]:
@@ -240,23 +244,24 @@ class LogShipper(Actor):
     def drop_next(self, n: int) -> None:
         """Fault injection: lose the next ``n`` records in transit (the
         reader advances without shipping, creating an archive gap)."""
-        self._reader.take(n)
+        self._position = min(self._position + n, len(self._log))
 
     def step(self, sched: Scheduler) -> Optional[float]:
-        position = self._reader.position
-        records = self._reader.take(self.batch)
-        if not records:
+        position = self._position
+        end = min(position + self.batch, len(self._log))
+        if end == position:
             return None
-        count = len(records)
+        count = end - position
+        self._position = end
+        # sliced once per shipment and shared by every copy; the arrays
+        # are immutable in flight
+        payload = self._log.batch(position, end)
         # stamped once per record, as it leaves the log: with several
         # copies in flight no single copy's fate can un-ship a record
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
-            for record in records:
-                tracer.record_shipped(record)
-        # transposed once per shipment and shared by every copy; the
-        # arrays are immutable in flight
-        payload = CVBatch.from_records(records)
+            for scn, n_cvs in payload.record_cv_counts():
+                tracer.record_shipped(scn, n_cvs)
         chaos = self._chaos
         for dest, receiver in self._receivers.items():
             latency = self.latency

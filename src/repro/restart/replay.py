@@ -22,8 +22,9 @@ IMCS repopulates from the row store.  With population checkpoints
 
 Re-mining is idempotent by monotonicity: a record double-mined against a
 restored mask only re-marks rows already invalid.  CVs still sitting in
-the apply queues are excluded from the tail (identity check against the
-queue contents) because the workers will mine them at apply time.
+the apply queues are excluded from the tail (by ``(thread, log CV
+offset)`` against the queue contents) because the workers will mine them
+at apply time.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ import numpy as np
 from repro.common.config import RestartConfig
 from repro.common.scn import SCN
 from repro.redo.batch import CVBatch, CVChunk
-from repro.redo.records import RedoRecord
 from repro.restart.checkpoint import CheckpointStore, rebuild_imcu
 
 if TYPE_CHECKING:
     from repro.db.standby import StandbyDatabase
 
-#: (lo_scn, hi_scn) -> every redo record with lo <= scn <= hi, SCN order.
-RedoTailFetch = Callable[[SCN, SCN], list[RedoRecord]]
+#: (lo_scn, hi_scn) -> every redo record with lo <= scn <= hi, one batch
+#: per redo thread.
+RedoTailFetch = Callable[[SCN, SCN], list[CVBatch]]
 
 #: Bounded forced-flush drain; beyond this the restored units are coarse-
 #: invalidated rather than risking an unbounded restart (chaos stalls).
@@ -117,7 +118,7 @@ def replay_tail(
 
     The tail is ``[floor, max worker applied SCN]``, mined through the
     same ``sniff_chunk`` pass as live apply; CVs still queued for apply
-    are excluded by identity (their mining happens at apply time,
+    are excluded by log position (their mining happens at apply time,
     exactly once).  Mining runs with the miner in ``tail_mode`` so
     missing-begin commits -- whose invalidations the checkpointed masks
     provably cover -- are skipped instead of coarse-invalidating.
@@ -129,18 +130,25 @@ def replay_tail(
     report.tail_end_scn = tail_end
     if floor == 0 or tail_end < floor:
         return
-    queued = set(map(id, standby.distributor.queued_cvs()))
+    queued: dict[int, list[np.ndarray]] = {}
+    for thread, positions in standby.distributor.queued_positions():
+        queued.setdefault(thread, []).append(positions)
     miner = standby.miner
     miner.tail_mode = True
     try:
-        for batch in CVBatch.thread_runs(fetch(floor, tail_end)):
-            unqueued = [
-                i for i, cv in enumerate(batch.cvs) if id(cv) not in queued
-            ]
-            report.cvs_skipped_queued += batch.n_cvs - len(unqueued)
-            if not unqueued:
+        for batch in fetch(floor, tail_end):
+            unqueued = np.arange(batch.n_cvs, dtype=np.int64)
+            if batch.thread in queued:
+                unqueued = unqueued[
+                    ~np.isin(
+                        unqueued + batch.cv_base,
+                        np.concatenate(queued[batch.thread]),
+                    )
+                ]
+            report.cvs_skipped_queued += batch.n_cvs - unqueued.size
+            if not unqueued.size:
                 continue
-            chunk = CVChunk(batch, np.array(unqueued, dtype=np.int64))
+            chunk = CVChunk(batch, unqueued)
             # fresh journal, no concurrent actors: a sniff can only
             # miss on a same-step recursive latch edge, which cannot
             # occur here -- but stay defensive and bound the retries.

@@ -19,19 +19,14 @@ from repro.common.errors import InvalidStateError
 from repro.common.ids import InstanceId, ObjectId, RowId, TenantId, TransactionId
 from repro.common.scn import SCN, SCNClock
 from repro.redo.log import RedoLog
-from repro.redo.records import (
-    CVOp,
-    ChangeVector,
-    CommitPayload,
-    DeletePayload,
-    InsertPayload,
-    RedoRecord,
-    UndoPayload,
-    UpdatePayload,
-    txn_table_dba,
-)
+from repro.redo.records import CVOp, txn_table_dba
 from repro.rowstore.table import Table
 from repro.txn.table import TransactionTable, TxnState
+
+
+#: Op codes as the log's op column stores them (plain ints).
+_TXN_BEGIN = int(CVOp.TXN_BEGIN)
+_UNDO = int(CVOp.UNDO)
 
 
 @dataclass(slots=True)
@@ -42,10 +37,6 @@ class ChangeRecord:
     table: Table
     object_id: ObjectId
     rowid: RowId
-    old_values: Optional[tuple]
-    new_values: Optional[tuple]
-    changed_columns: tuple[str, ...]
-    scn: SCN
 
 
 @dataclass(slots=True)
@@ -85,6 +76,7 @@ class TransactionManager:
         #: configuration (primary or standby) -- drives the III-E flag.
         self.imcs_enabled_objects = imcs_enabled_objects
         self.specialized_commit_redo = specialized_commit_redo
+        self._txn_dba = txn_table_dba(instance)
         self._next_sequence = 1
         #: Callbacks fired after a commit: fn(txn, commit_scn).  The
         #: primary's own DBIM transaction manager hooks in here to
@@ -104,24 +96,53 @@ class TransactionManager:
         if not txn.is_active:
             raise InvalidStateError(f"{txn.xid} is {txn.state}, not active")
 
-    def _emit(self, scn: SCN, cvs: list[ChangeVector]) -> None:
-        self.redo_log.append(RedoRecord(scn, self.instance, tuple(cvs)))
+    def _emit_control(
+        self, txn: Transaction, scn: SCN, op: CVOp, payload: object = None
+    ) -> None:
+        """A one-CV record against this instance's transaction table."""
+        self.redo_log.append(
+            self.instance,
+            scn,
+            (
+                (
+                    int(op), self._txn_dba, 0, txn.tenant, txn.xid,
+                    -1, None, payload,
+                ),
+            ),
+        )
 
-    def _begin_cv_if_needed(self, txn: Transaction) -> list[ChangeVector]:
-        """The first change of a transaction carries the begin control CV
-        (the journal's anchor node is created when it is mined)."""
+    def _emit_change(
+        self,
+        txn: Transaction,
+        scn: SCN,
+        op: CVOp,
+        table: Table,
+        object_id: ObjectId,
+        rowid: RowId,
+        row: Optional[tuple] = None,
+        payload: object = None,
+    ) -> None:
+        """A data CV's record.  A transaction's first change carries the
+        begin control CV (the journal's anchor node is created when it is
+        mined)."""
+        cv = (
+            int(op), rowid.dba, object_id, txn.tenant, txn.xid,
+            rowid.slot, row, payload,
+        )
         if txn.began_in_redo:
-            return []
-        txn.began_in_redo = True
-        return [
-            ChangeVector(
-                CVOp.TXN_BEGIN,
-                txn_table_dba(self.instance),
-                object_id=0,
-                tenant=txn.tenant,
-                xid=txn.xid,
+            cvs = (cv,)
+        else:
+            txn.began_in_redo = True
+            cvs = (
+                (
+                    _TXN_BEGIN, self._txn_dba, 0, txn.tenant, txn.xid,
+                    -1, None, None,
+                ),
+                cv,
             )
-        ]
+        self.redo_log.append(self.instance, scn, cvs)
+        txn.touched_objects.add(object_id)
+        txn.changes.append(ChangeRecord(op, table, object_id, rowid))
 
     # ------------------------------------------------------------------
     # DML
@@ -136,23 +157,8 @@ class TransactionManager:
         self._require_active(txn)
         scn = self.clock.next()
         object_id, rowid = table.insert_row(values, txn.xid, scn, partition)
-        cvs = self._begin_cv_if_needed(txn)
-        cvs.append(
-            ChangeVector(
-                CVOp.INSERT,
-                rowid.dba,
-                object_id,
-                txn.tenant,
-                txn.xid,
-                InsertPayload(rowid.slot, values),
-            )
-        )
-        self._emit(scn, cvs)
-        txn.touched_objects.add(object_id)
-        txn.changes.append(
-            ChangeRecord(
-                CVOp.INSERT, table, object_id, rowid, None, values, (), scn
-            )
+        self._emit_change(
+            txn, scn, CVOp.INSERT, table, object_id, rowid, values
         )
         return rowid
 
@@ -165,28 +171,12 @@ class TransactionManager:
     ) -> None:
         self._require_active(txn)
         scn = self.clock.next()
-        object_id, old_values, new_values = table.update_row(
+        object_id, __, new_values = table.update_row(
             rowid, changes, txn.xid, scn, self.txn_table
         )
-        changed = tuple(changes)
-        cvs = self._begin_cv_if_needed(txn)
-        cvs.append(
-            ChangeVector(
-                CVOp.UPDATE,
-                rowid.dba,
-                object_id,
-                txn.tenant,
-                txn.xid,
-                UpdatePayload(rowid.slot, new_values, changed),
-            )
-        )
-        self._emit(scn, cvs)
-        txn.touched_objects.add(object_id)
-        txn.changes.append(
-            ChangeRecord(
-                CVOp.UPDATE, table, object_id, rowid,
-                old_values, new_values, changed, scn,
-            )
+        self._emit_change(
+            txn, scn, CVOp.UPDATE, table, object_id, rowid,
+            new_values, tuple(changes),
         )
 
     def delete(self, txn: Transaction, table: Table, rowid: RowId) -> None:
@@ -195,24 +185,8 @@ class TransactionManager:
         object_id, old_values = table.delete_row(
             rowid, txn.xid, scn, self.txn_table
         )
-        cvs = self._begin_cv_if_needed(txn)
-        cvs.append(
-            ChangeVector(
-                CVOp.DELETE,
-                rowid.dba,
-                object_id,
-                txn.tenant,
-                txn.xid,
-                DeletePayload(rowid.slot, old_values),
-            )
-        )
-        self._emit(scn, cvs)
-        txn.touched_objects.add(object_id)
-        txn.changes.append(
-            ChangeRecord(
-                CVOp.DELETE, table, object_id, rowid,
-                old_values, None, (), scn,
-            )
+        self._emit_change(
+            txn, scn, CVOp.DELETE, table, object_id, rowid, old_values
         )
 
     # ------------------------------------------------------------------
@@ -226,19 +200,7 @@ class TransactionManager:
         self.txn_table.prepare(txn.xid)
         txn.state = TxnState.PREPARED
         if txn.began_in_redo:
-            scn = self.clock.next()
-            self._emit(
-                scn,
-                [
-                    ChangeVector(
-                        CVOp.TXN_PREPARE,
-                        txn_table_dba(self.instance),
-                        object_id=0,
-                        tenant=txn.tenant,
-                        xid=txn.xid,
-                    )
-                ],
-            )
+            self._emit_control(txn, self.clock.next(), CVOp.TXN_PREPARE)
 
     def commit(self, txn: Transaction) -> SCN:
         """Commit; returns the commitSCN.
@@ -260,19 +222,7 @@ class TransactionManager:
                 )
             else:
                 flag = None
-            self._emit(
-                commit_scn,
-                [
-                    ChangeVector(
-                        CVOp.TXN_COMMIT,
-                        txn_table_dba(self.instance),
-                        object_id=0,
-                        tenant=txn.tenant,
-                        xid=txn.xid,
-                        payload=CommitPayload(commit_scn, flag),
-                    )
-                ],
-            )
+            self._emit_control(txn, commit_scn, CVOp.TXN_COMMIT, flag)
         for hook in self.on_commit:
             hook(txn, commit_scn)
         return commit_scn
@@ -290,32 +240,17 @@ class TransactionManager:
                 txn.xid,
                 scn,
             )
-            self._emit(
+            self.redo_log.append(
+                self.instance,
                 scn,
-                [
-                    ChangeVector(
-                        CVOp.UNDO,
-                        change.rowid.dba,
-                        change.object_id,
-                        txn.tenant,
-                        txn.xid,
-                        UndoPayload(change.rowid.slot),
-                    )
-                ],
+                (
+                    (
+                        _UNDO, change.rowid.dba, change.object_id,
+                        txn.tenant, txn.xid, change.rowid.slot, None, None,
+                    ),
+                ),
             )
         txn.state = TxnState.ABORTED
         self.txn_table.abort(txn.xid)
         if txn.began_in_redo:
-            scn = self.clock.next()
-            self._emit(
-                scn,
-                [
-                    ChangeVector(
-                        CVOp.TXN_ABORT,
-                        txn_table_dba(self.instance),
-                        object_id=0,
-                        tenant=txn.tenant,
-                        xid=txn.xid,
-                    )
-                ],
-            )
+            self._emit_control(txn, self.clock.next(), CVOp.TXN_ABORT)

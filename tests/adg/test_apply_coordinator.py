@@ -13,17 +13,12 @@ from repro.adg import (
 from repro.adg.coordinator import COORDINATION_COST, FLUSH_COST_PER_NODE
 from repro.chaos import sites
 from repro.common import InvalidStateError, QuiesceLock, TransactionId
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    InsertPayload,
-    RedoReceiver,
-    RedoRecord,
-)
+from repro.redo import CVOp, RedoReceiver
 from repro.db import Deployment, InMemoryService
 from repro.sim import Scheduler
 from tests.db.conftest import load, simple_table_def, small_config
 from tests.helpers import batch_of, queued_scn_cvs
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -32,8 +27,8 @@ class RecordingApplier:
     def __init__(self):
         self.applied = []
 
-    def apply_cv(self, cv, scn):
-        self.applied.append((scn, cv.dba))
+    def apply_cv(self, batch, i, scn):
+        self.applied.append((scn, int(batch.dbas[i])))
 
 
 def rec(scn, dba, thread=1):

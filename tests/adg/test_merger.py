@@ -2,14 +2,9 @@
 
 from repro.adg import LogMerger
 from repro.common import TransactionId
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    InsertPayload,
-    RedoReceiver,
-    RedoRecord,
-)
+from repro.redo import CVOp, RedoReceiver
 from tests.helpers import batch_of, record_scns as scns
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 

@@ -2,9 +2,10 @@
 
 from repro.adg import ApplyDistributor, ApplyStall, RecoveryWorker
 from repro.common import TransactionId
-from repro.redo import ChangeVector, CVOp, InsertPayload, RedoRecord
+from repro.redo import CVOp
 from repro.sim import Scheduler
 from tests.helpers import batch_of
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -22,7 +23,7 @@ class StallingApplier:
         self.attempts = 0
         self.applied = []
 
-    def apply_cv(self, cv, scn):
+    def apply_cv(self, batch, i, scn):
         self.attempts += 1
         if self.attempts <= self.stalls:
             raise ApplyStall("dependency not ready")

@@ -8,21 +8,25 @@ from repro.db import ColumnDef, TableDef
 from repro.db.applier import PhysicalApplier
 from repro.db.catalog import Catalog
 from repro.redo import (
-    ChangeVector,
-    CommitPayload,
     CVOp,
     DDLMarkerPayload,
-    DeletePayload,
-    InsertPayload,
-    TruncatePayload,
-    UndoPayload,
-    UpdatePayload,
     ddl_marker_dba,
     truncate_dba,
     txn_table_dba,
 )
 from repro.rowstore import BlockStore
 from repro.txn import TransactionTable, TxnState
+
+from tests.helpers import apply_one
+from tests.naive_batch import (
+    ChangeVector,
+    CommitPayload,
+    DeletePayload,
+    InsertPayload,
+    TruncatePayload,
+    UndoPayload,
+    UpdatePayload,
+)
 
 X = TransactionId(1, 1)
 
@@ -55,10 +59,10 @@ class TestDataOps:
         apply, catalog = applier
         table = catalog.table("T")
         oid = table.default_partition.object_id
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.INSERT, oid, 50, InsertPayload(0, (1, "a"))), 10
         )
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.UPDATE, oid, 50,
                     UpdatePayload(0, (1, "b"), ("c1",))), 11
         )
@@ -67,7 +71,7 @@ class TestDataOps:
 
         assert table.fetch_by_rowid(RowId(50, 0), 12, apply.txn_table) == (1, "b")
         deleter = TransactionId(1, 2)
-        apply.apply_cv(
+        apply_one(apply,
             ChangeVector(CVOp.DELETE, 50, oid, 0, deleter,
                          DeletePayload(0, (1, "b"))), 13,
         )
@@ -80,21 +84,42 @@ class TestDataOps:
         apply, catalog = applier
         table = catalog.table("T")
         oid = table.default_partition.object_id
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.INSERT, oid, 50, InsertPayload(0, (1, "a"))), 10
         )
-        apply.apply_cv(data_cv(CVOp.UNDO, oid, 50, UndoPayload(0)), 11)
+        apply_one(apply, data_cv(CVOp.UNDO, oid, 50, UndoPayload(0)), 11)
         block = table.default_partition.segment._store.get(50)
         assert block.chain(0).current is None
+
+    def test_undo_strips_the_slot_it_names(self, applier):
+        """The UNDO's slot travels in the one slot column (the displaced
+        transpose shipped -1 for it and apply read the payload object):
+        with two rows written, only the named slot is stripped."""
+        apply, catalog = applier
+        table = catalog.table("T")
+        oid = table.default_partition.object_id
+        for slot in (0, 1, 2):
+            apply_one(
+                apply,
+                data_cv(CVOp.INSERT, oid, 50, InsertPayload(slot, (slot, "a"))),
+                10 + slot,
+            )
+        apply_one(apply, data_cv(CVOp.UNDO, oid, 50, UndoPayload(1)), 13)
+        block = table.default_partition.segment._store.get(50)
+        assert block.chain(1).current is None
+        assert block.chain(0).current.values == (0, "a")
+        assert block.chain(2).current.values == (2, "a")
+        assert table.indexes["id"].search(1) is None
+        assert table.indexes["id"].search(2) is not None
 
     def test_truncate(self, applier):
         apply, catalog = applier
         table = catalog.table("T")
         oid = table.default_partition.object_id
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.INSERT, oid, 50, InsertPayload(0, (1, "a"))), 10
         )
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.TRUNCATE, oid, truncate_dba(oid),
                     TruncatePayload(oid)), 11
         )
@@ -105,24 +130,24 @@ class TestControlOps:
     def test_commit_and_abort_recover_txn_state(self, applier):
         apply, __ = applier
         begin = ChangeVector(CVOp.TXN_BEGIN, txn_table_dba(1), 0, 0, X)
-        apply.apply_cv(begin, 5)
+        apply_one(apply, begin, 5)
         assert apply.txn_table.state_of(X) is TxnState.ACTIVE
         commit = ChangeVector(
             CVOp.TXN_COMMIT, txn_table_dba(1), 0, 0, X, CommitPayload(9, True)
         )
-        apply.apply_cv(commit, 9)
+        apply_one(apply, commit, 9)
         assert apply.txn_table.commit_scn_of(X) == 9
 
     def test_prepare(self, applier):
         apply, __ = applier
-        apply.apply_cv(
+        apply_one(apply,
             ChangeVector(CVOp.TXN_PREPARE, txn_table_dba(1), 0, 0, X), 5
         )
         assert apply.txn_table.state_of(X) is TxnState.PREPARED
 
     def test_heartbeat_is_noop(self, applier):
         apply, __ = applier
-        apply.apply_cv(
+        apply_one(apply,
             ChangeVector(CVOp.HEARTBEAT, txn_table_dba(1), 0, 0, X), 5
         )
 
@@ -131,7 +156,7 @@ class TestDDLAndStalls:
     def test_unknown_object_stalls(self, applier):
         apply, __ = applier
         with pytest.raises(ApplyStall):
-            apply.apply_cv(
+            apply_one(apply,
                 data_cv(CVOp.INSERT, 31337, 50, InsertPayload(0, (1, "a"))), 10
             )
 
@@ -147,9 +172,9 @@ class TestDDLAndStalls:
             DDLMarkerPayload("create_table", (777,), "U",
                              {"table_def": new_def}),
         )
-        apply.apply_cv(marker, 20)
+        apply_one(apply, marker, 20)
         assert "U" in catalog
-        apply.apply_cv(
+        apply_one(apply,
             data_cv(CVOp.INSERT, 777, 90, InsertPayload(0, (1, "a"))), 21
         )  # no stall now
 
@@ -162,5 +187,5 @@ class TestDDLAndStalls:
                 oid for __, oid in shipped.partition_object_ids
             ), "T", {"table_def": shipped}),
         )
-        apply.apply_cv(marker, 20)  # T exists: must not raise
+        apply_one(apply, marker, 20)  # T exists: must not raise
         assert "T" in catalog

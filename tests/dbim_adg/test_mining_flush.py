@@ -13,18 +13,17 @@ from repro.dbim_adg import (
     MiningComponent,
 )
 from repro.imcs import IMCU, InMemoryColumnStore
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    CommitPayload,
-    DDLMarkerPayload,
-    InsertPayload,
-    UpdatePayload,
-    ddl_marker_dba,
-    txn_table_dba,
-)
+from repro.redo import CVOp, DDLMarkerPayload, ddl_marker_dba, txn_table_dba
+from repro.redo.batch import MINE_CLASS
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
-from tests.helpers import records_of, sniff_one
+from tests.helpers import batch_of, records_of, sniff_one
+from tests.naive_batch import (
+    ChangeVector,
+    CommitPayload,
+    RedoRecord,
+    UndoPayload,
+    UpdatePayload,
+)
 
 
 def make_table():
@@ -175,14 +174,18 @@ class TestMining:
     def test_undo_cvs_not_mined(self):
         table = make_table()
         journal, *__rest, miner, __ = make_stack(table)
-        from repro.redo import UndoPayload
-
         oid = table.default_partition.object_id
         sniff_one(miner, begin_cv(), 10, 0, object())
         undo = ChangeVector(CVOp.UNDO, 1, oid, 0, X1, UndoPayload(2))
+        # the UNDO ships its real slot now (the displaced transpose wrote
+        # -1), and mining must keep ignoring it: it restores the committed
+        # state the IMCU already holds
+        assert batch_of([RedoRecord(11, 1, (undo,))]).slots.tolist() == [2]
+        assert MINE_CLASS[CVOp.UNDO] == 0
         assert sniff_one(miner, undo, 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
+        assert miner.data_records_mined == 0
 
     def test_ddl_marker_buffered(self):
         table = make_table()

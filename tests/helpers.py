@@ -18,7 +18,15 @@ import numpy as np
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.redo.batch import CVBatch, CVChunk
-from repro.redo.records import ChangeVector, RedoRecord
+from repro.redo.log import RedoLog
+
+from tests.naive_batch import (
+    ChangeVector,
+    RedoRecord,
+    cv_at,
+    from_records,
+    records_of as batch_records,
+)
 
 
 class MinedRecord(NamedTuple):
@@ -32,9 +40,35 @@ class MinedRecord(NamedTuple):
     scn: int
 
 
-def batch_of(records: Iterable[RedoRecord]) -> CVBatch:
-    """The records of one redo thread as a shipment."""
-    return CVBatch.from_records(list(records))
+def batch_of(records: Iterable[RedoRecord], cv_base: int = 0) -> CVBatch:
+    """Hand-written records of one redo thread as a shipment."""
+    return from_records(list(records), cv_base)
+
+
+def append_record(log: RedoLog, record: RedoRecord) -> None:
+    """Append one hand-written record to a redo log."""
+    batch = batch_of([record])
+    log.append(
+        record.thread,
+        record.scn,
+        tuple(
+            zip(
+                batch.ops.tolist(),
+                batch.dbas.tolist(),
+                batch.object_ids.tolist(),
+                batch.tenants.tolist(),
+                batch.xid_objects,
+                batch.slots.tolist(),
+                batch.rows,
+                batch.payloads,
+            )
+        ),
+    )
+
+
+def log_records(log: RedoLog, lo: int = 0) -> list[RedoRecord]:
+    """A log's records from position ``lo``, read back as objects."""
+    return batch_records(log.batch(lo, len(log)))
 
 
 def record_scns(batches: Iterable[CVBatch]) -> list[int]:
@@ -52,10 +86,16 @@ def chunk_of(records: Iterable[RedoRecord]) -> CVChunk:
 def queued_scn_cvs(queue: Iterable[CVChunk]) -> list[tuple[int, ChangeVector]]:
     """The unapplied ``(scn, cv)`` pairs on one worker's queue, in order."""
     return [
-        (int(chunk.batch.scns[i]), chunk.batch.cvs[i])
+        (int(chunk.batch.scns[i]), cv_at(chunk.batch, i))
         for chunk in queue
         for i in chunk.indices[chunk.pos:]
     ]
+
+
+def apply_one(applier, cv: ChangeVector, scn: int) -> None:
+    """Apply one CV as position 0 of a width-1 batch."""
+    batch = batch_of([RedoRecord(scn, cv.xid.instance, (cv,))])
+    applier.apply_cv(batch, 0, scn)
 
 
 def sniff_one(

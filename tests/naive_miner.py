@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Optional
 
 from repro.common.ids import TransactionId
 from repro.common.scn import SCN
-from repro.redo.records import CVOp, RedoRecord
+from repro.redo.records import CVOp
+
+from tests.naive_batch import RedoRecord
 
 Blocks = dict[tuple[int, int], tuple[int, ...]]
 

@@ -9,15 +9,6 @@ class Clock:
         self.now = 0.0
 
 
-class Record:
-    """The shape the tracer needs: scn / thread / cvs."""
-
-    def __init__(self, scn, thread=1, n_cvs=1):
-        self.scn = scn
-        self.thread = thread
-        self.cvs = tuple(range(n_cvs))
-
-
 def make_tracer(sample_every=1):
     clock = Clock()
     registry = MetricsRegistry()
@@ -29,19 +20,18 @@ def make_tracer(sample_every=1):
 class TestStamping:
     def test_full_pipeline_produces_all_stage_latencies(self):
         clock, registry, tracer = make_tracer()
-        record = Record(scn=10, n_cvs=2)
         times = {}
         for i, stage in enumerate(STAGES):
             clock.now = float(i)
             times[stage] = clock.now
             if stage == "generated":
-                tracer.record_generated(record)
+                tracer.record_generated(1, 10, 2)
             elif stage == "shipped":
-                tracer.record_shipped(record)
+                tracer.record_shipped(10, 2)
             elif stage == "received":
-                tracer.record_received(record)
+                tracer.record_received(10, 2)
             elif stage == "merged":
-                tracer.record_merged(record)
+                tracer.record_merged(10)
             elif stage == "applied":
                 tracer.record_applied(10)
                 tracer.record_applied(10)  # both CVs
@@ -67,7 +57,7 @@ class TestStamping:
 
     def test_applied_waits_for_last_cv(self):
         clock, __, tracer = make_tracer()
-        tracer.record_generated(Record(5, n_cvs=3))
+        tracer.record_generated(1, 5, 3)
         clock.now = 1.0
         tracer.record_applied(5)
         tracer.record_applied(5)
@@ -81,12 +71,11 @@ class TestStamping:
         """MIRA multicasts every record to every instance: re-stamping an
         already-stamped stage must not skew the histogram."""
         clock, __, tracer = make_tracer()
-        record = Record(5)
-        tracer.record_generated(record)
+        tracer.record_generated(1, 5, 1)
         clock.now = 1.0
-        tracer.record_shipped(record)
+        tracer.record_shipped(5, 1)
         clock.now = 9.0
-        tracer.record_shipped(record)  # second instance's copy
+        tracer.record_shipped(5, 1)  # second instance's copy
         stats = tracer.stage_summary()["shipped"]
         assert stats["count"] == 1
         assert stats["mean"] == 1.0
@@ -95,8 +84,7 @@ class TestStamping:
         """A record that skips mining (no DBIM) still gets a well-defined
         published latency: time since the latest earlier stamped stage."""
         clock, __, tracer = make_tracer()
-        record = Record(5)
-        tracer.record_generated(record)
+        tracer.record_generated(1, 5, 1)
         clock.now = 2.0
         tracer.record_applied(5)
         clock.now = 5.0
@@ -110,7 +98,7 @@ class TestStamping:
         before the tracer armed) are tracked from that stage on."""
         clock, __, tracer = make_tracer()
         clock.now = 1.0
-        tracer.record_received(Record(7))
+        tracer.record_received(7, 1)
         clock.now = 4.0
         tracer.record_published(7)
         assert tracer.completed_total.value == 1
@@ -119,7 +107,7 @@ class TestStamping:
     def test_publication_covers_all_lower_scns(self):
         clock, __, tracer = make_tracer()
         for scn in (1, 2, 3, 4):
-            tracer.record_generated(Record(scn))
+            tracer.record_generated(1, scn, 1)
         clock.now = 1.0
         tracer.record_published(3)
         assert tracer.completed_total.value == 3
@@ -140,7 +128,7 @@ class TestStamping:
     def test_sampling_bounds_tracking(self):
         __, ___, tracer = make_tracer(sample_every=4)
         for scn in range(1, 9):
-            tracer.record_generated(Record(scn))
+            tracer.record_generated(1, scn, 1)
         assert tracer.tracked_total.value == 2  # scns 4 and 8
         tracer.record_published(8)
         assert tracer.completed_total.value == 2
@@ -152,7 +140,7 @@ class TestFig11FromInstruments:
         # thread 1 generates scns 10, 20, 30 at t = 0, 1, 2
         for i, scn in enumerate((10, 20, 30)):
             clock.now = float(i)
-            tracer.record_generated(Record(scn, thread=1))
+            tracer.record_generated(1, scn, 1)
         # publications trail by one step
         clock.now = 1.0
         tracer.record_published(10)
@@ -170,8 +158,8 @@ class TestFig11FromInstruments:
 
     def test_worst_gap_takes_max_over_threads(self):
         clock, __, tracer = make_tracer()
-        tracer.record_generated(Record(10, thread=1))
-        tracer.record_generated(Record(40, thread=2))
+        tracer.record_generated(1, 10, 1)
+        tracer.record_generated(2, 40, 1)
         clock.now = 1.0
         tracer.record_published(10)
         assert tracer.scn_gap_at(0.5) == 40.0

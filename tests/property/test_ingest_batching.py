@@ -18,8 +18,8 @@ the model's (no block twice, none missing, none extra) and the standby scan
 must equal primary CR at that SCN.
 
 A second, component-level property is metamorphic: the same redo stream
-cut into width-1 batches (one ``CVBatch.from_records([r])`` per record)
-must leave exactly the journal contents, commit-table order and journal
+cut into width-1 batches (one ``log.batch(i, i + 1)`` per record) must
+leave exactly the journal contents, commit-table order and journal
 floor that one wide batch leaves -- a single record really is a batch of
 width 1 through the same code.
 
@@ -42,8 +42,21 @@ from hypothesis import strategies as st
 
 from repro.adg.apply import ApplyDistributor
 from repro.common import TransactionId
-from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
-from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
+from repro.common.config import (
+    ApplyConfig,
+    IMCSConfig,
+    RACConfig,
+    SystemConfig,
+)
+from repro.common.errors import InvalidStateError, ObjectNotFoundError
+from repro.db import (
+    ColumnDef,
+    Deployment,
+    InMemoryService,
+    PrimaryDatabase,
+    TableDef,
+)
+from repro.db.primary import HeartbeatWriter
 from repro.dbim_adg import (
     DDLInformationTable,
     IMADGCommitTable,
@@ -53,24 +66,29 @@ from repro.dbim_adg import (
 from repro.dbim_adg.flush import InvalidationListener
 from repro.imcs import InMemoryColumnStore
 from repro.redo import (
-    ChangeVector,
     CVOp,
-    CommitPayload,
     DDLMarkerPayload,
+    RedoReceiver,
+    ddl_marker_dba,
+    truncate_dba,
+    txn_table_dba,
+)
+from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
+
+from tests.helpers import chunk_of, record_scns, records_of
+from tests.naive_batch import (
+    ChangeVector,
+    CommitPayload,
     DeletePayload,
     InsertPayload,
     RedoRecord,
     TruncatePayload,
     UndoPayload,
     UpdatePayload,
-    ddl_marker_dba,
-    truncate_dba,
-    txn_table_dba,
+    from_records,
+    record_of_append,
+    records_of as batch_records,
 )
-from repro.redo.batch import CVBatch
-from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
-
-from tests.helpers import chunk_of, records_of
 from tests.naive_miner import NaiveMiner
 
 
@@ -197,7 +215,8 @@ class PublicationChecker(InvalidationListener):
         self.deployment = deployment
         standby = deployment.standby
         self.model = NaiveMiner(standby.imcs.is_enabled)
-        self._log = deployment.primary.redo_logs[0].reader()
+        self._log = deployment.primary.redo_logs[0]
+        self._position = 0
         #: commitSCN -> {(object, dba): slots} as routed by the flush.
         self.routed: dict[int, dict] = {}
         self.violations: list[str] = []
@@ -217,9 +236,10 @@ class PublicationChecker(InvalidationListener):
 
     def on_publish(self, scn: int) -> None:
         self.publications += 1
-        log = self._log
-        while log.has_next() and log.peek().scn <= scn:
-            self.model.feed(log.next())
+        __, end = self._log.scn_range(0, scn)
+        for record in batch_records(self._log.batch(self._position, end)):
+            self.model.feed(record)
+        self._position = end
         routed = {c: b for c, b in self.routed.items() if c <= scn}
         expected = self.model.due_through(scn)
         if routed != expected:
@@ -339,10 +359,10 @@ def test_width_one_batches_mine_like_one_wide_batch(ops, seed):
     deployment = build_deployment(seed)
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
     drive(deployment, ops)
-    records = list(deployment.primary.redo_logs[0].records_from(0))
+    log = deployment.primary.redo_logs[0]
     imcs = deployment.standby.imcs
-    wide = mine_all([CVBatch.from_records(records)], imcs)
-    narrow = mine_all([CVBatch.from_records([r]) for r in records], imcs)
+    wide = mine_all([log.batch(0, len(log))], imcs)
+    narrow = mine_all([log.batch(i, i + 1) for i in range(len(log))], imcs)
     assert narrow == wide
 
 
@@ -697,3 +717,224 @@ def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(miss_at):
     while not stack.miner.sniff_chunk(chunk, 0, object()):
         pass
     assert sorted(seen) == [101, 101, 102, 103, 103, 104]
+
+
+# ----------------------------------------------------------------------
+# the columnar log against the representation it displaced
+# ----------------------------------------------------------------------
+def record_appends(log) -> list[RedoRecord]:
+    """Keep, as objects, every record ``log`` is given from now on (its
+    one append entry is the only way in)."""
+    records: list[RedoRecord] = []
+    real = log.append
+
+    def append(thread, scn, cvs):
+        real(thread, scn, cvs)
+        records.append(record_of_append(thread, scn, cvs))
+
+    log.append = append
+    return records
+
+
+def assert_same_batch(batch, oracle) -> None:
+    """Column for column, payloads included."""
+    assert (batch.thread, batch.cv_base) == (oracle.thread, oracle.cv_base)
+    for name in (
+        "scns", "dbas", "object_ids", "ops", "xids", "tenants", "slots",
+        "record_starts", "record_scns",
+    ):
+        ours, theirs = getattr(batch, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.tolist() == theirs.tolist(), name
+    for name in ("xid_objects", "rows", "payloads"):
+        assert getattr(batch, name) == getattr(oracle, name), name
+
+
+PRIMARY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "insert", "insert", "update", "update", "delete", "commit",
+                "rollback", "prepare", "truncate", "ddl", "heartbeat",
+            ]
+        ),
+        st.sampled_from([1, 2]),
+        st.integers(0, 50),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def drive_primary(ops):
+    """A two-instance primary run through ``ops``; returns it and, per
+    thread, the records its log was given."""
+    primary = PrimaryDatabase(
+        SystemConfig(rac=RACConfig(primary_instances=2))
+    )
+    recorded = [record_appends(log) for log in primary.redo_logs]
+    primary.create_table(
+        TableDef(
+            "T",
+            (
+                ColumnDef.number("id", nullable=False),
+                ColumnDef.number("n1"),
+                ColumnDef.varchar("c1"),
+            ),
+            rows_per_block=4,
+            indexes=("id",),
+        )
+    )
+    primary.enable_inmemory("T")
+    heartbeats = {
+        inst.instance_id: HeartbeatWriter(
+            inst.instance_id, primary.clock, inst.redo_log
+        )
+        for inst in primary.instances
+    }
+    txns = {1: primary.begin(instance_id=1), 2: primary.begin(instance_id=2)}
+    rowids: list = []
+    ids = iter(range(10_000, 100_000))
+    created = 0
+    for step, (kind, thread, arg) in enumerate(ops):
+        if not txns[thread].is_active:
+            txns[thread] = primary.begin(instance_id=thread)
+        txn = txns[thread]
+        try:
+            if kind == "insert":
+                rowids.append(
+                    primary.insert(
+                        txn, "T", (next(ids), float(arg), f"v{arg % 7}")
+                    )
+                )
+            elif kind == "update" and rowids:
+                primary.update(
+                    txn, "T", rowids[arg % len(rowids)], {"n1": arg * 2.0}
+                )
+            elif kind == "delete" and rowids:
+                primary.delete(txn, "T", rowids.pop(arg % len(rowids)))
+            elif kind == "commit":
+                primary.commit(txn)
+            elif kind == "rollback":
+                gone = {c.rowid for c in txn.changes if c.kind is CVOp.INSERT}
+                primary.rollback(txn)
+                rowids[:] = [r for r in rowids if r not in gone]
+            elif kind == "prepare":
+                primary.manager_of(txn).prepare(txn)
+            elif kind == "truncate":
+                primary.truncate_table("T")
+                rowids.clear()
+            elif kind == "ddl":
+                created += 1
+                primary.create_table(
+                    TableDef(
+                        f"T{created}",
+                        (ColumnDef.number("id", nullable=False),),
+                    )
+                )
+            elif kind == "heartbeat":
+                heartbeats[thread].step(SimpleNamespace(now=float(step)))
+        except (ObjectNotFoundError, InvalidStateError):
+            continue  # wiped or locked row: skip, like a client
+    return primary, recorded
+
+
+def test_every_kind_of_record_slices_like_its_object():
+    """One fixed history that writes every op the primary can -- begin +
+    insert / update / delete, prepare, commit (flag True), UNDOs + abort,
+    TRUNCATE, DDL marker, heartbeat -- compared whole and record by
+    record, so the random property below can spend its examples on cuts."""
+    ops = [
+        ("insert", 1, 3), ("insert", 1, 4), ("insert", 2, 5),
+        ("update", 1, 0), ("delete", 1, 1), ("prepare", 1, 0),
+        ("commit", 1, 0), ("update", 2, 0), ("rollback", 2, 0),
+        ("heartbeat", 2, 0), ("ddl", 1, 0), ("insert", 2, 6),
+        ("commit", 2, 0), ("truncate", 1, 0), ("heartbeat", 1, 0),
+    ]
+    primary, recorded = drive_primary(ops)
+    seen = set()
+    for log, records in zip(primary.redo_logs, recorded):
+        assert_same_batch(log.batch(0, len(log)), from_records(records))
+        base = 0
+        for i, record in enumerate(records):
+            assert_same_batch(
+                log.batch(i, i + 1), from_records([record], base)
+            )
+            base += len(record.cvs)
+            seen.update(cv.op for cv in record.cvs)
+    assert seen == set(CVOp)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(ops=PRIMARY_OPS, cuts=st.data())
+def test_log_slices_equal_the_transpose_of_the_records_it_was_given(ops, cuts):
+    """The real primary writes columns; the oracle rebuilds the record
+    objects each ``append`` call describes and transposes them the way
+    the shipper used to.  Any ``log.batch(lo, hi)`` -- a shipment, a FAL
+    fetch, a restart tail -- and everything cut from it downstream
+    (``slice_records``, ``split_at_scn``, the receiver's duplicate-prefix
+    discard, a FAL heal) must equal the oracle's, column for column."""
+    primary, recorded = drive_primary(ops)
+    for log, records in zip(primary.redo_logs, recorded):
+        n = len(log)
+        assert n == len(records)
+        bases = [0]
+        for record in records:
+            bases.append(bases[-1] + len(record.cvs))
+
+        def oracle(lo, hi):
+            return from_records(records[lo:hi], bases[min(lo, n)])
+
+        if n:
+            assert_same_batch(log.batch(0, n), oracle(0, n))
+        lo = cuts.draw(st.integers(0, n), label="lo")
+        hi = cuts.draw(st.integers(lo, n + 2), label="hi")
+        batch, model = log.batch(lo, hi), oracle(lo, hi)
+        if lo < min(hi, n):
+            assert_same_batch(batch, model)
+        else:
+            assert batch.n_records == batch.n_cvs == 0
+        width = batch.n_records
+        a = cuts.draw(st.integers(0, width), label="a")
+        b = cuts.draw(st.integers(a, width), label="b")
+        if a < b:
+            assert_same_batch(
+                batch.slice_records(a, b), model.slice_records(a, b)
+            )
+        if width:
+            scn = cuts.draw(
+                st.sampled_from(batch.record_scns.tolist()), label="scn"
+            )
+            for ours, theirs in zip(
+                batch.split_at_scn(scn), model.split_at_scn(scn)
+            ):
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert_same_batch(ours, theirs)
+        if n < 2:
+            continue
+        # a redelivery overlapping what landed, then a shipment past a
+        # gap the receiver FAL-heals: same batches land either way
+        k = cuts.draw(st.integers(1, n - 1), label="landed")
+        j = cuts.draw(st.integers(0, k - 1), label="redelivered from")
+        m = cuts.draw(st.integers(k, n - 1), label="resumes at")
+        landed = []
+        for fetch in (log.batch, oracle):
+            receiver = RedoReceiver(
+                fal_fetch=lambda thread, lo, hi, fetch=fetch: fetch(lo, hi)
+            )
+            receiver.register_thread(log.thread)
+            receiver.deliver(fetch(0, k), position=0)
+            receiver.deliver(fetch(j, k), position=j)
+            receiver.deliver(fetch(m, n), position=m)
+            assert receiver.duplicates_discarded == k - j
+            assert receiver.expected_position(log.thread) == n
+            landed.append(list(receiver.queue(log.thread)))
+        assert record_scns(landed[0]) == [r.scn for r in records]
+        assert len(landed[0]) == len(landed[1])
+        for ours, theirs in zip(*landed):
+            assert_same_batch(ours, theirs)

@@ -22,13 +22,6 @@ class Clock:
         self.now = 0.0
 
 
-class Record:
-    def __init__(self, scn, thread=1):
-        self.scn = scn
-        self.thread = thread
-        self.cvs = (0,)
-
-
 @st.composite
 def event_schedules(draw):
     """A time-ordered interleaving of generation and publication events.
@@ -72,7 +65,7 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
     for kind, t, thread, scn in events:
         clock.now = t
         if kind == "generate":
-            tracer.record_generated(Record(scn, thread=thread))
+            tracer.record_generated(thread, scn, 1)
             ref_generated.setdefault(thread, TimeSeries(str(thread)))
             ref_generated[thread].record(t, scn)
         else:

@@ -21,14 +21,9 @@ from hypothesis import strategies as st
 from repro.adg.merger import LogMerger
 from repro.common import TransactionId
 from repro.dbim_adg import CommitTableNode, IMADGCommitTable, IMADGJournal
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    InsertPayload,
-    RedoReceiver,
-    RedoRecord,
-)
+from repro.redo import CVOp, RedoReceiver
 from tests.helpers import MinedRecord, add_records, batch_of, record_scns
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,19 +5,16 @@ import numpy as np
 
 from repro.common import TransactionId
 from repro.adg.apply import ApplyDistributor, DependencyAwareDistributor
-from repro.redo.batch import (
-    CVBatch,
-    CVChunk,
-    OP_CODE,
-    decode_xid,
-    encode_xid,
-)
-from repro.redo.records import (
+from repro.redo.batch import CVChunk, decode_xid, encode_xid
+from repro.redo.records import CVOp, txn_table_dba
+
+from tests.helpers import batch_of
+from tests.naive_batch import (
     ChangeVector,
-    CVOp,
     InsertPayload,
     RedoRecord,
-    txn_table_dba,
+    UndoPayload,
+    records_of,
 )
 
 X = TransactionId(1, 1)
@@ -34,7 +31,7 @@ def rec(scn, cvs, thread=1):
 
 
 def make_batch():
-    return CVBatch.from_records([
+    return batch_of([
         rec(10, [cv(dba=5), cv(dba=6, xid=Y, slot=3)]),
         rec(11, [cv(op=CVOp.TXN_COMMIT, dba=txn_table_dba(1))]),
         rec(12, [cv(dba=7, slot=2)]),
@@ -61,10 +58,7 @@ class TestCVBatch:
         assert list(batch.scns) == [10, 10, 11, 12]
         assert list(batch.dbas) == [5, 6, txn_table_dba(1), 7]
         assert list(batch.ops) == [
-            OP_CODE[CVOp.INSERT],
-            OP_CODE[CVOp.INSERT],
-            OP_CODE[CVOp.TXN_COMMIT],
-            OP_CODE[CVOp.INSERT],
+            CVOp.INSERT, CVOp.INSERT, CVOp.TXN_COMMIT, CVOp.INSERT,
         ]
         assert list(batch.slots) == [0, 3, -1, 2]
         assert list(batch.xids) == [
@@ -72,10 +66,21 @@ class TestCVBatch:
         ]
 
     def test_payload_side_table_preserves_identity(self):
-        records = [rec(10, [cv()]), rec(11, [cv(dba=6)])]
-        batch = CVBatch.from_records(records)
-        assert batch.cvs[0] is records[0].cvs[0]
-        assert batch.cvs[1] is records[1].cvs[0]
+        """The object columns hold the writer's own row tuples and xids
+        (what the row store versions reference), not copies."""
+        records = [rec(10, [cv()]), rec(11, [cv(dba=6, xid=Y)])]
+        batch = batch_of(records)
+        for i, record in enumerate(records):
+            assert batch.rows[i] is record.cvs[0].payload.values
+            assert batch.xid_objects[i] is record.cvs[0].xid
+        assert batch.payloads == [None, None]
+
+    def test_undo_carries_its_real_slot(self):
+        """The displaced transpose wrote -1 for an UNDO (its payload type
+        was missing from the slotted tuple) while apply read the payload;
+        with one slot column the slot apply strips is the one shipped."""
+        undo = ChangeVector(CVOp.UNDO, 5, 9, 0, X, UndoPayload(3))
+        assert batch_of([rec(10, [undo])]).slots.tolist() == [3]
 
     def test_slice_records_is_a_view_with_rebased_starts(self):
         batch = make_batch()
@@ -83,7 +88,10 @@ class TestCVBatch:
         assert tail.n_records == 2 and tail.n_cvs == 2
         assert tail.scn == 11 and tail.last_scn == 12
         assert list(tail.record_starts) == [0, 1]
-        assert tail.cvs[0] is batch.cvs[2]
+        assert tail.cv_base == batch.cv_base + 2
+        assert np.shares_memory(tail.dbas, batch.dbas)
+        assert tail.xid_objects == batch.xid_objects[2:]
+        assert records_of(tail) == records_of(batch)[1:]
 
     def test_split_at_scn_cuts_on_record_boundary(self):
         batch = make_batch()
@@ -93,21 +101,13 @@ class TestCVBatch:
         whole, rest = batch.split_at_scn(99)
         assert whole is batch and rest is None
 
-    def test_record_views_match_source_records(self):
+    def test_record_cv_counts_match_source_records(self):
         records = [
             rec(10, [cv(dba=5), cv(dba=6)]),
             rec(11, [cv(dba=7)]),
         ]
-        views = list(CVBatch.from_records(records).record_views())
-        assert [(v.scn, v.thread) for v in views] == [(10, 1), (11, 1)]
-        assert views[0].cvs == list(records[0].cvs)
-        assert views[1].cvs == list(records[1].cvs)
-
-    def test_iter_scn_cvs(self):
-        batch = make_batch()
-        pairs = list(batch.iter_scn_cvs())
-        assert [scn for scn, __ in pairs] == [10, 10, 11, 12]
-        assert all(c is batch.cvs[i] for i, (__, c) in enumerate(pairs))
+        assert list(batch_of(records).record_cv_counts()) == [(10, 2), (11, 1)]
+        assert records_of(batch_of(records)) == records
 
 
 class TestDistributeBatch:
@@ -128,20 +128,20 @@ class TestDistributeBatch:
 
     def test_width_one_and_wide_batches_share_the_queues(self):
         dist = ApplyDistributor(n_workers=2)
-        single = CVBatch.from_records([rec(5, [cv(dba=5)])])
+        single = batch_of([rec(5, [cv(dba=5)])])
         dist.distribute([single, make_batch()])
         assert dist.pending() == 5
-        queued = list(dist.queued_cvs())
+        queued = [p for __, ps in dist.queued_positions() for p in ps]
         assert len(queued) == 5
 
     def test_dependency_aware_batch_keeps_dba_affinity(self):
         dist = DependencyAwareDistributor(n_workers=3)
-        batch = CVBatch.from_records([
+        batch = batch_of([
             rec(10, [cv(dba=5), cv(dba=6)]),
             rec(11, [cv(dba=5, slot=1)]),
         ])
         dist.distribute([batch])
-        follow_up = CVBatch.from_records([rec(12, [cv(dba=5, slot=2)])])
+        follow_up = batch_of([rec(12, [cv(dba=5, slot=2)])])
         dist.distribute([follow_up])
         homes = set()
         for w, q in enumerate(dist.queues):
@@ -166,12 +166,15 @@ class TestCVChunk:
         chunk.pos = 2
         assert len(chunk) == 2 and chunk.head_scn == 11
 
-    def test_remaining_cvs_preserves_identity(self):
-        chunk = self.make_chunk()
+    def test_remaining_positions_are_log_offsets(self):
+        batch = batch_of(
+            [rec(10, [cv(dba=5), cv(dba=6)]), rec(11, [cv(dba=7)])],
+            cv_base=40,
+        )
+        chunk = CVChunk(batch, np.array([0, 2], dtype=np.int64))
+        assert chunk.remaining_positions().tolist() == [40, 42]
         chunk.pos = 1
-        remaining = list(chunk.remaining_cvs())
-        assert remaining == chunk.batch.cvs[1:]
-        assert remaining[0] is chunk.batch.cvs[1]
+        assert chunk.remaining_positions().tolist() == [42]
 
     def test_reset_mining_rewinds_to_apply_cursor(self):
         chunk = self.make_chunk()

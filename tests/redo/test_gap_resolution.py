@@ -6,20 +6,13 @@ from repro.common import TransactionId
 from repro.db import Deployment, InMemoryService
 from repro.dbim_adg.flush import InvalidationListener
 from repro.imcs import Predicate
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    InsertPayload,
-    LogShipper,
-    RedoLog,
-    RedoReceiver,
-    RedoRecord,
-)
+from repro.redo import CVOp, LogShipper, RedoLog, RedoReceiver
 from repro.redo.batch import CVBatch
 from repro.sim import Scheduler
 
 from tests.db.conftest import load, simple_table_def, small_config
-from tests.helpers import batch_of, record_scns
+from tests.helpers import append_record, batch_of, record_scns
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -41,17 +34,17 @@ class TestReceiverGapHandling:
     def test_gap_resolved_through_fal(self):
         log = RedoLog(1)
         for scn in range(10, 20):
-            log.append(rec(scn))
+            append_record(log, rec(scn))
 
         def fal(thread, lo, hi):
-            return [log.record_at(i) for i in range(lo, hi)]
+            return log.batch(lo, hi)
 
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver(batch_of([log.record_at(0)]), position=0)
+        receiver.deliver(log.batch(0, 1), position=0)
         # skip positions 1..6, deliver 7..9
         receiver.deliver(
-            batch_of([log.record_at(i) for i in range(7, 10)]), position=7
+            log.batch(7, 10), position=7
         )
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 6
@@ -66,7 +59,7 @@ class TestReceiverGapHandling:
         assert receiver.gaps_resolved == 0
 
     def test_short_fal_answer_rejected(self):
-        receiver = RedoReceiver(fal_fetch=lambda t, lo, hi: [])
+        receiver = RedoReceiver(fal_fetch=lambda t, lo, hi: batch_of([]))
         receiver.register_thread(1)
         receiver.deliver(batch_of([rec(10)]), position=0)
         with pytest.raises(RuntimeError, match="FAL returned"):
@@ -77,10 +70,10 @@ class TestReceiverGapEdges:
     def _fal_log(self, n=20):
         log = RedoLog(1)
         for scn in range(10, 10 + n):
-            log.append(rec(scn))
+            append_record(log, rec(scn))
 
         def fal(thread, lo, hi):
-            return [log.record_at(i) for i in range(lo, hi)]
+            return log.batch(lo, hi)
 
         return log, fal
 
@@ -90,7 +83,7 @@ class TestReceiverGapEdges:
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver(batch_of([log.record_at(3)]), position=3)
+        receiver.deliver(log.batch(3, 4), position=3)
         assert receiver.gaps_resolved == 1
         assert receiver.gap_records_fetched == 3
         assert receiver.expected_position(1) == 4
@@ -101,9 +94,9 @@ class TestReceiverGapEdges:
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        receiver.deliver(batch_of([log.record_at(0)]), position=0)
-        receiver.deliver(batch_of([log.record_at(5)]), position=5)  # [1, 5)
-        receiver.deliver(batch_of([log.record_at(9)]), position=9)  # [6, 9)
+        receiver.deliver(log.batch(0, 1), position=0)
+        receiver.deliver(log.batch(5, 6), position=5)  # [1, 5)
+        receiver.deliver(log.batch(9, 10), position=9)  # [6, 9)
         assert receiver.gaps_resolved == 2
         assert receiver.gap_records_fetched == 7
         assert receiver.expected_position(1) == 10
@@ -114,12 +107,12 @@ class TestReceiverGapEdges:
         """A FAL source that returns *some* records but not the whole gap
         is as unusable as an empty one."""
         log, fal = self._fal_log()
-        short = lambda thread, lo, hi: fal(thread, lo, hi)[:-1]
+        short = lambda thread, lo, hi: log.batch(lo, hi - 1)
         receiver = RedoReceiver(fal_fetch=short)
         receiver.register_thread(1)
-        receiver.deliver(batch_of([log.record_at(0)]), position=0)
+        receiver.deliver(log.batch(0, 1), position=0)
         with pytest.raises(RuntimeError, match="FAL returned 3"):
-            receiver.deliver(batch_of([log.record_at(5)]), position=5)
+            receiver.deliver(log.batch(5, 6), position=5)
 
     def test_empty_tracked_shipment_advances_gap_tracking(self):
         """A zero-record shipment whose position is beyond the watermark
@@ -148,7 +141,7 @@ class TestReceiverGapEdges:
 
         def fal(thread, lo, hi):
             # the archived range interleaves thread-2 redo
-            return [rec(100 + i, thread=2) for i in range(lo, hi)]
+            return batch_of([rec(100 + i, thread=2) for i in range(lo, hi)])
 
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
@@ -169,9 +162,8 @@ class TestReceiverGapEdges:
         log, fal = self._fal_log()
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
-        batch = [log.record_at(i) for i in range(3)]
-        receiver.deliver(batch_of(batch), position=0)
-        receiver.deliver(batch_of(batch), position=0)  # exact duplicate
+        receiver.deliver(log.batch(0, 3), position=0)
+        receiver.deliver(log.batch(0, 3), position=0)  # exact duplicate
         assert receiver.duplicates_discarded == 3
         assert len(record_scns(receiver.queue(1))) == 3
         assert receiver.expected_position(1) == 3
@@ -181,11 +173,11 @@ class TestReceiverGapEdges:
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
         receiver.deliver(
-            batch_of([log.record_at(i) for i in range(3)]), position=0
+            log.batch(0, 3), position=0
         )
         # positions 1..4: 1 and 2 already landed, 3 and 4 are new
         receiver.deliver(
-            batch_of([log.record_at(i) for i in range(1, 5)]), position=1
+            log.batch(1, 5), position=1
         )
         assert receiver.duplicates_discarded == 2
         assert receiver.expected_position(1) == 5
@@ -274,7 +266,7 @@ class TestEndToEndGap:
         assert hi - lo >= 10  # (a heartbeat may ride along)
         assert standby.receiver.gap_records_fetched == hi - lo
         assert all(isinstance(batch, CVBatch) for batch in distributed)
-        gap_scns = {log.record_at(i).scn for i in range(lo, hi)}
+        gap_scns = set(log.batch(lo, hi).record_scns.tolist())
         assert gap_scns <= set(record_scns(distributed))
 
         flushed = {

@@ -1,19 +1,22 @@
-"""Tests for redo records, logs and readers."""
+"""Tests for the redo vocabulary and the columnar redo log."""
 
+import numpy as np
 import pytest
 
 from repro.common import TransactionId
+from repro.common.errors import RedoCorruptionError
 from repro.redo import (
-    ChangeVector,
     CVOp,
-    InsertPayload,
-    LogReader,
+    LogShipper,
     RedoLog,
-    RedoRecord,
+    RedoReceiver,
     ddl_marker_dba,
     txn_table_dba,
 )
-from repro.common.errors import RedoCorruptionError
+from repro.redo.batch import MINE_CLASS, MINE_DATA, MINE_SPECIAL
+
+from tests.helpers import append_record, log_records
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -27,17 +30,34 @@ def rec(scn, thread=1, ops=(CVOp.INSERT,)):
     return RedoRecord(scn, thread, tuple(cv(op) for op in ops))
 
 
+#: One CV row as ``RedoLog.append`` takes it.
+ROW = (int(CVOp.INSERT), 5, 9, 0, X, 0, (1,), None)
+
+
 class TestRecords:
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            RedoRecord(10, 1, ())
+            RedoLog(1).append(1, 10, ())
+
+    def test_op_codes_are_the_definition_order(self):
+        """The log's op column and ``MINE_CLASS`` index by these."""
+        assert [int(op) for op in CVOp] == list(range(len(CVOp)))
 
     def test_control_and_data_classification(self):
-        assert cv(CVOp.TXN_COMMIT).is_control
-        assert not cv(CVOp.TXN_COMMIT).is_data
-        assert cv(CVOp.INSERT).is_data
-        assert cv(CVOp.UNDO).is_data
-        assert not cv(CVOp.DDL_MARKER).is_data
+        """Ops classify for the miner as data, special (transaction
+        control + DDL markers) or nothing to mine."""
+        data = {CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE}
+        special = {
+            CVOp.TXN_BEGIN, CVOp.TXN_PREPARE, CVOp.TXN_COMMIT,
+            CVOp.TXN_ABORT, CVOp.DDL_MARKER,
+        }
+        for op in CVOp:
+            expected = (
+                MINE_DATA if op in data
+                else MINE_SPECIAL if op in special
+                else 0
+            )
+            assert MINE_CLASS[op] == expected, op
 
     def test_reserved_dbas_are_negative_and_distinct(self):
         assert txn_table_dba(1) < 0
@@ -50,51 +70,94 @@ class TestRecords:
 class TestRedoLog:
     def test_append_and_length(self):
         log = RedoLog(1)
-        log.append(rec(10))
-        log.append(rec(11))
-        assert len(log) == 2
+        log.append(1, 10, (ROW,))
+        log.append(1, 11, (ROW, ROW))
+        assert len(log) == 2  # records, not change vectors
         assert log.last_scn == 11
 
     def test_same_scn_twice_is_allowed(self):
         """Multiple records can carry the same SCN (batched changes)."""
         log = RedoLog(1)
-        log.append(rec(10))
-        log.append(rec(10))
+        log.append(1, 10, (ROW,))
+        log.append(1, 10, (ROW,))
         assert len(log) == 2
 
     def test_scn_regression_rejected(self):
         log = RedoLog(1)
-        log.append(rec(10))
+        log.append(1, 10, (ROW,))
         with pytest.raises(RedoCorruptionError):
-            log.append(rec(9))
+            log.append(1, 9, (ROW,))
+        assert len(log) == 1 and log.batch(0, 9).n_cvs == 1  # nothing landed
 
     def test_wrong_thread_rejected(self):
         log = RedoLog(1)
         with pytest.raises(RedoCorruptionError):
-            log.append(rec(10, thread=2))
+            log.append(2, 10, (ROW,))
+        assert len(log) == 0
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_a_shipper_that_could_never_ship_is_rejected(self, batch):
+        """``batch=0`` used to build a shipper whose every step shipped
+        nothing, silently."""
+        with pytest.raises(ValueError):
+            LogShipper(RedoLog(1), {"standby": RedoReceiver()}, batch=batch)
+
+    def test_batch_is_a_range_of_record_positions(self):
+        log = RedoLog(1)
+        records = [
+            rec(10, ops=(CVOp.TXN_BEGIN, CVOp.INSERT)),
+            rec(11),
+            rec(12, ops=(CVOp.INSERT, CVOp.INSERT)),
+            rec(13, ops=(CVOp.TXN_ABORT,)),
+        ]
+        for record in records:
+            append_record(log, record)
+        batch = log.batch(1, 3)
+        assert batch.thread == 1 and batch.cv_base == 2
+        assert batch.n_records == 2 and batch.n_cvs == 3
+        assert batch.record_scns.tolist() == [11, 12]
+        assert batch.record_starts.tolist() == [0, 1]
+        assert batch.scns.tolist() == [11, 12, 12]
+        assert batch.ops.dtype == np.int8
+        assert log_records(log) == records
+        # clipped to the log; an empty range is an empty batch
+        assert log.batch(3, 99).record_scns.tolist() == [13]
+        assert log.batch(4, 9).n_records == log.batch(2, 2).n_cvs == 0
+
+    def test_scn_range_brackets_inclusive_bounds(self):
+        log = RedoLog(1)
+        for scn in (10, 12, 12, 15):
+            log.append(1, scn, (ROW,))
+        assert log.scn_range(12, 12) == (1, 3)
+        assert log.scn_range(11, 14) == (1, 3)
+        assert log.scn_range(0, 10) == (0, 1)
+        assert log.scn_range(16, 99) == (4, 4)
 
 
 class TestLogReader:
+    """Readers are positions into the log: nothing is consumed."""
+
     def test_reader_consumes_in_order(self):
         log = RedoLog(1)
         for scn in (10, 11, 12):
-            log.append(rec(scn))
-        reader = log.reader()
-        assert reader.next().scn == 10
-        assert reader.peek().scn == 11
-        assert reader.take(5) == [log.record_at(1), log.record_at(2)]
-        assert not reader.has_next()
+            log.append(1, scn, (ROW,))
+        assert log.batch(0, 1).record_scns.tolist() == [10]
+        assert log.batch(1, 6).record_scns.tolist() == [11, 12]
+        assert log.batch(3, 6).n_records == 0
 
     def test_independent_readers(self):
         log = RedoLog(1)
-        log.append(rec(10))
-        r1, r2 = log.reader(), log.reader()
-        r1.next()
-        assert r2.has_next()
+        log.append(1, 10, (ROW,))
+        first, second = log.batch(0, 1), log.batch(0, 1)
+        assert first is not second
+        assert first.record_scns.tolist() == second.record_scns.tolist()
 
     def test_reader_sees_later_appends(self):
         log = RedoLog(1)
-        reader = log.reader()
-        assert not reader.has_next()
-        log.append(rec(10))
-        assert reader.has_next()
+        assert log.batch(0, 5).n_records == 0
+        log.append(1, 10, (ROW,))
+        before = log.batch(0, 5)
+        log.append(1, 11, (ROW,))
+        assert log.batch(0, 5).n_records == 2
+        # a batch already cut never changes
+        assert before.n_records == 1 and before.rows == [(1,)]

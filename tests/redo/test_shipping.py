@@ -1,17 +1,10 @@
 """Tests for log shipping over the simulated network."""
 
 from repro.common import TransactionId
-from repro.redo import (
-    ChangeVector,
-    CVOp,
-    InsertPayload,
-    LogShipper,
-    RedoLog,
-    RedoReceiver,
-    RedoRecord,
-)
+from repro.redo import CVOp, LogShipper, RedoLog, RedoReceiver
 from repro.sim import CpuNode, Scheduler
-from tests.helpers import record_scns
+from tests.helpers import append_record, record_scns
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -27,7 +20,7 @@ def test_records_arrive_after_latency():
     receiver = RedoReceiver()
     shipper = LogShipper(log, {"standby": receiver}, latency=0.1)
     sched.add_actor(shipper)
-    log.append(rec(10))
+    append_record(log, rec(10))
     sched.run_until(0.05)
     assert receiver.pending() == 0  # still in flight
     sched.run_until(0.2)
@@ -43,7 +36,7 @@ def test_batching_preserves_order():
         LogShipper(log, {"standby": receiver}, latency=0.01, batch=2)
     )
     for scn in range(10, 20):
-        log.append(rec(scn))
+        append_record(log, rec(scn))
     sched.run_until(1.0)
     assert len(receiver.queue(1)) == 5  # one CVBatch per shipment of 2
     assert record_scns(receiver.queue(1)) == list(range(10, 20))
@@ -55,8 +48,8 @@ def test_two_threads_land_in_separate_queues():
     receiver = RedoReceiver()
     sched.add_actor(LogShipper(log1, {"standby": receiver}, latency=0.01))
     sched.add_actor(LogShipper(log2, {"standby": receiver}, latency=0.01))
-    log1.append(rec(10, 1))
-    log2.append(rec(11, 2))
+    append_record(log1, rec(10, 1))
+    append_record(log2, rec(11, 2))
     sched.run_until(1.0)
     assert record_scns(receiver.queue(1)) == [10]
     assert record_scns(receiver.queue(2)) == [11]
@@ -71,6 +64,7 @@ def test_shipping_charges_primary_cpu():
         LogShipper(log, {"standby": receiver}, latency=0.01, node=node)
     )
     for scn in range(10, 110):
-        log.append(rec(scn))
+        append_record(log, rec(scn))
     sched.run_until(1.0)
     assert node.busy_seconds > 0
+

@@ -8,16 +8,11 @@ from repro.adg.apply import ApplyDistributor, DependencyAwareDistributor
 from repro.common import TransactionId
 from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import Deployment, InMemoryService
-from repro.redo.records import (
-    ChangeVector,
-    CVOp,
-    DDLMarkerPayload,
-    InsertPayload,
-    RedoRecord,
-)
+from repro.redo.records import CVOp, DDLMarkerPayload
 
 from tests.db.conftest import load, simple_table_def
 from tests.helpers import batch_of, queued_scn_cvs
+from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
@@ -78,11 +73,13 @@ class TestRouting:
 
     def test_note_applied_releases_edges(self):
         d = DependencyAwareDistributor(2)
-        marker = marker_cv(dba=1, object_ids=[77])
-        cv = data_cv(5, object_id=77)
-        d.distribute([batch_of([rec(10, marker), rec(11, cv)])])
-        d.note_applied(marker)
-        d.note_applied(cv)
+        batch = batch_of([
+            rec(10, marker_cv(dba=1, object_ids=[77])),
+            rec(11, data_cv(5, object_id=77)),
+        ])
+        d.distribute([batch])
+        d.note_applied(batch, 0)
+        d.note_applied(batch, 1)
         assert not d._dba_owner
         assert not d._object_owner
 
@@ -90,17 +87,18 @@ class TestRouting:
         """An edge lives until the *last* in-flight CV on its block is
         applied, so late arrivals still chain behind unapplied work."""
         d = DependencyAwareDistributor(2)
-        first, second = data_cv(5), data_cv(5)
-        d.distribute([batch_of([rec(10, first), rec(11, second)])])
-        d.note_applied(first)
+        batch = batch_of([rec(10, data_cv(5)), rec(11, data_cv(5))])
+        d.distribute([batch])
+        d.note_applied(batch, 0)
         assert 5 in d._dba_owner
-        d.note_applied(second)
+        d.note_applied(batch, 1)
         assert 5 not in d._dba_owner
 
     def test_base_distributor_note_applied_is_a_noop(self):
         d = ApplyDistributor(2)
-        d.distribute([batch_of([rec(10, data_cv(5))])])
-        d.note_applied(data_cv(5))  # must not raise
+        batch = batch_of([rec(10, data_cv(5))])
+        d.distribute([batch])
+        d.note_applied(batch, 0)  # must not raise
 
 
 class TestRoutingConfig:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
 from repro.db import Deployment, InMemoryService
 
 from tests.db.conftest import load, simple_table_def, small_config
@@ -54,6 +55,52 @@ class TestInstantRestart:
         after, __ = standby_rows(deployment)
         assert after == before
         assert sum(1 for row in after if row[1] == -1.0) == 40
+
+    def test_tail_starting_mid_log_on_two_threads_remines_what_it_did(self):
+        """The tail fetch is a ``searchsorted`` slice per thread, replayed
+        thread by thread, where it used to be a walk of every log from
+        position 0, re-sorted into SCN-interleaved same-thread runs; a
+        bounce with both threads' logs hundreds of records past the floor
+        and some post-checkpoint CVs still queued re-mines, and skips,
+        exactly what the walk did (numbers pinned from the parent)."""
+        config = SystemConfig(
+            imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
+            apply=ApplyConfig(n_workers=4),
+            rac=RACConfig(primary_instances=2),
+        )
+        deployment = Deployment.build(config=config)
+        deployment.create_table(simple_table_def())
+        rowids, __ = load(deployment, n=200)
+        deployment.enable_inmemory("T", service=InMemoryService.BOTH)
+        deployment.enable_restart_checkpoints()
+        deployment.catch_up()
+        deployment.run(1.0)  # a full checkpoint round
+        primary = deployment.primary
+        for wave in range(3):
+            txns = [primary.begin(instance_id=1), primary.begin(instance_id=2)]
+            for i, rowid in enumerate(rowids[wave * 40:(wave + 1) * 40]):
+                primary.update(txns[i % 2], "T", rowid, {"n1": -1.0 - wave})
+            for txn in txns:
+                primary.commit(txn)
+            deployment.run(0.004)  # the last wave is still being applied
+        logs = primary.redo_logs
+        report = deployment.restart_standby()
+        assert report.mode == "instant"
+        assert (report.tail_start_scn, report.tail_end_scn) == (607, 752)
+        for log in logs:  # the tail is a suffix slice, not the whole log
+            lo, hi = log.scn_range(607, 752)
+            assert 0 < lo < hi <= len(log)
+        assert report.cvs_remined == 144
+        assert report.cvs_skipped_queued == 8
+        deployment.catch_up()
+        snapshot = deployment.standby.query_scn.value
+        expected = sorted(
+            values
+            for __, values in primary.catalog.table("T").full_scan(
+                snapshot, primary.txn_table
+            )
+        )
+        assert standby_rows(deployment)[0] == expected
 
     def test_modeled_costs_scale_with_restored_state(self):
         deployment, __, __ = build_armed_deployment(n=300)

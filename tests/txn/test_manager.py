@@ -9,6 +9,8 @@ from repro.redo import CVOp, RedoLog, txn_table_dba
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.txn import TransactionManager, TransactionTable
 
+from tests.helpers import log_records
+
 
 @pytest.fixture
 def env():
@@ -39,7 +41,7 @@ def env():
 
 
 def all_cvs(log):
-    return [cv for rec in log.records_from(0) for cv in rec.cvs]
+    return [cv for rec in log_records(log) for cv in rec.cvs]
 
 
 class TestDMLRedo:
@@ -80,7 +82,7 @@ class TestDMLRedo:
         txn = manager.begin()
         for i in range(5):
             manager.insert(txn, table, (i, float(i), "x"))
-        scns = [rec.scn for rec in log.records_from(0)]
+        scns = [rec.scn for rec in log_records(log)]
         assert scns == sorted(set(scns))
 
 
@@ -90,7 +92,7 @@ class TestCommit:
         txn = manager.begin()
         manager.insert(txn, table, (1, 1.0, "a"))
         commit_scn = manager.commit(txn)
-        last = list(log.records_from(0))[-1]
+        last = list(log_records(log))[-1]
         assert last.scn == commit_scn
         assert last.cvs[0].op is CVOp.TXN_COMMIT
         assert last.cvs[0].payload.commit_scn == commit_scn
@@ -199,3 +201,49 @@ class TestRollback:
         manager.rollback(txn)
         assert len(log) == 0
         assert txn_table.is_finished(txn.xid)
+
+
+class TestRedoFootprint:
+    def test_a_statement_leaves_no_redo_object_behind(self):
+        """Redo is columns: an update grows the GC-tracked heap by the
+        row version the row store keeps and by nothing of the log's.  (As
+        objects it was a ChangeVector, a payload, a RedoRecord and its
+        ``cvs`` tuple per statement: ~4 per record, a third of the
+        firehose's tracked heap, all of it walked by every full
+        collection.)"""
+        import gc
+
+        from repro.db import ColumnDef, PrimaryDatabase, TableDef
+
+        primary = PrimaryDatabase()
+        primary.create_table(
+            TableDef(
+                "T",
+                (ColumnDef.number("id", nullable=False), ColumnDef.number("n1")),
+                rows_per_block=8,
+            )
+        )
+        txn = primary.begin()
+        rowids = [primary.insert(txn, "T", (i, 0.0)) for i in range(50)]
+        primary.commit(txn)
+
+        def run(n):
+            txn = primary.begin()
+            for i in range(n):
+                primary.update(txn, "T", rowids[i % 50], {"n1": float(i)})
+            primary.commit(txn)
+
+        def tracked():
+            gc.collect()
+            return len(gc.get_objects())
+
+        run(100)  # warm every lazily built structure
+        before = tracked()
+        n = 1_000
+        run(n)
+        grown = tracked() - before
+        records = len(primary.redo_logs[0])
+        assert records >= n + 100
+        # one RowVersion per update; anything near 2n means something
+        # else is kept per statement again
+        assert n <= grown <= n + 20, f"{grown} tracked objects for {n} updates"
