@@ -143,7 +143,7 @@ def drain_once(deployment, log, span, shipment_records) -> dict[str, float]:
     flush = InvalidationFlushComponent(
         journal, commit_table, DDLInformationTable(), deployment.standby.imcs
     )
-    distributor = ApplyDistributor(4)
+    distributor = ApplyDistributor(4, deployment.standby.applier)
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()

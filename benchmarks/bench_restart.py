@@ -11,10 +11,11 @@ Two measurements on the same prepared deployment shape:
 * **restart-to-first-columnar-query** -- modeled restart cost plus the
   time until a scan is served from the IMCS again, instant vs cold.  The
   CI gate asserts the instant path is at least 2x faster end-to-end.
-* **apply routing** -- total ``ApplyStall`` retries and catch-up time on
-  a create-table-heavy redo stream, static DBA hashing vs the
-  dependency-aware distributor (which chains object-creation edges onto
-  one worker and removes the cross-worker dictionary stall).
+* **create-table-heavy stream** -- apply stalls and catch-up time on a
+  redo stream of create-table markers each followed at once by inserts
+  hashed to other workers.  The standby dictionary learns a table when
+  its marker is distributed, so static DBA hashing never waits on another
+  worker: the CI gate asserts 0 apply stalls.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import ApplyConfig
+from repro.db import ColumnDef, TableDef
 from repro.db.deployment import Deployment, InMemoryService
 from repro.imcs.scan import Predicate
 from repro.metrics.render import render_table
@@ -79,15 +81,11 @@ def run_restart(cold: bool):
     }
 
 
-def run_routing(routing: str):
+def run_create_table_heavy():
     """Create-table-heavy stream: markers + immediate inserts interleave,
-    the shape where hashed data CVs stall behind a marker queued on
-    another worker."""
-    from repro.db import ColumnDef, TableDef
-
-    config = bench_system_config(apply=ApplyConfig(
-        n_workers=4, routing=routing,
-    ))
+    the shape where a hashed data CV would wait behind a marker queued on
+    another worker if the dictionary were learned at apply time."""
+    config = bench_system_config(apply=ApplyConfig(n_workers=4))
     deployment = Deployment.build(config=config)
     primary = deployment.primary
     for t in range(30):
@@ -103,13 +101,12 @@ def run_routing(routing: str):
         primary.commit(txn)
     start = deployment.sched.now
     deployment.catch_up()
-    catchup_s = deployment.sched.now - start
-    standby = deployment.standby
-    stalls = sum(int(w.apply_stalls) for w in standby.workers)
-    out = {"apply_stalls": stalls, "catchup_s": catchup_s}
-    if routing == "dependency":
-        out["chained_cvs"] = int(standby.distributor.chained_cvs)
-    return out
+    return {
+        "apply_stalls": sum(
+            int(w.apply_stalls) for w in deployment.standby.workers
+        ),
+        "catchup_s": deployment.sched.now - start,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +118,8 @@ def runs():
 
 
 @pytest.fixture(scope="module")
-def routing_runs():
-    return {
-        "hash": run_routing("hash"),
-        "dependency": run_routing("dependency"),
-    }
+def stream_run():
+    return run_create_table_heavy()
 
 
 def test_restart_to_first_query(runs, benchmark):
@@ -172,24 +166,17 @@ def test_restart_to_first_query(runs, benchmark):
     )
 
 
-def test_dependency_routing_removes_stalls(runs, routing_runs):
-    hash_run = routing_runs["hash"]
-    dep_run = routing_runs["dependency"]
-    rows = [
-        [name, data["apply_stalls"], data.get("chained_cvs", "-"),
-         data["catchup_s"]]
-        for name, data in routing_runs.items()
-    ]
+def test_create_table_heavy_stream_never_stalls(runs, stream_run):
     save_report(
         "restart_apply_routing",
         render_table(
-            ["routing", "apply stalls", "chained CVs", "catch-up (sim s)"],
-            rows,
-            title="Apply routing on a create-table-heavy stream",
+            ["stream", "apply stalls", "catch-up (sim s)"],
+            [["create-table-heavy", stream_run["apply_stalls"],
+              stream_run["catchup_s"]]],
+            title="Static DBA hashing on a create-table-heavy stream",
         ),
     )
-    assert dep_run["apply_stalls"] <= hash_run["apply_stalls"]
-    assert dep_run["chained_cvs"] > 0
+    assert stream_run["apply_stalls"] == 0
 
     instant = runs["instant (checkpointed IMCS + tail replay)"]
     cold = runs["cold (coarse invalidation + repopulation)"]
@@ -201,5 +188,5 @@ def test_dependency_routing_removes_stalls(runs, routing_runs):
             / instant["restart_to_first_query_s"]
         ),
         "gate_min_speedup": MIN_SPEEDUP,
-        "routing": routing_runs,
+        "create_table_heavy": stream_run,
     })

@@ -20,7 +20,7 @@ population synchronises with publication through the quiesce lock.
 
 from repro.adg.queryscn import ListenerFanoutError, QuerySCNPublisher
 from repro.adg.merger import LogMerger
-from repro.adg.apply import ApplyDistributor, ApplyStall, RecoveryWorker, CVApplier
+from repro.adg.apply import ApplyDistributor, RecoveryWorker, CVApplier
 from repro.adg.coordinator import RecoveryCoordinator, AdvanceProtocol
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ListenerFanoutError",
     "LogMerger",
     "ApplyDistributor",
-    "ApplyStall",
     "RecoveryWorker",
     "CVApplier",
     "RecoveryCoordinator",

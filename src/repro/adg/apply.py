@@ -7,6 +7,12 @@ identifier, so a recovery worker process can independently process the CVs
 it has been assigned, and apply the CVs to database blocks in the SCN
 order" (paper, II-A, Fig. 3).
 
+The standby dictionary learns a table from its create-table marker when
+the distributor routes the batch that carries it: the merger releases redo
+in SCN order, so every later data CV finds its object in the dictionary on
+whichever worker its block hashes to, and static hashing never waits on
+another worker.
+
 Two DBIM-on-ADG hooks attach here, exactly where the paper puts them:
 
 * a **batch sniffer** (the Mining Component) sees every chunk of CVs
@@ -31,7 +37,6 @@ from repro.chaos import sites
 from repro.common.ids import InstanceId, WorkerId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch, CVChunk
-from repro.redo.records import CVOp
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -39,15 +44,13 @@ from repro.sim.scheduler import Actor, Scheduler
 APPLY_COST_PER_CV = 1e-6
 
 
-class ApplyStall(Exception):
-    """Raised by an applier when a CV cannot be applied *yet* -- e.g. a
-    data CV for a table whose create-table marker is still queued on
-    another worker.  The worker keeps the CV at its queue head and retries
-    on its next step; cross-worker SCN progress resolves the dependency."""
-
-
 class CVApplier(Protocol):
-    """What a standby database must provide to recovery workers."""
+    """What a standby database must provide to redo apply."""
+
+    def install_dictionary(self, batch: CVBatch) -> None:
+        """Learn the tables created by the batch's create-table markers
+        (called by the distributor before it routes the batch)."""
+        ...
 
     def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
         """Apply the change vector at position ``i`` of ``batch``."""
@@ -68,12 +71,14 @@ FlushHelper = Callable[[WorkerId, int], int]
 class ApplyDistributor:
     """Hashes the CVs of merged :class:`CVBatch`es onto per-worker queues:
     one vectorized modulo over the batch's dba array, one
-    :class:`CVChunk` per worker per batch."""
+    :class:`CVChunk` per worker per batch.  Each batch's create-table
+    markers reach ``applier``'s dictionary before any of its CVs queue."""
 
-    def __init__(self, n_workers: int) -> None:
+    def __init__(self, n_workers: int, applier: CVApplier) -> None:
         if n_workers < 1:
             raise ValueError("need at least one recovery worker")
         self.n_workers = n_workers
+        self.applier = applier
         self.queues: list[deque[CVChunk]] = [
             deque() for __ in range(n_workers)
         ]
@@ -84,7 +89,11 @@ class ApplyDistributor:
 
     def distribute(self, batches: list[CVBatch]) -> int:
         """Route every CV of the batches; returns the CV count."""
-        return sum(self._distribute_batch(batch) for batch in batches)
+        routed = 0
+        for batch in batches:
+            self.applier.install_dictionary(batch)
+            routed += self._distribute_batch(batch)
+        return routed
 
     def _distribute_batch(self, batch: CVBatch) -> int:
         return self._enqueue(batch, np.arange(batch.n_cvs, dtype=np.int64))
@@ -114,17 +123,8 @@ class ApplyDistributor:
             self.distributed_through = batch.last_scn
         return n_cvs
 
-    def note_applied(self, batch: CVBatch, i: int) -> None:
-        """Hook invoked by a worker after applying the CV at position
-        ``i`` of ``batch`` (dependency bookkeeping for subclasses; the
-        static hash scheme needs none)."""
-
-    def _queue_load(self, worker: WorkerId) -> int:
-        """Pending CVs on one worker's queue."""
-        return sum(len(chunk) for chunk in self.queues[worker])
-
     def pending(self) -> int:
-        return sum(self._queue_load(w) for w in range(self.n_workers))
+        return sum(len(chunk) for queue in self.queues for chunk in queue)
 
     def queued_positions(self) -> Iterator[tuple[InstanceId, np.ndarray]]:
         """``(thread, log CV offsets)`` of every still-queued chunk's
@@ -134,146 +134,13 @@ class ApplyDistributor:
                 yield chunk.batch.thread, chunk.remaining_positions()
 
 
-#: Ops whose CVs follow their object's queued create-table marker onto
-#: its worker: the row changes and the segment wipe.
-_FOLLOWS_CREATION = frozenset(
-    (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.UNDO, CVOp.TRUNCATE)
-)
-
-
-class DependencyAwareDistributor(ApplyDistributor):
-    """Routes CVs along a lightweight transaction dependency graph.
-
-    Static DBA hashing (the base class) guarantees per-block SCN order by
-    construction, but pays for it twice on cross-partition transactions:
-    a data CV whose create-table marker hashed to another worker blocks in
-    :class:`ApplyStall` retries until that worker catches up, and load
-    imbalance leaves queues idle while one hash bucket backs up.
-
-    This distributor keeps the same correctness invariant -- all CVs for
-    one DBA apply in SCN order -- by tracking *writes-to-DBA edges*
-    explicitly: a CV for a block with in-flight (queued, unapplied) CVs
-    chains onto the owning worker's queue; an unencumbered CV goes to the
-    least-loaded queue.  Object-creation edges are tracked the same way:
-    while a create-table marker is queued, every CV touching its objects
-    follows it onto the same worker, so the dictionary dependency that
-    triggers ``ApplyStall`` under hashing is ordered away entirely.
-
-    Workers report completions through :meth:`note_applied`; entries drop
-    from the edge maps when their in-flight count reaches zero.
-    """
-
-    chained_cvs = obs.view("_chained_cvs")
-
-    def __init__(self, n_workers: int) -> None:
-        super().__init__(n_workers)
-        #: DBA -> (owning worker, in-flight CV count).
-        self._dba_owner: dict[int, list] = {}
-        #: object_id -> (owning worker, in-flight creation-marker count).
-        self._object_owner: dict[int, list] = {}
-        self._chained_cvs = obs.counter("adg.distributor.chained_cvs")
-
-    def _distribute_batch(self, batch: CVBatch) -> int:
-        """Batch-wise dependency routing: one routing decision per
-        *dba run* (all of a batch's CVs for one block) instead of one per
-        CV.  Runs are processed in first-occurrence (SCN) order so DDL
-        creation markers seed object owners before later runs consult
-        them."""
-        n_cvs = batch.n_cvs
-        if not n_cvs:
-            if batch.n_records and batch.last_scn > self.distributed_through:
-                self.distributed_through = batch.last_scn
-            return 0
-        dbas = batch.dbas
-        ops = batch.ops
-        order = np.argsort(dbas, kind="stable")
-        sorted_dbas = dbas[order]
-        is_run_start = np.empty(n_cvs, dtype=bool)
-        is_run_start[0] = True
-        np.not_equal(sorted_dbas[1:], sorted_dbas[:-1], out=is_run_start[1:])
-        run_starts = np.nonzero(is_run_start)[0]
-        run_ends = np.append(run_starts[1:], n_cvs)
-        run_order = np.argsort(order[run_starts])
-        loads = [self._queue_load(w) for w in range(self.n_workers)]
-        per_worker: list[list[np.ndarray]] = [
-            [] for __ in range(self.n_workers)
-        ]
-        has_ddl = bool(np.any(ops == CVOp.DDL_MARKER))
-        chained = 0
-        for r in run_order:
-            lo, hi = int(run_starts[r]), int(run_ends[r])
-            positions = order[lo:hi]  # ascending: SCN order in the run
-            count = hi - lo
-            dba = int(sorted_dbas[lo])
-            entry = self._dba_owner.get(dba)
-            if entry is None:
-                worker = None
-                first = int(positions[0])
-                if ops.item(first) in _FOLLOWS_CREATION:
-                    obj = self._object_owner.get(batch.object_ids.item(first))
-                    if obj is not None:
-                        worker = obj[0]
-                if worker is None:
-                    worker = min(
-                        range(self.n_workers), key=loads.__getitem__
-                    )
-                    chained += count - 1
-                else:
-                    chained += count
-                entry = [worker, 0]
-                self._dba_owner[dba] = entry
-            else:
-                chained += count
-            entry[1] += count
-            worker = entry[0]
-            if has_ddl:
-                for p in positions[ops[positions] == CVOp.DDL_MARKER]:
-                    payload = batch.payloads[int(p)]
-                    if payload.kind == "create_table":
-                        for object_id in payload.object_ids:
-                            obj = self._object_owner.get(object_id)
-                            if obj is None:
-                                self._object_owner[object_id] = [worker, 1]
-                            else:
-                                obj[1] += 1
-            loads[worker] += count
-            per_worker[worker].append(positions)
-        for w, runs in enumerate(per_worker):
-            if runs:
-                indices = np.sort(np.concatenate(runs))
-                self.queues[w].append(CVChunk(batch, indices))
-        if chained:
-            self._chained_cvs.inc(chained)
-        self._batch_cvs.observe(n_cvs)
-        if batch.last_scn > self.distributed_through:
-            self.distributed_through = batch.last_scn
-        return n_cvs
-
-    def note_applied(self, batch: CVBatch, i: int) -> None:
-        dba = batch.dbas.item(i)
-        entry = self._dba_owner.get(dba)
-        if entry is not None:
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._dba_owner[dba]
-        payload = batch.payloads[i]
-        if (
-            batch.ops.item(i) == CVOp.DDL_MARKER
-            and payload.kind == "create_table"
-        ):
-            for object_id in payload.object_ids:
-                obj = self._object_owner.get(object_id)
-                if obj is not None:
-                    obj[1] -= 1
-                    if obj[1] <= 0:
-                        del self._object_owner[object_id]
-
-
 class RecoveryWorker(Actor):
     """One parallel-apply worker process."""
 
     cvs_applied = obs.view("_cvs_applied")
     sniff_retries = obs.view("_sniff_retries")
+    #: Always 0 since every CV applies on its first attempt; kept because
+    #: the ``bench_e2e`` harness reports it.
     apply_stalls = obs.view("_apply_stalls")
     #: Steps skipped by an installed chaos fault (injected slowness).
     chaos_stalls = obs.view("_chaos_stalls")
@@ -296,11 +163,6 @@ class RecoveryWorker(Actor):
         self.distributor = distributor
         self.applier = applier
         self.batch_sniffer = batch_sniffer
-        #: Static dba routing needs no per-CV note_applied bookkeeping,
-        #: so the chunk apply loop can skip the call entirely.
-        self._static_routing = (
-            type(distributor).note_applied is ApplyDistributor.note_applied
-        )
         self.flush_helper = flush_helper
         self.batch = batch
         self.flush_batch = flush_batch
@@ -381,60 +243,45 @@ class RecoveryWorker(Actor):
         applied = 0
         while queue and applied < self.batch:
             head = queue[0]
-            done, stop = self._apply_chunk_step(
-                head, self.batch - applied, tracer
-            )
-            applied += done
+            if not self._mine(head):
+                break
+            applied += self._apply(head, self.batch - applied, tracer)
             if not len(head):
                 queue.popleft()
-            if stop:
-                break
         if applied:
             cost += self.cost_per_cv * applied
             self._cvs_applied.inc(applied)
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
-    def _apply_chunk_step(
-        self, chunk: CVChunk, budget: int, tracer
-    ) -> tuple[int, bool]:
-        """Mine-then-apply up to ``budget`` CVs of the head chunk.
-
-        The *whole* chunk is mined before any of it applies, so a retry
-        after an apply stall never mines a CV twice.  This is safe
+    def _mine(self, chunk: CVChunk) -> bool:
+        """Mine the *whole* chunk before any of it applies, so a chunk
+        whose apply spans several steps is mined once.  This is safe
         because the coordinator's consistency point never passes any
         worker's queue head, so early-mined commits cannot chop ahead of
-        their data.  Returns ``(applied, stop)``; ``stop`` means a latch miss
-        or apply stall ended this worker's step.
+        their data.  False on a bucket latch miss mid-chunk: partial
+        progress is kept on the chunk and the worker retries next step.
         """
-        if not chunk.fully_mined:
-            if self.batch_sniffer is not None:
-                if not self.batch_sniffer(chunk, self.worker_id, self):
-                    # bucket latch miss mid-chunk: partial progress is
-                    # kept on the chunk; retry next step.
-                    self._sniff_retries.inc()
-                    return 0, True
-            else:
-                chunk.mined_pos = len(chunk.indices)
+        if chunk.fully_mined:
+            return True
+        if self.batch_sniffer is None:
+            chunk.mined_pos = len(chunk.indices)
+            return True
+        if self.batch_sniffer(chunk, self.worker_id, self):
+            return True
+        self._sniff_retries.inc()
+        return False
+
+    def _apply(self, chunk: CVChunk, budget: int, tracer) -> int:
+        """Apply up to ``budget`` CVs of a mined chunk, in SCN order."""
         window = chunk.indices[chunk.pos : chunk.pos + budget]
         batch = chunk.batch
         apply_cv = self.applier.apply_cv
-        static = self._static_routing
-        note_applied = self.distributor.note_applied
-        applied = 0
-        stop = False
-        for i, scn in zip(window.tolist(), batch.scns[window].tolist()):
-            try:
-                apply_cv(batch, i, scn)
-            except ApplyStall:
-                self._apply_stalls.inc()
-                stop = True
-                break
-            applied += 1
-            self.applied_scn = scn
-            if not static:
-                note_applied(batch, i)
+        scns = batch.scns[window].tolist()
+        for i, scn in zip(window.tolist(), scns):
+            apply_cv(batch, i, scn)
             if tracer is not None:
                 tracer.record_applied(scn)
-        chunk.pos += applied
-        return applied, stop
+        self.applied_scn = scns[-1]
+        chunk.pos += len(scns)
+        return len(scns)

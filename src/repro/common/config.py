@@ -63,10 +63,6 @@ class IMCSConfig:
                 )
 
 
-#: Known values of :attr:`ApplyConfig.routing`.
-ROUTING_POLICIES = ("hash", "dependency")
-
-
 @dataclass(slots=True)
 class ApplyConfig:
     """Parallel redo apply (media recovery) parameters."""
@@ -89,19 +85,6 @@ class ApplyConfig:
     # Whether recovery workers participate in invalidation flush at all
     # (ablation: coordinator-only flush).
     cooperative_flush: bool = True
-    # CV routing policy: "hash" is the paper's static DBA hashing; with
-    # "dependency" the distributor tracks writes-to-DBA edges and routes
-    # dependent CVs (same block, or data CVs behind a still-queued
-    # create-table marker) to the owning worker, eliminating cross-worker
-    # barrier stalls on cross-partition transactions.
-    routing: str = "hash"
-
-    def __post_init__(self) -> None:
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown apply routing {self.routing!r}; "
-                f"known: {', '.join(ROUTING_POLICIES)}"
-            )
 
 
 @dataclass(slots=True)

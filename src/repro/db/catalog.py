@@ -83,13 +83,27 @@ class Catalog:
             self._by_object[object_id] = table
         return table
 
+    def install(self, table_def: TableDef) -> Table:
+        """Standby side: materialise a shipped definition.  The name moves
+        to the new table; an older table of that name, whose drop is still
+        to be processed, stays reachable by object id."""
+        self._tables.pop(table_def.name, None)
+        self._defs.pop(table_def.name, None)
+        return self.create_table(table_def)
+
     def drop_table(self, name: str) -> Table:
         table = self.table(name)
-        del self._tables[name]
-        del self._defs[name]
-        for object_id in table.object_ids:
-            self._by_object.pop(object_id, None)
+        self.drop_objects(table.object_ids)
         return table
+
+    def drop_objects(self, object_ids) -> None:
+        """Drop the table owning ``object_ids``; its name goes with it
+        unless a newer table has taken the name over."""
+        for object_id in object_ids:
+            table = self._by_object.pop(object_id, None)
+            if table is not None and self._tables.get(table.name) is table:
+                del self._tables[table.name]
+                del self._defs[table.name]
 
     # ------------------------------------------------------------------
     def table(self, name: str) -> Table:

@@ -359,10 +359,18 @@ class Deployment:
         self.sched.run_for(duration)
 
     def run_until_standby_has(self, table_name: str, timeout: float = 60.0) -> None:
+        """Run until every mounted member has *applied* the table's
+        create-table marker: each of its workers is past the marker's SCN.
+        The dictionary entry appears one stage earlier, when the marker is
+        distributed; releasing population there would start it before the
+        member's apply has caught up with the table."""
+
+        def applied(standby) -> bool:
+            scn = standby.applier.created_at.get(table_name)
+            return scn is not None and standby.applied_through_scn >= scn
+
         ok = self.sched.run_until_condition(
-            lambda: all(
-                table_name in m.standby.catalog for m in self.mounted_members
-            ),
+            lambda: all(applied(m.standby) for m in self.mounted_members),
             max_time=timeout,
         )
         if not ok:

@@ -29,11 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.adg.apply import (
-    ApplyDistributor,
-    DependencyAwareDistributor,
-    RecoveryWorker,
-)
+from repro.adg.apply import ApplyDistributor, RecoveryWorker
 from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
 from repro.adg.queryscn import QuerySCNPublisher
@@ -50,8 +46,6 @@ from repro.obs.restart import record_restart
 from repro.restart.replay import RestartReport, instant_restart
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import CVBatch
-from repro.redo.records import DDLMarkerPayload
 from repro.redo.shipping import RedoReceiver
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.segment import BlockStore
@@ -86,7 +80,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
         for table_def in table_defs or []:
             self.catalog.create_table(table_def)
         self.txn_table = TransactionTable()
-        self._applier = PhysicalApplier(self.catalog, self.txn_table)
+        self.applier = PhysicalApplier(self.catalog, self.txn_table)
 
         # --- media recovery pipeline -------------------------------------
         apply_cfg = self.config.apply
@@ -97,10 +91,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
         self.merger = LogMerger(
             self.receiver, node=self.node, name=f"{prefix}-log-merger"
         )
-        if apply_cfg.routing == "dependency":
-            self.distributor = DependencyAwareDistributor(apply_cfg.n_workers)
-        else:
-            self.distributor = ApplyDistributor(apply_cfg.n_workers)
+        self.distributor = ApplyDistributor(apply_cfg.n_workers, self.applier)
         self.quiesce_lock = QuiesceLock()
         self.query_scn = QuerySCNPublisher()
 
@@ -120,7 +111,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
             self.commit_table,
             self.ddl_table,
             self.imcs,
-            ddl_applier=self._apply_ddl,
+            ddl_applier=self.applier.apply_ddl,
             cooperative=apply_cfg.cooperative_flush,
         )
 
@@ -134,7 +125,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
             RecoveryWorker(
                 i,
                 self.distributor,
-                applier=self,
+                applier=self.applier,
                 batch_sniffer=batch_sniffer,
                 flush_helper=flush_helper,
                 batch=apply_cfg.worker_batch,
@@ -256,28 +247,6 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
             if self.imcs.is_enabled(object_id):
                 self.imcs.add_expression(object_id, expression)
         self.population.schedule_all()
-
-    # ------------------------------------------------------------------
-    # CVApplier: physical redo apply (delegated to PhysicalApplier)
-    # ------------------------------------------------------------------
-    def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
-        self._applier.apply_cv(batch, i, scn)
-
-    # ------------------------------------------------------------------
-    # DDL application at QuerySCN advancement (flush's ddl_applier)
-    # ------------------------------------------------------------------
-    def _apply_ddl(self, payload: DDLMarkerPayload) -> None:
-        kind = payload.kind
-        if kind == "drop_column":
-            table = self.catalog.table(payload.table_name)
-            column = payload.detail["column"]
-            if not table.schema.is_dropped(column):
-                table.schema.drop_column(column)
-        elif kind == "drop_table":
-            if payload.table_name in self.catalog:
-                self.catalog.drop_table(payload.table_name)
-        # 'truncate' needs nothing beyond the IMCU drop the flush component
-        # already performed; 'create_table' was applied at apply time.
 
     # ------------------------------------------------------------------
     # queries (read-only, at the QuerySCN)

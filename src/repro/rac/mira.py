@@ -60,7 +60,6 @@ from repro.rac.cluster import MergedStoreView, RemoteInvalidationRouter
 from repro.rac.home_location import HomeLocationMap
 from repro.rac.messaging import Interconnect
 from repro.redo.batch import CVBatch
-from repro.redo.records import DDLMarkerPayload
 from repro.redo.shipping import LogShipper, RedoReceiver
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
@@ -77,15 +76,20 @@ class _FilteredDistributor(ApplyDistributor):
 
     ``distributed_through`` still advances over *every* record, because an
     instance is caught up through SCN s once it has applied all CVs it
-    owns below s -- unowned CVs are someone else's responsibility.
+    owns below s -- unowned CVs are someone else's responsibility.  The
+    shared dictionary is installed before the filter, so an instance that
+    owns none of a create-table marker still learns the table.
     """
 
     cvs_skipped = obs.view("_cvs_skipped")
 
     def __init__(
-        self, n_workers: int, owns: Callable[[ObjectId, DBA], bool]
+        self,
+        n_workers: int,
+        applier: PhysicalApplier,
+        owns: Callable[[ObjectId, DBA], bool],
     ) -> None:
-        super().__init__(n_workers)
+        super().__init__(n_workers, applier)
         self._owns = owns
         self._cvs_skipped = obs.counter("rac.mira.cvs_skipped")
 
@@ -120,6 +124,7 @@ class MIRAApplyInstance:
         apply_cfg = config.apply
         self.distributor = _FilteredDistributor(
             apply_cfg.n_workers,
+            cluster.applier,
             owns=lambda object_id, dba: cluster.owner_of(object_id, dba)
             == instance_id,
         )
@@ -135,12 +140,11 @@ class MIRAApplyInstance:
         self.miner = MiningComponent(
             self.journal, self.commit_table, self.ddl_table, self.imcs
         )
-        applier = PhysicalApplier(cluster.catalog, cluster.txn_table)
         self.workers = [
             RecoveryWorker(
                 i,
                 self.distributor,
-                applier=applier,
+                applier=cluster.applier,
                 batch_sniffer=self.miner.sniff_chunk,
                 batch=apply_cfg.worker_batch,
                 node=self.node,
@@ -361,7 +365,7 @@ class MIRACoordinator(Actor):
                             "drop_table", "alter_no_inmemory",
                         ):
                             other.imcs.disable(object_id)
-                cluster.apply_ddl(entry.payload)
+                cluster.applier.apply_ddl(entry.payload)
 
     def _gc_aborted(self) -> None:
         """Aborted transactions' data-only anchors linger on instances
@@ -408,6 +412,7 @@ class MIRAStandbyCluster:
         self.buffer_cache = BufferCache(capacity_blocks=None)
         self.catalog = Catalog(self.block_store, self.buffer_cache)
         self.txn_table = TransactionTable()
+        self.applier = PhysicalApplier(self.catalog, self.txn_table)
         self.query_scn = QuerySCNPublisher()
         instance_ids = list(range(1, n_instances + 1))
         self.ownership = HomeLocationMap(
@@ -494,17 +499,6 @@ class MIRAStandbyCluster:
                 raise TypeError(f"unexpected payload: {payload!r}")
 
         return receive
-
-    def apply_ddl(self, payload: DDLMarkerPayload) -> None:
-        kind = payload.kind
-        if kind == "drop_column":
-            table = self.catalog.table(payload.table_name)
-            column = payload.detail["column"]
-            if not table.schema.is_dropped(column):
-                table.schema.drop_column(column)
-        elif kind == "drop_table":
-            if payload.table_name in self.catalog:
-                self.catalog.drop_table(payload.table_name)
 
     # ------------------------------------------------------------------
     # management + queries

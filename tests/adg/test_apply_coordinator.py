@@ -17,13 +17,13 @@ from repro.redo import CVOp, RedoReceiver
 from repro.db import Deployment, InMemoryService
 from repro.sim import Scheduler
 from tests.db.conftest import load, simple_table_def, small_config
-from tests.helpers import batch_of, queued_scn_cvs
+from tests.helpers import NullApplier, batch_of, queued_scn_cvs
 from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
 
 
-class RecordingApplier:
+class RecordingApplier(NullApplier):
     def __init__(self):
         self.applied = []
 
@@ -38,7 +38,7 @@ def rec(scn, dba, thread=1):
 
 class TestDistributor:
     def test_same_dba_always_same_worker(self):
-        distributor = ApplyDistributor(4)
+        distributor = ApplyDistributor(4, NullApplier())
         records = [rec(scn, dba=7) for scn in range(10, 20)]
         distributor.distribute([batch_of(records)])
         non_empty = [q for q in distributor.queues if q]
@@ -48,19 +48,19 @@ class TestDistributor:
         )
 
     def test_spreads_dbas_across_workers(self):
-        distributor = ApplyDistributor(4)
+        distributor = ApplyDistributor(4, NullApplier())
         distributor.distribute([batch_of([rec(10 + d, dba=d) for d in range(64)])])
         assert sum(1 for q in distributor.queues if q) == 4
 
     def test_distributed_through_tracks_max_scn(self):
-        distributor = ApplyDistributor(2)
+        distributor = ApplyDistributor(2, NullApplier())
         distributor.distribute([batch_of([rec(10, 1), rec(15, 2)])])
         assert distributor.distributed_through == 15
 
 
 class TestRecoveryWorker:
     def test_applies_in_scn_order(self):
-        distributor = ApplyDistributor(1)
+        distributor = ApplyDistributor(1, NullApplier())
         applier = RecordingApplier()
         worker = RecoveryWorker(0, distributor, applier)
         distributor.distribute([batch_of([rec(s, dba=1) for s in (10, 11, 12)])])
@@ -71,7 +71,7 @@ class TestRecoveryWorker:
         assert worker.applied_scn == 12
 
     def test_applied_through_with_empty_queue(self):
-        distributor = ApplyDistributor(2)
+        distributor = ApplyDistributor(2, NullApplier())
         applier = RecordingApplier()
         w0 = RecoveryWorker(0, distributor, applier)
         distributor.distribute([batch_of([rec(50, dba=1)])])
@@ -81,13 +81,13 @@ class TestRecoveryWorker:
             assert empty.applied_through() == 50
 
     def test_applied_through_with_backlog(self):
-        distributor = ApplyDistributor(1)
+        distributor = ApplyDistributor(1, NullApplier())
         worker = RecoveryWorker(0, distributor, RecordingApplier())
         distributor.distribute([batch_of([rec(50, dba=1)])])
         assert worker.applied_through() == 49
 
     def test_sniffer_latch_miss_stops_batch(self):
-        distributor = ApplyDistributor(1)
+        distributor = ApplyDistributor(1, NullApplier())
         applier = RecordingApplier()
         attempts = {"n": 0}
 
@@ -109,7 +109,7 @@ class TestRecoveryWorker:
         assert len(applier.applied) == 1  # eventually applied exactly once
 
     def test_flush_helper_called_each_step(self):
-        distributor = ApplyDistributor(1)
+        distributor = ApplyDistributor(1, NullApplier())
         calls = []
         worker = RecoveryWorker(
             0, distributor, RecordingApplier(),
@@ -185,7 +185,7 @@ def build_pipeline(n_workers=2, worker_speeds=None):
     receiver = RedoReceiver()
     receiver.register_thread(1)
     merger = LogMerger(receiver)
-    distributor = ApplyDistributor(n_workers)
+    distributor = ApplyDistributor(n_workers, NullApplier())
     applier = RecordingApplier()
     workers = []
     for i in range(n_workers):

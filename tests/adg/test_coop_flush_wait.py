@@ -14,6 +14,7 @@ from repro import obs
 from repro.adg import ApplyDistributor, RecoveryWorker
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Scheduler
+from tests.helpers import NullApplier
 
 
 class TogglingFlushHelper:
@@ -33,8 +34,9 @@ class TogglingFlushHelper:
 def run_worker(helper, duration=0.05):
     registry = MetricsRegistry()
     with obs.collecting(registry):
+        applier = NullApplier()
         worker = RecoveryWorker(
-            0, ApplyDistributor(1), applier=None, flush_helper=helper
+            0, ApplyDistributor(1, applier), applier, flush_helper=helper
         )
     sched = Scheduler()
     sched.add_actor(worker)

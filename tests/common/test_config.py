@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import IMCSConfig, SystemConfig
+from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import Deployment
 from repro.fleet import FleetRouter
 from repro.query import QueryWorkerPool
@@ -69,17 +69,18 @@ def test_populate_cost_per_row_is_non_negative():
         lambda: Deployment.build().standby.attach_actors(
             Scheduler(), name_prefix="standby"
         ),
+        lambda: ApplyConfig(routing="dependency"),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
          "enable_inmemory.on_primary", "FleetRouter.policy",
-         "attach_actors.name_prefix"],
+         "attach_actors.name_prefix", "ApplyConfig.routing"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
-    # one routing policy: nothing left to select
+    # one session routing policy, one apply routing: nothing left to select
     with pytest.raises(
         TypeError,
-        match="advance|parallel_backend|on_primary|policy|name_prefix",
+        match="advance|parallel_backend|on_primary|policy|name_prefix|routing",
     ):
         call()
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.adg.apply import ApplyStall
-from repro.common import TransactionId
+from repro.common import ObjectNotFoundError, TransactionId
 from repro.db import ColumnDef, TableDef
 from repro.db.applier import PhysicalApplier
 from repro.db.catalog import Catalog
@@ -152,10 +151,27 @@ class TestControlOps:
         )
 
 
-class TestDDLAndStalls:
-    def test_unknown_object_stalls(self, applier):
+def create_marker(table_def, object_id):
+    """A create-table marker for ``table_def`` pinned to one partition."""
+    pinned = TableDef(
+        table_def.name, table_def.columns, rows_per_block=4,
+        partition_object_ids=(("P0", object_id),),
+    )
+    return ChangeVector(
+        CVOp.DDL_MARKER, ddl_marker_dba(object_id), object_id, 0, X,
+        DDLMarkerPayload("create_table", (object_id,), table_def.name,
+                         {"table_def": pinned}),
+    )
+
+
+class TestDDL:
+    """Create-table markers install at distribution; other DDL applies at
+    QuerySCN advancement."""
+
+    def test_unknown_object_raises(self, applier):
+        """No marker ever named the object: corrupt redo, not a wait."""
         apply, __ = applier
-        with pytest.raises(ApplyStall):
+        with pytest.raises(ObjectNotFoundError):
             apply_one(apply,
                 data_cv(CVOp.INSERT, 31337, 50, InsertPayload(0, (1, "a"))), 10
             )
@@ -176,7 +192,7 @@ class TestDDLAndStalls:
         assert "U" in catalog
         apply_one(apply,
             data_cv(CVOp.INSERT, 777, 90, InsertPayload(0, (1, "a"))), 21
-        )  # no stall now
+        )  # the install made the object known
 
     def test_create_table_marker_idempotent(self, applier):
         apply, catalog = applier
@@ -189,3 +205,31 @@ class TestDDLAndStalls:
         )
         apply_one(apply, marker, 20)  # T exists: must not raise
         assert "T" in catalog
+
+    def test_recreated_name_survives_the_drop_of_the_old_table(self, applier):
+        """drop T; create T: the re-create installs under the name while
+        the old table awaits its drop, and the drop (processed later, at
+        QuerySCN advancement) takes only the object ids it names."""
+        apply, catalog = applier
+        old_ids = catalog.table("T").object_ids
+        apply_one(apply, create_marker(table_def(), 900), 20)
+        assert catalog.table("T").object_ids == [900]
+        assert all(catalog.has_object(oid) for oid in old_ids)
+        apply.apply_ddl(DDLMarkerPayload("drop_table", tuple(old_ids), "T"))
+        assert catalog.table("T").object_ids == [900]
+        assert not any(catalog.has_object(oid) for oid in old_ids)
+        apply_one(apply,
+            data_cv(CVOp.INSERT, 900, 90, InsertPayload(0, (1, "a"))), 21
+        )
+
+    def test_drop_column_follows_the_object_ids_not_the_name(self, applier):
+        """A column drop processed after a re-create under the same name
+        took its name over still lands on the table it was issued on."""
+        apply, catalog = applier
+        old = catalog.table("T")
+        apply_one(apply, create_marker(table_def(), 900), 20)
+        apply.apply_ddl(DDLMarkerPayload(
+            "drop_column", tuple(old.object_ids), "T", {"column": "c1"}
+        ))
+        assert old.schema.is_dropped("c1")
+        assert not catalog.table("T").schema.is_dropped("c1")

@@ -92,9 +92,22 @@ def queued_scn_cvs(queue: Iterable[CVChunk]) -> list[tuple[int, ChangeVector]]:
     ]
 
 
+class NullApplier:
+    """A ``CVApplier`` that learns no tables and applies nothing: for
+    tests of routing, mining and worker scheduling."""
+
+    def install_dictionary(self, batch: CVBatch) -> None:
+        pass
+
+    def apply_cv(self, batch: CVBatch, i: int, scn: int) -> None:
+        pass
+
+
 def apply_one(applier, cv: ChangeVector, scn: int) -> None:
-    """Apply one CV as position 0 of a width-1 batch."""
+    """Distribute and apply one CV as position 0 of a width-1 batch: the
+    dictionary install the distributor runs, then the worker's apply."""
     batch = batch_of([RedoRecord(scn, cv.xid.instance, (cv,))])
+    applier.install_dictionary(batch)
     applier.apply_cv(batch, 0, scn)
 
 

@@ -75,7 +75,7 @@ from repro.redo import (
 )
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
-from tests.helpers import chunk_of, record_scns, records_of
+from tests.helpers import NullApplier, chunk_of, record_scns, records_of
 from tests.naive_batch import (
     ChangeVector,
     CommitPayload,
@@ -293,7 +293,7 @@ def test_flush_matches_naive_miner_at_every_publication(ops, seed):
 def mine_all(batches, imcs, n_workers=3):
     """Distribute the batches and mine every worker's chunks (worker by
     worker) into a fresh journal / commit table / DDL table."""
-    distributor = ApplyDistributor(n_workers)
+    distributor = ApplyDistributor(n_workers, NullApplier())
     distributor.distribute(batches)
     return mine_chunks(distributor.queues, imcs)
 

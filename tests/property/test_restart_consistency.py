@@ -21,10 +21,10 @@ from repro.imcs import Predicate
 from tests.db.conftest import load
 
 
-def build_deployment(seed: int, routing: str = "dependency") -> Deployment:
+def build_deployment(seed: int) -> Deployment:
     config = SystemConfig(
         imcs=IMCSConfig(imcu_target_rows=32, population_workers=1),
-        apply=ApplyConfig(n_workers=2, routing=routing),
+        apply=ApplyConfig(n_workers=2),
         seed=seed,
     )
     deployment = Deployment.build(config=config)

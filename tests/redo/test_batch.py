@@ -4,11 +4,11 @@ and its distribution paths."""
 import numpy as np
 
 from repro.common import TransactionId
-from repro.adg.apply import ApplyDistributor, DependencyAwareDistributor
+from repro.adg.apply import ApplyDistributor
 from repro.redo.batch import CVChunk, decode_xid, encode_xid
 from repro.redo.records import CVOp, txn_table_dba
 
-from tests.helpers import batch_of
+from tests.helpers import NullApplier, batch_of
 from tests.naive_batch import (
     ChangeVector,
     InsertPayload,
@@ -112,7 +112,7 @@ class TestCVBatch:
 
 class TestDistributeBatch:
     def test_batch_lands_as_chunks_in_scn_order(self):
-        dist = ApplyDistributor(n_workers=2)
+        dist = ApplyDistributor(2, NullApplier())
         batch = make_batch()
         dist.distribute([batch])
         assert dist.distributed_through == 12
@@ -127,15 +127,15 @@ class TestDistributeBatch:
         assert dist.pending() == batch.n_cvs
 
     def test_width_one_and_wide_batches_share_the_queues(self):
-        dist = ApplyDistributor(n_workers=2)
+        dist = ApplyDistributor(2, NullApplier())
         single = batch_of([rec(5, [cv(dba=5)])])
         dist.distribute([single, make_batch()])
         assert dist.pending() == 5
         queued = [p for __, ps in dist.queued_positions() for p in ps]
         assert len(queued) == 5
 
-    def test_dependency_aware_batch_keeps_dba_affinity(self):
-        dist = DependencyAwareDistributor(n_workers=3)
+    def test_dba_affinity_holds_across_batches(self):
+        dist = ApplyDistributor(3, NullApplier())
         batch = batch_of([
             rec(10, [cv(dba=5), cv(dba=6)]),
             rec(11, [cv(dba=5, slot=1)]),
@@ -148,7 +148,7 @@ class TestDistributeBatch:
             for chunk in q:
                 if any(int(d) == 5 for d in chunk.batch.dbas[chunk.indices]):
                     homes.add(w)
-        assert len(homes) == 1  # every dba-5 CV routed to its owner
+        assert len(homes) == 1  # every dba-5 CV hashed to one worker
 
 
 class TestCVChunk:

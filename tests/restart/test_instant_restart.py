@@ -6,6 +6,7 @@ from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
 from repro.db import Deployment, InMemoryService
 
 from tests.db.conftest import load, simple_table_def, small_config
+from tests.helpers import log_records
 from tests.restart.test_checkpoint import build_armed_deployment
 
 
@@ -62,7 +63,9 @@ class TestInstantRestart:
         position 0, re-sorted into SCN-interleaved same-thread runs; a
         bounce with both threads' logs hundreds of records past the floor
         and some post-checkpoint CVs still queued re-mines, and skips,
-        exactly what the walk did (numbers pinned from the parent)."""
+        exactly what the walk did: every CV of the tail's SCN range,
+        counted by walking the logs record by record, is either re-mined
+        or skipped as queued."""
         config = SystemConfig(
             imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
             apply=ApplyConfig(n_workers=4),
@@ -82,16 +85,25 @@ class TestInstantRestart:
                 primary.update(txns[i % 2], "T", rowid, {"n1": -1.0 - wave})
             for txn in txns:
                 primary.commit(txn)
-            deployment.run(0.004)  # the last wave is still being applied
+            # the last wave is still being applied at the bounce
+            deployment.run(0.004 if wave < 2 else 0.0037)
         logs = primary.redo_logs
         report = deployment.restart_standby()
         assert report.mode == "instant"
-        assert (report.tail_start_scn, report.tail_end_scn) == (607, 752)
+        tail = (report.tail_start_scn, report.tail_end_scn)
+        assert tail == (607, 719)
         for log in logs:  # the tail is a suffix slice, not the whole log
-            lo, hi = log.scn_range(607, 752)
+            lo, hi = log.scn_range(*tail)
             assert 0 < lo < hi <= len(log)
-        assert report.cvs_remined == 144
-        assert report.cvs_skipped_queued == 8
+        walked = sum(
+            len(record.cvs)
+            for log in logs
+            for record in log_records(log)
+            if tail[0] <= record.scn <= tail[1]
+        )
+        assert report.cvs_remined == 108
+        assert report.cvs_skipped_queued == 11
+        assert report.cvs_remined + report.cvs_skipped_queued == walked
         deployment.catch_up()
         snapshot = deployment.standby.query_scn.value
         expected = sorted(
