@@ -153,9 +153,7 @@ class BackfillEngine:
                 break
             for slot in range(block.used_slots):
                 rows_seen += 1
-                values = visible_values(
-                    block.chain(slot), hw, standby.txn_table
-                )
+                values = visible_values(block, slot, hw, standby.txn_table)
                 if values is None:
                     continue
                 rowid = RowId(block.dba, slot)

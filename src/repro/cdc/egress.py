@@ -234,7 +234,7 @@ class CDCEgress(InvalidationListener):
                     )
                 for slot in slot_list:
                     values = visible_values(
-                        block.chain(slot), scn, self.standby.txn_table
+                        block, slot, scn, self.standby.txn_table
                     )
                     rowid = RowId(dba, slot)
                     if values is None:

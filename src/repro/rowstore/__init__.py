@@ -5,8 +5,8 @@ against:
 
 * block-structured heap segments addressed by DBA (``block.py``,
   ``segment.py``),
-* row version chains that stand in for undo, enabling SCN-based
-  Consistent Read (``version.py``, ``cr.py``),
+* per-block version stores that stand in for undo, enabling SCN-based
+  Consistent Read (``block.py``, ``cr.py``),
 * heap tables with optional hash/range partitions and B-tree indexes
   (``table.py``, ``index.py``),
 * a buffer cache fronting the "datafiles" (``buffer_cache.py``).
@@ -18,21 +18,18 @@ block structure (physical replication).
 """
 
 from repro.rowstore.values import Column, ColumnType, Schema
-from repro.rowstore.version import RowVersion, VersionChain
 from repro.rowstore.block import DataBlock
 from repro.rowstore.segment import BlockStore, Segment
 from repro.rowstore.table import Partition, Table
 from repro.rowstore.index import BTreeIndex
 from repro.rowstore.buffer_cache import BufferCache
-from repro.rowstore.cr import TransactionView, visible_version
+from repro.rowstore.cr import TransactionView, visible_values
 from repro.rowstore.undo_retention import UndoRetentionManager
 
 __all__ = [
     "Column",
     "ColumnType",
     "Schema",
-    "RowVersion",
-    "VersionChain",
     "DataBlock",
     "BlockStore",
     "Segment",
@@ -41,6 +38,6 @@ __all__ = [
     "BTreeIndex",
     "BufferCache",
     "TransactionView",
-    "visible_version",
+    "visible_values",
     "UndoRetentionManager",
 ]

@@ -1,4 +1,4 @@
-"""Consistent Read: SCN-snapshot visibility over version chains.
+"""Consistent Read: SCN-snapshot visibility over a block's version chains.
 
 Implements Oracle's CR model [Bridge et al., VLDB '97] at row granularity:
 a version is visible at snapshot SCN ``s`` iff its writing transaction
@@ -15,7 +15,7 @@ from typing import Optional, Protocol, Sequence
 from repro.common.errors import SnapshotTooOldError
 from repro.common.ids import TransactionId
 from repro.common.scn import SCN
-from repro.rowstore.version import RowVersion, VersionChain
+from repro.rowstore.block import END, PRUNED, DataBlock
 
 
 #: Sentinel distinguishing "not looked up yet" from a cached ``None``
@@ -31,46 +31,35 @@ class TransactionView(Protocol):
         ...
 
 
-def visible_version(
-    chain: VersionChain,
-    snapshot_scn: SCN,
-    txns: TransactionView,
-    reader_xid: Optional[TransactionId] = None,
-) -> Optional[RowVersion]:
-    """Return the version of this row visible at ``snapshot_scn``.
-
-    A delete tombstone *is* returned (``is_delete`` is true on it), so a
-    caller can tell "deleted at the snapshot" from "no version visible";
-    ``None`` means only the latter -- the row was not inserted yet, or its
-    writer had not committed by the snapshot.  Raises
-    :class:`SnapshotTooOldError` when the walk falls off a truncated
-    chain, i.e. the undo needed to reconstruct the row has been discarded.
-    """
-    for version in chain:  # newest to oldest
-        if reader_xid is not None and version.xid == reader_xid:
-            # A transaction always sees its own uncommitted changes.
-            return version
-        commit_scn = txns.commit_scn_of(version.xid)
-        if commit_scn is not None and commit_scn <= snapshot_scn:
-            return version
-    if chain.truncated:
-        raise SnapshotTooOldError(
-            f"no version visible at SCN {snapshot_scn} on a truncated chain"
-        )
-    return None
-
-
 def visible_values(
-    chain: VersionChain,
+    block: DataBlock,
+    slot: int,
     snapshot_scn: SCN,
     txns: TransactionView,
     reader_xid: Optional[TransactionId] = None,
 ) -> Optional[tuple]:
-    """Like :func:`visible_version` but collapses tombstones to ``None``."""
-    version = visible_version(chain, snapshot_scn, txns, reader_xid)
-    if version is None or version.is_delete:
-        return None
-    return version.values
+    """The row at ``block``/``slot`` as of ``snapshot_scn``, or ``None``.
+
+    ``None`` covers a slot beyond ``used_slots``, a row not inserted yet or
+    whose writer had not committed by the snapshot, and a visible delete
+    tombstone.  A reader always sees its own uncommitted changes.  Raises
+    :class:`SnapshotTooOldError` when the walk falls off a pruned chain,
+    i.e. the undo needed to reconstruct the row has been discarded.
+    """
+    i = block.heads[slot] if slot < block.used_slots else END
+    while i >= 0:
+        xid = block.xids[i]
+        if reader_xid is not None and xid == reader_xid:
+            return block.values[i]
+        commit_scn = txns.commit_scn_of(xid)
+        if commit_scn is not None and commit_scn <= snapshot_scn:
+            return block.values[i]
+        i = block.prev[i]
+    if i == PRUNED:
+        raise SnapshotTooOldError(
+            f"no version visible at SCN {snapshot_scn} on a truncated chain"
+        )
+    return None
 
 
 def settled_rows(
@@ -147,18 +136,17 @@ def visible_values_batch(
     out: list[Optional[tuple]] = []
     append = out.append
     for block, slots in work:
-        # the raw slot and version lists, not ``block.chain(slot)`` and
-        # ``iter(chain)``: those are two Python frames per row
-        chains = block._slots
-        used = len(chains)
+        heads, rows = block.heads, block.values
+        xids, prev = block.xids, block.prev
+        used = len(heads)
         for slot in slots:
             if slot >= used:
                 append(None)
                 continue
-            chain = chains[slot]
+            i = heads[slot]
             values = None
-            for version in reversed(chain._versions):  # newest to oldest
-                xid = version.xid
+            while i >= 0:  # newest to oldest
+                xid = xids[i]
                 if xid is cached_xid:
                     commit_scn = cached_scn
                 else:
@@ -171,10 +159,11 @@ def visible_values_batch(
                 if commit_scn is not None and commit_scn <= snapshot_scn:
                     # a tombstone's values are already None -- exactly the
                     # "no visible row" marker this walk returns
-                    values = version.values
+                    values = rows[i]
                     break
+                i = prev[i]
             else:
-                if chain.truncated:
+                if i == PRUNED:
                     raise SnapshotTooOldError(
                         f"no version visible at SCN {snapshot_scn} "
                         f"on a truncated chain"

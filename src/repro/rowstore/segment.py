@@ -78,6 +78,7 @@ class Segment:
         self._store = store
         self.rows_per_block = rows_per_block
         self._dbas: list[DBA] = []
+        self._dba_set: set[DBA] = set()
         #: SCN of the latest TRUNCATE replayed against this segment, or
         #: None.  Parallel apply orders CVs per *block*, not per object,
         #: so a TRUNCATE (reserved DBA) can race the object's data CVs
@@ -99,13 +100,7 @@ class Segment:
             yield self._store.get(dba)
 
     def contains_dba(self, dba: DBA) -> bool:
-        return dba in self._dba_set()
-
-    def _dba_set(self) -> set[DBA]:
-        # small segments: rebuild cheaply; large segments: cache
-        if not hasattr(self, "_cached_dba_set") or len(self._cached_dba_set) != len(self._dbas):  # type: ignore[has-type]
-            self._cached_dba_set = set(self._dbas)
-        return self._cached_dba_set
+        return dba in self._dba_set
 
     # -- primary-side allocation -----------------------------------------
     def tail_block_with_space(self) -> DataBlock:
@@ -116,45 +111,43 @@ class Segment:
                 return tail
         block = self._store.allocate(self.object_id, self.rows_per_block)
         self._dbas.append(block.dba)
+        self._dba_set.add(block.dba)
         return block
 
     # -- standby-side materialisation --------------------------------------
     def ensure_block(self, dba: DBA) -> DataBlock:
         """Materialise block ``dba`` within this segment (redo apply)."""
         block = self._store.ensure(dba, self.object_id, self.rows_per_block)
-        if dba not in self._dba_set():
+        if dba not in self._dba_set:
+            self._dba_set.add(dba)
             self._dbas.append(dba)
             self._dbas.sort()
-            self._cached_dba_set = set(self._dbas)
         return block
 
     # -- maintenance -------------------------------------------------------
     def truncate(self, scn: int) -> None:
-        """Drop all rows as of ``scn``; wiped blocks are deallocated.
+        """Drop every row version changed at or below ``scn``.
 
-        Blocks whose last change is *newer* than ``scn`` survive: on a
-        standby, a post-truncate insert (always a fresh DBA -- the block
-        store never reuses one) may have been applied by another worker
-        before this TRUNCATE CV, and wiping it would lose committed rows.
+        Blocks with nothing left are deallocated.  Versions *newer* than
+        ``scn`` survive, wherever they are: on a standby another worker
+        may have applied post-truncate changes before this TRUNCATE CV --
+        into a fresh block, or into a wiped one that a transaction spanning
+        the wipe brought back (its rollback's UNDO) -- and wiping them would
+        lose committed rows.
         """
         survivors: list[DBA] = []
         for dba in self._dbas:
-            block = self._store.get(dba)
-            if block.last_change_scn > scn:
+            if self._store.get(dba).wipe_through(scn):
                 survivors.append(dba)
-            else:
-                block.wipe(scn)
         self._dbas = survivors
-        self._cached_dba_set = set(survivors)
+        self._dba_set = set(survivors)
         if self.truncate_scn is None or scn > self.truncate_scn:
             self.truncate_scn = scn
 
     def row_count_current(self) -> int:
         """Number of slots whose current version is a live row (no CR)."""
-        count = 0
-        for block in self.blocks():
-            for __, chain in block.chains():
-                current = chain.current
-                if current is not None and not current.is_delete:
-                    count += 1
-        return count
+        return sum(
+            block.current(slot) is not None
+            for block in self.blocks()
+            for slot in range(block.used_slots)
+        )

@@ -124,10 +124,10 @@ class Table:
         col = self.schema.column_index(column)
         for partition in self.partitions.values():
             for block in partition.segment.blocks():
-                for slot, chain in block.chains():
-                    current = chain.current
-                    if current is not None and not current.is_delete:
-                        index.insert(current.values[col], RowId(block.dba, slot))
+                for slot in range(block.used_slots):
+                    current = block.current(slot)
+                    if current is not None:
+                        index.insert(current[col], RowId(block.dba, slot))
         self.indexes[column] = index
         return index
 
@@ -164,16 +164,18 @@ class Table:
             index.insert(values[self.schema.column_index(column)], rowid)
         return part.object_id, rowid
 
-    def _check_row_lock(
-        self, chain, xid: TransactionId, txns: TransactionView
-    ) -> None:
-        current = chain.current
-        if current is None:
+    def _locked_row(
+        self, block, rowid: RowId, xid: TransactionId, txns: TransactionView
+    ) -> Optional[tuple]:
+        """The row's current values (``None``: deleted), once no other
+        transaction holds its lock."""
+        head = block.heads[rowid.slot]
+        if head < 0:
             raise ObjectNotFoundError("row slot was never written")
-        if current.xid != xid and txns.commit_scn_of(current.xid) is None:
-            raise RowLockConflictError(
-                f"row locked by uncommitted {current.xid}"
-            )
+        writer = block.xids[head]
+        if writer != xid and txns.commit_scn_of(writer) is None:
+            raise RowLockConflictError(f"row locked by uncommitted {writer}")
+        return block.values[head]
 
     def update_row(
         self,
@@ -189,14 +191,9 @@ class Table:
         ships the new tuple plus the changed column set.
         """
         block = self._block_for(rowid.dba)
-        chain = block.chain(rowid.slot)
-        self._check_row_lock(chain, xid, txns)
-        current = chain.current
-        assert current is not None
-        if current.is_delete:
+        old_values = self._locked_row(block, rowid, xid, txns)
+        if old_values is None:
             raise ObjectNotFoundError(f"row {rowid} is deleted")
-        old_values = current.values
-        assert old_values is not None
         new_values = list(old_values)
         for column, value in changes.items():
             i = self.schema.column_index(column)
@@ -221,14 +218,9 @@ class Table:
     ) -> tuple[ObjectId, tuple]:
         """Delete the row at ``rowid``; returns (object id, old tuple)."""
         block = self._block_for(rowid.dba)
-        chain = block.chain(rowid.slot)
-        self._check_row_lock(chain, xid, txns)
-        current = chain.current
-        assert current is not None
-        if current.is_delete:
+        old_values = self._locked_row(block, rowid, xid, txns)
+        if old_values is None:
             raise ObjectNotFoundError(f"row {rowid} already deleted")
-        old_values = current.values
-        assert old_values is not None
         block.write_slot(rowid.slot, None, xid, scn)
         for column, index in self.indexes.items():
             index.delete(old_values[self.schema.column_index(column)])
@@ -285,14 +277,14 @@ class Table:
         block = self._apply_block(object_id, dba, scn)
         if block is None:
             return
-        old = block.chain(slot).current if slot < block.used_slots else None
+        old = block.current(slot)
         block.apply_at_slot(slot, new_values, xid, scn)
         rowid = RowId(dba, slot)
         for column, index in self.indexes.items():
             if column in changed_columns:
                 i = self.schema.column_index(column)
-                if old is not None and old.values is not None:
-                    index.delete(old.values[i])
+                if old is not None:
+                    index.delete(old[i])
                 index.insert(new_values[i], rowid)
 
     def apply_delete(
@@ -328,21 +320,15 @@ class Table:
         block = self._apply_block(object_id, dba, scn)
         if block is None:
             return
-        stripped = block.undo_write(slot, xid)
-        if stripped is None:
+        stripped = block.current(slot)
+        if not block.undo_write(slot, xid):
             return
-        restored = block.chain(slot).current
+        restored = block.current(slot)
         rowid = RowId(dba, slot)
         for column, index in self.indexes.items():
             i = self.schema.column_index(column)
-            old_key = (
-                stripped.values[i] if stripped.values is not None else None
-            )
-            new_key = (
-                restored.values[i]
-                if restored is not None and restored.values is not None
-                else None
-            )
+            old_key = stripped[i] if stripped is not None else None
+            new_key = restored[i] if restored is not None else None
             if old_key == new_key:
                 continue
             if old_key is not None:
@@ -365,11 +351,9 @@ class Table:
         txns: TransactionView,
         reader_xid: Optional[TransactionId] = None,
     ) -> Optional[tuple]:
-        block = self._block_for(rowid.dba)
-        if rowid.slot >= block.used_slots:
-            return None
         return visible_values(
-            block.chain(rowid.slot), snapshot_scn, txns, reader_xid
+            self._block_for(rowid.dba), rowid.slot, snapshot_scn, txns,
+            reader_xid,
         )
 
     def index_fetch(
@@ -407,25 +391,42 @@ class Table:
             for block in segment.blocks():
                 if self.buffer_cache is not None:
                     self.buffer_cache.touch(block.dba)
-                for slot, chain in block.chains():
-                    values = visible_values(chain, snapshot_scn, txns, reader_xid)
+                for slot in range(block.used_slots):
+                    values = visible_values(
+                        block, slot, snapshot_scn, txns, reader_xid
+                    )
                     if values is not None:
                         yield RowId(block.dba, slot), values
 
     def truncate_partition(self, name: str, scn: SCN) -> None:
-        """TRUNCATE: wipe a partition's rows (index entries removed too)."""
+        """TRUNCATE: wipe a partition's rows as of ``scn``, index entries too.
+
+        A slot's entry is the key of its newest wiped live version.  It is
+        removed only while it still points at the slot and the slot's
+        surviving head -- a post-truncate row another worker applied first,
+        see :meth:`Segment.truncate` -- does not carry the same key.
+        """
         segment = self.partition(name).segment
-        if self.indexes:
-            for block in segment.blocks():
-                if block.last_change_scn > scn:
-                    continue  # post-truncate block: survives the wipe
-                for __, chain in block.chains():
-                    current = chain.current
-                    if current is not None and not current.is_delete:
-                        for column, index in self.indexes.items():
-                            index.delete(
-                                current.values[self.schema.column_index(column)]
-                            )
+        columns = [
+            (self.schema.column_index(column), index)
+            for column, index in self.indexes.items()
+        ]
+        for block in segment.blocks():
+            for slot, head in enumerate(block.heads):
+                i = head
+                while i >= 0 and block.scns[i] > scn:
+                    i = block.prev[i]
+                wiped = block.values[i] if i >= 0 else None
+                if wiped is None:
+                    continue
+                survivor = block.values[head] if head != i else None
+                rowid = RowId(block.dba, slot)
+                for c, index in columns:
+                    key = wiped[c]
+                    if index.search(key) == rowid and (
+                        survivor is None or survivor[c] != key
+                    ):
+                        index.delete(key)
         segment.truncate(scn)
 
     def __repr__(self) -> str:

@@ -1,10 +1,10 @@
 """Undo retention: bounding version-chain growth.
 
-Every update pushes a version; without pruning, hot rows grow unbounded
-chains.  Oracle bounds undo by retention time; we bound by *versions per
-row* (``RowStoreConfig.undo_retention_versions``).  A background
-:class:`UndoRetentionManager` sweeps the block store and prunes each
-chain to the newest K versions.  A consistent read that later needs a
+Every update appends a version to its block; without pruning, hot rows
+grow unbounded chains.  Oracle bounds undo by retention time; we bound by
+*versions per row* (``RowStoreConfig.undo_retention_versions``).  A
+background :class:`UndoRetentionManager` sweeps the block store and cuts
+each chain to the newest K versions (``DataBlock.prune_undo``).  A consistent read that later needs a
 pruned version fails with :class:`~repro.common.errors.SnapshotTooOldError`
 -- the ORA-01555 analogue -- rather than silently returning wrong data.
 

@@ -88,7 +88,7 @@ class TestDataOps:
         )
         apply_one(apply, data_cv(CVOp.UNDO, oid, 50, UndoPayload(0)), 11)
         block = table.default_partition.segment._store.get(50)
-        assert block.chain(0).current is None
+        assert block.current(0) is None
 
     def test_undo_strips_the_slot_it_names(self, applier):
         """The UNDO's slot travels in the one slot column (the displaced
@@ -105,9 +105,9 @@ class TestDataOps:
             )
         apply_one(apply, data_cv(CVOp.UNDO, oid, 50, UndoPayload(1)), 13)
         block = table.default_partition.segment._store.get(50)
-        assert block.chain(1).current is None
-        assert block.chain(0).current.values == (0, "a")
-        assert block.chain(2).current.values == (2, "a")
+        assert block.current(1) is None
+        assert block.current(0) == (0, "a")
+        assert block.current(2) == (2, "a")
         assert table.indexes["id"].search(1) is None
         assert table.indexes["id"].search(2) is not None
 
@@ -123,6 +123,74 @@ class TestDataOps:
                     TruncatePayload(oid)), 11
         )
         assert table.default_partition.segment.row_count_current() == 0
+
+
+class TestTruncateRacingItsBlock:
+    """``insert; commit; insert; truncate; rollback; insert`` on the
+    primary: the rollback's UNDO brings the wiped block 50 back, so the
+    last insert lands in its slot 0 again.  The TRUNCATE (its own reserved
+    DBA) and block 50's CVs are applied by two workers, in any interleaving
+    that keeps each worker's SCN order."""
+
+    COMMITTED, OPEN, LATE = (TransactionId(1, n) for n in (1, 2, 3))
+
+    def block_worker(self, table, oid, late):
+        return [
+            lambda: table.apply_insert(oid, 50, 0, (1, "a"), self.COMMITTED, 4),
+            lambda: table.apply_insert(oid, 50, 1, (2, "b"), self.OPEN, 6),
+            lambda: table.apply_undo(oid, 50, 1, self.OPEN, 9),
+            lambda: table.apply_insert(oid, 50, 0, late, self.LATE, 10),
+        ]
+
+    @pytest.mark.parametrize("late", [(3, "c"), (1, "c")], ids=["new", "reused"])
+    @pytest.mark.parametrize("ahead", range(5))
+    def test_the_wiped_row_stays_wiped_whoever_runs_ahead(
+        self, applier, ahead, late
+    ):
+        """``ahead`` is how many of block 50's CVs are applied before the
+        TRUNCATE at SCN 8: from none of them to all of them.  The late row
+        may take the wiped row's key, which the TRUNCATE freed."""
+        apply, catalog = applier
+        table = catalog.table("T")
+        oid = table.default_partition.object_id
+        txns = apply.txn_table
+        txns.commit(self.COMMITTED, 5)
+        txns.abort(self.OPEN)
+        txns.commit(self.LATE, 11)
+        steps = self.block_worker(table, oid, late)
+        for step in steps[:ahead]:
+            step()
+        table.apply_truncate(oid, 8)
+        for step in steps[ahead:]:
+            step()
+        rows = [values for __, values in table.full_scan(11, txns)]
+        assert rows == [late]
+        assert table.index_fetch("id", late[0], 11, txns) == late
+        for gone in {1, 2} - {late[0]}:  # wiped, rolled back
+            assert table.index_fetch("id", gone, 11, txns) is None
+        assert table.default_partition.segment.dbas == [50]
+        assert table.default_partition.segment.row_count_current() == 1
+
+    def test_a_wiped_key_taken_in_a_fresh_block_keeps_its_entry(
+        self, applier
+    ):
+        """Without a rollback the post-truncate insert lands in a fresh
+        block, whose worker may also run ahead of the TRUNCATE: the index
+        entry for the reused key is the new row's, not the wiped one's."""
+        apply, catalog = applier
+        table = catalog.table("T")
+        oid = table.default_partition.object_id
+        txns = apply.txn_table
+        txns.commit(self.COMMITTED, 5)
+        txns.commit(self.LATE, 11)
+        table.apply_insert(oid, 50, 0, (1, "a"), self.COMMITTED, 4)
+        table.apply_insert(oid, 51, 0, (1, "c"), self.LATE, 10)
+        table.apply_truncate(oid, 8)
+        assert [values for __, values in table.full_scan(11, txns)] == [
+            (1, "c")
+        ]
+        assert table.index_fetch("id", 1, 11, txns) == (1, "c")
+        assert table.default_partition.segment.dbas == [51]
 
 
 class TestControlOps:

@@ -309,7 +309,7 @@ class TestOpenBlocks:
         assert smu.imcu.captured_slots == {full: 4, tail: 2}
         checkpoint = UnitCheckpoint.capture(smu)
         store.drop_units(oid)
-        blocks.get(tail).wipe(clock.next())
+        blocks.get(tail).wipe_through(clock.next())
         del blocks._blocks[tail]
         rebuilt = store.restore_unit(
             rebuild_imcu(oid, table.tenant, checkpoint),
@@ -418,11 +418,12 @@ class TestUnitWidePassKeepsThePerBlockContract:
         txns.commit(writer, clock.next())
         for i in (9, 2, 3, 28, 1):
             store.invalidate(oid, rowids[i].dba, (rowids[i].slot,), clock.current)
-        segment._store.get(dbas[3]).wipe(clock.next())
+        segment._store.get(dbas[3]).wipe_through(clock.next())
         store.invalidate(oid, dbas[3], (), clock.current)
         store.invalidate(oid, rowids[5].dba, (rowids[5].slot,), clock.current)
         del segment._store._blocks[rowids[5].dba]  # dbas[1] is gone
         segment._dbas.remove(rowids[5].dba)
+        segment._dba_set.discard(rowids[5].dba)
         load_rows(table, txns, clock, 2)  # fills the tail: edge rows
         for dba in dbas:
             cache.invalidate(dba)  # every block cold

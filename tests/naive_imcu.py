@@ -30,8 +30,9 @@ from repro.imcs.compression import (
     SharedDictionaryCU,
 )
 from repro.imcs.imcu import IMCU
-from repro.rowstore.cr import visible_version
 from repro.rowstore.values import ColumnType
+
+from tests.naive_versions import chain_of, visible_version
 
 
 def naive_numeric(values: Sequence) -> NumericCU:
@@ -126,8 +127,8 @@ def naive_build(
             captured_slots[dba] = 0
             continue
         captured = 0
-        for slot, chain in block.chains():
-            version = visible_version(chain, snapshot_scn, txns)
+        for slot in range(block.used_slots):
+            version = visible_version(chain_of(block, slot), snapshot_scn, txns)
             if version is None:
                 break
             captured += 1

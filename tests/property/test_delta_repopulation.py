@@ -50,6 +50,7 @@ from repro.rowstore import BlockStore, Table
 from repro.rowstore.cr import settled_rows
 
 from tests.naive_imcu import naive_build
+from tests.naive_versions import chain_of
 from tests.property.test_population_columnar import (
     EXPRESSIONS,
     NUMBER_POOLS,
@@ -145,8 +146,8 @@ class World:
         """Slots whose newest version is a live row ``xid`` may lock."""
         out = []
         for block in self.segment.blocks():
-            for slot, chain in block.chains():
-                current = chain.current
+            for slot in range(block.used_slots):
+                current = chain_of(block, slot).current
                 if current is None or current.is_delete:
                     continue
                 if current.xid == xid or current.xid in self.txns.commits:
@@ -171,7 +172,7 @@ class World:
         if not candidates:
             return
         dba, slot = draw(st.sampled_from(candidates))
-        old = self.segment._store.get(dba).chain(slot).current.values
+        old = self.segment._store.get(dba).current(slot)
         if delete:
             self.table.apply_delete(self.oid, dba, slot, old, xid, self.tick())
         else:
@@ -424,7 +425,7 @@ def test_snapshot_behind_the_base_or_other_blocks_fall_back():
 
 def test_wiped_block_reuses_nothing_of_it():
     world, smu = small_world(plain_rows(10))
-    world.segment._store.get(1).wipe(world.tick())  # TRUNCATE's block effect
+    world.segment._store.get(1).wipe_through(world.tick())  # TRUNCATE's effect
     unit = both(world, world.tick(), smu)
     assert unit.rows_reused == 4 and unit.captured_slots == {1: 0, 2: 4}
     # refilled below what the base captured: still nothing of it
@@ -480,7 +481,7 @@ def test_truncated_chain_still_raises_never_a_silent_tombstone():
     world, smu = small_world(plain_rows(6))
     update(world, 1, 3, (3, 0, 0.0, "late", "k", "x"), X[1])
     snapshot = world.scn - 1  # the update commits beyond it...
-    world.segment._store.get(1).chain(3).prune(1)  # ...and the undo is gone
+    world.segment._store.get(1).prune_undo(1)  # ...and the undo is gone
     with pytest.raises(SnapshotTooOldError):
         build(world, snapshot, smu)
     with pytest.raises(SnapshotTooOldError):

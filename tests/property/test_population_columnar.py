@@ -49,6 +49,7 @@ from tests.naive_imcu import (
     naive_encode_column,
     naive_shared,
 )
+from tests.naive_versions import chain_of
 
 SNAPSHOT = 12
 #: writer -> commitSCN: two visible at the snapshot, one committed beyond
@@ -391,11 +392,16 @@ def test_commit_memo_lives_for_one_build_only():
     assert build(segment, (1, 2), Live()).n_rows == 6
 
 
+def truncate_chain(block, slot):
+    """Rewrite the slot's head, then prune the original away."""
+    head = chain_of(block, slot).current
+    block.write_slot(slot, head.values, head.xid, head.scn)
+    block.prune_undo(1)
+
+
 def test_truncated_chain_still_raises():
     segment = one_block_segment([(0, 1, 2, "a", "b", "c")], HIDDEN[0])
-    chain = segment._store.get(1).chain(0)
-    chain.push(chain.current)
-    chain.prune(1)
+    truncate_chain(segment._store.get(1), 0)
     with pytest.raises(SnapshotTooOldError):
         build(segment)
 
@@ -405,9 +411,7 @@ def test_unsettled_slot_hides_a_truncated_one_behind_it():
     whatever lies behind it is not read, so it cannot raise."""
     rows = [(i, 1, 2, "a", "b", "c") for i in range(3)]
     segment = one_block_segment(rows, HIDDEN[0])
-    chain = segment._store.get(1).chain(2)
-    chain.push(chain.current)
-    chain.prune(1)
+    truncate_chain(segment._store.get(1), 2)
     unit = build(segment)
     assert unit.n_rows == 0 and unit.captured_slots == {1: 0}
 

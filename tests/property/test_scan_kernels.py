@@ -93,7 +93,7 @@ def reference_scan(table, txns, snapshot, predicates, names) -> list[tuple]:
             if block is None:
                 continue
             for slot in range(block.used_slots):
-                values = visible_values(block.chain(slot), snapshot, txns)
+                values = visible_values(block, slot, snapshot, txns)
                 if values is None:
                     continue
                 if all(p.eval_row(values, schema) for p in predicates):
@@ -340,7 +340,7 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
                 txns.commit(straggler, clock.next())
         elif step == "wipe":  # TRUNCATE's block-level effect, flushed
             dba = data.draw(st.sampled_from(segment.dbas), label="wiped")
-            blocks.get(dba).wipe(clock.next())
+            blocks.get(dba).wipe_through(clock.next())
             store.invalidate(oid, dba, (), clock.current)
         elif step == "checkpoint":
             rebuild_from_checkpoint(store, oid)
@@ -351,4 +351,5 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
             ):
                 del blocks._blocks[dba]
                 segment._dbas.remove(dba)
+                segment._dba_set.discard(dba)
         check()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import RowId, TransactionId
 from repro.rowstore import BlockStore, DataBlock, Segment
+from repro.rowstore.block import END, PRUNED
 
 X1 = TransactionId(1, 1)
 X2 = TransactionId(1, 2)
@@ -18,21 +19,15 @@ class TestDataBlock:
         with pytest.raises(RuntimeError):
             block.append_row((3,), X1, 12)
 
-    def test_last_change_scn_tracks_max(self):
-        block = DataBlock(1, 9, 4)
-        block.append_row((1,), X1, 10)
-        block.write_slot(0, (2,), X1, 30)
-        block.write_slot(0, (3,), X1, 20)  # out-of-order touch
-        assert block.last_change_scn == 30
-
     def test_apply_at_slot_materialises_gaps(self):
         """Standby apply can hit slot 2 before slots 0-1 (different txns,
         same worker, but CVs interleaved) -- empty chains are created."""
         block = DataBlock(1, 9, 4)
         block.apply_at_slot(2, (30,), X1, 10)
         assert block.used_slots == 3
-        assert block.chain(2).current.values == (30,)
-        assert block.chain(0).current is None
+        assert block.current(2) == (30,)
+        assert block.current(0) is None
+        assert block.heads[:2] == [END, END]
 
     def test_apply_beyond_capacity_raises(self):
         block = DataBlock(1, 9, 2)
@@ -45,15 +40,52 @@ class TestDataBlock:
         block.append_row((2,), X2, 11)
         block.write_slot(0, (3,), X2, 12)
         assert block.rollback_transaction(X2) == 2
-        assert block.chain(0).current.values == (1,)
-        assert block.chain(1).current is None
+        assert block.current(0) == (1,)
+        assert block.current(1) is None
+
+    def test_undo_reclaims_the_newest_entry_only(self):
+        block = DataBlock(1, 9, 4)
+        block.append_row((1,), X1, 10)
+        block.write_slot(0, (2,), X2, 11)
+        assert block.undo_write(0, X2)
+        assert len(block.scns) == 1  # the newest entry of the block: popped
+        block.write_slot(0, (3,), X2, 12)
+        block.append_row((4,), X1, 13)
+        assert not block.undo_write(0, X1)  # not the writer of the head
+        assert block.undo_write(0, X2)
+        assert block.current(0) == (1,)
+        assert len(block.scns) == 3  # an interior entry: unreachable, kept
 
     def test_wipe_clears_rows(self):
         block = DataBlock(1, 9, 4)
         block.append_row((1,), X1, 10)
-        block.wipe(20)
+        block.write_slot(0, (2,), X1, 15)
+        assert not block.wipe_through(20)
         assert block.used_slots == 0
-        assert block.last_change_scn == 20
+        assert block.scns == []
+
+    def test_wipe_keeps_later_versions_per_version(self):
+        """A post-wipe change in a wiped row's slot survives alone: nothing
+        of the wiped history is visible beneath it, and the empty tail
+        slots go."""
+        block = DataBlock(1, 9, 4)
+        block.apply_at_slot(0, (1,), X1, 4)
+        block.apply_at_slot(1, (2,), X1, 5)
+        block.apply_at_slot(0, (3,), X2, 10)
+        assert block.wipe_through(8)
+        assert block.used_slots == 1
+        assert block.current(0) == (3,)
+        assert block.prev[block.heads[0]] == END
+        assert block.scns == [10]
+
+    def test_wipe_of_a_pruned_chain_ends_it(self):
+        block = DataBlock(1, 9, 4)
+        for scn in (1, 2, 3, 10):
+            block.apply_at_slot(0, (scn,), X1, scn)
+        block.prune_undo(keep=2)
+        assert block.prev[block.prev[block.heads[0]]] == PRUNED
+        assert block.wipe_through(5)
+        assert block.prev[block.heads[0]] == END
 
 
 class TestBlockStore:
@@ -101,6 +133,12 @@ class TestSegment:
         block = segment.tail_block_with_space()
         assert segment.contains_dba(block.dba)
         assert not segment.contains_dba(block.dba + 999)
+        segment.ensure_block(50)
+        assert segment.contains_dba(50)
+        block.append_row((1,), X1, 10)
+        segment.truncate(scn=20)
+        assert not segment.contains_dba(block.dba)
+        assert not segment.contains_dba(50)
 
     def test_ensure_block_keeps_dbas_sorted(self):
         store = BlockStore()
@@ -118,6 +156,22 @@ class TestSegment:
         segment.truncate(scn=20)
         assert segment.n_blocks == 0
         assert segment.row_count_current() == 0
+
+    def test_truncate_keeps_exactly_the_blocks_with_later_versions(self):
+        """Another worker applied post-truncate changes first: into a
+        fresh block, and into a wiped block whose committed row shares
+        the slot -- only the later versions survive."""
+        store = BlockStore()
+        segment = Segment(9, store, rows_per_block=4)
+        old, reused, fresh = (segment.ensure_block(d) for d in (1, 2, 3))
+        old.apply_at_slot(0, (1,), X1, 4)
+        reused.apply_at_slot(0, (2,), X1, 5)
+        reused.apply_at_slot(0, (3,), X2, 10)
+        fresh.apply_at_slot(0, (4,), X2, 11)
+        segment.truncate(scn=8)
+        assert segment.dbas == [2, 3]
+        assert segment.row_count_current() == 2
+        assert reused.current(0) == (3,) and reused.scns == [10]
 
     def test_row_count_current_skips_deletes(self):
         store = BlockStore()

@@ -80,11 +80,10 @@ class TestUpdateDelete:
         xid = xid_factory()
         with pytest.raises(error, match=re.escape(text)):
             table.update_row(rowid, changes, xid, 10, txns)
-        chain = table.default_partition.segment._store.get(rowid.dba).chain(
-            rowid.slot
-        )
-        assert chain.current.values == (1, 10.0, "a")
-        assert chain.current.xid != xid  # no version written, no row lock
+        block = table.default_partition.segment._store.get(rowid.dba)
+        assert block.current(rowid.slot) == (1, 10.0, "a")
+        # no version written, no row lock
+        assert block.xids[block.heads[rowid.slot]] != xid
         table.update_row(rowid, {"n1": None}, xid, 11, txns)  # NULL is fine
 
     def test_update_of_a_dropped_column_raises(self, table, txns, xid_factory):

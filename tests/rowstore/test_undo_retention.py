@@ -8,6 +8,7 @@ from repro.rowstore.cr import visible_values
 from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim import Scheduler
 
+from tests.naive_versions import chain_of
 from tests.rowstore.conftest import FakeTxnView
 
 
@@ -31,28 +32,28 @@ def test_sweep_prunes_to_bound():
     manager = UndoRetentionManager(store, keep_versions=5)
     dropped = manager.sweep()
     assert dropped == 45
-    assert len(block.chain(0)) == 5
+    assert len(chain_of(block, 0)) == 5
     assert manager.versions_pruned == 45
 
 
 def test_current_version_always_survives():
     store, block, txns = hot_row_store(50)
     UndoRetentionManager(store, keep_versions=1).sweep()
-    assert len(block.chain(0)) == 1
-    assert visible_values(block.chain(0), 1000, txns) == (49,)
+    assert len(chain_of(block, 0)) == 1
+    assert visible_values(block, 0, 1000, txns) == (49,)
 
 
 def test_old_snapshot_raises_snapshot_too_old():
     store, block, txns = hot_row_store(50)
     UndoRetentionManager(store, keep_versions=5).sweep()
     with pytest.raises(SnapshotTooOldError):
-        visible_values(block.chain(0), 12, txns)  # needs a pruned version
+        visible_values(block, 0, 12, txns)  # needs a pruned version
 
 
 def test_recent_snapshot_still_readable():
     store, block, txns = hot_row_store(50)
     UndoRetentionManager(store, keep_versions=5).sweep()
-    assert visible_values(block.chain(0), 58, txns) == (48,)
+    assert visible_values(block, 0, 58, txns) == (48,)
 
 
 def test_actor_sweeps_on_interval():
@@ -62,7 +63,7 @@ def test_actor_sweeps_on_interval():
     sched.add_actor(manager)
     sched.run_until(0.35)
     assert manager.sweeps >= 3
-    assert len(block.chain(0)) == 5
+    assert len(chain_of(block, 0)) == 5
 
 
 def test_rejects_zero_retention():

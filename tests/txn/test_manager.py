@@ -1,5 +1,6 @@
 """Tests for the transaction manager: DML, redo shape, commit, rollback."""
 
+import gc
 import itertools
 
 import pytest
@@ -203,16 +204,25 @@ class TestRollback:
         assert txn_table.is_finished(txn.xid)
 
 
-class TestRedoFootprint:
-    def test_a_statement_leaves_no_redo_object_behind(self):
-        """Redo is columns: an update grows the GC-tracked heap by the
-        row version the row store keeps and by nothing of the log's.  (As
-        objects it was a ChangeVector, a payload, a RedoRecord and its
-        ``cvs`` tuple per statement: ~4 per record, a third of the
-        firehose's tracked heap, all of it walked by every full
-        collection.)"""
-        import gc
+def tracked() -> int:
+    gc.collect()
+    return len(gc.get_objects())
 
+
+class TestRedoFootprint:
+    """Redo is columns and so are row versions: a statement grows the
+    GC-tracked heap by nothing of the log's and nothing of the row
+    store's, on the primary that runs it and on a standby that applies
+    it.  (As objects it was a ChangeVector, a payload, a RedoRecord and
+    its ``cvs`` tuple per statement, and a RowVersion per change on each
+    side: most of the firehose's tracked heap, all of it walked by every
+    full collection.)"""
+
+    N = 1_000
+    #: slack for lazily grown containers; one object per statement is N
+    BOUND = 20
+
+    def primary(self):
         from repro.db import ColumnDef, PrimaryDatabase, TableDef
 
         primary = PrimaryDatabase()
@@ -233,17 +243,45 @@ class TestRedoFootprint:
                 primary.update(txn, "T", rowids[i % 50], {"n1": float(i)})
             primary.commit(txn)
 
-        def tracked():
-            gc.collect()
-            return len(gc.get_objects())
-
         run(100)  # warm every lazily built structure
+        return primary, run
+
+    def test_a_statement_leaves_no_redo_object_behind(self):
+        primary, run = self.primary()
         before = tracked()
-        n = 1_000
-        run(n)
+        run(self.N)
         grown = tracked() - before
-        records = len(primary.redo_logs[0])
-        assert records >= n + 100
-        # one RowVersion per update; anything near 2n means something
-        # else is kept per statement again
-        assert n <= grown <= n + 20, f"{grown} tracked objects for {n} updates"
+        assert len(primary.redo_logs[0]) >= self.N + 100
+        assert grown <= self.BOUND, f"{grown} tracked for {self.N} updates"
+
+    def test_applying_a_statement_leaves_no_object_behind(self):
+        from repro.db.applier import PhysicalApplier
+        from repro.db.catalog import Catalog
+
+        primary, run = self.primary()
+        log = primary.redo_logs[0]
+        standby = PhysicalApplier(Catalog(BlockStore()), TransactionTable())
+
+        def apply(lo):
+            batch = log.batch(lo, len(log))
+            standby.install_dictionary(batch)
+            for i in range(len(batch.ops)):
+                standby.apply_cv(batch, i, batch.scns.item(i))
+            return len(log)
+
+        applied = apply(0)
+        run(self.N)
+        before = tracked()
+        apply(applied)
+        grown = tracked() - before
+        scn = primary.clock.current
+        assert sorted(
+            values for __, values in standby.catalog.table("T").full_scan(
+                scn, standby.txn_table
+            )
+        ) == sorted(
+            values for __, values in primary.catalog.table("T").full_scan(
+                scn, primary.txn_table
+            )
+        )
+        assert grown <= self.BOUND, f"{grown} tracked for {self.N} applied"
