@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.config import ApplyConfig
 from repro.db.deployment import InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import (
     bench_oltap_config,

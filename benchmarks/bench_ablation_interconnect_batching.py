@@ -15,7 +15,7 @@ import pytest
 
 from repro.common.config import RACConfig
 from repro.db.deployment import Deployment, InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.workload.oltap import OLTAPWorkload
 
 from conftest import bench_oltap_config, bench_system_config, save_report

@@ -18,7 +18,7 @@ import pytest
 from repro.common.config import JournalConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_system_config, save_report
 

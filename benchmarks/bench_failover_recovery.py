@@ -24,7 +24,7 @@ import pytest
 from repro.db.deployment import Deployment, InMemoryService
 from repro.db.failover import failover
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.workload.oltap import OLTAPConfig, OLTAPWorkload
 
 from conftest import bench_system_config, save_report

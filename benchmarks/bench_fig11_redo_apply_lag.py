@@ -22,7 +22,7 @@ import pytest
 from repro import obs
 from repro.common.config import RACConfig
 from repro.db.deployment import Deployment, InMemoryService
-from repro.metrics.render import render_figure
+from repro.obs.render import render_figure
 from repro.workload.oltap import (
     DMLDriver,
     MetricsSampler,
@@ -116,11 +116,11 @@ def test_fig11_redo_apply_lag(rac_run, benchmark):
     deployment, sampler, drivers = rac_run
 
     series = {
-        f"pri_log{i}": sampler.primary_log_series[i].points
+        f"pri_log{i}": sampler.primary_log_series[i]
         for i in sorted(sampler.primary_log_series)
     }
-    series["std_applied"] = sampler.standby_applied.points
-    series["query_scn"] = sampler.query_scn.points
+    series["std_applied"] = sampler.standby_applied
+    series["query_scn"] = sampler.query_scn
     save_report(
         "fig11_redo_apply_lag",
         render_figure(

@@ -41,7 +41,7 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_json, save_report
 

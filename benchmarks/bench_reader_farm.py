@@ -26,7 +26,7 @@ import itertools
 from repro import obs
 from repro.db import ColumnDef, Deployment, InMemoryService, Service, TableDef
 from repro.fleet import FleetRouter, SessionWave, WaveConfig
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_system_config, save_json, save_report
 

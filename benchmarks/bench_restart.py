@@ -26,7 +26,7 @@ from repro.common.config import ApplyConfig
 from repro.db import ColumnDef, TableDef
 from repro.db.deployment import Deployment, InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.workload.oltap import OLTAPConfig, OLTAPWorkload
 
 from conftest import bench_system_config, save_json, save_report

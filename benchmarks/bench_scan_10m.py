@@ -45,7 +45,7 @@ from repro.imcs.compression import (
 )
 from repro.imcs.imcu import IMCU
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import save_json, save_report
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_report, summary_rows
 
@@ -66,9 +66,9 @@ def test_table2_scan_only_parity(primary_run, standby_run, benchmark):
     )
 
     # parity within 10% on every statistic (paper: 4.25 vs 4.30 ms etc.)
-    for stat in ("median", "average", "p95"):
-        a = q1_primary.summary()[stat]
-        b = q1_standby.summary()[stat]
+    for stat in ("p50", "mean", "p95"):
+        a = q1_primary.stats()[stat]
+        b = q1_standby.stats()[stat]
         assert abs(a - b) / max(a, b) < 0.10, f"{stat}: {a} vs {b}"
 
     # no DML: scans never fall back to the row store on either side

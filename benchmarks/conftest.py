@@ -117,13 +117,13 @@ def run_scenario(
 
 def summary_rows(label: str, series) -> list:
     """One row of the Fig. 9/10-style tables, in milliseconds."""
-    summary = series.summary()
+    stats = series.stats()
     return [
         label,
-        len(series),
-        summary["median"] * 1e3,
-        summary["average"] * 1e3,
-        summary["p95"] * 1e3,
+        stats["count"],
+        stats["p50"] * 1e3,
+        stats["mean"] * 1e3,
+        stats["p95"] * 1e3,
     ]
 
 

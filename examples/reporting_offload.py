@@ -10,7 +10,7 @@ Run:  python examples/reporting_offload.py
 """
 
 from repro.db import Deployment, InMemoryService
-from repro.metrics.render import render_table, speedup
+from repro.obs.render import render_table, speedup
 from repro.workload import OLTAPConfig, OLTAPWorkload
 
 
@@ -37,24 +37,24 @@ def run_reporting(service):
 def main() -> None:
     print("== run 1: reports on a plain ADG standby (row store only) ==")
     __, baseline = run_reporting(service=None)
-    baseline_q1 = baseline.query_driver.q1
+    baseline_q1 = baseline.query_driver.q1.stats()
 
     print("== run 2: reports on a DBIM-on-ADG standby ==")
     deployment, accelerated = run_reporting(service=InMemoryService.STANDBY)
-    fast_q1 = accelerated.query_driver.q1
+    fast_q1 = accelerated.query_driver.q1.stats()
 
     print()
     print(render_table(
         ["configuration", "Q1 median (ms)", "Q1 p95 (ms)", "samples"],
         [
-            ["plain ADG standby", baseline_q1.median * 1e3,
-             baseline_q1.p95 * 1e3, len(baseline_q1)],
-            ["DBIM-on-ADG standby", fast_q1.median * 1e3,
-             fast_q1.p95 * 1e3, len(fast_q1)],
+            ["plain ADG standby", baseline_q1["p50"] * 1e3,
+             baseline_q1["p95"] * 1e3, baseline_q1["count"]],
+            ["DBIM-on-ADG standby", fast_q1["p50"] * 1e3,
+             fast_q1["p95"] * 1e3, fast_q1["count"]],
         ],
         title="Ad-hoc report response time on the standby",
     ))
-    factor = speedup(baseline_q1.median, fast_q1.median)
+    factor = speedup(baseline_q1["p50"], fast_q1["p50"])
     print(f"\nDBIM-on-ADG speedup: {factor:.0f}x (paper: ~100x at full scale)")
     assert factor > 5
 

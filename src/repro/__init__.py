@@ -27,9 +27,10 @@ Package layout (see DESIGN.md for the full inventory):
   redo apply).
 - :mod:`repro.rowstore`, :mod:`repro.txn`, :mod:`repro.redo` -- the
   row-format substrate: blocks, MVCC/consistent read, transactions, redo.
-- :mod:`repro.workload`, :mod:`repro.metrics`, :mod:`repro.sim` -- the
-  OLTAP benchmark kit, measurement utilities and the deterministic
-  discrete-event scheduler everything runs on.
+- :mod:`repro.workload`, :mod:`repro.obs`, :mod:`repro.sim` -- the
+  OLTAP benchmark kit, the one metrics surface (registry, redo-lifecycle
+  tracer, text rendering) and the deterministic discrete-event scheduler
+  everything runs on.
 """
 
 __version__ = "1.0.0"
@@ -40,7 +41,6 @@ __all__ = [
     "db",
     "dbim_adg",
     "imcs",
-    "metrics",
     "rac",
     "redo",
     "rowstore",

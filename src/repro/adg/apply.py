@@ -137,14 +137,6 @@ class ApplyDistributor:
 class RecoveryWorker(Actor):
     """One parallel-apply worker process."""
 
-    cvs_applied = obs.view("_cvs_applied")
-    sniff_retries = obs.view("_sniff_retries")
-    #: Always 0 since every CV applies on its first attempt; kept because
-    #: the ``bench_e2e`` harness reports it.
-    apply_stalls = obs.view("_apply_stalls")
-    #: Steps skipped by an installed chaos fault (injected slowness).
-    chaos_stalls = obs.view("_chaos_stalls")
-
     def __init__(
         self,
         worker_id: WorkerId,
@@ -171,18 +163,19 @@ class RecoveryWorker(Actor):
         self.speed = speed
         self.name = name or f"recovery-worker-{worker_id}"
         self._obs = obs.current()
-        self._cvs_applied = obs.counter(
-            "adg.worker.cvs_applied", worker=worker_id
-        )
-        self._sniff_retries = obs.counter(
-            "adg.worker.sniff_retries", worker=worker_id
-        )
-        self._apply_stalls = obs.counter(
-            "adg.worker.apply_stalls", worker=worker_id
-        )
-        self._chaos_stalls = obs.counter(
-            "adg.worker.chaos_stalls", worker=worker_id
-        )
+        self.cvs_applied = 0
+        self.sniff_retries = 0
+        #: Always 0 since every CV applies on its first attempt; kept because
+        #: the ``bench_e2e`` harness reports it.
+        self.apply_stalls = 0
+        #: Steps skipped by an installed chaos fault (injected slowness).
+        self.chaos_stalls = 0
+        obs.bind(self, {
+            "cvs_applied": "adg.worker.cvs_applied",
+            "sniff_retries": "adg.worker.sniff_retries",
+            "apply_stalls": "adg.worker.apply_stalls",
+            "chaos_stalls": "adg.worker.chaos_stalls",
+        }, worker=worker_id)
         #: Simulated seconds spent *blocked* on the cooperative flush
         #: helper (worklink present but drain stalled) -- wait time, kept
         #: out of the coordinator's publish-latency accounting.
@@ -215,7 +208,7 @@ class RecoveryWorker(Actor):
             decision = chaos.consult("step", worker=self.worker_id)
             if decision.action is sites.Action.STALL:
                 # injected slowness: burn a step without doing any work
-                self._chaos_stalls.inc()
+                self.chaos_stalls += 1
                 return self.cost_per_cv * self.batch
         cost = 0.0
         # 1. cooperative invalidation flush (paper, III-D-2): help drain
@@ -250,7 +243,7 @@ class RecoveryWorker(Actor):
                 queue.popleft()
         if applied:
             cost += self.cost_per_cv * applied
-            self._cvs_applied.inc(applied)
+            self.cvs_applied += applied
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
@@ -269,7 +262,7 @@ class RecoveryWorker(Actor):
             return True
         if self.batch_sniffer(chunk, self.worker_id, self):
             return True
-        self._sniff_retries.inc()
+        self.sniff_retries += 1
         return False
 
     def _apply(self, chunk: CVChunk, budget: int, tracer) -> int:

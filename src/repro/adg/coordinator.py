@@ -67,18 +67,6 @@ class AdvanceProtocol(Protocol):
 class RecoveryCoordinator(Actor):
     """Tracks apply progress; advances the QuerySCN."""
 
-    advancements = obs.view("_advancements")
-    publish_latency_total = obs.view("_publish_latency_total")
-    quiesce_wait_retries = obs.view("_quiesce_wait_retries")
-    #: Publications postponed by an installed chaos STALL fault.
-    publish_stalls = obs.view("_publish_stalls")
-    #: Publications postponed by an installed chaos DELAY fault (counted
-    #: separately: a delay names its own duration, a stall retries).
-    publish_delays = obs.view("_publish_delays")
-    #: Wall time publications spent blocked on chaos stalls or the
-    #: quiesce lock -- excluded from the *adjusted* latency metrics.
-    publish_stall_time_total = obs.view("_publish_stall_time_total")
-
     def __init__(
         self,
         merger: LogMerger,
@@ -111,18 +99,26 @@ class RecoveryCoordinator(Actor):
         self._last_check = -1.0
         # statistics
         self._obs = obs.current()
-        self._advancements = obs.counter("adg.coordinator.advancements")
-        self._publish_latency_total = obs.counter(
-            "adg.coordinator.publish_latency_total"
-        )
-        self._quiesce_wait_retries = obs.counter(
-            "adg.coordinator.quiesce_wait_retries"
-        )
-        self._publish_stalls = obs.counter("adg.coordinator.publish_stalls")
-        self._publish_delays = obs.counter("adg.coordinator.publish_delays")
-        self._publish_stall_time_total = obs.counter(
-            "adg.coordinator.publish_stall_time_total"
-        )
+        self.advancements = 0
+        self.publish_latency_total = 0
+        self.quiesce_wait_retries = 0
+        #: Publications postponed by an installed chaos STALL fault.
+        self.publish_stalls = 0
+        #: Publications postponed by an installed chaos DELAY fault (counted
+        #: separately: a delay names its own duration, a stall retries).
+        self.publish_delays = 0
+        #: Wall time publications spent blocked on chaos stalls or the
+        #: quiesce lock -- excluded from the *adjusted* latency metrics.
+        self.publish_stall_time_total = 0
+        obs.bind(self, {
+            "advancements": "adg.coordinator.advancements",
+            "publish_latency_total": "adg.coordinator.publish_latency_total",
+            "quiesce_wait_retries": "adg.coordinator.quiesce_wait_retries",
+            "publish_stalls": "adg.coordinator.publish_stalls",
+            "publish_delays": "adg.coordinator.publish_delays",
+            "publish_stall_time_total":
+                "adg.coordinator.publish_stall_time_total",
+        })
         self._publish_latency_hist = obs.histogram(
             "adg.coordinator.publish_latency"
         )
@@ -204,7 +200,7 @@ class RecoveryCoordinator(Actor):
             decision = chaos.consult("publish", target=target)
             if decision.action is sites.Action.STALL:
                 # hold the publication; retried on the next step
-                self._publish_stalls.inc()
+                self.publish_stalls += 1
                 if self._stalled_since is None:
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST
@@ -212,13 +208,13 @@ class RecoveryCoordinator(Actor):
                 # hold the publication for the injected duration: the
                 # delay rides on the rescheduling cost so the retry only
                 # happens once the delay has elapsed
-                self._publish_delays.inc()
+                self.publish_delays += 1
                 if self._stalled_since is None:
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST + max(decision.delay, 0.0)
         if not self.quiesce_lock.try_acquire_exclusive(self):
             # population is mid-capture; retry next step
-            self._quiesce_wait_retries.inc()
+            self.quiesce_wait_retries += 1
             if self._stalled_since is None:
                 self._stalled_since = sched.now
             return cost + COORDINATION_COST
@@ -228,7 +224,7 @@ class RecoveryCoordinator(Actor):
             self.quiesce_lock.release_exclusive(self)
         if protocol is not None:
             protocol.finish_advance(target)
-        self._advancements.inc()
+        self.advancements += 1
         latency = sched.now - self._advance_started_at
         # time this advancement spent *blocked* (injected stall, blocked
         # worklink drain or a held quiesce lock) rather than flushing and
@@ -240,8 +236,8 @@ class RecoveryCoordinator(Actor):
         if self._stalled_since is not None:
             stalled += sched.now - self._stalled_since
             self._stalled_since = None
-        self._publish_latency_total.inc(latency)
-        self._publish_stall_time_total.inc(stalled)
+        self.publish_latency_total += latency
+        self.publish_stall_time_total += stalled
         self._publish_latency_hist.observe(latency)
         self._adjusted_latency_hist.observe(latency - stalled)
         self._advancing_to = None

@@ -161,7 +161,7 @@ class BackfillEngine:
                     # live wins: this row's state at an >= cut is already
                     # in the feed -- emitting the chunk row would be a
                     # stale duplicate (the DBLog de-dup rule)
-                    egress._backfill_deduped.inc()
+                    egress.backfill_deduped += 1
                     continue
                 egress._emit_backfill_row(
                     state, rowid, values, hw, at_time=now
@@ -170,7 +170,7 @@ class BackfillEngine:
             blocks_done += 1
         assert state.window_lw is not None
         egress._cut_window.observe(float(hw - state.window_lw))
-        egress._backfill_chunks.inc()
+        egress.backfill_chunks += 1
         state.chunks_done += 1
         state.window_lw = None
         state.touched = set()

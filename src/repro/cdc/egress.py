@@ -74,13 +74,6 @@ class Subscription:
 class CDCEgress(InvalidationListener):
     """Tails the invalidation stream; emits a certified change feed."""
 
-    emitted = obs.view("_emitted")
-    resolved = obs.view("_resolved")
-    resyncs = obs.view("_resyncs")
-    backfill_rows = obs.view("_backfill_rows")
-    backfill_deduped = obs.view("_backfill_deduped")
-    backfill_chunks = obs.view("_backfill_chunks")
-
     def __init__(
         self, standby: "StandbyDatabase", sched: Scheduler
     ) -> None:
@@ -100,15 +93,25 @@ class CDCEgress(InvalidationListener):
             OrderedDict()
         )
         self.backfill_engine = BackfillEngine(self)
-        self._emitted = obs.counter("cdc.emitted")
-        self._resolved = obs.counter("cdc.resolved")
-        self._resyncs = obs.counter("cdc.resyncs")
-        self._backfill_rows = obs.counter("cdc.backfill_rows")
-        self._backfill_deduped = obs.counter("cdc.backfill_deduped")
-        self._backfill_chunks = obs.counter("cdc.backfill_chunks")
+        self.emitted = 0
+        self.resolved = 0
+        self.resyncs = 0
+        self.backfill_rows = 0
+        self.backfill_deduped = 0
+        self.backfill_chunks = 0
+        #: Deepest subscriber queue after the last enqueue or delivery.
+        self.queue_depth = 0
+        obs.bind(self, {
+            "emitted": "cdc.emitted",
+            "resolved": "cdc.resolved",
+            "resyncs": "cdc.resyncs",
+            "backfill_rows": "cdc.backfill_rows",
+            "backfill_deduped": "cdc.backfill_deduped",
+            "backfill_chunks": "cdc.backfill_chunks",
+        })
+        obs.bind(self, {"queue_depth": "cdc.queue_depth"}, "gauge")
         self._cut_window = obs.histogram("cdc.cut_window")
         self._lag_hist = obs.histogram("cdc.subscriber_lag")
-        self._depth_gauge = obs.gauge("cdc.queue_depth")
         standby.flush.add_invalidation_listener(self)
         standby.query_scn.subscribe(self._on_publish)
 
@@ -213,7 +216,7 @@ class CDCEgress(InvalidationListener):
                     self._backfills[oid] = BackfillState(oid, name)
                 else:
                     state.restart()
-            self._resyncs.inc()
+            self.resyncs += 1
         pending, self._pending = self._pending, {}
         for oid, blocks in pending.items():
             name = self._captured.get(oid)
@@ -247,7 +250,7 @@ class CDCEgress(InvalidationListener):
                                 UPSERT, name, oid, scn, rowid, values
                             )
                         )
-                    self._resolved.inc()
+                    self.resolved += 1
         # open watermark windows record this cut's touched rowids
         for event in events:
             if event.rowid is None:
@@ -266,7 +269,7 @@ class CDCEgress(InvalidationListener):
         hw: SCN,
         at_time: float,
     ) -> None:
-        self._backfill_rows.inc()
+        self.backfill_rows += 1
         self._enqueue(
             [
                 ChangeEvent(
@@ -288,8 +291,8 @@ class CDCEgress(InvalidationListener):
         for sub in self._subscriptions:
             for event in events:
                 sub.queue.append((event, now))
-        self._depth_gauge.set(
-            max((sub.depth for sub in self._subscriptions), default=0)
+        self.queue_depth = max(
+            (sub.depth for sub in self._subscriptions), default=0
         )
 
 
@@ -342,12 +345,10 @@ class CDCPump(Actor):
                 sub.target.on_event(event)
                 sub.delivered += 1
                 delivered += 1
-            self.egress._emitted.inc(delivered)
+            self.egress.emitted += delivered
             cost += self.COST_PER_EVENT * delivered
-        self.egress._depth_gauge.set(
-            max(
-                (s.depth for s in self.egress._subscriptions), default=0
-            )
+        self.egress.queue_depth = max(
+            (s.depth for s in self.egress._subscriptions), default=0
         )
         return cost if cost > 0 else None
 

@@ -10,6 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def _check_ranges(config, checks) -> None:
+    """Raise on the first ``(field, in_range)`` pair that is out of range:
+    a bad knob fails at construction, not as a silent misbehaviour."""
+    for name, ok in checks:
+        if not ok:
+            raise ValueError(
+                f"{type(config).__name__}.{name} out of range: "
+                f"{getattr(config, name)!r}"
+            )
+
+
 @dataclass(slots=True)
 class RowStoreConfig:
     """Row store geometry."""
@@ -48,7 +59,7 @@ class IMCSConfig:
 
     def __post_init__(self) -> None:
         pool = self.pool_size_bytes
-        for name, ok in (
+        _check_ranges(self, (
             ("imcu_target_rows", self.imcu_target_rows >= 1),
             ("pool_size_bytes", pool is None or pool >= 0),
             ("repopulate_invalid_fraction",
@@ -56,11 +67,7 @@ class IMCSConfig:
             ("population_workers", self.population_workers >= 1),
             ("repopulate_min_interval", self.repopulate_min_interval >= 0),
             ("populate_cost_per_row", self.populate_cost_per_row >= 0),
-        ):
-            if not ok:
-                raise ValueError(
-                    f"IMCSConfig.{name} out of range: {getattr(self, name)!r}"
-                )
+        ))
 
 
 @dataclass(slots=True)
@@ -85,6 +92,16 @@ class ApplyConfig:
     # Whether recovery workers participate in invalidation flush at all
     # (ablation: coordinator-only flush).
     cooperative_flush: bool = True
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, (
+            ("n_workers", self.n_workers >= 1),
+            ("worker_batch", self.worker_batch >= 1),
+            ("cooperative_flush_batch", self.cooperative_flush_batch >= 1),
+            ("coordinator_flush_batch", self.coordinator_flush_batch >= 1),
+            ("coordinator_interval", self.coordinator_interval >= 0),
+            ("apply_cost_per_cv", self.apply_cost_per_cv >= 0),
+        ))
 
 
 @dataclass(slots=True)

@@ -26,6 +26,9 @@ class StandbyMember:
         self.cdc = None
         #: Routed sessions currently bound here (kept by the router).
         self.active_sessions = 0
+        #: Lag behind the primary when this member last published a
+        #: QuerySCN (kept by the router; Fig. 11, one line per member).
+        self.lag_scns = 0
 
     # ------------------------------------------------------------------
     @property

@@ -220,14 +220,6 @@ class Worklink:
 class InvalidationFlushComponent:
     """Implements the coordinator's AdvanceProtocol for DBIM-on-ADG."""
 
-    nodes_flushed = obs.view("_nodes_flushed")
-    nodes_flushed_by_workers = obs.view("_nodes_flushed_by_workers")
-    groups_created = obs.view("_groups_created")
-    coarse_flushes = obs.view("_coarse_flushes")
-    ddl_processed = obs.view("_ddl_processed")
-    #: Flush calls skipped by an installed chaos fault.
-    chaos_stalls = obs.view("_chaos_stalls")
-
     def __init__(
         self,
         journal: IMADGJournal,
@@ -254,14 +246,21 @@ class InvalidationFlushComponent:
         self.worklink: Optional[Worklink] = None
         # statistics
         self._obs = obs.current()
-        self._nodes_flushed = obs.counter("dbim.flush.nodes_flushed")
-        self._nodes_flushed_by_workers = obs.counter(
-            "dbim.flush.nodes_flushed_by_workers"
-        )
-        self._groups_created = obs.counter("dbim.flush.groups_created")
-        self._coarse_flushes = obs.counter("dbim.flush.coarse_flushes")
-        self._ddl_processed = obs.counter("dbim.flush.ddl_processed")
-        self._chaos_stalls = obs.counter("dbim.flush.chaos_stalls")
+        self.nodes_flushed = 0
+        self.nodes_flushed_by_workers = 0
+        self.groups_created = 0
+        self.coarse_flushes = 0
+        self.ddl_processed = 0
+        #: Flush calls skipped by an installed chaos fault.
+        self.chaos_stalls = 0
+        obs.bind(self, {
+            "nodes_flushed": "dbim.flush.nodes_flushed",
+            "nodes_flushed_by_workers": "dbim.flush.nodes_flushed_by_workers",
+            "groups_created": "dbim.flush.groups_created",
+            "coarse_flushes": "dbim.flush.coarse_flushes",
+            "ddl_processed": "dbim.flush.ddl_processed",
+            "chaos_stalls": "dbim.flush.chaos_stalls",
+        })
         self._chaos = sites.declare("flush.worklink", owner=self)
         #: Observers of flushed invalidations (e.g. the query result
         #: cache).  Each listener is called *during* the flush -- i.e.
@@ -325,7 +324,7 @@ class InvalidationFlushComponent:
             return 0
         flushed = self._flush_nodes(batch, by_worker=True)
         if flushed > 0:
-            self._nodes_flushed_by_workers.inc(flushed)
+            self.nodes_flushed_by_workers += flushed
         return flushed
 
     # ------------------------------------------------------------------
@@ -346,7 +345,7 @@ class InvalidationFlushComponent:
             )
             if decision.action is sites.Action.STALL:
                 # worklink draining held back; the caller retries later
-                self._chaos_stalls.inc()
+                self.chaos_stalls += 1
                 return -1
         # One call is one scheduler step -- nothing can observe the SMUs
         # between two of its nodes -- so the nodes' records are gathered
@@ -357,7 +356,7 @@ class InvalidationFlushComponent:
         for node, ops in zip(nodes, self._route(nodes)):
             worklink.nodes.popleft()
             self._finish(node, ops)
-        self._nodes_flushed.inc(len(nodes))
+        self.nodes_flushed += len(nodes)
         return len(nodes)
 
     def _route(
@@ -381,10 +380,10 @@ class InvalidationFlushComponent:
         """Account for one routed node, tell the listeners, and retire
         its anchor."""
         if node.coarse:
-            self._coarse_flushes.inc()
+            self.coarse_flushes += 1
             self._notify_coarse(node.tenant, node.commit_scn)
         else:
-            self._groups_created.inc(len(ops))
+            self.groups_created += len(ops)
             for group in ops:
                 self._notify_group(group)
         # the anchor's job is done: release it from the journal.  The flush
@@ -408,7 +407,7 @@ class InvalidationFlushComponent:
                 self._notify_ddl(object_id, entry.scn)
             if self.ddl_applier is not None:
                 self.ddl_applier(entry.payload)
-            self._ddl_processed.inc()
+            self.ddl_processed += 1
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

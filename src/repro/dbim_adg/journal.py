@@ -101,10 +101,6 @@ class AnchorNode:
 class IMADGJournal:
     """Hash table of anchor nodes with bucket latches."""
 
-    anchors_created = obs.view("_anchors_created")
-
-    latch_breaks = obs.view("_latch_breaks")
-
     def __init__(self, n_buckets: int = 64) -> None:
         if n_buckets < 1:
             raise ValueError("journal needs at least one bucket")
@@ -116,8 +112,12 @@ class IMADGJournal:
         #: fed by every anchor's ``floor_sink``, consumed (and pruned of
         #: stale entries) by :meth:`min_first_scn`.
         self._floor_heap: list[tuple[SCN, TransactionId]] = []
-        self._anchors_created = obs.counter("dbim.journal.anchors_created")
-        self._latch_breaks = obs.counter("dbim.journal.latch_breaks")
+        self.anchors_created = 0
+        self.latch_breaks = 0
+        obs.bind(self, {
+            "anchors_created": "dbim.journal.anchors_created",
+            "latch_breaks": "dbim.journal.latch_breaks",
+        })
 
     def _note_floor(self, scn: SCN, xid: TransactionId) -> None:
         heapq.heappush(self._floor_heap, (scn, xid))
@@ -141,7 +141,7 @@ class IMADGJournal:
                 anchor = AnchorNode(xid=xid, tenant=tenant)
                 anchor.floor_sink = self._note_floor
                 self._buckets[index][xid] = anchor
-                self._anchors_created.inc()
+                self.anchors_created += 1
             return anchor
         finally:
             latch.release(owner)
@@ -185,7 +185,7 @@ class IMADGJournal:
         latch = self.latches.latch_for(index)
         broken = latch.break_held()
         if broken is not None:
-            self._latch_breaks.inc()
+            self.latch_breaks += 1
 
     def remove_with_recovery(
         self, xid: TransactionId, owner: object, spins: int = 3

@@ -55,14 +55,6 @@ _DDL_MARKER = CVOp.DDL_MARKER
 class MiningComponent:
     """Sniffs change vectors during redo apply."""
 
-    data_records_mined = obs.view("_data_records_mined")
-    control_records_mined = obs.view("_control_records_mined")
-    ddl_markers_mined = obs.view("_ddl_markers_mined")
-    latch_misses = obs.view("_latch_misses")
-    coarse_nodes_created = obs.view("_coarse_nodes_created")
-    #: Missing-begin commits skipped during instant-restart tail replay.
-    tail_commits_skipped = obs.view("_tail_commits_skipped")
-
     def __init__(
         self,
         journal: IMADGJournal,
@@ -89,16 +81,21 @@ class MiningComponent:
         self.tail_mode = False
         # statistics
         self._obs = obs.current()
-        self._data_records_mined = obs.counter("dbim.miner.data_records")
-        self._control_records_mined = obs.counter(
-            "dbim.miner.control_records"
-        )
-        self._ddl_markers_mined = obs.counter("dbim.miner.ddl_markers")
-        self._latch_misses = obs.counter("dbim.miner.latch_misses")
-        self._coarse_nodes_created = obs.counter("dbim.miner.coarse_nodes")
-        self._tail_commits_skipped = obs.counter(
-            "dbim.miner.tail_commits_skipped"
-        )
+        self.data_records_mined = 0
+        self.control_records_mined = 0
+        self.ddl_markers_mined = 0
+        self.latch_misses = 0
+        self.coarse_nodes_created = 0
+        #: Missing-begin commits skipped during instant-restart tail replay.
+        self.tail_commits_skipped = 0
+        obs.bind(self, {
+            "data_records_mined": "dbim.miner.data_records",
+            "control_records_mined": "dbim.miner.control_records",
+            "ddl_markers_mined": "dbim.miner.ddl_markers",
+            "latch_misses": "dbim.miner.latch_misses",
+            "coarse_nodes_created": "dbim.miner.coarse_nodes",
+            "tail_commits_skipped": "dbim.miner.tail_commits_skipped",
+        })
         #: CVs per bulk-mined chunk.
         self._batch_cvs = obs.histogram("dbim.mine.batch_cvs")
 
@@ -112,21 +109,21 @@ class MiningComponent:
                 xid, batch.tenants.item(i), owner
             )
             if anchor is None:
-                self._latch_misses.inc()
+                self.latch_misses += 1
                 return False
             if op == _TXN_BEGIN:
                 anchor.has_begin = True
             else:
                 anchor.prepared = True
             anchor.note_scn(scn)
-            self._control_records_mined.inc()
+            self.control_records_mined += 1
             return True
         if op == _TXN_ABORT:
             removed = self.journal.remove(xid, owner)
             if removed is None:
-                self._latch_misses.inc()
+                self.latch_misses += 1
                 return False
-            self._control_records_mined.inc()
+            self.control_records_mined += 1
             if self.on_abort is not None:
                 self.on_abort(xid, scn)
             return True
@@ -189,7 +186,7 @@ class MiningComponent:
                 chunk.pending_commits, owner
             )
             if leftover:
-                self._latch_misses.inc()
+                self.latch_misses += 1
                 chunk.pending_commits = leftover
                 return False
             chunk.pending_commits = None
@@ -232,12 +229,12 @@ class MiningComponent:
                 continue  # journaled before a latch miss
             anchor = get_or_create(decode_xid(code), tenant, owner)
             if anchor is None:
-                self._latch_misses.inc()
+                self.latch_misses += 1
                 return False
             anchor.add_chunk(
                 worker_id, RecordChunk(records[:, lo:hi], tenant), first_scn
             )
-            self._data_records_mined.inc(hi - lo)
+            self.data_records_mined += hi - lo
             mined.add(code)
         return True
 
@@ -249,7 +246,7 @@ class MiningComponent:
         op = batch.ops.item(i)
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
-            self._ddl_markers_mined.inc()
+            self.ddl_markers_mined += 1
             return True
         if op == _TXN_COMMIT:
             return self._sniff_commit(batch, i, scn, chunk, owner)
@@ -265,7 +262,7 @@ class MiningComponent:
         tenant = batch.tenants.item(i)
         acquired, anchor = self.journal.get(xid, owner)
         if not acquired:
-            self._latch_misses.inc()
+            self.latch_misses += 1
             return False
         if anchor is not None and anchor.has_begin:
             node = CommitTableNode(
@@ -278,7 +275,7 @@ class MiningComponent:
             #   True/None  -> coarse invalidation of the tenant's IMCUs
             #                 (None = no specialized redo: be pessimistic).
             if batch.payloads[i] is False:
-                self._control_records_mined.inc()
+                self.control_records_mined += 1
                 return True
             if self.tail_mode:
                 # Instant-restart tail replay: a commit whose begin lies
@@ -286,18 +283,18 @@ class MiningComponent:
                 # invalidations were flushed into the checkpointed masks
                 # before capture (see repro.restart.replay) -- skipping is
                 # exact, not pessimistic.
-                self._tail_commits_skipped.inc()
-                self._control_records_mined.inc()
+                self.tail_commits_skipped += 1
+                self.control_records_mined += 1
                 return True
             node = CommitTableNode(
                 xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant,
                 coarse=True,
             )
-            self._coarse_nodes_created.inc()
+            self.coarse_nodes_created += 1
         if chunk.pending_commits is None:
             chunk.pending_commits = []
         chunk.pending_commits.append(node)
-        self._control_records_mined.inc()
+        self.control_records_mined += 1
         return True
 
     def clear(self) -> None:

@@ -346,17 +346,13 @@ class FleetRouter:
         self.ryw_violations = 0
         self.routed_unmounted = 0
         self._obs_counters: dict[tuple, object] = {}
-        #: Per-member gauges (Fig. 11 lag, and the load signal).
-        self._lag_gauges = {
-            m.name: obs.gauge("fleet.member.lag_scns", member=m.name)
-            for m in fleet.members
-        }
-        self._active_gauges = {
-            m.name: obs.gauge("fleet.member.active_sessions", member=m.name)
-            for m in fleet.members
-        }
         fleet.on_standby_loss.append(self._handle_standby_loss)
         for member in fleet.members:
+            # per-member gauges: the Fig. 11 lag and the load signal
+            obs.bind(member, {
+                "lag_scns": "fleet.member.lag_scns",
+                "active_sessions": "fleet.member.active_sessions",
+            }, "gauge", member=member.name)
             member.standby.query_scn.subscribe(
                 self._make_publish_listener(member)
             )
@@ -384,7 +380,7 @@ class FleetRouter:
         self, member: StandbyMember
     ) -> Callable[[SCN], None]:
         def on_publish(scn: SCN) -> None:
-            self._lag_gauges[member.name].set(self.fleet.member_lag(member))
+            member.lag_scns = self.fleet.member_lag(member)
             if self.admission.queue_depth:
                 # a read-your-writes waiter may just have become eligible
                 self.admission.pump()
@@ -394,7 +390,6 @@ class FleetRouter:
     def _note_sessions(self, member: StandbyMember, delta: int) -> None:
         """A session was bound to (+1) or left (-1) ``member``."""
         member.active_sessions = max(0, member.active_sessions + delta)
-        self._active_gauges[member.name].set(member.active_sessions)
 
     def _audit_submit(self, session: FleetSession,
                       member: StandbyMember) -> None:

@@ -39,10 +39,6 @@ from repro.rowstore.cr import TransactionView
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
-#: Default simulated CPU seconds to populate one row into an IMCU
-#: (overridable via IMCSConfig.populate_cost_per_row).
-POPULATE_COST_PER_ROW = 2e-6
-
 
 @dataclass(slots=True)
 class PopulationTask:

@@ -109,9 +109,6 @@ class InMemorySegment:
 class InMemoryColumnStore:
     """Registry of enabled objects and their IMCU/SMU pairs."""
 
-    rows_invalidated = obs.view("_rows_invalidated")
-    coarse_invalidations = obs.view("_coarse_invalidations")
-
     def __init__(self, pool_size_bytes: Optional[int] = None) -> None:
         self.pool_size_bytes = pool_size_bytes
         self._segments: dict[ObjectId, InMemorySegment] = {}
@@ -119,8 +116,12 @@ class InMemoryColumnStore:
         #: :meth:`enabled_mask`; rebuilt after enable / disable.
         self._enabled_ids: Optional[np.ndarray] = None
         # statistics
-        self._rows_invalidated = obs.counter("imcs.rows_invalidated")
-        self._coarse_invalidations = obs.counter("imcs.coarse_invalidations")
+        self.rows_invalidated = 0
+        self.coarse_invalidations = 0
+        obs.bind(self, {
+            "rows_invalidated": "imcs.rows_invalidated",
+            "coarse_invalidations": "imcs.coarse_invalidations",
+        })
 
     # ------------------------------------------------------------------
     # enablement
@@ -241,14 +242,14 @@ class InMemoryColumnStore:
             scn = int(record.scns.max())
             if record.keys is None:
                 smu.invalidate_block(record.dba, scn)
-                self._rows_invalidated.inc()
+                self.rows_invalidated += 1
             else:
                 rows.append(record.keys[newer])
                 rows_scn = max(rows_scn, scn)
         segment.pending = still_pending
         if rows:
-            self._rows_invalidated.inc(
-                smu.invalidate_keys(np.unique(np.concatenate(rows)), rows_scn)
+            self.rows_invalidated += smu.invalidate_keys(
+                np.unique(np.concatenate(rows)), rows_scn
             )
 
         replaced: dict[int, SMU] = {}
@@ -296,11 +297,11 @@ class InMemoryColumnStore:
         for dba in old.invalid_blocks:
             if smu.imcu.covers_dba(dba):
                 smu.invalidate_block(dba, scn)
-                self._rows_invalidated.inc()
+                self.rows_invalidated += 1
         keys = old.invalid_row_keys()
         keys = keys[np.isin(keys >> ROW_KEY_SHIFT, smu.imcu.covered_dbas)]
         if keys.size:
-            self._rows_invalidated.inc(smu.invalidate_keys(keys, scn))
+            self.rows_invalidated += smu.invalidate_keys(keys, scn)
 
     def restore_unit(
         self,
@@ -442,8 +443,8 @@ class InMemoryColumnStore:
                     )
                 )
             else:
-                self._rows_invalidated.inc(
-                    smu.invalidate_keys(np.array(of_target), max(own))
+                self.rows_invalidated += smu.invalidate_keys(
+                    np.array(of_target), max(own)
                 )
 
     def _invalidate_block(
@@ -456,7 +457,7 @@ class InMemoryColumnStore:
             )
         else:
             smu.invalidate_block(dba, scn)
-            self._rows_invalidated.inc()
+            self.rows_invalidated += 1
 
     def invalidate_tenant(self, tenant: TenantId, scn: SCN) -> int:
         """Coarse invalidation (paper, III-E): every IMCU of a tenant."""
@@ -468,7 +469,7 @@ class InMemoryColumnStore:
                 smu.invalidate_fully(scn)
                 touched += 1
         if touched:
-            self._coarse_invalidations.inc()
+            self.coarse_invalidations += 1
         return touched
 
     # ------------------------------------------------------------------

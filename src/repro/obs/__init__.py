@@ -1,6 +1,6 @@
 """repro.obs -- first-class observability for the redo pipeline.
 
-Two pieces (see DESIGN.md §10):
+Three pieces (see DESIGN.md §10):
 
 * :class:`~repro.obs.registry.MetricsRegistry` -- named counters /
   gauges / histograms / series with label support and deterministic
@@ -8,13 +8,16 @@ Two pieces (see DESIGN.md §10):
 * :class:`~repro.obs.lifecycle.RedoLifecycleTracer` -- stamps tracked
   redo records through the pipeline stages on the sim clock, yielding
   per-stage latency histograms and the end-to-end "redo visibility lag"
-  (Fig. 11) from instruments instead of bench-side bookkeeping.
+  (Fig. 11) from instruments instead of bench-side bookkeeping;
+* :mod:`repro.obs.render` -- the plain-text tables and figures the
+  benchmarks print.
 
-Activation mirrors :mod:`repro.chaos.sites`: pipeline components declare
-their instruments at construction through the module-level helpers
-(``obs.counter(...)``); while a registry is :func:`collecting`, the
-instruments land there, otherwise they are free-standing (still live, so
-the components' attribute views keep working with zero setup)::
+A counter or gauge is a plain attribute its component names once, at
+construction (``obs.bind(self, {"gaps_resolved": "redo.receiver.
+gaps_resolved"})``).  While a registry is :func:`collecting` the
+declaration lands there and the registry reads the attribute at snapshot
+time; otherwise it does nothing, and :func:`histogram` / :func:`series` /
+:func:`counter` return an instrument that records nothing::
 
     registry = MetricsRegistry()
     with obs.collecting(registry):
@@ -32,7 +35,6 @@ from typing import Iterator, Optional
 
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     Instrument,
     MetricsRegistry,
@@ -42,6 +44,24 @@ from repro.obs.registry import (
 from repro.obs.lifecycle import STAGES, RedoLifecycleTracer
 
 _ACTIVE: list[MetricsRegistry] = []
+
+
+class _Discard:
+    """What a declaration outside :func:`collecting` returns."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+    def record(self, t: float, value: float) -> None:
+        pass
+
+
+_DISCARD = _Discard()
 
 
 def current() -> Optional[MetricsRegistry]:
@@ -59,59 +79,34 @@ def collecting(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         _ACTIVE.pop()
 
 
+def bind(
+    owner, attrs: dict[str, str], kind: str = "counter", **labels
+) -> None:
+    """Name ``owner``'s numeric attributes to the collecting registry
+    (``attrs``: attribute -> instrument name); a no-op outside one."""
+    registry = current()
+    if registry is not None:
+        registry.bind(owner, attrs, kind, **labels)
+
+
+def _declare(kind: str, name: str, labels: dict):
+    registry = current()
+    if registry is None:
+        return _DISCARD
+    return getattr(registry, kind)(name, **labels)
+
+
 def counter(name: str, **labels) -> Counter:
-    """Declare a counter in the collecting registry (or free-standing)."""
-    registry = current()
-    if registry is not None:
-        return registry.counter(name, **labels)
-    return Counter(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-
-
-def gauge(name: str, **labels) -> Gauge:
-    registry = current()
-    if registry is not None:
-        return registry.gauge(name, **labels)
-    return Gauge(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+    """A tally no component owns (one restart, one router decision)."""
+    return _declare("counter", name, labels)
 
 
 def histogram(name: str, **labels) -> Histogram:
-    registry = current()
-    if registry is not None:
-        return registry.histogram(name, **labels)
-    return Histogram(
-        name, tuple(sorted((k, str(v)) for k, v in labels.items()))
-    )
+    return _declare("histogram", name, labels)
 
 
 def series(name: str, **labels) -> Series:
-    registry = current()
-    if registry is not None:
-        return registry.series(name, **labels)
-    return Series(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-
-
-class view:
-    """Class-level descriptor exposing an instrument's value as a plain
-    read/write attribute -- the thin view that keeps the pipeline's legacy
-    counter APIs (``component.duplicates_discarded``, ``+= 1`` updates,
-    ``clear()`` resets) working over registry-backed instruments.
-
-        class RedoReceiver:
-            gaps_resolved = obs.view("_gaps_resolved")
-            def __init__(self):
-                self._gaps_resolved = obs.counter("redo.receiver.gaps_resolved")
-    """
-
-    def __init__(self, attr: str) -> None:
-        self._attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return getattr(obj, self._attr).value
-
-    def __set__(self, obj, value) -> None:
-        getattr(obj, self._attr).value = value
+    return _declare("series", name, labels)
 
 
 def tracer_of(registry: Optional[MetricsRegistry]) -> Optional[RedoLifecycleTracer]:
@@ -122,19 +117,17 @@ def tracer_of(registry: Optional[MetricsRegistry]) -> Optional[RedoLifecycleTrac
 __all__ = [
     "STAGES",
     "Counter",
-    "Gauge",
     "Histogram",
     "Instrument",
     "MetricsRegistry",
     "MetricsSnapshot",
     "RedoLifecycleTracer",
     "Series",
+    "bind",
     "collecting",
     "counter",
     "current",
-    "gauge",
     "histogram",
     "series",
     "tracer_of",
-    "view",
 ]

@@ -1,38 +1,40 @@
 """The metrics registry: named, labelled instruments with snapshots.
 
 The paper's evaluation (Figs. 9-11, Table 2) is entirely about measured
-pipeline behaviour, but the repro historically recorded it with ad-hoc
-counters scattered across the pipeline classes.  This module gives those
-numbers one home:
+pipeline behaviour.  This module gives those numbers one home:
 
-* **Counter** -- monotonically adjusted numeric value (``inc``);
-* **Gauge**   -- last-write-wins value (``set``);
+* **counter / gauge** -- a plain numeric attribute of the component that
+  owns it (``self.cvs_applied += n``, reset by ``clear()``).  The
+  component names its attributes to the registry once, at construction
+  (:meth:`MetricsRegistry.bind`), and the registry reads them by name when
+  it takes a snapshot: the hot path pays a plain ``+=`` and nothing else.
+  A tally no component owns (one per restart, one per router decision)
+  is a :class:`Counter`, bound the same way;
 * **Histogram** -- raw samples with percentile summaries, the shape the
   paper uses for latency breakdowns;
 * **Series** -- (simulated time, value) points, the Fig. 11 shape.
 
 Instruments are identified by a dotted ``name`` plus optional labels
-(``obs.counter("adg.worker.cvs_applied", worker=3)``).  A registry hands
-out *distinct* instruments per declaration: when a second component
-declares an identical (name, labels) pair -- e.g. one RecoveryWorker per
-MIRA apply instance -- the registry disambiguates it with an automatic
-``i`` label instead of silently sharing the count, so the per-component
-attribute views the pipeline exposes stay exact.  Aggregation across the
-duplicates is a read-side concern (:meth:`MetricsRegistry.total`).
+(``adg.worker.cvs_applied{worker=3}``).  A registry keeps every
+declaration distinct: when a second component declares an identical
+(name, labels) pair -- e.g. one RecoveryWorker per MIRA apply instance --
+the registry disambiguates it with an automatic ``i`` label, in
+construction order, instead of silently sharing the count.  Aggregation
+across the duplicates is a read-side concern (:meth:`MetricsRegistry.total`).
 
-Components bind instruments at construction through the module-level
-helpers in :mod:`repro.obs`; with no registry collecting they receive
-free-standing instruments, so the instrumentation works (and costs one
-method call) everywhere -- unit tests, benchmarks, examples -- without
-any harness.
+Components declare through the module-level helpers in :mod:`repro.obs`,
+which do nothing while no registry collects.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterator, Optional
+import math
+from bisect import bisect_right
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.metrics.stats import _percentile_of_sorted
+from repro.obs.render import render_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.lifecycle import RedoLifecycleTracer
@@ -42,9 +44,27 @@ AUTO_LABEL = "i"
 
 Labels = tuple[tuple[str, str], ...]
 
+_point_time = itemgetter(0)
+
 
 def _freeze_labels(labels: dict) -> Labels:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile (q in [0, 100]) of an already
+    sorted sequence."""
+    if not ordered:
+        raise ValueError("no values")
+    if not 0 <= q <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+    rank = (len(ordered) - 1) * q / 100.0
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    weight = rank - low
+    return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
 class Instrument:
@@ -71,40 +91,39 @@ class Instrument:
         return f"{type(self).__name__}({self.describe()!r})"
 
 
-class Counter(Instrument):
-    """A numeric total.  ``value`` is writable so the pipeline's legacy
-    attribute APIs (``component.stat += 1``, ``clear()`` resets) keep
-    working as thin views over the instrument."""
+class Bound(Instrument):
+    """A counter or gauge: one named attribute of the component that owns
+    it, read when the registry takes a snapshot."""
 
-    kind = "counter"
+    __slots__ = ("kind", "owner", "attr")
+
+    def __init__(
+        self, name: str, labels: Labels, kind: str, owner, attr: str
+    ) -> None:
+        super().__init__(name, labels)
+        self.kind = kind
+        self.owner = owner
+        self.attr = attr
+
+    @property
+    def value(self) -> float:
+        return getattr(self.owner, self.attr)
+
+    def export(self) -> dict:
+        return {"value": self.value}
+
+
+class Counter:
+    """A tally no component owns; :meth:`MetricsRegistry.counter` binds
+    its ``value``."""
+
     __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: Labels = ()) -> None:
-        super().__init__(name, labels)
+    def __init__(self) -> None:
         self.value: float = 0
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def export(self) -> dict:
-        return {"value": self.value}
-
-
-class Gauge(Instrument):
-    """A last-write-wins value."""
-
-    kind = "gauge"
-    __slots__ = ("value",)
-
-    def __init__(self, name: str, labels: Labels = ()) -> None:
-        super().__init__(name, labels)
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def export(self) -> dict:
-        return {"value": self.value}
 
 
 class Histogram(Instrument):
@@ -124,7 +143,8 @@ class Histogram(Instrument):
         return len(self.samples)
 
     def stats(self) -> dict:
-        """count/sum/min/max/mean/p50/p95/p99; zeros when empty."""
+        """count/sum/min/max/mean/p50/p95/p99 from one sort; zeros when
+        empty."""
         if not self.samples:
             return {
                 "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
@@ -148,7 +168,8 @@ class Histogram(Instrument):
 
 
 class Series(Instrument):
-    """(time, value) points; step-interpolated reads (Fig. 11 shape)."""
+    """(time, value) points, appended in time order; step-interpolated
+    reads (Fig. 11 shape)."""
 
     kind = "series"
     __slots__ = ("points",)
@@ -168,13 +189,10 @@ class Series(Instrument):
         return self.points[-1][1] if self.points else 0.0
 
     def value_at(self, t: float) -> float:
-        """Step-interpolated value at ``t`` (0 before the first point)."""
-        value = 0.0
-        for point_t, point_value in self.points:
-            if point_t > t:
-                break
-            value = point_value
-        return value
+        """The value of the last point at or before ``t`` (0 before the
+        first point)."""
+        i = bisect_right(self.points, t, key=_point_time)
+        return self.points[i - 1][1] if i else 0.0
 
     def export(self) -> dict:
         out: dict = {"count": len(self.points)}
@@ -182,14 +200,6 @@ class Series(Instrument):
             out["first"] = list(self.points[0])
             out["last"] = list(self.points[-1])
         return out
-
-
-_KINDS = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "histogram": Histogram,
-    "series": Series,
-}
 
 
 class MetricsRegistry:
@@ -206,7 +216,7 @@ class MetricsRegistry:
         self.tracer: Optional["RedoLifecycleTracer"] = None
 
     # -- declaration ----------------------------------------------------
-    def _declare(self, kind: str, name: str, labels: dict) -> Instrument:
+    def _declare(self, cls, name: str, labels: dict, *args) -> Instrument:
         frozen = _freeze_labels(labels)
         if (name, frozen) in self._instruments:
             # a second component declared the same identity: disambiguate
@@ -216,21 +226,32 @@ class MetricsRegistry:
                     in self._instruments:
                 index += 1
             frozen = _freeze_labels({**labels, AUTO_LABEL: index})
-        instrument = _KINDS[kind](name, frozen)
+        instrument = cls(name, frozen, *args)
         self._instruments[(name, frozen)] = instrument
         return instrument
 
-    def counter(self, name: str, **labels) -> Counter:
-        return self._declare("counter", name, labels)  # type: ignore
+    def bind(
+        self, owner, attrs: dict[str, str], kind: str = "counter", **labels
+    ) -> None:
+        """Expose ``owner``'s numeric attributes: ``attrs`` maps each
+        attribute name to its instrument name, all under ``labels``.  A
+        misspelt attribute fails here, not at snapshot time."""
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"bind kind must be counter or gauge: {kind!r}")
+        for attr, name in attrs.items():
+            getattr(owner, attr)
+            self._declare(Bound, name, labels, kind, owner, attr)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._declare("gauge", name, labels)  # type: ignore
+    def counter(self, name: str, **labels) -> Counter:
+        tally = Counter()
+        self.bind(tally, {"value": name}, **labels)
+        return tally
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._declare("histogram", name, labels)  # type: ignore
+        return self._declare(Histogram, name, labels)  # type: ignore
 
     def series(self, name: str, **labels) -> Series:
-        return self._declare("series", name, labels)  # type: ignore
+        return self._declare(Series, name, labels)  # type: ignore
 
     # -- reads ----------------------------------------------------------
     def get(self, name: str, **labels) -> Optional[Instrument]:
@@ -246,8 +267,7 @@ class MetricsRegistry:
     def total(self, name: str) -> float:
         """Sum of every counter/gauge value declared under ``name``."""
         return sum(
-            inst.value for inst in self.find(name)
-            if isinstance(inst, (Counter, Gauge))
+            inst.value for inst in self.find(name) if isinstance(inst, Bound)
         )
 
     def __iter__(self) -> Iterator[Instrument]:
@@ -315,15 +335,10 @@ class MetricsSnapshot:
 
     def to_text(self) -> str:
         """Pretty-printed snapshot: one section per instrument kind."""
-        from repro.metrics.render import render_table
 
         def label_str(entry: dict) -> str:
-            if not entry["labels"]:
-                return entry["name"]
-            rendered = ",".join(
-                f"{k}={v}" for k, v in sorted(entry["labels"].items())
-            )
-            return f"{entry['name']}{{{rendered}}}"
+            labels = _freeze_labels(entry["labels"])
+            return Instrument(entry["name"], labels).describe()
 
         sections = []
         values = [

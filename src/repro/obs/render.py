@@ -1,13 +1,16 @@
 """Plain-text rendering of tables and figures.
 
 The benchmark harness prints each experiment in the same shape the paper
-reports it: tables as aligned columns, figures as sampled series or bar
-groups.  Everything is plain text so results land in CI logs verbatim.
+reports it: tables as aligned columns, figures as sampled series.
+Everything is plain text so results land in CI logs verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.registry import Series
 
 
 def speedup(baseline: float, improved: float) -> float:
@@ -51,7 +54,7 @@ def render_table(
 
 
 def render_figure(
-    series: dict[str, list[tuple[float, float]]],
+    series: dict[str, "Series"],
     title: str = "",
     samples: int = 12,
 ) -> str:
@@ -60,25 +63,16 @@ def render_figure(
     A text-mode stand-in for a line plot: enough to see who advances and
     whether anyone lags (Fig. 11's question).
     """
-    all_times = sorted({t for pts in series.values() for t, __ in pts})
+    all_times = sorted({t for s in series.values() for t, __ in s.points})
     if not all_times:
         return title
     stride = max(1, len(all_times) // samples)
     sampled = all_times[::stride]
     if sampled[-1] != all_times[-1]:
         sampled.append(all_times[-1])
-
-    def value_at(points, t):
-        value = points[0][1] if points else 0.0
-        for pt, v in points:
-            if pt > t:
-                break
-            value = v
-        return value
-
     headers = ["time(s)"] + list(series)
     rows = [
-        [f"{t:.2f}"] + [value_at(series[name], t) for name in series]
+        [f"{t:.2f}"] + [series[name].value_at(t) for name in series]
         for t in sampled
     ]
     return render_table(headers, rows, title=title)

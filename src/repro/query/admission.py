@@ -60,10 +60,6 @@ class Waiter:
 class AdmissionController:
     """Bounded concurrency with a FIFO wait queue."""
 
-    admitted = obs.view("_admitted")
-    rejected = obs.view("_rejected")
-    timeouts = obs.view("_timeouts")
-
     def __init__(
         self,
         limit: Optional[int] = None,
@@ -78,11 +74,18 @@ class AdmissionController:
         self._active = 0
         self._active_by_service: dict[str, int] = {}
         self._waiters: deque[Waiter] = deque()
-        self._admitted = obs.counter("query.admission.admitted")
-        self._rejected = obs.counter("query.admission.rejected")
-        self._timeouts = obs.counter("query.admission.timeouts")
-        self._active_gauge = obs.gauge("query.admission.active")
-        self._queue_gauge = obs.gauge("query.admission.queue_depth")
+        self.admitted = 0
+        self.rejected = 0
+        self.timeouts = 0
+        obs.bind(self, {
+            "admitted": "query.admission.admitted",
+            "rejected": "query.admission.rejected",
+            "timeouts": "query.admission.timeouts",
+        })
+        obs.bind(self, {
+            "active": "query.admission.active",
+            "queue_depth": "query.admission.queue_depth",
+        }, "gauge")
         self._wait_seconds = obs.histogram("query.admission.wait_seconds")
 
     # ------------------------------------------------------------------
@@ -114,7 +117,7 @@ class AdmissionController:
             w.ready() for w in self._waiters if not w.cancelled
         )
         if blocked or not self._admissible(service_name):
-            self._rejected.inc()
+            self.rejected += 1
             return False
         self._grant_slot(service_name, waited=0.0)
         return True
@@ -139,12 +142,11 @@ class AdmissionController:
             self.queue_limit is not None
             and len(self._waiters) >= self.queue_limit
         ):
-            self._rejected.inc()
+            self.rejected += 1
             raise PoolExhaustedError(
                 f"admission queue full ({self.queue_limit} waiting)"
             )
         self._waiters.append(waiter)
-        self._queue_gauge.set(len(self._waiters))
         self._drain()
         return waiter
 
@@ -161,7 +163,6 @@ class AdmissionController:
             self._active_by_service[service_name] = count
         else:
             self._active_by_service.pop(service_name, None)
-        self._active_gauge.set(self._active)
         self._drain()
 
     # ------------------------------------------------------------------
@@ -176,14 +177,13 @@ class AdmissionController:
                 continue
             if waiter.expired(now):
                 expired += 1
-                self._timeouts.inc()
+                self.timeouts += 1
                 self._wait_seconds.observe(now - waiter.enqueued_at)
                 if waiter.on_timeout is not None:
                     waiter.on_timeout()
             else:
                 kept.append(waiter)
         self._waiters = kept
-        self._queue_gauge.set(len(self._waiters))
         return expired
 
     def _grant_slot(self, service_name: str, waited: float) -> None:
@@ -191,8 +191,7 @@ class AdmissionController:
         self._active_by_service[service_name] = (
             self.active_for(service_name) + 1
         )
-        self._admitted.inc()
-        self._active_gauge.set(self._active)
+        self.admitted += 1
         self._wait_seconds.observe(waited)
 
     def pump(self) -> None:
@@ -224,4 +223,3 @@ class AdmissionController:
             else:
                 remaining.append(waiter)
         self._waiters = remaining
-        self._queue_gauge.set(len(self._waiters))

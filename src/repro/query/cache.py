@@ -42,12 +42,6 @@ CacheKey = Hashable
 class ResultCache(InvalidationListener):
     """LRU result cache with object-granular invalidation."""
 
-    hits = obs.view("_hits")
-    misses = obs.view("_misses")
-    stores = obs.view("_stores")
-    stale_stores = obs.view("_stale_stores")
-    invalidation_evictions = obs.view("_invalidation_evictions")
-
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
@@ -59,16 +53,25 @@ class ResultCache(InvalidationListener):
         self._by_object: dict[ObjectId, set[CacheKey]] = {}
         self._epochs: dict[ObjectId, int] = {}
         self._global_epoch = 0
-        self._hits = obs.counter("query.cache.hits")
-        self._misses = obs.counter("query.cache.misses")
-        self._stores = obs.counter("query.cache.stores")
-        self._stale_stores = obs.counter("query.cache.stale_stores")
-        self._invalidation_evictions = obs.counter(
-            "query.cache.invalidation_evictions"
-        )
-        self._entries_gauge = obs.gauge("query.cache.entries")
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.stale_stores = 0
+        self.invalidation_evictions = 0
+        obs.bind(self, {
+            "hits": "query.cache.hits",
+            "misses": "query.cache.misses",
+            "stores": "query.cache.stores",
+            "stale_stores": "query.cache.stale_stores",
+            "invalidation_evictions": "query.cache.invalidation_evictions",
+        })
+        obs.bind(self, {"entries": "query.cache.entries"}, "gauge")
 
     def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def entries(self) -> int:
         return len(self._entries)
 
     # ------------------------------------------------------------------
@@ -101,10 +104,10 @@ class ResultCache(InvalidationListener):
         cost -- the original scan's cost stays on the stored entry."""
         entry = self._entries.get(key)
         if entry is None:
-            self._misses.inc()
+            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self._hits.inc()
+        self.hits += 1
         result, __ = entry
         return ScanResult(
             rows=list(result.rows),
@@ -122,7 +125,7 @@ class ResultCache(InvalidationListener):
         invalidated since ``epochs`` were captured at submit time."""
         object_ids = frozenset(object_ids)
         if epochs is not None and epochs != self.snapshot_epochs(object_ids):
-            self._stale_stores.inc()
+            self.stale_stores += 1
             return False
         if key in self._entries:
             self._drop(key)
@@ -132,8 +135,7 @@ class ResultCache(InvalidationListener):
         self._entries[key] = (result, object_ids)
         for oid in object_ids:
             self._by_object.setdefault(oid, set()).add(key)
-        self._stores.inc()
-        self._entries_gauge.set(len(self._entries))
+        self.stores += 1
         return True
 
     def _drop(self, key: CacheKey) -> None:
@@ -144,20 +146,18 @@ class ResultCache(InvalidationListener):
                 keys.discard(key)
                 if not keys:
                     del self._by_object[oid]
-        self._entries_gauge.set(len(self._entries))
 
     def _evict_object(self, object_id: ObjectId) -> None:
         self._epochs[object_id] = self._epochs.get(object_id, 0) + 1
         for key in list(self._by_object.get(object_id, ())):
             self._drop(key)
-            self._invalidation_evictions.inc()
+            self.invalidation_evictions += 1
 
     def clear(self) -> None:
         self._global_epoch += 1
-        self._invalidation_evictions.inc(len(self._entries))
+        self.invalidation_evictions += len(self._entries)
         self._entries.clear()
         self._by_object.clear()
-        self._entries_gauge.set(0)
 
     # ------------------------------------------------------------------
     # InvalidationListener (called during flush, before publication)

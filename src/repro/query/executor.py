@@ -117,9 +117,6 @@ class QueryWorkerPool:
     scheduler-actor workers on the virtual clock -- deterministic,
     chaos-injectable, modelling multicore speedup in simulated cost."""
 
-    queries_submitted = obs.view("_queries")
-    morsels_dispatched = obs.view("_morsels")
-
     def __init__(
         self,
         sched: Scheduler,
@@ -131,9 +128,13 @@ class QueryWorkerPool:
             raise ValueError("query pool needs at least one worker")
         self.sched = sched
         self._queue: deque[tuple[PendingQuery, int]] = deque()
-        self._queries = obs.counter("query.pool.queries")
-        self._morsels = obs.counter("query.pool.morsels")
-        self._queue_depth = obs.gauge("query.pool.queue_depth")
+        self.queries_submitted = 0
+        self.morsels_dispatched = 0
+        obs.bind(self, {
+            "queries_submitted": "query.pool.queries",
+            "morsels_dispatched": "query.pool.morsels",
+        })
+        obs.bind(self, {"queue_depth": "query.pool.queue_depth"}, "gauge")
         self._query_seconds = obs.histogram("query.pool.query_seconds")
         self._chaos = sites.declare("query.pool", owner=self)
         self.workers = [
@@ -147,11 +148,10 @@ class QueryWorkerPool:
     def submit(self, morsels: list[ScanMorsel]) -> PendingQuery:
         """Enqueue a planned scan; workers are woken immediately."""
         pending = PendingQuery(morsels, self.sched.now)
-        self._queries.inc()
+        self.queries_submitted += 1
         if morsels:
             for index in range(len(morsels)):
                 self._queue.append((pending, index))
-            self._queue_depth.set(len(self._queue))
             for worker in self.workers:
                 self.sched.kick(worker)
         else:
@@ -167,13 +167,11 @@ class QueryWorkerPool:
         if not self._queue:
             return None
         item = self._queue.popleft()
-        self._morsels.inc()
-        self._queue_depth.set(len(self._queue))
+        self.morsels_dispatched += 1
         return item
 
     def _requeue(self, item: tuple[PendingQuery, int]) -> None:
         self._queue.appendleft(item)
-        self._queue_depth.set(len(self._queue))
 
     def _on_morsel_done(self, pending: PendingQuery) -> None:
         if pending.done:

@@ -58,8 +58,6 @@ class QueryHandle:
 class QueryService:
     """The standby's query-serving front end."""
 
-    submitted = obs.view("_submitted")
-
     def __init__(
         self,
         standby,
@@ -82,7 +80,8 @@ class QueryService:
         )
         if self.cache is not None and standby.dbim_enabled:
             standby.flush.add_invalidation_listener(self.cache)
-        self._submitted = obs.counter("query.service.submitted")
+        self.submitted = 0
+        obs.bind(self, {"submitted": "query.service.submitted"})
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -106,7 +105,7 @@ class QueryService:
         partitions: Optional[list[str]] = None,
     ) -> QueryHandle:
         """Plan + dispatch one scan at the published QuerySCN."""
-        self._submitted.inc()
+        self.submitted += 1
         scn = self.standby.query_scn.value
         now = self.sched.now
         key = (scn, table_name, self._fingerprint(

@@ -71,8 +71,6 @@ class StandbySatellite:
     its IMCS, population engine and locally-published QuerySCN.
     """
 
-    groups_received = obs.view("_groups_received")
-
     def __init__(
         self,
         instance_id: InstanceId,
@@ -100,8 +98,10 @@ class StandbySatellite:
             dba_filter=self._is_homed_here,
         )
         self.scan_engine = ScanEngine(self.imcs, master.txn_table)
-        self._groups_received = obs.counter(
-            "rac.satellite.groups_received", instance=instance_id
+        self.groups_received = 0
+        obs.bind(
+            self, {"groups_received": "rac.satellite.groups_received"},
+            instance=instance_id,
         )
         #: Batch sequences already accepted -- duplicated interconnect
         #: messages are re-acked but never re-staged.
@@ -162,7 +162,7 @@ class StandbySatellite:
         """Flush staged invalidation groups to this instance's SMUs."""
         for batch in self._staged:
             self.imcs.invalidate_groups(batch.groups)
-            self._groups_received.inc(len(batch.groups))
+            self.groups_received += len(batch.groups)
             for tenant, scn in batch.coarse_tenants:
                 self.imcs.invalidate_tenant(tenant, scn)
         self._staged.clear()
@@ -190,9 +190,6 @@ class RemoteInvalidationRouter:
     the interconnect in batched, pipelined messages; ``drained`` gates the
     master's QuerySCN publication on the satellites' acknowledgements."""
 
-    groups_routed_local = obs.view("_groups_routed_local")
-    groups_routed_remote = obs.view("_groups_routed_remote")
-
     def __init__(
         self,
         master_store: InMemoryColumnStore,
@@ -211,12 +208,12 @@ class RemoteInvalidationRouter:
         #: sequence keeps duplicated messages/acks idempotent.
         self._outstanding_acks: set[int] = set()
         self._sequence = 0
-        self._groups_routed_local = obs.counter(
-            "rac.router.groups_routed_local"
-        )
-        self._groups_routed_remote = obs.counter(
-            "rac.router.groups_routed_remote"
-        )
+        self.groups_routed_local = 0
+        self.groups_routed_remote = 0
+        obs.bind(self, {
+            "groups_routed_local": "rac.router.groups_routed_local",
+            "groups_routed_remote": "rac.router.groups_routed_remote",
+        })
 
     # -- router interface (used by InvalidationFlushComponent) -----------
     def route(
@@ -234,10 +231,10 @@ class RemoteInvalidationRouter:
             for instance, sub in self._split_by_home(op).items():
                 if instance == self.master_instance_id:
                     local.append(sub)
-                    self._groups_routed_local.inc()
+                    self.groups_routed_local += 1
                 else:
                     self._buffer(instance).groups.append(sub)
-                    self._groups_routed_remote.inc()
+                    self.groups_routed_remote += 1
                     self._maybe_flush_buffer(instance)
         self.master_store.invalidate_groups(local)
 

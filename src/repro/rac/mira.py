@@ -81,8 +81,6 @@ class _FilteredDistributor(ApplyDistributor):
     owns none of a create-table marker still learns the table.
     """
 
-    cvs_skipped = obs.view("_cvs_skipped")
-
     def __init__(
         self,
         n_workers: int,
@@ -91,7 +89,8 @@ class _FilteredDistributor(ApplyDistributor):
     ) -> None:
         super().__init__(n_workers, applier)
         self._owns = owns
-        self._cvs_skipped = obs.counter("rac.mira.cvs_skipped")
+        self.cvs_skipped = 0
+        obs.bind(self, {"cvs_skipped": "rac.mira.cvs_skipped"})
 
     def _distribute_batch(self, batch: CVBatch) -> int:
         owned = np.fromiter(
@@ -102,7 +101,7 @@ class _FilteredDistributor(ApplyDistributor):
         positions = np.nonzero(owned)[0]
         skipped = batch.n_cvs - positions.size
         if skipped:
-            self._cvs_skipped.inc(skipped)
+            self.cvs_skipped += skipped
         return self._enqueue(batch, positions)
 
 
@@ -227,10 +226,6 @@ class _Advancement:
 class MIRACoordinator(Actor):
     """The global coordinator: cluster consistency point + flush + publish."""
 
-    advancements = obs.view("_advancements")
-    nodes_flushed = obs.view("_nodes_flushed")
-    cross_instance_gathers = obs.view("_cross_instance_gathers")
-
     def __init__(
         self,
         cluster: "MIRAStandbyCluster",
@@ -245,11 +240,14 @@ class MIRACoordinator(Actor):
         self._advancing: Optional[_Advancement] = None
         self._last_check = -1.0
         self._obs = obs.current()
-        self._advancements = obs.counter("rac.mira.advancements")
-        self._nodes_flushed = obs.counter("rac.mira.nodes_flushed")
-        self._cross_instance_gathers = obs.counter(
-            "rac.mira.cross_instance_gathers"
-        )
+        self.advancements = 0
+        self.nodes_flushed = 0
+        self.cross_instance_gathers = 0
+        obs.bind(self, {
+            "advancements": "rac.mira.advancements",
+            "nodes_flushed": "rac.mira.nodes_flushed",
+            "cross_instance_gathers": "rac.mira.cross_instance_gathers",
+        })
 
     # ------------------------------------------------------------------
     def step(self, sched: Scheduler) -> Optional[float]:
@@ -287,7 +285,7 @@ class MIRACoordinator(Actor):
         self._flush_nodes(nodes)
         flushed = len(nodes)
         advancement.position += flushed
-        self._nodes_flushed.inc(flushed)
+        self.nodes_flushed += flushed
         cost += 1e-6 * max(flushed, 1)
         if advancement.position < len(advancement.worklink):
             return cost
@@ -311,7 +309,7 @@ class MIRACoordinator(Actor):
         finally:
             for instance in acquired:
                 instance.quiesce_lock.release_exclusive(self)
-        self._advancements.inc()
+        self.advancements += 1
         self._advancing = None
         return cost + 2e-6
 
@@ -351,7 +349,7 @@ class MIRACoordinator(Actor):
                 gathered_remote = True
             chunks.extend(mined)
         if gathered_remote:
-            self._cross_instance_gathers.inc()
+            self.cross_instance_gathers += 1
         return chunks
 
     def _process_ddl(self, target: SCN) -> None:

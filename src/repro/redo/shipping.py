@@ -34,15 +34,6 @@ from repro.sim.scheduler import Actor, Scheduler
 class RedoReceiver:
     """Standby-side landing zone: one inbound queue per redo thread."""
 
-    #: Archive gaps detected and FAL-healed.
-    gaps_resolved = obs.view("_gaps_resolved")
-    gap_records_fetched = obs.view("_gap_records_fetched")
-    #: Already-received records discarded on redelivery (duplicated or
-    #: reordered shipments; redo application must stay exactly-once).
-    duplicates_discarded = obs.view("_duplicates_discarded")
-    #: Whole batches dropped by an installed chaos fault.
-    batches_dropped = obs.view("_batches_dropped")
-
     def __init__(self, fal_fetch=None) -> None:
         #: Per-thread landing queues of CVBatches (FAL-healed redo lands
         #: as batches too).
@@ -58,14 +49,20 @@ class RedoReceiver:
         #: positions [lo, hi) from the primary's archived logs.
         self.fal_fetch = fal_fetch
         self._obs = obs.current()
-        self._gaps_resolved = obs.counter("redo.receiver.gaps_resolved")
-        self._gap_records_fetched = obs.counter(
-            "redo.receiver.gap_records_fetched"
-        )
-        self._duplicates_discarded = obs.counter(
-            "redo.receiver.duplicates_discarded"
-        )
-        self._batches_dropped = obs.counter("redo.receiver.batches_dropped")
+        #: Archive gaps detected and FAL-healed.
+        self.gaps_resolved = 0
+        self.gap_records_fetched = 0
+        #: Already-received records discarded on redelivery (duplicated or
+        #: reordered shipments; redo application must stay exactly-once).
+        self.duplicates_discarded = 0
+        #: Whole batches dropped by an installed chaos fault.
+        self.batches_dropped = 0
+        obs.bind(self, {
+            "gaps_resolved": "redo.receiver.gaps_resolved",
+            "gap_records_fetched": "redo.receiver.gap_records_fetched",
+            "duplicates_discarded": "redo.receiver.duplicates_discarded",
+            "batches_dropped": "redo.receiver.batches_dropped",
+        })
         self._chaos = sites.declare("redo.receive", owner=self)
 
     def register_thread(self, thread: InstanceId) -> None:
@@ -103,7 +100,7 @@ class RedoReceiver:
                 count=count,
             )
             if decision.action is sites.Action.DROP:
-                self._batches_dropped.inc()
+                self.batches_dropped += 1
                 return
         if position is not None:
             if count:
@@ -123,7 +120,7 @@ class RedoReceiver:
                 # redelivery (duplicated or reordered shipment): the
                 # prefix up to the watermark already landed -- discard it
                 already = min(expected - position, count)
-                self._duplicates_discarded.inc(already)
+                self.duplicates_discarded += already
                 batch = batch.slice_records(already, count)
                 count -= already
                 position = expected
@@ -162,8 +159,8 @@ class RedoReceiver:
             self.register_thread(fetched.thread)
         self._land(fetched)
         self.records_landed[thread] += hi - lo
-        self._gaps_resolved.inc()
-        self._gap_records_fetched.inc(hi - lo)
+        self.gaps_resolved += 1
+        self.gap_records_fetched += hi - lo
 
     @property
     def threads(self) -> list[InstanceId]:
@@ -192,9 +189,6 @@ class LogShipper(Actor):
     #: Simulated CPU seconds per shipped record (marshalling overhead).
     COST_PER_RECORD = 2e-6
 
-    #: Records lost in transit by an installed chaos fault.
-    records_dropped = obs.view("_records_dropped")
-
     def __init__(
         self,
         log: RedoLog,
@@ -216,8 +210,11 @@ class LogShipper(Actor):
         self.node = node
         self.name = name or f"shipper-t{log.thread}"
         self._obs = obs.current()
-        self._records_dropped = obs.counter(
-            "redo.shipper.records_dropped", thread=log.thread
+        #: Records lost in transit by an installed chaos fault.
+        self.records_dropped = 0
+        obs.bind(
+            self, {"records_dropped": "redo.shipper.records_dropped"},
+            thread=log.thread,
         )
         self._chaos = sites.declare("redo.ship", owner=self)
         for dest, receiver in receivers.items():
@@ -276,7 +273,7 @@ class LogShipper(Actor):
                 if decision.action is sites.Action.DROP:
                     # this copy is lost in transit: the reader advanced,
                     # creating an archive gap its receiver will FAL-heal
-                    self._records_dropped.inc(count)
+                    self.records_dropped += count
                     continue
                 if decision.action is sites.Action.DELAY:
                     latency += decision.delay

@@ -31,7 +31,7 @@ from repro.common.ids import InstanceId
 from repro.db.deployment import Deployment, InMemoryService
 from repro.db.schema_def import ColumnDef, PartitionScheme, TableDef
 from repro.imcs.scan import Predicate
-from repro.metrics.stats import LatencySeries, TimeSeries
+from repro.obs import Histogram, Series
 from repro.rowstore.table import RowLockConflictError
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -244,8 +244,8 @@ class QueryDriver(Actor):
         self.rng = random.Random(config.seed + 1000)
         self.name = name
         self.node = None  # charged manually to the target's node
-        self.q1 = LatencySeries("Q1")
-        self.q2 = LatencySeries("Q2")
+        self.q1 = Histogram("Q1")
+        self.q2 = Histogram("Q2")
         self.query_service = query_service
         self.cache_hits = 0
         self._pending = None  # (handle, series) while a scan is in flight
@@ -280,10 +280,10 @@ class QueryDriver(Actor):
             )
             series = self.q2
         latency = result.stats.cost_seconds
-        series.record(latency)
+        series.observe(latency)
         return latency
 
-    def _next_query(self) -> tuple[list[Predicate], LatencySeries]:
+    def _next_query(self) -> tuple[list[Predicate], Histogram]:
         if self.rng.random() < 0.5:
             value = float(self.rng.randrange(0, 10_000))
             return [Predicate.eq("n1", value)], self.q1
@@ -310,7 +310,7 @@ class QueryDriver(Actor):
                 latency = handle.result.stats.cost_seconds
             else:
                 latency = sched.now - handle.submit_time
-            series.record(latency)
+            series.observe(latency)
             return max(0.0, 1.0 / self.scans_per_sec - latency) or 1e-5
         predicates, series = self._next_query()
         handle = self.query_service.submit(
@@ -330,10 +330,12 @@ class MetricsSampler(Actor):  # type: ignore[misc]
     node: Optional[object] = None
     speed: float = 1.0
     idle_backoff: float = 0.001
-    primary_log_series: dict[InstanceId, TimeSeries] = field(default_factory=dict)
-    standby_applied: TimeSeries = field(default_factory=lambda: TimeSeries("std_applied"))
-    query_scn: TimeSeries = field(default_factory=lambda: TimeSeries("query_scn"))
-    cpu_busy: dict[str, TimeSeries] = field(default_factory=dict)
+    primary_log_series: dict[InstanceId, Series] = field(default_factory=dict)
+    standby_applied: Series = field(
+        default_factory=lambda: Series("std_applied")
+    )
+    query_scn: Series = field(default_factory=lambda: Series("query_scn"))
+    cpu_busy: dict[str, Series] = field(default_factory=dict)
 
     def step(self, sched: Scheduler) -> Optional[float]:
         deployment = self.deployment
@@ -341,7 +343,7 @@ class MetricsSampler(Actor):  # type: ignore[misc]
         for instance in deployment.primary.instances:
             series = self.primary_log_series.setdefault(
                 instance.instance_id,
-                TimeSeries(f"pri_log{instance.instance_id}"),
+                Series(f"pri_log{instance.instance_id}"),
             )
             series.record(now, instance.redo_log.last_scn)
         self.standby_applied.record(now, deployment.standby.applied_through_scn)
@@ -349,7 +351,7 @@ class MetricsSampler(Actor):  # type: ignore[misc]
         nodes = [i.node for i in deployment.primary.instances]
         nodes.append(deployment.standby.node)
         for node in nodes:
-            series = self.cpu_busy.setdefault(node.name, TimeSeries(node.name))
+            series = self.cpu_busy.setdefault(node.name, Series(node.name))
             series.record(now, node.busy_seconds)
         return self.interval
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro import obs
 from repro.cdc import BACKFILL, LIVE, UPSERT, CollectingSubscriber
 from repro.chaos import sites
 
@@ -14,7 +15,8 @@ from tests.cdc.test_egress import (
 
 class TestChunkedBackfill:
     def test_preexisting_rows_arrive_via_chunks(self):
-        deployment, egress, replica, __ = build_cdc_deployment(n=40)
+        with obs.collecting(obs.MetricsRegistry()):
+            deployment, egress, replica, __ = build_cdc_deployment(n=40)
         events = CollectingSubscriber()
         deployment.cdc.subscribe(events, name="collector")
         drain(deployment, egress)

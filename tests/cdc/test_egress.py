@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.cdc import (
     BACKFILL,
     DELETE,
@@ -208,7 +209,7 @@ class TestSubscriberDelivery:
 
     def test_chaos_delay_parks_one_subscriber(self):
         registry = sites.SiteRegistry()
-        with sites.recording(registry):
+        with sites.recording(registry), obs.collecting(obs.MetricsRegistry()):
             deployment, egress, replica, rowids = build_cdc_deployment(n=20)
 
         class DelayOnce:

@@ -4,7 +4,7 @@ from repro.chaos.harness import ChaosHarness, ScenarioReport, run_scenario
 from repro.chaos.invariants import InvariantResult
 from repro.chaos.plan import ChaosEvent
 from repro.chaos.scenarios import get_scenario
-from repro.metrics import TimeSeries
+from repro.obs import Series
 
 
 def make_report(passed=True, fired=2):
@@ -13,7 +13,7 @@ def make_report(passed=True, fired=2):
         ChaosEvent(0.6 + i / 10, "fire", f"Drop -> drop at redo.ship[ship]")
         for i in range(fired)
     ]
-    lag = TimeSeries("lag")
+    lag = Series("lag")
     lag.record(0.0, 0.0)
     lag.record(0.5, 40.0)
     lag.record(1.0, 3.0)

@@ -47,8 +47,8 @@ class TestScenarioBehaviour:
     def test_shipping_outage_lag_grows_then_recovers(self):
         report = run_scenario(get_scenario("shipping_outage"), seed=7)
         assert report.passed, report.to_text()
-        peak = max(report.lag.values)
-        final = report.lag.values[-1]
+        peak = max(v for __, v in report.lag.points)
+        final = report.lag.last_value
         assert peak > 20  # redo backed up during the outage
         assert final < peak  # and drained after the restart
 

@@ -1,5 +1,5 @@
-"""IMCSConfig rejects values that used to misbehave silently, and the
-settings and classes PRs 22 and 23 removed are refused rather than
+"""IMCSConfig and ApplyConfig reject values that used to misbehave
+silently, and removed settings and classes are refused rather than
 ignored."""
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from repro.query import QueryWorkerPool
 from repro.sim import Scheduler
 
 
-def rejects(field: str, value) -> None:
-    with pytest.raises(ValueError, match=field):
-        IMCSConfig(**{field: value})
+def rejects(field: str, value, config=IMCSConfig) -> None:
+    with pytest.raises(ValueError, match=f"{config.__name__}.{field}"):
+        config(**{field: value})
 
 
 def test_defaults_and_boundary_values_are_accepted():
@@ -54,6 +54,41 @@ def test_repopulate_min_interval_is_non_negative():
 
 def test_populate_cost_per_row_is_non_negative():
     rejects("populate_cost_per_row", -1e-6)
+
+
+def test_apply_defaults_and_boundary_values_are_accepted():
+    ApplyConfig()
+    ApplyConfig(
+        n_workers=1, worker_batch=1, cooperative_flush_batch=1,
+        coordinator_flush_batch=1, coordinator_interval=0.0,
+        apply_cost_per_cv=0.0,
+    )
+
+
+def test_apply_n_workers_must_be_positive():
+    # 0 used to fail late, inside the apply distributor
+    rejects("n_workers", 0, ApplyConfig)
+
+
+def test_apply_worker_batch_must_be_positive():
+    # 0 used to build a standby that never applied a change vector
+    rejects("worker_batch", 0, ApplyConfig)
+
+
+def test_apply_cooperative_flush_batch_must_be_positive():
+    rejects("cooperative_flush_batch", 0, ApplyConfig)
+
+
+def test_apply_coordinator_flush_batch_must_be_positive():
+    rejects("coordinator_flush_batch", 0, ApplyConfig)
+
+
+def test_apply_coordinator_interval_is_non_negative():
+    rejects("coordinator_interval", -0.01, ApplyConfig)
+
+
+def test_apply_cost_per_cv_is_non_negative():
+    rejects("apply_cost_per_cv", -1e-6, ApplyConfig)
 
 
 @pytest.mark.parametrize(

@@ -180,10 +180,12 @@ class TestQueryServices:
             assert len(handle.result.rows) == 20
 
     def test_lag_sampler_records_per_member_series(self, fleet):
+        from repro import obs
         from repro.obs.fleet import FleetLagSampler
 
         deployment, __ = fleet
-        sampler = FleetLagSampler(deployment, interval=0.01)
+        with obs.collecting(obs.MetricsRegistry()):
+            sampler = FleetLagSampler(deployment, interval=0.01)
         deployment.sched.add_actor(sampler)
         load_fleet(deployment, n=10, start=7000)
         deployment.catch_up()

@@ -1,15 +1,16 @@
-"""Tests for metrics statistics and rendering."""
+"""Tests for the obs statistics (percentiles, histograms, series) and the
+plain-text rendering the benchmarks print."""
 
 import pytest
 
-from repro.metrics import (
-    LatencySeries,
-    TimeSeries,
-    percentile,
-    render_figure,
-    render_table,
-    speedup,
-)
+from repro.obs import Histogram, Series
+from repro.obs import registry as registry_module
+from repro.obs.registry import _percentile_of_sorted
+from repro.obs.render import render_figure, render_table, speedup
+
+
+def percentile(values, q):
+    return _percentile_of_sorted(sorted(values), q)
 
 
 class TestPercentile:
@@ -34,62 +35,44 @@ class TestPercentile:
             percentile([1], 120)
 
 
-class TestLatencySeries:
+class TestHistogram:
     def test_summary_triple(self):
-        series = LatencySeries("Q1")
+        hist = Histogram("Q1")
         for v in [1.0, 2.0, 3.0, 4.0, 100.0]:
-            series.record(v)
-        summary = series.summary()
-        assert summary["median"] == 3.0
-        assert summary["average"] == 22.0
-        assert summary["p95"] > 4.0
+            hist.observe(v)
+        stats = hist.stats()
+        assert stats["p50"] == 3.0
+        assert stats["mean"] == 22.0
+        assert stats["p95"] > 4.0
 
-    def test_summary_sorts_once_not_per_percentile(self):
-        series = LatencySeries("Q1")
+    def test_summary_sorts_once_not_per_percentile(self, monkeypatch):
+        hist = Histogram("Q1")
         for v in [5.0, 1.0, 3.0]:
-            series.record(v)
+            hist.observe(v)
         sort_calls = 0
-        original = series._ordered
 
-        def counting():
+        def counting(values):
             nonlocal sort_calls
-            if series._sorted is None:
-                sort_calls += 1
-            return original()
+            sort_calls += 1
+            return sorted(values)
 
-        series._ordered = counting
-        series.summary()
-        assert sort_calls == 1  # median and p95 shared one sorted copy
-
-    def test_empty_series_is_uniform_across_accessors(self):
-        """Regression: ``average`` used to leak a bare ZeroDivisionError
-        on an empty series while the percentile accessors raised
-        ValueError('no values') -- one uniform error now."""
-        series = LatencySeries("Q1")
-        for accessor in ("median", "average", "p95"):
-            with pytest.raises(ValueError, match="no values"):
-                getattr(series, accessor)
-
-    def test_empty_series_summary_is_nan_triple(self):
-        import math
-
-        summary = LatencySeries("Q1").summary()
-        assert set(summary) == {"median", "average", "p95"}
-        assert all(math.isnan(v) for v in summary.values())
+        monkeypatch.setattr(registry_module, "sorted", counting, raising=False)
+        hist.stats()
+        assert sort_calls == 1  # p50, p95 and p99 shared one sorted copy
 
     def test_record_invalidates_the_sorted_cache(self):
-        series = LatencySeries("Q1")
-        series.record(10.0)
-        series.record(20.0)
-        assert series.median == 15.0  # builds the cache
-        series.record(0.0)  # must invalidate it
-        assert series.median == 10.0
-        assert series.p95 == pytest.approx(19.0)
+        hist = Histogram("Q1")
+        hist.observe(10.0)
+        hist.observe(20.0)
+        assert hist.stats()["p50"] == 15.0
+        hist.observe(0.0)  # a later read must see it
+        assert hist.stats()["p50"] == 10.0
+        assert hist.stats()["p95"] == pytest.approx(19.0)
 
 
-class TestTimeSeries:
+class TestSeries:
     def test_value_at_steps(self):
-        series = TimeSeries("scn")
+        series = Series("scn")
         series.record(0.0, 10)
         series.record(1.0, 20)
         series.record(2.0, 30)
@@ -97,24 +80,12 @@ class TestTimeSeries:
         assert series.value_at(1.0) == 20
         assert series.value_at(99.0) == 30
 
-    def test_max_gap_to(self):
-        primary = TimeSeries("pri")
-        standby = TimeSeries("std")
-        for t, v in [(0, 0), (1, 100), (2, 200)]:
-            primary.record(t, v)
-        for t, v in [(0, 0), (1, 90), (2, 195)]:
-            standby.record(t, v)
-        assert primary.max_gap_to(standby) == 10
 
-    def test_empty_value_at_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().value_at(1.0)
-
-    def test_empty_max_gap_to_raises_with_message(self):
-        other = TimeSeries("other")
-        other.record(0.0, 1.0)
-        with pytest.raises(ValueError, match="empty series"):
-            TimeSeries().max_gap_to(other)
+def _series(name, points):
+    series = Series(name)
+    for t, v in points:
+        series.record(t, v)
+    return series
 
 
 class TestRender:
@@ -137,8 +108,12 @@ class TestRender:
 
     def test_render_figure_samples_series(self):
         series = {
-            "pri_log1": [(float(t), t * 10.0) for t in range(100)],
-            "std_apply": [(float(t), t * 10.0 - 5) for t in range(100)],
+            "pri_log1": _series(
+                "pri_log1", [(float(t), t * 10.0) for t in range(100)]
+            ),
+            "std_apply": _series(
+                "std_apply", [(float(t), t * 10.0 - 5) for t in range(100)]
+            ),
         }
         text = render_figure(series, title="Fig 11", samples=5)
         assert "pri_log1" in text and "std_apply" in text

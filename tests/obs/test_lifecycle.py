@@ -200,3 +200,33 @@ class TestDeploymentIntegration:
         # pipeline counters landed in the same registry
         assert snapshot.total("dbim.commit_table.inserts") > 0
         assert snapshot.total("adg.queryscn.publications") > 0
+
+    def test_deployment_built_outside_collecting_grows_no_sample_list(
+        self, monkeypatch
+    ):
+        """Without a collecting registry every histogram and series a
+        component declares records nothing: the pipeline runs and keeps
+        only its plain counters."""
+        from repro.db import Deployment, InMemoryService
+        from repro.obs import Histogram, Series
+        from tests.db.conftest import load, simple_table_def, small_config
+
+        grown = []
+        monkeypatch.setattr(
+            Histogram, "observe", lambda self, v: grown.append(self.name)
+        )
+        monkeypatch.setattr(
+            Series, "record", lambda self, t, v: grown.append(self.name)
+        )
+        deployment = Deployment.build(config=small_config())
+        deployment.create_table(simple_table_def())
+        load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.BOTH)
+        load(deployment, n=20, start=100)  # mined: T is in-memory now
+        deployment.catch_up()
+
+        assert deployment.obs is None
+        standby = deployment.standby
+        assert standby.coordinator.advancements > 0
+        assert standby.miner.data_records_mined > 0
+        assert grown == []

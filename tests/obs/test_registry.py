@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
@@ -15,22 +14,39 @@ from repro.obs import (
 )
 
 
+class Component:
+    """A pipeline component in miniature: plain counters reset by
+    ``clear()``, declared once at construction."""
+
+    def __init__(self, **labels):
+        self.applied = 0
+        self.depth = 0
+        obs.bind(self, {"applied": "component.applied"}, **labels)
+        obs.bind(self, {"depth": "component.depth"}, "gauge", **labels)
+
+    def clear(self):
+        self.applied = 0
+
+
 class TestInstruments:
     def test_counter_inc_and_value_writable(self):
-        c = Counter("x")
+        c = Counter()
         c.inc()
         c.inc(4)
         assert c.value == 5
-        c.value = 0  # legacy clear() path
+        c.value = 0
         assert c.value == 0
         c.inc(-2)  # retry compensation decrements are allowed
         assert c.value == -2
 
     def test_gauge_last_write_wins(self):
-        g = Gauge("x")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
+        reg = MetricsRegistry()
+        with obs.collecting(reg):
+            comp = Component()
+        comp.depth = 3
+        comp.depth = 1.5
+        assert reg.get("component.depth").value == 1.5
+        assert reg.snapshot().get("component.depth")["kind"] == "gauge"
 
     def test_histogram_stats(self):
         h = Histogram("x")
@@ -61,9 +77,9 @@ class TestInstruments:
         assert s.last_value == 20
 
     def test_describe_renders_labels_sorted(self):
-        c = Counter("a.b", (("thread", "1"), ("worker", "2")))
-        assert c.describe() == "a.b{thread=1,worker=2}"
-        assert Counter("a.b").describe() == "a.b"
+        h = Histogram("a.b", (("thread", "1"), ("worker", "2")))
+        assert h.describe() == "a.b{thread=1,worker=2}"
+        assert Histogram("a.b").describe() == "a.b"
 
 
 class TestRegistry:
@@ -71,13 +87,15 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("redo.x", thread=1).inc(3)
         reg.counter("redo.x", thread=2).inc(4)
-        reg.gauge("redo.y").set(5)
+        with obs.collecting(reg):
+            comp = Component()
+        comp.depth = 5
         assert reg.get("redo.x", thread=1).value == 3
         assert reg.get("redo.x") is None
         assert len(reg.find("redo.x")) == 2
         assert reg.total("redo.x") == 7
-        assert reg.total("redo.y") == 5
-        assert len(reg) == 3
+        assert reg.total("component.depth") == 5
+        assert len(reg) == 4
 
     def test_duplicate_declaration_gets_auto_label(self):
         """Two components declaring the identical identity must not share
@@ -99,11 +117,21 @@ class TestRegistry:
         reg = MetricsRegistry()
         with obs.collecting(reg):
             inner = obs.counter("in.ctx")
+            hist = obs.histogram("in.hist")
         outer = obs.counter("out.ctx")
-        assert reg.get("in.ctx") is inner
+        outer_hist = obs.histogram("out.hist")
+        outer_series = obs.series("out.series")
+        for tally in (inner, outer):
+            tally.inc()
+        hist.observe(1.0)
+        outer_hist.observe(1.0)
+        outer_series.record(0.0, 1.0)
+        assert reg.get("in.ctx").value == 1
+        assert len(reg.get("in.hist")) == 1
         assert reg.get("out.ctx") is None
-        outer.inc()  # free-standing instruments still work
-        assert outer.value == 1
+        # outside a registry a declaration records nothing at all
+        for instrument in (outer, outer_hist, outer_series):
+            assert not isinstance(instrument, (Counter, Histogram, Series))
 
     def test_collecting_nests_innermost_wins(self):
         outer_reg, inner_reg = MetricsRegistry(), MetricsRegistry()
@@ -113,20 +141,28 @@ class TestRegistry:
             assert obs.current() is outer_reg
         assert obs.current() is None
 
-    def test_view_descriptor_read_write(self):
-        class Component:
-            stat = obs.view("_stat")
+    def test_bound_attribute_reads_live_including_after_clear(self):
+        reg = MetricsRegistry()
+        with obs.collecting(reg):
+            comp = Component(worker=3)
+        comp.applied += 2
+        before = reg.snapshot()
+        comp.applied += 5
+        assert before.get("component.applied", worker=3)["value"] == 2
+        assert reg.snapshot().get("component.applied", worker=3)["value"] == 7
+        comp.clear()
+        assert reg.snapshot().get("component.applied", worker=3)["value"] == 0
+        comp.applied += 1
+        assert reg.total("component.applied") == 1
 
-            def __init__(self):
-                self._stat = obs.counter("component.stat")
-
+    def test_bind_misconfiguration_fails_loudly(self):
+        reg = MetricsRegistry()
         comp = Component()
-        comp.stat += 1
-        comp.stat += 2
-        assert comp.stat == 3
-        assert comp._stat.value == 3
-        comp.stat = 0
-        assert comp._stat.value == 0
+        with pytest.raises(AttributeError):
+            reg.bind(comp, {"aplied": "component.applied"})
+        with pytest.raises(ValueError, match="counter or gauge"):
+            reg.bind(comp, {"applied": "component.applied"}, "histogram")
+        assert len(reg) == 0
 
     def test_tracer_of(self):
         reg = MetricsRegistry()
@@ -142,7 +178,8 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.counter("b.count", thread=2).inc(3)
         reg.counter("b.count", thread=1).inc(4)
-        reg.gauge("a.gauge").set(7)
+        self.gauge_owner = type("Owner", (), {"value": 7})()
+        reg.bind(self.gauge_owner, {"value": "a.gauge"}, "gauge")
         hist = reg.histogram("c.hist")
         hist.observe(1.0)
         hist.observe(3.0)
@@ -157,6 +194,7 @@ class TestSnapshot:
         assert names == sorted(names)
         kinds = {e["name"]: e["kind"] for e in snap.entries}
         assert kinds["a.gauge"] == "gauge"
+        assert kinds["b.count"] == "counter"
         assert kinds["c.hist"] == "histogram"
         assert kinds["d.series"] == "series"
 
@@ -172,8 +210,9 @@ class TestSnapshot:
     def test_snapshot_is_a_point_in_time_copy(self):
         reg = self._registry()
         snap = reg.snapshot()
-        reg.get("a.gauge").set(99)
+        self.gauge_owner.value = 99
         assert snap.get("a.gauge")["value"] == 7
+        assert reg.snapshot().get("a.gauge")["value"] == 99
 
     def test_json_roundtrip_and_determinism(self):
         reg = self._registry()

@@ -6,20 +6,31 @@ gap from its own ``MetricsSampler`` series.  The lifecycle tracer is
 supposed to reproduce the identical lag curve from instruments alone, so
 for *any* interleaving of generation and publication events the two
 computations must agree pointwise: the tracer's ``scn_gap_at`` /
-``worst_scn_gap`` against a reference built from the very same events
-with :class:`repro.metrics.stats.TimeSeries` step interpolation.
+``worst_scn_gap`` against a reference built from the very same events as
+plain point lists read by a linear step walk.  The same walk is the
+oracle for :meth:`repro.obs.Series.value_at`, which bisects.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.stats import TimeSeries
-from repro.obs import MetricsRegistry, RedoLifecycleTracer
+from repro.obs import MetricsRegistry, RedoLifecycleTracer, Series
 
 
 class Clock:
     def __init__(self):
         self.now = 0.0
+
+
+def ref_value(points, t):
+    """Step interpolation by a linear walk: the last value at or before
+    ``t``, 0 before the first point."""
+    value = 0.0
+    for point_t, point_value in points:
+        if point_t > t:
+            break
+        value = point_value
+    return value
 
 
 @st.composite
@@ -59,28 +70,19 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
 
     # reference (bench-side) bookkeeping, fed from the same events
     ref_generated = {}
-    ref_published = TimeSeries("published")
+    ref_published = []
     published_watermark = 0
 
     for kind, t, thread, scn in events:
         clock.now = t
         if kind == "generate":
             tracer.record_generated(thread, scn, 1)
-            ref_generated.setdefault(thread, TimeSeries(str(thread)))
-            ref_generated[thread].record(t, scn)
+            ref_generated.setdefault(thread, []).append((t, scn))
         else:
             tracer.record_published(scn)
             if scn > published_watermark:
                 published_watermark = scn
-                ref_published.record(t, scn)
-
-    def ref_value(series, t):
-        value = 0.0
-        for point_t, point_value in series.points:
-            if point_t > t:
-                break
-            value = point_value
-        return value
+                ref_published.append((t, scn))
 
     # pointwise agreement at every event time (and between events)
     sample_times = sorted(
@@ -101,8 +103,8 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
 
     # worst gap agreement: max over generation sample times
     expected_worst = 0.0
-    for series in ref_generated.values():
-        for t, generated in series.points:
+    for points in ref_generated.values():
+        for t, generated in points:
             expected_worst = max(
                 expected_worst, generated - ref_value(ref_published, t)
             )
@@ -111,3 +113,27 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
     # the published series never regresses
     values = [v for __, v in tracer.published_series.points]
     assert values == sorted(values)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=-50, max_value=50),
+        ),
+        max_size=30,
+    ),
+    st.lists(st.floats(min_value=-1.0, max_value=100.0), max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_series_value_at_equals_a_linear_step_walk(steps, queries):
+    """Points arrive in time order (equal times allowed: the later one
+    wins); every read, including before the first point, between points
+    and exactly on one, matches the walk."""
+    series = Series("s")
+    t = 0.0
+    for dt, value in steps:
+        t += dt / 2  # 0 repeats the previous time
+        series.record(t, value)
+    for q in queries + [t for t, __ in series.points]:
+        assert series.value_at(q) == ref_value(series.points, q)

@@ -72,6 +72,32 @@ def expected_rows(primary, snapshot, table_name="T"):
 
 
 class TestMIRAApply:
+    def test_per_instance_workers_get_i_labels_in_construction_order(self):
+        """Every apply instance numbers its workers from 0, so the second
+        instance's worker w re-declares ``adg.worker.cvs_applied{worker=w}``
+        and the registry labels it ``i=1``: one series per worker, in the
+        order the instances were built."""
+        from repro import obs
+
+        registry = obs.MetricsRegistry()
+        with obs.collecting(registry):
+            primary, cluster, sched = build_mira()
+        create_and_load(primary, cluster, sched)
+        catch_up(primary, cluster, sched, require_population=False)
+        snapshot = registry.snapshot()
+        for index, instance in enumerate(cluster.instances):
+            labels = {"i": index} if index else {}
+            for worker in instance.workers:
+                entry = snapshot.get(
+                    "adg.worker.cvs_applied",
+                    worker=worker.worker_id, **labels,
+                )
+                assert entry["value"] == worker.cvs_applied
+        assert snapshot.total("adg.worker.cvs_applied") == sum(
+            cluster.cvs_applied_per_instance().values()
+        )
+        assert len(snapshot.find("adg.worker.cvs_applied")) == 2 * 3
+
     def test_apply_work_is_distributed(self):
         primary, cluster, sched = build_mira()
         create_and_load(primary, cluster, sched)
