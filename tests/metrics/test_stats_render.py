@@ -60,6 +60,14 @@ class TestHistogram:
         hist.stats()
         assert sort_calls == 1  # p50, p95 and p99 shared one sorted copy
 
+    def test_empty_histogram_summary_triple_is_zeros(self):
+        import math
+
+        stats = Histogram("Q1").stats()
+        triple = [stats["p50"], stats["mean"], stats["p95"]]
+        assert triple == [0.0, 0.0, 0.0]
+        assert not any(math.isnan(v) for v in triple)
+
     def test_record_invalidates_the_sorted_cache(self):
         hist = Histogram("Q1")
         hist.observe(10.0)
