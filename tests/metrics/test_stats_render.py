@@ -69,6 +69,9 @@ class TestHistogram:
         assert not any(math.isnan(v) for v in triple)
 
     def test_record_invalidates_the_sorted_cache(self):
+        # Histogram keeps no sorted cache (stats() sorts on every call);
+        # the id is kept, and what it checks is that a read after
+        # observe() sees the new sample.
         hist = Histogram("Q1")
         hist.observe(10.0)
         hist.observe(20.0)
