@@ -113,7 +113,7 @@ def run_wave(policy: str) -> dict:
     registry = obs.MetricsRegistry()
     with obs.collecting(registry):
         fleet, rowids = build_fleet()
-        fleet.start_query_service(n_workers=2, enable_cache=False)
+        fleet.start_query_service(n_workers=2)
         degrade(fleet)
         router = ROUTERS[policy](fleet, max_sessions=24)
         router.registry.create("reports", Service.PRIMARY_AND_STANDBY)

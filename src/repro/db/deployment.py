@@ -221,12 +221,7 @@ class Deployment:
     # ------------------------------------------------------------------
     # query service
     # ------------------------------------------------------------------
-    def start_query_service(
-        self,
-        n_workers: int = 4,
-        cache_capacity: int = 256,
-        enable_cache: bool = True,
-    ):
+    def start_query_service(self, n_workers: int = 4):
         """Attach a morsel-parallel query service to every mounted
         member; returns the first member's."""
         from repro.query.service import QueryService
@@ -235,8 +230,6 @@ class Deployment:
             member.query_service = QueryService(
                 member.standby, self.sched,
                 n_workers=n_workers,
-                cache_capacity=cache_capacity,
-                enable_cache=enable_cache,
                 name=f"{member.name}-query",
             )
         return self.query_service

@@ -21,7 +21,7 @@ waiting for a cold re-population.
 3. **IMCS carry-over** -- the standby's IMCUs/SMUs become the new
    primary's column store; maintenance switches from redo mining to the
    primary's synchronous commit-hook invalidation.  Section-V state
-   (join groups, external tables, expressions) carries over too.
+   (join groups, expressions) carries over too.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def activate(
     primary.scan_engine = ScanEngine(primary.imcs, primary.txn_table)
     # section-V feature state carries over
     primary.join_groups = standby.join_groups
-    primary.external_tables = standby.external_tables
     primary._join_executor = standby._join_executor
     primary._aggregator = standby._aggregator
     # rebind the executors' scan engines to the new role's engine

@@ -1,8 +1,8 @@
 """Section-V feature APIs shared by the primary and standby façades.
 
-In-Memory Expressions, Join Groups and External Tables are all *derived*,
-redo-less structures, so each database side manages its own instances of
-them; this mixin provides the identical management surface on both
+Join groups and the aggregation push-down are *derived*, redo-less
+structures, so each database side manages its own instances of them;
+this mixin provides the identical management surface on both
 :class:`~repro.db.primary.PrimaryDatabase` and
 :class:`~repro.db.standby.StandbyDatabase`.  The host class supplies
 ``catalog``, ``imcs``, ``population``, ``scan_engine`` and
@@ -11,29 +11,24 @@ them; this mixin provides the identical management surface on both
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-from repro.common.errors import InvalidStateError, ObjectNotFoundError
 from repro.common.scn import SCN
 from repro.imcs.aggregate import AggregateResult, AggregateSpec, Aggregator
-from repro.imcs.external import ExternalTable
 from repro.imcs.join_groups import (
     JoinExecutor,
     JoinGroupMember,
     JoinGroupRegistry,
     JoinResult,
 )
-from repro.imcs.scan import Predicate, ScanResult
-from repro.db.schema_def import ColumnDef
-from repro.rowstore.values import Column, Schema
+from repro.imcs.scan import Predicate
 
 
 class InMemoryFeaturesMixin:
-    """Join groups + external tables for one database side."""
+    """Join groups + aggregation push-down for one database side."""
 
     def _init_features(self) -> None:
         self.join_groups = JoinGroupRegistry()
-        self.external_tables: dict[str, ExternalTable] = {}
         self._join_executor = JoinExecutor(self.scan_engine, self.join_groups)
         self._aggregator = Aggregator(self.scan_engine)
 
@@ -106,44 +101,3 @@ class InMemoryFeaturesMixin:
             predicates,
             partitions,
         )
-
-    # ------------------------------------------------------------------
-    # external tables
-    # ------------------------------------------------------------------
-    def create_external_table(
-        self,
-        name: str,
-        columns: Iterable[ColumnDef],
-        source: Callable[[], Iterable[tuple]],
-    ) -> ExternalTable:
-        """CREATE TABLE ... ORGANIZATION EXTERNAL + INMEMORY."""
-        if name in self.external_tables or name in self.catalog:
-            raise InvalidStateError(f"table {name!r} already exists")
-        schema = Schema(
-            [Column(c.name, c.ctype, c.nullable) for c in columns]
-        )
-        external = ExternalTable(name, schema, source)
-        self.external_tables[name] = external
-        return external
-
-    def populate_external(self, name: str) -> float:
-        """(Re)load an external table into the IMCS; returns the cost."""
-        return self._external(name).populate()
-
-    def query_external(
-        self,
-        name: str,
-        predicates: Optional[list[Predicate]] = None,
-        columns: Optional[list[str]] = None,
-    ) -> ScanResult:
-        return self._external(name).scan(predicates, columns)
-
-    def drop_external_table(self, name: str) -> None:
-        self._external(name)
-        del self.external_tables[name]
-
-    def _external(self, name: str) -> ExternalTable:
-        try:
-            return self.external_tables[name]
-        except KeyError:
-            raise ObjectNotFoundError(f"no external table {name!r}")

@@ -181,9 +181,9 @@ class InvalidationListener:
     """Observer interface for flushed invalidations.
 
     The flush component notifies listeners *while* draining the worklink,
-    i.e. before the coordinator publishes the new QuerySCN -- the ordering
-    the QuerySCN-keyed result cache relies on (an entry is dropped before
-    any query can observe the SCN that invalidated it).
+    i.e. before the coordinator publishes the new QuerySCN -- so a
+    listener (the CDC egress, the checkpoint store) has seen every change
+    a published QuerySCN covers.
     """
 
     def on_object_invalidated(self, object_id: ObjectId, scn: SCN) -> None:

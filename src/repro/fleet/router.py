@@ -144,17 +144,11 @@ class FleetSession:
                 result = member.standby.query(
                     table_name, predicates, columns, partitions
                 )
-                handle = QueryHandle(
-                    None, member.published_scn, cached=False,
-                    submit_time=self.router.fleet.sched.now, result=result,
-                )
+                handle = QueryHandle(member.published_scn, result=result)
         else:
             primary = self.router.fleet.primary
             result = primary.query(table_name, predicates, columns, partitions)
-            handle = QueryHandle(
-                None, primary.clock.current, cached=False,
-                submit_time=self.router.fleet.sched.now, result=result,
-            )
+            handle = QueryHandle(primary.clock.current, result=result)
         self.router._audit_result(self, handle.scn)
         return handle
 

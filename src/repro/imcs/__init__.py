@@ -16,8 +16,8 @@ Implements the DBIM side of the paper (section II-B):
 * the **IMCS** itself -- the in-memory pool mapping enabled objects to
   their IMCU/SMU pairs (``store.py``);
 * the section-V extension features: In-Memory Expressions
-  (``expressions.py``), Join Groups (``join_groups.py``) and In-Memory
-  External Tables (``external.py``).
+  (``expressions.py``), Join Groups (``join_groups.py``) and aggregation
+  push-down (``aggregate.py``).
 """
 
 from repro.imcs.compression import (
@@ -34,7 +34,6 @@ from repro.imcs.population import PopulationEngine, PopulationTask
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult, ScanStats
 from repro.imcs.aggregate import AggregateResult, AggregateSpec, Aggregator
 from repro.imcs.expressions import Expression, ExpressionSet, RowResolver
-from repro.imcs.external import ExternalTable
 from repro.imcs.join_groups import (
     JoinExecutor,
     JoinGroup,
@@ -65,7 +64,6 @@ __all__ = [
     "Expression",
     "ExpressionSet",
     "RowResolver",
-    "ExternalTable",
     "JoinExecutor",
     "JoinGroup",
     "JoinGroupMember",

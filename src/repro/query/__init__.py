@@ -8,14 +8,10 @@ into a service that can carry that load:
   is planned into per-IMCU / per-block-chunk morsels
   (:meth:`ScanEngine.plan_morsels`) and dispatched to a pool of
   scheduler-actor query workers;
-* :mod:`repro.query.cache` -- a QuerySCN-consistent result cache.  Safe
-  because the advancement protocol flushes every invalidation with
-  commitSCN <= S *before* publishing S: a result computed at a published
-  QuerySCN can never change;
 * :mod:`repro.query.admission` -- admission control for the session
   layer (bounded concurrency, wait queue with timeouts);
 * :mod:`repro.query.service` -- :class:`QueryService`, tying the
-  executor and cache to one standby.
+  executor to one standby.
 """
 
 from repro.query.admission import (
@@ -23,19 +19,16 @@ from repro.query.admission import (
     AdmissionTimeout,
     PoolExhaustedError,
 )
-from repro.query.cache import CACHE_HIT_COST, ResultCache
 from repro.query.executor import PendingQuery, QueryWorker, QueryWorkerPool
 from repro.query.service import QueryHandle, QueryService
 
 __all__ = [
     "AdmissionController",
     "AdmissionTimeout",
-    "CACHE_HIT_COST",
     "PendingQuery",
     "PoolExhaustedError",
     "QueryHandle",
     "QueryService",
     "QueryWorker",
     "QueryWorkerPool",
-    "ResultCache",
 ]

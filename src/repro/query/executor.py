@@ -17,7 +17,7 @@ finished first.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from repro import obs
 from repro.chaos import sites
@@ -34,7 +34,7 @@ class PendingQuery:
 
     __slots__ = (
         "morsels", "partials", "submit_time", "complete_time",
-        "result", "on_complete", "_remaining",
+        "result", "_remaining",
     )
 
     def __init__(self, morsels: list[ScanMorsel], submit_time: float) -> None:
@@ -43,9 +43,6 @@ class PendingQuery:
         self.submit_time = submit_time
         self.complete_time: Optional[float] = None
         self.result: Optional[ScanResult] = None
-        #: Called once with the pending query when the result is merged
-        #: (the service uses this to store into the result cache).
-        self.on_complete: Optional[Callable[["PendingQuery"], None]] = None
         self._remaining = len(morsels)
         if not morsels:  # empty table/partition list: complete at submit
             self._finish(submit_time)
@@ -64,8 +61,6 @@ class PendingQuery:
     def _finish(self, now: float) -> None:
         self.result = merge_partials([p for p in self.partials if p is not None])
         self.complete_time = now
-        if self.on_complete is not None:
-            self.on_complete(self)
 
     @property
     def elapsed(self) -> float:

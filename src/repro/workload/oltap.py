@@ -216,12 +216,6 @@ class QueryDriver(Actor):
     ``target`` is either the primary or the standby database (anything
     with a ``query`` method and a CPU node attribute resolvable through
     ``node_of``).
-
-    With a ``query_service`` the driver goes through the standby query
-    layer instead: it *submits* each scan (morsel-parallel, result-cache
-    accelerated) and polls the handle across steps -- response time is
-    then simulated submit-to-complete wall time, and cache hits are
-    counted in ``cache_hits``.
     """
 
     def __init__(
@@ -231,7 +225,6 @@ class QueryDriver(Actor):
         target: str = "standby",
         scans_per_sec: Optional[float] = None,
         name: str = "query-driver",
-        query_service=None,
     ) -> None:
         self.deployment = deployment
         self.config = config
@@ -246,9 +239,6 @@ class QueryDriver(Actor):
         self.node = None  # charged manually to the target's node
         self.q1 = Histogram("Q1")
         self.q2 = Histogram("Q2")
-        self.query_service = query_service
-        self.cache_hits = 0
-        self._pending = None  # (handle, series) while a scan is in flight
 
     def _database(self):
         return (
@@ -283,41 +273,14 @@ class QueryDriver(Actor):
         series.observe(latency)
         return latency
 
-    def _next_query(self) -> tuple[list[Predicate], Histogram]:
-        if self.rng.random() < 0.5:
-            value = float(self.rng.randrange(0, 10_000))
-            return [Predicate.eq("n1", value)], self.q1
-        value = f"s{self.rng.randrange(self.config.varchar_cardinality):05d}"
-        return [Predicate.eq("c1", value)], self.q2
-
     def step(self, sched: Scheduler) -> Optional[float]:
         if self.scans_per_sec <= 0:
             return None
-        if self.query_service is None:
-            latency = self.run_one_query()
-            self._target_node().charge(latency)
-            # pacing: one scan per 1/rate seconds (response time included
-            # -- the paper's drivers block on their queries)
-            return max(latency, 1.0 / self.scans_per_sec)
-        # service path: submit once, poll until the pool finishes
-        if self._pending is not None:
-            handle, series = self._pending
-            if not handle.done:
-                return 1e-4  # poll again shortly
-            self._pending = None
-            if handle.cached:
-                self.cache_hits += 1
-                latency = handle.result.stats.cost_seconds
-            else:
-                latency = sched.now - handle.submit_time
-            series.observe(latency)
-            return max(0.0, 1.0 / self.scans_per_sec - latency) or 1e-5
-        predicates, series = self._next_query()
-        handle = self.query_service.submit(
-            self.config.table_name, predicates
-        )
-        self._pending = (handle, series)
-        return 1e-5
+        latency = self.run_one_query()
+        self._target_node().charge(latency)
+        # pacing: one scan per 1/rate seconds (response time included
+        # -- the paper's drivers block on their queries)
+        return max(latency, 1.0 / self.scans_per_sec)
 
 
 @dataclass(slots=True)
@@ -412,15 +375,8 @@ class OLTAPWorkload:
             self.dml_drivers.append(driver)
             self.deployment.sched.add_actor(driver)
         if config.pct_scan > 0:
-            # scans to the standby go through the query service when the
-            # deployment started one (morsel parallelism + result cache)
-            service = (
-                self.deployment.query_service
-                if scan_target == "standby" else None
-            )
             self.query_driver = QueryDriver(
-                self.deployment, config, target=scan_target,
-                query_service=service,
+                self.deployment, config, target=scan_target
             )
             self.deployment.sched.add_actor(self.query_driver)
         if sample_metrics:

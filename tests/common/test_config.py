@@ -99,6 +99,8 @@ def test_apply_cost_per_cv_is_non_negative():
         lambda: Deployment.build().start_query_service(
             parallel_backend="sim"
         ),
+        lambda: Deployment.build().start_query_service(enable_cache=True),
+        lambda: Deployment.build().start_query_service(cache_capacity=8),
         lambda: Deployment.build().enable_inmemory("T", on_primary=True),
         lambda: FleetRouter(Deployment.build(), policy="round_robin"),
         lambda: Deployment.build().standby.attach_actors(
@@ -107,15 +109,19 @@ def test_apply_cost_per_cv_is_non_negative():
         lambda: ApplyConfig(routing="dependency"),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
+         "start_query_service.enable_cache",
+         "start_query_service.cache_capacity",
          "enable_inmemory.on_primary", "FleetRouter.policy",
          "attach_actors.name_prefix", "ApplyConfig.routing"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
-    # one session routing policy, one apply routing: nothing left to select
+    # one session routing policy, one apply routing, no result cache:
+    # nothing left to select
     with pytest.raises(
         TypeError,
-        match="advance|parallel_backend|on_primary|policy|name_prefix|routing",
+        match="advance|parallel_backend|enable_cache|cache_capacity"
+        "|on_primary|policy|name_prefix|routing",
     ):
         call()
 
@@ -126,10 +132,13 @@ def test_removed_settings_fail_loudly(call):
         ("repro.fleet", "FleetDeployment"),
         ("repro.db", "SessionPool"),
         ("repro.redo", "FanOutLogShipper"),
+        ("repro.query", "ResultCache"),
+        ("repro.imcs", "ExternalTable"),
     ],
 )
 def test_removed_classes_fail_to_import(module, name):
     # the N-member Deployment, the router and the N-receiver LogShipper
-    # replaced them; no alias is left behind
+    # replaced the first three; the result cache and In-Memory External
+    # Tables left with nothing in their place; no alias is left behind
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}")

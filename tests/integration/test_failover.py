@@ -97,15 +97,21 @@ class TestFailover:
     def test_feature_state_carries_over(self, ready):
         deployment, rowids = ready
         standby = deployment.standby
-        from repro.db import ColumnDef
-
-        standby.create_external_table(
-            "LOGS", [ColumnDef.number("ts")], source=lambda: [(1,), (2,)]
-        )
-        standby.populate_external("LOGS")
+        deployment.create_table(simple_table_def(name="U"))
+        load(deployment, table="U", n=5)
+        deployment.enable_inmemory("U", service=InMemoryService.STANDBY)
+        deployment.run_until_standby_has("U")
+        standby.create_join_group("cg", [("T", "c1"), ("U", "c1")])
+        deployment.catch_up()
         kill_primary(deployment)
         new_primary = failover(standby, deployment.sched)
-        assert len(new_primary.query_external("LOGS").rows) == 2
+        # the join group and its shared dictionary carry over
+        joined = new_primary.join(
+            "T", "c1", "U", "c1", columns_a=["id"], columns_b=["id"]
+        )
+        assert len(joined.rows) == 100  # each T row meets one U row
+        assert joined.stats.used_join_group
+        assert joined.stats.code_path_rows == 100
         # aggregation push-down runs against the carried-over IMCS
         result = new_primary.aggregate(
             "T", [AggregateSpec("count"), AggregateSpec("max", "n1")]

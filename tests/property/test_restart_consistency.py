@@ -195,33 +195,32 @@ def test_restart_mid_flush_group_is_exact():
     assert sum(1 for row in final.rows if row[1] == -9.0) == 30
 
 
-def test_query_service_cache_agrees_across_restart():
-    """Cached results keep matching fresh scans over a bounce."""
+def test_query_service_agrees_across_restart():
+    """Service scans keep matching fresh scans over a bounce."""
     deployment = build_deployment(seed=3)
     rowids, __ = load(deployment, n=150)
     deployment.catch_up()
-    service = deployment.start_query_service(n_workers=2, cache_capacity=16)
+    service = deployment.start_query_service(n_workers=2)
     predicates = [Predicate.lt("n1", 60.0)]
     try:
-        first, cached = service.scan("T", predicates)
-        assert not cached
+        first = service.scan("T", predicates)
         deployment.run(1.0)  # checkpoint round
         report = deployment.restart_standby()
         assert report.mode == "instant"
-        result, __ = service.scan("T", predicates)
+        result = service.scan("T", predicates)
         table = deployment.standby.catalog.table("T")
         fresh = deployment.standby.scan_engine.scan(
             table, deployment.standby.query_scn.value, predicates, None
         )
         assert result.rows == fresh.rows
         assert sorted(result.rows) == sorted(first.rows)
-        # and after new DML the cache still never serves stale rows
+        # and after new DML the service never serves stale rows
         txn = deployment.primary.begin()
         for rowid in rowids[:10]:
             deployment.primary.update(txn, "T", rowid, {"n1": 500.0})
         deployment.primary.commit(txn)
         deployment.catch_up()
-        result, __ = service.scan("T", predicates)
+        result = service.scan("T", predicates)
         fresh = deployment.standby.scan_engine.scan(
             table, deployment.standby.query_scn.value, predicates, None
         )
