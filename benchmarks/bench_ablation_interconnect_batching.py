@@ -24,12 +24,11 @@ from conftest import bench_oltap_config, bench_system_config, save_report
 def run_mode(batch_size: int):
     system_config = bench_system_config()
     system_config.rac = RACConfig(
-        standby_instances=2,
         invalidation_batch_size=batch_size,
         interconnect_latency=0.001,
     )
     deployment = Deployment.build(config=system_config)
-    cluster = deployment.add_standby_cluster(n_instances=2)
+    deployment.add_standby_cluster(n_instances=2)
     config = bench_oltap_config(
         n_rows=2_000, target_ops_per_sec=800.0,
         pct_update=0.70, pct_scan=0.0, duration=2.0,
@@ -41,11 +40,11 @@ def run_mode(batch_size: int):
     workload.stop()
     deployment.catch_up()
     coordinator = deployment.standby.coordinator
+    router = deployment.standby.flush.router
     return {
         "deployment": deployment,
-        "cluster": cluster,
-        "messages": cluster.interconnect.messages_sent,
-        "groups_remote": cluster.router.groups_routed_remote,
+        "messages": router.interconnect.messages_sent,
+        "groups_remote": router.groups_routed_remote,
         "mean_publish_latency": coordinator.mean_publish_latency,
         "advancements": coordinator.advancements,
     }

@@ -9,8 +9,9 @@ throughput (the per-CV apply cost is raised to create pressure, the
 documented lever in ApplyConfig), then measure how long each configuration
 needs to drain it:
 
-* SIRA -- the classic single-instance apply master;
-* MIRA with 2 apply instances sharing the mounted database.
+* SIRA -- a two-instance RAC standby whose master alone applies redo;
+* MIRA -- the same two instances, each applying the change vectors it
+  owns, advanced by the master's one recovery coordinator.
 
 Shape expectation: MIRA drains the same burst in clearly less simulated
 time, while DBIM-on-ADG consistency (mining, cross-journal gather, flush)
@@ -23,11 +24,8 @@ import pytest
 
 from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
-from repro.db.primary import PrimaryDatabase
 from repro.imcs import Predicate
 from repro.obs.render import render_table
-from repro.rac.mira import MIRAStandbyCluster
-from repro.sim import Scheduler
 
 from conftest import save_report
 
@@ -66,53 +64,30 @@ def generate_burst(primary, n=N_ROWS):
     return rowids
 
 
-def run_sira():
+def run(mira: bool):
     deployment = Deployment.build(config=burst_config(), heartbeats=False)
+    member = deployment.add_standby_cluster(2, mira=mira)
     deployment.create_table(table_def())
     start_scn = deployment.primary.clock.current
     generate_burst(deployment.primary)
     target = deployment.primary.clock.current
     start = deployment.sched.now
     ok = deployment.sched.run_until_condition(
-        lambda: deployment.standby.query_scn.value >= target, max_time=600.0
+        lambda: member.published_scn >= target, max_time=600.0
     )
     assert ok
     return {
         "drain_seconds": deployment.sched.now - start,
         "scns": target - start_scn,
         "deployment": deployment,
-    }
-
-
-def run_mira(n_instances=2):
-    config = burst_config()
-    sched = Scheduler(seed=config.seed, jitter=0.05)
-    primary = PrimaryDatabase(config)
-    primary.attach_actors(sched, heartbeats=False)
-    cluster = MIRAStandbyCluster(primary, sched, n_instances=n_instances,
-                                 config=config)
-    primary.create_table(table_def())
-    start_scn = primary.clock.current
-    generate_burst(primary)
-    target = primary.clock.current
-    start = sched.now
-    ok = sched.run_until_condition(
-        lambda: cluster.query_scn.value >= target, max_time=600.0
-    )
-    assert ok
-    return {
-        "drain_seconds": sched.now - start,
-        "scns": target - start_scn,
-        "primary": primary,
-        "cluster": cluster,
-        "sched": sched,
+        "member": member,
     }
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return {"SIRA (1 apply instance)": run_sira(),
-            "MIRA (2 apply instances)": run_mira()}
+    return {"SIRA (1 apply instance)": run(mira=False),
+            "MIRA (2 apply instances)": run(mira=True)}
 
 
 def test_mira_drains_redo_faster(runs, benchmark):
@@ -137,23 +112,18 @@ def test_mira_drains_redo_faster(runs, benchmark):
     assert mira["drain_seconds"] < sira["drain_seconds"] * 0.75
 
     # and DBIM-on-ADG consistency holds on the MIRA side
-    primary, cluster, sched = (
-        mira["primary"], mira["cluster"], mira["sched"]
-    )
-    cluster.enable_inmemory("T")
-    primary.note_standby_enablement(cluster.catalog.table("T").object_ids)
-    assert sched.run_until_condition(cluster.fully_populated, max_time=600.0)
+    deployment, member = mira["deployment"], mira["member"]
+    deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+    deployment.catch_up()
+    primary = deployment.primary
     txn = primary.begin()
     table = primary.catalog.table("T")
     for i in range(0, N_ROWS, 7):
         rowid = table.indexes["id"].search(i)
         primary.update(txn, "T", rowid, {"n1": -4.0})
     primary.commit(txn)
-    target = primary.clock.current
-    assert sched.run_until_condition(
-        lambda: cluster.query_scn.value >= target, max_time=600.0
-    )
-    result = cluster.query("T", [Predicate.eq("n1", -4.0)])
+    deployment.catch_up()
+    result = member.query("T", [Predicate.eq("n1", -4.0)])
     assert len(result.rows) == len(range(0, N_ROWS, 7))
 
-    benchmark(cluster.coordinator.cluster.instances[0].consistency_point)
+    benchmark(deployment.standby.coordinator.consistency_point)

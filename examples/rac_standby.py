@@ -1,7 +1,7 @@
 """DBIM-on-ADG across RAC (paper, section III-F).
 
 A two-instance primary RAC generates redo on two threads; the standby is a
-two-instance SIRA cluster: instance 1 is the apply master (merger, workers,
+two-instance SIRA member: instance 1 is the apply master (merger, workers,
 coordinator, journal, commit table), instance 2 hosts remotely-homed IMCUs
 and a local recovery coordinator that receives invalidation groups and
 QuerySCN publications over the interconnect.
@@ -16,14 +16,14 @@ from repro.imcs import Predicate
 
 def main() -> None:
     config = SystemConfig(
-        rac=RACConfig(primary_instances=2, standby_instances=2),
+        rac=RACConfig(primary_instances=2),
         # scale the IMCU/home-range granularity to this example's small
         # table so blocks spread across both standby instances
         imcs=IMCSConfig(imcu_target_rows=128),
         rowstore=RowStoreConfig(rows_per_block=16),
     )
     deployment = Deployment.build(config=config)
-    cluster = deployment.add_standby_cluster(n_instances=2)
+    member = deployment.add_standby_cluster(n_instances=2)
     primary = deployment.primary
 
     print("== creating and loading ACCOUNTS ==")
@@ -54,13 +54,13 @@ def main() -> None:
     print("== enabling in-memory on the standby cluster ==")
     deployment.enable_inmemory("ACCOUNTS", service=InMemoryService.STANDBY)
     deployment.catch_up()
-    per_instance = cluster.populated_rows()
+    per_instance = member.populated_rows()
     print(f"   IMCU rows per standby instance: {per_instance}")
     assert sum(per_instance.values()) == 1200
     assert all(rows > 0 for rows in per_instance.values())
 
     print("== cluster-wide analytic scan ==")
-    result = cluster.query("ACCOUNTS", [Predicate.eq("region", "r2")])
+    result = member.query("ACCOUNTS", [Predicate.eq("region", "r2")])
     print(f"   region r2 accounts: {len(result.rows)} "
           f"(IMCUs used across the cluster: {result.stats.imcus_used})")
     assert result.stats.imcus_used >= 2
@@ -74,18 +74,19 @@ def main() -> None:
             primary.update(txn, "ACCOUNTS", rowid, {"balance": -1.0})
         primary.commit(txn)
     deployment.catch_up()
+    router = deployment.standby.flush.router
     print(f"   invalidation groups routed locally: "
-          f"{cluster.router.groups_routed_local}, remotely: "
-          f"{cluster.router.groups_routed_remote}")
-    print(f"   interconnect messages: {cluster.interconnect.messages_sent}")
-    assert cluster.router.groups_routed_remote >= 1
+          f"{router.groups_routed_local}, remotely: "
+          f"{router.groups_routed_remote}")
+    print(f"   interconnect messages: {router.interconnect.messages_sent}")
+    assert router.groups_routed_remote >= 1
 
-    frozen = cluster.query("ACCOUNTS", [Predicate.eq("balance", -1.0)])
+    frozen = member.query("ACCOUNTS", [Predicate.eq("balance", -1.0)])
     print(f"   cluster scan sees {len(frozen.rows)} updated accounts")
     assert len(frozen.rows) == 120
 
-    satellite = cluster.satellites[0]
-    print(f"   satellite local QuerySCN: {satellite.query_scn.value} "
+    peer = member.peers[0]
+    print(f"   instance 2 local QuerySCN: {peer.query_scn.value} "
           f"(master: {deployment.standby.query_scn.value})")
     print("rac standby OK")
 

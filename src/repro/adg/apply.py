@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.chaos import sites
-from repro.common.ids import InstanceId, WorkerId
+from repro.common.ids import DBA, InstanceId, ObjectId, WorkerId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch, CVChunk
 from repro.sim.cpu import CpuNode
@@ -72,18 +72,33 @@ class ApplyDistributor:
     """Hashes the CVs of merged :class:`CVBatch`es onto per-worker queues:
     one vectorized modulo over the batch's dba array, one
     :class:`CVChunk` per worker per batch.  Each batch's create-table
-    markers reach ``applier``'s dictionary before any of its CVs queue."""
+    markers reach ``applier``'s dictionary before any of its CVs queue.
 
-    def __init__(self, n_workers: int, applier: CVApplier) -> None:
+    On a MIRA standby ``owns`` keeps the CVs this apply instance owns, by
+    object and block; ``distributed_through`` still advances over every
+    record, because an instance is caught up through SCN s once it has
+    applied all CVs it owns below s.  The dictionary is installed before
+    the filter, so an instance that owns none of a create-table marker
+    still learns the table."""
+
+    def __init__(
+        self,
+        n_workers: int,
+        applier: CVApplier,
+        owns: Optional[Callable[[ObjectId, DBA], bool]] = None,
+    ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one recovery worker")
         self.n_workers = n_workers
         self.applier = applier
+        self.owns = owns
         self.queues: list[deque[CVChunk]] = [
             deque() for __ in range(n_workers)
         ]
         #: Highest SCN fully handed out to the queues.
         self.distributed_through: SCN = NULL_SCN
+        #: CVs another apply instance owns (MIRA).
+        self.cvs_skipped = 0
         #: CVs per distributed batch.
         self._batch_cvs = obs.histogram("adg.apply.batch_cvs")
 
@@ -96,11 +111,16 @@ class ApplyDistributor:
         return routed
 
     def _distribute_batch(self, batch: CVBatch) -> int:
-        return self._enqueue(batch, np.arange(batch.n_cvs, dtype=np.int64))
-
-    def _enqueue(self, batch: CVBatch, positions: np.ndarray) -> int:
-        """Queue the batch's CVs at ``positions`` (ascending) by dba
-        hash; ``distributed_through`` advances over the whole batch."""
+        """Queue the batch's (owned) CVs by dba hash; returns how many."""
+        positions = np.arange(batch.n_cvs, dtype=np.int64)
+        if self.owns is not None:
+            owned = np.fromiter(
+                map(self.owns, batch.object_ids.tolist(), batch.dbas.tolist()),
+                dtype=bool,
+                count=batch.n_cvs,
+            )
+            positions = positions[owned]
+            self.cvs_skipped += batch.n_cvs - int(positions.size)
         n_cvs = int(positions.size)
         if n_cvs:
             if self.n_workers == 1:

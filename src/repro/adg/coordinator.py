@@ -3,7 +3,9 @@
 The coordinator periodically computes the *consistency point* -- the
 highest SCN up to which every recovery worker has finished applying (also
 bounded by the merger's progress, since unmerged redo may still carry lower
-SCNs).  Before publishing it as the new QuerySCN it runs the DBIM-on-ADG
+SCNs).  On a MIRA standby it is the minimum over every apply instance, and
+the coordinator hands each instance's merged redo to its distributor.
+Before publishing it as the new QuerySCN it runs the DBIM-on-ADG
 advancement protocol (paper, III-D):
 
 1. ask the flush protocol to *chop* the IM-ADG Commit Table into a
@@ -37,6 +39,20 @@ from repro.sim.scheduler import Actor, Scheduler
 COORDINATION_COST = 2e-6
 #: Simulated CPU seconds per worklink node flushed by the coordinator.
 FLUSH_COST_PER_NODE = 1e-6
+
+
+def _applied_through(merger: LogMerger, workers: list[RecoveryWorker]) -> SCN:
+    """Highest SCN one apply instance has merged, distributed and applied
+    everything below."""
+    point = merger.merged_through_scn
+    # Unmerged-but-received redo is already counted: merged_through_scn
+    # only moves past what the watermark released.  Undistributed merged
+    # records bound progress too.
+    if merger.pending_merged:
+        point = min(point, merger.merged[0].scn - 1)
+    for worker in workers:
+        point = min(point, worker.applied_through())
+    return point
 
 
 class AdvanceProtocol(Protocol):
@@ -84,6 +100,9 @@ class RecoveryCoordinator(Actor):
         self.merger = merger
         self.distributor = distributor
         self.workers = workers
+        #: The other apply instances of a MIRA standby (each with its own
+        #: ``merger``, ``distributor`` and ``workers``).
+        self.peers: list = []
         self.query_scn = query_scn
         self.quiesce_lock = quiesce_lock
         #: Read on every step, never cached: tests and the e2e tracer swap
@@ -139,26 +158,27 @@ class RecoveryCoordinator(Actor):
     # ------------------------------------------------------------------
     def consistency_point(self) -> SCN:
         """Highest SCN with every prior change merged, distributed and
-        applied."""
-        point = self.merger.merged_through_scn
-        # Unmerged-but-received redo is already counted: merged_through_scn
-        # only moves past what the watermark released.  Undistributed
-        # merged records bound progress too.
-        if self.merger.pending_merged:
-            first_pending = self.merger.merged[0].scn
-            point = min(point, first_pending - 1)
-        for worker in self.workers:
-            point = min(point, worker.applied_through())
+        applied on every apply instance."""
+        point = _applied_through(self.merger, self.workers)
+        for peer in self.peers:
+            point = min(point, _applied_through(peer.merger, peer.workers))
         return point
+
+    def _distribute(
+        self, merger: LogMerger, distributor: ApplyDistributor
+    ) -> float:
+        """Hand one apply instance's merged records to its workers."""
+        records = merger.take_merged(self.distribute_batch)
+        if not records:
+            return 0.0
+        return COORDINATION_COST + 1e-7 * distributor.distribute(records)
 
     # ------------------------------------------------------------------
     def step(self, sched: Scheduler) -> Optional[float]:
-        cost = 0.0
-        # keep the pipeline moving: hand merged records to the workers
-        records = self.merger.take_merged(self.distribute_batch)
-        if records:
-            routed = self.distributor.distribute(records)
-            cost += COORDINATION_COST + 1e-7 * routed
+        # keep the pipelines moving: hand merged records to the workers
+        cost = self._distribute(self.merger, self.distributor)
+        for peer in self.peers:
+            cost += self._distribute(peer.merger, peer.distributor)
 
         if (
             self._advancing_to is None

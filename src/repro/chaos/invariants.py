@@ -6,7 +6,7 @@ assert inline, lifted into reusable checkers:
 * :class:`StandbyMatchesPrimaryCR` -- the golden invariant: a standby
   scan at the published QuerySCN equals a primary consistent read at the
   same SCN (paper, section III: transactional consistency at every
-  published snapshot), held per mounted member;
+  published snapshot), held per mounted member over all its instances;
 * :class:`QuerySCNMonotonic` -- published QuerySCNs never move backwards
   (they may leapfrog, never regress);
 * :class:`JournalDrained` -- after catch-up, the IM-ADG Journal buffers
@@ -99,33 +99,6 @@ class StandbyMatchesPrimaryCR(Invariant):
         return self._result(True, "; ".join(details))
 
 
-class ClusterMatchesPrimaryCR(Invariant):
-    """SIRA cluster scan at the master QuerySCN == primary CR."""
-
-    name = "cluster_scan_equals_primary_cr"
-
-    def __init__(self, table: str = "T") -> None:
-        self.table = table
-
-    def check(self, ctx: "ChaosContext") -> InvariantResult:
-        deployment = ctx.deployment
-        cluster = deployment.members[0].cluster
-        if cluster is None:
-            return self._result(False, "no standby cluster deployed")
-        snapshot = deployment.standby.query_scn.value
-        expected = _primary_cr(deployment, self.table, snapshot)
-        got = sorted(cluster.query(self.table).rows)
-        if got == expected:
-            return self._result(
-                True, f"{len(got)} rows identical at QuerySCN {snapshot}"
-            )
-        return self._result(
-            False,
-            f"divergence at QuerySCN {snapshot}: cluster {len(got)} rows "
-            f"vs primary CR {len(expected)} rows ({self.table})",
-        )
-
-
 class QuerySCNMonotonic(Invariant):
     """Every member's published QuerySCN history (lost members included)
     is strictly increasing."""
@@ -151,9 +124,9 @@ class QuerySCNMonotonic(Invariant):
 
 
 class JournalDrained(Invariant):
-    """After catch-up every mounted member's journal holds anchors only
-    for still-open transactions and its commit table buffers nothing
-    already published."""
+    """After catch-up every mounted member's journals (one per apply
+    instance) hold anchors only for still-open transactions and its commit
+    tables buffer nothing already published."""
 
     name = "journal_drained_after_catchup"
 
@@ -162,10 +135,12 @@ class JournalDrained(Invariant):
         details = []
         for member in deployment.mounted_members:
             standby = member.standby
+            flush = standby.flush
             where = _where(deployment, member)
             open_txns = len(standby.txn_table.open_transactions())
-            anchors = standby.journal.anchor_count
-            stale = len(standby.commit_table)
+            # an open transaction has at most one anchor per journal
+            anchors = max(j.anchor_count for j in flush.journals)
+            stale = sum(len(table) for table in flush.commit_tables)
             if anchors > open_txns:
                 return self._result(
                     False,

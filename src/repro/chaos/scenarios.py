@@ -18,8 +18,8 @@ The roster (each maps to a failure mode discussed in the paper):
 * ``restart_storm``   -- standby instance bounces under load (III-E);
 * ``checkpoint_crash`` -- instant-restart capture rounds stalled and
   dropped while the standby bounces through them;
-* ``rac_chaos``       -- SIRA cluster with interconnect delay,
-  duplication and a partition window (III-F);
+* ``rac_chaos``       -- a two-instance SIRA standby with interconnect
+  delay, duplication and a partition window (III-F);
 * ``failover_mid_flush`` -- role transition begins while a worklink is
   mid-drain (terminal recovery must finish the flush);
 * ``standby_loss_mid_wave`` -- a reader-farm member dies mid client
@@ -42,10 +42,8 @@ from typing import TYPE_CHECKING
 
 from repro.chaos import faults as F
 from repro.chaos.invariants import (
-    ClusterMatchesPrimaryCR,
     Invariant,
     InvariantResult,
-    JournalDrained,
     NoGapSkip,
     QuerySCNMonotonic,
     standard_invariants,
@@ -59,8 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Scenario:
     """Base scenario: small deployment + deterministic DML churn.
 
-    Subclasses override :meth:`plan` (the faults) and, when the shape of
-    the run differs, :meth:`build` / :meth:`drive` / :meth:`invariants`.
+    Subclasses override :meth:`plan` (the faults), set the topology
+    attributes, and, when the shape of the run differs, extend
+    :meth:`build` or override :meth:`drive` / :meth:`invariants`.
     """
 
     name = "baseline"
@@ -73,6 +72,12 @@ class Scenario:
     burst_gap = 0.2
 
     # -- construction ----------------------------------------------------
+    #: Standby members, instances of the first one (a SIRA standby RAC
+    #: when > 1), and where the table populates (an InMemoryService value).
+    n_standbys = 1
+    cluster_instances = 1
+    service = "both"
+
     def build(self, seed: int) -> "Deployment":
         from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
         from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
@@ -82,7 +87,11 @@ class Scenario:
             apply=ApplyConfig(n_workers=4),
             seed=seed,
         )
-        deployment = Deployment.build(config=config)
+        deployment = Deployment.build(
+            config=config, n_standbys=self.n_standbys
+        )
+        if self.cluster_instances > 1:
+            deployment.add_standby_cluster(self.cluster_instances)
         deployment.create_table(TableDef(
             self.table,
             (
@@ -101,7 +110,7 @@ class Scenario:
             ))
         deployment.primary.commit(txn)
         deployment.enable_inmemory(
-            self.table, service=InMemoryService.BOTH
+            self.table, service=InMemoryService(self.service)
         )
         deployment.catch_up()
         self._rowids = rowids
@@ -330,43 +339,10 @@ class RACChaos(Scenario):
     description = (
         "SIRA standby cluster with interconnect chaos: delayed and "
         "duplicated invalidation-group messages plus a partition window "
-        "between master and satellite"
+        "between the master and its peer instance"
     )
-
-    def build(self, seed: int):
-        from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
-        from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
-
-        config = SystemConfig(
-            imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
-            apply=ApplyConfig(n_workers=4),
-            seed=seed,
-        )
-        deployment = Deployment.build(config=config)
-        deployment.add_standby_cluster(n_instances=2)
-        deployment.create_table(TableDef(
-            self.table,
-            (
-                ColumnDef.number("id", nullable=False),
-                ColumnDef.number("n1"),
-                ColumnDef.varchar("c1"),
-            ),
-            rows_per_block=8,
-            indexes=("id",),
-        ))
-        txn = deployment.primary.begin()
-        rowids = []
-        for i in range(self.load_rows):
-            rowids.append(deployment.primary.insert(
-                txn, self.table, (i, i * 1.0, f"v{i % 5}")
-            ))
-        deployment.primary.commit(txn)
-        deployment.enable_inmemory(
-            self.table, service=InMemoryService.STANDBY
-        )
-        deployment.catch_up()
-        self._rowids = rowids
-        return deployment
+    cluster_instances = 2
+    service = "standby"
 
     def plan(self, seed: int) -> FaultPlan:
         return (
@@ -375,14 +351,6 @@ class RACChaos(Scenario):
             .at(0.7, F.Duplicate("rac.message", count=4))
             .at(1.2, F.Partition(between=(1, 2), duration=0.3))
         )
-
-    def invariants(self, ctx: ChaosContext) -> list[Invariant]:
-        return [
-            ClusterMatchesPrimaryCR(self.table),
-            QuerySCNMonotonic(),
-            JournalDrained(),
-            NoGapSkip(),
-        ]
 
 
 class _FailoverPreservedData(Invariant):
@@ -576,47 +544,18 @@ class StandbyLossMidWave(Scenario):
     #: ties), so it has live sessions to drain when it goes.
     lost_member = "standby-1"
     n_clients = 120
+    service = "standby"
 
-    def build(self, seed: int):
-        from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
-        from repro.db import (
-            ColumnDef, Deployment, InMemoryService, Service, TableDef,
-        )
+    def build(self, seed: int) -> "Deployment":
+        from repro.db import Service
         from repro.fleet import FleetRouter
 
-        config = SystemConfig(
-            imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
-            apply=ApplyConfig(n_workers=4),
-            seed=seed,
-        )
-        fleet = Deployment.build(
-            config=config, n_standbys=self.n_standbys
-        )
-        fleet.create_table(TableDef(
-            self.table,
-            (
-                ColumnDef.number("id", nullable=False),
-                ColumnDef.number("n1"),
-                ColumnDef.varchar("c1"),
-            ),
-            rows_per_block=8,
-            indexes=("id",),
-        ))
-        txn = fleet.primary.begin()
-        rowids = []
-        for i in range(self.load_rows):
-            rowids.append(fleet.primary.insert(
-                txn, self.table, (i, i * 1.0, f"v{i % 5}")
-            ))
-        fleet.primary.commit(txn)
-        fleet.enable_inmemory(self.table, service=InMemoryService.STANDBY)
-        fleet.catch_up()
+        fleet = super().build(seed)
         fleet.start_query_service(n_workers=2)
         self._router = FleetRouter(fleet, max_sessions=24)
         self._router.registry.create(
             "reports", Service.PRIMARY_AND_STANDBY
         )
-        self._rowids = rowids
         return fleet
 
     def plan(self, seed: int) -> FaultPlan:

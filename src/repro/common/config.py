@@ -121,10 +121,10 @@ class JournalConfig:
 
 @dataclass(slots=True)
 class RACConfig:
-    """Cluster shape and interconnect behaviour."""
+    """Cluster shape and interconnect behaviour.  A RAC standby's instance
+    count is ``Deployment.add_standby_cluster``'s argument."""
 
     primary_instances: int = 1
-    standby_instances: int = 1
     # Simulated one-way interconnect latency in seconds.
     interconnect_latency: float = 0.0005
     # Invalidation groups per interconnect message (paper, III-F: batching

@@ -1,10 +1,10 @@
 """Physical application of change vectors to a standby's structures.
 
 Single-instance redo apply (SIRA, :class:`~repro.db.standby.StandbyDatabase`)
-and multi-instance redo apply (MIRA, :mod:`repro.rac.mira`) share this one
-implementation: MIRA's apply instances mount the same database (shared
-catalog, block store and recovered transaction table) and each applies its
-owned subset of CVs through it.
+and multi-instance redo apply (MIRA, :class:`~repro.rac.cluster.PeerInstance`)
+share this one implementation: MIRA's apply instances mount the same
+database (shared catalog, block store and recovered transaction table) and
+each applies its owned subset of CVs through it.
 
 The dictionary changes at two points.  A create-table marker installs its
 table when the apply distributor routes the marker's batch

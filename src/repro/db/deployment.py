@@ -22,7 +22,8 @@ in one deterministic scheduler:
 * ``n_standbys`` :class:`~repro.db.member.StandbyMember` wrappers, each a
   full independent :class:`~repro.db.standby.StandbyDatabase` pipeline
   with its own CPU node and FAL source.  ``deployment.standby`` is
-  ``members[0].standby``.
+  ``members[0].standby``.  ``add_standby_cluster`` turns a member into a
+  RAC standby of N instances (SIRA or MIRA apply).
 
 The in-memory *service* decides where partitions populate: ``PRIMARY`` /
 ``STANDBY`` / ``BOTH``.  Whatever the choice, the primary is told about
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.common.config import SystemConfig
-from repro.common.errors import ObjectNotFoundError
+from repro.common.errors import InvalidStateError, ObjectNotFoundError
 from repro.redo.shipping import LogShipper
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Scheduler
@@ -178,14 +179,16 @@ class Deployment:
         return any(m.mounted for m in self.members)
 
     def lose_standby(self, name: str) -> StandbyMember:
-        """Dismount a member (crash/eviction): shipping to it stops, the
-        actors it attached leave the scheduler, its query service shuts
-        down, and ``on_standby_loss`` callbacks drain its sessions."""
+        """Dismount a member (crash/eviction): shipping to any of its
+        instances stops, the actors it attached leave the scheduler, its
+        query service shuts down, and ``on_standby_loss`` callbacks drain
+        its sessions."""
         member = self.member(name)
         if not member.mounted:
             return member
         for shipper in self.shippers:
-            shipper.remove_destination(name)
+            for instance in member.instances:
+                shipper.remove_destination(instance.node.name)
         member.standby.detach_actors(self.sched)
         if member.query_service is not None:
             member.query_service.pool.shutdown()
@@ -201,22 +204,39 @@ class Deployment:
             self.sched.remove_actor(shipper)
         self.primary.detach_actors(self.sched)
 
-    def add_standby_cluster(self, n_instances: int = 2):
-        """Scale the first member out to a SIRA RAC (paper, III-F).
+    def add_standby_cluster(
+        self,
+        n_instances: int = 2,
+        member: Optional[str] = None,
+        mira: bool = False,
+    ) -> StandbyMember:
+        """Scale a member (the first by default) out to an
+        ``n_instances`` RAC standby and return it (paper, III-F).
 
-        The member's standby becomes the apply master; ``n_instances - 1``
-        satellites host remotely-homed IMCUs and local coordinators.
-        Call before enabling objects in-memory on the standby.
+        Its database becomes instance 1, the apply master; every other
+        instance hosts the IMCUs the home-location map gives it and a
+        local coordinator.  Redo apply runs on the master only (SIRA) or,
+        with ``mira``, on every instance, each receiving the redo stream
+        from the deployment's shippers and applying the change vectors it
+        owns (Multi-Instance Redo Apply, paper V).  Call before the
+        deployment runs: a MIRA instance applies from the start of the
+        logs.
         """
-        from repro.rac.cluster import StandbyCluster
+        from repro.rac.cluster import scale_out
 
-        member = self.members[0]
-        member.cluster = StandbyCluster(
-            member.standby, self.sched, n_instances=n_instances,
-            config=self.config,
+        target = self.member(member)
+        if self.sched.now or target.peers:
+            raise InvalidStateError(
+                "a member scales out once, before the deployment runs"
+            )
+        target.peers = scale_out(
+            target.standby, self.sched, n_instances, mira
         )
-        member.cluster.attach_actors(self.sched)
-        return member.cluster
+        for peer in target.peers:
+            if peer.workers:
+                for shipper in self.shippers:
+                    shipper.add_destination(peer.node.name, peer.receiver)
+        return target
 
     # ------------------------------------------------------------------
     # query service
@@ -337,8 +357,7 @@ class Deployment:
             self.run_until_standby_has(table_name)
             object_ids: list[int] = []
             for member in self.mounted_members:
-                database = member.cluster or member.standby
-                object_ids = database.enable_inmemory(
+                object_ids = member.enable_inmemory(
                     table_name, partition, columns
                 )
             # told once: members share object ids
@@ -358,12 +377,12 @@ class Deployment:
         distributed; releasing population there would start it before the
         member's apply has caught up with the table."""
 
-        def applied(standby) -> bool:
-            scn = standby.applier.created_at.get(table_name)
-            return scn is not None and standby.applied_through_scn >= scn
+        def applied(member: StandbyMember) -> bool:
+            scn = member.standby.applier.created_at.get(table_name)
+            return scn is not None and member.applied_through_scn >= scn
 
         ok = self.sched.run_until_condition(
-            lambda: all(applied(m.standby) for m in self.mounted_members),
+            lambda: all(applied(m) for m in self.mounted_members),
             max_time=timeout,
         )
         if not ok:
@@ -377,19 +396,10 @@ class Deployment:
         included) are drained."""
         target = self.primary.clock.current
 
-        def member_caught_up(member: StandbyMember) -> bool:
-            if member.published_scn < target:
-                return False
-            if member.cluster is not None:
-                return member.cluster.fully_populated() and all(
-                    s.query_scn.value >= target
-                    for s in member.cluster.satellites
-                )
-            return member.standby.population.fully_populated()
-
         def caught_up() -> bool:
             return self.primary.population.fully_populated() and all(
-                member_caught_up(m) for m in self.mounted_members
+                m.published_scn >= target and m.fully_populated()
+                for m in self.mounted_members
             )
 
         if not self.sched.run_until_condition(caught_up, max_time=timeout):

@@ -1,15 +1,20 @@
 """One standby member of a deployment.
 
-A :class:`StandbyMember` wraps a full :class:`StandbyDatabase` pipeline
-with the serving-side state the deployment and the router need: what was
-attached to it (SIRA cluster, query service, CDC egress) and the active
+A :class:`StandbyMember` is one standby database with N >= 1 instances:
+instance 1 is its full :class:`StandbyDatabase` pipeline, and a RAC
+standby (``deployment.add_standby_cluster``) adds peer instances over the
+same mounted database (:class:`~repro.rac.cluster.PeerInstance`).  The
+member also carries the serving-side state the deployment and the router
+need: what was attached to it (query service, CDC egress) and the active
 routed-session count (the router's load signal).
 """
 
 from __future__ import annotations
 
+from repro.common.ids import InstanceId
 from repro.common.scn import SCN
-from repro.db.standby import StandbyDatabase
+from repro.db.standby import StandbyDatabase, StandbyInstance
+from repro.imcs.scan import ScanEngine
 
 
 class StandbyMember:
@@ -18,8 +23,8 @@ class StandbyMember:
     def __init__(self, standby: StandbyDatabase) -> None:
         self.name = standby.node.name
         self.standby = standby
-        #: Attached by ``deployment.add_standby_cluster`` (SIRA scale-out).
-        self.cluster = None
+        #: Instances 2..N of a RAC standby (``deployment.add_standby_cluster``).
+        self.peers: list[StandbyInstance] = []
         #: Attached by ``deployment.start_query_service``.
         self.query_service = None
         #: Attached by ``deployment.start_cdc``.
@@ -32,6 +37,10 @@ class StandbyMember:
 
     # ------------------------------------------------------------------
     @property
+    def instances(self) -> list[StandbyInstance]:
+        return [self.standby, *self.peers]
+
+    @property
     def mounted(self) -> bool:
         """False once the member is lost (``deployment.lose_standby``) or
         failed over: its pipeline is dismounted and no session may route
@@ -40,16 +49,64 @@ class StandbyMember:
 
     @property
     def published_scn(self) -> SCN:
-        """The member's published QuerySCN — the consistency point every
-        query on this member runs at."""
-        return self.standby.query_scn.value
+        """The member's published QuerySCN -- the consistency point every
+        query on this member runs at: the lowest any of its instances has
+        published, so each instance's SMUs cover it."""
+        return min(instance.query_scn.value for instance in self.instances)
+
+    @property
+    def applied_through_scn(self) -> SCN:
+        """The SCN every recovery worker of the member has applied
+        through."""
+        return min(
+            worker.applied_through()
+            for instance in self.instances
+            for worker in instance.workers
+        )
+
+    def fully_populated(self) -> bool:
+        return all(
+            instance.population.fully_populated()
+            for instance in self.instances
+        )
+
+    def populated_rows(self) -> dict[InstanceId, int]:
+        return {
+            instance.instance_id: instance.imcs.populated_rows
+            for instance in self.instances
+        }
 
     # ------------------------------------------------------------------
+    def enable_inmemory(self, table_name, partition=None, columns=None):
+        """Enable on every instance (each populates the blocks it homes);
+        returns the enabled object ids."""
+        object_ids = self.standby.enable_inmemory(
+            table_name, partition, columns
+        )
+        table = self.standby.catalog.table(table_name)
+        for peer in self.peers:
+            peer.imcs.enable(table, partition, columns)
+            peer.population.schedule_all()
+        return object_ids
+
     def query(self, table_name, predicates=None, columns=None,
               partitions=None):
-        """Direct (synchronous) scan on this member, bypassing the
-        query service — test/diagnostic convenience."""
-        return self.standby.query(table_name, predicates, columns, partitions)
+        """Direct (synchronous) scan over every instance's IMCS at the
+        member's QuerySCN, bypassing the query service."""
+        if not self.peers:
+            return self.standby.query(
+                table_name, predicates, columns, partitions
+            )
+        from repro.rac.cluster import MergedStoreView
+
+        engine = ScanEngine(
+            MergedStoreView([i.imcs for i in self.instances]),
+            self.standby.txn_table,
+        )
+        return engine.scan(
+            self.standby.catalog.table(table_name), self.published_scn,
+            predicates, columns, partitions,
+        )
 
     def __repr__(self) -> str:
         state = "mounted" if self.mounted else "lost"

@@ -59,8 +59,88 @@ from repro.db.features import InMemoryFeaturesMixin
 from repro.db.schema_def import TableDef
 
 
-class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
-    """One standby instance (the SIRA apply master)."""
+class StandbyInstance:
+    """What every instance of a standby runs: an IMCS populated at the
+    instance's published QuerySCN, captured under its quiesce lock (paper,
+    III-A).  An apply instance adds recovery workers with DBIM-on-ADG
+    mining beside them (III-B, III-C).  The host sets ``config``,
+    ``node``, ``imcs``, ``query_scn``, ``quiesce_lock`` and
+    ``population``."""
+
+    #: Instance number inside a RAC standby; the apply master is 1.
+    instance_id = 1
+
+    def _capture_snapshot(self, owner: object) -> Optional[SCN]:
+        """Population snapshot = the current published QuerySCN, captured
+        under the shared quiesce lock (paper, III-A)."""
+        if self.query_scn.value == 0:
+            return None  # no consistency point published yet
+        if not self.quiesce_lock.try_acquire_shared(owner):
+            return None  # quiesce period in progress
+        try:
+            return self.query_scn.value
+        finally:
+            self.quiesce_lock.release_shared(owner)
+
+    def _population_workers(self) -> list[PopulationWorker]:
+        return [
+            PopulationWorker(
+                self.population,
+                name=f"{self.node.name}-popworker-{i}",
+                node=self.node,
+                sweep=(i == 0),
+            )
+            for i in range(self.config.imcs.population_workers)
+        ]
+
+    def _init_mining(self) -> None:
+        """This instance's IM-ADG Journal, Commit Table, DDL Information
+        Table and the Mining Component that fills them."""
+        journal_cfg = self.config.journal
+        self.journal = IMADGJournal(
+            max(journal_cfg.n_buckets, 4 * self.config.apply.n_workers)
+        )
+        self.commit_table = IMADGCommitTable(journal_cfg.commit_table_partitions)
+        self.ddl_table = DDLInformationTable()
+        self.miner = MiningComponent(
+            self.journal, self.commit_table, self.ddl_table, self.imcs
+        )
+
+    def _recovery_workers(
+        self,
+        distributor: ApplyDistributor,
+        applier: PhysicalApplier,
+        flush: InvalidationFlushComponent,
+        dbim_enabled: bool,
+    ) -> list[RecoveryWorker]:
+        """Workers that mine into this instance's journal and help drain
+        ``flush``'s worklink (cooperative flush, paper III-D-2)."""
+        apply_cfg = self.config.apply
+        batch_sniffer = self.miner.sniff_chunk if dbim_enabled else None
+        flush_helper = (
+            flush.worker_flush
+            if dbim_enabled and apply_cfg.cooperative_flush
+            else None
+        )
+        return [
+            RecoveryWorker(
+                i,
+                distributor,
+                applier=applier,
+                batch_sniffer=batch_sniffer,
+                flush_helper=flush_helper,
+                batch=apply_cfg.worker_batch,
+                flush_batch=apply_cfg.cooperative_flush_batch,
+                node=self.node,
+                cost_per_cv=apply_cfg.apply_cost_per_cv,
+                name=f"{self.node.name}-recovery-worker-{i}",
+            )
+            for i in range(apply_cfg.n_workers)
+        ]
+
+
+class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
+    """One standby instance (the apply master of a RAC standby)."""
 
     def __init__(
         self,
@@ -97,15 +177,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
 
         # --- DBIM-on-ADG components -------------------------------------
         self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
-        journal_cfg = self.config.journal
-        self.journal = IMADGJournal(
-            max(journal_cfg.n_buckets, 4 * apply_cfg.n_workers)
-        )
-        self.commit_table = IMADGCommitTable(journal_cfg.commit_table_partitions)
-        self.ddl_table = DDLInformationTable()
-        self.miner = MiningComponent(
-            self.journal, self.commit_table, self.ddl_table, self.imcs
-        )
+        self._init_mining()
         self.flush = InvalidationFlushComponent(
             self.journal,
             self.commit_table,
@@ -114,28 +186,9 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
             ddl_applier=self.applier.apply_ddl,
             cooperative=apply_cfg.cooperative_flush,
         )
-
-        batch_sniffer = self.miner.sniff_chunk if dbim_enabled else None
-        flush_helper = (
-            self.flush.worker_flush
-            if dbim_enabled and apply_cfg.cooperative_flush
-            else None
+        self.workers = self._recovery_workers(
+            self.distributor, self.applier, self.flush, dbim_enabled
         )
-        self.workers = [
-            RecoveryWorker(
-                i,
-                self.distributor,
-                applier=self.applier,
-                batch_sniffer=batch_sniffer,
-                flush_helper=flush_helper,
-                batch=apply_cfg.worker_batch,
-                flush_batch=apply_cfg.cooperative_flush_batch,
-                node=self.node,
-                cost_per_cv=apply_cfg.apply_cost_per_cv,
-                name=f"{prefix}-recovery-worker-{i}",
-            )
-            for i in range(apply_cfg.n_workers)
-        ]
         self.coordinator = RecoveryCoordinator(
             self.merger,
             self.distributor,
@@ -178,18 +231,11 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
     # ------------------------------------------------------------------
     def attach_actors(self, sched: Scheduler) -> None:
         """Schedule this standby's pipeline and population workers."""
-        for actor in (self.merger, self.coordinator, *self.workers):
+        for actor in (
+            self.merger, self.coordinator, *self.workers,
+            *self._population_workers(),
+        ):
             self.attach_actor(sched, actor)
-        for i in range(self.config.imcs.population_workers):
-            self.attach_actor(
-                sched,
-                PopulationWorker(
-                    self.population,
-                    name=f"{self.node.name}-popworker-{i}",
-                    node=self.node,
-                    sweep=(i == 0),
-                ),
-            )
 
     def attach_undo_retention(self, sched: Scheduler) -> None:
         """Bound version-chain growth on this standby's row store."""
@@ -205,18 +251,6 @@ class StandbyDatabase(InMemoryFeaturesMixin, ActorOwner):
         """Whether the pipeline is scheduled: ``attach_actors`` ran and
         ``detach_actors`` (standby loss, failover) has not."""
         return bool(self._actors)
-
-    def _capture_snapshot(self, owner: object) -> Optional[SCN]:
-        """Population snapshot = the current published QuerySCN, captured
-        under the shared quiesce lock (paper, III-A)."""
-        if self.query_scn.value == 0:
-            return None  # no consistency point published yet
-        if not self.quiesce_lock.try_acquire_shared(owner):
-            return None  # quiesce period in progress
-        try:
-            return self.query_scn.value
-        finally:
-            self.quiesce_lock.release_shared(owner)
 
     # ------------------------------------------------------------------
     # in-memory enablement (standby side)

@@ -19,6 +19,14 @@ optimisations are implemented:
 DDL markers whose SCN is covered by the target are processed during
 ``begin_advance``: the object's IMCUs are dropped and the schema change is
 applied, *before* the new QuerySCN becomes visible to queries.
+
+On a RAC standby one component serves every instance: DDL drops units in
+every instance's store, and with MIRA (paper, V) every apply instance mines
+into its own journal, commit table and DDL table -- the chop takes all the
+commit tables, a transaction's records are gathered from every journal and
+retired from all of them, and an aborted transaction's anchors on
+instances that never saw the abort are collected once every apply
+instance has passed it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.chaos import sites
-from repro.common.ids import DBA, ObjectId, TenantId, WorkerId
+from repro.common.ids import DBA, ObjectId, TenantId, TransactionId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
@@ -231,10 +239,15 @@ class InvalidationFlushComponent:
         cooperative: bool = True,
         group_block_limit: int = 64,
     ) -> None:
-        self.journal = journal
-        self.commit_table = commit_table
-        self.ddl_table = ddl_table
-        self.store = store
+        #: Every apply instance's mining state, this instance's first.
+        self.journals = [journal]
+        self.commit_tables = [commit_table]
+        self.ddl_tables = [ddl_table]
+        #: Every instance's IMCS: a DDL marker drops its units on each.
+        self.stores = [store]
+        #: Aborted transactions whose anchors other apply instances may
+        #: still hold (they never see the abort), by abort SCN.
+        self.aborted: dict[TransactionId, SCN] = {}
         self.router = router or LocalInvalidationRouter(store)
         #: Applies schema changes on the standby (drop column, drop table,
         #: create table) when a DDL marker is processed.
@@ -289,13 +302,30 @@ class InvalidationFlushComponent:
     # AdvanceProtocol
     # ------------------------------------------------------------------
     def begin_advance(self, target_scn: SCN) -> None:
-        nodes = self.commit_table.chop(target_scn)
+        nodes = sorted(
+            (
+                node
+                for table in self.commit_tables
+                for node in table.chop(target_scn)
+            ),
+            key=lambda node: node.commit_scn,
+        )
         self.worklink = Worklink(target_scn, deque(nodes))
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             for node in nodes:
                 tracer.record_chopped(node.commit_scn)
         self._process_ddl(target_scn)
+        # the target is every apply instance's consistency point, so none
+        # can still mine (and recreate) an anchor aborted at or below it
+        for xid, abort_scn in list(self.aborted.items()):
+            if abort_scn <= target_scn:
+                self._retire(xid)
+                del self.aborted[xid]
+
+    def note_abort(self, xid: TransactionId, scn: SCN) -> None:
+        """Installed as every MIRA miner's ``on_abort`` hook."""
+        self.aborted[xid] = scn
 
     def coordinator_flush(self, batch: int) -> int:
         return self._flush_nodes(batch, by_worker=False)
@@ -364,13 +394,21 @@ class InvalidationFlushComponent:
     ) -> list[list[InvalidationGroup | CoarseInvalidation]]:
         """Gather every node's invalidations and route them all, in node
         order; returns them per node."""
-        per_node = routing_ops(
-            nodes,
-            lambda node: () if node.anchor is None else node.anchor.chunks(),
-            self.group_block_limit,
-        )
+        per_node = routing_ops(nodes, self._chunks_of, self.group_block_limit)
         self.router.route([op for of_node in per_node for op in of_node])
         return per_node
+
+    def _chunks_of(self, node: CommitTableNode) -> list[RecordChunk]:
+        """The transaction's mined records: its node's anchor, and under
+        MIRA whatever the other apply instances' journals hold for it (an
+        instance mines the data CVs it applies, i.e. those it owns)."""
+        chunks = [] if node.anchor is None else node.anchor.chunks()
+        if len(self.journals) > 1:
+            for journal in self.journals:
+                anchor = journal.get_with_recovery(node.xid, self)
+                if anchor is not None and anchor is not node.anchor:
+                    chunks.extend(anchor.chunks())
+        return chunks
 
     def _finish(
         self,
@@ -386,24 +424,38 @@ class InvalidationFlushComponent:
             self.groups_created += len(ops)
             for group in ops:
                 self._notify_group(group)
-        # the anchor's job is done: release it from the journal.  The flush
-        # owns the advancement critical path, so an unbounded retry here
-        # would livelock QuerySCN advancement if the latch holder died
-        # (e.g. a recovery worker crashed mid-mine); the recovery variant
-        # spins a bounded number of times and then breaks the dead
-        # holder's latch.
-        self.journal.remove_with_recovery(node.xid, self)
+        self._retire(node.xid)
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             tracer.record_flushed(node.commit_scn)
 
+    def _retire(self, xid: TransactionId) -> None:
+        """Release the transaction's anchor from every journal.  The flush
+        owns the advancement critical path, so an unbounded retry here
+        would livelock QuerySCN advancement if the latch holder died (e.g.
+        a recovery worker crashed mid-mine); the recovery variant spins a
+        bounded number of times and then breaks the dead holder's latch."""
+        for journal in self.journals:
+            journal.remove_with_recovery(xid, self)
+
     # ------------------------------------------------------------------
     def _process_ddl(self, target_scn: SCN) -> None:
-        for entry in self.ddl_table.take_through(target_scn):
+        entries = sorted(
+            (
+                entry
+                for table in self.ddl_tables
+                for entry in table.take_through(target_scn)
+            ),
+            key=lambda entry: entry.scn,
+        )
+        for entry in entries:
             for object_id in entry.payload.object_ids:
-                self.store.drop_units(object_id)
-                if entry.payload.kind in ("drop_table", "alter_no_inmemory"):
-                    self.store.disable(object_id)
+                for store in self.stores:
+                    store.drop_units(object_id)
+                    if entry.payload.kind in (
+                        "drop_table", "alter_no_inmemory",
+                    ):
+                        store.disable(object_id)
                 self._notify_ddl(object_id, entry.scn)
             if self.ddl_applier is not None:
                 self.ddl_applier(entry.payload)

@@ -1,4 +1,4 @@
-"""Standby RAC: the SIRA master, satellites and remote invalidation flush.
+"""A RAC standby: peer instances, remote invalidation flush, scale-out.
 
 "Redo apply on the Standby database is typically limited to a single
 master instance, known as Single Instance Redo Apply or SIRA.  A non-master
@@ -11,31 +11,49 @@ Component queries the home-location map and transmits the 'invalidation
 groups' to the desired instance.  The local recovery coordinator on the
 receiving instance flushes the invalidation groups to SMUs on that
 instance and acknowledges the same to the master" (paper, III-F).
+
+The paper closes with MIRA as its key future work: "With Multi Instance
+Redo Apply (MIRA), ADG can scale-out redo apply to multiple instances with
+Oracle RAC, providing faster log advancement on the Standby Database"
+(V).  Under MIRA every instance receives the redo stream and applies the
+change vectors it *owns* -- the home-location map again, so an instance
+mines into its own journal exactly the changes to blocks it homes -- while
+the master's one recovery coordinator and flush component advance the
+QuerySCN over all of them (see :mod:`repro.dbim_adg.flush`).
+
+Simplifications versus a real RAC (DESIGN.md §2): instances share the
+mounted database (catalog, block store, recovered transaction table)
+through memory rather than cache fusion, and the master reads remote apply
+progress and mining state directly; invalidation groups, their
+acknowledgements and QuerySCN publications ride the simulated
+interconnect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.common.config import SystemConfig
-from repro.common.ids import DBA, InstanceId, ObjectId, TenantId
+from repro.adg.apply import ApplyDistributor
+from repro.adg.merger import LogMerger
+from repro.adg.queryscn import QuerySCNPublisher
+from repro.common.ids import InstanceId, ObjectId, TenantId
 from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
-from repro.adg.queryscn import QuerySCNPublisher
 from repro.dbim_adg.flush import CoarseInvalidation, InvalidationGroup
-from repro.imcs.population import PopulationEngine, PopulationWorker
-from repro.imcs.scan import Predicate, ScanEngine, ScanResult
 from repro.imcs.imcu import ROW_KEY_SHIFT
+from repro.imcs.population import PopulationEngine
 from repro.imcs.store import InMemoryColumnStore, InMemorySegment
 from repro.rac.home_location import HomeLocationMap
 from repro.rac.messaging import Interconnect
+from repro.redo.shipping import RedoReceiver
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Scheduler
-from repro.db.standby import StandbyDatabase
+from repro.sim.scheduler import Actor, Scheduler
+from repro.db.standby import StandbyDatabase, StandbyInstance
 
 
 # ----------------------------------------------------------------------
@@ -63,12 +81,16 @@ class _QuerySCNPublish:
 
 
 # ----------------------------------------------------------------------
-class StandbySatellite:
-    """A non-master standby instance: local IMCS + local coordinator.
+class PeerInstance(StandbyInstance):
+    """Instance ``instance_id`` >= 2 of a RAC standby.
 
-    Shares the master's datafiles (block store), dictionary and recovered
-    transaction table -- RAC instances mount the same database -- but owns
-    its IMCS, population engine and locally-published QuerySCN.
+    It mounts the master's database (block store, dictionary, recovered
+    transaction table) and owns an IMCS populated with the blocks the
+    home-location map gives it, under a local QuerySCN that its local
+    coordinator publishes as the master's publications arrive.  With
+    ``apply`` (MIRA) it also applies the change vectors it owns: its own
+    receiver, merger, ownership-filtered distributor and recovery workers,
+    mining into its own journal, commit table and DDL table.
     """
 
     def __init__(
@@ -77,30 +99,26 @@ class StandbySatellite:
         master: StandbyDatabase,
         home_map: HomeLocationMap,
         interconnect: Interconnect,
-        master_instance_id: InstanceId,
-        config: Optional[SystemConfig] = None,
+        apply: bool,
     ) -> None:
         self.instance_id = instance_id
-        self.master = master
-        self.home_map = home_map
+        self.config = config = master.config
         self.interconnect = interconnect
-        self.master_instance_id = master_instance_id
-        self.config = config or master.config
-        self.node = CpuNode(f"standby-{instance_id}", n_cpus=16)
-        self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
+        self.node = CpuNode(f"{master.node.name}.{instance_id}", n_cpus=16)
+        self.imcs = InMemoryColumnStore(config.imcs.pool_size_bytes)
         self.query_scn = QuerySCNPublisher()
         self.quiesce_lock = QuiesceLock()
+        owns = partial(home_map.is_home, instance_id)
         self.population = PopulationEngine(
             self.imcs,
             master.txn_table,
             snapshot_capture=self._capture_snapshot,
-            config=self.config.imcs,
-            dba_filter=self._is_homed_here,
+            config=config.imcs,
+            dba_filter=owns,
         )
-        self.scan_engine = ScanEngine(self.imcs, master.txn_table)
         self.groups_received = 0
         obs.bind(
-            self, {"groups_received": "rac.satellite.groups_received"},
+            self, {"groups_received": "rac.peer.groups_received"},
             instance=instance_id,
         )
         #: Batch sequences already accepted -- duplicated interconnect
@@ -114,20 +132,25 @@ class StandbySatellite:
         #: QuerySCN would silently miss the already-consumed invalidation.
         self._staged: list[_InvalidationBatch] = []
         interconnect.register(instance_id, self._receive)
+        self.workers = []
+        if apply:
+            self.receiver = RedoReceiver(fal_fetch=master.receiver.fal_fetch)
+            self.merger = LogMerger(
+                self.receiver, node=self.node,
+                name=f"{self.node.name}-log-merger",
+            )
+            self.distributor = ApplyDistributor(
+                config.apply.n_workers, master.applier, owns=owns
+            )
+            self._init_mining()
+            self.workers = self._recovery_workers(
+                self.distributor, master.applier, master.flush,
+                master.dbim_enabled,
+            )
 
-    # -- population ------------------------------------------------------
-    def _is_homed_here(self, object_id: ObjectId, dba: DBA) -> bool:
-        return self.home_map.is_home(self.instance_id, object_id, dba)
-
-    def _capture_snapshot(self, owner: object) -> Optional[SCN]:
-        if self.query_scn.value == 0:
-            return None
-        if not self.quiesce_lock.try_acquire_shared(owner):
-            return None
-        try:
-            return self.query_scn.value
-        finally:
-            self.quiesce_lock.release_shared(owner)
+    def actors(self) -> list[Actor]:
+        pipeline = [self.merger, *self.workers] if self.workers else []
+        return [*pipeline, *self._population_workers()]
 
     # -- local recovery coordinator ---------------------------------------
     def _receive(self, from_instance: InstanceId, payload: object) -> None:
@@ -136,9 +159,7 @@ class StandbySatellite:
                 self._applied_sequences.add(payload.sequence)
                 self._staged.append(payload)
             self.interconnect.send(
-                self.instance_id,
-                self.master_instance_id,
-                _Ack(payload.sequence),
+                self.instance_id, from_instance, _Ack(payload.sequence)
             )
         elif isinstance(payload, _QuerySCNPublish):
             # the local coordinator exposes the master's QuerySCN here
@@ -167,28 +188,12 @@ class StandbySatellite:
                 self.imcs.invalidate_tenant(tenant, scn)
         self._staged.clear()
 
-    def attach_actors(self, sched: Scheduler) -> None:
-        for i in range(self.config.imcs.population_workers):
-            sched.add_actor(
-                PopulationWorker(
-                    self.population,
-                    name=f"satellite{self.instance_id}-popworker-{i}",
-                    node=self.node,
-                    sweep=(i == 0),
-                )
-            )
-
-    def enable_inmemory(self, table_name, partition=None, columns=None):
-        table = self.master.catalog.table(table_name)
-        self.imcs.enable(table, partition, columns)
-        self.population.schedule_all()
-
 
 # ----------------------------------------------------------------------
 class RemoteInvalidationRouter:
     """Master-side router: local groups apply directly, remote groups ride
     the interconnect in batched, pipelined messages; ``drained`` gates the
-    master's QuerySCN publication on the satellites' acknowledgements."""
+    master's QuerySCN publication on the peers' acknowledgements."""
 
     def __init__(
         self,
@@ -295,6 +300,7 @@ class RemoteInvalidationRouter:
         )
 
     def on_ack(self, from_instance: InstanceId, ack: _Ack) -> None:
+        """The master's interconnect handler: a peer staged a batch."""
         self._outstanding_acks.discard(ack.sequence)
 
 
@@ -334,121 +340,59 @@ class MergedStoreView:
 
 
 # ----------------------------------------------------------------------
-class StandbyCluster:
-    """A SIRA standby RAC: one apply master plus N satellites."""
+def scale_out(
+    master: StandbyDatabase, sched: Scheduler, n_instances: int, mira: bool
+) -> list[PeerInstance]:
+    """Make ``master`` instance 1 of an ``n_instances`` RAC standby and
+    return the peers, their actors attached through the master.
 
-    def __init__(
-        self,
-        master: StandbyDatabase,
-        sched: Scheduler,
-        n_instances: int = 2,
-        master_instance_id: InstanceId = 1,
-        config: Optional[SystemConfig] = None,
-    ) -> None:
-        if n_instances < 1:
-            raise ValueError("cluster needs at least one instance")
-        self.master = master
-        self.sched = sched
-        self.config = config or master.config
-        self.master_instance_id = master_instance_id
-        instance_ids = list(range(1, n_instances + 1))
-        self.home_map = HomeLocationMap(
-            instance_ids,
-            range_blocks=max(
-                1,
-                self.config.imcs.imcu_target_rows
-                // self.config.rowstore.rows_per_block,
-            ),
-        )
-        self.interconnect = Interconnect(
-            sched, latency=self.config.rac.interconnect_latency
-        )
-        self.router = RemoteInvalidationRouter(
-            master.imcs,
-            master_instance_id,
-            self.home_map,
-            self.interconnect,
-            batch_size=self.config.rac.invalidation_batch_size,
-        )
-        self.interconnect.register(master_instance_id, self._master_receive)
-        master.flush.router = self.router
-        # master population restricted to blocks homed on the master
-        master.population.dba_filter = (
-            lambda object_id, dba: self.home_map.is_home(
-                master_instance_id, object_id, dba
-            )
-        )
-        self.satellites = [
-            StandbySatellite(
-                instance_id, master, self.home_map, self.interconnect,
-                master_instance_id, self.config,
-            )
-            for instance_id in instance_ids
-            if instance_id != master_instance_id
-        ]
-        # master's QuerySCN publication fans out to local coordinators
-        master.query_scn.subscribe(self._publish_to_satellites)
+    The home-location map homes IMCUs by block range; the master's flush
+    routes invalidation groups by it and publishes only once every peer
+    has acknowledged, then sends the QuerySCN to the peers' local
+    coordinators.  With ``mira`` the same map decides which instance
+    applies each change vector, and the master's coordinator and flush
+    span every instance's pipeline and mining state.
+    """
+    if n_instances < 1:
+        raise ValueError("a RAC standby needs at least one instance")
+    config = master.config
+    home_map = HomeLocationMap(
+        list(range(1, n_instances + 1)),
+        range_blocks=max(
+            1, config.imcs.imcu_target_rows // config.rowstore.rows_per_block
+        ),
+    )
+    interconnect = Interconnect(sched, latency=config.rac.interconnect_latency)
+    flush = master.flush
+    flush.router = RemoteInvalidationRouter(
+        master.imcs, master.instance_id, home_map, interconnect,
+        batch_size=config.rac.invalidation_batch_size,
+    )
+    interconnect.register(master.instance_id, flush.router.on_ack)
+    owns = partial(home_map.is_home, master.instance_id)
+    master.population.dba_filter = owns
+    peers = [
+        PeerInstance(instance_id, master, home_map, interconnect, mira)
+        for instance_id in range(2, n_instances + 1)
+    ]
+    flush.stores.extend(peer.imcs for peer in peers)
+    if mira:
+        master.distributor.owns = owns
+        master.coordinator.peers.extend(peers)
+        flush.journals.extend(peer.journal for peer in peers)
+        flush.commit_tables.extend(peer.commit_table for peer in peers)
+        flush.ddl_tables.extend(peer.ddl_table for peer in peers)
+        for instance in (master, *peers):
+            instance.miner.on_abort = flush.note_abort
 
-    # ------------------------------------------------------------------
-    def _master_receive(self, from_instance: InstanceId, payload: object) -> None:
-        if isinstance(payload, _Ack):
-            self.router.on_ack(from_instance, payload)
-        else:
-            raise TypeError(f"unexpected payload at master: {payload!r}")
-
-    def _publish_to_satellites(self, scn: SCN) -> None:
-        for satellite in self.satellites:
-            self.interconnect.send(
-                self.master_instance_id,
-                satellite.instance_id,
-                _QuerySCNPublish(scn),
+    def publish_to_peers(scn: SCN) -> None:
+        for peer in peers:
+            interconnect.send(
+                master.instance_id, peer.instance_id, _QuerySCNPublish(scn)
             )
 
-    # ------------------------------------------------------------------
-    def attach_actors(self, sched: Scheduler) -> None:
-        for satellite in self.satellites:
-            satellite.attach_actors(sched)
-
-    def enable_inmemory(self, table_name, partition=None, columns=None):
-        object_ids = self.master.enable_inmemory(table_name, partition, columns)
-        for satellite in self.satellites:
-            satellite.enable_inmemory(table_name, partition, columns)
-        return object_ids
-
-    # ------------------------------------------------------------------
-    @property
-    def stores(self) -> list[InMemoryColumnStore]:
-        return [self.master.imcs] + [s.imcs for s in self.satellites]
-
-    def query(
-        self,
-        table_name: str,
-        predicates: Optional[list[Predicate]] = None,
-        columns: Optional[list[str]] = None,
-        partitions: Optional[list[str]] = None,
-        instance_id: Optional[InstanceId] = None,
-    ) -> ScanResult:
-        """Cluster-wide scan at the serving instance's local QuerySCN."""
-        if instance_id is None or instance_id == self.master_instance_id:
-            snapshot = self.master.query_scn.value
-        else:
-            satellite = next(
-                s for s in self.satellites if s.instance_id == instance_id
-            )
-            snapshot = satellite.query_scn.value
-        table = self.master.catalog.table(table_name)
-        engine = ScanEngine(
-            MergedStoreView(self.stores), self.master.txn_table
-        )
-        return engine.scan(table, snapshot, predicates, columns, partitions)
-
-    def populated_rows(self) -> dict[InstanceId, int]:
-        out = {self.master_instance_id: self.master.imcs.populated_rows}
-        for satellite in self.satellites:
-            out[satellite.instance_id] = satellite.imcs.populated_rows
-        return out
-
-    def fully_populated(self) -> bool:
-        return self.master.population.fully_populated() and all(
-            s.population.fully_populated() for s in self.satellites
-        )
+    master.query_scn.subscribe(publish_to_peers)
+    for peer in peers:
+        for actor in peer.actors():
+            master.attach_actor(sched, actor)
+    return peers

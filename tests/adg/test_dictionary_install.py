@@ -8,10 +8,9 @@ import pytest
 from repro.adg import ApplyDistributor, RecoveryWorker
 from repro.common import ObjectNotFoundError, TransactionId
 from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
-from repro.db import Deployment, PrimaryDatabase
+from repro.db import Deployment
 from repro.db.applier import PhysicalApplier
 from repro.db.catalog import Catalog
-from repro.rac.mira import MIRAStandbyCluster, _FilteredDistributor
 from repro.redo.records import CVOp, DDLMarkerPayload, ddl_marker_dba
 from repro.rowstore import BlockStore
 from repro.sim import Scheduler
@@ -80,7 +79,7 @@ class TestInstall:
 
     def test_mira_instance_learns_tables_it_owns_none_of(self):
         applier = fresh_applier()
-        distributor = _FilteredDistributor(
+        distributor = ApplyDistributor(
             2, applier, owns=lambda object_id, dba: False
         )
         distributor.distribute([batch_of([marker_record(10)])])
@@ -132,31 +131,19 @@ class SIRA:
         self.deployment.catch_up(timeout=timeout)
 
     def standby_rows(self, name):
-        return sorted(self.deployment.standby.query(name).rows)
+        return sorted(self.deployment.member().query(name).rows)
 
 
-class MIRA:
+class MIRA(SIRA):
     def __init__(self):
         config = SystemConfig(
             imcs=IMCSConfig(imcu_target_rows=64, population_workers=1),
             apply=ApplyConfig(n_workers=3),
             rac=RACConfig(primary_instances=2),
         )
-        self.sched = Scheduler(seed=config.seed, jitter=0.05)
-        self.primary = PrimaryDatabase(config)
-        self.primary.attach_actors(self.sched)
-        self.cluster = MIRAStandbyCluster(
-            self.primary, self.sched, n_instances=2, config=config
-        )
-
-    def catch_up(self, timeout):
-        target = self.primary.clock.current
-        assert self.sched.run_until_condition(
-            lambda: self.cluster.query_scn.value >= target, max_time=timeout
-        ), f"MIRA lagging: {self.cluster.query_scn.value} < {target}"
-
-    def standby_rows(self, name):
-        return sorted(self.cluster.query(name).rows)
+        self.deployment = Deployment.build(config=config)
+        self.deployment.add_standby_cluster(2, mira=True)
+        self.primary = self.deployment.primary
 
 
 @pytest.mark.parametrize("topology", [SIRA, MIRA], ids=["sira", "mira"])
@@ -184,5 +171,5 @@ def test_drop_then_recreate_under_the_same_name(topology):
     )
     assert len(expected) == 20
     assert db.standby_rows("T") == expected
-    catalog = (db.deployment.standby if topology is SIRA else db.cluster).catalog
+    catalog = db.deployment.standby.catalog
     assert not any(catalog.has_object(oid) for oid in old_ids)

@@ -477,7 +477,7 @@ def test_sira_router_ships_the_same_batches_under_every_schedule(case):
     contents and cut points must not depend on the drain schedule."""
     home_map = HomeLocationMap(INSTANCES, range_blocks=2)
     model, drained, __ = expected_of(case, MasterOnly(home_map))
-    # what the satellites are owed: every group's remote blocks, in order
+    # what the peers are owed: every group's remote blocks, in order
     owed: dict[int, list] = {i: [] for i in INSTANCES if i != MASTER}
     coarse = []
     for event in model.flush.events:

@@ -1,12 +1,12 @@
-"""Tests for Multi-Instance Redo Apply (the paper's named future work)."""
+"""Tests for Multi-Instance Redo Apply (the paper's named future work): a
+RAC standby member whose every instance applies the change vectors it
+owns, advanced by the member's one recovery coordinator."""
 
-import pytest
-
+from repro import obs
+from repro.chaos.sites import Action, Decision, PROCEED, SiteRegistry, recording
 from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
-from repro.db import ColumnDef, PrimaryDatabase, TableDef
+from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
-from repro.rac.mira import MIRAStandbyCluster
-from repro.sim import Scheduler
 
 
 def build_mira(n_instances=2, primary_instances=2, rows_per_block=8):
@@ -16,15 +16,13 @@ def build_mira(n_instances=2, primary_instances=2, rows_per_block=8):
         rac=RACConfig(primary_instances=primary_instances),
         rowstore=type(SystemConfig().rowstore)(rows_per_block=rows_per_block),
     )
-    sched = Scheduler(seed=config.seed, jitter=0.05)
-    primary = PrimaryDatabase(config)
-    primary.attach_actors(sched)
-    cluster = MIRAStandbyCluster(primary, sched, n_instances=n_instances,
-                                 config=config)
-    return primary, cluster, sched
+    deployment = Deployment.build(config=config)
+    member = deployment.add_standby_cluster(n_instances, mira=True)
+    return deployment, member
 
 
-def create_and_load(primary, cluster, sched, n=200):
+def create_and_load(deployment, n=200):
+    primary = deployment.primary
     table_def = TableDef(
         "T",
         (
@@ -35,7 +33,7 @@ def create_and_load(primary, cluster, sched, n=200):
         rows_per_block=8,
         indexes=("id",),
     )
-    primary.create_table(table_def)
+    deployment.create_table(table_def)
     rowids = []
     for base in range(0, n, 50):
         instance_id = 1 + (base // 50) % len(primary.instances)
@@ -48,20 +46,12 @@ def create_and_load(primary, cluster, sched, n=200):
     return rowids
 
 
-def catch_up(primary, cluster, sched, require_population=True,
-             timeout=600.0):
-    target = primary.clock.current
-
-    def done():
-        if cluster.query_scn.value < target:
-            return False
-        if require_population and not cluster.fully_populated():
-            return False
-        return True
-
-    assert sched.run_until_condition(done, max_time=timeout), (
-        f"MIRA lagging: {cluster.query_scn.value} < {target}"
-    )
+def catch_up_apply(deployment, member):
+    """Run until the member's QuerySCN covers the primary (no IMCS)."""
+    target = deployment.primary.clock.current
+    assert deployment.sched.run_until_condition(
+        lambda: member.published_scn >= target, max_time=600.0
+    ), f"MIRA lagging: {member.published_scn} < {target}"
 
 
 def expected_rows(primary, snapshot, table_name="T"):
@@ -71,21 +61,26 @@ def expected_rows(primary, snapshot, table_name="T"):
     )
 
 
+def cvs_applied(member):
+    return {
+        instance.instance_id: sum(w.cvs_applied for w in instance.workers)
+        for instance in member.instances
+    }
+
+
 class TestMIRAApply:
     def test_per_instance_workers_get_i_labels_in_construction_order(self):
         """Every apply instance numbers its workers from 0, so the second
         instance's worker w re-declares ``adg.worker.cvs_applied{worker=w}``
         and the registry labels it ``i=1``: one series per worker, in the
         order the instances were built."""
-        from repro import obs
-
         registry = obs.MetricsRegistry()
         with obs.collecting(registry):
-            primary, cluster, sched = build_mira()
-        create_and_load(primary, cluster, sched)
-        catch_up(primary, cluster, sched, require_population=False)
+            deployment, member = build_mira()
+        create_and_load(deployment)
+        catch_up_apply(deployment, member)
         snapshot = registry.snapshot()
-        for index, instance in enumerate(cluster.instances):
+        for index, instance in enumerate(member.instances):
             labels = {"i": index} if index else {}
             for worker in instance.workers:
                 entry = snapshot.get(
@@ -94,99 +89,98 @@ class TestMIRAApply:
                 )
                 assert entry["value"] == worker.cvs_applied
         assert snapshot.total("adg.worker.cvs_applied") == sum(
-            cluster.cvs_applied_per_instance().values()
+            cvs_applied(member).values()
         )
         assert len(snapshot.find("adg.worker.cvs_applied")) == 2 * 3
 
     def test_apply_work_is_distributed(self):
-        primary, cluster, sched = build_mira()
-        create_and_load(primary, cluster, sched)
-        catch_up(primary, cluster, sched, require_population=False)
-        per_instance = cluster.cvs_applied_per_instance()
+        deployment, member = build_mira()
+        create_and_load(deployment)
+        catch_up_apply(deployment, member)
+        per_instance = cvs_applied(member)
         assert all(count > 10 for count in per_instance.values()), per_instance
 
     def test_replication_correctness(self):
-        primary, cluster, sched = build_mira()
-        create_and_load(primary, cluster, sched)
-        catch_up(primary, cluster, sched, require_population=False)
-        snapshot = cluster.query_scn.value
-        table = cluster.catalog.table("T")
+        deployment, member = build_mira()
+        create_and_load(deployment)
+        catch_up_apply(deployment, member)
+        snapshot = member.published_scn
+        standby = member.standby
+        table = standby.catalog.table("T")
         standby_rows = sorted(
             values
-            for __, values in table.full_scan(snapshot, cluster.txn_table)
+            for __, values in table.full_scan(snapshot, standby.txn_table)
         )
-        assert standby_rows == expected_rows(primary, snapshot)
+        assert standby_rows == expected_rows(deployment.primary, snapshot)
         assert len(standby_rows) == 200
 
     def test_no_cv_applied_twice(self):
         """Ownership partitions the CV stream: the cluster-wide applied
         count equals the CV count in the redo stream."""
-        primary, cluster, sched = build_mira()
-        create_and_load(primary, cluster, sched, n=100)
-        catch_up(primary, cluster, sched, require_population=False)
+        deployment, member = build_mira()
+        create_and_load(deployment, n=100)
+        catch_up_apply(deployment, member)
         total_cvs = sum(
-            log.batch(0, len(log)).n_cvs for log in primary.redo_logs
+            log.batch(0, len(log)).n_cvs
+            for log in deployment.primary.redo_logs
         )
-        applied = sum(cluster.cvs_applied_per_instance().values())
-        skipped = sum(i.distributor.cvs_skipped for i in cluster.instances)
+        applied = sum(cvs_applied(member).values())
         # ownership partitions the stream: cluster-wide, each CV is applied
         # at most once (heartbeats keep flowing, so <=, not ==)
         assert applied <= total_cvs
         # and every instance really did see + skip the unowned majority
-        assert skipped > 0
         assert all(
             instance.distributor.cvs_skipped > 0
-            for instance in cluster.instances
+            for instance in member.instances
         )
 
 
 class TestMIRADbim:
     def setup_populated(self, n=200):
-        primary, cluster, sched = build_mira()
-        rowids = create_and_load(primary, cluster, sched, n=n)
-        # the create-table marker must apply before enablement
-        assert sched.run_until_condition(
-            lambda: "T" in cluster.catalog, max_time=60.0
-        )
-        cluster.enable_inmemory("T")
-        primary.note_standby_enablement(
-            cluster.catalog.table("T").object_ids
-        )
-        catch_up(primary, cluster, sched)
-        return primary, cluster, sched, rowids
+        deployment, member = build_mira()
+        rowids = create_and_load(deployment, n=n)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        return deployment, member, rowids
 
     def test_imcus_distributed_by_ownership(self):
-        primary, cluster, sched, __ = self.setup_populated()
-        per_instance = cluster.populated_rows()
+        deployment, member, __ = self.setup_populated()
+        per_instance = member.populated_rows()
         assert sum(per_instance.values()) == 200
         assert all(rows > 0 for rows in per_instance.values()), per_instance
 
     def test_scan_through_merged_imcs(self):
-        primary, cluster, sched, __ = self.setup_populated()
-        result = cluster.query("T", [Predicate.eq("c1", "v3")])
+        deployment, member, __ = self.setup_populated()
+        result = member.query("T", [Predicate.eq("c1", "v3")])
         assert len(result.rows) == 40
         assert result.stats.imcus_used >= 2
         assert result.stats.fallback_rows == 0
 
     def test_cross_instance_invalidation_gather(self):
         """A transaction driven on primary instance 1 touches blocks owned
-        by both apply instances: its records sit in two journals and the
-        coordinator must gather them all."""
-        primary, cluster, sched, rowids = self.setup_populated()
+        by both apply instances: its records are mined into both journals
+        and the flush must gather them all."""
+        deployment, member, rowids = self.setup_populated()
+        mined = [i.miner.data_records_mined for i in member.instances]
+        primary = deployment.primary
         txn = primary.begin()
         for rowid in rowids[::4]:
             primary.update(txn, "T", rowid, {"n1": -8.0})
         primary.commit(txn)
-        catch_up(primary, cluster, sched)
-        assert cluster.coordinator.cross_instance_gathers >= 1
-        result = cluster.query("T", [Predicate.eq("n1", -8.0)])
+        deployment.catch_up()
+        assert all(
+            instance.miner.data_records_mined > before
+            for instance, before in zip(member.instances, mined)
+        )
+        result = member.query("T", [Predicate.eq("n1", -8.0)])
         assert len(result.rows) == 50
         # old values gone
-        stale = cluster.query("T", [Predicate.eq("n1", 0.0)])
+        stale = member.query("T", [Predicate.eq("n1", 0.0)])
         assert all(row[0] != 0 for row in stale.rows)
 
     def test_full_consistency_after_mixed_dml(self):
-        primary, cluster, sched, rowids = self.setup_populated()
+        deployment, member, rowids = self.setup_populated()
+        primary = deployment.primary
         txn = primary.begin(instance_id=1)
         for rowid in rowids[:30:3]:
             primary.update(txn, "T", rowid, {"c1": "upd"})
@@ -200,44 +194,132 @@ class TestMIRADbim:
         primary.update(txn, "T", rowids[40], {"c1": "ghost"})
         primary.insert(txn, "T", (9999, 1.0, "ghost"))
         primary.rollback(txn)
-        catch_up(primary, cluster, sched)
-        snapshot = cluster.query_scn.value
-        got = sorted(cluster.query("T").rows)
+        deployment.catch_up()
+        snapshot = member.published_scn
+        got = sorted(member.query("T").rows)
         assert got == expected_rows(primary, snapshot)
         assert not any(row[2] == "ghost" for row in got)
 
     def test_aborted_transactions_garbage_collected(self):
-        primary, cluster, sched, rowids = self.setup_populated()
+        deployment, member, rowids = self.setup_populated()
+        primary = deployment.primary
         for i in range(5):
             txn = primary.begin()
             primary.update(txn, "T", rowids[i], {"n1": -1.0})
             primary.rollback(txn)
-        catch_up(primary, cluster, sched)
+        deployment.catch_up()
         # run a little longer so a post-abort advancement performs GC
         txn = primary.begin()
         primary.update(txn, "T", rowids[50], {"n1": -2.0})
         primary.commit(txn)
-        catch_up(primary, cluster, sched)
-        def anchors():
-            return sum(i.journal.anchor_count for i in cluster.instances)
+        deployment.catch_up()
+        flush = member.standby.flush
 
-        assert sched.run_until_condition(
-            lambda: not cluster.aborted_xids and anchors() == 0,
+        def anchors():
+            return sum(journal.anchor_count for journal in flush.journals)
+
+        assert deployment.sched.run_until_condition(
+            lambda: not flush.aborted and anchors() == 0,
             max_time=60.0,
         )
 
     def test_ddl_drop_column_across_mira(self):
-        primary, cluster, sched, __ = self.setup_populated()
-        primary.drop_column("T", "n1")
-        catch_up(primary, cluster, sched)
-        assert cluster.catalog.table("T").schema.is_dropped("n1")
-        result = cluster.query("T")
+        deployment, member, __ = self.setup_populated()
+        deployment.primary.drop_column("T", "n1")
+        deployment.catch_up()
+        assert member.standby.catalog.table("T").schema.is_dropped("n1")
+        result = member.query("T")
         assert len(result.rows) == 200
         assert all(len(row) == 2 for row in result.rows)
 
     def test_queryscn_monotone_and_consistent_per_instance(self):
-        primary, cluster, sched, __ = self.setup_populated()
-        history = [scn for __, scn in cluster.query_scn.history]
-        assert history == sorted(history)
-        for instance in cluster.instances:
-            assert instance.query_scn.value == cluster.query_scn.value
+        deployment, member, __ = self.setup_populated()
+        for instance in member.instances:
+            history = [scn for __, scn in instance.query_scn.history]
+            assert history == sorted(history)
+        # a peer publishes exactly what the master published, once the
+        # publication reaches it
+        published = {scn for __, scn in member.standby.query_scn.history}
+        for peer in member.peers:
+            assert {scn for __, scn in peer.query_scn.history} <= published
+
+
+class _BlockFlush:
+    """Stalls worklink draining while ``blocked`` (chaos injector)."""
+
+    def __init__(self):
+        self.blocked = True
+
+    def decide(self, site, event, context):
+        return Decision(Action.STALL) if self.blocked else PROCEED
+
+
+class TestMIRAAdvancement:
+    """One advancement protocol: the member's RecoveryCoordinator and
+    flush component, with cooperative flush and chaos sites, advance a
+    MIRA member as they do a single instance."""
+
+    def test_workers_flush_cooperatively(self):
+        deployment, member, rowids = TestMIRADbim().setup_populated()
+        primary = deployment.primary
+        for rowid in rowids:
+            txn = primary.begin()
+            primary.update(txn, "T", rowid, {"n1": -6.0})
+            primary.commit(txn)
+        deployment.catch_up()
+        flush = member.standby.flush
+        assert flush.nodes_flushed_by_workers > 0
+        assert all(
+            worker.flush_helper == flush.worker_flush
+            for instance in member.instances
+            for worker in instance.workers
+        )
+        assert len(member.query("T", [Predicate.eq("n1", -6.0)]).rows) == 200
+
+    def test_worklink_stall_holds_back_publication(self):
+        registry = SiteRegistry()
+        with recording(registry):
+            deployment, member = build_mira()
+            rowids = create_and_load(deployment)
+            deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+            deployment.catch_up()
+        standby = member.standby
+        blocker = _BlockFlush()
+        registry.install("flush.worklink", blocker)
+        primary = deployment.primary
+        txn = primary.begin()
+        for rowid in rowids[::4]:
+            primary.update(txn, "T", rowid, {"n1": -7.0})
+        commit_scn = primary.commit(txn)
+        deployment.run(1.0)
+        assert member.applied_through_scn >= commit_scn
+        assert standby.flush.chaos_stalls > 0
+        assert standby.query_scn.value < commit_scn
+        assert not member.query("T", [Predicate.eq("n1", -7.0)]).rows
+        blocker.blocked = False
+        deployment.catch_up()
+        assert standby.coordinator.advancements > 0
+        assert len(member.query("T", [Predicate.eq("n1", -7.0)]).rows) == 50
+
+
+def test_a_named_member_scales_out_and_leaves_with_every_destination():
+    """Any member scales out; its apply instances join the deployment's
+    shippers, and losing the member stops shipping to all of them."""
+    deployment = Deployment.build(
+        config=SystemConfig(apply=ApplyConfig(n_workers=2)), n_standbys=2
+    )
+    member = deployment.add_standby_cluster(2, member="standby-2", mira=True)
+    assert member is deployment.member("standby-2")
+    assert not deployment.member("standby-1").peers
+    for shipper in deployment.shippers:
+        assert shipper.destinations == ["standby-1", "standby-2", "standby-2.2"]
+    create_and_load(deployment, n=100)
+    deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+    deployment.catch_up()
+    assert all(cvs_applied(member).values())
+    assert sorted(member.query("T").rows) == expected_rows(
+        deployment.primary, member.published_scn
+    )
+    deployment.lose_standby("standby-2")
+    for shipper in deployment.shippers:
+        assert shipper.destinations == ["standby-1"]

@@ -1,4 +1,4 @@
-"""Integration tests for the SIRA standby RAC (paper, section III-F)."""
+"""Integration tests for a SIRA standby RAC (paper, section III-F)."""
 
 import pytest
 
@@ -8,21 +8,25 @@ from tests.db.conftest import load, simple_table_def, small_config
 from repro.db import Deployment, InMemoryService
 
 
-@pytest.fixture
-def rac_deployment():
+def build_rac(mira=False):
     deployment = Deployment.build(config=small_config())
-    cluster = deployment.add_standby_cluster(n_instances=2)
+    member = deployment.add_standby_cluster(n_instances=2, mira=mira)
     deployment.create_table(simple_table_def(rows_per_block=4))
     load(deployment, n=200)
     deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
     deployment.catch_up()
-    return deployment, cluster
+    return deployment, member
+
+
+@pytest.fixture
+def rac_deployment():
+    return build_rac()
 
 
 class TestClusterPopulation:
     def test_imcus_distributed_across_instances(self, rac_deployment):
-        deployment, cluster = rac_deployment
-        per_instance = cluster.populated_rows()
+        deployment, member = rac_deployment
+        per_instance = member.populated_rows()
         assert sum(per_instance.values()) == 200
         populated_instances = [n for n, rows in per_instance.items() if rows]
         assert len(populated_instances) >= 2, (
@@ -30,10 +34,11 @@ class TestClusterPopulation:
         )
 
     def test_no_block_is_double_populated(self, rac_deployment):
-        deployment, cluster = rac_deployment
+        deployment, member = rac_deployment
         oid = deployment.standby.catalog.table("T").object_ids[0]
         seen = set()
-        for store in cluster.stores:
+        for instance in member.instances:
+            store = instance.imcs
             if not store.is_enabled(oid):
                 continue
             for smu in store.segment(oid).live_units():
@@ -44,22 +49,26 @@ class TestClusterPopulation:
 
 class TestClusterQueries:
     def test_cluster_scan_matches_rowstore(self, rac_deployment):
-        deployment, cluster = rac_deployment
-        result = cluster.query("T", [Predicate.eq("c1", "v3")])
+        deployment, member = rac_deployment
+        result = member.query("T", [Predicate.eq("c1", "v3")])
         assert len(result.rows) == 40
         assert result.stats.imcus_used >= 2  # units from both instances
 
     def test_satellite_instance_snapshot(self, rac_deployment):
-        deployment, cluster = rac_deployment
-        satellite_id = cluster.satellites[0].instance_id
-        result = cluster.query("T", instance_id=satellite_id)
+        """The member scans at the lowest QuerySCN any of its instances
+        has published, so the peer's SMUs cover it."""
+        deployment, member = rac_deployment
+        peer = member.peers[0]
+        assert member.published_scn == min(
+            deployment.standby.query_scn.value, peer.query_scn.value
+        )
+        result = member.query("T")
         assert len(result.rows) == 200
 
 
 class TestRemoteInvalidation:
     def test_update_reaches_remote_smu(self, rac_deployment):
-        deployment, cluster = rac_deployment
-        rowids, __ = [], None
+        deployment, member = rac_deployment
         # touch many rows so both instances receive invalidations
         table = deployment.primary.catalog.table("T")
         txn = deployment.primary.begin()
@@ -70,32 +79,33 @@ class TestRemoteInvalidation:
             targets.append(i)
         deployment.primary.commit(txn)
         deployment.catch_up()
-        assert cluster.router.groups_routed_remote >= 1
-        assert all(s.groups_received >= 1 for s in cluster.satellites)
-        result = cluster.query("T", [Predicate.eq("n1", -9.0)])
+        assert deployment.standby.flush.router.groups_routed_remote >= 1
+        assert all(peer.groups_received >= 1 for peer in member.peers)
+        result = member.query("T", [Predicate.eq("n1", -9.0)])
         assert sorted(r[0] for r in result.rows) == targets
 
     def test_satellite_queryscn_follows_master(self, rac_deployment):
-        """Satellites trail the master only by in-flight publications: every
+        """Peers trail the master only by in-flight publications: every
         value they expose was published by the master, and once redo goes
         quiet they converge exactly."""
-        deployment, cluster = rac_deployment
+        deployment, member = rac_deployment
         published = {scn for __, scn in deployment.standby.query_scn.history}
-        for satellite in cluster.satellites:
-            assert satellite.query_scn.value in published
+        for peer in member.peers:
+            assert peer.query_scn.value in published
         master_scn = deployment.standby.query_scn.value
         deployment.sched.run_until_condition(
             lambda: all(
-                s.query_scn.value >= master_scn for s in cluster.satellites
+                p.query_scn.value >= master_scn for p in member.peers
             ),
             max_time=5.0,
         )
-        for satellite in cluster.satellites:
-            assert satellite.query_scn.value >= master_scn
+        for peer in member.peers:
+            assert peer.query_scn.value >= master_scn
 
     def test_batching_limits_message_count(self, rac_deployment):
-        deployment, cluster = rac_deployment
-        before = cluster.interconnect.messages_sent
+        deployment, member = rac_deployment
+        interconnect = deployment.standby.flush.router.interconnect
+        before = interconnect.messages_sent
         txn = deployment.primary.begin()
         table = deployment.primary.catalog.table("T")
         for i in range(100):
@@ -103,13 +113,13 @@ class TestRemoteInvalidation:
             deployment.primary.update(txn, "T", rowid, {"n1": -3.0})
         deployment.primary.commit(txn)
         deployment.catch_up()
-        sent = cluster.interconnect.messages_sent - before
+        sent = interconnect.messages_sent - before
         # batching: far fewer messages than invalidated rows (plus acks
         # and QuerySCN publications, which dominate the remainder)
         assert sent < 100
 
     def test_cluster_consistency_under_mixed_dml(self, rac_deployment):
-        deployment, cluster = rac_deployment
+        deployment, member = rac_deployment
         table = deployment.primary.catalog.table("T")
         txn = deployment.primary.begin()
         for i in range(0, 50, 3):
@@ -124,8 +134,8 @@ class TestRemoteInvalidation:
         load(deployment, n=13, start=9000)
         deployment.catch_up()
 
-        snapshot = deployment.standby.query_scn.value
-        got = sorted(cluster.query("T").rows)
+        snapshot = member.published_scn
+        got = sorted(member.query("T").rows)
         expected = sorted(
             values
             for __, values in table.full_scan(
@@ -133,3 +143,19 @@ class TestRemoteInvalidation:
             )
         )
         assert got == expected
+
+
+@pytest.mark.parametrize("mira", [False, True], ids=["sira", "mira"])
+def test_truncate_drops_units_on_every_instance(mira):
+    """A DDL marker drops the object's units on every instance's store.
+    Under SIRA it used to drop them on the master only: the peer kept its
+    populated rows and the member scan served the wiped rows."""
+    deployment, member = build_rac(mira)
+    assert all(rows for rows in member.populated_rows().values())
+    deployment.primary.truncate_table("T")
+    deployment.catch_up()
+    assert member.populated_rows() == {1: 0, 2: 0}
+    snapshot = member.published_scn
+    table = deployment.primary.catalog.table("T")
+    assert list(table.full_scan(snapshot, deployment.primary.txn_table)) == []
+    assert member.query("T").rows == []
