@@ -3,8 +3,8 @@
 The paper's III-E restart story is the motivation for population
 checkpoints (:mod:`repro.restart`): without them a standby bounce drops
 the whole IMCS and the first analytic query waits behind full
-repopulation.  With checkpoints the restart path rebuilds warm IMCUs
-from the captured buffers and re-mines only the redo tail.
+repopulation.  With checkpoints the restart path reinstalls the IMCUs
+it captured, warm, and re-mines only the redo tail.
 
 Two measurements on the same prepared deployment shape:
 

@@ -93,7 +93,7 @@ def _synthetic_unit(object_id, snapshot_scn, unit_index: int) -> IMCU:
         "c1": DictionaryCU.from_codes(c1_codes, C1_DICT),
         "c2": RunLengthCU.from_runs(starts, run_codes, n, STATUSES),
     }
-    return IMCU(object_id, 0, snapshot_scn, None, {}, columns, n_rows=n)
+    return IMCU(object_id, 0, snapshot_scn, {}, columns, n_rows=n)
 
 
 @pytest.fixture(scope="module")

@@ -139,8 +139,6 @@ class RestartConfig:
 
     # Minimum simulated seconds between checkpoint captures of one object.
     checkpoint_interval: float = 0.2
-    # Checkpoint versions kept per object (older QuerySCNs are pruned).
-    keep_versions: int = 2
     # Simulated CPU seconds to reinstall one checkpointed row at restart.
     # Restoring decodes nothing and reads no blocks through Consistent
     # Read, so it is an order of magnitude cheaper than population.

@@ -314,7 +314,7 @@ class Deployment:
 
         for member in self.mounted_members:
             standby = member.standby
-            store = CheckpointStore(keep_versions=restart_cfg.keep_versions)
+            store = CheckpointStore()
             standby.enable_restart_checkpoints(store, redo_tail_fetch)
             standby.attach_actor(self.sched, CheckpointWriter(
                 standby,

@@ -341,7 +341,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
         is what the section III-E coarse-invalidation protocol exists for.
 
         With :meth:`enable_restart_checkpoints` armed (and ``cold=False``)
-        the instant path rebuilds a warm IMCS from the latest population
+        the instant path reinstalls a warm IMCS from the latest population
         checkpoints and re-mines only the redo tail instead of coarse-
         invalidate-and-repopulate; see :mod:`repro.restart.replay`.
         """

@@ -18,12 +18,6 @@ bulk decode for projection, encoded-domain aggregation
 (:meth:`ColumnCU.stats_for_positions`), min/max for the storage index, and
 a memory estimate for the pool accounting.
 
-CUs are also *reconstructible from raw buffers*
-(:func:`export_cu` / :func:`cu_from_export`): restart checkpoints
-(``repro.restart.checkpoint``) persist the numpy arrays and reinstall
-identical CU objects, and benchmarks use the same constructors to assemble
-large synthetic IMCUs without a per-row encode loop.
-
 Encoding is *block-wise* (:func:`encode_rows` over a :func:`row_matrix`);
 the per-column constructors are width-1 calls of the same code, and the
 cell-at-a-time loops they replaced are the reference model in
@@ -822,18 +816,6 @@ class GlobalDictionary:
     def decode(self, code: int) -> str:
         return self._values[code]
 
-    def snapshot(self) -> list[str]:
-        """Copy of the current code -> value list (codes are stable, so a
-        prefix snapshot decodes every code assigned so far)."""
-        return list(self._values)
-
-    @classmethod
-    def from_values(cls, values: Sequence[str]) -> "GlobalDictionary":
-        dictionary = cls()
-        for value in values:
-            dictionary.encode(value)
-        return dictionary
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -865,13 +847,9 @@ class SharedDictionaryCU(ColumnCU):
 
     @classmethod
     def from_codes(
-        cls, codes: np.ndarray, dictionary
+        cls, codes: np.ndarray, dictionary: GlobalDictionary
     ) -> "SharedDictionaryCU":
-        """Wrap an encoded code vector over the group's live dictionary --
-        or, given only its value list (:func:`cu_from_export`), over a
-        private copy of it."""
-        if not isinstance(dictionary, GlobalDictionary):
-            dictionary = GlobalDictionary.from_values(dictionary)
+        """Wrap an encoded code vector over the group's live dictionary."""
         cu = cls.__new__(cls)
         cu._install(codes, dictionary)
         return cu
@@ -973,60 +951,3 @@ class SharedDictionaryCU(ColumnCU):
     def memory_bytes(self) -> int:
         return int(self._codes.nbytes)  # the dictionary is shared
 
-
-# ----------------------------------------------------------------------
-# buffer export / reconstruction (restart checkpoints, fast build)
-# ----------------------------------------------------------------------
-def export_cu(cu: ColumnCU) -> tuple[str, dict[str, np.ndarray], dict]:
-    """Describe a CU as ``(kind, arrays, meta)``.
-
-    ``arrays`` maps buffer names to numpy arrays; ``meta`` holds the
-    small picklable remainder (dictionary value lists, row counts).
-    :func:`cu_from_export` inverts this.
-    """
-    if isinstance(cu, NumericCU):
-        return (
-            "numeric",
-            {"data": cu._data, "nulls": cu._nulls, "is_int": cu._is_int},
-            {},
-        )
-    if isinstance(cu, RunLengthCU):
-        return (
-            "rle",
-            {"run_starts": cu._run_starts, "run_codes": cu._run_codes},
-            {"dictionary": cu._dictionary, "n_rows": cu.n_rows},
-        )
-    if isinstance(cu, DictionaryCU):
-        return (
-            "dictionary",
-            {"codes": cu._codes},
-            {"dictionary": cu._dictionary},
-        )
-    if isinstance(cu, SharedDictionaryCU):
-        return (
-            "shared",
-            {"codes": cu._codes},
-            {"values": cu.dictionary.snapshot()},
-        )
-    raise TypeError(f"cannot export {type(cu).__name__}")
-
-
-def cu_from_export(
-    kind: str, arrays: dict[str, np.ndarray], meta: dict
-) -> ColumnCU:
-    """Rebuild a CU from :func:`export_cu` output (zero-copy over the
-    provided arrays)."""
-    if kind == "numeric":
-        return NumericCU.from_arrays(
-            arrays["data"], arrays["nulls"], arrays["is_int"]
-        )
-    if kind == "rle":
-        return RunLengthCU.from_runs(
-            arrays["run_starts"], arrays["run_codes"],
-            meta["n_rows"], meta["dictionary"],
-        )
-    if kind == "dictionary":
-        return DictionaryCU.from_codes(arrays["codes"], meta["dictionary"])
-    if kind == "shared":
-        return SharedDictionaryCU.from_codes(arrays["codes"], meta["values"])
-    raise ValueError(f"unknown CU export kind {kind!r}")

@@ -12,7 +12,7 @@ Besides the column CUs, an IMCU keeps:
 * ``row_dbas`` / ``row_slots`` -- the physical address of each captured
   row, in (covered block, slot) order, as two int64 arrays, for mapping
   invalidation records to row positions (``rowids`` materialises them as
-  objects on demand, for rowid projection and checkpoints);
+  objects on demand, for rowid projection);
 * ``captured_slots`` -- per covered block, how many slots existed at the
   snapshot; rows appended later live only in the row store until
   repopulation widens the IMCU ("edge" rows, the effect that limits the
@@ -66,7 +66,6 @@ class IMCU:
         object_id: ObjectId,
         tenant: TenantId,
         snapshot_scn: SCN,
-        rowids: Optional[list[RowId]],
         captured_slots: dict[DBA, int],
         columns: dict[str, ColumnCU],
         n_rows: Optional[int] = None,
@@ -77,20 +76,15 @@ class IMCU:
         self.object_id = object_id
         self.tenant = tenant
         self.snapshot_scn = snapshot_scn
-        # ``addresses`` = the captured rows' (dba, slot) int64 arrays; a
-        # caller holding only the rowid list (checkpoint rebuild) has them
-        # derived here, once.  Neither builds a synthetic IMCU (benchmark
-        # fixtures) with no row addresses; n_rows must then be explicit.
+        # ``addresses`` = the captured rows' (dba, slot) int64 arrays.  A
+        # synthetic IMCU (benchmark fixtures) has none; n_rows must then
+        # be explicit.
         if addresses is None:
-            if rowids is None and n_rows is None:
-                raise ValueError("rowids=None requires explicit n_rows")
-            listed = rowids or ()
-            addresses = (
-                np.fromiter((r.dba for r in listed), np.int64, len(listed)),
-                np.fromiter((r.slot for r in listed), np.int64, len(listed)),
-            )
+            if n_rows is None:
+                raise ValueError("a unit without addresses needs n_rows")
+            addresses = (np.zeros(0, np.int64), np.zeros(0, np.int64))
         self.row_dbas, self.row_slots = addresses
-        self._rowids = rowids
+        self._rowids: Optional[list[RowId]] = None
         self._n_rows = n_rows if n_rows is not None else len(self.row_dbas)
         #: Rows :meth:`build` gathered from the outgoing unit's buffers
         #: instead of reading and encoding them (delta repopulation).
@@ -160,7 +154,7 @@ class IMCU:
             base.serves(frozenset(names))
             and base.imcu.snapshot_scn <= snapshot_scn
             and base.imcu.covered_dbas == tuple(dbas)
-            # a checkpoint-rebuilt join-group CU decodes through a copy
+            # a column encoded before its join group has its own dictionary
             and all(
                 getattr(base.imcu.column(name), "dictionary", None) is shared
                 for name, (__, __, shared) in zip(names, specs)
@@ -248,7 +242,7 @@ class IMCU:
             blocks, slots = blocks[take], slots[take]
             carried = ([old.column(name) for name in names], keep, take)
         unit = cls(
-            segment.object_id, tenant, snapshot_scn, None, captured_slots,
+            segment.object_id, tenant, snapshot_scn, captured_slots,
             dict(zip(names, encode_rows(matrix, specs, carried))),
             addresses=(np.asarray(dbas, dtype=np.int64)[blocks], slots),
         )
@@ -278,7 +272,7 @@ class IMCU:
         Capacity is fixed, a full block never grows and a wiped one only
         shrinks, so ``captured == capacity`` rules an edge out for good
         -- an immutable fact like the key index, derived once (at build;
-        on first use for a unit rebuilt from a checkpoint)."""
+        on first use for a unit assembled from buffers)."""
         if self._open_blocks is None:
             self._open_blocks = tuple(
                 (dba, captured)

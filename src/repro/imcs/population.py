@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.config import IMCSConfig
+from repro.common.errors import SnapshotTooOldError
 from repro.common.ids import DBA, ObjectId
 from repro.common.scn import SCN
 from repro.imcs.imcu import IMCU
@@ -238,7 +239,7 @@ class PopulationEngine:
                 join_dictionaries=segment.join_dictionaries,
                 base=outgoing,
             )
-        except Exception:  # e.g. SnapshotTooOldError: back to the sweeps
+        except SnapshotTooOldError:  # back to the sweeps
             if outgoing is not None:
                 outgoing.repopulating = False
             raise

@@ -580,8 +580,7 @@ class ScanEngine:
         keeps the DBA grouping cached), then its edge rows -- slots added
         to covered blocks after the snapshot -- in one CR pass.
 
-        Caller holds the SMU pin.  Shared between the serial scan and the
-        process-parallel backend (which offloads only the columnar part).
+        Caller holds the SMU pin.
         """
         blocks = [
             (dba, store.get_optional(dba), slots)

@@ -218,8 +218,8 @@ class SMU:
         fully_invalid: bool,
         last_invalidation_scn: SCN,
     ) -> None:
-        """Install checkpointed validity state on a freshly rebuilt unit
-        (instant restart, :mod:`repro.restart`).  The mask is copied; the
+        """Install checkpointed validity state on a restored unit's fresh
+        SMU (instant restart, :mod:`repro.restart`).  The mask is copied; the
         epoch is bumped so every cached derivation recomputes."""
         if len(invalid_rows) != self.imcu.n_rows:
             raise InvalidStateError(

@@ -311,7 +311,7 @@ class InMemoryColumnStore:
         fully_invalid: bool,
         last_invalidation_scn: SCN,
     ) -> SMU:
-        """Install a checkpoint-rebuilt IMCU with checkpointed validity
+        """Reinstall a checkpointed IMCU with its checkpointed validity
         (instant restart, :mod:`repro.restart`).
 
         Like :meth:`register_unit`, but the SMU is seeded from the

@@ -5,7 +5,6 @@ from repro.restart.checkpoint import (
     CheckpointWriter,
     ObjectCheckpoint,
     UnitCheckpoint,
-    rebuild_imcu,
 )
 from repro.restart.replay import (
     RestartReport,
@@ -19,5 +18,4 @@ __all__ = [
     "UnitCheckpoint",
     "RestartReport",
     "instant_restart",
-    "rebuild_imcu",
 ]

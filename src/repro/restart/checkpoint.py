@@ -4,10 +4,10 @@ The IMCS "has no persistent footprint other than the underlying row-store
 objects" (paper, III-E), so a standby bounce forfeits every IMCU and the
 restart protocol falls back to coarse invalidation plus full repopulation.
 This module removes the repopulation from the restart path: at published
-QuerySCNs a background writer snapshots each live IMCU's encoded column
-buffers (via :func:`repro.imcs.compression.export_cu` -- the IMCU is
-immutable, so the buffers are *referenced*, not copied) together with a
-*copy* of its SMU validity mask, into a small versioned store.
+QuerySCNs a background writer keeps a reference to each live IMCU -- an
+IMCU never changes once built (II-B), so the reference *is* the unit as of
+capture -- together with a *copy* of its SMU validity mask, one checkpoint
+per object.
 
 Every :class:`ObjectCheckpoint` additionally records the **redo-tail
 floor** valid at its capture instant::
@@ -38,10 +38,9 @@ import numpy as np
 
 from repro import obs
 from repro.chaos import sites
-from repro.common.ids import DBA, ObjectId, RowId, TenantId
+from repro.common.ids import DBA, ObjectId, TenantId
 from repro.common.scn import SCN
 from repro.dbim_adg.flush import InvalidationListener
-from repro.imcs.compression import export_cu
 from repro.imcs.imcu import IMCU
 from repro.imcs.smu import SMU
 from repro.sim.cpu import CpuNode
@@ -51,21 +50,15 @@ if TYPE_CHECKING:
     from repro.db.standby import StandbyDatabase
 
 #: Simulated CPU seconds to checkpoint one row (mask copy + bookkeeping;
-#: the column buffers are referenced, not copied).
+#: the unit is referenced, not copied).
 CHECKPOINT_COST_PER_ROW = 5e-8
 
 
 @dataclass(slots=True)
 class UnitCheckpoint:
-    """One IMCU/SMU pair, ready for zero-copy rebuild."""
+    """One live IMCU and a copy of its SMU's validity at capture."""
 
-    snapshot_scn: SCN
-    rowids: list[RowId]
-    captured_slots: dict[DBA, int]
-    #: column name -> export_cu() description (kind, arrays, meta).
-    columns: dict[str, tuple]
-    n_rows: int
-    #: SMU validity at capture (the mask is an owned copy).
+    imcu: IMCU
     invalid_rows: np.ndarray
     invalid_blocks: frozenset[DBA]
     fully_invalid: bool
@@ -73,22 +66,7 @@ class UnitCheckpoint:
 
     @classmethod
     def capture(cls, smu: SMU) -> "UnitCheckpoint":
-        imcu = smu.imcu
-        rows, blocks, full, scn = smu.snapshot_validity()
-        return cls(
-            snapshot_scn=imcu.snapshot_scn,
-            rowids=imcu.rowids,
-            captured_slots=imcu.captured_slots,
-            columns={
-                name: export_cu(imcu.column(name))
-                for name in imcu.column_names
-            },
-            n_rows=imcu.n_rows,
-            invalid_rows=rows,
-            invalid_blocks=blocks,
-            fully_invalid=full,
-            last_invalidation_scn=scn,
-        )
+        return cls(smu.imcu, *smu.snapshot_validity())
 
 
 @dataclass(slots=True)
@@ -106,11 +84,11 @@ class ObjectCheckpoint:
 
     @property
     def n_rows(self) -> int:
-        return sum(unit.n_rows for unit in self.units)
+        return sum(unit.imcu.n_rows for unit in self.units)
 
 
 class CheckpointStore(InvalidationListener):
-    """Versioned per-object checkpoint registry.
+    """The latest checkpoint of each object.
 
     Installed as an invalidation listener on the flush component:
     a coarse (tenant-wide) invalidation or a DDL drop means the captured
@@ -118,24 +96,17 @@ class CheckpointStore(InvalidationListener):
     discarded rather than risk restoring stale data.
     """
 
-    def __init__(self, keep_versions: int = 2) -> None:
-        if keep_versions < 1:
-            raise ValueError("need to keep at least one checkpoint version")
-        self.keep_versions = keep_versions
-        self._by_object: dict[ObjectId, list[ObjectCheckpoint]] = {}
+    def __init__(self) -> None:
+        self._by_object: dict[ObjectId, ObjectCheckpoint] = {}
         self.captures = 0
         self.discards = 0
 
     def put(self, checkpoint: ObjectCheckpoint) -> None:
-        versions = self._by_object.setdefault(checkpoint.object_id, [])
-        versions.append(checkpoint)
-        if len(versions) > self.keep_versions:
-            del versions[: len(versions) - self.keep_versions]
+        self._by_object[checkpoint.object_id] = checkpoint
         self.captures += 1
 
     def latest(self, object_id: ObjectId) -> Optional[ObjectCheckpoint]:
-        versions = self._by_object.get(object_id)
-        return versions[-1] if versions else None
+        return self._by_object.get(object_id)
 
     def drop_object(self, object_id: ObjectId) -> None:
         if self._by_object.pop(object_id, None) is not None:
@@ -144,8 +115,8 @@ class CheckpointStore(InvalidationListener):
     def drop_tenant(self, tenant: TenantId) -> None:
         stale = [
             object_id
-            for object_id, versions in self._by_object.items()
-            if versions and versions[-1].tenant == tenant
+            for object_id, checkpoint in self._by_object.items()
+            if checkpoint.tenant == tenant
         ]
         for object_id in stale:
             self.drop_object(object_id)
@@ -165,8 +136,8 @@ class CheckpointStore(InvalidationListener):
         self.drop_tenant(tenant)
 
     def on_object_dropped(self, object_id: ObjectId, scn: SCN) -> None:
-        # DDL changed the object's definition; the captured buffers are
-        # for the old shape.
+        # DDL changed the object's definition; the captured units are
+        # of the old shape.
         self.drop_object(object_id)
 
 
@@ -266,24 +237,3 @@ class CheckpointWriter(Actor):
         self.captures += 1
         return CHECKPOINT_COST_PER_ROW * max(checkpoint.n_rows, 1)
 
-
-def rebuild_imcu(
-    object_id: ObjectId, tenant: TenantId, unit: UnitCheckpoint
-) -> IMCU:
-    """Reconstruct an IMCU from a checkpointed unit (zero-copy over the
-    checkpoint's referenced column buffers)."""
-    from repro.imcs.compression import cu_from_export
-
-    columns = {
-        name: cu_from_export(kind, arrays, meta)
-        for name, (kind, arrays, meta) in unit.columns.items()
-    }
-    return IMCU(
-        object_id,
-        tenant,
-        unit.snapshot_scn,
-        unit.rowids,
-        unit.captured_slots,
-        columns,
-        n_rows=unit.n_rows,
-    )

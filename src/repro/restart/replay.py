@@ -7,8 +7,8 @@ IMCS repopulates from the row store.  With population checkpoints
 
 1. abandon any in-flight QuerySCN advancement and clear the volatile
    DBIM-on-ADG structures exactly as a cold restart would;
-2. rebuild each checkpointed object's IMCUs zero-copy from the captured
-   buffers and seed their SMUs from the captured masks
+2. reinstall each checkpointed object's IMCUs -- the very units the
+   checkpoint captured -- and seed their SMUs from the captured masks
    (:meth:`~repro.imcs.store.InMemoryColumnStore.restore_unit`);
 3. re-mine the **redo tail** -- every already-applied CV with SCN in
    ``[min tail_start over restored objects, max applied SCN]`` that is not
@@ -37,7 +37,7 @@ import numpy as np
 from repro.common.config import RestartConfig
 from repro.common.scn import SCN
 from repro.redo.batch import CVBatch, CVChunk
-from repro.restart.checkpoint import CheckpointStore, rebuild_imcu
+from repro.restart.checkpoint import CheckpointStore
 
 if TYPE_CHECKING:
     from repro.db.standby import StandbyDatabase
@@ -78,7 +78,7 @@ class RestartReport:
 def restore_checkpoints(
     standby: "StandbyDatabase", store: CheckpointStore, report: RestartReport
 ) -> SCN:
-    """Rebuild warm units for every checkpointed object.
+    """Reinstall the warm units of every checkpointed object.
 
     Returns the tail-replay floor: the minimum ``tail_start_scn`` over the
     restored checkpoints (0 when nothing was restored).  The store is
@@ -91,16 +91,15 @@ def restore_checkpoints(
         if checkpoint is None:
             continue
         for unit in checkpoint.units:
-            imcu = rebuild_imcu(object_id, checkpoint.tenant, unit)
             standby.imcs.restore_unit(
-                imcu,
+                unit.imcu,
                 unit.invalid_rows,
                 unit.invalid_blocks,
                 unit.fully_invalid,
                 unit.last_invalidation_scn,
             )
             report.units_restored += 1
-            report.rows_restored += unit.n_rows
+            report.rows_restored += unit.imcu.n_rows
         report.objects_restored += 1
         if floor == 0 or checkpoint.tail_start_scn < floor:
             floor = checkpoint.tail_start_scn

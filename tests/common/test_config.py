@@ -6,10 +6,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
+from repro.common.config import (
+    ApplyConfig,
+    IMCSConfig,
+    RACConfig,
+    RestartConfig,
+    SystemConfig,
+)
 from repro.db import Deployment
 from repro.fleet import FleetRouter
 from repro.query import QueryWorkerPool
+from repro.restart import CheckpointStore
 from repro.sim import Scheduler
 
 
@@ -108,23 +115,28 @@ def test_apply_cost_per_cv_is_non_negative():
         ),
         lambda: ApplyConfig(routing="dependency"),
         lambda: RACConfig(standby_instances=2),
+        lambda: RestartConfig(keep_versions=2),
+        lambda: CheckpointStore(keep_versions=2),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
          "start_query_service.enable_cache",
          "start_query_service.cache_capacity",
          "enable_inmemory.on_primary", "FleetRouter.policy",
          "attach_actors.name_prefix", "ApplyConfig.routing",
-         "RACConfig.standby_instances"],
+         "RACConfig.standby_instances", "RestartConfig.keep_versions",
+         "CheckpointStore.keep_versions"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
     # one session routing policy, one apply routing, no result cache, and
-    # a RAC standby's size is add_standby_cluster's argument: nothing left
-    # to select
+    # a RAC standby's size is add_standby_cluster's argument, and a
+    # checkpoint store keeps one checkpoint per object: nothing left to
+    # select
     with pytest.raises(
         TypeError,
         match="advance|parallel_backend|enable_cache|cache_capacity"
-        "|on_primary|policy|name_prefix|routing|standby_instances",
+        "|on_primary|policy|name_prefix|routing|standby_instances"
+        "|keep_versions",
     ):
         call()
 
@@ -139,12 +151,14 @@ def test_removed_settings_fail_loudly(call):
         ("repro.imcs", "ExternalTable"),
         ("repro.rac", "MIRAStandbyCluster"),
         ("repro.rac", "StandbySatellite"),
+        ("repro.restart", "rebuild_imcu"),
     ],
 )
 def test_removed_classes_fail_to_import(module, name):
     # the N-member Deployment, the router and the N-receiver LogShipper
     # replaced the first three; the result cache and In-Memory External
     # Tables left with nothing in their place; a RAC standby, SIRA or
-    # MIRA, is a member with peer instances; no alias is left behind
+    # MIRA, is a member with peer instances; a checkpoint holds the IMCU
+    # itself, so there is nothing to rebuild; no alias is left behind
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}")

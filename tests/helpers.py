@@ -7,6 +7,10 @@ Component tests still want to say "deliver these records", "mine this one
 CV", "what did the miner buffer for this transaction" -- these helpers say
 it through the real batch API, so there is no second production path to
 say it through.
+
+The columnar tests get the same treatment: :func:`cu_buffers` and
+:func:`cu_dictionary` read a CU's encoded parts for byte-for-byte
+comparison, and :func:`global_dictionary` seeds a join-group dictionary.
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ import numpy as np
 
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
+from repro.imcs.compression import (
+    ColumnCU,
+    GlobalDictionary,
+    NumericCU,
+    RunLengthCU,
+    SharedDictionaryCU,
+)
 from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.log import RedoLog
 
@@ -169,3 +180,34 @@ def add_records(
         ),
         min(scns),
     )
+
+
+def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:
+    """A CU's encoded numpy buffers by name: what two equal units hold
+    byte for byte."""
+    if isinstance(cu, NumericCU):
+        return {"data": cu._data, "nulls": cu._nulls, "is_int": cu._is_int}
+    if isinstance(cu, RunLengthCU):
+        return {"run_starts": cu._run_starts, "run_codes": cu._run_codes}
+    return {"codes": cu._codes}  # DictionaryCU, SharedDictionaryCU
+
+
+def cu_dictionary(cu: ColumnCU) -> list[str]:
+    """The values a CU's codes index: its own sorted dictionary, or its
+    join group's whole value list (empty for a NUMBER column)."""
+    if isinstance(cu, SharedDictionaryCU):
+        return dictionary_values(cu.dictionary)
+    return list(getattr(cu, "_dictionary", ()))
+
+
+def dictionary_values(dictionary: GlobalDictionary) -> list[str]:
+    """A join group's values in code order (codes are stable forever)."""
+    return [dictionary.decode(code) for code in range(len(dictionary))]
+
+
+def global_dictionary(values: Iterable[str]) -> GlobalDictionary:
+    """A join-group dictionary that has assigned ``values`` in order."""
+    dictionary = GlobalDictionary()
+    for value in values:
+        dictionary.encode(value)
+    return dictionary

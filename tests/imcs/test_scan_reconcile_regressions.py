@@ -34,7 +34,7 @@ from repro.imcs import (
     ScanEngine,
 )
 from repro.imcs.scan import IMCS_COST_PER_ROW, ROWSTORE_COST_PER_ROW
-from repro.restart import UnitCheckpoint, rebuild_imcu
+from repro.restart import UnitCheckpoint
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.buffer_cache import BufferCache
 
@@ -294,11 +294,11 @@ class TestOpenBlocks:
     def test_a_block_missing_when_the_open_set_is_derived_counts_as_open(
         self, txns, clock
     ):
-        """A checkpoint-rebuilt unit never saw a block: it derives its open
-        set from the store on first use.  A covered block the store does
-        not hold then (wiped and gone) may be materialised again by redo
-        apply -- short of what the unit captured it is harmless, past it
-        it is an edge, so it must stay in the set."""
+        """An instantly restarted unit is the unit that was built, open
+        set and all.  A covered block the store no longer holds (wiped and
+        gone while the unit sat in a checkpoint) may be materialised again
+        by redo apply -- short of what the unit captured it is harmless,
+        past it it is an edge, so it must stay in the set."""
         table = make_table()
         load_rows(table, txns, clock, 6)
         segment = table.default_partition.segment
@@ -311,15 +311,15 @@ class TestOpenBlocks:
         store.drop_units(oid)
         blocks.get(tail).wipe_through(clock.next())
         del blocks._blocks[tail]
-        rebuilt = store.restore_unit(
-            rebuild_imcu(oid, table.tenant, checkpoint),
+        restored = store.restore_unit(
+            checkpoint.imcu,
             checkpoint.invalid_rows, checkpoint.invalid_blocks,
             checkpoint.fully_invalid, checkpoint.last_invalidation_scn,
         )
         store.invalidate(oid, tail, (), clock.current)  # the wipe, flushed
         engine = ScanEngine(store, txns)
         assert len(engine.scan(table, clock.current).rows) == 4
-        assert dict(rebuilt.imcu.open_blocks(blocks)) == {tail: 2}
+        assert dict(restored.imcu.open_blocks(blocks)) == {tail: 2}
         xid = TransactionId(1, 92_100)
         for slot in range(3):  # redo apply brings the block back, longer
             table.apply_insert(

@@ -8,7 +8,7 @@ CR pass per block, lays the rows into one matrix and encodes block-wise
 oracle ``tests/property/test_population_columnar.py`` compares against.
 
 Everything is built through the buffer constructors (``from_arrays`` /
-``from_codes`` / ``from_runs``) and the list-of-``RowId`` form of the
+``from_codes`` / ``from_runs``) and the ``addresses=`` arrays of the
 ``IMCU`` constructor, so nothing here runs the code under test.
 """
 
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.common.ids import RowId
 from repro.imcs.compression import (
     NULL_CODE,
     RLE_MIN_AVG_RUN,
@@ -88,14 +87,15 @@ def naive_encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
 def naive_shared(
     values: Sequence, dictionary: GlobalDictionary
 ) -> SharedDictionaryCU:
-    """Encodes value by value in row order, *growing* ``dictionary`` --
-    hand it a private copy, never the one the code under test uses."""
+    """Encodes value by value in row order, *growing* ``dictionary`` and
+    decoding through it -- hand it a private twin, never the one the code
+    under test uses."""
     codes = np.fromiter(
         (NULL_CODE if v is None else dictionary.encode(v) for v in values),
         dtype=np.int64,
         count=len(values),
     )
-    return SharedDictionaryCU.from_codes(codes, dictionary.snapshot())
+    return SharedDictionaryCU.from_codes(codes, dictionary)
 
 
 def naive_build(
@@ -114,7 +114,8 @@ def naive_build(
         if inmemory_columns is not None
         else [c.name for c in schema.live_columns]
     )
-    rowids: list[RowId] = []
+    row_dbas: list[int] = []
+    row_slots: list[int] = []
     captured_slots: dict[int, int] = {}
     raw_columns: dict[str, list] = {name: [] for name in column_names}
     indices = {name: schema.column_index(name) for name in column_names}
@@ -135,7 +136,8 @@ def naive_build(
             if version.is_delete:
                 continue
             values = version.values
-            rowids.append(RowId(dba, slot))
+            row_dbas.append(dba)
+            row_slots.append(slot)
             for name in column_names:
                 raw_columns[name].append(values[indices[name]])
             captured_rows.append(values)
@@ -159,6 +161,9 @@ def naive_build(
             materialised, expression.is_numeric
         )
     return IMCU(
-        segment.object_id, tenant, snapshot_scn,
-        rowids, captured_slots, columns,
+        segment.object_id, tenant, snapshot_scn, captured_slots, columns,
+        addresses=(
+            np.array(row_dbas, dtype=np.int64),
+            np.array(row_slots, dtype=np.int64),
+        ),
     )

@@ -12,7 +12,7 @@ expression of each kind, a high-cardinality and a run-shaped column --
 and repopulates for several generations (a delta of a delta of a delta)
 through the real store, so ``register_unit`` / ``_carry_invalidations``
 run on delta-built units too.  Every generation requires identical units
-(addresses, captured slots, CU class, exported buffers byte for byte,
+(addresses, captured slots, CU class, encoded buffers byte for byte,
 dictionaries, storage index, footprint) and a scan equal to primary CR.
 
 The named tests below are the edges of DESIGN, "Delta repopulation".
@@ -32,7 +32,6 @@ from repro.common.config import IMCSConfig
 from repro.imcs import imcu as imcu_module
 from repro.imcs import (
     IMCU,
-    SMU,
     InMemoryColumnStore,
     PopulationEngine,
     ScanEngine,
@@ -42,13 +41,17 @@ from repro.imcs.compression import (
     DictionaryCU,
     GlobalDictionary,
     RunLengthCU,
-    cu_from_export,
-    export_cu,
 )
 from repro.imcs.expressions import Expression
 from repro.rowstore import BlockStore, Table
 from repro.rowstore.cr import settled_rows
 
+from tests.helpers import (
+    cu_buffers,
+    cu_dictionary,
+    dictionary_values,
+    global_dictionary,
+)
 from tests.naive_imcu import naive_build
 from tests.naive_versions import chain_of
 from tests.property.test_population_columnar import (
@@ -264,26 +267,24 @@ class World:
         if uncovered:
             chunks.append((uncovered, None))
         for dbas, base in chunks:
-            before = self.shared.snapshot()
+            before = dictionary_values(self.shared)
             args = self.build_args(dbas, snapshot)
             unit = IMCU.build(
                 *args, expressions=EXPRESSIONS,
                 join_dictionaries={"j": self.shared}, base=base,
             )
-            theirs = GlobalDictionary.from_values(before)
+            theirs = global_dictionary(before)
             full = IMCU.build(
                 *args, expressions=EXPRESSIONS,
                 join_dictionaries={"j": theirs},
             )
             assert_same_unit(unit, full)
-            assert self.shared.snapshot() == theirs.snapshot()
+            assert dictionary_values(self.shared) == dictionary_values(theirs)
             assert_same_unit(
                 unit,
                 naive_build(
                     *args, expressions=EXPRESSIONS,
-                    join_dictionaries={
-                        "j": GlobalDictionary.from_values(before)
-                    },
+                    join_dictionaries={"j": global_dictionary(before)},
                 ),
             )
             if base is not None:
@@ -338,9 +339,9 @@ def build(world, snapshot, base=None, dbas=None, **kwargs):
 def both(world, snapshot, base, **kwargs):
     """The unit built over ``base``, once it equals the full build at the
     same snapshot from an equal shared dictionary."""
-    before = world.shared.snapshot()
+    before = dictionary_values(world.shared)
     unit = build(world, snapshot, base, **kwargs)
-    kwargs["join_dictionaries"] = {"j": GlobalDictionary.from_values(before)}
+    kwargs["join_dictionaries"] = {"j": global_dictionary(before)}
     assert_same_unit(unit, build(world, snapshot, **kwargs))
     return unit
 
@@ -362,7 +363,7 @@ def insert(world, dba, slot, values, xid, commit=True):
 
 def buffers(unit):
     return {
-        name: [a.tobytes() for a in export_cu(unit.column(name))[1].values()]
+        name: [a.tobytes() for a in cu_buffers(unit.column(name)).values()]
         for name in unit.column_names
     }
 
@@ -400,16 +401,6 @@ def test_base_without_a_column_or_dictionary_to_build_falls_back():
     assert isinstance(plain.imcu.column("j"), (DictionaryCU, RunLengthCU))
     unit = both(world, snapshot, plain)
     assert unit.rows_reused == 0
-    # ...or rebuilt from a checkpoint over a *copy* of the dictionary
-    exported = export_cu(smu.imcu.column("j"))
-    columns = {n: smu.imcu.column(n) for n in smu.imcu.column_names}
-    columns["j"] = cu_from_export(*exported)
-    restored = SMU(IMCU(
-        world.oid, 0, smu.imcu.snapshot_scn, list(smu.imcu.rowids),
-        dict(smu.imcu.captured_slots), columns,
-    ))
-    unit = both(world, snapshot, restored)
-    assert unit.rows_reused == 0
 
 
 def test_snapshot_behind_the_base_or_other_blocks_fall_back():
@@ -444,7 +435,7 @@ def test_vanished_entry_leaves_and_new_value_enters_in_sorted_position():
     assert unit.rows_reused == 3
     assert unit.column("c1").dictionary == ["b", "c", "f", "g"]
     assert unit.column("c1").take(range(5)) == ["b", "c", "b", "f", "g"]
-    assert export_cu(unit.column("c2"))[2]["dictionary"] == ["same"]
+    assert cu_dictionary(unit.column("c2")) == ["same"]
 
 
 def test_rle_choice_is_retaken_on_the_merged_codes_both_ways():
@@ -537,12 +528,12 @@ def test_int_and_float_identity_travels_with_the_gather():
 def test_shared_dictionary_keeps_codes_and_assigns_new_ones_in_row_order():
     rows = [(i, 1, 1.0, "a", "k", v) for i, v in enumerate(["p", "q", "p"])]
     world, smu = small_world(rows)
-    assert world.shared.snapshot() == ["p", "q"]
+    assert dictionary_values(world.shared) == ["p", "q"]
     update(world, 1, 1, (1, 1, 1.0, "a", "k", "t"), X[1])  # the only "q"
     insert(world, 1, 3, (3, 1, 1.0, "a", "k", "s"), X[2])
     unit = both(world, world.tick(), smu)
     # append-only: "q" keeps its code though no row holds it any more
-    assert world.shared.snapshot() == ["p", "q", "t", "s"]
+    assert dictionary_values(world.shared) == ["p", "q", "t", "s"]
     assert unit.column("j").codes.tolist() == [0, 2, 0, 3]
     assert unit.column("j").dictionary is world.shared
     shared = unit.column("j")
@@ -628,13 +619,40 @@ def test_a_failed_build_hands_the_work_back_to_the_sweeps(monkeypatch):
     world.check_scan(world.scn)
 
 
+def test_a_repopulation_past_pruned_undo_releases_the_outgoing_unit():
+    """A real pruned chain, not a patched build: the delta build reads the
+    invalid row at a snapshot whose version is gone, ``SnapshotTooOldError``
+    leaves the engine, and the outgoing SMU is no longer repopulating."""
+    world = World()
+    for slot, values in enumerate(plain_rows(4)):
+        world.table.apply_insert(world.oid, 1, slot, values, X[0], 2)
+    world.txns.commits[X[0]] = 5
+    world.scn = 6
+    snapshot = [world.scn]
+    engine = PopulationEngine(
+        world.store, world.txns, snapshot_capture=lambda owner: snapshot[0],
+        config=IMCSConfig(imcu_target_rows=64, repopulate_min_interval=0.0),
+    )
+    assert engine.schedule_all() == 1
+    assert engine.run_one_task(owner=None) is not None
+    smu = world.store.unit_covering(world.oid, 1)
+    update(world, 1, 3, (3, 0, 0.0, "late", "k", "x"), X[1])
+    snapshot[0] = world.scn - 1  # the update commits beyond it...
+    world.segment._store.get(1).prune_undo(1)  # ...and the undo is gone
+    assert engine.check_repopulation(now=1.0) == 1 and smu.repopulating
+    with pytest.raises(SnapshotTooOldError):
+        engine.run_one_task(owner=None)
+    assert not smu.repopulating
+    assert engine.repopulations == 0 and engine.backlog == 0
+
+
 def test_carried_buffers_are_contiguous_and_the_base_is_untouched():
     world, smu = small_world(plain_rows(9))
     before = buffers(smu.imcu)
     update(world, 1, 4, (4, None, 2.5, "b", "z", None), X[1])
     unit = both(world, world.tick(), smu)
     for name in unit.column_names:
-        for array in export_cu(unit.column(name))[1].values():
+        for array in cu_buffers(unit.column(name)).values():
             assert array.flags.c_contiguous and array.ndim == 1
     after = buffers(smu.imcu)
     assert before == after

@@ -204,7 +204,6 @@ def synthetic_imcu(object_id: int, unit: int, snapshot: int) -> IMCU:
         object_id,
         TENANTS[object_id],
         snapshot,
-        None,
         {dba: CAPTURED_SLOTS for dba in covered},
         {},
         addresses=(

@@ -8,8 +8,8 @@ later-committed tail (edge rows), empty chains (apply gaps), missing
 blocks, all-NULL columns, zero-row units, strings with trailing NUL /
 empty / non-BMP characters, runs straddling ``RLE_MIN_AVG_RUN``, a
 join-group column and an expression column -- and requires identical
-units: row addresses, captured slots, CU class, exported buffers byte for
-byte, storage index, pool footprint and decoded values.
+units: row addresses, captured slots, CU class, encoded buffers byte for
+byte, dictionaries, storage index, pool footprint and decoded values.
 
 The named tests below are the hazards of vectorising this layer (DESIGN,
 "Columnar population"); each fails on the obvious numpy rewrite.
@@ -31,19 +31,23 @@ from repro.imcs import compression
 from repro.imcs.compression import (
     RLE_MIN_AVG_RUN,
     DictionaryCU,
-    GlobalDictionary,
     NumericCU,
     RunLengthCU,
     SharedDictionaryCU,
     encode_column,
     encode_rows,
-    export_cu,
     row_matrix,
 )
 from repro.imcs.expressions import Expression
 from repro.imcs.imcu import row_keys
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
 
+from tests.helpers import (
+    cu_buffers,
+    cu_dictionary,
+    dictionary_values,
+    global_dictionary,
+)
 from tests.naive_imcu import (
     naive_build,
     naive_encode_column,
@@ -186,9 +190,9 @@ def segments(draw):
 # -- comparison ---------------------------------------------------------
 def assert_same_cu(actual, expected):
     assert type(actual) is type(expected)
-    kind, arrays, meta = export_cu(actual)
-    ref_kind, ref_arrays, ref_meta = export_cu(expected)
-    assert kind == ref_kind and meta == ref_meta
+    assert actual.n_rows == expected.n_rows
+    assert cu_dictionary(actual) == cu_dictionary(expected)
+    arrays, ref_arrays = cu_buffers(actual), cu_buffers(expected)
     assert arrays.keys() == ref_arrays.keys()
     for name, array in arrays.items():
         assert array.flags.c_contiguous, name
@@ -203,9 +207,10 @@ def assert_same_cu(actual, expected):
 
 
 def assert_same_unit(actual: IMCU, expected: IMCU):
+    assert actual.row_dbas.dtype == actual.row_slots.dtype == np.int64
+    assert actual.row_dbas.tolist() == expected.row_dbas.tolist()
+    assert actual.row_slots.tolist() == expected.row_slots.tolist()
     assert actual.rowids == expected.rowids
-    assert actual.row_dbas.tolist() == [r.dba for r in expected.rowids]
-    assert actual.row_slots.tolist() == [r.slot for r in expected.rowids]
     assert actual.captured_slots == expected.captured_slots
     assert actual.n_rows == expected.n_rows
     assert actual.column_names == expected.column_names
@@ -237,8 +242,8 @@ def test_build_equals_scalar_reference(data):
         )
     )
     seed_values = data.draw(st.lists(st.sampled_from(STRINGS), max_size=3))
-    ours = {"j": GlobalDictionary.from_values(seed_values)}
-    theirs = {"j": GlobalDictionary.from_values(seed_values)}
+    ours = {"j": global_dictionary(seed_values)}
+    theirs = {"j": global_dictionary(seed_values)}
     args = (segment, SCHEMA, 0, dbas, SNAPSHOT, Txns())
     actual = IMCU.build(
         *args, inmemory_columns=columns, expressions=EXPRESSIONS,
@@ -250,7 +255,7 @@ def test_build_equals_scalar_reference(data):
     )
     assert_same_unit(actual, expected)
     # shared codes are assignment-ordered and stable forever
-    assert ours["j"].snapshot() == theirs["j"].snapshot()
+    assert dictionary_values(ours["j"]) == dictionary_values(theirs["j"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,8 +279,8 @@ def test_block_encode_equals_reference_and_width_one(rows):
 def test_shared_dictionary_codes_in_row_then_column_order(rows, seed):
     """Two columns of one join group: the block path must grow the shared
     dictionary exactly as a row-order encode of c1, then of c2, would."""
-    ours = GlobalDictionary.from_values(seed)
-    theirs = GlobalDictionary.from_values(seed)
+    ours = global_dictionary(seed)
+    theirs = global_dictionary(seed)
     cus = encode_rows(
         row_matrix(rows, SCHEMA.arity),
         specs_of(SCHEMA, {"c1": ours, "c2": ours}),
@@ -289,9 +294,9 @@ def test_shared_dictionary_codes_in_row_then_column_order(rows, seed):
         assert cus[index].codes.dtype == expected.codes.dtype
         assert cus[index].min_value == expected.min_value
         assert cus[index].max_value == expected.max_value
-    assert ours.snapshot() == theirs.snapshot()
+    assert dictionary_values(ours) == dictionary_values(theirs)
     # width-1 constructor == block path
-    alone = GlobalDictionary.from_values(seed)
+    alone = global_dictionary(seed)
     index = SCHEMA.column_index("c1")
     single = SharedDictionaryCU([row[index] for row in rows], alone)
     assert single.codes.tobytes() == cus[index].codes.tobytes()
@@ -322,7 +327,7 @@ def test_none_is_null_but_nan_is_a_value():
     decoded = unit.column("n1").take([0, 1])
     assert decoded[0] is None and math.isnan(decoded[1])
     # NULL cells hold 0.0 in the data vector, exactly like the reference
-    assert export_cu(unit.column("n1"))[1]["data"][0] == 0.0
+    assert cu_buffers(unit.column("n1"))["data"][0] == 0.0
 
 
 def test_int_float_identity_is_per_cell():
@@ -424,7 +429,7 @@ def test_block_buffers_are_contiguous_views_with_unchanged_footprint():
     )
     assert unit.memory_bytes == reference.memory_bytes
     for name in unit.column_names:
-        for array in export_cu(unit.column(name))[1].values():
+        for array in cu_buffers(unit.column(name)).values():
             assert array.flags.c_contiguous and array.ndim == 1
 
 
@@ -446,23 +451,18 @@ def test_memory_bytes_computed_once(monkeypatch):
     assert next(calls) == after_first + 1  # only our own next() moved it
 
 
-def test_addresses_derived_once_from_a_rowid_list():
-    """The checkpoint path hands the constructor only ``rowids``; every
-    index answer must equal the array-built unit's."""
+def test_address_index_answers_from_the_arrays():
+    """Every index answer comes from the two address arrays the build
+    lays down."""
     rows = [(i, 1, 2, "a", "b", "c") for i in range(5)]
-    built = build(one_block_segment(rows))
-    listed = IMCU(
-        700, 0, SNAPSHOT, list(built.rowids), dict(built.captured_slots),
-        {name: built.column(name) for name in built.column_names},
-    )
-    assert listed.row_dbas.dtype == listed.row_slots.dtype == np.int64
-    for unit in (built, listed):
-        assert unit.position_of(RowId(1, 3)) == 3
-        assert unit.position_of(RowId(1, 9)) is None
-        assert unit.position_of(RowId(2, 0)) is None
-        assert unit.positions_for_dba(1).tolist() == [0, 1, 2, 3, 4]
-        assert unit.positions_for_dba(2).tolist() == []
-        assert unit.positions_for_keys(
-            row_keys(np.array([1, 1, 1, 3]), np.array([4, 0, 7, 0]))
-        ).tolist() == [4, 0]
-        assert unit.slots_by_dba(np.array([3, 1])) == {1: [3, 1]}
+    unit = build(one_block_segment(rows))
+    assert unit.row_dbas.dtype == unit.row_slots.dtype == np.int64
+    assert unit.position_of(RowId(1, 3)) == 3
+    assert unit.position_of(RowId(1, 9)) is None
+    assert unit.position_of(RowId(2, 0)) is None
+    assert unit.positions_for_dba(1).tolist() == [0, 1, 2, 3, 4]
+    assert unit.positions_for_dba(2).tolist() == []
+    assert unit.positions_for_keys(
+        row_keys(np.array([1, 1, 1, 3]), np.array([4, 0, 7, 0]))
+    ).tolist() == [4, 0]
+    assert unit.slots_by_dba(np.array([3, 1])) == {1: [3, 1]}

@@ -37,7 +37,7 @@ from repro.imcs import (
     Predicate,
     ScanEngine,
 )
-from repro.restart import UnitCheckpoint, rebuild_imcu
+from repro.restart import UnitCheckpoint
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.cr import visible_values
 
@@ -246,19 +246,18 @@ def engine_edge_blocks(imcu, store) -> list[tuple[int, int, int]]:
     ]
 
 
-def rebuild_from_checkpoint(store, oid) -> None:
-    """Replace every unit by its checkpoint-rebuilt twin (instant restart):
-    the twin is constructed from buffers alone and never saw a block."""
-    segment = store.segment(oid)
+def restore_from_checkpoint(store, oid) -> None:
+    """Drop every unit and reinstall it from its checkpoint (instant
+    restart): the same IMCU, its open set derived before whatever the
+    store lost since, under a fresh SMU."""
     checkpoints = [
-        UnitCheckpoint.capture(smu) for smu in segment.live_units()
+        UnitCheckpoint.capture(smu) for smu in store.segment(oid).live_units()
     ]
     store.drop_units(oid)
     for unit in checkpoints:
         store.restore_unit(
-            rebuild_imcu(oid, segment.table.tenant, unit),
-            unit.invalid_rows, unit.invalid_blocks, unit.fully_invalid,
-            unit.last_invalidation_scn,
+            unit.imcu, unit.invalid_rows, unit.invalid_blocks,
+            unit.fully_invalid, unit.last_invalidation_scn,
         )
 
 
@@ -343,7 +342,7 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
             blocks.get(dba).wipe_through(clock.next())
             store.invalidate(oid, dba, (), clock.current)
         elif step == "checkpoint":
-            rebuild_from_checkpoint(store, oid)
+            restore_from_checkpoint(store, oid)
         else:  # the store loses a block a unit covers
             dba = data.draw(st.sampled_from(segment.dbas), label="dropped")
             if blocks.get_optional(dba) is not None and (

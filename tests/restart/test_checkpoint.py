@@ -1,16 +1,14 @@
-"""Tests for population checkpoints: capture, versioned store, writer."""
+"""Tests for population checkpoints: capture, store, writer."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.db import Deployment, InMemoryService
 from repro.restart.checkpoint import (
     CheckpointStore,
     ObjectCheckpoint,
     UnitCheckpoint,
-    rebuild_imcu,
 )
 
 from tests.db.conftest import load, simple_table_def, small_config
@@ -37,20 +35,21 @@ def live_smus(standby, table_name="T"):
 
 
 class TestUnitCheckpoint:
-    def test_capture_rebuild_roundtrip(self):
-        deployment, __, __ = build_armed_deployment(n=200)
+    def test_capture_references_the_live_unit(self):
+        """An IMCU never changes once built: the checkpoint holds the unit
+        itself, and the SMU's validity as of capture."""
+        deployment, __, rowids = build_armed_deployment(n=200)
         smu = live_smus(deployment.standby)[0]
-        imcu = smu.imcu
+        smu.invalidate_row(rowids[1], smu.imcu.snapshot_scn + 1)
         unit = UnitCheckpoint.capture(smu)
-        rebuilt = rebuild_imcu(imcu.object_id, imcu.tenant, unit)
-        assert rebuilt.n_rows == imcu.n_rows
-        assert rebuilt.rowids == imcu.rowids
-        assert rebuilt.snapshot_scn == imcu.snapshot_scn
-        positions = np.arange(imcu.n_rows)
-        for name in imcu.column_names:
-            assert list(rebuilt.column(name).take(positions)) == list(
-                imcu.column(name).take(positions)
-            )
+        assert unit.imcu is smu.imcu
+        assert unit.imcu._rowids is None  # no address list materialised
+        assert np.flatnonzero(unit.invalid_rows).tolist() == [
+            smu.imcu.position_of(rowids[1])
+        ]
+        assert unit.invalid_blocks == smu.invalid_blocks
+        assert unit.fully_invalid is False
+        assert unit.last_invalidation_scn == smu.last_invalidation_scn
 
     def test_captured_mask_is_an_owned_copy(self):
         """Post-capture invalidations must not leak into the checkpoint."""
@@ -74,17 +73,13 @@ def checkpoint_stub(object_id=1, tenant=0, query_scn=10):
 
 
 class TestCheckpointStore:
-    def test_keeps_bounded_versions_latest_wins(self):
-        store = CheckpointStore(keep_versions=2)
+    def test_latest_capture_replaces_the_one_before(self):
+        store = CheckpointStore()
         for scn in (10, 20, 30):
             store.put(checkpoint_stub(query_scn=scn))
         assert store.captures == 3
         assert store.latest(1).query_scn == 30
-        assert len(store._by_object[1]) == 2
-
-    def test_rejects_zero_versions(self):
-        with pytest.raises(ValueError):
-            CheckpointStore(keep_versions=0)
+        assert store.checkpointed_objects == 1
 
     def test_coarse_invalidation_discards_tenant(self):
         store = CheckpointStore()
@@ -118,6 +113,23 @@ class TestCheckpointWriter:
             # the tail floor can never start above the next-unseen SCN
             assert 0 < checkpoint.tail_start_scn <= checkpoint.query_scn + 1
             assert checkpoint.query_scn <= standby.query_scn.value
+
+    def test_a_capture_round_materialises_no_rowids(self):
+        """Capture is O(units) references: a round leaves no ``RowId``
+        list cached on any live unit."""
+        deployment, store, __ = build_armed_deployment(n=300)
+        deployment.run(1.0)  # at least one full capture round
+        assert store.captures > 0
+        live = live_smus(deployment.standby)
+        assert all(smu.imcu._rowids is None for smu in live)
+        captured = [
+            unit.imcu
+            for object_id in deployment.standby.imcs.enabled_object_ids
+            for unit in store.latest(object_id).units
+        ]
+        assert {id(imcu) for imcu in captured} == {
+            id(smu.imcu) for smu in live
+        }
 
     def test_writer_idles_while_queryscn_static(self):
         """No new publication => no new capture round (no busy looping)."""
