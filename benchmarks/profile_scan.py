@@ -1,10 +1,15 @@
 """Ad-hoc profiler for the scan paths (not part of the bench suite).
 
-Run: cd benchmarks && PYTHONPATH=../src python profile_scan.py [clean|sparse|heavy]
+Run: cd benchmarks && PYTHONPATH=../src python profile_scan.py MODE, MODE one
+of clean, sparse, heavy, warm (default heavy).
 
 ``sparse`` is ``bench_microbench_scan``'s live-width arm (~1.5% of the rows
 invalid, two per touched block: what ``bench_e2e``'s ``scan_churn``
-sustains); ``heavy`` its 25%-of-rows + 10%-of-blocks arm.
+sustains); ``heavy`` its 25%-of-rows + 10%-of-blocks arm.  Both are cold:
+the SMUs' tail images are discarded (the epoch bumped, outside the
+profile) before every query, so each one walks its tails.  ``warm`` is the
+``sparse`` width with the images kept, as every query after the first at
+one QuerySCN runs.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ predicate = Predicate.eq("n1", 1234.0)
 
 object_id = table.default_partition.object_id
 segment = standby.imcs.segment(object_id)
-if MODE == "sparse":
+COLD = MODE in ("sparse", "heavy")
+if MODE in ("sparse", "warm"):
     rng = random.Random(11)
     for smu in segment.live_units():
         imcu = smu.imcu
@@ -54,15 +60,22 @@ elif MODE == "heavy":
             standby.imcs.invalidate(object_id, dba, (), snapshot)
 
 
-def run(n=50):
+def run(n=50, profiler=None):
     for __ in range(n):
+        if COLD:
+            if profiler is not None:
+                profiler.disable()
+            for smu in segment.live_units():
+                smu.restore_validity(*smu.snapshot_validity())
+            if profiler is not None:
+                profiler.enable()
         standby.query(table_name, [predicate])
 
 
 run(3)  # warm
 profiler = cProfile.Profile()
 profiler.enable()
-run(50)
+run(50, profiler)
 profiler.disable()
 stats = pstats.Stats(profiler)
 stats.sort_stats("cumulative").print_stats(35)

@@ -118,33 +118,6 @@ class Predicate:
         raise ValueError(f"unknown predicate op {self.op!r}")
 
     # -- row-at-a-time evaluation ------------------------------------------
-    def matches(self, v: object) -> bool:
-        """Evaluate against one already-resolved value."""
-        if self.op == "is_null":
-            return v is None
-        if self.op == "is_not_null":
-            return v is not None
-        if v is None:
-            return False
-        if self.op == "=":
-            return v == self.value
-        if self.op == "!=":
-            return v != self.value
-        if self.op == "<":
-            return v < self.value
-        if self.op == "<=":
-            return v <= self.value
-        if self.op == ">":
-            return v > self.value
-        if self.op == ">=":
-            return v >= self.value
-        if self.op == "between":
-            return self.value <= v <= self.value2
-        raise ValueError(f"unknown predicate op {self.op!r}")
-
-    def eval_row(self, values: tuple, schema: Schema) -> bool:
-        return self.matches(values[schema.column_index(self.column)])
-
     def row_matcher(self):
         """Compile to a direct closure: the op is dispatched once here,
         not once per reconcile row (see :class:`_CompiledScan`)."""
@@ -434,10 +407,10 @@ class ScanEngine:
                         continue
                     handled_dbas.update(smu.imcu.covered_dbas)
 
-                    def run_unit(smu=smu, compiled=compiled, store=store):
+                    def run_unit(smu=smu, compiled=compiled, segment=segment):
                         partial = ScanResult()
                         self._scan_unit(
-                            table, store, smu, snapshot_scn, compiled,
+                            table, segment, smu, snapshot_scn, compiled,
                             partial, on_imcu_matches,
                         )
                         return partial
@@ -512,7 +485,7 @@ class ScanEngine:
                     continue
                 handled_dbas.update(smu.imcu.covered_dbas)
                 self._scan_unit(
-                    table, store, smu, snapshot_scn, compiled, result,
+                    table, segment, smu, snapshot_scn, compiled, result,
                     on_imcu_matches,
                 )
 
@@ -525,15 +498,15 @@ class ScanEngine:
 
     # ------------------------------------------------------------------
     def _scan_unit(
-        self, table, store, smu: SMU, snapshot_scn,
+        self, table, segment, smu: SMU, snapshot_scn,
         compiled: _CompiledScan, result, on_imcu_matches=None,
     ) -> None:
         imcu = smu.imcu
         if not smu.serves(compiled.needed_set):
             result.stats.imcus_unusable += 1
             self._rowstore_scan_dbas(
-                table, store, imcu.covered_dbas, snapshot_scn, compiled,
-                result, fallback=True,
+                table, segment._store, imcu.covered_dbas, snapshot_scn,
+                compiled, result, fallback=True,
             )
             return
 
@@ -567,32 +540,44 @@ class ScanEngine:
                 )
 
             self._reconcile_unit(
-                table, store, smu, snapshot_scn, compiled, result
+                table, segment, smu, snapshot_scn, compiled, result
             )
         finally:
             smu.unpin()
 
     def _reconcile_unit(
-        self, table, store, smu: SMU, snapshot_scn,
+        self, table, segment, smu: SMU, snapshot_scn,
         compiled: _CompiledScan, result,
     ) -> None:
         """Row-store tail of one unit scan: its invalid rows (the SMU
         keeps the DBA grouping cached), then its edge rows -- slots added
         to covered blocks after the snapshot -- in one CR pass.
 
+        The pass is kept as the SMU's tail image, keyed by the epoch, the
+        snapshot, the segment's TRUNCATE SCN and the grown edge blocks:
+        every later query at that QuerySCN skips the gather and the walk
+        but pays the same touches and row cost (DESIGN.md §9).
+
         Caller holds the SMU pin.
         """
-        blocks = [
-            (dba, store.get_optional(dba), slots)
-            for dba, slots in smu.invalid_slots_by_dba().items()
-        ]
-        blocks += [
+        store = segment._store
+        edges = [
             (dba, block, range(captured, block.used_slots))
             for dba, block, captured in smu.imcu.edge_blocks(store)
         ]
-        self._fetch_rows(
-            table, blocks, snapshot_scn, compiled, result, fallback=True
+        # each edge range ends at its block's used_slots
+        key = (snapshot_scn, segment.truncate_scn, edges)
+        blocks, visible = smu.tail_image(key)
+        if visible is None:
+            blocks = [
+                (dba, store.get_optional(dba), slots)
+                for dba, slots in smu.invalid_slots_by_dba().items()
+            ] + edges
+        visible = self._fetch_rows(
+            table, blocks, snapshot_scn, compiled, result,
+            fallback=True, visible=visible,
         )
+        smu.keep_tail_image(key, blocks, visible)
 
     def _rowstore_scan_dbas(
         self, table, store, dbas, snapshot_scn,
@@ -610,16 +595,18 @@ class ScanEngine:
 
     def _fetch_rows(
         self, table, blocks, snapshot_scn,
-        compiled: _CompiledScan, result, fallback,
-    ) -> None:
+        compiled: _CompiledScan, result, fallback, visible=None,
+    ) -> list:
         """Every row-store row of one scan step: ``blocks`` is ``(dba,
         block, slots)`` triples (``block`` None when the store lost it).
 
         The buffer cache and the row cost are charged block by block, in
         order -- ``cost_seconds`` is a float sum that feeds sim time --
         and the chains are then walked in one Consistent Read pass under
-        the scan's one commitSCN memo.  The counters count slots asked
-        for, tombstones and slots past a wiped block's end included.
+        the scan's one commitSCN memo, unless ``visible`` is that walk's
+        answer already (a tail image).  Returns the answer.  The counters
+        count slots asked for, tombstones and slots past a wiped block's
+        end included.
         """
         stats = result.stats
         cache = table.buffer_cache
@@ -633,10 +620,11 @@ class ScanEngine:
                 cost += ROWSTORE_COST_PER_ROW * len(slots)
         stats.cost_seconds = cost
         if not work:
-            return
-        visible = visible_values_batch(
-            work, snapshot_scn, self.txns, compiled.memo
-        )
+            return []
+        if visible is None:
+            visible = visible_values_batch(
+                work, snapshot_scn, self.txns, compiled.memo
+            )
         stats.rowstore_rows += len(visible)
         if fallback:
             stats.fallback_rows += len(visible)
@@ -646,3 +634,4 @@ class ScanEngine:
             project(values) for values in visible
             if values is not None and matches(values)
         ])
+        return visible

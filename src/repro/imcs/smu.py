@@ -41,6 +41,9 @@ class SMU:
         self._mask_cache: np.ndarray | None = None
         self._by_dba_epoch = -1
         self._by_dba_cache: dict[DBA, list[int]] | None = None
+        #: The row-store tail as the last scan reconciled it: ``((epoch,
+        #: key), blocks, visible)`` -- see :meth:`tail_image`.
+        self._tail_image: tuple | None = None
         #: Columns dropped since population (column-level validity).
         self._invalid_columns: set[str] = set()
         #: Highest SCN at which an invalidation was recorded; repopulation
@@ -122,9 +125,6 @@ class SMU:
     # ------------------------------------------------------------------
     # scan-side reconciliation
     # ------------------------------------------------------------------
-    def is_column_valid(self, name: str) -> bool:
-        return name not in self._invalid_columns
-
     def columns_valid(self, names) -> bool:
         """True when no column in ``names`` has been invalidated (set-at-
         once check for the scan engine's per-unit usability test)."""
@@ -178,6 +178,18 @@ class SMU:
             )
             self._by_dba_epoch = self._epoch
         return self._by_dba_cache
+
+    def tail_image(self, key) -> tuple:
+        """``(blocks, visible)`` kept under ``key`` at this epoch, else
+        ``(None, None)``: the row-store tail the scan engine's reconcile
+        last gathered and walked -- cached like the mask."""
+        image = self._tail_image
+        if image is not None and image[0] == (self._epoch, key):
+            return image[1:]
+        return None, None
+
+    def keep_tail_image(self, key, blocks, visible) -> None:
+        self._tail_image = ((self._epoch, key), blocks, visible)
 
     @property
     def invalid_blocks(self) -> frozenset[DBA]:

@@ -51,10 +51,6 @@ class BufferCache:
             self._resident.popitem(last=False)
         return self.miss_cost
 
-    def touch_many(self, dbas) -> float:
-        """Access a sequence of blocks; returns total simulated I/O cost."""
-        return sum(self.touch(dba) for dba in dbas)
-
     def invalidate(self, dba: DBA) -> None:
         self._resident.pop(dba, None)
 

@@ -119,8 +119,10 @@ class TestSMU:
     def test_column_invalidation(self, wide_table, txns, clock):
         __, smu, ___ = self.make(wide_table, txns, clock)
         smu.invalidate_column("n1", scn=100)
-        assert not smu.is_column_valid("n1")
-        assert smu.is_column_valid("id")
+        assert not smu.columns_valid({"n1"})
+        assert smu.columns_valid({"id"})
+        assert not smu.serves(frozenset({"id", "n1"}))
+        assert smu.serves(frozenset({"id"}))
 
     def test_pin_blocks_drop(self, wide_table, txns, clock):
         __, smu, ___ = self.make(wide_table, txns, clock)

@@ -17,6 +17,12 @@ Read call per unit per scan, one commitSCN memo per scan, edge rows looked
 for in open blocks only): what it may not change about the per-block pass
 it replaced -- touches, cost, counters, row order, errors -- and what its
 two new facts (the open-block set, the memo) rest on.
+
+Last, the tail image (one Consistent Read per unit per QuerySCN): a
+repeat walks nothing and looks nothing up yet pays the same; each part of
+its key, changed alone, forces a re-walk; morsels reuse a serial scan's
+image; a swap starts without one; and an undo prune is the one change it
+answers across.
 """
 
 from __future__ import annotations
@@ -33,7 +39,12 @@ from repro.imcs import (
     Predicate,
     ScanEngine,
 )
-from repro.imcs.scan import IMCS_COST_PER_ROW, ROWSTORE_COST_PER_ROW
+from repro.imcs import scan as scan_module
+from repro.imcs.scan import (
+    IMCS_COST_PER_ROW,
+    ROWSTORE_COST_PER_ROW,
+    merge_partials,
+)
 from repro.restart import UnitCheckpoint
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.buffer_cache import BufferCache
@@ -222,6 +233,18 @@ def enabled_and_populated(table, txns, clock):
     return store, table.default_partition.object_id
 
 
+def discard_tail_images(store, oid):
+    """Bump every unit's epoch through the public checkpoint round trip,
+    so the next scan walks each tail again (the mask and the per-block
+    grouping are recomputed with it)."""
+    for smu in store.segment(oid).live_units():
+        smu.restore_validity(*smu.snapshot_validity())
+
+
+def invalidate(store, oid, rowid, scn):
+    store.invalidate(oid, rowid.dba, (rowid.slot,), scn)
+
+
 def update(table, txns, clock, rowid, n1, xid, commit=True):
     table.update_row(rowid, {"n1": n1}, xid, clock.next(), txns)
     if commit:
@@ -358,6 +381,7 @@ class TestOneMemoPerScan:
         assert counting.lookups.count(writer) == 1
 
         del counting.lookups[:]
+        discard_tail_images(store, oid)  # or the morsels would walk nothing
         first, second = engine.plan_morsels(table, snapshot, columns=["id", "n1"])
         partials = [first.run()]
         txns.commit(writer, clock.next())  # above the snapshot, mid-scan
@@ -481,3 +505,205 @@ class TestUnitWidePassKeepsThePerBlockContract:
             [0, 4, 6, 7, 8, 10, 11] + [2, 3, 9]
             + [*range(16, 28), 29] + [28] + [0, 1]
         )
+
+
+# ----------------------------------------------------------------------
+# one Consistent Read per unit per QuerySCN: the tail image
+# ----------------------------------------------------------------------
+class CountingWalk:
+    """``visible_values_batch`` as the scan engine calls it, counted."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        real = scan_module.visible_values_batch
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan_module, "visible_values_batch", counted)
+
+
+def assert_same_scan(got, expected) -> None:
+    """Rows in order and every ``ScanStats`` field, ``cost_seconds`` bit
+    for bit."""
+    assert got.rows == expected.rows
+    assert got.stats == expected.stats
+    assert got.stats.cost_seconds.hex() == expected.stats.cost_seconds.hex()
+
+
+class TestOneConsistentReadPerUnitPerQuerySCN:
+    def tailed(self, txns, clock, monkeypatch):
+        """Two units over a warm recording cache, each with a row-store
+        tail: committed invalid rows in both, a row of the first written by
+        a transaction still open, and an edge row in the second's tail
+        block.  Returns the table, store, object id, the open writer, the
+        rowids, the counting walk and an engine over counting lookups."""
+        cache = RecordingCache()
+        table = make_table(cache)
+        __, rowids = load_rows(table, txns, clock, 30)
+        store, oid = enabled_and_populated(table, txns, clock)
+        assert len(store.segment(oid).live_units()) == 2
+        writer, still_open = TransactionId(1, 95_000), TransactionId(1, 95_001)
+        for i in (2, 20):
+            update(table, txns, clock, rowids[i], -float(i), writer, False)
+        txns.commit(writer, clock.next())
+        update(table, txns, clock, rowids[9], -9.0, still_open, False)
+        for i in (2, 9, 20):
+            invalidate(store, oid, rowids[i], clock.current)
+        load_rows(table, txns, clock, 1)  # an edge row in the tail block
+        for dba in table.default_partition.segment.dbas:
+            cache.touch(dba)  # every scan below sees hits only
+        del cache.touched[:]
+        counting = CountingTxns(txns)
+        return (
+            table, store, oid, still_open, rowids,
+            CountingWalk(monkeypatch), ScanEngine(store, counting),
+        )
+
+    def test_a_repeat_at_the_same_snapshot_and_epoch_walks_nothing(
+        self, txns, clock, monkeypatch
+    ):
+        table, store, oid, __, ___, walk, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        cache, counting = table.buffer_cache, engine.txns
+        snapshot = clock.current
+        first = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert walk.calls == 2 and counting.lookups
+        assert first.stats.fallback_rows == 4
+        touched = list(cache.touched)
+
+        del counting.lookups[:], cache.touched[:]
+        second = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert walk.calls == 2  # no Consistent Read walk ...
+        assert counting.lookups == []  # ... and no commitSCN lookup
+        assert cache.touched == touched  # same touches, same order
+        assert_same_scan(second, first)
+
+        discard_tail_images(store, oid)
+        assert_same_scan(
+            engine.scan(table, snapshot, columns=["id", "n1"]), first
+        )
+        assert walk.calls == 4
+
+    def test_the_image_holds_no_predicate_and_no_projection(
+        self, txns, clock, monkeypatch
+    ):
+        """Each query runs its own matcher and projector over the image."""
+        table, store, oid, __, ___, walk, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        snapshot = clock.current
+        engine.scan(table, snapshot)
+        for predicates, columns in (
+            ([Predicate.lt("n1", 0.0)], ["id"]),
+            ([Predicate.ge("id", 9), Predicate.le("id", 20)], ["n1", "c1"]),
+            ([Predicate.eq("c1", "val0")], None),
+        ):
+            calls = walk.calls
+            warm = engine.scan(table, snapshot, predicates, columns)
+            assert walk.calls == calls
+            discard_tail_images(store, oid)
+            cold = engine.scan(table, snapshot, predicates, columns)
+            assert_same_scan(warm, cold)
+        negative = engine.scan(table, snapshot, [Predicate.lt("n1", 0.0)])
+        assert [row[0] for row in negative.rows] == [2, 20]
+
+    @pytest.mark.parametrize(
+        "change", ["epoch", "snapshot", "edge_slot", "truncate"]
+    )
+    def test_each_key_part_forces_a_re_walk(
+        self, txns, clock, monkeypatch, change
+    ):
+        """Every part of the key, changed alone, sends the scan back to the
+        row store -- and each change alters what a stale image would
+        answer, so dropping that part from the key changes a result."""
+        table, store, oid, still_open, rowids, walk, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        segment = table.default_partition.segment
+        snapshot = clock.current
+        first = engine.scan(table, snapshot, columns=["id", "n1"])
+        calls = walk.calls
+        if change == "epoch":  # apply above the snapshot, then its flush
+            xid = TransactionId(1, 95_002)
+            update(table, txns, clock, rowids[25], -25.0, xid)
+            invalidate(store, oid, rowids[25], clock.current)
+        elif change == "snapshot":  # the open writer commits: next QuerySCN
+            txns.commit(still_open, clock.next())
+            snapshot = clock.current
+        elif change == "edge_slot":  # a slot appended above the snapshot
+            table.insert_row((99, 990.0, "late"), still_open, clock.next())
+        else:  # a TRUNCATE wipe, nothing flushed to the units
+            segment.truncate(clock.next())
+        warm = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert walk.calls > calls
+        discard_tail_images(store, oid)
+        cold = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert_same_scan(warm, cold)
+        assert warm.stats != first.stats or warm.rows != first.rows
+
+    def test_a_morsel_run_after_a_serial_scan_reuses_the_image(
+        self, txns, clock, monkeypatch
+    ):
+        table, store, oid, __, ___, walk, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        snapshot = clock.current
+        serial = engine.scan(table, snapshot, columns=["id", "n1"])
+        calls = walk.calls
+        del engine.txns.lookups[:]
+        morsels = engine.plan_morsels(table, snapshot, columns=["id", "n1"])
+        partials = [morsel.run() for morsel in morsels]
+        assert walk.calls == calls and engine.txns.lookups == []
+        assert_same_scan(merge_partials(partials), serial)
+
+    def test_an_undo_prune_between_two_scans_answers_from_the_image(
+        self, txns, clock, monkeypatch
+    ):
+        """The one answer the image changes: a chain pruned past the
+        snapshot after the tail was walked.  The image keeps answering, as
+        a CR buffer outlives its undo; a fresh walk is SnapshotTooOld."""
+        table, store, oid, __, rowids, walk, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        snapshot = clock.current
+        first = engine.scan(table, snapshot, columns=["id", "n1"])
+        victim = rowids[2]  # invalid, its value at the snapshot is -2.0
+        assert (2, -2.0) in first.rows
+        update(table, txns, clock, victim, -200.0, TransactionId(1, 95_003))
+        invalidate(store, oid, victim, clock.current)  # already invalid
+        block = table.default_partition.segment._store.get(victim.dba)
+        assert block.prune_undo(keep=1) >= 2  # the snapshot's version too
+        assert_same_scan(
+            engine.scan(table, snapshot, columns=["id", "n1"]), first
+        )
+        discard_tail_images(store, oid)
+        with pytest.raises(SnapshotTooOldError):
+            engine.scan(table, snapshot, columns=["id", "n1"])
+
+    def test_a_swap_starts_the_new_unit_without_an_image(
+        self, txns, clock, monkeypatch
+    ):
+        """A repopulation at the query's own snapshot captures the old
+        tail's rows: answered from the outgoing unit's image, they would
+        come back twice."""
+        table, store, oid, __, ___, ____, engine = self.tailed(
+            txns, clock, monkeypatch
+        )
+        snapshot = clock.current
+        first = engine.scan(table, snapshot, columns=["id", "n1"])
+        old = store.segment(oid).live_units()
+        population = PopulationEngine(
+            store, txns, lambda owner: clock.current,
+            IMCSConfig(imcu_target_rows=16, repopulate_invalid_fraction=0.05),
+        )
+        assert population.check_repopulation(now=1.0) == 2
+        while population.run_one_task(object()) is not None:
+            pass
+        new = store.segment(oid).live_units()
+        assert not set(map(id, new)) & set(map(id, old))
+        after = engine.scan(table, snapshot, columns=["id", "n1"])
+        assert sorted(after.rows) == sorted(first.rows)
+        assert after.stats.fallback_rows == 0  # everything was captured

@@ -20,6 +20,8 @@ from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
 from repro.rowstore.table import RowLockConflictError
 
+from tests.naive_predicate import eval_row
+
 
 def build_deployment(seed: int, n_standbys: int = 1) -> Deployment:
     config = SystemConfig(
@@ -201,6 +203,6 @@ def test_predicate_scans_match_rowstore(seed, n_rows):
             for __, values in table.full_scan(
                 snapshot, deployment.primary.txn_table
             )
-            if predicate.eval_row(values, table.schema)
+            if eval_row(predicate, values, table.schema)
         )
         assert got == expected, f"divergence for {predicate}"

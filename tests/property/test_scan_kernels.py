@@ -5,12 +5,18 @@ gathers, compiled predicate matchers, block-grouped reconcile through
 ``visible_values_batch`` -- must be row-for-row equivalent to the obvious
 reference implementation: walk every block slot, resolve the visible
 version with the per-row :func:`repro.rowstore.cr.visible_values`, apply
-predicates with :meth:`Predicate.eval_row` and project by schema index.
+predicates with ``tests/naive_predicate.py::eval_row`` and project by
+schema index.
 
 Hypothesis drives committed and uncommitted updates, deletes, edge rows
 inserted after population, spurious row invalidations and whole-block
 invalidations (both safe: invalidation is monotone), plus random
-predicates and projections.
+predicates and projections.  Every query then runs again at the same
+snapshot after random events a QuerySCN allows between two queries --
+apply above it, an invalidation flushed, an edge slot appended, an open
+writer committing -- and must equal a scan whose tail images were
+discarded: rows in order, every ``ScanStats`` field, ``cost_seconds``
+bit for bit.
 
 A second property covers the scan's edge step.  The engine visits only a
 unit's *open* blocks -- those captured short of their capacity
@@ -40,6 +46,8 @@ from repro.imcs import (
 from repro.restart import UnitCheckpoint
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 from repro.rowstore.cr import visible_values
+
+from tests.naive_predicate import eval_row
 
 COLUMNS = ["id", "n1", "c1"]
 
@@ -96,7 +104,7 @@ def reference_scan(table, txns, snapshot, predicates, names) -> list[tuple]:
                 values = visible_values(block, slot, snapshot, txns)
                 if values is None:
                     continue
-                if all(p.eval_row(values, schema) for p in predicates):
+                if all(eval_row(p, values, schema) for p in predicates):
                     rows.append(tuple(values[i] for i in indices))
     return rows
 
@@ -143,6 +151,7 @@ def test_vectorised_scan_matches_reference(data):
     updated = indices[: len(indices) // 2]
     deleted = indices[len(indices) // 2:]
 
+    open_writer = None
     if updated:
         committed = data.draw(st.booleans(), label="update_committed")
         writer = TransactionId(1, 90_001)
@@ -152,6 +161,8 @@ def test_vectorised_scan_matches_reference(data):
             )
         if committed:
             txns.commit(writer, clock.next())
+        else:
+            open_writer = writer
         # The maintenance contract only requires invalidation for
         # *committed* changes; invalidating uncommitted ones too is the
         # monotone-safety case.
@@ -214,6 +225,48 @@ def test_vectorised_scan_matches_reference(data):
     got = engine.scan(table, snapshot, predicates, columns=names)
     expected = reference_scan(table, txns, snapshot, predicates, names)
     assert sorted(got.rows, key=repr) == sorted(expected, key=repr)
+
+    # the same query again at the same snapshot, after what may happen
+    # between two queries at one QuerySCN: the units' tail images answer
+    # exactly as a fresh Consistent Read walk does
+    events = data.draw(
+        st.lists(
+            st.sampled_from(["apply", "invalidate", "edge", "commit"]),
+            max_size=4,
+        ),
+        label="between_scans",
+    )
+    for k, event in enumerate(events):
+        i = data.draw(st.integers(0, n - 1), label="row")
+        if event == "apply":  # redo applied above the snapshot
+            xid = TransactionId(1, 90_010 + k)
+            table.apply_update(
+                oid, rowids[i].dba, rowids[i].slot, (i, -1.0, "applied"),
+                ("n1", "c1"), xid, clock.next(),
+            )
+            txns.commit(xid, clock.next())
+        elif event == "invalidate":  # that redo's invalidation, flushed
+            store.invalidate(
+                oid, rowids[i].dba, (rowids[i].slot,), clock.current
+            )
+        elif event == "edge":  # a slot appended above the snapshot
+            xid = TransactionId(1, 90_020 + k)
+            table.insert_row((2000 + k, 20.0, "late"), xid, clock.next())
+            if data.draw(st.booleans(), label="edge_committed"):
+                txns.commit(xid, clock.next())
+        elif open_writer is not None:  # the open writer commits above it
+            txns.commit(open_writer, clock.next())
+            open_writer = None
+    again = engine.scan(table, snapshot, predicates, columns=names)
+    for smu in store.segment(oid).live_units():  # discard the images
+        smu.restore_validity(*smu.snapshot_validity())
+    cold = engine.scan(table, snapshot, predicates, columns=names)
+    assert again.rows == cold.rows
+    assert again.stats == cold.stats
+    assert again.stats.cost_seconds.hex() == cold.stats.cost_seconds.hex()
+    assert sorted(again.rows, key=repr) == sorted(expected, key=repr)
+    if set(events) <= {"apply", "commit"}:  # nothing a scan counts moved
+        assert again.rows == got.rows and again.stats == got.stats
 
     # scanning at the population snapshot must also agree (old snapshot:
     # the IMCUs may be unusable, forcing the row-format path)

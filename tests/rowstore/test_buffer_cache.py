@@ -30,12 +30,6 @@ def test_unlimited_capacity_never_evicts():
     assert cache.resident_blocks == 1000
 
 
-def test_touch_many_sums_costs():
-    cache = BufferCache(capacity_blocks=None, miss_cost=0.1)
-    cost = cache.touch_many([1, 2, 3, 1])
-    assert abs(cost - 0.3) < 1e-9
-
-
 def test_invalidate_forces_reread():
     cache = BufferCache()
     cache.touch(5)
