@@ -37,6 +37,14 @@ query after a QuerySCN publication that invalidated rows does.  At the
 live width the warm tail must cost at most half the cold one per fallback
 row.
 
+A fourth arm times projection on the live wide units: ``IMCU.project_rows``
+(one 2-D gather per column block) against the per-column reference it
+replaced (``tests/naive_imcu.py::naive_project_rows``, one ``take`` per
+column), at 2, 7 and 101 columns x 1, 20 and 160 rows, interleaved
+best-of timings.  It must take at most 0.6x the reference at 101 columns x
+20 rows (a ``select *`` round's ~20 matching rows per unit) and at most
+1.1x in every other cell.
+
 The paper's "orders of magnitude" claim is hardware-specific; here we
 assert a conservative >= 10x measured gap (typically 30-100x for this
 table size), plus storage-index pruning being visibly cheaper still.
@@ -46,9 +54,13 @@ Machine-readable numbers land in ``benchmarks/results/BENCH_scan.json``
 
 from __future__ import annotations
 
+import pathlib
 import random
+import sys
 import time
+import timeit
 
+import numpy as np
 import pytest
 
 from repro.db.deployment import InMemoryService
@@ -56,6 +68,9 @@ from repro.imcs.scan import Predicate
 from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_json, save_report
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.naive_imcu import naive_project_rows  # noqa: E402  (the reference)
 
 #: Fractions of the table invalidated for the heavy configuration.
 HEAVY_ROW_FRACTION = 0.25
@@ -77,6 +92,15 @@ PRE_PR_BASELINE = {
 #: At the live width a warm tail (answered from the tail images) costs at
 #: most this share of a cold one (walked), per fallback row.
 WARM_OVER_COLD_MAX = 0.5
+
+#: Projection arm: columns x rows per unit, and block / reference time.
+PROJECTION_COLUMNS = {
+    2: ["id", "n1"],
+    7: ["id", "n1", "n2", "n3", "c1", "c2", "c3"],
+}
+PROJECTION_ROWS = (1, 20, 160)
+PROJECTION_WIDE_MAX = 0.6  # at 101 columns x 20 rows
+PROJECTION_OTHER_MAX = 1.1  # every other cell
 
 #: Results stashed by the clean test for the JSON report written by the
 #: heavy test (tests run in definition order within the module).
@@ -176,6 +200,66 @@ def test_columnar_vs_rowformat_wall_clock(scenario, benchmark):
     }
 
     benchmark(columnar)
+
+
+def test_projection_width(scenario):
+    """``project_rows`` on a live 101-column unit against the per-column
+    reference, interleaved best-of-15 timings (warm: the unit's plan and
+    decode table are built by the equality check first)."""
+    deployment, workload = scenario
+    standby = deployment.standby
+    table = standby.catalog.table(workload.config.table_name)
+    segment = standby.imcs.segment(table.default_partition.object_id)
+    unit = max((smu.imcu for smu in segment.live_units()),
+               key=lambda imcu: imcu.n_rows)
+    widths = {**PROJECTION_COLUMNS, 101: unit.column_names}
+    rng = np.random.default_rng(5)
+    cells, rows = {}, []
+    for width, names in widths.items():
+        for n_rows in PROJECTION_ROWS:
+            positions = np.sort(rng.choice(unit.n_rows, n_rows, replace=False))
+            assert repr(unit.project_rows(positions, names)) == repr(
+                naive_project_rows(unit, positions, names)
+            )
+            number = max(20, 20_000 // (width * n_rows))
+            ours = timeit.Timer(lambda: unit.project_rows(positions, names))
+            theirs = timeit.Timer(
+                lambda: naive_project_rows(unit, positions, names)
+            )
+            block_s = reference_s = float("inf")
+            for __ in range(15):
+                block_s = min(block_s, ours.timeit(number) / number)
+                reference_s = min(reference_s, theirs.timeit(number) / number)
+            ratio = block_s / reference_s
+            cells[f"{width}x{n_rows}"] = {
+                "block_us": block_s * 1e6,
+                "reference_us": reference_s * 1e6,
+                "ratio": ratio,
+            }
+            rows.append([width, n_rows, block_s * 1e6, reference_s * 1e6, ratio])
+    _RESULTS["projection_width"] = {
+        "unit_rows": unit.n_rows,
+        "cells": cells,
+        "wide_max": PROJECTION_WIDE_MAX,
+        "other_max": PROJECTION_OTHER_MAX,
+    }
+    save_report(
+        "microbench_scan_projection",
+        render_table(
+            ["columns", "rows", "project_rows (us)", "per-column takes (us)",
+             "ratio"],
+            rows,
+            title=f"Projection on a live {len(unit.column_names)}-column unit "
+                  f"({unit.n_rows} rows): one gather per column block vs one "
+                  f"take per column (interleaved best of 15)",
+        ),
+    )
+    for key, cell in cells.items():
+        limit = PROJECTION_WIDE_MAX if key == "101x20" else PROJECTION_OTHER_MAX
+        assert cell["ratio"] <= limit, (
+            f"{key}: project_rows {cell['ratio']:.2f}x the per-column takes "
+            f"(limit {limit}x)"
+        )
 
 
 def reconcile_width(segment) -> tuple[int, float]:
@@ -327,6 +411,7 @@ def test_heavy_invalidation_scan(scenario, benchmark):
         "configs": {
             "clean": clean,
             "live_width_invalidation": live,
+            "projection_width": _RESULTS.get("projection_width", {}),
             "heavy_invalidation": {
                 "columnar_s": t_heavy,
                 "warm_columnar_s": t_heavy_warm,

@@ -39,7 +39,6 @@ from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs.aggregate import AggregateSpec
 from repro.imcs.compression import (
     NULL_CODE,
-    ColumnCU,
     DictionaryCU,
     NumericCU,
     RunLengthCU,
@@ -201,6 +200,22 @@ def _naive_dict_take(self, positions):
     ]
 
 
+def _naive_stats(self, positions):
+    """COUNT/SUM/MIN/MAX folded over one decoded value at a time."""
+    count, total, minimum, maximum = 0, 0.0, None, None
+    for value in self.take(positions):
+        if value is None:
+            continue
+        count += 1
+        if isinstance(value, (int, float)):
+            total += value
+        if minimum is None or value < minimum:
+            minimum = value
+        if maximum is None or value > maximum:
+            maximum = value
+    return count, total, minimum, maximum
+
+
 def _naive_numeric_take(self, positions):
     out = []
     for p in positions:
@@ -218,11 +233,11 @@ _NAIVE = {
     (RunLengthCU, "range_mask"): _naive_rle_range_mask,
     (RunLengthCU, "null_mask"): _naive_rle_null_mask,
     (RunLengthCU, "take"): _naive_rle_take,
-    (RunLengthCU, "stats_for_positions"): ColumnCU.stats_for_positions,
+    (RunLengthCU, "stats_for_positions"): _naive_stats,
     (DictionaryCU, "take"): _naive_dict_take,
-    (DictionaryCU, "stats_for_positions"): ColumnCU.stats_for_positions,
+    (DictionaryCU, "stats_for_positions"): _naive_stats,
     (NumericCU, "take"): _naive_numeric_take,
-    (NumericCU, "stats_for_positions"): ColumnCU.stats_for_positions,
+    (NumericCU, "stats_for_positions"): _naive_stats,
 }
 
 

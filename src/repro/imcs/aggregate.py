@@ -5,7 +5,7 @@ aggregation push-down are extended seamlessly to ADG."
 
 Instead of materialising matching rows and folding them in Python, the
 aggregator evaluates COUNT/SUM/AVG/MIN/MAX *in the encoded domain*: every
-CU answers :meth:`~repro.imcs.compression.ColumnCU.stats_for_positions`
+CU answers ``stats_for_positions`` (``(count, total, min, max)``)
 over the SMU-valid + predicate-matching positions -- numeric columns fold
 their float vector, dictionary/RLE columns fold codes and run lengths and
 decode only the winning min/max codes -- and only reconcile rows fall back

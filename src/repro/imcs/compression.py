@@ -14,9 +14,9 @@ pack the IMCS" (paper, II-B).  Three encodings are provided:
   n_rows code vector is ever materialised (run-skipping).
 
 Every CU answers the same small interface: vectorised predicate masks,
-bulk decode for projection, encoded-domain aggregation
-(:meth:`ColumnCU.stats_for_positions`), min/max for the storage index, and
-a memory estimate for the pool accounting.
+bulk decode for projection (``take``), encoded-domain aggregation
+(``stats_for_positions``), min/max for the storage index, and a memory
+estimate for the pool accounting.
 
 Encoding is *block-wise* (:func:`encode_rows` over a :func:`row_matrix`);
 the per-column constructors are width-1 calls of the same code, and the
@@ -51,16 +51,6 @@ class ColumnCU:
     #: Number of rows.
     n_rows: int
 
-    def get(self, i: int) -> object:
-        """Decoded value of row ``i`` (None for NULL)."""
-        raise NotImplementedError
-
-    def take(self, positions) -> list:
-        """Decoded values for many row positions: one bulk gather + decode
-        instead of one :meth:`get` call per cell.  ``positions`` is any
-        integer sequence/ndarray; subclasses vectorise the gather."""
-        return [self.get(int(i)) for i in positions]
-
     def eq_mask(self, value: object) -> np.ndarray:
         """Boolean mask of rows equal to ``value`` (NULLs never match)."""
         raise NotImplementedError
@@ -74,32 +64,6 @@ class ColumnCU:
 
     def null_mask(self) -> np.ndarray:
         raise NotImplementedError
-
-    def stats_for_positions(
-        self, positions
-    ) -> tuple[int, float, object, object]:
-        """Encoded-domain aggregation over the given row positions.
-
-        Returns ``(non_null_count, total, minimum, maximum)``; ``total``
-        is 0.0 for non-numeric columns.  Subclasses compute this from
-        codes / run lengths without decoding; this fallback folds over one
-        bulk :meth:`take`.
-        """
-        count = 0
-        total = 0.0
-        minimum: object = None
-        maximum: object = None
-        for value in self.take(positions):
-            if value is None:
-                continue
-            count += 1
-            if isinstance(value, (int, float)):
-                total += value
-            if minimum is None or value < minimum:
-                minimum = value
-            if maximum is None or value > maximum:
-                maximum = value
-        return count, total, minimum, maximum
 
     @property
     def min_value(self) -> object:
@@ -163,12 +127,6 @@ class NumericCU(ColumnCU):
     @cached_property
     def _any_int(self) -> bool:
         return bool(self._is_int.any())
-
-    def get(self, i: int) -> object:
-        if self._nulls[i]:
-            return None
-        value = self._data[i]
-        return int(value) if self._is_int[i] else float(value)
 
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)
@@ -324,15 +282,15 @@ def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
 
 def _merge_sorted_columns(
     olds: Sequence[ColumnCU], keep, columns: Sequence[list], take
-) -> list[ColumnCU]:
+) -> list[tuple[np.ndarray, list[str]]]:
     """Merge kernel beside :func:`_sorted_codes`, for every sorted-
     dictionary column of a unit at once: rows ``keep`` of each carried CU
     (run-length ones gathered in the run domain) followed by its
     ``columns`` cells, in ``take`` order, into the sorted dictionary of
-    exactly the values those rows hold.  An entry whose last user went
-    leaves it, a new value enters in sorted position, and the carried
-    codes move through one ``remap`` gather; Python runs over the
-    *distinct fresh* values only, everything per row is 2-D."""
+    exactly the values those rows hold, as ``(codes, dictionary)``.  An
+    entry whose last user went leaves it, a new value enters in sorted
+    position, and the carried codes move through one ``remap`` gather;
+    Python runs over the *distinct fresh* values only."""
     count = len(olds)
     sizes = [len(cu._dictionary) for cu in olds]
     kept = np.array(
@@ -388,11 +346,7 @@ def _merge_sorted_columns(
         count=count * n_fresh,
     ).reshape(count, n_fresh)
     codes = np.concatenate((kept, codes), axis=1).take(take, axis=1)
-    codes = codes.astype(np.int32)
-    return [
-        _dictionary_or_rle(codes[j], dictionary)
-        for j, dictionary in enumerate(dictionaries)
-    ]
+    return list(zip(codes, dictionaries))
 
 
 def _run_starts(codes: np.ndarray) -> np.ndarray:
@@ -401,14 +355,16 @@ def _run_starts(codes: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(min(codes.size, 1), np.int64), change))
 
 
-def _decode_table(dictionary: Sequence[str]) -> np.ndarray:
-    """Object-array decode table with ``None`` in the last slot, so a
-    fancy-indexed gather maps ``NULL_CODE`` (-1) straight to None."""
-    table = np.empty(len(dictionary) + 1, dtype=object)
-    if len(dictionary):
-        table[:-1] = dictionary
-    table[-1] = None
-    return table
+def _decode_table(dictionaries: Sequence[list[str]]) -> tuple:
+    """One object-array decode table for many sorted dictionaries, each
+    followed by a ``None`` slot, and their offsets into it: ``code +
+    offset`` decodes, ``NULL_CODE`` lands on the None before."""
+    offsets, cells = [], []
+    for dictionary in dictionaries:
+        offsets.append(len(cells))
+        cells += dictionary
+        cells.append(None)
+    return np.array(cells, dtype=object), offsets
 
 
 def _sorted_code_for(dictionary: list[str], value: str) -> Optional[int]:
@@ -445,7 +401,6 @@ class DictionaryCU(ColumnCU):
     def __init__(self, values: Sequence[Optional[str]]) -> None:
         self._codes, self._dictionary = _sorted_codes(values)
         self.n_rows = len(values)
-        self._decode_cache: Optional[np.ndarray] = None
 
     @classmethod
     def from_codes(
@@ -457,42 +412,28 @@ class DictionaryCU(ColumnCU):
         cu._codes = np.ascontiguousarray(codes, dtype=np.int32)
         cu.n_rows = int(cu._codes.shape[0])
         cu._dictionary = list(dictionary)
-        cu._decode_cache = None
         return cu
 
     @property
     def dictionary(self) -> list[str]:
         return list(self._dictionary)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self._dictionary)
-
-    def code_for(self, value: str) -> Optional[int]:
-        """Exact-match code, or None when the value is not in this CU."""
-        return _sorted_code_for(self._dictionary, value)
-
-    def _decode_objects(self) -> np.ndarray:
-        if self._decode_cache is None:
-            self._decode_cache = _decode_table(self._dictionary)
-        return self._decode_cache
+    @cached_property
+    def _decode(self) -> np.ndarray:  # a view, once its IMCU has a table
+        return _decode_table([self._dictionary])[0]
 
     def _positions_to_codes(self, positions) -> np.ndarray:
         return self._codes[positions]
 
-    def get(self, i: int) -> object:
-        code = self._codes[i]
-        return None if code == NULL_CODE else self._dictionary[code]
-
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)
         # NULL_CODE (-1) indexes the table's trailing None slot
-        return self._decode_objects()[self._codes[positions]].tolist()
+        return self._decode[self._codes[positions]].tolist()
 
     def eq_mask(self, value: object) -> np.ndarray:
         if value is None or not isinstance(value, str):
             return np.zeros(self.n_rows, dtype=bool)
-        code = self.code_for(value)
+        code = _sorted_code_for(self._dictionary, value)
         if code is None:
             return np.zeros(self.n_rows, dtype=bool)
         return self._codes == code
@@ -581,7 +522,6 @@ class RunLengthCU(ColumnCU):
         self._run_lengths = np.diff(
             np.concatenate((starts, [n_rows]))
         ).astype(np.int64)
-        self._decode_cache: Optional[np.ndarray] = None
 
     @property
     def n_runs(self) -> int:
@@ -591,10 +531,9 @@ class RunLengthCU(ColumnCU):
         """(starts, lengths, codes) -- read-only run-domain view."""
         return self._run_starts, self._run_lengths, self._run_codes
 
-    def _decode_objects(self) -> np.ndarray:
-        if self._decode_cache is None:
-            self._decode_cache = _decode_table(self._dictionary)
-        return self._decode_cache
+    @cached_property
+    def _decode(self) -> np.ndarray:
+        return _decode_table([self._dictionary])[0]
 
     def _expand_runs(self, run_mask: np.ndarray) -> np.ndarray:
         """Row mask from a run mask, touching only matching runs."""
@@ -616,15 +555,8 @@ class RunLengthCU(ColumnCU):
         idx = np.searchsorted(self._run_starts, positions, side="right") - 1
         return self._run_codes[idx]
 
-    def get(self, i: int) -> object:
-        idx = int(np.searchsorted(self._run_starts, i, side="right")) - 1
-        code = self._run_codes[idx]
-        return None if code == NULL_CODE else self._dictionary[code]
-
     def take(self, positions) -> list:
-        return self._decode_objects()[
-            self._positions_to_codes(positions)
-        ].tolist()
+        return self._decode[self._positions_to_codes(positions)].tolist()
 
     def eq_mask(self, value: object) -> np.ndarray:
         if value is None or not isinstance(value, str):
@@ -696,29 +628,25 @@ def _range_mask_over_codes(
     return mask
 
 
-def _dictionary_or_rle(codes: np.ndarray, dictionary: list[str]) -> ColumnCU:
-    """Dictionary encoding, upgraded to RLE when the average run length
-    makes it profitable -- decided on the code vector's run count, before
-    any run buffer is built."""
+def _run_length(codes, dictionary) -> Optional[RunLengthCU]:
+    """The RLE upgrade of a dictionary-encoded column, or None when the
+    average run is too short to pay -- decided on the code vector's run
+    count, before any run buffer is built."""
     n_runs = np.count_nonzero(codes[1:] != codes[:-1]) + 1
     if codes.size and codes.size / n_runs >= RLE_MIN_AVG_RUN:
         starts = _run_starts(codes)
         return RunLengthCU.from_runs(
             starts, codes[starts], codes.size, dictionary
         )
-    return DictionaryCU.from_codes(codes, dictionary)
+    return None
 
 
 def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
-    """Pick an encoding for one column of one IMCU.
-
-    NUMBER columns always use the numeric vector.  VARCHAR2 columns use
-    dictionary encoding, upgraded to RLE when the average run length makes
-    it profitable.
-    """
-    if is_numeric:
-        return NumericCU(values)
-    return _dictionary_or_rle(*_sorted_codes(values))
+    """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector, or
+    sorted dictionary upgraded to RLE where the runs pay)."""
+    matrix = np.empty((len(values), 1), dtype=object)
+    matrix[:, 0] = values
+    return encode_rows(matrix, [(0, is_numeric, None)])[0][0]
 
 
 def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
@@ -735,7 +663,7 @@ def encode_rows(
     matrix: np.ndarray,
     specs: Sequence[tuple[int, bool, Optional["GlobalDictionary"]]],
     carried: Optional[tuple[Sequence[ColumnCU], Sequence, Sequence]] = None,
-) -> list[ColumnCU]:
+) -> tuple[list[ColumnCU], tuple]:
     """Encode columns of a :func:`row_matrix`, block-wise.  ``specs`` is,
     per output column, ``(matrix column, is NUMBER, join-group dictionary
     or None)``.  All NUMBER columns are cast together; string columns are
@@ -746,9 +674,14 @@ def encode_rows(
     rows ``keep`` of ``cus[k]`` -- an outgoing unit's CU for ``specs[k]``,
     a join-group one over that very dictionary -- then ``matrix``'s rows,
     in ``take`` order.  Each kind's merge kernel sits beside its encoder
-    and yields exactly the CU that encoding the merged values would."""
+    and yields exactly the CU that encoding the merged values would.
+
+    Also returns the blocks the CUs are views of, each ``(spec indices,
+    (k, n) array)`` or None: NUMBER values, and the int32 codes of the
+    private sorted-dictionary columns that did not go run-length."""
     olds, keep, take = carried or ((), None, None)
     cus: list = [None] * len(specs)
+    number_block = code_block = None
     numeric = [
         k for k, (__, is_numeric, shared) in enumerate(specs)
         if is_numeric and shared is None
@@ -771,15 +704,22 @@ def encode_rows(
         for j, k in enumerate(numeric):
             cu = cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
             cu._any_null, cu._any_int = facts[0][j], facts[1][j]
-    if carried is None:
-        for k in private:
-            cus[k] = _dictionary_or_rle(*_sorted_codes(cells(k)))
-    elif private:
-        merged = _merge_sorted_columns(
+        number_block = (numeric, blocks[0].T)
+    if private:
+        encoded = _merge_sorted_columns(
             [olds[k] for k in private], keep, [cells(k) for k in private], take
-        )
-        for k, cu in zip(private, merged):
-            cus[k] = cu
+        ) if carried else [_sorted_codes(cells(k)) for k in private]
+        rows, dictionaries = [], {}
+        for k, (codes, dictionary) in zip(private, encoded):
+            cus[k] = _run_length(codes, dictionary)
+            if cus[k] is None:
+                rows.append(codes)
+                dictionaries[k] = dictionary
+        block = np.array(rows, dtype=np.int32)
+        for j, (k, dictionary) in enumerate(dictionaries.items()):
+            cus[k] = DictionaryCU.from_codes(block[j], dictionary)
+        if dictionaries:
+            code_block = (list(dictionaries), block)
     for k in joined:
         # surviving values own their codes already, so the fresh rows
         # alone meet the dictionary in the order a full pass would
@@ -787,7 +727,7 @@ def encode_rows(
         if carried is not None:
             codes = np.concatenate((olds[k].codes[keep], codes))[take]
         cus[k] = SharedDictionaryCU.from_codes(codes, specs[k][2])
-    return cus
+    return cus, (number_block, code_block)
 
 
 # ----------------------------------------------------------------------
@@ -884,10 +824,6 @@ class SharedDictionaryCU(ColumnCU):
     @property
     def codes(self) -> np.ndarray:
         return self._codes
-
-    def get(self, i: int) -> object:
-        code = self._codes[i]
-        return None if code == NULL_CODE else self.dictionary.decode(int(code))
 
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)

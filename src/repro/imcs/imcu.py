@@ -17,7 +17,8 @@ Besides the column CUs, an IMCU keeps:
   snapshot; rows appended later live only in the row store until
   repopulation widens the IMCU ("edge" rows, the effect that limits the
   gain in the paper's update+insert experiment, Fig. 10);
-* per-column min/max (the in-memory storage index used for pruning).
+* per-column min/max (the in-memory storage index used for pruning);
+* the 2-D blocks its CUs are views of, gathered once per projection.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.common.scn import SCN
 from repro.imcs.compression import (
     ColumnCU,
     GlobalDictionary,
+    _decode_table,
     encode_rows,
     row_matrix,
 )
@@ -70,6 +72,7 @@ class IMCU:
         columns: dict[str, ColumnCU],
         n_rows: Optional[int] = None,
         addresses: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        blocks: tuple = (None, None),
     ) -> None:
         self.imcu_id = IMCU._next_id
         IMCU._next_id += 1
@@ -99,6 +102,9 @@ class IMCU:
         #: one block, or one row) resolves in a single searchsorted.
         self._key_index: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._open_blocks: Optional[tuple[tuple[DBA, int], ...]] = None
+        #: :func:`encode_rows`' blocks; none for a unit of bare CUs
+        self._blocks = blocks
+        self._projections: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -241,10 +247,12 @@ class IMCU:
             take = np.argsort(row_keys(blocks, slots), kind="stable")
             blocks, slots = blocks[take], slots[take]
             carried = ([old.column(name) for name in names], keep, take)
+        cus, encoded = encode_rows(matrix, specs, carried)
         unit = cls(
             segment.object_id, tenant, snapshot_scn, captured_slots,
-            dict(zip(names, encode_rows(matrix, specs, carried))),
+            dict(zip(names, cus)),
             addresses=(np.asarray(dbas, dtype=np.int64)[blocks], slots),
+            blocks=encoded,
         )
         if carried is not None:
             unit.rows_reused = int(keep.size)
@@ -353,9 +361,6 @@ class IMCU:
     def column_name_set(self) -> frozenset[str]:
         return self._column_names
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def column(self, name: str) -> ColumnCU:
         return self._columns[name]
 
@@ -385,17 +390,71 @@ class IMCU:
     def project_rows(
         self, positions: np.ndarray, names: list[str]
     ) -> list[tuple]:
-        """Materialise tuples for the given row positions.
-
-        One bulk :meth:`~repro.imcs.compression.ColumnCU.take` per column
-        instead of one point ``get`` per cell.
-        """
+        """Materialise tuples for the given row positions: one 2-D gather
+        per block -- NUMBER values cast as ``NumericCU.take`` would, codes
+        shifted onto the unit's one decode table -- and one ``take`` per
+        column outside them."""
         if len(positions) == 0:
             return []
-        columns = [self._columns[n].take(positions) for n in names]
-        if len(columns) == 1:
-            return [(value,) for value in columns[0]]
-        return list(zip(*columns))
+        rows_n, ints, rows_c, offsets, alone, order = self._projection(
+            tuple(names)
+        )
+        columns: list = []
+        if rows_n.size:
+            values = self._blocks[0][1][rows_n, positions]
+            columns += values[:ints].tolist()  # Python floats
+            columns += values[ints:].astype(np.int64).tolist()
+        if rows_c.size:
+            codes = self._blocks[1][1][rows_c, positions]
+            codes += offsets  # NULL_CODE lands on the None before
+            columns += self._code_table[0][codes].tolist()
+        columns += [cu.take(positions) for cu in alone]
+        return list(zip(*map(columns.__getitem__, order)))
+
+    def _projection(self, names: tuple) -> tuple:
+        """How :meth:`project_rows` reads ``names``, once per unit and name
+        list: the NUMBER rows of its float-only, then int-only columns; the
+        code rows and their table offsets; the CUs that take alone (outside
+        the blocks, or with a NULL or both kinds of number); each name's
+        place among those columns laid end to end."""
+        plan = self._projections.get(names)
+        if plan is None:
+            (numbers, codes), cus = self._blocks, list(self._columns.values())
+            where = {}  # column position -> (group, block row)
+            for j, k in enumerate(numbers[0] if numbers else ()):
+                cu = cus[k]
+                if not cu._any_null and (not cu._any_int or cu._is_int.all()):
+                    where[k] = (int(cu._any_int), j)
+            for j, k in enumerate(codes[0] if codes else ()):
+                where[k] = (2, j)
+            groups: tuple = ([], [], [], [])  # (name's index, row or CU)
+            index = dict(zip(self._columns, range(len(cus))))
+            for i, k in enumerate(map(index.__getitem__, names)):
+                group, row = where.get(k, (3, cus[k]))
+                groups[group].append((i, row))
+            rows = [
+                np.array([row for __, row in group], np.intp).reshape(-1, 1)
+                for group in groups[:3]
+            ]
+            laid = [i for group in groups for i, __ in group]
+            plan = self._projections[names] = (
+                np.concatenate(rows[:2]), len(groups[0]), rows[2],
+                self._code_table[1][rows[2]] if groups[2] else None,
+                [cu for __, cu in groups[3]],
+                sorted(range(len(laid)), key=laid.__getitem__),
+            )
+        return plan
+
+    @cached_property
+    def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The code block's decode table and row offsets, built on first
+        projection; its DictionaryCUs then decode through views of it."""
+        cus = list(self._columns.values())
+        block = [cus[k] for k in self._blocks[1][0]]
+        table, offsets = _decode_table([cu._dictionary for cu in block])
+        for cu, lo in zip(block, offsets):
+            cu._decode = table[lo:lo + len(cu._dictionary) + 1]
+        return table, np.array(offsets, dtype=np.int32)
 
     def __repr__(self) -> str:
         return (

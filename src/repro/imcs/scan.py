@@ -146,7 +146,12 @@ class Predicate:
     # -- storage-index pruning ----------------------------------------------
     def can_prune(self, imcu: IMCU) -> bool:
         """True if the IMCU's min/max proves no row can match."""
-        if self.op == "=":
+        if self.op == "=":  # a value of the other kind matches no row
+            low = imcu.column(self.column).min_value
+            if None not in (low, self.value) and (
+                isinstance(low, str) != isinstance(self.value, str)
+            ):
+                return True
             return imcu.prune_range(self.column, self.value, self.value)
         if self.op in ("<", "<="):
             return imcu.prune_range(self.column, None, self.value)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.db import InMemoryService
 from repro.db.sql import ParsedQuery, SQLSyntaxError, parse_query
 from repro.imcs.scan import ScanResult
+
+from tests.db.conftest import load, simple_table_def
 
 
 class FakeDatabase:
@@ -113,3 +116,35 @@ class TestExecution:
         database = FakeDatabase()
         parse_query("SELECT * FROM t PARTITION (FEB)").run(database)
         assert database.calls[0][3] == ["FEB"]
+
+
+class TestEqualityAcrossKinds:
+    """``c1 = 5`` / ``n1 = 'x'``: an equality whose literal the column's
+    kind cannot hold matches nothing -- on the standby's IMCS scan (the
+    storage index used to raise comparing the literal with its min/max)
+    exactly as on the primary's Consistent Read scan."""
+
+    @pytest.fixture
+    def deployment(self, deployment):
+        deployment.create_table(simple_table_def())
+        load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        return deployment
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM T WHERE c1 = 5",
+        "SELECT * FROM T WHERE n1 = 'x'",
+        "SELECT id FROM T WHERE id >= 0 AND c1 = 2.5",
+    ])
+    def test_standby_answers_as_the_primary(self, deployment, sql):
+        query = parse_query(sql)
+        standby = query.run(deployment.standby)
+        assert standby.stats.imcus_pruned > 0  # the IMCS path answered
+        assert standby.rows == query.run(deployment.primary).rows == []
+
+    def test_a_range_over_the_other_kind_still_raises(self, deployment):
+        query = parse_query("SELECT * FROM T WHERE n1 < 'x'")
+        for database in (deployment.standby, deployment.primary):
+            with pytest.raises(TypeError):
+                query.run(database)

@@ -12,7 +12,7 @@ from repro.imcs.compression import encode_rows
 class TestNumericCU:
     def test_roundtrip_and_nulls(self):
         cu = NumericCU([1, None, 2.5, -3])
-        assert [cu.get(i) for i in range(4)] == [1, None, 2.5, -3]
+        assert cu.take(range(4)) == [1, None, 2.5, -3]
 
     def test_eq_mask(self):
         cu = NumericCU([1, 2, 2, None, 3])
@@ -48,7 +48,7 @@ class TestNumericCU:
         so a column loaded with 20.0 scanned as 20, diverging from the
         row store.  Int-ness is recorded at encode time per row."""
         cu = NumericCU([20, 20.0, -3.0, -3, None, 1.5])
-        decoded = [cu.get(i) for i in range(6)]
+        decoded = cu.take(range(6))
         assert decoded == [20, 20.0, -3.0, -3, None, 1.5]
         types = [type(v) for v in decoded if v is not None]
         assert types == [int, float, float, int, float]
@@ -73,12 +73,15 @@ class TestNumericCU:
     }
 
     @staticmethod
-    def assert_decodes_like_get(cu, values):
+    def assert_decodes_like_one_row_takes(cu, values):
         """``take`` and ``stats_for_positions`` answer from facts recorded
-        at build (no NULL / no int anywhere: skip the gather); ``get`` asks
-        the cell.  They must agree, value and type, on any positions."""
+        at build (no NULL / no int anywhere: skip the gather); a one-row
+        ``take`` asks each cell alone.  They must agree, value and type,
+        on any positions."""
         n = len(values)
-        assert [cu.get(i) for i in range(n)] == values
+        cells = [cu.take([i])[0] for i in range(n)]
+        assert cells == values
+        assert list(map(type, cells)) == list(map(type, values))
         for positions in (
             list(range(n)), list(range(n))[::-1], list(range(0, n, 2)),
             [n - 1] * 3 if n else [], [],
@@ -100,7 +103,7 @@ class TestNumericCU:
     @pytest.mark.parametrize("name", CLASSES)
     def test_take_stats_and_get_agree_in_every_null_int_class(self, name):
         values = self.CLASSES[name]
-        self.assert_decodes_like_get(NumericCU(values), values)
+        self.assert_decodes_like_one_row_takes(NumericCU(values), values)
 
     @pytest.mark.parametrize("old_name", CLASSES)
     @pytest.mark.parametrize("fresh_name", CLASSES)
@@ -119,10 +122,10 @@ class TestNumericCU:
         matrix = np.empty((len(fresh), 1), dtype=object)
         matrix[:, 0] = fresh
         take = np.arange(len(kept) + len(fresh))[::-1]
-        (merged,) = encode_rows(
+        (merged,), __ = encode_rows(
             matrix, [(0, True, None)], ([NumericCU(old)], keep, take)
         )
-        self.assert_decodes_like_get(merged, (kept + fresh)[::-1])
+        self.assert_decodes_like_one_row_takes(merged, (kept + fresh)[::-1])
 
     def test_eq_mask_non_numeric_value_is_all_false(self):
         """Satellite regression: a string literal against a NUMBER column
@@ -138,12 +141,12 @@ class TestNumericCU:
 class TestDictionaryCU:
     def test_roundtrip(self):
         cu = DictionaryCU(["b", None, "a", "b"])
-        assert [cu.get(i) for i in range(4)] == ["b", None, "a", "b"]
+        assert cu.take(range(4)) == ["b", None, "a", "b"]
 
     def test_dictionary_is_sorted_and_deduped(self):
         cu = DictionaryCU(["z", "a", "z", "m"])
         assert cu.dictionary == ["a", "m", "z"]
-        assert cu.cardinality == 3
+        assert len(cu.dictionary) == 3
 
     def test_eq_mask_via_code(self):
         cu = DictionaryCU(["x", "y", "x", None])
@@ -172,9 +175,7 @@ class TestRunLengthCU:
         base = DictionaryCU(["a"] * 10 + ["b"] * 10 + ["a"] * 5)
         rle = RunLengthCU(base)
         assert rle.n_runs == 3
-        assert rle.get(0) == "a"
-        assert rle.get(10) == "b"
-        assert rle.get(24) == "a"
+        assert rle.take([0, 10, 24]) == ["a", "b", "a"]
 
     def test_masks_match_dictionary(self):
         values = ["x"] * 7 + [None] * 3 + ["y"] * 5 + ["x"] * 2
@@ -240,4 +241,4 @@ def test_encodings_agree_property(values):
         assert list(cu.eq_mask("bb")) == expected_eq
         expected_range = [v is not None and "b" <= v <= "cc" for v in values]
         assert list(cu.range_mask("b", "cc")) == expected_range
-        assert [cu.get(i) for i in range(len(values))] == values
+        assert cu.take(range(len(values))) == values

@@ -58,7 +58,7 @@ class TestIMCUBuild:
     def test_partial_column_population(self, wide_table, txns, clock):
         load_rows(wide_table, txns, clock, 5)
         imcu = build_imcu(wide_table, txns, clock, columns=["id", "n1"])
-        assert not imcu.has_column("c1")
+        assert "c1" not in imcu.column_names
 
     def test_projection(self, wide_table, txns, clock):
         load_rows(wide_table, txns, clock, 5)

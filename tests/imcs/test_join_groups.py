@@ -55,7 +55,7 @@ class TestSharedDictionaryCU:
     def test_roundtrip_and_masks(self):
         d = GlobalDictionary()
         cu = SharedDictionaryCU(["b", "a", None, "b"], d)
-        assert [cu.get(i) for i in range(4)] == ["b", "a", None, "b"]
+        assert cu.take(range(4)) == ["b", "a", None, "b"]
         assert list(cu.eq_mask("b")) == [True, False, False, True]
         assert list(cu.null_mask()) == [False, False, True, False]
 

@@ -1,4 +1,5 @@
-"""Reference model for columnar population: the cell-at-a-time build.
+"""Reference model for columnar population (the cell-at-a-time build) and
+projection (one ``take`` per column, :func:`naive_project_rows`).
 
 Until PR 17 this *was* production: ``IMCU.build`` walked every slot through
 ``visible_version`` into per-column Python lists, and each encoder re-walked
@@ -96,6 +97,18 @@ def naive_shared(
         count=len(values),
     )
     return SharedDictionaryCU.from_codes(codes, dictionary)
+
+
+def naive_project_rows(imcu: IMCU, positions, names: list[str]) -> list[tuple]:
+    """``IMCU.project_rows`` before the blocks: one bulk ``take`` per
+    column, zipped into tuples -- the reference its block gathers must
+    equal by ``repr``."""
+    if len(positions) == 0:
+        return []
+    columns = [imcu.column(n).take(positions) for n in names]
+    if len(columns) == 1:
+        return [(value,) for value in columns[0]]
+    return list(zip(*columns))
 
 
 def naive_build(

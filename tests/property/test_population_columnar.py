@@ -261,7 +261,7 @@ def test_build_equals_scalar_reference(data):
 @settings(max_examples=150, deadline=None)
 @given(rows=row_lists())
 def test_block_encode_equals_reference_and_width_one(rows):
-    cus = encode_rows(row_matrix(rows, SCHEMA.arity), specs_of(SCHEMA))
+    cus, __ = encode_rows(row_matrix(rows, SCHEMA.arity), specs_of(SCHEMA))
     for (index, is_numeric, __), cu in zip(specs_of(SCHEMA), cus):
         values = [row[index] for row in rows]
         assert_same_cu(cu, naive_encode_column(values, is_numeric))
@@ -281,7 +281,7 @@ def test_shared_dictionary_codes_in_row_then_column_order(rows, seed):
     dictionary exactly as a row-order encode of c1, then of c2, would."""
     ours = global_dictionary(seed)
     theirs = global_dictionary(seed)
-    cus = encode_rows(
+    cus, __ = encode_rows(
         row_matrix(rows, SCHEMA.arity),
         specs_of(SCHEMA, {"c1": ours, "c2": ours}),
     )
