@@ -332,15 +332,20 @@ class IMCU:
         return positions[lo:hi]
 
     def positions_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Row positions of an array of :func:`row_keys` in one
-        searchsorted pass over the key index; rows the IMCU never
-        captured are dropped."""
+        """Row positions of an array of :func:`row_keys`; rows the IMCU
+        never captured are dropped."""
+        return self.locate_keys(keys)[0]
+
+    def locate_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row positions of the captured keys, which keys the IMCU
+        captured)`` in one searchsorted pass over the key index."""
         key_sorted, positions = self._keys()
         if key_sorted.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.int64), np.zeros(len(keys), bool)
         idx = key_sorted.searchsorted(keys)
         np.minimum(idx, key_sorted.size - 1, out=idx)
-        return positions[idx[key_sorted[idx] == keys]]
+        hit = key_sorted[idx] == keys
+        return positions[idx[hit]], hit
 
     def slots_by_dba(self, positions: np.ndarray) -> dict[DBA, list[int]]:
         """The addresses at ``positions`` grouped DBA -> slot list, both in

@@ -231,7 +231,7 @@ class InMemoryColumnStore:
         imcu = smu.imcu
         segment = self.segment(imcu.object_id)
         still_pending = []
-        rows, rows_scn = [], NULL_SCN
+        rows, rows_scns, rows_scn = [], [], NULL_SCN
         for record in segment.pending:
             if not imcu.covers_dba(record.dba):
                 still_pending.append(record)
@@ -245,11 +245,17 @@ class InMemoryColumnStore:
                 self.rows_invalidated += 1
             else:
                 rows.append(record.keys[newer])
+                rows_scns.append(record.scns[newer])
                 rows_scn = max(rows_scn, scn)
         segment.pending = still_pending
         if rows:
+            # distinct keys, each with its highest commitSCN
+            keys, scns = np.concatenate(rows), np.concatenate(rows_scns)
+            order = np.lexsort((scns, keys))
+            keys, scns = keys[order], scns[order]
+            last = np.append(keys[1:] != keys[:-1], True)
             self.rows_invalidated += smu.invalidate_keys(
-                np.unique(np.concatenate(rows)), rows_scn
+                keys[last], rows_scn, scns[last]
             )
 
         replaced: dict[int, SMU] = {}
@@ -272,13 +278,16 @@ class InMemoryColumnStore:
         The incoming IMCU was built at a snapshot captured *before* the
         swap; any invalidation the outgoing unit recorded after that
         snapshot describes a change the new data cannot contain.  The SMU
-        tracks only a boolean mask plus the highest invalidation SCN, so
-        when that SCN exceeds the new snapshot the old unit's mask is
-        carried over at its exact granularity -- row-level bits as one
+        tracks a boolean mask plus the highest invalidation SCN, so when
+        that SCN exceeds the new snapshot the old unit's mask is carried
+        over at its exact granularity -- row-level bits as one
         :meth:`SMU.invalidate_keys` call, block-level records as
         whole blocks (they may cover slots the old unit never captured).
-        Extra invalid rows merely fall back to the row store, while a
-        missed one would serve stale data forever.
+        The rows the old unit never captured were parked with their own
+        commitSCN (:attr:`SMU.uncaptured`); those newer than the new
+        snapshot move across the same way.  Extra invalid rows merely fall
+        back to the row store, while a missed one would serve stale data
+        forever.
 
         Only a genuinely coarse outgoing unit (``fully_invalid``: the
         per-row detail does not exist) coarse-invalidates the swapped-in
@@ -302,6 +311,18 @@ class InMemoryColumnStore:
         keys = keys[np.isin(keys >> ROW_KEY_SHIFT, smu.imcu.covered_dbas)]
         if keys.size:
             self.rows_invalidated += smu.invalidate_keys(keys, scn)
+        # slots the old unit never captured: the new one may have, at a
+        # snapshot older than the change -- invalid there, else parked again
+        parked = sorted(
+            (key, key_scn) for key, key_scn in old.uncaptured.items()
+            if key_scn > smu.imcu.snapshot_scn
+            and smu.imcu.covers_dba(key >> ROW_KEY_SHIFT)
+        )
+        if parked:
+            keys, scns = np.array(parked, dtype=np.int64).T
+            self.rows_invalidated += smu.invalidate_keys(
+                keys, int(scns.max()), scns
+            )
 
     def restore_unit(
         self,
@@ -444,7 +465,7 @@ class InMemoryColumnStore:
                 )
             else:
                 self.rows_invalidated += smu.invalidate_keys(
-                    np.array(of_target), max(own)
+                    np.array(of_target), max(own), own
                 )
 
     def _invalidate_block(

@@ -12,8 +12,6 @@ unit (``fully_invalid``) still coarse-invalidates the replacement.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.imcs.imcu import IMCU, row_keys
 from repro.imcs.store import InMemoryColumnStore
 
@@ -186,22 +184,14 @@ class TestCarryOntoDeltaBuiltUnit:
         assert result.stats.imcus_used > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "open defect (ROADMAP item 5), found by "
-        "tests/property/test_delta_repopulation.py: the outgoing SMU drops "
-        "an invalidation for a slot its IMCU never captured, so the swap has "
-        "nothing to carry onto a replacement that captures the slot at an "
-        "older snapshot"
-    ),
-)
 def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
     wide_table, txns, clock
 ):
     """The worklink drains over several actor steps before the QuerySCN it
     belongs to is published, so a repopulation can run in between, at the
-    still-current QuerySCN.  Full and delta builds are alike in this."""
+    still-current QuerySCN.  Full and delta builds are alike in this: the
+    outgoing SMU parks the invalidation of the slot it never captured, and
+    the swap hands it to the unit that does."""
     from repro.imcs.scan import ScanEngine
 
     store, oid, rowids = populated_store(wide_table, txns, clock, n=4)
@@ -228,3 +218,33 @@ def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
     # the next QuerySCN is published: a scan must see the update
     result = ScanEngine(store, txns).scan(wide_table, clock.current)
     assert sorted(row[1] for row in result.rows)[0] == -1.0
+
+
+def test_an_uncaptured_slot_parks_again_until_a_unit_captures_it(
+    wide_table, txns, clock
+):
+    store, oid, rowids = populated_store(wide_table, txns, clock, n=4)
+    old_unit = store.unit_covering(oid, rowids[0].dba)
+    before_insert = clock.current
+    __, (edge,) = load_rows(wide_table, txns, clock, 1)
+    inserted = clock.current
+    xid, __ = load_rows(wide_table, txns, clock, 0)
+    wide_table.update_row(edge, {"n1": -1.0}, xid, clock.next(), txns)
+    txns.commit(xid, clock.next())
+    store.invalidate(oid, edge.dba, (edge.slot,), clock.current)
+    parked = {row_keys(edge.dba, edge.slot): clock.current}
+    assert old_unit.uncaptured == parked
+    # a replacement that still misses the slot parks it again...
+    middle = store.register_unit(
+        replacement_for(wide_table, txns, old_unit, before_insert)
+    )
+    assert middle.imcu.position_of(edge) is None
+    assert middle.uncaptured == parked
+    assert middle.invalid_count == 0
+    # ...and the first one that captures it marks it invalid
+    last = store.register_unit(
+        replacement_for(wide_table, txns, middle, inserted)
+    )
+    assert last.imcu.position_of(edge) is not None
+    assert last.invalid_row_keys().tolist() == list(parked)
+    assert not last.uncaptured

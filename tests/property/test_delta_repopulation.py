@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import RowId, SnapshotTooOldError, TransactionId
+from repro.common import SnapshotTooOldError, TransactionId
 from repro.common.config import IMCSConfig
 from repro.imcs import imcu as imcu_module
 from repro.imcs import (
@@ -108,17 +108,6 @@ class World:
         self.open: dict = {}
         #: snapshot of the latest (re)population
         self.snapshot = 0
-        #: highest commitSCN whose invalidation met a unit that had not
-        #: captured the slot -- or no unit, in which case the record parks
-        #: for a unit that may not have captured it either.  The SMU
-        #: drops such a record (every scan re-reads the edge anyway), so
-        #: ``_carry_invalidations`` cannot hand it to a replacement that
-        #: captures the slot at an *older*
-        #: snapshot -- full build or delta alike.  That is an open defect
-        #: of the swap (DESIGN, "Delta repopulation"; the strict xfail in
-        #: tests/imcs/test_carry_invalidations.py), not of the build, so
-        #: this model draws its snapshots at or above the floor.
-        self.floor = 0
 
     # -- time and writers ------------------------------------------------
     def tick(self) -> int:
@@ -197,16 +186,6 @@ class World:
         # the flush's invalidation group; sometimes at block granularity
         coarse = draw(st.integers(min_value=0, max_value=5)) == 0
         for dba, slots in blocks.items():
-            smu = self.store.unit_covering(self.oid, dba)
-            if not coarse and (
-                smu is None
-                or any(
-                    smu.imcu.position_of(RowId(dba, slot)) is None
-                    for slot in slots
-                )
-            ):
-                self.floor = scn
-        for dba, slots in blocks.items():
             self.store.invalidate(
                 self.oid, dba, () if coarse else tuple(sorted(slots)), scn
             )
@@ -254,7 +233,7 @@ class World:
         uncovered; each unit is checked before it is registered."""
         snapshot = draw(
             st.integers(
-                min_value=max(self.snapshot, self.floor, 1),
+                min_value=max(self.snapshot, 1),
                 max_value=self.scn,
             )
         )

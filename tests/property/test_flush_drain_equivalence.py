@@ -314,6 +314,10 @@ class World:
                         smu.imcu.snapshot_scn,
                         sorted(map(address, smu.invalid_row_keys().tolist())),
                         sorted(smu.invalid_blocks),
+                        sorted(
+                            (address(key), scn)
+                            for key, scn in smu.uncaptured.items()
+                        ),
                         smu.last_invalidation_scn,
                         smu.fully_invalid,
                         smu.dropped,
@@ -414,6 +418,7 @@ class Model:
                     unit.snapshot,
                     sorted(unit.rows),
                     sorted(unit.blocks),
+                    sorted(unit.parked.items()),
                     unit.last_scn,
                     unit.fully,
                     unit.dropped,
