@@ -8,9 +8,10 @@ aggregator evaluates COUNT/SUM/AVG/MIN/MAX *in the encoded domain*: every
 CU answers ``stats_for_positions`` (``(count, total, min, max)``)
 over the SMU-valid + predicate-matching positions -- numeric columns fold
 their float vector, dictionary/RLE columns fold codes and run lengths and
-decode only the winning min/max codes -- and only reconcile rows fall back
-to row-at-a-time accumulation.  The partial states combine associatively
-across IMCUs and the row-store tail.
+decode only the winning min/max codes.  Row-store rows fold from their
+tail image's column vectors after every unit's partial, in scan order, as
+the rows one at a time would: SUM as one sequential float sum, MIN/MAX as
+the rows' own objects.
 """
 
 from __future__ import annotations
@@ -65,23 +66,54 @@ class _Accumulator:
                 maximum if self.maximum is None else max(self.maximum, maximum)
             )
 
-    def add_values(self, values: list) -> None:
-        """Fold one column of reconcile rows, left to right (``total`` is
-        a float sum: the order is part of the answer)."""
-        present = [value for value in values if value is not None]
+    def merge_rows(self, matches: list) -> None:
+        """Fold one column's row-store matches, ``(TailColumn, positions)``
+        in scan order, as Python would fold their values left to right:
+        ``total`` is a float sum (the order is part of the answer), and
+        MIN/MAX keep the first of equal values and are a NaN only when one
+        comes first."""
+        present = [
+            (column, positions[~column.nulls[positions]]
+             if column.any_null else positions)
+            for column, positions in matches
+        ]
+        present = [(column, at) for column, at in present if at.size]
         if not present:
             return
-        self.count += len(present)
-        total = self.total
-        for value in present:
-            if isinstance(value, (int, float)):
-                total += value
-        self.total = total
-        low, high = min(present), max(present)
+        if present[0][0].is_number:
+            data = np.concatenate([column.data[at] for column, at in present])
+            self.count += data.size
+            self.total = float(
+                np.add.accumulate(np.concatenate(([self.total], data)))[-1]
+            )
+            first_nan = bool(np.isnan(data[0]))
+            low = _pick(present, 0 if first_nan else int(np.nanargmin(data)))
+            high = _pick(present, 0 if first_nan else int(np.nanargmax(data)))
+        else:
+            values = [
+                value for column, at in present
+                for value in map(column.values.__getitem__, at.tolist())
+            ]
+            self.count += len(values)
+            numbers = [v for v in values if isinstance(v, (int, float))]
+            if numbers:
+                self.total = float(np.add.accumulate(
+                    np.array([self.total, *numbers], dtype=np.float64)
+                )[-1])
+            low, high = min(values), max(values)
         if self.minimum is None or low < self.minimum:
             self.minimum = low
         if self.maximum is None or high > self.maximum:
             self.maximum = high
+
+
+def _pick(present: list, i: int) -> object:
+    """The row object at position ``i`` of the concatenated matches."""
+    for column, at in present:
+        if i < at.size:
+            return column.values[int(at[i])]
+        i -= at.size
+    raise IndexError(i)
 
 
 @dataclass(slots=True)
@@ -114,22 +146,28 @@ class Aggregator:
         row_count = _Accumulator()  # COUNT(*) over matching rows
         result = AggregateResult()
 
-        # Reuse the scan engine's coverage walk, but intercept per-IMCU:
-        # matching valid positions aggregate vectorially; reconcile rows
-        # come back as tuples and accumulate one at a time.
+        # Reuse the scan engine's coverage walk, but intercept its
+        # matches: valid IMCU positions aggregate in the encoded domain as
+        # the scan goes, row-store ones are folded from their tail images
+        # after it, in scan order.
+        tails: list = []
         scan = self.scan_engine.scan(
             table, snapshot_scn, predicates,
             columns=columns or None, partitions=partitions,
             on_imcu_matches=self._vector_hook(
                 columns, accumulators, row_count, result
             ),
+            on_tail_matches=lambda image, positions: tails.append(
+                (image, positions)
+            ),
         )
         result.stats = scan.stats
-        # scan.rows now holds only the reconcile-path rows (the hook
-        # swallowed IMCU-resident matches)
-        row_count.count += len(scan.rows)
-        for i, column in enumerate(columns):
-            accumulators[column].add_values([row[i] for row in scan.rows])
+        row_count.count += sum(positions.size for __, positions in tails)
+        for column in columns:
+            accumulators[column].merge_rows([
+                (image.column(column), positions)
+                for image, positions in tails
+            ])
 
         for spec in specs:
             if spec.fn == "count":

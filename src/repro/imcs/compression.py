@@ -143,22 +143,15 @@ class NumericCU(ColumnCU):
         return out.tolist()
 
     def eq_mask(self, value: object) -> np.ndarray:
-        if value is None or isinstance(value, str):
-            return np.zeros(self.n_rows, dtype=bool)
-        try:
-            needle = float(value)
-        except (TypeError, ValueError):
-            # non-numeric comparison value: a NUMBER row can never equal it
-            return np.zeros(self.n_rows, dtype=bool)
-        return (self._data == needle) & ~self._nulls
+        return number_eq_mask(
+            self._data, value, self._nulls if self._any_null else None
+        )
 
     def range_mask(self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
-        mask = ~self._nulls
-        if lo is not None:
-            mask &= (self._data >= lo) if lo_inclusive else (self._data > lo)
-        if hi is not None:
-            mask &= (self._data <= hi) if hi_inclusive else (self._data < hi)
-        return mask
+        return number_range_mask(
+            self._data, lo, hi, lo_inclusive, hi_inclusive,
+            self._nulls if self._any_null else None,
+        )
 
     def null_mask(self) -> np.ndarray:
         return self._nulls.copy()
@@ -190,6 +183,49 @@ class NumericCU(ColumnCU):
         return int(
             self._data.nbytes + self._nulls.nbytes + self._is_int.nbytes
         )
+
+
+def number_eq_mask(
+    data: np.ndarray, value: object, nulls: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``=`` over NUMBER values held as float64 -- an IMCU's CU and a
+    row-store tail's vector alike.  ``nulls`` marks the NULL rows, or is
+    None when no NULL's slot can compare true (there are none, or they
+    hold NaN).  NULLs never match; a literal of the other kind matches no
+    row."""
+    if value is None or isinstance(value, str):
+        return np.zeros(data.size, dtype=bool)
+    try:
+        needle = float(value)
+    except (TypeError, ValueError):
+        return np.zeros(data.size, dtype=bool)
+    mask = data == needle
+    if nulls is not None:
+        mask &= ~nulls
+    return mask
+
+
+def number_range_mask(
+    data: np.ndarray, lo, hi, lo_inclusive: bool = True,
+    hi_inclusive: bool = True, nulls: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """A range over NUMBER values held as float64, ``nulls`` as for
+    :func:`number_eq_mask`; a bound of the other kind raises
+    ``TypeError``."""
+    mask = None
+    if lo is not None:
+        mask = (data >= lo) if lo_inclusive else (data > lo)
+    if hi is not None:
+        below = (data <= hi) if hi_inclusive else (data < hi)
+        if mask is None:
+            mask = below
+        else:
+            mask &= below
+    if mask is None:
+        return ~nulls if nulls is not None else np.ones(data.size, dtype=bool)
+    if nulls is not None:
+        mask &= ~nulls
+    return mask
 
 
 def _numeric_arrays(

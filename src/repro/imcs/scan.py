@@ -21,8 +21,8 @@ expression of the paper's "orders of magnitude" scan speedup.
 
 from __future__ import annotations
 
+import functools
 import operator
-
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,11 +32,10 @@ from repro.common.ids import DBA
 from repro.common.scn import SCN
 from repro.imcs.expressions import RowResolver
 from repro.imcs.imcu import IMCU
-from repro.imcs.smu import SMU
+from repro.imcs.smu import NO_ROWS, SMU, TailImage
 from repro.imcs.store import InMemoryColumnStore
 from repro.rowstore.cr import TransactionView, visible_values_batch
 from repro.rowstore.table import Table
-from repro.rowstore.values import Schema
 
 #: Simulated seconds per row scanned through the columnar path.
 IMCS_COST_PER_ROW = 5e-9
@@ -117,32 +116,6 @@ class Predicate:
             return ~cu.null_mask()
         raise ValueError(f"unknown predicate op {self.op!r}")
 
-    # -- row-at-a-time evaluation ------------------------------------------
-    def row_matcher(self):
-        """Compile to a direct closure: the op is dispatched once here,
-        not once per reconcile row (see :class:`_CompiledScan`)."""
-        op, value = self.op, self.value
-        if op == "=":
-            return lambda v: v is not None and v == value
-        if op == "!=":
-            return lambda v: v is not None and v != value
-        if op == "<":
-            return lambda v: v is not None and v < value
-        if op == "<=":
-            return lambda v: v is not None and v <= value
-        if op == ">":
-            return lambda v: v is not None and v > value
-        if op == ">=":
-            return lambda v: v is not None and v >= value
-        if op == "between":
-            value2 = self.value2
-            return lambda v: v is not None and value <= v <= value2
-        if op == "is_null":
-            return lambda v: v is None
-        if op == "is_not_null":
-            return lambda v: v is not None
-        raise ValueError(f"unknown predicate op {op!r}")
-
     # -- storage-index pruning ----------------------------------------------
     def can_prune(self, imcu: IMCU) -> bool:
         """True if the IMCU's min/max proves no row can match."""
@@ -202,14 +175,16 @@ class ScanMorsel:
 
 
 def unit_matched_positions(
-    unit, valid: np.ndarray, predicates: list[Predicate]
+    unit, valid: Optional[np.ndarray], predicates: list[Predicate]
 ) -> np.ndarray:
-    """Positions of SMU-valid rows matching every predicate.
+    """Positions of valid rows matching every predicate.
 
-    ``unit`` is an IMCU (anything with ``.column(name)``).  Predicate
-    masks are freshly allocated so the combine is in-place; ``valid`` is
-    only ever a read operand.  The serial scan and every morsel run this
-    one kernel, which is what makes parallel == serial row-for-row.
+    ``unit`` is an IMCU or a row-store :class:`TailImage` (anything with
+    ``.column(name)`` and ``.n_rows``); ``valid`` is the SMU's mask, or
+    None when every row is valid.  Predicate masks are freshly allocated
+    so the combine is in-place; ``valid`` is only ever a read operand.
+    The serial scan and every morsel run this one kernel, which is what
+    makes parallel == serial row-for-row.
     """
     mask = None
     for predicate in predicates:
@@ -219,11 +194,19 @@ def unit_matched_positions(
         else:
             mask &= predicate_mask
     if mask is None:
-        matched = valid
-    else:
+        if valid is None:
+            return np.arange(unit.n_rows)
+        mask = valid
+    elif valid is not None:
         mask &= valid
-        matched = mask
-    return np.flatnonzero(matched)
+    return mask.nonzero()[0]
+
+
+def _partial(step, *args) -> ScanResult:
+    """Run one scan step into a fresh partial result (a morsel)."""
+    partial = ScanResult()
+    step(*args, partial)
+    return partial
 
 
 def merge_partials(partials: list[ScanResult]) -> ScanResult:
@@ -235,23 +218,18 @@ def merge_partials(partials: list[ScanResult]) -> ScanResult:
     return merged
 
 
-def _match_any_row(values: tuple) -> bool:
-    """Predicate-free scan: every visible row matches."""
-    return True
-
-
 class _CompiledScan:
     """Per-partition compiled scan state.
 
     Predicates and the projection list are resolved against the schema
-    *once per scan* -- each reconcile row then pays only a tuple index per
-    predicate instead of a name -> index lookup, and the projection is a
-    single C-level ``itemgetter`` when no expression is involved.
+    *once per scan*: the projection is a single C-level ``itemgetter``
+    when no expression is involved.  The push-down hooks and the scan's
+    commitSCN memo live here too.
     """
 
     __slots__ = (
-        "predicates", "names", "needed", "needed_set",
-        "matches", "project", "memo",
+        "predicates", "names", "needed_set", "resolver", "project", "memo",
+        "on_imcu_matches", "on_tail_matches",
     )
 
     def __init__(
@@ -259,61 +237,26 @@ class _CompiledScan:
         resolver: RowResolver,
         predicates: list[Predicate],
         names: list[str],
-        schema: Schema,
+        on_imcu_matches=None,
+        on_tail_matches=None,
     ) -> None:
         self.predicates = predicates
         self.names = names
+        self.resolver = resolver
+        self.on_imcu_matches = on_imcu_matches
+        self.on_tail_matches = on_tail_matches
         #: writer -> commitSCN: one memo for every Consistent Read call of
         #: this scan, gone with it (``visible_values_batch`` has the rule)
         self.memo: dict = {}
-        self.needed = list(dict.fromkeys(
-            [p.column for p in predicates] + list(names)
-        ))
-        self.needed_set = frozenset(self.needed)
-        expressions = resolver.expressions
-        # accessor is a column position (plain column) or a closure
-        # (In-Memory Expression evaluated against the stored row)
-        pairs = []
-        for predicate in predicates:
-            expression = (
-                expressions.get(predicate.column)
-                if expressions is not None else None
-            )
-            if expression is not None:
-                accessor = (
-                    lambda values, e=expression, s=schema: e.evaluate(values, s)
-                )
-            else:
-                accessor = schema.column_index(predicate.column)
-            pairs.append((accessor, predicate.row_matcher()))
-        if not pairs:
-            self.matches = _match_any_row
-        elif len(pairs) == 1:
-            accessor, match = pairs[0]
-            if callable(accessor):
-                self.matches = (
-                    lambda values, a=accessor, m=match: m(a(values))
-                )
-            else:
-                self.matches = (
-                    lambda values, i=accessor, m=match: m(values[i])
-                )
-        else:
-            steps = [
-                (a if callable(a) else operator.itemgetter(a), m)
-                for a, m in pairs
-            ]
-
-            def matches(values, steps=steps):
-                for accessor, match in steps:
-                    if not match(accessor(values)):
-                        return False
-                return True
-
-            self.matches = matches
-        if expressions is not None and any(
+        self.needed_set = frozenset(names).union(p.column for p in predicates)
+        schema = resolver.schema
+        for predicate in predicates:  # an unknown column fails every scan
+            if not resolver.is_expression(predicate.column):
+                schema.column_index(predicate.column)
+        if resolver.expressions is not None and any(
             resolver.is_expression(name) for name in names
-        ):  # expression values: resolve per row
+        ):
+            # expression values: resolve per row
             self.project = lambda values: resolver.project(values, names)
         elif len(names) == 1:
             index = schema.column_index(names[0])
@@ -322,6 +265,21 @@ class _CompiledScan:
             self.project = operator.itemgetter(
                 *[schema.column_index(name) for name in names]
             )
+
+    def tail(self, image: TailImage, result: ScanResult) -> None:
+        """Row-store rows through the IMCU's kernel: one mask per
+        predicate over the image's column vectors, then the matches go to
+        the push-down hook or are projected from the rows' own tuples."""
+        positions = unit_matched_positions(image, None, self.predicates)
+        if not positions.size:
+            return
+        if self.on_tail_matches is not None:
+            self.on_tail_matches(image, positions)
+            return
+        rows = image.rows
+        if positions.size < image.n_rows:  # else every row matched
+            rows = map(rows.__getitem__, positions.tolist())
+        result.rows.extend(map(self.project, rows))
 
 
 class ScanEngine:
@@ -344,27 +302,34 @@ class ScanEngine:
         columns: Optional[list[str]] = None,
         partitions: Optional[list[str]] = None,
         on_imcu_matches=None,
+        on_tail_matches=None,
     ) -> ScanResult:
         """Filter + project scan at a snapshot.
 
         Uses the IMCS for every partition enabled and populated here;
         everything else goes through the row-format path.
 
-        ``on_imcu_matches(imcu, positions) -> bool`` is the aggregation
-        push-down hook (see :mod:`repro.imcs.aggregate`): when it returns
-        True the matching IMCU positions are consumed by the hook instead
-        of being materialised into ``result.rows`` -- reconcile-path rows
-        still come back as tuples.
+        ``on_imcu_matches(imcu, positions) -> bool`` and
+        ``on_tail_matches(image, positions)`` are the aggregation push-down
+        hooks (see :mod:`repro.imcs.aggregate`): when the first returns
+        True the matching IMCU positions are consumed by it instead of
+        being materialised into ``result.rows``, and with the second every
+        matching row-store row goes to it, as positions into a
+        :class:`~repro.imcs.smu.TailImage`, in scan order.
         """
-        predicates = predicates or []
-        names = columns or [c.name for c in table.schema.live_columns]
         result = ScanResult()
-        part_names = partitions if partitions is not None else list(table.partitions)
-        for pname in part_names:
-            partition = table.partition(pname)
-            self._scan_partition(
-                table, partition.object_id, snapshot_scn,
-                predicates, names, result, on_imcu_matches,
+        for __, segment, compiled, units, unusable, leftover in self._walk(
+            table, snapshot_scn, predicates, columns, partitions,
+            on_imcu_matches, on_tail_matches,
+        ):
+            result.stats.imcus_unusable += unusable
+            for smu in units:
+                self._scan_unit(
+                    table, segment, smu, snapshot_scn, compiled, result
+                )
+            self._rowstore_scan_dbas(
+                table, segment._store, leftover, snapshot_scn, compiled,
+                result, fallback=False,
             )
         return result
 
@@ -376,7 +341,6 @@ class ScanEngine:
         predicates: Optional[list[Predicate]] = None,
         columns: Optional[list[str]] = None,
         partitions: Optional[list[str]] = None,
-        on_imcu_matches=None,
         rowstore_blocks_per_morsel: int = 16,
     ) -> list[ScanMorsel]:
         """Split the scan into independently-runnable morsels.
@@ -389,41 +353,18 @@ class ScanEngine:
         ``snapshot_scn`` through Consistent Read, and any invalidation
         flushed after planning only affects commits beyond the snapshot.
         """
-        predicates = predicates or []
-        names = columns or [c.name for c in table.schema.live_columns]
-        part_names = (
-            partitions if partitions is not None else list(table.partitions)
-        )
         morsels: list[ScanMorsel] = []
-        for pname in part_names:
-            partition = table.partition(pname)
-            segment = partition.segment
-            im_segment, compiled = self._compile(
-                table, partition.object_id, predicates, names
-            )
-            store = segment._store
-
-            handled_dbas: set[DBA] = set()
-            unusable = 0
-            if im_segment is not None:
-                for smu in im_segment.live_units():
-                    if smu.imcu.snapshot_scn > snapshot_scn:
-                        unusable += 1
-                        continue
-                    handled_dbas.update(smu.imcu.covered_dbas)
-
-                    def run_unit(smu=smu, compiled=compiled, segment=segment):
-                        partial = ScanResult()
-                        self._scan_unit(
-                            table, segment, smu, snapshot_scn, compiled,
-                            partial, on_imcu_matches,
-                        )
-                        return partial
-
-                    morsels.append(ScanMorsel(
-                        "imcu", f"{pname}/imcu@{smu.imcu.snapshot_scn}",
-                        run_unit,
-                    ))
+        for pname, segment, compiled, units, unusable, leftover in self._walk(
+            table, snapshot_scn, predicates, columns, partitions,
+        ):
+            for smu in units:
+                morsels.append(ScanMorsel(
+                    "imcu", f"{pname}/imcu@{smu.imcu.snapshot_scn}",
+                    functools.partial(
+                        _partial, self._scan_unit, table, segment, smu,
+                        snapshot_scn, compiled,
+                    ),
+                ))
             if unusable:
                 def run_stats(unusable=unusable):
                     partial = ScanResult()
@@ -433,78 +374,63 @@ class ScanEngine:
                 morsels.append(
                     ScanMorsel("stats", f"{pname}/unusable", run_stats)
                 )
-
-            leftover = [d for d in segment.dbas if d not in handled_dbas]
             for i in range(0, len(leftover), rowstore_blocks_per_morsel):
                 chunk = leftover[i:i + rowstore_blocks_per_morsel]
-
-                def run_rowstore(chunk=chunk, compiled=compiled, store=store):
-                    partial = ScanResult()
-                    self._rowstore_scan_dbas(
-                        table, store, chunk, snapshot_scn, compiled,
-                        partial, fallback=False,
-                    )
-                    return partial
-
                 morsels.append(ScanMorsel(
                     "rowstore",
                     f"{pname}/rowstore[{i}:{i + len(chunk)}]",
-                    run_rowstore,
+                    functools.partial(
+                        _partial, self._rowstore_scan_dbas, table,
+                        segment._store, chunk, snapshot_scn, compiled,
+                    ),
                 ))
         return morsels
 
     # ------------------------------------------------------------------
-    def _compile(self, table, object_id, predicates, names):
-        """One partition's ``(in-memory segment or None, compiled scan)``:
-        columns resolve once per scan, every reconcile row reuses the
-        accessors, and the scan's commitSCN memo is made with them."""
-        im_segment = None
-        if self.imcs is not None and self.imcs.is_enabled(object_id):
-            im_segment = self.imcs.segment(object_id)
-        expressions = (
-            im_segment.expressions
-            if im_segment is not None and len(im_segment.expressions)
-            else None
-        )
-        resolver = RowResolver(table.schema, expressions)
-        return im_segment, _CompiledScan(
-            resolver, predicates, names, table.schema
-        )
-
-    def _scan_partition(
-        self, table, object_id, snapshot_scn, predicates, names, result,
-        on_imcu_matches=None,
-    ) -> None:
-        segment = table.partition_by_object_id(object_id).segment
-        im_segment, compiled = self._compile(
-            table, object_id, predicates, names
-        )
-        store = segment._store
-
-        handled_dbas: set[DBA] = set()
-        if im_segment is not None:
-            for smu in im_segment.live_units():
-                if smu.imcu.snapshot_scn > snapshot_scn:
-                    # IMCU is newer than the query snapshot: unusable.
-                    result.stats.imcus_unusable += 1
-                    continue
-                handled_dbas.update(smu.imcu.covered_dbas)
-                self._scan_unit(
-                    table, segment, smu, snapshot_scn, compiled, result,
-                    on_imcu_matches,
-                )
-
-        # Blocks with no usable columnar coverage: row-format scan.
-        leftover = [d for d in segment.dbas if d not in handled_dbas]
-        self._rowstore_scan_dbas(
-            table, store, leftover, snapshot_scn, compiled, result,
-            fallback=False,
-        )
+    def _walk(
+        self, table, snapshot_scn, predicates, columns, partitions,
+        on_imcu_matches=None, on_tail_matches=None,
+    ):
+        """Per partition: its name, segment and compiled scan (columns
+        resolve once, the scan's commitSCN memo is made with them), the
+        usable units, the count of units whose IMCU snapshot postdates the
+        query snapshot, and the blocks no usable unit covers."""
+        predicates = predicates or []
+        names = columns or [c.name for c in table.schema.live_columns]
+        for pname in (
+            partitions if partitions is not None else list(table.partitions)
+        ):
+            partition = table.partition(pname)
+            object_id = partition.object_id
+            im_segment = None
+            if self.imcs is not None and self.imcs.is_enabled(object_id):
+                im_segment = self.imcs.segment(object_id)
+            expressions = (
+                im_segment.expressions
+                if im_segment is not None and len(im_segment.expressions)
+                else None
+            )
+            compiled = _CompiledScan(
+                RowResolver(table.schema, expressions), predicates, names,
+                on_imcu_matches, on_tail_matches,
+            )
+            units = [] if im_segment is None else im_segment.live_units()
+            usable = [
+                smu for smu in units if smu.imcu.snapshot_scn <= snapshot_scn
+            ]
+            handled: set[DBA] = set()
+            for smu in usable:
+                handled.update(smu.imcu.covered_dbas)
+            yield (
+                pname, partition.segment, compiled, usable,
+                len(units) - len(usable),
+                [dba for dba in partition.segment.dbas if dba not in handled],
+            )
 
     # ------------------------------------------------------------------
     def _scan_unit(
         self, table, segment, smu: SMU, snapshot_scn,
-        compiled: _CompiledScan, result, on_imcu_matches=None,
+        compiled: _CompiledScan, result,
     ) -> None:
         imcu = smu.imcu
         if not smu.serves(compiled.needed_set):
@@ -535,9 +461,8 @@ class ScanEngine:
 
             # 2. matching valid rows: hand to the push-down hook, or
             #    project straight from the IMCU
-            if on_imcu_matches is not None and on_imcu_matches(
-                imcu, matched_positions
-            ):
+            hook = compiled.on_imcu_matches
+            if hook is not None and hook(imcu, matched_positions):
                 pass  # consumed vectorially (aggregation push-down)
             else:
                 result.rows.extend(
@@ -560,8 +485,9 @@ class ScanEngine:
 
         The pass is kept as the SMU's tail image, keyed by the epoch, the
         snapshot, the segment's TRUNCATE SCN and the grown edge blocks:
-        every later query at that QuerySCN skips the gather and the walk
-        but pays the same touches and row cost (DESIGN.md §9).
+        every later query at that QuerySCN skips the gather and the walk,
+        and reuses the column vectors earlier ones built, but pays the
+        same touches and row cost (DESIGN.md §9).
 
         Caller holds the SMU pin.
         """
@@ -572,21 +498,21 @@ class ScanEngine:
         ]
         # each edge range ends at its block's used_slots
         key = (snapshot_scn, segment.truncate_scn, edges)
-        blocks, visible = smu.tail_image(key)
-        if visible is None:
+        blocks, image = smu.tail_image(key)
+        if image is None:
             blocks = [
                 (dba, store.get_optional(dba), slots)
                 for dba, slots in smu.invalid_slots_by_dba().items()
             ] + edges
-        visible = self._fetch_rows(
+        image = self._fetch_rows(
             table, blocks, snapshot_scn, compiled, result,
-            fallback=True, visible=visible,
+            fallback=True, image=image,
         )
-        smu.keep_tail_image(key, blocks, visible)
+        smu.keep_tail_image(key, blocks, image)
 
     def _rowstore_scan_dbas(
         self, table, store, dbas, snapshot_scn,
-        compiled: _CompiledScan, result, fallback,
+        compiled: _CompiledScan, result, fallback=False,
     ) -> None:
         self._fetch_rows(
             table,
@@ -600,16 +526,17 @@ class ScanEngine:
 
     def _fetch_rows(
         self, table, blocks, snapshot_scn,
-        compiled: _CompiledScan, result, fallback, visible=None,
-    ) -> list:
+        compiled: _CompiledScan, result, fallback, image=None,
+    ) -> TailImage:
         """Every row-store row of one scan step: ``blocks`` is ``(dba,
         block, slots)`` triples (``block`` None when the store lost it).
 
         The buffer cache and the row cost are charged block by block, in
         order -- ``cost_seconds`` is a float sum that feeds sim time --
         and the chains are then walked in one Consistent Read pass under
-        the scan's one commitSCN memo, unless ``visible`` is that walk's
-        answer already (a tail image).  Returns the answer.  The counters
+        the scan's one commitSCN memo, unless ``image`` is that walk's
+        answer already (a tail image).  The rows then run through
+        :meth:`_CompiledScan.tail`.  Returns the image.  The counters
         count slots asked for, tombstones and slots past a wiped block's
         end included.
         """
@@ -625,18 +552,17 @@ class ScanEngine:
                 cost += ROWSTORE_COST_PER_ROW * len(slots)
         stats.cost_seconds = cost
         if not work:
-            return []
-        if visible is None:
-            visible = visible_values_batch(
-                work, snapshot_scn, self.txns, compiled.memo
+            return NO_ROWS
+        if image is None:
+            image = TailImage(
+                visible_values_batch(
+                    work, snapshot_scn, self.txns, compiled.memo
+                ),
+                compiled.resolver,
             )
-        stats.rowstore_rows += len(visible)
+        stats.rowstore_rows += image.slots
         if fallback:
-            stats.fallback_rows += len(visible)
-        matches = compiled.matches
-        project = compiled.project
-        result.rows.extend([
-            project(values) for values in visible
-            if values is not None and matches(values)
-        ])
-        return visible
+            stats.fallback_rows += image.slots
+        if image.n_rows:
+            compiled.tail(image, result)
+        return image

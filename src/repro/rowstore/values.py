@@ -24,7 +24,10 @@ class ColumnType(enum.Enum):
         if value is None:
             return True  # NULLs are allowed in any column
         if self is ColumnType.NUMBER:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return False
+            # the IMCS holds NUMBER as float64, exact for ints up to 2**53
+            return isinstance(value, float) or abs(value) <= 2**53
         return isinstance(value, str)
 
 

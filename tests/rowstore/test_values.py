@@ -24,6 +24,14 @@ class TestColumnType:
         assert not ColumnType.NUMBER.validate("x")
         assert not ColumnType.NUMBER.validate(True)
 
+    def test_number_ints_stop_at_two_to_the_53(self):
+        """The IMCS holds NUMBER as float64: every int up to 2**53 is
+        exact there, the next one is not."""
+        for value in (2**53, -(2**53), 2.0**60):
+            assert ColumnType.NUMBER.validate(value)
+        for value in (2**53 + 1, -(2**53) - 1, 2**70):
+            assert not ColumnType.NUMBER.validate(value)
+
     def test_varchar_accepts_strings_only(self):
         assert ColumnType.VARCHAR2.validate("abc")
         assert not ColumnType.VARCHAR2.validate(3)
@@ -87,3 +95,27 @@ class TestDropColumn:
         schema.drop_column("n1")
         # old rows keep a (now-ignored) value in the dropped position
         schema.validate_row((1, "garbage-ok-here", "x"))
+
+
+def test_an_int_beyond_two_to_the_53_fails_on_the_primary_before_any_redo():
+    from repro.db import Deployment
+    from tests.db.conftest import simple_table_def
+
+    deployment = Deployment.build()
+    deployment.create_table(simple_table_def())
+    primary = deployment.primary
+
+    def logged():
+        return [len(log) for log in primary.redo_logs]
+
+    txn = primary.begin()
+    before = logged()
+    with pytest.raises(ValueError, match="invalid for column n1"):
+        primary.insert(txn, "T", (1, 2**53 + 1, "x"))
+    assert logged() == before
+    rowid = primary.insert(txn, "T", (2, 2**53, "y"))
+    before = logged()
+    with pytest.raises(ValueError, match="invalid for column n1"):
+        primary.update(txn, "T", rowid, {"n1": -(2**53) - 1})
+    assert logged() == before
+    primary.commit(txn)
