@@ -25,6 +25,15 @@ Two things are deliberately excluded from the timed region:
 * the physical rowstore apply (version-chain walks that never vectorize):
   not part of the batched redo machinery.
 
+The mining-width arm mines the front of those streams in chunks of 1, 7,
+85 and 512 CVs (one chunk per shipment) through the production pass --
+one walk in plain Python per chunk -- and through the numpy pass it
+displaced (``tests/numpy_miner.py``), interleaved, best of
+``MINE_BEST_OF``.  At the live width (7, what ``ingest_firehose``'s
+worker chunks average) the plain pass must stay at or below
+``LIVE_MINE_GATE`` times the numpy pass; 85 and 512 are reported
+ungated, with the width from which the numpy pass is ahead.
+
 A second test drives the same DML history through two *live* deployments
 (tracer armed) built from the same seed and asserts the published
 QuerySCN sequences are value-identical: the pipeline is deterministic
@@ -34,8 +43,11 @@ not of the run (compare ``BENCH_apply_lag.json`` from bench_fig11).
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -48,8 +60,12 @@ from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.flush import InvalidationFlushComponent
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
+from repro.redo.batch import CVChunk
 
 from conftest import save_json, save_report
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.numpy_miner import NumpyMiningComponent  # noqa: E402  (the reference)
 
 #: (arm, records per shipment, statements per transaction by ordinal).
 ARMS = (
@@ -59,6 +75,16 @@ ARMS = (
 BEST_OF = 3
 #: Worklink nodes per drain call (the coordinator's default).
 FLUSH_BATCH = 32
+
+#: The mining-width arm: (CVs per chunk, the arm whose stream is cut).
+MINE_WIDTHS = ((1, "live"), (7, "live"), (85, "wide"), (512, "wide"))
+#: Records mined per width and repeat (the front of the stream).
+MINE_RECORDS = 3_072
+MINE_BEST_OF = 7
+#: At the live width the plain-Python pass must take at most this share
+#: of the numpy pass's time.
+LIVE_WIDTH = 7
+LIVE_MINE_GATE = 0.7
 
 N_ROWS = 4_000
 #: Updates captured per arm.
@@ -176,7 +202,65 @@ def drain_once(deployment, log, span, shipment_records) -> dict[str, float]:
     return times
 
 
-def test_ingest_gauntlet(firehose, benchmark):
+def mine_in_chunks(deployment, log, span, width, miner_cls) -> float:
+    """Mine the front of ``span`` in shipments of ``width`` records, each
+    shipment one worker's chunk, into fresh components: wall seconds.
+    The batches are sliced anew, so each pass derives what it reads of
+    them inside the timed region."""
+    lo = span[0]
+    hi = min(span[1], lo + MINE_RECORDS)
+    chunks = [
+        CVChunk(batch, np.arange(batch.n_cvs, dtype=np.int64))
+        for batch in (
+            log.batch(i, min(i + width, hi)) for i in range(lo, hi, width)
+        )
+    ]
+    miner = miner_cls(
+        IMADGJournal(64),
+        IMADGCommitTable(4),
+        DDLInformationTable(),
+        deployment.standby.imcs,
+    )
+    owner = object()
+    t0 = time.perf_counter()
+    for chunk in chunks:
+        assert miner.sniff_chunk(chunk, 0, owner), "latch miss"
+    return time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def mining_widths(firehose):
+    """The plain-Python pass against the numpy pass at each of
+    ``MINE_WIDTHS``, interleaved (the order alternates per repeat), best
+    of ``MINE_BEST_OF``."""
+    deployment, __, log, streams = firehose
+    results = {}
+    for width, arm in MINE_WIDTHS:
+        span = streams[arm]
+        hi = min(span[1], span[0] + MINE_RECORDS)
+        n_chunks = len(range(span[0], hi, width))
+        n_cvs = log.batch(span[0], hi).n_cvs
+        passes = [MiningComponent, NumpyMiningComponent]
+        best = {miner_cls: float("inf") for miner_cls in passes}
+        for repeat in range(MINE_BEST_OF):
+            for miner_cls in passes[:: 1 if repeat % 2 else -1]:
+                best[miner_cls] = min(
+                    best[miner_cls],
+                    mine_in_chunks(deployment, log, span, width, miner_cls),
+                )
+        plain, numpy = best[MiningComponent], best[NumpyMiningComponent]
+        results[str(width)] = {
+            "stream": arm,
+            "chunks": n_chunks,
+            "cvs_per_chunk": round(n_cvs / n_chunks, 1),
+            "plain_us_per_chunk": round(plain / n_chunks * 1e6, 2),
+            "numpy_us_per_chunk": round(numpy / n_chunks * 1e6, 2),
+            "plain_over_numpy": round(plain / numpy, 3),
+        }
+    return results
+
+
+def test_ingest_gauntlet(firehose, mining_widths, benchmark):
     deployment, registry, log, streams = firehose
     results = {}
     lines = []
@@ -210,6 +294,24 @@ def test_ingest_gauntlet(firehose, benchmark):
             f"        ({r['total_ms']:.1f}ms: {stages})",
         ]
     ratio = results["wide"]["cvs_per_s"] / results["live"]["cvs_per_s"]
+    ahead = [
+        int(width)
+        for width, r in mining_widths.items()
+        if r["plain_over_numpy"] > 1
+    ]
+    crossover = (
+        f"the numpy pass is ahead from {ahead[0]} CVs per chunk"
+        if ahead
+        else "the numpy pass is ahead at no measured width"
+    )
+    mine_lines = [
+        f"  {width:>4} CVs/chunk ({r['stream']:<4} stream, "
+        f"{r['cvs_per_chunk']:>5} actual): plain "
+        f"{r['plain_us_per_chunk']:>8.2f} us  numpy "
+        f"{r['numpy_us_per_chunk']:>8.2f} us per chunk  "
+        f"= {r['plain_over_numpy']:.2f}x"
+        for width, r in mining_widths.items()
+    ]
 
     # the live deployment's batch-size distributions
     snapshot = registry.snapshot()
@@ -228,6 +330,13 @@ def test_ingest_gauntlet(firehose, benchmark):
         "flush_batch": FLUSH_BATCH,
         "results": results,
         "wide_over_live": round(ratio, 2),
+        "mining_widths": {
+            "best_of": MINE_BEST_OF,
+            "records": MINE_RECORDS,
+            "live_width_gate": LIVE_MINE_GATE,
+            "crossover": ahead[0] if ahead else None,
+            "widths": mining_widths,
+        },
         "live_batch_histograms": {
             "adg.apply.batch_cvs": apply_hist,
             "dbim.mine.batch_cvs": mine_hist,
@@ -238,11 +347,25 @@ def test_ingest_gauntlet(firehose, benchmark):
         f"best of {BEST_OF}",
         *lines,
         f"  wide / live = {ratio:.2f}x: the isolated-vs-live gap is width",
+        "Mining width: one plain-Python walk per chunk against the numpy "
+        f"pass, best of {MINE_BEST_OF}",
+        *mine_lines,
+        f"  gate: <= {LIVE_MINE_GATE}x at {LIVE_WIDTH} CVs per chunk; "
+        f"{crossover}",
     ]))
 
     # wall-clock: slicing one wide shipment out of the log
     wide_lo = streams["wide"][0]
     benchmark(lambda: log.batch(wide_lo, wide_lo + ARMS[0][1]))
+
+
+def test_mining_pass_gate_at_the_live_width(mining_widths):
+    """The live width is gated; 85 and 512 are reported only."""
+    ratio = mining_widths[str(LIVE_WIDTH)]["plain_over_numpy"]
+    assert ratio <= LIVE_MINE_GATE, (
+        f"plain-Python mining pass at {ratio:.2f}x the numpy pass at "
+        f"{LIVE_WIDTH} CVs per chunk (gate {LIVE_MINE_GATE}x)"
+    )
 
 
 def _live_run():

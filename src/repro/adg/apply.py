@@ -290,11 +290,12 @@ class RecoveryWorker(Actor):
         window = chunk.indices[chunk.pos : chunk.pos + budget]
         batch = chunk.batch
         apply_cv = self.applier.apply_cv
-        scns = batch.scns[window].tolist()
-        for i, scn in zip(window.tolist(), scns):
+        scns = batch.scalars.scns
+        for i in window:
+            scn = scns[i]
             apply_cv(batch, i, scn)
             if tracer is not None:
                 tracer.record_applied(scn)
-        self.applied_scn = scns[-1]
-        chunk.pos += len(scns)
-        return len(scns)
+        self.applied_scn = scns[window[-1]]
+        chunk.pos += len(window)
+        return len(window)

@@ -73,7 +73,8 @@ class PhysicalApplier:
 
     def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
         """Apply the change vector at position ``i`` of ``batch``."""
-        op = batch.ops.item(i)
+        scalars = batch.scalars
+        op = scalars.ops[i]
         if op == _HEARTBEAT:
             return
         if op == _TXN_BEGIN:
@@ -94,13 +95,13 @@ class PhysicalApplier:
         if op == _DDL_MARKER:
             return
         # data CVs: an object the dictionary never saw is corrupt redo
-        object_id = batch.object_ids.item(i)
+        object_id = scalars.object_ids[i]
         table = self.catalog.table_for_object(object_id)
         if op == _TRUNCATE:
             table.apply_truncate(object_id, scn)
             return
-        dba = batch.dbas.item(i)
-        slot = batch.slots.item(i)
+        dba = scalars.dbas[i]
+        slot = scalars.slots[i]
         xid = batch.xid_objects[i]
         if op == _INSERT:
             table.apply_insert(object_id, dba, slot, batch.rows[i], xid, scn)

@@ -122,7 +122,7 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
         self.clock = SCNClock()
         self.txn_table = TransactionTable()
         self.block_store = BlockStore()
-        self.buffer_cache = BufferCache(capacity_blocks=None)
+        self.buffer_cache = BufferCache()
         self.catalog = Catalog(self.block_store, self.buffer_cache)
         #: Objects enabled for IMCS population on *any* database -- drives
         #: the specialized commit-record flag (paper, III-E).

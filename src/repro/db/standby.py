@@ -155,7 +155,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
 
         # --- row store ("datafiles" + recovered dictionary) -------------
         self.block_store = BlockStore()
-        self.buffer_cache = BufferCache(capacity_blocks=None)
+        self.buffer_cache = BufferCache()
         self.catalog = Catalog(self.block_store, self.buffer_cache)
         for table_def in table_defs or []:
             self.catalog.create_table(table_def)

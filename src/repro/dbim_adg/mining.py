@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.common.ids import TransactionId, WorkerId
 from repro.common.scn import SCN
@@ -37,13 +35,7 @@ from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import (
-    MINE_DATA,
-    MINE_SPECIAL,
-    CVBatch,
-    CVChunk,
-    decode_xid,
-)
+from repro.redo.batch import MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk
 from repro.redo.records import CVOp
 
 _TXN_BEGIN, _TXN_PREPARE, _TXN_COMMIT, _TXN_ABORT = (
@@ -106,7 +98,7 @@ class MiningComponent:
         xid = batch.xid_objects[i]
         if op == _TXN_BEGIN or op == _TXN_PREPARE:
             anchor = self.journal.get_or_create(
-                xid, batch.tenants.item(i), owner
+                xid, batch.scalars.tenants[i], owner
             )
             if anchor is None:
                 self.latch_misses += 1
@@ -133,9 +125,13 @@ class MiningComponent:
     def sniff_chunk(
         self, chunk: CVChunk, worker_id: WorkerId, owner: object
     ) -> bool:
-        """Mine a worker's whole chunk: every data CV in one pass
-        (:meth:`_mine_data`), then the *special* positions (transaction
-        state changes and DDL markers) one at a time, in order.
+        """Mine a worker's whole chunk in one walk over its CVs in plain
+        Python, reading the batch's per-CV lists: the data CVs of
+        IMCS-enabled objects -- nothing changes the enabled set within a
+        call -- are grouped by transaction and journaled first
+        (:meth:`_mine_data`), then the *special* CVs the same walk found
+        (transaction state changes and DDL markers) are mined one at a
+        time, in order.
 
         Data before specials is unobservable at any published QuerySCN:
         an anchor is created by whichever CV of its transaction is mined
@@ -156,24 +152,40 @@ class MiningComponent:
             chunk.stats_noted = True
             self._batch_cvs.observe(n)
         batch = chunk.batch
+        scalars = batch.scalars
+        classes, xids, object_ids, scns = (
+            scalars.classes, scalars.xids, scalars.object_ids, scalars.scns
+        )
+        enabled = self.imcs.enabled_object_ids
         tracer = obs.tracer_of(self._obs)
-        classes = batch.mine_class[indices]
-        if not chunk.data_mined:
-            start = chunk.mined_pos
-            data = indices[start:][classes[start:] == MINE_DATA]
-            if not self._mine_data(chunk, data, worker_id, owner):
+        start = chunk.mined_pos
+        # transaction xid code -> its data CVs' batch positions
+        runs: Optional[dict[int, list[int]]] = (
+            None if chunk.data_mined else {}
+        )
+        specials = []
+        for pos, i in enumerate(indices[start:], start):
+            mine = classes[i]
+            if mine == MINE_SPECIAL:
+                specials.append(pos)
+            elif (
+                mine == MINE_DATA
+                and runs is not None
+                and object_ids[i] in enabled
+            ):
+                runs.setdefault(xids[i], []).append(i)
+        if runs is not None:
+            if runs and not self._mine_data(chunk, runs, worker_id, owner):
                 return False
             chunk.data_mined = True
             chunk.mined_xids = None
             if tracer is not None:
-                plain = indices[start:][classes[start:] != MINE_SPECIAL]
-                for scn in batch.scns[plain].tolist():
-                    tracer.record_mined(scn)
-        for pos in (classes == MINE_SPECIAL).nonzero()[0].tolist():
-            if pos < chunk.mined_pos:
-                continue  # mined before a latch miss, or applied
-            i = int(indices[pos])
-            scn = int(batch.scns[i])
+                for i in indices[start:]:
+                    if classes[i] != MINE_SPECIAL:
+                        tracer.record_mined(scns[i])
+        for pos in specials:
+            i = indices[pos]
+            scn = scns[i]
             if not self._sniff_special(batch, i, scn, chunk, owner):
                 chunk.mined_pos = pos
                 return False
@@ -195,47 +207,43 @@ class MiningComponent:
     def _mine_data(
         self,
         chunk: CVChunk,
-        data: np.ndarray,
+        runs: dict[int, list[int]],
         worker_id: WorkerId,
         owner: object,
     ) -> bool:
-        """Journal the data CVs at batch positions ``data`` (ascending,
-        hence SCN order): keep the CVs of IMCS-enabled objects -- nothing
-        changes the enabled set within a call -- gather what mining reads
-        of them once for the whole chunk, group by transaction with one
-        stable sort, and append each transaction's run to its anchor as a
-        slice of that gather."""
-        batch = chunk.batch
-        data = data[self.imcs.enabled_mask(batch.object_ids[data])]
-        n = data.size
-        if not n:
-            return True
-        columns = batch.mined_columns[:, data]
-        columns = columns[:, np.argsort(columns[4], kind="stable")]
-        xids = columns[4]
-        starts = [0, *((xids[1:] != xids[:-1]).nonzero()[0] + 1).tolist()]
-        # per run: the lowest SCN (its first, the sort being stable), the
-        # xid code and the tenant
-        first_scns, codes, tenants = columns[3:, starts].tolist()
-        records = columns[:4]
+        """Journal each transaction's run of data CVs (batch positions,
+        ascending, hence in SCN order: a run's first SCN is its lowest),
+        in ascending xid code -- the order of ``get_or_create`` calls a
+        latch-miss retry resumes in, skipping the runs ``mined_xids``
+        holds.  What the journal keeps of the runs is one gather of the
+        batch's ``mined_columns``; each run's :class:`RecordChunk` is a
+        slice of it."""
         mined = chunk.mined_xids
         if mined is None:
             mined = chunk.mined_xids = set()
+        codes = [code for code in sorted(runs) if code not in mined]
+        batch = chunk.batch
+        records = batch.mined_columns.take(
+            [i for code in codes for i in runs[code]], axis=1
+        )
+        scns, tenants = batch.scalars.scns, batch.scalars.tenants
+        xid_objects = batch.xid_objects
         get_or_create = self.journal.get_or_create
-        for code, tenant, first_scn, lo, hi in zip(
-            codes, tenants, first_scns, starts, [*starts[1:], n]
-        ):
-            if code in mined:
-                continue  # journaled before a latch miss
-            anchor = get_or_create(decode_xid(code), tenant, owner)
+        lo = 0
+        for code in codes:
+            run = runs[code]
+            first, hi = run[0], lo + len(run)
+            tenant = tenants[first]
+            anchor = get_or_create(xid_objects[first], tenant, owner)
             if anchor is None:
                 self.latch_misses += 1
                 return False
             anchor.add_chunk(
-                worker_id, RecordChunk(records[:, lo:hi], tenant), first_scn
+                worker_id, RecordChunk(records[:, lo:hi], tenant), scns[first]
             )
-            self.data_records_mined += hi - lo
+            self.data_records_mined += len(run)
             mined.add(code)
+            lo = hi
         return True
 
     def _sniff_special(
@@ -243,7 +251,7 @@ class MiningComponent:
     ) -> bool:
         """Mine the in-order special CV at batch position ``i`` during a
         chunk walk."""
-        op = batch.ops.item(i)
+        op = batch.scalars.ops[i]
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
             self.ddl_markers_mined += 1
@@ -259,7 +267,7 @@ class MiningComponent:
         ``pending_commits`` (one ``insert_batch`` per chunk).  The commit
         record's SCN is the commitSCN; its payload is the III-E flag."""
         xid = batch.xid_objects[i]
-        tenant = batch.tenants.item(i)
+        tenant = batch.scalars.tenants[i]
         acquired, anchor = self.journal.get(xid, owner)
         if not acquired:
             self.latch_misses += 1

@@ -19,7 +19,7 @@ safe (invalidation is monotone).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, KeysView, Optional, Sequence
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class InMemoryColumnStore:
     def __init__(self, pool_size_bytes: Optional[int] = None) -> None:
         self.pool_size_bytes = pool_size_bytes
         self._segments: dict[ObjectId, InMemorySegment] = {}
-        #: Sorted enabled object ids + one sentinel, for
-        #: :meth:`enabled_mask`; rebuilt after enable / disable.
-        self._enabled_ids: Optional[np.ndarray] = None
         # statistics
         self.rows_invalidated = 0
         self.coarse_invalidations = 0
@@ -148,7 +145,6 @@ class InMemoryColumnStore:
                 priority=priority,
             )
             self._segments[partition.object_id] = segment
-        self._enabled_ids = None
         assert segment is not None
         return segment
 
@@ -180,26 +176,15 @@ class InMemoryColumnStore:
         """ALTER ... NO INMEMORY: drop units and forget the object."""
         self.drop_units(object_id)
         self._segments.pop(object_id, None)
-        self._enabled_ids = None
 
     def is_enabled(self, object_id: ObjectId) -> bool:
         return object_id in self._segments
 
     @property
-    def enabled_object_ids(self) -> set[ObjectId]:
-        return set(self._segments)
-
-    def enabled_mask(self, object_ids: np.ndarray) -> np.ndarray:
-        """Which of ``object_ids`` are enabled -- the miner's per-chunk
-        filter: one binary search however many objects are enabled."""
-        ids = self._enabled_ids
-        if ids is None:
-            # a miss past the last id lands on the sentinel, which no
-            # object id equals
-            ids = self._enabled_ids = np.array(
-                [*sorted(self._segments), np.iinfo(np.int64).min]
-            )
-        return ids[np.searchsorted(ids[:-1], object_ids)] == object_ids
+    def enabled_object_ids(self) -> KeysView[ObjectId]:
+        """The enabled object ids, as a live view: the miner's filter is
+        one ``in`` per data CV."""
+        return self._segments.keys()
 
     def segment(self, object_id: ObjectId) -> InMemorySegment:
         try:

@@ -4,9 +4,9 @@ Redo is columns from the statement on (:mod:`repro.redo.log`); a
 :class:`CVBatch` is a range of one thread's log records converted to numpy
 once, at the shipper (or by a FAL gap fetch, or the instant-restart tail
 fetch), and those arrays travel through delivery, merge, distribution,
-mining and flush.  Everything that would be a per-CV Python attribute walk
--- worker hashing, xid grouping, enabled-object filtering, slot extraction
--- is one numpy operation per batch.
+mining and flush.  Worker hashing is one numpy operation per batch; the
+per-CV walks of mining and apply read the same columns as Python lists,
+derived once per batch (``scalars``).
 
 Three object columns ride along as plain list slices for physical apply
 and the in-order special CVs: the :class:`TransactionId` the row store
@@ -33,7 +33,7 @@ type of every recovery-worker queue.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,8 +71,20 @@ def encode_xid(xid: TransactionId) -> int:
     return (xid.instance << _XID_SHIFT) | xid.sequence
 
 
-def decode_xid(code: int) -> TransactionId:
-    return TransactionId(code >> _XID_SHIFT, code & ((1 << _XID_SHIFT) - 1))
+class CVScalars(NamedTuple):
+    """A batch's per-CV columns as Python lists, for the walks that read
+    one CV at a time (mining, physical apply): indexing a list costs a
+    fraction of a numpy ``.item()`` call.  ``classes`` is ``MINE_CLASS``
+    of each op, ``xids`` the packed codes."""
+
+    classes: list[int]
+    xids: list[int]
+    object_ids: list[int]
+    tenants: list[int]
+    scns: list[int]
+    ops: list[int]
+    dbas: list[int]
+    slots: list[int]
 
 
 class CVBatch:
@@ -100,7 +112,7 @@ class CVBatch:
         "payloads",
         "record_starts",
         "record_scns",
-        "_mine_class",
+        "_scalars",
         "_mined_columns",
     )
 
@@ -135,7 +147,7 @@ class CVBatch:
         self.payloads = payloads
         self.record_starts = record_starts
         self.record_scns = record_scns
-        self._mine_class: Optional[np.ndarray] = None
+        self._scalars: Optional[CVScalars] = None
         self._mined_columns: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -161,32 +173,33 @@ class CVBatch:
 
     # ------------------------------------------------------------------
     # A batch is immutable and shared by every worker's chunk of it (and
-    # by every fleet member), so what mining derives from it alone is
-    # derived once.
+    # by every fleet member), so what mining and apply derive from it
+    # alone is derived once.
     @property
-    def mine_class(self) -> np.ndarray:
-        """Per-CV ``MINE_CLASS`` of the op."""
-        if self._mine_class is None:
-            self._mine_class = MINE_CLASS[self.ops]
-        return self._mine_class
+    def scalars(self) -> CVScalars:
+        """The per-CV columns as lists (see :class:`CVScalars`)."""
+        if self._scalars is None:
+            self._scalars = CVScalars(
+                MINE_CLASS[self.ops].tolist(),
+                self.xids.tolist(),
+                self.object_ids.tolist(),
+                self.tenants.tolist(),
+                self.scns.tolist(),
+                self.ops.tolist(),
+                self.dbas.tolist(),
+                self.slots.tolist(),
+            )
+        return self._scalars
 
     @property
     def mined_columns(self) -> np.ndarray:
-        """What the miner reads of a data CV as one ``(6, n_cvs)`` matrix,
-        so a chunk's share is one gather: the four rows of a
-        :class:`~repro.dbim_adg.journal.RecordChunk` (``slots``, ``dbas``,
-        ``object_ids``, ``scns``), then ``xids`` and ``tenants``."""
+        """The four rows of a :class:`~repro.dbim_adg.journal.RecordChunk`
+        (``slots``, ``dbas``, ``object_ids``, ``scns``) as one
+        ``(4, n_cvs)`` matrix, so a chunk's share is one gather."""
         if self._mined_columns is None:
             self._mined_columns = np.concatenate(
-                (
-                    self.slots,
-                    self.dbas,
-                    self.object_ids,
-                    self.scns,
-                    self.xids,
-                    self.tenants,
-                )
-            ).reshape(6, -1)
+                (self.slots, self.dbas, self.object_ids, self.scns)
+            ).reshape(4, -1)
         return self._mined_columns
 
     # ------------------------------------------------------------------
@@ -238,9 +251,9 @@ class CVBatch:
 class CVChunk:
     """One worker's share of a distributed :class:`CVBatch`.
 
-    ``indices`` selects this worker's CVs (in SCN order) out of the
-    batch; ``pos`` is the apply cursor and ``mined_pos`` the mining
-    cursor.  The whole chunk is mined before any of it is applied
+    ``indices`` lists the batch positions of this worker's CVs (ascending,
+    hence in SCN order); ``pos`` is the apply cursor and ``mined_pos`` the
+    mining cursor.  The whole chunk is mined before any of it is applied
     (sniff-then-apply at chunk scale): first every data CV at once, then
     the specials in order.  ``data_mined``, ``mined_xids`` and
     ``pending_commits`` carry partial progress across latch-miss
@@ -260,7 +273,7 @@ class CVChunk:
 
     def __init__(self, batch: CVBatch, indices: np.ndarray) -> None:
         self.batch = batch
-        self.indices = indices
+        self.indices: list[int] = indices.tolist()
         #: Chunk position of the next CV to apply.
         self.pos = 0
         #: Chunk position of the next CV to mine.
@@ -288,7 +301,7 @@ class CVChunk:
 
     @property
     def head_scn(self) -> SCN:
-        return int(self.batch.scns[self.indices[self.pos]])
+        return self.batch.scalars.scns[self.indices[self.pos]]
 
     @property
     def fully_mined(self) -> bool:
@@ -297,7 +310,8 @@ class CVChunk:
     def remaining_positions(self) -> np.ndarray:
         """Log CV offsets (within the batch's thread) of the unapplied
         CVs, for the instant-restart queue-exclusion check."""
-        return self.indices[self.pos :] + self.batch.cv_base
+        unapplied = np.array(self.indices[self.pos :], dtype=np.int64)
+        return unapplied + self.batch.cv_base
 
     def reset_mining(self) -> None:
         """Instance restart: the journal was cleared, so everything not

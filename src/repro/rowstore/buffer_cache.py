@@ -3,19 +3,17 @@
 The paper is explicit that "an important part of the setup is ensuring that
 the Oracle database buffer cache is sized appropriately to avoid any
 physical I/O" -- the 100x speedups in Figure 9 are CPU effects (row-format
-vs column-format scan), not disk effects.  We model the cache anyway so the
-cost model can (a) verify that the benchmark configurations really are
-I/O-free, and (b) charge a simulated penalty when a configuration is
-mis-sized.
+vs column-format scan), not disk effects.  The cache here is sized that
+way: it has no capacity, so a block stays resident from its first touch
+until it is invalidated.  What it models is the cold read -- the first
+touch of a block, or the first after an invalidation, is a miss and
+charges a simulated read cost; every later touch is a hit.
 
 Blocks permanently live in the :class:`BlockStore` ("disk"); the cache
-tracks which DBAs are resident and applies LRU eviction.  A miss charges a
-simulated read cost.
+tracks which DBAs are resident.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.common.ids import DBA
 
@@ -24,35 +22,25 @@ DEFAULT_MISS_COST = 0.0002
 
 
 class BufferCache:
-    """LRU cache of resident DBAs with hit/miss accounting."""
+    """The set of resident DBAs, with hit/miss accounting."""
 
-    def __init__(
-        self, capacity_blocks: int | None = None, miss_cost: float = DEFAULT_MISS_COST
-    ) -> None:
-        #: None = unlimited (every touched block stays resident).
-        self.capacity_blocks = capacity_blocks
+    def __init__(self, miss_cost: float = DEFAULT_MISS_COST) -> None:
         self.miss_cost = miss_cost
-        self._resident: OrderedDict[DBA, None] = OrderedDict()
+        self._resident: set[DBA] = set()
         self.hits = 0
         self.misses = 0
 
     def touch(self, dba: DBA) -> float:
         """Access a block; returns the simulated I/O cost (0.0 on a hit)."""
         if dba in self._resident:
-            self._resident.move_to_end(dba)
             self.hits += 1
             return 0.0
         self.misses += 1
-        self._resident[dba] = None
-        if (
-            self.capacity_blocks is not None
-            and len(self._resident) > self.capacity_blocks
-        ):
-            self._resident.popitem(last=False)
+        self._resident.add(dba)
         return self.miss_cost
 
     def invalidate(self, dba: DBA) -> None:
-        self._resident.pop(dba, None)
+        self._resident.discard(dba)
 
     @property
     def resident_blocks(self) -> int:

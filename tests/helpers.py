@@ -211,3 +211,43 @@ def global_dictionary(values: Iterable[str]) -> GlobalDictionary:
     for value in values:
         dictionary.encode(value)
     return dictionary
+
+
+class MissOnce:
+    """Make the ``k``-th latched call (journal ``get_or_create`` / ``get``
+    / ``remove``, commit-table ``insert_batch``) miss, once."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.calls = 0
+
+    def misses(self, call: int) -> bool:
+        """Whether latched call number ``call`` (from 0) misses."""
+        return call == self.k
+
+    def __call__(self, stack) -> None:
+        """Patch ``stack.journal`` and ``stack.commit_table``."""
+        journal, commit_table = stack.journal, stack.commit_table
+        for name, miss in (
+            ("get_or_create", None),
+            ("get", (False, None)),
+            ("remove", None),
+        ):
+            setattr(journal, name, self.wrap(getattr(journal, name), miss))
+        real_insert = commit_table.insert_batch
+
+        def insert_batch(nodes, owner):
+            # the first node's partition latch is held; the rest go in
+            self.calls += 1
+            if self.misses(self.calls - 1):
+                return nodes[:1] + real_insert(nodes[1:], owner)
+            return real_insert(nodes, owner)
+
+        commit_table.insert_batch = insert_batch
+
+    def wrap(self, real, miss):
+        def call(*args):
+            self.calls += 1
+            return miss if self.misses(self.calls - 1) else real(*args)
+
+        return call

@@ -75,7 +75,13 @@ from repro.redo import (
 )
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
-from tests.helpers import NullApplier, chunk_of, record_scns, records_of
+from tests.helpers import (
+    MissOnce,
+    NullApplier,
+    chunk_of,
+    record_scns,
+    records_of,
+)
 from tests.naive_batch import (
     ChangeVector,
     CommitPayload,
@@ -568,41 +574,6 @@ def update(xid, dba, slot, object_id=ENABLED):
     return lambda scn: ChangeVector(
         CVOp.UPDATE, dba, object_id, 0, xid, UpdatePayload(slot, (), ())
     )
-
-
-class MissOnce:
-    """Make the ``k``-th latched call (journal ``get_or_create`` / ``get``
-    / ``remove``, commit-table ``insert_batch``) miss, once."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.calls = 0
-
-    def __call__(self, stack: Stack) -> None:
-        journal, commit_table = stack.journal, stack.commit_table
-        for name, miss in (
-            ("get_or_create", None),
-            ("get", (False, None)),
-            ("remove", None),
-        ):
-            setattr(journal, name, self.wrap(getattr(journal, name), miss))
-        real_insert = commit_table.insert_batch
-
-        def insert_batch(nodes, owner):
-            # the first node's partition latch is held; the rest go in
-            self.calls += 1
-            if self.calls - 1 == self.k:
-                return nodes[:1] + real_insert(nodes[1:], owner)
-            return real_insert(nodes, owner)
-
-        commit_table.insert_batch = insert_batch
-
-    def wrap(self, real, miss):
-        def call(*args):
-            self.calls += 1
-            return miss if self.calls - 1 == self.k else real(*args)
-
-        return call
 
 
 @settings(

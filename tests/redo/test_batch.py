@@ -5,10 +5,11 @@ import numpy as np
 
 from repro.common import TransactionId
 from repro.adg.apply import ApplyDistributor
-from repro.redo.batch import CVChunk, decode_xid, encode_xid
+from repro.redo.batch import CVChunk, encode_xid
 from repro.redo.records import CVOp, txn_table_dba
 
 from tests.helpers import NullApplier, batch_of
+from tests.numpy_miner import decode_xid
 from tests.naive_batch import (
     ChangeVector,
     InsertPayload,

@@ -4,25 +4,15 @@ from repro.rowstore import BufferCache
 
 
 def test_first_touch_is_a_miss_with_cost():
-    cache = BufferCache(capacity_blocks=10, miss_cost=0.5)
+    cache = BufferCache(miss_cost=0.5)
     assert cache.touch(1) == 0.5
     assert cache.touch(1) == 0.0
     assert cache.hits == 1
     assert cache.misses == 1
 
 
-def test_lru_eviction():
-    cache = BufferCache(capacity_blocks=2)
-    cache.touch(1)
-    cache.touch(2)
-    cache.touch(1)  # 1 becomes MRU
-    cache.touch(3)  # evicts 2
-    assert cache.touch(2) > 0  # miss: was evicted
-    assert cache.touch(1) > 0 or cache.touch(1) == 0  # may or may not remain
-
-
 def test_unlimited_capacity_never_evicts():
-    cache = BufferCache(capacity_blocks=None)
+    cache = BufferCache()
     for dba in range(1000):
         cache.touch(dba)
     for dba in range(1000):
