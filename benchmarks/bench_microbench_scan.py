@@ -39,7 +39,7 @@ row.
 
 At both invalidation widths a tail-kernel arm times the same warm tail
 images through the scan's column kernel (one mask per predicate over the
-image's vectors, projection from the rows' own tuples) against the
+image's CUs, projection from the rows' own tuples) against the
 closures it replaced (``tests/naive_predicate.py::compile_tail``, one
 compiled closure call per row), interleaved best-of-31 timings: at most
 0.5x the closures at the heavy width and at most 1.15x at the live width,
@@ -73,7 +73,12 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.expressions import RowResolver
-from repro.imcs.scan import Predicate, ScanResult, _CompiledScan
+from repro.imcs.scan import (
+    Predicate,
+    ScanResult,
+    _CompiledScan,
+    unit_matched_positions,
+)
 from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_json, save_report
@@ -175,10 +180,12 @@ def tail_kernel_arm(table, segment, predicate) -> dict:
         if smu._tail_image is not None and smu._tail_image[2].n_rows
     ]
 
-    def kernel():
+    def kernel():  # the scan's one path: the IMCU's kernel and matches step
         result = ScanResult()
         for image in images:
-            compiled.tail(image, result)
+            compiled.matches(
+                image, unit_matched_positions(image, None, [predicate]), result
+            )
         return result.rows
 
     def closures():
@@ -572,8 +579,8 @@ def test_heavy_invalidation_scan(scenario, benchmark):
                  tail_kernel["ratio"], TAIL_KERNEL_HEAVY_MAX],
             ],
             title="Row-store tail filter + projection over the same warm "
-                  "tail images: one mask per predicate over the column "
-                  "vectors vs one compiled closure call per row "
+                  "tail images: one mask per predicate over the image's "
+                  "CUs vs one compiled closure call per row "
                   f"(interleaved best of {TAIL_KERNEL_REPEATS})",
         ),
     )

@@ -9,7 +9,8 @@ This module parses exactly that shape -- projection or aggregates, one
 table, an optional ``PARTITION (name)`` clause, and an ``AND``-conjunction
 of simple predicates with literals or ``:n`` binds -- and executes it
 against any object exposing ``query(table, predicates, columns,
-partitions)`` (both :class:`~repro.db.primary.PrimaryDatabase` and
+partitions)`` and ``aggregate(table, specs, predicates, partitions)``
+(both :class:`~repro.db.primary.PrimaryDatabase` and
 :class:`~repro.db.standby.StandbyDatabase` do).
 
 It is intentionally tiny: no joins, no subqueries, no ORDER BY.  The
@@ -23,7 +24,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.imcs.scan import Predicate, ScanResult
+from repro.imcs.aggregate import AggregateSpec
+from repro.imcs.scan import Predicate
 
 _AGG_RE = re.compile(
     r"^(count|sum|avg|min|max)\s*\(\s*(\*|[A-Za-z_]\w*)\s*\)$", re.IGNORECASE
@@ -109,28 +111,20 @@ class ParsedQuery:
             return database.query(
                 self.table, predicates, self.columns, partitions
             )
+        if self.group_by:
+            return self._grouped(database, predicates, partitions)
+        # aggregation push-down (section V): fold inside the scan
+        return database.aggregate(
+            self.table,
+            [AggregateSpec(fn, col) for fn, col in self.aggregates],
+            predicates,
+            partitions,
+        ).values
+
+    def _grouped(self, database, predicates, partitions) -> list:
         needed = sorted(
             {col for __, col in self.aggregates if col is not None}
         )
-        if self.group_by:
-            return self._grouped(database, predicates, partitions, needed)
-        if hasattr(database, "aggregate"):
-            # aggregation push-down (section V): fold inside the scan
-            from repro.imcs.aggregate import AggregateSpec
-
-            pushed = database.aggregate(
-                self.table,
-                [AggregateSpec(fn, col) for fn, col in self.aggregates],
-                predicates,
-                partitions,
-            )
-            return pushed.values
-        result = database.query(
-            self.table, predicates, needed or None, partitions
-        )
-        return self._aggregate(result, needed)
-
-    def _grouped(self, database, predicates, partitions, needed) -> list:
         wanted = list(dict.fromkeys(self.group_by + needed))
         result = database.query(self.table, predicates, wanted, partitions)
         key_idx = [wanted.index(c) for c in self.group_by]
@@ -164,28 +158,6 @@ class ParsedQuery:
                 elif fn == "max":
                     values.append(max(present) if present else None)
             out.append(tuple(values))
-        return out
-
-    def _aggregate(self, result: ScanResult, needed: list[str]) -> list:
-        index_of = {name: i for i, name in enumerate(needed)}
-        out = []
-        for fn, col in self.aggregates:
-            if fn == "count":
-                out.append(len(result.rows))
-                continue
-            values = [
-                row[index_of[col]]
-                for row in result.rows
-                if row[index_of[col]] is not None
-            ]
-            if fn == "sum":
-                out.append(sum(values) if values else None)
-            elif fn == "avg":
-                out.append(sum(values) / len(values) if values else None)
-            elif fn == "min":
-                out.append(min(values) if values else None)
-            elif fn == "max":
-                out.append(max(values) if values else None)
         return out
 
 

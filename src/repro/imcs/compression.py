@@ -113,9 +113,6 @@ class NumericCU(ColumnCU):
             if is_int is None
             else np.ascontiguousarray(is_int, dtype=bool)
         )
-        present = self._data[~self._nulls]
-        self._min = float(present.min()) if present.size else None
-        self._max = float(present.max()) if present.size else None
 
     # What an immutable column knows about itself, asked once (or told by
     # :func:`encode_rows`, which knows it for a whole block of columns), so
@@ -127,6 +124,13 @@ class NumericCU(ColumnCU):
     @cached_property
     def _any_int(self) -> bool:
         return bool(self._is_int.any())
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        present = self._data[~self._nulls] if self._any_null else self._data
+        if not present.size:
+            return None, None
+        return float(present.min()), float(present.max())
 
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)
@@ -142,16 +146,36 @@ class NumericCU(ColumnCU):
             out[self._nulls[positions]] = None
         return out.tolist()
 
+    # NULLs never match; a literal of the other kind matches no row, and
+    # a range bound of the other kind raises ``TypeError``.
     def eq_mask(self, value: object) -> np.ndarray:
-        return number_eq_mask(
-            self._data, value, self._nulls if self._any_null else None
-        )
+        if isinstance(value, str):
+            return np.zeros(self.n_rows, dtype=bool)
+        try:
+            needle = float(value)
+        except (TypeError, ValueError):
+            return np.zeros(self.n_rows, dtype=bool)
+        mask = self._data == needle
+        if self._any_null:
+            mask &= ~self._nulls
+        return mask
 
     def range_mask(self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
-        return number_range_mask(
-            self._data, lo, hi, lo_inclusive, hi_inclusive,
-            self._nulls if self._any_null else None,
-        )
+        data = self._data
+        mask = None
+        if lo is not None:
+            mask = (data >= lo) if lo_inclusive else (data > lo)
+        if hi is not None:
+            below = (data <= hi) if hi_inclusive else (data < hi)
+            if mask is None:
+                mask = below
+            else:
+                mask &= below
+        if mask is None:
+            return ~self._nulls
+        if self._any_null:
+            mask &= ~self._nulls
+        return mask
 
     def null_mask(self) -> np.ndarray:
         return self._nulls.copy()
@@ -172,60 +196,17 @@ class NumericCU(ColumnCU):
 
     @property
     def min_value(self):
-        return self._min
+        return self._bounds[0]
 
     @property
     def max_value(self):
-        return self._max
+        return self._bounds[1]
 
     @property
     def memory_bytes(self) -> int:
         return int(
             self._data.nbytes + self._nulls.nbytes + self._is_int.nbytes
         )
-
-
-def number_eq_mask(
-    data: np.ndarray, value: object, nulls: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``=`` over NUMBER values held as float64 -- an IMCU's CU and a
-    row-store tail's vector alike.  ``nulls`` marks the NULL rows, or is
-    None when no NULL's slot can compare true (there are none, or they
-    hold NaN).  NULLs never match; a literal of the other kind matches no
-    row."""
-    if value is None or isinstance(value, str):
-        return np.zeros(data.size, dtype=bool)
-    try:
-        needle = float(value)
-    except (TypeError, ValueError):
-        return np.zeros(data.size, dtype=bool)
-    mask = data == needle
-    if nulls is not None:
-        mask &= ~nulls
-    return mask
-
-
-def number_range_mask(
-    data: np.ndarray, lo, hi, lo_inclusive: bool = True,
-    hi_inclusive: bool = True, nulls: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """A range over NUMBER values held as float64, ``nulls`` as for
-    :func:`number_eq_mask`; a bound of the other kind raises
-    ``TypeError``."""
-    mask = None
-    if lo is not None:
-        mask = (data >= lo) if lo_inclusive else (data > lo)
-    if hi is not None:
-        below = (data <= hi) if hi_inclusive else (data < hi)
-        if mask is None:
-            mask = below
-        else:
-            mask &= below
-    if mask is None:
-        return ~nulls if nulls is not None else np.ones(data.size, dtype=bool)
-    if nulls is not None:
-        mask &= ~nulls
-    return mask
 
 
 def _numeric_arrays(

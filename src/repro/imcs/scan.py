@@ -55,6 +55,18 @@ class Predicate:
     op: str
     value: object = None
     value2: object = None
+    #: A comparison with a NULL literal: unknown for every row, so it
+    #: matches none.  Only IS [NOT] NULL tests NULL.
+    null_bound: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "null_bound",
+            self.op not in ("is_null", "is_not_null") and (
+                self.value is None
+                or (self.op == "between" and self.value2 is None)
+            ),
+        )
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -94,8 +106,11 @@ class Predicate:
         return cls(column, "is_not_null")
 
     # -- vectorised evaluation -------------------------------------------
-    def eval_mask(self, imcu: IMCU) -> np.ndarray:
-        cu = imcu.column(self.column)
+    def eval_mask(self, unit) -> np.ndarray:
+        """Mask over an IMCU's or a tail image's rows."""
+        if self.null_bound:
+            return np.zeros(unit.n_rows, dtype=bool)
+        cu = unit.column(self.column)
         if self.op == "=":
             return cu.eq_mask(self.value)
         if self.op == "!=":
@@ -119,6 +134,8 @@ class Predicate:
     # -- storage-index pruning ----------------------------------------------
     def can_prune(self, imcu: IMCU) -> bool:
         """True if the IMCU's min/max proves no row can match."""
+        if self.null_bound:
+            return True
         if self.op == "=":  # a value of the other kind matches no row
             low = imcu.column(self.column).min_value
             if None not in (low, self.value) and (
@@ -179,10 +196,10 @@ def unit_matched_positions(
 ) -> np.ndarray:
     """Positions of valid rows matching every predicate.
 
-    ``unit`` is an IMCU or a row-store :class:`TailImage` (anything with
-    ``.column(name)`` and ``.n_rows``); ``valid`` is the SMU's mask, or
-    None when every row is valid.  Predicate masks are freshly allocated
-    so the combine is in-place; ``valid`` is only ever a read operand.
+    ``unit`` is an IMCU or a row-store :class:`TailImage`, whose columns
+    are CUs too; ``valid`` is the SMU's mask, or None when every row is
+    valid.  Predicate masks are freshly allocated so the combine is
+    in-place; ``valid`` is only ever a read operand.
     The serial scan and every morsel run this one kernel, which is what
     makes parallel == serial row-for-row.
     """
@@ -222,14 +239,14 @@ class _CompiledScan:
     """Per-partition compiled scan state.
 
     Predicates and the projection list are resolved against the schema
-    *once per scan*: the projection is a single C-level ``itemgetter``
-    when no expression is involved.  The push-down hooks and the scan's
-    commitSCN memo live here too.
+    *once per scan*: the projection of row-store rows is a single C-level
+    ``itemgetter`` when no expression is involved.  The push-down hook and
+    the scan's commitSCN memo live here too.
     """
 
     __slots__ = (
         "predicates", "names", "needed_set", "resolver", "project", "memo",
-        "on_imcu_matches", "on_tail_matches",
+        "on_matches",
     )
 
     def __init__(
@@ -237,14 +254,12 @@ class _CompiledScan:
         resolver: RowResolver,
         predicates: list[Predicate],
         names: list[str],
-        on_imcu_matches=None,
-        on_tail_matches=None,
+        on_matches=None,
     ) -> None:
         self.predicates = predicates
         self.names = names
         self.resolver = resolver
-        self.on_imcu_matches = on_imcu_matches
-        self.on_tail_matches = on_tail_matches
+        self.on_matches = on_matches
         #: writer -> commitSCN: one memo for every Consistent Read call of
         #: this scan, gone with it (``visible_values_batch`` has the rule)
         self.memo: dict = {}
@@ -266,20 +281,21 @@ class _CompiledScan:
                 *[schema.column_index(name) for name in names]
             )
 
-    def tail(self, image: TailImage, result: ScanResult) -> None:
-        """Row-store rows through the IMCU's kernel: one mask per
-        predicate over the image's column vectors, then the matches go to
-        the push-down hook or are projected from the rows' own tuples."""
-        positions = unit_matched_positions(image, None, self.predicates)
+    def matches(self, unit, positions: np.ndarray, result) -> None:
+        """Matching rows of an IMCU or a tail image: hand them to the
+        push-down hook, else project them -- an IMCU's from its column
+        blocks, a tail's from the rows' own tuples."""
         if not positions.size:
             return
-        if self.on_tail_matches is not None:
-            self.on_tail_matches(image, positions)
-            return
-        rows = image.rows
-        if positions.size < image.n_rows:  # else every row matched
-            rows = map(rows.__getitem__, positions.tolist())
-        result.rows.extend(map(self.project, rows))
+        if self.on_matches is not None:
+            self.on_matches(unit, positions)
+        elif isinstance(unit, IMCU):
+            result.rows.extend(unit.project_rows(positions, self.names))
+        else:
+            rows = unit.rows
+            if positions.size < unit.n_rows:  # else every row matched
+                rows = map(rows.__getitem__, positions.tolist())
+            result.rows.extend(map(self.project, rows))
 
 
 class ScanEngine:
@@ -301,26 +317,21 @@ class ScanEngine:
         predicates: Optional[list[Predicate]] = None,
         columns: Optional[list[str]] = None,
         partitions: Optional[list[str]] = None,
-        on_imcu_matches=None,
-        on_tail_matches=None,
+        on_matches=None,
     ) -> ScanResult:
         """Filter + project scan at a snapshot.
 
         Uses the IMCS for every partition enabled and populated here;
         everything else goes through the row-format path.
 
-        ``on_imcu_matches(imcu, positions) -> bool`` and
-        ``on_tail_matches(image, positions)`` are the aggregation push-down
-        hooks (see :mod:`repro.imcs.aggregate`): when the first returns
-        True the matching IMCU positions are consumed by it instead of
-        being materialised into ``result.rows``, and with the second every
-        matching row-store row goes to it, as positions into a
-        :class:`~repro.imcs.smu.TailImage`, in scan order.
+        ``on_matches(unit, positions)`` is the aggregation push-down hook
+        (see :mod:`repro.imcs.aggregate`): given, it consumes every match
+        instead of ``result.rows``, in scan order -- ``unit`` an IMCU, or
+        a :class:`~repro.imcs.smu.TailImage` for row-store rows.
         """
         result = ScanResult()
         for __, segment, compiled, units, unusable, leftover in self._walk(
-            table, snapshot_scn, predicates, columns, partitions,
-            on_imcu_matches, on_tail_matches,
+            table, snapshot_scn, predicates, columns, partitions, on_matches,
         ):
             result.stats.imcus_unusable += unusable
             for smu in units:
@@ -389,7 +400,7 @@ class ScanEngine:
     # ------------------------------------------------------------------
     def _walk(
         self, table, snapshot_scn, predicates, columns, partitions,
-        on_imcu_matches=None, on_tail_matches=None,
+        on_matches=None,
     ):
         """Per partition: its name, segment and compiled scan (columns
         resolve once, the scan's commitSCN memo is made with them), the
@@ -412,7 +423,7 @@ class ScanEngine:
             )
             compiled = _CompiledScan(
                 RowResolver(table.schema, expressions), predicates, names,
-                on_imcu_matches, on_tail_matches,
+                on_matches,
             )
             units = [] if im_segment is None else im_segment.live_units()
             usable = [
@@ -459,15 +470,8 @@ class ScanEngine:
                 result.stats.imcs_rows += imcu.n_rows
                 result.stats.cost_seconds += IMCS_COST_PER_ROW * imcu.n_rows
 
-            # 2. matching valid rows: hand to the push-down hook, or
-            #    project straight from the IMCU
-            hook = compiled.on_imcu_matches
-            if hook is not None and hook(imcu, matched_positions):
-                pass  # consumed vectorially (aggregation push-down)
-            else:
-                result.rows.extend(
-                    imcu.project_rows(matched_positions, compiled.names)
-                )
+            # 2. matching valid rows
+            compiled.matches(imcu, matched_positions, result)
 
             self._reconcile_unit(
                 table, segment, smu, snapshot_scn, compiled, result
@@ -535,8 +539,8 @@ class ScanEngine:
         order -- ``cost_seconds`` is a float sum that feeds sim time --
         and the chains are then walked in one Consistent Read pass under
         the scan's one commitSCN memo, unless ``image`` is that walk's
-        answer already (a tail image).  The rows then run through
-        :meth:`_CompiledScan.tail`.  Returns the image.  The counters
+        answer already (a tail image).  The image's rows then run through
+        the IMCU's kernel and matches step.  Returns the image.  The counters
         count slots asked for, tombstones and slots past a wiped block's
         end included.
         """
@@ -564,5 +568,9 @@ class ScanEngine:
         if fallback:
             stats.fallback_rows += image.slots
         if image.n_rows:
-            compiled.tail(image, result)
+            compiled.matches(
+                image,
+                unit_matched_positions(image, None, compiled.predicates),
+                result,
+            )
         return image

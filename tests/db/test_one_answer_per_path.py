@@ -1,0 +1,156 @@
+"""A query gets one answer whichever path serves its rows.
+
+Three paths are checked for each query: the primary, whose table is not
+In-Memory there, so every row comes through the row store as a tail image;
+a clean standby, where one IMCU answers; and a standby whose unit has half
+its rows invalid, so the IMCU and its reconcile tail answer together.
+
+* A comparison whose literal is NULL matches no row (only IS [NOT] NULL
+  tests NULL), for every operator and either BETWEEN bound.
+* A NUMBER MIN/MAX is a float, also over int values.
+* A stored NaN makes MIN/MAX NaN, whichever partial holds it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.common.config import IMCSConfig
+from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
+from repro.db.sql import parse_query
+
+from tests.db.conftest import small_config
+
+#: ``T``: int-valued NUMBERs, three of them NULL, and a VARCHAR2; ``P``:
+#: the NaN probe.
+T_ROWS = [
+    (i, None if i in (1, 4, 6) else i - 3, f"v{i % 3}") for i in range(8)
+]
+P_ROWS = [(i, math.nan if i == 3 else float(i)) for i in range(8)]
+#: Rows the half-invalid standby reconciles: -3, a NULL and the NaN among
+#: them.
+INVALID = (0, 1, 2, 3)
+PATHS = ("primary", "clean standby", "half-invalid standby")
+
+
+def deployment(invalidate: bool) -> Deployment:
+    config = small_config()
+    # a half-invalid unit stays as it is: no repopulation below 100%
+    config.imcs = IMCSConfig(
+        imcu_target_rows=64, population_workers=1,
+        repopulate_invalid_fraction=1.0,
+    )
+    built = Deployment.build(config=config)
+    built.create_table(TableDef("T", (
+        ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
+        ColumnDef.varchar("c1"),
+    ), rows_per_block=8))
+    built.create_table(TableDef("P", (
+        ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
+    ), rows_per_block=8))
+    rowids = {}
+    txn = built.primary.begin()
+    for name, rows in (("T", T_ROWS), ("P", P_ROWS)):
+        rowids[name] = [built.primary.insert(txn, name, row) for row in rows]
+    built.primary.commit(txn)
+    for name in rowids:
+        built.enable_inmemory(name, service=InMemoryService.STANDBY)
+    built.catch_up()
+    if invalidate:  # rewrite rows as they are: the standby invalidates them
+        txn = built.primary.begin()
+        for name, rows in (("T", T_ROWS), ("P", P_ROWS)):
+            for i in INVALID:
+                built.primary.update(
+                    txn, name, rowids[name][i], {"n1": rows[i][1]}
+                )
+        built.primary.commit(txn)
+        built.catch_up()
+    return built
+
+
+@pytest.fixture(scope="module")
+def databases():
+    clean, invalid = deployment(False), deployment(True)
+    return {
+        "primary": clean.primary,
+        "clean standby": clean.standby,
+        "half-invalid standby": invalid.standby,
+    }
+
+
+def test_the_paths_are_the_ones_named(databases):
+    everything = parse_query("SELECT * FROM T")
+    primary = everything.run(databases["primary"])
+    clean = everything.run(databases["clean standby"])
+    invalid = everything.run(databases["half-invalid standby"])
+    assert primary.stats.imcus_used == 0 and primary.stats.rowstore_rows == 8
+    assert clean.stats.imcus_used == 1 and clean.stats.rowstore_rows == 0
+    assert invalid.stats.fallback_rows == len(INVALID)
+    assert sorted(primary.rows) == sorted(clean.rows) == sorted(invalid.rows)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM T WHERE n1 = :1",
+    "SELECT * FROM T WHERE n1 != :1",
+    "SELECT * FROM T WHERE n1 < :1",
+    "SELECT * FROM T WHERE n1 <= :1",
+    "SELECT * FROM T WHERE n1 > :1",
+    "SELECT * FROM T WHERE n1 >= :1",
+    "SELECT * FROM T WHERE n1 BETWEEN :1 AND 10",
+    "SELECT * FROM T WHERE n1 BETWEEN -10 AND :1",
+    "SELECT * FROM T WHERE c1 != :1",
+    "SELECT * FROM T WHERE c1 BETWEEN :1 AND 'z'",
+])
+def test_a_null_bound_matches_no_row(databases, path, sql):
+    result = parse_query(sql).run(databases[path], {1: None})
+    assert result.rows == []
+    if path != "primary":  # the storage index prunes the unit
+        assert (result.stats.imcus_pruned, result.stats.imcus_used) == (1, 0)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("sql, ids", [
+    ("SELECT id FROM T WHERE n1 = 0", [3]),
+    ("SELECT id FROM T WHERE n1 <= 0", [0, 2, 3]),
+    ("SELECT id FROM T WHERE n1 BETWEEN -1 AND 1", [2, 3]),
+    ("SELECT id FROM T WHERE n1 != 0", [0, 2, 5, 7]),
+])
+def test_a_null_never_compares(databases, path, sql, ids):
+    """A unit keeps a NULL NUMBER's slot at 0.0 and a tail at NaN: only
+    the null mask keeps it out of a compare with 0."""
+    rows = parse_query(sql).run(databases[path]).rows
+    assert sorted(row[0] for row in rows) == ids
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_count_with_a_null_bound_is_zero(databases, path):
+    query = parse_query("SELECT COUNT(*) FROM T WHERE n1 < :1")
+    assert query.run(databases[path], {1: None}) == [0]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_is_null_still_tests_null(databases, path):
+    for sql, count in (
+        ("SELECT COUNT(*) FROM T WHERE n1 IS NOT NULL", 5),
+        ("SELECT COUNT(*) FROM T WHERE n1 IS NULL", 3),
+    ):
+        assert parse_query(sql).run(databases[path]) == [count]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_number_min_max_is_a_float_on_every_path(databases, path):
+    low, high = parse_query("SELECT MIN(n1), MAX(n1) FROM T").run(
+        databases[path]
+    )
+    assert (repr(low), repr(high)) == ("-3.0", "4.0")
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_stored_nan_makes_min_max_nan_on_every_path(databases, path):
+    low, high = parse_query("SELECT MIN(n1), MAX(n1) FROM P").run(
+        databases[path]
+    )
+    assert math.isnan(low) and math.isnan(high)

@@ -100,17 +100,25 @@ class TestExecution:
         predicates = database.calls[0][1]
         assert [p.value for p in predicates] == [5, 2.5, "hi"]
 
-    def test_aggregate_execution(self):
-        database = FakeDatabase(rows=[(1.0,), (2.0,), (None,)])
-        query = parse_query("SELECT COUNT(*), SUM(amount), MAX(amount) FROM t")
-        assert query.run(database) == [3, 3.0, 2.0]
-        # aggregates request only the needed column
-        assert database.calls[0][2] == ["amount"]
+    def test_aggregate_execution(self, loaded_deployment):
+        """Aggregates fold inside the scan on either database; a NULL
+        counts for COUNT(*) only."""
+        deployment, __ = loaded_deployment
+        txn = deployment.primary.begin()
+        deployment.primary.insert(txn, "T", (100, None, "x"))
+        deployment.primary.commit(txn)
+        deployment.catch_up()
+        query = parse_query(
+            "SELECT COUNT(*), SUM(n1), MAX(n1) FROM T WHERE id >= 98"
+        )
+        for database in (deployment.primary, deployment.standby):
+            assert query.run(database) == [3, 197.0, 99.0]
 
-    def test_count_only_projects_nothing_specific(self):
-        database = FakeDatabase(rows=[(9,)] * 4)
-        query = parse_query("SELECT COUNT(*) FROM t WHERE a = 1")
-        assert query.run(database) == [4]
+    def test_count_only_projects_nothing_specific(self, loaded_deployment):
+        deployment, __ = loaded_deployment
+        query = parse_query("SELECT COUNT(*) FROM T WHERE c1 = 'v1'")
+        for database in (deployment.primary, deployment.standby):
+            assert query.run(database) == [20]
 
     def test_partition_passed_through(self):
         database = FakeDatabase()

@@ -1,5 +1,6 @@
 """Tests for aggregation push-down (section V)."""
 
+import numpy as np
 import pytest
 
 from repro.common import TransactionId
@@ -78,9 +79,12 @@ class TestPushdown:
     def test_reconcile_rows_fold_column_by_column_in_row_order(
         self, populated
     ):
-        """The reconcile tail folds per column, left to right: a float sum
-        whose value depends on the order must be the row-at-a-time one;
-        NULLs count for COUNT(*) only; min/max see every present value."""
+        """The reconcile tail folds per column as one more partial, like a
+        unit: numpy's sum of its present values in slot order, added to the
+        units' partials in scan order -- the first unit's valid rows, its
+        tail (ids 0..6), the second unit.  The 1e16 swallows the 0.6 before
+        it, as a row-at-a-time fold would not; NULLs count for COUNT(*)
+        only; min/max see every present value."""
         deployment, rowids = populated
         changed = [0.1, 0.2, 0.3, 1e16, -1e16, None, 0.7]
         txn = deployment.primary.begin()
@@ -88,21 +92,24 @@ class TestPushdown:
             deployment.primary.update(txn, "T", rowid, {"n1": value})
         deployment.primary.commit(txn)
         deployment.catch_up()
-        result = deployment.standby.aggregate(
-            "T",
-            [AggregateSpec("count"), AggregateSpec("sum", "n1"),
-             AggregateSpec("min", "n1"), AggregateSpec("max", "n1"),
-             AggregateSpec("min", "c1"), AggregateSpec("avg", "n1")],
-        )
+        specs = [
+            AggregateSpec("count"), AggregateSpec("sum", "n1"),
+            AggregateSpec("min", "n1"), AggregateSpec("max", "n1"),
+            AggregateSpec("min", "c1"), AggregateSpec("avg", "n1"),
+        ]
+        result = deployment.standby.aggregate("T", specs)
         assert result.pushed_down_rows == 100 - len(changed)
-        total = float(sum(range(len(changed), 100)))  # the columnar part
+        tail = float(np.sum([v for v in changed if v is not None]))
+        total = float(sum(range(7, 64))) + tail + float(sum(range(64, 100)))
+        row_at_a_time = float(sum(range(len(changed), 100)))
         for value in changed:
             if value is not None:
-                total += value
-        assert total != float(sum(range(len(changed), 100))) + sum(
-            v for v in changed if v is not None
-        )  # the order shows in the last bits
+                row_at_a_time += value
+        assert total != row_at_a_time  # the order shows
         assert result.values == [100, total, -1e16, 1e16, "v0", total / 99]
+        assert deployment.primary.aggregate("T", specs).values == (
+            result.values
+        )
 
     def test_empty_match_gives_nulls(self, populated):
         deployment, __ = populated

@@ -1,18 +1,20 @@
 """Row-at-a-time predicate evaluation: the reference for the scan kernels.
 
 The scan engine evaluates a :class:`~repro.imcs.scan.Predicate` as a
-vectorised mask -- over an IMCU's CUs, and over the column vectors of a
-row-store tail image.  This module keeps the two row-at-a-time ways:
+vectorised mask -- over an IMCU's CUs, and over the CUs of a row-store
+tail image.  This module keeps the two row-at-a-time ways:
 
 * :func:`matches` / :func:`eval_row`, the obvious way, dispatching on the
   op for every value, which the reference scans in the property suites
   filter with;
 * the closures the scan engine compiled for its row-store rows before
   they ran as columns (:func:`row_matcher`, :func:`compile_matches`,
-  :func:`compile_tail`, :func:`closure_tail`) and the fold that aggregated them
-  (:func:`add_values`): the oracle the tail kernels are checked against
-  in ``tests/property/test_tail_kernels.py`` and timed against in
-  ``benchmarks/bench_microbench_scan.py``.
+  :func:`compile_tail`, :func:`closure_tail`): the oracle the tail kernels
+  are checked against in ``tests/property/test_tail_kernels.py`` and timed
+  against in ``benchmarks/bench_microbench_scan.py``.
+
+Both read a comparison with a NULL literal as matching no row: only IS
+[NOT] NULL tests NULL.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def matches(predicate: Predicate, v: object) -> bool:
         return v is None
     if op == "is_not_null":
         return v is not None
-    if v is None:
+    if v is None or null_bound(predicate):
         return False
     if op == "=":
         return v == value
@@ -58,10 +60,20 @@ def eval_row(predicate: Predicate, values: tuple, schema: Schema) -> bool:
 # ----------------------------------------------------------------------
 # the compiled closures and the fold the row-store rows used to run
 # ----------------------------------------------------------------------
+def null_bound(predicate: Predicate) -> bool:
+    """A comparison with a NULL literal (or a NULL BETWEEN bound)."""
+    return predicate.op not in ("is_null", "is_not_null") and (
+        predicate.value is None
+        or (predicate.op == "between" and predicate.value2 is None)
+    )
+
+
 def row_matcher(predicate: Predicate):
     """Compile to a direct closure: the op is dispatched once here, not
     once per row."""
     op, value = predicate.op, predicate.value
+    if null_bound(predicate):
+        return lambda v: False
     if op == "=":
         return lambda v: v is not None and v == value
     if op == "!=":
@@ -156,23 +168,3 @@ def compile_tail(
         project(values) for values in visible
         if values is not None and match(values)
     ]
-
-
-def add_values(accumulator, values: list) -> None:
-    """Fold one column of row-store rows into an aggregate's partial
-    state, left to right (``total`` is a float sum: the order is part of
-    the answer)."""
-    present = [value for value in values if value is not None]
-    if not present:
-        return
-    accumulator.count += len(present)
-    total = accumulator.total
-    for value in present:
-        if isinstance(value, (int, float)):
-            total += value
-    accumulator.total = total
-    low, high = min(present), max(present)
-    if accumulator.minimum is None or low < accumulator.minimum:
-        accumulator.minimum = low
-    if accumulator.maximum is None or high > accumulator.maximum:
-        accumulator.maximum = high

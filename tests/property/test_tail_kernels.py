@@ -1,26 +1,26 @@
 """Property: the row-store tail's column kernels equal the closures they
-replaced.
+replaced, and its fold equals a unit's.
 
 A unit's reconcile tail -- and every run of blocks no unit serves -- is a
 :class:`~repro.imcs.smu.TailImage`: the rows one Consistent Read pass made
-visible, with a vector per column a scan filters or aggregates on.  The
-scan engine filters it with the IMCU's predicate kernel, projects the
-matching rows from their own tuples, and the aggregator folds them from
-the vectors.  The row-at-a-time way -- one compiled closure call per row,
-one ``add_values`` fold per column -- lives in ``tests/naive_predicate.py``
-as the oracle, and the two must agree:
+visible, with a CU per column a scan filters or aggregates on, as an IMCU
+holds it.  The scan engine filters it with the IMCU's predicate kernel,
+projects the matching rows from their own tuples, and the aggregator folds
+it with the CUs' ``stats_for_positions``.  The row-at-a-time filter -- one
+compiled closure call per row -- lives in ``tests/naive_predicate.py`` as
+the oracle, and the two must agree:
 
 * rows equal by ``repr`` and in order, for every op, on images with NULLs,
   tombstones (``None`` slots), NUMBER columns holding ints, fractional
-  floats, both, NaN and +-2**53, VARCHAR2 columns, and both kinds of In-
-  Memory Expression;
+  floats, both, NaN and +-2**53, VARCHAR2 columns, both kinds of In-
+  Memory Expression, and NULL literals (which match no row);
 * a literal of the other kind: ``=`` matches nothing, a range raises
   ``TypeError`` on both sides;
-* aggregates bit for bit, ``total`` by ``float.hex`` -- a pairwise sum
-  would differ -- and MIN/MAX as the same objects (an int stays an int).
+* aggregates equal those of a unit encoded from the same rows: count,
+  ``total`` by ``float.hex``, MIN/MAX by ``repr``.
 
 The scan-level checks at the end cover what only a live SMU shows: an
-epoch bump drops the image and its vectors, and a NUMBER int at +-2**53
+epoch bump drops the image and its CUs, and a NUMBER int at +-2**53
 round-trips exactly through the IMCU and the tail.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,12 +42,13 @@ from repro.imcs import (
     ScanEngine,
 )
 from repro.imcs.aggregate import _Accumulator
+from repro.imcs.compression import encode_column
 from repro.imcs.expressions import Expression, ExpressionSet, RowResolver
-from repro.imcs.scan import ScanResult, _CompiledScan
+from repro.imcs.scan import ScanResult, _CompiledScan, unit_matched_positions
 from repro.imcs.smu import TailImage
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
-from tests.naive_predicate import add_values, closure_tail
+from tests.naive_predicate import closure_tail
 
 LIMIT = 2**53
 
@@ -98,7 +98,7 @@ images = st.lists(st.none() | rows(), max_size=30)
 
 def literal_of(kind: str):
     number = st.one_of(ints, fractions)
-    return number if kind == "number" else texts
+    return st.none() | (number if kind == "number" else texts)
 
 
 @st.composite
@@ -113,11 +113,17 @@ def predicates(draw, name, kind):
     return Predicate(name, op, value, value2)
 
 
+def run_tail(compiled: _CompiledScan, image: TailImage, result) -> None:
+    """What the scan engine does with a tail image's rows."""
+    positions = unit_matched_positions(image, None, compiled.predicates)
+    compiled.matches(image, positions, result)
+
+
 def kernel_rows(visible, chosen, names) -> list[tuple]:
     result = ScanResult()
     image = TailImage(visible, RESOLVER)
     if image.n_rows:
-        _CompiledScan(RESOLVER, chosen, names).tail(image, result)
+        run_tail(_CompiledScan(RESOLVER, chosen, names), image, result)
     return result.rows
 
 
@@ -171,7 +177,7 @@ def test_a_literal_of_the_other_kind(visible, data):
     a value to compare (the closure compares only those)."""
     name = data.draw(st.sampled_from(NAMES))
     other = "text" if kind_of(name) == "number" else "number"
-    value = data.draw(literal_of(other))
+    value = data.draw(literal_of(other).filter(lambda v: v is not None))
     eq = Predicate.eq(name, value)
     assert kernel_rows(visible, [eq], ["id"]) == []
     assert closure_tail(visible, [eq], ["id"], RESOLVER) == []
@@ -213,9 +219,10 @@ def test_an_image_builds_each_vector_once():
     )
     for __ in range(3):
         assert image.column("e") is image.column("e")
-        _CompiledScan(
-            image.resolver, [Predicate.eq("e", 5)], ["id"]
-        ).tail(image, ScanResult())
+        run_tail(
+            _CompiledScan(image.resolver, [Predicate.eq("e", 5)], ["id"]),
+            image, ScanResult(),
+        )
     assert calls == [5, 6]  # evaluated once per image, not per scan
 
 
@@ -223,114 +230,72 @@ def test_an_image_builds_each_vector_once():
 # aggregates
 # ----------------------------------------------------------------------
 def state(accumulator) -> tuple:
-    def exact(value):
-        return (type(value).__name__, repr(value))
-
     return (
         accumulator.count,
         float(accumulator.total).hex(),
-        exact(accumulator.minimum),
-        exact(accumulator.maximum),
+        repr(accumulator.minimum),
+        repr(accumulator.maximum),
     )
 
 
-@st.composite
-def encoded(draw):
-    """A partial state the units' encoded folds may have left."""
+class EncodedUnit:
+    """The same rows as a unit holds them: each column encoded by the
+    IMCU's own encoder (a NumericCU, or a sorted dictionary that goes run-
+    length where the runs pay)."""
+
+    def __init__(self, rows: list) -> None:
+        self.rows = rows
+        self.n_rows = len(rows)
+
+    def column(self, name: str):
+        values = [RESOLVER.value(row, name) for row in self.rows]
+        return encode_column(values, kind_of(name) == "number")
+
+
+def fold(units, chosen, name) -> _Accumulator:
+    """Each unit filtered by the scan's kernel and folded, in order, as
+    the aggregator folds its partials."""
     accumulator = _Accumulator()
-    if draw(st.booleans()):
-        low = draw(fractions)
+    for unit in units:
+        positions = unit_matched_positions(unit, None, chosen)
         accumulator.merge_encoded(
-            draw(st.integers(1, 9)), draw(fractions), low,
-            low + draw(st.integers(0, 20)),
+            *unit.column(name).stats_for_positions(positions)
         )
     return accumulator
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(images, min_size=1, max_size=3), st.data())
-def test_aggregates_fold_bit_for_bit_like_add_values(tails, data):
-    """Several images in scan order, each filtered, folded after the
-    units' encoded partials."""
-    name = data.draw(st.sampled_from(NAMES))
-    chosen = [data.draw(predicates("id", "number"))]
-    matches = []
-    values = []
-    for visible in tails:
-        image = TailImage(visible, RESOLVER)
-        hits = []
-        if image.n_rows:
-            scan = _CompiledScan(
-                RESOLVER, chosen, [name],
-                on_tail_matches=lambda image, positions: hits.append(
-                    (image, positions)
-                ),
-            )
-            scan.tail(image, ScanResult())
-        matches += [(im.column(name), at) for im, at in hits]
-        values += [
-            row[0] for row in closure_tail(visible, chosen, [name], RESOLVER)
-        ]
-    start = data.draw(encoded())
-    if name in TEXT_NAMES and start.count:
-        start = _Accumulator()  # a VARCHAR2 unit's partial holds strings
-    ours = _Accumulator(*state_args(start))
-    theirs = _Accumulator(*state_args(start))
-    ours.merge_rows(matches)
-    add_values(theirs, values)
-    assert state(ours) == state(theirs)
+@example(
+    [[(0, 3, 1.0, 3, None), (1, 1, math.nan, 1.0, None)],
+     [(2, -3, -5.0, math.nan, None)]],
+    None,
+).via("ints fold to floats; a NaN in either image is sticky")
+def test_a_tails_fold_equals_a_units(tails, data):
+    """Several images in scan order, each filtered and folded: the same
+    answer as units encoded from the same rows."""
+    if data is None:
+        cases = [(name, []) for name in ("n_int", "n_float", "n_mixed")]
+    else:
+        name, on = (data.draw(st.sampled_from(NAMES)) for __ in range(2))
+        cases = [(name, [data.draw(predicates(on, kind_of(on)))])]
+    images = [TailImage(visible, RESOLVER) for visible in tails]
+    units = [EncodedUnit(image.rows) for image in images]
+    for name, chosen in cases:
+        ours = fold([image for image in images if image.n_rows], chosen, name)
+        assert state(ours) == state(fold(units, chosen, name)), name
 
 
-def state_args(accumulator) -> tuple:
-    return (
-        accumulator.count, accumulator.total,
-        accumulator.minimum, accumulator.maximum,
-    )
-
-
-def fold_both(values: list, start: float = 0.0):
-    visible = [(i, None, v, None, None) for i, v in enumerate(values)]
-    image = TailImage(visible, RESOLVER)
-    ours, theirs = _Accumulator(total=start), _Accumulator(total=start)
-    ours.merge_rows(
-        [(image.column("n_float"), np.arange(image.n_rows))]
-    )
-    add_values(theirs, values)
-    return ours, theirs
-
-
-def test_a_fractional_sum_is_the_left_to_right_one():
-    rng = np.random.default_rng(3)
-    values = (rng.random(500) * 1000 - 500).round(3).tolist()
-    ours, theirs = fold_both(values, start=0.1)
-    assert float(ours.total).hex() == float(theirs.total).hex()
-    # the test has teeth: numpy's pairwise sum ends elsewhere
-    assert float(0.1 + np.sum(values)).hex() != float(theirs.total).hex()
-
-
-def test_min_max_are_the_rows_own_objects():
-    visible = [
-        (0, 3, None, 3, None), (1, 1, None, 1.0, None),
-        (2, 1, None, 1, None), (3, 7, None, math.nan, None),
-        (4, 7, None, 7.0, None),
-    ]
-    image = TailImage(visible, RESOLVER)
-    everything = np.arange(image.n_rows)
-    for name in ("n_int", "n_mixed"):
-        ours, theirs = _Accumulator(), _Accumulator()
-        ours.merge_rows([(image.column(name), everything)])
-        add_values(theirs, [row[SCHEMA.column_index(name)] for row in visible])
-        assert state(ours) == state(theirs)
-    ours = _Accumulator()
-    ours.merge_rows([(image.column("n_mixed"), everything)])
-    assert type(ours.minimum) is float and type(ours.maximum) is float
-    assert ours.minimum == 1.0  # the first of the equal minima wins
-    # a NaN first is Python's answer too
-    nan_first = TailImage([(0, None, math.nan, None, None),
-                           (1, None, -5.0, None, None)], RESOLVER)
-    ours = _Accumulator()
-    ours.merge_rows([(nan_first.column("n_float"), np.arange(2))])
-    assert math.isnan(ours.minimum) and math.isnan(ours.maximum)
+def test_a_nan_min_max_does_not_depend_on_the_partials_order():
+    for partials in itertools.permutations([
+        (1, 3.0, 3.0, 3.0), (1, math.nan, math.nan, math.nan),
+        (2, 1.0, -1.0, 2.0),
+    ]):
+        accumulator = _Accumulator()
+        for partial in partials:
+            accumulator.merge_encoded(*partial)
+        assert math.isnan(accumulator.minimum), partials
+        assert math.isnan(accumulator.maximum), partials
 
 
 # ----------------------------------------------------------------------
