@@ -7,8 +7,8 @@ against:
   ``segment.py``),
 * per-block version stores that stand in for undo, enabling SCN-based
   Consistent Read (``block.py``, ``cr.py``),
-* heap tables with optional hash/range partitions and B-tree indexes
-  (``table.py``, ``index.py``),
+* heap tables with optional hash/range partitions and hash indexes
+  (point lookups; NULL keys not indexed) (``table.py``, ``index.py``),
 * a buffer cache fronting the "datafiles" (``buffer_cache.py``).
 
 Everything a transaction changes here is describable as a *change vector*
@@ -21,7 +21,7 @@ from repro.rowstore.values import Column, ColumnType, Schema
 from repro.rowstore.block import DataBlock
 from repro.rowstore.segment import BlockStore, Segment
 from repro.rowstore.table import Partition, Table
-from repro.rowstore.index import BTreeIndex
+from repro.rowstore.index import HashIndex
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.cr import TransactionView, visible_values
 from repro.rowstore.undo_retention import UndoRetentionManager
@@ -35,7 +35,7 @@ __all__ = [
     "Segment",
     "Partition",
     "Table",
-    "BTreeIndex",
+    "HashIndex",
     "BufferCache",
     "TransactionView",
     "visible_values",

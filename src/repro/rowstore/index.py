@@ -1,171 +1,45 @@
-"""A B+-tree index over one column.
+"""A unique hash index over one column.
 
 The paper's OLTAP workload drives most of its operations through "fetch
-operations via the index" on the identity column, so the index path must be
-a genuinely cheap point lookup (in contrast to the full-table scans the
-IMCS accelerates).  This is a textbook B+-tree: interior nodes route by
-separator keys, leaves hold (key, rowid) pairs and are linked for range
-scans.
+operations via the index" on the identity column: point lookups, so the
+index is one dict from key to row address.  NULL keys are not indexed
+(Oracle's rule for entirely-NULL keys), so a NULL never matches; nor does
+a key of the other kind, which never equals a stored key.
 
 Visibility note: the index maps *current* key values to row addresses; the
-row's own version chain then provides snapshot visibility.  This matches
-how the workload uses it (identity keys are immutable), and the limitation
-is documented in DESIGN.md.
+row's own version chain then provides snapshot visibility (DESIGN §4).
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterator, Optional
-
 from repro.common.ids import RowId
 
 
-class _Node:
-    __slots__ = ("keys", "children", "values", "next_leaf", "is_leaf")
+class HashIndex:
+    """Unique index: key -> RowId, one dict."""
 
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.keys: list = []
-        self.children: list[_Node] = []  # interior only
-        self.values: list[RowId] = []  # leaf only
-        self.next_leaf: Optional[_Node] = None
+    __slots__ = ("column", "_map")
 
-
-class BTreeIndex:
-    """Unique B+-tree index: key -> RowId."""
-
-    def __init__(self, column: str, order: int = 64) -> None:
-        if order < 4:
-            raise ValueError("B+-tree order must be >= 4")
+    def __init__(self, column: str) -> None:
         self.column = column
-        self.order = order
-        self._root = _Node(is_leaf=True)
-        self._size = 0
+        self._map: dict[object, RowId] = {}
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._map)
 
-    # -- search ----------------------------------------------------------
-    def _find_leaf(self, key) -> _Node:
-        node = self._root
-        while not node.is_leaf:
-            i = bisect.bisect_right(node.keys, key)
-            node = node.children[i]
-        return node
-
-    def search(self, key) -> Optional[RowId]:
+    def search(self, key) -> RowId | None:
         """Point lookup; None if the key is absent."""
-        leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            return leaf.values[i]
-        return None
+        return self._map.get(key)
 
-    def range(self, lo=None, hi=None) -> Iterator[tuple[object, RowId]]:
-        """Iterate (key, rowid) with lo <= key <= hi (inclusive bounds)."""
-        if lo is None:
-            node: Optional[_Node] = self._leftmost_leaf()
-            i = 0
-        else:
-            node = self._find_leaf(lo)
-            i = bisect.bisect_left(node.keys, lo)
-        while node is not None:
-            while i < len(node.keys):
-                key = node.keys[i]
-                if hi is not None and key > hi:
-                    return
-                yield key, node.values[i]
-                i += 1
-            node = node.next_leaf
-            i = 0
-
-    def _leftmost_leaf(self) -> _Node:
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        return node
-
-    # -- insert ----------------------------------------------------------
     def insert(self, key, rowid: RowId) -> None:
-        """Insert or overwrite (unique index: re-insert replaces)."""
-        split = self._insert(self._root, key, rowid)
-        if split is not None:
-            sep, right = split
-            new_root = _Node(is_leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
+        """Insert or overwrite (unique index: re-insert replaces); a NULL
+        key is not indexed."""
+        if key is not None:
+            self._map[key] = rowid
 
-    def _insert(self, node: _Node, key, rowid: RowId):
-        if node.is_leaf:
-            i = bisect.bisect_left(node.keys, key)
-            if i < len(node.keys) and node.keys[i] == key:
-                node.values[i] = rowid  # overwrite
-                return None
-            node.keys.insert(i, key)
-            node.values.insert(i, rowid)
-            self._size += 1
-            if len(node.keys) > self.order:
-                return self._split_leaf(node)
-            return None
-        i = bisect.bisect_right(node.keys, key)
-        split = self._insert(node.children[i], key, rowid)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(i, sep)
-        node.children.insert(i + 1, right)
-        if len(node.keys) > self.order:
-            return self._split_interior(node)
-        return None
-
-    def _split_leaf(self, node: _Node):
-        mid = len(node.keys) // 2
-        right = _Node(is_leaf=True)
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next_leaf = node.next_leaf
-        node.next_leaf = right
-        return right.keys[0], right
-
-    def _split_interior(self, node: _Node):
-        mid = len(node.keys) // 2
-        sep = node.keys[mid]
-        right = _Node(is_leaf=False)
-        right.keys = node.keys[mid + 1 :]
-        right.children = node.children[mid + 1 :]
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
-        return sep, right
-
-    # -- delete ----------------------------------------------------------
     def delete(self, key) -> bool:
-        """Remove ``key``.  Returns True if it was present.
-
-        Uses lazy deletion (no rebalancing): leaves may underflow, which is
-        acceptable for an index whose workload is insert/lookup dominated.
-        """
-        leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            leaf.keys.pop(i)
-            leaf.values.pop(i)
-            self._size -= 1
-            return True
-        return False
+        """Remove ``key``.  Returns True if it was present."""
+        return self._map.pop(key, None) is not None
 
     def clear(self) -> None:
-        self._root = _Node(is_leaf=True)
-        self._size = 0
-
-    # -- introspection ----------------------------------------------------
-    def depth(self) -> int:
-        d = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-            d += 1
-        return d
+        self._map.clear()

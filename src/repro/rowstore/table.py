@@ -28,7 +28,7 @@ from repro.common.ids import DBA, ObjectId, RowId, TenantId, TransactionId
 from repro.common.scn import SCN
 from repro.rowstore.buffer_cache import BufferCache
 from repro.rowstore.cr import TransactionView, visible_values
-from repro.rowstore.index import BTreeIndex
+from repro.rowstore.index import HashIndex
 from repro.rowstore.segment import BlockStore, Segment
 from repro.rowstore.values import Schema
 
@@ -80,7 +80,9 @@ class Table:
         self._by_object_id: dict[ObjectId, Partition] = {}
         for pname in partition_names or ["P0"]:
             self.add_partition(pname)
-        self.indexes: dict[str, BTreeIndex] = {}
+        self.indexes: dict[str, HashIndex] = {}
+        # (key position, index) per index, resolved once by create_index
+        self._keyed: list[tuple[int, HashIndex]] = []
 
     # ------------------------------------------------------------------
     # metadata
@@ -117,11 +119,10 @@ class Table:
     def default_partition(self) -> Partition:
         return next(iter(self.partitions.values()))
 
-    def create_index(self, column: str, order: int = 64) -> BTreeIndex:
+    def create_index(self, column: str) -> HashIndex:
         """Create a unique index; existing rows are indexed immediately."""
-        self.schema.column_index(column)  # validate
-        index = BTreeIndex(column, order=order)
         col = self.schema.column_index(column)
+        index = HashIndex(column)
         for partition in self.partitions.values():
             for block in partition.segment.blocks():
                 for slot in range(block.used_slots):
@@ -129,6 +130,8 @@ class Table:
                     if current is not None:
                         index.insert(current[col], RowId(block.dba, slot))
         self.indexes[column] = index
+        self._keyed = [p for p in self._keyed if p[1].column != column]
+        self._keyed.append((col, index))
         return index
 
     def _route(self, values: tuple, partition: Optional[str]) -> Partition:
@@ -160,8 +163,8 @@ class Table:
         if self.buffer_cache is not None:
             self.buffer_cache.touch(block.dba)
         rowid = block.append_row(values, xid, scn)
-        for column, index in self.indexes.items():
-            index.insert(values[self.schema.column_index(column)], rowid)
+        for i, index in self._keyed:
+            index.insert(values[i], rowid)
         return part.object_id, rowid
 
     def _locked_row(
@@ -196,15 +199,12 @@ class Table:
             raise ObjectNotFoundError(f"row {rowid} is deleted")
         new_values = list(old_values)
         for column, value in changes.items():
-            i = self.schema.column_index(column)
             # every other cell was validated when it was written
-            self.schema.validate_value(self.schema.columns[i], value)
-            new_values[i] = value
+            new_values[self.schema.validate_value(column, value)] = value
         new_tuple = tuple(new_values)
         block.write_slot(rowid.slot, new_tuple, xid, scn)
-        for column, index in self.indexes.items():
-            if column in changes:
-                i = self.schema.column_index(column)
+        for i, index in self._keyed:
+            if index.column in changes:
                 index.delete(old_values[i])
                 index.insert(new_tuple[i], rowid)
         return block.object_id, old_values, new_tuple
@@ -222,8 +222,8 @@ class Table:
         if old_values is None:
             raise ObjectNotFoundError(f"row {rowid} already deleted")
         block.write_slot(rowid.slot, None, xid, scn)
-        for column, index in self.indexes.items():
-            index.delete(old_values[self.schema.column_index(column)])
+        for i, index in self._keyed:
+            index.delete(old_values[i])
         return block.object_id, old_values
 
     # ------------------------------------------------------------------
@@ -261,8 +261,8 @@ class Table:
             return
         block.apply_at_slot(slot, values, xid, scn)
         rowid = RowId(dba, slot)
-        for column, index in self.indexes.items():
-            index.insert(values[self.schema.column_index(column)], rowid)
+        for i, index in self._keyed:
+            index.insert(values[i], rowid)
 
     def apply_update(
         self,
@@ -280,9 +280,8 @@ class Table:
         old = block.current(slot)
         block.apply_at_slot(slot, new_values, xid, scn)
         rowid = RowId(dba, slot)
-        for column, index in self.indexes.items():
-            if column in changed_columns:
-                i = self.schema.column_index(column)
+        for i, index in self._keyed:
+            if index.column in changed_columns:
                 if old is not None:
                     index.delete(old[i])
                 index.insert(new_values[i], rowid)
@@ -300,8 +299,8 @@ class Table:
         if block is None:
             return
         block.apply_at_slot(slot, None, xid, scn)
-        for column, index in self.indexes.items():
-            index.delete(old_values[self.schema.column_index(column)])
+        for i, index in self._keyed:
+            index.delete(old_values[i])
 
     def apply_undo(
         self,
@@ -325,15 +324,11 @@ class Table:
             return
         restored = block.current(slot)
         rowid = RowId(dba, slot)
-        for column, index in self.indexes.items():
-            i = self.schema.column_index(column)
+        for i, index in self._keyed:
             old_key = stripped[i] if stripped is not None else None
             new_key = restored[i] if restored is not None else None
-            if old_key == new_key:
-                continue
-            if old_key is not None:
+            if old_key != new_key:
                 index.delete(old_key)
-            if new_key is not None:
                 index.insert(new_key, rowid)
 
     def apply_truncate(self, object_id: ObjectId, scn: SCN) -> None:
@@ -407,10 +402,6 @@ class Table:
         see :meth:`Segment.truncate` -- does not carry the same key.
         """
         segment = self.partition(name).segment
-        columns = [
-            (self.schema.column_index(column), index)
-            for column, index in self.indexes.items()
-        ]
         for block in segment.blocks():
             for slot, head in enumerate(block.heads):
                 i = head
@@ -421,7 +412,7 @@ class Table:
                     continue
                 survivor = block.values[head] if head != i else None
                 rowid = RowId(block.dba, slot)
-                for c, index in columns:
+                for c, index in self._keyed:
                     key = wiped[c]
                     if index.search(key) == rowid and (
                         survivor is None or survivor[c] != key

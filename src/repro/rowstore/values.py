@@ -12,6 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+#: the IMCS holds NUMBER as float64, exact for ints up to 2**53
+_EXACT = 2**53
+
 
 class ColumnType(enum.Enum):
     """Supported column data types."""
@@ -26,8 +29,7 @@ class ColumnType(enum.Enum):
         if self is ColumnType.NUMBER:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return False
-            # the IMCS holds NUMBER as float64, exact for ints up to 2**53
-            return isinstance(value, float) or abs(value) <= 2**53
+            return isinstance(value, float) or abs(value) <= _EXACT
         return isinstance(value, str)
 
 
@@ -63,32 +65,45 @@ class Schema:
 
     columns: list[Column]
     _dropped: set[str] = field(default_factory=set)
-    # name -> position map; positions never change (DROP COLUMN is
-    # dictionary-only), so the map is built once in __post_init__
-    _index: dict[str, int] = field(default_factory=dict)
+    # the compiled row check: (position, column, is_number, nullable) per
+    # live column, by name in _live; positions never change (DROP COLUMN
+    # is dictionary-only), and drop_column recompiles
+    _checks: tuple = ()
+    _live: dict[str, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
-        self._index = {c.name: i for i, c in enumerate(self.columns)}
+        self._compile()
+
+    def _compile(self) -> None:
+        self._checks = tuple(
+            (i, c, c.ctype is ColumnType.NUMBER, c.nullable)
+            for i, c in enumerate(self.columns)
+            if c.name not in self._dropped
+        )
+        self._live = {check[1].name: check for check in self._checks}
 
     # -- lookup --------------------------------------------------------
+    def _check(self, name: str) -> tuple:
+        check = self._live.get(name)
+        if check is None:
+            if name in self._dropped:
+                raise KeyError(f"column {name!r} has been dropped")
+            raise KeyError(f"no such column: {name!r}")
+        return check
+
     def column_index(self, name: str) -> int:
         """Physical position of a live column in the stored row tuple."""
-        i = self._index.get(name)
-        if i is None:
-            raise KeyError(f"no such column: {name!r}")
-        if name in self._dropped:
-            raise KeyError(f"column {name!r} has been dropped")
-        return i
+        return self._check(name)[0]
 
     def column(self, name: str) -> Column:
-        return self.columns[self.column_index(name)]
+        return self._check(name)[1]
 
     @property
     def live_columns(self) -> list[Column]:
-        return [c for c in self.columns if c.name not in self._dropped]
+        return [check[1] for check in self._checks]
 
     @property
     def arity(self) -> int:
@@ -101,26 +116,47 @@ class Schema:
     # -- mutation (DDL) ------------------------------------------------
     def drop_column(self, name: str) -> None:
         """Dictionary-only column drop."""
-        self.column_index(name)  # raises if unknown or already dropped
+        self._check(name)  # raises if unknown or already dropped
         self._dropped.add(name)
+        self._compile()
 
     # -- row validation ------------------------------------------------
     def validate_row(self, values: tuple) -> None:
-        """Raise ``ValueError`` unless ``values`` matches this schema."""
-        if len(values) != self.arity:
+        """Raise ``ValueError`` unless ``values`` matches this schema.
+
+        Exact ``float``, in-range ``int`` and ``str`` values pass on a fast
+        path; any other value (``bool``, numpy scalars, ``str`` subclasses)
+        gets :meth:`ColumnType.validate`, so the accepted set is unchanged.
+        """
+        if len(values) != len(self.columns):
             raise ValueError(
                 f"row arity {len(values)} != schema arity {self.arity}"
             )
-        for col, value in zip(self.columns, values):
-            if col.name in self._dropped:
-                continue
-            if not col.validate(value):
-                raise _invalid(col, value)
+        for i, col, is_number, nullable in self._checks:
+            value = values[i]
+            if value is None:
+                if nullable:
+                    continue
+            else:
+                kind = type(value)
+                if is_number:
+                    if kind is float or (
+                        kind is int and -_EXACT <= value <= _EXACT
+                    ):
+                        continue
+                elif kind is str:
+                    continue
+                if col.ctype.validate(value):
+                    continue
+            raise _invalid(col, value)
 
-    def validate_value(self, col: Column, value: object) -> None:
-        """Raise ``ValueError`` unless ``value`` is storable in ``col``."""
+    def validate_value(self, name: str, value: object) -> int:
+        """Raise unless ``value`` is storable in live column ``name``;
+        return the column's position."""
+        i, col, __, __ = self._check(name)
         if not col.validate(value):
             raise _invalid(col, value)
+        return i
 
     def project(self, values: tuple, names: list[str]) -> tuple:
         """Extract the named columns from a stored row tuple."""

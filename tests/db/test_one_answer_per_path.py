@@ -9,6 +9,8 @@ its rows invalid, so the IMCU and its reconcile tail answer together.
   tests NULL), for every operator and either BETWEEN bound.
 * A NUMBER MIN/MAX is a float, also over int values.
 * A stored NaN makes MIN/MAX NaN, whichever partial holds it.
+* An index fetch of NULL or of a key of the other kind finds no row, and
+  a row with a NULL key is stored, shipped and scanned like any other.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def deployment(invalidate: bool) -> Deployment:
     built.create_table(TableDef("T", (
         ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
         ColumnDef.varchar("c1"),
-    ), rows_per_block=8))
+    ), rows_per_block=8, indexes=("id",)))
     built.create_table(TableDef("P", (
         ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
     ), rows_per_block=8))
@@ -154,3 +156,35 @@ def test_a_stored_nan_makes_min_max_nan_on_every_path(databases, path):
         databases[path]
     )
     assert math.isnan(low) and math.isnan(high)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_an_index_fetch_of_null_or_the_other_kind_finds_no_row(
+    databases, path
+):
+    database = databases[path]
+    assert database.index_fetch("T", "id", 3) == T_ROWS[3]
+    assert database.index_fetch("T", "id", "3") is None
+    assert database.index_fetch("T", "id", None) is None
+
+
+def test_a_row_with_a_null_key_reaches_both_scans():
+    """A NULL key is not indexed: the insert is not refused after its row
+    is stored, so the row has its redo and the standby sees it too."""
+    built = Deployment.build(config=small_config())
+    built.create_table(TableDef("N", (
+        ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
+        ColumnDef.varchar("c1"),
+    ), indexes=("id", "n1")))
+    txn = built.primary.begin()
+    for row in ((8, 80, "a"), (9, None, "b")):
+        built.primary.insert(txn, "N", row)
+    built.primary.commit(txn)
+    built.catch_up()
+    everything = parse_query("SELECT * FROM N")
+    for database in (built.primary, built.standby):
+        assert sorted(everything.run(database).rows) == [
+            (8, 80, "a"), (9, None, "b"),
+        ]
+        assert database.index_fetch("N", "n1", 80) == (8, 80, "a")
+        assert database.index_fetch("N", "n1", None) is None

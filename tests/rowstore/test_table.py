@@ -191,6 +191,22 @@ class TestIndex:
         with pytest.raises(ObjectNotFoundError):
             table.index_fetch("n1", 1, 10, txns)
 
+    def test_dropping_an_indexed_column_leaves_dml_working(
+        self, table, txns, xid_factory
+    ):
+        """The key position is resolved when the index is created: a
+        dictionary-only drop of its column no longer fails every later
+        statement (an insert used to, after storing its row)."""
+        table.create_index("id")
+        table.create_index("n1")
+        table.schema.drop_column("n1")
+        xid = xid_factory()
+        __, rowid = table.insert_row((1, 1.0, "x"), xid, 5)
+        table.update_row(rowid, {"id": 2}, xid, 6, txns)
+        txns.commit(xid, 7)
+        assert table.index_fetch("id", 2, 7, txns) == (2, 1.0, "x")
+        assert table.indexes["id"].search(1) is None
+
 
 class TestPartitions:
     def make_partitioned(self, simple_schema):
