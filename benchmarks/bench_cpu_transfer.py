@@ -37,7 +37,7 @@ def run_pair(config_factory):
         deployment = Deployment.build(config=bench_system_config())
         workload = OLTAPWorkload(deployment, config_factory())
         workload.setup(service=InMemoryService.BOTH)
-        primary_node = deployment.primary.instances[0].node
+        primary_node = deployment.primary.node
         standby_node = deployment.standby.node
         base_primary = primary_node.busy_seconds
         base_standby = standby_node.busy_seconds

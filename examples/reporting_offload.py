@@ -59,7 +59,7 @@ def main() -> None:
     assert factor > 5
 
     print("\n== where the work ran (CPU busy-seconds over the run) ==")
-    primary_node = deployment.primary.instances[0].node
+    primary_node = deployment.primary.node
     standby_node = deployment.standby.node
     print(render_table(
         ["node", "busy seconds"],

@@ -13,30 +13,23 @@ waiting for a cold re-population.
 1. **terminal recovery** -- drain every received record through merge,
    apply and invalidation flush, publishing the final QuerySCN (nothing
    shipped is lost);
-2. **activation** -- build a :class:`~repro.db.primary.PrimaryDatabase`
-   over the standby's physical structures (block store, catalog,
-   recovered transaction table) with the SCN clock resumed past the final
-   QuerySCN and transaction sequences resumed past every recovered
-   transaction;
-3. **IMCS carry-over** -- the standby's IMCUs/SMUs become the new
-   primary's column store; maintenance switches from redo mining to the
-   primary's synchronous commit-hook invalidation.  Section-V state
-   (join groups, expressions) carries over too.
+2. **activation** -- a :class:`~repro.db.primary.PrimaryDatabase`
+   mounted over the standby's core: block store, catalog, recovered
+   transaction table, join groups and the populated IMCS carry over by
+   identity, the SCN clock resumes past the final QuerySCN and transaction
+   sequences past every recovered transaction.  IMCS maintenance switches
+   from redo mining to the primary's synchronous commit-hook invalidation;
+3. **transaction recovery** -- every transaction still open at the
+   primary's loss is rolled back (PREPARED ones stay in doubt).
 """
 
 from __future__ import annotations
 
 from repro.chaos import sites
 from repro.common.errors import InvalidStateError
-from repro.common.ids import InstanceId
-from repro.common.scn import SCNClock
-from repro.imcs.population import PopulationEngine
-from repro.imcs.scan import ScanEngine
-from repro.redo.log import RedoLog
-from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Scheduler
-from repro.txn.manager import TransactionManager
-from repro.db.primary import PrimaryDatabase, PrimaryInstance
+from repro.txn.table import TxnState
+from repro.db.primary import PrimaryDatabase
 from repro.db.standby import StandbyDatabase
 
 
@@ -61,64 +54,43 @@ def terminal_recovery(
     return standby.query_scn.value
 
 
-def _next_sequence_for(standby: StandbyDatabase, instance: InstanceId) -> int:
-    """Resume transaction sequences past every recovered transaction."""
-    highest = 0
-    for xid in standby.txn_table._states:
-        if xid.instance == instance and xid.sequence > highest:
-            highest = xid.sequence
-    return highest + 1
-
-
 def activate(
     standby: StandbyDatabase,
     sched: Scheduler,
     n_instances: int = 1,
 ) -> PrimaryDatabase:
     """Open the (terminal-recovered) standby read-write as a new primary."""
-    config = standby.config
-    primary = PrimaryDatabase.__new__(PrimaryDatabase)
-    primary.config = config
-    primary.clock = SCNClock(start=max(standby.query_scn.value, 1) + 1)
-    primary.txn_table = standby.txn_table
-    primary.block_store = standby.block_store
-    primary.buffer_cache = standby.buffer_cache
-    primary.catalog = standby.catalog
-    primary.imcs_enabled_objects = set(standby.imcs.enabled_object_ids)
-    primary.instances = []
-    primary._actors = []
-    for i in range(1, n_instances + 1):
-        node = CpuNode(f"activated-primary-{i}", n_cpus=16)
-        log = RedoLog(thread=i)
-        manager = TransactionManager(
-            instance=i,
-            clock=primary.clock,
-            txn_table=primary.txn_table,
-            redo_log=log,
-            imcs_enabled_objects=primary.imcs_enabled_objects,
-            specialized_commit_redo=config.journal.specialized_commit_redo,
-        )
-        manager._next_sequence = _next_sequence_for(standby, i)
-        manager.on_commit.append(primary._dbim_commit_hook)
-        primary.instances.append(PrimaryInstance(i, manager, log, node))
-
-    # the column store survives the role transition
-    primary.imcs = standby.imcs
-    primary.population = PopulationEngine(
-        primary.imcs,
-        primary.txn_table,
-        snapshot_capture=lambda owner: primary.clock.current,
-        config=config.imcs,
+    primary = PrimaryDatabase(
+        standby.config,
+        n_instances,
+        mounted=standby,
+        start_scn=max(standby.query_scn.value, 1) + 1,
     )
-    primary.scan_engine = ScanEngine(primary.imcs, primary.txn_table)
-    # section-V feature state carries over
-    primary.join_groups = standby.join_groups
-    primary._join_executor = standby._join_executor
-    primary._aggregator = standby._aggregator
-    # rebind the executors' scan engines to the new role's engine
-    primary._join_executor.scan_engine = primary.scan_engine
-    primary._aggregator.scan_engine = primary.scan_engine
+    _roll_back_losers(primary)
     return primary
+
+
+def _roll_back_losers(primary: PrimaryDatabase) -> None:
+    """Transaction recovery: strip each still-ACTIVE transaction's versions
+    off the chain heads (repairing the indexes as apply does) and abort
+    it.  PREPARED ones stay in doubt."""
+    txns = primary.txn_table
+    losers = {
+        x for x in txns.open_transactions()
+        if txns.state_of(x) is TxnState.ACTIVE
+    }
+    for table in primary.catalog.tables() if losers else ():
+        for part in table.partitions.values():
+            for block in part.segment.blocks():
+                for slot, head in enumerate(block.heads):
+                    while head >= 0 and block.xids[head] in losers:
+                        table.apply_undo(
+                            part.object_id, block.dba, slot,
+                            block.xids[head], primary.clock.current,
+                        )
+                        head = block.heads[slot]
+    for xid in losers:
+        txns.abort(xid)
 
 
 def failover(

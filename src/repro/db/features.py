@@ -1,19 +1,20 @@
-"""Section-V feature APIs shared by the primary and standby façades.
+"""The database core both roles stand on.
 
-Join groups and the aggregation push-down are *derived*, redo-less
-structures, so each database side manages its own instances of them;
-this mixin provides the identical management surface on both
-:class:`~repro.db.primary.PrimaryDatabase` and
-:class:`~repro.db.standby.StandbyDatabase`.  The host class supplies
-``catalog``, ``imcs``, ``population``, ``scan_engine`` and
-``_query_snapshot()``.
+A primary and a standby are one :class:`Database` in two roles.
+:meth:`Database._mount` builds the core -- block store, buffer cache,
+catalog, transaction table, IMCS and join-group registry -- or takes those
+six from a ``mounted`` database (failover activation), then builds the
+engines over them.  The read side, in-memory management and the section-V
+features (join groups, aggregation push-down: derived, redo-less) are
+defined here once.  The role supplies ``config``, ``node``,
+``actor_prefix``, ``_query_snapshot()`` (the primary's current SCN, the
+standby's QuerySCN) and ``_capture_snapshot(owner)`` (population's).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.scn import SCN
 from repro.imcs.aggregate import AggregateResult, AggregateSpec, Aggregator
 from repro.imcs.join_groups import (
     JoinExecutor,
@@ -21,19 +22,110 @@ from repro.imcs.join_groups import (
     JoinGroupRegistry,
     JoinResult,
 )
-from repro.imcs.scan import Predicate
+from repro.imcs.population import PopulationEngine
+from repro.imcs.scan import Predicate, ScanEngine, ScanResult
+from repro.imcs.store import InMemoryColumnStore
+from repro.rowstore.buffer_cache import BufferCache
+from repro.rowstore.segment import BlockStore
+from repro.rowstore.undo_retention import UndoRetentionManager
+from repro.sim.scheduler import Actor, ActorOwner, Scheduler
+from repro.txn.table import TransactionTable
+from repro.db.catalog import Catalog
 
 
-class InMemoryFeaturesMixin:
-    """Join groups + aggregation push-down for one database side."""
+class Database(ActorOwner):
+    """One database's core and its role-independent surface."""
 
-    def _init_features(self) -> None:
-        self.join_groups = JoinGroupRegistry()
+    #: Prefix of the actors this database names (``<prefix>-undo-retention``).
+    actor_prefix: str
+
+    def _mount(self, mounted: Optional["Database"] = None) -> None:
+        """Build the core, or mount ``mounted``'s; then the engines."""
+        if mounted is None:
+            self.block_store = BlockStore()
+            self.buffer_cache = BufferCache()
+            self.catalog = Catalog(self.block_store, self.buffer_cache)
+            self.txn_table = TransactionTable()
+            self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
+            self.join_groups = JoinGroupRegistry()
+        else:
+            self.block_store = mounted.block_store
+            self.buffer_cache = mounted.buffer_cache
+            self.catalog = mounted.catalog
+            self.txn_table = mounted.txn_table
+            self.imcs = mounted.imcs
+            self.join_groups = mounted.join_groups
+        self.population = PopulationEngine(
+            self.imcs,
+            self.txn_table,
+            snapshot_capture=self._capture_snapshot,
+            config=self.config.imcs,
+        )
+        self.scan_engine = ScanEngine(self.imcs, self.txn_table)
         self._join_executor = JoinExecutor(self.scan_engine, self.join_groups)
         self._aggregator = Aggregator(self.scan_engine)
+        #: The actors this database scheduled (ActorOwner).
+        self._actors: list[Actor] = []
 
-    def _query_snapshot(self) -> SCN:
-        raise NotImplementedError
+    def attach_undo_retention(self, sched: Scheduler) -> None:
+        """Bound version-chain growth on this database's row store."""
+        self.attach_actor(sched, UndoRetentionManager(
+            self.block_store,
+            self.config.rowstore.undo_retention_versions,
+            name=f"{self.actor_prefix}-undo-retention",
+            node=self.node,
+        ))
+
+    # ------------------------------------------------------------------
+    # in-memory enablement
+    # ------------------------------------------------------------------
+    def enable_inmemory(
+        self,
+        table_name: str,
+        partition: Optional[str] = None,
+        columns: Optional[list[str]] = None,
+        priority: int = 0,
+    ) -> list[int]:
+        """Enable object(s) for population here; returns the enabled
+        object ids."""
+        table = self.catalog.table(table_name)
+        self.imcs.enable(table, partition, columns, priority)
+        names = [partition] if partition else list(table.partitions)
+        object_ids = [table.partition(n).object_id for n in names]
+        self.population.schedule_all()
+        return object_ids
+
+    def add_inmemory_expression(self, table_name: str, expression) -> None:
+        """Register an In-Memory Expression on every enabled partition of
+        a table (section V: "In-Memory Expressions are now supported on
+        the Standby database"); IMCUs repopulate with it included."""
+        table = self.catalog.table(table_name)
+        for object_id in table.object_ids:
+            if self.imcs.is_enabled(object_id):
+                self.imcs.add_expression(object_id, expression)
+        self.population.schedule_all()
+
+    # ------------------------------------------------------------------
+    # queries (at the role's query snapshot)
+    # ------------------------------------------------------------------
+    def query(
+        self,
+        table_name: str,
+        predicates: Optional[list[Predicate]] = None,
+        columns: Optional[list[str]] = None,
+        partitions: Optional[list[str]] = None,
+    ) -> ScanResult:
+        """Scan through this database's IMCS at its query snapshot."""
+        table = self.catalog.table(table_name)
+        return self.scan_engine.scan(
+            table, self._query_snapshot(), predicates, columns, partitions
+        )
+
+    def index_fetch(self, table_name: str, column: str, key):
+        table = self.catalog.table(table_name)
+        return table.index_fetch(
+            column, key, self._query_snapshot(), self.txn_table
+        )
 
     # ------------------------------------------------------------------
     # join groups

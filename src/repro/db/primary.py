@@ -30,9 +30,7 @@ from typing import Optional
 from repro.common.config import SystemConfig
 from repro.common.ids import InstanceId, ObjectId, RowId, TenantId, TransactionId
 from repro.common.scn import SCN, SCNClock
-from repro.imcs.population import PopulationEngine, PopulationWorker
-from repro.imcs.scan import Predicate, ScanEngine, ScanResult
-from repro.imcs.store import InMemoryColumnStore
+from repro.imcs.population import PopulationWorker
 from repro.redo.log import RedoLog
 from repro.redo.records import (
     CVOp,
@@ -41,16 +39,11 @@ from repro.redo.records import (
     truncate_dba,
     txn_table_dba,
 )
-from repro.rowstore.buffer_cache import BufferCache
-from repro.rowstore.segment import BlockStore
 from repro.rowstore.table import Table
-from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, ActorOwner, Scheduler
+from repro.sim.scheduler import Actor, Scheduler
 from repro.txn.manager import Transaction, TransactionManager
-from repro.txn.table import TransactionTable
-from repro.db.catalog import Catalog
-from repro.db.features import InMemoryFeaturesMixin
+from repro.db.features import Database
 from repro.db.schema_def import TableDef
 
 
@@ -109,27 +102,36 @@ class PrimaryInstance:
         return f"PrimaryInstance({self.instance_id})"
 
 
-class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
-    """The primary cluster: transactions, redo generation, primary DBIM."""
+class PrimaryDatabase(Database):
+    """The primary cluster: transactions, redo generation, primary DBIM.
+
+    With ``mounted`` it opens that database's core read-write instead of
+    building one (failover activation, :mod:`repro.db.failover`): its
+    SCN clock starts at ``start_scn``.
+    """
+
+    actor_prefix = "primary"
 
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
         n_instances: Optional[int] = None,
+        mounted: Optional[Database] = None,
+        start_scn: SCN = 1,
     ) -> None:
         self.config = config or SystemConfig()
         count = n_instances or self.config.rac.primary_instances
-        self.clock = SCNClock()
-        self.txn_table = TransactionTable()
-        self.block_store = BlockStore()
-        self.buffer_cache = BufferCache()
-        self.catalog = Catalog(self.block_store, self.buffer_cache)
+        self.clock = SCNClock(start=start_scn)
+        self._mount(mounted)
         #: Objects enabled for IMCS population on *any* database -- drives
         #: the specialized commit-record flag (paper, III-E).
-        self.imcs_enabled_objects: set[ObjectId] = set()
+        self.imcs_enabled_objects: set[ObjectId] = set(
+            self.imcs.enabled_object_ids
+        )
+        node_prefix = "primary" if mounted is None else "activated-primary"
         self.instances: list[PrimaryInstance] = []
         for i in range(1, count + 1):
-            node = CpuNode(f"primary-{i}", n_cpus=16)
+            node = CpuNode(f"{node_prefix}-{i}", n_cpus=16)
             log = RedoLog(thread=i)
             manager = TransactionManager(
                 instance=i,
@@ -142,20 +144,10 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
             manager.on_commit.append(self._dbim_commit_hook)
             self.instances.append(PrimaryInstance(i, manager, log, node))
 
-        # primary-side DBIM
-        self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
-        self.population = PopulationEngine(
-            self.imcs,
-            self.txn_table,
-            snapshot_capture=lambda owner: self.clock.current,
-            config=self.config.imcs,
-        )
-        self.scan_engine = ScanEngine(self.imcs, self.txn_table)
-        self._init_features()
-        #: The actors this primary scheduled (ActorOwner).
-        self._actors: list[Actor] = []
-
     def _query_snapshot(self) -> SCN:
+        return self.clock.current
+
+    def _capture_snapshot(self, owner: object) -> SCN:
         return self.clock.current
 
     # ------------------------------------------------------------------
@@ -163,6 +155,11 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
     # ------------------------------------------------------------------
     def instance(self, instance_id: InstanceId) -> PrimaryInstance:
         return self.instances[instance_id - 1]
+
+    @property
+    def node(self) -> CpuNode:
+        """Instance 1's node: where the primary's background work runs."""
+        return self.instances[0].node
 
     @property
     def redo_logs(self) -> list[RedoLog]:
@@ -184,20 +181,11 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
                 sched,
                 PopulationWorker(
                     self.population,
-                    name=f"primary-popworker-{i}",
-                    node=self.instances[0].node,
+                    name=f"{self.actor_prefix}-popworker-{i}",
+                    node=self.node,
                     sweep=(i == 0),
                 ),
             )
-
-    def attach_undo_retention(self, sched: Scheduler) -> None:
-        """Bound version-chain growth on the primary's row store."""
-        self.attach_actor(sched, UndoRetentionManager(
-            self.block_store,
-            self.config.rowstore.undo_retention_versions,
-            name="primary-undo-retention",
-            node=self.instances[0].node,
-        ))
 
     # ------------------------------------------------------------------
     # DDL
@@ -304,22 +292,12 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
         partition: Optional[str] = None,
         columns: Optional[list[str]] = None,
         priority: int = 0,
-    ) -> None:
-        table = self.catalog.table(table_name)
-        self.imcs.enable(table, partition, columns, priority)
-        names = [partition] if partition else list(table.partitions)
-        for name in names:
-            self.imcs_enabled_objects.add(table.partition(name).object_id)
-        self.population.schedule_all()
-
-    def add_inmemory_expression(self, table_name: str, expression) -> None:
-        """Register an In-Memory Expression on every enabled partition of
-        a table (section V feature); IMCUs repopulate with it included."""
-        table = self.catalog.table(table_name)
-        for object_id in table.object_ids:
-            if self.imcs.is_enabled(object_id):
-                self.imcs.add_expression(object_id, expression)
-        self.population.schedule_all()
+    ) -> list[ObjectId]:
+        object_ids = super().enable_inmemory(
+            table_name, partition, columns, priority
+        )
+        self.imcs_enabled_objects.update(object_ids)
+        return object_ids
 
     def note_standby_enablement(self, object_ids: list[ObjectId]) -> None:
         """Record that the standby populates these objects, so commit
@@ -378,23 +356,3 @@ class PrimaryDatabase(InMemoryFeaturesMixin, ActorOwner):
 
     def rollback(self, txn: Transaction) -> None:
         self.manager_of(txn).rollback(txn)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        table_name: str,
-        predicates: Optional[list[Predicate]] = None,
-        columns: Optional[list[str]] = None,
-        partitions: Optional[list[str]] = None,
-    ) -> ScanResult:
-        """Run a scan at the current SCN through the primary's IMCS."""
-        table = self.catalog.table(table_name)
-        return self.scan_engine.scan(
-            table, self.clock.current, predicates, columns, partitions
-        )
-
-    def index_fetch(self, table_name: str, column: str, key):
-        table = self.catalog.table(table_name)
-        return table.index_fetch(column, key, self.clock.current, self.txn_table)

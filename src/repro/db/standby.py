@@ -41,22 +41,14 @@ from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.flush import InvalidationFlushComponent
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
-from repro.imcs.population import PopulationEngine, PopulationWorker
+from repro.imcs.population import PopulationWorker
 from repro.obs.restart import record_restart
 from repro.restart.replay import RestartReport, instant_restart
-from repro.imcs.scan import Predicate, ScanEngine, ScanResult
-from repro.imcs.store import InMemoryColumnStore
 from repro.redo.shipping import RedoReceiver
-from repro.rowstore.buffer_cache import BufferCache
-from repro.rowstore.segment import BlockStore
-from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, ActorOwner, Scheduler
-from repro.txn.table import TransactionTable
+from repro.sim.scheduler import Scheduler
 from repro.db.applier import PhysicalApplier
-from repro.db.catalog import Catalog
-from repro.db.features import InMemoryFeaturesMixin
-from repro.db.schema_def import TableDef
+from repro.db.features import Database
 
 
 class StandbyInstance:
@@ -139,27 +131,21 @@ class StandbyInstance:
         ]
 
 
-class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
+class StandbyDatabase(Database, StandbyInstance):
     """One standby instance (the apply master of a RAC standby)."""
 
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
-        table_defs: Optional[list[TableDef]] = None,
         dbim_enabled: bool = True,
         node: Optional[CpuNode] = None,
     ) -> None:
         self.config = config or SystemConfig()
         self.dbim_enabled = dbim_enabled
         self.node = node or CpuNode("standby-1", n_cpus=16)
-
-        # --- row store ("datafiles" + recovered dictionary) -------------
-        self.block_store = BlockStore()
-        self.buffer_cache = BufferCache()
-        self.catalog = Catalog(self.block_store, self.buffer_cache)
-        for table_def in table_defs or []:
-            self.catalog.create_table(table_def)
-        self.txn_table = TransactionTable()
+        # the row store ("datafiles" + recovered dictionary), the IMCS and
+        # population at the QuerySCN (StandbyInstance._capture_snapshot)
+        self._mount()
         self.applier = PhysicalApplier(self.catalog, self.txn_table)
 
         # --- media recovery pipeline -------------------------------------
@@ -167,7 +153,7 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
         self.receiver = RedoReceiver()
         # actors are named after the node, so N standbys can share one
         # scheduler without name collisions
-        prefix = self.node.name
+        prefix = self.actor_prefix = self.node.name
         self.merger = LogMerger(
             self.receiver, node=self.node, name=f"{prefix}-log-merger"
         )
@@ -176,7 +162,6 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
         self.query_scn = QuerySCNPublisher()
 
         # --- DBIM-on-ADG components -------------------------------------
-        self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
         self._init_mining()
         self.flush = InvalidationFlushComponent(
             self.journal,
@@ -201,18 +186,6 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
             node=self.node,
             name=f"{prefix}-recovery-coordinator",
         )
-
-        # --- population (QuerySCN-snapshot discipline) --------------------
-        self.population = PopulationEngine(
-            self.imcs,
-            self.txn_table,
-            snapshot_capture=self._capture_snapshot,
-            config=self.config.imcs,
-        )
-        self.scan_engine = ScanEngine(self.imcs, self.txn_table)
-        self._init_features()
-        #: The actors this standby scheduled (ActorOwner).
-        self._actors: list[Actor] = []
         self.restarts = 0
         self.instant_restarts = 0
         # --- instant restart (opt-in, see enable_restart_checkpoints) ----
@@ -237,71 +210,11 @@ class StandbyDatabase(InMemoryFeaturesMixin, StandbyInstance, ActorOwner):
         ):
             self.attach_actor(sched, actor)
 
-    def attach_undo_retention(self, sched: Scheduler) -> None:
-        """Bound version-chain growth on this standby's row store."""
-        self.attach_actor(sched, UndoRetentionManager(
-            self.block_store,
-            self.config.rowstore.undo_retention_versions,
-            name=f"{self.node.name}-undo-retention",
-            node=self.node,
-        ))
-
     @property
     def mounted(self) -> bool:
         """Whether the pipeline is scheduled: ``attach_actors`` ran and
         ``detach_actors`` (standby loss, failover) has not."""
         return bool(self._actors)
-
-    # ------------------------------------------------------------------
-    # in-memory enablement (standby side)
-    # ------------------------------------------------------------------
-    def enable_inmemory(
-        self,
-        table_name: str,
-        partition: Optional[str] = None,
-        columns: Optional[list[str]] = None,
-        priority: int = 0,
-    ) -> list[int]:
-        """Enable object(s) for population on this standby; returns the
-        enabled object ids (the deployment reports them to the primary for
-        specialized commit redo)."""
-        table = self.catalog.table(table_name)
-        self.imcs.enable(table, partition, columns, priority)
-        names = [partition] if partition else list(table.partitions)
-        object_ids = [table.partition(n).object_id for n in names]
-        self.population.schedule_all()
-        return object_ids
-
-    def add_inmemory_expression(self, table_name: str, expression) -> None:
-        """Register an In-Memory Expression on every enabled partition of
-        a table (section V: "In-Memory Expressions are now supported on
-        the Standby database"); IMCUs repopulate with it included."""
-        table = self.catalog.table(table_name)
-        for object_id in table.object_ids:
-            if self.imcs.is_enabled(object_id):
-                self.imcs.add_expression(object_id, expression)
-        self.population.schedule_all()
-
-    # ------------------------------------------------------------------
-    # queries (read-only, at the QuerySCN)
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        table_name: str,
-        predicates: Optional[list[Predicate]] = None,
-        columns: Optional[list[str]] = None,
-        partitions: Optional[list[str]] = None,
-    ) -> ScanResult:
-        table = self.catalog.table(table_name)
-        return self.scan_engine.scan(
-            table, self.query_scn.value, predicates, columns, partitions
-        )
-
-    def index_fetch(self, table_name: str, column: str, key):
-        table = self.catalog.table(table_name)
-        return table.index_fetch(
-            column, key, self.query_scn.value, self.txn_table
-        )
 
     # ------------------------------------------------------------------
     # lag metrics (Fig. 11)

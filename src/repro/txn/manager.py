@@ -77,7 +77,9 @@ class TransactionManager:
         self.imcs_enabled_objects = imcs_enabled_objects
         self.specialized_commit_redo = specialized_commit_redo
         self._txn_dba = txn_table_dba(instance)
-        self._next_sequence = 1
+        # a manager over a recovered table (failover activation) resumes
+        # past every transaction the table already holds for its instance
+        self._next_sequence = txn_table.highest_sequence(instance) + 1
         #: Callbacks fired after a commit: fn(txn, commit_scn).  The
         #: primary's own DBIM transaction manager hooks in here to
         #: invalidate SMU rows.

@@ -13,7 +13,7 @@ import enum
 from typing import Optional
 
 from repro.common.errors import InvalidStateError
-from repro.common.ids import TransactionId
+from repro.common.ids import InstanceId, TransactionId
 from repro.common.scn import SCN
 
 
@@ -74,6 +74,14 @@ class TransactionTable:
 
     def is_finished(self, xid: TransactionId) -> bool:
         return self._states.get(xid) in (TxnState.COMMITTED, TxnState.ABORTED)
+
+    def highest_sequence(self, instance: InstanceId) -> int:
+        """The highest sequence of ``instance``'s transactions here (0 if
+        none)."""
+        return max(
+            (x.sequence for x in self._states if x.instance == instance),
+            default=0,
+        )
 
     def open_transactions(self) -> list[TransactionId]:
         """Transactions still ACTIVE or PREPARED (e.g. for invariant

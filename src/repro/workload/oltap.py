@@ -213,9 +213,8 @@ class DMLDriver(Actor):
 class QueryDriver(Actor):
     """Issues Table 1's Q1/Q2 full scans and records response times.
 
-    ``target`` is either the primary or the standby database (anything
-    with a ``query`` method and a CPU node attribute resolvable through
-    ``node_of``).
+    ``target`` is ``"primary"`` or ``"standby"``: the deployment's
+    database whose ``query`` runs the scans and whose ``node`` is charged.
     """
 
     def __init__(
@@ -226,6 +225,10 @@ class QueryDriver(Actor):
         scans_per_sec: Optional[float] = None,
         name: str = "query-driver",
     ) -> None:
+        if target not in ("primary", "standby"):
+            raise ValueError(
+                f"query target must be 'primary' or 'standby', not {target!r}"
+            )
         self.deployment = deployment
         self.config = config
         self.target = target
@@ -246,11 +249,6 @@ class QueryDriver(Actor):
             if self.target == "standby"
             else self.deployment.primary
         )
-
-    def _target_node(self):
-        if self.target == "standby":
-            return self.deployment.standby.node
-        return self.deployment.primary.instances[0].node
 
     def run_one_query(self) -> float:
         """Run one ad-hoc scan; returns its simulated response time."""
@@ -277,7 +275,7 @@ class QueryDriver(Actor):
         if self.scans_per_sec <= 0:
             return None
         latency = self.run_one_query()
-        self._target_node().charge(latency)
+        self._database().node.charge(latency)
         # pacing: one scan per 1/rate seconds (response time included
         # -- the paper's drivers block on their queries)
         return max(latency, 1.0 / self.scans_per_sec)

@@ -7,8 +7,10 @@ from repro.db.failover import failover, terminal_recovery
 from repro.imcs import AggregateSpec, Predicate
 from repro.imcs.population import PopulationWorker
 from repro.redo.shipping import LogShipper
+from repro.txn.table import TxnState
 
 from tests.db.conftest import load, simple_table_def, small_config
+from tests.property.test_index_matches_heap import assert_indexes_match_heap
 
 
 @pytest.fixture
@@ -118,6 +120,85 @@ class TestFailover:
         )
         assert result.values == [100, 99.0]
         assert result.pushed_down_rows > 0
+
+
+class TestActivation:
+    def test_activated_primary_mounts_the_standby_core(
+        self, ready, monkeypatch
+    ):
+        """One core, two roles: the activated primary takes the standby's
+        core by identity and runs its own engines over it."""
+        deployment, __ = ready
+        standby = deployment.standby
+        kill_primary(deployment)
+        new_primary = failover(standby, deployment.sched)
+        for name in (
+            "block_store", "catalog", "txn_table", "imcs", "join_groups",
+        ):
+            assert getattr(new_primary, name) is getattr(standby, name), name
+        assert new_primary.scan_engine is not standby.scan_engine
+        scanned_by = []
+        for db in (new_primary, standby):
+            scan = db.scan_engine.scan
+
+            def counted(*args, _db=db, _scan=scan, **kwargs):
+                scanned_by.append(_db)
+                return _scan(*args, **kwargs)
+
+            monkeypatch.setattr(db.scan_engine, "scan", counted)
+        assert new_primary.aggregate(
+            "T", [AggregateSpec("count")]
+        ).values == [100]
+        assert len(new_primary.join("T", "id", "T", "id").rows) == 100
+        assert len(scanned_by) >= 2
+        assert all(db is new_primary for db in scanned_by)
+
+    def test_in_flight_transaction_is_rolled_back(self, ready):
+        """A transaction still open when the primary is lost is a loser:
+        activation strips its update, insert and delete and aborts it, so
+        the new primary serves the old primary's CR at the final QuerySCN
+        and none of the loser's rows stays locked."""
+        deployment, rowids = ready
+        old = deployment.primary
+        loser = old.begin()
+        old.update(loser, "T", rowids[3], {"n1": -3.0})
+        old.insert(loser, "T", (500, 5.0, "loser"))
+        old.delete(loser, "T", rowids[4])
+        deployment.run(0.2)
+        kill_primary(deployment)
+        standby = deployment.standby
+        final = terminal_recovery(standby, deployment.sched)
+        assert standby.txn_table.state_of(loser.xid) is TxnState.ACTIVE
+        assert standby.catalog.table("T").indexes["id"].search(500)
+
+        new_primary = failover(standby, deployment.sched)
+        assert new_primary.txn_table.state_of(loser.xid) is TxnState.ABORTED
+        expected = old.scan_engine.scan(old.catalog.table("T"), final).rows
+        assert sorted(new_primary.query("T").rows) == sorted(expected)
+        table = new_primary.catalog.table("T")
+        assert_indexes_match_heap(table)
+        assert table.indexes["id"].search(500) is None
+
+        txn = new_primary.begin()
+        new_primary.update(txn, "T", rowids[3], {"n1": 3.5})
+        new_primary.update(txn, "T", rowids[4], {"n1": 4.5})
+        new_primary.insert(txn, "T", (500, 5.0, "winner"))
+        new_primary.commit(txn)
+        assert new_primary.index_fetch("T", "id", 3) == (3, 3.5, "v3")
+        assert new_primary.index_fetch("T", "id", 4) == (4, 4.5, "v4")
+        assert new_primary.index_fetch("T", "id", 500) == (500, 5.0, "winner")
+        assert_indexes_match_heap(table)
+
+    def test_sequences_resume_past_the_recovered_transactions(self, ready):
+        deployment, __ = ready
+        standby = deployment.standby
+        highest = standby.txn_table.highest_sequence(1)
+        assert highest >= 1
+        assert standby.txn_table.highest_sequence(2) == 0
+        kill_primary(deployment)
+        new_primary = failover(standby, deployment.sched, n_instances=2)
+        assert new_primary.begin().xid.sequence == highest + 1
+        assert new_primary.begin(instance_id=2).xid.sequence == 1
 
 
 class TestDetachByIdentity:

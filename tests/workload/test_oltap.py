@@ -65,6 +65,12 @@ class TestWorkloadRun:
         result = deployment.standby.query(config.table_name)
         assert len(result.rows) == config.n_rows + workload.dml_driver.inserts
 
+    def test_misspelt_scan_target_raises(self):
+        deployment = Deployment.build(config=small_config())
+        workload = OLTAPWorkload(deployment, tiny_config())
+        with pytest.raises(ValueError, match="standy"):
+            workload.start(scan_target="standy")
+
     def test_query_driver_records_latencies(self):
         deployment, workload = self.run_workload(tiny_config())
         assert len(workload.query_driver.q1) + len(workload.query_driver.q2) > 0
