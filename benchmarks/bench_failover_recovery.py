@@ -38,7 +38,7 @@ def prepared_deployment():
     )
     workload = OLTAPWorkload(deployment, config)
     workload.setup(service=InMemoryService.STANDBY)
-    workload.start(sample_metrics=False)
+    workload.start()
     workload.run()
     workload.stop()
     deployment.catch_up()

@@ -44,7 +44,7 @@ def prepared_deployment():
     workload = OLTAPWorkload(deployment, config)
     workload.setup(service=InMemoryService.STANDBY)
     deployment.enable_restart_checkpoints()
-    workload.start(sample_metrics=False)
+    workload.start()
     workload.run()
     workload.stop()
     deployment.catch_up()

@@ -22,9 +22,9 @@ class ListenerFanoutError(ReproError):
 
     The publication itself is complete -- ``value``/``history`` advanced
     and **every** listener was notified (a poisoned listener must not
-    leave later listeners, e.g. non-master RAC coordinators or fleet lag
-    samplers, permanently behind).  The individual exceptions are kept
-    on :attr:`errors`.
+    leave later listeners, e.g. non-master RAC coordinators or the fleet
+    router's per-member lag gauges, permanently behind).  The individual
+    exceptions are kept on :attr:`errors`.
     """
 
     def __init__(self, scn: SCN, errors: list[BaseException]) -> None:

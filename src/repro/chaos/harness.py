@@ -9,44 +9,31 @@
    tracer on the collecting registry);
 2. arm the scenario's :class:`~repro.chaos.plan.FaultPlan` on the
    simulated scheduler;
-3. drive the scenario's workload, sampling the redo lag over time into a
-   :class:`~repro.obs.registry.Series`;
+3. drive the scenario's workload;
 4. catch the standby up and evaluate every invariant;
 5. emit a :class:`ScenarioReport` whose rendering is **byte-stable**: it
    contains only values derived from the simulation (no wall clock, no
    ids, no unordered iteration), so two runs with the same seed produce
    identical reports -- the replayability contract chaos debugging needs.
+
+The report's redo lag is read from the lifecycle tracer, not polled: the
+harness adds no actor of its own to the scheduler, so observing a
+scenario does not move it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.chaos.invariants import InvariantResult
 from repro.chaos.plan import ChaosContext, ChaosEvent
 from repro.chaos.sites import SiteRegistry, recording
-from repro.obs.registry import MetricsSnapshot, Series
-from repro.sim.scheduler import Actor, Scheduler
+from repro.obs.registry import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.scenarios import Scenario
-
-
-class LagSampler(Actor):
-    """Samples how far the published QuerySCN trails redo generation."""
-
-    def __init__(self, deployment, interval: float = 0.05) -> None:
-        self.deployment = deployment
-        self.interval = interval
-        self.name = "chaos-lag-sampler"
-        self.node = None
-        self.series = Series("redo_lag_scns")
-
-    def step(self, sched: Scheduler) -> Optional[float]:
-        self.series.record(sched.now, self.deployment.redo_lag_scns)
-        return self.interval
 
 
 @dataclass
@@ -60,7 +47,11 @@ class ScenarioReport:
     events: list[ChaosEvent]
     invariants: list[InvariantResult]
     stats: dict[str, int]
-    lag: Series = field(default_factory=lambda: Series("lag"))
+    #: Worst generated-vs-published SCN gap from the moment the scenario
+    #: starts driving (``RedoLifecycleTracer.worst_scn_gap``), and the
+    #: deployment's redo lag once it has finished.
+    lag_peak: float = 0.0
+    lag_final: int = 0
     finished_at: float = 0.0
     #: Metrics snapshot of the run's collecting registry (None when the
     #: report was assembled without one, e.g. in unit tests).
@@ -90,14 +81,11 @@ class ScenarioReport:
         lines += [
             f"  {key} = {self.stats[key]}" for key in sorted(self.stats)
         ]
-        if len(self.lag):
-            peak = max(v for __, v in self.lag.points)
-            final = self.lag.last_value
-            lines += [
-                "",
-                f"lag: {len(self.lag)} samples, peak {peak:.0f} SCNs, "
-                f"final {final:.0f} SCNs",
-            ]
+        lines += [
+            "",
+            f"lag: peak {self.lag_peak:.0f} SCNs, "
+            f"final {self.lag_final} SCNs",
+        ]
         if self.metrics is not None:
             traced = self.metrics.total("lifecycle.tracked")
             completed = self.metrics.total("lifecycle.completed")
@@ -138,11 +126,9 @@ class ChaosHarness:
             )
             plan = scenario.plan(self.seed)
             plan.arm(ctx)
-            sampler = LagSampler(deployment)
-            deployment.sched.add_actor(sampler)
+            drive_start = deployment.sched.now
             scenario.drive(ctx)
             scenario.finish(ctx)
-            deployment.sched.remove_actor(sampler)
             results = [inv.check(ctx) for inv in scenario.invariants(ctx)]
         return ScenarioReport(
             scenario=scenario.name,
@@ -152,7 +138,8 @@ class ChaosHarness:
             events=list(ctx.events),
             invariants=results,
             stats=scenario.stats(ctx),
-            lag=sampler.series,
+            lag_peak=deployment.obs.tracer.worst_scn_gap(after=drive_start),
+            lag_final=deployment.redo_lag_scns,
             finished_at=deployment.sched.now,
             metrics=metrics.snapshot(),
         )

@@ -63,25 +63,20 @@ class _Tracked:
 
 
 class RedoLifecycleTracer:
-    """Stamps sampled redo records through the pipeline stages.
+    """Stamps every redo record through the pipeline stages.
 
     ``clock`` is anything with a ``now`` attribute in simulated seconds
-    (the scheduler, or the sim clock itself).  ``sample_every`` tracks one
-    record in N (by SCN) to bound tracking cost on long runs; the SCN
-    series and stage counters still see every record.
+    (the scheduler, or the sim clock itself).  The tracer is passive: it
+    only records what the pipeline tells it, and never adds an actor or
+    draws from the scheduler's jitter stream, so arming it leaves a
+    seeded run unchanged.
     """
 
     def __init__(
-        self,
-        clock,
-        registry: Optional[MetricsRegistry] = None,
-        sample_every: int = 1,
+        self, clock, registry: Optional[MetricsRegistry] = None
     ) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self._clock = clock
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.sample_every = sample_every
         reg = self.registry
         self._stage_hist = {
             stage: reg.histogram(f"lifecycle.stage.{stage}")
@@ -108,9 +103,6 @@ class RedoLifecycleTracer:
         """Tracked records not yet covered by a published QuerySCN."""
         return len(self._tracked)
 
-    def _sampled(self, scn: int) -> bool:
-        return scn % self.sample_every == 0
-
     def _stamp(self, entry: _Tracked, stage: str, t: float) -> None:
         if stage in entry.stamps:
             return
@@ -124,7 +116,7 @@ class RedoLifecycleTracer:
 
     def _track(self, scn: int, n_cvs: int) -> Optional[_Tracked]:
         entry = self._tracked.get(scn)
-        if entry is None and self._sampled(scn):
+        if entry is None:
             entry = _Tracked(n_cvs)
             self._tracked[scn] = entry
             heapq.heappush(self._awaiting_publish, scn)
@@ -242,7 +234,9 @@ class RedoLifecycleTracer:
     def worst_scn_gap(self, after: float = 0.0) -> float:
         """Peak generated-vs-published gap over every generation sample
         at or after ``after`` (warm-up exclusion, as in the Fig. 11
-        bench)."""
+        bench).  The published series is the max over every publisher,
+        so with several standbys (or MIRA instances) the gap is measured
+        against the first publication of each SCN."""
         worst = 0.0
         for series in self._generated_series.values():
             for t, generated in series.points:

@@ -12,7 +12,6 @@ from repro.workload.oltap import (
     OLTAPWorkload,
     DMLDriver,
     QueryDriver,
-    MetricsSampler,
     wide_table_def,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "OLTAPWorkload",
     "DMLDriver",
     "QueryDriver",
-    "MetricsSampler",
     "wide_table_def",
 ]

@@ -16,22 +16,20 @@ scheduler actors:
   at the target rate (pacing via its actor timeline; CPU charged per-op to
   the primary node);
 * :class:`QueryDriver` runs Table 1's Q1/Q2 full scans against whichever
-  database it is pointed at and records response times;
-* :class:`MetricsSampler` snapshots log SCNs, QuerySCN and per-node CPU
-  over time (Fig. 11 and the CPU-transfer numbers).
+  database it is pointed at and records response times.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.ids import InstanceId
 from repro.db.deployment import Deployment, InMemoryService
 from repro.db.schema_def import ColumnDef, PartitionScheme, TableDef
 from repro.imcs.scan import Predicate
-from repro.obs import Histogram, Series
+from repro.obs import Histogram
 from repro.rowstore.table import RowLockConflictError
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -281,42 +279,6 @@ class QueryDriver(Actor):
         return max(latency, 1.0 / self.scans_per_sec)
 
 
-@dataclass(slots=True)
-class MetricsSampler(Actor):  # type: ignore[misc]
-    """Samples log progress, QuerySCN and CPU over time."""
-
-    deployment: Deployment
-    interval: float = 0.05
-    name: str = "metrics-sampler"
-    node: Optional[object] = None
-    speed: float = 1.0
-    idle_backoff: float = 0.001
-    primary_log_series: dict[InstanceId, Series] = field(default_factory=dict)
-    standby_applied: Series = field(
-        default_factory=lambda: Series("std_applied")
-    )
-    query_scn: Series = field(default_factory=lambda: Series("query_scn"))
-    cpu_busy: dict[str, Series] = field(default_factory=dict)
-
-    def step(self, sched: Scheduler) -> Optional[float]:
-        deployment = self.deployment
-        now = sched.now
-        for instance in deployment.primary.instances:
-            series = self.primary_log_series.setdefault(
-                instance.instance_id,
-                Series(f"pri_log{instance.instance_id}"),
-            )
-            series.record(now, instance.redo_log.last_scn)
-        self.standby_applied.record(now, deployment.standby.applied_through_scn)
-        self.query_scn.record(now, deployment.standby.query_scn.value)
-        nodes = [i.node for i in deployment.primary.instances]
-        nodes.append(deployment.standby.node)
-        for node in nodes:
-            series = self.cpu_busy.setdefault(node.name, Series(node.name))
-            series.record(now, node.busy_seconds)
-        return self.interval
-
-
 # ----------------------------------------------------------------------
 class OLTAPWorkload:
     """Builds the wide table, loads it, and runs the configured mix."""
@@ -326,9 +288,8 @@ class OLTAPWorkload:
         self.deployment = deployment
         self.config = config
         self.rng = random.Random(config.seed)
-        self.dml_drivers: list[DMLDriver] = []
+        self.dml_driver: Optional[DMLDriver] = None
         self.query_driver: Optional[QueryDriver] = None
-        self.sampler: Optional[MetricsSampler] = None
 
     # ------------------------------------------------------------------
     def setup(
@@ -356,44 +317,28 @@ class OLTAPWorkload:
         self.deployment.catch_up()
 
     # ------------------------------------------------------------------
-    def start(
-        self,
-        scan_target: str = "standby",
-        sample_metrics: bool = True,
-        dml_instances: int = 1,
-    ) -> None:
+    def start(self, scan_target: str = "standby") -> None:
         """Attach the drivers to the deployment's scheduler."""
         config = self.config
-        for instance_id in range(1, dml_instances + 1):
-            driver = DMLDriver(
-                self.deployment, config,
-                next_id_start=config.n_rows,
-                instance_id=instance_id,
-            )
-            self.dml_drivers.append(driver)
-            self.deployment.sched.add_actor(driver)
+        self.dml_driver = DMLDriver(
+            self.deployment, config, next_id_start=config.n_rows
+        )
+        self.deployment.sched.add_actor(self.dml_driver)
         if config.pct_scan > 0:
             self.query_driver = QueryDriver(
                 self.deployment, config, target=scan_target
             )
             self.deployment.sched.add_actor(self.query_driver)
-        if sample_metrics:
-            self.sampler = MetricsSampler(self.deployment)
-            self.deployment.sched.add_actor(self.sampler)
 
     def run(self) -> None:
         self.deployment.run(self.config.duration)
 
-    @property
-    def dml_driver(self) -> Optional[DMLDriver]:
-        return self.dml_drivers[0] if self.dml_drivers else None
-
     def stop(self) -> None:
-        actors = list(self.dml_drivers) + [self.query_driver, self.sampler]
-        for driver in actors:
+        for driver in (self.dml_driver, self.query_driver):
             if driver is not None:
                 self.deployment.sched.remove_actor(driver)
-        for driver in self.dml_drivers:
+        driver = self.dml_driver
+        if driver is not None:
             if driver._txn is not None and driver._txn.is_active:
                 self.deployment.primary.commit(driver._txn)
             driver._txn = None

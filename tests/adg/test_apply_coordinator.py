@@ -152,8 +152,8 @@ class TestQuerySCNPublisher:
     def test_poisoned_listener_cannot_wedge_fanout(self):
         """Regression: one raising listener used to abort the fan-out
         after value/history had already advanced, leaving every listener
-        registered after it (a non-master RAC coordinator, a fleet lag
-        sampler) permanently behind.  All listeners must be notified and
+        registered after it (a non-master RAC coordinator, the fleet
+        router's lag gauges) permanently behind.  All listeners must be notified and
         the failures aggregated."""
         publisher = QuerySCNPublisher()
         seen = []

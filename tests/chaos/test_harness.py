@@ -4,7 +4,6 @@ from repro.chaos.harness import ChaosHarness, ScenarioReport, run_scenario
 from repro.chaos.invariants import InvariantResult
 from repro.chaos.plan import ChaosEvent
 from repro.chaos.scenarios import get_scenario
-from repro.obs import Series
 
 
 def make_report(passed=True, fired=2):
@@ -13,10 +12,6 @@ def make_report(passed=True, fired=2):
         ChaosEvent(0.6 + i / 10, "fire", f"Drop -> drop at redo.ship[ship]")
         for i in range(fired)
     ]
-    lag = Series("lag")
-    lag.record(0.0, 0.0)
-    lag.record(0.5, 40.0)
-    lag.record(1.0, 3.0)
     return ScenarioReport(
         scenario="unit",
         description="synthetic",
@@ -28,7 +23,8 @@ def make_report(passed=True, fired=2):
             InvariantResult("monotonic", True, "ok"),
         ],
         stats={"b_stat": 2, "a_stat": 1},
-        lag=lag,
+        lag_peak=40.0,
+        lag_final=3,
         finished_at=1.25,
     )
 
@@ -49,7 +45,7 @@ class TestScenarioReport:
         assert text.index("a_stat = 1") < text.index("b_stat = 2")
         assert "verdict: PASS (3 fault events fired)" not in text
         assert "verdict: PASS (2 fault events fired)" in text
-        assert "peak 40 SCNs" in text
+        assert "lag: peak 40 SCNs, final 3 SCNs" in text
 
     def test_failed_report_renders_fail(self):
         text = make_report(passed=False).to_text()
@@ -78,7 +74,8 @@ class TestHarnessRun:
         assert first.passed
         assert first.faults_fired == 0
         assert first.to_text() == again.to_text()  # byte-identical
-        assert len(first.lag) > 10  # the sampler ran
+        assert first.lag_peak > 0  # the tracer saw redo in flight
+        assert first.lag_final <= first.lag_peak
         assert first.stats["advancements"] > 0
 
     def test_run_collects_metrics_with_lifecycle_histograms(self):

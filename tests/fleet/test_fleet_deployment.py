@@ -157,7 +157,7 @@ class TestStandbyLoss:
         load_fleet(deployment, n=10, start=6000)
         deployment.catch_up()
         # the dismounted member lags forever; the fleet gauge must not
-        # report it (it would wedge the chaos lag sampler at a plateau)
+        # report it (it would wedge the chaos report's final lag)
         lost = deployment.member("standby-1")
         assert deployment.member_lag(lost) > 0
         assert deployment.redo_lag_scns == max(
@@ -178,25 +178,6 @@ class TestQueryServices:
         )
         for handle in handles:
             assert len(handle.result.rows) == 20
-
-    def test_lag_sampler_records_per_member_series(self, fleet):
-        from repro import obs
-        from repro.obs.fleet import FleetLagSampler
-
-        deployment, __ = fleet
-        with obs.collecting(obs.MetricsRegistry()):
-            sampler = FleetLagSampler(deployment, interval=0.01)
-        deployment.sched.add_actor(sampler)
-        load_fleet(deployment, n=10, start=7000)
-        deployment.catch_up()
-        deployment.run(0.05)
-        for member in deployment.members:
-            assert len(sampler.series[member.name].points) >= 1
-        # lost members stop being sampled
-        deployment.lose_standby("standby-2")
-        before = len(sampler.series["standby-2"].points)
-        deployment.run(0.05)
-        assert len(sampler.series["standby-2"].points) == before
 
 
 class TestDedicatedCDCMember:

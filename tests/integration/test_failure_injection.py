@@ -195,7 +195,7 @@ class TestRestartStorm:
             now + 0.5, F.Repeat(lambda: F.RestartStandby(), times=3,
                                 interval=0.6)
         ).arm(ctx)
-        workload.start(sample_metrics=False)
+        workload.start()
         deployment.run(2.0)
         workload.stop()
         deployment.catch_up()

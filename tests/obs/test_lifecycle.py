@@ -9,10 +9,10 @@ class Clock:
         self.now = 0.0
 
 
-def make_tracer(sample_every=1):
+def make_tracer():
     clock = Clock()
     registry = MetricsRegistry()
-    tracer = RedoLifecycleTracer(clock, registry, sample_every=sample_every)
+    tracer = RedoLifecycleTracer(clock, registry)
     registry.tracer = tracer
     return clock, registry, tracer
 
@@ -124,14 +124,6 @@ class TestStamping:
         tracer.record_published(7)
         tracer.record_published(12)
         assert [v for __, v in tracer.published_series.points] == [10, 12]
-
-    def test_sampling_bounds_tracking(self):
-        __, ___, tracer = make_tracer(sample_every=4)
-        for scn in range(1, 9):
-            tracer.record_generated(1, scn, 1)
-        assert tracer.tracked_total.value == 2  # scns 4 and 8
-        tracer.record_published(8)
-        assert tracer.completed_total.value == 2
 
 
 class TestFig11FromInstruments:

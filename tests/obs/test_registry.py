@@ -239,9 +239,3 @@ class TestTracerAutoDedup:
         b = obs.RedoLifecycleTracer(clock, reg)
         assert a.visibility_lag is not b.visibility_lag
         assert len(reg.find("lifecycle.visibility_lag")) == 2
-
-    def test_sample_every_validation(self):
-        with pytest.raises(ValueError):
-            obs.RedoLifecycleTracer(
-                type("C", (), {"now": 0.0})(), sample_every=0
-            )

@@ -1,11 +1,10 @@
-"""Property test: the tracer's instrument-side lag equals the bench-side
-lag computed from external bookkeeping.
+"""Property test: the tracer's instrument-side lag equals the lag computed
+from external bookkeeping.
 
-The Fig. 11 bench historically measured the generated-vs-published SCN
-gap from its own ``MetricsSampler`` series.  The lifecycle tracer is
-supposed to reproduce the identical lag curve from instruments alone, so
-for *any* interleaving of generation and publication events the two
-computations must agree pointwise: the tracer's ``scn_gap_at`` /
+The Fig. 11 bench and the chaos reports read the generated-vs-published
+SCN gap from the lifecycle tracer alone, so for *any* interleaving of
+generation and publication events the two computations must agree
+pointwise: the tracer's ``scn_gap_at`` /
 ``worst_scn_gap`` against a reference built from the very same events as
 plain point lists read by a linear step walk.  The same walk is the
 oracle for :meth:`repro.obs.Series.value_at`, which bisects.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.db import Deployment, InMemoryService
 from repro.imcs import Predicate
 from repro.workload import OLTAPConfig, OLTAPWorkload, wide_table_def
@@ -97,12 +98,22 @@ class TestWorkloadRun:
         expected = config.duration * config.target_ops_per_sec
         assert 0.5 * expected <= issued <= 1.5 * expected
 
-    def test_metrics_sampler_collects_series(self):
-        deployment, workload = self.run_workload(tiny_config())
-        sampler = workload.sampler
-        assert len(sampler.query_scn) > 5
-        assert len(sampler.primary_log_series[1]) > 5
-        assert "primary-1" in sampler.cpu_busy
+    def test_observing_a_run_does_not_change_it(self):
+        """The registry and the lifecycle tracer it arms are passive: the
+        same seeded run, collected or not, publishes the same QuerySCNs
+        at the same simulated times and ends at the same instant.  An
+        observer that stepped on the scheduler would take jitter draws
+        from its one seeded stream and move every actor after it."""
+        config = dict(pct_update=0.5, pct_insert=0.2)
+        plain, __ = self.run_workload(tiny_config(**config))
+        with obs.collecting(obs.MetricsRegistry()):
+            watched, __ = self.run_workload(tiny_config(**config))
+        assert watched.obs.tracer.completed_total.value > 0
+        assert watched.sched.now == plain.sched.now
+        assert (
+            watched.standby.query_scn.history
+            == plain.standby.query_scn.history
+        )
 
     def test_no_imcs_baseline(self):
         deployment, workload = self.run_workload(tiny_config(), service=None)
