@@ -38,7 +38,7 @@ from repro.common.ids import DBA, InstanceId, ObjectId, WorkerId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch, CVChunk
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 #: Simulated CPU seconds to apply one change vector.
 APPLY_COST_PER_CV = 1e-6
@@ -95,6 +95,8 @@ class ApplyDistributor:
         self.queues: list[deque[CVChunk]] = [
             deque() for __ in range(n_workers)
         ]
+        #: Per queue, the worker draining it (woken by each append).
+        self.waiters: list[list[Actor]] = [[] for __ in range(n_workers)]
         #: Highest SCN fully handed out to the queues.
         self.distributed_through: SCN = NULL_SCN
         #: CVs another apply instance owns (MIRA).
@@ -125,6 +127,7 @@ class ApplyDistributor:
         if n_cvs:
             if self.n_workers == 1:
                 self.queues[0].append(CVChunk(batch, positions))
+                wake(self.waiters[0])
             else:
                 workers = batch.dbas[positions] % self.n_workers
                 order = np.argsort(workers, kind="stable")
@@ -138,6 +141,7 @@ class ApplyDistributor:
                         self.queues[w].append(
                             CVChunk(batch, positions[order[lo:hi]])
                         )
+                        wake(self.waiters[w])
             self._batch_cvs.observe(n_cvs)
         if batch.n_records and batch.last_scn > self.distributed_through:
             self.distributed_through = batch.last_scn
@@ -208,6 +212,7 @@ class RecoveryWorker(Actor):
         self._chaos = sites.declare("adg.apply_worker", owner=self)
         #: SCN of the last CV this worker applied.
         self.applied_scn: SCN = NULL_SCN
+        distributor.waiters[worker_id].append(self)
 
     # ------------------------------------------------------------------
     def applied_through(self) -> SCN:
@@ -236,6 +241,7 @@ class RecoveryWorker(Actor):
         #    exists but the drain is blocked: the worker is waiting, not
         #    working, so the episode lands in coop_flush_wait rather than
         #    being charged to apply/publish latency.
+        flushed = 0
         if self.flush_helper is not None:
             flushed = self.flush_helper(self.worker_id, self.flush_batch)
             if flushed < 0:
@@ -264,6 +270,11 @@ class RecoveryWorker(Actor):
         if applied:
             cost += self.cost_per_cv * applied
             self.cvs_applied += applied
+        # parked (until a queue append or a new worklink) once the queue is
+        # empty and a short batch drained the worklink; a latch miss keeps
+        # its chunk queued, -1 is a blocked drain, an armed fault polls
+        if not queue and 0 <= flushed < self.flush_batch:
+            self.park = chaos.injectors is None
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------

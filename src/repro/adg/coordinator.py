@@ -33,7 +33,7 @@ from repro.adg.apply import ApplyDistributor, RecoveryWorker
 from repro.adg.merger import LogMerger
 from repro.adg.queryscn import QuerySCNPublisher
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 #: Simulated CPU seconds for one coordinator bookkeeping pass.
 COORDINATION_COST = 2e-6
@@ -154,6 +154,7 @@ class RecoveryCoordinator(Actor):
         #: several times before publication).
         self._stall_accum = 0.0
         self._chaos = sites.declare("adg.queryscn_publish", owner=self)
+        merger.waiters.append(self)
 
     # ------------------------------------------------------------------
     def consistency_point(self) -> SCN:
@@ -194,6 +195,11 @@ class RecoveryCoordinator(Actor):
                     self.advance_protocol.begin_advance(candidate)
         if self._advancing_to is not None:
             cost += self._continue_advance(sched)
+        if self._advancing_to is None and self._chaos.injectors is None:
+            mergers = (self.merger, *(peer.merger for peer in self.peers))
+            if not any(merger.pending_merged for merger in mergers):
+                # parked until a merger releases redo or the check is due
+                self.park = self._last_check + self.interval
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
@@ -278,6 +284,7 @@ class RecoveryCoordinator(Actor):
         # the pre-restart check timestamp must not defer the first
         # post-restart consistency-point check by a stale interval
         self._last_check = -1.0
+        wake((self,))
 
     @property
     def mean_publish_latency(self) -> float:

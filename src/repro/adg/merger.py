@@ -21,7 +21,7 @@ from repro.common.scn import SCN
 from repro.redo.batch import CVBatch
 from repro.redo.shipping import RedoReceiver
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 
 class LogMerger(Actor):
@@ -46,6 +46,9 @@ class LogMerger(Actor):
         #: SCN-ordered CVBatch slices ready for the apply distributor.
         self.merged: deque[CVBatch] = deque()
         self.merged_through_scn: SCN = 0
+        #: The coordinator distributing the merged redo, woken by a release.
+        self.waiters: list = []
+        receiver.waiters.append(self)
         self._obs = obs.current()
         #: Records released past the merge watermark in SCN order.
         self.records_merged = 0
@@ -97,6 +100,7 @@ class LogMerger(Actor):
                     tracer.record_merged(scn)
         if released:
             self.records_merged += released
+            wake(self.waiters)
         return released
 
     def take_merged(self, n: int) -> list[CVBatch]:
@@ -120,6 +124,8 @@ class LogMerger(Actor):
         for __ in range(4):  # a few heap rounds per step
             released += self.merge_available()
             if self.receiver.pending() == 0:
+                # the watermark only rises with a landing, which wakes it
+                self.park = True
                 break
         if released == 0:
             return None

@@ -76,9 +76,12 @@ class HeartbeatWriter(Actor):
         self._last_write = -1.0
 
     def step(self, sched: Scheduler) -> Optional[float]:
+        # parked on its idle_backoff grid until the next write is due
         if sched.now - self._last_write < self.interval:
-            return None  # not due yet; idle_backoff paces the retries
+            self.park = self._last_write + self.interval
+            return None
         self._last_write = sched.now
+        self.park = self._last_write + self.interval
         self.log.append(self.instance, self.clock.next(), (self._cv,))
         return 1e-6  # negligible cost
 

@@ -114,7 +114,7 @@ class StandbyInstance:
             if dbim_enabled and apply_cfg.cooperative_flush
             else None
         )
-        return [
+        workers = [
             RecoveryWorker(
                 i,
                 distributor,
@@ -129,6 +129,9 @@ class StandbyInstance:
             )
             for i in range(apply_cfg.n_workers)
         ]
+        if flush_helper is not None:
+            flush.waiters.extend(workers)
+        return workers
 
 
 class StandbyDatabase(Database, StandbyInstance):

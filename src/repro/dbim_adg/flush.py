@@ -48,6 +48,7 @@ from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.imcs.imcu import row_keys
 from repro.imcs.store import InMemoryColumnStore, InvalidationGroup
 from repro.redo.records import DDLMarkerPayload
+from repro.sim.scheduler import wake
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,6 +258,8 @@ class InvalidationFlushComponent:
         #: Maximum blocks per invalidation group (RAC message sizing).
         self.group_block_limit = group_block_limit
         self.worklink: Optional[Worklink] = None
+        #: Every apply instance's cooperative workers, woken by a worklink.
+        self.waiters: list = []
         # statistics
         self._obs = obs.current()
         self.nodes_flushed = 0
@@ -311,6 +314,7 @@ class InvalidationFlushComponent:
             key=lambda node: node.commit_scn,
         )
         self.worklink = Worklink(target_scn, deque(nodes))
+        wake(self.waiters)
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             for node in nodes:

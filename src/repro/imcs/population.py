@@ -38,7 +38,7 @@ from repro.imcs.smu import SMU
 from repro.imcs.store import InMemoryColumnStore, InMemorySegment
 from repro.rowstore.cr import TransactionView
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 
 @dataclass(slots=True)
@@ -78,6 +78,8 @@ class PopulationEngine:
         self._heap: list[tuple[int, int, PopulationTask]] = []
         self._seq = itertools.count()
         self._inflight_dbas: set[DBA] = set()
+        #: The population workers, woken by each queued task.
+        self.waiters: list = []
         # statistics
         self.populations = 0
         self.repopulations = 0
@@ -129,6 +131,7 @@ class PopulationEngine:
         heapq.heappush(
             self._heap, (-task.priority, next(self._seq), task)
         )
+        wake(self.waiters)
 
     def schedule_all(self) -> int:
         return sum(
@@ -284,10 +287,16 @@ class PopulationWorker(Actor):
         #: Only one worker per engine should sweep, to avoid double tasks.
         self.sweep = sweep
         self._last_sweep = -1.0
+        engine.waiters.append(self)
 
     def step(self, sched: Scheduler) -> Optional[float]:
         if self.sweep and sched.now - self._last_sweep >= self.SWEEP_INTERVAL:
             self._last_sweep = sched.now
             self.engine.schedule_all()
             self.engine.check_repopulation(sched.now)
-        return self.engine.run_one_task(self)
+        cost = self.engine.run_one_task(self)
+        if not self.engine.backlog:  # a quiesce retry keeps its task queued
+            # an enqueue wakes it; the sweeper also wakes for its sweep
+            due = self._last_sweep + self.SWEEP_INTERVAL
+            self.park = due if self.sweep else True
+        return cost

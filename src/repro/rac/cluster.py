@@ -379,6 +379,8 @@ def scale_out(
     if mira:
         master.distributor.owns = owns
         master.coordinator.peers.extend(peers)
+        for peer in peers:
+            peer.merger.waiters.append(master.coordinator)
         flush.journals.extend(peer.journal for peer in peers)
         flush.commit_tables.extend(peer.commit_table for peer in peers)
         flush.ddl_tables.extend(peer.ddl_table for peer in peers)

@@ -26,6 +26,7 @@ from repro.common.errors import RedoCorruptionError
 from repro.common.ids import InstanceId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch, encode_xid
+from repro.sim.scheduler import wake
 
 
 class RedoLog:
@@ -49,6 +50,8 @@ class RedoLog:
         self._payloads: list = []
         self._last_scn: SCN = NULL_SCN
         self._obs = obs.current()
+        #: Actors reading the log (its shippers), woken by each append.
+        self.waiters: list = []
 
     def append(
         self, thread: InstanceId, scn: SCN, cvs: Sequence[tuple]
@@ -85,6 +88,7 @@ class RedoLog:
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             tracer.record_generated(thread, scn, len(ops) - start)
+        wake(self.waiters)
 
     def __len__(self) -> int:
         """Records generated."""

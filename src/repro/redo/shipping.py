@@ -28,7 +28,7 @@ from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch
 from repro.redo.log import RedoLog
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 
 class RedoReceiver:
@@ -57,6 +57,8 @@ class RedoReceiver:
         self.duplicates_discarded = 0
         #: Whole batches dropped by an installed chaos fault.
         self.batches_dropped = 0
+        #: The merger, woken by each landing.
+        self.waiters: list = []
         obs.bind(self, {
             "gaps_resolved": "redo.receiver.gaps_resolved",
             "gap_records_fetched": "redo.receiver.gap_records_fetched",
@@ -137,6 +139,7 @@ class RedoReceiver:
         if tracer is not None:
             for scn, n_cvs in batch.record_cv_counts():
                 tracer.record_received(scn, n_cvs)
+        wake(self.waiters)
 
     def _resolve_gap(self, thread: InstanceId, lo: int, hi: int) -> None:
         if self.fal_fetch is None:
@@ -219,6 +222,7 @@ class LogShipper(Actor):
         self._chaos = sites.declare("redo.ship", owner=self)
         for dest, receiver in receivers.items():
             self.add_destination(dest, receiver)
+        log.waiters.append(self)
 
     @property
     def shipped_through(self) -> int:
@@ -246,6 +250,10 @@ class LogShipper(Actor):
     def step(self, sched: Scheduler) -> Optional[float]:
         position = self._position
         end = min(position + self.batch, len(self._log))
+        chaos = self._chaos
+        # parked until the log's next append; polling while a fault is armed
+        if end == len(self._log):
+            self.park = chaos.injectors is None
         if end == position:
             return None
         count = end - position
@@ -259,7 +267,6 @@ class LogShipper(Actor):
         if tracer is not None:
             for scn, n_cvs in payload.record_cv_counts():
                 tracer.record_shipped(scn, n_cvs)
-        chaos = self._chaos
         for dest, receiver in self._receivers.items():
             latency = self.latency
             if chaos.injectors is not None:

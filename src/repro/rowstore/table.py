@@ -158,6 +158,8 @@ class Table:
     ) -> tuple[ObjectId, RowId]:
         """Insert and return (object id, physical address) for redo."""
         self.schema.validate_row(values)
+        for i, index in self._keyed:
+            index.check(values[i])
         part = self._route(values, partition)
         block = part.segment.tail_block_with_space()
         if self.buffer_cache is not None:
@@ -202,6 +204,9 @@ class Table:
             # every other cell was validated when it was written
             new_values[self.schema.validate_value(column, value)] = value
         new_tuple = tuple(new_values)
+        for i, index in self._keyed:
+            if index.column in changes:
+                index.check(new_tuple[i], rowid)
         block.write_slot(rowid.slot, new_tuple, xid, scn)
         for i, index in self._keyed:
             if index.column in changes:

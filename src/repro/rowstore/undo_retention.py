@@ -59,9 +59,12 @@ class UndoRetentionManager(Actor):
         return dropped
 
     def step(self, sched: Scheduler) -> Optional[float]:
+        # parked on its idle_backoff grid until the next sweep is due
         if sched.now - self._last_sweep < self.interval:
+            self.park = self._last_sweep + self.interval
             return None
         self._last_sweep = sched.now
+        self.park = self._last_sweep + self.interval
         dropped = self.sweep()
         if dropped == 0:
             return 1e-6

@@ -7,6 +7,11 @@ they next become runnable and always dispatches the earliest one -- i.e. a
 classic discrete-event simulation in which actors genuinely overlap in
 simulated time even though Python executes them one at a time.
 
+An idle actor polls again ``idle_backoff`` later.  That poll grid is the
+model, but a step after which every poll would find nothing sets
+:attr:`Actor.park`, and its producer's :func:`wake` resumes it on the very
+tick whose poll would first have seen the work: no empty poll is run.
+
 Two sources of controlled nondeterminism create the worker-rate skew that
 the paper's QuerySCN "leapfrogging" depends on:
 
@@ -20,11 +25,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuNode
 import random
+
+#: A timed park wakes this hair early, so the float rounding of an actor's
+#: own due check never makes it late (an early wake is one idle step).
+_EARLY = 1e-9
 
 
 class Actor:
@@ -38,6 +47,12 @@ class Actor:
     speed: float = 1.0
     #: How long an actor sleeps after a step that found no work.
     idle_backoff: float = 0.001
+    #: Set by a step after which every poll would find nothing: ``True``
+    #: parks the actor until a producer wakes it, a time ``t`` until woken
+    #: or its first poll tick at or after ``t``.  Cleared after each step.
+    park: bool | float | None = None
+    #: The scheduler this actor is parked on (set and cleared by it).
+    parked_on: Optional["Scheduler"] = None
 
     def step(self, sched: "Scheduler") -> Optional[float]:
         """Do one quantum of work; return its cost in seconds or ``None``."""
@@ -45,6 +60,14 @@ class Actor:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def wake(actors: Iterable[Actor]) -> None:
+    """A producer's hand-over: resume those of its consumers that are
+    parked (:meth:`Scheduler.wake`); the others are left alone."""
+    for actor in actors:
+        if actor.parked_on is not None:
+            actor.parked_on.wake(actor)
 
 
 class FunctionActor(Actor):
@@ -84,6 +107,17 @@ class ActorOwner:
         self._actors.clear()
 
 
+class _Slot:
+    """One registration: the actor, its order, its live entry's generation
+    and, while parked, the next tick it would have polled at."""
+
+    __slots__ = ("actor", "order", "gen", "tick")
+
+    def __init__(self, actor: Actor, order: int) -> None:
+        self.actor, self.order, self.gen = actor, order, 0
+        self.tick: Optional[float] = None
+
+
 class Scheduler:
     """Dispatches actors and timed events on a shared simulated clock."""
 
@@ -92,16 +126,17 @@ class Scheduler:
         self.rng = random.Random(seed)
         #: Fractional jitter applied to every step cost (0.1 => +/-10%).
         self.jitter = jitter
-        self._counter = itertools.count()
-        # Heap entries: (ready_time, tie_break, kind, payload, generation)
-        # kind 0 = actor, kind 1 = one-shot event callback.  An actor's
-        # entry is live only while its generation matches ``_gen`` --
-        # ``kick``/``add_actor`` bump the generation, superseding any
-        # entry still sitting in the heap (lazily skipped on pop).
-        self._heap: list[tuple[float, int, int, object, int]] = []
-        self._actors: list[Actor] = []
-        self._removed: set[int] = set()
-        self._gen: dict[int, int] = {}
+        self._events = itertools.count()
+        self._registrations = itertools.count()
+        # Heap entries: (time, kind, order, generation, payload).  At one
+        # instant events (kind 0) run before actors (1), each in scheduling
+        # or registration order, so a woken actor sorts where its poll did.
+        # add/kick/wake/remove bump a slot's generation: older entries of
+        # the actor go stale and are skipped lazily.
+        self._heap: list[tuple[float, int, int, int, Any]] = []
+        self._slots: dict[int, _Slot] = {}
+        #: Key of the last entry run (after ``run_until``: past its horizon).
+        self._cursor: tuple[float, int, int] = (self.clock.now, -1, -1)
 
     # ------------------------------------------------------------------
     # registration
@@ -111,19 +146,18 @@ class Scheduler:
 
         Re-adding a previously removed actor resumes it.
         """
-        self._removed.discard(id(actor))
-        if actor not in self._actors:
-            self._actors.append(actor)
-        gen = self._gen.get(id(actor), 0) + 1
-        self._gen[id(actor)] = gen
-        when = self.clock.now if start_at is None else start_at
-        heapq.heappush(self._heap, (when, next(self._counter), 0, actor, gen))
+        slot = self._slots.get(id(actor))
+        if slot is None:
+            slot = _Slot(actor, next(self._registrations))
+            self._slots[id(actor)] = slot
+        self._resume(slot, self.clock.now if start_at is None else start_at)
 
     def remove_actor(self, actor: Actor) -> None:
         """Deregister ``actor``; pending heap entries are lazily skipped."""
-        if actor in self._actors:
-            self._actors.remove(actor)
-        self._removed.add(id(actor))
+        slot = self._slots.pop(id(actor), None)
+        if slot is not None:
+            slot.gen += 1
+            actor.parked_on = None
 
     def kick(self, actor: Actor, delay: float = 0.0) -> bool:
         """Make ``actor`` runnable at now (+``delay``), superseding its
@@ -133,70 +167,96 @@ class Scheduler:
         arrives -- e.g. query workers when a scan's morsels are enqueued.
         Returns False (and does nothing) if the actor is not registered.
         """
-        key = id(actor)
-        if key in self._removed or actor not in self._actors:
+        slot = self._slots.get(id(actor))
+        if slot is None:
             return False
-        gen = self._gen.get(key, 0) + 1
-        self._gen[key] = gen
-        heapq.heappush(
-            self._heap,
-            (self.clock.now + delay, next(self._counter), 0, actor, gen),
-        )
+        self._resume(slot, self.clock.now + delay)
         return True
+
+    def wake(self, actor: Actor) -> None:
+        """Resume a parked ``actor`` on its first poll tick (walked by its
+        polls' float additions) that sorts after the entry being, or last,
+        dispatched: the poll that would first have seen the work."""
+        slot = self._slots.get(id(actor))
+        if slot is None or slot.tick is None:
+            return
+        tick, backoff = slot.tick, actor.idle_backoff
+        at, kind, order = max(self._cursor, (self.clock.now, 0, 0))
+        while tick < at:
+            tick += backoff
+        if tick == at and (1, slot.order) <= (kind, order):
+            tick += backoff
+        self._resume(slot, tick)
+
+    def _resume(self, slot: _Slot, when: float) -> None:
+        slot.gen += 1
+        slot.tick = slot.actor.parked_on = None
+        heapq.heappush(self._heap, (when, 1, slot.order, slot.gen, slot))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` once at simulated time ``when`` (e.g. message arrival)."""
         if when < self.clock.now:
             when = self.clock.now
-        heapq.heappush(self._heap, (when, next(self._counter), 1, fn, 0))
+        heapq.heappush(self._heap, (when, 0, next(self._events), 0, fn))
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         self.call_at(self.clock.now + delay, fn)
 
     @property
     def actors(self) -> list[Actor]:
-        return list(self._actors)
+        """Registered actors in registration order."""
+        return [slot.actor for slot in self._slots.values()]
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _dispatch_one(self) -> bool:
-        """Pop and run the earliest heap entry.  Returns False if empty."""
-        while self._heap:
-            when, __, kind, payload, gen = heapq.heappop(self._heap)
-            if kind == 0:
-                if id(payload) in self._removed:
-                    continue
-                if gen != self._gen.get(id(payload)):
-                    continue  # superseded by a kick / re-add
-            self.clock.advance_to(when)
-            if kind == 1:
-                payload()  # type: ignore[operator]
-                return True
-            actor: Actor = payload  # type: ignore[assignment]
-            cost = actor.step(self)
-            if cost is None:
-                next_time = when + actor.idle_backoff
-            else:
-                cost *= actor.speed
-                if self.jitter:
-                    cost *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
-                if actor.node is not None:
-                    actor.node.charge(cost)
-                next_time = when + max(cost, 1e-9)
-            # re-queue with the generation we popped: if the actor kicked
-            # itself (or was re-added) during the step, this entry is
-            # stale and the newer one wins.
-            heapq.heappush(
-                self._heap, (next_time, next(self._counter), 0, actor, gen)
-            )
-            return True
-        return False
+    def _next_time(self) -> Optional[float]:
+        """Time of the earliest live entry, dropping stale ones at the
+        head; None when nothing is scheduled."""
+        heap = self._heap
+        while heap and heap[0][1] and heap[0][3] != heap[0][4].gen:
+            heapq.heappop(heap)  # a stale actor entry
+        return heap[0][0] if heap else None
+
+    def _dispatch_one(self) -> None:
+        """Pop and run the head entry, made live by :meth:`_next_time`."""
+        when, kind, order, gen, payload = heapq.heappop(self._heap)
+        self.clock.advance_to(when)
+        self._cursor = (when, kind, order)
+        if not kind:
+            payload()
+            return
+        slot: _Slot = payload
+        actor = slot.actor
+        slot.tick = actor.parked_on = None  # running (a timed park came due)
+        cost = actor.step(self)
+        if cost is None:
+            next_time = when + actor.idle_backoff
+        else:
+            cost *= actor.speed
+            if self.jitter:
+                cost *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
+            if actor.node is not None:
+                actor.node.charge(cost)
+            next_time = when + max(cost, 1e-9)
+        park = getattr(actor, "park", None)  # a duck-typed actor polls
+        if park:
+            actor.park = None
+        if gen != slot.gen:
+            return  # kicked, re-added or removed during its step
+        if park:
+            slot.tick, actor.parked_on = next_time, self
+            if park is True:
+                return
+            while next_time < park - _EARLY:
+                next_time += actor.idle_backoff
+        heapq.heappush(self._heap, (next_time, 1, slot.order, gen, slot))
 
     def run_until(self, t: float) -> None:
         """Run the simulation until the clock reaches ``t``."""
-        while self._heap and self._heap[0][0] <= t:
+        while (when := self._next_time()) is not None and when <= t:
             self._dispatch_one()
+        self._cursor = max(self._cursor, (t, 2, 0))
         if self.clock.now < t:
             self.clock.advance_to(t)
 
@@ -206,8 +266,9 @@ class Scheduler:
     def run_steps(self, n: int) -> None:
         """Dispatch exactly ``n`` heap entries (for fine-grained tests)."""
         for __ in range(n):
-            if not self._dispatch_one():
+            if self._next_time() is None:
                 break
+            self._dispatch_one()
 
     def run_until_condition(
         self, predicate: Callable[[], bool], max_time: float = 1e6
@@ -215,7 +276,8 @@ class Scheduler:
         """Run until ``predicate()`` is true; False if ``max_time`` expired."""
         deadline = self.clock.now + max_time
         while not predicate():
-            if not self._heap or self._heap[0][0] > deadline:
+            when = self._next_time()
+            if when is None or when > deadline:
                 return False
             self._dispatch_one()
         return True

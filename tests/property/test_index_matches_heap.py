@@ -4,10 +4,11 @@ A hash index maps the *current* key of each live row to its address and
 holds no NULL key.  Hypothesis draws a history on a two-partition table
 with two unique indexes, ``id`` (NOT NULL) and ``k`` (nullable): inserts
 with a fresh or a NULL ``k``, updates of either key column, deletes,
-rollbacks and TRUNCATE of one partition.  After every statement the
-primary's indexes, and after the standby has replayed the whole history
-the standby's, must equal ``{current key: RowId}`` read from the blocks'
-``heads``, NULLs left out.
+rollbacks and TRUNCATE of one partition -- and inserts and updates that
+reuse a key another row holds, which must be refused before any redo is
+written.  After every statement the primary's indexes, and after the
+standby has replayed the whole history the standby's, must equal
+``{current key: RowId}`` read from the blocks' ``heads``, NULLs left out.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.common import RowId
 from repro.db import ColumnDef, Deployment, TableDef
 from repro.db.schema_def import PartitionScheme
+from repro.rowstore.index import UniqueViolationError
 
 from tests.db.conftest import small_config
 
@@ -32,6 +34,12 @@ OPS = st.lists(
             st.integers(0, 50),
         ),
         st.tuples(st.just("delete"), st.just(False), st.integers(0, 50)),
+        # reuse the key another row holds: ``id`` (True) or ``k``
+        st.tuples(
+            st.sampled_from(["insert_dup", "update_dup"]),
+            st.booleans(),
+            st.integers(0, 2_500),
+        ),
         st.tuples(st.just("commit"), st.just(False), st.just(0)),
         st.tuples(st.just("rollback"), st.just(False), st.just(0)),
         st.tuples(st.just("truncate"), st.just(False), st.integers(0, 1)),
@@ -103,6 +111,17 @@ def assert_indexes_match_heap(table) -> dict:
     ("truncate", False, 0), ("insert", True, 0), ("rollback", False, 0),
     ("truncate", False, 1),
 ])
+# ROADMAP 17's repro: a second row with a committed row's key is refused,
+# so deleting the row the index points at cannot orphan a live one
+@example(ops=[
+    ("insert", False, 0), ("commit", False, 0), ("insert_dup", True, 0),
+    ("commit", False, 0), ("delete", False, 0), ("commit", False, 0),
+])
+# a key moved onto another row's, then onto the row's own
+@example(ops=[
+    ("insert", False, 0), ("insert", False, 0), ("update_dup", False, 50),
+    ("update_dup", False, 0), ("rollback", False, 0),
+])
 def test_every_index_equals_the_current_keys_on_both_roles(ops):
     deployment = build()
     primary = deployment.primary
@@ -130,6 +149,29 @@ def test_every_index_equals_the_current_keys_on_both_roles(ops):
             primary.update(active(), "K", rowid, changes)
         elif kind == "delete" and rows:
             primary.delete(active(), "K", rows[pick % len(rows)][0])
+        elif kind in ("insert_dup", "update_dup") and rows:
+            column = "id" if null else "k"
+            i = table.schema.column_index(column)
+            held = [(v[i], r) for r, v in rows if v[i] is not None]
+            if held:
+                key, holder = held[pick % len(held)]
+                target = rows[pick // 50 % len(rows)][0]
+                refused = kind == "insert_dup" or target != holder
+                statement = active()
+                log = primary.redo_logs[0]
+                before = len(log)
+                try:
+                    if kind == "insert_dup":
+                        values = [next(fresh), -next(fresh), "x"]
+                        values[i] = key
+                        primary.insert(statement, "K", tuple(values))
+                    else:
+                        primary.update(statement, "K", target, {column: key})
+                except UniqueViolationError:
+                    assert refused
+                    assert len(log) == before  # refused before any redo
+                else:
+                    assert not refused
         elif kind == "commit" and txn is not None and txn.is_active:
             primary.commit(txn)
         elif kind == "rollback" and txn is not None and txn.is_active:
