@@ -272,9 +272,9 @@ class RecoveryWorker(Actor):
             self.cvs_applied += applied
         # parked (until a queue append or a new worklink) once the queue is
         # empty and a short batch drained the worklink; a latch miss keeps
-        # its chunk queued, -1 is a blocked drain, an armed fault polls
+        # its chunk queued, -1 is a blocked drain
         if not queue and 0 <= flushed < self.flush_batch:
-            self.park = chaos.injectors is None
+            self.park = True
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------

@@ -183,7 +183,7 @@ class RecoveryCoordinator(Actor):
 
         if (
             self._advancing_to is None
-            and sched.now - self._last_check >= self.interval
+            and sched.now >= self._last_check + self.interval
         ):
             self._last_check = sched.now
             cost += COORDINATION_COST
@@ -195,7 +195,7 @@ class RecoveryCoordinator(Actor):
                     self.advance_protocol.begin_advance(candidate)
         if self._advancing_to is not None:
             cost += self._continue_advance(sched)
-        if self._advancing_to is None and self._chaos.injectors is None:
+        if self._advancing_to is None:
             mergers = (self.merger, *(peer.merger for peer in self.peers))
             if not any(merger.pending_merged for merger in mergers):
                 # parked until a merger releases redo or the check is due

@@ -569,8 +569,7 @@ class StandbyLossMidWave(Scenario):
             ))
             # park the doomed member's query workers past the loss time
             # (a Stall only skips one 1us dispatch per count, so it can't
-            # hold a scan open; a Delay sleeps the worker itself, and the
-            # count must survive every submit-kick that wakes it early) --
+            # hold a scan open; a Delay sleeps the worker itself) --
             # the drain/rebind path must actually run, not just the
             # routing filter
             .at(0.08, F.Delay(

@@ -38,8 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from repro.sim.scheduler import Actor, wake
-
 #: The injection sites wired into the pipeline (components may declare
 #: more; these are the ones the stock instrumentation provides).
 KNOWN_SITES = (
@@ -101,9 +99,6 @@ class InjectionSite:
             self.injectors = []
         if injector not in self.injectors:
             self.injectors.append(injector)
-        if isinstance(self.owner, Actor):
-            # an actor polls while its site is armed: wake it if parked
-            wake((self.owner,))
 
     def detach(self, injector) -> None:
         if self.injectors is None:

@@ -68,7 +68,6 @@ class HeartbeatWriter(Actor):
         self.interval = interval
         self.node = node
         self.name = f"heartbeat-{instance}"
-        self.idle_backoff = interval
         self._cv = (
             int(CVOp.HEARTBEAT), txn_table_dba(instance), 0, 0,
             TransactionId(instance, 0), -1, None, None,
@@ -76,8 +75,8 @@ class HeartbeatWriter(Actor):
         self._last_write = -1.0
 
     def step(self, sched: Scheduler) -> Optional[float]:
-        # parked on its idle_backoff grid until the next write is due
-        if sched.now - self._last_write < self.interval:
+        # parked until the next write is due
+        if sched.now < self._last_write + self.interval:
             self.park = self._last_write + self.interval
             return None
         self._last_write = sched.now

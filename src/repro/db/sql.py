@@ -13,9 +13,9 @@ partitions)`` and ``aggregate(table, specs, predicates, partitions)``
 (both :class:`~repro.db.primary.PrimaryDatabase` and
 :class:`~repro.db.standby.StandbyDatabase` do).
 
-It is intentionally tiny: no joins, no subqueries, no ORDER BY.  The
-point is that examples and benchmarks can state workloads in the paper's
-own vocabulary.
+It is intentionally tiny: no joins, no subqueries, no GROUP BY, no ORDER
+BY.  The point is that examples and benchmarks can state workloads in the
+paper's own vocabulary.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _QUERY_RE = re.compile(
     r"^\s*select\s+(?P<select>.+?)\s+from\s+(?P<table>[A-Za-z_]\w*)"
     r"(?:\s+partition\s*\(\s*(?P<partition>\w+)\s*\))?"
     r"(?:\s+where\s+(?P<where>.+?))?"
-    r"(?:\s+group\s+by\s+(?P<groupby>[A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*))?"
     r"\s*;?\s*$",
     re.IGNORECASE | re.DOTALL,
 )
@@ -89,9 +88,6 @@ class ParsedQuery:
     aggregates: list[tuple[str, Optional[str]]] = field(default_factory=list)
     predicates: list[_PredicateTemplate] = field(default_factory=list)
     partition: Optional[str] = None
-    #: GROUP BY columns; the select list is then (group columns followed by
-    #: aggregates), and ``run`` returns one tuple per group.
-    group_by: list[str] = field(default_factory=list)
 
     @property
     def is_aggregate(self) -> bool:
@@ -111,8 +107,6 @@ class ParsedQuery:
             return database.query(
                 self.table, predicates, self.columns, partitions
             )
-        if self.group_by:
-            return self._grouped(database, predicates, partitions)
         # aggregation push-down (section V): fold inside the scan
         return database.aggregate(
             self.table,
@@ -120,45 +114,6 @@ class ParsedQuery:
             predicates,
             partitions,
         ).values
-
-    def _grouped(self, database, predicates, partitions) -> list:
-        needed = sorted(
-            {col for __, col in self.aggregates if col is not None}
-        )
-        wanted = list(dict.fromkeys(self.group_by + needed))
-        result = database.query(self.table, predicates, wanted, partitions)
-        key_idx = [wanted.index(c) for c in self.group_by]
-        groups: dict[tuple, list[tuple]] = {}
-        for row in result.rows:
-            groups.setdefault(
-                tuple(row[i] for i in key_idx), []
-            ).append(row)
-        index_of = {name: i for i, name in enumerate(wanted)}
-        out = []
-        for key in sorted(groups, key=repr):
-            rows = groups[key]
-            values = list(key)
-            for fn, col in self.aggregates:
-                if fn == "count":
-                    values.append(len(rows))
-                    continue
-                present = [
-                    row[index_of[col]]
-                    for row in rows
-                    if row[index_of[col]] is not None
-                ]
-                if fn == "sum":
-                    values.append(sum(present) if present else None)
-                elif fn == "avg":
-                    values.append(
-                        sum(present) / len(present) if present else None
-                    )
-                elif fn == "min":
-                    values.append(min(present) if present else None)
-                elif fn == "max":
-                    values.append(max(present) if present else None)
-            out.append(tuple(values))
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -211,29 +166,13 @@ def parse_query(sql: str) -> ParsedQuery:
         columns=None,
         partition=match.group("partition"),
     )
-    group_by_raw = match.group("groupby")
-    if group_by_raw:
-        query.group_by = [c.strip() for c in group_by_raw.split(",")]
     if select != "*":
         items = [item.strip() for item in select.split(",")]
         agg_matches = [_AGG_RE.match(item) for item in items]
         if any(agg_matches):
-            plain = [
-                item for item, m in zip(items, agg_matches) if m is None
-            ]
-            if plain and not query.group_by:
-                raise SQLSyntaxError(
-                    "cannot mix aggregates and plain columns without "
-                    "GROUP BY"
-                )
-            if plain != query.group_by:
-                if plain:  # with GROUP BY, plain columns must match it
-                    raise SQLSyntaxError(
-                        "select-list columns must equal the GROUP BY list"
-                    )
+            if not all(agg_matches):
+                raise SQLSyntaxError("cannot mix aggregates and plain columns")
             for m in agg_matches:
-                if m is None:
-                    continue
                 fn = m.group(1).lower()
                 col = None if m.group(2) == "*" else m.group(2)
                 if fn != "count" and col is None:
@@ -241,8 +180,6 @@ def parse_query(sql: str) -> ParsedQuery:
                 query.aggregates.append((fn, col))
         else:
             query.columns = items
-    if query.group_by and not query.aggregates:
-        raise SQLSyntaxError("GROUP BY requires at least one aggregate")
     where = match.group("where")
     if where:
         for clause in _split_conjunction(where):

@@ -290,7 +290,7 @@ class PopulationWorker(Actor):
         engine.waiters.append(self)
 
     def step(self, sched: Scheduler) -> Optional[float]:
-        if self.sweep and sched.now - self._last_sweep >= self.SWEEP_INTERVAL:
+        if self.sweep and sched.now >= self._last_sweep + self.SWEEP_INTERVAL:
             self._last_sweep = sched.now
             self.engine.schedule_all()
             self.engine.check_repopulation(sched.now)

@@ -23,7 +23,7 @@ from repro import obs
 from repro.chaos import sites
 from repro.imcs.scan import ScanMorsel, ScanResult, merge_partials
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler, wake
 
 #: Floor cost of dispatching one morsel (queue pop + merge bookkeeping).
 MORSEL_DISPATCH_COST = 1e-6
@@ -86,6 +86,7 @@ class QueryWorker(Actor):
     def step(self, sched: Scheduler) -> Optional[float]:
         item = self.pool._take()
         if item is None:
+            self.park = True  # until the next submit wakes it
             return None
         pending, index = item
         chaos = self.pool._chaos
@@ -147,8 +148,7 @@ class QueryWorkerPool:
         if morsels:
             for index in range(len(morsels)):
                 self._queue.append((pending, index))
-            for worker in self.workers:
-                self.sched.kick(worker)
+            wake(self.workers)
         else:
             self._query_seconds.observe(0.0)
         return pending

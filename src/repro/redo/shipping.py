@@ -250,10 +250,8 @@ class LogShipper(Actor):
     def step(self, sched: Scheduler) -> Optional[float]:
         position = self._position
         end = min(position + self.batch, len(self._log))
-        chaos = self._chaos
-        # parked until the log's next append; polling while a fault is armed
         if end == len(self._log):
-            self.park = chaos.injectors is None
+            self.park = True  # until the log's next append
         if end == position:
             return None
         count = end - position
@@ -267,6 +265,7 @@ class LogShipper(Actor):
         if tracer is not None:
             for scn, n_cvs in payload.record_cv_counts():
                 tracer.record_shipped(scn, n_cvs)
+        chaos = self._chaos
         for dest, receiver in self._receivers.items():
             latency = self.latency
             if chaos.injectors is not None:

@@ -44,7 +44,6 @@ class UndoRetentionManager(Actor):
         self.interval = interval
         self.name = name
         self.node = node
-        self.idle_backoff = interval
         self._last_sweep = -1.0
         self.versions_pruned = 0
         self.sweeps = 0
@@ -59,8 +58,8 @@ class UndoRetentionManager(Actor):
         return dropped
 
     def step(self, sched: Scheduler) -> Optional[float]:
-        # parked on its idle_backoff grid until the next sweep is due
-        if sched.now - self._last_sweep < self.interval:
+        # parked until the next sweep is due
+        if sched.now < self._last_sweep + self.interval:
             self.park = self._last_sweep + self.interval
             return None
         self._last_sweep = sched.now

@@ -7,10 +7,10 @@ they next become runnable and always dispatches the earliest one -- i.e. a
 classic discrete-event simulation in which actors genuinely overlap in
 simulated time even though Python executes them one at a time.
 
-An idle actor polls again ``idle_backoff`` later.  That poll grid is the
-model, but a step after which every poll would find nothing sets
-:attr:`Actor.park`, and its producer's :func:`wake` resumes it on the very
-tick whose poll would first have seen the work: no empty poll is run.
+A step that finds no work and cannot name what would bring some retries
+``idle_backoff`` later.  A step that can sets :attr:`Actor.park`: the actor
+leaves the queue until its producer's :func:`wake` resumes it the instant
+the work arrives (or, for a timed park, its time comes).
 
 Two sources of controlled nondeterminism create the worker-rate skew that
 the paper's QuerySCN "leapfrogging" depends on:
@@ -31,10 +31,6 @@ from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuNode
 import random
 
-#: A timed park wakes this hair early, so the float rounding of an actor's
-#: own due check never makes it late (an early wake is one idle step).
-_EARLY = 1e-9
-
 
 class Actor:
     """Base class for every concurrent entity in the simulation."""
@@ -45,11 +41,11 @@ class Actor:
     node: Optional[CpuNode] = None
     #: Cost multiplier: 2.0 means this actor is half as fast.
     speed: float = 1.0
-    #: How long an actor sleeps after a step that found no work.
+    #: Retry delay of a step that found no work and did not park.
     idle_backoff: float = 0.001
-    #: Set by a step after which every poll would find nothing: ``True``
-    #: parks the actor until a producer wakes it, a time ``t`` until woken
-    #: or its first poll tick at or after ``t``.  Cleared after each step.
+    #: Set by a step that leaves the actor nothing to do until a producer
+    #: wakes it (``True``) or until time ``t``, whichever comes first.
+    #: Cleared after each step.
     park: bool | float | None = None
     #: The scheduler this actor is parked on (set and cleared by it).
     parked_on: Optional["Scheduler"] = None
@@ -109,13 +105,13 @@ class ActorOwner:
 
 class _Slot:
     """One registration: the actor, its order, its live entry's generation
-    and, while parked, the next tick it would have polled at."""
+    and, while parked, when its last step's cost has elapsed."""
 
-    __slots__ = ("actor", "order", "gen", "tick")
+    __slots__ = ("actor", "order", "gen", "ready")
 
     def __init__(self, actor: Actor, order: int) -> None:
         self.actor, self.order, self.gen = actor, order, 0
-        self.tick: Optional[float] = None
+        self.ready = 0.0
 
 
 class Scheduler:
@@ -130,13 +126,11 @@ class Scheduler:
         self._registrations = itertools.count()
         # Heap entries: (time, kind, order, generation, payload).  At one
         # instant events (kind 0) run before actors (1), each in scheduling
-        # or registration order, so a woken actor sorts where its poll did.
-        # add/kick/wake/remove bump a slot's generation: older entries of
-        # the actor go stale and are skipped lazily.
+        # or registration order, whenever they were pushed.  add/wake/
+        # remove bump a slot's generation: older entries of the actor go
+        # stale and are skipped lazily.
         self._heap: list[tuple[float, int, int, int, Any]] = []
         self._slots: dict[int, _Slot] = {}
-        #: Key of the last entry run (after ``run_until``: past its horizon).
-        self._cursor: tuple[float, int, int] = (self.clock.now, -1, -1)
 
     # ------------------------------------------------------------------
     # registration
@@ -159,38 +153,16 @@ class Scheduler:
             slot.gen += 1
             actor.parked_on = None
 
-    def kick(self, actor: Actor, delay: float = 0.0) -> bool:
-        """Make ``actor`` runnable at now (+``delay``), superseding its
-        pending wakeup (typically an idle-backoff sleep).
-
-        Used by work queues to wake sleeping consumers the moment work
-        arrives -- e.g. query workers when a scan's morsels are enqueued.
-        Returns False (and does nothing) if the actor is not registered.
-        """
-        slot = self._slots.get(id(actor))
-        if slot is None:
-            return False
-        self._resume(slot, self.clock.now + delay)
-        return True
-
     def wake(self, actor: Actor) -> None:
-        """Resume a parked ``actor`` on its first poll tick (walked by its
-        polls' float additions) that sorts after the entry being, or last,
-        dispatched: the poll that would first have seen the work."""
-        slot = self._slots.get(id(actor))
-        if slot is None or slot.tick is None:
-            return
-        tick, backoff = slot.tick, actor.idle_backoff
-        at, kind, order = max(self._cursor, (self.clock.now, 0, 0))
-        while tick < at:
-            tick += backoff
-        if tick == at and (1, slot.order) <= (kind, order):
-            tick += backoff
-        self._resume(slot, tick)
+        """Resume a parked ``actor`` now, or once its last step's cost has
+        elapsed if that is later (a step never overlaps the one before)."""
+        if actor.parked_on is self:
+            slot = self._slots[id(actor)]
+            self._resume(slot, max(self.clock.now, slot.ready))
 
     def _resume(self, slot: _Slot, when: float) -> None:
         slot.gen += 1
-        slot.tick = slot.actor.parked_on = None
+        slot.actor.parked_on = None
         heapq.heappush(self._heap, (when, 1, slot.order, slot.gen, slot))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
@@ -220,43 +192,40 @@ class Scheduler:
 
     def _dispatch_one(self) -> None:
         """Pop and run the head entry, made live by :meth:`_next_time`."""
-        when, kind, order, gen, payload = heapq.heappop(self._heap)
+        when, kind, __, gen, payload = heapq.heappop(self._heap)
         self.clock.advance_to(when)
-        self._cursor = (when, kind, order)
         if not kind:
             payload()
             return
         slot: _Slot = payload
         actor = slot.actor
-        slot.tick = actor.parked_on = None  # running (a timed park came due)
+        actor.parked_on = None  # running (a timed park came due)
         cost = actor.step(self)
         if cost is None:
-            next_time = when + actor.idle_backoff
+            ready, next_time = when, when + actor.idle_backoff
         else:
             cost *= actor.speed
             if self.jitter:
                 cost *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
             if actor.node is not None:
                 actor.node.charge(cost)
-            next_time = when + max(cost, 1e-9)
+            ready = next_time = when + max(cost, 1e-9)
         park = getattr(actor, "park", None)  # a duck-typed actor polls
         if park:
             actor.park = None
         if gen != slot.gen:
-            return  # kicked, re-added or removed during its step
+            return  # re-added or removed during its step
         if park:
-            slot.tick, actor.parked_on = next_time, self
+            slot.ready, actor.parked_on = ready, self
             if park is True:
                 return
-            while next_time < park - _EARLY:
-                next_time += actor.idle_backoff
+            next_time = max(next_time, park)
         heapq.heappush(self._heap, (next_time, 1, slot.order, gen, slot))
 
     def run_until(self, t: float) -> None:
         """Run the simulation until the clock reaches ``t``."""
         while (when := self._next_time()) is not None and when <= t:
             self._dispatch_one()
-        self._cursor = max(self._cursor, (t, 2, 0))
         if self.clock.now < t:
             self.clock.advance_to(t)
 

@@ -1,4 +1,4 @@
-"""Tests for service-routed sessions and the SQL GROUP BY extension."""
+"""Tests for service-routed sessions and their SQL."""
 
 import pytest
 
@@ -91,42 +91,12 @@ class TestSessionDML:
 
 
 class TestGroupBy:
-    def test_group_by_counts(self, pool):
-        __, sessions = pool
-        session = sessions.connect("reports")
-        groups = session.execute(
-            "SELECT c1, COUNT(*) FROM T GROUP BY c1"
-        )
-        assert dict(groups) == {f"v{i}": 20 for i in range(5)}
+    """GROUP BY is not in the dialect (DESIGN §3, "Removed")."""
 
-    def test_group_by_with_aggregates_and_where(self, pool):
-        __, sessions = pool
-        session = sessions.connect("reports")
-        groups = session.execute(
-            "SELECT c1, COUNT(*), MAX(n1) FROM T WHERE n1 < 50 GROUP BY c1"
-        )
-        # ids 0..49 -> 10 per bucket; max n1 per bucket = (bucket's max id)*1.0
-        as_dict = {key: (count, biggest) for key, count, biggest in groups}
-        assert as_dict["v0"] == (10, 45.0)
-        assert as_dict["v4"] == (10, 49.0)
-
-    def test_group_by_requires_aggregate(self):
+    def test_group_by_is_a_syntax_error(self):
         with pytest.raises(SQLSyntaxError):
-            parse_query("SELECT c1 FROM t GROUP BY c1")
-
-    def test_select_list_must_match_group_by(self):
-        with pytest.raises(SQLSyntaxError):
-            parse_query("SELECT c2, COUNT(*) FROM t GROUP BY c1")
+            parse_query("SELECT c1, COUNT(*) FROM t GROUP BY c1")
 
     def test_mixed_without_group_by_still_rejected(self):
         with pytest.raises(SQLSyntaxError):
             parse_query("SELECT a, COUNT(*) FROM t")
-
-    def test_group_by_multiple_columns(self, pool):
-        __, sessions = pool
-        session = sessions.connect("reports")
-        groups = session.execute(
-            "SELECT c1, id, COUNT(*) FROM T WHERE id < 3 GROUP BY c1, id"
-        )
-        assert len(groups) == 3
-        assert all(count == 1 for __, ___, count in groups)
