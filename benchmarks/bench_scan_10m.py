@@ -4,19 +4,20 @@ The smaller ``bench_microbench_scan`` proves the columnar-vs-row-format
 ratio; this gauntlet proves the *encoded-domain* kernels hold up at the
 paper's data sizes (§VI runs 6M rows).  Ten synthetic 1M-row IMCUs --
 built straight from numpy buffers via the ``from_arrays``/``from_codes``
-/``from_runs`` constructors -- are registered next to a real 20k-row
+constructors -- are registered next to a real 20k-row
 part (loaded through redo apply, so the reconcile path has genuine
 row-store blocks behind it).  Four configurations are timed:
 
 * **clean_scan** -- ~2% selective range over 10M rows projecting all
-  four columns.  Also re-run under *naive* kernels (decode-then-evaluate
-  RLE, per-row ``take``) monkeypatched over the same data: the honest
-  same-machine pre-PR baseline.  Gate: >= 2x and an absolute rows/s
+  four columns.  Also re-run under *naive* kernels (per-row ``take``,
+  per-value aggregate folds) monkeypatched over the same data: the
+  honest same-machine baseline.  Gate: >= 2x and an absolute rows/s
   floor for CI.
-* **selective_rle** -- equality on the run-length column matching a
-  handful of runs: run-skipping expands only those runs.
-* **encoded_aggregate** -- COUNT/SUM/MIN/MAX folded from codes and run
-  lengths without decoding, checked against numpy ground truth.
+* **selective_eq** -- equality on the long-run ``c2`` column matching a
+  handful of its runs: one code compare over the int32 code vector.
+* **encoded_aggregate** -- COUNT/SUM/MIN/MAX folded from the float
+  vector and the dictionary codes without decoding, checked against
+  numpy ground truth.
 * **reconcile_heavy** -- a quarter of the real part SMU-invalidated;
   the scan answer must not change (monotone fallback).  Timed cold: the
   invalidated units' tail images are discarded (an epoch bump, so their
@@ -41,8 +42,6 @@ from repro.imcs.compression import (
     NULL_CODE,
     DictionaryCU,
     NumericCU,
-    RunLengthCU,
-    _range_mask_over_codes,
     _sorted_code_for,
 )
 from repro.imcs.imcu import IMCU
@@ -93,7 +92,9 @@ def _synthetic_unit(object_id, snapshot_scn, unit_index: int) -> IMCU:
         "id": NumericCU.from_arrays(ids, is_int=np.ones(n, dtype=bool)),
         "n1": NumericCU.from_arrays(n1),
         "c1": DictionaryCU.from_codes(c1_codes, C1_DICT),
-        "c2": RunLengthCU.from_runs(starts, run_codes, n, STATUSES),
+        "c2": DictionaryCU.from_codes(
+            np.repeat(run_codes, np.diff(np.append(starts, n))), STATUSES
+        ),
     }
     return IMCU(object_id, 0, snapshot_scn, {}, columns, n_rows=n)
 
@@ -149,48 +150,8 @@ def wall_time(fn, repeats: int = 3, before=None) -> float:
 
 
 # ----------------------------------------------------------------------
-# naive (pre-PR-shaped) kernels, monkeypatched over the same data
+# naive (row-at-a-time) kernels, monkeypatched over the same data
 # ----------------------------------------------------------------------
-def _naive_decoded(cu: RunLengthCU) -> np.ndarray:
-    """Full decoded code vector with a per-CU cache -- exactly the shape
-    of the pre-PR RLE kernels (decode once, mask the n_rows vector)."""
-    cache = getattr(cu, "_bench_naive_decoded", None)
-    if cache is None:
-        cache = np.repeat(cu._run_codes, cu._run_lengths)
-        cu._bench_naive_decoded = cache
-    return cache
-
-
-def _naive_rle_eq_mask(self, value):
-    code = _sorted_code_for(self._dictionary, value)
-    codes = _naive_decoded(self)
-    if code is None:
-        return np.zeros(self.n_rows, dtype=bool)
-    return codes == code
-
-
-def _naive_rle_range_mask(
-    self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True
-):
-    return _range_mask_over_codes(
-        _naive_decoded(self), self._dictionary,
-        lo, hi, lo_inclusive, hi_inclusive,
-    )
-
-
-def _naive_rle_null_mask(self):
-    return _naive_decoded(self) == NULL_CODE
-
-
-def _naive_rle_take(self, positions):
-    codes = _naive_decoded(self)
-    dictionary = self._dictionary
-    return [
-        None if codes[p] == NULL_CODE else dictionary[codes[p]]
-        for p in positions
-    ]
-
-
 def _naive_dict_take(self, positions):
     codes = self._codes
     dictionary = self._dictionary
@@ -229,11 +190,6 @@ def _naive_numeric_take(self, positions):
 
 
 _NAIVE = {
-    (RunLengthCU, "eq_mask"): _naive_rle_eq_mask,
-    (RunLengthCU, "range_mask"): _naive_rle_range_mask,
-    (RunLengthCU, "null_mask"): _naive_rle_null_mask,
-    (RunLengthCU, "take"): _naive_rle_take,
-    (RunLengthCU, "stats_for_positions"): _naive_stats,
     (DictionaryCU, "take"): _naive_dict_take,
     (DictionaryCU, "stats_for_positions"): _naive_stats,
     (NumericCU, "take"): _naive_numeric_take,
@@ -295,30 +251,28 @@ def test_clean_scan_vs_naive_kernels(gauntlet, benchmark):
     benchmark(clean)
 
 
-def test_selective_rle_run_skipping(gauntlet):
-    """Equality on the RLE column: only matching runs are expanded."""
+def test_selective_eq(gauntlet):
+    """Equality on the long-run column: one code compare per unit."""
     deployment, __ = gauntlet
     standby = deployment.standby
     predicates = [Predicate.eq("c2", "Z-RARE")]
 
-    def rle():
+    def selective():
         return standby.query("G", predicates, ["id"])
 
-    result = rle()
-    # ground truth from the run buffers themselves
+    result = selective()
+    # ground truth from the code vectors themselves
     expected = 0
     for smu in standby.imcs.segment(
         standby.catalog.table("G").default_partition.object_id
     ).live_units():
-        cu = smu.imcu._columns.get("c2")
-        if isinstance(cu, RunLengthCU):
-            __, lengths, codes = cu.run_view()
-            rare = _sorted_code_for(cu._dictionary, "Z-RARE")
-            if rare is not None:
-                expected += int(lengths[codes == rare].sum())
+        cu = smu.imcu.column("c2")
+        rare = _sorted_code_for(cu._dictionary, "Z-RARE")
+        if rare is not None:
+            expected += int(np.count_nonzero(cu._codes == rare))
     assert len(result.rows) == expected
-    t = wall_time(rle)
-    _RESULTS["selective_rle"] = {
+    t = wall_time(selective)
+    _RESULTS["selective_eq"] = {
         "wall_s": t,
         "rows_per_s": TOTAL_ROWS / t,
         "matching_rows": len(result.rows),
@@ -326,7 +280,7 @@ def test_selective_rle_run_skipping(gauntlet):
 
 
 def test_encoded_domain_aggregate(gauntlet):
-    """COUNT/SUM/MIN/MAX folded from codes + run lengths, no decode."""
+    """COUNT/SUM/MIN/MAX folded from floats and codes, no decode."""
     deployment, __ = gauntlet
     standby = deployment.standby
     predicates = [Predicate.between("n1", 1e9, 1e9 + 500.0)]

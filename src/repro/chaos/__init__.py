@@ -46,7 +46,7 @@ from repro.chaos.faults import (
     Stall,
     Timed,
 )
-from repro.chaos.plan import ChaosContext, ChaosEvent, FaultPlan, random_plan
+from repro.chaos.plan import ChaosContext, ChaosEvent, FaultPlan
 from repro.chaos.invariants import (
     Invariant,
     InvariantResult,
@@ -91,7 +91,6 @@ __all__ = [
     "Timed",
     "declare",
     "get_scenario",
-    "random_plan",
     "recording",
     "standard_invariants",
 ]

@@ -62,11 +62,18 @@ class StandbyInstance:
     #: Instance number inside a RAC standby; the apply master is 1.
     instance_id = 1
 
+    #: No population below this QuerySCN: a restart forgets the
+    #: invalidations mined from redo it had already merged, so a unit
+    #: built below that redo would hold rows nothing will invalidate.
+    population_floor: SCN = 0
+
     def _capture_snapshot(self, owner: object) -> Optional[SCN]:
         """Population snapshot = the current published QuerySCN, captured
         under the shared quiesce lock (paper, III-A)."""
         if self.query_scn.value == 0:
             return None  # no consistency point published yet
+        if self.query_scn.value < self.population_floor:
+            return None  # a restart's forgotten redo is not yet published
         if not self.quiesce_lock.try_acquire_shared(owner):
             return None  # quiesce period in progress
         try:
@@ -255,6 +262,9 @@ class StandbyDatabase(Database, StandbyInstance):
         DDL information table, every IMCU and all queued population work
         are lost.  Redo that was mined-but-not-flushed before the restart
         is what the section III-E coarse-invalidation protocol exists for.
+        The restart queues population of every enabled block afresh; it
+        captures nothing until the QuerySCN reaches the redo merged before
+        the bounce (``population_floor``).
 
         With :meth:`enable_restart_checkpoints` armed (and ``cold=False``)
         the instant path reinstalls a warm IMCS from the latest population
@@ -265,6 +275,7 @@ class StandbyDatabase(Database, StandbyInstance):
         # pre-restart commit table; publishing it after the clear would
         # skip every invalidation the tail replay re-mines below it.
         self.coordinator.reset_advance()
+        self.population_floor = self.merger.merged_through_scn
         self.journal.clear()
         self.commit_table.clear()
         self.ddl_table.clear()
@@ -294,4 +305,5 @@ class StandbyDatabase(Database, StandbyInstance):
         if report.mode == "instant":
             self.instant_restarts += 1
         self.population.reset()
+        self.population.schedule_all()
         self.restarts += 1

@@ -24,7 +24,6 @@ from repro.imcs.compression import (
     ColumnCU,
     DictionaryCU,
     NumericCU,
-    RunLengthCU,
     encode_column,
 )
 from repro.imcs.imcu import IMCU
@@ -46,7 +45,6 @@ __all__ = [
     "ColumnCU",
     "NumericCU",
     "DictionaryCU",
-    "RunLengthCU",
     "encode_column",
     "IMCU",
     "SMU",

@@ -7,9 +7,9 @@ Instead of materialising matching rows and folding them in Python, the
 aggregator evaluates COUNT/SUM/AVG/MIN/MAX *in the encoded domain*: every
 CU answers ``stats_for_positions`` (``(count, total, min, max)``)
 over the SMU-valid + predicate-matching positions -- numeric columns fold
-their float vector, dictionary/RLE columns fold codes and run lengths and
-decode only the winning min/max codes.  Row-store rows fold the same way,
-from their tail image's CUs, so every path gives one answer: a NUMBER
+their float vector, dictionary columns fold codes and decode only the
+winning min/max codes.  Row-store rows fold the same way, from their
+tail image's CUs, so every path gives one answer: a NUMBER
 MIN/MAX is a float, a NaN is sticky, and SUM adds each partial's numpy sum
 in scan order (DESIGN.md §4).
 """
@@ -139,7 +139,7 @@ class Aggregator:
             if isinstance(unit, IMCU):
                 result.pushed_down_rows += int(positions.size)
             for column in columns:
-                # encoded-domain fold: codes / run lengths, no decode
+                # encoded-domain fold: floats / codes, no decode
                 accumulators[column].merge_encoded(
                     *unit.column(column).stats_for_positions(positions)
                 )

@@ -1,7 +1,7 @@
 """Column compression units (CUs).
 
 "IMCUs employ techniques like data compression and encoding to efficiently
-pack the IMCS" (paper, II-B).  Three encodings are provided:
+pack the IMCS" (paper, II-B).  Two encodings are provided:
 
 * :class:`NumericCU` -- NUMBER columns as a float64 vector plus a null
   bitmap; predicates evaluate as numpy comparisons (the stand-in for
@@ -9,9 +9,6 @@ pack the IMCS" (paper, II-B).  Three encodings are provided:
 * :class:`DictionaryCU` -- VARCHAR2 columns as int32 codes into a *sorted*
   dictionary; equality resolves to one code compare, range predicates to a
   code-range compare (sortedness makes order-preserving encoding possible).
-* :class:`RunLengthCU` -- run-length layer over dictionary codes; all
-  kernels evaluate *per run* and expand only matching runs, so no decoded
-  n_rows code vector is ever materialised (run-skipping).
 
 Every CU answers the same small interface: vectorised predicate masks,
 bulk decode for projection (``take``), encoded-domain aggregation
@@ -35,14 +32,6 @@ import numpy as np
 
 #: Dictionary code used for NULL values.
 NULL_CODE = -1
-
-#: Switch to run-length encoding when the average run is at least this long.
-RLE_MIN_AVG_RUN = 4.0
-
-#: Expand matching RLE runs with per-run slice writes (run-skipping) when
-#: at most this many runs match; beyond it one vectorised ``np.repeat`` of
-#: the run mask is cheaper than the Python loop.
-RLE_SLICE_EXPAND_MAX_RUNS = 64
 
 
 class ColumnCU:
@@ -298,21 +287,18 @@ def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
 
 
 def _merge_sorted_columns(
-    olds: Sequence[ColumnCU], keep, columns: Sequence[list], take
+    olds: Sequence[DictionaryCU], keep, columns: Sequence[list], take
 ) -> list[tuple[np.ndarray, list[str]]]:
     """Merge kernel beside :func:`_sorted_codes`, for every sorted-
     dictionary column of a unit at once: rows ``keep`` of each carried CU
-    (run-length ones gathered in the run domain) followed by its
-    ``columns`` cells, in ``take`` order, into the sorted dictionary of
-    exactly the values those rows hold, as ``(codes, dictionary)``.  An
-    entry whose last user went leaves it, a new value enters in sorted
-    position, and the carried codes move through one ``remap`` gather;
-    Python runs over the *distinct fresh* values only."""
+    followed by its ``columns`` cells, in ``take`` order, into the sorted
+    dictionary of exactly the values those rows hold, as ``(codes,
+    dictionary)``.  An entry whose last user went leaves it, a new value
+    enters in sorted position, and the carried codes move through one
+    ``remap`` gather; Python runs over the *distinct fresh* values only."""
     count = len(olds)
     sizes = [len(cu._dictionary) for cu in olds]
-    kept = np.array(
-        [cu._positions_to_codes(keep) for cu in olds], dtype=np.intp
-    )
+    kept = np.array([cu._codes[keep] for cu in olds], dtype=np.intp)
     # one padded usage table per column, NULL_CODE's slot last; flat, so a
     # column's -1 marks the (ignored) NULL slot of the column before it
     alive = np.zeros((count, max(sizes) + 1), dtype=bool)
@@ -364,12 +350,6 @@ def _merge_sorted_columns(
     ).reshape(count, n_fresh)
     codes = np.concatenate((kept, codes), axis=1).take(take, axis=1)
     return list(zip(codes, dictionaries))
-
-
-def _run_starts(codes: np.ndarray) -> np.ndarray:
-    """Offsets at which a new run of equal codes begins."""
-    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    return np.concatenate((np.zeros(min(codes.size, 1), np.int64), change))
 
 
 def _decode_table(dictionaries: Sequence[list[str]]) -> tuple:
@@ -439,9 +419,6 @@ class DictionaryCU(ColumnCU):
     def _decode(self) -> np.ndarray:  # a view, once its IMCU has a table
         return _decode_table([self._dictionary])[0]
 
-    def _positions_to_codes(self, positions) -> np.ndarray:
-        return self._codes[positions]
-
     def take(self, positions) -> list:
         positions = np.asarray(positions, dtype=np.int64)
         # NULL_CODE (-1) indexes the table's trailing None slot
@@ -456,9 +433,12 @@ class DictionaryCU(ColumnCU):
         return self._codes == code
 
     def range_mask(self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
-        return _range_mask_over_codes(
-            self._codes, self._dictionary, lo, hi, lo_inclusive, hi_inclusive
+        # the dictionary is sorted: a value range is a contiguous code
+        # range, and lo_code >= 0 leaves NULL_CODE (-1) outside it
+        lo_code, hi_code = _code_bounds(
+            self._dictionary, lo, hi, lo_inclusive, hi_inclusive
         )
+        return (self._codes >= lo_code) & (self._codes <= hi_code)
 
     def null_mask(self) -> np.ndarray:
         return self._codes == NULL_CODE
@@ -490,177 +470,9 @@ class DictionaryCU(ColumnCU):
         return int(self._codes.nbytes) + _dictionary_bytes(self._dictionary)
 
 
-class RunLengthCU(ColumnCU):
-    """Run-length envelope over sorted-dictionary codes.
-
-    Stores (run start offsets, run codes, run lengths) only.  Every kernel
-    evaluates in the *run domain*: predicate masks compare the n_runs code
-    vector and expand just the matching runs into the row mask
-    (run-skipping), ``take`` binary-searches run starts, and aggregation
-    folds run codes -- no decoded n_rows code vector is ever allocated, so
-    ``memory_bytes`` is the true pool footprint.
-    """
-
-    def __init__(self, base: DictionaryCU) -> None:
-        starts = _run_starts(base._codes)
-        self._install_runs(
-            starts, base._codes[starts], base.n_rows, base._dictionary
-        )
-
-    @classmethod
-    def from_runs(
-        cls,
-        run_starts: np.ndarray,
-        run_codes: np.ndarray,
-        n_rows: int,
-        dictionary: Sequence[str],
-    ) -> "RunLengthCU":
-        """Build directly from run buffers and a *sorted* dictionary."""
-        cu = cls.__new__(cls)
-        cu._install_runs(
-            np.ascontiguousarray(run_starts, dtype=np.int64),
-            np.ascontiguousarray(run_codes, dtype=np.int32),
-            int(n_rows),
-            list(dictionary),
-        )
-        return cu
-
-    def _install_runs(
-        self,
-        starts: np.ndarray,
-        run_codes: np.ndarray,
-        n_rows: int,
-        dictionary: list[str],
-    ) -> None:
-        self.n_rows = n_rows
-        self._dictionary = dictionary
-        self._run_starts = starts
-        self._run_codes = run_codes
-        self._run_lengths = np.diff(
-            np.concatenate((starts, [n_rows]))
-        ).astype(np.int64)
-
-    @property
-    def n_runs(self) -> int:
-        return len(self._run_starts)
-
-    def run_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, lengths, codes) -- read-only run-domain view."""
-        return self._run_starts, self._run_lengths, self._run_codes
-
-    @cached_property
-    def _decode(self) -> np.ndarray:
-        return _decode_table([self._dictionary])[0]
-
-    def _expand_runs(self, run_mask: np.ndarray) -> np.ndarray:
-        """Row mask from a run mask, touching only matching runs."""
-        matching = np.flatnonzero(run_mask)
-        if matching.size == 0:
-            return np.zeros(self.n_rows, dtype=bool)
-        if matching.size <= RLE_SLICE_EXPAND_MAX_RUNS:
-            out = np.zeros(self.n_rows, dtype=bool)
-            starts = self._run_starts
-            lengths = self._run_lengths
-            for r in matching.tolist():
-                start = starts[r]
-                out[start:start + lengths[r]] = True
-            return out
-        return np.repeat(run_mask, self._run_lengths)
-
-    def _positions_to_codes(self, positions) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.int64)
-        idx = np.searchsorted(self._run_starts, positions, side="right") - 1
-        return self._run_codes[idx]
-
-    def take(self, positions) -> list:
-        return self._decode[self._positions_to_codes(positions)].tolist()
-
-    def eq_mask(self, value: object) -> np.ndarray:
-        if value is None or not isinstance(value, str):
-            return np.zeros(self.n_rows, dtype=bool)
-        code = _sorted_code_for(self._dictionary, value)
-        if code is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        return self._expand_runs(self._run_codes == code)
-
-    def range_mask(self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
-        lo_code, hi_code = _code_bounds(
-            self._dictionary, lo, hi, lo_inclusive, hi_inclusive
-        )
-        run_mask = (self._run_codes >= lo_code) & (self._run_codes <= hi_code)
-        run_mask &= self._run_codes != NULL_CODE
-        return self._expand_runs(run_mask)
-
-    def null_mask(self) -> np.ndarray:
-        return self._expand_runs(self._run_codes == NULL_CODE)
-
-    def stats_for_positions(self, positions):
-        codes = self._positions_to_codes(positions)
-        present = codes[codes != NULL_CODE]
-        if present.size == 0:
-            return 0, 0.0, None, None
-        return (
-            int(present.size),
-            0.0,
-            self._dictionary[int(present.min())],
-            self._dictionary[int(present.max())],
-        )
-
-    @property
-    def min_value(self):
-        return self._dictionary[0] if self._dictionary else None
-
-    @property
-    def max_value(self):
-        return self._dictionary[-1] if self._dictionary else None
-
-    @cached_property
-    def memory_bytes(self) -> int:
-        run_bytes = int(
-            self._run_starts.nbytes
-            + self._run_codes.nbytes
-            + self._run_lengths.nbytes
-        )
-        return run_bytes + _dictionary_bytes(self._dictionary)
-
-
-def _range_mask_over_codes(
-    codes: np.ndarray,
-    dictionary: list[str],
-    lo,
-    hi,
-    lo_inclusive: bool,
-    hi_inclusive: bool,
-) -> np.ndarray:
-    """Range predicate over order-preserving dictionary codes.
-
-    Because the dictionary is sorted, a value range maps to a contiguous
-    code range, and the comparison runs on the int32 code vector.
-    """
-    lo_code, hi_code = _code_bounds(
-        dictionary, lo, hi, lo_inclusive, hi_inclusive
-    )
-    mask = (codes >= lo_code) & (codes <= hi_code)
-    mask &= codes != NULL_CODE
-    return mask
-
-
-def _run_length(codes, dictionary) -> Optional[RunLengthCU]:
-    """The RLE upgrade of a dictionary-encoded column, or None when the
-    average run is too short to pay -- decided on the code vector's run
-    count, before any run buffer is built."""
-    n_runs = np.count_nonzero(codes[1:] != codes[:-1]) + 1
-    if codes.size and codes.size / n_runs >= RLE_MIN_AVG_RUN:
-        starts = _run_starts(codes)
-        return RunLengthCU.from_runs(
-            starts, codes[starts], codes.size, dictionary
-        )
-    return None
-
-
 def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
-    """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector, or
-    sorted dictionary upgraded to RLE where the runs pay)."""
+    """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector or
+    sorted dictionary)."""
     matrix = np.empty((len(values), 1), dtype=object)
     matrix[:, 0] = values
     return encode_rows(matrix, [(0, is_numeric, None)])[0][0]
@@ -695,7 +507,7 @@ def encode_rows(
 
     Also returns the blocks the CUs are views of, each ``(spec indices,
     (k, n) array)`` or None: NUMBER values, and the int32 codes of the
-    private sorted-dictionary columns that did not go run-length."""
+    private sorted-dictionary columns."""
     olds, keep, take = carried or ((), None, None)
     cus: list = [None] * len(specs)
     number_block = code_block = None
@@ -726,17 +538,10 @@ def encode_rows(
         encoded = _merge_sorted_columns(
             [olds[k] for k in private], keep, [cells(k) for k in private], take
         ) if carried else [_sorted_codes(cells(k)) for k in private]
-        rows, dictionaries = [], {}
-        for k, (codes, dictionary) in zip(private, encoded):
-            cus[k] = _run_length(codes, dictionary)
-            if cus[k] is None:
-                rows.append(codes)
-                dictionaries[k] = dictionary
-        block = np.array(rows, dtype=np.int32)
-        for j, (k, dictionary) in enumerate(dictionaries.items()):
+        block = np.array([codes for codes, __ in encoded], dtype=np.int32)
+        for j, (k, (__, dictionary)) in enumerate(zip(private, encoded)):
             cus[k] = DictionaryCU.from_codes(block[j], dictionary)
-        if dictionaries:
-            code_block = (list(dictionaries), block)
+        code_block = (private, block)
     for k in joined:
         # surviving values own their codes already, so the fresh rows
         # alone meet the dictionary in the order a full pass would

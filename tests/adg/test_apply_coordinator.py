@@ -426,18 +426,19 @@ class TestCoordinator:
         ]
 
 
-def test_restart_abandons_an_in_flight_advancement():
-    """An advancement chopped but not yet published when the standby
-    bounces must not publish its pre-restart target: ``reset_advance``
-    drops it with the worklink, and the next one re-derives everything
-    the redo tail re-mines."""
+def advancing_deployment(delay: float = 0.0):
+    """A deployment whose standby has chopped, but cannot yet publish, an
+    advancement over a 20-row update begun ``delay`` sim-seconds after the
+    catch-up; returns it with that advancement's target and the update's
+    commit SCN."""
     deployment = Deployment.build(config=small_config())
     deployment.create_table(simple_table_def())
     rowids, __ = load(deployment, n=80)
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
     deployment.catch_up()
-    standby = deployment.standby
-    coord = standby.coordinator
+    if delay:
+        deployment.sched.run_for(delay)
+    coord = deployment.standby.coordinator
     holder = object()  # a population capture: drains, cannot publish
     assert coord.quiesce_lock.try_acquire_shared(holder)
     txn = deployment.primary.begin()
@@ -448,20 +449,52 @@ def test_restart_abandons_an_in_flight_advancement():
         lambda: coord._advancing_to is not None, max_time=10.0
     )
     stale = coord._advancing_to
-    assert standby.flush.worklink is not None
-    assert standby.query_scn.value < stale
+    assert deployment.standby.flush.worklink is not None
+    assert deployment.standby.query_scn.value < stale
     coord.quiesce_lock.release_shared(holder)
+    return deployment, stale, target
 
+
+def standby_reads_like_primary(deployment) -> bool:
+    scn = deployment.standby.query_scn.value
+    table = deployment.primary.catalog.table("T")
+    return sorted(deployment.standby.query("T").rows) == sorted(
+        values
+        for __, values in table.full_scan(scn, deployment.primary.txn_table)
+    )
+
+
+def test_restart_abandons_an_in_flight_advancement():
+    """An advancement chopped but not yet published when the standby
+    bounces must not publish its pre-restart target: ``reset_advance``
+    drops it with the worklink, and the next one re-derives everything
+    the redo tail re-mines."""
+    deployment, stale, target = advancing_deployment()
+    standby = deployment.standby
+    coord = standby.coordinator
     deployment.restart_standby(cold=True)
     assert coord._advancing_to is None
     assert standby.flush.worklink is None
     assert standby.query_scn.value < stale  # the stale target died
 
     deployment.catch_up()
-    scn = standby.query_scn.value
-    assert scn >= target
-    table = deployment.primary.catalog.table("T")
-    assert sorted(standby.query("T").rows) == sorted(
-        values
-        for __, values in table.full_scan(scn, deployment.primary.txn_table)
-    )
+    assert standby.query_scn.value >= target
+    assert standby_reads_like_primary(deployment)
+
+
+def test_cold_restart_populates_no_unit_below_the_redo_it_forgot():
+    """Regression: a cold bounce clears the journal and commit table, and
+    with them the invalidations mined from redo it had already merged.
+    Population at the pre-bounce QuerySCN then built units below commits
+    nothing would invalidate, and scans served their stale rows -- at
+    update phases of 30-37.75 ms.  ``population_floor`` holds population
+    back until the QuerySCN passes that redo, at every phase."""
+    diverged = []
+    for phase in range(121):
+        delay = phase * 0.0005
+        deployment, __, __ = advancing_deployment(delay)
+        deployment.restart_standby(cold=True)
+        deployment.catch_up()
+        if not standby_reads_like_primary(deployment):
+            diverged.append(delay)
+    assert diverged == []

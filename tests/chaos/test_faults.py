@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos import faults as F
-from repro.chaos.plan import ChaosContext, FaultPlan, random_plan
+from repro.chaos.plan import ChaosContext, FaultPlan
 from repro.chaos.sites import Action, SiteRegistry, recording
 from repro.chaos import sites
 from repro.sim import Scheduler
@@ -196,17 +196,3 @@ class TestFaultPlan:
         described = plan.describe()
         assert described[0].startswith("t=0.1")
         assert described[1].startswith("t=0.9")
-
-    def test_random_plan_is_seed_deterministic(self):
-        a = random_plan(seed=42, duration=2.0)
-        b = random_plan(seed=42, duration=2.0)
-        assert a.describe() == b.describe()
-        assert 2 <= len(a) <= 6
-        c = random_plan(seed=43, duration=2.0)
-        assert a.describe() != c.describe()
-
-    def test_random_plan_times_within_duration(self):
-        for seed in range(10):
-            plan = random_plan(seed=seed, duration=3.0)
-            for entry in plan:
-                assert 0.0 < entry.time < 3.0

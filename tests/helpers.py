@@ -25,7 +25,6 @@ from repro.imcs.compression import (
     ColumnCU,
     GlobalDictionary,
     NumericCU,
-    RunLengthCU,
     SharedDictionaryCU,
 )
 from repro.redo.batch import CVBatch, CVChunk
@@ -187,8 +186,6 @@ def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:
     byte for byte."""
     if isinstance(cu, NumericCU):
         return {"data": cu._data, "nulls": cu._nulls, "is_int": cu._is_int}
-    if isinstance(cu, RunLengthCU):
-        return {"run_starts": cu._run_starts, "run_codes": cu._run_codes}
     return {"codes": cu._codes}  # DictionaryCU, SharedDictionaryCU
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imcs import DictionaryCU, NumericCU, RunLengthCU, encode_column
+from repro.imcs import DictionaryCU, NumericCU, encode_column
 from repro.imcs.compression import encode_rows
 
 
@@ -170,44 +170,6 @@ class TestDictionaryCU:
         assert cu.max_value == "z"
 
 
-class TestRunLengthCU:
-    def test_runs_detected(self):
-        base = DictionaryCU(["a"] * 10 + ["b"] * 10 + ["a"] * 5)
-        rle = RunLengthCU(base)
-        assert rle.n_runs == 3
-        assert rle.take([0, 10, 24]) == ["a", "b", "a"]
-
-    def test_masks_match_dictionary(self):
-        values = ["x"] * 7 + [None] * 3 + ["y"] * 5 + ["x"] * 2
-        base = DictionaryCU(values)
-        rle = RunLengthCU(base)
-        assert np.array_equal(rle.eq_mask("x"), base.eq_mask("x"))
-        assert np.array_equal(rle.null_mask(), base.null_mask())
-        assert np.array_equal(
-            rle.range_mask("x", "y"), base.range_mask("x", "y")
-        )
-
-    def test_rle_smaller_for_long_runs(self):
-        values = ["a"] * 1000 + ["b"] * 1000
-        base = DictionaryCU(values)
-        rle = RunLengthCU(base)
-        assert rle.memory_bytes < base.memory_bytes
-
-    def test_memory_bytes_unchanged_by_kernels(self):
-        """Satellite regression: pool accounting used to under-report
-        after the first mask evaluation cached a decoded n_rows vector;
-        the run-native kernels keep no such cache."""
-        rle = RunLengthCU(DictionaryCU(["a"] * 100 + [None] * 50 + ["b"] * 100))
-        before = rle.memory_bytes
-        rle.eq_mask("a")
-        rle.range_mask("a", "b")
-        rle.null_mask()
-        rle.take(np.array([0, 120, 249]))
-        rle.stats_for_positions(np.array([0, 120, 249]))
-        assert rle.memory_bytes == before
-        assert not hasattr(rle, "_decoded")
-
-
 class TestEncodeColumn:
     def test_numeric_selected(self):
         assert isinstance(encode_column([1, 2], is_numeric=True), NumericCU)
@@ -216,9 +178,10 @@ class TestEncodeColumn:
         values = [f"v{i}" for i in range(100)]
         assert isinstance(encode_column(values, False), DictionaryCU)
 
-    def test_rle_for_long_runs(self):
+    def test_dictionary_for_long_runs(self):
         values = ["a"] * 50 + ["b"] * 50
-        assert isinstance(encode_column(values, False), RunLengthCU)
+        cu = encode_column(values, False)
+        assert type(cu) is DictionaryCU and cu.dictionary == ["a", "b"]
 
     def test_empty_column(self):
         cu = encode_column([], is_numeric=False)
@@ -233,12 +196,10 @@ class TestEncodeColumn:
     )
 )
 def test_encodings_agree_property(values):
-    """Property: dictionary and RLE agree with a naive python evaluation."""
-    base = DictionaryCU(values)
-    rle = RunLengthCU(base)
-    for cu in (base, rle):
-        expected_eq = [v == "bb" for v in values]
-        assert list(cu.eq_mask("bb")) == expected_eq
-        expected_range = [v is not None and "b" <= v <= "cc" for v in values]
-        assert list(cu.range_mask("b", "cc")) == expected_range
-        assert cu.take(range(len(values))) == values
+    """Property: the dictionary encoding agrees with a naive python
+    evaluation."""
+    cu = DictionaryCU(values)
+    assert list(cu.eq_mask("bb")) == [v == "bb" for v in values]
+    expected_range = [v is not None and "b" <= v <= "cc" for v in values]
+    assert list(cu.range_mask("b", "cc")) == expected_range
+    assert cu.take(range(len(values))) == values

@@ -9,7 +9,7 @@ CR pass per block, lays the rows into one matrix and encodes block-wise
 oracle ``tests/property/test_population_columnar.py`` compares against.
 
 Everything is built through the buffer constructors (``from_arrays`` /
-``from_codes`` / ``from_runs``) and the ``addresses=`` arrays of the
+``from_codes``) and the ``addresses=`` arrays of the
 ``IMCU`` constructor, so nothing here runs the code under test.
 """
 
@@ -21,12 +21,10 @@ import numpy as np
 
 from repro.imcs.compression import (
     NULL_CODE,
-    RLE_MIN_AVG_RUN,
     ColumnCU,
     DictionaryCU,
     GlobalDictionary,
     NumericCU,
-    RunLengthCU,
     SharedDictionaryCU,
 )
 from repro.imcs.imcu import IMCU
@@ -60,29 +58,10 @@ def naive_dictionary(values: Sequence) -> DictionaryCU:
     return DictionaryCU.from_codes(codes, distinct)
 
 
-def naive_run_length(base: DictionaryCU) -> RunLengthCU:
-    codes = base._codes
-    if base.n_rows:
-        change = np.flatnonzero(np.diff(codes)) + 1
-        starts = np.concatenate(([0], change)).astype(np.int64)
-        run_codes = codes[starts].astype(np.int32)
-    else:
-        starts = np.zeros(0, dtype=np.int64)
-        run_codes = np.zeros(0, dtype=np.int32)
-    return RunLengthCU.from_runs(
-        starts, run_codes, base.n_rows, base._dictionary
-    )
-
-
 def naive_encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
     if is_numeric:
         return naive_numeric(values)
-    base = naive_dictionary(values)
-    if base.n_rows:
-        rle = naive_run_length(base)
-        if base.n_rows / max(rle.n_runs, 1) >= RLE_MIN_AVG_RUN:
-            return rle
-    return base
+    return naive_dictionary(values)
 
 
 def naive_shared(

@@ -36,12 +36,7 @@ from repro.imcs import (
     PopulationEngine,
     ScanEngine,
 )
-from repro.imcs.compression import (
-    RLE_MIN_AVG_RUN,
-    DictionaryCU,
-    GlobalDictionary,
-    RunLengthCU,
-)
+from repro.imcs.compression import DictionaryCU, GlobalDictionary
 from repro.imcs.expressions import Expression
 from repro.rowstore import BlockStore, Table
 from repro.rowstore.cr import settled_rows
@@ -127,8 +122,8 @@ class World:
             row_id,
             draw(st.sampled_from(NUMBERS + [None])),
             draw(st.sampled_from(NUMBERS + [None])),
-            # run-shaped: neighbours mostly agree, so updates flip the
-            # column across RLE_MIN_AVG_RUN in both directions
+            # run-shaped: neighbours mostly agree, so updates split
+            # and heal long runs of one value
             draw(st.sampled_from(["r0", "r0", "r0", "r1", None])),
             draw(st.sampled_from(STRINGS + [f"u{row_id}", f"u{row_id}"])),
             draw(st.sampled_from(STRINGS[:4] + [None])),
@@ -377,7 +372,7 @@ def test_base_without_a_column_or_dictionary_to_build_falls_back():
     plain = world.store.register_unit(
         build(world, snapshot, join_dictionaries={})
     )
-    assert isinstance(plain.imcu.column("j"), (DictionaryCU, RunLengthCU))
+    assert isinstance(plain.imcu.column("j"), DictionaryCU)
     unit = both(world, snapshot, plain)
     assert unit.rows_reused == 0
 
@@ -415,21 +410,6 @@ def test_vanished_entry_leaves_and_new_value_enters_in_sorted_position():
     assert unit.column("c1").dictionary == ["b", "c", "f", "g"]
     assert unit.column("c1").take(range(5)) == ["b", "c", "b", "f", "g"]
     assert cu_dictionary(unit.column("c2")) == ["same"]
-
-
-def test_rle_choice_is_retaken_on_the_merged_codes_both_ways():
-    run = int(RLE_MIN_AVG_RUN)
-    rows = [(i, 1, 1.0, "ab"[i // run], "k", None) for i in range(2 * run)]
-    world, smu = small_world(rows)
-    assert isinstance(smu.imcu.column("c1"), RunLengthCU)
-    update(world, 1, 1, (1, 1, 1.0, "z", "k", None), X[1])  # splits a run
-    unit = both(world, world.tick(), smu)
-    assert isinstance(unit.column("c1"), DictionaryCU) and unit.rows_reused
-    smu = world.store.register_unit(unit)
-    update(world, 1, 1, (1, 1, 1.0, "a", "k", None), X[2])  # heals it
-    unit = both(world, world.tick(), smu)
-    assert isinstance(unit.column("c1"), RunLengthCU)
-    assert unit.rows_reused == 2 * run - 1
 
 
 def test_smu_ahead_of_the_snapshot_reads_the_extra_rows_at_the_snapshot():

@@ -1,21 +1,14 @@
 """Property: encoded-domain CU kernels equal naive decode-then-evaluate.
 
-The run-native RLE kernels (per-run masks, run-skipping expansion,
-binary-searched ``take``), the vectorised numeric / dictionary gathers,
+The vectorised numeric / dictionary gathers, the shared-dictionary masks
 and the encoded-domain ``stats_for_positions`` folds must all be
 pointwise-identical to the obvious reference: evaluate per value over
 the very list the CU was built from (never a decode by the CU under
 test).  Hypothesis drives random encodings
 including NULL runs, all-NULL columns and empty CUs.
-
-Also asserted here: RLE mask evaluation never materialises an n_rows
-decoded vector (the pre-PR kernels did), and the old cache attributes
-are gone.
 """
 
 from __future__ import annotations
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +19,6 @@ from repro.imcs.compression import (
     DictionaryCU,
     GlobalDictionary,
     NumericCU,
-    RunLengthCU,
     SharedDictionaryCU,
 )
 
@@ -43,12 +35,6 @@ numbers = st.one_of(
 strings = st.sampled_from(WORDS)
 string_lists = st.lists(strings, min_size=0, max_size=120)
 number_lists = st.lists(numbers, min_size=0, max_size=120)
-
-# run-shaped lists: a few long runs rather than row-wise noise
-run_lists = st.lists(
-    st.tuples(strings, st.integers(min_value=1, max_value=20)),
-    min_size=0, max_size=12,
-).map(lambda runs: [v for v, n in runs for __ in range(n)])
 
 
 def positions_for(n: int):
@@ -95,96 +81,9 @@ def naive_stats(values, positions):
     return count, total, minimum, maximum
 
 
-def rle_of(values) -> RunLengthCU:
-    return RunLengthCU(DictionaryCU(values))
-
-
 def shared_of(values) -> SharedDictionaryCU:
     dictionary = GlobalDictionary()
     return SharedDictionaryCU(values, dictionary)
-
-
-# ----------------------------------------------------------------------
-# run-native RLE kernels
-# ----------------------------------------------------------------------
-class TestRunLengthKernels:
-    @given(run_lists, strings)
-    def test_eq_mask(self, values, needle):
-        cu = rle_of(values)
-        expected = naive_eq(values, needle)
-        assert cu.eq_mask(needle).tolist() == expected
-
-    @given(run_lists, strings, strings, st.booleans(), st.booleans())
-    def test_range_mask(self, values, lo, hi, lo_inc, hi_inc):
-        cu = rle_of(values)
-        expected = naive_range(values, lo, hi, lo_inc, hi_inc)
-        got = cu.range_mask(lo, hi, lo_inclusive=lo_inc, hi_inclusive=hi_inc)
-        assert got.tolist() == expected
-
-    @given(run_lists)
-    def test_null_mask(self, values):
-        cu = rle_of(values)
-        assert cu.null_mask().tolist() == [v is None for v in values]
-
-    @given(run_lists.flatmap(
-        lambda values: st.tuples(st.just(values), positions_for(len(values)))
-    ))
-    def test_take(self, values_and_positions):
-        values, positions = values_and_positions
-        cu = rle_of(values)
-        assert cu.take(np.asarray(positions, dtype=np.int64)) == [
-            values[p] for p in positions
-        ]
-
-    @given(run_lists.flatmap(
-        lambda values: st.tuples(st.just(values), positions_for(len(values)))
-    ))
-    def test_stats_for_positions(self, values_and_positions):
-        values, positions = values_and_positions
-        cu = rle_of(values)
-        assert cu.stats_for_positions(
-            np.asarray(positions, dtype=np.int64)
-        ) == naive_stats(values, positions)
-
-    def test_no_decoded_vector_cache(self):
-        cu = rle_of(["a"] * 50 + ["b"] * 50)
-        cu.eq_mask("a")
-        cu.range_mask("a", "b")
-        cu.null_mask()
-        # the pre-PR kernels cached a decoded n_rows code vector
-        assert not hasattr(cu, "_decoded")
-        assert not hasattr(cu, "_base_for_lookup")
-
-    def test_mask_allocates_no_decoded_vector(self):
-        """Run-skipping at scale: masking 4M RLE rows must not allocate
-        anything proportional to n_rows beyond the one bool mask."""
-        n = 4_000_000
-        starts = np.arange(0, n, 1000, dtype=np.int64)
-        codes = np.tile(
-            np.arange(8, dtype=np.int32), (starts.size + 7) // 8
-        )[: starts.size]
-        cu = RunLengthCU.from_runs(
-            starts, codes, n, [f"v{i}" for i in range(8)]
-        )
-        tracemalloc.start()
-        cu.eq_mask("v3")  # matches 1/8 of runs -> np.repeat path
-        cu.eq_mask("nope")  # matches nothing -> zeros path
-        __, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # bool mask = 4MB; the old int32 decode would add 16MB+
-        assert peak < 8 * 1024 * 1024, f"peak {peak / 1e6:.1f}MB"
-
-    @given(run_lists)
-    def test_memory_bytes_stable_across_masks(self, values):
-        """Satellite regression: pool accounting must not drift when
-        kernels run (the old cached ``_decoded`` was unaccounted)."""
-        cu = rle_of(values)
-        before = cu.memory_bytes
-        cu.eq_mask("alpha")
-        cu.range_mask("beta", None)
-        cu.null_mask()
-        cu.take(np.arange(min(cu.n_rows, 5), dtype=np.int64))
-        assert cu.memory_bytes == before
 
 
 # ----------------------------------------------------------------------

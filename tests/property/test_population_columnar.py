@@ -6,7 +6,7 @@ scalar build it replaced.  Hypothesis drives random blocks -- NULLs, NaN,
 mixed int/float columns, ints above 2**53, tombstones, an uncommitted or
 later-committed tail (edge rows), empty chains (apply gaps), missing
 blocks, all-NULL columns, zero-row units, strings with trailing NUL /
-empty / non-BMP characters, runs straddling ``RLE_MIN_AVG_RUN``, a
+empty / non-BMP characters, long runs of one value, a
 join-group column and an expression column -- and requires identical
 units: row addresses, captured slots, CU class, encoded buffers byte for
 byte, dictionaries, storage index, pool footprint and decoded values.
@@ -29,10 +29,8 @@ from repro.common import RowId, SnapshotTooOldError, TransactionId
 from repro.imcs import IMCU, SMU
 from repro.imcs import compression
 from repro.imcs.compression import (
-    RLE_MIN_AVG_RUN,
     DictionaryCU,
     NumericCU,
-    RunLengthCU,
     SharedDictionaryCU,
     encode_column,
     encode_rows,
@@ -116,12 +114,11 @@ def number_columns(draw, n):
 
 @st.composite
 def string_columns(draw, n):
-    """Run-shaped over a small alphabet: average run lengths land on both
-    sides of ``RLE_MIN_AVG_RUN``."""
+    """Run-shaped over a small alphabet: runs of one value up to 8 long."""
     alphabet = draw(
         st.lists(st.sampled_from(STRINGS + [None]), min_size=1, max_size=5)
     )
-    longest = draw(st.integers(min_value=1, max_value=2 * int(RLE_MIN_AVG_RUN)))
+    longest = draw(st.integers(min_value=1, max_value=8))
     out: list = []
     while len(out) < n:
         out += [draw(st.sampled_from(alphabet))] * draw(
@@ -268,8 +265,6 @@ def test_block_encode_equals_reference_and_width_one(rows):
         assert_same_cu(encode_column(values, is_numeric), cu)
         if is_numeric:
             assert_same_cu(NumericCU(values), cu)
-        elif isinstance(cu, RunLengthCU):
-            assert_same_cu(RunLengthCU(DictionaryCU(values)), cu)
         else:
             assert_same_cu(DictionaryCU(values), cu)
 
@@ -362,15 +357,6 @@ def test_zero_row_unit_has_every_column():
         assert len(unit.column_names) == SCHEMA.arity + len(EXPRESSIONS)
         assert unit.column("c1").take([]) == []
         assert SMU(unit).invalid_slots_by_dba() == {}
-
-
-def test_rle_chosen_from_the_code_vector_at_the_threshold():
-    at = int(RLE_MIN_AVG_RUN)
-    for run, expected in ((at, RunLengthCU), (at - 1, DictionaryCU)):
-        values = [v for v in "abc" for __ in range(run)]
-        cu = encode_column(values, False)
-        assert type(cu) is expected
-        assert_same_cu(cu, naive_encode_column(values, False))
 
 
 def test_commit_memo_lives_for_one_build_only():

@@ -6,7 +6,7 @@ block and the code block of its private sorted-dictionary columns -- and
 naive_project_rows`` is the per-column projection it replaced.  Hypothesis
 drives full builds over random blocks (NULL / int / float / mixed NUMBER
 columns, a join-group column, an expression of each kind, run-shaped
-strings that go run-length), delta builds over several generations, a
+strings), delta builds over several generations, a
 checkpoint-restored unit and a unit assembled from the same CUs without
 blocks, and projects any subset of the columns in any order at empty, one,
 some or all positions.  Rows must be equal by ``repr`` (20 vs 20.0, nan,
@@ -25,13 +25,12 @@ from hypothesis import strategies as st
 from repro.imcs import IMCU
 from repro.imcs.compression import (
     DictionaryCU,
-    RunLengthCU,
     encode_rows,
     row_matrix,
 )
 from repro.restart.checkpoint import UnitCheckpoint
 
-from tests.helpers import cu_buffers, global_dictionary
+from tests.helpers import global_dictionary
 from tests.naive_imcu import naive_build, naive_project_rows
 from tests.property.test_delta_repopulation import World
 from tests.property.test_population_columnar import (
@@ -154,26 +153,28 @@ def test_every_dictionary_cu_and_its_decode_table_are_views_of_the_block():
         assert np.shares_memory(unit.column(names[k])._data, numbers[1][j])
 
 
-def test_a_run_length_column_leaves_no_row_in_the_block():
-    """``c2`` is one long run: its CU holds runs only, and no full-length
-    code row outlives it in the unit's code block -- on the full build and
-    on the merge path."""
+def test_every_private_varchar2_column_has_a_row_in_the_block():
+    """``c2`` is one value repeated: it is a DictionaryCU like every other
+    private VARCHAR2 column, and each of them is a row of the unit's code
+    block -- on the full build and on the merge path."""
     matrix = row_matrix(ROWS, SCHEMA.arity)
-    cus, (__, (coded, block)) = encode_rows(matrix, specs_of(SCHEMA))
+    specs = specs_of(SCHEMA)
+    private = [
+        k for k, (__, is_numeric, shared) in enumerate(specs)
+        if not is_numeric and shared is None
+    ]
     c2 = SCHEMA.column_index("c2")
-    assert isinstance(cus[c2], RunLengthCU)
-    assert c2 not in coded and block.shape[0] == len(coded)
-    for k in coded:
-        assert isinstance(cus[k], DictionaryCU)
+    assert c2 in private
+    cus, (__, full) = encode_rows(matrix, specs)
     keep = np.arange(len(ROWS))
-    merged, (__, (coded, block)) = encode_rows(
-        matrix[:0], specs_of(SCHEMA), (cus, keep, keep)
-    )
-    assert isinstance(merged[c2], RunLengthCU) and c2 not in coded
-    assert block.shape == (len(coded), len(ROWS))
-    for cu in (cus[c2], merged[c2]):
-        for array in cu_buffers(cu).values():
-            assert not np.shares_memory(array, block)
+    merged, (__, merge) = encode_rows(matrix[:0], specs, (cus, keep, keep))
+    for built, (coded, block) in ((cus, full), (merged, merge)):
+        assert coded == private
+        assert block.shape == (len(private), len(ROWS))
+        for j, k in enumerate(coded):
+            assert type(built[k]) is DictionaryCU
+            assert np.shares_memory(built[k]._codes, block[j])
+        assert built[c2].dictionary == ["run"]
 
 
 def test_memory_bytes_is_the_reference_footprint_before_and_after_a_projection():
