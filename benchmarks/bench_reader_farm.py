@@ -92,13 +92,13 @@ def degrade(fleet: Deployment) -> None:
 
 class RoundRobinRouter(FleetRouter):
     """The baseline the gate compares against: cycle the members,
-    blind to lag and load (the wave uses no affinity keys)."""
+    blind to lag and load."""
 
     def __init__(self, fleet, **kwargs) -> None:
         super().__init__(fleet, **kwargs)
         self._cycle = itertools.cycle(fleet.members)
 
-    def select_member(self, min_scn=0, affinity_key=None):
+    def select_member(self, min_scn=0):
         candidates = self._candidates(min_scn)
         for member in itertools.islice(self._cycle, len(self.fleet.members)):
             if member in candidates:

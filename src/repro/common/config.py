@@ -108,12 +108,6 @@ class ApplyConfig:
 class JournalConfig:
     """IM-ADG Journal and Commit Table parameters."""
 
-    # Hash buckets in the journal.  The paper sizes this from the apply
-    # parallelism; scale factor applied in the standby wiring.
-    n_buckets: int = 64
-    # Number of sorted partitions of the IM-ADG Commit Table (paper,
-    # III-D-1: partitioning removes the single-list insertion bottleneck).
-    commit_table_partitions: int = 4
     # If True the primary annotates commit records with the "modified an
     # IMCS-enabled object" flag (paper, III-E: specialized redo generation).
     specialized_commit_redo: bool = True

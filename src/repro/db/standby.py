@@ -95,11 +95,11 @@ class StandbyInstance:
     def _init_mining(self) -> None:
         """This instance's IM-ADG Journal, Commit Table, DDL Information
         Table and the Mining Component that fills them."""
-        journal_cfg = self.config.journal
-        self.journal = IMADGJournal(
-            max(journal_cfg.n_buckets, 4 * self.config.apply.n_workers)
-        )
-        self.commit_table = IMADGCommitTable(journal_cfg.commit_table_partitions)
+        # 64 journal buckets, more with wide apply (the paper sizes the
+        # journal from the apply parallelism); four sorted commit-table
+        # partitions remove the single-list insertion bottleneck (III-D-1)
+        self.journal = IMADGJournal(max(64, 4 * self.config.apply.n_workers))
+        self.commit_table = IMADGCommitTable(4)
         self.ddl_table = DDLInformationTable()
         self.miner = MiningComponent(
             self.journal, self.commit_table, self.ddl_table, self.imcs

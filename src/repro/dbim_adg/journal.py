@@ -60,7 +60,6 @@ class AnchorNode:
     #: commit arriving without it signals a pre-restart transaction
     #: (paper, III-E).
     has_begin: bool = False
-    prepared: bool = False
     #: Per-worker buffer areas of bulk-mined RecordChunks -- appends need
     #: no synchronisation.
     worker_chunks: dict[WorkerId, list[RecordChunk]] = field(

@@ -7,28 +7,20 @@ the same redo stream.  The topology itself is
 serving layer in front of it:
 
 * :class:`~repro.fleet.router.FleetRouter` — typed, lag- and load-aware
-  session routing with admission control, session affinity,
-  read-your-writes floors and standby-loss drain/failover;
+  read-only session routing with admission control, read-your-writes
+  floors on queued connects and standby-loss drain/failover;
 * :class:`~repro.fleet.wave.SessionWave` — the simulated OLTAP client
   wave used by the reader-farm benchmark and the standby-loss chaos
   scenario.
 """
 
-from repro.fleet.router import (
-    FleetRouter,
-    FleetSession,
-    NoQualifyingStandbyError,
-    PendingFleetSession,
-    ReadOnlyError,
-)
+from repro.fleet.router import FleetRouter, FleetSession, PendingFleetSession
 from repro.fleet.wave import ClientRecord, SessionWave, WaveConfig
 
 __all__ = [
     "FleetRouter",
     "FleetSession",
-    "NoQualifyingStandbyError",
     "PendingFleetSession",
-    "ReadOnlyError",
     "ClientRecord",
     "SessionWave",
     "WaveConfig",

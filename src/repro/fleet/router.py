@@ -11,23 +11,25 @@ typed :class:`~repro.db.services.RouteTarget`.  It is the one session
 layer: a two-node deployment is routed over its single member.
 
 Routing scores each qualifying member by ``published-QuerySCN lag +
-load_weight * active_sessions`` and picks the minimum (ties break by
-member name, so decisions are deterministic).
+LOAD_WEIGHT * active_sessions`` and picks the minimum (ties break by
+member name, so decisions are deterministic).  A session only reads:
+it has no write method, so a standby-routed one is read-only by
+construction, and clients write on ``deployment.primary``.
 
 **Admission.**  By default the router is unbounded.  With
-``max_sessions`` / ``per_service`` set, :meth:`FleetRouter.connect` is
-admit-or-raise and :meth:`FleetRouter.connect_queued` parks the request
-until a session closes (or the timeout passes).
+``max_sessions`` set, :meth:`FleetRouter.connect` is admit-or-raise and
+:meth:`FleetRouter.connect_queued` parks the request until a session
+closes (or the timeout passes).
 
-**Read-your-writes.**  A client carrying a last-seen commitSCN ``C``
-(``min_scn=C``) is only ever routed to a member whose published QuerySCN
-already covers ``C`` — queries on that member run at its QuerySCN, so
-the session can never observe a database state older than its own
-writes.  If no member qualifies, :meth:`connect_queued` parks the
-request in the :class:`~repro.query.admission.AdmissionController` wait
-queue with an eligibility predicate; every QuerySCN publication pumps
-the queue, so the waiter admits the moment a member catches up (or
-expires with its deadline error — never with a stale grant).
+**Read-your-writes.**  A queued connect carrying a last-seen commitSCN
+``C`` (``min_scn=C``) is only ever routed to a member whose published
+QuerySCN already covers ``C`` — queries on that member run at its
+QuerySCN, so the session can never observe a database state older than
+its own writes.  The request waits in the
+:class:`~repro.query.admission.AdmissionController` queue with an
+eligibility predicate; every QuerySCN publication pumps the queue, so
+the waiter admits the moment a member catches up (or expires with its
+deadline error — never with a stale grant).
 
 **Standby loss.**  The router registers on the deployment's
 ``on_standby_loss`` hook: when a member dismounts, its sessions are
@@ -62,14 +64,9 @@ from repro.db.services import (
     ServiceRegistry,
 )
 
-
-class ReadOnlyError(InvalidStateError):
-    """DML attempted through a standby-routed session (ORA-16000)."""
-
-
-class NoQualifyingStandbyError(InvalidStateError):
-    """Immediate standby-only connect with a read-your-writes floor no
-    mounted member covers (queued connects wait instead)."""
+#: How many SCNs of lag one active session is "worth" in the routing
+#: score -- the load-balancing half of the policy.
+LOAD_WEIGHT = 16.0
 
 
 class FleetSession:
@@ -77,10 +74,9 @@ class FleetSession:
     chose.
 
     Standby-bound sessions submit reads through their member's query
-    service (or run SQL on it directly) and enforce the standby's
-    read-only rule; primary-bound sessions may also run transactions,
-    and each commit raises the session's ``last_seen_scn`` (the floor a
-    subsequent read-your-writes connect would carry).
+    service (or run SQL on it directly); primary-bound ones read the
+    primary.  ``min_scn`` is the read-your-writes floor the session was
+    granted with: no result it returns may be computed below it.
     """
 
     def __init__(
@@ -90,32 +86,18 @@ class FleetSession:
         target: RouteTarget,
         member: Optional[StandbyMember],
         min_scn: SCN = 0,
-        affinity_key=None,
     ) -> None:
         self.router = router
         self.service_name = service_name
         self.target = target
         self.member = member
         self.min_scn = min_scn
-        self.affinity_key = affinity_key
         #: Bumped on every rebind (standby loss): drivers re-submit
         #: queries whose handle predates the current generation.
         self.generation = 0
         self.closed = False
         #: True when standby loss left no legal target for this session.
         self.lost = False
-        self.queries_run = 0
-        self.last_seen_scn = min_scn
-        self._txn = None
-
-    # ------------------------------------------------------------------
-    @property
-    def role(self) -> str:
-        return self.target.role.value
-
-    @property
-    def is_read_only(self) -> bool:
-        return self.target.is_standby
 
     # ------------------------------------------------------------------
     # reads
@@ -132,10 +114,10 @@ class FleetSession:
         the member's worker pool, primary-bound ones immediately."""
         if self.closed:
             raise InvalidStateError("session is closed")
-        self.queries_run += 1
         member = self.member
         if member is not None:
-            self.router._audit_submit(self, member)
+            if not member.mounted:
+                self.router.routed_unmounted += 1
             if member.query_service is not None:
                 handle = member.query_service.submit(
                     table_name, predicates, columns, partitions
@@ -149,7 +131,8 @@ class FleetSession:
             primary = self.router.fleet.primary
             result = primary.query(table_name, predicates, columns, partitions)
             handle = QueryHandle(primary.clock.current, result=result)
-        self.router._audit_result(self, handle.scn)
+        if handle.scn < self.min_scn:
+            self.router.ryw_violations += 1
         return handle
 
     def execute(self, sql: str, binds: Optional[dict[int, object]] = None):
@@ -158,69 +141,12 @@ class FleetSession:
         projections, or the aggregate value list for aggregate queries."""
         if self.closed:
             raise InvalidStateError("session is closed")
-        self.queries_run += 1
         database = (
             self.member.standby if self.member is not None
             else self.router.fleet.primary
         )
         result = parse_query(sql).run(database, binds)
         return result if isinstance(result, list) else result.rows
-
-    # ------------------------------------------------------------------
-    # transactions (primary-routed sessions only)
-    # ------------------------------------------------------------------
-    def _require_writable(self) -> None:
-        if self.is_read_only:
-            raise ReadOnlyError(
-                f"service {self.service_name!r} routed this session to "
-                f"{self.target.describe()}: the database is open read-only"
-            )
-
-    def begin(self, tenant: int = 0):
-        self._require_writable()
-        if self._txn is not None and self._txn.is_active:
-            raise InvalidStateError("session already has an open transaction")
-        self._txn = self.router.fleet.primary.begin(tenant)
-        return self._txn
-
-    def _active_txn(self):
-        primary = self.router.fleet.primary
-        if self._txn is None or not self._txn.is_active:
-            self._txn = primary.begin()
-        return self._txn
-
-    def insert(self, table_name: str, values: tuple, partition=None):
-        self._require_writable()
-        return self.router.fleet.primary.insert(
-            self._active_txn(), table_name, values, partition
-        )
-
-    def update(self, table_name: str, rowid, changes: dict) -> None:
-        self._require_writable()
-        self.router.fleet.primary.update(
-            self._active_txn(), table_name, rowid, changes
-        )
-
-    def delete(self, table_name: str, rowid) -> None:
-        self._require_writable()
-        self.router.fleet.primary.delete(
-            self._active_txn(), table_name, rowid
-        )
-
-    def commit(self) -> Optional[SCN]:
-        self._require_writable()
-        if self._txn is None or not self._txn.is_active:
-            return None
-        scn = self.router.fleet.primary.commit(self._txn)
-        self._txn = None
-        self.last_seen_scn = max(self.last_seen_scn, scn)
-        return scn
-
-    def rollback(self) -> None:
-        self._require_writable()
-        if self._txn is not None and self._txn.is_active:
-            self.router.fleet.primary.rollback(self._txn)
-        self._txn = None
 
     # ------------------------------------------------------------------
     # rebinding (standby loss)
@@ -251,9 +177,6 @@ class FleetSession:
     def close(self) -> None:
         if self.closed:
             return
-        if self._txn is not None and self._txn.is_active:
-            self.router.fleet.primary.rollback(self._txn)
-            self._txn = None
         self.closed = True
         self.router._session_closed(self)
 
@@ -274,16 +197,13 @@ class PendingFleetSession:
     """A queued routed connect: resolves when a slot frees up *and* (for
     read-your-writes) a qualifying member exists."""
 
-    __slots__ = (
-        "service_name", "session", "timed_out", "granted_at", "_waiter"
-    )
+    __slots__ = ("service_name", "session", "timed_out", "granted_at")
 
     def __init__(self, service_name: str) -> None:
         self.service_name = service_name
         self.session: Optional[FleetSession] = None
         self.timed_out = False
         self.granted_at: Optional[float] = None
-        self._waiter = None
 
     @property
     def ready(self) -> bool:
@@ -303,28 +223,14 @@ class FleetRouter:
     """Routes service connections across a deployment's standby members."""
 
     def __init__(
-        self,
-        fleet: Deployment,
-        max_sessions: Optional[int] = None,
-        per_service: Optional[dict[str, int]] = None,
-        queue_limit: Optional[int] = None,
-        load_weight: float = 16.0,
+        self, fleet: Deployment, max_sessions: Optional[int] = None
     ) -> None:
         self.fleet = fleet
-        #: How many SCNs of lag one active session is "worth" in the
-        #: routing score -- the load-balancing half of the policy.
-        self.load_weight = load_weight
-        self.registry = ServiceRegistry(
-            standby_available=lambda: fleet.standby_mounted
-        )
+        self.registry = ServiceRegistry(lambda: fleet.standby_mounted)
         self.admission = AdmissionController(
-            limit=max_sessions,
-            per_service=per_service,
-            queue_limit=queue_limit,
-            clock=lambda: fleet.sched.now,
+            limit=max_sessions, clock=lambda: fleet.sched.now
         )
         self._sessions: list[FleetSession] = []
-        self._affinity: dict[object, str] = {}
         #: Plain decision tallies for reports: family -> service -> count.
         self.decisions: dict[str, dict[str, int]] = {
             family: {}
@@ -385,15 +291,6 @@ class FleetRouter:
         """A session was bound to (+1) or left (-1) ``member``."""
         member.active_sessions = max(0, member.active_sessions + delta)
 
-    def _audit_submit(self, session: FleetSession,
-                      member: StandbyMember) -> None:
-        if not member.mounted:
-            self.routed_unmounted += 1
-
-    def _audit_result(self, session: FleetSession, scn: SCN) -> None:
-        if scn < session.min_scn:
-            self.ryw_violations += 1
-
     # ------------------------------------------------------------------
     # member selection
     # ------------------------------------------------------------------
@@ -403,83 +300,39 @@ class FleetRouter:
             if m.mounted and m.published_scn >= min_scn
         ]
 
-    def select_member(
-        self, min_scn: SCN = 0, affinity_key=None
-    ) -> Optional[StandbyMember]:
+    def select_member(self, min_scn: SCN = 0) -> Optional[StandbyMember]:
         """Pick the member a standby-routed session lands on, or None if
         no mounted member covers ``min_scn``."""
         candidates = self._candidates(min_scn)
         if not candidates:
             return None
-        chosen: Optional[StandbyMember] = None
-        if affinity_key is not None:
-            bound = self._affinity.get(affinity_key)
-            if bound is not None:
-                for member in candidates:
-                    if member.name == bound:
-                        chosen = member
-                        break
-        if chosen is None:
-            chosen = min(
-                candidates,
-                key=lambda m: (
-                    self.fleet.member_lag(m)
-                    + self.load_weight * m.active_sessions,
-                    m.name,
-                ),
-            )
-        if affinity_key is not None:
-            self._affinity[affinity_key] = chosen.name
-        return chosen
+        return min(
+            candidates,
+            key=lambda m: (
+                self.fleet.member_lag(m) + LOAD_WEIGHT * m.active_sessions,
+                m.name,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # connects
     # ------------------------------------------------------------------
-    def _wants_standby(self, service: Service, prefer_standby: bool) -> bool:
-        return service is Service.STANDBY_ONLY or (
-            service is Service.PRIMARY_AND_STANDBY and prefer_standby
-        )
-
-    def _resolve(
-        self,
-        service_name: str,
-        min_scn: SCN,
-        affinity_key,
-        prefer_standby: bool,
-    ) -> tuple[RouteTarget, Optional[StandbyMember]]:
-        """Pick the target for a connect that is being granted *now*."""
-        target = self.registry.route(service_name, prefer_standby)
-        if not target.is_standby:
-            return target, None
-        member = self.select_member(min_scn, affinity_key)
-        if member is not None:
-            return RouteTarget(Role.STANDBY, member.name), member
-        service = self.registry.get(service_name).service
-        if service is Service.PRIMARY_AND_STANDBY:
-            # no member covers the floor: fail the read over to the
-            # primary, which by construction covers every commitSCN
-            self._count("failed_over", service_name)
-            return PRIMARY_TARGET, None
-        raise NoQualifyingStandbyError(
-            f"service {service_name!r}: no mounted standby has published "
-            f"QuerySCN >= {min_scn}"
-        )
-
-    def _make_session(
-        self,
-        service_name: str,
-        target: RouteTarget,
-        member: Optional[StandbyMember],
-        min_scn: SCN,
-        affinity_key,
+    def _open(
+        self, service_name: str, target: RouteTarget, min_scn: SCN
     ) -> FleetSession:
-        session = FleetSession(
-            self, service_name, target, member, min_scn, affinity_key
-        )
-        if member is not None:
+        """Open a session on ``target``, narrowing a standby target to a
+        member.  One always qualifies: ``connect`` carries no floor and
+        the registry routes to the standby only while a member is
+        mounted, and a queued grant waits until a member covers its
+        floor."""
+        member = None
+        if target.is_standby:
+            member = self.select_member(min_scn)
+            target = RouteTarget(Role.STANDBY, member.name)
             if not member.mounted:
                 self.routed_unmounted += 1
             self._note_sessions(member, +1)
+        session = FleetSession(self, service_name, target, member, min_scn)
         self._sessions.append(session)
         self._count("routed", service_name, target=target.describe())
         if min_scn > 0:
@@ -492,53 +345,32 @@ class FleetRouter:
                 self.ryw_violations += 1
         return session
 
-    def connect(
-        self,
-        service_name: str,
-        min_scn: SCN = 0,
-        affinity_key=None,
-        prefer_standby: bool = True,
-    ) -> FleetSession:
+    def connect(self, service_name: str) -> FleetSession:
         """Admit immediately or raise (:class:`PoolExhaustedError` on
-        capacity, :class:`NoQualifyingStandbyError` on an unsatisfiable
-        read-your-writes floor for a standby-only service)."""
-        self.registry.get(service_name)  # unknown service: fail first
-        target, member = self._resolve(
-            service_name, min_scn, affinity_key, prefer_standby
-        )
-        if not self.admission.try_admit(service_name):
+        capacity; ``InvalidStateError`` for a standby-only service with
+        no member mounted)."""
+        target = self.registry.route(service_name)  # refuse before a slot
+        if not self.admission.try_admit():
             raise PoolExhaustedError(
                 f"fleet router at capacity for service {service_name!r}"
             )
-        try:
-            return self._make_session(
-                service_name, target, member, min_scn, affinity_key
-            )
-        except BaseException:
-            self.admission.release(service_name)
-            raise
+        return self._open(service_name, target, 0)
 
     def connect_queued(
         self,
         service_name: str,
         min_scn: SCN = 0,
-        affinity_key=None,
-        prefer_standby: bool = True,
         timeout: Optional[float] = None,
     ) -> PendingFleetSession:
         """Queue for a slot *and* (for standby-routed read-your-writes)
         a qualifying member; grants as soon as both hold."""
-        definition = self.registry.get(service_name)
-        service = definition.service
-        wants_standby = self._wants_standby(service, prefer_standby)
+        service = self.registry.get(service_name).service
         pending = PendingFleetSession(service_name)
 
         def eligible() -> bool:
-            if not wants_standby:
+            if service is Service.PRIMARY_ONLY or self._candidates(min_scn):
                 return True
-            if self._candidates(min_scn):
-                return True
-            # every member is gone: PRIMARY_AND_STANDBY may fail over at
+            # every member is gone: PRIMARY_AND_STANDBY fails over at
             # grant time; STANDBY_ONLY must keep waiting (until expiry)
             return (
                 not self.fleet.standby_mounted
@@ -546,25 +378,17 @@ class FleetRouter:
             )
 
         def grant() -> None:
-            try:
-                target, member = self._resolve(
-                    service_name, min_scn, affinity_key, prefer_standby
-                )
-                pending.session = self._make_session(
-                    service_name, target, member, min_scn, affinity_key
-                )
-                pending.granted_at = self.fleet.sched.now
-            except BaseException:
-                self.admission.release(service_name)
-                raise
+            pending.session = self._open(
+                service_name, self.registry.route(service_name), min_scn
+            )
+            pending.granted_at = self.fleet.sched.now
 
         def expired() -> None:
             pending.timed_out = True
             self._count("expired", service_name)
 
-        pending._waiter = self.admission.enqueue(
-            service_name, grant, timeout=timeout, on_timeout=expired,
-            eligible=eligible,
+        self.admission.enqueue(
+            grant, timeout=timeout, on_timeout=expired, eligible=eligible
         )
         if not pending.ready:
             self._count("queued", service_name)
@@ -581,9 +405,7 @@ class FleetRouter:
             if session.closed or session.member is not member:
                 continue
             self._count("drained", session.service_name)
-            new_member = self.select_member(
-                session.min_scn, session.affinity_key
-            )
+            new_member = self.select_member(session.min_scn)
             if new_member is not None:
                 session._rebind(new_member)
                 self._count(
@@ -601,10 +423,6 @@ class FleetRouter:
                 )
             else:
                 session._mark_lost()
-        self._affinity = {
-            key: name for key, name in self._affinity.items()
-            if name != member.name
-        }
         # waiters pinned on the lost member's catch-up may now qualify
         # elsewhere (or fail over); re-drain
         self.admission.pump()
@@ -615,17 +433,12 @@ class FleetRouter:
             self._note_sessions(session.member, -1)
         if session in self._sessions:
             self._sessions.remove(session)
-        self.admission.release(session.service_name)
-
-    @property
-    def open_sessions(self) -> list[FleetSession]:
-        return list(self._sessions)
+        self.admission.release()
 
 
 __all__ = [
     "FleetRouter",
     "FleetSession",
-    "NoQualifyingStandbyError",
+    "LOAD_WEIGHT",
     "PendingFleetSession",
-    "ReadOnlyError",
 ]

@@ -116,7 +116,6 @@ class SessionWave(Actor):
         self._queued: dict[int, object] = {}
         #: index -> (session, handle, generation, record) while scanning
         self._scanning: dict[int, object] = {}
-        self.failed_connects = 0
 
     # ------------------------------------------------------------------
     @property
@@ -136,7 +135,7 @@ class SessionWave(Actor):
         value = float(self._rng.randrange(cfg.predicate_cardinality))
         return [Predicate.eq(cfg.predicate_column, value)]
 
-    def _start_client(self, index: int, now: float) -> None:
+    def _start_client(self, index: int) -> None:
         cfg = self.config
         record = self.records[index]
         min_scn = 0
@@ -152,20 +151,14 @@ class SessionWave(Actor):
             )
             min_scn = primary.commit(txn)
         record.min_scn = min_scn
-        try:
-            pending = self.router.connect_queued(
+        self._queued[index] = (
+            self.router.connect_queued(
                 cfg.service_name,
                 min_scn=min_scn,
                 timeout=cfg.connect_timeout,
-            )
-        except InvalidStateError:
-            # no qualifying standby, pool exhausted: a lost client.  Any
-            # other exception is a defect in the router and propagates.
-            self.failed_connects += 1
-            record.done_at = now
-            record.lost = True
-            return
-        self._queued[index] = (pending, record)
+            ),
+            record,
+        )
 
     def _poll_queued(self, now: float) -> None:
         for index in list(self._queued):
@@ -238,7 +231,7 @@ class SessionWave(Actor):
             self._next_arrival < len(self.records)
             and self._arrivals[self._next_arrival] <= now
         ):
-            self._start_client(self._next_arrival, now)
+            self._start_client(self._next_arrival)
             self._next_arrival += 1
         # lazy deadline expiry for parked read-your-writes waiters
         self.router.expire_waiters()

@@ -2,11 +2,11 @@
 
 The paper's north star is "heavy traffic from millions of users";
 unbounded session creation just moves the collapse into the database.
-:class:`AdmissionController` enforces a global concurrency bound and
-optional per-service bounds, with a FIFO wait queue (bounded, with
-per-waiter timeouts).  All decisions are synchronous -- this is a
-cooperative single-threaded simulation, so "blocking" means parking a
-:class:`Waiter` that is granted when a slot frees up (session close).
+:class:`AdmissionController` enforces a global concurrency bound with a
+FIFO wait queue and per-waiter deadlines.  All decisions are
+synchronous -- this is a cooperative single-threaded simulation, so
+"blocking" means parking a :class:`Waiter` that is granted when a slot
+frees up (session close) or its eligibility predicate turns true.
 
 Surfaced through ``repro.obs``: active sessions and queue depth gauges,
 a wait-time histogram, admitted/rejected/timeout counters.
@@ -15,7 +15,7 @@ a wait-time histogram, admitted/rejected/timeout counters.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import obs
@@ -23,7 +23,7 @@ from repro.common.errors import InvalidStateError
 
 
 class PoolExhaustedError(InvalidStateError):
-    """Immediate connect refused: pool (or service) at its limit."""
+    """Immediate connect refused: the pool is at its limit."""
 
 
 class AdmissionTimeout(InvalidStateError):
@@ -42,12 +42,10 @@ class Waiter:
     the external condition may have changed (a QuerySCN publication).
     """
 
-    service_name: str
     grant: Callable[[], None]
     enqueued_at: float
     deadline: Optional[float] = None
     on_timeout: Optional[Callable[[], None]] = None
-    cancelled: bool = field(default=False)
     eligible: Optional[Callable[[], bool]] = None
 
     def expired(self, now: float) -> bool:
@@ -63,16 +61,11 @@ class AdmissionController:
     def __init__(
         self,
         limit: Optional[int] = None,
-        per_service: Optional[dict[str, int]] = None,
-        queue_limit: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.limit = limit
-        self.per_service = dict(per_service or {})
-        self.queue_limit = queue_limit
         self._clock = clock or (lambda: 0.0)
         self._active = 0
-        self._active_by_service: dict[str, int] = {}
         self._waiters: deque[Waiter] = deque()
         self.admitted = 0
         self.rejected = 0
@@ -97,34 +90,24 @@ class AdmissionController:
     def queue_depth(self) -> int:
         return len(self._waiters)
 
-    def active_for(self, service_name: str) -> int:
-        return self._active_by_service.get(service_name, 0)
-
-    def _admissible(self, service_name: str) -> bool:
-        if self.limit is not None and self._active >= self.limit:
-            return False
-        cap = self.per_service.get(service_name)
-        return cap is None or self.active_for(service_name) < cap
+    def _admissible(self) -> bool:
+        return self.limit is None or self._active < self.limit
 
     # ------------------------------------------------------------------
-    def try_admit(self, service_name: str) -> bool:
+    def try_admit(self) -> bool:
         """Admit immediately, or refuse (no queueing)."""
         # a fair pool never lets a newcomer jump parked admissible
         # waiters; waiters whose eligibility predicate is false are not
         # admissible now, so a newcomer may take the slot they can't use
         self.expire_waiters()
-        blocked = any(
-            w.ready() for w in self._waiters if not w.cancelled
-        )
-        if blocked or not self._admissible(service_name):
+        if any(w.ready() for w in self._waiters) or not self._admissible():
             self.rejected += 1
             return False
-        self._grant_slot(service_name, waited=0.0)
+        self._grant_slot(waited=0.0)
         return True
 
     def enqueue(
         self,
-        service_name: str,
         grant: Callable[[], None],
         timeout: Optional[float] = None,
         on_timeout: Optional[Callable[[], None]] = None,
@@ -134,35 +117,19 @@ class AdmissionController:
         frees up.  May grant immediately if a slot is available now."""
         now = self._clock()
         waiter = Waiter(
-            service_name, grant, enqueued_at=now,
+            grant, enqueued_at=now,
             deadline=None if timeout is None else now + timeout,
             on_timeout=on_timeout, eligible=eligible,
         )
-        if (
-            self.queue_limit is not None
-            and len(self._waiters) >= self.queue_limit
-        ):
-            self.rejected += 1
-            raise PoolExhaustedError(
-                f"admission queue full ({self.queue_limit} waiting)"
-            )
         self._waiters.append(waiter)
         self._drain()
         return waiter
 
-    def cancel(self, waiter: Waiter) -> None:
-        waiter.cancelled = True
-
-    def release(self, service_name: str) -> None:
+    def release(self) -> None:
         """A session closed: free its slot and hand it to a waiter."""
         if self._active <= 0:
             raise InvalidStateError("release without matching admit")
         self._active -= 1
-        count = self._active_by_service.get(service_name, 0) - 1
-        if count > 0:
-            self._active_by_service[service_name] = count
-        else:
-            self._active_by_service.pop(service_name, None)
         self._drain()
 
     # ------------------------------------------------------------------
@@ -173,8 +140,6 @@ class AdmissionController:
         expired = 0
         kept: deque[Waiter] = deque()
         for waiter in self._waiters:
-            if waiter.cancelled:
-                continue
             if waiter.expired(now):
                 expired += 1
                 self.timeouts += 1
@@ -186,11 +151,8 @@ class AdmissionController:
         self._waiters = kept
         return expired
 
-    def _grant_slot(self, service_name: str, waited: float) -> None:
+    def _grant_slot(self, waited: float) -> None:
         self._active += 1
-        self._active_by_service[service_name] = (
-            self.active_for(service_name) + 1
-        )
         self.admitted += 1
         self._wait_seconds.observe(waited)
 
@@ -204,10 +166,7 @@ class AdmissionController:
     def _drain(self) -> None:
         """Grant parked waiters in FIFO order while slots allow.
 
-        A waiter whose *service* is capped does not block a later waiter
-        on a different service (no head-of-line blocking across
-        services); FIFO order is preserved within a service.  A waiter
-        whose eligibility predicate is false is likewise skipped without
+        A waiter whose eligibility predicate is false is skipped without
         a grant — it keeps its position for the next drain/pump.
         """
         self.expire_waiters()
@@ -215,10 +174,8 @@ class AdmissionController:
         remaining: deque[Waiter] = deque()
         while self._waiters:
             waiter = self._waiters.popleft()
-            if self._admissible(waiter.service_name) and waiter.ready():
-                self._grant_slot(
-                    waiter.service_name, waited=now - waiter.enqueued_at
-                )
+            if self._admissible() and waiter.ready():
+                self._grant_slot(waited=now - waiter.enqueued_at)
                 waiter.grant()
             else:
                 remaining.append(waiter)

@@ -17,7 +17,12 @@ from repro.redo import CVOp, RedoReceiver
 from repro.db import Deployment, InMemoryService
 from repro.sim import Scheduler
 from tests.db.conftest import load, simple_table_def, small_config
-from tests.helpers import NullApplier, batch_of, queued_scn_cvs
+from tests.helpers import (
+    NullApplier,
+    batch_of,
+    queued_scn_cvs,
+    standby_reads_like_primary,
+)
 from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
@@ -453,15 +458,6 @@ def advancing_deployment(delay: float = 0.0):
     assert deployment.standby.query_scn.value < stale
     coord.quiesce_lock.release_shared(holder)
     return deployment, stale, target
-
-
-def standby_reads_like_primary(deployment) -> bool:
-    scn = deployment.standby.query_scn.value
-    table = deployment.primary.catalog.table("T")
-    return sorted(deployment.standby.query("T").rows) == sorted(
-        values
-        for __, values in table.full_scan(scn, deployment.primary.txn_table)
-    )
 
 
 def test_restart_abandons_an_in_flight_advancement():

@@ -154,25 +154,36 @@ class TestDBIMOnADG:
 
 class TestServices:
     def test_registry_routing(self):
-        registry = ServiceRegistry()
+        from repro.common import InvalidStateError
+
+        mounted = [True]
+        registry = ServiceRegistry(lambda: mounted[0])
         registry.create("oltp", Service.PRIMARY_ONLY)
         registry.create("reports", Service.STANDBY_ONLY)
         registry.create("mixed", Service.PRIMARY_AND_STANDBY)
-        assert registry.route("oltp").is_primary
+        assert not registry.route("oltp").is_standby
         assert registry.route("reports").is_standby
         assert registry.route("mixed").is_standby
-        assert registry.route("mixed", prefer_standby=False).is_primary
+        # the probe reports every standby gone: mixed fails over, a
+        # standby-only route is refused, primary-only is unaffected
+        mounted[0] = False
+        assert not registry.route("mixed").is_standby
+        with pytest.raises(InvalidStateError):
+            registry.route("reports")
+        assert not registry.route("oltp").is_standby
 
     def test_route_targets_are_typed(self):
         from repro.db import Role, RouteTarget
 
-        registry = ServiceRegistry()
+        registry = ServiceRegistry(lambda: True)
         registry.create("reports", Service.STANDBY_ONLY)
+        registry.create("oltp", Service.PRIMARY_ONLY)
         target = registry.route("reports")
         assert target == RouteTarget(Role.STANDBY)
-        # the degenerate two-node fleet: no member named
+        # the registry names no member; the router narrows it
         assert target.member is None
         assert target.describe() == "standby"
+        assert registry.route("oltp") == RouteTarget(Role.PRIMARY)
         assert RouteTarget(Role.STANDBY, "standby-2").describe() == (
             "standby:standby-2"
         )
@@ -180,7 +191,7 @@ class TestServices:
     def test_duplicate_service_rejected(self):
         from repro.common import InvalidStateError
 
-        registry = ServiceRegistry()
+        registry = ServiceRegistry(lambda: True)
         registry.create("s", Service.PRIMARY_ONLY)
         with pytest.raises(InvalidStateError):
             registry.create("s", Service.STANDBY_ONLY)

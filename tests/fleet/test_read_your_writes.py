@@ -24,24 +24,15 @@ def commit_one(fleet, rowids, value=-5.0):
 
 
 class TestFloors:
-    def test_uncovered_floor_fails_over_to_primary(self, router, fleet):
-        deployment, rowids = fleet
-        floor = commit_one(deployment, rowids)
-        # no member has applied the commit yet (the scheduler hasn't run)
-        assert all(m.published_scn < floor for m in deployment.members)
-        session = router.connect("mixed", min_scn=floor)
-        assert session.target.is_primary
-        assert router.decisions["failed_over"]["mixed"] == 1
-        handle = session.submit("T")
-        assert handle.scn >= floor
-        assert router.ryw_violations == 0
-        session.close()
-
     def test_covered_floor_routes_to_standby(self, router, fleet):
         deployment, rowids = fleet
         floor = commit_one(deployment, rowids)
         deployment.catch_up()
-        session = router.connect("mixed", min_scn=floor)
+        # a floor some member already covers grants at once, no wait
+        pending = router.connect_queued("mixed", min_scn=floor)
+        assert pending.ready
+        assert "mixed" not in router.decisions["queued"]
+        session = pending.get()
         assert session.target.is_standby
         assert session.member.published_scn >= floor
         handle = session.submit("T")
@@ -49,14 +40,6 @@ class TestFloors:
         session.close()
         assert router.ryw_grants[-1][0] == floor
         assert router.ryw_grants[-1][1] >= floor
-
-    def test_standby_only_uncovered_floor_raises(self, router, fleet):
-        from repro.fleet import NoQualifyingStandbyError
-
-        deployment, rowids = fleet
-        floor = commit_one(deployment, rowids)
-        with pytest.raises(NoQualifyingStandbyError):
-            router.connect("reports", min_scn=floor)
 
 
 class TestQueuedFloors:
@@ -111,7 +94,7 @@ class TestQueuedFloors:
             deployment.lose_standby(member.name)
         assert pending.ready
         session = pending.get()
-        assert session.target.is_primary
+        assert not session.target.is_standby
         assert session.submit("T").scn >= floor
         session.close()
 

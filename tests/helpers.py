@@ -11,6 +11,8 @@ say it through.
 The columnar tests get the same treatment: :func:`cu_buffers` and
 :func:`cu_dictionary` read a CU's encoded parts for byte-for-byte
 comparison, and :func:`global_dictionary` seeds a join-group dictionary.
+:func:`standby_reads_like_primary` holds a standby's scan against the
+primary's consistent read at the standby's QuerySCN.
 """
 
 from __future__ import annotations
@@ -248,3 +250,14 @@ class MissOnce:
             return miss if self.misses(self.calls - 1) else real(*args)
 
         return call
+
+
+def standby_reads_like_primary(deployment, table_name: str = "T") -> bool:
+    """The standby's scan of ``table_name`` holds exactly the rows a
+    consistent read on the primary sees at the standby's QuerySCN."""
+    scn = deployment.standby.query_scn.value
+    table = deployment.primary.catalog.table(table_name)
+    return sorted(deployment.standby.query(table_name).rows) == sorted(
+        values
+        for __, values in table.full_scan(scn, deployment.primary.txn_table)
+    )

@@ -209,8 +209,6 @@ class NumpyMiningComponent(MiningComponent):
                 return False
             if op == _TXN_BEGIN:
                 anchor.has_begin = True
-            else:
-                anchor.prepared = True
             anchor.note_scn(scn)
             self.control_records_mined += 1
             return True

@@ -338,7 +338,6 @@ class Stack:
         anchors = {
             xid: (
                 anchor.has_begin,
-                anchor.prepared,
                 anchor.first_scn,
                 {
                     worker: records_of(anchor, worker)
@@ -538,7 +537,7 @@ def test_a_chunk_interleaving_data_and_specials_mines_like_width_one(
     records, tail_mode
 ):
     """Data before specials inside one chunk is unobservable: the same
-    anchors (begin / prepared flags, first SCN, records in SCN order), the
+    anchors (begin flag, first SCN, records in SCN order), the
     same commit-table nodes (coarse or not, pointing at an anchor or not),
     the same journal floor, DDL table and counters as one chunk per CV."""
     if not records:

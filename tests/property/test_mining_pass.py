@@ -270,7 +270,6 @@ class Side:
                     xid,
                     anchor.tenant,
                     anchor.has_begin,
-                    anchor.prepared,
                     anchor.first_scn,
                     [
                         (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.query import AdmissionController, PoolExhaustedError
+from repro.query import AdmissionController
 
 
 class FakeClock:
@@ -18,85 +18,55 @@ class FakeClock:
 class TestLimits:
     def test_global_limit(self):
         ctrl = AdmissionController(limit=2)
-        assert ctrl.try_admit("s")
-        assert ctrl.try_admit("s")
-        assert not ctrl.try_admit("s")
+        assert ctrl.try_admit()
+        assert ctrl.try_admit()
+        assert not ctrl.try_admit()
         assert ctrl.active == 2 and ctrl.rejected == 1
-        ctrl.release("s")
-        assert ctrl.try_admit("s")
-
-    def test_per_service_cap_independent(self):
-        ctrl = AdmissionController(
-            limit=10, per_service={"reporting": 1}
-        )
-        assert ctrl.try_admit("reporting")
-        assert not ctrl.try_admit("reporting")
-        assert ctrl.try_admit("oltp")  # other service unaffected
-        ctrl.release("reporting")
-        assert ctrl.try_admit("reporting")
+        ctrl.release()
+        assert ctrl.try_admit()
 
     def test_unbounded_by_default(self):
         ctrl = AdmissionController()
         for __ in range(100):
-            assert ctrl.try_admit("s")
+            assert ctrl.try_admit()
 
     def test_release_without_admit_raises(self):
         from repro.common.errors import InvalidStateError
 
         ctrl = AdmissionController()
         with pytest.raises(InvalidStateError):
-            ctrl.release("s")
+            ctrl.release()
 
 
 class TestQueue:
     def test_waiter_granted_on_release(self):
         ctrl = AdmissionController(limit=1)
-        assert ctrl.try_admit("s")
+        assert ctrl.try_admit()
         granted = []
-        ctrl.enqueue("s", lambda: granted.append(True))
+        ctrl.enqueue(lambda: granted.append(True))
         assert not granted and ctrl.queue_depth == 1
-        ctrl.release("s")
+        ctrl.release()
         assert granted == [True]
         assert ctrl.queue_depth == 0 and ctrl.active == 1
 
     def test_fifo_order(self):
         ctrl = AdmissionController(limit=1)
-        ctrl.try_admit("s")
+        ctrl.try_admit()
         order = []
-        ctrl.enqueue("s", lambda: order.append("first"))
-        ctrl.enqueue("s", lambda: order.append("second"))
-        ctrl.release("s")
+        ctrl.enqueue(lambda: order.append("first"))
+        ctrl.enqueue(lambda: order.append("second"))
+        ctrl.release()
         assert order == ["first"]
-        ctrl.release("s")
+        ctrl.release()
         assert order == ["first", "second"]
 
     def test_newcomer_cannot_jump_queue(self):
         ctrl = AdmissionController(limit=2)
-        ctrl.try_admit("s")
-        ctrl.try_admit("s")
-        ctrl.enqueue("s", lambda: None)
-        ctrl.release("s")  # waiter takes the freed slot...
-        assert not ctrl.try_admit("s")  # ...and the pool is full again
-
-    def test_queue_limit_raises(self):
-        ctrl = AdmissionController(limit=1, queue_limit=1)
-        ctrl.try_admit("s")
-        ctrl.enqueue("s", lambda: None)
-        with pytest.raises(PoolExhaustedError):
-            ctrl.enqueue("s", lambda: None)
-
-    def test_capped_service_does_not_block_other_service(self):
-        ctrl = AdmissionController(
-            limit=10, per_service={"reporting": 1}
-        )
-        ctrl.try_admit("reporting")
-        granted = []
-        ctrl.enqueue("reporting", lambda: granted.append("reporting"))
-        ctrl.enqueue("oltp", lambda: granted.append("oltp"))
-        # oltp is admissible right away despite reporting at its cap
-        assert granted == ["oltp"]
-        ctrl.release("reporting")
-        assert granted == ["oltp", "reporting"]
+        ctrl.try_admit()
+        ctrl.try_admit()
+        ctrl.enqueue(lambda: None)
+        ctrl.release()  # waiter takes the freed slot...
+        assert not ctrl.try_admit()  # ...and the pool is full again
 
 
 class TestEligibility:
@@ -107,7 +77,7 @@ class TestEligibility:
         ctrl = AdmissionController(limit=1)
         granted = []
         ctrl.enqueue(
-            "s", lambda: granted.append(True), eligible=lambda: False
+            lambda: granted.append(True), eligible=lambda: False
         )
         # a slot is free, but the predicate says the waiter can't use it
         assert not granted and ctrl.queue_depth == 1
@@ -118,7 +88,7 @@ class TestEligibility:
         qualified = []
         granted = []
         ctrl.enqueue(
-            "s", lambda: granted.append(True),
+            lambda: granted.append(True),
             eligible=lambda: bool(qualified),
         )
         ctrl.pump()
@@ -131,33 +101,33 @@ class TestEligibility:
         # the parked waiter cannot use the slot *now*, so fairness does
         # not require holding the newcomer back
         ctrl = AdmissionController(limit=1)
-        ctrl.enqueue("s", lambda: None, eligible=lambda: False)
-        assert ctrl.try_admit("s")
+        ctrl.enqueue(lambda: None, eligible=lambda: False)
+        assert ctrl.try_admit()
         assert ctrl.queue_depth == 1
 
     def test_eligible_waiter_still_blocks_newcomers(self):
         ctrl = AdmissionController(limit=1)
-        ctrl.try_admit("s")
-        ctrl.enqueue("s", lambda: None, eligible=lambda: True)
-        ctrl.release("s")  # the waiter takes the slot ...
-        assert not ctrl.try_admit("s")  # ... not the newcomer
+        ctrl.try_admit()
+        ctrl.enqueue(lambda: None, eligible=lambda: True)
+        ctrl.release()  # the waiter takes the slot ...
+        assert not ctrl.try_admit()  # ... not the newcomer
 
     def test_fifo_is_kept_within_eligible_waiters(self):
         ctrl = AdmissionController(limit=2)
-        ctrl.try_admit("s")
-        ctrl.try_admit("s")
+        ctrl.try_admit()
+        ctrl.try_admit()
         order = []
         ready = []
         ctrl.enqueue(
-            "s", lambda: order.append("gated"),
+            lambda: order.append("gated"),
             eligible=lambda: bool(ready),
         )
-        ctrl.enqueue("s", lambda: order.append("plain"))
-        ctrl.release("s")
+        ctrl.enqueue(lambda: order.append("plain"))
+        ctrl.release()
         # the gated head is skipped without losing its queue position
         assert order == ["plain"]
         ready.append(True)
-        ctrl.release("s")
+        ctrl.release()
         assert order == ["plain", "gated"]
 
     def test_never_eligible_waiter_expires_without_leaking_a_slot(self):
@@ -168,7 +138,7 @@ class TestEligibility:
         ctrl = AdmissionController(limit=1, clock=clock)
         outcome = []
         ctrl.enqueue(
-            "s", lambda: outcome.append("granted"),
+            lambda: outcome.append("granted"),
             timeout=5.0,
             on_timeout=lambda: outcome.append("deadline"),
             eligible=lambda: False,
@@ -178,7 +148,7 @@ class TestEligibility:
         assert outcome == ["deadline"]
         assert ctrl.active == 0 and ctrl.queue_depth == 0
         # the pool is intact: a newcomer admits immediately
-        assert ctrl.try_admit("s")
+        assert ctrl.try_admit()
         assert ctrl.active == 1
 
 
@@ -186,35 +156,26 @@ class TestTimeouts:
     def test_waiter_expires_past_deadline(self):
         clock = FakeClock()
         ctrl = AdmissionController(limit=1, clock=clock)
-        ctrl.try_admit("s")
+        ctrl.try_admit()
         timed_out = []
         ctrl.enqueue(
-            "s", lambda: timed_out.append("granted"),
+            lambda: timed_out.append("granted"),
             timeout=5.0, on_timeout=lambda: timed_out.append("timeout"),
         )
         clock.now = 6.0
         assert ctrl.expire_waiters() == 1
         assert timed_out == ["timeout"]
-        ctrl.release("s")  # the slot goes unused, not to the dead waiter
+        ctrl.release()  # the slot goes unused, not to the dead waiter
         assert "granted" not in timed_out
         assert ctrl.timeouts == 1
 
     def test_waiter_within_deadline_survives(self):
         clock = FakeClock()
         ctrl = AdmissionController(limit=1, clock=clock)
-        ctrl.try_admit("s")
+        ctrl.try_admit()
         granted = []
-        ctrl.enqueue("s", lambda: granted.append(True), timeout=5.0)
+        ctrl.enqueue(lambda: granted.append(True), timeout=5.0)
         clock.now = 4.0
         assert ctrl.expire_waiters() == 0
-        ctrl.release("s")
+        ctrl.release()
         assert granted == [True]
-
-    def test_cancelled_waiter_dropped(self):
-        ctrl = AdmissionController(limit=1)
-        ctrl.try_admit("s")
-        granted = []
-        waiter = ctrl.enqueue("s", lambda: granted.append(True))
-        ctrl.cancel(waiter)
-        ctrl.release("s")
-        assert not granted
