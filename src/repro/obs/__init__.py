@@ -25,7 +25,8 @@ time; otherwise it does nothing, and :func:`histogram` / :func:`series` /
     ...
     print(registry.snapshot().to_text())
 
-``python -m repro.obs`` runs a short scenario and renders its snapshot.
+``python -m tests.chaos --scenario baseline --json PATH`` writes the
+snapshot of one chaos scenario run.
 """
 
 from __future__ import annotations

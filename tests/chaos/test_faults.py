@@ -1,12 +1,13 @@
-"""Tests for fault primitives, wrappers and fault plans."""
+"""Tests for fault primitives, the repeat wrapper and fault plans."""
 
 import pytest
 
-from repro.chaos import faults as F
-from repro.chaos.plan import ChaosContext, FaultPlan
-from repro.chaos.sites import Action, SiteRegistry, recording
 from repro.chaos import sites
+from repro.chaos.sites import Action, SiteRegistry, recording
 from repro.sim import Scheduler
+
+from tests.chaos import faults as F
+from tests.chaos.harness import ChaosContext, FaultPlan
 
 
 class Probe:
@@ -156,14 +157,6 @@ class TestWrappers:
         assert probe.fire().action is Action.DROP
         ctx.sched.run_for(0.1)
         assert probe.fire().action is Action.DROP
-
-    def test_timed_cancels_leftover_count(self, ctx):
-        probe = probed(ctx)
-        F.Timed(F.Drop("probe.site", count=100), duration=0.05).trigger(ctx)
-        assert probe.fire().action is Action.DROP
-        ctx.sched.run_for(0.1)
-        assert probe.fire().action is Action.PROCEED
-        assert any(e.kind == "cancel" for e in ctx.events)
 
 
 class TestFaultPlan:

@@ -1,9 +1,11 @@
 """Tests for the chaos harness and its byte-stable reports."""
 
-from repro.chaos.harness import ChaosHarness, ScenarioReport, run_scenario
-from repro.chaos.invariants import InvariantResult
-from repro.chaos.plan import ChaosEvent
-from repro.chaos.scenarios import get_scenario
+import pytest
+
+from tests.chaos.__main__ import main
+from tests.chaos.harness import ChaosEvent, ScenarioReport, run_scenario
+from tests.chaos.invariants import InvariantResult
+from tests.chaos.scenarios import get_scenario
 
 
 def make_report(passed=True, fired=2):
@@ -69,8 +71,8 @@ class TestScenarioReport:
 
 class TestHarnessRun:
     def test_baseline_run_passes_and_replays_identically(self):
-        first = ChaosHarness(get_scenario("baseline"), seed=11).run()
-        again = ChaosHarness(get_scenario("baseline"), seed=11).run()
+        first = run_scenario(get_scenario("baseline"), seed=11)
+        again = run_scenario(get_scenario("baseline"), seed=11)
         assert first.passed
         assert first.faults_fired == 0
         assert first.to_text() == again.to_text()  # byte-identical
@@ -81,7 +83,7 @@ class TestHarnessRun:
     def test_run_collects_metrics_with_lifecycle_histograms(self):
         """Every harness run snapshots a collecting registry: pipeline
         counters plus non-zero redo-lifecycle stage histograms."""
-        report = ChaosHarness(get_scenario("baseline"), seed=11).run()
+        report = run_scenario(get_scenario("baseline"), seed=11)
         snapshot = report.metrics
         assert snapshot is not None
         assert snapshot.total("lifecycle.completed") > 0
@@ -95,14 +97,25 @@ class TestHarnessRun:
         assert snapshot.total("adg.coordinator.advancements") > 0
         assert snapshot.total("adg.queryscn.publications") > 0
 
-    def test_run_scenario_convenience(self):
-        report = run_scenario(get_scenario("baseline"), seed=3)
-        assert report.scenario == "baseline"
-        assert report.seed == 3
-        assert report.passed
-
     def test_different_seeds_differ(self):
-        a = ChaosHarness(get_scenario("shipping_outage"), seed=1).run()
-        b = ChaosHarness(get_scenario("shipping_outage"), seed=2).run()
+        a = run_scenario(get_scenario("shipping_outage"), seed=1)
+        b = run_scenario(get_scenario("shipping_outage"), seed=2)
         assert a.passed and b.passed
         assert a.to_text() != b.to_text()  # seed changes the run
+
+
+class TestCLI:
+    def test_json_writes_the_runs_metrics_snapshot(self, tmp_path, capsys):
+        path = tmp_path / "snapshot.json"
+        argv = ["--scenario", "baseline", "--seed", "3", "--once",
+                "--quiet", "--json", str(path)]
+        assert main(argv) == 0
+        expected = run_scenario(get_scenario("baseline"), seed=3).metrics
+        assert path.read_text() == expected.to_json() + "\n"
+        assert "baseline: PASS" in capsys.readouterr().out
+
+    def test_json_refuses_all_scenarios(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", "all", "--json", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.json").exists()

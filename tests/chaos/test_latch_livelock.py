@@ -9,13 +9,13 @@ latch (PMON-style latch recovery), so advancement completes.
 
 from __future__ import annotations
 
-from repro.chaos import faults as F
-from repro.chaos.invariants import standard_invariants
-from repro.chaos.plan import ChaosContext, FaultPlan
 from repro.chaos.sites import PROCEED, Action, Decision, SiteRegistry, recording
 from repro.db import Deployment, InMemoryService
 from repro.imcs import Predicate
 
+from tests.chaos import faults as F
+from tests.chaos.harness import ChaosContext, FaultPlan
+from tests.chaos.invariants import standard_invariants
 from tests.db.conftest import load, simple_table_def, small_config
 
 

@@ -1,15 +1,15 @@
 """Tests for the canned chaos scenarios.
 
 The exhaustive all-scenarios determinism sweep lives in the CLI
-(``python -m repro.chaos --scenario all``); here each interesting
+(``python -m tests.chaos --scenario all``); here each interesting
 scenario runs once and its report is checked for the behaviour it is
 supposed to provoke (gaps healed, duplicates discarded, stalls retried).
 """
 
 import pytest
 
-from repro.chaos.harness import run_scenario
-from repro.chaos.scenarios import SCENARIOS, get_scenario
+from tests.chaos.harness import run_scenario
+from tests.chaos.scenarios import SCENARIOS, get_scenario
 
 
 class TestRoster:

@@ -1,13 +1,13 @@
-"""Failure injection through ``repro.chaos``: the standby stays
+"""Failure injection through the chaos harness: the standby stays
 consistent under adverse timing.
 
-Each test arms a :class:`~repro.chaos.plan.FaultPlan` (or perturbs the
+Each test arms a :class:`~tests.chaos.harness.FaultPlan` (or perturbs the
 configuration) around a live deployment and then evaluates the chaos
 invariant battery -- the golden invariant (standby scan at the published
 QuerySCN equals a primary consistent read at the same SCN), QuerySCN
 monotonicity, journal drain and gap contiguity -- instead of hand-rolled
 asserts.  The canned end-to-end versions of these runs live in
-:mod:`repro.chaos.scenarios`; these tests exercise the same machinery
+:mod:`tests.chaos.scenarios`; these tests exercise the same machinery
 with finer-grained checks in between.
 """
 
@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import faults as F
 from repro.chaos import sites
-from repro.chaos.invariants import standard_invariants
-from repro.chaos.plan import ChaosContext, FaultPlan
 from repro.chaos.sites import SiteRegistry, recording
 from repro.common.config import ApplyConfig, IMCSConfig
 from repro.db import Deployment, InMemoryService
 from repro.imcs import Predicate
 from repro.workload import OLTAPConfig, OLTAPWorkload
 
+from tests.chaos import faults as F
+from tests.chaos.harness import ChaosContext, FaultPlan
+from tests.chaos.invariants import standard_invariants
 from tests.db.conftest import load, simple_table_def, small_config
 
 

@@ -12,10 +12,9 @@ import random
 
 import pytest
 
-from repro.chaos import faults as F
-from repro.chaos.harness import ChaosHarness
-from repro.chaos.plan import FaultPlan
-from repro.chaos.scenarios import Scenario
+from tests.chaos import faults as F
+from tests.chaos.harness import FaultPlan, run_scenario
+from tests.chaos.scenarios import BURST_GAP, Scenario
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -74,26 +73,25 @@ def recoverable_plan(seed: int, duration: float) -> FaultPlan:
     return plan
 
 
-class RandomChaos(Scenario):
-    """The baseline workload under a seed-drawn recoverable fault plan."""
-
-    name = "random_chaos"
-    description = "seeded random recoverable faults"
-
-    def plan(self, seed):
-        # faults land inside the driven window (bursts * burst_gap)
-        return recoverable_plan(seed, duration=self.bursts * self.burst_gap)
+def random_chaos(seed: int) -> Scenario:
+    """The baseline workload under a seed-drawn recoverable fault plan,
+    its faults inside the driven window (bursts * burst gap)."""
+    duration = Scenario.bursts * BURST_GAP
+    return Scenario(
+        "random_chaos", "seeded random recoverable faults",
+        plan=lambda: recoverable_plan(seed, duration),
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_recoverable_plans_never_break_the_golden_invariant(seed):
-    report = ChaosHarness(RandomChaos(), seed=seed).run()
+    report = run_scenario(random_chaos(seed), seed=seed)
     assert report.passed, (
         f"seed {seed} broke an invariant:\n{report.to_text()}"
     )
 
 
 def test_a_drawn_plan_replays_byte_identically():
-    first = ChaosHarness(RandomChaos(), seed=123).run()
-    again = ChaosHarness(RandomChaos(), seed=123).run()
+    first = run_scenario(random_chaos(123), seed=123)
+    again = run_scenario(random_chaos(123), seed=123)
     assert first.to_text() == again.to_text()

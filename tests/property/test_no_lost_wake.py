@@ -26,7 +26,6 @@ import pytest
 from repro.adg.apply import RecoveryWorker
 from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
-from repro.chaos import ChaosHarness, get_scenario
 from repro.db import Deployment, InMemoryService
 from repro.db.primary import HeartbeatWriter
 from repro.imcs.population import PopulationWorker
@@ -36,6 +35,8 @@ from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.scheduler import Scheduler
 from repro.workload import OLTAPConfig, OLTAPWorkload
 
+from tests.chaos.harness import run_scenario
+from tests.chaos.scenarios import get_scenario
 from tests.db.conftest import small_config
 
 
@@ -188,7 +189,7 @@ def test_rac_member(mira):
 )
 def test_chaos_scenario(scenario):
     checked = checked_run(
-        lambda: ChaosHarness(get_scenario(scenario), seed=7).run()
+        lambda: run_scenario(get_scenario(scenario), seed=7)
     )
     assert PIPELINE <= set(checked)
     if scenario == "standby_loss_mid_wave":

@@ -2,9 +2,9 @@
 
 Restarting at *any* published QuerySCN -- instantly from checkpoints or
 cold -- must yield bit-identical scan results to the moment before the
-bounce; and a cold bounce, once caught up, must read what the primary's
-consistent read sees at the standby's QuerySCN (a unit populated below
-redo the bounce forgot would serve stale rows).  The deterministic
+bounce; and a bounce at any phase of the pipeline, once caught up, must
+read what the primary's consistent read sees at the standby's QuerySCN
+(a unit populated below redo the bounce forgot would serve stale rows).  The deterministic
 companion test bounces the standby *mid flush group* (worklink stalled
 between mining and publication), the exact window the tail-replay floor
 proof covers.
@@ -56,8 +56,10 @@ OPS = st.lists(
         st.tuples(st.just("commit"), st.just(0)),
         st.tuples(st.just("catch_up"), st.just(0)),
         st.tuples(st.just("run"), st.integers(1, 4)),
-        st.tuples(st.just("restart"), st.just(0)),
-        # a cold bounce ``arg`` half-milliseconds into the pipeline
+        # a bounce (instant when a checkpoint round has run, cold
+        # otherwise) and a cold one, ``arg`` half-milliseconds into the
+        # pipeline
+        st.tuples(st.just("restart"), st.integers(0, 40)),
         st.tuples(st.just("cold_restart"), st.integers(0, 40)),
     ),
     min_size=10,
@@ -94,6 +96,16 @@ def check_restart(deployment: Deployment) -> None:
     + [("catch_up", 0)]
     + [("update", i) for i in range(8)]
     + [("commit", 0), ("cold_restart", 14)],
+    seed=0,
+)
+# an instant bounce 7 ms after an update's commit, a checkpoint round
+# after the load: the tail replay must re-mine the applied, unpublished
+# commit from redo alone
+@example(
+    ops=[("insert", i) for i in range(20)]
+    + [("catch_up", 0), ("run", 4)]
+    + [("update", i) for i in range(8)]
+    + [("commit", 0), ("restart", 14)],
     seed=0,
 )
 def test_restart_at_any_published_queryscn_is_invisible(ops, seed):
@@ -139,17 +151,18 @@ def test_restart_at_any_published_queryscn_is_invisible(ops, seed):
         elif kind == "run":
             # let the checkpoint writer capture between publications
             deployment.run(arg * 0.25)
-        elif kind == "restart":
-            check_restart(deployment)
-            restarted += 1
-        elif kind == "cold_restart":
+        elif kind in ("restart", "cold_restart"):
             deployment.run(arg * 0.0005)
-            deployment.restart_standby(cold=True)
+            if kind == "restart":
+                check_restart(deployment)
+            else:
+                deployment.restart_standby(cold=True)
             restarted += 1
             deployment.catch_up()
             assert standby_reads_like_primary(deployment), (
-                "a cold bounce, caught up, diverged from the primary at "
-                f"QuerySCN {deployment.standby.query_scn.value}"
+                f"a {deployment.standby.last_restart_report.mode} bounce, "
+                "caught up, diverged from the primary at QuerySCN "
+                f"{deployment.standby.query_scn.value}"
             )
     # settle: post-history the standby still converges to the primary
     if txn is not None and txn.is_active:
