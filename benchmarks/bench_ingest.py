@@ -160,8 +160,7 @@ def drain_once(deployment, log, span, shipment_records) -> dict[str, float]:
     """Push the log records at positions ``span`` through fresh apply-side
     components in shipments of ``shipment_records``, timing each stage:
     slice, distribute, mine, chop, flush."""
-    owner = object()
-    journal = IMADGJournal(64)
+    journal = IMADGJournal()
     commit_table = IMADGCommitTable(4)
     miner = MiningComponent(
         journal, commit_table, DDLInformationTable(), deployment.standby.imcs
@@ -187,7 +186,7 @@ def drain_once(deployment, log, span, shipment_records) -> dict[str, float]:
     t0 = time.perf_counter()
     for worker, queue in enumerate(distributor.queues):
         for chunk in queue:
-            assert miner.sniff_chunk(chunk, worker, owner), "latch miss"
+            miner.sniff_chunk(chunk, worker)
     times["mine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -216,15 +215,14 @@ def mine_in_chunks(deployment, log, span, width, miner_cls) -> float:
         )
     ]
     miner = miner_cls(
-        IMADGJournal(64),
+        IMADGJournal(),
         IMADGCommitTable(4),
         DDLInformationTable(),
         deployment.standby.imcs,
     )
-    owner = object()
     t0 = time.perf_counter()
     for chunk in chunks:
-        assert miner.sniff_chunk(chunk, 0, owner), "latch miss"
+        miner.sniff_chunk(chunk, 0)
     return time.perf_counter() - t0
 
 

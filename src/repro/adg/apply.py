@@ -15,11 +15,8 @@ another worker.
 
 Two DBIM-on-ADG hooks attach here, exactly where the paper puts them:
 
-* a **batch sniffer** (the Mining Component) sees every chunk of CVs
-  before a worker applies it; a sniff can fail on a journal bucket-latch
-  miss, in which case the worker stops its step and retries the same
-  chunk on its next one -- the spinning behaviour whose cost the
-  journal's sizing is designed to avoid;
+* a **batch sniffer** (the Mining Component) mines every chunk of CVs
+  once, before a worker applies any of it;
 * a **flush helper** lets workers participate in cooperative invalidation
   flush: each step first drains a batch of worklink nodes if a worklink
   exists, then returns to redo apply (paper, III-D-2).
@@ -57,10 +54,9 @@ class CVApplier(Protocol):
         ...
 
 
-#: Batch sniffer signature: (chunk, worker_id, owner) -> True once the
-#: whole chunk is mined, False on a latch miss (partial progress is kept
-#: on the chunk; the worker retries next step).
-BatchSniffer = Callable[[CVChunk, WorkerId, object], bool]
+#: Batch sniffer signature: (chunk, worker_id); mines the chunk from its
+#: apply cursor on.
+BatchSniffer = Callable[[CVChunk, WorkerId], None]
 
 #: Flush helper signature: (worker_id, batch) -> nodes flushed this call;
 #: -1 when a worklink exists but draining is blocked (the worker is
@@ -188,10 +184,12 @@ class RecoveryWorker(Actor):
         self.name = name or f"recovery-worker-{worker_id}"
         self._obs = obs.current()
         self.cvs_applied = 0
-        self.sniff_retries = 0
         #: Always 0 since every CV applies on its first attempt; kept because
         #: the ``bench_e2e`` harness reports it.
         self.apply_stalls = 0
+        #: Always 0 since a sniff mines its whole chunk; kept because the
+        #: ``bench_e2e`` harness reports it.
+        self.sniff_retries = 0
         #: Steps skipped by an installed chaos fault (injected slowness).
         self.chaos_stalls = 0
         obs.bind(self, {
@@ -262,8 +260,8 @@ class RecoveryWorker(Actor):
         applied = 0
         while queue and applied < self.batch:
             head = queue[0]
-            if not self._mine(head):
-                break
+            if not head.mined:
+                self._mine(head)
             applied += self._apply(head, self.batch - applied, tracer)
             if not len(head):
                 queue.popleft()
@@ -271,30 +269,22 @@ class RecoveryWorker(Actor):
             cost += self.cost_per_cv * applied
             self.cvs_applied += applied
         # parked (until a queue append or a new worklink) once the queue is
-        # empty and a short batch drained the worklink; a latch miss keeps
-        # its chunk queued, -1 is a blocked drain
+        # empty and a short batch drained the worklink; -1 is a blocked
+        # drain
         if not queue and 0 <= flushed < self.flush_batch:
             self.park = True
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
-    def _mine(self, chunk: CVChunk) -> bool:
-        """Mine the *whole* chunk before any of it applies, so a chunk
-        whose apply spans several steps is mined once.  This is safe
-        because the coordinator's consistency point never passes any
-        worker's queue head, so early-mined commits cannot chop ahead of
-        their data.  False on a bucket latch miss mid-chunk: partial
-        progress is kept on the chunk and the worker retries next step.
-        """
-        if chunk.fully_mined:
-            return True
-        if self.batch_sniffer is None:
-            chunk.mined_pos = len(chunk.indices)
-            return True
-        if self.batch_sniffer(chunk, self.worker_id, self):
-            return True
-        self.sniff_retries += 1
-        return False
+    def _mine(self, chunk: CVChunk) -> None:
+        """Mine the *whole* chunk before any of it applies, and mark it,
+        so a chunk whose apply spans several steps is mined once.  This
+        is safe because the coordinator's consistency point never passes
+        any worker's queue head, so early-mined commits cannot chop ahead
+        of their data."""
+        if self.batch_sniffer is not None:
+            self.batch_sniffer(chunk, self.worker_id)
+        chunk.mined = True
 
     def _apply(self, chunk: CVChunk, budget: int, tracer) -> int:
         """Apply up to ``budget`` CVs of a mined chunk, in SCN order."""

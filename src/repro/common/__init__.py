@@ -1,4 +1,4 @@
-"""Shared primitives: identifiers, SCNs, latches, errors, configuration.
+"""Shared primitives: ids, SCNs, the quiesce lock, errors, configuration.
 
 Everything in this package is dependency-free (standard library only) and is
 used by every other subpackage.  The vocabulary follows the paper's (and
@@ -7,7 +7,6 @@ Oracle's) terminology: SCN, DBA, transaction id, tenant id.
 
 from repro.common.errors import (
     ReproError,
-    LatchBusyError,
     SnapshotTooOldError,
     ObjectNotFoundError,
     NotInMemoryError,
@@ -23,7 +22,7 @@ from repro.common.ids import (
     WorkerId,
 )
 from repro.common.scn import SCN, NULL_SCN, SCNClock
-from repro.common.latch import Latch, BucketLatchSet, QuiesceLock
+from repro.common.latch import QuiesceLock
 from repro.common.config import (
     RowStoreConfig,
     IMCSConfig,
@@ -35,7 +34,6 @@ from repro.common.config import (
 
 __all__ = [
     "ReproError",
-    "LatchBusyError",
     "SnapshotTooOldError",
     "ObjectNotFoundError",
     "NotInMemoryError",
@@ -50,8 +48,6 @@ __all__ = [
     "SCN",
     "NULL_SCN",
     "SCNClock",
-    "Latch",
-    "BucketLatchSet",
     "QuiesceLock",
     "RowStoreConfig",
     "IMCSConfig",

@@ -13,15 +13,6 @@ class ReproError(Exception):
     """Base class for every error raised by the repro library."""
 
 
-class LatchBusyError(ReproError):
-    """A latch acquisition failed because another holder owns it.
-
-    In the cooperative simulation latches are non-blocking: an actor that
-    fails to get a latch yields and retries on its next step, just like a
-    spinning process would.
-    """
-
-
 class SnapshotTooOldError(ReproError):
     """A consistent read could not reconstruct a version old enough.
 

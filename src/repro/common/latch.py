@@ -1,105 +1,22 @@
-"""Latches for the cooperative-scheduler concurrency model.
+"""The standby's quiesce lock (paper, section III-A).
 
 The simulation is single-OS-thread but logically concurrent: many actors
 (recovery workers, the recovery coordinator, population workers, query
-sessions) interleave at ``step()`` granularity.  Latches therefore do not
-need to protect memory, but they must still *order* operations the way the
-paper's protocols require, and contention on them is a first-class
-measurement (the IM-ADG Journal's bucket latches and the standby's quiesce
-lock both exist precisely to manage contention).
+sessions) interleave at ``step()`` granularity, and a scheduler step is
+atomic.  So a structure touched only inside one step -- the IM-ADG Journal's
+hash chains, the commit table's partitions -- needs no latch: the step is
+the critical section.  The quiesce lock is different: its holds *span*
+steps (the coordinator's quiesce period, a population worker's snapshot
+capture), so it orders protocols, not memory.
 
-Latches are non-blocking: ``try_acquire`` either succeeds or returns
-``False``, in which case the caller is expected to yield and retry on a
-later step -- exactly how an Oracle process spins on a busy latch.  Every
-failed attempt is counted so benchmarks and ablations can report contention.
+It is non-blocking: ``try_acquire_*`` either succeeds or returns ``False``,
+in which case the caller yields and retries on a later step.  Every failed
+attempt is counted.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-
-class Latch:
-    """A simple exclusive latch with contention accounting."""
-
-    def __init__(self, name: str = "latch") -> None:
-        self.name = name
-        self._holder: Optional[object] = None
-        self.acquisitions = 0
-        self.misses = 0
-        self.breaks = 0
-
-    @property
-    def holder(self) -> Optional[object]:
-        return self._holder
-
-    def is_held(self) -> bool:
-        return self._holder is not None
-
-    def try_acquire(self, owner: object) -> bool:
-        """Attempt to take the latch for ``owner``.
-
-        Re-acquisition by the current holder is allowed (the latch is
-        effectively recursive); any other holder causes a miss.
-        """
-        if self._holder is None or self._holder is owner:
-            self._holder = owner
-            self.acquisitions += 1
-            return True
-        self.misses += 1
-        return False
-
-    def release(self, owner: object) -> None:
-        if self._holder is not owner:
-            raise RuntimeError(
-                f"latch {self.name!r} released by non-holder {owner!r}"
-            )
-        self._holder = None
-
-    def break_held(self) -> Optional[object]:
-        """Forcibly release the latch regardless of holder (PMON-style
-        latch recovery).
-
-        In this cooperative simulation every legitimate critical section
-        acquires and releases its latch within a single actor step, so a
-        latch still held when another actor observes it can only belong to
-        a crashed or stalled actor.  Returns the previous holder (``None``
-        if the latch was already free).
-        """
-        holder = self._holder
-        if holder is not None:
-            self._holder = None
-            self.breaks += 1
-        return holder
-
-    def __repr__(self) -> str:
-        state = "held" if self.is_held() else "free"
-        return f"Latch({self.name!r}, {state}, misses={self.misses})"
-
-
-class BucketLatchSet:
-    """An array of latches protecting the hash buckets of a table.
-
-    The IM-ADG Journal sizes its hash table "based on the degree of
-    parallelism employed by the ADG architecture, to ensure minimal
-    contention between the recovery worker processes" (paper, section
-    III-C).  One latch guards each bucket's hash chain.
-    """
-
-    def __init__(self, n_buckets: int, name: str = "bucket") -> None:
-        if n_buckets < 1:
-            raise ValueError("need at least one bucket")
-        self._latches = [Latch(f"{name}[{i}]") for i in range(n_buckets)]
-
-    def __len__(self) -> int:
-        return len(self._latches)
-
-    def latch_for(self, bucket: int) -> Latch:
-        return self._latches[bucket % len(self._latches)]
-
-    @property
-    def total_misses(self) -> int:
-        return sum(latch.misses for latch in self._latches)
 
 
 class QuiesceLock:

@@ -95,10 +95,9 @@ class StandbyInstance:
     def _init_mining(self) -> None:
         """This instance's IM-ADG Journal, Commit Table, DDL Information
         Table and the Mining Component that fills them."""
-        # 64 journal buckets, more with wide apply (the paper sizes the
-        # journal from the apply parallelism); four sorted commit-table
-        # partitions remove the single-list insertion bottleneck (III-D-1)
-        self.journal = IMADGJournal(max(64, 4 * self.config.apply.n_workers))
+        # four sorted commit-table partitions remove the single-list
+        # insertion bottleneck (III-D-1)
+        self.journal = IMADGJournal()
         self.commit_table = IMADGCommitTable(4)
         self.ddl_table = DDLInformationTable()
         self.miner = MiningComponent(
@@ -281,8 +280,8 @@ class StandbyDatabase(Database, StandbyInstance):
         self.ddl_table.clear()
         self.flush.clear()
         self.miner.clear()
-        # Queued chunks carry mining cursors into the (now cleared)
-        # journal: everything not yet applied must be re-mined.
+        # Queued chunks were mined into the (now cleared) journal:
+        # everything not yet applied must be re-mined.
         for queue in self.distributor.queues:
             for chunk in queue:
                 chunk.reset_mining()

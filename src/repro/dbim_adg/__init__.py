@@ -7,8 +7,8 @@ every published QuerySCN, using only the redo stream:
   and sniffs every change vector, producing invalidation records for
   IMCS-enabled objects plus transaction control information;
 * the **IM-ADG Journal** (``journal.py``) buffers invalidation records per
-  transaction in a hash table with bucket latches and per-worker buffer
-  areas (paper, III-C, Fig. 7);
+  transaction in a hash table with per-worker buffer areas (paper, III-C,
+  Fig. 7; a scheduler step stands in for its bucket latches);
 * the **IM-ADG Commit Table** (``commit_table.py``) keeps commitSCN-sorted,
   partitioned lists of committed transactions with one-step access to their
   journal anchors (paper, III-D-1, Fig. 8);

@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro import obs
 from repro.common.ids import TenantId, TransactionId
-from repro.common.latch import BucketLatchSet
 from repro.common.scn import SCN
 from repro.dbim_adg.journal import AnchorNode
 
@@ -50,7 +49,6 @@ class IMADGCommitTable:
         self._partitions: list[list[CommitTableNode]] = [
             [] for __ in range(n_partitions)
         ]
-        self.latches = BucketLatchSet(n_partitions, name="im-adg-commit")
         self.inserts = 0
         obs.bind(self, {"inserts": "dbim.commit_table.inserts"})
 
@@ -61,62 +59,44 @@ class IMADGCommitTable:
     def _partition_index(self, xid: TransactionId) -> int:
         return hash(xid) % len(self._partitions)
 
-    def insert_batch(
-        self, nodes: list[CommitTableNode], owner: object
-    ) -> list[CommitTableNode]:
-        """Insert nodes sorted by commitSCN, one latch acquisition per
-        touched partition.  Returns the nodes *not* inserted (their
-        partition's latch was missed); the caller retries just those.
-        """
+    def insert_batch(self, nodes: list[CommitTableNode]) -> None:
+        """Insert one chunk's nodes, each into its xid's partition in
+        commitSCN order (ties resolve existing-before-new)."""
         by_partition: dict[int, list[CommitTableNode]] = {}
         for node in nodes:
             by_partition.setdefault(
                 self._partition_index(node.xid), []
             ).append(node)
-        leftover: list[CommitTableNode] = []
-        inserted = 0
         for index, group in by_partition.items():
-            latch = self.latches.latch_for(index)
-            if not latch.try_acquire(owner):
-                leftover.extend(group)
-                continue
-            try:
-                group.sort(key=lambda n: n.commit_scn)  # stable
-                partition = self._partitions[index]
-                if (
-                    not partition
-                    or partition[-1].commit_scn <= group[0].commit_scn
-                ):
-                    # the common case: new commits land past the tail
-                    partition.extend(group)
-                else:
-                    # ties resolve existing-before-new (bisect_right);
-                    # a chunk's few commits into a long partition cost
-                    # O(k log n), where a merge would walk all of it
-                    for node in group:
-                        partition.insert(
-                            bisect.bisect_right(
-                                partition,
-                                node.commit_scn,
-                                key=lambda n: n.commit_scn,
-                            ),
-                            node,
-                        )
-                inserted += len(group)
-            finally:
-                latch.release(owner)
-        if inserted:
-            self.inserts += inserted
-        return leftover
+            group.sort(key=lambda n: n.commit_scn)  # stable
+            partition = self._partitions[index]
+            if (
+                not partition
+                or partition[-1].commit_scn <= group[0].commit_scn
+            ):
+                # the common case: new commits land past the tail
+                partition.extend(group)
+            else:
+                # a chunk's few commits into a long partition cost
+                # O(k log n), where a merge would walk all of it
+                for node in group:
+                    partition.insert(
+                        bisect.bisect_right(
+                            partition,
+                            node.commit_scn,
+                            key=lambda n: n.commit_scn,
+                        ),
+                        node,
+                    )
+        self.inserts += len(nodes)
 
     def chop(self, up_to_scn: SCN) -> list[CommitTableNode]:
         """Cut every partition at ``up_to_scn``; returns the removed nodes
         (commitSCN order across partitions is restored by an O(n log p)
         merge of the already-sorted per-partition runs).
 
-        Runs on the recovery coordinator during QuerySCN advancement; the
-        coordinator owns all partition latches conceptually, and chopping
-        is a single atomic step in the simulation.
+        Runs on the recovery coordinator during QuerySCN advancement,
+        inside one scheduler step like every other access.
         """
         runs: list[list[CommitTableNode]] = []
         for partition in self._partitions:

@@ -409,7 +409,7 @@ class InvalidationFlushComponent:
         chunks = [] if node.anchor is None else node.anchor.chunks()
         if len(self.journals) > 1:
             for journal in self.journals:
-                anchor = journal.get_with_recovery(node.xid, self)
+                anchor = journal.get(node.xid)
                 if anchor is not None and anchor is not node.anchor:
                     chunks.extend(anchor.chunks())
         return chunks
@@ -434,13 +434,9 @@ class InvalidationFlushComponent:
             tracer.record_flushed(node.commit_scn)
 
     def _retire(self, xid: TransactionId) -> None:
-        """Release the transaction's anchor from every journal.  The flush
-        owns the advancement critical path, so an unbounded retry here
-        would livelock QuerySCN advancement if the latch holder died (e.g.
-        a recovery worker crashed mid-mine); the recovery variant spins a
-        bounded number of times and then breaks the dead holder's latch."""
+        """Release the transaction's anchor from every journal."""
         for journal in self.journals:
-            journal.remove_with_recovery(xid, self)
+            journal.remove(xid)
 
     # ------------------------------------------------------------------
     def _process_ddl(self, target_scn: SCN) -> None:

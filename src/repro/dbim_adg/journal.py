@@ -11,10 +11,11 @@ invalidation records it mines.  This gets rid of all synchronization needed
 between multiple recovery workers mining invalidation records for a
 transaction."
 
-Latch discipline here mirrors that: hash-chain lookup/insert/delete takes
-the bucket latch (a miss makes the caller retry on its next step, like a
-spinning process), while appends into a worker's own buffer area are
-latch-free.
+Here the hash table is one dict keyed by xid and has no latches: a
+scheduler step is atomic and every journal operation runs inside one step,
+so two recovery workers can never meet on a hash chain -- the exclusion
+the bucket latches give in the paper, the step gives here.  The per-worker
+buffer areas stay, as the paper's shape of an anchor node.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from repro import obs
 from repro.common.ids import TenantId, TransactionId, WorkerId
-from repro.common.latch import BucketLatchSet
 from repro.common.scn import SCN
 
 
@@ -36,7 +36,7 @@ class RecordChunk:
     """One bulk-mined slice of a transaction's invalidation data
     (paper, Fig. 6: which rows of which block of which object the
     transaction modified, plus the tenant for multi-tenancy), appended
-    latch-free into a worker's buffer area.  ``columns`` is a ``(4, n)``
+    into a worker's buffer area.  ``columns`` is a ``(4, n)``
     int64 matrix, one column per record in SCN order, rows ``slots``
     (< 0 = the whole block is affected), ``dbas``, ``object_ids`` and
     ``scns`` (of the sniffed change vectors) -- least- to most-significant
@@ -60,8 +60,7 @@ class AnchorNode:
     #: commit arriving without it signals a pre-restart transaction
     #: (paper, III-E).
     has_begin: bool = False
-    #: Per-worker buffer areas of bulk-mined RecordChunks -- appends need
-    #: no synchronisation.
+    #: Per-worker buffer areas of bulk-mined RecordChunks (paper, III-C).
     worker_chunks: dict[WorkerId, list[RecordChunk]] = field(
         default_factory=dict
     )
@@ -84,7 +83,7 @@ class AnchorNode:
         self, worker_id: WorkerId, chunk: RecordChunk, first_scn: SCN
     ) -> None:
         """Append one bulk-mined slice (``first_scn`` = its lowest SCN)
-        into this worker's buffer area (latch-free)."""
+        into this worker's buffer area."""
         self.note_scn(first_scn)
         self.worker_chunks.setdefault(worker_id, []).append(chunk)
 
@@ -98,122 +97,37 @@ class AnchorNode:
 
 
 class IMADGJournal:
-    """Hash table of anchor nodes with bucket latches."""
+    """Hash table of anchor nodes, keyed by transaction id."""
 
-    def __init__(self, n_buckets: int = 64) -> None:
-        if n_buckets < 1:
-            raise ValueError("journal needs at least one bucket")
-        self._buckets: list[dict[TransactionId, AnchorNode]] = [
-            {} for __ in range(n_buckets)
-        ]
-        self.latches = BucketLatchSet(n_buckets, name="im-adg-journal")
+    def __init__(self) -> None:
+        self._anchors: dict[TransactionId, AnchorNode] = {}
         #: Lazy-deletion min-heap of (first_scn, xid) floor candidates;
         #: fed by every anchor's ``floor_sink``, consumed (and pruned of
         #: stale entries) by :meth:`min_first_scn`.
         self._floor_heap: list[tuple[SCN, TransactionId]] = []
         self.anchors_created = 0
-        self.latch_breaks = 0
-        obs.bind(self, {
-            "anchors_created": "dbim.journal.anchors_created",
-            "latch_breaks": "dbim.journal.latch_breaks",
-        })
+        obs.bind(self, {"anchors_created": "dbim.journal.anchors_created"})
 
     def _note_floor(self, scn: SCN, xid: TransactionId) -> None:
         heapq.heappush(self._floor_heap, (scn, xid))
 
-    def _bucket_index(self, xid: TransactionId) -> int:
-        return hash(xid) % len(self._buckets)
-
-    # Every operation takes the bucket latch for the duration of the call
-    # and returns None/False on a miss; callers retry on their next step.
-
     def get_or_create(
-        self, xid: TransactionId, tenant: TenantId, owner: object
-    ) -> Optional[AnchorNode]:
-        index = self._bucket_index(xid)
-        latch = self.latches.latch_for(index)
-        if not latch.try_acquire(owner):
-            return None
-        try:
-            anchor = self._buckets[index].get(xid)
-            if anchor is None:
-                anchor = AnchorNode(xid=xid, tenant=tenant)
-                anchor.floor_sink = self._note_floor
-                self._buckets[index][xid] = anchor
-                self.anchors_created += 1
-            return anchor
-        finally:
-            latch.release(owner)
-
-    def get(
-        self, xid: TransactionId, owner: object
-    ) -> tuple[bool, Optional[AnchorNode]]:
-        """Returns (latch acquired, anchor-or-None)."""
-        index = self._bucket_index(xid)
-        latch = self.latches.latch_for(index)
-        if not latch.try_acquire(owner):
-            return False, None
-        try:
-            return True, self._buckets[index].get(xid)
-        finally:
-            latch.release(owner)
-
-    def remove(self, xid: TransactionId, owner: object) -> Optional[bool]:
-        """Remove an anchor.  None = latch miss (retry); bool = removed."""
-        index = self._bucket_index(xid)
-        latch = self.latches.latch_for(index)
-        if not latch.try_acquire(owner):
-            return None
-        try:
-            return self._buckets[index].pop(xid, None) is not None
-        finally:
-            latch.release(owner)
-
-    # ------------------------------------------------------------------
-    # latch recovery (bounded retry, then break the dead owner's latch)
-    # ------------------------------------------------------------------
-    # A bucket latch observed held by someone else can only belong to a
-    # crashed or stalled actor: every legitimate critical section on the
-    # journal is contained within a single scheduler step, so no live
-    # actor ever holds a bucket latch while another actor runs.  The
-    # recovery variants spin a bounded number of times (in case of a
-    # same-step recursive-owner edge) and then break the latch, exactly
-    # like PMON cleaning up after a dead process.
-
-    def _recover_latch(self, index: int) -> None:
-        latch = self.latches.latch_for(index)
-        broken = latch.break_held()
-        if broken is not None:
-            self.latch_breaks += 1
-
-    def remove_with_recovery(
-        self, xid: TransactionId, owner: object, spins: int = 3
-    ) -> bool:
-        """Like :meth:`remove`, but never livelocks: after ``spins``
-        failed attempts the (necessarily dead) holder's latch is broken.
-        """
-        for __ in range(spins):
-            removed = self.remove(xid, owner)
-            if removed is not None:
-                return removed
-        self._recover_latch(self._bucket_index(xid))
-        removed = self.remove(xid, owner)
-        assert removed is not None
-        return removed
-
-    def get_with_recovery(
-        self, xid: TransactionId, owner: object, spins: int = 3
-    ) -> Optional[AnchorNode]:
-        """Like :meth:`get`, but breaks a dead holder's latch instead of
-        reporting a miss forever."""
-        for __ in range(spins):
-            acquired, anchor = self.get(xid, owner)
-            if acquired:
-                return anchor
-        self._recover_latch(self._bucket_index(xid))
-        acquired, anchor = self.get(xid, owner)
-        assert acquired
+        self, xid: TransactionId, tenant: TenantId
+    ) -> AnchorNode:
+        anchor = self._anchors.get(xid)
+        if anchor is None:
+            anchor = AnchorNode(xid=xid, tenant=tenant)
+            anchor.floor_sink = self._note_floor
+            self._anchors[xid] = anchor
+            self.anchors_created += 1
         return anchor
+
+    def get(self, xid: TransactionId) -> Optional[AnchorNode]:
+        return self._anchors.get(xid)
+
+    def remove(self, xid: TransactionId) -> bool:
+        """Remove an anchor; True if there was one."""
+        return self._anchors.pop(xid, None) is not None
 
     def min_first_scn(self) -> SCN:
         """Earliest first-CV SCN over every live anchor (0 = no anchors).
@@ -225,16 +139,11 @@ class IMADGJournal:
         floor.  ``first_scn`` only ever decreases on a live anchor, and
         every decrease pushes a fresh entry, so a surviving top entry
         matching its anchor's ``first_scn`` is exact.
-
-        Read latch-free: the checkpoint writer runs inside a single
-        scheduler step (under the shared quiesce lock), and every journal
-        critical section is likewise contained within one step, so no
-        concurrent mutation can be in flight.
         """
         heap = self._floor_heap
         while heap:
             scn, xid = heap[0]
-            anchor = self._buckets[self._bucket_index(xid)].get(xid)
+            anchor = self._anchors.get(xid)
             if anchor is not None and anchor.first_scn == scn:
                 return scn
             heapq.heappop(heap)
@@ -243,18 +152,13 @@ class IMADGJournal:
     def clear(self) -> None:
         """Drop all state (standby instance restart: the journal has no
         persistent footprint)."""
-        for bucket in self._buckets:
-            bucket.clear()
+        self._anchors.clear()
         self._floor_heap.clear()
 
     @property
     def anchor_count(self) -> int:
-        return sum(len(b) for b in self._buckets)
+        return len(self._anchors)
 
     @property
     def record_count(self) -> int:
-        return sum(
-            anchor.n_records
-            for bucket in self._buckets
-            for anchor in bucket.values()
-        )
+        return sum(anchor.n_records for anchor in self._anchors.values())

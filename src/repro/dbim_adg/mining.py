@@ -11,11 +11,10 @@ Transaction Begin, Prepare, Commit and Abort and the commitSCN associated
 with each transaction."
 
 ``sniff_chunk`` is installed as the recovery workers' batch sniffer: it
-runs *before* a worker's :class:`~repro.redo.batch.CVChunk` is applied and
-returns False on a journal/commit-table latch miss, making the worker retry
-the same chunk (from its mining cursor) on its next step.  Every source of
-redo -- live shipments, FAL gap fills, MIRA apply instances, the
-instant-restart tail replay -- reaches mining through it.
+mines a worker's whole :class:`~repro.redo.batch.CVChunk` in one call,
+before any of it is applied.  Every source of redo -- live shipments, FAL
+gap fills, MIRA apply instances, the instant-restart tail replay -- reaches
+mining through it.
 
 Restart protocol (section III-E): a mined commit record whose transaction
 has no 'begin' in the journal is a pre-restart transaction.  If the commit
@@ -76,6 +75,8 @@ class MiningComponent:
         self.data_records_mined = 0
         self.control_records_mined = 0
         self.ddl_markers_mined = 0
+        #: Always 0 since a sniff cannot miss; kept because the bench_e2e
+        #: harness reports it.
         self.latch_misses = 0
         self.coarse_nodes_created = 0
         #: Missing-begin commits skipped during instant-restart tail replay.
@@ -92,63 +93,28 @@ class MiningComponent:
         self._batch_cvs = obs.histogram("dbim.mine.batch_cvs")
 
     # ------------------------------------------------------------------
-    def _sniff_control(
-        self, op: int, batch: CVBatch, i: int, scn: SCN, owner: object
-    ) -> bool:
-        xid = batch.xid_objects[i]
-        if op == _TXN_BEGIN or op == _TXN_PREPARE:
-            anchor = self.journal.get_or_create(
-                xid, batch.scalars.tenants[i], owner
-            )
-            if anchor is None:
-                self.latch_misses += 1
-                return False
-            if op == _TXN_BEGIN:
-                anchor.has_begin = True
-            anchor.note_scn(scn)
-            self.control_records_mined += 1
-            return True
-        if op == _TXN_ABORT:
-            removed = self.journal.remove(xid, owner)
-            if removed is None:
-                self.latch_misses += 1
-                return False
-            self.control_records_mined += 1
-            if self.on_abort is not None:
-                self.on_abort(xid, scn)
-            return True
-        raise ValueError(f"unhandled control op {CVOp(op)!r}")
-
-    # ------------------------------------------------------------------
-    def sniff_chunk(
-        self, chunk: CVChunk, worker_id: WorkerId, owner: object
-    ) -> bool:
-        """Mine a worker's whole chunk in one walk over its CVs in plain
-        Python, reading the batch's per-CV lists: the data CVs of
-        IMCS-enabled objects -- nothing changes the enabled set within a
-        call -- are grouped by transaction and journaled first
-        (:meth:`_mine_data`), then the *special* CVs the same walk found
-        (transaction state changes and DDL markers) are mined one at a
-        time, in order.
+    def sniff_chunk(self, chunk: CVChunk, worker_id: WorkerId) -> None:
+        """Mine a worker's chunk from its apply cursor ``pos`` on, in one
+        walk over its CVs in plain Python, reading the batch's per-CV
+        lists: the data CVs of IMCS-enabled objects -- nothing changes the
+        enabled set within a call -- are grouped by transaction and
+        journaled first (:meth:`_mine_data`), then the *special* CVs the
+        same walk found (transaction state changes and DDL markers) are
+        mined one at a time, in order, and the chunk's commits enter the
+        commit table in one :meth:`IMADGCommitTable.insert_batch`.
 
         Data before specials is unobservable at any published QuerySCN:
         an anchor is created by whichever CV of its transaction is mined
         first (data and the begin CV hash to different workers anyway); a
         commit's node holds a pointer to the anchor, and the chop is
         gated behind the chunk being fully *applied*, which requires it
-        fully mined; no minable CV of a transaction follows its abort in
-        SCN order; a DDL marker only enters the SCN-keyed DDL table.
-        For the same reason commit-table inserts are deferred into one
-        :meth:`IMADGCommitTable.insert_batch` at the end of the chunk.
-        Returns False on a latch miss; partial progress stays on the
-        chunk (``data_mined`` / ``mined_xids`` / ``mined_pos`` /
-        ``pending_commits``) and the worker retries next step.
+        mined; no minable CV of a transaction follows its abort in SCN
+        order; a DDL marker only enters the SCN-keyed DDL table.
         """
-        indices = chunk.indices
-        n = len(indices)
         if not chunk.stats_noted:
             chunk.stats_noted = True
-            self._batch_cvs.observe(n)
+            self._batch_cvs.observe(chunk.n_cvs)
+        indices = chunk.indices[chunk.pos :]
         batch = chunk.batch
         scalars = batch.scalars
         classes, xids, object_ids, scns = (
@@ -156,71 +122,39 @@ class MiningComponent:
         )
         enabled = self.imcs.enabled_object_ids
         tracer = obs.tracer_of(self._obs)
-        start = chunk.mined_pos
         # transaction xid code -> its data CVs' batch positions
-        runs: Optional[dict[int, list[int]]] = (
-            None if chunk.data_mined else {}
-        )
+        runs: dict[int, list[int]] = {}
         specials = []
-        for pos, i in enumerate(indices[start:], start):
+        for i in indices:
             mine = classes[i]
             if mine == MINE_SPECIAL:
-                specials.append(pos)
-            elif (
-                mine == MINE_DATA
-                and runs is not None
-                and object_ids[i] in enabled
-            ):
+                specials.append(i)
+            elif mine == MINE_DATA and object_ids[i] in enabled:
                 runs.setdefault(xids[i], []).append(i)
-        if runs is not None:
-            if runs and not self._mine_data(chunk, runs, worker_id, owner):
-                return False
-            chunk.data_mined = True
-            chunk.mined_xids = None
-            if tracer is not None:
-                for i in indices[start:]:
-                    if classes[i] != MINE_SPECIAL:
-                        tracer.record_mined(scns[i])
-        for pos in specials:
-            i = indices[pos]
+        if runs:
+            self._mine_data(batch, runs, worker_id)
+        if tracer is not None:
+            for i in indices:
+                if classes[i] != MINE_SPECIAL:
+                    tracer.record_mined(scns[i])
+        commits: list[CommitTableNode] = []
+        for i in specials:
             scn = scns[i]
-            if not self._sniff_special(batch, i, scn, chunk, owner):
-                chunk.mined_pos = pos
-                return False
-            chunk.mined_pos = pos + 1
+            self._sniff_special(batch, i, scn, commits)
             if tracer is not None:
                 tracer.record_mined(scn)
-        chunk.mined_pos = n
-        if chunk.pending_commits:
-            leftover = self.commit_table.insert_batch(
-                chunk.pending_commits, owner
-            )
-            if leftover:
-                self.latch_misses += 1
-                chunk.pending_commits = leftover
-                return False
-            chunk.pending_commits = None
-        return True
+        if commits:
+            self.commit_table.insert_batch(commits)
 
     def _mine_data(
-        self,
-        chunk: CVChunk,
-        runs: dict[int, list[int]],
-        worker_id: WorkerId,
-        owner: object,
-    ) -> bool:
+        self, batch: CVBatch, runs: dict[int, list[int]], worker_id: WorkerId
+    ) -> None:
         """Journal each transaction's run of data CVs (batch positions,
         ascending, hence in SCN order: a run's first SCN is its lowest),
-        in ascending xid code -- the order of ``get_or_create`` calls a
-        latch-miss retry resumes in, skipping the runs ``mined_xids``
-        holds.  What the journal keeps of the runs is one gather of the
-        batch's ``mined_columns``; each run's :class:`RecordChunk` is a
-        slice of it."""
-        mined = chunk.mined_xids
-        if mined is None:
-            mined = chunk.mined_xids = set()
-        codes = [code for code in sorted(runs) if code not in mined]
-        batch = chunk.batch
+        in ascending xid code.  What the journal keeps of the runs is one
+        gather of the batch's ``mined_columns``; each run's
+        :class:`RecordChunk` is a slice of it."""
+        codes = sorted(runs)
         records = batch.mined_columns.take(
             [i for code in codes for i in runs[code]], axis=1
         )
@@ -232,76 +166,74 @@ class MiningComponent:
             run = runs[code]
             first, hi = run[0], lo + len(run)
             tenant = tenants[first]
-            anchor = get_or_create(xid_objects[first], tenant, owner)
-            if anchor is None:
-                self.latch_misses += 1
-                return False
-            anchor.add_chunk(
+            get_or_create(xid_objects[first], tenant).add_chunk(
                 worker_id, RecordChunk(records[:, lo:hi], tenant), scns[first]
             )
             self.data_records_mined += len(run)
-            mined.add(code)
             lo = hi
-        return True
 
     def _sniff_special(
-        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
-    ) -> bool:
+        self,
+        batch: CVBatch,
+        i: int,
+        scn: SCN,
+        commits: list[CommitTableNode],
+    ) -> None:
         """Mine the in-order special CV at batch position ``i`` during a
-        chunk walk."""
+        chunk walk; a commit's node goes onto ``commits``."""
         op = batch.scalars.ops[i]
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
             self.ddl_markers_mined += 1
-            return True
+            return
+        self.control_records_mined += 1
+        xid = batch.xid_objects[i]
         if op == _TXN_COMMIT:
-            return self._sniff_commit(batch, i, scn, chunk, owner)
-        return self._sniff_control(op, batch, i, scn, owner)
+            node = self._sniff_commit(batch, i, scn, xid)
+            if node is not None:
+                commits.append(node)
+        elif op == _TXN_BEGIN or op == _TXN_PREPARE:
+            anchor = self.journal.get_or_create(xid, batch.scalars.tenants[i])
+            if op == _TXN_BEGIN:
+                anchor.has_begin = True
+            anchor.note_scn(scn)
+        elif op == _TXN_ABORT:
+            self.journal.remove(xid)
+            if self.on_abort is not None:
+                self.on_abort(xid, scn)
+        else:
+            raise ValueError(f"unhandled control op {CVOp(op)!r}")
 
     def _sniff_commit(
-        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
-    ) -> bool:
-        """Build the transaction's commit-table node onto the chunk's
-        ``pending_commits`` (one ``insert_batch`` per chunk).  The commit
-        record's SCN is the commitSCN; its payload is the III-E flag."""
-        xid = batch.xid_objects[i]
+        self, batch: CVBatch, i: int, scn: SCN, xid: TransactionId
+    ) -> Optional[CommitTableNode]:
+        """The transaction's commit-table node, or None when it has none.
+        The commit record's SCN is the commitSCN; its payload is the III-E
+        flag."""
         tenant = batch.scalars.tenants[i]
-        acquired, anchor = self.journal.get(xid, owner)
-        if not acquired:
-            self.latch_misses += 1
-            return False
+        anchor = self.journal.get(xid)
         if anchor is not None and anchor.has_begin:
-            node = CommitTableNode(
+            return CommitTableNode(
                 xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant
             )
-        else:
-            # Missing 'transaction begin': mined state predates an instance
-            # restart (paper, III-E).  The commit-record flag decides:
-            #   False      -> transaction touched no IMCS object; skip.
-            #   True/None  -> coarse invalidation of the tenant's IMCUs
-            #                 (None = no specialized redo: be pessimistic).
-            if batch.payloads[i] is False:
-                self.control_records_mined += 1
-                return True
-            if self.tail_mode:
-                # Instant-restart tail replay: a commit whose begin lies
-                # below the tail floor belongs to a transaction whose
-                # invalidations were flushed into the checkpointed masks
-                # before capture (see repro.restart.replay) -- skipping is
-                # exact, not pessimistic.
-                self.tail_commits_skipped += 1
-                self.control_records_mined += 1
-                return True
-            node = CommitTableNode(
-                xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant,
-                coarse=True,
-            )
-            self.coarse_nodes_created += 1
-        if chunk.pending_commits is None:
-            chunk.pending_commits = []
-        chunk.pending_commits.append(node)
-        self.control_records_mined += 1
-        return True
+        # Missing 'transaction begin': mined state predates an instance
+        # restart (paper, III-E).  The commit-record flag decides:
+        #   False      -> transaction touched no IMCS object; skip.
+        #   True/None  -> coarse invalidation of the tenant's IMCUs
+        #                 (None = no specialized redo: be pessimistic).
+        if batch.payloads[i] is False:
+            return None
+        if self.tail_mode:
+            # Instant-restart tail replay: a commit whose begin lies below
+            # the tail floor belongs to a transaction whose invalidations
+            # were flushed into the checkpointed masks before capture (see
+            # repro.restart.replay) -- skipping is exact, not pessimistic.
+            self.tail_commits_skipped += 1
+            return None
+        self.coarse_nodes_created += 1
+        return CommitTableNode(
+            xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant, coarse=True
+        )
 
     def clear(self) -> None:
         """Reset statistics (state lives in the journal/tables)."""

@@ -142,7 +142,7 @@ class SMU:
         self.last_repopulated_at: float = -1.0
 
     # ------------------------------------------------------------------
-    # invalidation (called under the owner store's latch discipline)
+    # invalidation (called by the owner store, inside one scheduler step)
     # ------------------------------------------------------------------
     def invalidate_row(self, rowid: RowId, scn: SCN) -> bool:
         """Mark one row invalid.  Rows not captured by the IMCU (inserted

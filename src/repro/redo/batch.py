@@ -27,7 +27,7 @@ is a batch of width 1 through the same code (FAL gap fills, MIRA apply
 instances and the instant-restart tail replay included).
 
 :class:`CVChunk` is the per-worker view of one distributed batch: an
-index array into the batch plus apply/mine progress cursors -- the item
+index array into the batch, an apply cursor and a mined mark -- the item
 type of every recovery-worker queue.
 """
 
@@ -252,44 +252,23 @@ class CVChunk:
     """One worker's share of a distributed :class:`CVBatch`.
 
     ``indices`` lists the batch positions of this worker's CVs (ascending,
-    hence in SCN order); ``pos`` is the apply cursor and ``mined_pos`` the
-    mining cursor.  The whole chunk is mined before any of it is applied
-    (sniff-then-apply at chunk scale): first every data CV at once, then
-    the specials in order.  ``data_mined``, ``mined_xids`` and
-    ``pending_commits`` carry partial progress across latch-miss
-    retries, so nothing is mined twice.
+    hence in SCN order); ``pos`` is the apply cursor.  The whole chunk is
+    mined before any of it is applied (sniff-then-apply at chunk scale),
+    in one sniff from ``pos`` on, and ``mined`` marks it done.
     """
 
-    __slots__ = (
-        "batch",
-        "indices",
-        "pos",
-        "mined_pos",
-        "data_mined",
-        "mined_xids",
-        "pending_commits",
-        "stats_noted",
-    )
+    __slots__ = ("batch", "indices", "pos", "mined", "stats_noted")
 
     def __init__(self, batch: CVBatch, indices: np.ndarray) -> None:
         self.batch = batch
         self.indices: list[int] = indices.tolist()
         #: Chunk position of the next CV to apply.
         self.pos = 0
-        #: Chunk position of the next CV to mine.
-        self.mined_pos = 0
+        #: True once the CVs from ``pos`` on are mined.
+        self.mined = False
         #: True once the miner's batch-size histogram saw this chunk
-        #: (kept across latch-miss retries and restarts).
+        #: (kept across restarts).
         self.stats_noted = False
-        #: True once every data CV from ``mined_pos`` on is journaled;
-        #: ``mined_pos`` then walks the specials.
-        self.data_mined = False
-        #: xid codes already journaled by an unfinished data pass (partial
-        #: progress on a latch-miss retry), or None.
-        self.mined_xids: Optional[set[int]] = None
-        #: Commit-table nodes built but not yet inserted (deferred to one
-        #: ``insert_batch`` per chunk), or None.
-        self.pending_commits: Optional[list] = None
 
     def __len__(self) -> int:
         """CVs remaining to apply."""
@@ -303,10 +282,6 @@ class CVChunk:
     def head_scn(self) -> SCN:
         return self.batch.scalars.scns[self.indices[self.pos]]
 
-    @property
-    def fully_mined(self) -> bool:
-        return self.mined_pos >= len(self.indices) and not self.pending_commits
-
     def remaining_positions(self) -> np.ndarray:
         """Log CV offsets (within the batch's thread) of the unapplied
         CVs, for the instant-restart queue-exclusion check."""
@@ -315,8 +290,5 @@ class CVChunk:
 
     def reset_mining(self) -> None:
         """Instance restart: the journal was cleared, so everything not
-        yet applied must be re-mined at apply time."""
-        self.mined_pos = self.pos
-        self.data_mined = False
-        self.mined_xids = None
-        self.pending_commits = None
+        yet applied is mined again, from ``pos``, at apply time."""
+        self.mined = False

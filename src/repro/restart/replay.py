@@ -147,27 +147,10 @@ def replay_tail(
             report.cvs_skipped_queued += batch.n_cvs - unqueued.size
             if not unqueued.size:
                 continue
-            chunk = CVChunk(batch, unqueued)
-            # fresh journal, no concurrent actors: a sniff can only
-            # miss on a same-step recursive latch edge, which cannot
-            # occur here -- but stay defensive and bound the retries.
-            for __ in range(3):
-                if miner.sniff_chunk(chunk, 0, _TAIL_OWNER):
-                    break
-            else:
-                raise AssertionError(
-                    "tail replay latch miss on an idle journal"
-                )
-            report.cvs_remined += chunk.n_cvs
+            miner.sniff_chunk(CVChunk(batch, unqueued), 0)
+            report.cvs_remined += unqueued.size
     finally:
         miner.tail_mode = False
-
-
-class _TailOwner:
-    """Latch owner identity for tail-replay mining."""
-
-
-_TAIL_OWNER = _TailOwner()
 
 
 def force_flush(standby: "StandbyDatabase", report: RestartReport) -> None:

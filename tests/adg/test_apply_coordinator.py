@@ -91,28 +91,6 @@ class TestRecoveryWorker:
         distributor.distribute([batch_of([rec(50, dba=1)])])
         assert worker.applied_through() == 49
 
-    def test_sniffer_latch_miss_stops_batch(self):
-        distributor = ApplyDistributor(1, NullApplier())
-        applier = RecordingApplier()
-        attempts = {"n": 0}
-
-        def sniffer(chunk, worker_id, owner):
-            attempts["n"] += 1
-            if attempts["n"] <= 2:  # first two tries miss the latch
-                return False
-            chunk.mined_pos = chunk.n_cvs
-            return True
-
-        worker = RecoveryWorker(
-            0, distributor, applier, batch_sniffer=sniffer
-        )
-        distributor.distribute([batch_of([rec(10, dba=1)])])
-        sched = Scheduler()
-        sched.add_actor(worker)
-        sched.run_until(0.1)
-        assert worker.sniff_retries == 2
-        assert len(applier.applied) == 1  # eventually applied exactly once
-
     def test_flush_helper_called_each_step(self):
         distributor = ApplyDistributor(1, NullApplier())
         calls = []

@@ -1,10 +1,9 @@
 """The cooperative-flush *wait* time is split out of apply accounting.
 
 A worker whose flush helper reports "worklink present but drain blocked"
-(the -1 sentinel, e.g. a chaos stall or a latch held by a dead worker) is
-waiting, not working: the blocked episode must land in the
-``adg.apply.coop_flush_wait`` histogram and must not be charged as flush
-work.  Episodes are measured end-to-end -- one observation per blocked
+(the -1 sentinel, e.g. a chaos stall) is waiting, not working: the
+blocked episode must land in the ``adg.apply.coop_flush_wait`` histogram
+and must not be charged as flush work.  Episodes are measured end-to-end -- one observation per blocked
 span, not one per polled step.
 """
 

@@ -1,5 +1,6 @@
-"""Recovery workers across a journal latch miss: the step ends, the chunk
-stays at the queue head, and no CV is mined twice."""
+"""Recovery workers mine each chunk once: a chunk whose apply spans
+several steps is not mined again, and a restart's ``reset_mining`` makes
+the worker mine it again from its apply cursor."""
 
 from repro.adg import ApplyDistributor, RecoveryWorker
 from repro.common import TransactionId
@@ -24,64 +25,50 @@ class RecordingApplier(NullApplier):
         self.applied.append(scn)
 
 
-class MissingSniffer:
-    """Mines one CV per call and reports a latch miss until the chunk is
-    mined, after ``misses`` calls that mine nothing at all."""
+class RecordingSniffer:
+    """Notes the SCN of every CV a sniff covers: the chunk from its apply
+    cursor on, as the miner mines it."""
 
-    def __init__(self, misses=0):
-        self.misses = misses
+    def __init__(self):
         self.sniffed = []
 
-    def __call__(self, chunk, worker_id, owner):
-        if self.misses:
-            self.misses -= 1
-            return False
-        position = chunk.indices[chunk.mined_pos]
-        self.sniffed.append(int(chunk.batch.scns[position]))
-        chunk.mined_pos += 1
-        return chunk.fully_mined
+    def __call__(self, chunk, worker_id):
+        self.sniffed += [
+            int(chunk.batch.scns[i]) for i in chunk.indices[chunk.pos :]
+        ]
 
 
-def run(worker, until=0.1):
-    sched = Scheduler()
-    sched.add_actor(worker)
-    sched.run_until(until)
-
-
-def test_stalled_cv_retries_until_applied():
+def budget_one_worker(scns):
     distributor = ApplyDistributor(1, NullApplier())
     applier = RecordingApplier()
-    sniffer = MissingSniffer(misses=3)
-    worker = RecoveryWorker(0, distributor, applier, batch_sniffer=sniffer)
-    distributor.distribute([batch_of([rec(10), rec(11)])])
-    run(worker)
-    assert applier.applied == [10, 11]
-    # three empty misses, then one partial-progress miss on a 2-CV chunk
-    assert worker.sniff_retries == 4
-
-
-def test_stalled_cv_is_sniffed_exactly_once():
-    """Partial mining progress survives a latch miss, and a chunk whose
-    apply spans several steps (budget 1) is not mined again."""
-    distributor = ApplyDistributor(1, NullApplier())
-    applier = RecordingApplier()
-    sniffer = MissingSniffer(misses=2)
+    sniffer = RecordingSniffer()
     worker = RecoveryWorker(
         0, distributor, applier, batch_sniffer=sniffer, batch=1
     )
-    distributor.distribute([batch_of([rec(10), rec(11), rec(12)])])
-    run(worker)
+    distributor.distribute([batch_of([rec(scn) for scn in scns])])
+    return distributor, applier, sniffer, worker
+
+
+def test_stalled_cv_is_sniffed_exactly_once():
+    """A chunk whose apply spans several steps (budget 1) is mined once,
+    before its first CV applies."""
+    __, applier, sniffer, worker = budget_one_worker([10, 11, 12])
+    sched = Scheduler()
+    sched.add_actor(worker)
+    sched.run_until(0.1)
     assert applier.applied == [10, 11, 12]
     assert sniffer.sniffed == [10, 11, 12]  # each exactly once
 
 
-def test_stall_blocks_consistency_progress():
-    distributor = ApplyDistributor(1, NullApplier())
-    worker = RecoveryWorker(
-        0, distributor, RecordingApplier(),
-        batch_sniffer=MissingSniffer(misses=10**9),  # never succeeds
-    )
-    distributor.distribute([batch_of([rec(10)])])
-    run(worker, until=0.05)
-    assert worker.applied_through() == 9  # stuck just below the missed CV
-    assert worker.cvs_applied == 0
+def test_reset_mining_re_mines_from_the_apply_cursor():
+    """After one CV applied, a restart's reset makes the next step mine
+    the rest of the chunk again -- and only the rest."""
+    distributor, applier, sniffer, worker = budget_one_worker([10, 11, 12])
+    sched = Scheduler()
+    worker.step(sched)
+    assert applier.applied == [10] and sniffer.sniffed == [10, 11, 12]
+    distributor.queues[0][0].reset_mining()
+    sched.add_actor(worker)
+    sched.run_until(0.1)
+    assert applier.applied == [10, 11, 12]
+    assert sniffer.sniffed == [10, 11, 12, 11, 12]

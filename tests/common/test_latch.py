@@ -1,61 +1,8 @@
-"""Tests for latches, bucket latch sets and the quiesce lock."""
+"""Tests for the quiesce lock."""
 
 import pytest
 
-from repro.common import BucketLatchSet, Latch, QuiesceLock
-
-
-class TestLatch:
-    def test_acquire_release_cycle(self):
-        latch = Latch("x")
-        owner = object()
-        assert latch.try_acquire(owner)
-        assert latch.is_held()
-        latch.release(owner)
-        assert not latch.is_held()
-
-    def test_contention_counts_misses(self):
-        latch = Latch("x")
-        a, b = object(), object()
-        assert latch.try_acquire(a)
-        assert not latch.try_acquire(b)
-        assert not latch.try_acquire(b)
-        assert latch.misses == 2
-        assert latch.acquisitions == 1
-
-    def test_reacquire_by_holder_is_allowed(self):
-        latch = Latch("x")
-        a = object()
-        assert latch.try_acquire(a)
-        assert latch.try_acquire(a)
-        assert latch.misses == 0
-
-    def test_release_by_non_holder_raises(self):
-        latch = Latch("x")
-        a, b = object(), object()
-        latch.try_acquire(a)
-        with pytest.raises(RuntimeError):
-            latch.release(b)
-
-
-class TestBucketLatchSet:
-    def test_distinct_buckets_do_not_contend(self):
-        latches = BucketLatchSet(8)
-        a, b = object(), object()
-        assert latches.latch_for(0).try_acquire(a)
-        assert latches.latch_for(1).try_acquire(b)
-        assert latches.total_misses == 0
-
-    def test_same_bucket_contends(self):
-        latches = BucketLatchSet(8)
-        a, b = object(), object()
-        assert latches.latch_for(3).try_acquire(a)
-        assert not latches.latch_for(3 + 8).try_acquire(b)  # wraps to 3
-        assert latches.total_misses == 1
-
-    def test_rejects_zero_buckets(self):
-        with pytest.raises(ValueError):
-            BucketLatchSet(0)
+from repro.common import QuiesceLock
 
 
 class TestQuiesceLock:

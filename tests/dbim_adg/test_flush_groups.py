@@ -1,5 +1,5 @@
-"""Regression tests for invalidation-group gathering (`gather_groups`),
-the journal-latch livelock in the flush drain, and commit-table chop order.
+"""Regression tests for invalidation-group gathering (`gather_groups`)
+and commit-table chop order.
 
 The gathering bug: when a group reached ``group_block_limit``, a record
 for a DBA *already present* in the full group used to spawn a fresh
@@ -30,7 +30,7 @@ XID = TransactionId(1, 7)
 
 
 def make_flush(group_block_limit=64):
-    journal = IMADGJournal(8)
+    journal = IMADGJournal()
     flush = InvalidationFlushComponent(
         journal,
         IMADGCommitTable(4),
@@ -157,43 +157,9 @@ class TestGatherGroups:
         node = node_with_records(
             [rec(1, (0,)), rec(2, (0,)), rec(1, (4,))]
         )
-        journal.get_or_create(XID, 0, object())  # so removal succeeds
+        journal.get_or_create(XID, 0)  # so removal succeeds
         flush_one(flush, node)
         assert flush.router.groups_routed == 2  # one per distinct DBA
-
-
-class TestFlushLatchRecovery:
-    def test_flush_one_breaks_dead_holders_latch(self):
-        """A crashed worker holding the journal bucket latch used to
-        livelock the flush drain forever; now the latch is broken after a
-        bounded spin and advancement proceeds."""
-        journal, flush = make_flush()
-        journal.get_or_create(XID, 0, object())
-        dead_worker = object()
-        bucket = journal._bucket_index(XID)
-        assert journal.latches.latch_for(bucket).try_acquire(dead_worker)
-
-        node = node_with_records([rec(1, (0,))])
-        flush_one(flush, node)  # must terminate
-
-        assert journal.latch_breaks == 1
-        assert journal.anchor_count == 0
-        assert not journal.latches.latch_for(bucket).is_held()
-
-    def test_remove_with_recovery_no_contention_no_break(self):
-        journal, __ = make_flush()
-        journal.get_or_create(XID, 0, object())
-        assert journal.remove_with_recovery(XID, object()) is True
-        assert journal.latch_breaks == 0
-
-    def test_get_with_recovery_breaks_latch(self):
-        journal, __ = make_flush()
-        journal.get_or_create(XID, 0, object())
-        bucket = journal._bucket_index(XID)
-        journal.latches.latch_for(bucket).try_acquire(object())
-        anchor = journal.get_with_recovery(XID, object())
-        assert anchor is not None and anchor.xid == XID
-        assert journal.latch_breaks == 1
 
 
 class TestChopStableOrder:
@@ -202,7 +168,6 @@ class TestChopStableOrder:
         with equal commitSCN come out in partition-index order, and
         within one partition in insertion order."""
         table = IMADGCommitTable(4)
-        owner = object()
         # craft xids landing in different partitions
         by_partition = {}
         for low in range(1, 200):
@@ -218,7 +183,7 @@ class TestChopStableOrder:
                 node = CommitTableNode(
                     xid=xid, commit_scn=500, anchor=None, tenant=0
                 )
-                assert not table.insert_batch([node], owner)
+                table.insert_batch([node])
                 inserted.append(node)
         chopped = table.chop(500)
         assert len(chopped) == 8
@@ -227,7 +192,6 @@ class TestChopStableOrder:
 
     def test_chop_mixed_scns_sorted_and_stable_within_ties(self):
         table = IMADGCommitTable(2)
-        owner = object()
         nodes = []
         for low in range(1, 40):
             xid = TransactionId(1, low)
@@ -235,7 +199,7 @@ class TestChopStableOrder:
             node = CommitTableNode(
                 xid=xid, commit_scn=scn, anchor=None, tenant=0
             )
-            assert not table.insert_batch([node], owner)
+            table.insert_batch([node])
             nodes.append(node)
         chopped = table.chop(200)
         scns = [n.commit_scn for n in chopped]

@@ -15,24 +15,22 @@ def record(obj=9, dba=5, slots=(0,), scn=10):
     return MinedRecord(obj, dba, slots, tenant=0, scn=scn)
 
 
-def insert(table, node, owner):
-    """One node as a width-1 batch; False on a partition-latch miss."""
-    return not table.insert_batch([node], owner)
+def insert(table, node):
+    """One node as a width-1 batch."""
+    table.insert_batch([node])
 
 
 class TestJournal:
     def test_get_or_create_then_get(self):
-        journal = IMADGJournal(8)
-        owner = object()
-        anchor = journal.get_or_create(xid(1), 0, owner)
+        journal = IMADGJournal()
+        anchor = journal.get_or_create(xid(1), 0)
         assert anchor is not None
-        acquired, again = journal.get(xid(1), owner)
-        assert acquired and again is anchor
+        assert journal.get(xid(1)) is anchor
         assert journal.anchor_count == 1
 
     def test_per_worker_areas_accumulate_without_latch(self):
-        journal = IMADGJournal(8)
-        anchor = journal.get_or_create(xid(1), 0, object())
+        journal = IMADGJournal()
+        anchor = journal.get_or_create(xid(1), 0)
         add_records(anchor, 0, [record(scn=10)])
         add_records(anchor, 1, [record(scn=11)])
         add_records(anchor, 0, [record(scn=12)])
@@ -40,42 +38,21 @@ class TestJournal:
         assert len(anchor.worker_chunks) == 2
         assert {r.scn for r in records_of(anchor)} == {10, 11, 12}
 
-    def test_latch_miss_returns_none(self):
-        journal = IMADGJournal(1)  # single bucket: guaranteed collision
-        blocker = object()
-        latch = journal.latches.latch_for(0)
-        assert latch.try_acquire(blocker)
-        assert journal.get_or_create(xid(1), 0, object()) is None
-        assert journal.remove(xid(1), object()) is None
-        acquired, __ = journal.get(xid(1), object())
-        assert not acquired
-        latch.release(blocker)
-        assert journal.get_or_create(xid(1), 0, object()) is not None
-
     def test_remove(self):
-        journal = IMADGJournal(8)
-        owner = object()
-        journal.get_or_create(xid(1), 0, owner)
-        assert journal.remove(xid(1), owner) is True
-        assert journal.remove(xid(1), owner) is False
+        journal = IMADGJournal()
+        journal.get_or_create(xid(1), 0)
+        assert journal.remove(xid(1)) is True
+        assert journal.remove(xid(1)) is False
         assert journal.anchor_count == 0
 
     def test_clear_drops_everything(self):
-        journal = IMADGJournal(8)
-        owner = object()
+        journal = IMADGJournal()
         for i in range(10):
-            anchor = journal.get_or_create(xid(i), 0, owner)
+            anchor = journal.get_or_create(xid(i), 0)
             add_records(anchor, 0, [record()])
         journal.clear()
         assert journal.anchor_count == 0
         assert journal.record_count == 0
-
-    def test_distinct_buckets_no_contention(self):
-        journal = IMADGJournal(64)
-        owner = object()
-        for i in range(32):
-            journal.get_or_create(xid(i), 0, owner)
-        assert journal.latches.total_misses == 0
 
 
 class TestCommitTable:
@@ -86,17 +63,15 @@ class TestCommitTable:
 
     def test_insert_sorted_within_partition(self):
         table = IMADGCommitTable(n_partitions=1)
-        owner = object()
         for scn in (30, 10, 20):
-            assert insert(table, self.node(scn, scn), owner)
+            insert(table, self.node(scn, scn))
         chopped = table.chop(100)
         assert [n.commit_scn for n in chopped] == [10, 20, 30]
 
     def test_chop_respects_boundary(self):
         table = IMADGCommitTable(n_partitions=4)
-        owner = object()
         for scn in range(10, 20):
-            insert(table, self.node(scn, scn), owner)
+            insert(table, self.node(scn, scn))
         chopped = table.chop(14)
         assert sorted(n.commit_scn for n in chopped) == [10, 11, 12, 13, 14]
         assert len(table) == 5
@@ -104,44 +79,16 @@ class TestCommitTable:
 
     def test_chop_merges_partitions_in_scn_order(self):
         table = IMADGCommitTable(n_partitions=4)
-        owner = object()
         for scn in (55, 12, 78, 31, 44, 9):
-            insert(table, self.node(scn, scn), owner)
+            insert(table, self.node(scn, scn))
         chopped = table.chop(1000)
         scns = [n.commit_scn for n in chopped]
         assert scns == sorted(scns)
-
-    def test_partition_latch_miss(self):
-        table = IMADGCommitTable(n_partitions=1)
-        blocker = object()
-        assert table.latches.latch_for(0).try_acquire(blocker)
-        assert not insert(table, self.node(1, 10), object())
-        table.latches.latch_for(0).release(blocker)
-        assert insert(table, self.node(1, 10), object())
 
     def test_empty_chop(self):
         table = IMADGCommitTable()
         assert table.chop(100) == []
         assert table.min_pending_scn is None
-
-    def test_partitioning_reduces_contention_vs_single_list(self):
-        """Ablation rationale: with one partition every insert contends on
-        one latch; with many, concurrent owners mostly hit different
-        latches.  We emulate 'concurrency' by holding one latch while
-        inserting from another owner."""
-        single = IMADGCommitTable(n_partitions=1)
-        many = IMADGCommitTable(n_partitions=16)
-        holder = object()
-        single.latches.latch_for(0).try_acquire(holder)
-        many.latches.latch_for(0).try_acquire(holder)
-        single_misses = many_misses = 0
-        for i in range(64):
-            if not insert(single, self.node(i, i), object()):
-                single_misses += 1
-            if not insert(many, self.node(i, i), object()):
-                many_misses += 1
-        assert single_misses == 64
-        assert many_misses < 16
 
 
 class TestInsertBatch:
@@ -152,12 +99,8 @@ class TestInsertBatch:
 
     def test_tail_extend_fast_path(self):
         table = IMADGCommitTable(n_partitions=1)
-        owner = object()
-        insert(table, self.node(0, 5), owner)
-        leftover = table.insert_batch(
-            [self.node(1, 20), self.node(2, 10)], owner
-        )
-        assert leftover == []
+        insert(table, self.node(0, 5))
+        table.insert_batch([self.node(1, 20), self.node(2, 10)])
         assert [n.commit_scn for n in table.chop(100)] == [5, 10, 20]
 
     def test_merge_matches_bisect_right_on_ties(self):
@@ -166,31 +109,17 @@ class TestInsertBatch:
         produces."""
         batched = IMADGCommitTable(n_partitions=1)
         serial = IMADGCommitTable(n_partitions=1)
-        owner = object()
         first = [(1, 10), (2, 20), (3, 20)]
         second = [(4, 20), (5, 5), (6, 20)]
         for n, scn in first:
-            insert(batched, self.node(n, scn), owner)
-            insert(serial, self.node(n, scn), owner)
-        assert batched.insert_batch(
-            [self.node(n, scn) for n, scn in second], owner
-        ) == []
+            insert(batched, self.node(n, scn))
+            insert(serial, self.node(n, scn))
+        batched.insert_batch([self.node(n, scn) for n, scn in second])
         for n, scn in second:
-            insert(serial, self.node(n, scn), owner)
+            insert(serial, self.node(n, scn))
         assert [(n.xid, n.commit_scn) for n in batched.chop(100)] == [
             (n.xid, n.commit_scn) for n in serial.chop(100)
         ]
-
-    def test_latch_miss_returns_leftover(self):
-        table = IMADGCommitTable(n_partitions=1)
-        blocker = object()
-        assert table.latches.latch_for(0).try_acquire(blocker)
-        nodes = [self.node(1, 10), self.node(2, 20)]
-        assert table.insert_batch(nodes, object()) == nodes
-        assert len(table) == 0
-        table.latches.latch_for(0).release(blocker)
-        assert table.insert_batch(nodes, object()) == []
-        assert len(table) == 2
 
 
 class TestChopStableOrder:
@@ -200,7 +129,6 @@ class TestChopStableOrder:
 
     def test_ties_resolve_partition_then_insertion_order(self):
         table = IMADGCommitTable(n_partitions=4)
-        owner = object()
         nodes = []
         for i in range(40):
             node = CommitTableNode(
@@ -208,7 +136,7 @@ class TestChopStableOrder:
                 anchor=None, tenant=0,
             )
             nodes.append(node)
-            assert insert(table, node, owner)
+            insert(table, node)
         # the old implementation: concatenate partitions in index order,
         # then one stable sort by commitSCN
         expected = []
@@ -225,14 +153,12 @@ class TestChopStableOrder:
 
     def test_partial_chop_keeps_remainder_sorted(self):
         table = IMADGCommitTable(n_partitions=3)
-        owner = object()
         for i, scn in enumerate((9, 44, 12, 44, 31, 78, 44, 9)):
             insert(
                 table,
                 CommitTableNode(
                     xid=xid(i), commit_scn=scn, anchor=None, tenant=0
                 ),
-                owner,
             )
         first = table.chop(44)
         scns = [n.commit_scn for n in first]
@@ -243,72 +169,60 @@ class TestChopStableOrder:
 
 class TestFloorHeap:
     """min_first_scn is served from a lazy-deletion min-heap; it must
-    stay exact across removes, latch-recovery removes, and anchor
-    re-creation."""
+    stay exact across removes and anchor re-creation."""
 
     def seed(self, journal, floors):
-        owner = object()
         for i, scn in floors.items():
-            anchor = journal.get_or_create(xid(i), 0, owner)
-            anchor.note_scn(scn)
-        return owner
+            journal.get_or_create(xid(i), 0).note_scn(scn)
 
     def test_tracks_minimum(self):
-        journal = IMADGJournal(8)
+        journal = IMADGJournal()
         self.seed(journal, {1: 30, 2: 10, 3: 20})
         assert journal.min_first_scn() == 10
 
     def test_empty_journal_is_zero(self):
-        assert IMADGJournal(8).min_first_scn() == 0
+        assert IMADGJournal().min_first_scn() == 0
 
     def test_survives_remove(self):
-        journal = IMADGJournal(8)
-        owner = self.seed(journal, {1: 30, 2: 10, 3: 20})
-        assert journal.remove(xid(2), owner) is True
+        journal = IMADGJournal()
+        self.seed(journal, {1: 30, 2: 10, 3: 20})
+        assert journal.remove(xid(2)) is True
         assert journal.min_first_scn() == 20
-        assert journal.remove(xid(3), owner) is True
+        assert journal.remove(xid(3)) is True
         assert journal.min_first_scn() == 30
-        assert journal.remove(xid(1), owner) is True
+        assert journal.remove(xid(1)) is True
         assert journal.min_first_scn() == 0
 
-    def test_survives_remove_with_recovery(self):
-        journal = IMADGJournal(1)  # one bucket: recovery breaks its latch
-        owner = self.seed(journal, {1: 30, 2: 10})
-        blocker = object()
-        assert journal.latches.latch_for(0).try_acquire(blocker)
-        assert journal.remove_with_recovery(xid(2), owner) is True
-        assert journal.min_first_scn() == 30
-
     def test_floor_decrease_reflected(self):
-        journal = IMADGJournal(8)
-        owner = self.seed(journal, {1: 30})
+        journal = IMADGJournal()
+        self.seed(journal, {1: 30})
         assert journal.min_first_scn() == 30
-        anchor = journal.get_or_create(xid(1), 0, owner)
+        anchor = journal.get_or_create(xid(1), 0)
         anchor.note_scn(7)
         assert journal.min_first_scn() == 7
         anchor.note_scn(50)  # first_scn never increases
         assert journal.min_first_scn() == 7
 
     def test_recreated_anchor_gets_fresh_floor(self):
-        journal = IMADGJournal(8)
-        owner = self.seed(journal, {1: 10, 2: 40})
-        assert journal.remove(xid(1), owner) is True
-        anchor = journal.get_or_create(xid(1), 0, owner)
+        journal = IMADGJournal()
+        self.seed(journal, {1: 10, 2: 40})
+        assert journal.remove(xid(1)) is True
+        anchor = journal.get_or_create(xid(1), 0)
         anchor.note_scn(25)
         assert journal.min_first_scn() == 25
 
     def test_clear_resets_heap(self):
-        journal = IMADGJournal(8)
+        journal = IMADGJournal()
         self.seed(journal, {1: 10})
         journal.clear()
         assert journal.min_first_scn() == 0
-        anchor = journal.get_or_create(xid(9), 0, object())
+        anchor = journal.get_or_create(xid(9), 0)
         anchor.note_scn(99)
         assert journal.min_first_scn() == 99
 
     def test_batch_adds_feed_the_heap(self):
-        journal = IMADGJournal(8)
-        anchor = journal.get_or_create(xid(1), 0, object())
+        journal = IMADGJournal()
+        anchor = journal.get_or_create(xid(1), 0)
         add_records(
             anchor,
             0,

@@ -52,7 +52,7 @@ class FakeTxnView:
 
 
 def make_stack(table=None):
-    journal = IMADGJournal(16)
+    journal = IMADGJournal()
     commit_table = IMADGCommitTable(4)
     ddl_table = DDLInformationTable()
     store = InMemoryColumnStore()
@@ -102,18 +102,17 @@ def update_cv(object_id, dba, slot, xid=X1):
 class TestMining:
     def test_begin_creates_anchor_with_flag(self):
         journal, *_rest, miner, __ = make_stack()
-        assert sniff_one(miner, begin_cv(), 10, 0, object())
-        acquired, anchor = journal.get(X1, object())
+        sniff_one(miner, begin_cv(), 10)
+        anchor = journal.get(X1)
         assert anchor is not None and anchor.has_begin
 
     def test_data_cv_on_enabled_object_mined(self):
         table = make_table()
         journal, ct, dt, store, miner, flush = make_stack(table)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 10, 0, object())
-        assert sniff_one(miner, update_cv(oid, dba=1, slot=2), 11,
-                         worker_id=3, owner=object())
-        __, anchor = journal.get(X1, object())
+        sniff_one(miner, begin_cv(), 10)
+        sniff_one(miner, update_cv(oid, dba=1, slot=2), 11, worker_id=3)
+        anchor = journal.get(X1)
         records = records_of(anchor)
         assert len(records) == 1
         assert records[0].dba == 1 and records[0].slots == (2,)
@@ -121,17 +120,17 @@ class TestMining:
 
     def test_data_cv_on_disabled_object_ignored(self):
         journal, *__rest, miner, __ = make_stack()  # nothing enabled
-        sniff_one(miner, begin_cv(), 10, 0, object())
-        sniff_one(miner, update_cv(4242, dba=1, slot=2), 11, 0, object())
-        __, anchor = journal.get(X1, object())
+        sniff_one(miner, begin_cv(), 10)
+        sniff_one(miner, update_cv(4242, dba=1, slot=2), 11)
+        anchor = journal.get(X1)
         assert anchor.n_records == 0
         assert miner.data_records_mined == 0
 
     def test_commit_creates_commit_table_node(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        sniff_one(miner, begin_cv(), 10, 0, object())
-        assert sniff_one(miner, commit_cv(50), 50, 0, object())
+        sniff_one(miner, begin_cv(), 10)
+        sniff_one(miner, commit_cv(50), 50)
         chopped = ct.chop(50)
         assert len(chopped) == 1
         assert chopped[0].commit_scn == 50
@@ -141,15 +140,27 @@ class TestMining:
     def test_commit_without_begin_and_flag_true_is_coarse(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert sniff_one(miner, commit_cv(50, flag=True), 50, 0, object())
+        sniff_one(miner, commit_cv(50, flag=True), 50)
         chopped = ct.chop(50)
         assert chopped[0].coarse
         assert miner.coarse_nodes_created == 1
 
+    def test_commit_after_data_without_begin_is_coarse(self):
+        """The restart protocol keys on the begin, not on the anchor: data
+        mined after a restart anchors the transaction, but its earlier
+        changes are lost, so the commit still invalidates coarsely."""
+        table = make_table()
+        journal, ct, *__rest, miner, flush = make_stack(table)
+        oid = table.default_partition.object_id
+        sniff_one(miner, update_cv(oid, dba=1, slot=2), 49)
+        sniff_one(miner, commit_cv(50, flag=True), 50)
+        (node,) = ct.chop(50)
+        assert node.coarse and node.anchor is journal.get(X1)
+
     def test_commit_without_begin_and_flag_false_is_skipped(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert sniff_one(miner, commit_cv(50, flag=False), 50, 0, object())
+        sniff_one(miner, commit_cv(50, flag=False), 50)
         assert ct.chop(50) == []
         assert miner.coarse_nodes_created == 0
 
@@ -158,32 +169,32 @@ class TestMining:
         worst (paper, III-E)."""
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert sniff_one(miner, commit_cv(50, flag=None), 50, 0, object())
+        sniff_one(miner, commit_cv(50, flag=None), 50)
         assert ct.chop(50)[0].coarse
 
     def test_abort_discards_journal_entries(self):
         table = make_table()
         journal, *__rest, miner, __ = make_stack(table)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 10, 0, object())
-        sniff_one(miner, update_cv(oid, 1, 2), 11, 0, object())
+        sniff_one(miner, begin_cv(), 10)
+        sniff_one(miner, update_cv(oid, 1, 2), 11)
         abort = ChangeVector(CVOp.TXN_ABORT, txn_table_dba(1), 0, 0, X1)
-        assert sniff_one(miner, abort, 12, 0, object())
+        sniff_one(miner, abort, 12)
         assert journal.anchor_count == 0
 
     def test_undo_cvs_not_mined(self):
         table = make_table()
         journal, *__rest, miner, __ = make_stack(table)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 10, 0, object())
+        sniff_one(miner, begin_cv(), 10)
         undo = ChangeVector(CVOp.UNDO, 1, oid, 0, X1, UndoPayload(2))
         # the UNDO ships its real slot now (the displaced transpose wrote
         # -1), and mining must keep ignoring it: it restores the committed
         # state the IMCU already holds
         assert batch_of([RedoRecord(11, 1, (undo,))]).slots.tolist() == [2]
         assert MINE_CLASS[CVOp.UNDO] == 0
-        assert sniff_one(miner, undo, 11, 0, object())
-        __, anchor = journal.get(X1, object())
+        sniff_one(miner, undo, 11)
+        anchor = journal.get(X1)
         assert anchor.n_records == 0
         assert miner.data_records_mined == 0
 
@@ -192,22 +203,13 @@ class TestMining:
         journal, ct, ddl_table, *__rest, miner, flush = make_stack(table)
         payload = DDLMarkerPayload("drop_column", (1,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(1), 1, 0, X1, payload)
-        assert sniff_one(miner, cv, 30, 0, object())
+        sniff_one(miner, cv, 30)
         assert len(ddl_table) == 1
-
-    def test_latch_miss_propagates_false(self):
-        table = make_table()
-        journal, *__rest, miner, __ = make_stack(table)
-        blocker = object()
-        bucket = journal._bucket_index(X1)
-        journal.latches.latch_for(bucket).try_acquire(blocker)
-        assert not sniff_one(miner, begin_cv(), 10, 0, object())
-        assert miner.latch_misses == 1
 
     def test_clear_resets_tail_commits_skipped(self):
         *__rest, miner, __ = make_stack(make_table())
         miner.tail_mode = True
-        assert sniff_one(miner, commit_cv(50), 50)  # no begin: skipped
+        sniff_one(miner, commit_cv(50), 50)  # no begin: skipped
         assert miner.tail_commits_skipped == 1
         miner.clear()
         assert miner.tail_commits_skipped == 0
@@ -221,10 +223,10 @@ class TestFlush:
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
 
-        sniff_one(miner, begin_cv(), 300, 0, object())
+        sniff_one(miner, begin_cv(), 300)
         target = rowids[3]
         sniff_one(miner, update_cv(oid, target.dba, target.slot), 301)
-        sniff_one(miner, commit_cv(310), 310, 0, object())
+        sniff_one(miner, commit_cv(310), 310)
 
         flush.begin_advance(320)
         while not flush.is_advance_complete():
@@ -242,9 +244,8 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 300, 0, object())
-        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
-                    object())
+        sniff_one(miner, begin_cv(), 300)
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0)
         # no commit mined
         flush.begin_advance(400)
         assert flush.is_advance_complete()
@@ -258,10 +259,9 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 300, 0, object())
-        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
-                    object())
-        sniff_one(miner, commit_cv(500), 500, 0, object())
+        sniff_one(miner, begin_cv(), 300)
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0)
+        sniff_one(miner, commit_cv(500), 500)
         flush.begin_advance(400)  # target below commitSCN
         assert flush.is_advance_complete()
         smu = store.unit_covering(oid, rowids[0].dba)
@@ -274,7 +274,7 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         populate(table, store, txns)
         oid = table.default_partition.object_id
-        sniff_one(miner, commit_cv(310, flag=True), 310, 0, object())  # no begin
+        sniff_one(miner, commit_cv(310, flag=True), 310)  # no begin
         flush.begin_advance(320)
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
@@ -287,13 +287,11 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 300, 0, object())
+        sniff_one(miner, begin_cv(), 300)
         # two updates to the same block from different workers
-        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
-                    object())
-        sniff_one(miner, update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1,
-                    object())
-        sniff_one(miner, commit_cv(310), 310, 0, object())
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0)
+        sniff_one(miner, update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1)
+        sniff_one(miner, commit_cv(310), 310)
         flush.begin_advance(320)
         flush.coordinator_flush(8)
         assert flush.groups_created == 1  # one object, few blocks
@@ -304,10 +302,9 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 300, 0, object())
-        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
-                    object())
-        sniff_one(miner, commit_cv(310), 310, 0, object())
+        sniff_one(miner, begin_cv(), 300)
+        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0)
+        sniff_one(miner, commit_cv(310), 310)
         flush.cooperative = False
         flush.begin_advance(320)
         assert flush.worker_flush(0, 8) == 0  # ablation: workers opt out
@@ -328,7 +325,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        sniff_one(miner, cv, 350, 0, object())
+        sniff_one(miner, cv, 350)
         flush.begin_advance(360)
         assert store.segment(oid).live_units() == []
         assert applied == [payload]
@@ -343,7 +340,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        sniff_one(miner, cv, 500, 0, object())
+        sniff_one(miner, cv, 500)
         flush.begin_advance(360)
         assert store.segment(oid).live_units()  # still there
         assert len(dt) == 1
@@ -362,7 +359,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        sniff_one(miner, cv, 350, 0, object())
+        sniff_one(miner, cv, 350)
         flush.begin_advance(360)
         # dropped at begin_advance time: a reader at the published SCN can
         # never see a stale unit for the DDL-affected object
@@ -373,7 +370,7 @@ class TestFlush:
         late = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n2"})
         late_cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0,
                                X1, late)
-        sniff_one(miner, late_cv, 500, 0, object())
+        sniff_one(miner, late_cv, 500)
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
         flush.finish_advance(360)

@@ -1,7 +1,7 @@
 """A naive reference model of DBIM-on-ADG mining (paper, III-B..D).
 
-Not the production algorithm re-hosted: no batches, no arrays, no latches,
-no per-worker areas, no commit table.  It reads redo records one change
+Not the production algorithm re-hosted: no batches, no arrays, no
+per-worker areas, no commit table.  It reads redo records one change
 vector at a time and keeps the one thing the paper says mining must
 produce -- for every transaction, the set of ``(object, dba, slot)`` it
 changed in IMCS-enabled objects -- under four rules:

@@ -90,62 +90,34 @@ class NumpyMiningComponent(MiningComponent):
             )
         return derived[1], derived[2]
 
-    def sniff_chunk(
-        self, chunk: CVChunk, worker_id: WorkerId, owner: object
-    ) -> bool:
+    def sniff_chunk(self, chunk: CVChunk, worker_id: WorkerId) -> None:
         indices = np.asarray(chunk.indices, dtype=np.int64)
-        n = len(indices)
         if not chunk.stats_noted:
             chunk.stats_noted = True
-            self._batch_cvs.observe(n)
+            self._batch_cvs.observe(len(indices))
+        indices = indices[chunk.pos :]
         batch = chunk.batch
         tracer = obs.tracer_of(self._obs)
         classes = self._derive(batch)[0][indices]
-        if not chunk.data_mined:
-            start = chunk.mined_pos
-            data = indices[start:][classes[start:] == MINE_DATA]
-            if not self._mine_data(chunk, data, worker_id, owner):
-                return False
-            chunk.data_mined = True
-            chunk.mined_xids = None
-            if tracer is not None:
-                plain = indices[start:][classes[start:] != MINE_SPECIAL]
-                for scn in batch.scns[plain].tolist():
-                    tracer.record_mined(scn)
-        for pos in (classes == MINE_SPECIAL).nonzero()[0].tolist():
-            if pos < chunk.mined_pos:
-                continue  # mined before a latch miss, or applied
-            i = int(indices[pos])
+        self._mine_data(batch, indices[classes == MINE_DATA], worker_id)
+        if tracer is not None:
+            for scn in batch.scns[indices[classes != MINE_SPECIAL]].tolist():
+                tracer.record_mined(scn)
+        commits: list[CommitTableNode] = []
+        for i in indices[classes == MINE_SPECIAL].tolist():
             scn = int(batch.scns[i])
-            if not self._sniff_special(batch, i, scn, chunk, owner):
-                chunk.mined_pos = pos
-                return False
-            chunk.mined_pos = pos + 1
+            self._sniff_special(batch, i, scn, commits)
             if tracer is not None:
                 tracer.record_mined(scn)
-        chunk.mined_pos = n
-        if chunk.pending_commits:
-            leftover = self.commit_table.insert_batch(
-                chunk.pending_commits, owner
-            )
-            if leftover:
-                self.latch_misses += 1
-                chunk.pending_commits = leftover
-                return False
-            chunk.pending_commits = None
-        return True
+        if commits:
+            self.commit_table.insert_batch(commits)
 
     def _mine_data(
-        self,
-        chunk: CVChunk,
-        data: np.ndarray,
-        worker_id: WorkerId,
-        owner: object,
-    ) -> bool:
+        self, batch: CVBatch, data: np.ndarray, worker_id: WorkerId
+    ) -> None:
         """Gather the enabled data CVs at batch positions ``data``, sort
         them stably by xid code and journal each transaction's run as a
         slice of the gather."""
-        batch = chunk.batch
         enabled = frozenset(self.imcs.enabled_object_ids)
         if self._enabled is None or enabled != self._enabled[0]:
             self._enabled = (
@@ -155,7 +127,7 @@ class NumpyMiningComponent(MiningComponent):
         data = data[enabled_mask(self._enabled[1], batch.object_ids[data])]
         n = data.size
         if not n:
-            return True
+            return
         columns = self._derive(batch)[1][:, data]
         columns = columns[:, np.argsort(columns[4], kind="stable")]
         xids = columns[4]
@@ -164,94 +136,59 @@ class NumpyMiningComponent(MiningComponent):
         # xid code and the tenant
         first_scns, codes, tenants = columns[3:, starts].tolist()
         records = columns[:4]
-        mined = chunk.mined_xids
-        if mined is None:
-            mined = chunk.mined_xids = set()
-        get_or_create = self.journal.get_or_create
         for code, tenant, first_scn, lo, hi in zip(
             codes, tenants, first_scns, starts, [*starts[1:], n]
         ):
-            if code in mined:
-                continue  # journaled before a latch miss
-            anchor = get_or_create(decode_xid(code), tenant, owner)
-            if anchor is None:
-                self.latch_misses += 1
-                return False
+            anchor = self.journal.get_or_create(decode_xid(code), tenant)
             anchor.add_chunk(
                 worker_id, RecordChunk(records[:, lo:hi], tenant), first_scn
             )
             self.data_records_mined += hi - lo
-            mined.add(code)
-        return True
 
     def _sniff_special(
-        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
-    ) -> bool:
+        self,
+        batch: CVBatch,
+        i: int,
+        scn: SCN,
+        commits: list[CommitTableNode],
+    ) -> None:
         op = batch.ops.item(i)
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
             self.ddl_markers_mined += 1
-            return True
-        if op == _TXN_COMMIT:
-            return self._sniff_commit(batch, i, scn, chunk, owner)
-        return self._sniff_control(op, batch, i, scn, owner)
-
-    def _sniff_control(
-        self, op: int, batch: CVBatch, i: int, scn: SCN, owner: object
-    ) -> bool:
+            return
         xid = batch.xid_objects[i]
+        tenant = batch.tenants.item(i)
         if op == _TXN_BEGIN or op == _TXN_PREPARE:
-            anchor = self.journal.get_or_create(
-                xid, batch.tenants.item(i), owner
-            )
-            if anchor is None:
-                self.latch_misses += 1
-                return False
+            anchor = self.journal.get_or_create(xid, tenant)
             if op == _TXN_BEGIN:
                 anchor.has_begin = True
             anchor.note_scn(scn)
-            self.control_records_mined += 1
-            return True
-        if op == _TXN_ABORT:
-            removed = self.journal.remove(xid, owner)
-            if removed is None:
-                self.latch_misses += 1
-                return False
-            self.control_records_mined += 1
+        elif op == _TXN_ABORT:
+            self.journal.remove(xid)
             if self.on_abort is not None:
                 self.on_abort(xid, scn)
-            return True
-        raise ValueError(f"unhandled control op {CVOp(op)!r}")
-
-    def _sniff_commit(
-        self, batch: CVBatch, i: int, scn: SCN, chunk: CVChunk, owner: object
-    ) -> bool:
-        xid = batch.xid_objects[i]
-        tenant = batch.tenants.item(i)
-        acquired, anchor = self.journal.get(xid, owner)
-        if not acquired:
-            self.latch_misses += 1
-            return False
-        if anchor is not None and anchor.has_begin:
-            node = CommitTableNode(
-                xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant
-            )
-        else:
+        elif op == _TXN_COMMIT:
+            anchor = self.journal.get(xid)
+            if anchor is not None and anchor.has_begin:
+                commits.append(
+                    CommitTableNode(
+                        xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant
+                    )
+                )
             # III-E: a missing begin; the commit-record flag decides
-            if batch.payloads[i] is False:
-                self.control_records_mined += 1
-                return True
-            if self.tail_mode:
+            elif batch.payloads[i] is False:
+                pass
+            elif self.tail_mode:
                 self.tail_commits_skipped += 1
-                self.control_records_mined += 1
-                return True
-            node = CommitTableNode(
-                xid=xid, commit_scn=scn, anchor=anchor, tenant=tenant,
-                coarse=True,
-            )
-            self.coarse_nodes_created += 1
-        if chunk.pending_commits is None:
-            chunk.pending_commits = []
-        chunk.pending_commits.append(node)
+            else:
+                commits.append(
+                    CommitTableNode(
+                        xid=xid, commit_scn=scn, anchor=anchor,
+                        tenant=tenant, coarse=True,
+                    )
+                )
+                self.coarse_nodes_created += 1
+        else:
+            raise ValueError(f"unhandled control op {CVOp(op)!r}")
         self.control_records_mined += 1
-        return True

@@ -219,7 +219,7 @@ class World:
 
     def __init__(self, case: Case, sira: bool = False) -> None:
         self.case = case
-        self.journal = IMADGJournal(8)
+        self.journal = IMADGJournal()
         self.commit_table = IMADGCommitTable(2)
         self.store = InMemoryColumnStore()
         schema = Schema([Column("id", ColumnType.NUMBER, nullable=False)])
@@ -257,7 +257,6 @@ class World:
         )
         self.recorder = Recorder()
         self.flush.add_invalidation_listener(self.recorder)
-        owner = object()
         nodes = []
         for i, node in enumerate(case.nodes):
             xid = TransactionId(1, i + 1)
@@ -268,7 +267,7 @@ class World:
                     )
                 )
                 continue
-            anchor = self.journal.get_or_create(xid, node.tenant, owner)
+            anchor = self.journal.get_or_create(xid, node.tenant)
             anchor.has_begin = True
             by_chunk: dict = {}
             for object_id, dba, slot, worker, chunk in node.records:
@@ -283,7 +282,7 @@ class World:
             nodes.append(
                 CommitTableNode(xid, node.commit_scn, anchor, node.tenant)
             )
-        assert not self.commit_table.insert_batch(nodes, owner)
+        self.commit_table.insert_batch(nodes)
         self.flush.begin_advance(10**9)
         assert self.flush.worklink.created == len(case.nodes)
 

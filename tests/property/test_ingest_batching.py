@@ -28,14 +28,14 @@ interleaves data CVs with begin / prepare / commit / abort / DDL marker /
 TRUNCATE / UNDO / heartbeat: the miner journals every data CV of a chunk
 before it walks the chunk's specials (DESIGN.md section 15, "Live
 widths"), and that reordering must leave what mining the same CVs one at a
-time leaves -- also when a bucket or partition latch is missed at *any*
-latched call of the chunk and the worker retries.
+time leaves.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -73,11 +73,12 @@ from repro.redo import (
     truncate_dba,
     txn_table_dba,
 )
+from repro.redo.batch import CVChunk
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
 from tests.helpers import (
-    MissOnce,
     NullApplier,
+    batch_of,
     chunk_of,
     record_scns,
     records_of,
@@ -319,7 +320,7 @@ class Stack:
     """A fresh journal / commit table / DDL table and their miner."""
 
     def __init__(self, imcs) -> None:
-        self.journal = IMADGJournal(16)
+        self.journal = IMADGJournal()
         self.commit_table = IMADGCommitTable(4)
         self.ddl_table = DDLInformationTable()
         self.miner = MiningComponent(
@@ -331,8 +332,7 @@ class Stack:
 
         Commit-table nodes compare in ``(commit_scn, xid)`` order: order
         among *equal* commitSCNs is unobservable (``chop(up_to)`` takes
-        ties together; flushing is idempotent and monotone), and a retried
-        ``insert_batch`` may leave ties in either order.  A real primary
+        ties together; flushing is idempotent and monotone).  A real primary
         allocates an SCN per commit; ``streams()`` can put two commits in
         one record, i.e. at one SCN."""
         anchors = {
@@ -344,8 +344,7 @@ class Stack:
                     for worker in anchor.worker_chunks
                 },
             )
-            for bucket in self.journal._buckets
-            for xid, anchor in bucket.items()
+            for xid, anchor in self.journal._anchors.items()
         }
         floor = self.journal.min_first_scn()
         commits = sorted(
@@ -358,10 +357,9 @@ class Stack:
 def mine_chunks(queues, imcs):
     """Mine every worker's chunks, worker by worker."""
     stack = Stack(imcs)
-    owner = object()
     for worker_id, queue in enumerate(queues):
         for chunk in queue:
-            assert stack.miner.sniff_chunk(chunk, worker_id, owner)
+            stack.miner.sniff_chunk(chunk, worker_id)
     return stack.mined()
 
 
@@ -513,18 +511,13 @@ def counters(miner) -> dict:
     }
 
 
-def mine_with_retries(chunks, imcs, tail_mode=False, prepare=None):
-    """Mine ``chunks`` as worker 0, retrying a chunk until it is mined."""
+def mine_as_worker_0(chunks, imcs, tail_mode=False):
+    """Mine ``chunks`` as worker 0."""
     stack = Stack(imcs)
     stack.miner.tail_mode = tail_mode
-    if prepare is not None:
-        prepare(stack)
-    owner = object()
     for chunk in chunks:
-        while not stack.miner.sniff_chunk(chunk, 0, owner):
-            pass
-        assert chunk.fully_mined
-    return stack, stack.mined(), counters(stack.miner)
+        stack.miner.sniff_chunk(chunk, 0)
+    return stack.mined(), counters(stack.miner)
 
 
 @settings(
@@ -543,10 +536,8 @@ def test_a_chunk_interleaving_data_and_specials_mines_like_width_one(
     if not records:
         return
     imcs = enabled_store()
-    __, wide, wide_counts = mine_with_retries(
-        [chunk_of(records)], imcs, tail_mode
-    )
-    __, narrow, narrow_counts = mine_with_retries(
+    wide, wide_counts = mine_as_worker_0([chunk_of(records)], imcs, tail_mode)
+    narrow, narrow_counts = mine_as_worker_0(
         [
             chunk_of([RedoRecord(r.scn, r.thread, (cv,))])
             for r in records
@@ -575,37 +566,6 @@ def update(xid, dba, slot, object_id=ENABLED):
     )
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(records=streams())
-@example(
-    # two commits at one SCN in one record; a miss at the ``insert_batch``
-    # call retries the first node after the second went in
-    records=[
-        record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
-        record(102, commit(X1, None), commit(X4, None)),
-    ]
-)
-def test_a_latch_miss_at_any_call_of_a_chunk_mines_nothing_twice(records):
-    if not records:
-        return
-    imcs = enabled_store()
-    count = MissOnce(-1)
-    __, clean, clean_counts = mine_with_retries(
-        [chunk_of(records)], imcs, prepare=count
-    )
-    for k in range(count.calls):
-        stack, mined, counts = mine_with_retries(
-            [chunk_of(records)], imcs, prepare=MissOnce(k)
-        )
-        assert mined == clean, k
-        assert counts == clean_counts, k
-        assert stack.miner.latch_misses == 1, k
-
-
 # -- one named test per edge -------------------------------------------
 
 def test_reset_mining_clears_the_data_done_mark():
@@ -619,14 +579,14 @@ def test_reset_mining_clears_the_data_done_mark():
         ]
     )
     stack = Stack(imcs)
-    assert stack.miner.sniff_chunk(chunk, 0, object())
-    assert chunk.data_mined and chunk.fully_mined
+    stack.miner.sniff_chunk(chunk, 0)
+    chunk.mined = True  # what the worker marks after the sniff
     chunk.pos = 2  # the begin and the first update are applied
     stack.journal.clear()
     chunk.reset_mining()
-    assert not chunk.fully_mined and not chunk.data_mined
-    assert stack.miner.sniff_chunk(chunk, 0, object())
-    __, anchor = stack.journal.get(X1, object())
+    assert not chunk.mined
+    stack.miner.sniff_chunk(chunk, 0)
+    anchor = stack.journal.get(X1)
     assert [(r.dba, r.slots, r.scn) for r in records_of(anchor)] == [
         (1, (1,), 102),
         (2, (2,), 102),
@@ -646,11 +606,10 @@ def test_transactions_of_one_chunk_do_not_share_records():
         ]
     )
     stack = Stack(imcs)
-    assert stack.miner.sniff_chunk(chunk, 0, object())
+    stack.miner.sniff_chunk(chunk, 0)
     mined = {
         xid: [(r.dba, r.slots, r.scn) for r in records_of(anchor)]
-        for bucket in stack.journal._buckets
-        for xid, anchor in bucket.items()
+        for xid, anchor in stack.journal._anchors.items()
     }
     assert mined == {
         X1: [(1, (0,), 101), (1, (1,), 102), (2, (2,), 103)],
@@ -671,15 +630,18 @@ def test_an_abort_discards_data_mined_earlier_in_the_same_call():
     stack = Stack(imcs)
     aborted = []
     stack.miner.on_abort = lambda xid, scn: aborted.append((xid, scn))
-    assert stack.miner.sniff_chunk(chunk, 0, object())
+    stack.miner.sniff_chunk(chunk, 0)
     assert aborted == [(X1, 102)]
-    assert stack.journal.get(X1, object()) == (True, None)
+    assert stack.journal.get(X1) is None
     assert stack.journal.anchor_count == 1  # X2's
     assert stack.journal.min_first_scn() == 102
 
 
-@pytest.mark.parametrize("miss_at", [None, 0, 1, 2, 3, 4])
-def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(miss_at):
+@pytest.mark.parametrize("cut", [None, 0, 1, 2, 3, 4])
+def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(cut):
+    """Mined as one chunk (``cut`` None) or as two, cut after CV ``cut``
+    -- between a begin and its data, data and a heartbeat, data and its
+    commit -- the tracer is told of every CV once."""
     imcs = enabled_store()
     records = [
         record(101, control(CVOp.TXN_BEGIN, X1), update(X1, 1, 0)),
@@ -692,11 +654,11 @@ def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(miss_at):
     stack.miner._obs = SimpleNamespace(
         tracer=SimpleNamespace(record_mined=seen.append)
     )
-    if miss_at is not None:
-        MissOnce(miss_at)(stack)
-    chunk = chunk_of(records)
-    while not stack.miner.sniff_chunk(chunk, 0, object()):
-        pass
+    batch = batch_of(records)
+    positions = np.arange(batch.n_cvs, dtype=np.int64)
+    cuts = [positions] if cut is None else np.split(positions, [cut + 1])
+    for part in cuts:
+        stack.miner.sniff_chunk(CVChunk(batch, part), 0)
     assert sorted(seen) == [101, 101, 102, 103, 103, 104]
 
 

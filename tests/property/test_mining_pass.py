@@ -2,8 +2,7 @@
 displaced (``tests/numpy_miner.py``).
 
 Both miners see the same worker chunks, in the same order, under the same
-IMCS-enabled set and the same injected latch misses, and must leave
-exactly the same state behind:
+IMCS-enabled set, and must leave exactly the same state behind:
 
 * per anchor, in journal order: tenant, begin / prepared flags, first
   SCN and, per worker in append order, every ``RecordChunk``'s columns
@@ -11,12 +10,12 @@ exactly the same state behind:
 * the journal's floor heap as pushed, and its floor;
 * the commit table's nodes in chop order (partition, then insertion);
 * the DDL table, the abort hook's calls, the miners' counters
-  (``data_records_mined``, ``latch_misses``, ...) and the journal's
-  ``anchors_created``;
+  (``data_records_mined``, ``coarse_nodes_created``, ...) and the
+  journal's ``anchors_created``;
 * the lifecycle tracer's mined stamps, in order.
 
 The histories are generated from a seed (hypothesis draws the seed, the
-chunk width from 1 to 600 CVs, the worker count and the miss mode): a
+chunk width from 1 to 600 CVs, the worker count and the tail mode): a
 redo thread of interleaved transaction scripts over two enabled objects
 and one that never is, with DDL markers, TRUNCATEs, heartbeats and UNDO
 in between.  Between chunks the second object may be disabled or enabled
@@ -55,7 +54,7 @@ from repro.redo import (
 from repro.redo.batch import CVChunk
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
-from tests.helpers import MissOnce, NullApplier
+from tests.helpers import NullApplier
 from tests.naive_batch import (
     ChangeVector,
     CommitPayload,
@@ -217,21 +216,11 @@ def worker_chunks(records, width, n_workers):
 # ----------------------------------------------------------------------
 # the two miners, side by side
 # ----------------------------------------------------------------------
-class MissEveryOther(MissOnce):
-    """Every latched call misses on its first attempt: the retry hits."""
-
-    def __init__(self) -> None:
-        super().__init__(-1)
-
-    def misses(self, call: int) -> bool:
-        return call % 2 == 0
-
-
 class Side:
     """One miner with its own journal, tables, tracer and abort hook."""
 
-    def __init__(self, miner_cls, store, miss) -> None:
-        self.journal = IMADGJournal(16)
+    def __init__(self, miner_cls, store) -> None:
+        self.journal = IMADGJournal()
         self.commit_table = IMADGCommitTable(4)
         self.ddl_table = DDLInformationTable()
         self.miner = miner_cls(
@@ -243,18 +232,6 @@ class Side:
             tracer=SimpleNamespace(record_mined=self.stamps.append)
         )
         self.miner.on_abort = lambda xid, scn: self.aborts.append((xid, scn))
-        if miss is not None:
-            miss(self)
-
-    def mine(self, chunk: CVChunk, worker: int) -> None:
-        """Mine ``chunk``, retrying after each latch miss: every retry
-        must get further, so a chunk takes at most one attempt per
-        latched call it makes (one per run and per special, one insert)."""
-        owner = object()
-        for __ in range(2 * len(chunk.indices) + 2):
-            if self.miner.sniff_chunk(chunk, worker, owner):
-                break
-        assert chunk.fully_mined
 
     def restart(self) -> None:
         self.journal.clear()
@@ -265,26 +242,23 @@ class Side:
         """Everything mining left behind."""
         journal, miner = self.journal, self.miner
         anchors = [
-            [
-                (
-                    xid,
-                    anchor.tenant,
-                    anchor.has_begin,
-                    anchor.first_scn,
-                    [
-                        (
-                            worker,
-                            [
-                                (chunk.columns.tolist(), chunk.tenant)
-                                for chunk in chunks
-                            ],
-                        )
-                        for worker, chunks in anchor.worker_chunks.items()
-                    ],
-                )
-                for xid, anchor in bucket.items()
-            ]
-            for bucket in journal._buckets
+            (
+                xid,
+                anchor.tenant,
+                anchor.has_begin,
+                anchor.first_scn,
+                [
+                    (
+                        worker,
+                        [
+                            (chunk.columns.tolist(), chunk.tenant)
+                            for chunk in chunks
+                        ],
+                    )
+                    for worker, chunks in anchor.worker_chunks.items()
+                ],
+            )
+            for xid, anchor in journal._anchors.items()
         ]
         floor_heap = list(journal._floor_heap)
         return {
@@ -314,20 +288,11 @@ class Side:
                     "data_records_mined",
                     "control_records_mined",
                     "ddl_markers_mined",
-                    "latch_misses",
                     "coarse_nodes_created",
                     "tail_commits_skipped",
                 )
             },
         }
-
-
-def miss_of(mode):
-    if mode == "none":
-        return lambda: None
-    if mode == "every":
-        return MissEveryOther
-    return lambda: MissOnce(mode)
 
 
 @settings(
@@ -339,15 +304,14 @@ def miss_of(mode):
     seed=st.integers(0, 2**32 - 1),
     width=st.integers(1, 600),
     n_workers=st.integers(1, 3),
-    miss=st.sampled_from(["none", "every"]) | st.integers(0, 80),
     tail_mode=st.booleans(),
 )
-@example(seed=7, width=1, n_workers=2, miss="every", tail_mode=False)
-@example(seed=7, width=7, n_workers=3, miss="none", tail_mode=False)
-@example(seed=31, width=85, n_workers=1, miss=3, tail_mode=True)
-@example(seed=7, width=600, n_workers=2, miss="every", tail_mode=False)
+@example(seed=7, width=1, n_workers=2, tail_mode=False)
+@example(seed=7, width=7, n_workers=3, tail_mode=False)
+@example(seed=31, width=85, n_workers=1, tail_mode=True)
+@example(seed=7, width=600, n_workers=2, tail_mode=False)
 def test_the_plain_python_pass_leaves_what_the_numpy_pass_leaves(
-    seed, width, n_workers, miss, tail_mode
+    seed, width, n_workers, tail_mode
 ):
     rng = random.Random(seed)
     records = history(rng, width * rng.randint(1, 3))
@@ -359,8 +323,7 @@ def test_the_plain_python_pass_leaves_what_the_numpy_pass_leaves(
     store.enable(table("A", A))
     store.enable(table_b)
     sides = [
-        Side(cls, store, miss_of(miss)())
-        for cls in (MiningComponent, NumpyMiningComponent)
+        Side(cls, store) for cls in (MiningComponent, NumpyMiningComponent)
     ]
     for side in sides:
         side.miner.tail_mode = tail_mode
@@ -373,12 +336,12 @@ def test_the_plain_python_pass_leaves_what_the_numpy_pass_leaves(
         applied = rng.randint(0, len(positions))
         for side in sides:
             chunk = CVChunk(batch, positions)
-            side.mine(chunk, worker)
+            side.miner.sniff_chunk(chunk, worker)
             if k == reset:
                 chunk.pos = applied
                 side.restart()
                 chunk.reset_mining()
-                side.mine(chunk, worker)
+                side.miner.sniff_chunk(chunk, worker)
     plain, oracle = (side.left() for side in sides)
     assert plain == oracle
 
@@ -450,7 +413,6 @@ def test_apply_reads_what_the_records_say(seed, width, n_workers, budget):
     worker = RecoveryWorker(0, distributor, PhysicalApplier(calls, calls))
     for __, batch, positions in worker_chunks(records, width, n_workers):
         chunk = CVChunk(batch, positions)
-        chunk.mined_pos = len(positions)
         while len(chunk):
             calls.log.clear()
             window = chunk.indices[chunk.pos : chunk.pos + budget]

@@ -36,13 +36,12 @@ from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 )
 def test_commit_table_chop_matches_sorted_model(inserts, threshold, n_partitions):
     table = IMADGCommitTable(n_partitions=n_partitions)
-    owner = object()
     model = []
     for seq, scn in inserts:
         node = CommitTableNode(
             xid=TransactionId(1, seq), commit_scn=scn, anchor=None, tenant=0
         )
-        assert not table.insert_batch([node], owner)
+        table.insert_batch([node])
         model.append(scn)
     chopped = table.chop(threshold)
     expected_below = sorted(s for s in model if s <= threshold)
@@ -68,8 +67,7 @@ def test_commit_table_chop_matches_sorted_model(inserts, threshold, n_partitions
 )
 def test_journal_exactly_once_delivery(ops):
     """Records flush exactly once per transaction; aborts drop them all."""
-    journal = IMADGJournal(8)
-    owner = object()
+    journal = IMADGJournal()
     model: dict[TransactionId, int] = {}
     delivered: dict[TransactionId, int] = {}
     finished: set[TransactionId] = set()
@@ -79,22 +77,22 @@ def test_journal_exactly_once_delivery(ops):
         if kind == "record":
             if xid in finished:
                 continue  # the stream never writes after commit/abort
-            anchor = journal.get_or_create(xid, 0, owner)
+            anchor = journal.get_or_create(xid, 0)
             add_records(
                 anchor, worker, [MinedRecord(9, 5, (0,), 0, scn=1)]
             )
             model[xid] = model.get(xid, 0) + 1
         elif kind == "abort":
-            journal.remove(xid, owner)
+            journal.remove(xid)
             model.pop(xid, None)
             finished.add(xid)
         elif kind == "flush":
             if xid in finished:
                 continue
-            __, anchor = journal.get(xid, owner)
+            anchor = journal.get(xid)
             count = anchor.n_records if anchor is not None else 0
             delivered[xid] = delivered.get(xid, 0) + count
-            journal.remove(xid, owner)
+            journal.remove(xid)
             finished.add(xid)
             if count:
                 assert count == model.pop(xid, 0)

@@ -161,9 +161,7 @@ class TestCVChunk:
         chunk = self.make_chunk()
         assert len(chunk) == chunk.n_cvs == 4
         assert chunk.head_scn == 10
-        assert not chunk.fully_mined
-        chunk.mined_pos = 4
-        assert chunk.fully_mined
+        assert not chunk.mined
         chunk.pos = 2
         assert len(chunk) == 2 and chunk.head_scn == 11
 
@@ -180,17 +178,8 @@ class TestCVChunk:
     def test_reset_mining_rewinds_to_apply_cursor(self):
         chunk = self.make_chunk()
         chunk.pos = 1
-        chunk.mined_pos = 4
-        chunk.mined_xids = {encode_xid(X)}
-        chunk.pending_commits = [object()]
+        chunk.mined = True
         chunk.stats_noted = True
         chunk.reset_mining()
-        assert chunk.mined_pos == 1
-        assert chunk.mined_xids is None and chunk.pending_commits is None
+        assert not chunk.mined and chunk.pos == 1
         assert chunk.stats_noted  # histogram must not double-count
-
-    def test_pending_commits_block_fully_mined(self):
-        chunk = self.make_chunk()
-        chunk.mined_pos = 4
-        chunk.pending_commits = [object()]
-        assert not chunk.fully_mined
