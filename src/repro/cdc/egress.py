@@ -39,7 +39,6 @@ from repro.cdc.events import (
     BACKFILL,
     DELETE,
     DROP,
-    LIVE,
     RESYNC,
     UPSERT,
     ChangeEvent,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -308,6 +309,9 @@ class ScanEngine:
     ) -> None:
         self.imcs = imcs
         self.txns = txns
+        #: segment -> (key, blocks no usable unit covers): the key holds
+        #: unit ids, never a unit, so no dropped unit outlives its store
+        self._uncovered = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     def scan(
@@ -429,13 +433,22 @@ class ScanEngine:
             usable = [
                 smu for smu in units if smu.imcu.snapshot_scn <= snapshot_scn
             ]
-            handled: set[DBA] = set()
-            for smu in usable:
-                handled.update(smu.imcu.covered_dbas)
+            segment = partition.segment
+            # between TRUNCATEs a segment only gains blocks, so its block
+            # count and TRUNCATE SCN fix its block list
+            key = (tuple(smu.imcu.imcu_id for smu in usable),
+                   segment.n_blocks, segment.truncate_scn)
+            uncovered = self._uncovered.get(segment)
+            if uncovered is None or uncovered[0] != key:
+                handled: set[DBA] = set()
+                for smu in usable:
+                    handled.update(smu.imcu.covered_dbas)
+                uncovered = self._uncovered[segment] = (
+                    key, [dba for dba in segment.dbas if dba not in handled],
+                )
             yield (
-                pname, partition.segment, compiled, usable,
-                len(units) - len(usable),
-                [dba for dba in partition.segment.dbas if dba not in handled],
+                pname, segment, compiled, usable, len(units) - len(usable),
+                uncovered[1],
             )
 
     # ------------------------------------------------------------------
@@ -489,9 +502,9 @@ class ScanEngine:
 
         The pass is kept as the SMU's tail image, keyed by the epoch, the
         snapshot, the segment's TRUNCATE SCN and the grown edge blocks:
-        every later query at that QuerySCN skips the gather and the walk,
-        and reuses the column vectors earlier ones built, but pays the
-        same touches and row cost (DESIGN.md §9).
+        every later query at that QuerySCN skips the gather, the walk and
+        the touches, reuses the column vectors earlier ones built, and
+        replays the walk's hits and row cost bit for bit (DESIGN.md §9).
 
         Caller holds the SMU pin.
         """
@@ -538,31 +551,41 @@ class ScanEngine:
         The buffer cache and the row cost are charged block by block, in
         order -- ``cost_seconds`` is a float sum that feeds sim time --
         and the chains are then walked in one Consistent Read pass under
-        the scan's one commitSCN memo, unless ``image`` is that walk's
-        answer already (a tail image).  The image's rows then run through
-        the IMCU's kernel and matches step.  Returns the image.  The counters
-        count slots asked for, tombstones and slots past a wiped block's
-        end included.
+        the scan's one commitSCN memo; a tail image ``image`` replays that
+        walk instead: one hit per block, then its charges.  The image's
+        rows then run through the IMCU's kernel and matches step.  Returns
+        the image.  The counters count slots asked for, tombstones and
+        slots past a wiped block's end included.
         """
         stats = result.stats
         cache = table.buffer_cache
-        cost = stats.cost_seconds
-        work = []
-        for dba, block, slots in blocks:
+        if image is not None:
+            # the build touched every block and nothing evicts one: each
+            # touch is a hit that adds 0.0, so only the row cost is added
             if cache is not None:
-                cost += cache.touch(dba)
-            if block is not None:
-                work.append((block, slots))
-                cost += ROWSTORE_COST_PER_ROW * len(slots)
-        stats.cost_seconds = cost
-        if not work:
-            return NO_ROWS
-        if image is None:
+                cache.hits += len(blocks)
+            stats.cost_seconds = functools.reduce(
+                operator.add, image.charges, stats.cost_seconds
+            )
+        else:
+            cost = stats.cost_seconds
+            work, charges = [], []
+            for dba, block, slots in blocks:
+                if cache is not None:
+                    cost += cache.touch(dba)
+                if block is not None:
+                    work.append((block, slots))
+                    charge = ROWSTORE_COST_PER_ROW * len(slots)
+                    charges.append(charge)
+                    cost += charge
+            stats.cost_seconds = cost
+            if not work:
+                return NO_ROWS
             image = TailImage(
                 visible_values_batch(
                     work, snapshot_scn, self.txns, compiled.memo
                 ),
-                compiled.resolver,
+                compiled.resolver, charges,
             )
         stats.rowstore_rows += image.slots
         if fallback:

@@ -44,12 +44,17 @@ class TailImage:
     :class:`DictionaryCU` for a VARCHAR2 -- so the IMCU's predicate masks
     and ``stats_for_positions`` serve it; built the first time a scan
     filters or aggregates on it and kept for every later one.
+    ``charges`` are the row-cost addends the pass added to the scan's
+    cost, in order, one per block held: a repeat adds them again.
     """
 
-    __slots__ = ("slots", "rows", "n_rows", "resolver", "_columns")
+    __slots__ = ("slots", "rows", "n_rows", "resolver", "charges", "_columns")
 
-    def __init__(self, visible: list, resolver: RowResolver) -> None:
+    def __init__(
+        self, visible: list, resolver: RowResolver, charges=()
+    ) -> None:
         self.slots = len(visible)
+        self.charges = charges
         # a row is a non-empty tuple: only a slot with no row is falsy
         self.rows = (
             visible if all(visible)

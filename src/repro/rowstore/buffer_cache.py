@@ -4,10 +4,10 @@ The paper is explicit that "an important part of the setup is ensuring that
 the Oracle database buffer cache is sized appropriately to avoid any
 physical I/O" -- the 100x speedups in Figure 9 are CPU effects (row-format
 vs column-format scan), not disk effects.  The cache here is sized that
-way: it has no capacity, so a block stays resident from its first touch
-until it is invalidated.  What it models is the cold read -- the first
-touch of a block, or the first after an invalidation, is a miss and
-charges a simulated read cost; every later touch is a hit.
+way: it has no capacity and evicts nothing -- a tail image's repeat counts
+its blocks as hits untouched (``imcs/scan.py``).  What it models is the
+cold read: the first touch of a block is a miss and charges a simulated
+read cost; every later touch is a hit.
 
 Blocks permanently live in the :class:`BlockStore` ("disk"); the cache
 tracks which DBAs are resident.
@@ -38,9 +38,6 @@ class BufferCache:
         self.misses += 1
         self._resident.add(dba)
         return self.miss_cost
-
-    def invalidate(self, dba: DBA) -> None:
-        self._resident.discard(dba)
 
     @property
     def resident_blocks(self) -> int:

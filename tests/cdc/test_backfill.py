@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import obs
-from repro.cdc import BACKFILL, LIVE, UPSERT, CollectingSubscriber
+from repro.cdc import BACKFILL, UPSERT, CollectingSubscriber
 from repro.chaos import sites
 
 from tests.cdc.test_egress import (

@@ -6,12 +6,10 @@ import pytest
 
 from repro import obs
 from repro.cdc import (
-    BACKFILL,
     DELETE,
     DROP,
     LIVE,
     RESYNC,
-    UPSERT,
     CollectingSubscriber,
     ReplaySubscriber,
 )

@@ -1,7 +1,5 @@
 """Tests for injection-site declaration, recording and installation."""
 
-import pytest
-
 from repro.chaos import sites
 from repro.chaos.sites import (
     Action,

@@ -1,10 +1,8 @@
 """Integration tests: DDL replication (III-G) and the instance-restart /
 coarse-invalidation protocol (III-E)."""
 
-import pytest
-
 from repro.common.config import JournalConfig
-from repro.db import Deployment, InMemoryService, TableDef, ColumnDef
+from repro.db import Deployment, InMemoryService
 from repro.imcs import Predicate
 
 from tests.db.conftest import load, simple_table_def, small_config

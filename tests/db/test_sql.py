@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import InMemoryService
-from repro.db.sql import ParsedQuery, SQLSyntaxError, parse_query
+from repro.db.sql import SQLSyntaxError, parse_query
 from repro.imcs.scan import ScanResult
 
 from tests.db.conftest import load, simple_table_def

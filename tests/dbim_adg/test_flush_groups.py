@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import pytest
-
 from repro.common import TransactionId
 from repro.dbim_adg import (
     DDLInformationTable,

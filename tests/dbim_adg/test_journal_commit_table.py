@@ -1,7 +1,5 @@
 """Tests for the IM-ADG Journal and Commit Table structures."""
 
-import pytest
-
 from repro.common import TransactionId
 from repro.dbim_adg import CommitTableNode, IMADGCommitTable, IMADGJournal
 from tests.helpers import MinedRecord, add_records, records_of

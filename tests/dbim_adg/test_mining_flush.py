@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.common import TransactionId
 from repro.dbim_adg import (
     DDLInformationTable,

@@ -13,7 +13,7 @@ from repro.redo.log import RedoLog
 from repro.redo.shipping import LogShipper, RedoReceiver
 
 from tests.db.conftest import simple_table_def, small_config
-from tests.fleet.conftest import build_fleet, load_fleet
+from tests.fleet.conftest import load_fleet
 
 
 class TestBuild:

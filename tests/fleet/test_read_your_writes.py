@@ -13,8 +13,6 @@ from repro.db import Service
 from repro.fleet import FleetRouter, SessionWave, WaveConfig
 from repro.query import AdmissionTimeout
 
-from tests.fleet.conftest import load_fleet
-
 
 def commit_one(fleet, rowids, value=-5.0):
     """One primary write-and-commit; returns the commitSCN floor."""

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.common import TransactionId
 from repro.db import Deployment, InMemoryService
 from repro.imcs import AggregateSpec, Aggregator, Predicate, ScanEngine
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common import InvalidStateError, RowId, TransactionId
+from repro.common import InvalidStateError, RowId
 from repro.imcs import IMCU, SMU
 
 from tests.imcs.conftest import load_rows

@@ -1,7 +1,5 @@
 """Edge-case tests for the scan engine and its reconciliation paths."""
 
-import pytest
-
 from repro.common import TransactionId
 from repro.common.config import IMCSConfig
 from repro.imcs import (

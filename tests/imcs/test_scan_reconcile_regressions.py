@@ -18,16 +18,21 @@ for in open blocks only): what it may not change about the per-block pass
 it replaced -- touches, cost, counters, row order, errors -- and what its
 two new facts (the open-block set, the memo) rest on.
 
-Last, the tail image (one Consistent Read per unit per QuerySCN): a
-repeat walks nothing and looks nothing up yet pays the same; each part of
-its key, changed alone, forces a re-walk; morsels reuse a serial scan's
+Then the tail image (one Consistent Read per unit per QuerySCN): a
+repeat walks, looks up and touches nothing yet pays the same; each part
+of its key, changed alone, forces a re-walk; morsels reuse a serial scan's
 image; a swap starts without one; and an undo prune is the one change it
 answers across.
+
+Last, the engine's list of the blocks no usable unit covers: each change
+that moves a block into or out of it reaches the next query, and the list
+keeps no unit alive.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import pytest
 
@@ -145,10 +150,8 @@ class TestReconcileBufferCacheCharging:
                 object_id, rowid.dba, (rowid.slot,), clock.current
             )
 
-        cache = table.buffer_cache
-        # drop the residency the load built up: the scan starts cold
-        for dba in table.default_partition.segment.dbas:
-            cache.invalidate(dba)
+        # a fresh cache, not the one the load warmed: the scan starts cold
+        cache = table.buffer_cache = BufferCache()
         hits0, misses0 = cache.hits, cache.misses
         engine = ScanEngine(store, txns)
         result = engine.scan(table, clock.current, [Predicate.ge("id", 0)])
@@ -170,10 +173,8 @@ class TestReconcileBufferCacheCharging:
         table = self.make_cached_table()
         load_rows(table, txns, clock, 16)
         n_blocks = table.default_partition.segment.n_blocks
-        cache = table.buffer_cache
-        # drop residency accumulated during the load
-        for dba in table.default_partition.segment.dbas:
-            cache.invalidate(dba)
+        # a fresh cache, not the one the load warmed
+        cache = table.buffer_cache = BufferCache()
         misses0 = cache.misses
 
         engine = ScanEngine(None, txns)
@@ -449,8 +450,7 @@ class TestUnitWidePassKeepsThePerBlockContract:
         segment._dbas.remove(rowids[5].dba)
         segment._dba_set.discard(rowids[5].dba)
         load_rows(table, txns, clock, 2)  # fills the tail: edge rows
-        for dba in dbas:
-            cache.invalidate(dba)  # every block cold
+        cache = table.buffer_cache = RecordingCache()  # every block cold
         return table, store, oid, cache, dbas
 
     def test_same_touches_same_order_and_a_bit_equal_cost(self, txns, clock):
@@ -572,13 +572,17 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
         first = engine.scan(table, snapshot, columns=["id", "n1"])
         assert walk.calls == 2 and counting.lookups
         assert first.stats.fallback_rows == 4
-        touched = list(cache.touched)
+        touches = len(cache.touched)
+        assert touches
+        hits, misses = cache.hits, cache.misses
 
         del counting.lookups[:], cache.touched[:]
         second = engine.scan(table, snapshot, columns=["id", "n1"])
         assert walk.calls == 2  # no Consistent Read walk ...
-        assert counting.lookups == []  # ... and no commitSCN lookup
-        assert cache.touched == touched  # same touches, same order
+        assert counting.lookups == []  # ... no commitSCN lookup ...
+        assert cache.touched == []  # ... and no touch,
+        # but the hits the touches would have been
+        assert (cache.hits, cache.misses) == (hits + touches, misses)
         assert_same_scan(second, first)
 
         discard_tail_images(store, oid)
@@ -707,3 +711,90 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
         after = engine.scan(table, snapshot, columns=["id", "n1"])
         assert sorted(after.rows) == sorted(first.rows)
         assert after.stats.fallback_rows == 0  # everything was captured
+
+
+# ----------------------------------------------------------------------
+# the engine's list of blocks no usable unit covers
+# ----------------------------------------------------------------------
+def row_format_rows(result) -> int:
+    """Row-store rows of blocks no usable unit covers."""
+    return result.stats.rowstore_rows - result.stats.fallback_rows
+
+
+class TestTheUncoveredBlockList:
+    """The engine keeps the list per segment and recomputes it when the
+    usable units, the block count or the TRUNCATE SCN change.  Each change
+    below, made between two queries of one engine, must reach the second:
+    it answers as an engine that never saw the first."""
+
+    def populated(self, txns, clock, first_oid):
+        """18 rows in blocks of 4 (five blocks, two slots free in the
+        last), every block covered by one of two units."""
+        table = make_table(first_oid=first_oid)
+        __, rowids = load_rows(table, txns, clock, 18)
+        store, oid = enabled_and_populated(table, txns, clock)
+        assert len(store.segment(oid).live_units()) == 2
+        return table, store, oid, rowids
+
+    @pytest.mark.parametrize(
+        "change", ["append", "swap", "drop", "truncate", "later_unit"]
+    )
+    def test_a_change_reaches_the_next_querys_row_store_leftover(
+        self, txns, clock, change
+    ):
+        if change == "later_unit":  # the units' snapshot is above the query's
+            table = make_table(first_oid=860)
+            load_rows(table, txns, clock, 18)
+            snapshot = clock.current
+            clock.next()
+            store, oid = enabled_and_populated(table, txns, clock)
+            engine = ScanEngine(store, txns)
+            before = engine.scan(table, clock.current)
+        else:
+            table, store, oid, rowids = self.populated(txns, clock, 860)
+            snapshot = clock.current
+            engine = ScanEngine(store, txns)
+            before = engine.scan(table, snapshot)
+        assert row_format_rows(before) == 0
+        if change == "append":  # two edge rows, then a block of its own
+            load_rows(table, txns, clock, 3)
+            snapshot = clock.current
+        elif change == "swap":  # rebuilt above the query's snapshot
+            for rowid in (rowids[0], rowids[17]):
+                invalidate(store, oid, rowid, snapshot)
+            clock.next()
+            population = PopulationEngine(
+                store, txns, lambda owner: clock.current,
+                IMCSConfig(
+                    imcu_target_rows=16, repopulate_invalid_fraction=0.05
+                ),
+            )
+            assert population.check_repopulation(now=1.0) == 2
+            while population.run_one_task(object()) is not None:
+                pass
+        elif change == "drop":
+            store.drop_units(oid)
+        elif change == "truncate":  # as many blocks again, none covered
+            segment = table.default_partition.segment
+            segment.truncate(clock.next())
+            assert segment.n_blocks == 0
+            load_rows(table, txns, clock, 18)
+            assert segment.n_blocks == 5
+            snapshot = clock.current
+        after = engine.scan(table, snapshot)
+        assert_same_scan(after, ScanEngine(store, txns).scan(table, snapshot))
+        assert row_format_rows(after) == {
+            "append": 1, "swap": 18, "drop": 18, "truncate": 18,
+            "later_unit": 18,
+        }[change]
+
+    def test_the_engine_keeps_no_dropped_unit_alive(self, txns, clock):
+        """The list's key holds unit ids, not units: a dropped unit is
+        freed when the store lets it go, not at the engine's next query."""
+        table, store, oid, __ = self.populated(txns, clock, 880)
+        engine = ScanEngine(store, txns)
+        engine.scan(table, clock.current)
+        units = [weakref.ref(smu) for smu in store.segment(oid).live_units()]
+        store.drop_units(oid)
+        assert [unit() for unit in units] == [None, None]
+        assert row_format_rows(engine.scan(table, clock.current)) == 18

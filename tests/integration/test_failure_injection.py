@@ -13,9 +13,6 @@ with finer-grained checks in between.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.chaos import sites
 from repro.chaos.sites import SiteRegistry, recording
 from repro.common.config import ApplyConfig, IMCSConfig
 from repro.db import Deployment, InMemoryService

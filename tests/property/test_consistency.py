@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
-from repro.rowstore.table import RowLockConflictError
 
 from tests.naive_predicate import eval_row
 

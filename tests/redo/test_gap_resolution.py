@@ -8,7 +8,6 @@ from repro.dbim_adg.flush import InvalidationListener
 from repro.imcs import Predicate
 from repro.redo import CVOp, LogShipper, RedoLog, RedoReceiver
 from repro.redo.batch import CVBatch
-from repro.sim import Scheduler
 
 from tests.db.conftest import load, simple_table_def, small_config
 from tests.helpers import append_record, batch_of, record_scns

@@ -20,13 +20,6 @@ def test_unlimited_capacity_never_evicts():
     assert cache.resident_blocks == 1000
 
 
-def test_invalidate_forces_reread():
-    cache = BufferCache()
-    cache.touch(5)
-    cache.invalidate(5)
-    assert cache.touch(5) > 0
-
-
 def test_hit_ratio():
     cache = BufferCache()
     cache.touch(1)

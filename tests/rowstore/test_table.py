@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.common import ObjectNotFoundError, RowId
-from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
+from repro.rowstore import BlockStore, Table
 from repro.rowstore.table import RowLockConflictError
 
 

@@ -224,6 +224,13 @@ BANS = [
         "latch-miss path (a scheduler step is the critical section)",
         exempt=("benchmarks/e2e/",),
     ),
+    Ban(
+        "invalidate",
+        r"cache\.invalidate\(|def invalidate\(self, dba",
+        EVERYWHERE,
+        "§3 Removed: `BufferCache.invalidate` (nothing evicts a block, so "
+        "a tail image's repeat counts its blocks as hits untouched)",
+    ),
 ]
 
 

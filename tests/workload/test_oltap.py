@@ -4,7 +4,6 @@ import pytest
 
 from repro import obs
 from repro.db import Deployment, InMemoryService
-from repro.imcs import Predicate
 from repro.workload import OLTAPConfig, OLTAPWorkload, wide_table_def
 
 from tests.db.conftest import small_config
