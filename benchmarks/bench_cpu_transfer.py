@@ -19,7 +19,7 @@ import pytest
 from repro.db.deployment import InMemoryService
 from repro.obs.render import render_table
 
-from conftest import bench_oltap_config, run_scenario, save_report
+from conftest import bench_oltap_config, save_report
 
 
 def run_pair(config_factory):

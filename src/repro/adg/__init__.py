@@ -15,7 +15,8 @@ Implements section II-A of the paper:
 The DBIM-on-ADG machinery (``repro.dbim_adg``) plugs into these
 components exactly where the paper places it: mining piggybacks on the
 workers' CV stream, invalidation flush rides QuerySCN advancement, and
-population synchronises with publication through the quiesce lock.
+population captures only a published QuerySCN (a publication is one
+scheduler step: the quiesce period).
 """
 
 from repro.adg.queryscn import ListenerFanoutError, QuerySCNPublisher

@@ -14,8 +14,9 @@ advancement protocol (paper, III-D):
    -- both strictly pre-publication;
 2. drain the worklink -- the coordinator flushes batches itself and the
    recovery workers help via cooperative flush;
-3. take the quiesce lock exclusively (blocking population snapshot
-   capture), publish the new QuerySCN, release the lock.
+3. publish the new QuerySCN.  This is the paper's quiesce period: it is
+   one scheduler step, and a step is atomic, so no population capture
+   can observe the QuerySCN in flux (DESIGN §2).
 
 Without a flush protocol installed (plain ADG, the paper's "without
 DBIM-on-ADG" baseline) steps 1-3 vanish and publication is immediate.
@@ -27,7 +28,6 @@ from typing import Optional, Protocol
 
 from repro import obs
 from repro.chaos import sites
-from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.adg.apply import ApplyDistributor, RecoveryWorker
 from repro.adg.merger import LogMerger
@@ -89,7 +89,6 @@ class RecoveryCoordinator(Actor):
         distributor: ApplyDistributor,
         workers: list[RecoveryWorker],
         query_scn: QuerySCNPublisher,
-        quiesce_lock: QuiesceLock,
         advance_protocol: Optional[AdvanceProtocol] = None,
         interval: float = 0.01,
         distribute_batch: int = 512,
@@ -104,7 +103,6 @@ class RecoveryCoordinator(Actor):
         #: ``merger``, ``distributor`` and ``workers``).
         self.peers: list = []
         self.query_scn = query_scn
-        self.quiesce_lock = quiesce_lock
         #: Read on every step, never cached: tests and the e2e tracer swap
         #: or wrap it after construction.
         self.advance_protocol = advance_protocol
@@ -120,14 +118,17 @@ class RecoveryCoordinator(Actor):
         self._obs = obs.current()
         self.advancements = 0
         self.publish_latency_total = 0
+        #: Reads 0: publication is one step, nothing holds it back.
+        #: Kept bound for the benchmark harness, which reads it by name.
         self.quiesce_wait_retries = 0
         #: Publications postponed by an installed chaos STALL fault.
         self.publish_stalls = 0
         #: Publications postponed by an installed chaos DELAY fault (counted
         #: separately: a delay names its own duration, a stall retries).
         self.publish_delays = 0
-        #: Wall time publications spent blocked on chaos stalls or the
-        #: quiesce lock -- excluded from the *adjusted* latency metrics.
+        #: Wall time publications spent blocked on chaos stalls or a
+        #: blocked worklink drain -- excluded from the *adjusted* latency
+        #: metrics.
         self.publish_stall_time_total = 0
         obs.bind(self, {
             "advancements": "adg.coordinator.advancements",
@@ -146,8 +147,7 @@ class RecoveryCoordinator(Actor):
         )
         self._advance_started_at = 0.0
         #: When the in-flight publication first got postponed (chaos
-        #: stall, blocked worklink drain or quiesce-lock miss), or None
-        #: while unblocked.
+        #: stall or blocked worklink drain), or None while unblocked.
         self._stalled_since: Optional[float] = None
         #: Blocked time already accumulated by *closed* episodes of the
         #: in-flight advancement (a worklink drain can block and unblock
@@ -219,7 +219,7 @@ class RecoveryCoordinator(Actor):
                 self._stalled_since = None
             if not protocol.is_advance_complete():
                 return cost
-        # Invalidation flush done: enter the quiesce period and publish.
+        # Invalidation flush done: publish (the quiesce period is this step).
         target = self._advancing_to
         chaos = self._chaos
         if chaos.injectors is not None:
@@ -238,25 +238,15 @@ class RecoveryCoordinator(Actor):
                 if self._stalled_since is None:
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST + max(decision.delay, 0.0)
-        if not self.quiesce_lock.try_acquire_exclusive(self):
-            # population is mid-capture; retry next step
-            self.quiesce_wait_retries += 1
-            if self._stalled_since is None:
-                self._stalled_since = sched.now
-            return cost + COORDINATION_COST
-        try:
-            self.query_scn.publish(target, at_time=sched.now)
-        finally:
-            self.quiesce_lock.release_exclusive(self)
+        self.query_scn.publish(target, at_time=sched.now)
         if protocol is not None:
             protocol.finish_advance(target)
         self.advancements += 1
         latency = sched.now - self._advance_started_at
-        # time this advancement spent *blocked* (injected stall, blocked
-        # worklink drain or a held quiesce lock) rather than flushing and
-        # publishing -- keep the raw total intact but track it so the
-        # adjusted latency reflects the protocol's own cost (the Fig. 10
-        # quantity).
+        # time this advancement spent *blocked* (injected stall or blocked
+        # worklink drain) rather than flushing and publishing -- keep the
+        # raw total intact but track it so the adjusted latency reflects
+        # the protocol's own cost (the Fig. 10 quantity).
         stalled = self._stall_accum
         self._stall_accum = 0.0
         if self._stalled_since is not None:
@@ -289,7 +279,7 @@ class RecoveryCoordinator(Actor):
     @property
     def mean_publish_latency(self) -> float:
         """Mean wall time from advance start to publication, *including*
-        any time spent blocked on chaos stalls or the quiesce lock."""
+        any time spent blocked on chaos stalls or a blocked drain."""
         if not self.advancements:
             return 0.0
         return self.publish_latency_total / self.advancements
@@ -297,7 +287,7 @@ class RecoveryCoordinator(Actor):
     @property
     def mean_adjusted_publish_latency(self) -> float:
         """Mean publish latency with blocked wall time (injected stalls,
-        quiesce-lock waits) excluded: the advancement protocol's own cost."""
+        blocked drains) excluded: the advancement protocol's own cost."""
         if not self.advancements:
             return 0.0
         return (

@@ -1,4 +1,4 @@
-"""Shared primitives: ids, SCNs, the quiesce lock, errors, configuration.
+"""Shared primitives: ids, SCNs, errors, configuration.
 
 Everything in this package is dependency-free (standard library only) and is
 used by every other subpackage.  The vocabulary follows the paper's (and
@@ -22,7 +22,6 @@ from repro.common.ids import (
     WorkerId,
 )
 from repro.common.scn import SCN, NULL_SCN, SCNClock
-from repro.common.latch import QuiesceLock
 from repro.common.config import (
     RowStoreConfig,
     IMCSConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "SCN",
     "NULL_SCN",
     "SCNClock",
-    "QuiesceLock",
     "RowStoreConfig",
     "IMCSConfig",
     "ApplyConfig",

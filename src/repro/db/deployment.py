@@ -222,16 +222,12 @@ class Deployment:
         deployment runs: a MIRA instance applies from the start of the
         logs.
         """
-        from repro.rac.cluster import scale_out
-
         target = self.member(member)
         if self.sched.now or target.peers:
             raise InvalidStateError(
                 "a member scales out once, before the deployment runs"
             )
-        target.peers = scale_out(
-            target.standby, self.sched, n_instances, mira
-        )
+        target.scale_out(self.sched, n_instances, mira)
         for peer in target.peers:
             if peer.workers:
                 for shipper in self.shippers:

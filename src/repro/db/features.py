@@ -8,7 +8,7 @@ engines over them.  The read side, in-memory management and the section-V
 features (join groups, aggregation push-down: derived, redo-less) are
 defined here once.  The role supplies ``config``, ``node``,
 ``actor_prefix``, ``_query_snapshot()`` (the primary's current SCN, the
-standby's QuerySCN) and ``_capture_snapshot(owner)`` (population's).
+standby's QuerySCN) and ``_capture_snapshot()`` (population's).
 """
 
 from __future__ import annotations

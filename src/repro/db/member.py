@@ -25,6 +25,9 @@ class StandbyMember:
         self.standby = standby
         #: Instances 2..N of a RAC standby (``deployment.add_standby_cluster``).
         self.peers: list[StandbyInstance] = []
+        #: The one scan engine over every instance's IMCS, built with the
+        #: peers: its uncovered-block lists outlive a query.
+        self._scan_engine: ScanEngine | None = None
         #: Attached by ``deployment.start_query_service``.
         self.query_service = None
         #: Attached by ``deployment.start_cdc``.
@@ -76,6 +79,17 @@ class StandbyMember:
             for instance in self.instances
         }
 
+    def scale_out(self, sched, n_instances: int, mira: bool) -> None:
+        """Add instances 2..N (:func:`repro.rac.cluster.scale_out`), once,
+        before the deployment runs."""
+        from repro.rac.cluster import MergedStoreView, scale_out
+
+        self.peers = scale_out(self.standby, sched, n_instances, mira)
+        self._scan_engine = ScanEngine(
+            MergedStoreView([i.imcs for i in self.instances]),
+            self.standby.txn_table,
+        )
+
     # ------------------------------------------------------------------
     def enable_inmemory(self, table_name, partition=None, columns=None):
         """Enable on every instance (each populates the blocks it homes);
@@ -97,13 +111,7 @@ class StandbyMember:
             return self.standby.query(
                 table_name, predicates, columns, partitions
             )
-        from repro.rac.cluster import MergedStoreView
-
-        engine = ScanEngine(
-            MergedStoreView([i.imcs for i in self.instances]),
-            self.standby.txn_table,
-        )
-        return engine.scan(
+        return self._scan_engine.scan(
             self.standby.catalog.table(table_name), self.published_scn,
             predicates, columns, partitions,
         )

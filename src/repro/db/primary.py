@@ -149,7 +149,7 @@ class PrimaryDatabase(Database):
     def _query_snapshot(self) -> SCN:
         return self.clock.current
 
-    def _capture_snapshot(self, owner: object) -> SCN:
+    def _capture_snapshot(self) -> SCN:
         return self.clock.current
 
     # ------------------------------------------------------------------

@@ -4,14 +4,13 @@ Wires together every component of sections II-A and III:
 
 * inbound redo (:class:`~repro.redo.shipping.RedoReceiver`), the log
   merger, the apply distributor, N recovery workers and the recovery
-  coordinator publishing the QuerySCN under the quiesce lock;
+  coordinator publishing the QuerySCN;
 * when DBIM-on-ADG is enabled: the mining component installed as the
   workers' batch sniffer, the IM-ADG Journal / Commit Table / DDL Information
   Table, and the invalidation flush component installed as the
   coordinator's advance protocol (with cooperative flush hooks on the
   workers);
-* the standby's own IMCS with population synchronised to published
-  QuerySCNs through the quiesce lock;
+* the standby's own IMCS, populated only at published QuerySCNs;
 * a recovered transaction table, fed exclusively by applied control CVs,
   backing Consistent Read for standby queries.
 
@@ -34,7 +33,6 @@ from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
 from repro.adg.queryscn import QuerySCNPublisher
 from repro.common.config import SystemConfig
-from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
@@ -53,10 +51,9 @@ from repro.db.features import Database
 
 class StandbyInstance:
     """What every instance of a standby runs: an IMCS populated at the
-    instance's published QuerySCN, captured under its quiesce lock (paper,
-    III-A).  An apply instance adds recovery workers with DBIM-on-ADG
-    mining beside them (III-B, III-C).  The host sets ``config``,
-    ``node``, ``imcs``, ``query_scn``, ``quiesce_lock`` and
+    instance's published QuerySCN (paper, III-A).  An apply instance adds
+    recovery workers with DBIM-on-ADG mining beside them (III-B, III-C).
+    The host sets ``config``, ``node``, ``imcs``, ``query_scn`` and
     ``population``."""
 
     #: Instance number inside a RAC standby; the apply master is 1.
@@ -67,19 +64,15 @@ class StandbyInstance:
     #: built below that redo would hold rows nothing will invalidate.
     population_floor: SCN = 0
 
-    def _capture_snapshot(self, owner: object) -> Optional[SCN]:
-        """Population snapshot = the current published QuerySCN, captured
-        under the shared quiesce lock (paper, III-A)."""
+    def _capture_snapshot(self) -> Optional[SCN]:
+        """Population snapshot = the current published QuerySCN (paper,
+        III-A).  A publication is one scheduler step and so is this
+        capture: the quiesce period can never be observed mid-flight."""
         if self.query_scn.value == 0:
             return None  # no consistency point published yet
         if self.query_scn.value < self.population_floor:
             return None  # a restart's forgotten redo is not yet published
-        if not self.quiesce_lock.try_acquire_shared(owner):
-            return None  # quiesce period in progress
-        try:
-            return self.query_scn.value
-        finally:
-            self.quiesce_lock.release_shared(owner)
+        return self.query_scn.value
 
     def _population_workers(self) -> list[PopulationWorker]:
         return [
@@ -167,7 +160,6 @@ class StandbyDatabase(Database, StandbyInstance):
             self.receiver, node=self.node, name=f"{prefix}-log-merger"
         )
         self.distributor = ApplyDistributor(apply_cfg.n_workers, self.applier)
-        self.quiesce_lock = QuiesceLock()
         self.query_scn = QuerySCNPublisher()
 
         # --- DBIM-on-ADG components -------------------------------------
@@ -188,7 +180,6 @@ class StandbyDatabase(Database, StandbyInstance):
             self.distributor,
             self.workers,
             self.query_scn,
-            self.quiesce_lock,
             advance_protocol=self.flush if dbim_enabled else None,
             interval=apply_cfg.coordinator_interval,
             flush_batch=apply_cfg.coordinator_flush_batch,

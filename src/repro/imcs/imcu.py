@@ -168,16 +168,10 @@ class IMCU:
             )
         ):
             base = None  # what a scan could not use, a build cannot reuse
-        if base is not None:
-            base.pin()  # as a scan does
-        try:
-            return cls._build(
-                segment, schema, tenant, dbas, snapshot_scn, txns,
-                names, specs, expressions, base,
-            )
-        finally:
-            if base is not None:
-                base.unpin()
+        return cls._build(
+            segment, schema, tenant, dbas, snapshot_scn, txns,
+            names, specs, expressions, base,
+        )
 
     @classmethod
     def _build(

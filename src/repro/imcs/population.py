@@ -9,11 +9,12 @@ Snapshot discipline differs by role and is injected via
 ``snapshot_capture``:
 
 * on the **primary**, any current SCN is a valid snapshot;
-* on the **standby**, the snapshot must be a *published QuerySCN*, captured
-  while holding the quiesce lock in shared mode so the recovery coordinator
-  cannot publish a new QuerySCN mid-capture (paper, III-A).  When the
-  quiesce period is in progress the capture fails and the worker retries on
-  its next step.
+* on the **standby**, the snapshot must be a *published QuerySCN*, never
+  one in flux (paper, III-A, the quiesce period).  A publication and a
+  capture are each one scheduler step, and a step is atomic, so a capture
+  only ever reads a published value.  Before the first publication, or
+  while the QuerySCN is below the instance's ``population_floor``, the
+  capture returns None and the worker retries on its next step.
 
 Repopulation heuristics (paper, II-B "a set of heuristics"): a unit is
 refreshed when (a) the fraction of invalidated rows crosses a threshold, or
@@ -60,7 +61,7 @@ class PopulationEngine:
         self,
         store: InMemoryColumnStore,
         txns: TransactionView,
-        snapshot_capture: Callable[[object], Optional[SCN]],
+        snapshot_capture: Callable[[], Optional[SCN]],
         config: Optional[IMCSConfig] = None,
         dba_filter: Optional[Callable[[ObjectId, DBA], bool]] = None,
     ) -> None:
@@ -88,6 +89,9 @@ class PopulationEngine:
         #: outgoing unit instead of reading and encoding them.
         self.rows_reused = 0
         self.capacity_skips = 0
+        #: Captures that returned no snapshot (no QuerySCN published yet,
+        #: or one below the population floor); the name is the benchmark
+        #: harness's.
         self.quiesce_retries = 0
 
     # ------------------------------------------------------------------
@@ -210,9 +214,9 @@ class PopulationEngine:
     # ------------------------------------------------------------------
     # execution (driven by PopulationWorker actors)
     # ------------------------------------------------------------------
-    def run_one_task(self, owner: object) -> Optional[float]:
+    def run_one_task(self) -> Optional[float]:
         """Execute one queued task.  Returns simulated cost, or None when
-        there is nothing to do / the quiesce period blocked the capture."""
+        there is nothing to do / no snapshot can be captured yet."""
         if not self._heap:
             return None
         task = self._heap[0][2]
@@ -221,10 +225,10 @@ class PopulationEngine:
             heapq.heappop(self._heap)
             self._inflight_dbas.difference_update(task.dbas)
             return 0.0
-        snapshot = self.snapshot_capture(owner)
+        snapshot = self.snapshot_capture()
         if snapshot is None:
             self.quiesce_retries += 1
-            return None  # quiesce period in progress; retry next step
+            return None  # nothing published to capture yet; retry next step
         heapq.heappop(self._heap)
         outgoing = None  # the unit a repopulation replaces
         if task.reason == "repopulate" and task.dbas:
@@ -294,8 +298,8 @@ class PopulationWorker(Actor):
             self._last_sweep = sched.now
             self.engine.schedule_all()
             self.engine.check_repopulation(sched.now)
-        cost = self.engine.run_one_task(self)
-        if not self.engine.backlog:  # a quiesce retry keeps its task queued
+        cost = self.engine.run_one_task()
+        if not self.engine.backlog:  # a failed capture keeps its task queued
             # an enqueue wakes it; the sweeper also wakes for its sweep
             due = self._last_sweep + self.SWEEP_INTERVAL
             self.park = due if self.sweep else True

@@ -465,32 +465,28 @@ class ScanEngine:
             )
             return
 
-        smu.pin()
-        try:
-            # 1. storage-index pruning
-            valid = smu.valid_row_mask()
-            predicates = compiled.predicates
-            if any(p.can_prune(imcu) for p in predicates):
-                # min/max proves no *captured* row matches; invalid and
-                # edge rows below may still match their current values.
-                result.stats.imcus_pruned += 1
-                matched_positions = np.zeros(0, dtype=np.int64)
-            else:
-                matched_positions = unit_matched_positions(
-                    imcu, valid, predicates
-                )
-                result.stats.imcus_used += 1
-                result.stats.imcs_rows += imcu.n_rows
-                result.stats.cost_seconds += IMCS_COST_PER_ROW * imcu.n_rows
-
-            # 2. matching valid rows
-            compiled.matches(imcu, matched_positions, result)
-
-            self._reconcile_unit(
-                table, segment, smu, snapshot_scn, compiled, result
+        # 1. storage-index pruning
+        valid = smu.valid_row_mask()
+        predicates = compiled.predicates
+        if any(p.can_prune(imcu) for p in predicates):
+            # min/max proves no *captured* row matches; invalid and
+            # edge rows below may still match their current values.
+            result.stats.imcus_pruned += 1
+            matched_positions = np.zeros(0, dtype=np.int64)
+        else:
+            matched_positions = unit_matched_positions(
+                imcu, valid, predicates
             )
-        finally:
-            smu.unpin()
+            result.stats.imcus_used += 1
+            result.stats.imcs_rows += imcu.n_rows
+            result.stats.cost_seconds += IMCS_COST_PER_ROW * imcu.n_rows
+
+        # 2. matching valid rows
+        compiled.matches(imcu, matched_positions, result)
+
+        self._reconcile_unit(
+            table, segment, smu, snapshot_scn, compiled, result
+        )
 
     def _reconcile_unit(
         self, table, segment, smu: SMU, snapshot_scn,
@@ -505,8 +501,6 @@ class ScanEngine:
         every later query at that QuerySCN skips the gather, the walk and
         the touches, reuses the column vectors earlier ones built, and
         replays the walk's hits and row cost bit for bit (DESIGN.md §9).
-
-        Caller holds the SMU pin.
         """
         store = segment._store
         edges = [

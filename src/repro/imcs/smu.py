@@ -140,8 +140,6 @@ class SMU:
         self.fully_invalid = False
         #: Drop state: a dropped unit is never scanned or repopulated.
         self.dropped = False
-        #: Scan pin count (concurrency control between scans and drop).
-        self._pins = 0
         #: Repopulation bookkeeping.
         self.repopulating = False
         self.last_repopulated_at: float = -1.0
@@ -358,26 +356,10 @@ class SMU:
             return 1.0 if self.fully_invalid else 0.0
         return self.invalid_count / self.imcu.n_rows
 
-    # ------------------------------------------------------------------
-    # concurrency control (pins for scans, states for repopulate/drop)
-    # ------------------------------------------------------------------
-    def pin(self) -> None:
-        if self.dropped:
-            raise InvalidStateError("cannot pin a dropped SMU")
-        self._pins += 1
-
-    def unpin(self) -> None:
-        if self._pins <= 0:
-            raise InvalidStateError("unpin without pin")
-        self._pins -= 1
-
-    @property
-    def pinned(self) -> bool:
-        return self._pins > 0
-
     def mark_dropped(self) -> None:
-        if self.pinned:
-            raise InvalidStateError("cannot drop a pinned SMU")
+        """A unit scan or a build reads its unit within one scheduler step,
+        so no drop lands mid-read; a morsel planned before the drop finds
+        the unit no longer :meth:`serves` and reads the row store."""
         self.dropped = True
         self._epoch += 1
 

@@ -335,17 +335,13 @@ class InMemoryColumnStore:
         return smu
 
     def drop_units(self, object_id: ObjectId) -> int:
-        """Drop every unit of an object (DDL response).  Pinned SMUs are
-        marked fully invalid instead (scans in flight fall back)."""
+        """Drop every unit of an object (DDL response)."""
         segment = self._segments.get(object_id)
         if segment is None:
             return 0
         dropped = 0
         for smu in segment.units:
-            if smu.pinned:
-                smu.invalidate_fully(smu.last_invalidation_scn)
-            else:
-                smu.mark_dropped()
+            smu.mark_dropped()
             dropped += 1
         segment.units = []
         segment.dba_to_unit = {}

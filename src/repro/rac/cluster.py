@@ -42,7 +42,6 @@ from repro.adg.apply import ApplyDistributor
 from repro.adg.merger import LogMerger
 from repro.adg.queryscn import QuerySCNPublisher
 from repro.common.ids import InstanceId, ObjectId, TenantId
-from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.dbim_adg.flush import CoarseInvalidation, InvalidationGroup
 from repro.imcs.imcu import ROW_KEY_SHIFT
@@ -107,7 +106,6 @@ class PeerInstance(StandbyInstance):
         self.node = CpuNode(f"{master.node.name}.{instance_id}", n_cpus=16)
         self.imcs = InMemoryColumnStore(config.imcs.pool_size_bytes)
         self.query_scn = QuerySCNPublisher()
-        self.quiesce_lock = QuiesceLock()
         owns = partial(home_map.is_home, instance_id)
         self.population = PopulationEngine(
             self.imcs,
@@ -125,11 +123,11 @@ class PeerInstance(StandbyInstance):
         #: messages are re-acked but never re-staged.
         self._applied_sequences: set[int] = set()
         #: Batches received but not yet flushed to SMUs.  Applying is
-        #: deferred to the next local QuerySCN publish (under the same
-        #: exclusive quiesce section) so a population capture can never
-        #: interleave between an invalidation and the publish that makes
-        #: it necessary -- otherwise a block populated at the stale local
-        #: QuerySCN would silently miss the already-consumed invalidation.
+        #: deferred to the next local QuerySCN publish (the same step) so
+        #: a population capture can never interleave between an
+        #: invalidation and the publish that makes it necessary --
+        #: otherwise a block populated at the stale local QuerySCN would
+        #: silently miss the already-consumed invalidation.
         self._staged: list[_InvalidationBatch] = []
         interconnect.register(instance_id, self._receive)
         self.workers = []
@@ -163,19 +161,10 @@ class PeerInstance(StandbyInstance):
             )
         elif isinstance(payload, _QuerySCNPublish):
             # the local coordinator exposes the master's QuerySCN here
-            if not self.quiesce_lock.try_acquire_exclusive(self):
-                # a population capture is in flight; delay briefly
-                self.interconnect.sched.call_after(
-                    0.0005, lambda: self._receive(from_instance, payload)
-                )
-                return
-            try:
-                self._apply_staged()
-                self.query_scn.publish(
-                    payload.scn, at_time=self.interconnect.sched.now
-                )
-            finally:
-                self.quiesce_lock.release_exclusive(self)
+            self._apply_staged()
+            self.query_scn.publish(
+                payload.scn, at_time=self.interconnect.sched.now
+            )
         else:
             raise TypeError(f"unexpected payload {payload!r}")
 

@@ -15,8 +15,8 @@ floor** valid at its capture instant::
     tail_start = min(QuerySCN + 1, min over live journal anchors of
                      the anchor's first mined CV SCN)
 
-Capture runs under the shared quiesce lock after a publication, so every
-CV with SCN <= QuerySCN has been applied and mined before capture.  A
+Capture is one scheduler step after a publication, so every CV with
+SCN <= QuerySCN has been applied and mined before capture.  A
 transaction not yet flushed at capture therefore has a live anchor whose
 ``first_scn`` bounds all of its redo from below; re-mining everything from
 ``tail_start`` at restart (see :mod:`repro.restart.replay`) provably
@@ -146,9 +146,9 @@ class CheckpointWriter(Actor):
 
     After each interval with a newer published QuerySCN than the last
     capture round, the writer walks the enabled objects round-robin, one
-    object per step, capturing its live units under the shared quiesce
-    lock (so the masks stay consistent with the published QuerySCN and
-    the journal floor read is race-free).
+    object per step, capturing its live units within that step (so the
+    masks stay consistent with the published QuerySCN and the journal
+    floor read is race-free).
     """
 
     def __init__(
@@ -204,35 +204,28 @@ class CheckpointWriter(Actor):
         standby = self.standby
         if not standby.imcs.is_enabled(object_id):
             return None  # disabled while queued
-        if not standby.quiesce_lock.try_acquire_shared(self):
-            # publication in progress; retry this object next step
-            self._pending.append(object_id)
+        query_scn = standby.query_scn.value
+        if query_scn == 0:
             return None
-        try:
-            query_scn = standby.query_scn.value
-            if query_scn == 0:
-                return None
-            floor = standby.journal.min_first_scn()
-            tail_start = (
-                query_scn + 1 if floor == 0 else min(query_scn + 1, floor)
-            )
-            segment = standby.imcs.segment(object_id)
-            units = [
-                UnitCheckpoint.capture(smu)
-                for smu in segment.live_units()
-                if not smu.fully_invalid
-            ]
-            if not units:
-                return None
-            checkpoint = ObjectCheckpoint(
-                object_id=object_id,
-                tenant=segment.tenant,
-                query_scn=query_scn,
-                tail_start_scn=tail_start,
-                units=units,
-            )
-        finally:
-            standby.quiesce_lock.release_shared(self)
+        floor = standby.journal.min_first_scn()
+        tail_start = (
+            query_scn + 1 if floor == 0 else min(query_scn + 1, floor)
+        )
+        segment = standby.imcs.segment(object_id)
+        units = [
+            UnitCheckpoint.capture(smu)
+            for smu in segment.live_units()
+            if not smu.fully_invalid
+        ]
+        if not units:
+            return None
+        checkpoint = ObjectCheckpoint(
+            object_id=object_id,
+            tenant=segment.tenant,
+            query_scn=query_scn,
+            tail_start_scn=tail_start,
+            units=units,
+        )
         self.store.put(checkpoint)
         self.captures += 1
         return CHECKPOINT_COST_PER_ROW * max(checkpoint.n_rows, 1)

@@ -12,10 +12,11 @@ from repro.adg import (
 )
 from repro.adg.coordinator import COORDINATION_COST, FLUSH_COST_PER_NODE
 from repro.chaos import sites
-from repro.common import InvalidStateError, QuiesceLock, TransactionId
+from repro.common import InvalidStateError, TransactionId
 from repro.redo import CVOp, RedoReceiver
 from repro.db import Deployment, InMemoryService
 from repro.sim import Scheduler
+from tests.chaos.faults import Stall
 from tests.db.conftest import load, simple_table_def, small_config
 from tests.helpers import (
     NullApplier,
@@ -178,7 +179,7 @@ def build_pipeline(n_workers=2, worker_speeds=None):
         )
     query_scn = QuerySCNPublisher()
     coordinator = RecoveryCoordinator(
-        merger, distributor, workers, query_scn, QuiesceLock(),
+        merger, distributor, workers, query_scn,
         interval=0.001,
     )
     sched = Scheduler()
@@ -224,35 +225,21 @@ class TestCoordinator:
         # nothing applied yet: the point sits below every queued CV
         assert coord.consistency_point() < 10
 
-    def test_quiesce_lock_taken_during_publication(self):
-        """A population holder of the shared quiesce lock delays
-        publication (and the coordinator counts the retries)."""
-        receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        holder = object()
-        assert coord.quiesce_lock.try_acquire_shared(holder)
-        receiver.deliver(batch_of([rec(10, dba=1)]))
-        sched.run_until(0.2)
-        assert query_scn.value == 0  # blocked by the population capture
-        assert coord.quiesce_wait_retries > 0
-        coord.quiesce_lock.release_shared(holder)
-        sched.run_until(0.4)
-        assert query_scn.value == 10
-
     def test_adjusted_publish_latency_excludes_stall_time(self):
-        """Regression: the mean publish latency used to charge quiesce
+        """Regression: the mean publish latency used to charge publication
         stalls to the advancement itself, hiding pipeline slowness behind
-        lock contention.  The stall-adjusted mean strips the window spent
-        postponed; the raw mean keeps its historical meaning."""
+        them.  The stall-adjusted mean strips the window spent postponed;
+        the raw mean keeps its historical meaning."""
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        holder = object()
-        assert coord.quiesce_lock.try_acquire_shared(holder)
+        hold = Stall("adg.queryscn_publish", count=1_000_000)
+        coord._chaos.attach(hold)
         receiver.deliver(batch_of([rec(10, dba=1)]))
         sched.run_until(0.2)
-        assert query_scn.value == 0  # postponed behind the holder
-        coord.quiesce_lock.release_shared(holder)
+        assert query_scn.value == 0  # postponed behind the stall
+        coord._chaos.detach(hold)
         sched.run_until(0.4)
         assert query_scn.value == 10
-        assert coord.quiesce_wait_retries >= 1
+        assert coord.publish_stalls >= 1
         assert coord.publish_stall_time_total > 0.0
         assert coord.mean_adjusted_publish_latency >= 0.0
         assert (
@@ -422,8 +409,9 @@ def advancing_deployment(delay: float = 0.0):
     if delay:
         deployment.sched.run_for(delay)
     coord = deployment.standby.coordinator
-    holder = object()  # a population capture: drains, cannot publish
-    assert coord.quiesce_lock.try_acquire_shared(holder)
+    # the advancement drains, but cannot publish until ``hold`` detaches
+    hold = Stall("adg.queryscn_publish", count=1_000_000)
+    coord._chaos.attach(hold)
     txn = deployment.primary.begin()
     for rowid in rowids[:20]:
         deployment.primary.update(txn, "T", rowid, {"n1": -1.0})
@@ -434,7 +422,7 @@ def advancing_deployment(delay: float = 0.0):
     stale = coord._advancing_to
     assert deployment.standby.flush.worklink is not None
     assert deployment.standby.query_scn.value < stale
-    coord.quiesce_lock.release_shared(holder)
+    coord._chaos.detach(hold)
     return deployment, stale, target
 
 

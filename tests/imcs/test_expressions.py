@@ -41,11 +41,11 @@ def populated(wide_table, txns, clock, expressions=()):
         store.add_expression(oid, expression)
     load_rows(wide_table, txns, clock, 40)
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=16),
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     return store, oid
 

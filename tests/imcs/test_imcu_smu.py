@@ -1,9 +1,8 @@
 """Tests for IMCU build/projection and SMU validity tracking."""
 
 import numpy as np
-import pytest
 
-from repro.common import InvalidStateError, RowId
+from repro.common import RowId
 from repro.imcs import IMCU, SMU
 
 from tests.imcs.conftest import load_rows
@@ -123,21 +122,6 @@ class TestSMU:
         assert smu.columns_valid({"id"})
         assert not smu.serves(frozenset({"id", "n1"}))
         assert smu.serves(frozenset({"id"}))
-
-    def test_pin_blocks_drop(self, wide_table, txns, clock):
-        __, smu, ___ = self.make(wide_table, txns, clock)
-        smu.pin()
-        with pytest.raises(InvalidStateError):
-            smu.mark_dropped()
-        smu.unpin()
-        smu.mark_dropped()
-        with pytest.raises(InvalidStateError):
-            smu.pin()
-
-    def test_unpin_without_pin_raises(self, wide_table, txns, clock):
-        __, smu, ___ = self.make(wide_table, txns, clock)
-        with pytest.raises(InvalidStateError):
-            smu.unpin()
 
     def test_invalid_fraction(self, wide_table, txns, clock):
         __, smu, rowids = self.make(wide_table, txns, clock)

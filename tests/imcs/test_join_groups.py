@@ -115,10 +115,10 @@ def build_pair(txns, use_group=True):
                     object_id, "region", group.dictionary
                 )
     engine = PopulationEngine(
-        store, txns, lambda owner: 500, IMCSConfig(imcu_target_rows=32)
+        store, txns, lambda: 500, IMCSConfig(imcu_target_rows=32)
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     executor = JoinExecutor(ScanEngine(store, txns), registry)
     return facts, dims, store, executor

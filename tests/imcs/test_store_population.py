@@ -20,14 +20,14 @@ from tests.imcs.conftest import load_rows
 def make_engine(store, txns, clock, config=None):
     return PopulationEngine(
         store, txns,
-        snapshot_capture=lambda owner: clock.current,
+        snapshot_capture=lambda: clock.current,
         config=config or IMCSConfig(imcu_target_rows=16),
     )
 
 
 def drain(engine, max_tasks=1000):
     for __ in range(max_tasks):
-        if engine.run_one_task(owner=object()) is None:
+        if engine.run_one_task() is None:
             break
 
 
@@ -232,13 +232,13 @@ class TestPopulationEngine:
         load_rows(wide_table, txns, clock, 10)
         blocked = {"on": True}
 
-        def capture(owner):
+        def capture():
             return None if blocked["on"] else clock.current
 
         engine = PopulationEngine(store, txns, capture,
                                   IMCSConfig(imcu_target_rows=16))
         engine.schedule_all()
-        assert engine.run_one_task(object()) is None
+        assert engine.run_one_task() is None
         assert engine.quiesce_retries == 1
         blocked["on"] = False
         drain(engine)

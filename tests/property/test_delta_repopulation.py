@@ -359,7 +359,6 @@ def test_base_a_scan_could_not_use_falls_back(why):
     INELIGIBLE[why](world, smu)
     unit = both(world, world.tick(), smu)
     assert unit.rows_reused == 0
-    assert smu._pins == 0
 
 
 def test_base_without_a_column_or_dictionary_to_build_falls_back():
@@ -436,7 +435,6 @@ def test_truncated_chain_still_raises_never_a_silent_tombstone():
         build(world, snapshot, smu)
     with pytest.raises(SnapshotTooOldError):
         build(world, snapshot)
-    assert smu._pins == 0
 
 
 def test_rolled_back_insert_hole_still_ends_the_settled_prefix():
@@ -511,11 +509,11 @@ def test_rows_reused_counts_what_the_engine_did_not_read():
     world.txns.commits[X[0]] = 5
     world.scn = 6
     engine = PopulationEngine(
-        world.store, world.txns, snapshot_capture=lambda owner: world.scn,
+        world.store, world.txns, snapshot_capture=lambda: world.scn,
         config=IMCSConfig(imcu_target_rows=64, repopulate_min_interval=0.0),
     )
     engine.schedule_all()
-    assert engine.run_one_task(owner=None) is not None
+    assert engine.run_one_task() is not None
     assert (engine.rows_populated, engine.rows_reused) == (n, 0)
     for slot in range(k):
         update(world, 1, slot, (slot, -1, -1.0, "b", "k", "x"), X[1 + slot])
@@ -527,7 +525,7 @@ def test_rows_reused_counts_what_the_engine_did_not_read():
     world.txns.commits[X[5]] = world.tick()
     world.tick()
     assert engine.check_repopulation(now=1.0) == 1
-    cost = engine.run_one_task(owner=None)
+    cost = engine.run_one_task()
     assert engine.repopulations == 1
     assert engine.rows_populated == n + (n + m)
     assert engine.rows_reused == n - k
@@ -545,7 +543,7 @@ def test_a_failed_build_hands_the_work_back_to_the_sweeps(monkeypatch):
     world.txns.commits[X[0]] = 5
     world.scn = 6
     engine = PopulationEngine(
-        world.store, world.txns, snapshot_capture=lambda owner: world.scn,
+        world.store, world.txns, snapshot_capture=lambda: world.scn,
         config=IMCSConfig(imcu_target_rows=64, repopulate_min_interval=0.0),
     )
     real = IMCU.build.__func__
@@ -560,9 +558,9 @@ def test_a_failed_build_hands_the_work_back_to_the_sweeps(monkeypatch):
     monkeypatch.setattr(IMCU, "build", classmethod(failing_once))
     assert engine.schedule_all() == 1
     with pytest.raises(SnapshotTooOldError):
-        engine.run_one_task(owner=None)
+        engine.run_one_task()
     assert engine.backlog == 0 and engine.schedule_all() == 1  # re-offered
-    assert engine.run_one_task(owner=None) is not None
+    assert engine.run_one_task() is not None
     assert engine.populations == 1
     # repopulation
     smu = world.store.unit_covering(world.oid, 1)
@@ -570,10 +568,10 @@ def test_a_failed_build_hands_the_work_back_to_the_sweeps(monkeypatch):
     assert engine.check_repopulation(now=1.0) == 1 and smu.repopulating
     failures = iter([SnapshotTooOldError("pruned")])
     with pytest.raises(SnapshotTooOldError):
-        engine.run_one_task(owner=None)
+        engine.run_one_task()
     assert not smu.repopulating
     assert engine.check_repopulation(now=2.0) == 1  # the sweep retries
-    assert engine.run_one_task(owner=None) is not None
+    assert engine.run_one_task() is not None
     assert engine.repopulations == 1 and engine.rows_reused == 3
     world.check_scan(world.scn)
 
@@ -589,18 +587,18 @@ def test_a_repopulation_past_pruned_undo_releases_the_outgoing_unit():
     world.scn = 6
     snapshot = [world.scn]
     engine = PopulationEngine(
-        world.store, world.txns, snapshot_capture=lambda owner: snapshot[0],
+        world.store, world.txns, snapshot_capture=lambda: snapshot[0],
         config=IMCSConfig(imcu_target_rows=64, repopulate_min_interval=0.0),
     )
     assert engine.schedule_all() == 1
-    assert engine.run_one_task(owner=None) is not None
+    assert engine.run_one_task() is not None
     smu = world.store.unit_covering(world.oid, 1)
     update(world, 1, 3, (3, 0, 0.0, "late", "k", "x"), X[1])
     snapshot[0] = world.scn - 1  # the update commits beyond it...
     world.segment._store.get(1).prune_undo(1)  # ...and the undo is gone
     assert engine.check_repopulation(now=1.0) == 1 and smu.repopulating
     with pytest.raises(SnapshotTooOldError):
-        engine.run_one_task(owner=None)
+        engine.run_one_task()
     assert not smu.repopulating
     assert engine.repopulations == 0 and engine.backlog == 0
 

@@ -15,6 +15,12 @@ its input:
   redo, and its consistency check is not overdue;
 * a timer (heartbeat, undo retention, the population sweep) is not
   overdue.
+
+Beside it runs the paper's quiesce invariant (III-A), checked instead of
+locked: every unit a population worker's step registers on a standby
+instance carries that instance's published QuerySCN -- never one in
+flux -- and that QuerySCN is at or above the instance's
+``population_floor``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
 from repro.db import Deployment, InMemoryService
 from repro.db.primary import HeartbeatWriter
+from repro.db.standby import StandbyInstance
 from repro.imcs.population import PopulationWorker
+from repro.imcs.store import InMemoryColumnStore
 from repro.query.executor import QueryWorker
 from repro.redo.shipping import LogShipper
 from repro.rowstore.undo_retention import UndoRetentionManager
@@ -101,21 +109,49 @@ class CheckingScheduler(Scheduler):
 
 def checked_run(drive) -> Counter:
     """Run ``drive`` with every ``Deployment.build`` on a checking
-    scheduler; returns the parked actors checked, per kind."""
+    scheduler and every population step under the quiesce check; returns
+    the parked actors checked, per kind, and the ``registered units``."""
     built = []
+    registered = []
 
     def make(*args, **kwargs):
         built.append(CheckingScheduler(*args, **kwargs))
         return built[-1]
 
+    def register_unit(
+        store, imcu, original=InMemoryColumnStore.register_unit
+    ):
+        registered.append(imcu)
+        return original(store, imcu)
+
+    def step(worker, sched, original=PopulationWorker.step):
+        registered.clear()
+        cost = original(worker, sched)
+        instance = worker.engine.snapshot_capture.__self__
+        if isinstance(instance, StandbyInstance):
+            published = instance.query_scn.value
+            for imcu in registered:
+                assert imcu.snapshot_scn == published, (
+                    f"{worker!r} registered a unit at {imcu.snapshot_scn}, "
+                    f"its instance published {published}"
+                )
+                assert published >= instance.population_floor
+                sched.checked["registered units"] += 1
+        return cost
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.db.deployment.Scheduler", make)
+        patch.setattr(InMemoryColumnStore, "register_unit", register_unit)
+        patch.setattr(PopulationWorker, "step", step)
         drive()
     (sched,) = built
     return sched.checked
 
 
-PIPELINE = {"LogShipper", "LogMerger", "RecoveryWorker", "PopulationWorker"}
+PIPELINE = {
+    "LogShipper", "LogMerger", "RecoveryWorker", "PopulationWorker",
+    "registered units",
+}
 
 
 def oltap(

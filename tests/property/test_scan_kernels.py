@@ -81,11 +81,11 @@ class TxnView:
 
 def populate_all(store, txns, clock):
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=8),
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
 
 

@@ -329,11 +329,11 @@ def populated_table(values):
     store = InMemoryColumnStore()
     store.enable(table)
     engine = PopulationEngine(
-        store, txns, lambda owner: clock.current,
+        store, txns, lambda: clock.current,
         IMCSConfig(imcu_target_rows=8),
     )
     engine.schedule_all()
-    while engine.run_one_task(object()) is not None:
+    while engine.run_one_task() is not None:
         pass
     return table, clock, txns, store, rowids
 

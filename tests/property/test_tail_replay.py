@@ -151,13 +151,13 @@ class World:
 
     def populate(self, repopulate: bool) -> None:
         engine = PopulationEngine(
-            self.store, self.txns, lambda owner: self.clock.current,
+            self.store, self.txns, lambda: self.clock.current,
             IMCSConfig(imcu_target_rows=8, repopulate_invalid_fraction=0.2),
         )
         if repopulate:
             engine.check_repopulation(now=1.0)
         engine.schedule_all()
-        while engine.run_one_task(object()) is not None:
+        while engine.run_one_task() is not None:
             pass
 
     def play(self, kind: str, i: int) -> None:

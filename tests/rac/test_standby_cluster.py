@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.imcs import Predicate
+from repro.imcs import Predicate, ScanEngine
+from repro.rac import MergedStoreView
 
 from tests.db.conftest import load, simple_table_def, small_config
 from repro.db import Deployment, InMemoryService
@@ -53,6 +54,43 @@ class TestClusterQueries:
         result = member.query("T", [Predicate.eq("c1", "v3")])
         assert len(result.rows) == 40
         assert result.stats.imcus_used >= 2  # units from both instances
+
+    def test_member_queries_share_one_scan_engine(self, rac_deployment):
+        """Repeat member queries run on the engine built at scale-out and
+        reuse its uncovered-block list; each answer equals a fresh
+        engine's, also after a repopulation swap on the peer."""
+        deployment, member = rac_deployment
+        engine = member._scan_engine
+        table = deployment.standby.catalog.table("T")
+        segment = table.default_partition.segment
+        peer = member.peers[0]
+        shape = ([Predicate.eq("c1", "v3")], ["id", "n1"])
+
+        def check():
+            fresh = ScanEngine(
+                MergedStoreView([i.imcs for i in member.instances]),
+                deployment.standby.txn_table,
+            ).scan(table, member.published_scn, *shape)
+            assert member.query("T", *shape).rows == fresh.rows
+            uncovered = engine._uncovered[segment]
+            assert member.query("T", *shape).rows == fresh.rows
+            assert engine._uncovered[segment] is uncovered
+            assert member._scan_engine is engine
+
+        check()
+        repopulations = peer.population.repopulations
+        index = deployment.primary.catalog.table("T").indexes["id"]
+        txn = deployment.primary.begin()
+        for i in range(0, 200, 2):
+            rowid = index.search(i)
+            deployment.primary.update(txn, "T", rowid, {"n1": -7.0})
+        deployment.primary.commit(txn)
+        deployment.catch_up()
+        assert deployment.sched.run_until_condition(
+            lambda: peer.population.repopulations > repopulations,
+            max_time=5.0,
+        )
+        check()
 
     def test_satellite_instance_snapshot(self, rac_deployment):
         """The member scans at the lowest QuerySCN any of its instances

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
 from repro.db import Deployment, InMemoryService
 
+from tests.chaos.faults import Stall
 from tests.db.conftest import load, simple_table_def, small_config
 from tests.helpers import log_records
 from tests.restart.test_checkpoint import build_armed_deployment
@@ -182,10 +183,10 @@ class TestInstantRestart:
         deployment.run(1.0)
         standby = deployment.standby
         coord = standby.coordinator
-        # hold the quiesce lock so the update applies but cannot publish:
+        # stall publication so the update applies but cannot publish:
         # the restart then has a ready-to-publish consistency point
-        holder = object()
-        assert coord.quiesce_lock.try_acquire_shared(holder)
+        hold = Stall("adg.queryscn_publish", count=1_000_000)
+        coord._chaos.attach(hold)
         txn = deployment.primary.begin()
         deployment.primary.update(txn, "T", rowids[0], {"n1": -5.0})
         target = deployment.primary.commit(txn)
@@ -193,7 +194,7 @@ class TestInstantRestart:
             lambda: coord.consistency_point() >= target, max_time=10.0
         )
         assert standby.query_scn.value < target
-        coord.quiesce_lock.release_shared(holder)
+        coord._chaos.detach(hold)
         # worst case: an interval check ran just before the bounce, and
         # the interval is wide enough to make a stale clock visible
         coord.interval = 0.5

@@ -225,6 +225,14 @@ BANS = [
         exempt=("benchmarks/e2e/",),
     ),
     Ban(
+        "quiesce_lock_and_pins",
+        r"QuiesceLock|quiesce_lock|try_acquire_(shared|exclusive)"
+        r"|\.pin\(\)|unpin\(|\.pinned\b|_pins\b",
+        ("src/repro",),
+        "§3 Removed: the quiesce lock and the SMU pins (a publication, a "
+        "capture and a unit scan are each one scheduler step)",
+    ),
+    Ban(
         "invalidate",
         r"cache\.invalidate\(|def invalidate\(self, dba",
         EVERYWHERE,

@@ -1,4 +1,5 @@
-"""No module under ``src/`` or ``tests/`` imports a name it never uses.
+"""No module under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+imports a name it never uses.
 
 No linter is installed, so this is a standard-library ``ast`` pass: a name
 an import binds is used when the module reads it anywhere -- as a name,
@@ -67,7 +68,9 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     )
 
 
-@pytest.mark.parametrize("tree", ["src", "tests"])
+@pytest.mark.parametrize(
+    "tree", ["src", "tests", "benchmarks", "examples"]
+)
 def test_no_module_imports_a_name_it_never_uses(tree):
     found = [
         f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
