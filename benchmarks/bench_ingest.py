@@ -43,6 +43,7 @@ not of the run (compare ``BENCH_apply_lag.json`` from bench_fig11).
 
 from __future__ import annotations
 
+import gc
 import pathlib
 import sys
 import time
@@ -220,10 +221,16 @@ def mine_in_chunks(deployment, log, span, width, miner_cls) -> float:
         DDLInformationTable(),
         deployment.standby.imcs,
     )
-    t0 = time.perf_counter()
-    for chunk in chunks:
-        miner.sniff_chunk(chunk, 0)
-    return time.perf_counter() - t0
+    # a cyclic collection's pause would land in whichever pass trips it
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for chunk in chunks:
+            miner.sniff_chunk(chunk, 0)
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.db` -- public façades: Deployment, PrimaryDatabase,
   StandbyDatabase, sessions/services, the mini SQL dialect.
 - :mod:`repro.imcs` -- the In-Memory Column Store: IMCUs, SMUs,
-  population, the scan engine, expressions, join groups, aggregation.
+  population, the scan engine, expressions, aggregation.
 - :mod:`repro.dbim_adg` -- the paper's contribution: mining, the IM-ADG
   Journal and Commit Table, invalidation flush.
 - :mod:`repro.adg` -- parallel redo apply, QuerySCN, recovery coordinator.

@@ -22,8 +22,8 @@ from repro.txn.table import TransactionTable
 from repro.db.catalog import Catalog
 
 (
-    _INSERT, _UPDATE, _DELETE, _UNDO, _TXN_BEGIN, _TXN_PREPARE,
-    _TXN_COMMIT, _TXN_ABORT, _TRUNCATE, _DDL_MARKER, _HEARTBEAT,
+    _INSERT, _UPDATE, _DELETE, _UNDO, _TXN_BEGIN, _TXN_COMMIT,
+    _TXN_ABORT, _TRUNCATE, _DDL_MARKER, _HEARTBEAT,
 ) = CVOp  # definition order
 _DDL_MARKER_BYTE = bytes([_DDL_MARKER])
 
@@ -79,11 +79,6 @@ class PhysicalApplier:
             return
         if op == _TXN_BEGIN:
             self.txn_table.ensure_known(batch.xid_objects[i])
-            return
-        if op == _TXN_PREPARE:
-            xid = batch.xid_objects[i]
-            self.txn_table.ensure_known(xid)
-            self.txn_table.prepare(xid)
             return
         if op == _TXN_COMMIT:
             # a commit record's SCN is the commitSCN

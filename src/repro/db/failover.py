@@ -15,12 +15,12 @@ waiting for a cold re-population.
    shipped is lost);
 2. **activation** -- a :class:`~repro.db.primary.PrimaryDatabase`
    mounted over the standby's core: block store, catalog, recovered
-   transaction table, join groups and the populated IMCS carry over by
+   transaction table and the populated IMCS carry over by
    identity, the SCN clock resumes past the final QuerySCN and transaction
    sequences past every recovered transaction.  IMCS maintenance switches
    from redo mining to the primary's synchronous commit-hook invalidation;
 3. **transaction recovery** -- every transaction still open at the
-   primary's loss is rolled back (PREPARED ones stay in doubt).
+   primary's loss is rolled back.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.chaos import sites
 from repro.common.errors import InvalidStateError
 from repro.sim.scheduler import Scheduler
-from repro.txn.table import TxnState
 from repro.db.primary import PrimaryDatabase
 from repro.db.standby import StandbyDatabase
 
@@ -73,12 +72,9 @@ def activate(
 def _roll_back_losers(primary: PrimaryDatabase) -> None:
     """Transaction recovery: strip each still-ACTIVE transaction's versions
     off the chain heads (repairing the indexes as apply does) and abort
-    it.  PREPARED ones stay in doubt."""
+    it."""
     txns = primary.txn_table
-    losers = {
-        x for x in txns.open_transactions()
-        if txns.state_of(x) is TxnState.ACTIVE
-    }
+    losers = set(txns.open_transactions())
     for table in primary.catalog.tables() if losers else ():
         for part in table.partitions.values():
             for block in part.segment.blocks():

@@ -2,26 +2,22 @@
 
 A primary and a standby are one :class:`Database` in two roles.
 :meth:`Database._mount` builds the core -- block store, buffer cache,
-catalog, transaction table, IMCS and join-group registry -- or takes those
-six from a ``mounted`` database (failover activation), then builds the
-engines over them.  The read side, in-memory management and the section-V
-features (join groups, aggregation push-down: derived, redo-less) are
-defined here once.  The role supplies ``config``, ``node``,
-``actor_prefix``, ``_query_snapshot()`` (the primary's current SCN, the
-standby's QuerySCN) and ``_capture_snapshot()`` (population's).
+catalog, transaction table and IMCS -- or takes those five from a
+``mounted`` database (failover activation), then builds the engines over
+them.  The read side, in-memory management and the section-V features
+(In-Memory Expressions, aggregation push-down: derived, redo-less) are
+defined here once, with an equi-join keyed by value.  The role supplies
+``config``, ``node``, ``actor_prefix``, ``_query_snapshot()`` (the
+primary's current SCN, the standby's QuerySCN) and ``_capture_snapshot()``
+(population's).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.imcs.aggregate import AggregateResult, AggregateSpec, Aggregator
-from repro.imcs.join_groups import (
-    JoinExecutor,
-    JoinGroupMember,
-    JoinGroupRegistry,
-    JoinResult,
-)
 from repro.imcs.population import PopulationEngine
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult
 from repro.imcs.store import InMemoryColumnStore
@@ -31,6 +27,13 @@ from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim.scheduler import Actor, ActorOwner, Scheduler
 from repro.txn.table import TransactionTable
 from repro.db.catalog import Catalog
+
+
+@dataclass(slots=True)
+class JoinResult:
+    """An equi-join's output tuples, ``columns_a + columns_b``."""
+
+    rows: list[tuple]
 
 
 class Database(ActorOwner):
@@ -47,14 +50,12 @@ class Database(ActorOwner):
             self.catalog = Catalog(self.block_store, self.buffer_cache)
             self.txn_table = TransactionTable()
             self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
-            self.join_groups = JoinGroupRegistry()
         else:
             self.block_store = mounted.block_store
             self.buffer_cache = mounted.buffer_cache
             self.catalog = mounted.catalog
             self.txn_table = mounted.txn_table
             self.imcs = mounted.imcs
-            self.join_groups = mounted.join_groups
         self.population = PopulationEngine(
             self.imcs,
             self.txn_table,
@@ -62,7 +63,6 @@ class Database(ActorOwner):
             config=self.config.imcs,
         )
         self.scan_engine = ScanEngine(self.imcs, self.txn_table)
-        self._join_executor = JoinExecutor(self.scan_engine, self.join_groups)
         self._aggregator = Aggregator(self.scan_engine)
         #: The actors this database scheduled (ActorOwner).
         self._actors: list[Actor] = []
@@ -127,30 +127,6 @@ class Database(ActorOwner):
             column, key, self._query_snapshot(), self.txn_table
         )
 
-    # ------------------------------------------------------------------
-    # join groups
-    # ------------------------------------------------------------------
-    def create_join_group(
-        self, name: str, members: list[tuple[str, str]]
-    ) -> None:
-        """CREATE INMEMORY JOIN GROUP name (t1(c1), t2(c2), ...).
-
-        Every member column of an in-memory-enabled object switches to the
-        group's shared dictionary (its IMCUs repopulate).
-        """
-        group = self.join_groups.create(
-            name, [JoinGroupMember(t, c) for t, c in members]
-        )
-        for table_name, column in members:
-            table = self.catalog.table(table_name)
-            table.schema.column_index(column)  # validate
-            for object_id in table.object_ids:
-                if self.imcs.is_enabled(object_id):
-                    self.imcs.set_join_dictionary(
-                        object_id, column, group.dictionary
-                    )
-        self.population.schedule_all()
-
     def join(
         self,
         table_a: str,
@@ -162,18 +138,36 @@ class Database(ActorOwner):
         columns_a: Optional[list[str]] = None,
         columns_b: Optional[list[str]] = None,
     ) -> JoinResult:
-        """Inner equi-join at this database's query snapshot."""
-        return self._join_executor.join(
-            self.catalog.table(table_a),
-            column_a,
-            self.catalog.table(table_b),
-            column_b,
-            self._query_snapshot(),
-            predicates_a,
-            predicates_b,
-            columns_a,
-            columns_b,
-        )
+        """Inner equi-join at this database's query snapshot: a hash join
+        keyed by value, ``table_a`` the build side, ``table_b`` the probe
+        side.  Each side is one scan; a NULL key never joins."""
+        snapshot = self._query_snapshot()
+        by_value: dict[object, list[tuple]] = {}
+        for key, row in self._join_side(
+            table_a, column_a, predicates_a, columns_a, snapshot
+        ):
+            by_value.setdefault(key, []).append(row)
+        return JoinResult([
+            row_a + row_b
+            for key, row_b in self._join_side(
+                table_b, column_b, predicates_b, columns_b, snapshot
+            )
+            for row_a in by_value.get(key, ())
+        ])
+
+    def _join_side(self, table_name, column, predicates, columns, snapshot):
+        """One side's ``(key, projected row)`` pairs, NULL keys left out."""
+        table = self.catalog.table(table_name)
+        names = columns or [c.name for c in table.schema.live_columns]
+        wanted = list(dict.fromkeys([column] + names))
+        scan = self.scan_engine.scan(table, snapshot, predicates, wanted)
+        key = wanted.index(column)
+        project = [wanted.index(n) for n in names]
+        return [
+            (row[key], tuple(row[i] for i in project))
+            for row in scan.rows
+            if row[key] is not None
+        ]
 
     # ------------------------------------------------------------------
     # aggregation push-down (section V)

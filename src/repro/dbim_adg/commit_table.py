@@ -27,7 +27,7 @@ from repro.dbim_adg.journal import AnchorNode
 
 @dataclass(slots=True)
 class CommitTableNode:
-    """One committed (or prepared) transaction awaiting flush."""
+    """One committed transaction awaiting flush."""
 
     xid: TransactionId
     commit_scn: SCN

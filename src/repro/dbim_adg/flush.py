@@ -195,13 +195,9 @@ class InvalidationListener:
     a published QuerySCN covers.
     """
 
-    def on_object_invalidated(self, object_id: ObjectId, scn: SCN) -> None:
-        """A flushed invalidation group touched ``object_id``."""
-
     def on_group_flushed(self, group: "InvalidationGroup") -> None:
-        """The full block/slot detail of a flushed group -- for listeners
-        that need the touched row addresses (the CDC egress), not just
-        the object id."""
+        """A flushed invalidation group: its object, commitSCN and the
+        touched row addresses."""
 
     def on_coarse_invalidation(self, tenant: TenantId, scn: SCN) -> None:
         """A coarse (tenant-wide) invalidation was routed (paper, III-E)."""
@@ -278,9 +274,9 @@ class InvalidationFlushComponent:
             "chaos_stalls": "dbim.flush.chaos_stalls",
         })
         self._chaos = sites.declare("flush.worklink", owner=self)
-        #: Observers of flushed invalidations (e.g. the query result
-        #: cache).  Each listener is called *during* the flush -- i.e.
-        #: strictly before the new QuerySCN is published.
+        #: Observers of flushed invalidations (the CDC egress, the
+        #: checkpoint store).  Each listener is called *during* the flush
+        #: -- i.e. strictly before the new QuerySCN is published.
         self.invalidation_listeners: list["InvalidationListener"] = []
 
     def add_invalidation_listener(
@@ -290,7 +286,6 @@ class InvalidationFlushComponent:
 
     def _notify_group(self, group: InvalidationGroup) -> None:
         for listener in self.invalidation_listeners:
-            listener.on_object_invalidated(group.object_id, group.commit_scn)
             listener.on_group_flushed(group)
 
     def _notify_coarse(self, tenant: TenantId, scn: SCN) -> None:

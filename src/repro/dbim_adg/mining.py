@@ -8,7 +8,8 @@ in the data block is noted down in the IM-ADG Journal. [...]  In addition
 to mining changes to the data in the IMCS, DBIM-on-ADG protocols need to
 mine certain control information [...] viz. transaction state changes like
 Transaction Begin, Prepare, Commit and Abort and the commitSCN associated
-with each transaction."
+with each transaction."  Two-phase commit is not modelled: no
+transaction prepares, so begin, commit and abort are the states mined.
 
 ``sniff_chunk`` is installed as the recovery workers' batch sniffer: it
 mines a worker's whole :class:`~repro.redo.batch.CVChunk` in one call,
@@ -37,8 +38,8 @@ from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk
 from repro.redo.records import CVOp
 
-_TXN_BEGIN, _TXN_PREPARE, _TXN_COMMIT, _TXN_ABORT = (
-    CVOp.TXN_BEGIN, CVOp.TXN_PREPARE, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
+_TXN_BEGIN, _TXN_COMMIT, _TXN_ABORT = (
+    CVOp.TXN_BEGIN, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
 )
 _DDL_MARKER = CVOp.DDL_MARKER
 
@@ -192,10 +193,9 @@ class MiningComponent:
             node = self._sniff_commit(batch, i, scn, xid)
             if node is not None:
                 commits.append(node)
-        elif op == _TXN_BEGIN or op == _TXN_PREPARE:
+        elif op == _TXN_BEGIN:
             anchor = self.journal.get_or_create(xid, batch.scalars.tenants[i])
-            if op == _TXN_BEGIN:
-                anchor.has_begin = True
+            anchor.has_begin = True
             anchor.note_scn(scn)
         elif op == _TXN_ABORT:
             self.journal.remove(xid)

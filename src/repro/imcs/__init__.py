@@ -16,8 +16,7 @@ Implements the DBIM side of the paper (section II-B):
 * the **IMCS** itself -- the in-memory pool mapping enabled objects to
   their IMCU/SMU pairs (``store.py``);
 * the section-V extension features: In-Memory Expressions
-  (``expressions.py``), Join Groups (``join_groups.py``) and aggregation
-  push-down (``aggregate.py``).
+  (``expressions.py``) and aggregation push-down (``aggregate.py``).
 """
 
 from repro.imcs.compression import (
@@ -33,13 +32,6 @@ from repro.imcs.population import PopulationEngine, PopulationTask
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult, ScanStats
 from repro.imcs.aggregate import AggregateResult, AggregateSpec, Aggregator
 from repro.imcs.expressions import Expression, ExpressionSet, RowResolver
-from repro.imcs.join_groups import (
-    JoinExecutor,
-    JoinGroup,
-    JoinGroupMember,
-    JoinGroupRegistry,
-    JoinResult,
-)
 
 __all__ = [
     "ColumnCU",
@@ -62,9 +54,4 @@ __all__ = [
     "Expression",
     "ExpressionSet",
     "RowResolver",
-    "JoinExecutor",
-    "JoinGroup",
-    "JoinGroupMember",
-    "JoinGroupRegistry",
-    "JoinResult",
 ]

@@ -251,39 +251,27 @@ def _dictionary_bytes(dictionary: list[str]) -> int:
     return sum(len(v) for v in dictionary) + 8 * len(dictionary)
 
 
-def _intern(cells: Sequence) -> tuple[np.ndarray, dict]:
-    """One interning pass over a column: ``first[i]`` is the position of
-    the first cell equal to ``cells[i]``, and ``table`` maps each distinct
-    value (None included) to that position, in first-occurrence order."""
+def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
+    """int32 codes into the sorted dictionary of a VARCHAR2 column.
+
+    One interning pass: ``first[i]`` is the position of the first cell
+    equal to ``cells[i]``, and ``table`` maps each distinct value (None
+    included) to that position.  The codes are then a permutation over
+    first-occurrence positions, None's left at ``NULL_CODE``."""
     table: dict = {}
     first = np.fromiter(
         map(table.setdefault, cells, itertools.count()),
         dtype=np.intp,
         count=len(cells),
     )
-    return first, table
-
-
-def _codes_of(
-    first: np.ndarray, table: dict, values: Sequence, codes, dtype
-) -> np.ndarray:
-    """Code vector from an interning pass, given ``codes[i]`` for each of
-    the distinct non-NULL ``values``: a permutation over first-occurrence
-    positions, every other position (None's) left at ``NULL_CODE``."""
-    remap = np.full(first.size, NULL_CODE, dtype=dtype)
-    remap[
-        np.fromiter(map(table.__getitem__, values), np.intp, len(values))
-    ] = codes
-    return remap[first]
-
-
-def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
-    """int32 codes into the sorted dictionary of a VARCHAR2 column."""
-    first, table = _intern(cells)
     table.pop(None, None)
     dictionary = sorted(table)
-    codes = np.arange(len(dictionary), dtype=np.int32)
-    return _codes_of(first, table, dictionary, codes, np.int32), dictionary
+    n = len(dictionary)
+    remap = np.full(first.size, NULL_CODE, dtype=np.int32)
+    remap[np.fromiter(map(table.__getitem__, dictionary), np.intp, n)] = (
+        np.arange(n, dtype=np.int32)
+    )
+    return remap[first], dictionary
 
 
 def _merge_sorted_columns(
@@ -475,7 +463,7 @@ def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
     sorted dictionary)."""
     matrix = np.empty((len(values), 1), dtype=object)
     matrix[:, 0] = values
-    return encode_rows(matrix, [(0, is_numeric, None)])[0][0]
+    return encode_rows(matrix, [(0, is_numeric)])[0][0]
 
 
 def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
@@ -490,33 +478,28 @@ def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
 
 def encode_rows(
     matrix: np.ndarray,
-    specs: Sequence[tuple[int, bool, Optional["GlobalDictionary"]]],
+    specs: Sequence[tuple[int, bool]],
     carried: Optional[tuple[Sequence[ColumnCU], Sequence, Sequence]] = None,
 ) -> tuple[list[ColumnCU], tuple]:
     """Encode columns of a :func:`row_matrix`, block-wise.  ``specs`` is,
-    per output column, ``(matrix column, is NUMBER, join-group dictionary
-    or None)``.  All NUMBER columns are cast together; string columns are
-    interned one by one in ``specs`` order -- the order shared
-    dictionaries see new values in.
+    per output column, ``(matrix column, is NUMBER)``.  All NUMBER columns
+    are cast together; every VARCHAR2 column gets its own sorted
+    dictionary.
 
     ``carried = (cus, keep, take)`` makes it a merge (delta repopulation):
-    rows ``keep`` of ``cus[k]`` -- an outgoing unit's CU for ``specs[k]``,
-    a join-group one over that very dictionary -- then ``matrix``'s rows,
-    in ``take`` order.  Each kind's merge kernel sits beside its encoder
-    and yields exactly the CU that encoding the merged values would.
+    rows ``keep`` of ``cus[k]`` -- an outgoing unit's CU for ``specs[k]``
+    -- then ``matrix``'s rows, in ``take`` order.  Each kind's merge kernel
+    sits beside its encoder and yields exactly the CU that encoding the
+    merged values would.
 
     Also returns the blocks the CUs are views of, each ``(spec indices,
-    (k, n) array)`` or None: NUMBER values, and the int32 codes of the
-    private sorted-dictionary columns."""
+    (k, n) array)`` or None: NUMBER values, and the int32 dictionary
+    codes."""
     olds, keep, take = carried or ((), None, None)
     cus: list = [None] * len(specs)
     number_block = code_block = None
-    numeric = [
-        k for k, (__, is_numeric, shared) in enumerate(specs)
-        if is_numeric and shared is None
-    ]
-    joined = [k for k, spec in enumerate(specs) if spec[2] is not None]
-    private = sorted(set(range(len(specs))).difference(numeric, joined))
+    numeric = [k for k, (__, is_numeric) in enumerate(specs) if is_numeric]
+    strings = [k for k, (__, is_numeric) in enumerate(specs) if not is_numeric]
 
     def cells(k: int) -> list:
         return matrix[:, specs[k][0]].tolist()
@@ -534,178 +517,13 @@ def encode_rows(
             cu = cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
             cu._any_null, cu._any_int = facts[0][j], facts[1][j]
         number_block = (numeric, blocks[0].T)
-    if private:
+    if strings:
         encoded = _merge_sorted_columns(
-            [olds[k] for k in private], keep, [cells(k) for k in private], take
-        ) if carried else [_sorted_codes(cells(k)) for k in private]
+            [olds[k] for k in strings], keep, [cells(k) for k in strings], take
+        ) if carried else [_sorted_codes(cells(k)) for k in strings]
         block = np.array([codes for codes, __ in encoded], dtype=np.int32)
-        for j, (k, (__, dictionary)) in enumerate(zip(private, encoded)):
+        for j, (k, (__, dictionary)) in enumerate(zip(strings, encoded)):
             cus[k] = DictionaryCU.from_codes(block[j], dictionary)
-        code_block = (private, block)
-    for k in joined:
-        # surviving values own their codes already, so the fresh rows
-        # alone meet the dictionary in the order a full pass would
-        codes = _shared_codes(cells(k), specs[k][2])
-        if carried is not None:
-            codes = np.concatenate((olds[k].codes[keep], codes))[take]
-        cus[k] = SharedDictionaryCU.from_codes(codes, specs[k][2])
+        code_block = (strings, block)
     return cus, (number_block, code_block)
-
-
-# ----------------------------------------------------------------------
-# join-group support (see repro.imcs.join_groups)
-# ----------------------------------------------------------------------
-class GlobalDictionary:
-    """Append-only shared dictionary: value <-> code, stable forever."""
-
-    def __init__(self) -> None:
-        self._values: list[str] = []
-        self._code_of: dict[str, int] = {}
-
-    def encode(self, value: str) -> int:
-        """Code for ``value``, assigning a fresh one if unseen."""
-        code = self._code_of.get(value)
-        if code is None:
-            code = len(self._values)
-            self._values.append(value)
-            self._code_of[value] = code
-        return code
-
-    def lookup(self, value: str) -> Optional[int]:
-        """Code for ``value`` or None -- never assigns."""
-        return self._code_of.get(value)
-
-    def decode(self, code: int) -> str:
-        return self._values[code]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def _shared_codes(cells: Sequence, dictionary: GlobalDictionary) -> np.ndarray:
-    """int64 codes of a VARCHAR2 column into a join group's dictionary."""
-    first, table = _intern(cells)
-    table.pop(None, None)
-    # distinct values in first-occurrence order: the global dictionary
-    # assigns codes exactly as a row-order encode would
-    present = list(table)
-    codes = np.fromiter(
-        map(dictionary.encode, present), np.int64, len(present)
-    )
-    return _codes_of(first, table, present, codes, np.int64)
-
-
-class SharedDictionaryCU(ColumnCU):
-    """A VARCHAR2 CU encoded against a join group's global dictionary.
-
-    Codes are assignment-ordered (not value-ordered), so range predicates
-    compute the qualifying-code set with one vectorised comparison over
-    the dictionary's decode table (cardinality-bounded) instead of a
-    per-row decode; equality stays a single vectorised compare.
-    """
-
-    def __init__(self, values: Sequence[Optional[str]], dictionary: GlobalDictionary) -> None:
-        self._install(_shared_codes(values, dictionary), dictionary)
-
-    @classmethod
-    def from_codes(
-        cls, codes: np.ndarray, dictionary: GlobalDictionary
-    ) -> "SharedDictionaryCU":
-        """Wrap an encoded code vector over the group's live dictionary."""
-        cu = cls.__new__(cls)
-        cu._install(codes, dictionary)
-        return cu
-
-    def _install(
-        self, codes: np.ndarray, dictionary: GlobalDictionary
-    ) -> None:
-        self._codes = np.ascontiguousarray(codes, dtype=np.int64)
-        self.n_rows = int(self._codes.shape[0])
-        self.dictionary = dictionary
-        self._decode_cache: Optional[np.ndarray] = None
-        self._decode_len = -1
-        # assignment-ordered codes: min/max decode the distinct codes
-        # (cardinality-bounded), never the rows
-        present = np.unique(self._codes[self._codes != NULL_CODE]).tolist()
-        decoded = [dictionary._values[code] for code in present]
-        self._min = min(decoded, default=None)
-        self._max = max(decoded, default=None)
-
-    def _dictionary_objects(self) -> np.ndarray:
-        """Object-array over the global dictionary's values; refreshed when
-        the (append-only) dictionary has grown."""
-        n = len(self.dictionary)
-        if self._decode_cache is None or self._decode_len != n:
-            table = np.empty(n, dtype=object)
-            if n:
-                table[:] = self.dictionary._values[:n]
-            self._decode_cache = table
-            self._decode_len = n
-        return self._decode_cache
-
-    @property
-    def codes(self) -> np.ndarray:
-        return self._codes
-
-    def take(self, positions) -> list:
-        positions = np.asarray(positions, dtype=np.int64)
-        codes = self._codes[positions]
-        table = self._dictionary_objects()
-        if table.size == 0:
-            return [None] * int(codes.size)
-        out = table[codes]  # NULL_CODE (-1) wraps; fixed up below
-        nulls = codes == NULL_CODE
-        if nulls.any():
-            out[nulls] = None
-        return out.tolist()
-
-    def eq_mask(self, value: object) -> np.ndarray:
-        if not isinstance(value, str):
-            return np.zeros(self.n_rows, dtype=bool)
-        code = self.dictionary.lookup(value)
-        if code is None:
-            return np.zeros(self.n_rows, dtype=bool)
-        return self._codes == code
-
-    def range_mask(self, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
-        table = self._dictionary_objects()
-        if table.size == 0:
-            return np.zeros(self.n_rows, dtype=bool)
-        qualifies = np.ones(table.size, dtype=bool)
-        if lo is not None:
-            qualifies &= (table >= lo) if lo_inclusive else (table > lo)
-        if hi is not None:
-            qualifies &= (table <= hi) if hi_inclusive else (table < hi)
-        wanted = np.flatnonzero(qualifies)
-        if wanted.size == 0:
-            return np.zeros(self.n_rows, dtype=bool)
-        # wanted codes are all >= 0, so NULL_CODE rows can never match
-        return np.isin(self._codes, wanted)
-
-    def null_mask(self) -> np.ndarray:
-        return self._codes == NULL_CODE
-
-    def stats_for_positions(self, positions):
-        positions = np.asarray(positions, dtype=np.int64)
-        codes = self._codes[positions]
-        present = codes[codes != NULL_CODE]
-        if present.size == 0:
-            return 0, 0.0, None, None
-        # assignment-ordered codes: min/max decode the unique code set
-        # (cardinality-bounded), never the rows
-        uniq = np.unique(present)
-        decoded = self._dictionary_objects()[uniq].tolist()
-        return int(present.size), 0.0, min(decoded), max(decoded)
-
-    @property
-    def min_value(self):
-        return self._min
-
-    @property
-    def max_value(self):
-        return self._max
-
-    @property
-    def memory_bytes(self) -> int:
-        return int(self._codes.nbytes)  # the dictionary is shared
 

@@ -32,7 +32,6 @@ from repro.common.ids import DBA, ObjectId, RowId, TenantId
 from repro.common.scn import SCN
 from repro.imcs.compression import (
     ColumnCU,
-    GlobalDictionary,
     _decode_table,
     encode_rows,
     row_matrix,
@@ -120,7 +119,6 @@ class IMCU:
         txns: TransactionView,
         inmemory_columns: Optional[list[str]] = None,
         expressions: Optional[Sequence[Expression]] = None,
-        join_dictionaries: Optional[dict[str, GlobalDictionary]] = None,
         base: Optional["SMU"] = None,
     ) -> "IMCU":
         """Populate an IMCU for ``dbas`` at ``snapshot_scn``.
@@ -143,29 +141,21 @@ class IMCU:
             else [c.name for c in schema.live_columns]
         )
         expressions = list(expressions or ())
-        join_dictionaries = join_dictionaries or {}
         names = column_names + [e.name for e in expressions]
         specs = [
             (
                 schema.column_index(name),
                 schema.column(name).ctype is ColumnType.NUMBER,
-                join_dictionaries.get(name),
             )
             for name in column_names
         ] + [
-            (schema.arity + j, expression.is_numeric, None)
+            (schema.arity + j, expression.is_numeric)
             for j, expression in enumerate(expressions)
         ]
         if base is not None and not (
             base.serves(frozenset(names))
             and base.imcu.snapshot_scn <= snapshot_scn
             and base.imcu.covered_dbas == tuple(dbas)
-            # a column encoded before its join group has its own dictionary
-            and all(
-                getattr(base.imcu.column(name), "dictionary", None) is shared
-                for name, (__, __, shared) in zip(names, specs)
-                if shared is not None
-            )
         ):
             base = None  # what a scan could not use, a build cannot reuse
         return cls._build(

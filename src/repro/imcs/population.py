@@ -243,7 +243,6 @@ class PopulationEngine:
                 self.txns,
                 inmemory_columns=segment.inmemory_columns,
                 expressions=list(segment.expressions),
-                join_dictionaries=segment.join_dictionaries,
                 base=outgoing,
             )
         except SnapshotTooOldError:  # back to the sweeps

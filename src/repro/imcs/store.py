@@ -27,7 +27,6 @@ from repro import obs
 from repro.common.errors import NotInMemoryError
 from repro.common.ids import DBA, ObjectId, TenantId
 from repro.common.scn import NULL_SCN, SCN
-from repro.imcs.compression import GlobalDictionary
 from repro.imcs.expressions import Expression, ExpressionSet
 from repro.imcs.imcu import IMCU, ROW_KEY_SHIFT, row_keys
 from repro.imcs.smu import SMU
@@ -91,8 +90,6 @@ class InMemorySegment:
     pending: list[_PendingInvalidation] = field(default_factory=list)
     #: In-Memory Expressions materialised into this object's IMCUs.
     expressions: ExpressionSet = field(default_factory=ExpressionSet)
-    #: Join-group shared dictionaries, per member column.
-    join_dictionaries: dict[str, GlobalDictionary] = field(default_factory=dict)
 
     @property
     def object_id(self) -> ObjectId:
@@ -158,18 +155,6 @@ class InMemoryColumnStore:
         """
         segment = self.segment(object_id)
         segment.expressions.add(expression)
-        self.drop_units(object_id)
-
-    def set_join_dictionary(
-        self, object_id: ObjectId, column: str, dictionary: GlobalDictionary
-    ) -> None:
-        """Encode ``column`` against a join group's shared dictionary.
-
-        Existing IMCUs use per-unit dictionaries, so they are dropped;
-        repopulation rebuilds them against the shared dictionary.
-        """
-        segment = self.segment(object_id)
-        segment.join_dictionaries[column] = dictionary
         self.drop_units(object_id)
 
     def disable(self, object_id: ObjectId) -> None:

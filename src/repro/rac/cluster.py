@@ -316,13 +316,16 @@ class MergedStoreView:
                 continue
             segment = store.segment(object_id)
             if merged is None:
+                # the first enabled instance's (the master's) expressions:
+                # a peer unit without one of their columns falls back to
+                # the row store, which computes it
                 merged = InMemorySegment(
                     table=segment.table,
                     partition=segment.partition,
                     inmemory_columns=segment.inmemory_columns,
+                    expressions=segment.expressions,
                 )
             merged.units.extend(segment.live_units())
-            merged.dba_to_unit.update(segment.dba_to_unit)
         if merged is None:
             raise KeyError(f"object {object_id} not enabled anywhere")
         return merged

@@ -55,7 +55,6 @@ MINE_CLASS[[CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE]] = MINE_DATA
 MINE_CLASS[
     [
         CVOp.TXN_BEGIN,
-        CVOp.TXN_PREPARE,
         CVOp.TXN_COMMIT,
         CVOp.TXN_ABORT,
         CVOp.DDL_MARKER,

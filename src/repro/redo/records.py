@@ -67,14 +67,13 @@ class CVOp(enum.IntEnum):
     #: generates redo); physically strips the aborted version at a slot.
     UNDO = 3
     TXN_BEGIN = 4
-    TXN_PREPARE = 5
-    TXN_COMMIT = 6
-    TXN_ABORT = 7
-    TRUNCATE = 8
-    DDL_MARKER = 9
+    TXN_COMMIT = 5
+    TXN_ABORT = 6
+    TRUNCATE = 7
+    DDL_MARKER = 8
     #: Periodic no-op redo written by idle instances so the standby's
     #: merge watermark keeps moving (see repro.adg.merger).
-    HEARTBEAT = 10
+    HEARTBEAT = 9
 
 
 @dataclass(frozen=True, slots=True)

@@ -53,7 +53,7 @@ class Transaction:
 
     @property
     def is_active(self) -> bool:
-        return self.state in (TxnState.ACTIVE, TxnState.PREPARED)
+        return self.state is TxnState.ACTIVE
 
 
 class TransactionManager:
@@ -194,16 +194,6 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # end of transaction
     # ------------------------------------------------------------------
-    def prepare(self, txn: Transaction) -> None:
-        """Two-phase-commit prepare: emits a prepare control record."""
-        self._require_active(txn)
-        if txn.state is TxnState.PREPARED:
-            return
-        self.txn_table.prepare(txn.xid)
-        txn.state = TxnState.PREPARED
-        if txn.began_in_redo:
-            self._emit_control(txn, self.clock.next(), CVOp.TXN_PREPARE)
-
     def commit(self, txn: Transaction) -> SCN:
         """Commit; returns the commitSCN.
 

@@ -3,7 +3,7 @@
 Implements the :class:`~repro.rowstore.cr.TransactionView` protocol used by
 consistent read.  The primary's transaction manager writes it directly; the
 standby's copy is *recovered* -- populated exclusively by replaying
-transaction-control change vectors (begin/prepare/commit/abort), exactly as
+transaction-control change vectors (begin/commit/abort), exactly as
 a physical standby learns transaction outcomes only from redo.
 """
 
@@ -19,7 +19,6 @@ from repro.common.scn import SCN
 
 class TxnState(enum.Enum):
     ACTIVE = "active"
-    PREPARED = "prepared"
     COMMITTED = "committed"
     ABORTED = "aborted"
 
@@ -36,10 +35,6 @@ class TransactionTable:
         if xid in self._states:
             raise InvalidStateError(f"{xid} already exists")
         self._states[xid] = TxnState.ACTIVE
-
-    def prepare(self, xid: TransactionId) -> None:
-        self._require(xid, TxnState.ACTIVE)
-        self._states[xid] = TxnState.PREPARED
 
     def commit(self, xid: TransactionId, commit_scn: SCN) -> None:
         state = self._states.get(xid)
@@ -58,12 +53,6 @@ class TransactionTable:
         """Record a transaction seen mid-flight (standby apply may see a
         data CV before any control CV after a restart from a backup)."""
         self._states.setdefault(xid, TxnState.ACTIVE)
-
-    def _require(self, xid: TransactionId, state: TxnState) -> None:
-        if self._states.get(xid) is not state:
-            raise InvalidStateError(
-                f"{xid} is {self._states.get(xid)}, expected {state}"
-            )
 
     # -- reads (TransactionView) ------------------------------------------
     def commit_scn_of(self, xid: TransactionId) -> Optional[SCN]:
@@ -84,12 +73,12 @@ class TransactionTable:
         )
 
     def open_transactions(self) -> list[TransactionId]:
-        """Transactions still ACTIVE or PREPARED (e.g. for invariant
-        checks: the journal may buffer exactly these)."""
+        """Transactions still ACTIVE (e.g. for invariant checks: the
+        journal may buffer exactly these)."""
         return [
             xid
             for xid, state in self._states.items()
-            if state in (TxnState.ACTIVE, TxnState.PREPARED)
+            if state is TxnState.ACTIVE
         ]
 
     def __len__(self) -> int:

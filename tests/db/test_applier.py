@@ -205,13 +205,6 @@ class TestControlOps:
         apply_one(apply, commit, 9)
         assert apply.txn_table.commit_scn_of(X) == 9
 
-    def test_prepare(self, applier):
-        apply, __ = applier
-        apply_one(apply,
-            ChangeVector(CVOp.TXN_PREPARE, txn_table_dba(1), 0, 0, X), 5
-        )
-        assert apply.txn_table.state_of(X) is TxnState.PREPARED
-
     def test_heartbeat_is_noop(self, applier):
         apply, __ = applier
         apply_one(apply,

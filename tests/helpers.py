@@ -10,7 +10,7 @@ say it through.
 
 The columnar tests get the same treatment: :func:`cu_buffers` and
 :func:`cu_dictionary` read a CU's encoded parts for byte-for-byte
-comparison, and :func:`global_dictionary` seeds a join-group dictionary.
+comparison.
 :func:`standby_reads_like_primary` holds a standby's scan against the
 primary's consistent read at the standby's QuerySCN.
 """
@@ -23,12 +23,7 @@ import numpy as np
 
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
-from repro.imcs.compression import (
-    ColumnCU,
-    GlobalDictionary,
-    NumericCU,
-    SharedDictionaryCU,
-)
+from repro.imcs.compression import ColumnCU, NumericCU
 from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.log import RedoLog
 
@@ -183,28 +178,13 @@ def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:
     byte for byte."""
     if isinstance(cu, NumericCU):
         return {"data": cu._data, "nulls": cu._nulls, "is_int": cu._is_int}
-    return {"codes": cu._codes}  # DictionaryCU, SharedDictionaryCU
+    return {"codes": cu._codes}  # DictionaryCU
 
 
 def cu_dictionary(cu: ColumnCU) -> list[str]:
-    """The values a CU's codes index: its own sorted dictionary, or its
-    join group's whole value list (empty for a NUMBER column)."""
-    if isinstance(cu, SharedDictionaryCU):
-        return dictionary_values(cu.dictionary)
+    """The values a CU's codes index: its sorted dictionary (empty for a
+    NUMBER column)."""
     return list(getattr(cu, "_dictionary", ()))
-
-
-def dictionary_values(dictionary: GlobalDictionary) -> list[str]:
-    """A join group's values in code order (codes are stable forever)."""
-    return [dictionary.decode(code) for code in range(len(dictionary))]
-
-
-def global_dictionary(values: Iterable[str]) -> GlobalDictionary:
-    """A join-group dictionary that has assigned ``values`` in order."""
-    dictionary = GlobalDictionary()
-    for value in values:
-        dictionary.encode(value)
-    return dictionary
 
 
 def standby_reads_like_primary(deployment, table_name: str = "T") -> bool:

@@ -123,7 +123,7 @@ class TestNumericCU:
         matrix[:, 0] = fresh
         take = np.arange(len(kept) + len(fresh))[::-1]
         (merged,), __ = encode_rows(
-            matrix, [(0, True, None)], ([NumericCU(old)], keep, take)
+            matrix, [(0, True)], ([NumericCU(old)], keep, take)
         )
         self.assert_decodes_like_one_row_takes(merged, (kept + fresh)[::-1])
 

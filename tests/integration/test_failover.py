@@ -4,7 +4,7 @@ import pytest
 
 from repro.db import Deployment, InMemoryService
 from repro.db.failover import failover, terminal_recovery
-from repro.imcs import AggregateSpec, Predicate
+from repro.imcs import AggregateSpec, Expression, Predicate
 from repro.imcs.population import PopulationWorker
 from repro.redo.shipping import LogShipper
 from repro.txn.table import TxnState
@@ -103,17 +103,21 @@ class TestFailover:
         load(deployment, table="U", n=5)
         deployment.enable_inmemory("U", service=InMemoryService.STANDBY)
         deployment.run_until_standby_has("U")
-        standby.create_join_group("cg", [("T", "c1"), ("U", "c1")])
+        standby.add_inmemory_expression("T", Expression(
+            "twice", ("n1",), lambda n: None if n is None else 2 * n,
+        ))
         deployment.catch_up()
         kill_primary(deployment)
         new_primary = failover(standby, deployment.sched)
-        # the join group and its shared dictionary carry over
+        # the expression and the units that materialise it carry over
+        result = new_primary.query("T", [Predicate.gt("twice", 150)], ["id"])
+        assert sorted(row[0] for row in result.rows) == list(range(76, 100))
+        assert result.stats.imcus_used >= 1
+        assert result.stats.imcus_unusable == 0
         joined = new_primary.join(
             "T", "c1", "U", "c1", columns_a=["id"], columns_b=["id"]
         )
         assert len(joined.rows) == 100  # each T row meets one U row
-        assert joined.stats.used_join_group
-        assert joined.stats.code_path_rows == 100
         # aggregation push-down runs against the carried-over IMCS
         result = new_primary.aggregate(
             "T", [AggregateSpec("count"), AggregateSpec("max", "n1")]
@@ -133,7 +137,7 @@ class TestActivation:
         kill_primary(deployment)
         new_primary = failover(standby, deployment.sched)
         for name in (
-            "block_store", "catalog", "txn_table", "imcs", "join_groups",
+            "block_store", "catalog", "txn_table", "imcs",
         ):
             assert getattr(new_primary, name) is getattr(standby, name), name
         assert new_primary.scan_engine is not standby.scan_engine

@@ -23,9 +23,7 @@ from repro.imcs.compression import (
     NULL_CODE,
     ColumnCU,
     DictionaryCU,
-    GlobalDictionary,
     NumericCU,
-    SharedDictionaryCU,
 )
 from repro.imcs.imcu import IMCU
 from repro.rowstore.values import ColumnType
@@ -64,20 +62,6 @@ def naive_encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
     return naive_dictionary(values)
 
 
-def naive_shared(
-    values: Sequence, dictionary: GlobalDictionary
-) -> SharedDictionaryCU:
-    """Encodes value by value in row order, *growing* ``dictionary`` and
-    decoding through it -- hand it a private twin, never the one the code
-    under test uses."""
-    codes = np.fromiter(
-        (NULL_CODE if v is None else dictionary.encode(v) for v in values),
-        dtype=np.int64,
-        count=len(values),
-    )
-    return SharedDictionaryCU.from_codes(codes, dictionary)
-
-
 def naive_project_rows(imcu: IMCU, positions, names: list[str]) -> list[tuple]:
     """``IMCU.project_rows`` before the blocks: one bulk ``take`` per
     column, zipped into tuples -- the reference its block gathers must
@@ -99,7 +83,6 @@ def naive_build(
     txns,
     inmemory_columns: Optional[list[str]] = None,
     expressions=None,
-    join_dictionaries: Optional[dict[str, GlobalDictionary]] = None,
 ) -> IMCU:
     column_names = (
         inmemory_columns
@@ -134,17 +117,12 @@ def naive_build(
                 raw_columns[name].append(values[indices[name]])
             captured_rows.append(values)
         captured_slots[dba] = captured
-    join_dictionaries = join_dictionaries or {}
     columns = {}
     for name in column_names:
-        shared = join_dictionaries.get(name)
-        if shared is not None:
-            columns[name] = naive_shared(raw_columns[name], shared)
-        else:
-            columns[name] = naive_encode_column(
-                raw_columns[name],
-                schema.column(name).ctype is ColumnType.NUMBER,
-            )
+        columns[name] = naive_encode_column(
+            raw_columns[name],
+            schema.column(name).ctype is ColumnType.NUMBER,
+        )
     for expression in expressions:
         materialised = [
             expression.evaluate(values, schema) for values in captured_rows

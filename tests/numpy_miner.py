@@ -41,8 +41,8 @@ from repro.redo.batch import (
 )
 from repro.redo.records import CVOp
 
-_TXN_BEGIN, _TXN_PREPARE, _TXN_COMMIT, _TXN_ABORT = (
-    CVOp.TXN_BEGIN, CVOp.TXN_PREPARE, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
+_TXN_BEGIN, _TXN_COMMIT, _TXN_ABORT = (
+    CVOp.TXN_BEGIN, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
 )
 _DDL_MARKER = CVOp.DDL_MARKER
 
@@ -159,10 +159,9 @@ class NumpyMiningComponent(MiningComponent):
             return
         xid = batch.xid_objects[i]
         tenant = batch.tenants.item(i)
-        if op == _TXN_BEGIN or op == _TXN_PREPARE:
+        if op == _TXN_BEGIN:
             anchor = self.journal.get_or_create(xid, tenant)
-            if op == _TXN_BEGIN:
-                anchor.has_begin = True
+            anchor.has_begin = True
             anchor.note_scn(scn)
         elif op == _TXN_ABORT:
             self.journal.remove(xid)

@@ -7,9 +7,9 @@ oracle, with ``tests/naive_imcu.py`` behind it.  Hypothesis drives random
 histories over a small table through the standby's physical apply API --
 updates, deletes, inserts filling edge blocks, rollbacks leaving holes,
 writers left uncommitted and committed generations later, block-level and
-over-invalidation, NULL / int / float mixes, a join-group column, an
-expression of each kind, a high-cardinality and a run-shaped column --
-and repopulates for several generations (a delta of a delta of a delta)
+over-invalidation, NULL / int / float mixes, an expression of each kind,
+a high-cardinality and a run-shaped column -- and repopulates for several
+generations (a delta of a delta of a delta)
 through the real store, so ``register_unit`` / ``_carry_invalidations``
 run on delta-built units too.  Every generation requires identical units
 (addresses, captured slots, CU class, encoded buffers byte for byte,
@@ -36,17 +36,11 @@ from repro.imcs import (
     PopulationEngine,
     ScanEngine,
 )
-from repro.imcs.compression import DictionaryCU, GlobalDictionary
 from repro.imcs.expressions import Expression
 from repro.rowstore import BlockStore, Table
 from repro.rowstore.cr import settled_rows
 
-from tests.helpers import (
-    cu_buffers,
-    cu_dictionary,
-    dictionary_values,
-    global_dictionary,
-)
+from tests.helpers import cu_buffers, cu_dictionary
 from tests.naive_imcu import naive_build
 from tests.naive_versions import chain_of
 from tests.property.test_population_columnar import (
@@ -95,7 +89,6 @@ class World:
         im = self.store.enable(self.table)
         for expression in EXPRESSIONS:
             im.expressions.add(expression)
-        self.shared = im.join_dictionaries["j"] = GlobalDictionary()
         self.scn = 1
         self.rows = 0  # slots handed out so far
         self.sequence = itertools.count(1)
@@ -241,25 +234,11 @@ class World:
         if uncovered:
             chunks.append((uncovered, None))
         for dbas, base in chunks:
-            before = dictionary_values(self.shared)
             args = self.build_args(dbas, snapshot)
-            unit = IMCU.build(
-                *args, expressions=EXPRESSIONS,
-                join_dictionaries={"j": self.shared}, base=base,
-            )
-            theirs = global_dictionary(before)
-            full = IMCU.build(
-                *args, expressions=EXPRESSIONS,
-                join_dictionaries={"j": theirs},
-            )
-            assert_same_unit(unit, full)
-            assert dictionary_values(self.shared) == dictionary_values(theirs)
+            unit = IMCU.build(*args, expressions=EXPRESSIONS, base=base)
+            assert_same_unit(unit, IMCU.build(*args, expressions=EXPRESSIONS))
             assert_same_unit(
-                unit,
-                naive_build(
-                    *args, expressions=EXPRESSIONS,
-                    join_dictionaries={"j": global_dictionary(before)},
-                ),
+                unit, naive_build(*args, expressions=EXPRESSIONS)
             )
             if base is not None:
                 # ...and it did carry every row the SMU vouches for
@@ -305,17 +284,14 @@ def small_world(rows, commit_at=5):
 
 def build(world, snapshot, base=None, dbas=None, **kwargs):
     kwargs.setdefault("expressions", EXPRESSIONS)
-    kwargs.setdefault("join_dictionaries", {"j": world.shared})
     dbas = world.segment.dbas if dbas is None else dbas
     return IMCU.build(*world.build_args(dbas, snapshot), base=base, **kwargs)
 
 
 def both(world, snapshot, base, **kwargs):
     """The unit built over ``base``, once it equals the full build at the
-    same snapshot from an equal shared dictionary."""
-    before = dictionary_values(world.shared)
+    same snapshot."""
     unit = build(world, snapshot, base, **kwargs)
-    kwargs["join_dictionaries"] = {"j": global_dictionary(before)}
     assert_same_unit(unit, build(world, snapshot, **kwargs))
     return unit
 
@@ -342,8 +318,8 @@ def buffers(unit):
     }
 
 
-def plain_rows(n, c1="a", c2="k", j="x"):
-    return [(i, i, float(i), c1, c2, j) for i in range(n)]
+def plain_rows(n, c1="a", c2="k", c3="x"):
+    return [(i, i, float(i), c1, c2, c3) for i in range(n)]
 
 
 INELIGIBLE = {
@@ -367,13 +343,6 @@ def test_base_without_a_column_or_dictionary_to_build_falls_back():
     extra = EXPRESSIONS + [Expression("twice", ("n1",), lambda a: a * 2)]
     unit = both(world, snapshot, smu, expressions=extra)
     assert unit.rows_reused == 0 and "twice" in unit.column_names
-    # a join dictionary added since: the base's CU is a private dictionary
-    plain = world.store.register_unit(
-        build(world, snapshot, join_dictionaries={})
-    )
-    assert isinstance(plain.imcu.column("j"), DictionaryCU)
-    unit = both(world, snapshot, plain)
-    assert unit.rows_reused == 0
 
 
 def test_snapshot_behind_the_base_or_other_blocks_fall_back():
@@ -480,21 +449,6 @@ def test_int_and_float_identity_travels_with_the_gather():
     assert repr(unit.column("n2").take([0, 1, 2])) == (
         "[20.0, 7.0, 9007199254740992]"
     )
-
-
-def test_shared_dictionary_keeps_codes_and_assigns_new_ones_in_row_order():
-    rows = [(i, 1, 1.0, "a", "k", v) for i, v in enumerate(["p", "q", "p"])]
-    world, smu = small_world(rows)
-    assert dictionary_values(world.shared) == ["p", "q"]
-    update(world, 1, 1, (1, 1, 1.0, "a", "k", "t"), X[1])  # the only "q"
-    insert(world, 1, 3, (3, 1, 1.0, "a", "k", "s"), X[2])
-    unit = both(world, world.tick(), smu)
-    # append-only: "q" keeps its code though no row holds it any more
-    assert dictionary_values(world.shared) == ["p", "q", "t", "s"]
-    assert unit.column("j").codes.tolist() == [0, 2, 0, 3]
-    assert unit.column("j").dictionary is world.shared
-    shared = unit.column("j")
-    assert (shared.min_value, shared.max_value) == ("p", "t")
 
 
 def test_rows_reused_counts_what_the_engine_did_not_read():

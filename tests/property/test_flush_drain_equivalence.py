@@ -162,14 +162,8 @@ def schedules(case: Case) -> dict[str, tuple]:
 class Recorder(InvalidationListener):
     def __init__(self) -> None:
         self.events: list[tuple] = []
-        self._announced: Optional[tuple] = None
-
-    def on_object_invalidated(self, object_id, scn) -> None:
-        self._announced = (object_id, scn)
 
     def on_group_flushed(self, group) -> None:
-        # the object-level notice comes first, for the same group
-        assert self._announced == (group.object_id, group.commit_scn)
         assert np.all(np.diff(group.keys) > 0)  # sorted, distinct
         self.events.append(
             ("group", group.object_id, group.commit_scn, group.blocks)

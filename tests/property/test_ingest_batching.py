@@ -24,7 +24,7 @@ floor that one wide batch leaves -- a single record really is a batch of
 width 1 through the same code.
 
 A third works on chunks built by hand, so that *one* worker chunk
-interleaves data CVs with begin / prepare / commit / abort / DDL marker /
+interleaves data CVs with begin / commit / abort / DDL marker /
 TRUNCATE / UNDO / heartbeat: the miner journals every data CV of a chunk
 before it walks the chunk's specials (DESIGN.md section 15, "Live
 widths"), and that reordering must leave what mining the same CVs one at a
@@ -429,7 +429,7 @@ def data_cv(draw, xid):
 @st.composite
 def streams(draw) -> list[RedoRecord]:
     """One redo thread: a few transactions' scripts -- [begin] data*
-    [prepare] (commit | abort undo* | still open) -- merged at random with
+    (commit | abort undo* | still open) -- merged at random with
     DDL markers, TRUNCATEs and heartbeats, each script in its own order
     (so no data CV follows its transaction's commit or abort), cut into
     records of 1-3 CVs."""
@@ -441,11 +441,9 @@ def streams(draw) -> list[RedoRecord]:
             script.append(control(CVOp.TXN_BEGIN, xid))
         script += draw(st.lists(data_cv(xid), max_size=6))
         ending = draw(
-            st.sampled_from(["commit", "commit", "prepared", "abort", "open"])
+            st.sampled_from(["commit", "commit", "abort", "open"])
         )
-        if ending == "prepared":
-            script.append(control(CVOp.TXN_PREPARE, xid))
-        if ending in ("commit", "prepared"):
+        if ending == "commit":
             flag = draw(st.sampled_from([True, False, None]))
             script.append(commit(xid, flag))
         elif ending == "abort":
@@ -698,7 +696,7 @@ PRIMARY_OPS = st.lists(
         st.sampled_from(
             [
                 "insert", "insert", "update", "update", "delete", "commit",
-                "rollback", "prepare", "truncate", "ddl", "heartbeat",
+                "rollback", "truncate", "ddl", "heartbeat",
             ]
         ),
         st.sampled_from([1, 2]),
@@ -762,8 +760,6 @@ def drive_primary(ops):
                 gone = {c.rowid for c in txn.changes if c.kind is CVOp.INSERT}
                 primary.rollback(txn)
                 rowids[:] = [r for r in rowids if r not in gone]
-            elif kind == "prepare":
-                primary.manager_of(txn).prepare(txn)
             elif kind == "truncate":
                 primary.truncate_table("T")
                 rowids.clear()
@@ -784,12 +780,12 @@ def drive_primary(ops):
 
 def test_every_kind_of_record_slices_like_its_object():
     """One fixed history that writes every op the primary can -- begin +
-    insert / update / delete, prepare, commit (flag True), UNDOs + abort,
+    insert / update / delete, commit (flag True), UNDOs + abort,
     TRUNCATE, DDL marker, heartbeat -- compared whole and record by
     record, so the random property below can spend its examples on cuts."""
     ops = [
         ("insert", 1, 3), ("insert", 1, 4), ("insert", 2, 5),
-        ("update", 1, 0), ("delete", 1, 1), ("prepare", 1, 0),
+        ("update", 1, 0), ("delete", 1, 1),
         ("commit", 1, 0), ("update", 2, 0), ("rollback", 2, 0),
         ("heartbeat", 2, 0), ("ddl", 1, 0), ("insert", 2, 6),
         ("commit", 2, 0), ("truncate", 1, 0), ("heartbeat", 1, 0),

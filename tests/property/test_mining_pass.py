@@ -4,7 +4,7 @@ displaced (``tests/numpy_miner.py``).
 Both miners see the same worker chunks, in the same order, under the same
 IMCS-enabled set, and must leave exactly the same state behind:
 
-* per anchor, in journal order: tenant, begin / prepared flags, first
+* per anchor, in journal order: tenant, begin flag, first
   SCN and, per worker in append order, every ``RecordChunk``'s columns
   and tenant;
 * the journal's floor heap as pushed, and its floor;
@@ -103,16 +103,14 @@ def control(op: CVOp, xid: TransactionId, tenant: int = 0):
 
 
 def transaction(rng: random.Random, xid: TransactionId) -> list:
-    """[begin] data* [prepare] (commit | abort undo* | still open)."""
+    """[begin] data* (commit | abort undo* | still open)."""
     tenant = rng.choice((0, 1))
     script = []
     if rng.random() < 0.8:  # a missing begin is III-E
         script.append(control(CVOp.TXN_BEGIN, xid, tenant))
     script += [data_cv(rng, xid, tenant) for __ in range(rng.randint(0, 12))]
-    ending = rng.choice(("commit", "commit", "prepared", "abort", "open"))
-    if ending == "prepared":
-        script.append(control(CVOp.TXN_PREPARE, xid, tenant))
-    if ending in ("commit", "prepared"):
+    ending = rng.choice(("commit", "commit", "abort", "open"))
+    if ending == "commit":
         flag = rng.choice((True, False, None))
         script.append(
             lambda scn: ChangeVector(
@@ -371,8 +369,6 @@ def expected_calls(scn: int, cv: ChangeVector) -> list[tuple]:
         return []
     if op is CVOp.TXN_BEGIN:
         return [("ensure_known", xid)]
-    if op is CVOp.TXN_PREPARE:
-        return [("ensure_known", xid), ("prepare", xid)]
     if op is CVOp.TXN_COMMIT:
         return [("commit", xid, scn)]
     if op is CVOp.TXN_ABORT:

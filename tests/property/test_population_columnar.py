@@ -6,8 +6,8 @@ scalar build it replaced.  Hypothesis drives random blocks -- NULLs, NaN,
 mixed int/float columns, ints above 2**53, tombstones, an uncommitted or
 later-committed tail (edge rows), empty chains (apply gaps), missing
 blocks, all-NULL columns, zero-row units, strings with trailing NUL /
-empty / non-BMP characters, long runs of one value, a
-join-group column and an expression column -- and requires identical
+empty / non-BMP characters, long runs of one value and expression
+columns -- and requires identical
 units: row addresses, captured slots, CU class, encoded buffers byte for
 byte, dictionaries, storage index, pool footprint and decoded values.
 
@@ -31,7 +31,6 @@ from repro.imcs import compression
 from repro.imcs.compression import (
     DictionaryCU,
     NumericCU,
-    SharedDictionaryCU,
     encode_column,
     encode_rows,
     row_matrix,
@@ -40,17 +39,8 @@ from repro.imcs.expressions import Expression
 from repro.imcs.imcu import row_keys
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
 
-from tests.helpers import (
-    cu_buffers,
-    cu_dictionary,
-    dictionary_values,
-    global_dictionary,
-)
-from tests.naive_imcu import (
-    naive_build,
-    naive_encode_column,
-    naive_shared,
-)
+from tests.helpers import cu_buffers, cu_dictionary
+from tests.naive_imcu import naive_build, naive_encode_column
 from tests.naive_versions import chain_of
 
 SNAPSHOT = 12
@@ -78,7 +68,7 @@ SCHEMA = Schema(
         Column("n2", ColumnType.NUMBER),
         Column("c1", ColumnType.VARCHAR2),
         Column("c2", ColumnType.VARCHAR2),
-        Column("j", ColumnType.VARCHAR2),
+        Column("c3", ColumnType.VARCHAR2),
     ]
 )
 EXPRESSIONS = [
@@ -216,11 +206,9 @@ def assert_same_unit(actual: IMCU, expected: IMCU):
     assert actual.memory_bytes == expected.memory_bytes
 
 
-def specs_of(schema, shared=None):
-    shared = shared or {}
+def specs_of(schema):
     return [
-        (i, c.ctype is ColumnType.NUMBER, shared.get(c.name))
-        for i, c in enumerate(schema.columns)
+        (i, c.ctype is ColumnType.NUMBER) for i, c in enumerate(schema.columns)
     ]
 
 
@@ -238,28 +226,21 @@ def test_build_equals_scalar_reference(data):
             ),
         )
     )
-    seed_values = data.draw(st.lists(st.sampled_from(STRINGS), max_size=3))
-    ours = {"j": global_dictionary(seed_values)}
-    theirs = {"j": global_dictionary(seed_values)}
     args = (segment, SCHEMA, 0, dbas, SNAPSHOT, Txns())
     actual = IMCU.build(
         *args, inmemory_columns=columns, expressions=EXPRESSIONS,
-        join_dictionaries=ours,
     )
     expected = naive_build(
         *args, inmemory_columns=columns, expressions=EXPRESSIONS,
-        join_dictionaries=theirs,
     )
     assert_same_unit(actual, expected)
-    # shared codes are assignment-ordered and stable forever
-    assert dictionary_values(ours["j"]) == dictionary_values(theirs["j"])
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=row_lists())
 def test_block_encode_equals_reference_and_width_one(rows):
     cus, __ = encode_rows(row_matrix(rows, SCHEMA.arity), specs_of(SCHEMA))
-    for (index, is_numeric, __), cu in zip(specs_of(SCHEMA), cus):
+    for (index, is_numeric), cu in zip(specs_of(SCHEMA), cus):
         values = [row[index] for row in rows]
         assert_same_cu(cu, naive_encode_column(values, is_numeric))
         assert_same_cu(encode_column(values, is_numeric), cu)
@@ -267,34 +248,6 @@ def test_block_encode_equals_reference_and_width_one(rows):
             assert_same_cu(NumericCU(values), cu)
         else:
             assert_same_cu(DictionaryCU(values), cu)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=row_lists(), seed=st.lists(st.sampled_from(STRINGS), max_size=3))
-def test_shared_dictionary_codes_in_row_then_column_order(rows, seed):
-    """Two columns of one join group: the block path must grow the shared
-    dictionary exactly as a row-order encode of c1, then of c2, would."""
-    ours = global_dictionary(seed)
-    theirs = global_dictionary(seed)
-    cus, __ = encode_rows(
-        row_matrix(rows, SCHEMA.arity),
-        specs_of(SCHEMA, {"c1": ours, "c2": ours}),
-    )
-    for name in ("c1", "c2"):
-        index = SCHEMA.column_index(name)
-        values = [row[index] for row in rows]
-        expected = naive_shared(values, theirs)
-        assert isinstance(cus[index], SharedDictionaryCU)
-        assert cus[index].codes.tobytes() == expected.codes.tobytes()
-        assert cus[index].codes.dtype == expected.codes.dtype
-        assert cus[index].min_value == expected.min_value
-        assert cus[index].max_value == expected.max_value
-    assert dictionary_values(ours) == dictionary_values(theirs)
-    # width-1 constructor == block path
-    alone = global_dictionary(seed)
-    index = SCHEMA.column_index("c1")
-    single = SharedDictionaryCU([row[index] for row in rows], alone)
-    assert single.codes.tobytes() == cus[index].codes.tobytes()
 
 
 # -- the hazard list, one test each --------------------------------------

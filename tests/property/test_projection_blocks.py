@@ -1,11 +1,11 @@
 """Property: a unit's block projection equals one ``take`` per column.
 
 An IMCU keeps the two 2-D buffers its CUs are views of -- the NUMBER
-block and the code block of its private sorted-dictionary columns -- and
+block and the code block of its sorted-dictionary columns -- and
 ``IMCU.project_rows`` gathers each block once.  ``tests/naive_imcu.py::
 naive_project_rows`` is the per-column projection it replaced.  Hypothesis
 drives full builds over random blocks (NULL / int / float / mixed NUMBER
-columns, a join-group column, an expression of each kind, run-shaped
+columns, an expression of each kind, run-shaped
 strings), delta builds over several generations, a
 checkpoint-restored unit and a unit assembled from the same CUs without
 blocks, and projects any subset of the columns in any order at empty, one,
@@ -30,14 +30,12 @@ from repro.imcs.compression import (
 )
 from repro.restart.checkpoint import UnitCheckpoint
 
-from tests.helpers import global_dictionary
 from tests.naive_imcu import naive_build, naive_project_rows
 from tests.property.test_delta_repopulation import World
 from tests.property.test_population_columnar import (
     EXPRESSIONS,
     SCHEMA,
     SNAPSHOT,
-    STRINGS,
     Txns,
     one_block_segment,
     segments,
@@ -92,10 +90,9 @@ def assert_projects_like_takes(draw, unit: IMCU, times: int = 3):
             assert cu._decode.tolist() == cu._dictionary + [None]
 
 
-def build(segment, dbas, seed=()):
+def build(segment, dbas):
     return IMCU.build(
         segment, SCHEMA, 0, dbas, SNAPSHOT, Txns(), expressions=EXPRESSIONS,
-        join_dictionaries={"j": global_dictionary(seed)},
     )
 
 
@@ -103,8 +100,7 @@ def build(segment, dbas, seed=()):
 @given(data=st.data())
 def test_full_build_projects_like_per_column_takes(data):
     segment, dbas = data.draw(segments())
-    seed = data.draw(st.lists(st.sampled_from(STRINGS), max_size=3))
-    assert_projects_like_takes(data.draw, build(segment, dbas, seed))
+    assert_projects_like_takes(data.draw, build(segment, dbas))
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,22 +151,19 @@ def test_every_dictionary_cu_and_its_decode_table_are_views_of_the_block():
 
 def test_every_private_varchar2_column_has_a_row_in_the_block():
     """``c2`` is one value repeated: it is a DictionaryCU like every other
-    private VARCHAR2 column, and each of them is a row of the unit's code
-    block -- on the full build and on the merge path."""
+    VARCHAR2 column, and each of them is a row of the unit's code block --
+    on the full build and on the merge path."""
     matrix = row_matrix(ROWS, SCHEMA.arity)
     specs = specs_of(SCHEMA)
-    private = [
-        k for k, (__, is_numeric, shared) in enumerate(specs)
-        if not is_numeric and shared is None
-    ]
+    strings = [k for k, (__, is_numeric) in enumerate(specs) if not is_numeric]
     c2 = SCHEMA.column_index("c2")
-    assert c2 in private
+    assert c2 in strings
     cus, (__, full) = encode_rows(matrix, specs)
     keep = np.arange(len(ROWS))
     merged, (__, merge) = encode_rows(matrix[:0], specs, (cus, keep, keep))
     for built, (coded, block) in ((cus, full), (merged, merge)):
-        assert coded == private
-        assert block.shape == (len(private), len(ROWS))
+        assert coded == strings
+        assert block.shape == (len(strings), len(ROWS))
         for j, k in enumerate(coded):
             assert type(built[k]) is DictionaryCU
             assert np.shares_memory(built[k]._codes, block[j])
@@ -182,7 +175,6 @@ def test_memory_bytes_is_the_reference_footprint_before_and_after_a_projection()
     reference = naive_build(
         one_block_segment(ROWS), SCHEMA, 0, [1], SNAPSHOT, Txns(),
         expressions=EXPRESSIONS,
-        join_dictionaries={"j": global_dictionary(())},
     )
     assert unit.memory_bytes == reference.memory_bytes
     cus = [unit.column(name) for name in unit.column_names]

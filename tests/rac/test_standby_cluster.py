@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.imcs import Predicate, ScanEngine
+from repro.imcs import Expression, Predicate, ScanEngine
 from repro.rac import MergedStoreView
 
 from tests.db.conftest import load, simple_table_def, small_config
@@ -91,6 +91,23 @@ class TestClusterQueries:
             max_time=5.0,
         )
         check()
+
+    def test_member_query_on_an_inmemory_expression(self, rac_deployment):
+        """A member scan resolves the master's In-Memory Expressions: its
+        answer equals the single instance's, a peer unit without the
+        materialised column answering from the row store."""
+        deployment, member = rac_deployment
+        standby = deployment.standby
+        standby.add_inmemory_expression("T", Expression(
+            "twice", ("n1",), lambda n: None if n is None else 2 * n,
+        ))
+        deployment.catch_up()
+        shape = ([Predicate.gt("twice", 300)], ["id", "twice"])
+        expected = standby.query("T", *shape).rows
+        assert len(expected) == 49
+        result = member.query("T", *shape)
+        assert sorted(result.rows) == sorted(expected)
+        assert result.stats.imcus_unusable >= 1  # the peer's units
 
     def test_satellite_instance_snapshot(self, rac_deployment):
         """The member scans at the lowest QuerySCN any of its instances

@@ -48,8 +48,8 @@ class TestRecords:
         control + DDL markers) or nothing to mine."""
         data = {CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE}
         special = {
-            CVOp.TXN_BEGIN, CVOp.TXN_PREPARE, CVOp.TXN_COMMIT,
-            CVOp.TXN_ABORT, CVOp.DDL_MARKER,
+            CVOp.TXN_BEGIN, CVOp.TXN_COMMIT, CVOp.TXN_ABORT,
+            CVOp.DDL_MARKER,
         }
         for op in CVOp:
             expected = (

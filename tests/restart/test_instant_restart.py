@@ -225,34 +225,25 @@ class TestInstantRestart:
         rows, __ = standby_rows(deployment)
         assert len(rows) == 120
 
-    def test_a_restored_join_group_unit_is_a_delta_repopulation_base(self):
-        """Instant restart reinstalls the very unit it captured, so a
-        join-group column still decodes through the group's own dictionary
-        and the first repopulation after the bounce gathers every row the
-        SMU vouches for instead of re-reading the unit."""
+    def test_a_restored_unit_is_a_repopulation_base(self):
+        """Instant restart reinstalls the very unit it captured, so the
+        first repopulation after the bounce gathers every row the SMU
+        vouches for instead of re-reading the unit."""
         deployment = Deployment.build(config=small_config())
         deployment.create_table(simple_table_def())
-        deployment.create_table(simple_table_def("U"))
         rowids, __ = load(deployment, n=64)
-        load(deployment, table="U", n=16)
-        for name in ("T", "U"):
-            deployment.enable_inmemory(name, service=InMemoryService.STANDBY)
-        deployment.run_until_standby_has("U")
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
         standby = deployment.standby
-        standby.create_join_group("cg", [("T", "c1"), ("U", "c1")])
-        group = standby.join_groups.get("cg").dictionary
         deployment.enable_restart_checkpoints()
         deployment.catch_up()
         deployment.run(1.0)  # a full checkpoint round
         (oid,) = standby.catalog.table("T").object_ids
         (captured,) = standby.imcs.segment(oid).live_units()
-        assert captured.imcu.column("c1").dictionary is group
 
         report = deployment.restart_standby()
         assert report.mode == "instant"
         (restored,) = standby.imcs.segment(oid).live_units()
         assert restored.imcu is captured.imcu
-        assert restored.imcu.column("c1").dictionary is group
         primary = deployment.primary
         txn = primary.begin()
         for rowid in rowids[:20]:  # past repopulate_invalid_fraction
@@ -265,7 +256,6 @@ class TestInstantRestart:
         )
         (repopulated,) = standby.imcs.segment(oid).live_units()
         assert repopulated.imcu.rows_reused == 64 - 20
-        assert repopulated.imcu.column("c1").dictionary is group
         deployment.catch_up()
         snapshot = standby.query_scn.value
         expected = sorted(

@@ -239,6 +239,15 @@ BANS = [
         "§3 Removed: `BufferCache.invalidate` (nothing evicts a block, so "
         "a tail image's repeat counts its blocks as hits untouched)",
     ),
+    Ban(
+        "join_groups_and_prepare",
+        r"JoinGroup|join_group|SharedDictionaryCU|GlobalDictionary"
+        r"|join_dictionar|TXN_PREPARE|TxnState\.PREPARED",
+        ("src/repro", "examples"),
+        "§3 Removed: In-Memory Join Groups (their shared dictionaries and "
+        "code-keyed join; `Database.join` is one hash join keyed by value) "
+        "and two-phase prepare",
+    ),
 ]
 
 

@@ -25,15 +25,6 @@ def test_begin_twice_raises():
         table.begin(X1)
 
 
-def test_prepare_transition():
-    table = TransactionTable()
-    table.begin(X1)
-    table.prepare(X1)
-    assert table.state_of(X1) is TxnState.PREPARED
-    table.commit(X1, 60)
-    assert table.commit_scn_of(X1) == 60
-
-
 def test_abort():
     table = TransactionTable()
     table.begin(X1)
