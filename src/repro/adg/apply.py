@@ -5,7 +5,9 @@ SCN-ordered set of CVs amongst recovery worker processes based on a
 hashing scheme.  Each DBA is hashed to a particular recovery worker
 identifier, so a recovery worker process can independently process the CVs
 it has been assigned, and apply the CVs to database blocks in the SCN
-order" (paper, II-A, Fig. 3).
+order" (paper, II-A, Fig. 3).  Here the hash is ``dba % n_workers``,
+taken in one pass over a batch's ``dbas`` list: each worker's positions
+in the batch become its :class:`~repro.redo.batch.CVChunk`.
 
 The standby dictionary learns a table from its create-table marker when
 the distributor routes the batch that carries it: the merger releases redo
@@ -26,8 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Callable, Iterator, Optional, Protocol
-
-import numpy as np
 
 from repro import obs
 from repro.chaos import sites
@@ -65,10 +65,11 @@ FlushHelper = Callable[[WorkerId, int], int]
 
 
 class ApplyDistributor:
-    """Hashes the CVs of merged :class:`CVBatch`es onto per-worker queues:
-    one vectorized modulo over the batch's dba array, one
-    :class:`CVChunk` per worker per batch.  Each batch's create-table
-    markers reach ``applier``'s dictionary before any of its CVs queue.
+    """Hashes the CVs of merged :class:`CVBatch`es onto per-worker queues
+    by DBA: one pass over the batch's ``dbas`` collects each worker's
+    positions, one :class:`CVChunk` per worker per batch.  Each batch's
+    create-table markers reach ``applier``'s dictionary before any of its
+    CVs queue.
 
     On a MIRA standby ``owns`` keeps the CVs this apply instance owns, by
     object and block; ``distributed_through`` still advances over every
@@ -110,34 +111,23 @@ class ApplyDistributor:
 
     def _distribute_batch(self, batch: CVBatch) -> int:
         """Queue the batch's (owned) CVs by dba hash; returns how many."""
-        positions = np.arange(batch.n_cvs, dtype=np.int64)
+        dbas = batch.dbas
+        positions = range(batch.n_cvs)
         if self.owns is not None:
-            owned = np.fromiter(
-                map(self.owns, batch.object_ids.tolist(), batch.dbas.tolist()),
-                dtype=bool,
-                count=batch.n_cvs,
-            )
-            positions = positions[owned]
-            self.cvs_skipped += batch.n_cvs - int(positions.size)
-        n_cvs = int(positions.size)
+            owns, object_ids = self.owns, batch.object_ids
+            positions = [i for i in positions if owns(object_ids[i], dbas[i])]
+            self.cvs_skipped += batch.n_cvs - len(positions)
+        n_workers = self.n_workers
+        shares: list[list[int]] = [[] for __ in range(n_workers)]
+        for i in positions:
+            shares[dbas[i] % n_workers].append(i)
+        for w, share in enumerate(shares):
+            if share:
+                # ascending positions: SCN order within the worker
+                self.queues[w].append(CVChunk(batch, share))
+                wake(self.waiters[w])
+        n_cvs = len(positions)
         if n_cvs:
-            if self.n_workers == 1:
-                self.queues[0].append(CVChunk(batch, positions))
-                wake(self.waiters[0])
-            else:
-                workers = batch.dbas[positions] % self.n_workers
-                order = np.argsort(workers, kind="stable")
-                bounds = np.searchsorted(
-                    workers[order], np.arange(self.n_workers + 1)
-                )
-                for w in range(self.n_workers):
-                    lo, hi = int(bounds[w]), int(bounds[w + 1])
-                    if hi > lo:
-                        # stable sort keeps SCN order within the worker
-                        self.queues[w].append(
-                            CVChunk(batch, positions[order[lo:hi]])
-                        )
-                        wake(self.waiters[w])
             self._batch_cvs.observe(n_cvs)
         if batch.n_records and batch.last_scn > self.distributed_through:
             self.distributed_through = batch.last_scn
@@ -146,7 +136,7 @@ class ApplyDistributor:
     def pending(self) -> int:
         return sum(len(chunk) for queue in self.queues for chunk in queue)
 
-    def queued_positions(self) -> Iterator[tuple[InstanceId, np.ndarray]]:
+    def queued_positions(self) -> Iterator[tuple[InstanceId, list[int]]]:
         """``(thread, log CV offsets)`` of every still-queued chunk's
         unapplied CVs -- the instant-restart tail replay excludes these."""
         for queue in self.queues:
@@ -291,7 +281,7 @@ class RecoveryWorker(Actor):
         window = chunk.indices[chunk.pos : chunk.pos + budget]
         batch = chunk.batch
         apply_cv = self.applier.apply_cv
-        scns = batch.scalars.scns
+        scns = batch.scns
         for i in window:
             scn = scns[i]
             apply_cv(batch, i, scn)

@@ -33,12 +33,10 @@ class LogMerger(Actor):
     def __init__(
         self,
         receiver: RedoReceiver,
-        batch: int = 256,
         node: Optional[CpuNode] = None,
         name: str = "log-merger",
     ) -> None:
         self.receiver = receiver
-        self.batch = batch
         self.node = node
         self.name = name
         self._heap: list[tuple[SCN, int, CVBatch]] = []
@@ -96,7 +94,7 @@ class LogMerger(Actor):
             )
             released += run.n_records
             if tracer is not None:
-                for scn in run.record_scns.tolist():
+                for scn in run.record_scns:
                     tracer.record_merged(scn)
         if released:
             self.records_merged += released

@@ -34,6 +34,12 @@ class RowStoreConfig:
     # SnapshotTooOldError (ORA-01555 analogue).
     undo_retention_versions: int = 1024
 
+    def __post_init__(self) -> None:
+        _check_ranges(self, (
+            ("rows_per_block", self.rows_per_block >= 1),
+            ("undo_retention_versions", self.undo_retention_versions >= 1),
+        ))
+
 
 @dataclass(slots=True)
 class IMCSConfig:
@@ -126,6 +132,13 @@ class RACConfig:
     # advancement).
     invalidation_batch_size: int = 32
 
+    def __post_init__(self) -> None:
+        _check_ranges(self, (
+            ("primary_instances", self.primary_instances >= 1),
+            ("interconnect_latency", self.interconnect_latency >= 0),
+            ("invalidation_batch_size", self.invalidation_batch_size >= 1),
+        ))
+
 
 @dataclass(slots=True)
 class RestartConfig:
@@ -139,6 +152,13 @@ class RestartConfig:
     restore_cost_per_row: float = 2e-7
     # Simulated CPU seconds to re-mine one redo-tail CV at restart.
     remine_cost_per_cv: float = 5e-7
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, (
+            ("checkpoint_interval", self.checkpoint_interval >= 0),
+            ("restore_cost_per_row", self.restore_cost_per_row >= 0),
+            ("remine_cost_per_cv", self.remine_cost_per_cv >= 0),
+        ))
 
 
 @dataclass(slots=True)
@@ -155,3 +175,6 @@ class SystemConfig:
     ship_latency: float = 0.002
     # Random seed for every stochastic choice in the simulation.
     seed: int = 20200420
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, (("ship_latency", self.ship_latency >= 0),))

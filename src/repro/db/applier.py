@@ -25,7 +25,6 @@ from repro.db.catalog import Catalog
     _INSERT, _UPDATE, _DELETE, _UNDO, _TXN_BEGIN, _TXN_COMMIT,
     _TXN_ABORT, _TRUNCATE, _DDL_MARKER, _HEARTBEAT,
 ) = CVOp  # definition order
-_DDL_MARKER_BYTE = bytes([_DDL_MARKER])
 
 
 class PhysicalApplier:
@@ -45,18 +44,18 @@ class PhysicalApplier:
         under the same name still holds the name until its drop is
         processed at QuerySCN advancement, and the new table takes the
         name over here."""
-        # ops are int8, one byte per CV: a byte search is the cheap way
-        # past the common batch, which carries no marker at all
-        ops = batch.ops.tobytes()
-        i = ops.find(_DDL_MARKER_BYTE)
-        while i >= 0:
+        ops = batch.ops
+        if _DDL_MARKER not in ops:
+            return  # the common batch: no marker, one C-level search
+        for i, op in enumerate(ops):
+            if op != _DDL_MARKER:
+                continue
             payload = batch.payloads[i]
             if payload.kind == "create_table" and not any(
                 map(self.catalog.has_object, payload.object_ids)
             ):
                 self.catalog.install(payload.detail["table_def"])
-                self.created_at[payload.table_name] = batch.scns.item(i)
-            i = ops.find(_DDL_MARKER_BYTE, i + 1)
+                self.created_at[payload.table_name] = batch.scns[i]
 
     def apply_ddl(self, payload: DDLMarkerPayload) -> None:
         """Dictionary DDL at QuerySCN advancement (the flush component's
@@ -73,31 +72,30 @@ class PhysicalApplier:
 
     def apply_cv(self, batch: CVBatch, i: int, scn: SCN) -> None:
         """Apply the change vector at position ``i`` of ``batch``."""
-        scalars = batch.scalars
-        op = scalars.ops[i]
+        op = batch.ops[i]
         if op == _HEARTBEAT:
             return
         if op == _TXN_BEGIN:
-            self.txn_table.ensure_known(batch.xid_objects[i])
+            self.txn_table.ensure_known(batch.xids[i])
             return
         if op == _TXN_COMMIT:
             # a commit record's SCN is the commitSCN
-            self.txn_table.commit(batch.xid_objects[i], scn)
+            self.txn_table.commit(batch.xids[i], scn)
             return
         if op == _TXN_ABORT:
-            self.txn_table.abort(batch.xid_objects[i])
+            self.txn_table.abort(batch.xids[i])
             return
         if op == _DDL_MARKER:
             return
         # data CVs: an object the dictionary never saw is corrupt redo
-        object_id = scalars.object_ids[i]
+        object_id = batch.object_ids[i]
         table = self.catalog.table_for_object(object_id)
         if op == _TRUNCATE:
             table.apply_truncate(object_id, scn)
             return
-        dba = scalars.dbas[i]
-        slot = scalars.slots[i]
-        xid = batch.xid_objects[i]
+        dba = batch.dbas[i]
+        slot = batch.slots[i]
+        xid = batch.xids[i]
         if op == _INSERT:
             table.apply_insert(object_id, dba, slot, batch.rows[i], xid, scn)
         elif op == _UPDATE:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro import obs
 from repro.common.ids import TransactionId, WorkerId
 from repro.common.scn import SCN
@@ -35,7 +37,9 @@ from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk
+from repro.redo.batch import (
+    MINE_CLASS, MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk,
+)
 from repro.redo.records import CVOp
 
 _TXN_BEGIN, _TXN_COMMIT, _TXN_ABORT = (
@@ -117,17 +121,16 @@ class MiningComponent:
             self._batch_cvs.observe(chunk.n_cvs)
         indices = chunk.indices[chunk.pos :]
         batch = chunk.batch
-        scalars = batch.scalars
-        classes, xids, object_ids, scns = (
-            scalars.classes, scalars.xids, scalars.object_ids, scalars.scns
+        ops, xids, object_ids, scns = (
+            batch.ops, batch.xids, batch.object_ids, batch.scns
         )
         enabled = self.imcs.enabled_object_ids
         tracer = obs.tracer_of(self._obs)
-        # transaction xid code -> its data CVs' batch positions
-        runs: dict[int, list[int]] = {}
+        # transaction -> its data CVs' batch positions
+        runs: dict[TransactionId, list[int]] = {}
         specials = []
         for i in indices:
-            mine = classes[i]
+            mine = MINE_CLASS[ops[i]]
             if mine == MINE_SPECIAL:
                 specials.append(i)
             elif mine == MINE_DATA and object_ids[i] in enabled:
@@ -136,7 +139,7 @@ class MiningComponent:
             self._mine_data(batch, runs, worker_id)
         if tracer is not None:
             for i in indices:
-                if classes[i] != MINE_SPECIAL:
+                if MINE_CLASS[ops[i]] != MINE_SPECIAL:
                     tracer.record_mined(scns[i])
         commits: list[CommitTableNode] = []
         for i in specials:
@@ -148,26 +151,34 @@ class MiningComponent:
             self.commit_table.insert_batch(commits)
 
     def _mine_data(
-        self, batch: CVBatch, runs: dict[int, list[int]], worker_id: WorkerId
+        self,
+        batch: CVBatch,
+        runs: dict[TransactionId, list[int]],
+        worker_id: WorkerId,
     ) -> None:
         """Journal each transaction's run of data CVs (batch positions,
         ascending, hence in SCN order: a run's first SCN is its lowest),
-        in ascending xid code.  What the journal keeps of the runs is one
-        gather of the batch's ``mined_columns``; each run's
-        :class:`RecordChunk` is a slice of it."""
-        codes = sorted(runs)
-        records = batch.mined_columns.take(
-            [i for code in codes for i in runs[code]], axis=1
-        )
-        scns, tenants = batch.scalars.scns, batch.scalars.tenants
-        xid_objects = batch.xid_objects
+        in ascending xid.  What the journal keeps of the runs is one
+        gather of the batch's ``mined_columns`` (slots, dbas, object ids
+        and SCNs), converted once per batch; each run's
+        :class:`RecordChunk` is a slice of the gather."""
+        xids = sorted(runs)
+        matrix = batch.mined_columns
+        if matrix is None:
+            matrix = batch.mined_columns = np.array(
+                (batch.slots, batch.dbas, batch.object_ids, batch.scns),
+                dtype=np.int64,
+            )
+        selected = [i for xid in xids for i in runs[xid]]
+        records = matrix.take(selected, axis=1)
+        scns, tenants = batch.scns, batch.tenants
         get_or_create = self.journal.get_or_create
         lo = 0
-        for code in codes:
-            run = runs[code]
+        for xid in xids:
+            run = runs[xid]
             first, hi = run[0], lo + len(run)
             tenant = tenants[first]
-            get_or_create(xid_objects[first], tenant).add_chunk(
+            get_or_create(xid, tenant).add_chunk(
                 worker_id, RecordChunk(records[:, lo:hi], tenant), scns[first]
             )
             self.data_records_mined += len(run)
@@ -182,19 +193,19 @@ class MiningComponent:
     ) -> None:
         """Mine the in-order special CV at batch position ``i`` during a
         chunk walk; a commit's node goes onto ``commits``."""
-        op = batch.scalars.ops[i]
+        op = batch.ops[i]
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
             self.ddl_markers_mined += 1
             return
         self.control_records_mined += 1
-        xid = batch.xid_objects[i]
+        xid = batch.xids[i]
         if op == _TXN_COMMIT:
             node = self._sniff_commit(batch, i, scn, xid)
             if node is not None:
                 commits.append(node)
         elif op == _TXN_BEGIN:
-            anchor = self.journal.get_or_create(xid, batch.scalars.tenants[i])
+            anchor = self.journal.get_or_create(xid, batch.tenants[i])
             anchor.has_begin = True
             anchor.note_scn(scn)
         elif op == _TXN_ABORT:
@@ -210,7 +221,7 @@ class MiningComponent:
         """The transaction's commit-table node, or None when it has none.
         The commit record's SCN is the commitSCN; its payload is the III-E
         flag."""
-        tenant = batch.scalars.tenants[i]
+        tenant = batch.tenants[i]
         anchor = self.journal.get(xid)
         if anchor is not None and anchor.has_begin:
             return CommitTableNode(

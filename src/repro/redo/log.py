@@ -7,9 +7,9 @@ first-CV offset) and per CV field (see :mod:`repro.redo.records` for the
 row layout), so a statement leaves no per-CV or per-record object behind
 and everything downstream -- a shipment, a FAL gap fetch, the
 instant-restart tail -- is :meth:`RedoLog.batch` over a range of record
-positions.  The columns are plain lists: appends are amortised O(1) and a
-slice converts to numpy per shipment (an ``array.array`` cannot grow while
-numpy exports its buffer).  Readers hold their own positions, so the log
+positions.  The columns are plain lists: appends are amortised O(1), and
+a batch is one slice of each, a copy, so a batch already shipped never
+sees a later append.  Readers hold their own positions, so the log
 has no notion of consumption, and it is never recycled: ``(thread, CV
 offset)`` names a change vector for the life of the primary.
 """
@@ -19,13 +19,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.common.errors import RedoCorruptionError
 from repro.common.ids import InstanceId
 from repro.common.scn import NULL_SCN, SCN
-from repro.redo.batch import CVBatch, encode_xid
+from repro.redo.batch import CVBatch
 from repro.sim.scheduler import wake
 
 
@@ -37,8 +35,8 @@ class RedoLog:
         # per record
         self._record_scns: list[SCN] = []
         self._record_starts: list[int] = []
-        # per change vector (its record's SCN repeated: a slice is then
-        # one list-to-array conversion per column, no per-slice repeat)
+        # per change vector (its record's SCN repeated: a batch's SCN
+        # column is then one slice, no per-slice repeat)
         self._scns: list[SCN] = []
         self._ops: list[int] = []
         self._dbas: list[int] = []
@@ -113,20 +111,18 @@ class RedoLog:
         lo = min(lo, hi)
         cv_lo = starts[lo] if lo < len(starts) else n_cvs
         cv_hi = starts[hi] if hi < len(starts) else n_cvs
-        xids = self._xids[cv_lo:cv_hi]
         return CVBatch(
             self.thread,
             cv_lo,
-            np.array(self._scns[cv_lo:cv_hi], dtype=np.int64),
-            np.array(self._dbas[cv_lo:cv_hi], dtype=np.int64),
-            np.array(self._object_ids[cv_lo:cv_hi], dtype=np.int64),
-            np.array(self._ops[cv_lo:cv_hi], dtype=np.int8),
-            np.array([encode_xid(xid) for xid in xids], dtype=np.int64),
-            np.array(self._tenants[cv_lo:cv_hi], dtype=np.int64),
-            np.array(self._slots[cv_lo:cv_hi], dtype=np.int64),
-            xids,
+            self._scns[cv_lo:cv_hi],
+            self._dbas[cv_lo:cv_hi],
+            self._object_ids[cv_lo:cv_hi],
+            self._ops[cv_lo:cv_hi],
+            self._xids[cv_lo:cv_hi],
+            self._tenants[cv_lo:cv_hi],
+            self._slots[cv_lo:cv_hi],
             self._rows[cv_lo:cv_hi],
             self._payloads[cv_lo:cv_hi],
-            np.array(starts[lo:hi], dtype=np.int64) - cv_lo,
-            np.array(self._record_scns[lo:hi], dtype=np.int64),
+            [start - cv_lo for start in starts[lo:hi]],
+            self._record_scns[lo:hi],
         )

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.common.config import RestartConfig
 from repro.common.scn import SCN
 from repro.redo.batch import CVBatch, CVChunk
@@ -129,26 +127,20 @@ def replay_tail(
     report.tail_end_scn = tail_end
     if floor == 0 or tail_end < floor:
         return
-    queued: dict[int, list[np.ndarray]] = {}
+    queued: dict[int, set[int]] = {}
     for thread, positions in standby.distributor.queued_positions():
-        queued.setdefault(thread, []).append(positions)
+        queued.setdefault(thread, set()).update(positions)
     miner = standby.miner
     miner.tail_mode = True
     try:
         for batch in fetch(floor, tail_end):
-            unqueued = np.arange(batch.n_cvs, dtype=np.int64)
-            if batch.thread in queued:
-                unqueued = unqueued[
-                    ~np.isin(
-                        unqueued + batch.cv_base,
-                        np.concatenate(queued[batch.thread]),
-                    )
-                ]
-            report.cvs_skipped_queued += batch.n_cvs - unqueued.size
-            if not unqueued.size:
+            skip, base = queued.get(batch.thread, ()), batch.cv_base
+            unqueued = [i for i in range(batch.n_cvs) if base + i not in skip]
+            report.cvs_skipped_queued += batch.n_cvs - len(unqueued)
+            if not unqueued:
                 continue
             miner.sniff_chunk(CVChunk(batch, unqueued), 0)
-            report.cvs_remined += unqueued.size
+            report.cvs_remined += len(unqueued)
     finally:
         miner.tail_mode = False
 

@@ -1,6 +1,5 @@
-"""IMCSConfig and ApplyConfig reject values that used to misbehave
-silently, and removed settings and classes are refused rather than
-ignored."""
+"""Every config rejects values that used to misbehave silently, and
+removed settings and classes are refused rather than ignored."""
 
 from __future__ import annotations
 
@@ -11,6 +10,7 @@ from repro.common.config import (
     IMCSConfig,
     RACConfig,
     RestartConfig,
+    RowStoreConfig,
     SystemConfig,
 )
 from repro.db import Deployment
@@ -96,6 +96,59 @@ def test_apply_coordinator_interval_is_non_negative():
 
 def test_apply_cost_per_cv_is_non_negative():
     rejects("apply_cost_per_cv", -1e-6, ApplyConfig)
+
+
+def test_other_configs_accept_defaults_and_boundary_values():
+    RowStoreConfig(rows_per_block=1, undo_retention_versions=1)
+    RACConfig(
+        primary_instances=1, interconnect_latency=0.0,
+        invalidation_batch_size=1,
+    )
+    RestartConfig(
+        checkpoint_interval=0.0, restore_cost_per_row=0.0,
+        remine_cost_per_cv=0.0,
+    )
+    SystemConfig(ship_latency=0.0)
+
+
+def test_rows_per_block_must_be_positive():
+    # 0 used to raise ZeroDivisionError, and only inside RAC's row routing
+    rejects("rows_per_block", 0, RowStoreConfig)
+
+
+def test_undo_retention_versions_must_be_positive():
+    rejects("undo_retention_versions", 0, RowStoreConfig)
+
+
+def test_primary_instances_must_be_positive():
+    rejects("primary_instances", 0, RACConfig)
+
+
+def test_interconnect_latency_is_non_negative():
+    # a negative latency used to be clamped to "now" by the scheduler
+    rejects("interconnect_latency", -0.001, RACConfig)
+
+
+def test_invalidation_batch_size_must_be_positive():
+    # 0 used to send every invalidation group on its own
+    rejects("invalidation_batch_size", 0, RACConfig)
+
+
+def test_checkpoint_interval_is_non_negative():
+    rejects("checkpoint_interval", -0.1, RestartConfig)
+
+
+def test_restore_cost_per_row_is_non_negative():
+    rejects("restore_cost_per_row", -1e-7, RestartConfig)
+
+
+def test_remine_cost_per_cv_is_non_negative():
+    rejects("remine_cost_per_cv", -1e-7, RestartConfig)
+
+
+def test_ship_latency_is_non_negative():
+    # a negative latency used to be clamped to "now" by the scheduler
+    rejects("ship_latency", -0.002, SystemConfig)
 
 
 @pytest.mark.parametrize(

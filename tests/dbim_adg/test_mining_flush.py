@@ -189,7 +189,7 @@ class TestMining:
         # the UNDO ships its real slot now (the displaced transpose wrote
         # -1), and mining must keep ignoring it: it restores the committed
         # state the IMCU already holds
-        assert batch_of([RedoRecord(11, 1, (undo,))]).slots.tolist() == [2]
+        assert batch_of([RedoRecord(11, 1, (undo,))]).slots == [2]
         assert MINE_CLASS[CVOp.UNDO] == 0
         sniff_one(miner, undo, 11)
         anchor = journal.get(X1)

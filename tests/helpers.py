@@ -60,12 +60,12 @@ def append_record(log: RedoLog, record: RedoRecord) -> None:
         record.scn,
         tuple(
             zip(
-                batch.ops.tolist(),
-                batch.dbas.tolist(),
-                batch.object_ids.tolist(),
-                batch.tenants.tolist(),
-                batch.xid_objects,
-                batch.slots.tolist(),
+                batch.ops,
+                batch.dbas,
+                batch.object_ids,
+                batch.tenants,
+                batch.xids,
+                batch.slots,
                 batch.rows,
                 batch.payloads,
             )
@@ -81,19 +81,19 @@ def log_records(log: RedoLog, lo: int = 0) -> list[RedoRecord]:
 def record_scns(batches: Iterable[CVBatch]) -> list[int]:
     """The SCN of every record in a run of batches (a receiver queue, the
     merger's output), in order."""
-    return [scn for batch in batches for scn in batch.record_scns.tolist()]
+    return [scn for batch in batches for scn in batch.record_scns]
 
 
 def chunk_of(records: Iterable[RedoRecord]) -> CVChunk:
     """A whole batch as one worker's chunk (no distribution)."""
     batch = batch_of(records)
-    return CVChunk(batch, np.arange(batch.n_cvs, dtype=np.int64))
+    return CVChunk(batch, list(range(batch.n_cvs)))
 
 
 def queued_scn_cvs(queue: Iterable[CVChunk]) -> list[tuple[int, ChangeVector]]:
     """The unapplied ``(scn, cv)`` pairs on one worker's queue, in order."""
     return [
-        (int(chunk.batch.scns[i]), cv_at(chunk.batch, i))
+        (chunk.batch.scns[i], cv_at(chunk.batch, i))
         for chunk in queue
         for i in chunk.indices[chunk.pos:]
     ]

@@ -19,13 +19,12 @@ objects and the transpose live on here for two jobs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from repro.common.ids import DBA, InstanceId, ObjectId, TenantId, TransactionId
 from repro.common.scn import SCN
-from repro.redo.batch import CVBatch, encode_xid
+from repro.redo.batch import CVBatch
 from repro.redo.records import CVOp, DDLMarkerPayload
 
 
@@ -134,30 +133,22 @@ def _columns_of(scn: SCN, cv: ChangeVector) -> tuple[int, object, object]:
 
 def from_records(records: Sequence[RedoRecord], cv_base: int = 0) -> CVBatch:
     """Transpose a contiguous run of one thread's records."""
-    counts = [len(r.cvs) for r in records]
-    n_cvs = sum(counts)
-    cvs = [cv for r in records for cv in r.cvs]
-    record_scns = np.fromiter((r.scn for r in records), np.int64, len(records))
-    record_starts = np.zeros(len(records), dtype=np.int64)
-    if len(records) > 1:
-        np.cumsum(counts[:-1], out=record_starts[1:])
-    scns = np.repeat(record_scns, counts)
-    extras = [_columns_of(int(scn), cv) for scn, cv in zip(scns, cvs)]
+    cvs = [(r.scn, cv) for r in records for cv in r.cvs]
+    extras = [_columns_of(scn, cv) for scn, cv in cvs]
     return CVBatch(
         records[0].thread if records else 0,
         cv_base,
-        scns,
-        np.fromiter((cv.dba for cv in cvs), np.int64, n_cvs),
-        np.fromiter((cv.object_id for cv in cvs), np.int64, n_cvs),
-        np.fromiter((cv.op for cv in cvs), np.int64, n_cvs).astype(np.int8),
-        np.fromiter((encode_xid(cv.xid) for cv in cvs), np.int64, n_cvs),
-        np.fromiter((cv.tenant for cv in cvs), np.int64, n_cvs),
-        np.fromiter((slot for slot, __, __ in extras), np.int64, n_cvs),
-        [cv.xid for cv in cvs],
+        [scn for scn, __ in cvs],
+        [cv.dba for __, cv in cvs],
+        [cv.object_id for __, cv in cvs],
+        [int(cv.op) for __, cv in cvs],
+        [cv.xid for __, cv in cvs],
+        [cv.tenant for __, cv in cvs],
+        [slot for slot, __, __ in extras],
         [row for __, row, __ in extras],
         [payload for __, __, payload in extras],
-        record_starts,
-        record_scns,
+        list(accumulate([0, *map(len, records)]))[:-1],
+        [r.scn for r in records],
     )
 
 
@@ -202,13 +193,13 @@ def record_of_append(
 def cv_at(batch: CVBatch, i: int) -> ChangeVector:
     """The change vector at position ``i`` of a batch, as an object."""
     return cv_of(
-        int(batch.scns[i]),
-        int(batch.ops[i]),
-        int(batch.dbas[i]),
-        int(batch.object_ids[i]),
-        int(batch.tenants[i]),
-        batch.xid_objects[i],
-        int(batch.slots[i]),
+        batch.scns[i],
+        batch.ops[i],
+        batch.dbas[i],
+        batch.object_ids[i],
+        batch.tenants[i],
+        batch.xids[i],
+        batch.slots[i],
         batch.rows[i],
         batch.payloads[i],
     )
@@ -216,10 +207,10 @@ def cv_at(batch: CVBatch, i: int) -> ChangeVector:
 
 def records_of(batch: CVBatch) -> list[RedoRecord]:
     """A batch read back as record objects."""
-    bounds = [*batch.record_starts.tolist(), batch.n_cvs]
+    bounds = [*batch.record_starts, batch.n_cvs]
     return [
         RedoRecord(
-            int(scn),
+            scn,
             batch.thread,
             tuple(cv_at(batch, i) for i in range(lo, hi)),
         )

@@ -17,11 +17,17 @@ requires the production pass to leave exactly what this one leaves.
 for its state (journal, commit table, DDL table, counters, tracer hook):
 every method that reads a CV is overridden here, so a defect in the
 production walk or in its special-CV handling shows as a difference.
+
+It reads a batch as the numpy arrays ``RedoLog.batch`` used to ship
+(:func:`arrays_of`, with each :class:`TransactionId` packed into one
+int64 code), converted once per batch by :meth:`NumpyMiningComponent.load`
+-- which the benchmark calls before its timer, where the log's slice
+used to make them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,12 +38,7 @@ from repro.dbim_adg.commit_table import CommitTableNode
 from repro.dbim_adg.journal import RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.redo.batch import (
-    _XID_SHIFT,
-    MINE_CLASS,
-    MINE_DATA,
-    MINE_SPECIAL,
-    CVBatch,
-    CVChunk,
+    MINE_CLASS, MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk,
 )
 from repro.redo.records import CVOp
 
@@ -47,9 +48,47 @@ _TXN_BEGIN, _TXN_COMMIT, _TXN_ABORT = (
 _DDL_MARKER = CVOp.DDL_MARKER
 
 
+#: Each op's mine class as an array, for the gather.
+MINE_CLASSES = np.array(MINE_CLASS, dtype=np.int8)
+
+#: xid encoding: (instance << 40) | sequence fits both components of a
+#: :class:`TransactionId` into one int64 array element, in the same order.
+_XID_SHIFT = 40
+
+
+def encode_xid(xid: TransactionId) -> int:
+    return (xid.instance << _XID_SHIFT) | xid.sequence
+
+
 def decode_xid(code: int) -> TransactionId:
-    """The inverse of :func:`repro.redo.batch.encode_xid`."""
+    """The inverse of :func:`encode_xid`."""
     return TransactionId(code >> _XID_SHIFT, code & ((1 << _XID_SHIFT) - 1))
+
+
+class ArrayBatch(NamedTuple):
+    """A batch's scalar columns as numpy arrays; ``xids`` packed."""
+
+    scns: np.ndarray
+    dbas: np.ndarray
+    object_ids: np.ndarray
+    ops: np.ndarray
+    xids: np.ndarray
+    tenants: np.ndarray
+    slots: np.ndarray
+
+
+def arrays_of(batch: CVBatch) -> ArrayBatch:
+    """The arrays ``RedoLog.batch`` made of each shipment before its
+    columns stayed lists."""
+    return ArrayBatch(
+        np.array(batch.scns, dtype=np.int64),
+        np.array(batch.dbas, dtype=np.int64),
+        np.array(batch.object_ids, dtype=np.int64),
+        np.array(batch.ops, dtype=np.int8),
+        np.array([encode_xid(xid) for xid in batch.xids], dtype=np.int64),
+        np.array(batch.tenants, dtype=np.int64),
+        np.array(batch.slots, dtype=np.int64),
+    )
 
 
 def enabled_mask(ids: np.ndarray, object_ids: np.ndarray) -> np.ndarray:
@@ -63,6 +102,8 @@ class NumpyMiningComponent(MiningComponent):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: id(batch) -> (batch, its arrays), converted once per batch.
+        self._arrays: dict[int, tuple[CVBatch, ArrayBatch]] = {}
         #: id(batch) -> (batch, per-CV MINE_CLASS, (6, n_cvs) matrix of
         #: slots, dbas, object ids, SCNs, xid codes and tenants): derived
         #: once per batch, as production cached them on the batch.
@@ -71,20 +112,28 @@ class NumpyMiningComponent(MiningComponent):
         #: sentinel), rebuilt when the enabled set changes.
         self._enabled: Optional[tuple[frozenset, np.ndarray]] = None
 
+    def load(self, batch: CVBatch) -> ArrayBatch:
+        """The batch's arrays, converted on first use."""
+        loaded = self._arrays.get(id(batch))
+        if loaded is None or loaded[0] is not batch:
+            loaded = self._arrays[id(batch)] = (batch, arrays_of(batch))
+        return loaded[1]
+
     def _derive(self, batch: CVBatch) -> tuple[np.ndarray, np.ndarray]:
         derived = self._derived.get(id(batch))
         if derived is None or derived[0] is not batch:
+            arrays = self.load(batch)
             derived = self._derived[id(batch)] = (
                 batch,
-                MINE_CLASS[batch.ops],
+                MINE_CLASSES[arrays.ops],
                 np.concatenate(
                     (
-                        batch.slots,
-                        batch.dbas,
-                        batch.object_ids,
-                        batch.scns,
-                        batch.xids,
-                        batch.tenants,
+                        arrays.slots,
+                        arrays.dbas,
+                        arrays.object_ids,
+                        arrays.scns,
+                        arrays.xids,
+                        arrays.tenants,
                     )
                 ).reshape(6, -1),
             )
@@ -97,15 +146,16 @@ class NumpyMiningComponent(MiningComponent):
             self._batch_cvs.observe(len(indices))
         indices = indices[chunk.pos :]
         batch = chunk.batch
+        scns = self.load(batch).scns
         tracer = obs.tracer_of(self._obs)
         classes = self._derive(batch)[0][indices]
         self._mine_data(batch, indices[classes == MINE_DATA], worker_id)
         if tracer is not None:
-            for scn in batch.scns[indices[classes != MINE_SPECIAL]].tolist():
+            for scn in scns[indices[classes != MINE_SPECIAL]].tolist():
                 tracer.record_mined(scn)
         commits: list[CommitTableNode] = []
         for i in indices[classes == MINE_SPECIAL].tolist():
-            scn = int(batch.scns[i])
+            scn = scns.item(i)
             self._sniff_special(batch, i, scn, commits)
             if tracer is not None:
                 tracer.record_mined(scn)
@@ -124,7 +174,8 @@ class NumpyMiningComponent(MiningComponent):
                 enabled,
                 np.array([*sorted(enabled), np.iinfo(np.int64).min]),
             )
-        data = data[enabled_mask(self._enabled[1], batch.object_ids[data])]
+        object_ids = self.load(batch).object_ids
+        data = data[enabled_mask(self._enabled[1], object_ids[data])]
         n = data.size
         if not n:
             return
@@ -152,13 +203,14 @@ class NumpyMiningComponent(MiningComponent):
         scn: SCN,
         commits: list[CommitTableNode],
     ) -> None:
-        op = batch.ops.item(i)
+        arrays = self.load(batch)
+        op = arrays.ops.item(i)
         if op == _DDL_MARKER:
             self.ddl_table.add(scn, batch.payloads[i])
             self.ddl_markers_mined += 1
             return
-        xid = batch.xid_objects[i]
-        tenant = batch.tenants.item(i)
+        xid = batch.xids[i]
+        tenant = arrays.tenants.item(i)
         if op == _TXN_BEGIN:
             anchor = self.journal.get_or_create(xid, tenant)
             anchor.has_begin = True

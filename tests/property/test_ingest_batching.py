@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -653,8 +652,11 @@ def test_the_lifecycle_tracer_sees_every_cv_of_a_chunk_once(cut):
         tracer=SimpleNamespace(record_mined=seen.append)
     )
     batch = batch_of(records)
-    positions = np.arange(batch.n_cvs, dtype=np.int64)
-    cuts = [positions] if cut is None else np.split(positions, [cut + 1])
+    positions = list(range(batch.n_cvs))
+    cuts = (
+        [positions] if cut is None
+        else [positions[: cut + 1], positions[cut + 1 :]]
+    )
     for part in cuts:
         stack.miner.sniff_chunk(CVChunk(batch, part), 0)
     assert sorted(seen) == [101, 101, 102, 103, 103, 104]
@@ -682,13 +684,11 @@ def assert_same_batch(batch, oracle) -> None:
     assert (batch.thread, batch.cv_base) == (oracle.thread, oracle.cv_base)
     for name in (
         "scns", "dbas", "object_ids", "ops", "xids", "tenants", "slots",
-        "record_starts", "record_scns",
+        "rows", "payloads", "record_starts", "record_scns",
     ):
         ours, theirs = getattr(batch, name), getattr(oracle, name)
-        assert ours.dtype == theirs.dtype, name
-        assert ours.tolist() == theirs.tolist(), name
-    for name in ("xid_objects", "rows", "payloads"):
-        assert getattr(batch, name) == getattr(oracle, name), name
+        assert type(ours) is type(theirs) is list, name
+        assert ours == theirs, name
 
 
 PRIMARY_OPS = st.lists(
@@ -846,7 +846,7 @@ def test_log_slices_equal_the_transpose_of_the_records_it_was_given(ops, cuts):
             )
         if width:
             scn = cuts.draw(
-                st.sampled_from(batch.record_scns.tolist()), label="scn"
+                st.sampled_from(batch.record_scns), label="scn"
             )
             for ours, theirs in zip(
                 batch.split_at_scn(scn), model.split_at_scn(scn)

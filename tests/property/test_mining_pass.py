@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
-import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -207,7 +206,7 @@ def worker_chunks(records, width, n_workers):
         distributor.distribute([batch])
         for worker, queue in enumerate(distributor.queues):
             for chunk in queue:
-                out.append((worker, batch, np.array(chunk.indices)))
+                out.append((worker, batch, chunk.indices))
     return out
 
 

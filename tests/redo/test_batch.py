@@ -1,15 +1,13 @@
 """Tests for the columnar change-vector batch layer (CVBatch/CVChunk)
 and its distribution paths."""
 
-import numpy as np
-
 from repro.common import TransactionId
 from repro.adg.apply import ApplyDistributor
-from repro.redo.batch import CVChunk, encode_xid
+from repro.redo.batch import CVChunk
 from repro.redo.records import CVOp, txn_table_dba
 
 from tests.helpers import NullApplier, batch_of
-from tests.numpy_miner import decode_xid
+from tests.numpy_miner import decode_xid, encode_xid
 from tests.naive_batch import (
     ChangeVector,
     InsertPayload,
@@ -44,6 +42,12 @@ class TestXidCodec:
         for xid in (X, Y, TransactionId(3, (1 << 40) - 1)):
             assert decode_xid(encode_xid(xid)) == xid
 
+    def test_xids_sort_as_their_codes(self):
+        """The miner journals runs in xid order: the named tuple's order
+        is the packed code's, so the journal's order did not move."""
+        xids = [TransactionId(i, s) for i in (2, 1, 3) for s in (9, 0, 4)]
+        assert sorted(xids) == sorted(xids, key=encode_xid)
+
     def test_distinct_xids_distinct_codes(self):
         codes = {encode_xid(TransactionId(i, s))
                  for i in range(1, 4) for s in range(5)}
@@ -53,18 +57,16 @@ class TestXidCodec:
 class TestCVBatch:
     def test_from_records_transposes(self):
         batch = make_batch()
-        assert batch.n_records == len(batch) == 3
+        assert batch.n_records == 3
         assert batch.n_cvs == 4
         assert batch.scn == 10 and batch.last_scn == 12
-        assert list(batch.scns) == [10, 10, 11, 12]
-        assert list(batch.dbas) == [5, 6, txn_table_dba(1), 7]
-        assert list(batch.ops) == [
+        assert batch.scns == [10, 10, 11, 12]
+        assert batch.dbas == [5, 6, txn_table_dba(1), 7]
+        assert batch.ops == [
             CVOp.INSERT, CVOp.INSERT, CVOp.TXN_COMMIT, CVOp.INSERT,
         ]
-        assert list(batch.slots) == [0, 3, -1, 2]
-        assert list(batch.xids) == [
-            encode_xid(X), encode_xid(Y), encode_xid(X), encode_xid(X),
-        ]
+        assert batch.slots == [0, 3, -1, 2]
+        assert batch.xids == [X, Y, X, X]
 
     def test_payload_side_table_preserves_identity(self):
         """The object columns hold the writer's own row tuples and xids
@@ -73,7 +75,7 @@ class TestCVBatch:
         batch = batch_of(records)
         for i, record in enumerate(records):
             assert batch.rows[i] is record.cvs[0].payload.values
-            assert batch.xid_objects[i] is record.cvs[0].xid
+            assert batch.xids[i] is record.cvs[0].xid
         assert batch.payloads == [None, None]
 
     def test_undo_carries_its_real_slot(self):
@@ -81,24 +83,24 @@ class TestCVBatch:
         was missing from the slotted tuple) while apply read the payload;
         with one slot column the slot apply strips is the one shipped."""
         undo = ChangeVector(CVOp.UNDO, 5, 9, 0, X, UndoPayload(3))
-        assert batch_of([rec(10, [undo])]).slots.tolist() == [3]
+        assert batch_of([rec(10, [undo])]).slots == [3]
 
-    def test_slice_records_is_a_view_with_rebased_starts(self):
+    def test_slice_records_copies_with_rebased_starts(self):
         batch = make_batch()
         tail = batch.slice_records(1, 3)
         assert tail.n_records == 2 and tail.n_cvs == 2
         assert tail.scn == 11 and tail.last_scn == 12
-        assert list(tail.record_starts) == [0, 1]
+        assert tail.record_starts == [0, 1]
         assert tail.cv_base == batch.cv_base + 2
-        assert np.shares_memory(tail.dbas, batch.dbas)
-        assert tail.xid_objects == batch.xid_objects[2:]
+        assert tail.dbas == batch.dbas[2:] and tail.dbas is not batch.dbas
+        assert tail.xids == batch.xids[2:]
         assert records_of(tail) == records_of(batch)[1:]
 
     def test_split_at_scn_cuts_on_record_boundary(self):
         batch = make_batch()
         head, tail = batch.split_at_scn(11)
-        assert [int(s) for s in head.record_scns] == [10, 11]
-        assert [int(s) for s in tail.record_scns] == [12]
+        assert head.record_scns == [10, 11]
+        assert tail.record_scns == [12]
         whole, rest = batch.split_at_scn(99)
         assert whole is batch and rest is None
 
@@ -121,10 +123,10 @@ class TestDistributeBatch:
         assert all(isinstance(c, CVChunk) for c in chunks)
         assert sum(c.n_cvs for c in chunks) == batch.n_cvs
         for chunk in chunks:
-            scns = batch.scns[chunk.indices]
-            assert list(scns) == sorted(scns)
+            scns = [batch.scns[i] for i in chunk.indices]
+            assert scns == sorted(scns)
             # one worker per dba, reserved negative DBAs included
-            assert len(set(batch.dbas[chunk.indices] % 2)) == 1
+            assert len({batch.dbas[i] % 2 for i in chunk.indices}) == 1
         assert dist.pending() == batch.n_cvs
 
     def test_width_one_and_wide_batches_share_the_queues(self):
@@ -147,7 +149,7 @@ class TestDistributeBatch:
         homes = set()
         for w, q in enumerate(dist.queues):
             for chunk in q:
-                if any(int(d) == 5 for d in chunk.batch.dbas[chunk.indices]):
+                if any(chunk.batch.dbas[i] == 5 for i in chunk.indices):
                     homes.add(w)
         assert len(homes) == 1  # every dba-5 CV hashed to one worker
 
@@ -155,7 +157,7 @@ class TestDistributeBatch:
 class TestCVChunk:
     def make_chunk(self):
         batch = make_batch()
-        return CVChunk(batch, np.arange(batch.n_cvs, dtype=np.int64))
+        return CVChunk(batch, list(range(batch.n_cvs)))
 
     def test_cursors_and_head_scn(self):
         chunk = self.make_chunk()
@@ -170,10 +172,10 @@ class TestCVChunk:
             [rec(10, [cv(dba=5), cv(dba=6)]), rec(11, [cv(dba=7)])],
             cv_base=40,
         )
-        chunk = CVChunk(batch, np.array([0, 2], dtype=np.int64))
-        assert chunk.remaining_positions().tolist() == [40, 42]
+        chunk = CVChunk(batch, [0, 2])
+        assert chunk.remaining_positions() == [40, 42]
         chunk.pos = 1
-        assert chunk.remaining_positions().tolist() == [42]
+        assert chunk.remaining_positions() == [42]
 
     def test_reset_mining_rewinds_to_apply_cursor(self):
         chunk = self.make_chunk()

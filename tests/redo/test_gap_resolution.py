@@ -265,7 +265,7 @@ class TestEndToEndGap:
         assert hi - lo >= 10  # (a heartbeat may ride along)
         assert standby.receiver.gap_records_fetched == hi - lo
         assert all(isinstance(batch, CVBatch) for batch in distributed)
-        gap_scns = set(log.batch(lo, hi).record_scns.tolist())
+        gap_scns = set(log.batch(lo, hi).record_scns)
         assert gap_scns <= set(record_scns(distributed))
 
         flushed = {

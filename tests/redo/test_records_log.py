@@ -1,6 +1,7 @@
 """Tests for the redo vocabulary and the columnar redo log."""
 
-import numpy as np
+import copy
+
 import pytest
 
 from repro.common import TransactionId
@@ -13,7 +14,7 @@ from repro.redo import (
     ddl_marker_dba,
     txn_table_dba,
 )
-from repro.redo.batch import MINE_CLASS, MINE_DATA, MINE_SPECIAL
+from repro.redo.batch import MINE_CLASS, MINE_DATA, MINE_SPECIAL, CVBatch
 
 from tests.helpers import append_record, log_records
 from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
@@ -115,13 +116,12 @@ class TestRedoLog:
         batch = log.batch(1, 3)
         assert batch.thread == 1 and batch.cv_base == 2
         assert batch.n_records == 2 and batch.n_cvs == 3
-        assert batch.record_scns.tolist() == [11, 12]
-        assert batch.record_starts.tolist() == [0, 1]
-        assert batch.scns.tolist() == [11, 12, 12]
-        assert batch.ops.dtype == np.int8
+        assert batch.record_scns == [11, 12]
+        assert batch.record_starts == [0, 1]
+        assert batch.scns == [11, 12, 12]
         assert log_records(log) == records
         # clipped to the log; an empty range is an empty batch
-        assert log.batch(3, 99).record_scns.tolist() == [13]
+        assert log.batch(3, 99).record_scns == [13]
         assert log.batch(4, 9).n_records == log.batch(2, 2).n_cvs == 0
 
     def test_scn_range_brackets_inclusive_bounds(self):
@@ -141,8 +141,8 @@ class TestLogReader:
         log = RedoLog(1)
         for scn in (10, 11, 12):
             log.append(1, scn, (ROW,))
-        assert log.batch(0, 1).record_scns.tolist() == [10]
-        assert log.batch(1, 6).record_scns.tolist() == [11, 12]
+        assert log.batch(0, 1).record_scns == [10]
+        assert log.batch(1, 6).record_scns == [11, 12]
         assert log.batch(3, 6).n_records == 0
 
     def test_independent_readers(self):
@@ -150,7 +150,34 @@ class TestLogReader:
         log.append(1, 10, (ROW,))
         first, second = log.batch(0, 1), log.batch(0, 1)
         assert first is not second
-        assert first.record_scns.tolist() == second.record_scns.tolist()
+        assert first.record_scns == second.record_scns
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    def test_a_shipped_batch_does_not_change_when_the_log_grows(self, lo):
+        """Each column of a batch is its own copy: the appends after a
+        shipment, the cuts the receiver and merger make of it and a FAL
+        fetch of the same range leave every value it was cut with."""
+        log = RedoLog(1)
+        for record in (
+            rec(10, ops=(CVOp.TXN_BEGIN, CVOp.INSERT)),
+            rec(11),
+            rec(12, ops=(CVOp.INSERT, CVOp.INSERT)),
+            rec(13, ops=(CVOp.TXN_COMMIT,)),
+        ):
+            append_record(log, record)
+        shipped = log.batch(lo, 4)
+        names = CVBatch.__slots__
+        cut = {name: copy.deepcopy(getattr(shipped, name)) for name in names}
+        for scn in range(14, 40):
+            append_record(log, rec(scn, ops=(CVOp.INSERT, CVOp.DELETE)))
+        tail = shipped.slice_records(2 - lo, 4 - lo)
+        head, rest = shipped.split_at_scn(11)
+        fetched = log.batch(lo, 4)
+        assert (tail.cv_base, tail.record_starts) == (3, [0, 2])
+        assert (head.last_scn, rest.scn) == (11, 12)
+        for name in names:
+            assert getattr(shipped, name) == cut[name], name
+            assert getattr(fetched, name) == cut[name], name
 
     def test_reader_sees_later_appends(self):
         log = RedoLog(1)

@@ -61,6 +61,14 @@ BANS = [
         "and the transpose live in tests/naive_batch.py as the oracle",
     ),
     Ban(
+        "redo_round_trip",
+        r"CVScalars|encode_xid|_XID_SHIFT|\.scalars\b|xid_objects",
+        ("src/repro",),
+        "§15 One redo representation: a batch is list slices of the log "
+        "from the statement to the worker; the packed xid lives in "
+        "tests/numpy_miner.py with the numpy mining oracle",
+    ),
+    Ban(
         "apply_routing",
         r"DependencyAware|ApplyStall|ROUTING_POLICIES|note_applied"
         r"|chained_cvs",

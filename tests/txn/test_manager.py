@@ -265,8 +265,8 @@ class TestRedoFootprint:
         def apply(lo):
             batch = log.batch(lo, len(log))
             standby.install_dictionary(batch)
-            for i in range(len(batch.ops)):
-                standby.apply_cv(batch, i, batch.scns.item(i))
+            for i in range(batch.n_cvs):
+                standby.apply_cv(batch, i, batch.scns[i])
             return len(log)
 
         applied = apply(0)
