@@ -30,7 +30,9 @@ from typing import Optional
 from repro.common.config import SystemConfig
 from repro.common.ids import InstanceId, ObjectId, RowId, TenantId, TransactionId
 from repro.common.scn import SCN, SCNClock
+from repro.imcs.imcu import row_keys
 from repro.imcs.population import PopulationWorker
+from repro.imcs.store import InvalidationGroup
 from repro.redo.log import RedoLog
 from repro.redo.records import (
     CVOp,
@@ -307,16 +309,20 @@ class PrimaryDatabase(Database):
         self.imcs_enabled_objects.update(object_ids)
 
     def _dbim_commit_hook(self, txn: Transaction, commit_scn: SCN) -> None:
-        """Synchronous SMU invalidation for the primary's own IMCS."""
+        """Synchronous SMU invalidation for the primary's own IMCS: one
+        group per enabled object the transaction changed."""
+        keys: dict[ObjectId, set[int]] = {}
         for change in txn.changes:
-            if not self.imcs.is_enabled(change.object_id):
-                continue
-            self.imcs.invalidate(
-                change.object_id,
-                change.rowid.dba,
-                (change.rowid.slot,),
-                commit_scn,
+            if self.imcs.is_enabled(change.object_id):
+                keys.setdefault(change.object_id, set()).add(
+                    row_keys(change.rowid.dba, change.rowid.slot)
+                )
+        self.imcs.invalidate_groups([
+            InvalidationGroup(
+                object_id, txn.tenant, commit_scn, sorted(of_object), []
             )
+            for object_id, of_object in keys.items()
+        ])
 
     # ------------------------------------------------------------------
     # transactions

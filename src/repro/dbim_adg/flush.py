@@ -31,21 +31,19 @@ instance has passed it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.chaos import sites
-from repro.common.ids import DBA, ObjectId, TenantId, TransactionId, WorkerId
+from repro.common.ids import ObjectId, TenantId, TransactionId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
-from repro.imcs.imcu import row_keys
+from repro.imcs.imcu import ROW_KEY_SHIFT
 from repro.imcs.store import InMemoryColumnStore, InvalidationGroup
 from repro.redo.records import DDLMarkerPayload
 from repro.sim.scheduler import wake
@@ -68,72 +66,44 @@ def gather_groups(
     transaction's invalidation groups (paper, III-D: "chunks them up into
     invalidation groups based on the DBA ranges for IMCUs").
 
-    One lexsort over every (transaction, object, dba, slot) puts each
-    block's slots in one run, so a DBA lands in exactly one group of its
-    transaction with its full slot set: whole-block (slot < 0, sorted
-    first in its block) wins, slot sets union.  ``block_limit`` caps
-    *distinct DBAs* per group (RAC message sizing); None means one group
-    per transaction and object.  The groups' keys are slices of one array.
+    Per transaction, each object's row keys from every chunk are sorted
+    once, so a block's records run together with a whole block
+    (``row_keys(dba, -1)``) first: a DBA lands in exactly one group of its
+    transaction with its full slot set -- whole block wins, slot sets
+    union -- and a group's ``keys`` and ``whole_blocks`` are sorted,
+    distinct lists.  ``block_limit`` caps *distinct DBAs* per group (RAC
+    message sizing); None means one group per transaction and object.
     """
-    out: list[list[InvalidationGroup]] = [[] for __ in transactions]
-    parts = [c.columns for __, chunks in transactions for c in chunks]
-    if not parts:
-        return out
-    columns = np.concatenate(parts, axis=1)
-    # the flush has no use for the records' own SCNs: their row becomes
-    # the most significant sort key, the transaction's ordinal
-    columns[3] = np.repeat(
-        [i for i, (__, chunks) in enumerate(transactions) for __ in chunks],
-        [part.shape[1] for part in parts],
-    )
-    keys: list[int] = []
-    whole_blocks: list[DBA] = []
-    #: per group: (transaction, object, its first key, its first whole block)
-    starts: list[tuple[int, ObjectId, int, int]] = []
-    # At the widths a drain call has -- a few to a few hundred records --
-    # one pass over the sorted records in plain Python is cheaper than
-    # the dozens of small-array numpy calls that would cut them into
-    # blocks and groups (EXPERIMENTS, "Width-robust ingest").
-    last_txn = last_object = last_dba = last_slot = whole = None
-    n_blocks = 0
-    for slot, dba, object_id, txn in zip(
-        *columns[:, np.lexsort(columns)].tolist()
-    ):
-        if dba != last_dba or object_id != last_object or txn != last_txn:
-            # a new block...
-            if (
-                object_id != last_object
-                or txn != last_txn
-                or n_blocks == block_limit
-            ):  # ...and a new group
-                starts.append((txn, object_id, len(keys), len(whole_blocks)))
-                last_txn, last_object, n_blocks = txn, object_id, 0
-            last_dba = dba
-            n_blocks += 1
-            whole = slot < 0
-            if whole:
-                whole_blocks.append(dba)
-        elif slot == last_slot:
-            continue  # the row again
-        last_slot = slot
-        if not whole:
-            keys.append(row_keys(dba, slot))
-    all_keys = np.array(keys, dtype=np.int64)
-    all_whole = np.array(whole_blocks, dtype=np.int64)
-    starts.append((0, 0, len(keys), len(whole_blocks)))
-    for (txn, object_id, key_lo, whole_lo), (__, __, key_hi, whole_hi) in zip(
-        starts, starts[1:]
-    ):
-        commit_scn, chunks = transactions[txn]
-        out[txn].append(
-            InvalidationGroup(
-                object_id,
-                chunks[0].tenant,
-                commit_scn,
-                all_keys[key_lo:key_hi],
-                all_whole[whole_lo:whole_hi],
-            )
-        )
+    out: list[list[InvalidationGroup]] = []
+    for commit_scn, chunks in transactions:
+        groups: list[InvalidationGroup] = []
+        out.append(groups)
+        by_object: defaultdict[ObjectId, list[int]] = defaultdict(list)
+        for chunk in chunks:
+            for object_id, key in zip(chunk.object_ids, chunk.keys):
+                by_object[object_id].append(key)
+        for object_id in sorted(by_object):
+            group = last_dba = last_key = None
+            for key in sorted(by_object[object_id]):
+                dba = (key + 1) >> ROW_KEY_SHIFT
+                if dba != last_dba:  # a new block...
+                    if group is None or n_blocks == block_limit:
+                        # ...and a new group
+                        group = InvalidationGroup(
+                            object_id, chunks[0].tenant, commit_scn, [], []
+                        )
+                        groups.append(group)
+                        n_blocks = 0
+                    last_dba = dba
+                    n_blocks += 1
+                    whole = key + 1 == dba << ROW_KEY_SHIFT
+                    if whole:
+                        group.whole_blocks.append(dba)
+                    else:
+                        group.keys.append(key)
+                elif not whole and key != last_key:
+                    group.keys.append(key)
+                last_key = key
     return out
 
 

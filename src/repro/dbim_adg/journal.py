@@ -16,6 +16,10 @@ scheduler step is atomic and every journal operation runs inside one step,
 so two recovery workers can never meet on a hash chain -- the exclusion
 the bucket latches give in the paper, the step gives here.  The per-worker
 buffer areas stay, as the paper's shape of an anchor node.
+
+A buffered record is the paper's "(object, DBA, changed rows)" tuple as
+plain values: an object id and a row key per changed row
+(:class:`RecordChunk`), which the flush sorts as they are.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro import obs
-from repro.common.ids import TenantId, TransactionId, WorkerId
+from repro.common.ids import ObjectId, TenantId, TransactionId, WorkerId
 from repro.common.scn import SCN
 
 
@@ -36,18 +38,17 @@ class RecordChunk:
     """One bulk-mined slice of a transaction's invalidation data
     (paper, Fig. 6: which rows of which block of which object the
     transaction modified, plus the tenant for multi-tenancy), appended
-    into a worker's buffer area.  ``columns`` is a ``(4, n)``
-    int64 matrix, one column per record in SCN order, rows ``slots``
-    (< 0 = the whole block is affected), ``dbas``, ``object_ids`` and
-    ``scns`` (of the sniffed change vectors) -- least- to most-significant
-    sort key first, the order ``np.lexsort`` reads.  It is usually a view
-    of the gather the miner made for its whole worker chunk."""
+    into a worker's buffer area.  One entry per record, in SCN order:
+    ``object_ids`` and ``keys``, the row's
+    :func:`~repro.imcs.imcu.row_keys` -- ``row_keys(dba, -1)`` for a whole
+    block, which sorts just before the block's slots."""
 
-    columns: np.ndarray
+    object_ids: list[ObjectId]
+    keys: list[int]
     tenant: TenantId
 
     def __len__(self) -> int:
-        return self.columns.shape[1]
+        return len(self.keys)
 
 
 @dataclass(slots=True)

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.common.ids import TransactionId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.journal import IMADGJournal, RecordChunk
+from repro.imcs.imcu import ROW_KEY_SHIFT
 from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import (
     MINE_CLASS, MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk,
@@ -158,31 +157,25 @@ class MiningComponent:
     ) -> None:
         """Journal each transaction's run of data CVs (batch positions,
         ascending, hence in SCN order: a run's first SCN is its lowest),
-        in ascending xid.  What the journal keeps of the runs is one
-        gather of the batch's ``mined_columns`` (slots, dbas, object ids
-        and SCNs), converted once per batch; each run's
-        :class:`RecordChunk` is a slice of the gather."""
-        xids = sorted(runs)
-        matrix = batch.mined_columns
-        if matrix is None:
-            matrix = batch.mined_columns = np.array(
-                (batch.slots, batch.dbas, batch.object_ids, batch.scns),
-                dtype=np.int64,
-            )
-        selected = [i for xid in xids for i in runs[xid]]
-        records = matrix.take(selected, axis=1)
+        in ascending xid, as one :class:`RecordChunk` of plain lists: each
+        CV's object id and row key (its slot is -1 for a whole block)."""
+        dbas, slots, object_ids = batch.dbas, batch.slots, batch.object_ids
         scns, tenants = batch.scns, batch.tenants
         get_or_create = self.journal.get_or_create
-        lo = 0
-        for xid in xids:
+        for xid in sorted(runs):
             run = runs[xid]
-            first, hi = run[0], lo + len(run)
+            first = run[0]
             tenant = tenants[first]
             get_or_create(xid, tenant).add_chunk(
-                worker_id, RecordChunk(records[:, lo:hi], tenant), scns[first]
+                worker_id,
+                RecordChunk(
+                    [object_ids[i] for i in run],
+                    [(dbas[i] << ROW_KEY_SHIFT) + slots[i] for i in run],
+                    tenant,
+                ),
+                scns[first],
             )
             self.data_records_mined += len(run)
-            lo = hi
 
     def _sniff_special(
         self,

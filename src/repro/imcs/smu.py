@@ -164,10 +164,10 @@ class SMU:
         self._epoch += 1
         return True
 
-    def invalidate_keys(self, keys: np.ndarray, scn: SCN, scns=None) -> int:
+    def invalidate_keys(self, keys, scn: SCN, scns=None) -> int:
         """Row invalidation at once: mark every row of ``keys`` (distinct
-        :func:`~repro.imcs.imcu.row_keys`) invalid with a single epoch
-        bump and one mask write.
+        :func:`~repro.imcs.imcu.row_keys`, a list or an array) invalid
+        with a single epoch bump and one mask write.
 
         This is how the store applies everything one worklink drain call
         holds for this unit -- draining costs O(touched units) epoch
@@ -177,6 +177,7 @@ class SMU:
         the number of rows newly invalidated.
         """
         self._touch(scn)
+        keys = np.asarray(keys, dtype=np.int64)
         positions, hit = self.imcu.locate_keys(keys)
         if positions.size < len(keys):
             missed = ~hit

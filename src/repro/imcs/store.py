@@ -32,6 +32,8 @@ from repro.imcs.imcu import IMCU, ROW_KEY_SHIFT, row_keys
 from repro.imcs.smu import SMU
 from repro.rowstore.table import Partition, Table
 
+_SLOT_MASK = (1 << ROW_KEY_SHIFT) - 1
+
 
 @dataclass(slots=True)
 class InvalidationGroup:
@@ -47,21 +49,16 @@ class InvalidationGroup:
     object_id: ObjectId
     tenant: TenantId
     commit_scn: SCN
-    keys: np.ndarray
-    whole_blocks: np.ndarray
+    keys: list[int]
+    whole_blocks: list[DBA]
 
     @property
     def blocks(self) -> dict[DBA, tuple[int, ...]]:
         """DBA -> tuple of slots (empty tuple = whole block), in DBA
         order: the group as readers that walk it block by block see it."""
-        out: dict[DBA, list[int]] = {
-            dba: [] for dba in self.whole_blocks.tolist()
-        }
-        for dba, slot in zip(
-            (self.keys >> ROW_KEY_SHIFT).tolist(),
-            (self.keys & ((1 << ROW_KEY_SHIFT) - 1)).tolist(),
-        ):
-            out.setdefault(dba, []).append(slot)
+        out: dict[DBA, list[int]] = {dba: [] for dba in self.whole_blocks}
+        for key in self.keys:
+            out.setdefault(key >> ROW_KEY_SHIFT, []).append(key & _SLOT_MASK)
         return {dba: tuple(out[dba]) for dba in sorted(out)}
 
 
@@ -71,10 +68,10 @@ class _PendingInvalidation:
 
     dba: DBA
     #: Row keys, or None for the whole block.
-    keys: Optional[np.ndarray]
+    keys: Optional[list[int]]
     #: Each key's own commitSCN (the whole block's one): a unit registering
     #: later applies only what is newer than its data.
-    scns: np.ndarray
+    scns: list[SCN]
 
 
 @dataclass(slots=True)
@@ -201,31 +198,25 @@ class InMemoryColumnStore:
         imcu = smu.imcu
         segment = self.segment(imcu.object_id)
         still_pending = []
-        rows, rows_scns, rows_scn = [], [], NULL_SCN
+        #: distinct keys, each with its highest commitSCN
+        rows: dict[int, SCN] = {}
         for record in segment.pending:
             if not imcu.covers_dba(record.dba):
                 still_pending.append(record)
-                continue
-            newer = record.scns > pending_above
-            if not newer.any():
-                continue
-            scn = int(record.scns.max())
-            if record.keys is None:
-                smu.invalidate_block(record.dba, scn)
-                self.rows_invalidated += 1
+            elif record.keys is None:
+                (scn,) = record.scns
+                if scn > pending_above:
+                    smu.invalidate_block(record.dba, scn)
+                    self.rows_invalidated += 1
             else:
-                rows.append(record.keys[newer])
-                rows_scns.append(record.scns[newer])
-                rows_scn = max(rows_scn, scn)
+                for key, scn in zip(record.keys, record.scns):
+                    if scn > pending_above and scn > rows.get(key, NULL_SCN):
+                        rows[key] = scn
         segment.pending = still_pending
         if rows:
-            # distinct keys, each with its highest commitSCN
-            keys, scns = np.concatenate(rows), np.concatenate(rows_scns)
-            order = np.lexsort((scns, keys))
-            keys, scns = keys[order], scns[order]
-            last = np.append(keys[1:] != keys[:-1], True)
+            scns = list(rows.values())
             self.rows_invalidated += smu.invalidate_keys(
-                keys[last], rows_scn, scns[last]
+                list(rows), max(scns), scns
             )
 
         replaced: dict[int, SMU] = {}
@@ -336,15 +327,6 @@ class InMemoryColumnStore:
     # ------------------------------------------------------------------
     # invalidation routing
     # ------------------------------------------------------------------
-    def unit_covering(self, object_id: ObjectId, dba: DBA) -> Optional[SMU]:
-        segment = self._segments.get(object_id)
-        if segment is None:
-            return None
-        smu = segment.dba_to_unit.get(dba)
-        if smu is not None and smu.dropped:
-            return None
-        return smu
-
     def invalidate(
         self,
         object_id: ObjectId,
@@ -357,25 +339,22 @@ class InMemoryColumnStore:
         If the covering unit does not exist yet the record is parked in the
         object's pending list (see module docstring).
         """
-        rows = row_keys(dba, np.array(slots, dtype=np.int64))
+        keys = sorted({row_keys(dba, slot) for slot in slots})
         self.invalidate_groups([
-            InvalidationGroup(
-                object_id, 0, scn, np.unique(rows),
-                np.array(() if slots else (dba,), dtype=np.int64),
-            )
+            InvalidationGroup(object_id, 0, scn, keys, [] if slots else [dba])
         ])
 
     def invalidate_groups(self, groups: Sequence[InvalidationGroup]) -> None:
         """Apply invalidation groups -- typically everything one worklink
         drain call gathered -- each at its own commitSCN.
 
-        Per object, every group's rows are resolved together: one sort
-        puts them in row-key order (a row named by several groups keeps
-        its highest commitSCN), and each touched SMU gets a single
-        :meth:`SMU.invalidate_keys` call -- one ``searchsorted``, one
-        epoch bump and one mask write however many transactions the drain
-        holds.  Rows and whole blocks without a covering unit park in the
-        pending list with their own commitSCN.
+        Per object, every group's rows are resolved together in one pass:
+        a row named by several groups keeps its highest commitSCN, and
+        each touched SMU gets a single :meth:`SMU.invalidate_keys` call --
+        one ``searchsorted``, one epoch bump and one mask write however
+        many transactions the drain holds.  Rows and whole blocks without
+        a covering unit park in the pending list with their own
+        commitSCN.
         """
         by_object: dict[ObjectId, list[InvalidationGroup]] = {}
         for group in groups:
@@ -384,54 +363,39 @@ class InMemoryColumnStore:
             segment = self._segments.get(object_id)
             if segment is None:
                 continue  # not enabled here: nothing to maintain
-            self._invalidate_rows(
-                segment,
-                np.concatenate([g.keys for g in of_object]),
-                np.repeat(
-                    [g.commit_scn for g in of_object],
-                    [g.keys.size for g in of_object],
-                ),
-            )
+            self._invalidate_rows(segment, of_object)
             for group in of_object:
-                for dba in group.whole_blocks.tolist():
+                for dba in group.whole_blocks:
                     self._invalidate_block(segment, dba, group.commit_scn)
 
     def _invalidate_rows(
-        self, segment: InMemorySegment, keys: np.ndarray, scns: np.ndarray
+        self, segment: InMemorySegment, groups: list[InvalidationGroup]
     ) -> None:
         #: per touched SMU -- or, for want of one, per block: (the SMU,
-        #: its distinct keys, each one's commitSCN)
-        targets: dict[tuple[bool, int], tuple[Optional[SMU], list, list]] = {}
-        last = dba = None
-        # descending, so that a row named more than once comes with its
-        # highest commitSCN first; one pass in plain Python beats cutting
-        # a drain's few hundred keys per block and unit with numpy calls
-        order = np.lexsort((scns, keys))[::-1]
-        for key, scn in zip(keys[order].tolist(), scns[order].tolist()):
-            if key == last:
-                continue
-            last = key
-            if key >> ROW_KEY_SHIFT != dba:
-                dba = key >> ROW_KEY_SHIFT
-                smu = segment.dba_to_unit.get(dba)
-                if smu is None or smu.dropped:
-                    target = targets[True, dba] = (None, [], [])
-                else:
-                    target = targets.setdefault(
-                        (False, id(smu)), (smu, [], [])
-                    )
-            target[1].append(key)
-            target[2].append(scn)
-        for (__, dba), (smu, of_target, own) in targets.items():
+        #: each distinct key's highest commitSCN)
+        targets: dict[tuple[bool, int], tuple[Optional[SMU], dict]] = {}
+        dba = None
+        for group in groups:
+            scn = group.commit_scn
+            for key in group.keys:
+                if key >> ROW_KEY_SHIFT != dba:
+                    dba = key >> ROW_KEY_SHIFT
+                    smu = segment.dba_to_unit.get(dba)
+                    if smu is None or smu.dropped:
+                        rows = targets.setdefault((True, dba), (None, {}))[1]
+                    else:
+                        rows = targets.setdefault(
+                            (False, id(smu)), (smu, {})
+                        )[1]
+                if scn > rows.get(key, NULL_SCN):
+                    rows[key] = scn
+        for (__, dba), (smu, rows) in targets.items():
+            keys, scns = list(rows), list(rows.values())
             if smu is None:
-                segment.pending.append(
-                    _PendingInvalidation(
-                        dba, np.array(of_target), np.array(own)
-                    )
-                )
+                segment.pending.append(_PendingInvalidation(dba, keys, scns))
             else:
                 self.rows_invalidated += smu.invalidate_keys(
-                    np.array(of_target), max(own), own
+                    keys, max(scns), scns
                 )
 
     def _invalidate_block(
@@ -439,9 +403,7 @@ class InMemoryColumnStore:
     ) -> None:
         smu = segment.dba_to_unit.get(dba)
         if smu is None or smu.dropped:
-            segment.pending.append(
-                _PendingInvalidation(dba, None, np.array([scn]))
-            )
+            segment.pending.append(_PendingInvalidation(dba, None, [scn]))
         else:
             smu.invalidate_block(dba, scn)
             self.rows_invalidated += 1

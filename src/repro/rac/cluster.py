@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.adg.apply import ApplyDistributor
 from repro.adg.merger import LogMerger
@@ -235,21 +233,29 @@ class RemoteInvalidationRouter:
     def _split_by_home(
         self, group: InvalidationGroup
     ) -> dict[InstanceId, InvalidationGroup]:
-        key_dbas = group.keys >> ROW_KEY_SHIFT
+        """The group cut by its blocks' home instances, each share in the
+        group's order."""
         split = self.home_map.split_by_home(
             group.object_id,
-            np.union1d(key_dbas, group.whole_blocks).tolist(),
+            sorted({
+                *(key >> ROW_KEY_SHIFT for key in group.keys),
+                *group.whole_blocks,
+            }),
         )
-        return {
-            instance: InvalidationGroup(
-                group.object_id,
-                group.tenant,
-                group.commit_scn,
-                group.keys[np.isin(key_dbas, dbas)],
-                group.whole_blocks[np.isin(group.whole_blocks, dbas)],
-            )
-            for instance, dbas in split.items()
+        home = {
+            dba: instance for instance, dbas in split.items() for dba in dbas
         }
+        subs = {
+            instance: InvalidationGroup(
+                group.object_id, group.tenant, group.commit_scn, [], []
+            )
+            for instance in split
+        }
+        for key in group.keys:
+            subs[home[key >> ROW_KEY_SHIFT]].keys.append(key)
+        for dba in group.whole_blocks:
+            subs[home[dba]].whole_blocks.append(dba)
+        return subs
 
     def _route_coarse(self, tenant: TenantId, scn: SCN) -> None:
         self.master_store.invalidate_tenant(tenant, scn)

@@ -4,11 +4,10 @@ Redo is columns from the statement on (:mod:`repro.redo.log`); a
 :class:`CVBatch` is a range of one thread's log records as plain list
 slices of the log's columns, cut at the shipper (or by a FAL gap fetch,
 or the instant-restart tail fetch), and those lists travel through
-delivery, merge, distribution, mining and flush.  Every hop reads one CV
-at a time -- worker hashing, mining and apply index the lists directly --
-so no column is an array.  The one array a batch carries is the matrix
-the journal keeps (``mined_columns``), which mining converts once per
-batch and the flush sorts (:class:`~repro.dbim_adg.journal.RecordChunk`).
+delivery, merge, distribution and mining.  Every hop reads one CV at a
+time -- worker hashing, mining and apply index the lists directly -- so
+no column is an array, and what mining journals of a CV is plain values
+too (:class:`~repro.dbim_adg.journal.RecordChunk`).
 
 Beside the scalar columns ride three object columns: the
 :class:`TransactionId` the row store, transaction tables and journal key
@@ -86,7 +85,6 @@ class CVBatch:
         "payloads",
         "record_starts",
         "record_scns",
-        "mined_columns",
     )
 
     def __init__(
@@ -118,9 +116,6 @@ class CVBatch:
         self.payloads = payloads
         self.record_starts = record_starts
         self.record_scns = record_scns
-        #: The journal's ``(4, n_cvs)`` matrix of the batch, built by the
-        #: first chunk of it that mines data and shared by the rest.
-        self.mined_columns = None
 
     # ------------------------------------------------------------------
     @property

@@ -9,6 +9,7 @@ group instead of merging -- splitting one block's slot set across groups
 
 from __future__ import annotations
 
+import random
 from collections import deque
 
 from repro.common import TransactionId
@@ -22,9 +23,19 @@ from repro.dbim_adg.commit_table import CommitTableNode
 from repro.dbim_adg.flush import Worklink, gather_groups
 from repro.dbim_adg.journal import AnchorNode
 from repro.imcs import InMemoryColumnStore
-from tests.helpers import MinedRecord, add_records
+from repro.imcs.imcu import ROW_KEY_SHIFT
+from tests.dbim_adg.test_mining_flush import make_stack, make_table, update_cv
+from tests.helpers import MinedRecord, add_records, chunk_of
+from tests.naive_batch import RedoRecord
 
 XID = TransactionId(1, 7)
+X1, X2 = TransactionId(1, 1), TransactionId(1, 2)
+
+#: (dba, slot, transaction) of each data CV, one per redo record
+SCRIPT = [
+    (3, 1, X1), (1, 0, X2), (3, 1, X1), (2, 4, X1), (1, 2, X2),
+    (5, 0, X1), (3, 0, X1), (1, 0, X2), (4, 7, X1), (2, 4, X1),
+]
 
 
 def make_flush(group_block_limit=64):
@@ -41,7 +52,7 @@ def make_flush(group_block_limit=64):
 
 def node_with_records(records, commit_scn=100):
     anchor = AnchorNode(xid=XID, tenant=0, has_begin=True)
-    add_records(anchor, 0, records)
+    add_records(anchor, 0, records, commit_scn - 1)
     return CommitTableNode(
         xid=XID, commit_scn=commit_scn, anchor=anchor, tenant=0
     )
@@ -61,9 +72,9 @@ def flush_one(flush, node):
     assert flush.coordinator_flush(1) == 1
 
 
-def rec(dba, slots, object_id=900, scn=50):
+def rec(dba, slots, object_id=900):
     return MinedRecord(
-        object_id=object_id, dba=dba, slots=tuple(slots), tenant=0, scn=scn
+        object_id=object_id, dba=dba, slots=tuple(slots), tenant=0
     )
 
 
@@ -158,6 +169,67 @@ class TestGatherGroups:
         journal.get_or_create(XID, 0)  # so removal succeeds
         flush_one(flush, node)
         assert flush.router.groups_routed == 2  # one per distinct DBA
+
+
+def mined_groups(scns, block_limit=2):
+    """Mine SCRIPT with its records stamped ``scns`` and gather both
+    transactions' groups, at fixed commitSCNs."""
+    table = make_table()
+    journal, *__, miner, __ = make_stack(table)
+    oid = table.default_partition.object_id
+    miner.sniff_chunk(
+        chunk_of([
+            RedoRecord(scn, 1, (update_cv(oid, dba, slot, xid),))
+            for scn, (dba, slot, xid) in zip(scns, SCRIPT)
+        ]),
+        0,
+    )
+    return gather_groups(
+        [(900, journal.get(X1).chunks()), (901, journal.get(X2).chunks())],
+        block_limit,
+    )
+
+
+class TestGroupShape:
+    def test_record_scns_do_not_move_the_groups(self):
+        """The flush reads no mined record's own SCN: the same records
+        with their SCNs permuted give identical groups."""
+        scns = list(range(100, 100 + len(SCRIPT)))
+        expected = mined_groups(scns)
+        assert [len(groups) for groups in expected] == [2, 1]
+        rng = random.Random(7)
+        for __ in range(5):
+            rng.shuffle(scns)
+            assert mined_groups(scns) == expected
+
+    def test_keys_and_whole_blocks_are_sorted_distinct_lists(self):
+        rng = random.Random(11)
+        for block_limit in (None, 1, 2, 3):
+            transactions = []
+            for commit_scn in range(100, 106):
+                anchor = AnchorNode(xid=XID, tenant=0)
+                for worker in range(rng.randint(1, 3)):
+                    add_records(
+                        anchor,
+                        worker,
+                        [
+                            rec(
+                                rng.randint(1, 6),
+                                rng.sample(range(5), rng.randint(0, 2)),
+                                object_id=rng.choice((900, 901)),
+                            )
+                            for __ in range(rng.randint(1, 8))
+                        ],
+                        commit_scn - 1,
+                    )
+                transactions.append((commit_scn, anchor.chunks()))
+            for groups in gather_groups(transactions, block_limit):
+                for group in groups:
+                    for values in (group.keys, group.whole_blocks):
+                        assert type(values) is list
+                        assert values == sorted(set(values))
+                    key_dbas = {key >> ROW_KEY_SHIFT for key in group.keys}
+                    assert not key_dbas & set(group.whole_blocks)
 
 
 class TestChopStableOrder:

@@ -9,8 +9,8 @@ def xid(n):
     return TransactionId(1, n)
 
 
-def record(obj=9, dba=5, slots=(0,), scn=10):
-    return MinedRecord(obj, dba, slots, tenant=0, scn=scn)
+def record(obj=9, dba=5, slots=(0,)):
+    return MinedRecord(obj, dba, slots, tenant=0)
 
 
 def insert(table, node):
@@ -29,12 +29,14 @@ class TestJournal:
     def test_per_worker_areas_accumulate_without_latch(self):
         journal = IMADGJournal()
         anchor = journal.get_or_create(xid(1), 0)
-        add_records(anchor, 0, [record(scn=10)])
-        add_records(anchor, 1, [record(scn=11)])
-        add_records(anchor, 0, [record(scn=12)])
+        add_records(anchor, 0, [record(dba=10)], 10)
+        add_records(anchor, 1, [record(dba=11)], 11)
+        add_records(anchor, 0, [record(dba=12)], 12)
         assert anchor.n_records == 3
         assert len(anchor.worker_chunks) == 2
-        assert {r.scn for r in records_of(anchor)} == {10, 11, 12}
+        assert [r.dba for r in records_of(anchor, 0)] == [10, 12]
+        assert [r.dba for r in records_of(anchor, 1)] == [11]
+        assert anchor.first_scn == 10
 
     def test_remove(self):
         journal = IMADGJournal()
@@ -47,7 +49,7 @@ class TestJournal:
         journal = IMADGJournal()
         for i in range(10):
             anchor = journal.get_or_create(xid(i), 0)
-            add_records(anchor, 0, [record()])
+            add_records(anchor, 0, [record()], 10)
         journal.clear()
         assert journal.anchor_count == 0
         assert journal.record_count == 0
@@ -221,13 +223,7 @@ class TestFloorHeap:
     def test_batch_adds_feed_the_heap(self):
         journal = IMADGJournal()
         anchor = journal.get_or_create(xid(1), 0)
-        add_records(
-            anchor,
-            0,
-            [
-                MinedRecord(9, 5, (0,), 0, 42),
-                MinedRecord(9, 6, (1,), 0, 17),
-            ],
-        )
+        add_records(anchor, 0, [MinedRecord(9, 5, (0,), 0)], 42)
+        add_records(anchor, 1, [MinedRecord(9, 6, (1,), 0)], 17)
         assert anchor.first_scn == 17
         assert journal.min_first_scn() == 17

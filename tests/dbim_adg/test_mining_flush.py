@@ -14,7 +14,7 @@ from repro.imcs import IMCU, InMemoryColumnStore
 from repro.redo import CVOp, DDLMarkerPayload, ddl_marker_dba, txn_table_dba
 from repro.redo.batch import MINE_CLASS
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
-from tests.helpers import batch_of, records_of, sniff_one
+from tests.helpers import batch_of, records_of, sniff_one, unit_covering
 from tests.naive_batch import (
     ChangeVector,
     CommitPayload,
@@ -231,7 +231,7 @@ class TestFlush:
             flush.coordinator_flush(8)
         flush.finish_advance(320)
 
-        smu = store.unit_covering(oid, target.dba)
+        smu = unit_covering(store, oid, target.dba)
         assert smu.invalid_count == 1
         assert not smu.valid_row_mask()[3]
         assert journal.anchor_count == 0  # anchor released after flush
@@ -247,7 +247,7 @@ class TestFlush:
         # no commit mined
         flush.begin_advance(400)
         assert flush.is_advance_complete()
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 0
         assert journal.anchor_count == 1  # anchor retained
 
@@ -262,7 +262,7 @@ class TestFlush:
         sniff_one(miner, commit_cv(500), 500)
         flush.begin_advance(400)  # target below commitSCN
         assert flush.is_advance_complete()
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 0
         assert len(ct) == 1  # node still waiting
 

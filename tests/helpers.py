@@ -24,6 +24,9 @@ import numpy as np
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.imcs.compression import ColumnCU, NumericCU
+from repro.imcs.imcu import ROW_KEY_SHIFT, row_keys
+from repro.imcs.smu import SMU
+from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.log import RedoLog
 
@@ -44,7 +47,6 @@ class MinedRecord(NamedTuple):
     dba: int
     slots: tuple[int, ...]
     tenant: int
-    scn: int
 
 
 def batch_of(records: Iterable[RedoRecord], cv_base: int = 0) -> CVBatch:
@@ -139,38 +141,51 @@ def records_of(
     out = []
     for chunks in areas:
         for chunk in chunks:
-            for slot, dba, object_id, scn in chunk.columns.T.tolist():
+            for object_id, key in zip(chunk.object_ids, chunk.keys):
+                dba = (key + 1) >> ROW_KEY_SHIFT  # a whole block's slot is -1
+                slot = key - (dba << ROW_KEY_SHIFT)
                 out.append(
                     MinedRecord(
                         object_id,
                         dba,
                         (slot,) if slot >= 0 else (),
                         chunk.tenant,
-                        scn,
                     )
                 )
     return out
 
 
 def add_records(
-    anchor: AnchorNode, worker_id: int, records: Iterable[MinedRecord]
+    anchor: AnchorNode,
+    worker_id: int,
+    records: Iterable[MinedRecord],
+    first_scn: int,
 ) -> None:
-    """Buffer records into one worker's area as a single mined slice; a
-    multi-slot record becomes one row per slot, ``()`` a whole-block row."""
+    """Buffer records into one worker's area as a single mined slice whose
+    lowest SCN is ``first_scn``; a multi-slot record becomes one row per
+    slot, ``()`` a whole-block row."""
     rows = [
-        (r.object_id, r.dba, slot, r.scn)
+        (r.object_id, row_keys(r.dba, slot))
         for r in records
         for slot in (r.slots or (-1,))
     ]
-    object_ids, dbas, slots, scns = zip(*rows)
     anchor.add_chunk(
         worker_id,
         RecordChunk(
-            np.array([slots, dbas, object_ids, scns], dtype=np.int64),
+            [object_id for object_id, __ in rows],
+            [key for __, key in rows],
             anchor.tenant,
         ),
-        min(scns),
+        first_scn,
     )
+
+
+def unit_covering(
+    store: InMemoryColumnStore, object_id: int, dba: int
+) -> Optional[SMU]:
+    """The live unit covering ``dba`` of an enabled object, or None."""
+    smu = store.segment(object_id).dba_to_unit.get(dba)
+    return None if smu is None or smu.dropped else smu
 
 
 def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.imcs.imcu import IMCU, row_keys
 from repro.imcs.store import InMemoryColumnStore
 
+from tests.helpers import unit_covering
 from tests.imcs.conftest import load_rows
 from tests.imcs.test_store_population import drain, make_engine
 
@@ -43,7 +44,7 @@ class TestCarryGranularity:
         self, wide_table, txns, clock
     ):
         store, oid, rowids = populated_store(wide_table, txns, clock)
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         snapshot = clock.current
         store.invalidate(
             oid, rowids[0].dba, (rowids[0].slot,), scn=snapshot + 50
@@ -67,7 +68,7 @@ class TestCarryGranularity:
         self, wide_table, txns, clock
     ):
         store, oid, rowids = populated_store(wide_table, txns, clock)
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         snapshot = clock.current
         store.invalidate(oid, rowids[0].dba, (), scn=snapshot + 50)
         new_smu = store.register_unit(
@@ -85,7 +86,7 @@ class TestCarryGranularity:
         self, wide_table, txns, clock
     ):
         store, oid, rowids = populated_store(wide_table, txns, clock)
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         snapshot = clock.current
         old_unit.invalidate_fully(snapshot + 50)
         new_smu = store.register_unit(
@@ -102,7 +103,7 @@ class TestCarryGranularity:
         from repro.imcs.scan import ScanEngine
 
         store, oid, rowids = populated_store(wide_table, txns, clock)
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         snapshot = clock.current
         # mutate one row after the replacement snapshot, then swap
         xid2, __ = load_rows(wide_table, txns, clock, 0)
@@ -136,7 +137,7 @@ class TestCarryOntoDeltaBuiltUnit:
         from repro.imcs.scan import ScanEngine
 
         store, oid, rowids = populated_store(wide_table, txns, clock)
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         # committed and invalidated below the replacement's snapshot
         xid, __ = load_rows(wide_table, txns, clock, 0)
         wide_table.update_row(rowids[3], {"n1": -3.0}, xid, clock.next(), txns)
@@ -195,7 +196,7 @@ def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
     from repro.imcs.scan import ScanEngine
 
     store, oid, rowids = populated_store(wide_table, txns, clock, n=4)
-    old_unit = store.unit_covering(oid, rowids[0].dba)
+    old_unit = unit_covering(store, oid, rowids[0].dba)
     # inserted and committed after the unit's snapshot: an edge row
     __, (edge,) = load_rows(wide_table, txns, clock, 1)
     assert edge.dba == rowids[0].dba
@@ -224,7 +225,7 @@ def test_an_uncaptured_slot_parks_again_until_a_unit_captures_it(
     wide_table, txns, clock
 ):
     store, oid, rowids = populated_store(wide_table, txns, clock, n=4)
-    old_unit = store.unit_covering(oid, rowids[0].dba)
+    old_unit = unit_covering(store, oid, rowids[0].dba)
     before_insert = clock.current
     __, (edge,) = load_rows(wide_table, txns, clock, 1)
     inserted = clock.current

@@ -14,6 +14,7 @@ from repro.imcs import (
 from repro.imcs.population import PopulationWorker
 from repro.sim import Scheduler
 
+from tests.helpers import unit_covering
 from tests.imcs.conftest import load_rows
 
 
@@ -65,7 +66,7 @@ class TestStore:
         drain(engine)
         oid = wide_table.default_partition.object_id
         store.invalidate(oid, rowids[0].dba, (rowids[0].slot,), scn=500)
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 1
 
     def test_invalidation_before_population_is_parked_then_applied(
@@ -85,7 +86,7 @@ class TestStore:
         engine = make_engine(store, txns, clock)
         engine.schedule_all()
         drain(engine)
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 1  # applied at registration
         assert not store.segment(oid).pending
 
@@ -101,7 +102,7 @@ class TestStore:
         engine = make_engine(store, txns, clock)
         engine.schedule_all()
         drain(engine)
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 0
 
     def test_repopulation_swap_preserves_newer_invalidations(
@@ -120,7 +121,7 @@ class TestStore:
         engine.schedule_all()
         drain(engine)
         oid = wide_table.default_partition.object_id
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         stale_snapshot = clock.current
         # a commit after the replacement's snapshot invalidates one row
         store.invalidate(
@@ -134,7 +135,7 @@ class TestStore:
             stale_snapshot, txns,
         )
         new_smu = store.register_unit(replacement)
-        assert store.unit_covering(oid, rowids[0].dba) is new_smu
+        assert unit_covering(store, oid, rowids[0].dba) is new_smu
         assert new_smu.invalid_count == 1  # carried across the swap
 
     def test_repopulation_swap_at_covering_snapshot_carries_nothing(
@@ -151,7 +152,7 @@ class TestStore:
         engine.schedule_all()
         drain(engine)
         oid = wide_table.default_partition.object_id
-        old_unit = store.unit_covering(oid, rowids[0].dba)
+        old_unit = unit_covering(store, oid, rowids[0].dba)
         inval_scn = clock.current + 100
         store.invalidate(oid, rowids[0].dba, (rowids[0].slot,), scn=inval_scn)
 
@@ -269,7 +270,7 @@ class TestPopulationEngine:
         assert engine.check_repopulation(now=1.0) == 1
         drain(engine)
         assert engine.repopulations == 1
-        smu = store.unit_covering(oid, rowids[0].dba)
+        smu = unit_covering(store, oid, rowids[0].dba)
         assert smu.invalid_count == 0  # fresh unit
         assert smu.imcu.snapshot_scn >= clock.current - 1
 

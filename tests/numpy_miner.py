@@ -37,6 +37,7 @@ from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode
 from repro.dbim_adg.journal import RecordChunk
 from repro.dbim_adg.mining import MiningComponent
+from repro.imcs.imcu import row_keys
 from repro.redo.batch import (
     MINE_CLASS, MINE_DATA, MINE_SPECIAL, CVBatch, CVChunk,
 )
@@ -167,7 +168,7 @@ class NumpyMiningComponent(MiningComponent):
     ) -> None:
         """Gather the enabled data CVs at batch positions ``data``, sort
         them stably by xid code and journal each transaction's run as a
-        slice of the gather."""
+        slice of the gather's object ids and row keys, made lists."""
         enabled = frozenset(self.imcs.enabled_object_ids)
         if self._enabled is None or enabled != self._enabled[0]:
             self._enabled = (
@@ -186,13 +187,16 @@ class NumpyMiningComponent(MiningComponent):
         # per run: the lowest SCN (its first, the sort being stable), the
         # xid code and the tenant
         first_scns, codes, tenants = columns[3:, starts].tolist()
-        records = columns[:4]
+        object_ids = columns[2].tolist()
+        keys = row_keys(columns[1], columns[0]).tolist()
         for code, tenant, first_scn, lo, hi in zip(
             codes, tenants, first_scns, starts, [*starts[1:], n]
         ):
             anchor = self.journal.get_or_create(decode_xid(code), tenant)
             anchor.add_chunk(
-                worker_id, RecordChunk(records[:, lo:hi], tenant), first_scn
+                worker_id,
+                RecordChunk(object_ids[lo:hi], keys[lo:hi], tenant),
+                first_scn,
             )
             self.data_records_mined += hi - lo
 

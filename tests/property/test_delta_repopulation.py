@@ -40,7 +40,7 @@ from repro.imcs.expressions import Expression
 from repro.rowstore import BlockStore, Table
 from repro.rowstore.cr import settled_rows
 
-from tests.helpers import cu_buffers, cu_dictionary
+from tests.helpers import cu_buffers, cu_dictionary, unit_covering
 from tests.naive_imcu import naive_build
 from tests.naive_versions import chain_of
 from tests.property.test_population_columnar import (
@@ -517,7 +517,7 @@ def test_a_failed_build_hands_the_work_back_to_the_sweeps(monkeypatch):
     assert engine.run_one_task() is not None
     assert engine.populations == 1
     # repopulation
-    smu = world.store.unit_covering(world.oid, 1)
+    smu = unit_covering(world.store, world.oid, 1)
     update(world, 1, 0, (0, -1, -1.0, "b", "k", "x"), X[1])
     assert engine.check_repopulation(now=1.0) == 1 and smu.repopulating
     failures = iter([SnapshotTooOldError("pruned")])
@@ -546,7 +546,7 @@ def test_a_repopulation_past_pruned_undo_releases_the_outgoing_unit():
     )
     assert engine.schedule_all() == 1
     assert engine.run_one_task() is not None
-    smu = world.store.unit_covering(world.oid, 1)
+    smu = unit_covering(world.store, world.oid, 1)
     update(world, 1, 3, (3, 0, 0.0, "late", "k", "x"), X[1])
     snapshot[0] = world.scn - 1  # the update commits beyond it...
     world.segment._store.get(1).prune_undo(1)  # ...and the undo is gone

@@ -164,7 +164,7 @@ class Recorder(InvalidationListener):
         self.events: list[tuple] = []
 
     def on_group_flushed(self, group) -> None:
-        assert np.all(np.diff(group.keys) > 0)  # sorted, distinct
+        assert group.keys == sorted(set(group.keys))  # sorted, distinct
         self.events.append(
             ("group", group.object_id, group.commit_scn, group.blocks)
         )
@@ -268,11 +268,11 @@ class World:
                 by_chunk.setdefault((worker, chunk), []).append(
                     MinedRecord(
                         object_id, dba, (slot,) if slot >= 0 else (),
-                        node.tenant, node.commit_scn - 1,
+                        node.tenant,
                     )
                 )
             for (worker, __), records in sorted(by_chunk.items()):
-                add_records(anchor, worker, records)
+                add_records(anchor, worker, records, node.commit_scn - 1)
             nodes.append(
                 CommitTableNode(xid, node.commit_scn, anchor, node.tenant)
             )
@@ -318,12 +318,10 @@ class World:
                 )
             for record in segment.pending:
                 if record.keys is None:
-                    (scn,) = record.scns.tolist()
+                    (scn,) = record.scns
                     pending_whole.append((object_id, record.dba, scn))
                     continue
-                for key, scn in zip(
-                    record.keys.tolist(), record.scns.tolist()
-                ):
+                for key, scn in zip(record.keys, record.scns):
                     row = (object_id, *address(key))
                     assert row[1] == record.dba
                     pending_rows[row] = max(pending_rows.get(row, 0), scn)

@@ -584,16 +584,16 @@ def test_reset_mining_clears_the_data_done_mark():
     assert not chunk.mined
     stack.miner.sniff_chunk(chunk, 0)
     anchor = stack.journal.get(X1)
-    assert [(r.dba, r.slots, r.scn) for r in records_of(anchor)] == [
-        (1, (1,), 102),
-        (2, (2,), 102),
+    assert [(r.dba, r.slots) for r in records_of(anchor)] == [
+        (1, (1,)),
+        (2, (2,)),
     ]
     assert not anchor.has_begin  # the begin was applied before the restart
     assert anchor.first_scn == 102
 
 
 def test_transactions_of_one_chunk_do_not_share_records():
-    """Each anchor gets its own slice of the chunk's one gather."""
+    """Each anchor gets its own records, in SCN order."""
     imcs = enabled_store()
     chunk = chunk_of(
         [
@@ -605,12 +605,12 @@ def test_transactions_of_one_chunk_do_not_share_records():
     stack = Stack(imcs)
     stack.miner.sniff_chunk(chunk, 0)
     mined = {
-        xid: [(r.dba, r.slots, r.scn) for r in records_of(anchor)]
+        xid: ([(r.dba, r.slots) for r in records_of(anchor)], anchor.first_scn)
         for xid, anchor in stack.journal._anchors.items()
     }
     assert mined == {
-        X1: [(1, (0,), 101), (1, (1,), 102), (2, (2,), 103)],
-        X2: [(3, (0,), 101), (3, (1,), 102)],
+        X1: ([(1, (0,)), (1, (1,)), (2, (2,))], 101),
+        X2: ([(3, (0,)), (3, (1,))], 101),
     }
     assert stack.miner.data_records_mined == 5
     assert stack.journal.min_first_scn() == 101

@@ -5,8 +5,8 @@ Both miners see the same worker chunks, in the same order, under the same
 IMCS-enabled set, and must leave exactly the same state behind:
 
 * per anchor, in journal order: tenant, begin flag, first
-  SCN and, per worker in append order, every ``RecordChunk``'s columns
-  and tenant;
+  SCN and, per worker in append order, every ``RecordChunk``'s object
+  ids, row keys and tenant;
 * the journal's floor heap as pushed, and its floor;
 * the commit table's nodes in chop order (partition, then insertion);
 * the DDL table, the abort hook's calls, the miners' counters
@@ -248,7 +248,7 @@ class Side:
                     (
                         worker,
                         [
-                            (chunk.columns.tolist(), chunk.tenant)
+                            (chunk.object_ids, chunk.keys, chunk.tenant)
                             for chunk in chunks
                         ],
                     )

@@ -79,7 +79,7 @@ def test_journal_exactly_once_delivery(ops):
                 continue  # the stream never writes after commit/abort
             anchor = journal.get_or_create(xid, 0)
             add_records(
-                anchor, worker, [MinedRecord(9, 5, (0,), 0, scn=1)]
+                anchor, worker, [MinedRecord(9, 5, (0,), 0)], 1
             )
             model[xid] = model.get(xid, 0) + 1
         elif kind == "abort":

@@ -1,8 +1,15 @@
-"""Tests for the home-location map and the interconnect."""
+"""Tests for the home-location map, the master's split of a group by
+home instance, and the interconnect."""
+
+import random
 
 import pytest
 
+from repro.imcs import InMemoryColumnStore
+from repro.imcs.imcu import ROW_KEY_SHIFT, row_keys
+from repro.imcs.store import InvalidationGroup
 from repro.rac import HomeLocationMap, Interconnect
+from repro.rac.cluster import RemoteInvalidationRouter
 from repro.sim import Scheduler
 
 
@@ -36,6 +43,44 @@ class TestHomeLocationMap:
     def test_empty_instances_rejected(self):
         with pytest.raises(ValueError):
             HomeLocationMap([])
+
+
+class TestSplitByHome:
+    def test_sub_groups_partition_the_group_exactly(self):
+        """Every key and whole block of a group lands in exactly one
+        sub-group -- the one of its block's home instance -- in the
+        group's order, and the sub-groups carry the group's identity."""
+        home_map = HomeLocationMap([1, 2, 3], range_blocks=2)
+        router = RemoteInvalidationRouter(
+            InMemoryColumnStore(), 1, home_map, Interconnect(Scheduler())
+        )
+        rng = random.Random(5)
+        for __ in range(20):
+            whole = sorted(rng.sample(range(40), rng.randint(0, 6)))
+            keys = sorted({
+                row_keys(dba, rng.randrange(8))
+                for dba in rng.sample(range(40), rng.randint(0, 12))
+                if dba not in whole
+                for __ in range(rng.randint(1, 3))
+            })
+            group = InvalidationGroup(9, 4, 77, keys, whole)
+            subs = router._split_by_home(group)
+            assert sorted(k for s in subs.values() for k in s.keys) == keys
+            assert sorted(
+                d for s in subs.values() for d in s.whole_blocks
+            ) == whole
+            for instance, sub in subs.items():
+                assert (sub.object_id, sub.tenant, sub.commit_scn) == (
+                    9, 4, 77,
+                )
+                assert sub.keys == sorted(sub.keys)
+                assert sub.whole_blocks == sorted(sub.whole_blocks)
+                assert sub.keys or sub.whole_blocks
+                dbas = [key >> ROW_KEY_SHIFT for key in sub.keys]
+                assert all(
+                    home_map.instance_for(9, dba) == instance
+                    for dba in dbas + sub.whole_blocks
+                )
 
 
 class TestInterconnect:

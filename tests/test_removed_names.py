@@ -256,6 +256,20 @@ BANS = [
         "code-keyed join; `Database.join` is one hash join keyed by value) "
         "and two-phase prepare",
     ),
+    Ban(
+        "invalidation_numpy",
+        r"import numpy|\bnp\.",
+        ("src/repro/dbim_adg", "src/repro/rac/cluster.py"),
+        "§15 One record from the miner to the mask: mining, the journal, "
+        "the flush and the RAC split hold a record as plain values",
+    ),
+    Ban(
+        "journal_matrix",
+        r"mined_columns",
+        ("src/repro",),
+        "§3 Removed: the journal's `(4, n)` matrix (`CVBatch.mined_columns`"
+        "); a `RecordChunk` is lists of object ids and row keys",
+    ),
 ]
 
 
