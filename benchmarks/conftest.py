@@ -90,7 +90,6 @@ def run_scenario(
     oltap_config: OLTAPConfig,
     service: InMemoryService | None,
     scan_target: str = "standby",
-    dbim_on_adg: bool = True,
     system_config: SystemConfig | None = None,
 ) -> tuple[Deployment, OLTAPWorkload]:
     """Set up + run one workload scenario to completion.
@@ -103,8 +102,7 @@ def run_scenario(
     registry = obs.MetricsRegistry()
     with obs.collecting(registry):
         deployment = Deployment.build(
-            config=system_config or bench_system_config(),
-            dbim_on_adg=dbim_on_adg,
+            config=system_config or bench_system_config()
         )
         workload = OLTAPWorkload(deployment, oltap_config)
         workload.setup(service=service)

@@ -13,13 +13,15 @@ advancement protocol (paper, III-D):
    process DDL information (drop IMCUs whose object definition changed)
    -- both strictly pre-publication;
 2. drain the worklink -- the coordinator flushes batches itself and the
-   recovery workers help via cooperative flush;
+   recovery workers help via cooperative flush (unless the ablation
+   switch ``ApplyConfig.cooperative_flush`` is off);
 3. publish the new QuerySCN.  This is the paper's quiesce period: it is
    one scheduler step, and a step is atomic, so no population capture
    can observe the QuerySCN in flux (DESIGN §2).
 
-Without a flush protocol installed (plain ADG, the paper's "without
-DBIM-on-ADG" baseline) steps 1-3 vanish and publication is immediate.
+Every standby runs this protocol.  The paper's "without DBIM-on-ADG"
+baseline is a standby with nothing enabled in memory: the same steps run,
+with no data changes mined to flush.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class RecoveryCoordinator(Actor):
         distributor: ApplyDistributor,
         workers: list[RecoveryWorker],
         query_scn: QuerySCNPublisher,
-        advance_protocol: Optional[AdvanceProtocol] = None,
+        advance_protocol: AdvanceProtocol,
         interval: float = 0.01,
         distribute_batch: int = 512,
         flush_batch: int = 32,
@@ -191,8 +193,7 @@ class RecoveryCoordinator(Actor):
             if candidate > self.query_scn.value:
                 self._advancing_to = candidate
                 self._advance_started_at = sched.now
-                if self.advance_protocol is not None:
-                    self.advance_protocol.begin_advance(candidate)
+                self.advance_protocol.begin_advance(candidate)
         if self._advancing_to is not None:
             cost += self._continue_advance(sched)
         if self._advancing_to is None:
@@ -204,21 +205,19 @@ class RecoveryCoordinator(Actor):
 
     # ------------------------------------------------------------------
     def _continue_advance(self, sched: Scheduler) -> float:
-        cost = 0.0
         protocol = self.advance_protocol
-        if protocol is not None:
-            flushed = protocol.coordinator_flush(self.flush_batch)
-            cost += FLUSH_COST_PER_NODE * max(flushed, 1)
-            if flushed < 0:
-                # worklink exists but draining is blocked: waiting, not
-                # flushing -- the episode is excluded from adjusted latency
-                if self._stalled_since is None:
-                    self._stalled_since = sched.now
-            elif self._stalled_since is not None:
-                self._stall_accum += sched.now - self._stalled_since
-                self._stalled_since = None
-            if not protocol.is_advance_complete():
-                return cost
+        flushed = protocol.coordinator_flush(self.flush_batch)
+        cost = FLUSH_COST_PER_NODE * max(flushed, 1)
+        if flushed < 0:
+            # worklink exists but draining is blocked: waiting, not
+            # flushing -- the episode is excluded from adjusted latency
+            if self._stalled_since is None:
+                self._stalled_since = sched.now
+        elif self._stalled_since is not None:
+            self._stall_accum += sched.now - self._stalled_since
+            self._stalled_since = None
+        if not protocol.is_advance_complete():
+            return cost
         # Invalidation flush done: publish (the quiesce period is this step).
         target = self._advancing_to
         chaos = self._chaos
@@ -239,8 +238,7 @@ class RecoveryCoordinator(Actor):
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST + max(decision.delay, 0.0)
         self.query_scn.publish(target, at_time=sched.now)
-        if protocol is not None:
-            protocol.finish_advance(target)
+        protocol.finish_advance(target)
         self.advancements += 1
         latency = sched.now - self._advance_started_at
         # time this advancement spent *blocked* (injected stall or blocked

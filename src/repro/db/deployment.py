@@ -91,7 +91,6 @@ class Deployment:
         cls,
         config: Optional[SystemConfig] = None,
         n_standbys: int = 1,
-        dbim_on_adg: bool = True,
         heartbeats: bool = True,
     ) -> "Deployment":
         """Construct and wire a fresh deployment of ``n_standbys``
@@ -115,9 +114,7 @@ class Deployment:
         members = []
         for i in range(1, n_standbys + 1):
             standby = StandbyDatabase(
-                config,
-                dbim_enabled=dbim_on_adg,
-                node=CpuNode(f"standby-{i}", n_cpus=16),
+                config, node=CpuNode(f"standby-{i}", n_cpus=16)
             )
             standby.receiver.fal_fetch = fal_fetch
             members.append(StandbyMember(standby))

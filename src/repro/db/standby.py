@@ -5,7 +5,7 @@ Wires together every component of sections II-A and III:
 * inbound redo (:class:`~repro.redo.shipping.RedoReceiver`), the log
   merger, the apply distributor, N recovery workers and the recovery
   coordinator publishing the QuerySCN;
-* when DBIM-on-ADG is enabled: the mining component installed as the
+* the DBIM-on-ADG components: the mining component installed as the
   workers' batch sniffer, the IM-ADG Journal / Commit Table / DDL Information
   Table, and the invalidation flush component installed as the
   coordinator's advance protocol (with cooperative flush hooks on the
@@ -102,23 +102,20 @@ class StandbyInstance:
         distributor: ApplyDistributor,
         applier: PhysicalApplier,
         flush: InvalidationFlushComponent,
-        dbim_enabled: bool,
     ) -> list[RecoveryWorker]:
-        """Workers that mine into this instance's journal and help drain
-        ``flush``'s worklink (cooperative flush, paper III-D-2)."""
+        """Workers that mine into this instance's journal and, unless the
+        cooperative-flush ablation is off, help drain ``flush``'s worklink
+        (paper III-D-2)."""
         apply_cfg = self.config.apply
-        batch_sniffer = self.miner.sniff_chunk if dbim_enabled else None
         flush_helper = (
-            flush.worker_flush
-            if dbim_enabled and apply_cfg.cooperative_flush
-            else None
+            flush.worker_flush if apply_cfg.cooperative_flush else None
         )
         workers = [
             RecoveryWorker(
                 i,
                 distributor,
                 applier=applier,
-                batch_sniffer=batch_sniffer,
+                batch_sniffer=self.miner.sniff_chunk,
                 flush_helper=flush_helper,
                 batch=apply_cfg.worker_batch,
                 flush_batch=apply_cfg.cooperative_flush_batch,
@@ -139,11 +136,9 @@ class StandbyDatabase(Database, StandbyInstance):
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
-        dbim_enabled: bool = True,
         node: Optional[CpuNode] = None,
     ) -> None:
         self.config = config or SystemConfig()
-        self.dbim_enabled = dbim_enabled
         self.node = node or CpuNode("standby-1", n_cpus=16)
         # the row store ("datafiles" + recovered dictionary), the IMCS and
         # population at the QuerySCN (StandbyInstance._capture_snapshot)
@@ -170,17 +165,16 @@ class StandbyDatabase(Database, StandbyInstance):
             self.ddl_table,
             self.imcs,
             ddl_applier=self.applier.apply_ddl,
-            cooperative=apply_cfg.cooperative_flush,
         )
         self.workers = self._recovery_workers(
-            self.distributor, self.applier, self.flush, dbim_enabled
+            self.distributor, self.applier, self.flush
         )
         self.coordinator = RecoveryCoordinator(
             self.merger,
             self.distributor,
             self.workers,
             self.query_scn,
-            advance_protocol=self.flush if dbim_enabled else None,
+            self.flush,
             interval=apply_cfg.coordinator_interval,
             flush_batch=apply_cfg.coordinator_flush_batch,
             node=self.node,

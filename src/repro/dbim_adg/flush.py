@@ -203,7 +203,6 @@ class InvalidationFlushComponent:
         store: InMemoryColumnStore,
         router: Optional[LocalInvalidationRouter] = None,
         ddl_applier: Optional[Callable[[DDLMarkerPayload], None]] = None,
-        cooperative: bool = True,
         group_block_limit: int = 64,
     ) -> None:
         #: Every apply instance's mining state, this instance's first.
@@ -219,12 +218,10 @@ class InvalidationFlushComponent:
         #: Applies schema changes on the standby (drop column, drop table,
         #: create table) when a DDL marker is processed.
         self.ddl_applier = ddl_applier
-        #: Whether recovery workers participate (ablation switch).
-        self.cooperative = cooperative
         #: Maximum blocks per invalidation group (RAC message sizing).
         self.group_block_limit = group_block_limit
         self.worklink: Optional[Worklink] = None
-        #: Every apply instance's cooperative workers, woken by a worklink.
+        #: Every apply instance's flush-helping workers, woken by a worklink.
         self.waiters: list = []
         # statistics
         self._obs = obs.current()
@@ -309,7 +306,7 @@ class InvalidationFlushComponent:
         self.worklink = None
 
     # ------------------------------------------------------------------
-    # cooperative flush hook for recovery workers
+    # the recovery workers' flush helper
     # ------------------------------------------------------------------
     def worker_flush(self, worker_id: WorkerId, batch: int) -> int:
         """Installed as the recovery workers' flush helper.
@@ -319,8 +316,6 @@ class InvalidationFlushComponent:
         doing flush work, and accounts the time separately (the
         ``adg.apply.coop_flush_wait`` histogram).
         """
-        if not self.cooperative:
-            return 0
         flushed = self._flush_nodes(batch, by_worker=True)
         if flushed > 0:
             self.nodes_flushed_by_workers += flushed

@@ -292,13 +292,6 @@ class IMCU:
             )
         return self._rowids
 
-    def position_of(self, rowid: RowId) -> Optional[int]:
-        """Row position of a physical address, or None if not captured."""
-        hit = self.positions_for_keys(
-            np.array([row_keys(rowid.dba, rowid.slot)])
-        )
-        return int(hit[0]) if hit.size else None
-
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted row keys, their row positions)``."""
         if self._key_index is None:
@@ -314,11 +307,6 @@ class IMCU:
             key_sorted, (row_keys(dba, 0), row_keys(dba + 1, 0))
         )
         return positions[lo:hi]
-
-    def positions_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Row positions of an array of :func:`row_keys`; rows the IMCU
-        never captured are dropped."""
-        return self.locate_keys(keys)[0]
 
     def locate_keys(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(row positions of the captured keys, which keys the IMCU

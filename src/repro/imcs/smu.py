@@ -23,7 +23,7 @@ import operator
 import numpy as np
 
 from repro.common.errors import InvalidStateError
-from repro.common.ids import DBA, RowId
+from repro.common.ids import DBA
 from repro.common.scn import NULL_SCN, SCN
 from repro.imcs.compression import ColumnCU, DictionaryCU, NumericCU
 from repro.imcs.expressions import RowResolver
@@ -147,23 +147,6 @@ class SMU:
     # ------------------------------------------------------------------
     # invalidation (called by the owner store, inside one scheduler step)
     # ------------------------------------------------------------------
-    def invalidate_row(self, rowid: RowId, scn: SCN) -> bool:
-        """Mark one row invalid.  Rows not captured by the IMCU (inserted
-        after its snapshot) are already row-store-only -- every scan reads
-        its blocks' edge slots -- so they only park in :attr:`uncaptured`.
-        Returns True if state changed."""
-        self._touch(scn)
-        position = self.imcu.position_of(rowid)
-        if position is None:
-            key = int(row_keys(rowid.dba, rowid.slot))
-            self.uncaptured[key] = max(self.uncaptured.get(key, scn), scn)
-            return False
-        if self._invalid_rows[position]:
-            return False
-        self._invalid_rows[position] = True
-        self._epoch += 1
-        return True
-
     def invalidate_keys(self, keys, scn: SCN, scns=None) -> int:
         """Row invalidation at once: mark every row of ``keys`` (distinct
         :func:`~repro.imcs.imcu.row_keys`, a list or an array) invalid
@@ -171,10 +154,12 @@ class SMU:
 
         This is how the store applies everything one worklink drain call
         holds for this unit -- draining costs O(touched units) epoch
-        bumps instead of O(rows).  Uncaptured rows park as
-        :meth:`invalidate_row` parks them, each with its own commitSCN
-        from ``scns`` (default: ``scn``, the highest among them).  Returns
-        the number of rows newly invalidated.
+        bumps instead of O(rows).  Rows the IMCU never captured (inserted
+        after its snapshot) are already row-store-only -- every scan reads
+        its blocks' edge slots -- so they only park in :attr:`uncaptured`,
+        each with its own commitSCN from ``scns`` (default: ``scn``, the
+        highest among them).  Returns the number of rows newly
+        invalidated.
         """
         self._touch(scn)
         keys = np.asarray(keys, dtype=np.int64)

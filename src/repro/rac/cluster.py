@@ -140,8 +140,7 @@ class PeerInstance(StandbyInstance):
             )
             self._init_mining()
             self.workers = self._recovery_workers(
-                self.distributor, master.applier, master.flush,
-                master.dbim_enabled,
+                self.distributor, master.applier, master.flush
             )
 
     def actors(self) -> list[Actor]:

@@ -165,6 +165,22 @@ class TestQuerySCNPublisher:
         assert publisher.value == 25
 
 
+class AlwaysComplete:
+    """The smallest advance protocol: nothing to chop, drain or retire."""
+
+    def begin_advance(self, target):
+        pass
+
+    def coordinator_flush(self, batch):
+        return 0
+
+    def is_advance_complete(self):
+        return True
+
+    def finish_advance(self, target):
+        pass
+
+
 def build_pipeline(n_workers=2, worker_speeds=None):
     receiver = RedoReceiver()
     receiver.register_thread(1)
@@ -179,7 +195,7 @@ def build_pipeline(n_workers=2, worker_speeds=None):
         )
     query_scn = QuerySCNPublisher()
     coordinator = RecoveryCoordinator(
-        merger, distributor, workers, query_scn,
+        merger, distributor, workers, query_scn, AlwaysComplete(),
         interval=0.001,
     )
     sched = Scheduler()
@@ -325,16 +341,13 @@ class TestCoordinator:
         step, and drive chop -> drain -> publish -> retire in that order."""
         calls = []
 
-        class Protocol:
+        class Protocol(AlwaysComplete):
             def begin_advance(self, target):
                 calls.append(("begin", target))
 
             def coordinator_flush(self, batch):
                 calls.append(("flush", batch))
                 return 0
-
-            def is_advance_complete(self):
-                return True
 
             def finish_advance(self, target):
                 calls.append(("finish", target, query_scn.value))
@@ -353,16 +366,13 @@ class TestCoordinator:
             ("finish", 10, 10),  # post-publication
         ]
 
-    def test_plain_adg_has_no_drain_phase_and_pays_no_flush_cost(self):
-        """Without a protocol the consistency point publishes in the very
-        step that found it, for two bookkeeping passes (check + publish);
-        with one, every step of the drain is charged per flushed node."""
+    def test_drain_steps_are_charged_per_flushed_node(self):
+        """Every step of the drain is charged per flushed node; the step
+        that found the consistency point and the one that publishes add a
+        bookkeeping pass each."""
 
-        class Draining:
+        class Draining(AlwaysComplete):
             remaining = 2 * 32 + 5
-
-            def begin_advance(self, target):
-                pass
 
             def coordinator_flush(self, batch):
                 flushed = min(batch, self.remaining)
@@ -372,24 +382,17 @@ class TestCoordinator:
             def is_advance_complete(self):
                 return self.remaining == 0
 
-            def finish_advance(self, target):
-                pass
-
-        def step_costs(protocol):
-            receiver, merger, query_scn, coord, sched, __ = build_pipeline()
-            coord.advance_protocol = protocol
-            sched.remove_actor(coord)
-            receiver.deliver(batch_of([rec(10, dba=1)]))
-            merger.merge_available()
-            coord.distributor.distribute(merger.take_merged(1000))
-            sched.run_until(0.1)  # applied: the consistency point is 10
-            costs = []
-            while query_scn.value < 10:
-                costs.append(coord.step(sched))
-            return costs
-
-        assert step_costs(None) == [2 * COORDINATION_COST]
-        assert step_costs(Draining()) == [
+        receiver, merger, query_scn, coord, sched, __ = build_pipeline()
+        coord.advance_protocol = Draining()
+        sched.remove_actor(coord)
+        receiver.deliver(batch_of([rec(10, dba=1)]))
+        merger.merge_available()
+        coord.distributor.distribute(merger.take_merged(1000))
+        sched.run_until(0.1)  # applied: the consistency point is 10
+        costs = []
+        while query_scn.value < 10:
+            costs.append(coord.step(sched))
+        assert costs == [
             COORDINATION_COST + FLUSH_COST_PER_NODE * 32,
             FLUSH_COST_PER_NODE * 32,
             FLUSH_COST_PER_NODE * 5 + COORDINATION_COST,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import ApplyConfig
 from repro.db import Deployment, InMemoryService, Service, ServiceRegistry
 from repro.imcs import Predicate
 
@@ -122,25 +123,65 @@ class TestDBIMOnADG:
         expected = rowstore_rows(deployment.primary, "T", snapshot)
         assert rows_s == expected
 
-    def test_plain_adg_without_dbim_still_consistent(self):
-        deployment = Deployment.build(config=small_config(), dbim_on_adg=False)
+    def test_plain_adg_without_dbim_still_consistent(self, deployment):
+        """The paper's "without DBIM-on-ADG" arm is a standby with nothing
+        enabled in memory: it runs the same apply pipeline, and answers
+        from the row store."""
         deployment.create_table(simple_table_def())
         load(deployment, n=30)
         deployment.catch_up()
         result = deployment.standby.query("T", [Predicate.eq("c1", "v1")])
         assert len(result.rows) == 6
-        assert result.stats.imcs_rows == 0  # no IMCS without DBIM-on-ADG
+        assert result.stats.imcs_rows == 0  # nothing is enabled in memory
 
     def test_primary_only_service_leaves_standby_rowstore(self, deployment):
         deployment.create_table(simple_table_def())
         load(deployment)
         deployment.enable_inmemory("T", service=InMemoryService.PRIMARY)
         deployment.catch_up()
-        result_p = deployment.primary.query("T")
-        result_s = deployment.standby.query("T")
-        assert result_p.stats.imcus_used >= 1
-        assert result_s.stats.imcus_used == 0
-        assert len(result_p.rows) == len(result_s.rows) == 100
+        c1_v1 = [Predicate.eq("c1", "v1")]
+        for predicates, n_rows in (([], 100), (c1_v1, 20)):
+            result_p = deployment.primary.query("T", predicates)
+            result_s = deployment.standby.query("T", predicates)
+            assert result_p.stats.imcus_used >= 1
+            assert result_s.stats.imcus_used == 0
+            assert result_s.stats.imcs_rows == 0
+            assert sorted(result_p.rows) == sorted(result_s.rows)
+            assert len(result_s.rows) == n_rows
+
+    @pytest.mark.parametrize("cooperative", [False, True])
+    def test_cooperative_flush_is_decided_by_the_standby(self, cooperative):
+        """``ApplyConfig.cooperative_flush`` is the one ablation switch:
+        off, no worker holds a flush helper and the coordinator drains
+        every worklink alone; on, workers flush nodes under load.  Either
+        way the QuerySCN reaches the primary's SCN."""
+        config = small_config(apply=ApplyConfig(
+            n_workers=4,
+            cooperative_flush=cooperative,
+            coordinator_flush_batch=2,
+            coordinator_interval=0.05,
+        ))
+        deployment = Deployment.build(config=config)
+        deployment.create_table(simple_table_def())
+        rowids, __ = load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        primary = deployment.primary
+        for rowid in rowids[::2]:  # one commit, one worklink node, each
+            txn = primary.begin()
+            primary.update(txn, "T", rowid, {"n1": -1.0})
+            primary.commit(txn)
+        target = primary.clock.current
+        deployment.catch_up()
+        standby = deployment.standby
+        assert standby.query_scn.value >= target
+        has_helper = [w.flush_helper is not None for w in standby.workers]
+        assert has_helper == [cooperative] * 4
+        if cooperative:
+            assert standby.flush.nodes_flushed_by_workers > 0
+        else:
+            assert standby.flush.nodes_flushed_by_workers == 0
+        assert standby.flush.nodes_flushed >= 50
 
     def test_commit_flag_reflects_standby_enablement(self, deployment):
         """Even with nothing in-memory on the primary, commits must carry

@@ -294,22 +294,6 @@ class TestFlush:
         flush.coordinator_flush(8)
         assert flush.groups_created == 1  # one object, few blocks
 
-    def test_worker_flush_respects_cooperative_switch(self):
-        table = make_table()
-        txns = FakeTxnView()
-        journal, ct, dt, store, miner, flush = make_stack(table)
-        rowids = populate(table, store, txns)
-        oid = table.default_partition.object_id
-        sniff_one(miner, begin_cv(), 300)
-        sniff_one(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0)
-        sniff_one(miner, commit_cv(310), 310)
-        flush.cooperative = False
-        flush.begin_advance(320)
-        assert flush.worker_flush(0, 8) == 0  # ablation: workers opt out
-        flush.cooperative = True
-        assert flush.worker_flush(0, 8) == 1
-        assert flush.nodes_flushed_by_workers == 1
-
     def test_ddl_processing_drops_units_and_applies_schema(self):
         table = make_table()
         txns = FakeTxnView()

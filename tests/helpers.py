@@ -21,10 +21,11 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from repro.common.ids import RowId
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
 from repro.imcs.compression import ColumnCU, NumericCU
-from repro.imcs.imcu import ROW_KEY_SHIFT, row_keys
+from repro.imcs.imcu import IMCU, ROW_KEY_SHIFT, row_keys
 from repro.imcs.smu import SMU
 from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import CVBatch, CVChunk
@@ -186,6 +187,18 @@ def unit_covering(
     """The live unit covering ``dba`` of an enabled object, or None."""
     smu = store.segment(object_id).dba_to_unit.get(dba)
     return None if smu is None or smu.dropped else smu
+
+
+def row_key(rowid: RowId) -> int:
+    """A physical address as the one integer the IMCS speaks."""
+    return row_keys(rowid.dba, rowid.slot)
+
+
+def row_position(imcu: IMCU, rowid: RowId) -> Optional[int]:
+    """Row position of a physical address in ``imcu``, or None if the
+    unit never captured it."""
+    positions, __ = imcu.locate_keys(np.array([row_key(rowid)]))
+    return int(positions[0]) if positions.size else None
 
 
 def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.imcs.imcu import IMCU, row_keys
 from repro.imcs.store import InMemoryColumnStore
 
-from tests.helpers import unit_covering
+from tests.helpers import row_position, unit_covering
 from tests.imcs.conftest import load_rows
 from tests.imcs.test_store_population import drain, make_engine
 
@@ -163,10 +163,10 @@ class TestCarryOntoDeltaBuiltUnit:
         )
         assert incoming.rows_reused > 0
         assert incoming.column("n1").take(
-            [incoming.position_of(rowids[3])]
+            [row_position(incoming, rowids[3])]
         ) == [-3.0]  # absorbed: read at the snapshot
         assert incoming.column("n1").take(
-            [incoming.position_of(rowids[5])]
+            [row_position(incoming, rowids[5])]
         ) == [50.0]  # as of the snapshot; the newer value must reconcile
         new_smu = store.register_unit(incoming)
         assert not new_smu.fully_invalid
@@ -200,7 +200,7 @@ def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
     # inserted and committed after the unit's snapshot: an edge row
     __, (edge,) = load_rows(wide_table, txns, clock, 1)
     assert edge.dba == rowids[0].dba
-    assert old_unit.imcu.position_of(edge) is None
+    assert row_position(old_unit.imcu, edge) is None
     snapshot = clock.current  # the published QuerySCN
     # updated; the flush for the *next* QuerySCN lands first...
     xid, __ = load_rows(wide_table, txns, clock, 0)
@@ -214,7 +214,7 @@ def test_edge_row_invalidated_before_a_swap_that_widens_over_it(
             wide_table.tenant, list(old_unit.imcu.covered_dbas),
             snapshot, txns, base=base,
         )
-        assert incoming.position_of(edge) is not None
+        assert row_position(incoming, edge) is not None
     store.register_unit(incoming)
     # the next QuerySCN is published: a scan must see the update
     result = ScanEngine(store, txns).scan(wide_table, clock.current)
@@ -239,13 +239,13 @@ def test_an_uncaptured_slot_parks_again_until_a_unit_captures_it(
     middle = store.register_unit(
         replacement_for(wide_table, txns, old_unit, before_insert)
     )
-    assert middle.imcu.position_of(edge) is None
+    assert row_position(middle.imcu, edge) is None
     assert middle.uncaptured == parked
     assert middle.invalid_count == 0
     # ...and the first one that captures it marks it invalid
     last = store.register_unit(
         replacement_for(wide_table, txns, middle, inserted)
     )
-    assert last.imcu.position_of(edge) is not None
+    assert row_position(last.imcu, edge) is not None
     assert last.invalid_row_keys().tolist() == list(parked)
     assert not last.uncaptured

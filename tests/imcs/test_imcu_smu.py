@@ -5,6 +5,7 @@ import numpy as np
 from repro.common import RowId
 from repro.imcs import IMCU, SMU
 
+from tests.helpers import row_key, row_position
 from tests.imcs.conftest import load_rows
 
 
@@ -51,8 +52,8 @@ class TestIMCUBuild:
     def test_position_of(self, wide_table, txns, clock):
         __, rowids = load_rows(wide_table, txns, clock, 5)
         imcu = build_imcu(wide_table, txns, clock)
-        assert imcu.position_of(rowids[3]) == 3
-        assert imcu.position_of(RowId(9999, 0)) is None
+        assert row_position(imcu, rowids[3]) == 3
+        assert row_position(imcu, RowId(9999, 0)) is None
 
     def test_partial_column_population(self, wide_table, txns, clock):
         load_rows(wide_table, txns, clock, 5)
@@ -90,8 +91,9 @@ class TestSMU:
 
     def test_row_invalidation(self, wide_table, txns, clock):
         __, smu, rowids = self.make(wide_table, txns, clock)
-        assert smu.invalidate_row(rowids[3], scn=100)
-        assert not smu.invalidate_row(rowids[3], scn=101)  # idempotent
+        key = row_key(rowids[3])
+        assert smu.invalidate_keys([key], scn=100) == 1
+        assert smu.invalidate_keys([key], scn=101) == 0  # idempotent
         mask = smu.valid_row_mask()
         assert not mask[3]
         assert mask.sum() == 9
@@ -99,7 +101,10 @@ class TestSMU:
 
     def test_uncaptured_row_invalidation_is_noop(self, wide_table, txns, clock):
         __, smu, ___ = self.make(wide_table, txns, clock)
-        assert not smu.invalidate_row(RowId(9999, 1), scn=100)
+        key = row_key(RowId(9999, 1))
+        assert smu.invalidate_keys([key], scn=100) == 0
+        assert smu.invalid_count == 0
+        assert smu.uncaptured == {key: 100}  # parked for a later unit
 
     def test_block_invalidation(self, wide_table, txns, clock):
         imcu, smu, __ = self.make(wide_table, txns, clock)
@@ -125,6 +130,5 @@ class TestSMU:
 
     def test_invalid_fraction(self, wide_table, txns, clock):
         __, smu, rowids = self.make(wide_table, txns, clock)
-        for rowid in rowids[:5]:
-            smu.invalidate_row(rowid, scn=100)
+        smu.invalidate_keys([row_key(rowid) for rowid in rowids[:5]], 100)
         assert abs(smu.invalid_fraction - 0.5) < 1e-9

@@ -39,7 +39,7 @@ from repro.imcs.expressions import Expression
 from repro.imcs.imcu import row_keys
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
 
-from tests.helpers import cu_buffers, cu_dictionary
+from tests.helpers import cu_buffers, cu_dictionary, row_position
 from tests.naive_imcu import naive_build, naive_encode_column
 from tests.naive_versions import chain_of
 
@@ -396,12 +396,14 @@ def test_address_index_answers_from_the_arrays():
     rows = [(i, 1, 2, "a", "b", "c") for i in range(5)]
     unit = build(one_block_segment(rows))
     assert unit.row_dbas.dtype == unit.row_slots.dtype == np.int64
-    assert unit.position_of(RowId(1, 3)) == 3
-    assert unit.position_of(RowId(1, 9)) is None
-    assert unit.position_of(RowId(2, 0)) is None
+    assert row_position(unit, RowId(1, 3)) == 3
+    assert row_position(unit, RowId(1, 9)) is None
+    assert row_position(unit, RowId(2, 0)) is None
     assert unit.positions_for_dba(1).tolist() == [0, 1, 2, 3, 4]
     assert unit.positions_for_dba(2).tolist() == []
-    assert unit.positions_for_keys(
+    positions, hit = unit.locate_keys(
         row_keys(np.array([1, 1, 1, 3]), np.array([4, 0, 7, 0]))
-    ).tolist() == [4, 0]
+    )
+    assert positions.tolist() == [4, 0]
+    assert hit.tolist() == [True, True, False, False]
     assert unit.slots_by_dba(np.array([3, 1])) == {1: [3, 1]}

@@ -12,6 +12,7 @@ from repro.restart.checkpoint import (
 )
 
 from tests.db.conftest import load, simple_table_def, small_config
+from tests.helpers import row_key, row_position
 
 
 def build_armed_deployment(n=300, heartbeats=True):
@@ -40,12 +41,12 @@ class TestUnitCheckpoint:
         itself, and the SMU's validity as of capture."""
         deployment, __, rowids = build_armed_deployment(n=200)
         smu = live_smus(deployment.standby)[0]
-        smu.invalidate_row(rowids[1], smu.imcu.snapshot_scn + 1)
+        smu.invalidate_keys([row_key(rowids[1])], smu.imcu.snapshot_scn + 1)
         unit = UnitCheckpoint.capture(smu)
         assert unit.imcu is smu.imcu
         assert unit.imcu._rowids is None  # no address list materialised
         assert np.flatnonzero(unit.invalid_rows).tolist() == [
-            smu.imcu.position_of(rowids[1])
+            row_position(smu.imcu, rowids[1])
         ]
         assert unit.invalid_blocks == smu.invalid_blocks
         assert unit.fully_invalid is False

@@ -270,6 +270,29 @@ BANS = [
         "§3 Removed: the journal's `(4, n)` matrix (`CVBatch.mined_columns`"
         "); a `RecordChunk` is lists of object ids and row keys",
     ),
+    Ban(
+        "plain_adg_mode",
+        r"dbim_on_adg|dbim_enabled",
+        EVERYWHERE,
+        "§3 Removed: every standby and MIRA peer runs DBIM-on-ADG; the "
+        "paper's \"without DBIM-on-ADG\" arm is a standby with nothing "
+        "enabled in memory",
+    ),
+    Ban(
+        "cooperative_double_switch",
+        r"self\.cooperative\b",
+        ("src/repro/dbim_adg",),
+        "§3 Removed: `ApplyConfig.cooperative_flush` is decided once, where "
+        "the standby withholds the workers' flush helper",
+    ),
+    Ban(
+        "single_row_invalidation",
+        r"invalidate_row\(|position_of\(|positions_for_keys\(",
+        ("src/repro",),
+        "§3 Removed: every invalidation reaches an SMU through "
+        "`invalidate_keys`; tests address one row with "
+        "`tests/helpers.py::row_position`",
+    ),
 ]
 
 
