@@ -23,7 +23,6 @@ from repro.imcs.compression import (
     ColumnCU,
     DictionaryCU,
     NumericCU,
-    encode_column,
 )
 from repro.imcs.imcu import IMCU
 from repro.imcs.smu import SMU
@@ -37,7 +36,6 @@ __all__ = [
     "ColumnCU",
     "NumericCU",
     "DictionaryCU",
-    "encode_column",
     "IMCU",
     "SMU",
     "InMemoryColumnStore",

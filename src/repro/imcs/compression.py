@@ -84,24 +84,17 @@ class NumericCU(ColumnCU):
         nulls: Optional[np.ndarray] = None,
         is_int: Optional[np.ndarray] = None,
     ) -> "NumericCU":
-        """Build directly from encoded buffers (no per-row Python)."""
+        """Install encoded buffers as given: a contiguous float64 vector
+        and bool masks of its length (no per-row Python, no copy)."""
         cu = cls.__new__(cls)
         cu._install(data, nulls, is_int)
         return cu
 
     def _install(self, data, nulls, is_int) -> None:
-        self._data = np.ascontiguousarray(data, dtype=np.float64)
-        self.n_rows = int(self._data.shape[0])
-        self._nulls = (
-            np.zeros(self.n_rows, dtype=bool)
-            if nulls is None
-            else np.ascontiguousarray(nulls, dtype=bool)
-        )
-        self._is_int = (
-            np.zeros(self.n_rows, dtype=bool)
-            if is_int is None
-            else np.ascontiguousarray(is_int, dtype=bool)
-        )
+        self._data = data
+        self.n_rows = int(data.shape[0])
+        self._nulls = np.zeros(self.n_rows, bool) if nulls is None else nulls
+        self._is_int = np.zeros(self.n_rows, bool) if is_int is None else is_int
 
     # What an immutable column knows about itself, asked once (or told by
     # :func:`encode_rows`, which knows it for a whole block of columns), so
@@ -229,24 +222,6 @@ def _numeric_arrays(
     return data, nulls, is_int
 
 
-def _merge_numeric(olds: Sequence[NumericCU], keep, fresh, take) -> list:
-    """Merge kernel beside :func:`_numeric_arrays`: its three blocks for
-    rows ``keep`` of the ``k`` carried CUs followed by the ``fresh``
-    blocks' rows, in ``take`` order -- every column of a buffer in one 2-D
-    gather.  ``is_int`` is per cell and travels along."""
-    n_old = olds[0].n_rows
-    source = np.concatenate((keep, np.arange(n_old, n_old + len(fresh[0]))))
-    source = source[take]
-    merged = []
-    for buffer, block in zip(("_data", "_nulls", "_is_int"), fresh):
-        old = np.concatenate([getattr(cu, buffer) for cu in olds])
-        old = np.concatenate((old.reshape(len(olds), n_old), block.T), axis=1)
-        # ``take`` (not ``[:, source]``) lays the result out row-major,
-        # and ``.T`` makes a row the contiguous column encode_rows slices
-        merged.append(old.take(source, axis=1).T)
-    return merged
-
-
 def _dictionary_bytes(dictionary: list[str]) -> int:
     return sum(len(v) for v in dictionary) + 8 * len(dictionary)
 
@@ -274,70 +249,74 @@ def _sorted_codes(cells: Sequence) -> tuple[np.ndarray, list[str]]:
     return remap[first], dictionary
 
 
-def _merge_sorted_columns(
-    olds: Sequence[DictionaryCU], keep, columns: Sequence[list], take
-) -> list[tuple[np.ndarray, list[str]]]:
-    """Merge kernel beside :func:`_sorted_codes`, for every sorted-
-    dictionary column of a unit at once: rows ``keep`` of each carried CU
-    followed by its ``columns`` cells, in ``take`` order, into the sorted
-    dictionary of exactly the values those rows hold, as ``(codes,
-    dictionary)``.  An entry whose last user went leaves it, a new value
-    enters in sorted position, and the carried codes move through one
-    ``remap`` gather; Python runs over the *distinct fresh* values only."""
-    count = len(olds)
-    sizes = [len(cu._dictionary) for cu in olds]
-    kept = np.array([cu._codes[keep] for cu in olds], dtype=np.intp)
-    # one padded usage table per column, NULL_CODE's slot last; flat, so a
-    # column's -1 marks the (ignored) NULL slot of the column before it
-    alive = np.zeros((count, max(sizes) + 1), dtype=bool)
-    alive.ravel()[kept + np.arange(count)[:, None] * alive.shape[1]] = True
-    steps = np.zeros(alive.shape, dtype=np.intp)
-    known_of, entering_of = [], []
-    for j, (cu, cells) in enumerate(zip(olds, columns)):
-        known, entering = {}, []  # distinct fresh values, by old code
-        for value in set(cells):
-            if value is None:
-                continue
-            code = bisect.bisect_left(cu._dictionary, value)
-            if code < sizes[j] and cu._dictionary[code] == value:
-                alive[j, code] = True
-                known[value] = code
-            else:  # it pushes every entry from ``code`` on one code up
-                entering.append(value)
-                steps[j, code] += 1
-        known_of.append(known)
-        entering_of.append(entering)
-    survivors = np.count_nonzero(alive[:, :-1], axis=1).tolist()
-    steps += alive
-    remap = steps.cumsum(axis=1)
-    remap -= 1
-    remap[:, -1] = NULL_CODE
-    dictionaries, code_maps = [], []
-    for j, (cu, code_of) in enumerate(zip(olds, known_of)):
-        dictionary = cu._dictionary
-        if entering_of[j] or survivors[j] < sizes[j]:
-            dictionary = sorted(itertools.chain(
-                entering_of[j],
-                itertools.compress(dictionary, alive[j].tolist()),
+def _patched_codes(
+    block, table, offsets, dictionaries: list, source, at, cells
+) -> tuple[np.ndarray, list]:
+    """Merge kernel beside :func:`_sorted_codes`, for every VARCHAR2 column
+    of a unit at once: an outgoing unit's ``(k, n)`` code ``block``
+    (decoded by ``table`` at ``offsets``, one sorted dictionary per row)
+    gathered by ``source`` and patched at ``at`` with the ``(m, k)``
+    ``cells``, and the sorted dictionaries of exactly the values the
+    merged rows hold.
+
+    A fresh cell is looked up only where its value differs from the one
+    gathered at its position (the outgoing unit's at the same address).
+    An entry leaves only when a dropped row or an overwritten cell was its
+    last holder; a new value enters in sorted position, and a column whose
+    dictionary changed moves its codes through one ``remap`` gather."""
+    codes = block.take(source, axis=1)
+    held = codes[:, at]
+    changed = table[held + offsets[:, None]] != cells.T
+    changed[:, source[at] < 0] = True  # no prior: what was gathered is junk
+    columns, rows = np.nonzero(changed)
+    referenced = np.zeros(block.shape[1] + 1, dtype=bool)
+    referenced[source] = True  # -1 lands on the spare slot
+    dropped = block[:, ~referenced[:-1]]
+    lost = set(zip(columns.tolist(), held[columns, rows].tolist()))
+    lost.update(zip(
+        np.repeat(np.arange(len(block)), dropped.shape[1]).tolist(),
+        dropped.ravel().tolist(),
+    ))
+    entering: dict = {}  # column -> {new value: its place in the old one}
+    late, patch = [], []  # (column, position, value) of each entering cell
+    for j, i, value in zip(
+        columns.tolist(), at[rows].tolist(), cells[rows, columns].tolist()
+    ):
+        code = NULL_CODE  # for an entering value too: no candidate's code
+        if value is not None:
+            dictionary = dictionaries[j]
+            place = bisect.bisect_left(dictionary, value)
+            if place < len(dictionary) and dictionary[place] == value:
+                code = place
+            else:
+                entering.setdefault(j, {})[value] = place
+                late.append((j, i, value))
+        patch.append(code)
+    codes[columns, at[rows]] = patch
+    lost = np.array(
+        [pair for pair in lost if pair[1] != NULL_CODE], dtype=np.intp
+    ).reshape(-1, 2).T
+    gone = lost[:, ~(codes[lost[0]] == lost[1][:, None]).any(axis=1)]
+    remapped = sorted(set(gone[0].tolist()).union(entering))
+    if remapped:
+        sizes = np.array([len(dictionaries[j]) for j in remapped])
+        alive = np.arange(sizes.max() + 1) < sizes[:, None]  # NULL slot last
+        row = dict(zip(remapped, itertools.count()))
+        alive[[row[j] for j in gone[0].tolist()], gone[1]] = False
+        steps = alive.astype(np.intp)
+        for j, places in entering.items():
+            for place in places.values():  # pushes entries from there up
+                steps[row[j], place] += 1
+        remap = steps.cumsum(axis=1) - 1
+        remap[:, -1] = NULL_CODE
+        codes[remapped] = np.take_along_axis(remap, codes[remapped], axis=1)
+        for j, live in zip(remapped, alive.tolist()):
+            dictionaries[j] = sorted(itertools.chain(
+                entering.get(j, ()), itertools.compress(dictionaries[j], live)
             ))
-            kept[j] = remap[j].take(kept[j])
-            code_of = {
-                value: bisect.bisect_left(dictionary, value)
-                for value in itertools.chain(code_of, entering_of[j])
-            }
-        dictionaries.append(dictionary)
-        code_maps.append(code_of)
-    n_fresh = len(columns[0])
-    codes = np.fromiter(
-        itertools.chain.from_iterable(
-            map(code_of.get, cells, itertools.repeat(NULL_CODE))  # None
-            for code_of, cells in zip(code_maps, columns)
-        ),
-        dtype=np.intp,
-        count=count * n_fresh,
-    ).reshape(count, n_fresh)
-    codes = np.concatenate((kept, codes), axis=1).take(take, axis=1)
-    return list(zip(codes, dictionaries))
+        for j, i, value in late:
+            codes[j, i] = bisect.bisect_left(dictionaries[j], value)
+    return codes, dictionaries
 
 
 def _decode_table(dictionaries: Sequence[list[str]]) -> tuple:
@@ -389,19 +368,14 @@ class DictionaryCU(ColumnCU):
 
     @classmethod
     def from_codes(
-        cls, codes: np.ndarray, dictionary: Sequence[str]
+        cls, codes: np.ndarray, dictionary: list[str]
     ) -> "DictionaryCU":
-        """Build directly from an encoded code vector and its *sorted*
-        dictionary (no per-row Python)."""
+        """Install a contiguous int32 code vector and its *sorted*
+        dictionary as given (no per-row Python, no copy)."""
         cu = cls.__new__(cls)
-        cu._codes = np.ascontiguousarray(codes, dtype=np.int32)
-        cu.n_rows = int(cu._codes.shape[0])
-        cu._dictionary = list(dictionary)
+        cu._codes, cu._dictionary = codes, dictionary
+        cu.n_rows = int(codes.shape[0])
         return cu
-
-    @property
-    def dictionary(self) -> list[str]:
-        return list(self._dictionary)
 
     @cached_property
     def _decode(self) -> np.ndarray:  # a view, once its IMCU has a table
@@ -458,14 +432,6 @@ class DictionaryCU(ColumnCU):
         return int(self._codes.nbytes) + _dictionary_bytes(self._dictionary)
 
 
-def encode_column(values: Sequence, is_numeric: bool) -> ColumnCU:
-    """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector or
-    sorted dictionary)."""
-    matrix = np.empty((len(values), 1), dtype=object)
-    matrix[:, 0] = values
-    return encode_rows(matrix, [(0, is_numeric)])[0][0]
-
-
 def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
     """Row tuples as one ``(n_rows, arity)`` object matrix -- allocated,
     then assigned: ``np.array(rows, dtype=object)`` guesses the shape, and
@@ -479,51 +445,72 @@ def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:
 def encode_rows(
     matrix: np.ndarray,
     specs: Sequence[tuple[int, bool]],
-    carried: Optional[tuple[Sequence[ColumnCU], Sequence, Sequence]] = None,
+    carried: Optional[tuple] = None,
 ) -> tuple[list[ColumnCU], tuple]:
     """Encode columns of a :func:`row_matrix`, block-wise.  ``specs`` is,
     per output column, ``(matrix column, is NUMBER)``.  All NUMBER columns
     are cast together; every VARCHAR2 column gets its own sorted
     dictionary.
 
-    ``carried = (cus, keep, take)`` makes it a merge (delta repopulation):
-    rows ``keep`` of ``cus[k]`` -- an outgoing unit's CU for ``specs[k]``
-    -- then ``matrix``'s rows, in ``take`` order.  Each kind's merge kernel
-    sits beside its encoder and yields exactly the CU that encoding the
-    merged values would.
+    ``carried = (old, names, source, at)`` makes it a merge (delta
+    repopulation): ``old`` is the outgoing IMCU, ``names[k]`` the column
+    of ``specs[k]``.  Merged row ``i`` is ``old``'s row ``source[i]``,
+    except that ``matrix``'s rows land at positions ``at``; there
+    ``source`` is the row ``old`` held at the same address (-1: none).
+    Each of ``old``'s blocks is gathered by ``source`` and patched at
+    ``at`` by the kernel beside its encoder, which yields exactly the CUs
+    that encoding the merged values would.
 
     Also returns the blocks the CUs are views of, each ``(spec indices,
-    (k, n) array)`` or None: NUMBER values, and the int32 dictionary
-    codes."""
-    olds, keep, take = carried or ((), None, None)
+    *(k, n) arrays)`` or None: the NUMBER columns' data, nulls and is_int,
+    and the VARCHAR2 columns' int32 codes."""
     cus: list = [None] * len(specs)
     number_block = code_block = None
     numeric = [k for k, (__, is_numeric) in enumerate(specs) if is_numeric]
     strings = [k for k, (__, is_numeric) in enumerate(specs) if not is_numeric]
+    if carried is not None:
+        old, names, source, at = carried
+        old_names = old.column_names
 
-    def cells(k: int) -> list:
-        return matrix[:, specs[k][0]].tolist()
+        def rows(kind: int, ks: list):
+            """The rows of ``old``'s block ``kind`` holding columns ``ks``."""
+            listed = [old_names[k] for k in old._blocks[kind][0]]
+            wanted = [names[k] for k in ks]
+            return slice(None) if wanted == listed else [
+                listed.index(name) for name in wanted
+            ]
 
     if numeric:
         blocks = _numeric_arrays(matrix[:, [specs[k][0] for k in numeric]])
+        blocks = [block.T for block in blocks]
         if carried is not None:
-            blocks = _merge_numeric(
-                [olds[k] for k in numeric], keep, blocks, take
-            )
+            picked = rows(0, numeric)
+            for i, fresh in enumerate(blocks):
+                blocks[i] = old._blocks[0][1 + i][picked].take(source, axis=1)
+                blocks[i][:, at] = fresh  # every cell of a fresh row
         # every column's (any NULL, any int) in two reductions, not two per
         # CU on first use: a wide build makes ~50 of these
-        facts = [b.any(axis=0).tolist() for b in blocks[1:]]
+        facts = [block.any(axis=1).tolist() for block in blocks[1:]]
         for j, k in enumerate(numeric):
-            cu = cus[k] = NumericCU.from_arrays(*(b[:, j] for b in blocks))
+            cu = cus[k] = NumericCU.from_arrays(*(b[j] for b in blocks))
             cu._any_null, cu._any_int = facts[0][j], facts[1][j]
-        number_block = (numeric, blocks[0].T)
+        number_block = (numeric, *blocks)
     if strings:
-        encoded = _merge_sorted_columns(
-            [olds[k] for k in strings], keep, [cells(k) for k in strings], take
-        ) if carried else [_sorted_codes(cells(k)) for k in strings]
-        block = np.array([codes for codes, __ in encoded], dtype=np.int32)
-        for j, (k, (__, dictionary)) in enumerate(zip(strings, encoded)):
-            cus[k] = DictionaryCU.from_codes(block[j], dictionary)
+        if carried is None:
+            codes, dictionaries = zip(*(
+                _sorted_codes(matrix[:, specs[k][0]].tolist())
+                for k in strings
+            ))
+            block = np.array(codes, dtype=np.int32)
+        else:
+            picked = rows(1, strings)
+            table, offsets = old._code_table
+            block, dictionaries = _patched_codes(
+                old._blocks[1][1][picked], table, offsets[picked],
+                [old.column(names[k])._dictionary for k in strings],
+                source, at, matrix[:, [specs[k][0] for k in strings]],
+            )
+        for j, k in enumerate(strings):
+            cus[k] = DictionaryCU.from_codes(block[j], dictionaries[j])
         code_block = (strings, block)
     return cus, (number_block, code_block)
-

@@ -153,7 +153,8 @@ class IMCU:
             for j, expression in enumerate(expressions)
         ]
         if base is not None and not (
-            base.serves(frozenset(names))
+            base.imcu.n_rows  # a unit of no rows has nothing to carry
+            and base.serves(frozenset(names))
             and base.imcu.snapshot_scn <= snapshot_scn
             and base.imcu.covered_dbas == tuple(dbas)
         ):
@@ -215,6 +216,7 @@ class IMCU:
         matrix = row_matrix(rows, schema.arity + len(expressions))
         blocks = np.asarray(row_blocks, dtype=np.int64)
         slots = np.asarray(row_slots, dtype=np.int64)
+        dba_of = np.asarray(dbas, dtype=np.int64)
         carried = None
         if old is not None:
             # an IMCU's rows lie in (covered block, slot) order: carried
@@ -226,16 +228,23 @@ class IMCU:
             if gone:
                 keep = keep & ~np.isin(old_blocks, gone)
             keep = np.flatnonzero(keep)
+            # a fresh row's prior: the base's row at the same address
+            found, hit = old.locate_keys(row_keys(dba_of[blocks], slots))
+            prior = np.full(slots.size, -1, dtype=np.int64)
+            prior[hit] = found
             blocks = np.concatenate((old_blocks[keep], blocks))
             slots = np.concatenate((old.row_slots[keep], slots))
             take = np.argsort(row_keys(blocks, slots), kind="stable")
             blocks, slots = blocks[take], slots[take]
-            carried = ([old.column(name) for name in names], keep, take)
+            at = np.empty_like(take)
+            at[take] = np.arange(take.size)  # where each row landed
+            source = np.concatenate((keep, prior))[take]
+            carried = (old, names, source, at[keep.size:])
         cus, encoded = encode_rows(matrix, specs, carried)
         unit = cls(
             segment.object_id, tenant, snapshot_scn, captured_slots,
             dict(zip(names, cus)),
-            addresses=(np.asarray(dbas, dtype=np.int64)[blocks], slots),
+            addresses=(dba_of[blocks], slots),
             blocks=encoded,
         )
         if carried is not None:

@@ -8,7 +8,8 @@ CV", "what did the miner buffer for this transaction" -- these helpers say
 it through the real batch API, so there is no second production path to
 say it through.
 
-The columnar tests get the same treatment: :func:`cu_buffers` and
+The columnar tests get the same treatment: :func:`encode_column` is one
+column through the block encoder, and :func:`cu_buffers` and
 :func:`cu_dictionary` read a CU's encoded parts for byte-for-byte
 comparison.
 :func:`standby_reads_like_primary` holds a standby's scan against the
@@ -24,7 +25,12 @@ import numpy as np
 from repro.common.ids import RowId
 from repro.dbim_adg.journal import AnchorNode, RecordChunk
 from repro.dbim_adg.mining import MiningComponent
-from repro.imcs.compression import ColumnCU, NumericCU
+from repro.imcs.compression import (
+    ColumnCU,
+    NumericCU,
+    encode_rows,
+    row_matrix,
+)
 from repro.imcs.imcu import IMCU, ROW_KEY_SHIFT, row_keys
 from repro.imcs.smu import SMU
 from repro.imcs.store import InMemoryColumnStore
@@ -199,6 +205,29 @@ def row_position(imcu: IMCU, rowid: RowId) -> Optional[int]:
     unit never captured it."""
     positions, __ = imcu.locate_keys(np.array([row_key(rowid)]))
     return int(positions[0]) if positions.size else None
+
+
+def encode_column(values: list, is_numeric: bool) -> ColumnCU:
+    """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector or
+    sorted dictionary)."""
+    matrix = row_matrix([(value,) for value in values], 1)
+    return encode_rows(matrix, [(0, is_numeric)])[0][0]
+
+
+def encoded_unit(matrix, specs, names) -> IMCU:
+    """A unit of :func:`encode_rows`' CUs and blocks over ``matrix``, its
+    columns named ``names`` (no addresses)."""
+    cus, blocks = encode_rows(matrix, specs)
+    return IMCU(0, 0, 1, {}, dict(zip(names, cus)), len(matrix), blocks=blocks)
+
+
+def merge_rows(old: IMCU, names, keep, matrix, specs, take):
+    """:func:`encode_rows`' merge of ``old``'s rows ``keep`` and then
+    ``matrix``'s rows (none with a prior), in ``take`` order."""
+    source = np.concatenate((keep, np.full(len(matrix), -1)))[take]
+    at = np.empty_like(take)
+    at[take] = np.arange(take.size)
+    return encode_rows(matrix, specs, (old, names, source, at[len(keep):]))
 
 
 def cu_buffers(cu: ColumnCU) -> dict[str, np.ndarray]:

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imcs import DictionaryCU, NumericCU, encode_column
-from repro.imcs.compression import encode_rows
+from repro.imcs import DictionaryCU, NumericCU
+from repro.imcs.compression import row_matrix
+
+from tests.helpers import (
+    cu_dictionary,
+    encode_column,
+    encoded_unit,
+    merge_rows,
+)
+
+#: one NUMBER column, matrix column 0, and its name
+SPEC, NAMES = [(0, True)], ["n"]
 
 
 class TestNumericCU:
@@ -119,12 +129,10 @@ class TestNumericCU:
             return
         keep = np.arange(0, len(old), 2)  # drops ``mixed``'s only float
         kept = [old[i] for i in keep.tolist()]
-        matrix = np.empty((len(fresh), 1), dtype=object)
-        matrix[:, 0] = fresh
+        base = encoded_unit(row_matrix([(v,) for v in old], 1), SPEC, NAMES)
         take = np.arange(len(kept) + len(fresh))[::-1]
-        (merged,), __ = encode_rows(
-            matrix, [(0, True)], ([NumericCU(old)], keep, take)
-        )
+        matrix = row_matrix([(v,) for v in fresh], 1)
+        (merged,), __ = merge_rows(base, NAMES, keep, matrix, SPEC, take)
         self.assert_decodes_like_one_row_takes(merged, (kept + fresh)[::-1])
 
     def test_eq_mask_non_numeric_value_is_all_false(self):
@@ -145,8 +153,7 @@ class TestDictionaryCU:
 
     def test_dictionary_is_sorted_and_deduped(self):
         cu = DictionaryCU(["z", "a", "z", "m"])
-        assert cu.dictionary == ["a", "m", "z"]
-        assert len(cu.dictionary) == 3
+        assert cu_dictionary(cu) == ["a", "m", "z"]
 
     def test_eq_mask_via_code(self):
         cu = DictionaryCU(["x", "y", "x", None])
@@ -181,7 +188,7 @@ class TestEncodeColumn:
     def test_dictionary_for_long_runs(self):
         values = ["a"] * 50 + ["b"] * 50
         cu = encode_column(values, False)
-        assert type(cu) is DictionaryCU and cu.dictionary == ["a", "b"]
+        assert type(cu) is DictionaryCU and cu_dictionary(cu) == ["a", "b"]
 
     def test_empty_column(self):
         cu = encode_column([], is_numeric=False)

@@ -20,7 +20,10 @@ The named tests below are the edges of DESIGN, "Delta repopulation".
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.common import SnapshotTooOldError, TransactionId
 from repro.common.config import IMCSConfig
+from repro.imcs import compression
 from repro.imcs import imcu as imcu_module
 from repro.imcs import (
     IMCU,
@@ -110,16 +114,21 @@ class World:
         self.open[xid] = []
         return xid
 
-    def row(self, draw, row_id):
+    @staticmethod
+    def row(draw, row_id):
+        return (row_id, *map(draw, World.cells(row_id)))
+
+    @staticmethod
+    def cells(row_id):
+        """What each column but ``id`` may hold."""
         return (
-            row_id,
-            draw(st.sampled_from(NUMBERS + [None])),
-            draw(st.sampled_from(NUMBERS + [None])),
+            st.sampled_from(NUMBERS + [None]),
+            st.sampled_from(NUMBERS + [None]),
             # run-shaped: neighbours mostly agree, so updates split
             # and heal long runs of one value
-            draw(st.sampled_from(["r0", "r0", "r0", "r1", None])),
-            draw(st.sampled_from(STRINGS + [f"u{row_id}", f"u{row_id}"])),
-            draw(st.sampled_from(STRINGS[:4] + [None])),
+            st.sampled_from(["r0", "r0", "r0", "r1", None]),
+            st.sampled_from(STRINGS + [f"u{row_id}", f"u{row_id}"]),
+            st.sampled_from(STRINGS[:4] + [None]),
         )
 
     def writable(self, xid):
@@ -161,6 +170,23 @@ class World:
                 self.tick(),
             )
         self.open[xid].append((dba, slot))
+
+    def update_one_column(self, draw):
+        """The live shape: one committed row rewritten in one column
+        (perhaps to the value it holds), committed and invalidated."""
+        candidates = self.writable(None)
+        if not candidates:
+            return
+        dba, slot = draw(st.sampled_from(candidates))
+        values = list(self.segment._store.get(dba).current(slot))
+        column = draw(st.integers(min_value=1, max_value=len(values) - 1))
+        values[column] = draw(self.cells(values[0])[column - 1])
+        xid = TransactionId(1, next(self.sequence))
+        self.table.apply_update(
+            self.oid, dba, slot, tuple(values), (), xid, self.tick()
+        )
+        self.txns.commits[xid] = self.tick()
+        self.store.invalidate(self.oid, dba, (slot,), self.scn)
 
     def commit(self, draw):
         if not self.open:
@@ -263,6 +289,22 @@ def test_generations_of_delta_builds_equal_full_builds(data):
         world.populate(data.draw)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_column_updates_over_an_unchanged_row_set(data):
+    """``oltap_mixed``'s shape: every rebuild keeps its row set, and each
+    update rewrites one column of a full-width row."""
+    n = data.draw(st.integers(min_value=1, max_value=ROWS_PER_BLOCK * 3))
+    world, smu = small_world([World.row(data.draw, i) for i in range(n)])
+    world.snapshot = world.scn
+    for __ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        for __ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            world.update_one_column(data.draw)
+        world.populate(data.draw)
+    (unit,) = world.store.segment(world.oid).live_units()
+    assert unit.imcu.n_rows == n and unit.imcu.rowids == smu.imcu.rowids
+
+
 # -- the edges, one test each ----------------------------------------------
 X = [TransactionId(1, n) for n in range(1, 9)]
 
@@ -276,6 +318,7 @@ def small_world(rows, commit_at=5):
             values, X[0], 2,
         )
     world.rows = len(rows)
+    world.sequence = itertools.count(len(X) + 1)  # its writers are not X's
     world.txns.commits[X[0]] = commit_at
     world.scn = commit_at + 1
     unit = build(world, world.scn)
@@ -309,6 +352,14 @@ def insert(world, dba, slot, values, xid, commit=True):
     world.table.apply_insert(world.oid, dba, slot, values, xid, world.tick())
     if commit:
         world.txns.commits[xid] = world.tick()
+
+
+def delete(world, dba, slot, xid):
+    """Committed, and invalidated as the flush would."""
+    old = world.segment._store.get(dba).current(slot)
+    world.table.apply_delete(world.oid, dba, slot, old, xid, world.tick())
+    world.txns.commits[xid] = world.tick()
+    world.store.invalidate(world.oid, dba, (slot,), world.scn)
 
 
 def buffers(unit):
@@ -375,9 +426,100 @@ def test_vanished_entry_leaves_and_new_value_enters_in_sorted_position():
     insert(world, 1, 4, (4, 1, 1.0, "g", "same", None), X[2])
     unit = both(world, world.tick(), smu)
     assert unit.rows_reused == 3
-    assert unit.column("c1").dictionary == ["b", "c", "f", "g"]
+    assert cu_dictionary(unit.column("c1")) == ["b", "c", "f", "g"]
     assert unit.column("c1").take(range(5)) == ["b", "c", "b", "f", "g"]
     assert cu_dictionary(unit.column("c2")) == ["same"]
+
+
+def test_a_cell_rewritten_to_the_value_it_holds_carries_its_code(
+    monkeypatch,
+):
+    """Compared with the value the base held at its own address (not a
+    neighbour's: ``c2`` differs from row to row), it is never looked up."""
+    rows = [(i, i, float(i), "a", f"u{i}", None) for i in range(6)]
+    world, smu = small_world(rows)
+    update(world, 1, 2, rows[2], X[1])  # every value as it was
+    lookups = []
+
+    def bisect_left(dictionary, value):
+        lookups.append(value)
+        return bisect.bisect_left(dictionary, value)
+
+    monkeypatch.setattr(
+        compression, "bisect", SimpleNamespace(bisect_left=bisect_left)
+    )
+    unit = both(world, world.tick(), smu)
+    assert unit.rows_reused == 5 and lookups == []
+    for name in ("c1", "c2", "c3", "tag"):  # nothing left, nothing entered
+        assert unit.column(name)._dictionary is smu.imcu.column(name)._dictionary
+
+
+def test_the_last_holder_of_an_entry_overwritten_takes_the_entry_along():
+    rows = [(i, 1, 1.0, v, "k", None) for i, v in enumerate("bdbf")]
+    world, smu = small_world(rows)
+    update(world, 1, 3, (3, 1, 1.0, "b", "k", None), X[1])  # the only "f"
+    unit = both(world, world.tick(), smu)
+    assert cu_dictionary(unit.column("c1")) == ["b", "d"]
+    assert cu_dictionary(unit.column("tag")) == ["b", "d"]
+    assert unit.column("c1").take(range(4)) == ["b", "d", "b", "b"]
+
+
+def test_a_new_value_enters_and_every_carried_code_moves_past_it():
+    rows = [(i, 1, 1.0, v, "k", None) for i, v in enumerate("bdbf")]
+    world, smu = small_world(rows)
+    update(world, 1, 0, (0, 1, 1.0, "c", "k", None), X[1])  # "b" stays held
+    unit = both(world, world.tick(), smu)
+    assert unit.rows_reused == 3
+    assert cu_dictionary(unit.column("c1")) == ["b", "c", "d", "f"]
+    assert cu_buffers(unit.column("c1"))["codes"].tolist() == [1, 2, 0, 3]
+
+
+def test_an_edge_insert_and_a_delete_in_one_rebuild():
+    rows = [(i, i, float(i), v, f"u{i}", None) for i, v in enumerate("abcd")]
+    world, smu = small_world(rows)
+    delete(world, 1, 1, X[1])  # the only "b", and "u1"...
+    insert(world, 1, 4, (4, 4, 4.0, "e", "u1", "x"), X[2])  # ...which returns
+    unit = both(world, world.tick(), smu)
+    assert unit.rows_reused == 3 and unit.row_slots.tolist() == [0, 2, 3, 4]
+    assert cu_dictionary(unit.column("c1")) == ["a", "c", "d", "e"]
+    assert cu_dictionary(unit.column("c2")) == ["u0", "u1", "u2", "u3"]
+    assert cu_dictionary(unit.column("c3")) == ["x"]
+
+
+def test_a_patch_built_base_patches_like_a_full_built_one():
+    world, smu = small_world(plain_rows(8))
+    update(world, 1, 1, (1, 5, 5.0, "z", "k", "x"), X[1])
+    first = world.store.register_unit(both(world, world.tick(), smu))
+    assert first.imcu.rows_reused == 7
+    update(world, 1, 1, (1, 1, 1.0, "a", "k", "x"), X[2])  # "z" leaves again
+    update(world, 1, 3, (3, 3, 3.0, "a", "q", "x"), X[3])
+    unit = both(world, world.tick(), first)
+    assert unit.rows_reused == 6
+    assert cu_dictionary(unit.column("c1")) == ["a"]
+    assert cu_dictionary(unit.column("c2")) == ["k", "q"]
+
+
+def test_a_base_with_columns_the_build_leaves_out_carries_the_rest():
+    """After DROP COLUMN the base holds a column the build no longer asks
+    for: the block rows of the others are gathered, here in a new order."""
+    world, smu = small_world(plain_rows(8))
+    update(world, 1, 2, (2, 9, 9.0, "b", "k", "y"), X[1])
+    unit = both(world, world.tick(), smu, inmemory_columns=["c3", "n2", "id"])
+    assert unit.rows_reused == 7
+    assert unit.column_names == ["c3", "n2", "id", "total", "tag"]
+
+
+def test_signed_zero_int_float_and_nan_patch_bit_for_bit():
+    """A NUMBER cell is patched, never compared: ``-0.0 == 0.0``, ``20 ==
+    20.0`` and ``nan != nan`` would all mislead a carry by value."""
+    rows = [(0, 0.0, 20, "a", "k", None), (1, 1.0, 1.0, "a", "k", None),
+            (2, 2, 2.0, "a", "k", None)]
+    world, smu = small_world(rows)
+    update(world, 1, 0, (0, -0.0, 20.0, "a", "k", None), X[1])
+    update(world, 1, 1, (1, math.nan, 1.0, "a", "k", None), X[2])
+    unit = both(world, world.tick(), smu)  # buffers equal byte for byte
+    assert repr(unit.column("n1").take([0, 1, 2])) == "[-0.0, nan, 2]"
+    assert repr(unit.column("n2").take([0, 1, 2])) == "[20.0, 1.0, 2.0]"
 
 
 def test_smu_ahead_of_the_snapshot_reads_the_extra_rows_at_the_snapshot():

@@ -31,7 +31,6 @@ from repro.imcs import compression
 from repro.imcs.compression import (
     DictionaryCU,
     NumericCU,
-    encode_column,
     encode_rows,
     row_matrix,
 )
@@ -39,7 +38,12 @@ from repro.imcs.expressions import Expression
 from repro.imcs.imcu import row_keys
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Segment
 
-from tests.helpers import cu_buffers, cu_dictionary, row_position
+from tests.helpers import (
+    cu_buffers,
+    cu_dictionary,
+    encode_column,
+    row_position,
+)
 from tests.naive_imcu import naive_build, naive_encode_column
 from tests.naive_versions import chain_of
 
@@ -293,7 +297,7 @@ def test_trailing_nul_strings_keep_their_own_codes():
     values = ["a", "a\x00", "", "a\x00\x00", "a"]
     rows = [(i, None, None, v, None, None) for i, v in enumerate(values)]
     cu = build(one_block_segment(rows)).column("c1")
-    assert cu.dictionary == ["", "a", "a\x00", "a\x00\x00"]
+    assert cu_dictionary(cu) == ["", "a", "a\x00", "a\x00\x00"]
     assert cu.take(range(5)) == values
 
 

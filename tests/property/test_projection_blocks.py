@@ -30,6 +30,7 @@ from repro.imcs.compression import (
 )
 from repro.restart.checkpoint import UnitCheckpoint
 
+from tests.helpers import cu_dictionary, encoded_unit, merge_rows
 from tests.naive_imcu import naive_build, naive_project_rows
 from tests.property.test_delta_repopulation import World
 from tests.property.test_population_columnar import (
@@ -158,16 +159,20 @@ def test_every_private_varchar2_column_has_a_row_in_the_block():
     strings = [k for k, (__, is_numeric) in enumerate(specs) if not is_numeric]
     c2 = SCHEMA.column_index("c2")
     assert c2 in strings
+    names = [column.name for column in SCHEMA.columns]
     cus, (__, full) = encode_rows(matrix, specs)
     keep = np.arange(len(ROWS))
-    merged, (__, merge) = encode_rows(matrix[:0], specs, (cus, keep, keep))
+    merged, (__, merge) = merge_rows(
+        encoded_unit(matrix, specs, names), names, keep, matrix[:0], specs,
+        keep,
+    )
     for built, (coded, block) in ((cus, full), (merged, merge)):
         assert coded == strings
         assert block.shape == (len(strings), len(ROWS))
         for j, k in enumerate(coded):
             assert type(built[k]) is DictionaryCU
             assert np.shares_memory(built[k]._codes, block[j])
-        assert built[c2].dictionary == ["run"]
+        assert cu_dictionary(built[c2]) == ["run"]
 
 
 def test_memory_bytes_is_the_reference_footprint_before_and_after_a_projection():

@@ -42,12 +42,12 @@ from repro.imcs import (
     ScanEngine,
 )
 from repro.imcs.aggregate import _Accumulator
-from repro.imcs.compression import encode_column
 from repro.imcs.expressions import Expression, ExpressionSet, RowResolver
 from repro.imcs.scan import ScanResult, _CompiledScan, unit_matched_positions
 from repro.imcs.smu import TailImage
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
+from tests.helpers import encode_column
 from tests.naive_predicate import closure_tail
 
 LIMIT = 2**53

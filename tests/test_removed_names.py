@@ -293,6 +293,14 @@ BANS = [
         "`invalidate_keys`; tests address one row with "
         "`tests/helpers.py::row_position`",
     ),
+    Ban(
+        "merge_kernels",
+        r"_merge_numeric|_merge_sorted_columns|encode_column",
+        ("src/repro",),
+        "§3 Removed and §17 Delta repopulation: one gather-and-patch "
+        "merge inside `encode_rows(carried=...)`; tests encode one column "
+        "through `tests/helpers.py::encode_column`",
+    ),
 ]
 
 
