@@ -6,10 +6,10 @@ clock, one transaction table, one block store); each
 manager, heartbeat writer and CPU node.
 
 The primary also runs its own DBIM: objects enabled with a primary-facing
-service get populated into the local In-Memory Column Store, and the
-transaction manager's commit hook invalidates SMU rows synchronously --
-the classic dual-format maintenance of [Lahiri et al., ICDE'15] that the
-paper's standby-side protocol replaces.
+service get populated into the local In-Memory Column Store, and every
+commit invalidates the SMU rows it changed synchronously, reading them
+back from its redo -- the classic dual-format maintenance of [Lahiri et
+al., ICDE'15] that the paper's standby-side protocol replaces.
 
 DDL support (the subset the paper's section III-G exercises):
 
@@ -31,7 +31,6 @@ from repro.common.config import SystemConfig
 from repro.common.ids import InstanceId, ObjectId, RowId, TenantId, TransactionId
 from repro.common.scn import SCN, SCNClock
 from repro.imcs.imcu import row_keys
-from repro.imcs.population import PopulationWorker
 from repro.imcs.store import InvalidationGroup
 from repro.redo.log import RedoLog
 from repro.redo.records import (
@@ -145,7 +144,6 @@ class PrimaryDatabase(Database):
                 imcs_enabled_objects=self.imcs_enabled_objects,
                 specialized_commit_redo=self.config.journal.specialized_commit_redo,
             )
-            manager.on_commit.append(self._dbim_commit_hook)
             self.instances.append(PrimaryInstance(i, manager, log, node))
 
     def _query_snapshot(self) -> SCN:
@@ -180,16 +178,8 @@ class PrimaryDatabase(Database):
                         node=inst.node,
                     ),
                 )
-        for i in range(self.config.imcs.population_workers):
-            self.attach_actor(
-                sched,
-                PopulationWorker(
-                    self.population,
-                    name=f"{self.actor_prefix}-popworker-{i}",
-                    node=self.node,
-                    sweep=(i == 0),
-                ),
-            )
+        for worker in self.population.workers(self.actor_prefix, self.node):
+            self.attach_actor(sched, worker)
 
     # ------------------------------------------------------------------
     # DDL
@@ -308,22 +298,6 @@ class PrimaryDatabase(Database):
         records carry the modifies-IMCS flag for them too."""
         self.imcs_enabled_objects.update(object_ids)
 
-    def _dbim_commit_hook(self, txn: Transaction, commit_scn: SCN) -> None:
-        """Synchronous SMU invalidation for the primary's own IMCS: one
-        group per enabled object the transaction changed."""
-        keys: dict[ObjectId, set[int]] = {}
-        for change in txn.changes:
-            if self.imcs.is_enabled(change.object_id):
-                keys.setdefault(change.object_id, set()).add(
-                    row_keys(change.rowid.dba, change.rowid.slot)
-                )
-        self.imcs.invalidate_groups([
-            InvalidationGroup(
-                object_id, txn.tenant, commit_scn, sorted(of_object), []
-            )
-            for object_id, of_object in keys.items()
-        ])
-
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
@@ -360,7 +334,22 @@ class PrimaryDatabase(Database):
         self.manager_of(txn).delete(txn, table, rowid)
 
     def commit(self, txn: Transaction) -> SCN:
-        return self.manager_of(txn).commit(txn)
+        """Commit on the transaction's thread, then invalidate the rows it
+        changed in the primary's own IMCS synchronously: one group per
+        enabled object, the rows read back from that thread's redo."""
+        manager = self.manager_of(txn)
+        commit_scn = manager.commit(txn)
+        keys: dict[ObjectId, set[int]] = {}
+        for object_id, dba, slot in manager.changed_rows(txn):
+            if self.imcs.is_enabled(object_id):
+                keys.setdefault(object_id, set()).add(row_keys(dba, slot))
+        self.imcs.invalidate_groups([
+            InvalidationGroup(
+                object_id, txn.tenant, commit_scn, sorted(of_object), []
+            )
+            for object_id, of_object in keys.items()
+        ])
+        return commit_scn
 
     def rollback(self, txn: Transaction) -> None:
         self.manager_of(txn).rollback(txn)

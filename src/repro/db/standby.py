@@ -39,7 +39,6 @@ from repro.dbim_adg.ddl import DDLInformationTable
 from repro.dbim_adg.flush import InvalidationFlushComponent
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
-from repro.imcs.population import PopulationWorker
 from repro.obs.restart import record_restart
 from repro.restart.replay import RestartReport, instant_restart
 from repro.redo.shipping import RedoReceiver
@@ -73,17 +72,6 @@ class StandbyInstance:
         if self.query_scn.value < self.population_floor:
             return None  # a restart's forgotten redo is not yet published
         return self.query_scn.value
-
-    def _population_workers(self) -> list[PopulationWorker]:
-        return [
-            PopulationWorker(
-                self.population,
-                name=f"{self.node.name}-popworker-{i}",
-                node=self.node,
-                sweep=(i == 0),
-            )
-            for i in range(self.config.imcs.population_workers)
-        ]
 
     def _init_mining(self) -> None:
         """This instance's IM-ADG Journal, Commit Table, DDL Information
@@ -200,7 +188,7 @@ class StandbyDatabase(Database, StandbyInstance):
         """Schedule this standby's pipeline and population workers."""
         for actor in (
             self.merger, self.coordinator, *self.workers,
-            *self._population_workers(),
+            *self.population.workers(self.node.name, self.node),
         ):
             self.attach_actor(sched, actor)
 

@@ -94,6 +94,16 @@ class PopulationEngine:
         #: harness's.
         self.quiesce_retries = 0
 
+    def workers(
+        self, prefix: str, node: Optional[CpuNode]
+    ) -> list[PopulationWorker]:
+        """The engine's worker pool on ``node``, named
+        ``<prefix>-popworker-<i>``; worker 0 also sweeps."""
+        return [
+            PopulationWorker(self, f"{prefix}-popworker-{i}", node, i == 0)
+            for i in range(self.config.population_workers)
+        ]
+
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

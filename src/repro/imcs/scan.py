@@ -10,7 +10,7 @@ from the IMCS, but delivered from the database buffer cache").
 
 Correctness precondition (asserted by callers): every invalidation with
 commitSCN <= the scan snapshot has been flushed to the SMUs.  On the
-primary the commit hook does this synchronously; on the standby the
+primary every commit does this synchronously; on the standby the
 QuerySCN-advancement protocol guarantees it for snapshot == QuerySCN.
 
 The scan returns a simulated cost alongside the rows: columnar rows cost

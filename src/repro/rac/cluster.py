@@ -145,7 +145,9 @@ class PeerInstance(StandbyInstance):
 
     def actors(self) -> list[Actor]:
         pipeline = [self.merger, *self.workers] if self.workers else []
-        return [*pipeline, *self._population_workers()]
+        return [
+            *pipeline, *self.population.workers(self.node.name, self.node)
+        ]
 
     # -- local recovery coordinator ---------------------------------------
     def _receive(self, from_instance: InstanceId, payload: object) -> None:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.common.errors import RedoCorruptionError
-from repro.common.ids import InstanceId
+from repro.common.ids import InstanceId, ObjectId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import CVBatch
 from repro.sim.scheduler import wake
@@ -53,9 +53,10 @@ class RedoLog:
 
     def append(
         self, thread: InstanceId, scn: SCN, cvs: Sequence[tuple]
-    ) -> None:
+    ) -> int:
         """Write one redo record: ``cvs`` rows as laid out in
-        :mod:`repro.redo.records`, all generated at ``scn``."""
+        :mod:`repro.redo.records`, all generated at ``scn``.  Returns the
+        log offset of its last CV."""
         if thread != self.thread:
             raise RedoCorruptionError(
                 f"record for thread {thread} appended to thread "
@@ -87,6 +88,7 @@ class RedoLog:
         if tracer is not None:
             tracer.record_generated(thread, scn, len(ops) - start)
         wake(self.waiters)
+        return len(ops) - 1
 
     def __len__(self) -> int:
         """Records generated."""
@@ -96,6 +98,10 @@ class RedoLog:
     def last_scn(self) -> SCN:
         """SCN of the newest record (redo generation progress)."""
         return self._last_scn
+
+    def row_address(self, i: int) -> tuple[ObjectId, int, int]:
+        """``(object_id, dba, slot)`` of the CV at log offset ``i``."""
+        return self._object_ids[i], self._dbas[i], self._slots[i]
 
     def scn_range(self, lo_scn: SCN, hi_scn: SCN) -> tuple[int, int]:
         """Record positions ``[lo, hi)`` holding ``lo_scn <= scn <= hi_scn``."""

@@ -8,12 +8,11 @@ enabled.
 """
 
 from repro.txn.table import TransactionTable, TxnState
-from repro.txn.manager import Transaction, TransactionManager, ChangeRecord
+from repro.txn.manager import Transaction, TransactionManager
 
 __all__ = [
     "TransactionTable",
     "TxnState",
     "Transaction",
     "TransactionManager",
-    "ChangeRecord",
 ]

@@ -7,13 +7,15 @@ IMCS-enabled objects (used for the specialized commit-record flag).
 Rollback is modelled the way Oracle really does it: applying undo
 *generates more redo* -- each original change gets a compensating UNDO
 change vector, followed by an abort control record.  The standby therefore
-learns about rollbacks purely from the redo stream.
+learns about rollbacks purely from the redo stream.  The primary keeps no
+other list of a transaction's changes either: a transaction holds the log
+offsets of its data CVs, and rollback reads its rows back from the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.common.errors import InvalidStateError
 from repro.common.ids import InstanceId, ObjectId, RowId, TenantId, TransactionId
@@ -30,26 +32,17 @@ _UNDO = int(CVOp.UNDO)
 
 
 @dataclass(slots=True)
-class ChangeRecord:
-    """One DML change, retained for rollback and commit-time hooks."""
-
-    kind: CVOp
-    table: Table
-    object_id: ObjectId
-    rowid: RowId
-
-
-@dataclass(slots=True)
 class Transaction:
     """A client transaction on one primary instance."""
 
     xid: TransactionId
     tenant: TenantId
     state: TxnState = TxnState.ACTIVE
-    began_in_redo: bool = False
-    commit_scn: SCN = 0
-    touched_objects: set[ObjectId] = field(default_factory=set)
-    changes: list[ChangeRecord] = field(default_factory=list)
+    #: Log offsets of its data CVs in statement order; empty until its
+    #: first change writes the begin CV.
+    cv_offsets: list[int] = field(default_factory=list)
+    #: The tables it changed, by object id: where rollback applies undo.
+    tables: dict[ObjectId, Table] = field(default_factory=dict)
 
     @property
     def is_active(self) -> bool:
@@ -80,10 +73,6 @@ class TransactionManager:
         # a manager over a recovered table (failover activation) resumes
         # past every transaction the table already holds for its instance
         self._next_sequence = txn_table.highest_sequence(instance) + 1
-        #: Callbacks fired after a commit: fn(txn, commit_scn).  The
-        #: primary's own DBIM transaction manager hooks in here to
-        #: invalidate SMU rows.
-        self.on_commit: list[Callable[[Transaction, SCN], None]] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -131,10 +120,9 @@ class TransactionManager:
             int(op), rowid.dba, object_id, txn.tenant, txn.xid,
             rowid.slot, row, payload,
         )
-        if txn.began_in_redo:
+        if txn.cv_offsets:
             cvs = (cv,)
         else:
-            txn.began_in_redo = True
             cvs = (
                 (
                     _TXN_BEGIN, self._txn_dba, 0, txn.tenant, txn.xid,
@@ -142,9 +130,16 @@ class TransactionManager:
                 ),
                 cv,
             )
-        self.redo_log.append(self.instance, scn, cvs)
-        txn.touched_objects.add(object_id)
-        txn.changes.append(ChangeRecord(op, table, object_id, rowid))
+        txn.cv_offsets.append(self.redo_log.append(self.instance, scn, cvs))
+        txn.tables[object_id] = table
+
+    def changed_rows(
+        self, txn: Transaction
+    ) -> list[tuple[ObjectId, int, int]]:
+        """``(object_id, dba, slot)`` of each of ``txn``'s changes in
+        statement order, read back from its redo."""
+        row_address = self.redo_log.row_address
+        return [row_address(offset) for offset in txn.cv_offsets]
 
     # ------------------------------------------------------------------
     # DML
@@ -204,45 +199,29 @@ class TransactionManager:
         """
         self._require_active(txn)
         commit_scn = self.clock.next()
-        txn.commit_scn = commit_scn
         txn.state = TxnState.COMMITTED
         self.txn_table.commit(txn.xid, commit_scn)
-        if txn.began_in_redo:
+        if txn.cv_offsets:
+            flag: Optional[bool] = None
             if self.specialized_commit_redo:
-                flag: Optional[bool] = bool(
-                    txn.touched_objects & self.imcs_enabled_objects
-                )
-            else:
-                flag = None
+                flag = not self.imcs_enabled_objects.isdisjoint(txn.tables)
             self._emit_control(txn, commit_scn, CVOp.TXN_COMMIT, flag)
-        for hook in self.on_commit:
-            hook(txn, commit_scn)
         return commit_scn
 
     def rollback(self, txn: Transaction) -> None:
         """Abort: apply undo (generating compensating redo) then mark
         the transaction aborted."""
         self._require_active(txn)
-        for change in reversed(txn.changes):
+        for object_id, dba, slot in reversed(self.changed_rows(txn)):
             scn = self.clock.next()
-            change.table.apply_undo(
-                change.object_id,
-                change.rowid.dba,
-                change.rowid.slot,
-                txn.xid,
-                scn,
+            txn.tables[object_id].apply_undo(
+                object_id, dba, slot, txn.xid, scn
             )
-            self.redo_log.append(
-                self.instance,
-                scn,
-                (
-                    (
-                        _UNDO, change.rowid.dba, change.object_id,
-                        txn.tenant, txn.xid, change.rowid.slot, None, None,
-                    ),
-                ),
+            undo = (
+                _UNDO, dba, object_id, txn.tenant, txn.xid, slot, None, None
             )
+            self.redo_log.append(self.instance, scn, (undo,))
         txn.state = TxnState.ABORTED
         self.txn_table.abort(txn.xid)
-        if txn.began_in_redo:
+        if txn.cv_offsets:
             self._emit_control(txn, self.clock.next(), CVOp.TXN_ABORT)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import ApplyConfig
+from repro.common.config import ApplyConfig, RACConfig
 from repro.db import Deployment, InMemoryService, Service, ServiceRegistry
 from repro.imcs import Predicate
 
@@ -148,6 +148,27 @@ class TestDBIMOnADG:
             assert result_s.stats.imcs_rows == 0
             assert sorted(result_p.rows) == sorted(result_s.rows)
             assert len(result_s.rows) == n_rows
+
+    def test_primary_imcs_sees_a_commit_on_its_second_thread(self):
+        """The primary invalidates its own IMCS from the redo of the
+        thread the transaction ran on, not from instance 1's log."""
+        deployment = Deployment.build(
+            config=small_config(rac=RACConfig(primary_instances=2))
+        )
+        deployment.create_table(simple_table_def())
+        rowids, __ = load(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.PRIMARY)
+        deployment.catch_up()
+        primary = deployment.primary
+        txn = primary.begin(instance_id=2)
+        for rowid in rowids[:5]:
+            primary.update(txn, "T", rowid, {"n1": 50.5})
+        primary.commit(txn)
+        assert txn.xid.instance == 2
+        fresh = primary.query("T", [Predicate.eq("n1", 50.5)])
+        assert fresh.stats.imcus_used >= 1
+        assert sorted(row[0] for row in fresh.rows) == [0, 1, 2, 3, 4]
+        assert primary.query("T", [Predicate.eq("n1", 2.0)]).rows == []
 
     @pytest.mark.parametrize("cooperative", [False, True])
     def test_cooperative_flush_is_decided_by_the_standby(self, cooperative):

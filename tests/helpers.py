@@ -13,7 +13,9 @@ column through the block encoder, and :func:`cu_buffers` and
 :func:`cu_dictionary` read a CU's encoded parts for byte-for-byte
 comparison.
 :func:`standby_reads_like_primary` holds a standby's scan against the
-primary's consistent read at the standby's QuerySCN.
+primary's consistent read at the standby's QuerySCN, and
+:class:`ClientInserts` is a client's own record of the rows its
+transactions inserted (the primary keeps none beside its redo).
 """
 
 from __future__ import annotations
@@ -253,3 +255,24 @@ def standby_reads_like_primary(deployment, table_name: str = "T") -> bool:
         values
         for __, values in table.full_scan(scn, deployment.primary.txn_table)
     )
+
+
+class ClientInserts:
+    """A client's record of the rows each of its transactions inserted,
+    fed by the ``RowId`` every ``primary.insert`` returns: what a rollback
+    takes back.  The primary keeps no change list to read it from; a
+    transaction's changes are its redo."""
+
+    def __init__(self, primary) -> None:
+        self.primary = primary
+        self._by_xid: dict = {}
+
+    def insert(self, txn, table_name: str, values: tuple) -> RowId:
+        rowid = self.primary.insert(txn, table_name, values)
+        self._by_xid.setdefault(txn.xid, []).append(rowid)
+        return rowid
+
+    def rollback(self, txn) -> set[RowId]:
+        """Roll ``txn`` back; the rows it had inserted, now gone."""
+        self.primary.rollback(txn)
+        return set(self._by_xid.pop(txn.xid, ()))

@@ -24,6 +24,8 @@ from repro.cdc import ReplaySubscriber
 from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 
+from tests.helpers import ClientInserts
+
 
 def build_deployment(seed: int) -> Deployment:
     config = SystemConfig(
@@ -85,6 +87,7 @@ class History:
         )
         self.txns = [self.deployment.primary.begin()]
         self.rowids: list = []
+        self.client = ClientInserts(self.deployment.primary)
         self.ddl_count = 0
 
     def active(self):
@@ -160,12 +163,11 @@ def test_cdc_feed_and_standby_match_primary_cr_oracle(ops, seed):
     for kind, arg in ops:
         if kind == "insert":
             value = next(rng_ids)
-            if step.attempt(
-                lambda primary: primary.insert(
+            step.attempt(
+                lambda primary: step.rowids.append(step.client.insert(
                     step.active(), "T", (value, float(arg), f"v{arg % 7}")
-                )
-            ):
-                step.rowids.append(step.txns[-1].changes[-1].rowid)
+                ))
+            )
         elif kind in ("update", "delete") and step.rowids:
             rowid = step.rowids[arg % len(step.rowids)]
             if kind == "update":
@@ -181,12 +183,12 @@ def test_cdc_feed_and_standby_match_primary_cr_oracle(ops, seed):
         elif kind == "commit":
             step.attempt(lambda primary: primary.commit(step.active()))
         elif kind == "rollback":
-            removed = {
-                c.rowid
-                for c in step.txns[-1].changes
-                if c.kind.name == "INSERT"
-            }
-            step.attempt(lambda primary: primary.rollback(step.active()))
+            removed: set = set()
+            step.attempt(
+                lambda primary: removed.update(
+                    step.client.rollback(step.active())
+                )
+            )
             step.rowids[:] = [r for r in step.rowids if r not in removed]
         elif kind == "new_txn":
             step.txns.append(deployment.primary.begin())

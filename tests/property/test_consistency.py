@@ -19,6 +19,7 @@ from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
 
+from tests.helpers import ClientInserts
 from tests.naive_predicate import eval_row
 
 
@@ -100,6 +101,7 @@ def test_standby_imcs_matches_primary_cr(ops, seed, n_standbys):
     deployment = build_deployment(seed, n_standbys)
     rng_ids = iter(range(10_000, 100_000))
     rowids: list = []
+    client = ClientInserts(deployment.primary)
     deployment.enable_inmemory("T", service=InMemoryService.BOTH)
 
     txns = [deployment.primary.begin()]
@@ -112,11 +114,9 @@ def test_standby_imcs_matches_primary_cr(ops, seed, n_standbys):
     mutated = 0
     for kind, arg in ops:
         if kind == "insert":
-            txn = active_txn()
-            deployment.primary.insert(
-                txn, "T", (next(rng_ids), float(arg), f"v{arg % 7}")
-            )
-            rowids.append(txn.changes[-1].rowid)
+            rowids.append(client.insert(
+                active_txn(), "T", (next(rng_ids), float(arg), f"v{arg % 7}")
+            ))
             mutated += 1
         elif kind in ("update", "delete") and rowids:
             txn = active_txn()
@@ -136,9 +136,7 @@ def test_standby_imcs_matches_primary_cr(ops, seed, n_standbys):
         elif kind == "commit":
             deployment.primary.commit(active_txn())
         elif kind == "rollback":
-            txn = active_txn()
-            removed = {c.rowid for c in txn.changes if c.kind.name == "INSERT"}
-            deployment.primary.rollback(txn)
+            removed = client.rollback(active_txn())
             rowids[:] = [r for r in rowids if r not in removed]
         elif kind == "new_txn":
             txns.append(deployment.primary.begin())

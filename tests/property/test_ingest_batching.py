@@ -76,6 +76,7 @@ from repro.redo.batch import CVChunk
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
 
 from tests.helpers import (
+    ClientInserts,
     NullApplier,
     batch_of,
     chunk_of,
@@ -154,6 +155,7 @@ def drive(deployment: Deployment, ops) -> None:
     ddl_tables = 0
     ids = iter(range(10_000, 100_000))
     rowids: list = []
+    client = ClientInserts(primary)
     txns = [primary.begin()]
 
     def active():
@@ -163,9 +165,9 @@ def drive(deployment: Deployment, ops) -> None:
 
     for kind, arg in ops:
         if kind == "insert":
-            txn = active()
-            primary.insert(txn, "T", (next(ids), float(arg), f"v{arg % 7}"))
-            rowids.append(txn.changes[-1].rowid)
+            rowids.append(client.insert(
+                active(), "T", (next(ids), float(arg), f"v{arg % 7}")
+            ))
         elif kind in ("update", "delete") and rowids:
             rowid = rowids[arg % len(rowids)]
             try:
@@ -180,9 +182,7 @@ def drive(deployment: Deployment, ops) -> None:
         elif kind == "commit":
             primary.commit(active())
         elif kind == "rollback":
-            txn = active()
-            removed = {c.rowid for c in txn.changes if c.kind.name == "INSERT"}
-            primary.rollback(txn)
+            removed = client.rollback(active())
             rowids[:] = [r for r in rowids if r not in removed]
         elif kind == "new_txn":
             txns.append(primary.begin())
@@ -672,8 +672,9 @@ def record_appends(log) -> list[RedoRecord]:
     real = log.append
 
     def append(thread, scn, cvs):
-        real(thread, scn, cvs)
+        offset = real(thread, scn, cvs)
         records.append(record_of_append(thread, scn, cvs))
+        return offset
 
     log.append = append
     return records
@@ -735,6 +736,7 @@ def drive_primary(ops):
     }
     txns = {1: primary.begin(instance_id=1), 2: primary.begin(instance_id=2)}
     rowids: list = []
+    client = ClientInserts(primary)
     ids = iter(range(10_000, 100_000))
     created = 0
     for step, (kind, thread, arg) in enumerate(ops):
@@ -743,11 +745,9 @@ def drive_primary(ops):
         txn = txns[thread]
         try:
             if kind == "insert":
-                rowids.append(
-                    primary.insert(
-                        txn, "T", (next(ids), float(arg), f"v{arg % 7}")
-                    )
-                )
+                rowids.append(client.insert(
+                    txn, "T", (next(ids), float(arg), f"v{arg % 7}")
+                ))
             elif kind == "update" and rowids:
                 primary.update(
                     txn, "T", rowids[arg % len(rowids)], {"n1": arg * 2.0}
@@ -757,8 +757,7 @@ def drive_primary(ops):
             elif kind == "commit":
                 primary.commit(txn)
             elif kind == "rollback":
-                gone = {c.rowid for c in txn.changes if c.kind is CVOp.INSERT}
-                primary.rollback(txn)
+                gone = client.rollback(txn)
                 rowids[:] = [r for r in rowids if r not in gone]
             elif kind == "truncate":
                 primary.truncate_table("T")

@@ -16,6 +16,8 @@ from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
 
+from tests.helpers import ClientInserts
+
 
 def build_deployment(seed: int) -> Deployment:
     config = SystemConfig(
@@ -85,6 +87,7 @@ def test_morsel_scans_match_fresh_scans(ops, seed):
     service = deployment.start_query_service(n_workers=2)
     rng_ids = iter(range(10_000, 100_000))
     rowids: list = []
+    client = ClientInserts(deployment.primary)
     txn = None
 
     def active_txn():
@@ -96,11 +99,8 @@ def test_morsel_scans_match_fresh_scans(ops, seed):
     try:
         for kind, arg in ops:
             if kind == "insert":
-                t = active_txn()
-                deployment.primary.insert(
-                    t, "T", (next(rng_ids), float(arg), f"v{arg % 5}")
-                )
-                rowids.append(t.changes[-1].rowid)
+                row = (next(rng_ids), float(arg), f"v{arg % 5}")
+                rowids.append(client.insert(active_txn(), "T", row))
             elif kind in ("update", "delete") and rowids:
                 t = active_txn()
                 rowid = rowids[arg % len(rowids)]

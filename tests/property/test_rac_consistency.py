@@ -25,6 +25,8 @@ from repro.common.config import (
 )
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 
+from tests.helpers import ClientInserts
+
 
 def build(seed: int, mira: bool) -> Deployment:
     config = SystemConfig(
@@ -86,6 +88,7 @@ def test_rac_member_matches_primary_cr(mira, ops, seed):
 
     next_id = iter(range(10_000, 100_000))
     rowids: list = []
+    client = ClientInserts(primary)
     txns = [primary.begin(instance_id=1)]
     instance_toggle = iter([2, 1] * 1000)
 
@@ -96,9 +99,9 @@ def test_rac_member_matches_primary_cr(mira, ops, seed):
 
     for kind, arg in ops:
         if kind == "insert":
-            txn = active()
-            primary.insert(txn, "T", (next(next_id), float(arg), f"v{arg % 7}"))
-            rowids.append(txn.changes[-1].rowid)
+            rowids.append(client.insert(
+                active(), "T", (next(next_id), float(arg), f"v{arg % 7}")
+            ))
         elif kind == "update" and rowids:
             primary.update(
                 active(), "T", rowids[arg % len(rowids)],
@@ -109,9 +112,7 @@ def test_rac_member_matches_primary_cr(mira, ops, seed):
         elif kind == "commit":
             primary.commit(active())
         elif kind == "rollback":
-            txn = active()
-            gone = {c.rowid for c in txn.changes if c.kind.name == "INSERT"}
-            primary.rollback(txn)
+            gone = client.rollback(active())
             rowids[:] = [r for r in rowids if r not in gone]
         elif kind == "truncate":
             primary.truncate_table("T")

@@ -21,7 +21,7 @@ from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs import Predicate
 
 from tests.db.conftest import load
-from tests.helpers import standby_reads_like_primary
+from tests.helpers import ClientInserts, standby_reads_like_primary
 
 
 def build_deployment(seed: int) -> Deployment:
@@ -112,6 +112,7 @@ def test_restart_at_any_published_queryscn_is_invisible(ops, seed):
     deployment = build_deployment(seed)
     rng_ids = iter(range(10_000, 100_000))
     rowids: list = []
+    client = ClientInserts(deployment.primary)
     txn = None
     restarted = 0
 
@@ -123,11 +124,9 @@ def test_restart_at_any_published_queryscn_is_invisible(ops, seed):
 
     for kind, arg in ops:
         if kind == "insert":
-            t = active_txn()
-            deployment.primary.insert(
-                t, "T", (next(rng_ids), float(arg), f"v{arg % 5}")
-            )
-            rowids.append(t.changes[-1].rowid)
+            rowids.append(client.insert(
+                active_txn(), "T", (next(rng_ids), float(arg), f"v{arg % 5}")
+            ))
         elif kind in ("update", "delete") and rowids:
             t = active_txn()
             rowid = rowids[arg % len(rowids)]

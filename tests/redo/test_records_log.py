@@ -124,6 +124,26 @@ class TestRedoLog:
         assert log.batch(3, 99).record_scns == [13]
         assert log.batch(4, 9).n_records == log.batch(2, 2).n_cvs == 0
 
+    def test_append_returns_the_offset_row_address_reads(self):
+        """``append`` returns the log offset of its record's last CV, and
+        ``row_address`` reads that CV's ``(object_id, dba, slot)`` back:
+        all a transaction keeps of a statement."""
+        log = RedoLog(1)
+        begin = (
+            int(CVOp.TXN_BEGIN), txn_table_dba(1), 0, 0, X, -1, None, None
+        )
+        insert = (int(CVOp.INSERT), 5, 9, 0, X, 3, (1,), None)
+        update = (int(CVOp.UPDATE), 6, 8, 0, X, 2, (2,), ("c",))
+        first = log.append(1, 10, (begin, insert))
+        second = log.append(1, 11, (update,))
+        assert (first, second) == (1, 2)
+        assert log.row_address(first) == (9, 5, 3)
+        assert log.row_address(second) == (8, 6, 2)
+        batch = log.batch(0, len(log))
+        assert [log.row_address(i) for i in range(batch.n_cvs)] == list(
+            zip(batch.object_ids, batch.dbas, batch.slots)
+        )
+
     def test_scn_range_brackets_inclusive_bounds(self):
         log = RedoLog(1)
         for scn in (10, 12, 12, 15):

@@ -301,6 +301,22 @@ BANS = [
         "merge inside `encode_rows(carried=...)`; tests encode one column "
         "through `tests/helpers.py::encode_column`",
     ),
+    Ban(
+        "txn_change_list",
+        r"ChangeRecord|touched_objects|began_in_redo|\.changes\b",
+        ("src/repro",),
+        "§3 Removed and §15 One way in, one way out: a transaction's "
+        "change list is its redo (`Transaction.cv_offsets`, read back by "
+        "`TransactionManager.changed_rows`); a client that wants its "
+        "inserted rows keeps them (`tests/helpers.py::ClientInserts`)",
+    ),
+    Ban(
+        "commit_hook_list",
+        r"on_commit",
+        ("src/repro",),
+        "§3 Removed: `PrimaryDatabase.commit` invalidates the primary's "
+        "own IMCS itself, right after the manager commits",
+    ),
 ]
 
 

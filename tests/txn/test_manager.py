@@ -41,6 +41,10 @@ def env():
     return manager, table, log, txn_table, imcs_enabled
 
 
+#: The data ops as the log's op column stores them.
+DATA_OPS = {int(CVOp.INSERT), int(CVOp.UPDATE), int(CVOp.DELETE)}
+
+
 def all_cvs(log):
     return [cv for rec in log_records(log) for cv in rec.cvs]
 
@@ -132,14 +136,20 @@ class TestCommit:
         assert len(log) == 0
         assert txn_table.commit_scn_of(txn.xid) is not None
 
-    def test_on_commit_hooks_fire(self, env):
-        manager, table, *__ = env
-        fired = []
-        manager.on_commit.append(lambda txn, scn: fired.append((txn.xid, scn)))
+    def test_commit_flag_reads_every_table_the_transaction_changed(self, env):
+        """The III-E flag is set when *any* changed object is IMCS-enabled,
+        not only the first one the transaction wrote."""
+        manager, table, log, __, imcs_enabled = env
+        other = Table(
+            "U", table.schema, BlockStore(),
+            object_id_allocator=lambda: 200, rows_per_block=4,
+        )
+        imcs_enabled.add(other.default_partition.object_id)
         txn = manager.begin()
         manager.insert(txn, table, (1, 1.0, "a"))
-        scn = manager.commit(txn)
-        assert fired == [(txn.xid, scn)]
+        manager.insert(txn, other, (2, 2.0, "b"))
+        manager.commit(txn)
+        assert all_cvs(log)[-1].payload.modifies_imcs is True
 
     def test_dml_after_commit_raises(self, env):
         manager, table, *__ = env
@@ -196,6 +206,45 @@ class TestRollback:
             CVOp.UNDO, CVOp.UNDO, CVOp.TXN_ABORT,
         ]
 
+    def test_rollback_across_two_tables_undoes_in_reverse_statement_order(
+        self, env
+    ):
+        """Rollback reads its rows back from the transaction's redo and
+        undoes them last statement first, each in the table that owns the
+        object: two tables whose block stores hand out the same DBAs."""
+        manager, table, log, txn_table, __ = env
+        other = Table(
+            "U", table.schema, BlockStore(),
+            object_id_allocator=lambda: 200, rows_per_block=4,
+        )
+        setup = manager.begin()
+        a = manager.insert(setup, table, (1, 1.0, "a"))
+        b = manager.insert(setup, other, (2, 2.0, "b"))
+        manager.commit(setup)
+        assert a.dba == b.dba  # only the object id tells the rows apart
+        lo = len(log)
+        txn = manager.begin()
+        manager.update(txn, table, a, {"n1": 10.0})
+        manager.insert(txn, other, (3, 3.0, "c"))
+        manager.update(txn, other, b, {"n1": 20.0})
+        manager.delete(txn, table, a)
+        manager.rollback(txn)
+
+        batch = log.batch(lo, len(log))
+        rows = list(zip(
+            batch.ops, batch.object_ids, batch.dbas, batch.slots
+        ))
+        data = [row[1:] for row in rows if row[0] in DATA_OPS]
+        undo = [row[1:] for row in rows if row[0] == int(CVOp.UNDO)]
+        assert len(data) == 4 and undo == data[::-1]
+        scn = manager.clock.current
+        assert [v for __, v in table.full_scan(scn, txn_table)] == [
+            (1, 1.0, "a")
+        ]
+        assert [v for __, v in other.full_scan(scn, txn_table)] == [
+            (2, 2.0, "b")
+        ]
+
     def test_rollback_of_empty_txn_emits_nothing(self, env):
         manager, __, log, txn_table, ___ = env
         txn = manager.begin()
@@ -237,28 +286,45 @@ class TestRedoFootprint:
         rowids = [primary.insert(txn, "T", (i, 0.0)) for i in range(50)]
         primary.commit(txn)
 
-        def run(n):
-            txn = primary.begin()
+        def statements(txn, n):
             for i in range(n):
                 primary.update(txn, "T", rowids[i % 50], {"n1": float(i)})
+
+        def run(n):
+            txn = primary.begin()
+            statements(txn, n)
             primary.commit(txn)
 
         run(100)  # warm every lazily built structure
-        return primary, run
+        return primary, run, statements
 
     def test_a_statement_leaves_no_redo_object_behind(self):
-        primary, run = self.primary()
+        primary, run, __ = self.primary()
         before = tracked()
         run(self.N)
         grown = tracked() - before
         assert len(primary.redo_logs[0]) >= self.N + 100
         assert grown <= self.BOUND, f"{grown} tracked for {self.N} updates"
 
+    def test_an_open_transaction_keeps_no_object_per_statement(self):
+        """A transaction's change list is its redo: what it keeps per
+        statement is a log offset (an int) and its table, already in its
+        dict, so its statements grow the tracked heap by nothing."""
+        primary, __, statements = self.primary()
+        txn = primary.begin()
+        statements(txn, 1)  # the transaction's own list and dict
+        before = tracked()
+        statements(txn, self.N)
+        grown = tracked() - before
+        assert len(txn.cv_offsets) == self.N + 1
+        primary.commit(txn)
+        assert grown <= self.BOUND, f"{grown} tracked for {self.N} open"
+
     def test_applying_a_statement_leaves_no_object_behind(self):
         from repro.db.applier import PhysicalApplier
         from repro.db.catalog import Catalog
 
-        primary, run = self.primary()
+        primary, run, __ = self.primary()
         log = primary.redo_logs[0]
         standby = PhysicalApplier(Catalog(BlockStore()), TransactionTable())
 
