@@ -41,6 +41,8 @@ from repro.sim.scheduler import Actor, Scheduler, wake
 COORDINATION_COST = 2e-6
 #: Simulated CPU seconds per worklink node flushed by the coordinator.
 FLUSH_COST_PER_NODE = 1e-6
+#: Merged records the coordinator hands to an instance's workers per step.
+DISTRIBUTE_BATCH = 512
 
 
 def _applied_through(merger: LogMerger, workers: list[RecoveryWorker]) -> SCN:
@@ -93,7 +95,6 @@ class RecoveryCoordinator(Actor):
         query_scn: QuerySCNPublisher,
         advance_protocol: AdvanceProtocol,
         interval: float = 0.01,
-        distribute_batch: int = 512,
         flush_batch: int = 32,
         node: Optional[CpuNode] = None,
         name: str = "recovery-coordinator",
@@ -109,7 +110,6 @@ class RecoveryCoordinator(Actor):
         #: or wrap it after construction.
         self.advance_protocol = advance_protocol
         self.interval = interval
-        self.distribute_batch = distribute_batch
         self.flush_batch = flush_batch
         self.node = node
         self.name = name
@@ -171,7 +171,7 @@ class RecoveryCoordinator(Actor):
         self, merger: LogMerger, distributor: ApplyDistributor
     ) -> float:
         """Hand one apply instance's merged records to its workers."""
-        records = merger.take_merged(self.distribute_batch)
+        records = merger.take_merged(DISTRIBUTE_BATCH)
         if not records:
             return 0.0
         return COORDINATION_COST + 1e-7 * distributor.distribute(records)
@@ -281,13 +281,3 @@ class RecoveryCoordinator(Actor):
         if not self.advancements:
             return 0.0
         return self.publish_latency_total / self.advancements
-
-    @property
-    def mean_adjusted_publish_latency(self) -> float:
-        """Mean publish latency with blocked wall time (injected stalls,
-        blocked drains) excluded: the advancement protocol's own cost."""
-        if not self.advancements:
-            return 0.0
-        return (
-            self.publish_latency_total - self.publish_stall_time_total
-        ) / self.advancements

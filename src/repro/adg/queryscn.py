@@ -42,8 +42,8 @@ class ListenerFanoutError(ReproError):
 class QuerySCNPublisher:
     """Holds the current QuerySCN and notifies listeners on advancement."""
 
-    def __init__(self, initial: SCN = NULL_SCN) -> None:
-        self._value: SCN = initial
+    def __init__(self) -> None:
+        self._value: SCN = NULL_SCN
         #: (simulated time, value) pairs, for lag plots (Fig. 11).
         self.history: list[tuple[float, SCN]] = []
         self._listeners: list[Callable[[SCN], None]] = []

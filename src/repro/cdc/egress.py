@@ -299,23 +299,23 @@ class CDCPump(Actor):
     """Delivers queued events to subscribers and drives backfills.
 
     One actor per egress: each step advances the head backfill's chunk
-    window and drains up to ``batch`` events per subscriber, charging
+    window and drains up to ``BATCH`` events per subscriber, charging
     simulated cost per event.  The ``cdc.emit`` chaos site injects
     subscriber lag (STALL skips a round, DELAY parks one subscriber).
     """
 
     #: Simulated CPU seconds per delivered event.
     COST_PER_EVENT = 5e-7
+    #: Events delivered per subscriber per step.
+    BATCH = 64
 
     def __init__(
         self,
         egress: CDCEgress,
-        batch: int = 64,
         node: Optional[CpuNode] = None,
         name: str = "cdc-pump",
     ) -> None:
         self.egress = egress
-        self.batch = batch
         self.node = node
         self.name = name
         self._chaos = sites.declare("cdc.emit", owner=self)
@@ -336,7 +336,7 @@ class CDCPump(Actor):
                     sub.resume_at = now + decision.delay
                     continue
             delivered = 0
-            while sub.queue and delivered < self.batch:
+            while sub.queue and delivered < self.BATCH:
                 event, enqueued_at = sub.queue.popleft()
                 lag = now - enqueued_at
                 self.egress._lag_hist.observe(lag)

@@ -48,8 +48,6 @@ class IMCSConfig:
     # Target rows per IMCU.  Oracle packs a few hundred thousand rows per
     # IMCU; scaled down with everything else.
     imcu_target_rows: int = 4096
-    # In-memory pool budget in "bytes" of our cost model; None = unlimited.
-    pool_size_bytes: int | None = None
     # Repopulation triggers when this fraction of an IMCU's rows is invalid.
     repopulate_invalid_fraction: float = 0.25
     # Number of background population worker actors.
@@ -64,10 +62,8 @@ class IMCSConfig:
     populate_cost_per_row: float = 2e-6
 
     def __post_init__(self) -> None:
-        pool = self.pool_size_bytes
         _check_ranges(self, (
             ("imcu_target_rows", self.imcu_target_rows >= 1),
-            ("pool_size_bytes", pool is None or pool >= 0),
             ("repopulate_invalid_fraction",
              0 < self.repopulate_invalid_fraction <= 1),
             ("population_workers", self.population_workers >= 1),

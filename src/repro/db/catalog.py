@@ -25,11 +25,10 @@ class Catalog:
         self,
         store: BlockStore,
         buffer_cache: Optional[BufferCache] = None,
-        object_id_start: int = 100,
     ) -> None:
         self._store = store
         self._buffer_cache = buffer_cache
-        self._next_object_id = object_id_start
+        self._next_object_id = 100
         self._tables: dict[str, Table] = {}
         self._by_object: dict[ObjectId, Table] = {}
         self._defs: dict[str, TableDef] = {}

@@ -254,7 +254,6 @@ class Deployment:
         self,
         tables: Optional[list[str]] = None,
         backfill: bool = True,
-        pump_batch: int = 64,
         member: Optional[str] = None,
     ):
         """Attach a CDC egress + pump to one member (the first by
@@ -273,10 +272,7 @@ class Deployment:
         for name in tables or []:
             egress.capture(name, backfill=backfill)
         source.standby.attach_actor(self.sched, CDCPump(
-            egress,
-            batch=pump_batch,
-            node=source.standby.node,
-            name=f"{source.name}-cdc-pump",
+            egress, node=source.standby.node, name=f"{source.name}-cdc-pump",
         ))
         source.cdc = egress
         return egress

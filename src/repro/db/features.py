@@ -49,7 +49,7 @@ class Database(ActorOwner):
             self.buffer_cache = BufferCache()
             self.catalog = Catalog(self.block_store, self.buffer_cache)
             self.txn_table = TransactionTable()
-            self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
+            self.imcs = InMemoryColumnStore()
         else:
             self.block_store = mounted.block_store
             self.buffer_cache = mounted.buffer_cache
@@ -84,12 +84,11 @@ class Database(ActorOwner):
         table_name: str,
         partition: Optional[str] = None,
         columns: Optional[list[str]] = None,
-        priority: int = 0,
     ) -> list[int]:
         """Enable object(s) for population here; returns the enabled
         object ids."""
         table = self.catalog.table(table_name)
-        self.imcs.enable(table, partition, columns, priority)
+        self.imcs.enable(table, partition, columns)
         names = [partition] if partition else list(table.partitions)
         object_ids = [table.partition(n).object_id for n in names]
         self.population.schedule_all()

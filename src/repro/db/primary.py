@@ -285,11 +285,8 @@ class PrimaryDatabase(Database):
         table_name: str,
         partition: Optional[str] = None,
         columns: Optional[list[str]] = None,
-        priority: int = 0,
     ) -> list[ObjectId]:
-        object_ids = super().enable_inmemory(
-            table_name, partition, columns, priority
-        )
+        object_ids = super().enable_inmemory(table_name, partition, columns)
         self.imcs_enabled_objects.update(object_ids)
         return object_ids
 

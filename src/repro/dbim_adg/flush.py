@@ -201,7 +201,6 @@ class InvalidationFlushComponent:
         commit_table: IMADGCommitTable,
         ddl_table: DDLInformationTable,
         store: InMemoryColumnStore,
-        router: Optional[LocalInvalidationRouter] = None,
         ddl_applier: Optional[Callable[[DDLMarkerPayload], None]] = None,
         group_block_limit: int = 64,
     ) -> None:
@@ -214,7 +213,9 @@ class InvalidationFlushComponent:
         #: Aborted transactions whose anchors other apply instances may
         #: still hold (they never see the abort), by abort SCN.
         self.aborted: dict[TransactionId, SCN] = {}
-        self.router = router or LocalInvalidationRouter(store)
+        #: Where invalidation groups go; a RAC standby swaps in a
+        #: :class:`~repro.rac.cluster.RemoteInvalidationRouter`.
+        self.router = LocalInvalidationRouter(store)
         #: Applies schema changes on the standby (drop column, drop table,
         #: create table) when a DDL marker is processed.
         self.ddl_applier = ddl_applier

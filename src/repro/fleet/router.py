@@ -123,7 +123,7 @@ class FleetSession:
                     table_name, predicates, columns, partitions
                 )
             else:
-                result = member.standby.query(
+                result = member.query(
                     table_name, predicates, columns, partitions
                 )
                 handle = QueryHandle(member.published_scn, result=result)

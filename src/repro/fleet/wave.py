@@ -89,7 +89,6 @@ class SessionWave(Actor):
         router: FleetRouter,
         config: Optional[WaveConfig] = None,
         rowids: Optional[list] = None,
-        start_at: float = 0.0,
     ) -> None:
         self.fleet = fleet
         self.router = router
@@ -103,7 +102,7 @@ class SessionWave(Actor):
         rng = random.Random(cfg.seed)
         self._rng = rng
         spacing = 1.0 / cfg.arrival_rate
-        at = start_at
+        at = 0.0
         self.records: list[ClientRecord] = []
         self._arrivals: list[float] = []
         for i in range(cfg.n_clients):

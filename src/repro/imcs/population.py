@@ -3,7 +3,8 @@
 "Data loading in the IMCS, also known as Population, is typically performed
 as a background activity, and does not affect ongoing transactions and
 queries" (paper, II-B).  A segment loader chunks each enabled object into
-DBA ranges; background population workers build one IMCU per chunk.
+DBA ranges; background population workers build one IMCU per chunk,
+taking tasks first in, first out, and register every unit they build.
 
 Snapshot discipline differs by role and is injected via
 ``snapshot_capture``:
@@ -25,8 +26,7 @@ Fig. 10), rate-limited per unit.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,9 +49,6 @@ class PopulationTask:
     #: 'populate' for first-time loads / new extents, 'repopulate' for
     #: refreshing a stale unit.
     reason: str = "populate"
-    #: Higher-priority objects populate first (Oracle's INMEMORY PRIORITY
-    #: CRITICAL/HIGH/.../NONE ladder, collapsed to an integer).
-    priority: int = 0
 
 
 class PopulationEngine:
@@ -75,9 +72,8 @@ class PopulationEngine:
         #: invalidation routing by per-block home always finds the store
         #: that covers the block.
         self.dba_filter = dba_filter
-        # priority queue: (-priority, seq) -> FIFO within a priority level
-        self._heap: list[tuple[int, int, PopulationTask]] = []
-        self._seq = itertools.count()
+        #: Queued tasks, run first in, first out.
+        self._queue: deque[PopulationTask] = deque()
         self._inflight_dbas: set[DBA] = set()
         #: The population workers, woken by each queued task.
         self.waiters: list = []
@@ -88,7 +84,6 @@ class PopulationEngine:
         #: Of ``rows_populated``, rows a repopulation gathered from the
         #: outgoing unit instead of reading and encoding them.
         self.rows_reused = 0
-        self.capacity_skips = 0
         #: Captures that returned no snapshot (no QuerySCN published yet,
         #: or one below the population floor); the name is the benchmark
         #: harness's.
@@ -134,17 +129,13 @@ class PopulationEngine:
         ]
         count = 0
         for chunk in self._chunk_dbas(segment, uncovered):
-            self._enqueue(
-                PopulationTask(object_id, chunk, priority=segment.priority)
-            )
+            self._enqueue(PopulationTask(object_id, chunk))
             self._inflight_dbas.update(chunk)
             count += 1
         return count
 
     def _enqueue(self, task: PopulationTask) -> None:
-        heapq.heappush(
-            self._heap, (-task.priority, next(self._seq), task)
-        )
+        self._queue.append(task)
         wake(self.waiters)
 
     def schedule_all(self) -> int:
@@ -166,14 +157,10 @@ class PopulationEngine:
                     continue
                 smu.repopulating = True
                 smu.last_repopulated_at = now
-                self._enqueue(
-                    PopulationTask(
-                        segment.object_id,
-                        tuple(smu.imcu.covered_dbas),
-                        reason="repopulate",
-                        priority=segment.priority,
-                    )
-                )
+                self._enqueue(PopulationTask(
+                    segment.object_id, tuple(smu.imcu.covered_dbas),
+                    "repopulate",
+                ))
                 count += 1
         return count
 
@@ -196,11 +183,11 @@ class PopulationEngine:
 
     @property
     def backlog(self) -> int:
-        return len(self._heap)
+        return len(self._queue)
 
     def reset(self) -> None:
         """Drop all queued work (standby instance restart)."""
-        self._heap.clear()
+        self._queue.clear()
         self._inflight_dbas.clear()
 
     def uncovered_dbas(self) -> int:
@@ -219,7 +206,7 @@ class PopulationEngine:
 
     def fully_populated(self) -> bool:
         """True when every enabled block is covered and no work is queued."""
-        return not self._heap and self.uncovered_dbas() == 0
+        return not self._queue and self.uncovered_dbas() == 0
 
     # ------------------------------------------------------------------
     # execution (driven by PopulationWorker actors)
@@ -227,19 +214,19 @@ class PopulationEngine:
     def run_one_task(self) -> Optional[float]:
         """Execute one queued task.  Returns simulated cost, or None when
         there is nothing to do / no snapshot can be captured yet."""
-        if not self._heap:
+        if not self._queue:
             return None
-        task = self._heap[0][2]
+        task = self._queue[0]
         segment = self.store._segments.get(task.object_id)
         if segment is None:  # object disabled while queued
-            heapq.heappop(self._heap)
+            self._queue.popleft()
             self._inflight_dbas.difference_update(task.dbas)
             return 0.0
         snapshot = self.snapshot_capture()
         if snapshot is None:
             self.quiesce_retries += 1
             return None  # nothing published to capture yet; retry next step
-        heapq.heappop(self._heap)
+        self._queue.popleft()
         outgoing = None  # the unit a repopulation replaces
         if task.reason == "repopulate" and task.dbas:
             outgoing = segment.dba_to_unit.get(task.dbas[0])
@@ -261,12 +248,6 @@ class PopulationEngine:
             raise
         finally:
             self._inflight_dbas.difference_update(task.dbas)
-        cost_per_row = self.config.populate_cost_per_row
-        if task.reason == "populate" and not self.store.has_capacity_for(
-            imcu.memory_bytes
-        ):
-            self.capacity_skips += 1
-            return cost_per_row * max(imcu.n_rows, 1)
         self.store.register_unit(imcu)
         if task.reason == "repopulate":
             self.repopulations += 1
@@ -274,7 +255,7 @@ class PopulationEngine:
             self.populations += 1
         self.rows_populated += imcu.n_rows
         self.rows_reused += imcu.rows_reused
-        return cost_per_row * max(imcu.n_rows, 1)
+        return self.config.populate_cost_per_row * max(imcu.n_rows, 1)
 
 
 class PopulationWorker(Actor):

@@ -42,6 +42,8 @@ from repro.rowstore.table import Table
 IMCS_COST_PER_ROW = 5e-9
 #: Simulated seconds per row scanned through the row-format path.
 ROWSTORE_COST_PER_ROW = 2e-6
+#: Uncovered blocks per row-store morsel of a planned scan.
+ROWSTORE_BLOCKS_PER_MORSEL = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +358,6 @@ class ScanEngine:
         predicates: Optional[list[Predicate]] = None,
         columns: Optional[list[str]] = None,
         partitions: Optional[list[str]] = None,
-        rowstore_blocks_per_morsel: int = 16,
     ) -> list[ScanMorsel]:
         """Split the scan into independently-runnable morsels.
 
@@ -389,8 +390,8 @@ class ScanEngine:
                 morsels.append(
                     ScanMorsel("stats", f"{pname}/unusable", run_stats)
                 )
-            for i in range(0, len(leftover), rowstore_blocks_per_morsel):
-                chunk = leftover[i:i + rowstore_blocks_per_morsel]
+            for i in range(0, len(leftover), ROWSTORE_BLOCKS_PER_MORSEL):
+                chunk = leftover[i:i + ROWSTORE_BLOCKS_PER_MORSEL]
                 morsels.append(ScanMorsel(
                     "rowstore",
                     f"{pname}/rowstore[{i}:{i + len(chunk)}]",

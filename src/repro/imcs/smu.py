@@ -6,9 +6,9 @@ of granularity -- block level, row level and column level" (paper, II-B).
 The scan engine reconciles the IMCU against its SMU: invalid rows are
 served from the row store instead.
 
-SMUs also provide the concurrency control that synchronises scans,
-repopulation and drop: a scan pins the SMU; repopulation swaps in a fresh
-IMCU only between scans; drop marks the unit unusable.
+A unit scan is one scheduler step, so repopulation's swap of a fresh
+IMCU and a drop, which marks the unit unusable, land only between scans:
+nothing pins an SMU.
 
 Invalidation is *monotone*: marking extra rows invalid is always safe
 (costs row-store fallback), while missing one would break consistency --

@@ -1,4 +1,4 @@
-"""The In-Memory Column Store: pool, registry and invalidation routing.
+"""The In-Memory Column Store: registry and invalidation routing.
 
 One :class:`InMemoryColumnStore` exists per database instance.  Objects
 (table partitions) are *enabled* for in-memory, then background population
@@ -81,7 +81,6 @@ class InMemorySegment:
     table: Table
     partition: Partition
     inmemory_columns: Optional[list[str]] = None
-    priority: int = 0
     units: list[SMU] = field(default_factory=list)
     dba_to_unit: dict[DBA, SMU] = field(default_factory=dict)
     pending: list[_PendingInvalidation] = field(default_factory=list)
@@ -103,8 +102,7 @@ class InMemorySegment:
 class InMemoryColumnStore:
     """Registry of enabled objects and their IMCU/SMU pairs."""
 
-    def __init__(self, pool_size_bytes: Optional[int] = None) -> None:
-        self.pool_size_bytes = pool_size_bytes
+    def __init__(self) -> None:
         self._segments: dict[ObjectId, InMemorySegment] = {}
         # statistics
         self.rows_invalidated = 0
@@ -122,7 +120,6 @@ class InMemoryColumnStore:
         table: Table,
         partition_name: Optional[str] = None,
         columns: Optional[list[str]] = None,
-        priority: int = 0,
     ) -> InMemorySegment:
         """Enable one partition (or every partition) for in-memory."""
         names = (
@@ -132,12 +129,7 @@ class InMemoryColumnStore:
         segment = None
         for name in names:
             partition = table.partition(name)
-            segment = InMemorySegment(
-                table=table,
-                partition=partition,
-                inmemory_columns=columns,
-                priority=priority,
-            )
+            segment = InMemorySegment(table, partition, columns)
             self._segments[partition.object_id] = segment
         assert segment is not None
         return segment
@@ -431,11 +423,6 @@ class InMemoryColumnStore:
             for segment in self._segments.values()
             for smu in segment.live_units()
         )
-
-    def has_capacity_for(self, extra_bytes: int) -> bool:
-        if self.pool_size_bytes is None:
-            return True
-        return self.used_bytes + extra_bytes <= self.pool_size_bytes
 
     @property
     def populated_rows(self) -> int:

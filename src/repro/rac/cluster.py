@@ -102,7 +102,7 @@ class PeerInstance(StandbyInstance):
         self.config = config = master.config
         self.interconnect = interconnect
         self.node = CpuNode(f"{master.node.name}.{instance_id}", n_cpus=16)
-        self.imcs = InMemoryColumnStore(config.imcs.pool_size_bytes)
+        self.imcs = InMemoryColumnStore()
         self.query_scn = QuerySCNPublisher()
         owns = partial(home_map.is_home, instance_id)
         self.population = PopulationEngine(

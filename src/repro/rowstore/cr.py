@@ -36,22 +36,18 @@ def visible_values(
     slot: int,
     snapshot_scn: SCN,
     txns: TransactionView,
-    reader_xid: Optional[TransactionId] = None,
 ) -> Optional[tuple]:
     """The row at ``block``/``slot`` as of ``snapshot_scn``, or ``None``.
 
     ``None`` covers a slot beyond ``used_slots``, a row not inserted yet or
     whose writer had not committed by the snapshot, and a visible delete
-    tombstone.  A reader always sees its own uncommitted changes.  Raises
+    tombstone.  Raises
     :class:`SnapshotTooOldError` when the walk falls off a pruned chain,
     i.e. the undo needed to reconstruct the row has been discarded.
     """
     i = block.heads[slot] if slot < block.used_slots else END
     while i >= 0:
-        xid = block.xids[i]
-        if reader_xid is not None and xid == reader_xid:
-            return block.values[i]
-        commit_scn = txns.commit_scn_of(xid)
+        commit_scn = txns.commit_scn_of(block.xids[i])
         if commit_scn is not None and commit_scn <= snapshot_scn:
             return block.values[i]
         i = block.prev[i]

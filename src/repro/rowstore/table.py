@@ -349,11 +349,9 @@ class Table:
         rowid: RowId,
         snapshot_scn: SCN,
         txns: TransactionView,
-        reader_xid: Optional[TransactionId] = None,
     ) -> Optional[tuple]:
         return visible_values(
-            self._block_for(rowid.dba), rowid.slot, snapshot_scn, txns,
-            reader_xid,
+            self._block_for(rowid.dba), rowid.slot, snapshot_scn, txns
         )
 
     def index_fetch(
@@ -362,7 +360,6 @@ class Table:
         key: object,
         snapshot_scn: SCN,
         txns: TransactionView,
-        reader_xid: Optional[TransactionId] = None,
     ) -> Optional[tuple]:
         """Point lookup through the index, then a consistent row fetch."""
         index = self.indexes.get(column)
@@ -371,13 +368,12 @@ class Table:
         rowid = index.search(key)
         if rowid is None:
             return None
-        return self.fetch_by_rowid(rowid, snapshot_scn, txns, reader_xid)
+        return self.fetch_by_rowid(rowid, snapshot_scn, txns)
 
     def full_scan(
         self,
         snapshot_scn: SCN,
         txns: TransactionView,
-        reader_xid: Optional[TransactionId] = None,
         partitions: Optional[list[str]] = None,
     ) -> Iterator[tuple[RowId, tuple]]:
         """Row-format full table scan at a snapshot.
@@ -392,9 +388,7 @@ class Table:
                 if self.buffer_cache is not None:
                     self.buffer_cache.touch(block.dba)
                 for slot in range(block.used_slots):
-                    values = visible_values(
-                        block, slot, snapshot_scn, txns, reader_xid
-                    )
+                    values = visible_values(block, slot, snapshot_scn, txns)
                     if values is not None:
                         yield RowId(block.dba, slot), values
 

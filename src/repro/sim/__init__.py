@@ -20,6 +20,6 @@ paper's CPU-transfer measurements (section IV-A/B).
 
 from repro.sim.clock import SimClock
 from repro.sim.cpu import CpuNode
-from repro.sim.scheduler import Actor, FunctionActor, Scheduler
+from repro.sim.scheduler import Actor, Scheduler
 
-__all__ = ["SimClock", "CpuNode", "Actor", "FunctionActor", "Scheduler"]
+__all__ = ["SimClock", "CpuNode", "Actor", "Scheduler"]

@@ -66,25 +66,6 @@ def wake(actors: Iterable[Actor]) -> None:
             actor.parked_on.wake(actor)
 
 
-class FunctionActor(Actor):
-    """Wrap a plain callable as an actor (handy in tests)."""
-
-    def __init__(
-        self,
-        fn: Callable[["Scheduler"], Optional[float]],
-        name: str = "fn",
-        node: Optional[CpuNode] = None,
-        speed: float = 1.0,
-    ) -> None:
-        self._fn = fn
-        self.name = name
-        self.node = node
-        self.speed = speed
-
-    def step(self, sched: "Scheduler") -> Optional[float]:
-        return self._fn(sched)
-
-
 class ActorOwner:
     """Mixin for a component that schedules actors on its own behalf and
     must later remove exactly those -- by identity, not by name (a
@@ -135,8 +116,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def add_actor(self, actor: Actor, start_at: float | None = None) -> None:
-        """Register ``actor``; it becomes runnable at ``start_at`` (now).
+    def add_actor(self, actor: Actor) -> None:
+        """Register ``actor``; it becomes runnable now.
 
         Re-adding a previously removed actor resumes it.
         """
@@ -144,7 +125,7 @@ class Scheduler:
         if slot is None:
             slot = _Slot(actor, next(self._registrations))
             self._slots[id(actor)] = slot
-        self._resume(slot, self.clock.now if start_at is None else start_at)
+        self._resume(slot, self.clock.now)
 
     def remove_actor(self, actor: Actor) -> None:
         """Deregister ``actor``; pending heap entries are lazily skipped."""
@@ -231,13 +212,6 @@ class Scheduler:
 
     def run_for(self, duration: float) -> None:
         self.run_until(self.clock.now + duration)
-
-    def run_steps(self, n: int) -> None:
-        """Dispatch exactly ``n`` heap entries (for fine-grained tests)."""
-        for __ in range(n):
-            if self._next_time() is None:
-                break
-            self._dispatch_one()
 
     def run_until_condition(
         self, predicate: Callable[[], bool], max_time: float = 1e6

@@ -295,17 +295,17 @@ class OLTAPWorkload:
     def setup(
         self,
         service: Optional[InMemoryService] = InMemoryService.BOTH,
-        batch_rows: int = 500,
     ) -> None:
-        """Create + bulk-load the wide table; optionally enable in-memory
-        (None = row store only, the paper's 'without DBIM' baseline)."""
+        """Create + bulk-load the wide table, 500 rows per transaction;
+        optionally enable in-memory (None = row store only, the paper's
+        'without DBIM' baseline)."""
         config = self.config
         self.deployment.create_table(wide_table_def(config))
         primary = self.deployment.primary
         loaded = 0
         while loaded < config.n_rows:
             txn = primary.begin()
-            for __ in range(min(batch_rows, config.n_rows - loaded)):
+            for __ in range(min(500, config.n_rows - loaded)):
                 primary.insert(
                     txn, config.table_name,
                     make_row(config, loaded, self.rng),

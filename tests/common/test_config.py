@@ -28,7 +28,7 @@ def rejects(field: str, value, config=IMCSConfig) -> None:
 def test_defaults_and_boundary_values_are_accepted():
     IMCSConfig()
     IMCSConfig(
-        imcu_target_rows=1, pool_size_bytes=0, population_workers=1,
+        imcu_target_rows=1, population_workers=1,
         repopulate_invalid_fraction=1.0, repopulate_min_interval=0.0,
         populate_cost_per_row=0.0,
     )
@@ -37,10 +37,6 @@ def test_defaults_and_boundary_values_are_accepted():
 def test_imcu_target_rows_must_be_positive():
     # 0 used to become "one block per IMCU" without a word
     rejects("imcu_target_rows", 0)
-
-
-def test_pool_size_bytes_is_none_or_non_negative():
-    rejects("pool_size_bytes", -1)
 
 
 def test_repopulate_invalid_fraction_is_in_half_open_unit_interval():
@@ -170,6 +166,8 @@ def test_ship_latency_is_non_negative():
         lambda: RACConfig(standby_instances=2),
         lambda: RestartConfig(keep_versions=2),
         lambda: CheckpointStore(keep_versions=2),
+        lambda: IMCSConfig(pool_size_bytes=0),
+        lambda: Deployment.build().primary.enable_inmemory("T", priority=1),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
          "start_query_service.enable_cache",
@@ -177,19 +175,21 @@ def test_ship_latency_is_non_negative():
          "enable_inmemory.on_primary", "FleetRouter.policy",
          "attach_actors.name_prefix", "ApplyConfig.routing",
          "RACConfig.standby_instances", "RestartConfig.keep_versions",
-         "CheckpointStore.keep_versions"],
+         "CheckpointStore.keep_versions", "IMCSConfig.pool_size_bytes",
+         "enable_inmemory.priority"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
     # one session routing policy, one apply routing, no result cache, and
-    # a RAC standby's size is add_standby_cluster's argument, and a
-    # checkpoint store keeps one checkpoint per object: nothing left to
-    # select
+    # a RAC standby's size is add_standby_cluster's argument, a
+    # checkpoint store keeps one checkpoint per object, the IMCS has no
+    # pool budget and population runs first in, first out: nothing left
+    # to select
     with pytest.raises(
         TypeError,
         match="advance|parallel_backend|enable_cache|cache_capacity"
         "|on_primary|policy|name_prefix|routing|standby_instances"
-        "|keep_versions",
+        "|keep_versions|pool_size_bytes|priority",
     ):
         call()
 

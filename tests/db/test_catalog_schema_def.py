@@ -96,7 +96,7 @@ class TestCatalog:
         }
 
     def test_allocator_skips_pinned_ids(self):
-        catalog = Catalog(BlockStore(), object_id_start=100)
+        catalog = Catalog(BlockStore())
         pinned = table_def().with_object_ids([("P0", 250)])
         catalog.create_table(pinned)
         other = catalog.create_table(table_def(name="U"))

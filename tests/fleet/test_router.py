@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.common import InvalidStateError
-from repro.db import Role, RouteTarget, Service
+from repro.db import Deployment, InMemoryService, Role, RouteTarget, Service
 from repro.fleet import FleetRouter
 from repro.fleet.router import LOAD_WEIGHT
 from repro.query import PoolExhaustedError
 
+from tests.db.conftest import simple_table_def, small_config
 from tests.fleet.conftest import load_fleet
 
 
@@ -186,3 +187,39 @@ class TestStandbyLoss:
             service="reports", target="standby:standby-1",
         )
         assert counter is not None and counter.value == 1
+
+
+class TestRacMemberSession:
+    def test_session_reads_at_the_scn_it_reports(self):
+        """A session on a 2-instance SIRA member with no query service
+        used to scan instance 1 at instance 1's QuerySCN and stamp the
+        handle with the member's lower one: whenever instance 1 ran
+        ahead of its peer, the rows were not the primary's consistent
+        read at ``handle.scn``.  It reads through ``member.query`` now."""
+        deployment = Deployment.build(config=small_config())
+        member = deployment.add_standby_cluster(n_instances=2)
+        deployment.create_table(simple_table_def())
+        rowids, __ = load_fleet(deployment, n=40)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        router = FleetRouter(deployment)
+        router.registry.create("reports", Service.STANDBY_ONLY)
+        session = router.connect("reports")
+        primary = deployment.primary
+        table = primary.catalog.table("T")
+        ahead = 0
+        for i in range(400):
+            txn = primary.begin()
+            primary.update(txn, "T", rowids[i % 40], {"n1": float(i)})
+            primary.commit(txn)
+            deployment.run(0.0001)
+            master, peer = (inst.query_scn.value for inst in member.instances)
+            ahead += master > peer
+            handle = session.submit("T")
+            assert handle.scn == member.published_scn
+            expected = table.full_scan(handle.scn, primary.txn_table)
+            assert sorted(handle.result.rows) == sorted(
+                values for __, values in expected
+            )
+        assert ahead  # the case the old read path got wrong
+        session.close()

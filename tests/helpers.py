@@ -16,11 +16,13 @@ comparison.
 primary's consistent read at the standby's QuerySCN, and
 :class:`ClientInserts` is a client's own record of the rows its
 transactions inserted (the primary keeps none beside its redo).
+:class:`FunctionActor` and :func:`run_steps` drive the scheduler one
+callable and one dispatch at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from repro.imcs.smu import SMU
 from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.log import RedoLog
+from repro.sim import Actor, CpuNode, Scheduler
 
 from tests.naive_batch import (
     ChangeVector,
@@ -276,3 +279,31 @@ class ClientInserts:
         """Roll ``txn`` back; the rows it had inserted, now gone."""
         self.primary.rollback(txn)
         return set(self._by_xid.pop(txn.xid, ()))
+
+
+class FunctionActor(Actor):
+    """A plain callable as an actor."""
+
+    def __init__(
+        self,
+        fn: Callable[[Scheduler], Optional[float]],
+        name: str = "fn",
+        node: Optional[CpuNode] = None,
+        speed: float = 1.0,
+    ) -> None:
+        self._fn = fn
+        self.name = name
+        self.node = node
+        self.speed = speed
+
+    def step(self, sched: Scheduler) -> Optional[float]:
+        return self._fn(sched)
+
+
+def run_steps(sched: Scheduler, n: int) -> None:
+    """Dispatch exactly ``n`` heap entries of ``sched`` (fewer if it runs
+    out)."""
+    for __ in range(n):
+        if sched._next_time() is None:
+            break
+        sched._dispatch_one()

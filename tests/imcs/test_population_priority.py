@@ -1,4 +1,4 @@
-"""Tests for population priority ordering (INMEMORY PRIORITY ladder)."""
+"""Population runs its queued tasks first in, first out."""
 
 from repro.common.config import IMCSConfig
 from repro.imcs import InMemoryColumnStore, PopulationEngine
@@ -25,43 +25,6 @@ def make_table(name, oid_counter, store):
     )
 
 
-def test_high_priority_objects_populate_first(txns, clock):
-    oid_counter = itertools.count(800)
-    blocks = BlockStore()
-    low = make_table("LOW", oid_counter, blocks)
-    high = make_table("HIGH", oid_counter, blocks)
-    load_rows(low, txns, clock, 32)
-    load_rows(high, txns, clock, 32)
-
-    store = InMemoryColumnStore()
-    store.enable(low, priority=0)
-    store.enable(high, priority=5)
-    engine = PopulationEngine(
-        store, txns, lambda: clock.current,
-        IMCSConfig(imcu_target_rows=16),
-    )
-    # enqueue LOW first; HIGH must still be built first
-    engine.schedule_object(low.default_partition.object_id)
-    engine.schedule_object(high.default_partition.object_id)
-
-    built_order = []
-    original = store.register_unit
-
-    def tracking_register(imcu):
-        built_order.append(imcu.object_id)
-        return original(imcu)
-
-    store.register_unit = tracking_register
-    while engine.run_one_task() is not None:
-        pass
-    high_oid = high.default_partition.object_id
-    low_oid = low.default_partition.object_id
-    assert built_order[0] == high_oid
-    # every HIGH chunk precedes every LOW chunk
-    assert built_order.index(low_oid) > built_order.count(high_oid) - 1
-    assert store.populated_rows == 64
-
-
 def test_same_priority_is_fifo(txns, clock):
     oid_counter = itertools.count(850)
     blocks = BlockStore()
@@ -83,4 +46,7 @@ def test_same_priority_is_fifo(txns, clock):
     store.register_unit = lambda imcu: built.append(imcu.object_id) or original(imcu)
     while engine.run_one_task() is not None:
         pass
-    assert built[0] == first.default_partition.object_id
+    assert built == [
+        first.default_partition.object_id,
+        second.default_partition.object_id,
+    ]

@@ -180,16 +180,6 @@ class TestStore:
         store = InMemoryColumnStore()
         store.invalidate(999, 1, (0,), scn=5)  # must not raise
 
-    def test_pool_capacity_limits_population(self, wide_table, txns, clock):
-        store = InMemoryColumnStore(pool_size_bytes=1)  # absurdly small
-        store.enable(wide_table)
-        load_rows(wide_table, txns, clock, 50)
-        engine = make_engine(store, txns, clock)
-        engine.schedule_all()
-        drain(engine)
-        assert store.populated_rows == 0
-        assert engine.capacity_skips > 0
-
 
 class TestPopulationEngine:
     def test_chunking_creates_multiple_units(self, wide_table, txns, clock):

@@ -233,26 +233,6 @@ class TestQuiesceContention:
         assert_invariants(ctx)
 
 
-class TestPoolExhaustion:
-    def test_scans_stay_correct_when_pool_too_small(self):
-        # full population can never finish here, so skip catch_up and
-        # just run: scans must fall back to the row store correctly
-        config = small_config()
-        config.imcs.pool_size_bytes = 2_000  # fits ~1 small IMCU
-        registry = SiteRegistry()
-        with recording(registry):
-            deployment = Deployment.build(config=config)
-            deployment.create_table(simple_table_def())
-            load(deployment, n=200)
-            deployment.enable_inmemory("T", service=InMemoryService.BOTH)
-        ctx = ChaosContext(
-            deployment=deployment, registry=registry, sched=deployment.sched
-        )
-        deployment.run(3.0)  # population mostly skips on capacity
-        assert deployment.standby.population.capacity_skips > 0
-        assert_invariants(ctx)
-
-
 class TestLongOpenTransaction:
     def test_old_transaction_commits_after_many_advancements(self):
         """A transaction held open across hundreds of QuerySCN

@@ -134,7 +134,6 @@ def visible_version(
     chain: VersionChain,
     snapshot_scn: SCN,
     txns,
-    reader_xid: Optional[TransactionId] = None,
 ) -> Optional[RowVersion]:
     """Return the version of this row visible at ``snapshot_scn``.
 
@@ -146,9 +145,6 @@ def visible_version(
     chain, i.e. the undo needed to reconstruct the row has been discarded.
     """
     for version in chain:  # newest to oldest
-        if reader_xid is not None and version.xid == reader_xid:
-            # A transaction always sees its own uncommitted changes.
-            return version
         commit_scn = txns.commit_scn_of(version.xid)
         if commit_scn is not None and commit_scn <= snapshot_scn:
             return version

@@ -11,8 +11,8 @@ wipe.  After every operation the two must agree on
 
 * what the operation returned (or raised),
 * every slot's chain, read back through :func:`chain_of`,
-* Consistent Read at every SCN, with and without a reader transaction --
-  ``SnapshotTooOldError`` included -- through both the per-row
+* Consistent Read at every SCN -- ``SnapshotTooOldError`` included --
+  through both the per-row
   ``visible_values`` and the one-pass ``visible_values_batch``.
 """
 
@@ -56,8 +56,8 @@ def outcome(call):
         return type(error)
 
 
-def oracle_values(chain, scn, txns, reader):
-    version = visible_version(chain, scn, txns, reader)
+def oracle_values(chain, scn, txns):
+    version = visible_version(chain, scn, txns)
     return None if version is None else version.values
 
 
@@ -70,12 +70,11 @@ def assert_same(block, naive, txns, top):
         )
         assert chain_of(block, slot) == expected
     for scn in range(top + 2):
-        for reader in (None, *WRITERS):
-            for slot in slots:
-                chain = chain_of(block, slot)
-                assert outcome(
-                    lambda: visible_values(block, slot, scn, txns, reader)
-                ) == outcome(lambda: oracle_values(chain, scn, txns, reader))
+        for slot in slots:
+            chain = chain_of(block, slot)
+            assert outcome(
+                lambda: visible_values(block, slot, scn, txns)
+            ) == outcome(lambda: oracle_values(chain, scn, txns))
         per_row = [
             outcome(lambda: visible_values(block, slot, scn, txns))
             for slot in slots

@@ -237,18 +237,15 @@ class World:
                 smu.mark_dropped()
         self.interconnect = FakeInterconnect()
         self.home_map = HomeLocationMap(INSTANCES, range_blocks=2)
-        router = (
-            RemoteInvalidationRouter(
+        self.flush = InvalidationFlushComponent(
+            self.journal, self.commit_table, DDLInformationTable(),
+            self.store, group_block_limit=case.block_limit,
+        )
+        if sira:
+            self.flush.router = RemoteInvalidationRouter(
                 self.store, MASTER, self.home_map, self.interconnect,
                 batch_size=3,
             )
-            if sira
-            else None
-        )
-        self.flush = InvalidationFlushComponent(
-            self.journal, self.commit_table, DDLInformationTable(),
-            self.store, router=router, group_block_limit=case.block_limit,
-        )
         self.recorder = Recorder()
         self.flush.add_invalidation_listener(self.recorder)
         nodes = []

@@ -68,11 +68,6 @@ class TestVisibility:
         block = block_with(((1,), X1, 3), ((2,), X2, 8))
         assert visible_values(block, 0, 100, txns) == (1,)
 
-    def test_reader_sees_own_uncommitted_changes(self):
-        txns = FakeTxnView()
-        block = block_with(((1,), X1, 3))
-        assert visible_values(block, 0, 100, txns, reader_xid=X1) == (1,)
-
     def test_snapshot_picks_correct_intermediate_version(self):
         txns = FakeTxnView()
         txns.commit(X1, 10)

@@ -1,6 +1,8 @@
 """Tests for the discrete-event scheduler."""
 
-from repro.sim import CpuNode, FunctionActor, Scheduler
+from repro.sim import CpuNode, Scheduler
+
+from tests.helpers import FunctionActor, run_steps
 
 
 def test_clock_advances_with_step_costs():
@@ -12,7 +14,7 @@ def test_clock_advances_with_step_costs():
         return 0.1
 
     sched.add_actor(FunctionActor(work, name="w"))
-    sched.run_steps(3)
+    run_steps(sched, 3)
     assert ticks == [0.0, 0.1, 0.2]
 
 
@@ -23,7 +25,7 @@ def test_idle_actor_backs_off():
     actor = FunctionActor(lambda s: calls.append(s.now), name="idle")
     actor.idle_backoff = 0.5
     sched.add_actor(actor)
-    sched.run_steps(3)
+    run_steps(sched, 3)
     assert calls == [0.0, 0.5, 1.0]
 
 
@@ -46,7 +48,7 @@ def test_cpu_charging():
     node = CpuNode("host", n_cpus=2)
     actor = FunctionActor(lambda s: 0.2, name="w", node=node)
     sched.add_actor(actor)
-    sched.run_steps(5)
+    run_steps(sched, 5)
     assert abs(node.busy_seconds - 1.0) < 1e-9
     # 1 busy second over a 2-second window on 2 cores = 25%.
     assert abs(node.utilisation(2.0) - 25.0) < 1e-9
@@ -76,7 +78,7 @@ def test_remove_actor_stops_future_steps():
     calls = []
     actor = FunctionActor(lambda s: (calls.append(1), 0.1)[1], name="w")
     sched.add_actor(actor)
-    sched.run_steps(2)
+    run_steps(sched, 2)
     sched.remove_actor(actor)
     sched.run_until(5.0)
     assert len(calls) == 2
@@ -88,7 +90,7 @@ def test_removed_actor_can_be_readded():
     calls = []
     actor = FunctionActor(lambda s: (calls.append(1), 0.1)[1], name="w")
     sched.add_actor(actor)
-    sched.run_steps(2)
+    run_steps(sched, 2)
     sched.remove_actor(actor)
     sched.run_until(1.0)
     assert len(calls) == 2

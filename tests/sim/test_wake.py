@@ -8,8 +8,10 @@ parked (busy, polling or unregistered) alone.
 
 from repro.imcs.scan import ScanMorsel, ScanResult, ScanStats
 from repro.query.executor import MORSEL_DISPATCH_COST, QueryWorkerPool
-from repro.sim import FunctionActor, Scheduler
+from repro.sim import Scheduler
 from repro.sim.scheduler import wake
+
+from tests.helpers import FunctionActor, run_steps
 
 
 class Queue:
@@ -49,9 +51,9 @@ def test_parked_actor_leaves_the_heap_until_woken():
     sched = Scheduler()
     queue = Queue(backoff=0.1)
     sched.add_actor(queue.consumer)
-    sched.run_steps(1)  # idle: parks
+    run_steps(sched, 1)  # idle: parks
     assert queue.consumer.parked_on is sched
-    sched.run_steps(5)  # nothing to dispatch
+    run_steps(sched, 5)  # nothing to dispatch
     assert sched.now == 0.0
     sched.run_until(50.0)
     assert queue.seen == [] and sched.now == 50.0
@@ -98,7 +100,7 @@ def test_repeated_wakes_dispatch_once():
     sched = Scheduler()
     queue = Queue(backoff=0.5)
     sched.add_actor(queue.consumer)
-    sched.run_steps(1)
+    run_steps(sched, 1)
     queue.items.append("a")
     for __ in range(3):
         wake((queue.consumer,))
@@ -145,7 +147,7 @@ def test_events_run_before_actors_at_one_instant():
     actor = FunctionActor(lambda s: order.append("actor"), name="a")
     actor.idle_backoff = 1.0
     sched.add_actor(actor)
-    sched.run_steps(1)  # actor at 0.0; its next poll is at 1.0
+    run_steps(sched, 1)  # actor at 0.0; its next poll is at 1.0
     sched.call_at(1.0, lambda: order.append("event"))
     sched.run_until(1.0)
     assert order == ["actor", "event", "actor"]
@@ -187,7 +189,7 @@ def test_timed_park_is_superseded_by_an_earlier_wake():
     sched = Scheduler()
     actor, steps = timed_sleeper(lambda now: 5.0)
     sched.add_actor(actor)
-    sched.run_steps(1)
+    run_steps(sched, 1)
     sched.call_at(2.5, lambda: wake((actor,)))
     sched.run_until(4.5)
     assert steps == [0.0, 2.5]
@@ -199,7 +201,7 @@ def test_a_removed_parked_actor_ignores_wakes_and_resumes_when_readded():
     sched = Scheduler()
     queue = Queue(backoff=0.5)
     sched.add_actor(queue.consumer)
-    sched.run_steps(1)
+    run_steps(sched, 1)
     sched.remove_actor(queue.consumer)
     assert queue.consumer.parked_on is None
     queue.put("a")
@@ -216,7 +218,7 @@ def test_readd_actor_does_not_double_dispatch():
     actor = FunctionActor(lambda s: calls.append(s.now), name="sleepy")
     actor.idle_backoff = 0.5
     sched.add_actor(actor)
-    sched.run_steps(1)
+    run_steps(sched, 1)
     sched.remove_actor(actor)
     sched.add_actor(actor)  # resume: exactly one live entry
     sched.run_until(1.2)
@@ -229,7 +231,7 @@ def test_run_until_stops_at_its_horizon_behind_a_stale_entry():
     sched = Scheduler()
     actor, steps = timed_sleeper(lambda now: now + 10.0)
     sched.add_actor(actor)
-    sched.run_steps(1)  # parked until 10.0
+    run_steps(sched, 1)  # parked until 10.0
     sched.call_at(1.0, lambda: wake((actor,)))  # the 10.0 entry goes stale
     sched.run_until(2.0)  # runs at 1.0; parked until 11.0
     sched.run_until(10.5)  # the stale 10.0 entry heads the heap
@@ -241,7 +243,7 @@ def test_run_until_condition_deadline_ignores_stale_entries():
     sched = Scheduler()
     actor, steps = timed_sleeper(lambda now: now + 10.0)
     sched.add_actor(actor)
-    sched.run_steps(1)
+    run_steps(sched, 1)
     sched.call_at(1.0, lambda: wake((actor,)))
     sched.run_until(2.0)
     assert not sched.run_until_condition(lambda: False, max_time=8.5)

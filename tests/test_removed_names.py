@@ -317,6 +317,38 @@ BANS = [
         "§3 Removed: `PrimaryDatabase.commit` invalidates the primary's "
         "own IMCS itself, right after the manager commits",
     ),
+    Ban(
+        "pool_budget",
+        r"pool_size_bytes|has_capacity_for|capacity_skips",
+        ("src/repro",),
+        "§3 Removed: the IMCS pool budget; every unit population builds "
+        "is registered",
+    ),
+    Ban(
+        "population_priority",
+        r"priority",
+        (
+            "src/repro/imcs/population.py",
+            "src/repro/imcs/store.py",
+            "src/repro/db",
+        ),
+        "§3 Removed: population priority; the engine runs its tasks first "
+        "in, first out",
+    ),
+    Ban(
+        "own_write_reads",
+        r"reader_xid",
+        ("src/repro",),
+        "§3 Removed: own-transaction reads; every consistent read is at a "
+        "snapshot SCN and sees committed rows only",
+    ),
+    Ban(
+        "scheduler_test_helpers",
+        r"FunctionActor|run_steps",
+        ("src/repro",),
+        "§3 Removed: `FunctionActor` and `Scheduler.run_steps` live in "
+        "tests/helpers.py",
+    ),
 ]
 
 
