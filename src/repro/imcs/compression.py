@@ -263,7 +263,8 @@ def _patched_codes(
     gathered at its position (the outgoing unit's at the same address).
     An entry leaves only when a dropped row or an overwritten cell was its
     last holder; a new value enters in sorted position, and a column whose
-    dictionary changed moves its codes through one ``remap`` gather."""
+    dictionary changed moves its codes through one ``remap`` gather;
+    those columns are returned third."""
     codes = block.take(source, axis=1)
     held = codes[:, at]
     changed = table[held + offsets[:, None]] != cells.T
@@ -316,7 +317,7 @@ def _patched_codes(
             ))
         for j, i, value in late:
             codes[j, i] = bisect.bisect_left(dictionaries[j], value)
-    return codes, dictionaries
+    return codes, dictionaries, remapped
 
 
 def _decode_table(dictionaries: Sequence[list[str]]) -> tuple:
@@ -462,8 +463,11 @@ def encode_rows(
     that encoding the merged values would.
 
     Also returns the blocks the CUs are views of, each ``(spec indices,
-    *(k, n) arrays)`` or None: the NUMBER columns' data, nulls and is_int,
-    and the VARCHAR2 columns' int32 codes."""
+    *(k, n) arrays, what projection needs)`` or None: the NUMBER columns'
+    data, nulls and is_int, then their facts -- per column any NULL, any
+    int, all int, as three lists; the VARCHAR2 columns' int32 codes, then
+    ``old``'s decode table if the merge kept its code rows in order and
+    changed no dictionary (else None: the unit builds its own)."""
     cus: list = [None] * len(specs)
     number_block = code_block = None
     numeric = [k for k, (__, is_numeric) in enumerate(specs) if is_numeric]
@@ -488,14 +492,16 @@ def encode_rows(
             for i, fresh in enumerate(blocks):
                 blocks[i] = old._blocks[0][1 + i][picked].take(source, axis=1)
                 blocks[i][:, at] = fresh  # every cell of a fresh row
-        # every column's (any NULL, any int) in two reductions, not two per
-        # CU on first use: a wide build makes ~50 of these
+        # every column's (any NULL, any int, all int) in three reductions,
+        # not three per CU on first use: a wide build makes ~50 of these
         facts = [block.any(axis=1).tolist() for block in blocks[1:]]
+        facts.append(blocks[2].all(axis=1).tolist())
         for j, k in enumerate(numeric):
             cu = cus[k] = NumericCU.from_arrays(*(b[j] for b in blocks))
             cu._any_null, cu._any_int = facts[0][j], facts[1][j]
-        number_block = (numeric, *blocks)
+        number_block = (numeric, *blocks, facts)
     if strings:
+        kept = None
         if carried is None:
             codes, dictionaries = zip(*(
                 _sorted_codes(matrix[:, specs[k][0]].tolist())
@@ -505,12 +511,14 @@ def encode_rows(
         else:
             picked = rows(1, strings)
             table, offsets = old._code_table
-            block, dictionaries = _patched_codes(
+            block, dictionaries, remapped = _patched_codes(
                 old._blocks[1][1][picked], table, offsets[picked],
                 [old.column(names[k])._dictionary for k in strings],
                 source, at, matrix[:, [specs[k][0] for k in strings]],
             )
+            if not remapped and picked == slice(None):
+                kept = old._code_table
         for j, k in enumerate(strings):
             cus[k] = DictionaryCU.from_codes(block[j], dictionaries[j])
-        code_block = (strings, block)
+        code_block = (strings, block, kept)
     return cus, (number_block, code_block)

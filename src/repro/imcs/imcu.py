@@ -214,6 +214,18 @@ class IMCU:
                 for values in rows
             ]
         matrix = row_matrix(rows, schema.arity + len(expressions))
+        # an expression value no column of its type holds (float64 is exact
+        # for ints to 2**53) leaves the expression out of the unit: a scan
+        # that needs it reads the row store, as ``SMU.serves`` says
+        fit = [
+            k for k, (i, number) in enumerate(specs)
+            if i < schema.arity or all(map(
+                (ColumnType.VARCHAR2, ColumnType.NUMBER)[number].validate,
+                matrix[:, i].tolist(),
+            ))
+        ]
+        if len(fit) < len(specs):
+            names, specs = [names[k] for k in fit], [specs[k] for k in fit]
         blocks = np.asarray(row_blocks, dtype=np.int64)
         slots = np.asarray(row_slots, dtype=np.int64)
         dba_of = np.asarray(dbas, dtype=np.int64)
@@ -249,6 +261,8 @@ class IMCU:
         )
         if carried is not None:
             unit.rows_reused = int(keep.size)
+            if unit._layout() == old._layout():  # its plans read this unit
+                unit._projections = dict(old._projections)
         unit.open_blocks(store)  # known from here on: no scan derives it
         return unit
 
@@ -382,41 +396,45 @@ class IMCU:
         column outside them."""
         if len(positions) == 0:
             return []
-        rows_n, ints, rows_c, offsets, alone, order = self._projection(
-            tuple(names)
-        )
+        rows_n, ints, rows_c, alone, order = self._projection(tuple(names))
         columns: list = []
         if rows_n.size:
             values = self._blocks[0][1][rows_n, positions]
             columns += values[:ints].tolist()  # Python floats
             columns += values[ints:].astype(np.int64).tolist()
         if rows_c.size:
+            table, offsets = self._code_table
             codes = self._blocks[1][1][rows_c, positions]
-            codes += offsets  # NULL_CODE lands on the None before
-            columns += self._code_table[0][codes].tolist()
-        columns += [cu.take(positions) for cu in alone]
+            codes += offsets[rows_c]  # NULL_CODE lands on the None before
+            columns += table[codes].tolist()
+        if alone:
+            cus = list(self._columns.values())
+            columns += [cus[k].take(positions) for k in alone]
         return list(zip(*map(columns.__getitem__, order)))
 
     def _projection(self, names: tuple) -> tuple:
-        """How :meth:`project_rows` reads ``names``, once per unit and name
-        list: the NUMBER rows of its float-only, then int-only columns; the
-        code rows and their table offsets; the CUs that take alone (outside
-        the blocks, or with a NULL or both kinds of number); each name's
-        place among those columns laid end to end."""
+        """How :meth:`project_rows` reads ``names``, once per name list: the
+        NUMBER rows of its float-only, then int-only columns; its code
+        rows; the positions of the columns that take alone (outside the
+        blocks, or with a NULL or both kinds of number); each name's place
+        among those columns laid end to end.  A plan holds no state of the
+        unit -- no CU, no decode offset -- so a unit merged from this one
+        starts with its plans when their :meth:`_layout` agrees."""
         plan = self._projections.get(names)
         if plan is None:
-            (numbers, codes), cus = self._blocks, list(self._columns.values())
+            numbers, codes = self._blocks
             where = {}  # column position -> (group, block row)
-            for j, k in enumerate(numbers[0] if numbers else ()):
-                cu = cus[k]
-                if not cu._any_null and (not cu._any_int or cu._is_int.all()):
-                    where[k] = (int(cu._any_int), j)
+            if numbers:
+                facts = zip(numbers[0], *numbers[4])
+                for j, (k, null, some, every) in enumerate(facts):
+                    if not null and (every or not some):
+                        where[k] = (int(some), j)
             for j, k in enumerate(codes[0] if codes else ()):
                 where[k] = (2, j)
-            groups: tuple = ([], [], [], [])  # (name's index, row or CU)
-            index = dict(zip(self._columns, range(len(cus))))
+            groups: tuple = ([], [], [], [])  # (name's index, row or column)
+            index = dict(zip(self._columns, range(len(self._columns))))
             for i, k in enumerate(map(index.__getitem__, names)):
-                group, row = where.get(k, (3, cus[k]))
+                group, row = where.get(k, (3, k))
                 groups[group].append((i, row))
             rows = [
                 np.array([row for __, row in group], np.intp).reshape(-1, 1)
@@ -425,18 +443,28 @@ class IMCU:
             laid = [i for group in groups for i, __ in group]
             plan = self._projections[names] = (
                 np.concatenate(rows[:2]), len(groups[0]), rows[2],
-                self._code_table[1][rows[2]] if groups[2] else None,
-                [cu for __, cu in groups[3]],
+                [k for __, k in groups[3]],
                 sorted(range(len(laid)), key=laid.__getitem__),
             )
         return plan
 
+    def _layout(self) -> tuple:
+        """What a projection plan depends on: the columns in order, the
+        NUMBER block's columns and their facts (the code block holds the
+        rest)."""
+        numbers = self._blocks[0]
+        return self.column_names, numbers and (numbers[0], numbers[4])
+
     @cached_property
     def _code_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The code block's decode table and row offsets, built on first
-        projection; its DictionaryCUs then decode through views of it."""
+        """The code block's decode table and row offsets: the one a merge
+        kept (:func:`encode_rows`), else built on first use -- its
+        DictionaryCUs then decode through views of it."""
+        strings, __, kept = self._blocks[1]
+        if kept is not None:
+            return kept
         cus = list(self._columns.values())
-        block = [cus[k] for k in self._blocks[1][0]]
+        block = [cus[k] for k in strings]
         table, offsets = _decode_table([cu._dictionary for cu in block])
         for cu, lo in zip(block, offsets):
             cu._decode = table[lo:lo + len(cu._dictionary) + 1]

@@ -5,6 +5,7 @@ import pytest
 from repro.common import TransactionId
 from repro.common.config import IMCSConfig
 from repro.imcs import (
+    IMCU,
     Expression,
     ExpressionSet,
     InMemoryColumnStore,
@@ -135,3 +136,78 @@ class TestMaterialisation:
         assert store.segment(oid).live_units()
         store.add_expression(oid, double_n1())
         assert store.segment(oid).live_units() == []
+
+
+def product():
+    return Expression(
+        "prod", ("id", "n1"), lambda i, n: None if n is None else i * n,
+    )
+
+
+def holding(wide_table, txns, clock, rows):
+    """A store with ``prod`` registered over ``rows`` ``(id, n1)``, every
+    block populated in one unit."""
+    store = InMemoryColumnStore()
+    store.enable(wide_table)
+    oid = wide_table.default_partition.object_id
+    store.add_expression(oid, product())
+    writer = TransactionId(1, 4242)
+    for i, n in rows:
+        wide_table.insert_row((i, n, "x"), writer, clock.next())
+    txns.commit(writer, clock.next())
+    engine = PopulationEngine(store, txns, lambda: clock.current)
+    engine.schedule_all()
+    while engine.run_one_task() is not None:
+        pass
+    return store, oid
+
+
+def scan_prod(store, wide_table, txns, clock, i):
+    result = ScanEngine(store, txns).scan(
+        wide_table, clock.current, [Predicate.eq("id", i)],
+        columns=["id", "prod"],
+    )
+    return result.rows, result.stats
+
+
+class TestValuesNoColumnHolds:
+    """float64 holds ints exactly to 2**53: a unit that held such an
+    expression value would project it rounded (past int64, as garbage)
+    while the row path computes it exactly."""
+
+    @pytest.mark.parametrize(
+        "i, n", [(3, 2**53 - 1), (3_000_000_000, 4_000_000_000)]
+    )
+    def test_an_unfit_value_leaves_the_expression_to_the_row_store(
+        self, wide_table, txns, clock, i, n
+    ):
+        store, oid = holding(wide_table, txns, clock, [(1, 2), (i, n)])
+        rows, stats = scan_prod(store, wide_table, txns, clock, i)
+        assert repr(rows) == repr([(i, i * n)])
+        (smu,) = store.segment(oid).live_units()
+        assert "prod" not in smu.imcu.column_names
+        assert stats.imcus_unusable == 1
+        assert scan_prod(store, wide_table, txns, clock, 1)[0] == [(1, 2)]
+
+    def test_a_delta_build_leaves_it_out_when_a_fresh_row_is_unfit(
+        self, wide_table, txns, clock
+    ):
+        store, oid = holding(wide_table, txns, clock, [(3, 5), (4, 6)])
+        (smu,) = store.segment(oid).live_units()
+        assert "prod" in smu.imcu.column_names
+        rowid = smu.imcu.rowids[0]
+        writer = TransactionId(1, 4243)
+        wide_table.update_row(
+            rowid, {"n1": 2**53 - 1}, writer, clock.next(), txns
+        )
+        txns.commit(writer, clock.next())
+        store.invalidate(oid, rowid.dba, (rowid.slot,), clock.current)
+        unit = IMCU.build(
+            wide_table.default_partition.segment, wide_table.schema,
+            wide_table.tenant, smu.imcu.covered_dbas, clock.current, txns,
+            expressions=list(store.segment(oid).expressions), base=smu,
+        )
+        store.register_unit(unit)
+        rows, __ = scan_prod(store, wide_table, txns, clock, 3)
+        assert repr(rows) == repr([(3, 3 * (2**53 - 1))])
+        assert unit.rows_reused == 1 and "prod" not in unit.column_names

@@ -127,6 +127,11 @@ def naive_build(
         materialised = [
             expression.evaluate(values, schema) for values in captured_rows
         ]
+        ctype = (
+            ColumnType.NUMBER if expression.is_numeric else ColumnType.VARCHAR2
+        )
+        if not all(ctype.validate(value) for value in materialised):
+            continue  # a value no column of its type holds: the row store's
         columns[expression.name] = naive_encode_column(
             materialised, expression.is_numeric
         )

@@ -166,7 +166,7 @@ def test_every_private_varchar2_column_has_a_row_in_the_block():
         encoded_unit(matrix, specs, names), names, keep, matrix[:0], specs,
         keep,
     )
-    for built, (coded, block) in ((cus, full), (merged, merge)):
+    for built, (coded, block, __) in ((cus, full), (merged, merge)):
         assert coded == strings
         assert block.shape == (len(strings), len(ROWS))
         for j, k in enumerate(coded):
