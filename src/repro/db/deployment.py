@@ -241,9 +241,7 @@ class Deployment:
 
         for member in self.mounted_members:
             member.query_service = QueryService(
-                member.standby, self.sched,
-                n_workers=n_workers,
-                name=f"{member.name}-query",
+                member, self.sched, n_workers, name=f"{member.name}-query"
             )
         return self.query_service
 

@@ -3,7 +3,9 @@
 A :class:`StandbyMember` is one standby database with N >= 1 instances:
 instance 1 is its full :class:`StandbyDatabase` pipeline, and a RAC
 standby (``deployment.add_standby_cluster``) adds peer instances over the
-same mounted database (:class:`~repro.rac.cluster.PeerInstance`).  The
+same mounted database (:class:`~repro.rac.cluster.PeerInstance`).  It
+reads like a database (:class:`~repro.db.features.ReadSide`): every
+query scans all its instances' IMCUs at its published QuerySCN.  The
 member also carries the serving-side state the deployment and the router
 need: what was attached to it (query service, CDC egress) and the active
 routed-session count (the router's load signal).
@@ -13,21 +15,28 @@ from __future__ import annotations
 
 from repro.common.ids import InstanceId
 from repro.common.scn import SCN
+from repro.db.features import ReadSide
 from repro.db.standby import StandbyDatabase, StandbyInstance
+from repro.imcs.aggregate import Aggregator
 from repro.imcs.scan import ScanEngine
 
 
-class StandbyMember:
+class StandbyMember(ReadSide):
     """A standby database inside a deployment, named after its node."""
 
     def __init__(self, standby: StandbyDatabase) -> None:
         self.name = standby.node.name
+        self.node = standby.node
         self.standby = standby
+        self.catalog = standby.catalog
+        self.txn_table = standby.txn_table
         #: Instances 2..N of a RAC standby (``deployment.add_standby_cluster``).
         self.peers: list[StandbyInstance] = []
-        #: The one scan engine over every instance's IMCS, built with the
-        #: peers: its uncovered-block lists outlive a query.
-        self._scan_engine: ScanEngine | None = None
+        #: Instance 1's engine; ``scale_out`` replaces it with one over
+        #: every instance's IMCS, whose uncovered-block lists outlive a
+        #: query.
+        self.scan_engine = standby.scan_engine
+        self._aggregator = standby._aggregator
         #: Attached by ``deployment.start_query_service``.
         self.query_service = None
         #: Attached by ``deployment.start_cdc``.
@@ -57,6 +66,9 @@ class StandbyMember:
         published, so each instance's SMUs cover it."""
         return min(instance.query_scn.value for instance in self.instances)
 
+    def _query_snapshot(self) -> SCN:
+        return self.published_scn
+
     @property
     def applied_through_scn(self) -> SCN:
         """The SCN every recovery worker of the member has applied
@@ -85,10 +97,10 @@ class StandbyMember:
         from repro.rac.cluster import MergedStoreView, scale_out
 
         self.peers = scale_out(self.standby, sched, n_instances, mira)
-        self._scan_engine = ScanEngine(
-            MergedStoreView([i.imcs for i in self.instances]),
-            self.standby.txn_table,
+        self.scan_engine = ScanEngine(
+            MergedStoreView([i.imcs for i in self.instances]), self.txn_table
         )
+        self._aggregator = Aggregator(self.scan_engine)
 
     # ------------------------------------------------------------------
     def enable_inmemory(self, table_name, partition=None, columns=None):
@@ -97,24 +109,11 @@ class StandbyMember:
         object_ids = self.standby.enable_inmemory(
             table_name, partition, columns
         )
-        table = self.standby.catalog.table(table_name)
+        table = self.catalog.table(table_name)
         for peer in self.peers:
             peer.imcs.enable(table, partition, columns)
             peer.population.schedule_all()
         return object_ids
-
-    def query(self, table_name, predicates=None, columns=None,
-              partitions=None):
-        """Direct (synchronous) scan over every instance's IMCS at the
-        member's QuerySCN, bypassing the query service."""
-        if not self.peers:
-            return self.standby.query(
-                table_name, predicates, columns, partitions
-            )
-        return self._scan_engine.scan(
-            self.standby.catalog.table(table_name), self.published_scn,
-            predicates, columns, partitions,
-        )
 
     def __repr__(self) -> str:
         state = "mounted" if self.mounted else "lost"

@@ -8,10 +8,10 @@ The paper's workload issues bind-variable queries like Table 1's
 This module parses exactly that shape -- projection or aggregates, one
 table, an optional ``PARTITION (name)`` clause, and an ``AND``-conjunction
 of simple predicates with literals or ``:n`` binds -- and executes it
-against any object exposing ``query(table, predicates, columns,
-partitions)`` and ``aggregate(table, specs, predicates, partitions)``
-(both :class:`~repro.db.primary.PrimaryDatabase` and
-:class:`~repro.db.standby.StandbyDatabase` do).
+against the primary, a standby or a standby member: any reader with
+:class:`~repro.db.features.ReadSide`'s ``query(table, predicates,
+columns, partitions)`` and ``aggregate(table, specs, predicates,
+partitions)``.
 
 It is intentionally tiny: no joins, no subqueries, no GROUP BY, no ORDER
 BY.  The point is that examples and benchmarks can state workloads in the
@@ -95,7 +95,7 @@ class ParsedQuery:
 
     # ------------------------------------------------------------------
     def run(self, database, binds: Optional[dict[int, object]] = None):
-        """Execute against a primary or standby database.
+        """Execute against a primary, a standby or a standby member.
 
         Returns a :class:`ScanResult` for projections, or a list of
         aggregate values (one per select-list entry) for aggregates.

@@ -141,10 +141,7 @@ class FleetSession:
         projections, or the aggregate value list for aggregate queries."""
         if self.closed:
             raise InvalidStateError("session is closed")
-        database = (
-            self.member.standby if self.member is not None
-            else self.router.fleet.primary
-        )
+        database = self.member or self.router.fleet.primary
         result = parse_query(sql).run(database, binds)
         return result if isinstance(result, list) else result.rows
 
@@ -253,9 +250,11 @@ class FleetRouter:
                 "lag_scns": "fleet.member.lag_scns",
                 "active_sessions": "fleet.member.active_sessions",
             }, "gauge", member=member.name)
-            member.standby.query_scn.subscribe(
-                self._make_publish_listener(member)
-            )
+            # the member's QuerySCN moves when its *last* instance
+            # publishes: listen to every instance
+            listener = self._make_publish_listener(member)
+            for instance in member.instances:
+                instance.query_scn.subscribe(listener)
 
     # ------------------------------------------------------------------
     # observability

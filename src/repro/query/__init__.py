@@ -11,7 +11,7 @@ into a service that can carry that load:
 * :mod:`repro.query.admission` -- admission control for the session
   layer (bounded concurrency, wait queue with timeouts);
 * :mod:`repro.query.service` -- :class:`QueryService`, tying the
-  executor to one standby.
+  executor to one standby member.
 """
 
 from repro.query.admission import (

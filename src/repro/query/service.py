@@ -1,7 +1,8 @@
 """QueryService: morsel-parallel standby scans.
 
-One service fronts one standby: it plans scans at the currently
-published QuerySCN and dispatches their morsels to the worker pool.
+One service fronts one member: it plans scans on the member's scan
+engine (every instance's IMCS) at the member's published QuerySCN and
+dispatches their morsels to the worker pool.
 """
 
 from __future__ import annotations
@@ -46,22 +47,16 @@ class QueryHandle:
 
 
 class QueryService:
-    """The standby's query-serving front end."""
+    """A standby member's query-serving front end."""
 
     def __init__(
-        self,
-        standby,
-        sched: Scheduler,
-        n_workers: int = 4,
-        node=None,
+        self, member, sched: Scheduler, n_workers: int = 4,
         name: str = "query",
     ) -> None:
-        self.standby = standby
+        self.member = member
         self.sched = sched
         self.pool = QueryWorkerPool(
-            sched, n_workers,
-            node=node if node is not None else standby.node,
-            name=name,
+            sched, n_workers, node=member.node, name=name
         )
         self.submitted = 0
         obs.bind(self, {"submitted": "query.service.submitted"})
@@ -74,11 +69,11 @@ class QueryService:
         columns: Optional[list[str]] = None,
         partitions: Optional[list[str]] = None,
     ) -> QueryHandle:
-        """Plan + dispatch one scan at the published QuerySCN."""
+        """Plan + dispatch one scan at the member's published QuerySCN."""
         self.submitted += 1
-        scn = self.standby.query_scn.value
-        table = self.standby.catalog.table(table_name)
-        morsels = self.standby.scan_engine.plan_morsels(
+        scn = self.member.published_scn
+        table = self.member.catalog.table(table_name)
+        morsels = self.member.scan_engine.plan_morsels(
             table, scn, predicates, columns, partitions
         )
         return QueryHandle(scn, pending=self.pool.submit(morsels))

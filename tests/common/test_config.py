@@ -15,7 +15,7 @@ from repro.common.config import (
 )
 from repro.db import Deployment
 from repro.fleet import FleetRouter
-from repro.query import QueryWorkerPool
+from repro.query import QueryService, QueryWorkerPool
 from repro.restart import CheckpointStore
 from repro.sim import Scheduler
 
@@ -168,6 +168,9 @@ def test_ship_latency_is_non_negative():
         lambda: CheckpointStore(keep_versions=2),
         lambda: IMCSConfig(pool_size_bytes=0),
         lambda: Deployment.build().primary.enable_inmemory("T", priority=1),
+        lambda: QueryService(
+            Deployment.build().member(), Scheduler(), node="standby-1"
+        ),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
          "start_query_service.enable_cache",
@@ -176,20 +179,20 @@ def test_ship_latency_is_non_negative():
          "attach_actors.name_prefix", "ApplyConfig.routing",
          "RACConfig.standby_instances", "RestartConfig.keep_versions",
          "CheckpointStore.keep_versions", "IMCSConfig.pool_size_bytes",
-         "enable_inmemory.priority"],
+         "enable_inmemory.priority", "QueryService.node"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
     # one session routing policy, one apply routing, no result cache, and
     # a RAC standby's size is add_standby_cluster's argument, a
     # checkpoint store keeps one checkpoint per object, the IMCS has no
-    # pool budget and population runs first in, first out: nothing left
-    # to select
+    # pool budget, population runs first in, first out and a member's
+    # query workers run on its node: nothing left to select
     with pytest.raises(
         TypeError,
         match="advance|parallel_backend|enable_cache|cache_capacity"
         "|on_primary|policy|name_prefix|routing|standby_instances"
-        "|keep_versions|pool_size_bytes|priority",
+        "|keep_versions|pool_size_bytes|priority|node",
     ):
         call()
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import Service
+from repro.db import Deployment, InMemoryService, Service
 from repro.fleet import FleetRouter, SessionWave, WaveConfig
 from repro.query import AdmissionTimeout
+
+from tests.db.conftest import simple_table_def, small_config
+from tests.fleet.conftest import load_fleet
 
 
 def commit_one(fleet, rowids, value=-5.0):
@@ -57,6 +60,31 @@ class TestQueuedFloors:
         assert session.member.published_scn >= floor
         assert router.ryw_violations == 0
         session.close()
+
+    def test_waiter_admits_when_the_last_instance_publishes(self):
+        """A RAC member covers a floor when its last instance publishes,
+        one interconnect hop after the master: the grant (and the lag
+        gauge) follows that publication, not the next master one."""
+        deployment = Deployment.build(config=small_config())
+        member = deployment.add_standby_cluster(n_instances=2)
+        deployment.create_table(simple_table_def())
+        rowids, __ = load_fleet(deployment)
+        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+        deployment.catch_up()
+        router = FleetRouter(deployment)
+        router.registry.create("reports", Service.STANDBY_ONLY)
+        for i in range(10):
+            floor = commit_one(deployment, rowids, value=float(i))
+            pending = router.connect_queued("reports", min_scn=floor)
+            assert not pending.ready
+            assert deployment.sched.run_until_condition(
+                lambda: member.published_scn >= floor, max_time=5.0
+            )
+            assert pending.ready
+            assert pending.granted_at == deployment.sched.now
+            assert member.lag_scns == deployment.member_lag(member)
+            pending.get().close()
+        assert router.ryw_violations == 0
 
     def test_waiter_never_covered_expires_with_deadline_error(
         self, router, fleet

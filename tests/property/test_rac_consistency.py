@@ -7,7 +7,9 @@ coordinator acknowledges before the master publishes.  Under MIRA both
 instances also apply the change vectors they own, so a transaction's
 invalidation records scatter across two journals and the flush gathers
 them at advancement.  Either way a scan over every instance's IMCS at the
-member's QuerySCN must equal a primary consistent read at the same SCN.
+member's QuerySCN must equal a primary consistent read at the same SCN,
+whether it is a direct member query, a query-service scan or a SQL
+aggregate on the member.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
+from repro.db.sql import parse_query
 
 from tests.helpers import ClientInserts
 
@@ -85,6 +88,7 @@ def test_rac_member_matches_primary_cr(mira, ops, seed):
     primary = deployment.primary
     member = deployment.member()
     deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
+    service = deployment.start_query_service(n_workers=2)
 
     next_id = iter(range(10_000, 100_000))
     rowids: list = []
@@ -136,3 +140,8 @@ def test_rac_member_matches_primary_cr(mira, ops, seed):
         f"{'MIRA' if mira else 'SIRA'} divergence at {snapshot}: "
         f"{len(got)} vs {len(expected)}"
     )
+    n1 = [values[1] for values in expected]
+    aggregate = parse_query("SELECT COUNT(*), SUM(n1) FROM T").run(member)
+    assert aggregate == [len(n1), sum(n1) if n1 else None]
+    # planned at the same published QuerySCN, before the scheduler runs
+    assert sorted(service.scan("T").rows) == expected

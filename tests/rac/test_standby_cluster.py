@@ -6,7 +6,8 @@ from repro.imcs import Expression, Predicate, ScanEngine
 from repro.rac import MergedStoreView
 
 from tests.db.conftest import load, simple_table_def, small_config
-from repro.db import Deployment, InMemoryService
+from repro.db import Deployment, InMemoryService, Service
+from repro.fleet import FleetRouter
 
 
 def build_rac(mira=False):
@@ -60,7 +61,7 @@ class TestClusterQueries:
         reuse its uncovered-block list; each answer equals a fresh
         engine's, also after a repopulation swap on the peer."""
         deployment, member = rac_deployment
-        engine = member._scan_engine
+        engine = member.scan_engine
         table = deployment.standby.catalog.table("T")
         segment = table.default_partition.segment
         peer = member.peers[0]
@@ -75,7 +76,7 @@ class TestClusterQueries:
             uncovered = engine._uncovered[segment]
             assert member.query("T", *shape).rows == fresh.rows
             assert engine._uncovered[segment] is uncovered
-            assert member._scan_engine is engine
+            assert member.scan_engine is engine
 
         check()
         repopulations = peer.population.repopulations
@@ -119,6 +120,63 @@ class TestClusterQueries:
         )
         result = member.query("T")
         assert len(result.rows) == 200
+
+
+@pytest.mark.parametrize("mira", [False, True], ids=["sira", "mira"])
+class TestEveryReadPathReadsEveryInstance:
+    """A fully populated member answers from its IMCUs on every read
+    path, never from the row store for the blocks a peer homes."""
+
+    @staticmethod
+    def record_scans(monkeypatch):
+        """The stats of every ``ScanEngine.scan`` from here on."""
+        stats = []
+        scan = ScanEngine.scan
+
+        def recording(self, *args, **kwargs):
+            result = scan(self, *args, **kwargs)
+            stats.append(result.stats)
+            return result
+
+        monkeypatch.setattr(ScanEngine, "scan", recording)
+        return stats
+
+    @staticmethod
+    def session(deployment):
+        router = FleetRouter(deployment)
+        router.registry.create("reports", Service.STANDBY_ONLY)
+        return router.connect("reports")
+
+    def test_query_service_scan(self, mira):
+        deployment, member = build_rac(mira)
+        deployment.start_query_service(n_workers=2)
+        result = member.query_service.scan("T")
+        assert result.stats.rowstore_rows == 0
+        assert result.stats.imcs_rows == 200
+        assert result.rows == member.query("T").rows
+
+    def test_sql_projection(self, mira, monkeypatch):
+        deployment, member = build_rac(mira)
+        session = self.session(deployment)
+        scans = self.record_scans(monkeypatch)
+        rows = session.execute("SELECT id, n1 FROM T WHERE c1 = 'v3'")
+        assert [(s.imcs_rows, s.rowstore_rows) for s in scans] == [(200, 0)]
+        expected = member.query("T", [Predicate.eq("c1", "v3")], ["id", "n1"])
+        assert rows == expected.rows
+
+    def test_sql_aggregate(self, mira, monkeypatch):
+        deployment, member = build_rac(mira)
+        session = self.session(deployment)
+        scans = self.record_scans(monkeypatch)
+        got = session.execute("SELECT COUNT(*), SUM(n1) FROM T")
+        assert [(s.imcs_rows, s.rowstore_rows) for s in scans] == [(200, 0)]
+        primary = deployment.primary
+        n1 = [
+            values[1] for __, values in primary.catalog.table("T").full_scan(
+                member.published_scn, primary.txn_table
+            )
+        ]
+        assert got == [len(n1), sum(n1)]
 
 
 class TestRemoteInvalidation:

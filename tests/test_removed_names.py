@@ -343,6 +343,16 @@ BANS = [
         "snapshot SCN and sees committed rows only",
     ),
     Ban(
+        "member_reads_instance_one",
+        r"member\.standby|\.standby\.(query|aggregate|scan_engine|catalog"
+        r"|query_scn)\b",
+        ("src/repro/fleet", "src/repro/query"),
+        "§3 Removed: `StandbyMember.query`'s single-instance fork; the "
+        "query service, SQL sessions and the router read the member "
+        "(`ReadSide`, every instance's IMCS at `published_scn`), never "
+        "instance 1",
+    ),
+    Ban(
         "scheduler_test_helpers",
         r"FunctionActor|run_steps",
         ("src/repro",),
