@@ -157,7 +157,6 @@ class RecoveryWorker(Actor):
         batch: int = 64,
         flush_batch: int = 8,
         node: Optional[CpuNode] = None,
-        speed: float = 1.0,
         cost_per_cv: float = APPLY_COST_PER_CV,
         name: Optional[str] = None,
     ) -> None:
@@ -170,7 +169,6 @@ class RecoveryWorker(Actor):
         self.flush_batch = flush_batch
         self.cost_per_cv = cost_per_cv
         self.node = node
-        self.speed = speed
         self.name = name or f"recovery-worker-{worker_id}"
         self._obs = obs.current()
         self.cvs_applied = 0

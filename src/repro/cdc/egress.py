@@ -136,10 +136,6 @@ class CDCEgress(InvalidationListener):
                 self._backfills[oid] = BackfillState(oid, table_name)
         return object_ids
 
-    @property
-    def captured_tables(self) -> set[str]:
-        return set(self._captured.values())
-
     def subscribe(self, target, name: Optional[str] = None) -> Subscription:
         """Attach a subscriber (anything with ``on_event(event)``)."""
         sub = Subscription(

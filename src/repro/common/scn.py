@@ -35,14 +35,5 @@ class SCNClock:
         self._current += 1
         return self._current
 
-    def advance_to(self, scn: SCN) -> SCN:
-        """Push the clock to at least ``scn`` (used when merging streams).
-
-        Returns the resulting current SCN.  Never moves the clock backwards.
-        """
-        if scn > self._current:
-            self._current = scn
-        return self._current
-
     def __repr__(self) -> str:
         return f"SCNClock(current={self._current})"

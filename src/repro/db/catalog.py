@@ -129,6 +129,3 @@ class Catalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables
-
-    def __len__(self) -> int:
-        return len(self._tables)

@@ -150,11 +150,6 @@ class Deployment:
         """The first member's query service (see start_query_service)."""
         return self.members[0].query_service
 
-    @property
-    def cdc(self):
-        """The first member's CDC egress (see start_cdc)."""
-        return self.members[0].cdc
-
     def member(self, name: Optional[str] = None) -> StandbyMember:
         """The member called ``name``; the first member when None."""
         if name is None:

@@ -8,7 +8,7 @@ them.  The read side (:class:`ReadSide`, shared with a standby member),
 in-memory management and the section-V features (In-Memory Expressions,
 aggregation push-down: derived, redo-less) are defined here once, with
 an equi-join keyed by value.  The role supplies ``config``, ``node``,
-``actor_prefix``, ``_query_snapshot()`` (the primary's current SCN, the
+``actor_prefix``, ``query_snapshot()`` (the primary's current SCN, the
 standby's QuerySCN) and ``_capture_snapshot()`` (population's).
 """
 
@@ -40,7 +40,7 @@ class ReadSide:
     """The read half every reader shares: a database in either role and
     a standby member (over all its instances).  The reader supplies
     ``catalog``, ``txn_table``, ``scan_engine``, ``_aggregator`` and
-    ``_query_snapshot()``."""
+    ``query_snapshot()``."""
 
     # ------------------------------------------------------------------
     # queries (at the reader's query snapshot)
@@ -55,13 +55,13 @@ class ReadSide:
         """Scan through the reader's IMCS at its query snapshot."""
         table = self.catalog.table(table_name)
         return self.scan_engine.scan(
-            table, self._query_snapshot(), predicates, columns, partitions
+            table, self.query_snapshot(), predicates, columns, partitions
         )
 
     def index_fetch(self, table_name: str, column: str, key):
         table = self.catalog.table(table_name)
         return table.index_fetch(
-            column, key, self._query_snapshot(), self.txn_table
+            column, key, self.query_snapshot(), self.txn_table
         )
 
     def join(
@@ -78,7 +78,7 @@ class ReadSide:
         """Inner equi-join at the reader's query snapshot: a hash join
         keyed by value, ``table_a`` the build side, ``table_b`` the probe
         side.  Each side is one scan; a NULL key never joins."""
-        snapshot = self._query_snapshot()
+        snapshot = self.query_snapshot()
         by_value: dict[object, list[tuple]] = {}
         for key, row in self._join_side(
             table_a, column_a, predicates_a, columns_a, snapshot
@@ -119,7 +119,7 @@ class ReadSide:
         """COUNT/SUM/AVG/MIN/MAX evaluated inside the columnar scan."""
         return self._aggregator.aggregate(
             self.catalog.table(table_name),
-            self._query_snapshot(),
+            self.query_snapshot(),
             specs,
             predicates,
             partitions,

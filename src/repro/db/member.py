@@ -66,7 +66,7 @@ class StandbyMember(ReadSide):
         published, so each instance's SMUs cover it."""
         return min(instance.query_scn.value for instance in self.instances)
 
-    def _query_snapshot(self) -> SCN:
+    def query_snapshot(self) -> SCN:
         return self.published_scn
 
     @property

@@ -48,6 +48,10 @@ from repro.db.features import Database
 from repro.db.schema_def import TableDef
 
 
+#: Simulated seconds between an instance's heartbeat redo writes.
+HEARTBEAT_INTERVAL = 0.005
+
+
 class HeartbeatWriter(Actor):
     """Writes periodic heartbeat redo on an instance.
 
@@ -60,13 +64,11 @@ class HeartbeatWriter(Actor):
         instance: InstanceId,
         clock: SCNClock,
         log: RedoLog,
-        interval: float = 0.005,
         node: Optional[CpuNode] = None,
     ) -> None:
         self.instance = instance
         self.clock = clock
         self.log = log
-        self.interval = interval
         self.node = node
         self.name = f"heartbeat-{instance}"
         self._cv = (
@@ -77,11 +79,11 @@ class HeartbeatWriter(Actor):
 
     def step(self, sched: Scheduler) -> Optional[float]:
         # parked until the next write is due
-        if sched.now < self._last_write + self.interval:
-            self.park = self._last_write + self.interval
+        if sched.now < self._last_write + HEARTBEAT_INTERVAL:
+            self.park = self._last_write + HEARTBEAT_INTERVAL
             return None
         self._last_write = sched.now
-        self.park = self._last_write + self.interval
+        self.park = self._last_write + HEARTBEAT_INTERVAL
         self.log.append(self.instance, self.clock.next(), (self._cv,))
         return 1e-6  # negligible cost
 
@@ -146,7 +148,7 @@ class PrimaryDatabase(Database):
             )
             self.instances.append(PrimaryInstance(i, manager, log, node))
 
-    def _query_snapshot(self) -> SCN:
+    def query_snapshot(self) -> SCN:
         return self.clock.current
 
     def _capture_snapshot(self) -> SCN:

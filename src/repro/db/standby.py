@@ -178,7 +178,7 @@ class StandbyDatabase(Database, StandbyInstance):
         #: Report of the most recent restart (None before the first).
         self.last_restart_report = None
 
-    def _query_snapshot(self) -> SCN:
+    def query_snapshot(self) -> SCN:
         return self.query_scn.value
 
     # ------------------------------------------------------------------
@@ -197,16 +197,6 @@ class StandbyDatabase(Database, StandbyInstance):
         """Whether the pipeline is scheduled: ``attach_actors`` ran and
         ``detach_actors`` (standby loss, failover) has not."""
         return bool(self._actors)
-
-    # ------------------------------------------------------------------
-    # lag metrics (Fig. 11)
-    # ------------------------------------------------------------------
-    @property
-    def applied_through_scn(self) -> SCN:
-        return min(
-            (w.applied_through() for w in self.workers),
-            default=self.query_scn.value,
-        )
 
     # ------------------------------------------------------------------
     # instance restart (paper, III-E / instant restart, repro.restart)

@@ -120,8 +120,3 @@ class IMADGCommitTable:
 
     def __len__(self) -> int:
         return sum(len(p) for p in self._partitions)
-
-    @property
-    def min_pending_scn(self) -> Optional[SCN]:
-        heads = [p[0].commit_scn for p in self._partitions if p]
-        return min(heads) if heads else None

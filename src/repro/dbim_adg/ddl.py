@@ -44,6 +44,3 @@ class DDLInformationTable:
 
     def clear(self) -> None:
         self._entries = []
-
-    def __len__(self) -> int:
-        return len(self._entries)

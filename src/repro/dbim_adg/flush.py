@@ -195,6 +195,9 @@ class Worklink:
 class InvalidationFlushComponent:
     """Implements the coordinator's AdvanceProtocol for DBIM-on-ADG."""
 
+    #: Maximum blocks per invalidation group (RAC message sizing).
+    GROUP_BLOCK_LIMIT = 64
+
     def __init__(
         self,
         journal: IMADGJournal,
@@ -202,7 +205,6 @@ class InvalidationFlushComponent:
         ddl_table: DDLInformationTable,
         store: InMemoryColumnStore,
         ddl_applier: Optional[Callable[[DDLMarkerPayload], None]] = None,
-        group_block_limit: int = 64,
     ) -> None:
         #: Every apply instance's mining state, this instance's first.
         self.journals = [journal]
@@ -219,8 +221,6 @@ class InvalidationFlushComponent:
         #: Applies schema changes on the standby (drop column, drop table,
         #: create table) when a DDL marker is processed.
         self.ddl_applier = ddl_applier
-        #: Maximum blocks per invalidation group (RAC message sizing).
-        self.group_block_limit = group_block_limit
         self.worklink: Optional[Worklink] = None
         #: Every apply instance's flush-helping workers, woken by a worklink.
         self.waiters: list = []
@@ -359,7 +359,7 @@ class InvalidationFlushComponent:
     ) -> list[list[InvalidationGroup | CoarseInvalidation]]:
         """Gather every node's invalidations and route them all, in node
         order; returns them per node."""
-        per_node = routing_ops(nodes, self._chunks_of, self.group_block_limit)
+        per_node = routing_ops(nodes, self._chunks_of, self.GROUP_BLOCK_LIMIT)
         self.router.route([op for of_node in per_node for op in of_node])
         return per_node
 

@@ -47,9 +47,6 @@ class RecordChunk:
     keys: list[int]
     tenant: TenantId
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
 
 @dataclass(slots=True)
 class AnchorNode:
@@ -94,7 +91,7 @@ class AnchorNode:
 
     @property
     def n_records(self) -> int:
-        return sum(len(c) for c in self.chunks())
+        return sum(len(c.keys) for c in self.chunks())
 
 
 class IMADGJournal:

@@ -110,27 +110,26 @@ class FleetSession:
         partitions=None,
     ) -> QueryHandle:
         """Run a scan on the session's routed database.  Returns a
-        :class:`QueryHandle`; standby-bound sessions resolve it through
-        the member's worker pool, primary-bound ones immediately."""
+        :class:`QueryHandle`: a member's query service resolves it
+        through its worker pool; otherwise the routed database (the
+        member, or the primary) answers at once, at its query snapshot."""
         if self.closed:
             raise InvalidStateError("session is closed")
         member = self.member
-        if member is not None:
-            if not member.mounted:
-                self.router.routed_unmounted += 1
-            if member.query_service is not None:
-                handle = member.query_service.submit(
-                    table_name, predicates, columns, partitions
-                )
-            else:
-                result = member.query(
-                    table_name, predicates, columns, partitions
-                )
-                handle = QueryHandle(member.published_scn, result=result)
+        if member is not None and not member.mounted:
+            self.router.routed_unmounted += 1
+        if member is not None and member.query_service is not None:
+            handle = member.query_service.submit(
+                table_name, predicates, columns, partitions
+            )
         else:
-            primary = self.router.fleet.primary
-            result = primary.query(table_name, predicates, columns, partitions)
-            handle = QueryHandle(primary.clock.current, result=result)
+            database = member or self.router.fleet.primary
+            handle = QueryHandle(
+                database.query_snapshot(),
+                result=database.query(
+                    table_name, predicates, columns, partitions
+                ),
+            )
         if handle.scn < self.min_scn:
             self.router.ryw_violations += 1
         return handle
@@ -335,10 +334,7 @@ class FleetRouter:
         self._sessions.append(session)
         self._count("routed", service_name, target=target.describe())
         if min_scn > 0:
-            granted_scn = (
-                member.published_scn if member is not None
-                else self.fleet.primary.clock.current
-            )
+            granted_scn = (member or self.fleet.primary).query_snapshot()
             self.ryw_grants.append((min_scn, granted_scn, target.describe()))
             if granted_scn < min_scn:
                 self.ryw_violations += 1

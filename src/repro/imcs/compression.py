@@ -16,7 +16,7 @@ bulk decode for projection (``take``), encoded-domain aggregation
 estimate for the pool accounting.
 
 Encoding is *block-wise* (:func:`encode_rows` over a :func:`row_matrix`);
-the per-column constructors are width-1 calls of the same code, and the
+``DictionaryCU(values)`` runs the same kernel on one column, and the
 cell-at-a-time loops they replaced are the reference model in
 ``tests/naive_imcu.py``.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -34,48 +35,8 @@ import numpy as np
 NULL_CODE = -1
 
 
-class ColumnCU:
-    """Interface shared by every column compression unit."""
-
-    #: Number of rows.
-    n_rows: int
-
-    def eq_mask(self, value: object) -> np.ndarray:
-        """Boolean mask of rows equal to ``value`` (NULLs never match)."""
-        raise NotImplementedError
-
-    def range_mask(
-        self, lo: object | None, hi: object | None,
-        lo_inclusive: bool = True, hi_inclusive: bool = True,
-    ) -> np.ndarray:
-        """Boolean mask of rows within the range (NULLs never match)."""
-        raise NotImplementedError
-
-    def null_mask(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def min_value(self) -> object:
-        """Smallest non-NULL value (storage index); None if all NULL."""
-        raise NotImplementedError
-
-    @property
-    def max_value(self) -> object:
-        raise NotImplementedError
-
-    @property
-    def memory_bytes(self) -> int:
-        raise NotImplementedError
-
-
-class NumericCU(ColumnCU):
+class NumericCU:
     """NUMBER column: contiguous float64 vector + null bitmap."""
-
-    def __init__(self, values: Sequence[Optional[float]]) -> None:
-        cells = np.empty((len(values), 1), dtype=object)  # width-1 block
-        cells[:, 0] = values
-        data, nulls, is_int = _numeric_arrays(cells)
-        self._install(data[:, 0], nulls[:, 0], is_int[:, 0])
 
     @classmethod
     def from_arrays(
@@ -129,13 +90,16 @@ class NumericCU(ColumnCU):
         return out.tolist()
 
     # NULLs never match; a literal of the other kind matches no row, and
-    # a range bound of the other kind raises ``TypeError``.
+    # a range bound of the other kind raises ``TypeError``.  An int literal
+    # float64 cannot hold equals no stored value.
     def eq_mask(self, value: object) -> np.ndarray:
         if isinstance(value, str):
             return np.zeros(self.n_rows, dtype=bool)
         try:
             needle = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            return np.zeros(self.n_rows, dtype=bool)
+        if needle != value:
             return np.zeros(self.n_rows, dtype=bool)
         mask = self._data == needle
         if self._any_null:
@@ -146,8 +110,12 @@ class NumericCU(ColumnCU):
         data = self._data
         mask = None
         if lo is not None:
+            if isinstance(lo, int):
+                lo, lo_inclusive = _int_bound(lo, lo_inclusive, False)
             mask = (data >= lo) if lo_inclusive else (data > lo)
         if hi is not None:
+            if isinstance(hi, int):
+                hi, hi_inclusive = _int_bound(hi, hi_inclusive, True)
             below = (data <= hi) if hi_inclusive else (data < hi)
             if mask is None:
                 mask = below
@@ -189,6 +157,20 @@ class NumericCU(ColumnCU):
         return int(
             self._data.nbytes + self._nulls.nbytes + self._is_int.nbytes
         )
+
+
+def _int_bound(bound: int, inclusive: bool, upper: bool) -> tuple:
+    """An int range bound as the float64 the compare takes: one float64
+    cannot hold rounds, and the rounded bound includes exactly when it lies
+    inside the range (below an upper bound, above a lower one) -- no
+    float64 lies between the two."""
+    try:
+        rounded = float(bound)
+    except OverflowError:  # past float64's range
+        rounded = math.inf if bound > 0 else -math.inf
+    if rounded != bound:
+        inclusive = (rounded < bound) == upper
+    return rounded, inclusive
 
 
 def _numeric_arrays(
@@ -360,7 +342,7 @@ def _code_bounds(
     return lo_code, hi_code
 
 
-class DictionaryCU(ColumnCU):
+class DictionaryCU:
     """VARCHAR2 column: int32 codes into a sorted dictionary."""
 
     def __init__(self, values: Sequence[Optional[str]]) -> None:
@@ -431,6 +413,10 @@ class DictionaryCU(ColumnCU):
     @cached_property
     def memory_bytes(self) -> int:
         return int(self._codes.nbytes) + _dictionary_bytes(self._dictionary)
+
+
+#: Either CU: both answer the interface the module docstring names.
+ColumnCU = NumericCU | DictionaryCU
 
 
 def row_matrix(rows: Sequence[tuple], arity: int) -> np.ndarray:

@@ -181,13 +181,6 @@ class Series(Instrument):
     def record(self, t: float, value: float) -> None:
         self.points.append((t, value))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def last_value(self) -> float:
-        return self.points[-1][1] if self.points else 0.0
-
     def value_at(self, t: float) -> float:
         """The value of the last point at or before ``t`` (0 before the
         first point)."""

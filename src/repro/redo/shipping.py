@@ -191,25 +191,23 @@ class LogShipper(Actor):
 
     #: Simulated CPU seconds per shipped record (marshalling overhead).
     COST_PER_RECORD = 2e-6
+    #: Most records per shipment.
+    BATCH = 256
 
     def __init__(
         self,
         log: RedoLog,
         receivers: dict[str, RedoReceiver],
         latency: float = 0.002,
-        batch: int = 256,
         node: Optional[CpuNode] = None,
         name: Optional[str] = None,
     ) -> None:
-        if batch < 1:
-            raise ValueError(f"shipment size must be >= 1, got {batch}")
         self._log = log
         #: Next log record position to ship.
         self._position = 0
         self.thread = log.thread
         self._receivers: dict[str, RedoReceiver] = {}
         self.latency = latency
-        self.batch = batch
         self.node = node
         self.name = name or f"shipper-t{log.thread}"
         self._obs = obs.current()
@@ -242,14 +240,9 @@ class LogShipper(Actor):
         """Stop shipping to a standby (loss/dismount)."""
         self._receivers.pop(name, None)
 
-    def drop_next(self, n: int) -> None:
-        """Fault injection: lose the next ``n`` records in transit (the
-        reader advances without shipping, creating an archive gap)."""
-        self._position = min(self._position + n, len(self._log))
-
     def step(self, sched: Scheduler) -> Optional[float]:
         position = self._position
-        end = min(position + self.batch, len(self._log))
+        end = min(position + self.BATCH, len(self._log))
         if end == len(self._log):
             self.park = True  # until the log's next append
         if end == position:

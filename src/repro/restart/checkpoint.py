@@ -124,10 +124,6 @@ class CheckpointStore(InvalidationListener):
     def clear(self) -> None:
         self._by_object.clear()
 
-    @property
-    def checkpointed_objects(self) -> int:
-        return len(self._by_object)
-
     # ------------------------------------------------------------------
     # InvalidationListener (fired during flush, pre-publication)
     # ------------------------------------------------------------------

@@ -141,20 +141,6 @@ class DataBlock:
                 column.pop()
         return True
 
-    def rollback_transaction(self, xid: TransactionId) -> int:
-        """Strip ``xid``'s versions from every slot (abort).
-
-        A row is write-locked by its newest uncommitted version, so an
-        aborted writer's versions are always at the head of a chain.  Slots
-        left empty by rolled-back inserts stay as holes, like Oracle's free
-        slots.  Returns the number of versions removed.
-        """
-        removed = 0
-        for slot in range(len(self.heads)):
-            while self.undo_write(slot, xid):
-                removed += 1
-        return removed
-
     def wipe_through(self, scn: SCN) -> bool:
         """TRUNCATE's effect: drop every version changed at or below ``scn``.
 

@@ -30,9 +30,6 @@ class HashIndex:
         self.column = column
         self._map: dict[object, RowId] = {}
 
-    def __len__(self) -> int:
-        return len(self._map)
-
     def search(self, key) -> RowId | None:
         """Point lookup; None if the key is absent."""
         return self._map.get(key)

@@ -5,14 +5,13 @@ list of DBAs.  The :class:`BlockStore` owns every block in one database and
 allocates DBAs from a single counter, so a DBA uniquely identifies a block
 database-wide -- the property the parallel apply hash relies on.
 
-Physical standby semantics: a standby's block store is either a clone of
-the primary's (restore from backup) or starts empty and is built purely by
-replaying change vectors; both paths produce bit-identical structures.
+Physical standby semantics: a standby's block store starts empty and is
+built purely by replaying change vectors (``BlockStore.ensure``,
+``Segment.ensure_block``).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Iterator, Optional
 
 from repro.common.ids import DBA, ObjectId
@@ -54,15 +53,6 @@ class BlockStore:
     def get_optional(self, dba: DBA) -> Optional[DataBlock]:
         return self._blocks.get(dba)
 
-    def __contains__(self, dba: DBA) -> bool:
-        return dba in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def clone(self) -> "BlockStore":
-        """Deep copy -- used to seed a standby from a 'backup'."""
-        return copy.deepcopy(self)
 
 
 class Segment:
@@ -98,9 +88,6 @@ class Segment:
     def blocks(self) -> Iterator[DataBlock]:
         for dba in self._dbas:
             yield self._store.get(dba)
-
-    def contains_dba(self, dba: DBA) -> bool:
-        return dba in self._dba_set
 
     # -- primary-side allocation -----------------------------------------
     def tail_block_with_space(self) -> DataBlock:
@@ -143,11 +130,3 @@ class Segment:
         self._dba_set = set(survivors)
         if self.truncate_scn is None or scn > self.truncate_scn:
             self.truncate_scn = scn
-
-    def row_count_current(self) -> int:
-        """Number of slots whose current version is a live row (no CR)."""
-        return sum(
-            block.current(slot) is not None
-            for block in self.blocks()
-            for slot in range(block.used_slots)
-        )

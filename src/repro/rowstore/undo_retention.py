@@ -24,6 +24,8 @@ from repro.sim.scheduler import Actor, Scheduler
 
 #: Simulated CPU seconds per pruned version.
 PRUNE_COST_PER_VERSION = 1e-7
+#: Simulated seconds between sweeps.
+SWEEP_INTERVAL = 0.5
 
 
 class UndoRetentionManager(Actor):
@@ -33,7 +35,6 @@ class UndoRetentionManager(Actor):
         self,
         store: BlockStore,
         keep_versions: int = 1024,
-        interval: float = 0.5,
         name: str = "undo-retention",
         node: Optional[CpuNode] = None,
     ) -> None:
@@ -41,7 +42,6 @@ class UndoRetentionManager(Actor):
             raise ValueError("must retain at least the current version")
         self.store = store
         self.keep_versions = keep_versions
-        self.interval = interval
         self.name = name
         self.node = node
         self._last_sweep = -1.0
@@ -59,11 +59,11 @@ class UndoRetentionManager(Actor):
 
     def step(self, sched: Scheduler) -> Optional[float]:
         # parked until the next sweep is due
-        if sched.now < self._last_sweep + self.interval:
-            self.park = self._last_sweep + self.interval
+        if sched.now < self._last_sweep + SWEEP_INTERVAL:
+            self.park = self._last_sweep + SWEEP_INTERVAL
             return None
         self._last_sweep = sched.now
-        self.park = self._last_sweep + self.interval
+        self.park = self._last_sweep + SWEEP_INTERVAL
         dropped = self.sweep()
         if dropped == 0:
             return 1e-6

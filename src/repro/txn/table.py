@@ -58,12 +58,6 @@ class TransactionTable:
     def commit_scn_of(self, xid: TransactionId) -> Optional[SCN]:
         return self._commit_scns.get(xid)
 
-    def state_of(self, xid: TransactionId) -> Optional[TxnState]:
-        return self._states.get(xid)
-
-    def is_finished(self, xid: TransactionId) -> bool:
-        return self._states.get(xid) in (TxnState.COMMITTED, TxnState.ABORTED)
-
     def highest_sequence(self, instance: InstanceId) -> int:
         """The highest sequence of ``instance``'s transactions here (0 if
         none)."""
@@ -80,6 +74,3 @@ class TransactionTable:
             for xid, state in self._states.items()
             if state is TxnState.ACTIVE
         ]
-
-    def __len__(self) -> int:
-        return len(self._states)

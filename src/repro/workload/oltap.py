@@ -105,19 +105,20 @@ def make_row(config: OLTAPConfig, row_id: int, rng: random.Random) -> tuple:
 class DMLDriver(Actor):
     """Issues the DML/fetch mix against the primary at the target rate."""
 
+    #: Operations per step; the step's pacing covers all of them.
+    OPS_PER_STEP = 8
+
     def __init__(
         self,
         deployment: Deployment,
         config: OLTAPConfig,
         next_id_start: int,
-        ops_per_step: int = 8,
         instance_id: InstanceId = 1,
     ) -> None:
         self.deployment = deployment
         self.config = config
         self.rng = random.Random(config.seed + instance_id)
         self.instance_id = instance_id
-        self.ops_per_step = ops_per_step
         self.name = f"dml-driver-{instance_id}"
         self.node = None  # CPU charged manually per op
         self._next_id = next_id_start
@@ -193,7 +194,7 @@ class DMLDriver(Actor):
         # DML share of the total ops rate driven by this actor
         dml_fraction = 1.0 - config.pct_scan
         cpu = 0.0
-        for __ in range(self.ops_per_step):
+        for __ in range(self.OPS_PER_STEP):
             draw = self.rng.random() * dml_fraction
             if draw < config.pct_update:
                 cpu += self._do_update()
@@ -203,9 +204,9 @@ class DMLDriver(Actor):
                 cpu += self._do_fetch()
             self.ops_issued += 1
         node.charge(cpu)
-        # pacing: this step accounted for ops_per_step of the DML budget
+        # pacing: this step accounted for OPS_PER_STEP of the DML budget
         dml_rate = config.target_ops_per_sec * dml_fraction
-        return self.ops_per_step / dml_rate
+        return self.OPS_PER_STEP / dml_rate
 
 
 class QueryDriver(Actor):
@@ -220,8 +221,6 @@ class QueryDriver(Actor):
         deployment: Deployment,
         config: OLTAPConfig,
         target: str = "standby",
-        scans_per_sec: Optional[float] = None,
-        name: str = "query-driver",
     ) -> None:
         if target not in ("primary", "standby"):
             raise ValueError(
@@ -230,13 +229,9 @@ class QueryDriver(Actor):
         self.deployment = deployment
         self.config = config
         self.target = target
-        self.scans_per_sec = (
-            scans_per_sec
-            if scans_per_sec is not None
-            else config.target_ops_per_sec * config.pct_scan
-        )
+        self.scans_per_sec = config.target_ops_per_sec * config.pct_scan
         self.rng = random.Random(config.seed + 1000)
-        self.name = name
+        self.name = "query-driver"
         self.node = None  # charged manually to the target's node
         self.q1 = Histogram("Q1")
         self.q2 = Histogram("Q2")

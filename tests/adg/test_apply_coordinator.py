@@ -200,10 +200,10 @@ def build_pipeline(n_workers=2, worker_speeds=None):
     applier = RecordingApplier()
     workers = []
     for i in range(n_workers):
-        speed = worker_speeds[i] if worker_speeds else 1.0
-        workers.append(
-            RecoveryWorker(i, distributor, applier, speed=speed)
-        )
+        worker = RecoveryWorker(i, distributor, applier)
+        if worker_speeds:
+            worker.speed = worker_speeds[i]
+        workers.append(worker)
     query_scn = QuerySCNPublisher()
     coordinator = RecoveryCoordinator(
         merger, distributor, workers, query_scn, AlwaysComplete(),

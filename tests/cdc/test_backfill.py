@@ -18,7 +18,7 @@ class TestChunkedBackfill:
         with obs.collecting(obs.MetricsRegistry()):
             deployment, egress, replica, __ = build_cdc_deployment(n=40)
         events = CollectingSubscriber()
-        deployment.cdc.subscribe(events, name="collector")
+        deployment.member().cdc.subscribe(events, name="collector")
         drain(deployment, egress)
         assert replica.rows("T") == standby_rows(deployment)
         assert egress.backfill_rows == 40

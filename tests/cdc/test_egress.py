@@ -62,11 +62,11 @@ class TestCapture:
         # would silently produce an empty feed, so capture refuses it
         with pytest.raises(NotInMemoryError):
             egress.capture("U")
-        assert egress.captured_tables == {"T"}
+        assert set(egress._captured.values()) == {"T"}
 
     def test_deployment_start_cdc_attaches_pump(self):
         deployment, egress, __, __ = build_cdc_deployment()
-        assert deployment.cdc is egress
+        assert deployment.member().cdc is egress
         assert any(
             actor.name == "standby-1-cdc-pump"
             for actor in deployment.sched.actors
@@ -96,7 +96,7 @@ class TestLiveFeed:
     def test_delete_emits_tombstone(self):
         deployment, egress, replica, rowids = build_cdc_deployment(n=20)
         events = CollectingSubscriber()
-        deployment.cdc.subscribe(events, name="collector")
+        deployment.member().cdc.subscribe(events, name="collector")
         primary = deployment.primary
         txn = primary.begin()
         primary.delete(txn, "T", rowids[0])
@@ -115,7 +115,7 @@ class TestLiveFeed:
             n=20, backfill=False
         )
         events = CollectingSubscriber()
-        deployment.cdc.subscribe(events, name="collector")
+        deployment.member().cdc.subscribe(events, name="collector")
         primary = deployment.primary
         for burst in range(4):
             txn = primary.begin()
@@ -162,12 +162,12 @@ class TestResync:
     def test_drop_table_ends_capture_with_drop_event(self):
         deployment, egress, replica, __ = build_cdc_deployment(n=12)
         events = CollectingSubscriber()
-        deployment.cdc.subscribe(events, name="collector")
+        deployment.member().cdc.subscribe(events, name="collector")
         deployment.primary.drop_table("T")
         deployment.run(1.0)
         drain(deployment, egress)
         assert any(e.kind == DROP for e in events.events)
-        assert egress.captured_tables == set()
+        assert set(egress._captured.values()) == set()
         assert "T" not in replica.tables  # replica dropped the table too
 
     def test_coarse_invalidation_resyncs_all_captured(self):

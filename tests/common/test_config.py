@@ -13,10 +13,15 @@ from repro.common.config import (
     RowStoreConfig,
     SystemConfig,
 )
+from repro.common.scn import SCNClock
 from repro.db import Deployment
+from repro.db.primary import HeartbeatWriter
 from repro.fleet import FleetRouter
 from repro.query import QueryService, QueryWorkerPool
+from repro.redo import LogShipper, RedoLog
 from repro.restart import CheckpointStore
+from repro.rowstore import BlockStore
+from repro.rowstore.undo_retention import UndoRetentionManager
 from repro.sim import Scheduler
 
 
@@ -171,6 +176,9 @@ def test_ship_latency_is_non_negative():
         lambda: QueryService(
             Deployment.build().member(), Scheduler(), node="standby-1"
         ),
+        lambda: LogShipper(RedoLog(1), {}, batch=2),
+        lambda: HeartbeatWriter(1, SCNClock(), RedoLog(1), interval=0.1),
+        lambda: UndoRetentionManager(BlockStore(), interval=0.1),
     ],
     ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
          "start_query_service.enable_cache",
@@ -179,7 +187,9 @@ def test_ship_latency_is_non_negative():
          "attach_actors.name_prefix", "ApplyConfig.routing",
          "RACConfig.standby_instances", "RestartConfig.keep_versions",
          "CheckpointStore.keep_versions", "IMCSConfig.pool_size_bytes",
-         "enable_inmemory.priority", "QueryService.node"],
+         "enable_inmemory.priority", "QueryService.node",
+         "LogShipper.batch", "HeartbeatWriter.interval",
+         "UndoRetentionManager.interval"],
 )
 def test_removed_settings_fail_loudly(call):
     # one advancement protocol, one scan backend, one deployment topology,
@@ -187,12 +197,13 @@ def test_removed_settings_fail_loudly(call):
     # a RAC standby's size is add_standby_cluster's argument, a
     # checkpoint store keeps one checkpoint per object, the IMCS has no
     # pool budget, population runs first in, first out and a member's
-    # query workers run on its node: nothing left to select
+    # query workers run on its node; a shipment's size and the heartbeat
+    # and undo-sweep periods are constants: nothing left to select
     with pytest.raises(
         TypeError,
         match="advance|parallel_backend|enable_cache|cache_capacity"
         "|on_primary|policy|name_prefix|routing|standby_instances"
-        "|keep_versions|pool_size_bytes|priority|node",
+        "|keep_versions|pool_size_bytes|priority|node|batch|interval",
     ):
         call()
 

@@ -26,15 +26,6 @@ def test_next_is_strictly_increasing():
     assert len(set(seen)) == 100
 
 
-def test_advance_to_moves_forward_only():
-    clock = SCNClock()
-    clock.advance_to(50)
-    assert clock.current == 50
-    clock.advance_to(10)  # no-op: never backwards
-    assert clock.current == 50
-
-
 def test_next_after_advance_is_higher():
-    clock = SCNClock()
-    clock.advance_to(99)
+    clock = SCNClock(99)
     assert clock.next() == 100

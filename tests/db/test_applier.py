@@ -16,7 +16,7 @@ from repro.redo import (
 from repro.rowstore import BlockStore
 from repro.txn import TransactionTable, TxnState
 
-from tests.helpers import apply_one
+from tests.helpers import apply_one, current_rows, txn_state
 from tests.naive_batch import (
     ChangeVector,
     CommitPayload,
@@ -122,7 +122,7 @@ class TestDataOps:
             data_cv(CVOp.TRUNCATE, oid, truncate_dba(oid),
                     TruncatePayload(oid)), 11
         )
-        assert table.default_partition.segment.row_count_current() == 0
+        assert current_rows(table.default_partition.segment) == 0
 
 
 class TestTruncateRacingItsBlock:
@@ -169,7 +169,7 @@ class TestTruncateRacingItsBlock:
         for gone in {1, 2} - {late[0]}:  # wiped, rolled back
             assert table.index_fetch("id", gone, 11, txns) is None
         assert table.default_partition.segment.dbas == [50]
-        assert table.default_partition.segment.row_count_current() == 1
+        assert current_rows(table.default_partition.segment) == 1
 
     def test_a_wiped_key_taken_in_a_fresh_block_keeps_its_entry(
         self, applier
@@ -198,7 +198,7 @@ class TestControlOps:
         apply, __ = applier
         begin = ChangeVector(CVOp.TXN_BEGIN, txn_table_dba(1), 0, 0, X)
         apply_one(apply, begin, 5)
-        assert apply.txn_table.state_of(X) is TxnState.ACTIVE
+        assert txn_state(apply.txn_table, X) is TxnState.ACTIVE
         commit = ChangeVector(
             CVOp.TXN_COMMIT, txn_table_dba(1), 0, 0, X, CommitPayload(9, True)
         )

@@ -11,6 +11,8 @@ its rows invalid, so the IMCU and its reconcile tail answer together.
 * A stored NaN makes MIN/MAX NaN, whichever partial holds it.
 * An index fetch of NULL or of a key of the other kind finds no row, and
   a row with a NULL key is stored, shipped and scanned like any other.
+* An int literal float64 cannot hold compares exactly, as Python compares
+  it, not as the float it rounds to.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import pytest
 from repro.common.config import IMCSConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.db.sql import parse_query
+from repro.imcs import Predicate
 
 from tests.db.conftest import small_config
+from tests.naive_predicate import matches
 
 #: ``T``: int-valued NUMBERs, three of them NULL, and a VARCHAR2; ``P``:
 #: the NaN probe.
@@ -31,6 +35,8 @@ T_ROWS = [
     (i, None if i in (1, 4, 6) else i - 3, f"v{i % 3}") for i in range(8)
 ]
 P_ROWS = [(i, math.nan if i == 3 else float(i)) for i in range(8)]
+#: ``B``: NUMBERs at the edge of float64's exact integers.
+B_ROWS = [(0, 2**53), (1, 5), (2, -2**53)]
 #: Rows the half-invalid standby reconciles: -3, a NULL and the NaN among
 #: them.
 INVALID = (0, 1, 2, 3)
@@ -49,12 +55,13 @@ def deployment(invalidate: bool) -> Deployment:
         ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
         ColumnDef.varchar("c1"),
     ), rows_per_block=8, indexes=("id",)))
-    built.create_table(TableDef("P", (
-        ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
-    ), rows_per_block=8))
+    for name in ("P", "B"):
+        built.create_table(TableDef(name, (
+            ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
+        ), rows_per_block=8))
     rowids = {}
     txn = built.primary.begin()
-    for name, rows in (("T", T_ROWS), ("P", P_ROWS)):
+    for name, rows in (("T", T_ROWS), ("P", P_ROWS), ("B", B_ROWS)):
         rowids[name] = [built.primary.insert(txn, name, row) for row in rows]
     built.primary.commit(txn)
     for name in rowids:
@@ -62,8 +69,8 @@ def deployment(invalidate: bool) -> Deployment:
     built.catch_up()
     if invalidate:  # rewrite rows as they are: the standby invalidates them
         txn = built.primary.begin()
-        for name, rows in (("T", T_ROWS), ("P", P_ROWS)):
-            for i in INVALID:
+        for name, rows in (("T", T_ROWS), ("P", P_ROWS), ("B", B_ROWS[:1])):
+            for i in INVALID[:len(rows)]:
                 built.primary.update(
                     txn, name, rowids[name][i], {"n1": rows[i][1]}
                 )
@@ -156,6 +163,34 @@ def test_a_stored_nan_makes_min_max_nan_on_every_path(databases, path):
         databases[path]
     )
     assert math.isnan(low) and math.isnan(high)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("op, literal", [
+    ("=", 2**53 + 1), ("!=", 2**53 + 1), ("<", 2**53 + 1),
+    ("<=", 2**53 + 1), (">", -2**53 - 1), (">=", -2**53 - 1),
+    ("<", 2**53 - 1), ("BETWEEN -1 AND", 2**53 + 1),
+    ("=", 10**400), ("<", 10**400), (">", -10**400),
+], ids=[
+    "eq 2^53+1", "ne 2^53+1", "lt 2^53+1", "le 2^53+1", "gt -2^53-1",
+    "ge -2^53-1", "lt 2^53-1", "between -1 2^53+1", "eq 10^400",
+    "lt 10^400", "gt -10^400",
+])
+def test_a_literal_float64_cannot_hold_compares_exactly(
+    databases, path, op, literal
+):
+    """2**53 + 1 rounds to 2**53: compared as that float it would match
+    the 2**53 row for '=' and miss it for '<' and '!='.  10**400 has no
+    float64 at all: it must not raise ``OverflowError``."""
+    sql = f"SELECT id FROM B WHERE n1 {op} :1"
+    rows = parse_query(sql).run(databases[path], {1: literal}).rows
+    if op.startswith("BETWEEN"):
+        predicate = Predicate.between("n1", -1, literal)
+    else:
+        predicate = Predicate("n1", op, literal)
+    assert sorted(row[0] for row in rows) == [
+        i for i, n1 in B_ROWS if matches(predicate, n1)
+    ]
 
 
 @pytest.mark.parametrize("path", PATHS)

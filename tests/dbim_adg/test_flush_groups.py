@@ -1,7 +1,7 @@
 """Regression tests for invalidation-group gathering (`gather_groups`)
 and commit-table chop order.
 
-The gathering bug: when a group reached ``group_block_limit``, a record
+The gathering bug: when a group reached ``GROUP_BLOCK_LIMIT``, a record
 for a DBA *already present* in the full group used to spawn a fresh
 group instead of merging -- splitting one block's slot set across groups
 (defeating whole-block-wins) and routing the DBA twice.
@@ -45,8 +45,8 @@ def make_flush(group_block_limit=64):
         IMADGCommitTable(4),
         DDLInformationTable(),
         InMemoryColumnStore(),
-        group_block_limit=group_block_limit,
     )
+    flush.GROUP_BLOCK_LIMIT = group_block_limit
     return journal, flush
 
 
@@ -61,7 +61,7 @@ def node_with_records(records, commit_scn=100):
 def gather(flush, node):
     """One node's groups (a drain of width 1)."""
     (groups,) = gather_groups(
-        [(node.commit_scn, node.anchor.chunks())], flush.group_block_limit
+        [(node.commit_scn, node.anchor.chunks())], flush.GROUP_BLOCK_LIMIT
     )
     return groups
 

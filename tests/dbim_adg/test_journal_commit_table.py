@@ -75,7 +75,7 @@ class TestCommitTable:
         chopped = table.chop(14)
         assert sorted(n.commit_scn for n in chopped) == [10, 11, 12, 13, 14]
         assert len(table) == 5
-        assert table.min_pending_scn == 15
+        assert table.chop(10**9)[0].commit_scn == 15  # the lowest pending
 
     def test_chop_merges_partitions_in_scn_order(self):
         table = IMADGCommitTable(n_partitions=4)
@@ -88,7 +88,7 @@ class TestCommitTable:
     def test_empty_chop(self):
         table = IMADGCommitTable()
         assert table.chop(100) == []
-        assert table.min_pending_scn is None
+        assert len(table) == 0  # nothing pending
 
 
 class TestInsertBatch:

@@ -202,7 +202,7 @@ class TestMining:
         payload = DDLMarkerPayload("drop_column", (1,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(1), 1, 0, X1, payload)
         sniff_one(miner, cv, 30)
-        assert len(ddl_table) == 1
+        assert len(ddl_table._entries) == 1
 
     def test_clear_resets_tail_commits_skipped(self):
         *__rest, miner, __ = make_stack(make_table())
@@ -325,7 +325,7 @@ class TestFlush:
         sniff_one(miner, cv, 500)
         flush.begin_advance(360)
         assert store.segment(oid).live_units()  # still there
-        assert len(dt) == 1
+        assert len(dt._entries) == 1
 
     def test_ddl_drop_happens_pre_publication_not_in_finish_advance(self):
         """Paper III-D ordering: DDL-affected IMCUs are dropped in
@@ -358,4 +358,4 @@ class TestFlush:
         flush.finish_advance(360)
         assert flush.worklink is None  # drained worklink retired
         assert flush.ddl_processed == 1  # no DDL ran in finish_advance
-        assert len(dt) == 1  # the late marker is still buffered
+        assert len(dt._entries) == 1  # the late marker is still buffered

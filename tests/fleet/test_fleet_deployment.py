@@ -193,7 +193,7 @@ class TestDedicatedCDCMember:
         deployment, __ = fleet
         egress = deployment.start_cdc(tables=["T"], member="standby-3")
         source = deployment.member("standby-3")
-        assert source.cdc is egress and deployment.cdc is None
+        assert source.cdc is egress and deployment.member().cdc is None
         replica = ReplaySubscriber()
         egress.subscribe(replica, name="replica")
         load_fleet(deployment, n=15, start=8000)

@@ -212,6 +212,21 @@ def row_position(imcu: IMCU, rowid: RowId) -> Optional[int]:
     return int(positions[0]) if positions.size else None
 
 
+def txn_state(txn_table, xid):
+    """What ``txn_table`` holds for ``xid``: a ``TxnState``, or None if
+    it never saw the transaction."""
+    return txn_table._states.get(xid)
+
+
+def current_rows(segment) -> int:
+    """Slots of ``segment`` whose current version is a live row (no CR)."""
+    return sum(
+        block.current(slot) is not None
+        for block in segment.blocks()
+        for slot in range(block.used_slots)
+    )
+
+
 def encode_column(values: list, is_numeric: bool) -> ColumnCU:
     """One column's CU: a width-1 :func:`encode_rows` (NUMBER vector or
     sorted dictionary)."""

@@ -21,19 +21,19 @@ SPEC, NAMES = [(0, True)], ["n"]
 
 class TestNumericCU:
     def test_roundtrip_and_nulls(self):
-        cu = NumericCU([1, None, 2.5, -3])
+        cu = encode_column([1, None, 2.5, -3], True)
         assert cu.take(range(4)) == [1, None, 2.5, -3]
 
     def test_eq_mask(self):
-        cu = NumericCU([1, 2, 2, None, 3])
+        cu = encode_column([1, 2, 2, None, 3], True)
         assert list(cu.eq_mask(2)) == [False, True, True, False, False]
 
     def test_eq_mask_null_never_matches(self):
-        cu = NumericCU([None, 1])
+        cu = encode_column([None, 1], True)
         assert not cu.eq_mask(None).any()
 
     def test_range_masks(self):
-        cu = NumericCU([1, 5, 10, None])
+        cu = encode_column([1, 5, 10, None], True)
         assert list(cu.range_mask(5, None)) == [False, True, True, False]
         assert list(cu.range_mask(None, 5, hi_inclusive=False)) == [
             True, False, False, False,
@@ -41,30 +41,30 @@ class TestNumericCU:
         assert list(cu.range_mask(2, 9)) == [False, True, False, False]
 
     def test_min_max_ignore_nulls(self):
-        cu = NumericCU([None, 4, 9])
+        cu = encode_column([None, 4, 9], True)
         assert cu.min_value == 4
         assert cu.max_value == 9
 
     def test_all_null_min_max(self):
-        cu = NumericCU([None, None])
+        cu = encode_column([None, None], True)
         assert cu.min_value is None and cu.max_value is None
 
     def test_memory_bytes_positive(self):
-        assert NumericCU([1, 2, 3]).memory_bytes > 0
+        assert encode_column([1, 2, 3], True).memory_bytes > 0
 
     def test_decode_preserves_int_vs_float_identity(self):
         """Regression: the float64 storage cannot distinguish 20 from
         20.0, and decode used to hand back ints for any integral value --
         so a column loaded with 20.0 scanned as 20, diverging from the
         row store.  Int-ness is recorded at encode time per row."""
-        cu = NumericCU([20, 20.0, -3.0, -3, None, 1.5])
+        cu = encode_column([20, 20.0, -3.0, -3, None, 1.5], True)
         decoded = cu.take(range(6))
         assert decoded == [20, 20.0, -3.0, -3, None, 1.5]
         types = [type(v) for v in decoded if v is not None]
         assert types == [int, float, float, int, float]
 
     def test_take_preserves_int_vs_float_identity(self):
-        cu = NumericCU([0.0, 7, None, 8.0])
+        cu = encode_column([0.0, 7, None, 8.0], True)
         taken = cu.take(np.array([3, 0, 1, 2]))
         assert taken == [8.0, 0.0, 7, None]
         assert [type(v) for v in taken[:3]] == [float, float, int]
@@ -113,7 +113,9 @@ class TestNumericCU:
     @pytest.mark.parametrize("name", CLASSES)
     def test_take_stats_and_get_agree_in_every_null_int_class(self, name):
         values = self.CLASSES[name]
-        self.assert_decodes_like_one_row_takes(NumericCU(values), values)
+        self.assert_decodes_like_one_row_takes(
+            encode_column(values, True), values
+        )
 
     @pytest.mark.parametrize("old_name", CLASSES)
     @pytest.mark.parametrize("fresh_name", CLASSES)
@@ -138,7 +140,7 @@ class TestNumericCU:
     def test_eq_mask_non_numeric_value_is_all_false(self):
         """Satellite regression: a string literal against a NUMBER column
         must produce an empty match, not raise from ``float(value)``."""
-        cu = NumericCU([1, 2, None])
+        cu = encode_column([1, 2, None], True)
         assert not cu.eq_mask("two").any()
         assert not cu.eq_mask("2").any()  # no implicit string coercion
         assert not cu.eq_mask(None).any()

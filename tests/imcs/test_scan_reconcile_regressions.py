@@ -302,7 +302,7 @@ class TestOpenBlocks:
             table.insert_row((i, i * 10.0, "x"), xid, clock.next())
         txns.commit(writer, clock.next())
         first, second = table.default_partition.segment.dbas
-        blocks.get(second).rollback_transaction(undone)  # slot 2: a hole
+        blocks.get(second).undo_write(2, undone)  # slot 2: a hole
         store, oid = enabled_and_populated(table, txns, clock)
         (smu,) = store.segment(oid).live_units()
         assert smu.imcu.captured_slots == {first: 1, second: 2}

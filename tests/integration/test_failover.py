@@ -10,6 +10,7 @@ from repro.redo.shipping import LogShipper
 from repro.txn.table import TxnState
 
 from tests.db.conftest import load, simple_table_def, small_config
+from tests.helpers import txn_state
 from tests.property.test_index_matches_heap import assert_indexes_match_heap
 
 
@@ -172,11 +173,11 @@ class TestActivation:
         kill_primary(deployment)
         standby = deployment.standby
         final = terminal_recovery(standby, deployment.sched)
-        assert standby.txn_table.state_of(loser.xid) is TxnState.ACTIVE
+        assert txn_state(standby.txn_table, loser.xid) is TxnState.ACTIVE
         assert standby.catalog.table("T").indexes["id"].search(500)
 
         new_primary = failover(standby, deployment.sched)
-        assert new_primary.txn_table.state_of(loser.xid) is TxnState.ABORTED
+        assert txn_state(new_primary.txn_table, loser.xid) is TxnState.ABORTED
         expected = old.scan_engine.scan(old.catalog.table("T"), final).rows
         assert sorted(new_primary.query("T").rows) == sorted(expected)
         table = new_primary.catalog.table("T")

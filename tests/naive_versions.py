@@ -92,19 +92,6 @@ class VersionChain:
             return self._versions.pop()
         return None
 
-    def rollback_transaction(self, xid: TransactionId) -> int:
-        """Remove every version written by ``xid`` (transaction abort).
-
-        A row is write-locked by its newest uncommitted version, so
-        aborting ``xid`` can only ever need to strip head versions.
-        Returns the number of versions removed.
-        """
-        removed = 0
-        while self._versions and self._versions[-1].xid == xid:
-            self._versions.pop()
-            removed += 1
-        return removed
-
     def prune(self, keep: int) -> int:
         """Drop all but the newest ``keep`` versions (undo retention).
 
@@ -188,9 +175,6 @@ class NaiveBlock:
         if slot >= len(self.chains):
             return False
         return self.chains[slot].pop_if(xid) is not None
-
-    def rollback_transaction(self, xid) -> int:
-        return sum(chain.rollback_transaction(xid) for chain in self.chains)
 
     def prune_undo(self, keep: int) -> int:
         return sum(chain.prune(keep) for chain in self.chains)

@@ -156,7 +156,7 @@ class TestFig11FromInstruments:
         tracer.record_published(10)
         assert tracer.scn_gap_at(0.5) == 40.0
         assert tracer.scn_gap_at(0.5, thread=1) == 10.0
-        assert tracer.generated_series(2).last_value == 40
+        assert tracer.generated_series(2).value_at(float("inf")) == 40
         assert tracer.generated_series(3) is None
 
 

@@ -74,7 +74,7 @@ class TestInstruments:
         assert s.value_at(1.0) == 10
         assert s.value_at(1.7) == 10
         assert s.value_at(9.0) == 20
-        assert s.last_value == 20
+        assert s.value_at(float("inf")) == 20
 
     def test_describe_renders_labels_sorted(self):
         h = Histogram("a.b", (("thread", "1"), ("worker", "2")))

@@ -36,7 +36,7 @@ CAPACITY = 5
 WRITERS = [TransactionId(1, n) for n in range(1, 5)]
 KINDS = (
     "append_row", "write_slot", "apply_at_slot", "apply_at_slot",
-    "undo_write", "rollback_transaction", "prune_undo", "wipe_through",
+    "undo_write", "prune_undo", "wipe_through",
 )
 
 
@@ -123,8 +123,6 @@ def test_block_versions_equal_the_object_chains(ops, commits):
             args = (slot, values, xid, scn)
         elif kind == "undo_write":
             args = (slot, xid)
-        elif kind == "rollback_transaction":
-            args = (xid,)
         elif kind == "prune_undo":
             args = (keep,)
         else:

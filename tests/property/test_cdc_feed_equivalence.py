@@ -140,7 +140,7 @@ class History:
                 deployment.primary.rollback(txn)
         deployment.catch_up()
         self.compare()
-        egress = deployment.cdc
+        egress = deployment.member().cdc
         assert deployment.sched.run_until_condition(
             lambda: egress.drained, max_time=120.0
         ), "CDC egress never drained"

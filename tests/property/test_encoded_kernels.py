@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.imcs.compression import DictionaryCU, NumericCU
+from repro.imcs.compression import DictionaryCU
+
+from tests.helpers import encode_column
 
 # small alphabets force runs and repeated values
 WORDS = ["alpha", "beta", "gamma", "delta", None]
@@ -64,7 +66,7 @@ class TestVectorisedTake:
     ))
     def test_numeric_take_values_and_types(self, values_and_positions):
         values, positions = values_and_positions
-        cu = NumericCU(values)
+        cu = encode_column(values, True)
         got = cu.take(np.asarray(positions, dtype=np.int64))
         for g, p in zip(got, positions):
             v = values[p]
@@ -90,7 +92,7 @@ class TestVectorisedTake:
     ))
     def test_numeric_stats(self, values_and_positions):
         values, positions = values_and_positions
-        cu = NumericCU(values)
+        cu = encode_column(values, True)
         count, total, minimum, maximum = cu.stats_for_positions(
             np.asarray(positions, dtype=np.int64)
         )

@@ -9,7 +9,7 @@ whole-block records, rows named by several transactions, uncaptured edge
 rows, units that are missing or dropped while the worklink drains and
 register afterwards at a snapshot between two commitSCNs, live units
 replaced afterwards at such a snapshot, coarse nodes in
-between, ``group_block_limit`` from 1 up) and pushes them through the real
+between, ``GROUP_BLOCK_LIMIT`` from 1 up) and pushes them through the real
 journal, commit table, flush component and store under several drain
 schedules -- ``batch`` 1, 3 and everything, the coordinator alone and
 interleaved with ``worker_flush``, and through the SIRA router.  Every
@@ -239,8 +239,9 @@ class World:
         self.home_map = HomeLocationMap(INSTANCES, range_blocks=2)
         self.flush = InvalidationFlushComponent(
             self.journal, self.commit_table, DDLInformationTable(),
-            self.store, group_block_limit=case.block_limit,
+            self.store,
         )
+        self.flush.GROUP_BLOCK_LIMIT = case.block_limit
         if sira:
             self.flush.router = RemoteInvalidationRouter(
                 self.store, MASTER, self.home_map, self.interconnect,

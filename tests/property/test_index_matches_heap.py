@@ -83,7 +83,7 @@ def assert_indexes_match_heap(table) -> dict:
         i = table.schema.column_index(column)
         keyed = {v[i]: rowid for rowid, v in rows.items() if v[i] is not None}
         assert len(keyed) == sum(v[i] is not None for v in rows.values())
-        assert len(index) == len(keyed), column
+        assert len(index._map) == len(keyed), column
         for key, rowid in keyed.items():
             assert index.search(key) == rowid, (column, key)
         assert index.search(None) is None

@@ -350,7 +350,7 @@ class Stack:
             (node.commit_scn, node.xid, node.coarse, node.anchor is not None)
             for node in self.commit_table.chop(10**18)
         )
-        return anchors, commits, floor, len(self.ddl_table)
+        return anchors, commits, floor, len(self.ddl_table._entries)
 
 
 def mine_chunks(queues, imcs):

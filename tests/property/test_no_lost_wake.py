@@ -33,13 +33,16 @@ from repro.adg.apply import RecoveryWorker
 from repro.adg.coordinator import RecoveryCoordinator
 from repro.adg.merger import LogMerger
 from repro.db import Deployment, InMemoryService
-from repro.db.primary import HeartbeatWriter
+from repro.db.primary import HEARTBEAT_INTERVAL, HeartbeatWriter
 from repro.db.standby import StandbyInstance
 from repro.imcs.population import PopulationWorker
 from repro.imcs.store import InMemoryColumnStore
 from repro.query.executor import QueryWorker
 from repro.redo.shipping import LogShipper
-from repro.rowstore.undo_retention import UndoRetentionManager
+from repro.rowstore.undo_retention import (
+    SWEEP_INTERVAL,
+    UndoRetentionManager,
+)
 from repro.sim.scheduler import Scheduler
 from repro.workload import OLTAPConfig, OLTAPWorkload
 
@@ -82,8 +85,12 @@ IDLE = {
     PopulationWorker: _population_idle,
     QueryWorker: lambda a, now: not a.pool.queue_depth,
     RecoveryCoordinator: _coordinator_idle,
-    HeartbeatWriter: lambda a, now: now <= a._last_write + a.interval,
-    UndoRetentionManager: lambda a, now: now <= a._last_sweep + a.interval,
+    HeartbeatWriter: lambda a, now: (
+        now <= a._last_write + HEARTBEAT_INTERVAL
+    ),
+    UndoRetentionManager: lambda a, now: (
+        now <= a._last_sweep + SWEEP_INTERVAL
+    ),
 }
 
 

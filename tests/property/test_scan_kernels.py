@@ -365,7 +365,7 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
     if unsettled != "none":
         rowid = insert(straggler)
         if unsettled == "hole":  # a rolled-back insert leaves its slot
-            blocks.get(rowid.dba).rollback_transaction(straggler)
+            blocks.get(rowid.dba).undo_write(rowid.slot, straggler)
     insert_committed(data.draw(st.integers(0, 9), label="tail_rows"))
 
     store = InMemoryColumnStore()

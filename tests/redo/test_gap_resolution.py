@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.sites import Action, Decision
 from repro.common import TransactionId
 from repro.db import Deployment, InMemoryService
 from repro.dbim_adg.flush import InvalidationListener
@@ -14,6 +15,22 @@ from tests.helpers import append_record, batch_of, record_scns
 from tests.naive_batch import ChangeVector, InsertPayload, RedoRecord
 
 X = TransactionId(1, 1)
+
+
+class DropNextShipment:
+    """An injector for a shipper's ``redo.ship`` site: the next shipment
+    is lost in transit (the reader advances past it), then it detaches.
+    ``dropped`` is the lost ``(first position, end position)``."""
+
+    def __init__(self, shipper: LogShipper) -> None:
+        self.dropped = None
+        shipper._chaos.attach(self)
+
+    def decide(self, site, event, context):
+        site.detach(self)
+        position = context["position"]
+        self.dropped = (position, position + context["count"])
+        return Decision(Action.DROP)
 
 
 def rec(scn, thread=1):
@@ -201,8 +218,9 @@ class TestEndToEndGap:
         for rowid in rowids[:20]:
             deployment.primary.update(txn, "T", rowid, {"n1": -6.0})
         deployment.primary.commit(txn)
-        shipper.drop_next(10)  # lose 10 records in transit
+        drop = DropNextShipment(shipper)  # lose the shipment in transit
         deployment.catch_up()
+        assert drop.dropped is not None
         assert deployment.standby.receiver.gaps_resolved >= 1
         result = deployment.standby.query("T", [Predicate.eq("n1", -6.0)])
         assert len(result.rows) == 20
@@ -253,9 +271,9 @@ class TestEndToEndGap:
         txn = primary.begin()
         for rowid in rowids[:10]:
             primary.update(txn, "T", rowid, {"n1": -6.0})
-        lo = shipper.shipped_through
-        shipper.drop_next(10**6)  # begin + first ten updates lost
-        hi = shipper.shipped_through
+        drop = DropNextShipment(shipper)
+        deployment.run(0.001)  # begin + first ten updates lost
+        lo, hi = drop.dropped
         for rowid in rowids[10:20]:
             primary.update(txn, "T", rowid, {"n1": -6.0})
         commit_scn = primary.commit(txn)

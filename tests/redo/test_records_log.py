@@ -8,9 +8,7 @@ from repro.common import TransactionId
 from repro.common.errors import RedoCorruptionError
 from repro.redo import (
     CVOp,
-    LogShipper,
     RedoLog,
-    RedoReceiver,
     ddl_marker_dba,
     txn_table_dba,
 )
@@ -95,13 +93,6 @@ class TestRedoLog:
         with pytest.raises(RedoCorruptionError):
             log.append(2, 10, (ROW,))
         assert len(log) == 0
-
-    @pytest.mark.parametrize("batch", [0, -3])
-    def test_a_shipper_that_could_never_ship_is_rejected(self, batch):
-        """``batch=0`` used to build a shipper whose every step shipped
-        nothing, silently."""
-        with pytest.raises(ValueError):
-            LogShipper(RedoLog(1), {"standby": RedoReceiver()}, batch=batch)
 
     def test_batch_is_a_range_of_record_positions(self):
         log = RedoLog(1)

@@ -32,9 +32,9 @@ def test_batching_preserves_order():
     sched = Scheduler()
     log = RedoLog(1)
     receiver = RedoReceiver()
-    sched.add_actor(
-        LogShipper(log, {"standby": receiver}, latency=0.01, batch=2)
-    )
+    shipper = LogShipper(log, {"standby": receiver}, latency=0.01)
+    shipper.BATCH = 2
+    sched.add_actor(shipper)
     for scn in range(10, 20):
         append_record(log, rec(scn))
     sched.run_until(1.0)

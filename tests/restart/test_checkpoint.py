@@ -80,7 +80,7 @@ class TestCheckpointStore:
             store.put(checkpoint_stub(query_scn=scn))
         assert store.captures == 3
         assert store.latest(1).query_scn == 30
-        assert store.checkpointed_objects == 1
+        assert len(store._by_object) == 1
 
     def test_coarse_invalidation_discards_tenant(self):
         store = CheckpointStore()
@@ -97,7 +97,7 @@ class TestCheckpointStore:
         store.put(checkpoint_stub(object_id=5, query_scn=20))
         store.on_object_dropped(5, scn=99)
         assert store.latest(5) is None
-        assert store.checkpointed_objects == 0
+        assert len(store._by_object) == 0
 
 
 class TestCheckpointWriter:

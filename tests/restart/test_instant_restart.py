@@ -134,12 +134,12 @@ class TestInstantRestart:
     def test_cold_flag_forces_cold_and_clears_store(self):
         deployment, store, __ = build_armed_deployment(n=100)
         deployment.run(1.0)
-        assert store.checkpointed_objects > 0
+        assert len(store._by_object) > 0
         report = deployment.restart_standby(cold=True)
         assert report.mode == "cold"
         assert report.units_restored == 0
         # a cleared store cannot leak checkpoints across incarnations
-        assert store.checkpointed_objects == 0
+        assert len(store._by_object) == 0
         # cold repopulation still converges to correct data
         deployment.catch_up()
         rows, stats = standby_rows(deployment)
@@ -154,7 +154,7 @@ class TestInstantRestart:
         deployment.run(1.0)
         first = deployment.restart_standby()
         assert first.mode == "instant"
-        assert store.checkpointed_objects == 0
+        assert len(store._by_object) == 0
         second = deployment.restart_standby()
         assert second.mode == "cold"
         standby = deployment.standby
@@ -219,7 +219,7 @@ class TestInstantRestart:
         load(deployment, n=20, start=1_000)
         deployment.catch_up()
         deployment.run(1.0)
-        assert store.checkpointed_objects > 0
+        assert len(store._by_object) > 0
         second = deployment.restart_standby()
         assert second.mode == "instant"
         rows, __ = standby_rows(deployment)

@@ -6,6 +6,8 @@ from repro.common import RowId, TransactionId
 from repro.rowstore import BlockStore, DataBlock, Segment
 from repro.rowstore.block import END, PRUNED
 
+from tests.helpers import current_rows
+
 X1 = TransactionId(1, 1)
 X2 = TransactionId(1, 2)
 
@@ -39,7 +41,7 @@ class TestDataBlock:
         block.append_row((1,), X1, 10)
         block.append_row((2,), X2, 11)
         block.write_slot(0, (3,), X2, 12)
-        assert block.rollback_transaction(X2) == 2
+        assert block.undo_write(0, X2) and block.undo_write(1, X2)
         assert block.current(0) == (1,)
         assert block.current(1) is None
 
@@ -108,15 +110,6 @@ class TestBlockStore:
         fresh = store.allocate(9, 4)
         assert fresh.dba > 42
 
-    def test_clone_is_independent(self):
-        store = BlockStore()
-        block = store.allocate(9, 4)
-        block.append_row((1,), X1, 10)
-        cloned = store.clone()
-        cloned.get(block.dba).append_row((2,), X1, 11)
-        assert store.get(block.dba).used_slots == 1
-        assert cloned.get(block.dba).used_slots == 2
-
 
 class TestSegment:
     def test_tail_block_extends_when_full(self):
@@ -131,14 +124,14 @@ class TestSegment:
         store = BlockStore()
         segment = Segment(9, store, rows_per_block=2)
         block = segment.tail_block_with_space()
-        assert segment.contains_dba(block.dba)
-        assert not segment.contains_dba(block.dba + 999)
+        assert block.dba in segment.dbas
+        assert block.dba + 999 not in segment.dbas
         segment.ensure_block(50)
-        assert segment.contains_dba(50)
+        assert 50 in segment.dbas
         block.append_row((1,), X1, 10)
         segment.truncate(scn=20)
-        assert not segment.contains_dba(block.dba)
-        assert not segment.contains_dba(50)
+        assert block.dba not in segment.dbas
+        assert 50 not in segment.dbas
 
     def test_ensure_block_keeps_dbas_sorted(self):
         store = BlockStore()
@@ -155,7 +148,7 @@ class TestSegment:
         block.append_row((1,), X1, 10)
         segment.truncate(scn=20)
         assert segment.n_blocks == 0
-        assert segment.row_count_current() == 0
+        assert current_rows(segment) == 0
 
     def test_truncate_keeps_exactly_the_blocks_with_later_versions(self):
         """Another worker applied post-truncate changes first: into a
@@ -170,7 +163,7 @@ class TestSegment:
         fresh.apply_at_slot(0, (4,), X2, 11)
         segment.truncate(scn=8)
         assert segment.dbas == [2, 3]
-        assert segment.row_count_current() == 2
+        assert current_rows(segment) == 2
         assert reused.current(0) == (3,) and reused.scns == [10]
 
     def test_row_count_current_skips_deletes(self):
@@ -180,4 +173,4 @@ class TestSegment:
         block.append_row((1,), X1, 10)
         block.append_row((2,), X1, 11)
         block.write_slot(0, None, X1, 12)  # delete
-        assert segment.row_count_current() == 1
+        assert current_rows(segment) == 1

@@ -21,14 +21,14 @@ class TestBasics:
         index.insert(9, rid(9))
         assert index.search(5) == rid(5)
         assert index.search(2) is None
-        assert len(index) == 3
+        assert len(index._map) == 3
 
     def test_overwrite_same_key(self):
         index = HashIndex("id")
         index.insert(5, rid(5))
         index.insert(5, rid(6))
         assert index.search(5) == rid(6)
-        assert len(index) == 1
+        assert len(index._map) == 1
 
     def test_delete(self):
         index = HashIndex("id")
@@ -36,14 +36,14 @@ class TestBasics:
         assert index.delete(5)
         assert not index.delete(5)
         assert index.search(5) is None
-        assert len(index) == 0
+        assert len(index._map) == 0
 
     def test_clear(self):
         index = HashIndex("id")
         for i in range(50):
             index.insert(i, rid(i))
         index.clear()
-        assert len(index) == 0
+        assert len(index._map) == 0
         assert index.search(10) is None
 
     def test_string_keys(self):
@@ -57,7 +57,7 @@ class TestBasics:
     def test_a_null_key_is_not_indexed(self):
         index = HashIndex("n1")
         index.insert(None, rid(1))
-        assert len(index) == 0
+        assert len(index._map) == 0
         assert index.search(None) is None
         assert not index.delete(None)
 
@@ -84,7 +84,7 @@ class TestRandomised:
                 assert index.search(k) is None
             else:
                 assert index.search(k) == rid(k)
-        assert len(index) == 1000
+        assert len(index._map) == 1000
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,6 +105,6 @@ def test_index_matches_dict_model(ops):
         else:
             assert index.delete(key) == (key in model)
             model.pop(key, None)
-    assert len(index) == len(model)
+    assert len(index._map) == len(model)
     for k in range(201):
         assert index.search(k) == model.get(k)

@@ -5,7 +5,10 @@ import pytest
 from repro.common import SnapshotTooOldError, TransactionId
 from repro.rowstore import BlockStore
 from repro.rowstore.cr import visible_values
-from repro.rowstore.undo_retention import UndoRetentionManager
+from repro.rowstore.undo_retention import (
+    SWEEP_INTERVAL,
+    UndoRetentionManager,
+)
 from repro.sim import Scheduler
 
 from tests.naive_versions import chain_of
@@ -58,10 +61,10 @@ def test_recent_snapshot_still_readable():
 
 def test_actor_sweeps_on_interval():
     store, block, __ = hot_row_store(50)
-    manager = UndoRetentionManager(store, keep_versions=5, interval=0.1)
+    manager = UndoRetentionManager(store, keep_versions=5)
     sched = Scheduler()
     sched.add_actor(manager)
-    sched.run_until(0.35)
+    sched.run_until(3.5 * SWEEP_INTERVAL)
     assert manager.sweeps >= 3
     assert len(chain_of(block, 0)) == 5
 

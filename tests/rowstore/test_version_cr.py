@@ -29,7 +29,8 @@ class TestVersionChain:
 
     def test_rollback_strips_only_that_xid(self):
         block = block_with(((1,), X1, 10), ((2,), X2, 20), ((3,), X2, 21))
-        assert block.rollback_transaction(X2) == 2
+        assert block.undo_write(0, X2) and block.undo_write(0, X2)
+        assert not block.undo_write(0, X2)
         assert block.current(0) == (1,)
 
     def test_prune_keeps_newest(self):

@@ -353,6 +353,82 @@ BANS = [
         "instance 1",
     ),
     Ban(
+        "test_only_reads",
+        r"def (clone|contains_dba|row_count_current|rollback_transaction"
+        r"|state_of|is_finished|drop_next|min_pending_scn|captured_tables"
+        r"|checkpointed_objects|last_value)\b",
+        ("src/repro",),
+        "§3 Removed: second ways into state that only tests called; tests "
+        "read the state itself (`tests/helpers.py::txn_state`, "
+        "`current_rows`), undo a write with `DataBlock.undo_write` and "
+        "drop a shipment through the `redo.ship` chaos site",
+    ),
+    Ban(
+        "test_only_sizes",
+        r"def __(len|contains)__",
+        (
+            "src/repro/rowstore/index.py",
+            "src/repro/rowstore/segment.py",
+            "src/repro/dbim_adg/ddl.py",
+            "src/repro/dbim_adg/journal.py",
+            "src/repro/txn/table.py",
+        ),
+        "§3 Removed: the sizes only tests asked for (`HashIndex`, "
+        "`BlockStore`, `DDLInformationTable`, `RecordChunk`, "
+        "`TransactionTable`)",
+    ),
+    Ban(
+        "test_only_sizes_catalog",
+        r"def __len__",
+        ("src/repro/db/catalog.py",),
+        "§3 Removed: `Catalog.__len__`; `__contains__` stays, the "
+        "catalog's readers ask it",
+    ),
+    Ban(
+        "second_lag_and_cdc_reads",
+        r"def (applied_through_scn|cdc|advance_to)\b",
+        (
+            "src/repro/db/standby.py",
+            "src/repro/db/deployment.py",
+            "src/repro/common/scn.py",
+        ),
+        "§3 Removed: `StandbyMember.applied_through_scn` is the one read, "
+        "`start_cdc` returns the egress and `member.cdc` holds it, and the "
+        "SCN clock only moves by `next`",
+    ),
+    Ban(
+        "column_cu_stubs",
+        r"NotImplementedError|NumericCU\(",
+        ("src/repro/imcs",),
+        "§3 Removed: `ColumnCU` is the alias `NumericCU | DictionaryCU`, "
+        "with no stub base class; a NUMBER CU is built by `encode_rows` "
+        "(tests: `tests/helpers.py::encode_column`)",
+    ),
+    Ban(
+        "unset_knobs",
+        r"group_block_limit|ops_per_step|scans_per_sec: |self\.interval\b"
+        r"|speed",
+        (
+            "src/repro/dbim_adg/flush.py",
+            "src/repro/workload/oltap.py",
+            "src/repro/db/primary.py",
+            "src/repro/rowstore/undo_retention.py",
+            "src/repro/adg/apply.py",
+        ),
+        "§3 Removed: values no driver set are constants "
+        "(`InvalidationFlushComponent.GROUP_BLOCK_LIMIT`, "
+        "`DMLDriver.OPS_PER_STEP`, `LogShipper.BATCH`, "
+        "`HEARTBEAT_INTERVAL`, `SWEEP_INTERVAL`; a worker's `speed` is "
+        "`Actor`'s attribute); `tests/settable_values.txt` lists the rest",
+    ),
+    Ban(
+        "shipment_size_knob",
+        r"self\.batch\b",
+        ("src/repro/redo/shipping.py",),
+        "§3 Removed: `LogShipper(batch=)`; a shipment is at most "
+        "`LogShipper.BATCH` records",
+    ),
+    Ban(
         "scheduler_test_helpers",
         r"FunctionActor|run_steps",
         ("src/repro",),

@@ -8,9 +8,9 @@ import pytest
 from repro.common import InvalidStateError, SCNClock
 from repro.redo import CVOp, RedoLog, txn_table_dba
 from repro.rowstore import BlockStore, Column, ColumnType, Schema, Table
-from repro.txn import TransactionManager, TransactionTable
+from repro.txn import TransactionManager, TransactionTable, TxnState
 
-from tests.helpers import log_records
+from tests.helpers import log_records, txn_state
 
 
 @pytest.fixture
@@ -250,7 +250,7 @@ class TestRollback:
         txn = manager.begin()
         manager.rollback(txn)
         assert len(log) == 0
-        assert txn_table.is_finished(txn.xid)
+        assert txn_state(txn_table, txn.xid) in (TxnState.COMMITTED, TxnState.ABORTED)
 
 
 def tracked() -> int:

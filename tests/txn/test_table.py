@@ -5,16 +5,18 @@ import pytest
 from repro.common import InvalidStateError, TransactionId
 from repro.txn import TransactionTable, TxnState
 
+from tests.helpers import txn_state
+
 X1 = TransactionId(1, 1)
 
 
 def test_begin_then_commit():
     table = TransactionTable()
     table.begin(X1)
-    assert table.state_of(X1) is TxnState.ACTIVE
+    assert txn_state(table, X1) is TxnState.ACTIVE
     assert table.commit_scn_of(X1) is None
     table.commit(X1, 50)
-    assert table.state_of(X1) is TxnState.COMMITTED
+    assert txn_state(table, X1) is TxnState.COMMITTED
     assert table.commit_scn_of(X1) == 50
 
 
@@ -29,9 +31,9 @@ def test_abort():
     table = TransactionTable()
     table.begin(X1)
     table.abort(X1)
-    assert table.state_of(X1) is TxnState.ABORTED
+    assert txn_state(table, X1) is TxnState.ABORTED
     assert table.commit_scn_of(X1) is None
-    assert table.is_finished(X1)
+    assert txn_state(table, X1) in (TxnState.COMMITTED, TxnState.ABORTED)
 
 
 def test_commit_after_abort_raises():
@@ -45,10 +47,10 @@ def test_commit_after_abort_raises():
 def test_ensure_known_is_idempotent_and_preserves_state():
     table = TransactionTable()
     table.ensure_known(X1)
-    assert table.state_of(X1) is TxnState.ACTIVE
+    assert txn_state(table, X1) is TxnState.ACTIVE
     table.commit(X1, 10)
     table.ensure_known(X1)
-    assert table.state_of(X1) is TxnState.COMMITTED
+    assert txn_state(table, X1) is TxnState.COMMITTED
 
 
 def test_commit_without_begin_allowed_for_recovery():
