@@ -49,15 +49,15 @@ def service_deployment():
 
 
 def timed_cold_scan(deployment, n_workers):
-    """Simulated elapsed of one cold full scan through an n-worker pool."""
+    """Simulated elapsed of one cold full scan through n query workers."""
     service = deployment.start_query_service(n_workers=n_workers)
     try:
-        handle = service.submit("BIG")
+        pending = service.submit("BIG")
         ok = deployment.sched.run_until_condition(
-            lambda: handle.done, max_time=600.0
+            lambda: pending.done, max_time=600.0
         )
         assert ok, "scan never completed"
-        return handle.result, handle.pending.elapsed
+        return pending.result, pending.elapsed
     finally:
         service.shutdown()
 

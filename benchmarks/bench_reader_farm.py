@@ -86,7 +86,7 @@ def degrade(fleet: Deployment) -> None:
     slow = fleet.member(SLOW_MEMBER)
     for worker in slow.standby.workers:
         worker.speed = 12.0
-    for worker in slow.query_service.pool.workers:
+    for worker in slow.query_service.workers:
         worker.speed = 25_000.0
 
 

@@ -48,7 +48,7 @@ KNOWN_SITES = (
     "rac.message",         # Interconnect: one event per message send
     "flush.worklink",      # InvalidationFlushComponent: per flush call
     "db.failover",         # failover(): role-transition milestones
-    "query.pool",          # QueryWorkerPool: per dequeued morsel
+    "query.pool",          # QueryService: per dequeued morsel
     "restart.checkpoint",  # CheckpointWriter: per object capture
     "cdc.emit",            # CDCPump: per subscriber delivery round
     "cdc.backfill",        # BackfillEngine: per window open/close
@@ -144,9 +144,6 @@ class SiteRegistry:
 
     def sites(self, name: str) -> list[InjectionSite]:
         return list(self._sites.get(name, ()))
-
-    def names(self) -> list[str]:
-        return sorted(self._sites)
 
     # -- installation ---------------------------------------------------
     def install(

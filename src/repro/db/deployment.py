@@ -145,11 +145,6 @@ class Deployment:
         """The first member's database (the only one when N = 1)."""
         return self.members[0].standby
 
-    @property
-    def query_service(self):
-        """The first member's query service (see start_query_service)."""
-        return self.members[0].query_service
-
     def member(self, name: Optional[str] = None) -> StandbyMember:
         """The member called ``name``; the first member when None."""
         if name is None:
@@ -183,7 +178,7 @@ class Deployment:
                 shipper.remove_destination(instance.node.name)
         member.standby.detach_actors(self.sched)
         if member.query_service is not None:
-            member.query_service.pool.shutdown()
+            member.query_service.shutdown()
         for callback in self.on_standby_loss:
             callback(member)
         return member
@@ -235,10 +230,8 @@ class Deployment:
         from repro.query.service import QueryService
 
         for member in self.mounted_members:
-            member.query_service = QueryService(
-                member, self.sched, n_workers, name=f"{member.name}-query"
-            )
-        return self.query_service
+            member.query_service = QueryService(member, self.sched, n_workers)
+        return self.members[0].query_service
 
     # ------------------------------------------------------------------
     # CDC egress (repro.cdc)

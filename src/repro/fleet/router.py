@@ -55,7 +55,7 @@ from repro.query.admission import (
     AdmissionTimeout,
     PoolExhaustedError,
 )
-from repro.query.service import QueryHandle
+from repro.query.service import PendingQuery
 from repro.db.services import (
     PRIMARY_TARGET,
     Role,
@@ -83,13 +83,11 @@ class FleetSession:
         self,
         router: "FleetRouter",
         service_name: str,
-        target: RouteTarget,
         member: Optional[StandbyMember],
         min_scn: SCN = 0,
     ) -> None:
         self.router = router
         self.service_name = service_name
-        self.target = target
         self.member = member
         self.min_scn = min_scn
         #: Bumped on every rebind (standby loss): drivers re-submit
@@ -98,6 +96,13 @@ class FleetSession:
         self.closed = False
         #: True when standby loss left no legal target for this session.
         self.lost = False
+
+    @property
+    def target(self) -> RouteTarget:
+        """Where the session is pinned: its member, or the primary."""
+        if self.member is None:
+            return PRIMARY_TARGET
+        return RouteTarget(Role.STANDBY, self.member.name)
 
     # ------------------------------------------------------------------
     # reads
@@ -108,11 +113,11 @@ class FleetSession:
         predicates=None,
         columns=None,
         partitions=None,
-    ) -> QueryHandle:
+    ) -> PendingQuery:
         """Run a scan on the session's routed database.  Returns a
-        :class:`QueryHandle`: a member's query service resolves it
-        through its worker pool; otherwise the routed database (the
-        member, or the primary) answers at once, at its query snapshot."""
+        :class:`PendingQuery`: a member's query service resolves it
+        through its workers; otherwise the routed database (the member,
+        or the primary) answers at once, at its query snapshot."""
         if self.closed:
             raise InvalidStateError("session is closed")
         member = self.member
@@ -124,11 +129,10 @@ class FleetSession:
             )
         else:
             database = member or self.router.fleet.primary
-            handle = QueryHandle(
+            handle = PendingQuery.answered(
                 database.query_snapshot(),
-                result=database.query(
-                    table_name, predicates, columns, partitions
-                ),
+                database.query(table_name, predicates, columns, partitions),
+                self.router.fleet.sched.now,
             )
         if handle.scn < self.min_scn:
             self.router.ryw_violations += 1
@@ -152,14 +156,12 @@ class FleetSession:
             self.router._note_sessions(self.member, -1)
         self.member = new_member
         self.router._note_sessions(new_member, +1)
-        self.target = RouteTarget(Role.STANDBY, new_member.name)
         self.generation += 1
 
     def _rebind_primary(self) -> None:
         if self.member is not None:
             self.router._note_sessions(self.member, -1)
         self.member = None
-        self.target = PRIMARY_TARGET
         self.generation += 1
 
     def _mark_lost(self) -> None:
@@ -326,16 +328,16 @@ class FleetRouter:
         member = None
         if target.is_standby:
             member = self.select_member(min_scn)
-            target = RouteTarget(Role.STANDBY, member.name)
             if not member.mounted:
                 self.routed_unmounted += 1
             self._note_sessions(member, +1)
-        session = FleetSession(self, service_name, target, member, min_scn)
+        session = FleetSession(self, service_name, member, min_scn)
         self._sessions.append(session)
-        self._count("routed", service_name, target=target.describe())
+        described = session.target.describe()
+        self._count("routed", service_name, target=described)
         if min_scn > 0:
             granted_scn = (member or self.fleet.primary).query_snapshot()
-            self.ryw_grants.append((min_scn, granted_scn, target.describe()))
+            self.ryw_grants.append((min_scn, granted_scn, described))
             if granted_scn < min_scn:
                 self.ryw_violations += 1
         return session

@@ -22,6 +22,7 @@ expression of the paper's "orders of magnitude" scan speedup.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -222,11 +223,35 @@ def unit_matched_positions(
     return mask.nonzero()[0]
 
 
+class _Charges(list):
+    """A morsel's ``cost_seconds`` while it runs: the charges its step
+    adds, in order.  Float addition does not associate, so the merge adds
+    these, not per-morsel subtotals, to equal the serial scan's sum."""
+
+    def __add__(self, charge: float) -> "_Charges":
+        self.append(charge)
+        return self
+
+    __iadd__ = __add__
+
+
+class _Partial(ScanResult):
+    __slots__ = ("charges",)  # what the morsel's cost was summed from
+
+
 def _partial(step, *args) -> ScanResult:
     """Run one scan step into a fresh partial result (a morsel)."""
-    partial = ScanResult()
+    partial = _Partial()
+    partial.charges = partial.stats.cost_seconds = _Charges()
     step(*args, partial)
+    partial.stats.cost_seconds = functools.reduce(
+        operator.add, partial.charges, 0.0
+    )
     return partial
+
+
+def _count_unusable(n: int, result: ScanResult) -> None:
+    result.stats.imcus_unusable += n
 
 
 def merge_partials(partials: list[ScanResult]) -> ScanResult:
@@ -235,6 +260,10 @@ def merge_partials(partials: list[ScanResult]) -> ScanResult:
     for partial in partials:
         merged.rows.extend(partial.rows)
         merged.stats.merge(partial.stats)
+    merged.stats.cost_seconds = functools.reduce(
+        operator.add,
+        itertools.chain.from_iterable(p.charges for p in partials), 0.0,
+    )
     return merged
 
 
@@ -382,14 +411,10 @@ class ScanEngine:
                     ),
                 ))
             if unusable:
-                def run_stats(unusable=unusable):
-                    partial = ScanResult()
-                    partial.stats.imcus_unusable += unusable
-                    return partial
-
-                morsels.append(
-                    ScanMorsel("stats", f"{pname}/unusable", run_stats)
-                )
+                morsels.append(ScanMorsel(
+                    "stats", f"{pname}/unusable",
+                    functools.partial(_partial, _count_unusable, unusable),
+                ))
             for i in range(0, len(leftover), ROWSTORE_BLOCKS_PER_MORSEL):
                 chunk = leftover[i:i + ROWSTORE_BLOCKS_PER_MORSEL]
                 morsels.append(ScanMorsel(

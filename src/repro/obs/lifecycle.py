@@ -20,7 +20,7 @@ into ``lifecycle.visibility_lag`` and appends it to the
 ``lifecycle.visibility_lag_series`` series.  Two SCN-valued series --
 ``lifecycle.scn.generated`` (per thread) and ``lifecycle.scn.published``
 -- reproduce the Fig. 11 lag plot from instruments alone; see
-:meth:`RedoLifecycleTracer.scn_gap_at` and :meth:`worst_scn_gap`.
+:meth:`RedoLifecycleTracer.worst_scn_gap`.
 
 Pipeline components consult the tracer through the registry they captured
 at construction (``registry.tracer``), so arming it after the deployment
@@ -216,20 +216,6 @@ class RedoLifecycleTracer:
     def generated_series(self, thread: int):
         """The ``lifecycle.scn.generated`` series for one redo thread."""
         return self._generated_series.get(thread)
-
-    def scn_gap_at(self, t: float, thread: Optional[int] = None) -> float:
-        """Generated-vs-published SCN gap at time ``t`` (one thread, or
-        the max over threads): the Fig. 11 lag read from instruments."""
-        published = self.published_series.value_at(t)
-        if thread is not None:
-            series = self._generated_series.get(thread)
-            generated = series.value_at(t) if series is not None else 0.0
-            return max(0.0, generated - published)
-        generated = max(
-            (s.value_at(t) for s in self._generated_series.values()),
-            default=0.0,
-        )
-        return max(0.0, generated - published)
 
     def worst_scn_gap(self, after: float = 0.0) -> float:
         """Peak generated-vs-published gap over every generation sample

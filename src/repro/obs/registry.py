@@ -246,23 +246,7 @@ class MetricsRegistry:
     def series(self, name: str, **labels) -> Series:
         return self._declare(Series, name, labels)  # type: ignore
 
-    # -- reads ----------------------------------------------------------
-    def get(self, name: str, **labels) -> Optional[Instrument]:
-        """Exact (name, labels) lookup, or None."""
-        return self._instruments.get((name, _freeze_labels(labels)))
-
-    def find(self, name: str) -> list[Instrument]:
-        """Every instrument declared under ``name``, any labels."""
-        return [
-            inst for (n, __), inst in self._instruments.items() if n == name
-        ]
-
-    def total(self, name: str) -> float:
-        """Sum of every counter/gauge value declared under ``name``."""
-        return sum(
-            inst.value for inst in self.find(name) if isinstance(inst, Bound)
-        )
-
+    # -- reads (the snapshot is the read surface) -----------------------
     def __iter__(self) -> Iterator[Instrument]:
         return iter(self._instruments.values())
 

@@ -1,17 +1,11 @@
-"""repro.query -- the standby query service layer.
+"""repro.query -- the standby query service layer (paper Fig. 2).
 
-The paper's deployment story (Fig. 2, Table 1/2) offloads analytics to
-the standby; this package turns the single-threaded ``ScanEngine.scan``
-into a service that can carry that load:
-
-* :mod:`repro.query.executor` -- morsel-parallel scan execution: a scan
-  is planned into per-IMCU / per-block-chunk morsels
-  (:meth:`ScanEngine.plan_morsels`) and dispatched to a pool of
-  scheduler-actor query workers;
+* :mod:`repro.query.service` -- :class:`QueryService`, one member's
+  morsel-parallel scans at its QuerySCN, run by the service's
+  :class:`QueryWorker` actors; the :class:`PendingQuery` a submit
+  returns is the client's handle;
 * :mod:`repro.query.admission` -- admission control for the session
-  layer (bounded concurrency, wait queue with timeouts);
-* :mod:`repro.query.service` -- :class:`QueryService`, tying the
-  executor to one standby member.
+  layer (bounded concurrency, wait queue with timeouts).
 """
 
 from repro.query.admission import (
@@ -19,16 +13,13 @@ from repro.query.admission import (
     AdmissionTimeout,
     PoolExhaustedError,
 )
-from repro.query.executor import PendingQuery, QueryWorker, QueryWorkerPool
-from repro.query.service import QueryHandle, QueryService
+from repro.query.service import PendingQuery, QueryService, QueryWorker
 
 __all__ = [
     "AdmissionController",
     "AdmissionTimeout",
     "PendingQuery",
     "PoolExhaustedError",
-    "QueryHandle",
     "QueryService",
     "QueryWorker",
-    "QueryWorkerPool",
 ]

@@ -226,10 +226,6 @@ class LogShipper(Actor):
     def shipped_through(self) -> int:
         return self._position
 
-    @property
-    def destinations(self) -> list[str]:
-        return list(self._receivers)
-
     def add_destination(self, name: str, receiver: RedoReceiver) -> None:
         if name in self._receivers:
             raise ValueError(f"duplicate shipping destination {name!r}")

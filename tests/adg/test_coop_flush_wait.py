@@ -40,7 +40,7 @@ def run_worker(helper, duration=0.05):
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(duration)
-    hist = registry.get("adg.apply.coop_flush_wait", worker=0)
+    hist = registry.snapshot().get("adg.apply.coop_flush_wait", worker=0)
     return worker, hist
 
 
@@ -49,18 +49,18 @@ class TestCoopFlushWait:
         helper = TogglingFlushHelper(blocked_calls=5)
         worker, hist = run_worker(helper)
         assert helper.calls > 5  # unblocked and kept stepping
-        assert len(hist) == 1  # one episode, not one entry per poll
-        assert hist.stats()["max"] > 0.0
+        assert hist["count"] == 1  # one episode, not one entry per poll
+        assert hist["max"] > 0.0
 
     def test_unblocked_flush_records_nothing(self):
         helper = TogglingFlushHelper(blocked_calls=0)
         __, hist = run_worker(helper)
-        assert len(hist) == 0
+        assert hist["count"] == 0
 
     def test_still_blocked_episode_stays_open(self):
         """An episode is observed only once it *ends*; a worker blocked at
         shutdown has nothing in the histogram but marks the open start."""
         helper = TogglingFlushHelper(blocked_calls=10**9)
         worker, hist = run_worker(helper)
-        assert len(hist) == 0
+        assert hist["count"] == 0
         assert worker._flush_blocked_since is not None

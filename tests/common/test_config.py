@@ -17,7 +17,7 @@ from repro.common.scn import SCNClock
 from repro.db import Deployment
 from repro.db.primary import HeartbeatWriter
 from repro.fleet import FleetRouter
-from repro.query import QueryService, QueryWorkerPool
+from repro.query import QueryService
 from repro.redo import LogShipper, RedoLog
 from repro.restart import CheckpointStore
 from repro.rowstore import BlockStore
@@ -156,7 +156,10 @@ def test_ship_latency_is_non_negative():
     "call",
     [
         lambda: SystemConfig(advance=None),
-        lambda: QueryWorkerPool(Scheduler(), parallel_backend="sim"),
+        lambda: QueryService(
+            Deployment.build().member(), Scheduler(), 2,
+            parallel_backend="sim",
+        ),
         lambda: Deployment.build().start_query_service(
             parallel_backend="sim"
         ),
@@ -174,13 +177,14 @@ def test_ship_latency_is_non_negative():
         lambda: IMCSConfig(pool_size_bytes=0),
         lambda: Deployment.build().primary.enable_inmemory("T", priority=1),
         lambda: QueryService(
-            Deployment.build().member(), Scheduler(), node="standby-1"
+            Deployment.build().member(), Scheduler(), 2, node="standby-1"
         ),
         lambda: LogShipper(RedoLog(1), {}, batch=2),
         lambda: HeartbeatWriter(1, SCNClock(), RedoLog(1), interval=0.1),
         lambda: UndoRetentionManager(BlockStore(), interval=0.1),
     ],
-    ids=["SystemConfig.advance", "QueryWorkerPool", "start_query_service",
+    ids=["SystemConfig.advance", "QueryService.parallel_backend",
+         "start_query_service",
          "start_query_service.enable_cache",
          "start_query_service.cache_capacity",
          "enable_inmemory.on_primary", "FleetRouter.policy",

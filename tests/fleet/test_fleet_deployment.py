@@ -129,7 +129,7 @@ class TestStandbyLoss:
             deployment.member("standby-1"), deployment.member("standby-3"),
         ]
         for shipper in deployment.shippers:
-            assert "standby-2" not in shipper.destinations
+            assert "standby-2" not in shipper._receivers
         names = [actor.name for actor in deployment.sched.actors]
         assert not any(n.startswith("standby-2-") for n in names)
 

@@ -182,11 +182,11 @@ class TestStandbyLoss:
             router.registry.create("reports", Service.STANDBY_ONLY)
             session = router.connect("reports")
             session.close()
-        counter = registry.get(
+        counter = registry.snapshot().get(
             "fleet.router.routed",
             service="reports", target="standby:standby-1",
         )
-        assert counter is not None and counter.value == 1
+        assert counter is not None and counter["value"] == 1
 
 
 class TestRacMemberSession:

@@ -126,6 +126,17 @@ class TestStamping:
         assert [v for __, v in tracer.published_series.points] == [10, 12]
 
 
+def gap_at(tracer, t, threads=(1, 2)):
+    """Generated-vs-published SCN gap at ``t``, the max over ``threads``,
+    read from the tracer's series (the pointwise Fig. 11 lag)."""
+    generated = max(
+        tracer.generated_series(thread).value_at(t)
+        for thread in threads
+        if tracer.generated_series(thread) is not None
+    )
+    return max(0.0, generated - tracer.published_series.value_at(t))
+
+
 class TestFig11FromInstruments:
     def test_scn_gap_at_and_worst_gap(self):
         clock, __, tracer = make_tracer()
@@ -140,11 +151,9 @@ class TestFig11FromInstruments:
         tracer.record_published(20)
         clock.now = 3.0
         tracer.record_published(30)
-        assert tracer.scn_gap_at(0.0) == 10.0  # generated 10, published 0
-        assert tracer.scn_gap_at(1.0) == 10.0  # generated 20, published 10
-        assert tracer.scn_gap_at(3.0) == 0.0
-        assert tracer.scn_gap_at(1.0, thread=1) == 10.0
-        assert tracer.scn_gap_at(1.0, thread=9) == 0.0  # unknown thread
+        assert gap_at(tracer, 0.0) == 10.0  # generated 10, published 0
+        assert gap_at(tracer, 1.0) == 10.0  # generated 20, published 10
+        assert gap_at(tracer, 3.0) == 0.0
         assert tracer.worst_scn_gap() == 10.0
         assert tracer.worst_scn_gap(after=2.5) == 0.0
 
@@ -154,8 +163,8 @@ class TestFig11FromInstruments:
         tracer.record_generated(2, 40, 1)
         clock.now = 1.0
         tracer.record_published(10)
-        assert tracer.scn_gap_at(0.5) == 40.0
-        assert tracer.scn_gap_at(0.5, thread=1) == 10.0
+        assert gap_at(tracer, 0.5) == 40.0
+        assert gap_at(tracer, 0.5, threads=[1]) == 10.0
         assert tracer.generated_series(2).value_at(float("inf")) == 40
         assert tracer.generated_series(3) is None
 

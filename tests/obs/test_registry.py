@@ -45,8 +45,8 @@ class TestInstruments:
             comp = Component()
         comp.depth = 3
         comp.depth = 1.5
-        assert reg.get("component.depth").value == 1.5
-        assert reg.snapshot().get("component.depth")["kind"] == "gauge"
+        entry = reg.snapshot().get("component.depth")
+        assert entry["value"] == 1.5 and entry["kind"] == "gauge"
 
     def test_histogram_stats(self):
         h = Histogram("x")
@@ -90,11 +90,12 @@ class TestRegistry:
         with obs.collecting(reg):
             comp = Component()
         comp.depth = 5
-        assert reg.get("redo.x", thread=1).value == 3
-        assert reg.get("redo.x") is None
-        assert len(reg.find("redo.x")) == 2
-        assert reg.total("redo.x") == 7
-        assert reg.total("component.depth") == 5
+        snap = reg.snapshot()
+        assert snap.get("redo.x", thread=1)["value"] == 3
+        assert snap.get("redo.x") is None
+        assert len(snap.find("redo.x")) == 2
+        assert snap.total("redo.x") == 7
+        assert snap.total("component.depth") == 5
         assert len(reg) == 4
 
     def test_duplicate_declaration_gets_auto_label(self):
@@ -109,8 +110,9 @@ class TestRegistry:
         b.inc(2)
         c.inc(4)
         assert a.value == 1 and b.value == 2 and c.value == 4
-        assert reg.total("dup") == 7
-        labels = sorted(dict(i.labels).get("i", "") for i in reg.find("dup"))
+        snap = reg.snapshot()
+        assert snap.total("dup") == 7
+        labels = sorted(e["labels"].get("i", "") for e in snap.find("dup"))
         assert labels == ["", "1", "2"]
 
     def test_collecting_routes_module_helpers(self):
@@ -126,9 +128,10 @@ class TestRegistry:
         hist.observe(1.0)
         outer_hist.observe(1.0)
         outer_series.record(0.0, 1.0)
-        assert reg.get("in.ctx").value == 1
-        assert len(reg.get("in.hist")) == 1
-        assert reg.get("out.ctx") is None
+        snap = reg.snapshot()
+        assert snap.get("in.ctx")["value"] == 1
+        assert snap.get("in.hist")["count"] == 1
+        assert snap.get("out.ctx") is None
         # outside a registry a declaration records nothing at all
         for instrument in (outer, outer_hist, outer_series):
             assert not isinstance(instrument, (Counter, Histogram, Series))
@@ -153,7 +156,7 @@ class TestRegistry:
         comp.clear()
         assert reg.snapshot().get("component.applied", worker=3)["value"] == 0
         comp.applied += 1
-        assert reg.total("component.applied") == 1
+        assert reg.snapshot().total("component.applied") == 1
 
     def test_bind_misconfiguration_fails_loudly(self):
         reg = MetricsRegistry()
@@ -238,4 +241,4 @@ class TestTracerAutoDedup:
         a = obs.RedoLifecycleTracer(clock, reg)
         b = obs.RedoLifecycleTracer(clock, reg)
         assert a.visibility_lag is not b.visibility_lag
-        assert len(reg.find("lifecycle.visibility_lag")) == 2
+        assert len(reg.snapshot().find("lifecycle.visibility_lag")) == 2

@@ -37,7 +37,7 @@ from repro.db.primary import HEARTBEAT_INTERVAL, HeartbeatWriter
 from repro.db.standby import StandbyInstance
 from repro.imcs.population import PopulationWorker
 from repro.imcs.store import InMemoryColumnStore
-from repro.query.executor import QueryWorker
+from repro.query.service import QueryWorker
 from repro.redo.shipping import LogShipper
 from repro.rowstore.undo_retention import (
     SWEEP_INTERVAL,
@@ -83,7 +83,7 @@ IDLE = {
     LogMerger: lambda a, now: a.receiver.pending() == 0,
     RecoveryWorker: _worker_idle,
     PopulationWorker: _population_idle,
-    QueryWorker: lambda a, now: not a.pool.queue_depth,
+    QueryWorker: lambda a, now: not a.service.queue_depth,
     RecoveryCoordinator: _coordinator_idle,
     HeartbeatWriter: lambda a, now: (
         now <= a._last_write + HEARTBEAT_INTERVAL

@@ -1,5 +1,6 @@
-"""Morsel-parallel execution: correctness (identical to the serial scan)
-and the parallelism payoff (simulated elapsed scales with workers)."""
+"""Morsel-parallel execution through the query service: correctness
+(identical to the serial scan) and the parallelism payoff (simulated
+elapsed scales with workers)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro.db import InMemoryService
 from repro.imcs import Predicate
-from repro.query import QueryWorkerPool
+from repro.query import QueryService
 
 from tests.db.conftest import load, simple_table_def, small_config
 from repro.db import Deployment
@@ -24,21 +25,16 @@ def big_deployment():
 
 
 def run_parallel(deployment, n_workers, predicates=None, columns=None):
-    standby = deployment.standby
-    table = standby.catalog.table("T")
-    morsels = standby.scan_engine.plan_morsels(
-        table, standby.query_scn.value, predicates, columns
-    )
-    pool = QueryWorkerPool(deployment.sched, n_workers=n_workers)
+    service = QueryService(deployment.member(), deployment.sched, n_workers)
     try:
-        pending = pool.submit(morsels)
+        pending = service.submit("T", predicates, columns)
         ok = deployment.sched.run_until_condition(
             lambda: pending.done, max_time=120.0
         )
         assert ok, "parallel scan never completed"
     finally:
-        pool.shutdown()
-    return pending, len(morsels)
+        service.shutdown()
+    return pending, len(pending.morsels)
 
 
 class TestCorrectness:
@@ -47,6 +43,7 @@ class TestCorrectness:
         serial = deployment.standby.query("T")
         pending, n_morsels = run_parallel(deployment, n_workers=4)
         assert n_morsels > 1
+        assert pending.scn == deployment.standby.query_scn.value
         assert pending.result.rows == serial.rows
         assert pending.result.stats == serial.stats
 
@@ -65,14 +62,15 @@ class TestCorrectness:
 
     def test_empty_morsel_list_completes_at_submit(self, big_deployment):
         deployment, __ = big_deployment
-        pool = QueryWorkerPool(deployment.sched, n_workers=2)
+        service = QueryService(deployment.member(), deployment.sched, 2)
         try:
-            pending = pool.submit([])
+            pending = service.submit("T", partitions=[])
+            assert pending.morsels == []
             assert pending.done
             assert pending.result.rows == []
             assert pending.elapsed == 0.0
         finally:
-            pool.shutdown()
+            service.shutdown()
 
 
 class TestParallelism:
@@ -88,11 +86,11 @@ class TestParallelism:
     def test_pool_rejects_zero_workers(self, big_deployment):
         deployment, __ = big_deployment
         with pytest.raises(ValueError):
-            QueryWorkerPool(deployment.sched, n_workers=0)
+            QueryService(deployment.member(), deployment.sched, 0)
 
     def test_shutdown_removes_workers(self, big_deployment):
         deployment, __ = big_deployment
-        pool = QueryWorkerPool(deployment.sched, n_workers=2)
-        assert all(w in deployment.sched.actors for w in pool.workers)
-        pool.shutdown()
-        assert all(w not in deployment.sched.actors for w in pool.workers)
+        service = QueryService(deployment.member(), deployment.sched, 2)
+        assert all(w in deployment.sched.actors for w in service.workers)
+        service.shutdown()
+        assert all(w not in deployment.sched.actors for w in service.workers)

@@ -312,7 +312,9 @@ def test_a_named_member_scales_out_and_leaves_with_every_destination():
     assert member is deployment.member("standby-2")
     assert not deployment.member("standby-1").peers
     for shipper in deployment.shippers:
-        assert shipper.destinations == ["standby-1", "standby-2", "standby-2.2"]
+        assert list(shipper._receivers) == [
+            "standby-1", "standby-2", "standby-2.2",
+        ]
     create_and_load(deployment, n=100)
     deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
     deployment.catch_up()
@@ -322,4 +324,4 @@ def test_a_named_member_scales_out_and_leaves_with_every_destination():
     )
     deployment.lose_standby("standby-2")
     for shipper in deployment.shippers:
-        assert shipper.destinations == ["standby-1"]
+        assert list(shipper._receivers) == ["standby-1"]

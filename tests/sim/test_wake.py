@@ -6,8 +6,11 @@ so one actor's steps never overlap.  A wake leaves an actor that is not
 parked (busy, polling or unregistered) alone.
 """
 
-from repro.imcs.scan import ScanMorsel, ScanResult, ScanStats
-from repro.query.executor import MORSEL_DISPATCH_COST, QueryWorkerPool
+import functools
+from types import SimpleNamespace
+
+from repro.imcs.scan import ScanMorsel, _partial
+from repro.query.service import MORSEL_DISPATCH_COST, QueryService
 from repro.sim import Scheduler
 from repro.sim.scheduler import wake
 
@@ -262,21 +265,27 @@ def test_actors_keep_registration_order():
 
 
 def test_a_query_worker_busy_at_submit_finishes_its_morsel_first():
-    """A submit wakes the pool's parked workers at once; a worker still in
-    a morsel's cost takes the next one only when that cost has elapsed."""
+    """A submit wakes the service's parked workers at once; a worker still
+    in a morsel's cost takes the next one only when that cost has
+    elapsed."""
     sched = Scheduler()
-    pool = QueryWorkerPool(sched, n_workers=1)
     started = []
 
-    def morsel():
-        def run():
-            started.append(sched.now)
-            return ScanResult(stats=ScanStats(cost_seconds=1.0))
+    def step(result):
+        started.append(sched.now)
+        result.stats.cost_seconds += 1.0
 
-        return ScanMorsel("rowstore", "m", run)
+    def plan_morsels(*args):  # every scan is one 1 s morsel
+        return [ScanMorsel("rowstore", "m", functools.partial(_partial, step))]
 
-    sched.call_at(0.25, lambda: pool.submit([morsel()]))
-    sched.call_at(0.75, lambda: pool.submit([morsel()]))  # worker busy
-    sched.call_at(3.0, lambda: pool.submit([morsel()]))  # worker parked
+    member = SimpleNamespace(
+        name="m", node=None, published_scn=0,
+        catalog=SimpleNamespace(table=lambda name: None),
+        scan_engine=SimpleNamespace(plan_morsels=plan_morsels),
+    )
+    service = QueryService(member, sched, 1)
+    sched.call_at(0.25, lambda: service.submit("T"))
+    sched.call_at(0.75, lambda: service.submit("T"))  # worker busy
+    sched.call_at(3.0, lambda: service.submit("T"))  # worker parked
     sched.run_until(5.0)
     assert started == [0.25, 0.25 + 1.0 + MORSEL_DISPATCH_COST, 3.0]

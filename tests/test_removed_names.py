@@ -435,6 +435,45 @@ BANS = [
         "§3 Removed: `FunctionActor` and `Scheduler.run_steps` live in "
         "tests/helpers.py",
     ),
+    Ban(
+        "query_service_wrappers",
+        r"QueryWorkerPool|QueryHandle|query_service\.pool"
+        r"|query\.service\.submitted|repro\.query\.executor",
+        EVERYWHERE,
+        "§3 Removed / §11: one `QueryService` owns its workers, its "
+        "`query.pool.*` instruments and the `query.pool` site; the "
+        "`PendingQuery` a submit returns is the handle",
+    ),
+    Ban(
+        "query_executor_module",
+        r"^src/repro/query/executor\.py$",
+        ("src/repro/query",),
+        "§3 Removed: `query/executor.py`; the workers live in "
+        "`query/service.py`",
+        paths_only=True,
+    ),
+    Ban(
+        "test_only_second_reads",
+        r"def destinations\b|\.destinations\b|scn_gap_at\(",
+        EVERYWHERE,
+        "§3 Removed: `LogShipper.destinations` and "
+        "`RedoLifecycleTracer.scn_gap_at`; tests read the shipper's "
+        "receivers and the tracer's series (`value_at`)",
+    ),
+    Ban(
+        "site_registry_names",
+        r"def names\b",
+        ("src/repro/chaos",),
+        "§3 Removed: `SiteRegistry.names`; `sites(name)` is the read",
+    ),
+    Ban(
+        "registry_reads",
+        r"Optional\[Instrument\]|list\[Instrument\]"
+        r"|isinstance\(inst, Bound\)",
+        ("src/repro/obs/registry.py",),
+        "§3 Removed: `MetricsRegistry.get` / `find` / `total`; a snapshot "
+        "(`registry.snapshot()`) is the one read surface",
+    ),
 ]
 
 
