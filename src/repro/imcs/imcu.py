@@ -143,11 +143,8 @@ class IMCU:
         expressions = list(expressions or ())
         names = column_names + [e.name for e in expressions]
         specs = [
-            (
-                schema.column_index(name),
-                schema.column(name).ctype is ColumnType.NUMBER,
-            )
-            for name in column_names
+            (i, schema.columns[i].ctype is ColumnType.NUMBER)
+            for i in schema.positions(tuple(column_names))
         ] + [
             (schema.arity + j, expression.is_numeric)
             for j, expression in enumerate(expressions)

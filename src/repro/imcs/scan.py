@@ -9,9 +9,10 @@ data with the SMU to ensure that invalid or stale data is not delivered
 from the IMCS, but delivered from the database buffer cache").
 
 Correctness precondition (asserted by callers): every invalidation with
-commitSCN <= the scan snapshot has been flushed to the SMUs.  On the
-primary every commit does this synchronously; on the standby the
-QuerySCN-advancement protocol guarantees it for snapshot == QuerySCN.
+commitSCN <= the scan snapshot has been flushed to the SMUs, at no SCN
+below the commit it announces.  On the primary every commit does this
+synchronously; on the standby the QuerySCN-advancement protocol
+guarantees it for snapshot == QuerySCN.
 
 The scan returns a simulated cost alongside the rows: columnar rows cost
 ``IMCS_COST_PER_ROW`` and row-store fallback rows cost
@@ -297,20 +298,22 @@ class _CompiledScan:
         self.memo: dict = {}
         self.needed_set = frozenset(names).union(p.column for p in predicates)
         schema = resolver.schema
-        for predicate in predicates:  # an unknown column fails every scan
-            if not resolver.is_expression(predicate.column):
-                schema.column_index(predicate.column)
+        # an unknown column fails every scan
+        schema.positions(tuple(
+            p.column for p in predicates
+            if not resolver.is_expression(p.column)
+        ))
         if resolver.expressions is not None and any(
             resolver.is_expression(name) for name in names
         ):
             # expression values: resolve per row
             self.project = lambda values: resolver.project(values, names)
         elif len(names) == 1:
-            index = schema.column_index(names[0])
+            index = schema.positions(tuple(names))[0]
             self.project = lambda values, i=index: (values[i],)
         else:
             self.project = operator.itemgetter(
-                *[schema.column_index(name) for name in names]
+                *schema.positions(tuple(names))
             )
 
     def matches(self, unit, positions: np.ndarray, result) -> None:
@@ -526,7 +529,9 @@ class ScanEngine:
         snapshot, the segment's TRUNCATE SCN and the grown edge blocks:
         every later query at that QuerySCN skips the gather, the walk and
         the touches, reuses the column vectors earlier ones built, and
-        replays the walk's hits and row cost bit for bit (DESIGN.md §9).
+        replays the walk's hits and row cost bit for bit.  At a newer
+        QuerySCN the image is carried forward: only the rows invalidated
+        since and the edge rows are walked (DESIGN.md §9).
         """
         store = segment._store
         edges = [
@@ -536,14 +541,23 @@ class ScanEngine:
         # each edge range ends at its block's used_slots
         key = (snapshot_scn, segment.truncate_scn, edges)
         blocks, image = smu.tail_image(key)
-        if image is None:
-            blocks = [
-                (dba, store.get_optional(dba), slots)
-                for dba, slots in smu.invalid_slots_by_dba().items()
-            ] + edges
+        if image is not None:
+            self._fetch_rows(
+                table, blocks, snapshot_scn, compiled, result,
+                fallback=True, carry=None, image=image,
+            )
+            return
+        blocks = [
+            (dba, store.get_optional(dba), slots)
+            for dba, slots in smu.invalid_slots_by_dba().items()
+        ] + edges
+        carry = (
+            smu, store, len(blocks) - len(edges),
+            smu.tail_since(snapshot_scn, segment.truncate_scn),
+        )
         image = self._fetch_rows(
             table, blocks, snapshot_scn, compiled, result,
-            fallback=True, image=image,
+            fallback=True, carry=carry,
         )
         smu.keep_tail_image(key, blocks, image)
 
@@ -558,24 +572,24 @@ class ScanEngine:
                 for dba in dbas
                 if (block := store.get_optional(dba)) is not None
             ],
-            snapshot_scn, compiled, result, fallback,
+            snapshot_scn, compiled, result, fallback, None,
         )
 
     def _fetch_rows(
         self, table, blocks, snapshot_scn,
-        compiled: _CompiledScan, result, fallback, image=None,
+        compiled: _CompiledScan, result, fallback, carry, image=None,
     ) -> TailImage:
         """Every row-store row of one scan step: ``blocks`` is ``(dba,
         block, slots)`` triples (``block`` None when the store lost it).
 
         The buffer cache and the row cost are charged block by block, in
         order -- ``cost_seconds`` is a float sum that feeds sim time --
-        and the chains are then walked in one Consistent Read pass under
-        the scan's one commitSCN memo; a tail image ``image`` replays that
-        walk instead: one hit per block, then its charges.  The image's
-        rows then run through the IMCU's kernel and matches step.  Returns
-        the image.  The counters count slots asked for, tombstones and
-        slots past a wiped block's end included.
+        and the rows are then read by :meth:`_carried`; a tail image
+        ``image`` at this very key replays the pass instead: one hit per
+        block, then its charges.  The image's rows then run through the
+        IMCU's kernel and matches step.  Returns the image.  The counters
+        count slots asked for, tombstones and slots past a wiped block's
+        end included.
         """
         stats = result.stats
         cache = table.buffer_cache
@@ -601,11 +615,8 @@ class ScanEngine:
             stats.cost_seconds = cost
             if not work:
                 return NO_ROWS
-            image = TailImage(
-                visible_values_batch(
-                    work, snapshot_scn, self.txns, compiled.memo
-                ),
-                compiled.resolver, charges,
+            image = self._carried(
+                blocks, work, carry, snapshot_scn, compiled, charges
             )
         stats.rowstore_rows += image.slots
         if fallback:
@@ -616,4 +627,41 @@ class ScanEngine:
                 unit_matched_positions(image, None, compiled.predicates),
                 result,
             )
+        return image
+
+    def _carried(
+        self, blocks, work, carry, snapshot_scn, compiled, charges,
+    ) -> TailImage:
+        """The rows of ``blocks`` (``work``: their ``(block, slots)``
+        pairs) as a tail image, from one Consistent Read pass.  A unit's
+        tail passes ``carry``: its SMU and store, how many ``blocks`` hold
+        invalid rows (edge rows follow) and :meth:`SMU.tail_since`; with
+        an image to carry, only the rows named since and the edge rows
+        are walked."""
+        prior, whole = None, len(work) == len(blocks)  # whole: none lost
+        if carry is not None:
+            smu, store, n_held, since = carry
+            if since is not None and whole:
+                prior, named = since
+                edges, work = work[n_held:], []
+                dbas, slots = smu.imcu.row_dbas, smu.imcu.row_slots
+                last = None
+                for position in named:  # in position order: block by block
+                    dba = dbas.item(position)
+                    if dba != last:
+                        work.append((store.get(dba), []))
+                        last = dba
+                    work[-1][1].append(slots.item(position))
+                work += edges
+        walked = visible_values_batch(
+            work, snapshot_scn, self.txns, compiled.memo
+        )
+        if prior is not None:
+            return prior.carried_to(
+                named, walked, smu.invalid_positions(), compiled.resolver,
+                charges,
+            )
+        image = TailImage(walked, compiled.resolver, charges)
+        if carry is not None and whole:
+            image.held = smu.invalid_positions()
         return image

@@ -66,10 +66,11 @@ class Schema:
     columns: list[Column]
     _dropped: set[str] = field(default_factory=set)
     # the compiled row check: (position, column, is_number, nullable) per
-    # live column, by name in _live; positions never change (DROP COLUMN
+    # live column, by name in _live -- which also memoises a name tuple's
+    # positions (:meth:`positions`); positions never change (DROP COLUMN
     # is dictionary-only), and drop_column recompiles
     _checks: tuple = ()
-    _live: dict[str, tuple] = field(default_factory=dict)
+    _live: dict[object, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -98,8 +99,15 @@ class Schema:
         """Physical position of a live column in the stored row tuple."""
         return self._check(name)[0]
 
-    def column(self, name: str) -> Column:
-        return self._check(name)[1]
+    def positions(self, names: tuple) -> tuple:
+        """:meth:`column_index` of each of ``names``, resolved once per
+        name tuple."""
+        found = self._live.get(names)
+        if found is None:
+            found = self._live[names] = tuple(
+                self._check(name)[0] for name in names
+            )
+        return found
 
     @property
     def live_columns(self) -> list[Column]:

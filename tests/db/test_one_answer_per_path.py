@@ -13,6 +13,9 @@ its rows invalid, so the IMCU and its reconcile tail answer together.
   a row with a NULL key is stored, shipped and scanned like any other.
 * An int literal float64 cannot hold compares exactly, as Python compares
   it, not as the float it rounds to.
+* An In-Memory Expression value no NUMBER column holds is refused alike
+  by a filter on every path -- the row store, a populated standby, its
+  morsels -- and projected exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from repro.common.config import IMCSConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.db.sql import parse_query
-from repro.imcs import Predicate
+from repro.imcs import Expression, Predicate
 
 from tests.db.conftest import small_config
 from tests.naive_predicate import matches
@@ -223,3 +226,45 @@ def test_a_row_with_a_null_key_reaches_both_scans():
         ]
         assert database.index_fetch("N", "n1", 80) == (8, 80, "a")
         assert database.index_fetch("N", "n1", None) is None
+
+
+def test_an_expression_no_number_holds_is_refused_on_every_path():
+    """``prod = id * n1`` of the row (3, 2**53 - 1) is 27021597764222973,
+    which float64 rounds to ...972: a unit leaves the expression out
+    (``IMCU._build``), so the row store answers a filter on it, and a
+    tail holding it as a float64 would match ...972.  A filter raises
+    ``ValueError`` naming it instead, wherever the rows come from."""
+    built = Deployment.build(config=small_config())
+    built.create_table(TableDef("E", (
+        ColumnDef.number("id", nullable=False), ColumnDef.number("n1"),
+    ), rows_per_block=8))
+    txn = built.primary.begin()
+    for row in ((1, 2), (3, 2**53 - 1)):
+        built.primary.insert(txn, "E", row)
+    built.primary.commit(txn)
+    built.enable_inmemory("E", service=InMemoryService.STANDBY)
+    built.catch_up()
+    standby = built.standby
+    standby.add_inmemory_expression("E", Expression(
+        "prod", ("id", "n1"),
+        lambda i, n: None if None in (i, n) else i * n,
+    ))
+    near = [Predicate.eq("prod", 27021597764222972)]
+    with pytest.raises(ValueError, match="'prod'"):  # no unit yet
+        standby.query("E", near)
+    built.catch_up()  # repopulated, the expression left out
+    (unit,) = standby.imcs.segment(
+        standby.catalog.table("E").default_partition.object_id
+    ).live_units()
+    assert "prod" not in unit.imcu.column_name_set
+    with pytest.raises(ValueError, match="'prod'"):
+        standby.query("E", near)
+    morsels = standby.scan_engine.plan_morsels(
+        standby.catalog.table("E"), standby.query_snapshot(), near
+    )
+    with pytest.raises(ValueError, match="'prod'"):
+        for morsel in morsels:
+            morsel.run()
+    assert sorted(standby.query("E", columns=["id", "prod"]).rows) == [
+        (1, 2), (3, 3 * (2**53 - 1)),
+    ]

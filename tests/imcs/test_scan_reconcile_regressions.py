@@ -393,17 +393,21 @@ class TestOneMemoPerScan:
 
     def test_the_memo_does_not_outlive_the_scan(self, txns, clock):
         """The next scan runs at another snapshot: what was uncommitted
-        for the last one may be visible to it."""
+        for the last one may be visible to it.  The row is invalid from
+        an earlier commit, so the first scan resolves the open writer;
+        its commit is flushed at its commitSCN, as every commit is."""
         table, rowids, store, oid = self.two_units(txns, clock)
+        update(table, txns, clock, rowids[5], 55.0, TransactionId(1, 93_004))
+        invalidate(store, oid, rowids[5], clock.current)
         writer = TransactionId(1, 93_001)
         update(table, txns, clock, rowids[5], -5.0, writer, commit=False)
-        store.invalidate(oid, rowids[5].dba, (rowids[5].slot,), clock.current)
         engine = ScanEngine(store, txns)
         before = engine.scan(table, clock.current, columns=["id", "n1"])
-        assert (5, 50.0) in before.rows
+        assert (5, 55.0) in before.rows
         txns.commit(writer, clock.next())
+        invalidate(store, oid, rowids[5], clock.current)
         after = engine.scan(table, clock.current, columns=["id", "n1"])
-        assert (5, -5.0) in after.rows and (5, 50.0) not in after.rows
+        assert (5, -5.0) in after.rows and (5, 55.0) not in after.rows
 
     def test_snapshot_too_old_surfaces_and_releases_the_pin(
         self, txns, clock
@@ -508,15 +512,18 @@ class TestUnitWidePassKeepsThePerBlockContract:
 # one Consistent Read per unit per QuerySCN: the tail image
 # ----------------------------------------------------------------------
 class CountingWalk:
-    """``visible_values_batch`` as the scan engine calls it, counted."""
+    """``visible_values_batch`` as the scan engine calls it, counted, with
+    the ``(block, slots)`` pairs of each call."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = 0
+        self.walked: list[list] = []
         real = scan_module.visible_values_batch
 
-        def counted(*args, **kwargs):
+        def counted(work, *args, **kwargs):
             self.calls += 1
-            return real(*args, **kwargs)
+            self.walked.append([(block, list(slots)) for block, slots in work])
+            return real(work, *args, **kwargs)
 
         monkeypatch.setattr(scan_module, "visible_values_batch", counted)
 
@@ -619,7 +626,9 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
     ):
         """Every part of the key, changed alone, sends the scan back to the
         row store -- and each change alters what a stale image would
-        answer, so dropping that part from the key changes a result."""
+        answer, so dropping that part from the key changes a result.  At a
+        newer snapshot the walk reads only the rows named since the image
+        and the edge rows."""
         table, store, oid, still_open, rowids, walk, engine = self.tailed(
             txns, clock, monkeypatch
         )
@@ -633,6 +642,7 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
             invalidate(store, oid, rowids[25], clock.current)
         elif change == "snapshot":  # the open writer commits: next QuerySCN
             txns.commit(still_open, clock.next())
+            invalidate(store, oid, rowids[9], clock.current)  # its flush
             snapshot = clock.current
         elif change == "edge_slot":  # a slot appended above the snapshot
             table.insert_row((99, 990.0, "late"), still_open, clock.next())
@@ -640,6 +650,12 @@ class TestOneConsistentReadPerUnitPerQuerySCN:
             segment.truncate(clock.next())
         warm = engine.scan(table, snapshot, columns=["id", "n1"])
         assert walk.calls > calls
+        if change == "snapshot":  # row 9 in the first unit, the edge row
+            blocks = segment._store
+            assert walk.walked[calls:] == [
+                [(blocks.get(rowids[9].dba), [rowids[9].slot])],
+                [(blocks.get(segment.dbas[7]), [2])],
+            ]
         discard_tail_images(store, oid)
         cold = engine.scan(table, snapshot, columns=["id", "n1"])
         assert_same_scan(warm, cold)

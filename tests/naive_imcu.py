@@ -121,7 +121,8 @@ def naive_build(
     for name in column_names:
         columns[name] = naive_encode_column(
             raw_columns[name],
-            schema.column(name).ctype is ColumnType.NUMBER,
+            schema.columns[schema.column_index(name)].ctype
+            is ColumnType.NUMBER,
         )
     for expression in expressions:
         materialised = [

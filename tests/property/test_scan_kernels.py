@@ -351,9 +351,13 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
 
     def insert_committed(n):
         xid = TransactionId(1, next(sequence))
-        for __ in range(n):
-            insert(xid)
+        rowids = [insert(xid) for __ in range(n)]
         txns.commit(xid, clock.next())
+        if populated:  # the flush names every row a commit wrote
+            for rowid in rowids:
+                store.invalidate(oid, rowid.dba, (rowid.slot,), clock.current)
+
+    populated = False
 
     # -- before population: full blocks, then (drawn) a slot that ends its
     #    block's settled prefix mid-block, then a (drawn) non-full tail
@@ -372,6 +376,7 @@ def test_open_block_edges_equal_probing_every_covered_block(data):
     store.enable(table)
     populate_all(store, txns, clock)
     oid = table.default_partition.object_id
+    populated = True
     engine = ScanEngine(store, txns)
 
     def check():

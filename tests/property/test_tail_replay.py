@@ -6,12 +6,14 @@ per-block cost loop: it counts one hit per block and adds the row-cost
 addends the build kept, in order.  The loop it replaced lives here as the
 oracle, :class:`TouchEveryBlock`: every row-store step touches each block
 and adds its row cost, a repeat too; only the Consistent Read walk is
-skipped when the step has its image.  The oracle also builds a fresh
-engine for every query, so it recomputes the blocks no usable unit covers
-each time where the engine under test keeps that list.
+skipped when the step has its image.  It walks every row where the
+engine under test carries an image to a newer snapshot.  The oracle also
+builds a fresh engine for every query, so it recomputes the blocks no
+usable unit covers each time where the engine under test keeps that list.
 
 Hypothesis draws one history and plays it on two identical worlds --
-updates committed and left open, deletes, row and block invalidations,
+updates committed and left open (each commit flushed at its commitSCN,
+as every invalidation site does), deletes, row and block invalidations,
 edge rows and fresh blocks, a block the store loses, repopulation swaps,
 and several queries per snapshot, serial and as morsels, at the current
 snapshot and at older ones.  After every query the two answer alike:
@@ -50,7 +52,7 @@ class TouchEveryBlock(ScanEngine):
 
     def _fetch_rows(
         self, table, blocks, snapshot_scn, compiled, result, fallback,
-        image=None,
+        carry, image=None,
     ):
         stats = result.stats
         cache = table.buffer_cache
@@ -167,6 +169,11 @@ class World:
         if kind == "commit_open":
             if self.open_writer is not None:
                 self.txns.commit(self.open_writer, self.clock.next())
+                # its flush, at its commitSCN
+                self.store.invalidate(
+                    self.oid, self.locked.dba, (self.locked.slot,),
+                    self.clock.current,
+                )
                 self.open_writer = self.locked = None
             return
         if kind == "repopulate":
